@@ -71,14 +71,20 @@ test-fast:
 # The demo fault plan from the chaos harness: relay crash mid-transfer
 # plus two link flaps.  Recovery is visible in the exported trace.
 CHAOS_PLAN := relay_crash@2:for=8;link_down@12:site=A,for=0.4;link_down@13.5:site=B,for=0.4
+CHAOS_PLAN_LOSS := relay_crash@2:for=8;loss_burst@4:site=B,loss=0.3,for=5
 
 chaos:
 	$(PYTHON) -m repro.chaos --seed 1 --plan "$(CHAOS_PLAN)" \
 		--trace /tmp/repro-chaos.jsonl
 	$(PYTHON) -m repro.obs.report /tmp/repro-chaos.jsonl
 
+# Every sweep target below takes SEEDS=<range>; the default is the PR-gate
+# width, and CI's nightly widens it (`make chaos-mux SEEDS=1-20`) instead
+# of keeping its own copy of the plan strings.
+chaos-sweep: SEEDS ?= 1-20
 chaos-sweep:
-	$(PYTHON) -m repro.chaos --seeds 1-20 --plan "$(CHAOS_PLAN)"
+	$(PYTHON) -m repro.chaos --seeds $(SEEDS) --plan "$(CHAOS_PLAN)"
+	$(PYTHON) -m repro.chaos --seeds $(SEEDS) --plan "$(CHAOS_PLAN_LOSS)"
 
 # Live-socket chaos tier (docs/TESTING.md §4): the marked suite runs
 # real loopback transfers through the fault-injecting proxy, then the
@@ -96,13 +102,12 @@ golden-capture:
 golden-soak:
 	$(PYTHON) -m repro.chaos.live soak --seeds 1,2,3
 
-# Mid-stream fault matrix for the session layer (docs/SESSIONS.md):
-# each fault kills an in-flight stream; --sessions must carry it.
 # Mux chaos seed sweep: fan-in fairness/credit-conservation plus the
 # bulk-vs-interactive starvation bound (docs/MUX.md).
+chaos-mux: SEEDS ?= 1-5
 chaos-mux:
-	$(PYTHON) -m repro.chaos --seeds 1-5 --scenario mux_fanin
-	$(PYTHON) -m repro.chaos --seeds 1-5 --scenario mux_starvation
+	$(PYTHON) -m repro.chaos --seeds $(SEEDS) --scenario mux_fanin
+	$(PYTHON) -m repro.chaos --seeds $(SEEDS) --scenario mux_starvation
 
 # Mesh failover smoke (docs/MESH.md): kill the carrying relay (and a
 # second one) mid-transfer over the 3-relay mesh on BOTH backends.
@@ -113,18 +118,19 @@ MESH_BUNDLE_DIR := /tmp/repro-mesh-bundles
 MESH_PLAN_SIM := relay_kill@2:relay=r1;relay_kill@2.2:relay=r2
 MESH_PLAN_LIVE := relay_kill@0.45:relay=r1;relay_kill@0.6:relay=r2
 
+chaos-mesh: SEEDS ?= 1-3
 chaos-mesh:
-	$(PYTHON) -m repro.chaos --sessions --seeds 1-3 \
+	$(PYTHON) -m repro.chaos --sessions --seeds $(SEEDS) \
 		--scenario mesh_failover --plan "$(MESH_PLAN_SIM)" \
 		--bundle $(MESH_BUNDLE_DIR)
-	$(PYTHON) -m repro.chaos --sessions --seeds 1-3 \
+	$(PYTHON) -m repro.chaos --sessions --seeds $(SEEDS) \
 		--scenario relay_chain \
 		--plan "relay_partition@2:relay=r2,peers=r3,for=2" \
 		--bundle $(MESH_BUNDLE_DIR)
-	$(PYTHON) -m repro.chaos --sessions --seeds 1-3 \
+	$(PYTHON) -m repro.chaos --sessions --seeds $(SEEDS) \
 		--scenario nat_to_nat --plan "$(MESH_PLAN_SIM)" \
 		--bundle $(MESH_BUNDLE_DIR)
-	$(PYTHON) -m repro.chaos --backend live --sessions --seeds 1-3 \
+	$(PYTHON) -m repro.chaos --backend live --sessions --seeds $(SEEDS) \
 		--scenario mesh_failover --plan "$(MESH_PLAN_LIVE)" \
 		--bundle $(MESH_BUNDLE_DIR)
 
@@ -139,28 +145,32 @@ TUNE_PLAN_LOSS := wan_degrade@5:site=S,scale=1,loss=0.01,for=5
 TUNE_PLAN_STEP := wan_degrade@0.5:site=S,scale=5,for=8
 TUNE_PLAN_LIVE := latency@1.2:site=HUB,delay=0.08,for=2.5
 
+chaos-tune: SEEDS ?= 1-3
 chaos-tune:
-	$(PYTHON) -m repro.chaos --seeds 1-3 --scenario tune_degrade \
+	$(PYTHON) -m repro.chaos --seeds $(SEEDS) --scenario tune_degrade \
 		--plan "$(TUNE_PLAN_DEGRADE)" --bundle $(TUNE_BUNDLE_DIR)
-	$(PYTHON) -m repro.chaos --seeds 1-3 --scenario tune_loss_burst \
+	$(PYTHON) -m repro.chaos --seeds $(SEEDS) --scenario tune_loss_burst \
 		--plan "$(TUNE_PLAN_LOSS)" --bundle $(TUNE_BUNDLE_DIR)
-	$(PYTHON) -m repro.chaos --seeds 1-3 --scenario tune_bandwidth_step \
+	$(PYTHON) -m repro.chaos --seeds $(SEEDS) --scenario tune_bandwidth_step \
 		--plan "$(TUNE_PLAN_STEP)" --bundle $(TUNE_BUNDLE_DIR)
-	$(PYTHON) -m repro.chaos --backend live --seeds 1-3 \
+	$(PYTHON) -m repro.chaos --backend live --seeds $(SEEDS) \
 		--scenario tune_degrade --plan "$(TUNE_PLAN_LIVE)" \
 		--bundle $(TUNE_BUNDLE_DIR)
 
+# Mid-stream fault matrix for the session layer (docs/SESSIONS.md):
+# each fault kills an in-flight stream; --sessions must carry it.
+chaos-resume: SEEDS ?= 1-5
 chaos-resume:
-	$(PYTHON) -m repro.chaos --sessions --seeds 1-5 \
+	$(PYTHON) -m repro.chaos --sessions --seeds $(SEEDS) \
 		--scenario wan_transfer --plan "conntrack_flush@3:site=B"
-	$(PYTHON) -m repro.chaos --sessions --seeds 1-5 \
+	$(PYTHON) -m repro.chaos --sessions --seeds $(SEEDS) \
 		--scenario wan_transfer --plan "nat_expiry@3:site=B"
-	$(PYTHON) -m repro.chaos --sessions --seeds 1-5 \
+	$(PYTHON) -m repro.chaos --sessions --seeds $(SEEDS) \
 		--scenario wan_transfer_routed --plan "relay_crash@2:for=4"
-	$(PYTHON) -m repro.chaos --sessions --seeds 1-5 \
+	$(PYTHON) -m repro.chaos --sessions --seeds $(SEEDS) \
 		--scenario wan_transfer_routed --plan "peer_drop@2:node=bob"
-	$(PYTHON) -m repro.chaos --sessions --seeds 1-5 \
+	$(PYTHON) -m repro.chaos --sessions --seeds $(SEEDS) \
 		--scenario socks_transfer --plan "proxy_restart@2:site=B,for=2"
-	$(PYTHON) -m repro.chaos --sessions --seeds 1-5 \
+	$(PYTHON) -m repro.chaos --sessions --seeds $(SEEDS) \
 		--scenario ipl_fanin \
 		--plan "conntrack_flush@2.5:site=HUB;link_down@3.5:site=W2,for=0.5"

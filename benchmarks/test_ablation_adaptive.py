@@ -9,7 +9,7 @@ BDP-derived stream count matching the best static sweep.
 
 from conftest import once
 from paperlinks import AMSTERDAM_RENNES, DELFT_SOPHIA, measure
-from repro.core.autotune import recommend_streams
+from repro.tune.planner import recommend_streams
 from repro.core.utilization import StackSpec
 
 TOTAL = 8_000_000

@@ -11,7 +11,7 @@ Run:  python examples/striped_file_transfer.py
 
 import hashlib
 
-from repro.core.autotune import recommend_streams
+from repro.tune.planner import recommend_streams
 from repro.core.factory import BrokeredConnectionFactory
 from repro.core.scenarios import GridScenario
 from repro.core.utilization.spec import StackSpec

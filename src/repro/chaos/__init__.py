@@ -33,7 +33,6 @@ from .faults import (
 )
 from .invariants import ChannelAudit, check_invariants, obs_consistency_violations
 from .registry import (
-    SCENARIOS,
     ScenarioDef,
     get_scenario,
     live_scenario,
@@ -72,7 +71,6 @@ __all__ = [
     "ScenarioDef",
     "get_scenario",
     "scenario_names",
-    "SCENARIOS",
 ]
 
 

@@ -15,17 +15,12 @@ self-register::
 A :class:`ScenarioDef` records which fidelity tiers the workload can run
 on (default: packet only) and whether the builder wants the ``fidelity``
 keyword; :func:`get_scenario` is the lookup the runner and CLI use.
-
-``SCENARIOS`` remains importable as a read-only mapping view for one
-release; it warns on use — iterate :func:`scenario_names` and call
-:func:`get_scenario` instead.
 """
 
 from __future__ import annotations
 
 import inspect
-import warnings
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Sequence
 
 __all__ = [
     "ScenarioDef",
@@ -33,7 +28,6 @@ __all__ = [
     "live_scenario",
     "get_scenario",
     "scenario_names",
-    "SCENARIOS",
 ]
 
 _REGISTRY: dict[str, "ScenarioDef"] = {}
@@ -205,40 +199,3 @@ def _load_builtin() -> None:
         runner,
         tune,
     )
-
-
-class _ScenariosView(Mapping):
-    """Deprecated read-only ``name -> builder`` view of the registry.
-
-    Kept for one release so existing ``SCENARIOS[name]`` /
-    ``sorted(SCENARIOS)`` call sites keep working; every access warns.
-    """
-
-    def _warn(self) -> None:
-        warnings.warn(
-            "SCENARIOS is deprecated; use repro.chaos.get_scenario(name) "
-            "and repro.chaos.scenario_names() instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def __getitem__(self, name: str) -> Callable:
-        self._warn()
-        _load_builtin()
-        return _REGISTRY[name].builder
-
-    def __iter__(self) -> Iterator[str]:
-        self._warn()
-        _load_builtin()
-        return iter(sorted(_REGISTRY))
-
-    def __len__(self) -> int:
-        _load_builtin()
-        return len(_REGISTRY)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        _load_builtin()
-        return f"<SCENARIOS (deprecated view) {sorted(_REGISTRY)}>"
-
-
-SCENARIOS = _ScenariosView()

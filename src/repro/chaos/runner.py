@@ -55,9 +55,9 @@ from ..obs import MetricsRegistry, TraceContext, TraceRecorder, seed_ids
 from ..obs.assemble import assemble, render_text
 from .faults import FaultPlan, FaultScheduler, require_backend
 from .invariants import ChannelAudit, check_invariants
-from .registry import SCENARIOS, get_scenario, scenario
+from .registry import get_scenario, scenario
 
-__all__ = ["ChaosReport", "Workload", "run_chaos", "SCENARIOS", "scenario"]
+__all__ = ["ChaosReport", "Workload", "run_chaos", "scenario"]
 
 #: drain window after teardown: covers TIME_WAIT (2 s), the longest
 #: retransmit backoff (60 s) and any cancelled-timer heap residue.

@@ -490,9 +490,7 @@ async def _build_live_tune_degrade(
         "live",
         lambda: scn.sim.now,
         goodput_counter=("tune.rx_bytes_total", {"link": "live"}),
-        stall_counter=(
-            "mux.backpressure_waits", {"node": "alice", "backend": "live"}
-        ),
+        stall_counter=("mux.backpressure_waits", {"node": "alice"}),
         providers={"rtt": lambda: holder.get("rtt", 0.0)},
         smoothing_window=_LIVE_SMOOTH,
     )

@@ -31,8 +31,10 @@ from ..simnet.sockets import SimSocket, connect, listen
 from ..simnet.tcp import TcpError
 from ..util.framing import ByteReader, ByteWriter, FrameError
 from .links import Link
+from .wire import WireError, recv_frame, send_frame
 
-__all__ = ["RelayServer", "RelayClient", "RoutedLink", "RelayError", "MAX_MSG"]
+__all__ = ["RelayServer", "RelayClient", "RoutedLink", "RelayError", "MAX_MSG",
+           "MAX_RELAY_FRAME"]
 
 T_REGISTER = 1
 T_REGISTER_OK = 2
@@ -56,17 +58,8 @@ class RelayError(Exception):
     """Relay protocol failure (unknown peer, malformed frame, ...)."""
 
 
-def _write_frame(sock, body: bytes) -> Generator:
-    yield from sock.send_all(ByteWriter().u32(len(body)).raw(body).getvalue())
-
-
-def _read_frame(sock) -> Generator:
-    header = yield from sock.recv_exactly(4)
-    length = int.from_bytes(header, "big")
-    if length > MAX_MSG + 1024:
-        raise RelayError(f"oversized frame ({length} bytes)")
-    body = yield from sock.recv_exactly(length)
-    return body
+#: largest frame a relay connection carries: one routed message + header
+MAX_RELAY_FRAME = MAX_MSG + 1024
 
 
 def _routed_body(
@@ -262,7 +255,7 @@ class RelayServer:
                     sock = yield from connect(self.host, partner_addr)
                     self._inflight_socks.add(sock)
                     try:
-                        yield from _write_frame(
+                        yield from send_frame(
                             sock,
                             ByteWriter()
                             .u8(T_GOSSIP)
@@ -270,7 +263,7 @@ class RelayServer:
                             .lp_bytes(encode_entries(self.mesh.entries.values()))
                             .getvalue(),
                         )
-                        reply = yield from _read_frame(sock)
+                        reply = yield from recv_frame(sock, MAX_RELAY_FRAME)
                         r = ByteReader(reply)
                         if r.u8() == T_GOSSIP:
                             r.lp_str()  # sender id
@@ -280,7 +273,7 @@ class RelayServer:
                     finally:
                         self._inflight_socks.discard(sock)
                         sock.close()
-                except (TcpError, EOFError, RelayError, FrameError):
+                except (TcpError, EOFError, RelayError, FrameError, WireError):
                     ok = False
                 reg.counter("mesh.gossip_rounds_total", relay=self.relay_id).inc()
                 if advanced or not ok:
@@ -344,7 +337,7 @@ class RelayServer:
         frame = self._mesh_view_frame()
         for sock in list(self.sessions.values()):
             try:
-                yield from _write_frame(sock, frame)
+                yield from send_frame(sock, frame)
             except (EOFError, TcpError):
                 continue  # the session loop notices and unregisters
 
@@ -360,7 +353,7 @@ class RelayServer:
         self._inflight_socks.add(sock)
         try:
             advanced = self.mesh.merge(decode_entries(body), self.host.sim.now)
-            yield from _write_frame(
+            yield from send_frame(
                 sock,
                 ByteWriter()
                 .u8(T_GOSSIP)
@@ -371,8 +364,9 @@ class RelayServer:
             if advanced:
                 yield from self._push_mesh_views()
             try:
-                yield from _read_frame(sock)  # wait for the initiator's close
-            except (EOFError, TcpError, RelayError, FrameError):
+                # wait for the initiator's close
+                yield from recv_frame(sock, MAX_RELAY_FRAME)
+            except (EOFError, TcpError, RelayError, FrameError, WireError):
                 pass
         finally:
             self._inflight_socks.discard(sock)
@@ -388,9 +382,9 @@ class RelayServer:
         self._trunks_in.add(sock)
         try:
             while True:
-                body = yield from _read_frame(sock)
+                body = yield from recv_frame(sock, MAX_RELAY_FRAME)
                 yield from self._deliver_trunk(body, sock)
-        except (EOFError, RelayError, FrameError, TcpError):
+        except (EOFError, RelayError, FrameError, WireError, TcpError):
             pass
         finally:
             self._trunks_in.discard(sock)
@@ -417,7 +411,7 @@ class RelayServer:
         dest_sock = self.sessions.get(dst)
         if dest_sock is None:
             if kind != T_ERROR:  # errors about errors stop here
-                yield from _write_frame(
+                yield from send_frame(
                     trunk_sock,
                     _routed_body(
                         T_ERROR, dst, src, channel, b"unknown destination",
@@ -431,13 +425,13 @@ class RelayServer:
         reg.counter("relay.forwarded_total", backend="sim").inc()
         reg.counter("relay.forwarded_bytes_total", backend="sim").inc(len(payload))
         try:
-            yield from _write_frame(dest_sock, body)
+            yield from send_frame(dest_sock, body)
         except (EOFError, TcpError):
             if self.sessions.get(dst) is dest_sock:
                 del self.sessions[dst]
             dest_sock.abort()
             if kind != T_ERROR:
-                yield from _write_frame(
+                yield from send_frame(
                     trunk_sock,
                     _routed_body(
                         T_ERROR, dst, src, channel, b"unknown destination",
@@ -454,7 +448,7 @@ class RelayServer:
             sock = yield from connect(self.host, addr)
             self._inflight_socks.add(sock)
             try:
-                yield from _write_frame(
+                yield from send_frame(
                     sock,
                     ByteWriter().u8(T_TRUNK).lp_str(self.relay_id).getvalue(),
                 )
@@ -480,9 +474,9 @@ class RelayServer:
         """Read replies (routed errors, return traffic) off an outgoing trunk."""
         try:
             while True:
-                body = yield from _read_frame(sock)
+                body = yield from recv_frame(sock, MAX_RELAY_FRAME)
                 yield from self._deliver_trunk(body, sock)
-        except (EOFError, RelayError, FrameError, TcpError):
+        except (EOFError, RelayError, FrameError, WireError, TcpError):
             pass
         if self._trunks.get(relay_id) is sock:
             del self._trunks[relay_id]
@@ -514,7 +508,7 @@ class RelayServer:
         if trunk is None:
             return False
         try:
-            yield from _write_frame(trunk, body)
+            yield from send_frame(trunk, body)
         except (EOFError, TcpError):
             self._drop_trunk(owner.relay_id)
             return False
@@ -567,7 +561,7 @@ class RelayServer:
         # no registry; track it so a stop() mid-hello leaks nothing.
         self._inflight_socks.add(sock)
         try:
-            body = yield from _read_frame(sock)
+            body = yield from recv_frame(sock, MAX_RELAY_FRAME)
             reader = ByteReader(body)
             first = reader.u8()
             self._inflight_socks.discard(sock)
@@ -581,25 +575,25 @@ class RelayServer:
                 raise RelayError("expected REGISTER")
             node_id = reader.lp_str()
             if node_id in self.sessions:
-                yield from _write_frame(
+                yield from send_frame(
                     sock, ByteWriter().u8(T_ERROR).lp_str("duplicate id").getvalue()
                 )
                 sock.close()
                 return
             self.sessions[node_id] = sock
             self.flight.note("relay.register", node_id=node_id)
-            yield from _write_frame(sock, ByteWriter().u8(T_REGISTER_OK).getvalue())
+            yield from send_frame(sock, ByteWriter().u8(T_REGISTER_OK).getvalue())
             if self.mesh is not None:
                 # New registrations learn the mesh immediately (their
                 # route table needs the view before the first open).
-                yield from _write_frame(sock, self._mesh_view_frame())
+                yield from send_frame(sock, self._mesh_view_frame())
 
             while True:
-                body = yield from _read_frame(sock)
+                body = yield from recv_frame(sock, MAX_RELAY_FRAME)
                 if body and body[0] == T_PING:
                     continue  # client keepalive: refreshes middlebox state
                 yield from self._forward(node_id, body, sock)
-        except (EOFError, RelayError, FrameError, TcpError):
+        except (EOFError, RelayError, FrameError, WireError, TcpError):
             pass
         finally:
             self._inflight_socks.discard(sock)
@@ -657,7 +651,7 @@ class RelayServer:
             # The error goes back to the channel's opener: from their point
             # of view the channel is their own numbering.
             self._finish_route(route_key, "error", reason="unknown destination")
-            yield from _write_frame(
+            yield from send_frame(
                 src_sock,
                 _routed_body(
                     T_ERROR, dst, src, channel, b"unknown destination",
@@ -674,7 +668,7 @@ class RelayServer:
         reg.counter("relay.forwarded_total", backend="sim").inc()
         reg.counter("relay.forwarded_bytes_total", backend="sim").inc(len(payload))
         try:
-            yield from _write_frame(dest_sock, body)
+            yield from send_frame(dest_sock, body)
         except (EOFError, TcpError):
             # The destination died mid-write.  That is *its* problem, not
             # the sender's: drop the dead registration and answer exactly
@@ -684,7 +678,7 @@ class RelayServer:
                 del self.sessions[dst]
             dest_sock.abort()
             self._finish_route(route_key, "error", reason="destination died")
-            yield from _write_frame(
+            yield from send_frame(
                 src_sock,
                 _routed_body(
                     T_ERROR, dst, src, channel, b"unknown destination",
@@ -899,10 +893,10 @@ class RelayClient:
             self._sock = yield from self.connector(self.host, self.relay_addr)
         else:
             self._sock = yield from connect(self.host, self.relay_addr)
-        yield from _write_frame(
+        yield from send_frame(
             self._sock, ByteWriter().u8(T_REGISTER).lp_str(self.node_id).getvalue()
         )
-        body = yield from _read_frame(self._sock)
+        body = yield from recv_frame(self._sock, MAX_RELAY_FRAME)
         if ByteReader(body).u8() != T_REGISTER_OK:
             raise RelayError(f"registration rejected: {body!r}")
         self.connected = True
@@ -961,7 +955,7 @@ class RelayClient:
             if self.closed or not self.connected or self._sock is not sock:
                 return
             try:
-                yield from _write_frame(sock, bytes([T_PING]))
+                yield from send_frame(sock, bytes([T_PING]))
             except (EOFError, TcpError, RelayError):
                 return  # the reader notices the loss and handles it
 
@@ -977,7 +971,7 @@ class RelayClient:
     ) -> Generator:
         if self._sock is None:
             raise RelayError("relay client not connected")
-        yield from _write_frame(
+        yield from send_frame(
             self._sock,
             _routed_body(
                 kind, self.node_id, peer, channel, payload,
@@ -1041,9 +1035,9 @@ class RelayClient:
 
         try:
             while True:
-                body = yield from _read_frame(self._sock)
+                body = yield from recv_frame(self._sock, MAX_RELAY_FRAME)
                 self._dispatch(body)
-        except (EOFError, RelayError, FrameError, TcpError) as exc:
+        except (EOFError, RelayError, FrameError, WireError, TcpError) as exc:
             # Relay unreachable/crashed: every routed link is dead.  Close
             # our half too, so a FIN'd session can't linger in CLOSE_WAIT.
             self.connected = False
@@ -1077,7 +1071,7 @@ class RelayClient:
                 self.sim,
                 attempt,
                 self.reconnect_policy,
-                retry_on=(TcpError, RelayError, FrameError, EOFError),
+                retry_on=(TcpError, RelayError, FrameError, WireError, EOFError),
                 key=self.node_id,
                 name="relay.client.reconnect",
             )

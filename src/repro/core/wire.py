@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Generator
 
-from ..util.framing import ByteWriter
+from ..util.framing import frame
 
 __all__ = ["send_frame", "recv_frame", "WireError", "MAX_FRAME"]
 
@@ -17,7 +17,7 @@ class WireError(Exception):
 
 def send_frame(stream, body: bytes) -> Generator:
     """Write one u32-length-prefixed frame."""
-    yield from stream.send_all(ByteWriter().u32(len(body)).raw(body).getvalue())
+    yield from stream.send_all(frame(body))
 
 
 def recv_frame(stream, max_frame: int = MAX_FRAME) -> Generator:

@@ -46,31 +46,14 @@ class AsyncDriver:
 
 
 class AsyncTcpBlockDriver(AsyncDriver):
-    """Length-prefixed blocks over one live socket.
-
-    Takes ``link`` like its simulated twin; the old ``sock`` keyword (and
-    attribute) still work.
-    """
+    """Length-prefixed blocks over one live socket (``link``, like its
+    simulated twin)."""
 
     name = "tcp_block"
 
-    def __init__(
-        self,
-        link: Optional[LiveSocket] = None,
-        host=None,
-        *,
-        sock: Optional[LiveSocket] = None,
-    ):
-        if link is None:
-            link = sock
-        if link is None:
-            raise ValueError("tcp_block driver needs a socket")
+    def __init__(self, link: LiveSocket, host=None):
         self.link = link
         self.host = host
-
-    @property
-    def sock(self) -> LiveSocket:
-        return self.link
 
     async def send_block(self, block: bytes) -> None:
         await self.link.send_all(struct.pack("!I", len(block)) + block)
@@ -111,14 +94,10 @@ class AsyncParallelStreamsDriver(AsyncDriver):
 
     def __init__(
         self,
-        links: Optional[Sequence[LiveSocket]] = None,
+        links: Sequence[LiveSocket],
         host=None,
         fragment: int = DEFAULT_FRAGMENT,
-        *,
-        socks: Optional[Sequence[LiveSocket]] = None,
     ):
-        if links is None:
-            links = socks
         if not links:
             raise ValueError("parallel driver needs at least one socket")
         self.links = list(links)
@@ -134,10 +113,6 @@ class AsyncParallelStreamsDriver(AsyncDriver):
         obs.metrics().gauge(
             "driver.streams", driver=self.name, backend="live"
         ).set(len(self.links))
-
-    @property
-    def socks(self) -> list:
-        return self.links
 
     @property
     def nstreams(self) -> int:

@@ -1,239 +1,75 @@
 """Channel multiplexing on the live (asyncio) backend.
 
-The same frame protocol, credit semantics and scheduler contract as
-:mod:`repro.mux.endpoint` — the codec (:mod:`repro.mux.frames`) and the
-schedulers (:mod:`repro.mux.scheduler`) are shared verbatim; only the
-concurrency substrate differs (asyncio tasks and events instead of
-simulator processes).  An :class:`AsyncMuxChannel` exposes the live
-socket surface (``send_all`` / ``recv`` / ``recv_exactly`` / ``close``),
-so the async driver stacks compose over channels unchanged.
+The asyncio binding of :mod:`repro.mux.core` — the very same protocol
+state machine the simulator runs — adding only the HELLO exchange, the
+two pump tasks and the ``asyncio.Event``s callers park on until the core
+wakes them.  An :class:`AsyncMuxChannel` exposes the live socket surface
+(``send_all`` / ``recv`` / ``recv_exactly`` / ``close``), so the async
+driver stacks compose over channels unchanged.
 """
 
 from __future__ import annotations
 
 import asyncio
-from collections import deque
 from typing import Optional
 
 from .. import obs
+from ..mux.core import DEFAULT_WINDOW, ChannelState, MuxCore
 from ..mux.frames import (
-    CLOSE_ERROR,
-    CLOSE_GRACEFUL,
     MUX_VERSION,
     MuxProtocolError,
-    T_ACCEPT,
-    T_CLOSE,
-    T_CREDIT,
-    T_DATA,
-    T_HELLO,
-    T_OPEN,
-    T_WINDOW,
-    decode_frame,
-    encode_accept,
-    encode_close,
-    encode_credit,
-    encode_data,
+    decode_hello,
     encode_hello,
-    encode_open,
-    encode_window,
 )
-from ..mux.scheduler import RoundRobinScheduler, Scheduler
+from ..mux.scheduler import Scheduler
 from ..obs import TraceContext
-from ..util.framing import ByteWriter
+from .wire import ExactReads, WireError, read_frame, write_frame
 
 __all__ = ["AsyncMuxEndpoint", "AsyncMuxChannel", "LiveMuxError"]
-
-_DEFAULT_WINDOW = 65536
-_MAX_DATA = 16384
 
 
 class LiveMuxError(Exception):
     """Live mux endpoint failure."""
 
 
-async def _write_frame(sock, body: bytes) -> None:
-    await sock.send_all(ByteWriter().u32(len(body)).raw(body).getvalue())
-
-
-async def _read_frame(sock) -> bytes:
-    header = await sock.recv_exactly(4)
-    return await sock.recv_exactly(int.from_bytes(header, "big"))
-
-
-class AsyncMuxChannel:
+class AsyncMuxChannel(ChannelState, ExactReads):
     """One logical stream over a shared live socket."""
 
-    muxed = True
-
-    def __init__(self, endpoint: "AsyncMuxEndpoint", channel_id: int,
-                 tag: bytes, window: int,
-                 ctx: Optional[TraceContext] = None):
-        self._ep = endpoint
-        self.channel_id = channel_id
-        self.tag = tag
-        self.ctx = ctx
-        self._tx_credit = 0
-        self._txq: deque = deque()
-        self._tx_buffered = 0
-        self._tx_drained = asyncio.Event()
-        self._tx_drained.set()
-        self._rx_window = window
-        self._rx_allowance = window
-        self._grant_debt = 0
-        self.peer_rx_window = 0
-        self._rxq: deque = deque()
-        self._rx_available = asyncio.Event()
-        self._consumed_since_grant = 0
-        self._accepted = asyncio.Event()
-        self._local_closed = False
-        self._close_sent = False
-        self._remote_closed = False
-        self._error: Optional[BaseException] = None
-
     async def send_all(self, data: bytes) -> None:
-        if self._error is not None:
-            raise self._error
-        if self._local_closed:
-            raise LiveMuxError(f"mux channel {self.channel_id} closed")
-        if not data:
-            return
-        self._txq.append(bytes(data))
-        self._tx_buffered += len(data)
-        self._tx_drained.clear()
-        self._ep._update_ready(self)
-        await self._tx_drained.wait()
+        self.write(data)
+        while self._tx_buffered > 0 and self._error is None:
+            await self._ep._wait(self.WAKE_DRAINED, self)
         if self._error is not None:
             raise self._error
 
     async def recv(self, maxbytes: int) -> bytes:
-        while not self._rxq:
-            if self._error is not None:
-                raise self._error
-            if self._remote_closed:
-                return b""
-            self._rx_available.clear()
-            await self._rx_available.wait()
-        chunk = self._rxq.popleft()
-        if len(chunk) > maxbytes:
-            self._rxq.appendleft(chunk[maxbytes:])
-            chunk = chunk[:maxbytes]
-        self._ep._consumed(self, len(chunk))
+        while (chunk := self.read(maxbytes)) is None:
+            await self._ep._wait(self.WAKE_RX, self)
         return chunk
 
-    async def recv_exactly(self, n: int) -> bytes:
-        chunks = []
-        remaining = n
-        while remaining > 0:
-            data = await self.recv(remaining)
-            if not data:
-                raise EOFError(f"mux channel ended {remaining}/{n} bytes short")
-            chunks.append(data)
-            remaining -= len(data)
-        return b"".join(chunks)
 
-    def close(self) -> None:
-        self._ep._close_channel(self, CLOSE_GRACEFUL)
-
-    def abort(self) -> None:
-        self._txq.clear()
-        self._tx_buffered = 0
-        self._ep._close_channel(self, CLOSE_ERROR, reason="aborted")
-
-    def retune_window(self, new_window: int) -> None:
-        """Mid-stream credit-window renegotiation (tuner-driven).
-
-        Same semantics as the sim channel: growth grants the delta as
-        immediate CREDIT; shrink is graceful — consumption-driven grants
-        are withheld until the outstanding allowance drains to the new
-        window.  A WINDOW frame announces the new steady state.
-        """
-        if new_window <= 0:
-            raise ValueError(f"window must be positive: {new_window}")
-        old = self._rx_window
-        if new_window == old:
-            return
-        self._rx_window = new_window
-        delta = new_window - old
-        if delta > 0:
-            absorbed = min(self._grant_debt, delta)
-            self._grant_debt -= absorbed
-            grant = delta - absorbed
-            if grant > 0:
-                self._rx_allowance += grant
-                self._ep._send_ctl(encode_credit(self.channel_id, grant))
-        else:
-            self._grant_debt += -delta
-        self._ep._send_ctl(encode_window(self.channel_id, new_window))
-        obs.metrics().counter("mux.window_retunes_total",
-                              node=self._ep.node).inc()
-        obs.event("mux.window_retune", ctx=self.ctx, node=self._ep.node,
-                  channel=self.channel_id, old=old, new=new_window,
-                  backend="live")
-
-    @property
-    def _tx_ready(self) -> bool:
-        return (
-            self._tx_buffered > 0
-            and self._tx_credit > 0
-            and self._accepted.is_set()
-            and not self._close_sent
-            and self._error is None
-        )
-
-    def _take_tx(self, limit: int) -> bytes:
-        chunk = self._txq.popleft()
-        if len(chunk) > limit:
-            self._txq.appendleft(chunk[limit:])
-            chunk = chunk[:limit]
-        self._tx_buffered -= len(chunk)
-        return chunk
-
-    def _fail(self, exc: BaseException) -> None:
-        if self._error is None:
-            self._error = exc
-        self._tx_drained.set()
-        self._rx_available.set()
-        self._accepted.set()
-
-
-class AsyncMuxEndpoint:
+class AsyncMuxEndpoint(MuxCore):
     """Multiplexes logical channels over one live socket."""
 
-    INITIATOR = "initiator"
-    RESPONDER = "responder"
+    channel_class = AsyncMuxChannel
+    closed_error = LiveMuxError
 
-    def __init__(self, sock, role: str, *, window: int = _DEFAULT_WINDOW,
+    def __init__(self, sock, role: str, *, window: int = DEFAULT_WINDOW,
                  scheduler: Optional[Scheduler] = None, node: str = ""):
+        super().__init__(role, window=window, scheduler=scheduler, node=node)
         self.sock = sock
-        self.role = role
-        self.window = int(window)
-        self.node = node
-        self.scheduler = scheduler or RoundRobinScheduler()
-        self._channels: dict[int, AsyncMuxChannel] = {}
-        self._next_cid = 1 if role == self.INITIATOR else 2
-        self._pending_accept: deque = deque()
-        self._accept_wake = asyncio.Event()
-        self._ctlq: deque = deque()
-        self._tx_wake = asyncio.Event()
-        self._closed = False
-        self._error: Optional[BaseException] = None
         self._tasks: list = []
 
     @classmethod
-    async def establish(cls, sock, role: str, *,
-                        window: int = _DEFAULT_WINDOW,
-                        scheduler: Optional[Scheduler] = None,
-                        node: str = "",
+    async def establish(cls, sock, role: str, *, window: int = DEFAULT_WINDOW,
+                        scheduler: Optional[Scheduler] = None, node: str = "",
                         ctx: Optional[TraceContext] = None
                         ) -> "AsyncMuxEndpoint":
+        """HELLO version exchange over ``sock``, then a running endpoint
+        (both sides write first and read second, so it cannot deadlock)."""
         ctx = ctx or obs.current()
-        await _write_frame(sock, encode_hello(MUX_VERSION, window))
-        hello = decode_frame(await _read_frame(sock))
-        if hello.kind != T_HELLO:
-            raise MuxProtocolError(f"expected HELLO, got {hello.name}")
-        if hello.version != MUX_VERSION:
-            raise MuxProtocolError(
-                f"mux version mismatch: ours {MUX_VERSION}, peer {hello.version}")
+        await write_frame(sock, encode_hello(MUX_VERSION, window))
+        decode_hello(await read_frame(sock))
         obs.event("mux.establish", ctx=ctx, node=node, role=role,
                   backend="live")
         endpoint = cls(sock, role, window=window, scheduler=scheduler,
@@ -245,260 +81,79 @@ class AsyncMuxEndpoint:
         return endpoint
 
     async def open_channel(self, tag: bytes = b"", *,
-                           window: Optional[int] = None,
-                           weight: int = 1,
+                           window: Optional[int] = None, weight: int = 1,
                            ctx: Optional[TraceContext] = None
                            ) -> AsyncMuxChannel:
-        self._check_alive()
-        ctx = ctx or obs.current() or TraceContext.new()
-        cid = self._next_cid
-        self._next_cid += 2
-        channel = AsyncMuxChannel(self, cid, tag, window or self.window,
-                                  ctx=ctx)
-        self._channels[cid] = channel
-        self.scheduler.add(cid, weight)
-        child = ctx.child()
-        self._send_ctl(encode_open(cid, channel._rx_window, tag,
-                                   child.encode()))
-        await channel._accepted.wait()
+        """Open a logical channel; returns once the peer ACCEPTs."""
+        channel, child = self.open(tag, window=window, weight=weight, ctx=ctx)
+        while not channel._accepted and channel._error is None:
+            await self._wait(channel.WAKE_ACCEPTED, channel)
         if channel._error is not None:
             raise channel._error
-        obs.event("mux.channel_open", ctx=child, node=self.node, channel=cid,
-                  backend="live")
+        obs.event("mux.channel_open", ctx=child, node=self.node,
+                  channel=channel.channel_id, backend="live")
         return channel
 
     async def accept_channel(self, tag: Optional[bytes] = None, *,
                              match=None) -> AsyncMuxChannel:
-        """Accept the next incoming channel.
-
-        With ``tag``, only a channel whose OPEN carried exactly that tag
-        is claimed; with ``match`` (a predicate over the tag bytes), only
-        matching channels.  Either lets independent acceptors share one
-        endpoint without stealing each other's channels.
-        """
-        if tag is not None and match is not None:
-            raise ValueError("pass tag or match, not both")
-        if tag is not None:
-            match = lambda t, want=bytes(tag): t == want  # noqa: E731
-        while True:
-            self._check_alive()
-            for channel in self._pending_accept:
-                if match is None or match(channel.tag):
-                    self._pending_accept.remove(channel)
-                    channel._accepted.set()
-                    self._send_ctl(encode_accept(channel.channel_id,
-                                                 channel._rx_window))
-                    return channel
-            self._accept_wake.clear()
-            await self._accept_wake.wait()
-
-    @property
-    def alive(self) -> bool:
-        return not self._closed and self._error is None
+        """Accept the next incoming channel; ``tag`` or ``match`` filter as
+        in :meth:`MuxCore.accept`, so independent acceptors can share one
+        endpoint without stealing each other's channels."""
+        while (channel := self.accept(tag, match=match)) is None:
+            await self._wait(self.WAKE_INCOMING)
+        return channel
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        exc = LiveMuxError("mux endpoint closed")
-        for channel in list(self._channels.values()):
-            channel._fail(exc)
-        self._channels.clear()
-        self._tx_wake.set()
-        self._accept_wake.set()
-        for task in self._tasks:
-            task.cancel()
-        self.sock.close()
+        if not self._closed:
+            super().close()
+            for task in self._tasks:
+                task.cancel()
+            self.sock.close()
+
+    # -- waiters ---------------------------------------------------------------
+    async def _wait(self, what: str,
+                    channel: Optional[AsyncMuxChannel] = None) -> None:
+        """Park until the core's next ``wake(what, channel)``.  The caller
+        tested its condition with no ``await`` since, so clearing the event
+        here cannot lose a wake-up."""
+        waiters = (channel or self)._waiters
+        event = waiters.get(what)
+        if event is None:
+            event = waiters[what] = asyncio.Event()
+        event.clear()
+        await event.wait()
+
+    def wake(self, what: str,
+             channel: Optional[AsyncMuxChannel] = None) -> None:
+        event = (channel or self)._waiters.get(what)
+        if event is not None:
+            event.set()
 
     # -- pumps ----------------------------------------------------------------
     async def _rx_pump(self) -> None:
         try:
             while not self._closed:
-                frame = decode_frame(await _read_frame(self.sock))
-                self._dispatch(frame)
-        except asyncio.CancelledError:
-            raise
-        except (EOFError, ConnectionError, OSError, MuxProtocolError) as exc:
-            self._fail(exc)
+                self.feed(await read_frame(self.sock))
+        except (EOFError, OSError) as exc:  # the carrier died
+            self.fail(exc)
+        except (MuxProtocolError, WireError) as exc:
+            self.fail(exc)
+            # close, not abort: on a session carrier abort() only kills the
+            # current transport and the session would resume under us
+            self.sock.close()
 
     async def _tx_pump(self) -> None:
         try:
             while True:
-                sent = False
-                while self._ctlq:
-                    await _write_frame(self.sock, self._ctlq.popleft())
-                    sent = True
-                channel = self._pick_ready()
-                if channel is not None:
-                    n = min(_MAX_DATA, channel._tx_credit,
-                            channel._tx_buffered)
-                    payload = channel._take_tx(n)
-                    channel._tx_credit -= len(payload)
-                    self._update_ready(channel)
-                    await _write_frame(
-                        self.sock, encode_data(channel.channel_id, payload))
-                    self.scheduler.sent(channel.channel_id, len(payload))
-                    if channel._tx_buffered == 0:
-                        channel._tx_drained.set()
-                        self._flush_pending_close(channel)
-                    sent = True
-                if sent:
-                    continue
-                if self._closed or self._error is not None:
+                frame = self.next_frame()
+                if frame is not None:
+                    await write_frame(self.sock, frame)
+                elif not self.alive:
                     return
-                self._tx_wake.clear()
-                await self._tx_wake.wait()
-        except asyncio.CancelledError:
-            raise
-        except (EOFError, ConnectionError, OSError) as exc:
-            self._fail(exc)
-
-    def _pick_ready(self) -> Optional[AsyncMuxChannel]:
-        try:
-            cid = self.scheduler.pick()
-        except LookupError:
-            return None
-        channel = self._channels.get(cid)
-        if channel is None or not channel._tx_ready:
-            self.scheduler.set_ready(cid, False)
-            return None
-        return channel
-
-    # -- dispatch --------------------------------------------------------------
-    def _dispatch(self, frame) -> None:
-        if frame.kind == T_OPEN:
-            expected = 0 if self.role == self.INITIATOR else 1
-            if frame.channel % 2 != expected or frame.channel in self._channels:
-                raise MuxProtocolError(f"bad OPEN channel id {frame.channel}")
-            ctx = None
-            if frame.ctx:
-                try:
-                    ctx = TraceContext.decode(frame.ctx)
-                except Exception:
-                    ctx = None
-            channel = AsyncMuxChannel(self, frame.channel, frame.tag,
-                                      self.window, ctx=ctx)
-            channel._tx_credit = frame.window
-            self._channels[frame.channel] = channel
-            self.scheduler.add(frame.channel, 1)
-            self._pending_accept.append(channel)
-            self._accept_wake.set()
-        elif frame.kind == T_ACCEPT:
-            channel = self._channels.get(frame.channel)
-            if channel is None:
-                raise MuxProtocolError(
-                    f"ACCEPT for unknown channel {frame.channel}")
-            channel._tx_credit += frame.window
-            channel._accepted.set()
-            self._update_ready(channel)
-        elif frame.kind == T_DATA:
-            channel = self._channels.get(frame.channel)
-            if channel is None:
-                raise MuxProtocolError(
-                    f"DATA for unknown channel {frame.channel}")
-            channel._rx_allowance -= len(frame.payload)
-            if channel._rx_allowance < 0:
-                raise MuxProtocolError(
-                    f"credit violation on channel {frame.channel}")
-            channel._rxq.append(frame.payload)
-            channel._rx_available.set()
-        elif frame.kind == T_CREDIT:
-            channel = self._channels.get(frame.channel)
-            if channel is not None:
-                channel._tx_credit += frame.grant
-                self._update_ready(channel)
-        elif frame.kind == T_CLOSE:
-            channel = self._channels.get(frame.channel)
-            if channel is None:
-                return
-            channel._remote_closed = True
-            if frame.flags == CLOSE_ERROR and channel._error is None:
-                channel._error = LiveMuxError(
-                    f"peer aborted channel {frame.channel}: {frame.reason}")
-            channel._rx_available.set()
-            if channel._close_sent:
-                self._drop_channel(channel)
-        elif frame.kind == T_WINDOW:
-            channel = self._channels.get(frame.channel)
-            if channel is not None:
-                channel.peer_rx_window = frame.window
-        else:
-            raise MuxProtocolError(f"unexpected frame {frame.name}")
-
-    # -- hooks -----------------------------------------------------------------
-    def _consumed(self, channel: AsyncMuxChannel, n: int) -> None:
-        channel._consumed_since_grant += n
-        if channel._remote_closed:
-            return
-        if channel._consumed_since_grant >= max(1, channel._rx_window // 2):
-            grant = channel._consumed_since_grant
-            channel._consumed_since_grant = 0
-            if channel._grant_debt:
-                absorbed = min(channel._grant_debt, grant)
-                channel._grant_debt -= absorbed
-                grant -= absorbed
-            if grant <= 0:
-                return
-            channel._rx_allowance += grant
-            self._send_ctl(encode_credit(channel.channel_id, grant))
-
-    def _update_ready(self, channel: AsyncMuxChannel) -> None:
-        self.scheduler.set_ready(channel.channel_id, channel._tx_ready)
-        if channel._tx_ready:
-            self._tx_wake.set()
-        elif (
-            channel._tx_buffered > 0
-            and channel._tx_credit <= 0
-            and channel._accepted.is_set()
-            and not channel._close_sent
-            and channel._error is None
-        ):
-            # buffered data is waiting on peer credit: the stall signal a
-            # LinkTuner's credit_stall_rate feeds on (sim twin: the
-            # backpressure counter in mux/endpoint.py)
-            obs.metrics().counter(
-                "mux.backpressure_waits", node=self.node, backend="live"
-            ).inc()
-
-    def _send_ctl(self, frame: bytes) -> None:
-        self._check_alive()
-        self._ctlq.append(frame)
-        self._tx_wake.set()
-
-    def _close_channel(self, channel: AsyncMuxChannel, flags: int,
-                       reason: str = "") -> None:
-        if channel._local_closed:
-            return
-        channel._local_closed = True
-        channel._pending_close = (flags, reason)
-        if channel._tx_buffered == 0 or flags == CLOSE_ERROR:
-            self._flush_pending_close(channel)
-
-    def _flush_pending_close(self, channel: AsyncMuxChannel) -> None:
-        pending = getattr(channel, "_pending_close", None)
-        if pending is None or channel._close_sent:
-            return
-        flags, reason = pending
-        channel._close_sent = True
-        if not self._closed and self._error is None:
-            self._send_ctl(encode_close(channel.channel_id, flags, reason))
-        if channel._remote_closed:
-            self._drop_channel(channel)
-
-    def _drop_channel(self, channel: AsyncMuxChannel) -> None:
-        self._channels.pop(channel.channel_id, None)
-        self.scheduler.remove(channel.channel_id)
-
-    def _fail(self, exc: BaseException) -> None:
-        if self._error is None:
-            self._error = exc
-        for channel in list(self._channels.values()):
-            channel._fail(exc)
-        self._tx_wake.set()
-        self._accept_wake.set()
-
-    def _check_alive(self) -> None:
-        if self._error is not None:
-            raise self._error
-        if self._closed:
-            raise LiveMuxError("mux endpoint closed")
+                elif self.idle:
+                    self.close()
+                    return
+                else:
+                    await self._wait(self.WAKE_TX)
+        except (EOFError, OSError) as exc:  # the carrier died
+            self.fail(exc)

@@ -24,19 +24,11 @@ from ..ipl.registry import (
 )
 from ..util.framing import ByteReader, ByteWriter, FrameError
 from .transport import LiveSocket, live_connect, live_listen
+from .wire import WireError, read_frame, write_frame
 
 __all__ = ["LiveRegistryServer", "LiveRegistryClient"]
 
 Addr = Tuple[str, int]
-
-
-async def _write_frame(sock: LiveSocket, body: bytes) -> None:
-    await sock.send_all(ByteWriter().u32(len(body)).raw(body).getvalue())
-
-
-async def _read_frame(sock: LiveSocket) -> bytes:
-    header = await sock.recv_exactly(4)
-    return await sock.recv_exactly(int.from_bytes(header, "big"))
 
 
 class LiveRegistryServer:
@@ -76,11 +68,11 @@ class LiveRegistryServer:
         registered: Optional[str] = None
         try:
             while True:
-                body = await _read_frame(sock)
+                body = await read_frame(sock)
                 self.state.requests += 1
                 reply, registered = self.state._handle(body, registered)
-                await _write_frame(sock, reply)
-        except (EOFError, FrameError, ConnectionError):
+                await write_frame(sock, reply)
+        except (EOFError, FrameError, WireError, ConnectionError):
             pass
         finally:
             if registered is not None:
@@ -113,8 +105,8 @@ class LiveRegistryClient:
     async def _call(self, body: bytes) -> ByteReader:
         if self._sock is None:
             raise RegistryError("registry client not connected")
-        await _write_frame(self._sock, body)
-        reply = await _read_frame(self._sock)
+        await write_frame(self._sock, body)
+        reply = await read_frame(self._sock)
         reader = ByteReader(reply)
         if reader.u8() == ST_OK:
             return reader

@@ -25,6 +25,7 @@ from typing import Callable, Optional, Tuple
 from .. import obs
 from ..core.relay import (
     MAX_MSG,
+    MAX_RELAY_FRAME,
     T_CLOSE,
     T_ERROR,
     T_GOSSIP,
@@ -42,6 +43,7 @@ from ..mesh.routes import RouteTable
 from ..mesh.state import MeshState, decode_entries, encode_entries
 from ..util.framing import ByteReader, ByteWriter, FrameError
 from .transport import LiveSocket, live_connect, live_listen
+from .wire import ExactReads, WireError, read_frame, write_frame
 
 __all__ = [
     "LiveRelayServer",
@@ -55,18 +57,6 @@ Addr = Tuple[str, int]
 #: dial/handshake budget for relay-to-relay exchanges (gossip, trunks);
 #: a dead peer must cost one bounded round, not a hung task
 _PEER_IO_TIMEOUT = 2.0
-
-
-async def _write_frame(sock: LiveSocket, body: bytes) -> None:
-    await sock.send_all(ByteWriter().u32(len(body)).raw(body).getvalue())
-
-
-async def _read_frame(sock: LiveSocket) -> bytes:
-    header = await sock.recv_exactly(4)
-    length = int.from_bytes(header, "big")
-    if length > MAX_MSG + 1024:
-        raise RelayError(f"oversized frame ({length} bytes)")
-    return await sock.recv_exactly(length)
 
 
 class LiveRelayServer:
@@ -224,7 +214,7 @@ class LiveRelayServer:
                             live_connect(partner_addr), timeout=_PEER_IO_TIMEOUT
                         )
                         try:
-                            await _write_frame(
+                            await write_frame(
                                 sock,
                                 ByteWriter()
                                 .u8(T_GOSSIP)
@@ -235,7 +225,8 @@ class LiveRelayServer:
                                 .getvalue(),
                             )
                             reply = await asyncio.wait_for(
-                                _read_frame(sock), timeout=_PEER_IO_TIMEOUT
+                                read_frame(sock, MAX_RELAY_FRAME),
+                                timeout=_PEER_IO_TIMEOUT,
                             )
                             r = ByteReader(reply)
                             if r.u8() == T_GOSSIP:
@@ -251,6 +242,7 @@ class LiveRelayServer:
                         EOFError,
                         RelayError,
                         FrameError,
+                        WireError,
                         asyncio.TimeoutError,
                     ):
                         ok = False
@@ -321,7 +313,7 @@ class LiveRelayServer:
         frame = self._mesh_view_frame()
         for sock in list(self.sessions.values()):
             try:
-                await _write_frame(sock, frame)
+                await write_frame(sock, frame)
             except (ConnectionError, OSError):
                 continue  # the session loop notices and unregisters
 
@@ -333,7 +325,7 @@ class LiveRelayServer:
             sock.close()
             return
         advanced = self.mesh.merge(decode_entries(body), self._now())
-        await _write_frame(
+        await write_frame(
             sock,
             ByteWriter()
             .u8(T_GOSSIP)
@@ -344,8 +336,8 @@ class LiveRelayServer:
         if advanced:
             await self._push_mesh_views()
         try:
-            await _read_frame(sock)  # wait for the initiator's close
-        except (EOFError, ConnectionError, OSError, RelayError, FrameError):
+            await read_frame(sock, MAX_RELAY_FRAME)  # wait for the initiator's close
+        except (EOFError, ConnectionError, OSError, RelayError, FrameError, WireError):
             pass
         sock.close()
 
@@ -357,9 +349,9 @@ class LiveRelayServer:
             return
         try:
             while True:
-                body = await _read_frame(sock)
+                body = await read_frame(sock, MAX_RELAY_FRAME)
                 await self._deliver_trunk(body, sock)
-        except (EOFError, ConnectionError, OSError, RelayError, FrameError):
+        except (EOFError, ConnectionError, OSError, RelayError, FrameError, WireError):
             pass
         sock.close()
 
@@ -383,7 +375,7 @@ class LiveRelayServer:
         dest_sock = self.sessions.get(dst)
         if dest_sock is None:
             if kind != T_ERROR:  # errors about errors stop here
-                await _write_frame(
+                await write_frame(
                     trunk_sock,
                     _routed_body(
                         T_ERROR, dst, src, channel, b"unknown destination",
@@ -397,13 +389,13 @@ class LiveRelayServer:
         reg.counter("relay.forwarded_total", backend="live").inc()
         reg.counter("relay.forwarded_bytes_total", backend="live").inc(len(body))
         try:
-            await _write_frame(dest_sock, body)
+            await write_frame(dest_sock, body)
         except (ConnectionError, OSError):
             if self.sessions.get(dst) is dest_sock:
                 del self.sessions[dst]
             dest_sock.abort()
             if kind != T_ERROR:
-                await _write_frame(
+                await write_frame(
                     trunk_sock,
                     _routed_body(
                         T_ERROR, dst, src, channel, b"unknown destination",
@@ -420,7 +412,7 @@ class LiveRelayServer:
             sock = await asyncio.wait_for(
                 live_connect(addr), timeout=_PEER_IO_TIMEOUT
             )
-            await _write_frame(
+            await write_frame(
                 sock,
                 ByteWriter().u8(T_TRUNK).lp_str(self.relay_id).getvalue(),
             )
@@ -436,10 +428,10 @@ class LiveRelayServer:
         """Read replies (routed errors, return traffic) off an outgoing trunk."""
         try:
             while True:
-                body = await _read_frame(sock)
+                body = await read_frame(sock, MAX_RELAY_FRAME)
                 await self._deliver_trunk(body, sock)
         except (
-            EOFError, ConnectionError, OSError, RelayError, FrameError,
+            EOFError, ConnectionError, OSError, RelayError, FrameError, WireError,
             asyncio.CancelledError,
         ):
             pass
@@ -474,7 +466,7 @@ class LiveRelayServer:
         if trunk is None:
             return False
         try:
-            await _write_frame(trunk, body)
+            await write_frame(trunk, body)
         except (ConnectionError, OSError):
             self._drop_trunk(owner.relay_id)
             return False
@@ -497,7 +489,7 @@ class LiveRelayServer:
     async def _session(self, sock: LiveSocket) -> None:
         node_id: Optional[str] = None
         try:
-            body = await _read_frame(sock)
+            body = await read_frame(sock, MAX_RELAY_FRAME)
             reader = ByteReader(body)
             first = reader.u8()
             if first == T_GOSSIP:
@@ -510,21 +502,21 @@ class LiveRelayServer:
                 raise RelayError("expected REGISTER")
             node_id = reader.lp_str()
             if node_id in self.sessions:
-                await _write_frame(
+                await write_frame(
                     sock, ByteWriter().u8(T_ERROR).lp_str("duplicate id").getvalue()
                 )
                 sock.close()
                 return
             self.sessions[node_id] = sock
-            await _write_frame(sock, ByteWriter().u8(T_REGISTER_OK).getvalue())
+            await write_frame(sock, ByteWriter().u8(T_REGISTER_OK).getvalue())
             if self.mesh is not None:
                 # New registrations learn the mesh immediately (their
                 # route table needs the view before the first open).
-                await _write_frame(sock, self._mesh_view_frame())
+                await write_frame(sock, self._mesh_view_frame())
             while True:
-                body = await _read_frame(sock)
+                body = await read_frame(sock, MAX_RELAY_FRAME)
                 await self._forward(node_id, body, sock)
-        except (EOFError, RelayError, FrameError, ConnectionError, OSError):
+        except (EOFError, RelayError, FrameError, WireError, ConnectionError, OSError):
             pass
         finally:
             if node_id is not None and self.sessions.get(node_id) is sock:
@@ -548,7 +540,7 @@ class LiveRelayServer:
             if await self._trunk_forward(dst, body):
                 return
         if dest is None:
-            await _write_frame(
+            await write_frame(
                 src_sock,
                 _routed_body(
                     T_ERROR, dst, src, channel, b"unknown destination",
@@ -561,10 +553,10 @@ class LiveRelayServer:
         reg = obs.metrics()
         reg.counter("relay.forwarded_total", backend="live").inc()
         reg.counter("relay.forwarded_bytes_total", backend="live").inc(len(body))
-        await _write_frame(dest, body)
+        await write_frame(dest, body)
 
 
-class LiveRoutedLink:
+class LiveRoutedLink(ExactReads):
     """A virtual stream over the live relay."""
 
     def __init__(
@@ -604,16 +596,6 @@ class LiveRoutedLink:
         del self._buffer[: len(take)]
         return take
 
-    async def recv_exactly(self, n: int) -> bytes:
-        parts, remaining = [], n
-        while remaining > 0:
-            data = await self.recv(remaining)
-            if not data:
-                raise EOFError(f"routed link ended with {remaining}/{n} missing")
-            parts.append(data)
-            remaining -= len(data)
-        return b"".join(parts)
-
     def close(self) -> None:
         async def _send_close() -> None:
             try:
@@ -652,10 +634,10 @@ class LiveRelayClient:
 
     async def connect(self) -> "LiveRelayClient":
         self._sock = await live_connect(self.relay_addr)
-        await _write_frame(
+        await write_frame(
             self._sock, ByteWriter().u8(T_REGISTER).lp_str(self.node_id).getvalue()
         )
-        body = await _read_frame(self._sock)
+        body = await read_frame(self._sock, MAX_RELAY_FRAME)
         if ByteReader(body).u8() != T_REGISTER_OK:
             raise RelayError(f"registration rejected: {body!r}")
         self.connected = True
@@ -665,7 +647,7 @@ class LiveRelayClient:
     async def _send_routed(
         self, kind: int, peer: str, channel: int, payload: bytes, owned: bool = True
     ) -> None:
-        await _write_frame(
+        await write_frame(
             self._sock,
             _routed_body(
                 kind, self.node_id, peer, channel, payload, sender_owns_channel=owned
@@ -686,9 +668,9 @@ class LiveRelayClient:
     async def _reader(self) -> None:
         try:
             while True:
-                body = await _read_frame(self._sock)
+                body = await read_frame(self._sock, MAX_RELAY_FRAME)
                 self._dispatch(body)
-        except (EOFError, RelayError, FrameError, ConnectionError, OSError,
+        except (EOFError, RelayError, FrameError, WireError, ConnectionError, OSError,
                 asyncio.CancelledError):
             self.connected = False
             for link in self._links.values():
@@ -819,7 +801,7 @@ class LiveMeshRelayClient:
                 )
                 up += 1
             except (
-                ConnectionError, OSError, EOFError, RelayError, FrameError,
+                ConnectionError, OSError, EOFError, RelayError, FrameError, WireError,
                 asyncio.TimeoutError,
             ) as exc:
                 errors.append(f"{rid}: {type(exc).__name__}: {exc}")

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import struct
 from typing import Optional, Tuple
 
 from .. import obs
@@ -36,7 +35,8 @@ from .drivers import (
 from .mux import AsyncMuxEndpoint
 from .registry import LiveRegistryClient
 from .relay import LiveRelayClient
-from .transport import LiveListener, LiveSocket, live_connect, live_listen
+from .transport import LiveListener, live_connect, live_listen
+from .wire import WireError, read_frame, write_frame
 
 __all__ = ["LiveIbis", "LiveIbisError", "LiveSendPort", "LiveReceivePort"]
 
@@ -49,15 +49,6 @@ Addr = Tuple[str, int]
 
 class LiveIbisError(Exception):
     """Live runtime failure."""
-
-
-async def _write_frame(stream, body: bytes) -> None:
-    await stream.send_all(ByteWriter().u32(len(body)).raw(body).getvalue())
-
-
-async def _read_frame(stream) -> bytes:
-    header = await stream.recv_exactly(4)
-    return await stream.recv_exactly(int.from_bytes(header, "big"))
 
 
 def _typed_spec(spec) -> StackSpec:
@@ -263,8 +254,8 @@ class LiveIbis:
                 .lp_str(self.name)
                 .getvalue()
             )
-            await _write_frame(service, request)
-            reply = ByteReader(await _read_frame(service))
+            await write_frame(service, request)
+            reply = ByteReader(await read_frame(service))
             if reply.u8() != RESP_OK:
                 raise LiveIbisError(f"connect rejected: {reply.lp_str()}")
             # Stack agreement + data connections (direct TCP or routed).
@@ -285,7 +276,7 @@ class LiveIbis:
                 reuse = 1 if cached is not None else 0
                 eid = cached[0] if cached is not None else next(self._mux_ids)
                 agreement.u8(reuse).u64(eid).u64(nonce)
-                await _write_frame(service, agreement.getvalue())
+                await write_frame(service, agreement.getvalue())
                 if cached is not None:
                     endpoint = cached[1]
                     obs.event(
@@ -313,7 +304,7 @@ class LiveIbis:
                     for _ in range(n)
                 ]
             else:
-                await _write_frame(service, agreement.getvalue())
+                await write_frame(service, agreement.getvalue())
                 socks = []
                 for _ in range(n):
                     sock = await self._open_data(
@@ -340,10 +331,10 @@ class LiveIbis:
         # the caller has none).
         child = ctx.child() if ctx is not None else None
         encoded = child.encode() if child is not None else b""
-        await _write_frame(
+        await write_frame(
             service, ByteWriter().u8(1).lp_bytes(encoded).getvalue()
         )
-        reply = ByteReader(await _read_frame(service))
+        reply = ByteReader(await read_frame(service))
         kind = reply.u8()
         if kind != 0:
             raise LiveIbisError("responder offered no data listener")
@@ -372,11 +363,12 @@ class LiveIbis:
 
     async def _serve_one(self, service) -> None:
         try:
-            request = ByteReader(await _read_frame(service))
-        except (EOFError, ConnectionError):
+            request = ByteReader(await read_frame(service))
+        except (EOFError, ConnectionError, WireError):
+            service.close()
             return
         if request.u8() != REQ_PORT_CONNECT:
-            await _write_frame(
+            await write_frame(
                 service, ByteWriter().u8(RESP_ERR).lp_str("bad request").getvalue()
             )
             return
@@ -384,13 +376,13 @@ class LiveIbis:
         sender = request.lp_str()
         port = self.receive_ports.get(port_name)
         if port is None:
-            await _write_frame(
+            await write_frame(
                 service,
                 ByteWriter().u8(RESP_ERR).lp_str(f"no port {port_name!r}").getvalue(),
             )
             return
-        await _write_frame(service, ByteWriter().u8(RESP_OK).getvalue())
-        agreement = ByteReader(await _read_frame(service))
+        await write_frame(service, ByteWriter().u8(RESP_OK).getvalue())
+        agreement = ByteReader(await read_frame(service))
         # The spec string is the wire format: parse it silently.
         parsed = StackSpec.parse(agreement.lp_str())
         _block_size = agreement.u32()
@@ -442,7 +434,7 @@ class LiveIbis:
         the request frame (``None`` when the caller sent none), so the
         accept joins the initiator's causal trace.
         """
-        request = ByteReader(await _read_frame(service))
+        request = ByteReader(await read_frame(service))
         request.u8()  # request kind; only data connections are defined
         ctx = None
         encoded = request.lp_bytes()
@@ -459,7 +451,7 @@ class LiveIbis:
             .u16(listener.port)
             .getvalue()
         )
-        await _write_frame(service, reply)
+        await write_frame(service, reply)
         sock = await listener.accept()
         listener.close()
         obs.event(

@@ -44,6 +44,7 @@ from typing import Awaitable, Callable, Optional
 from .. import obs
 from ..obs import fmt_id, next_id
 from .transport import LiveListener, LiveSocket
+from .wire import ExactReads
 
 __all__ = ["AsyncSessionLink", "AsyncSessionListener", "AsyncSessionError"]
 
@@ -91,7 +92,7 @@ async def _read_frame(sock: LiveSocket) -> tuple:
     return kind, body
 
 
-class AsyncSessionLink:
+class AsyncSessionLink(ExactReads):
     """One survivable byte stream; exposes the LiveSocket API."""
 
     INITIATOR = "initiator"
@@ -417,16 +418,6 @@ class AsyncSessionLink:
         take = bytes(self._buf[:maxbytes])
         del self._buf[: len(take)]
         return take
-
-    async def recv_exactly(self, n: int) -> bytes:
-        parts, remaining = [], n
-        while remaining > 0:
-            data = await self.recv(remaining)
-            if not data:
-                raise EOFError(f"session ended with {remaining}/{n} missing")
-            parts.append(data)
-            remaining -= len(data)
-        return b"".join(parts)
 
     async def aclose(self, timeout: float = 20.0) -> None:
         """Graceful close: FIN, then wait until the peer acked everything."""

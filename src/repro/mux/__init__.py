@@ -13,19 +13,23 @@ Public surface:
 * :class:`MuxChannel` — a :class:`~repro.core.links.Link`: driver
   stacks, block channels and survivable sessions compose over it
   unchanged.
+* :class:`MuxCore` / :class:`ChannelState` — the sans-IO protocol state
+  machine both of the above (and the live ``AsyncMuxEndpoint``) bind to
+  a substrate; ``b.feed(a.next_frame())`` wires two of them with no IO.
 * :mod:`repro.mux.frames` — the transport-agnostic frame codec
   (versioned alongside framing v2), shared by sim and live endpoints.
 * :mod:`repro.mux.scheduler` — round-robin (default) and weighted
   deficit-round-robin transmission scheduling.
 """
 
-from .endpoint import (
+from .core import (
     DEFAULT_WINDOW,
     MAX_DATA_PAYLOAD,
-    MuxChannel,
-    MuxEndpoint,
+    ChannelState,
+    MuxCore,
     MuxError,
 )
+from .endpoint import MuxChannel, MuxEndpoint
 from .frames import MUX_VERSION, MuxFrame, MuxProtocolError, decode_frame
 from .scheduler import (
     RoundRobinScheduler,
@@ -37,6 +41,8 @@ from .scheduler import (
 __all__ = [
     "MuxEndpoint",
     "MuxChannel",
+    "MuxCore",
+    "ChannelState",
     "MuxError",
     "MuxProtocolError",
     "MuxFrame",

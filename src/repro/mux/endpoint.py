@@ -3,75 +3,40 @@
 An expensively-brokered WAN link (spliced, SOCKS or routed — §3's
 establishment methods) should be reused, not re-established per
 conversation.  :class:`MuxEndpoint` wraps any established
-:class:`~repro.core.links.Link` and multiplexes many logical
-:class:`MuxChannel` streams over it:
+:class:`~repro.core.links.Link` and carries many :class:`MuxChannel`
+streams over it, each credit-flow-controlled (a sender that outruns its
+receiver blocks — bytes are never dropped) and fairly scheduled against
+the others (``docs/MUX.md``).  A channel *is* a ``Link``, so driver
+stacks, block channels and survivable sessions compose over it unchanged.
 
-* channels open/close independently (``open_channel`` /
-  ``accept_channel``), each carrying an opaque ``tag`` and a
-  :class:`~repro.obs.TraceContext` so establishment joins the causal
-  trace;
-* **credit-based per-channel flow control**: a sender may only put as
-  many DATA bytes on the wire as the receiver has granted; when credit
-  runs out the sender *blocks* (backpressure — bytes are never dropped),
-  and the receiver replenishes credit as the application drains its
-  buffer;
-* a pluggable fair scheduler decides which ready channel transmits the
-  next DATA frame, so one bulk transfer cannot starve interactive
-  traffic sharing the link.
-
-A channel *is* a :class:`~repro.core.links.Link`, so everything that
-composes over links — driver stacks, block channels, survivable
-sessions — composes over channels unchanged.
+The protocol itself lives in :mod:`repro.mux.core`; this module is its
+simulator binding: the HELLO exchange, the two pump processes, and the
+simulator events callers park on until the core wakes them.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Generator, Optional
 
 from .. import obs
-from ..core.links import Link, LinkClosed
+from ..core.links import Link, LinkClosed, transport_errors
 from ..core.wire import WireError, recv_frame, send_frame
 from ..obs import TraceContext
-from .frames import (
-    CLOSE_ERROR,
-    CLOSE_GRACEFUL,
-    MUX_VERSION,
-    MuxProtocolError,
-    T_ACCEPT,
-    T_CLOSE,
-    T_CREDIT,
-    T_DATA,
-    T_HELLO,
-    T_OPEN,
-    T_WINDOW,
-    decode_frame,
-    encode_accept,
-    encode_close,
-    encode_credit,
-    encode_data,
-    encode_hello,
-    encode_open,
-    encode_window,
+from .core import (
+    DEFAULT_WINDOW,
+    MAX_DATA_PAYLOAD,
+    ChannelState,
+    MuxCore,
+    MuxError,
 )
-from .scheduler import RoundRobinScheduler, Scheduler
+from .frames import MUX_VERSION, MuxProtocolError, decode_hello, encode_hello
+from .scheduler import Scheduler
 
 __all__ = ["MuxEndpoint", "MuxChannel", "MuxError", "DEFAULT_WINDOW",
            "MAX_DATA_PAYLOAD"]
 
-#: default per-channel credit window (bytes in flight toward a receiver)
-DEFAULT_WINDOW = 65536
 
-#: largest DATA payload one scheduler turn may transmit — small enough
-#: that round-robin interleaving stays fine-grained on a shared link
-MAX_DATA_PAYLOAD = 16384
-
-
-class MuxError(Exception):
-    """Mux endpoint failure (protocol violation, version mismatch)."""
-
-
-class MuxChannel(Link):
+class MuxChannel(ChannelState, Link):
     """One logical stream multiplexed over a shared link.
 
     Mirrors the parent link's Table-1 metadata (``method``,
@@ -79,43 +44,15 @@ class MuxChannel(Link):
     through the mux; ``muxed`` marks the difference.
     """
 
-    muxed = True
-
     def __init__(self, endpoint: "MuxEndpoint", channel_id: int, tag: bytes,
                  window: int, weight: int = 1,
                  ctx: Optional[TraceContext] = None):
-        self._ep = endpoint
-        self.channel_id = channel_id
-        self.tag = tag
+        super().__init__(endpoint, channel_id, tag, window, ctx=ctx)
         self.weight = weight
-        self.ctx = ctx
         self.method = endpoint.link.method
         self.native_tcp = endpoint.link.native_tcp
         self.relayed = endpoint.link.relayed
-        #: bytes we may still send (granted by the peer, spent on DATA)
-        self._tx_credit = 0
-        self._txq: deque = deque()
-        self._tx_buffered = 0
-        self._tx_drain_waiters: list = []
-        #: bytes the peer may still send toward us before a CREDIT grant
-        self._rx_window = window
-        self._rx_allowance = window
-        #: grants withheld after a window shrink (drains the allowance)
-        self._grant_debt = 0
-        #: the peer's last announced steady-state window (via WINDOW)
-        self.peer_rx_window = 0
-        self._rxq: deque = deque()
-        self._rx_buffered = 0
-        self._rx_waiters: list = []
-        self._consumed_since_grant = 0
-        self._accepted = False
-        self._accept_event = None
-        self._local_closed = False
-        self._close_sent = False
-        self._remote_closed = False
-        self._error: Optional[BaseException] = None
 
-    # -- Link interface -----------------------------------------------------
     @property
     def sim(self):
         return self._ep.sim
@@ -123,284 +60,78 @@ class MuxChannel(Link):
     def send_all(self, data: bytes) -> Generator:
         """Queue ``data`` and block until the scheduler has put every byte
         on the wire under credit — backpressure, never drops."""
-        if self._error is not None:
-            raise self._error
-        if self._local_closed:
-            raise LinkClosed(f"mux channel {self.channel_id} closed")
-        if not data:
-            return
-        self._txq.append(bytes(data))
-        self._tx_buffered += len(data)
-        self._ep._update_ready(self)
-        waited = False
+        self.write(data)
         while self._tx_buffered > 0 and self._error is None:
-            ev = self.sim.event()
-            self._tx_drain_waiters.append(ev)
-            waited = True
-            yield ev
+            yield self._ep._wait(self.WAKE_DRAINED, self)
         if self._error is not None:
             raise self._error
-        if waited and self._tx_credit <= 0:
-            self._ep._m_backpressure.inc()
 
     def recv(self, maxbytes: int) -> Generator:
-        while not self._rxq and self._remote_closed is False and self._error is None:
-            ev = self.sim.event()
-            self._rx_waiters.append(ev)
-            yield ev
-        if not self._rxq:
-            if self._error is not None:
-                raise self._error
-            return b""  # clean EOF: peer closed and buffer drained
-        chunk = self._rxq.popleft()
-        if len(chunk) > maxbytes:
-            self._rxq.appendleft(chunk[maxbytes:])
-            chunk = chunk[:maxbytes]
-        self._rx_buffered -= len(chunk)
-        self._ep._consumed(self, len(chunk))
+        while (chunk := self.read(maxbytes)) is None:
+            yield self._ep._wait(self.WAKE_RX, self)
         return chunk
 
-    def close(self) -> None:
-        self._ep._close_channel(self, CLOSE_GRACEFUL)
 
-    def abort(self) -> None:
-        self._txq.clear()
-        self._tx_buffered = 0
-        self._ep._close_channel(self, CLOSE_ERROR, reason="aborted")
-
-    def retune_window(self, new_window: int) -> None:
-        """Renegotiate this channel's receive credit window mid-stream.
-
-        Growth takes effect immediately: the delta is granted as extra
-        CREDIT so the sender can use it at once.  Shrink is *graceful* —
-        no credit is clawed back; instead subsequent consumption-driven
-        grants are withheld until the outstanding allowance has drained
-        down to the new window.  Either way a WINDOW frame announces the
-        new steady state to the peer (informational; the credit frames
-        carry the actual flow-control effect).
-        """
-        if new_window <= 0:
-            raise ValueError(f"window must be positive: {new_window}")
-        old = self._rx_window
-        if new_window == old:
-            return
-        self._rx_window = new_window
-        delta = new_window - old
-        if delta > 0:
-            # growth beyond any outstanding shrink debt is new credit
-            absorbed = min(self._grant_debt, delta)
-            self._grant_debt -= absorbed
-            grant = delta - absorbed
-            if grant > 0:
-                self._rx_allowance += grant
-                obs.metrics().counter(
-                    "mux.credit_granted", node=self._ep.node,
-                    channel=str(self.channel_id),
-                ).inc(grant)
-                self._ep._send_ctl(encode_credit(self.channel_id, grant))
-        else:
-            self._grant_debt += -delta
-        self._ep._send_ctl(encode_window(self.channel_id, new_window))
-        obs.metrics().counter("mux.window_retunes_total",
-                              node=self._ep.node).inc()
-        obs.event("mux.window_retune", ctx=self.ctx, node=self._ep.node,
-                  channel=self.channel_id, old=old, new=new_window)
-
-    # -- internal -----------------------------------------------------------
-    @property
-    def _tx_ready(self) -> bool:
-        return (
-            self._tx_buffered > 0
-            and self._tx_credit > 0
-            and self._accepted
-            and not self._close_sent
-            and self._error is None
-        )
-
-    def _take_tx(self, limit: int) -> bytes:
-        """Dequeue up to ``limit`` buffered bytes for one DATA frame."""
-        chunk = self._txq.popleft()
-        if len(chunk) > limit:
-            self._txq.appendleft(chunk[limit:])
-            chunk = chunk[:limit]
-        self._tx_buffered -= len(chunk)
-        return chunk
-
-    def _wake(self, waiters: list) -> None:
-        pending, waiters[:] = list(waiters), []
-        for ev in pending:
-            if not ev.triggered:
-                ev.succeed()
-
-    def _fail(self, exc: BaseException) -> None:
-        if self._error is None:
-            self._error = exc
-        self._wake(self._tx_drain_waiters)
-        self._wake(self._rx_waiters)
-        if self._accept_event is not None and not self._accept_event.triggered:
-            self._accept_event.succeed()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<MuxChannel {self.channel_id} over {self._ep!r}>"
-
-
-class MuxEndpoint:
+class MuxEndpoint(MuxCore):
     """Multiplexes logical channels over one established link."""
 
-    INITIATOR = "initiator"
-    RESPONDER = "responder"
+    channel_class = MuxChannel
+    closed_error = LinkClosed
 
     def __init__(self, link: Link, role: str, *, window: int = DEFAULT_WINDOW,
                  scheduler: Optional[Scheduler] = None, node: str = "",
                  flight=None):
-        if role not in (self.INITIATOR, self.RESPONDER):
-            raise ValueError(f"bad mux role {role!r}")
+        super().__init__(role, window=window, scheduler=scheduler, node=node)
         self.link = link
-        self.role = role
-        self.window = int(window)
-        self.node = node
         self.flight = flight
-        self.scheduler = scheduler or RoundRobinScheduler()
-        self._channels: dict[int, MuxChannel] = {}
-        self._next_cid = 1 if role == self.INITIATOR else 2
-        self._accept_q: deque = deque()
-        self._accept_waiters: list = []
-        self._ctlq: deque = deque()
-        self._tx_wake = None
-        self._closed = False
-        #: when True, tearing down the last channel closes the endpoint
-        #: (and the carrier link) — set by the factory so a muxed stack's
-        #: lifetime matches what dedicated per-conversation links had
-        self.close_when_idle = False
-        self._had_channels = False
-        self._error: Optional[BaseException] = None
-        self._rx_proc = None
-        self._tx_proc = None
-        reg = obs.metrics()
-        self._m_frames_tx = reg.counter("mux.frames_total", node=node,
-                                        direction="tx")
-        self._m_frames_rx = reg.counter("mux.frames_total", node=node,
-                                        direction="rx")
-        self._m_backpressure = reg.counter("mux.backpressure_waits", node=node)
-        self._m_open = reg.gauge("mux.channels_open", node=node)
 
-    # -- establishment -------------------------------------------------------
     @classmethod
     def establish(cls, link: Link, role: str, *, window: int = DEFAULT_WINDOW,
                   scheduler: Optional[Scheduler] = None, node: str = "",
                   flight=None, ctx: Optional[TraceContext] = None) -> Generator:
-        """HELLO version exchange over ``link``, then a running endpoint.
-
-        Both sides write their HELLO first and read second, so the
-        exchange cannot deadlock on a full pipe.
-        """
+        """HELLO version exchange over ``link``, then a running endpoint
+        (both sides write first and read second, so it cannot deadlock)."""
         ctx = ctx or obs.current()
         with obs.span("mux.establish", ctx=ctx.child() if ctx else None,
                       node=node, role=role, method=link.method):
             yield from send_frame(link, encode_hello(MUX_VERSION, window))
-            body = yield from recv_frame(link)
-            hello = decode_frame(body)
-            if hello.kind != T_HELLO:
-                raise MuxProtocolError(
-                    f"expected HELLO, got {hello.name}")
-            if hello.version != MUX_VERSION:
-                raise MuxProtocolError(
-                    f"mux version mismatch: ours {MUX_VERSION}, "
-                    f"peer {hello.version}")
+            decode_hello((yield from recv_frame(link)))
         endpoint = cls(link, role, window=window, scheduler=scheduler,
                        node=node, flight=flight)
-        endpoint._start()
+        link.sim.process(endpoint._rx_pump(), name=f"mux-rx:{node}")
+        link.sim.process(endpoint._tx_pump(), name=f"mux-tx:{node}")
         if flight is not None:
             flight.note("mux.establish", ctx=ctx, role=role,
                         method=link.method, window=window)
         return endpoint
 
-    def _start(self) -> None:
-        sim = self.link.sim
-        self._rx_proc = sim.process(self._rx_pump(), name=f"mux-rx:{self.node}")
-        self._tx_proc = sim.process(self._tx_pump(), name=f"mux-tx:{self.node}")
-
     @property
     def sim(self):
         return self.link.sim
-
-    @property
-    def alive(self) -> bool:
-        return not self._closed and self._error is None
-
-    @property
-    def channels_open(self) -> int:
-        return len(self._channels)
 
     # -- channel API ---------------------------------------------------------
     def open_channel(self, tag: bytes = b"", *, window: Optional[int] = None,
                      weight: int = 1,
                      ctx: Optional[TraceContext] = None) -> Generator:
         """Open a logical channel; returns once the peer ACCEPTs."""
-        self._check_alive()
-        ctx = ctx or obs.current() or TraceContext.new()
-        cid = self._next_cid
-        self._next_cid += 2
-        channel = MuxChannel(self, cid, tag, window or self.window,
-                             weight=weight, ctx=ctx)
-        self._channels[cid] = channel
-        self._had_channels = True
-        self.scheduler.add(cid, weight)
-        child = ctx.child()
+        channel, child = self.open(tag, window=window, weight=weight, ctx=ctx)
         with obs.span("mux.channel_open", ctx=child, node=self.node,
-                      channel=cid, tag_bytes=len(tag)):
-            self._send_ctl(encode_open(cid, channel._rx_window, tag,
-                                       child.encode()))
-            channel._accept_event = self.sim.event()
-            yield channel._accept_event
+                      channel=channel.channel_id, tag_bytes=len(tag)):
+            while not channel._accepted and channel._error is None:
+                yield self._wait(channel.WAKE_ACCEPTED, channel)
             if channel._error is not None:
                 raise channel._error
-        self._m_open.set(len(self._channels))
         if self.flight is not None:
-            self.flight.note("mux.channel_open", ctx=ctx, channel=cid,
-                             node=self.node)
+            self.flight.note("mux.channel_open", ctx=channel.ctx,
+                             channel=channel.channel_id, node=self.node)
         return channel
 
     def accept_channel(self, tag: Optional[bytes] = None, *,
                        match=None) -> Generator:
-        """Wait for a peer OPEN, grant our window, return the channel.
-
-        With ``tag`` set, only a channel opened with that exact tag is
-        taken — concurrent accepts on a shared endpoint each claim their
-        own conversation's channels instead of racing for arrival order.
-        ``match`` generalizes that to a predicate over the tag bytes
-        (e.g. an in-band service request prefix); it must be written so
-        it can never claim another consumer's tags — see
-        :func:`repro.ipl.runtime.is_port_tag` for the canonical example.
-        ``tag`` and ``match`` are mutually exclusive.
-        """
-        if tag is not None and match is not None:
-            raise ValueError("accept_channel takes tag or match, not both")
-        if tag is not None:
-            match = lambda t, want=tag: t == want  # noqa: E731
-        channel = None
-        while channel is None:
-            if match is None:
-                if self._accept_q:
-                    channel = self._accept_q.popleft()
-                    break
-            else:
-                for queued in self._accept_q:
-                    if match(queued.tag):
-                        channel = queued
-                        self._accept_q.remove(queued)
-                        break
-                if channel is not None:
-                    break
-            self._check_alive()
-            ev = self.sim.event()
-            self._accept_waiters.append(ev)
-            yield ev
-            if self._error is not None:
-                raise self._error
-        channel._accepted = True
-        self._send_ctl(encode_accept(channel.channel_id, channel._rx_window))
-        self._m_open.set(len(self._channels))
+        """Wait for a peer OPEN, grant our window, return the channel;
+        ``tag`` or ``match`` filter as in :meth:`MuxCore.accept`."""
+        while (channel := self.accept(tag, match=match)) is None:
+            yield self._wait(self.WAKE_INCOMING)
         if self.flight is not None:
             self.flight.note("mux.channel_accept", ctx=channel.ctx,
                              channel=channel.channel_id, node=self.node)
@@ -408,273 +139,53 @@ class MuxEndpoint:
 
     def close(self) -> None:
         """Tear down the endpoint and every channel (the link dies too)."""
-        if self._closed:
-            return
-        self._closed = True
-        exc = LinkClosed("mux endpoint closed")
-        for channel in list(self._channels.values()):
-            channel._fail(exc)
-        self._channels.clear()
-        self._m_open.set(0)
-        self._wake_tx()
-        self._wake_acceptors()
-        self.link.close()
+        if not self._closed:
+            super().close()
+            self.link.close()
 
-    # -- pumps ---------------------------------------------------------------
-    def _rx_pump(self) -> Generator:
-        from ..core.links import transport_errors
-        errors = transport_errors()
-        try:
-            while not self._closed:
-                body = yield from recv_frame(self.link)
-                self._m_frames_rx.inc()
-                self._dispatch(decode_frame(body))
-        except errors as exc:
-            self._fail(exc)
-        except (MuxProtocolError, WireError) as exc:
-            self._fail(exc)
-            self.link.abort()
-
-    def _tx_pump(self) -> Generator:
-        from ..core.links import transport_errors
-        errors = transport_errors()
-        reg = obs.metrics()
-        try:
-            while True:
-                sent_something = False
-                while self._ctlq:
-                    frame = self._ctlq.popleft()
-                    yield from send_frame(self.link, frame)
-                    self._m_frames_tx.inc()
-                    sent_something = True
-                channel = self._pick_ready()
-                if channel is not None:
-                    n = min(MAX_DATA_PAYLOAD, channel._tx_credit,
-                            channel._tx_buffered)
-                    payload = channel._take_tx(n)
-                    channel._tx_credit -= len(payload)
-                    self._update_ready(channel)
-                    yield from send_frame(
-                        self.link, encode_data(channel.channel_id, payload))
-                    self._m_frames_tx.inc()
-                    reg.counter("mux.tx_bytes", node=self.node,
-                                channel=str(channel.channel_id)).inc(len(payload))
-                    reg.counter("mux.sched_turns", node=self.node,
-                                channel=str(channel.channel_id)).inc()
-                    self.scheduler.sent(channel.channel_id, len(payload))
-                    if channel._tx_buffered == 0:
-                        channel._wake(channel._tx_drain_waiters)
-                        self._flush_pending_close(channel)
-                    sent_something = True
-                if sent_something:
-                    continue
-                if self._closed or self._error is not None:
-                    return
-                if (self.close_when_idle and self._had_channels
-                        and not self._channels):
-                    self.close()
-                    return
-                self._tx_wake = self.sim.event()
-                yield self._tx_wake
-                self._tx_wake = None
-        except errors as exc:
-            self._fail(exc)
-
-    def _pick_ready(self) -> Optional[MuxChannel]:
-        try:
-            cid = self.scheduler.pick()
-        except LookupError:
-            return None
-        channel = self._channels.get(cid)
-        if channel is None or not channel._tx_ready:
-            # stale readiness — scrub and try again next turn
-            self.scheduler.set_ready(cid, False)
-            return None
-        return channel
-
-    # -- frame dispatch ------------------------------------------------------
-    def _dispatch(self, frame) -> None:
-        if frame.kind == T_OPEN:
-            self._on_open(frame)
-        elif frame.kind == T_ACCEPT:
-            self._on_accept(frame)
-        elif frame.kind == T_DATA:
-            self._on_data(frame)
-        elif frame.kind == T_CREDIT:
-            self._on_credit(frame)
-        elif frame.kind == T_CLOSE:
-            self._on_close(frame)
-        elif frame.kind == T_WINDOW:
-            self._on_window(frame)
-        elif frame.kind == T_HELLO:
-            raise MuxProtocolError("unexpected HELLO after establishment")
-        else:  # pragma: no cover - decode_frame already rejects these
-            raise MuxProtocolError(f"unexpected frame {frame.name}")
-
-    def _on_open(self, frame) -> None:
-        cid = frame.channel
-        expected_parity = 0 if self.role == self.INITIATOR else 1
-        if cid % 2 != expected_parity or cid in self._channels:
-            raise MuxProtocolError(f"bad OPEN channel id {cid}")
-        ctx = None
-        if frame.ctx:
-            try:
-                ctx = TraceContext.decode(frame.ctx)
-            except Exception:
-                ctx = None
-        channel = MuxChannel(self, cid, frame.tag, self.window, ctx=ctx)
-        channel._tx_credit = frame.window
-        channel._accepted = False  # becomes True in accept_channel
-        self._channels[cid] = channel
-        self._had_channels = True
-        self.scheduler.add(cid, 1)
-        obs.event("mux.open_received", ctx=ctx, node=self.node, channel=cid,
-                  window=frame.window)
-        self._accept_q.append(channel)
-        self._wake_acceptors()
-
-    def _on_accept(self, frame) -> None:
-        channel = self._channels.get(frame.channel)
-        if channel is None:
-            raise MuxProtocolError(f"ACCEPT for unknown channel {frame.channel}")
-        channel._accepted = True
-        channel._tx_credit += frame.window
-        if channel._accept_event is not None and not channel._accept_event.triggered:
-            channel._accept_event.succeed()
-        self._update_ready(channel)
-
-    def _on_data(self, frame) -> None:
-        channel = self._channels.get(frame.channel)
-        if channel is None:
-            raise MuxProtocolError(f"DATA for unknown channel {frame.channel}")
-        n = len(frame.payload)
-        channel._rx_allowance -= n
-        if channel._rx_allowance < 0:
-            raise MuxProtocolError(
-                f"credit violation on channel {frame.channel}: "
-                f"{-channel._rx_allowance} bytes over the granted window")
-        channel._rxq.append(frame.payload)
-        channel._rx_buffered += n
-        obs.metrics().counter("mux.rx_bytes", node=self.node,
-                              channel=str(frame.channel)).inc(n)
-        channel._wake(channel._rx_waiters)
-
-    def _on_credit(self, frame) -> None:
-        channel = self._channels.get(frame.channel)
-        if channel is None:
-            return  # grant raced our CLOSE: harmless
-        channel._tx_credit += frame.grant
-        self._update_ready(channel)
-
-    def _on_window(self, frame) -> None:
-        channel = self._channels.get(frame.channel)
-        if channel is None:
-            return  # announcement raced our CLOSE: harmless
-        channel.peer_rx_window = frame.window
-        obs.event("mux.window_announced", ctx=channel.ctx, node=self.node,
-                  channel=frame.channel, window=frame.window)
-
-    def _on_close(self, frame) -> None:
-        channel = self._channels.get(frame.channel)
-        if channel is None:
-            return
-        channel._remote_closed = True
-        if frame.flags == CLOSE_ERROR and channel._error is None:
-            channel._error = LinkClosed(
-                f"peer aborted mux channel {frame.channel}: {frame.reason}")
-        channel._wake(channel._rx_waiters)
-        obs.event("mux.close_received", ctx=channel.ctx, node=self.node,
-                  channel=frame.channel, flags=frame.flags)
-        if channel._close_sent:
-            self._drop_channel(channel)
-
-    # -- credit + scheduling hooks -------------------------------------------
-    def _consumed(self, channel: MuxChannel, n: int) -> None:
-        """The application drained ``n`` rx bytes: maybe replenish credit."""
-        channel._consumed_since_grant += n
-        if channel._remote_closed:
-            return
-        if channel._consumed_since_grant >= max(1, channel._rx_window // 2):
-            grant = channel._consumed_since_grant
-            channel._consumed_since_grant = 0
-            if channel._grant_debt:
-                # a window shrink is pending: withhold grants until the
-                # outstanding allowance has drained to the new window
-                absorbed = min(channel._grant_debt, grant)
-                channel._grant_debt -= absorbed
-                grant -= absorbed
-            if grant <= 0:
-                return
-            channel._rx_allowance += grant
-            obs.metrics().counter("mux.credit_granted", node=self.node,
-                                  channel=str(channel.channel_id)).inc(grant)
-            self._send_ctl(encode_credit(channel.channel_id, grant))
-
-    def _update_ready(self, channel: MuxChannel) -> None:
-        self.scheduler.set_ready(channel.channel_id, channel._tx_ready)
-        if channel._tx_ready:
-            self._wake_tx()
-
-    def _send_ctl(self, frame: bytes) -> None:
-        self._check_alive()
-        self._ctlq.append(frame)
-        self._wake_tx()
-
-    def _close_channel(self, channel: MuxChannel, flags: int,
-                       reason: str = "") -> None:
-        if channel._local_closed:
-            return
-        channel._local_closed = True
-        channel._pending_close = (flags, reason)
-        if channel._tx_buffered == 0 or flags == CLOSE_ERROR:
-            self._flush_pending_close(channel)
-
-    def _flush_pending_close(self, channel: MuxChannel) -> None:
-        pending = getattr(channel, "_pending_close", None)
-        if pending is None or channel._close_sent:
-            return
-        flags, reason = pending
-        channel._close_sent = True
-        if self.alive:
-            self._send_ctl(encode_close(channel.channel_id, flags, reason))
-        if channel._remote_closed:
-            self._drop_channel(channel)
-
-    def _drop_channel(self, channel: MuxChannel) -> None:
-        self._channels.pop(channel.channel_id, None)
-        self.scheduler.remove(channel.channel_id)
-        self._m_open.set(len(self._channels))
-        if self.close_when_idle and not self._channels:
-            self._wake_tx()  # the tx pump closes us once the ctl queue drains
-
-    # -- failure -------------------------------------------------------------
-    def _fail(self, exc: BaseException) -> None:
-        if self._error is None:
-            self._error = exc
-        for channel in list(self._channels.values()):
-            channel._fail(exc)
-        self._wake_tx()
-        self._wake_acceptors()
+    def fail(self, exc: BaseException) -> None:
+        super().fail(exc)
         if self.flight is not None:
             self.flight.note("mux.endpoint_failed", node=self.node,
                              error=type(exc).__name__)
 
-    def _check_alive(self) -> None:
-        if self._error is not None:
-            raise self._error
-        if self._closed:
-            raise LinkClosed("mux endpoint closed")
+    # -- waiters -------------------------------------------------------------
+    def _wait(self, what: str, channel: Optional[MuxChannel] = None):
+        """An event the core's next ``wake(what, channel)`` triggers."""
+        event = self.sim.event()
+        (channel or self)._waiters.setdefault(what, []).append(event)
+        return event
 
-    def _wake_tx(self) -> None:
-        if self._tx_wake is not None and not self._tx_wake.triggered:
-            self._tx_wake.succeed()
+    def wake(self, what: str, channel: Optional[MuxChannel] = None) -> None:
+        for event in (channel or self)._waiters.pop(what, ()):
+            if not event.triggered:
+                event.succeed()
 
-    def _wake_acceptors(self) -> None:
-        pending, self._accept_waiters = self._accept_waiters, []
-        for ev in pending:
-            if not ev.triggered:
-                ev.succeed()
+    # -- pumps ---------------------------------------------------------------
+    def _rx_pump(self) -> Generator:
+        errors = transport_errors()
+        try:
+            while not self._closed:
+                self.feed((yield from recv_frame(self.link)))
+        except errors as exc:
+            self.fail(exc)
+        except (MuxProtocolError, WireError) as exc:
+            self.fail(exc)
+            self.link.abort()  # so the peer learns of the violation too
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<MuxEndpoint {self.role} node={self.node} "
-                f"channels={len(self._channels)}>")
+    def _tx_pump(self) -> Generator:
+        errors = transport_errors()
+        try:
+            while True:
+                frame = self.next_frame()
+                if frame is not None:
+                    yield from send_frame(self.link, frame)
+                elif not self.alive:
+                    return
+                elif self.idle:
+                    self.close()
+                    return
+                else:
+                    yield self._wait(self.WAKE_TX)
+        except errors as exc:
+            self.fail(exc)

@@ -64,6 +64,7 @@ __all__ = [
     "encode_close",
     "encode_window",
     "decode_frame",
+    "decode_hello",
 ]
 
 #: protocol version exchanged in HELLO; bumped on incompatible changes
@@ -193,3 +194,15 @@ def decode_frame(body: bytes) -> MuxFrame:
         return frame
     except FrameError as exc:
         raise MuxProtocolError(f"malformed mux frame: {exc}") from exc
+
+
+def decode_hello(body: bytes) -> MuxFrame:
+    """Decode the peer's first frame: anything but a HELLO speaking our
+    :data:`MUX_VERSION` is refused."""
+    hello = decode_frame(body)
+    if hello.kind != T_HELLO:
+        raise MuxProtocolError(f"expected HELLO, got {hello.name}")
+    if hello.version != MUX_VERSION:
+        raise MuxProtocolError(
+            f"mux version mismatch: ours {MUX_VERSION}, peer {hello.version}")
+    return hello

@@ -9,7 +9,7 @@ by name (count, outcomes, total duration), event counts and — for
 telemetry captures — per-source stream summaries.  Multiple files are
 merged into one summary (e.g. a run's ``run.jsonl`` plus its telemetry
 capture).  ``--format json`` emits the same summary as one JSON object
-for tooling (``--json`` is the deprecated spelling).
+for tooling.
 """
 
 from __future__ import annotations
@@ -149,15 +149,10 @@ def main(argv: Optional[list] = None) -> int:
         "plane; multiple files are merged into one summary",
     )
     parser.add_argument(
-        "--format", choices=("text", "json"), default=None,
+        "--format", choices=("text", "json"), default="text",
         help="output format (default: text)",
     )
-    parser.add_argument(
-        "--json", action="store_true",
-        help="deprecated alias for --format json",
-    )
     args = parser.parse_args(argv)
-    fmt = args.format or ("json" if args.json else "text")
     try:
         records = []
         for path in args.paths:
@@ -169,7 +164,7 @@ def main(argv: Optional[list] = None) -> int:
     except SchemaError as exc:
         print(f"error: invalid export: {exc}", file=sys.stderr)
         return 1
-    if fmt == "json":
+    if args.format == "json":
         print(json.dumps(summary, sort_keys=True, indent=2))
     else:
         print(render(summary))

@@ -8,8 +8,8 @@ future work (§8).  This package is that loop:
 * :mod:`~repro.tune.signals` — what the tuner observes
   (:class:`LinkSignals`, :class:`GaugeSignalSource`);
 * :mod:`~repro.tune.planner` — pure planning
-  (:class:`TunePlanner`, :func:`recommend_streams`, the absorbed
-  :mod:`repro.core.autotune` formulas);
+  (:class:`TunePlanner`, :func:`recommend_streams` and the other
+  BDP/stream-count formulas);
 * :mod:`~repro.tune.knobs` — how targets reach a running stack
   (:class:`StackKnobs`, :class:`StaticKnobs`);
 * :mod:`~repro.tune.loop` — the controller with its hysteresis-backed

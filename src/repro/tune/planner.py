@@ -10,7 +10,7 @@ the mux credit window.  The :class:`~repro.tune.loop.LinkTuner` loop
 adds time: hysteresis, deadbands and reversible application.
 
 It absorbs the one-shot formulas that previously lived in
-:mod:`repro.core.autotune` (kept as a deprecation shim):
+``repro.core.autotune``:
 
 * a single stream's throughput is capped at ``rcvbuf / RTT`` (§4.2), so
   filling a pipe of a given bandwidth-delay product needs

@@ -8,10 +8,19 @@ the registry-wide credit-conservation invariant and their own fairness
 post-checks, and the reports must be byte-identical across reruns.
 """
 
+import asyncio
+import types
+
+import pytest
+
+from repro import obs
 from repro.chaos import run_chaos
 from repro.chaos.invariants import _mux_violations
+from repro.chaos.live import _live_invariants
+from repro.livenet import live_connect, live_listen
+from repro.livenet.mux import AsyncMuxEndpoint
 from repro.mux import DEFAULT_WINDOW
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, TraceRecorder
 
 
 class TestMuxFanin:
@@ -75,3 +84,77 @@ class TestMuxInvariants:
         reg.counter("mux.rx_bytes", node="b", channel="1").inc(sent)
         reg.counter("mux.credit_granted", node="b", channel="1").inc(500)
         assert _mux_violations(reg) == []
+
+
+@pytest.mark.livenet
+class TestLiveMuxInvariants:
+    """Live runs feed the mux invariants for real: both bindings emit the
+    counters ``_mux_violations`` reads, because one core emits them."""
+
+    TOTAL = 300_000  # several windows, so credit has to be granted back
+
+    @pytest.fixture
+    def live_run_obs(self):
+        """A muxed loopback transfer, captured in a scoped registry."""
+        registry, recorder = MetricsRegistry(), TraceRecorder()
+        previous = obs.set_registry(registry), obs.set_tracer(recorder)
+
+        async def transfer():
+            listener = await live_listen()
+            socks = await asyncio.gather(
+                live_connect(listener.addr), listener.accept())
+            listener.close()
+            alice, bob = await asyncio.gather(
+                AsyncMuxEndpoint.establish(
+                    socks[0], AsyncMuxEndpoint.INITIATOR, node="alice"),
+                AsyncMuxEndpoint.establish(
+                    socks[1], AsyncMuxEndpoint.RESPONDER, node="bob"))
+            try:
+                for _ in range(2):
+                    tx, rx = await asyncio.gather(
+                        alice.open_channel(), bob.accept_channel())
+                    _, data = await asyncio.gather(
+                        tx.send_all(b"m" * self.TOTAL),
+                        rx.recv_exactly(self.TOTAL))
+                    assert data == b"m" * self.TOTAL
+            finally:
+                alice.close()
+                bob.close()
+
+        try:
+            asyncio.run(asyncio.wait_for(transfer(), timeout=30.0))
+            yield registry, recorder
+        finally:
+            obs.set_registry(previous[0])
+            obs.set_tracer(previous[1])
+
+    @staticmethod
+    def _violations(registry, recorder):
+        scenario = types.SimpleNamespace(proxies={})
+        workload = types.SimpleNamespace(errors=[], audits=[])
+        return _live_invariants(scenario, workload, registry, recorder, 0)
+
+    def test_transfer_populates_the_counters_and_conserves(self, live_run_obs):
+        registry, recorder = live_run_obs
+        for ch in ("1", "3"):
+            tx = registry.counter("mux.tx_bytes", node="alice", channel=ch)
+            rx = registry.counter("mux.rx_bytes", node="bob", channel=ch)
+            granted = registry.counter(
+                "mux.credit_granted", node="bob", channel=ch)
+            assert tx.value == rx.value == self.TOTAL
+            assert granted.value > 0
+            assert tx.value <= DEFAULT_WINDOW + granted.value
+        assert self._violations(registry, recorder) == []
+
+    def test_a_perturbed_counter_trips_the_live_invariant(self, live_run_obs):
+        registry, recorder = live_run_obs
+        registry.counter("mux.rx_bytes", node="bob", channel="3").inc(1)
+        out = self._violations(registry, recorder)
+        assert any("channel 3 conservation broken" in v for v in out), out
+        registry.counter("mux.tx_bytes", node="alice", channel="3").inc(1)
+        assert self._violations(registry, recorder) == []
+        # bytes that both arrived and were counted, but were never granted
+        registry.counter("mux.tx_bytes", node="alice", channel="1").inc(10**6)
+        registry.counter("mux.rx_bytes", node="bob", channel="1").inc(10**6)
+        out = self._violations(registry, recorder)
+        assert any("channel 1 credit overrun on alice" in v for v in out), out

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chaos import SCENARIOS, get_scenario, scenario, scenario_names
+from repro.chaos import get_scenario, scenario, scenario_names
 from repro.chaos.registry import _REGISTRY, ScenarioDef
 
 
@@ -82,18 +82,3 @@ class TestLookup:
 
     def test_scenario_def_repr_and_type(self):
         assert isinstance(get_scenario("wan_transfer"), ScenarioDef)
-
-
-class TestLegacyShim:
-    def test_getitem_warns_and_returns_builder(self):
-        with pytest.warns(DeprecationWarning, match="SCENARIOS is deprecated"):
-            builder = SCENARIOS["wan_transfer"]
-        assert builder is get_scenario("wan_transfer").builder
-
-    def test_iteration_warns_and_matches_names(self):
-        with pytest.warns(DeprecationWarning):
-            names = list(SCENARIOS)
-        assert names == scenario_names()
-
-    def test_len_matches(self):
-        assert len(SCENARIOS) == len(scenario_names())

@@ -10,6 +10,7 @@ bound from the report independently — the chaos invariant must not be
 the only thing checking itself.
 """
 
+import json
 import os
 
 import pytest
@@ -86,15 +87,28 @@ class TestLiveConvergence:
     SEED = int(os.environ.get("LIVE_CHAOS_SEED", "1"))
     BUNDLE_DIR = os.environ.get("LIVE_CHAOS_BUNDLE_DIR")
 
-    def test_latency_fault_moves_the_credit_window(self):
+    def test_latency_fault_moves_the_credit_window(self, tmp_path):
+        trace = tmp_path / "run.jsonl"
         report = run_chaos(
             "tune_degrade",
             backend="live",
             seed=self.SEED,
             plan=LIVE_TUNE_PLAN,
             bundle_dir=self.BUNDLE_DIR,
+            trace_path=str(trace),
         )
         assert report.ok, report.violations
+        # report.ok includes the mux credit/conservation invariant, and on
+        # a live run it now has something to check
+        ledger = {
+            (m["name"], m["labels"]["node"]): m["value"]
+            for m in map(json.loads, trace.read_text().splitlines())
+            if m.get("type") == "metric" and m["name"].startswith("mux.")
+            and m["labels"].get("channel") == "1"
+        }
+        moved = ledger[("mux.tx_bytes", "alice")]
+        assert moved > 0 and moved == ledger[("mux.rx_bytes", "bob")]
+        assert ledger[("mux.credit_granted", "bob")] > 0
         assert report.backend == "live"
         tune = _assert_stable(report)
         windows = [d for d in tune["decisions"]

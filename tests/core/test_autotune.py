@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.autotune import estimate_bdp, recommend_streams
+from repro.tune.planner import estimate_bdp, recommend_streams
 
 
 class TestBdp:

@@ -1,201 +1,172 @@
-"""MuxEndpoint: channels, credit flow control, scheduling, failure."""
+"""Mux endpoints: channels, credit flow control, scheduling, failure.
+
+The protocol-level cases (``*Cases``) are scripts written once against
+the harness in ``conftest.py`` and run over both bindings: ``TestChannels``
+/ ``TestCredit`` / ``TestFailure`` / ``TestViolations`` on the simulator's
+``MuxEndpoint``, their ``...Live`` twins on ``AsyncMuxEndpoint`` over real
+loopback sockets.  Scheduling fairness is timing-shaped, so it stays on
+the simulator's deterministic clock.
+"""
 
 import pytest
 
 from repro import obs
-from repro.core.links import LinkClosed, TcpLink
-from repro.mux import (
-    DEFAULT_WINDOW,
-    MuxEndpoint,
-    MuxProtocolError,
-    WeightedScheduler,
-)
-from repro.obs.metrics import MetricsRegistry
-from repro.simnet import connect, listen
-from repro.simnet.testing import two_public_hosts
+from repro.mux import MuxProtocolError, WeightedScheduler
+from repro.mux import frames as f
+
+from .conftest import LiveHarness, SimHarness
 
 
-@pytest.fixture(autouse=True)
-def fresh_registry():
-    previous = obs.set_registry(MetricsRegistry())
-    yield
-    obs.set_registry(previous)
-
-
-def make_pair(window=DEFAULT_WINDOW, scheduler_a=None, scheduler_b=None):
-    """Two running MuxEndpoints over one simulated TCP link."""
-    inet, a, b = two_public_hosts()
-    sim = inet.sim
-    out = {}
-
-    def srv():
-        listener = listen(b, 5000)
-        sock = yield from listener.accept()
-        out["resp"] = yield from MuxEndpoint.establish(
-            TcpLink(sock, "client_server"), MuxEndpoint.RESPONDER,
-            window=window, scheduler=scheduler_b, node="resp")
-
-    def cli():
-        sock = yield from connect(a, (b.ip, 5000))
-        out["ini"] = yield from MuxEndpoint.establish(
-            TcpLink(sock, "client_server"), MuxEndpoint.INITIATOR,
-            window=window, scheduler=scheduler_a, node="ini")
-
-    sim.process(srv())
-    sim.process(cli())
-    sim.run(until=30)
-    return sim, out["ini"], out["resp"]
-
-
-def run(sim, until=300):
-    sim.run(until=until)
-
-
-class TestChannels:
-    def test_open_accept_round_trip(self):
-        sim, ini, resp = make_pair()
+class ChannelsCases:
+    def test_open_accept_round_trip(self, mux):
         got = {}
 
-        def opener():
-            ch = yield from ini.open_channel(tag=b"greeting")
-            yield from ch.send_all(b"hello over mux")
-            got["reply"] = yield from ch.recv_exactly(2)
+        async def script(h, ini, resp):
+            async def opener():
+                ch = await h.open(ini, tag=b"greeting")
+                await h.send(ch, b"hello over mux")
+                got["reply"] = await h.recv_exactly(ch, 2)
 
-        def acceptor():
-            ch = yield from resp.accept_channel()
-            got["tag"] = ch.tag
-            got["data"] = yield from ch.recv_exactly(14)
-            yield from ch.send_all(b"ok")
+            async def acceptor():
+                ch = await h.accept(resp)
+                got["tag"] = ch.tag
+                got["data"] = await h.recv_exactly(ch, 14)
+                await h.send(ch, b"ok")
 
-        sim.process(opener())
-        sim.process(acceptor())
-        run(sim)
-        assert got["tag"] == b"greeting"
-        assert got["data"] == b"hello over mux"
-        assert got["reply"] == b"ok"
+            await h.gather(opener(), acceptor())
 
-    def test_many_channels_no_cross_leakage(self):
-        sim, ini, resp = make_pair()
+        mux.run(script)
+        assert got == {"tag": b"greeting", "data": b"hello over mux",
+                       "reply": b"ok"}
+
+    def test_many_channels_no_cross_leakage(self, mux):
         n = 12
         payloads = {i: bytes([i]) * (3000 + 137 * i) for i in range(n)}
         received = {}
 
-        def opener(i):
-            ch = yield from ini.open_channel(tag=str(i).encode())
-            yield from ch.send_all(payloads[i])
-            ch.close()
+        async def script(h, ini, resp):
+            async def opener(i):
+                ch = await h.open(ini, tag=str(i).encode())
+                await h.send(ch, payloads[i])
+                ch.close()
 
-        def acceptor():
-            for _ in range(n):
-                ch = yield from resp.accept_channel()
-                sim.process(drain(ch), name=f"drain-{ch.tag!r}")
+            async def drain():
+                ch = await h.accept(resp)
+                chunks = []
+                while (data := await h.recv(ch, 4096)):
+                    chunks.append(data)
+                received[int(ch.tag)] = b"".join(chunks)
 
-        def drain(ch):
-            chunks = []
-            while True:
-                data = yield from ch.recv(4096)
-                if not data:
-                    break
-                chunks.append(data)
-            received[int(ch.tag)] = b"".join(chunks)
+            await h.gather(*[opener(i) for i in range(n)],
+                           *[drain() for _ in range(n)])
 
-        for i in range(n):
-            sim.process(opener(i))
-        sim.process(acceptor())
-        run(sim)
+        mux.run(script)
         assert received == payloads
 
-    def test_both_sides_can_open(self):
-        sim, ini, resp = make_pair()
+    def test_both_sides_can_open(self, mux):
         got = {}
 
-        def from_resp():
-            ch = yield from resp.open_channel(tag=b"reverse")
-            yield from ch.send_all(b"responder speaks first")
-            ch.close()
+        async def script(h, ini, resp):
+            async def from_resp():
+                ch = await h.open(resp, tag=b"reverse")
+                await h.send(ch, b"responder speaks first")
+                ch.close()
 
-        def on_ini():
-            ch = yield from ini.accept_channel()
-            got["tag"] = ch.tag
-            got["data"] = yield from ch.recv_exactly(22)
+            async def on_ini():
+                ch = await h.accept(ini)
+                got["tag"] = ch.tag
+                got["data"] = await h.recv_exactly(ch, 22)
 
-        sim.process(from_resp())
-        sim.process(on_ini())
-        run(sim)
+            await h.gather(from_resp(), on_ini())
+
+        mux.run(script)
         assert got == {"tag": b"reverse", "data": b"responder speaks first"}
 
-    def test_channel_ids_do_not_collide(self):
-        sim, ini, resp = make_pair()
+    def test_channel_ids_do_not_collide(self, mux):
         ids = {}
 
-        def open_two(ep, key):
-            a = yield from ep.open_channel()
-            b = yield from ep.open_channel()
-            ids[key] = (a.channel_id, b.channel_id)
+        async def script(h, ini, resp):
+            async def open_two(ep, key):
+                a = await h.open(ep)
+                b = await h.open(ep)
+                ids[key] = (a.channel_id, b.channel_id)
 
-        def accept_two(ep):
-            yield from ep.accept_channel()
-            yield from ep.accept_channel()
+            async def accept_two(ep):
+                await h.accept(ep)
+                await h.accept(ep)
 
-        sim.process(open_two(ini, "ini"))
-        sim.process(open_two(resp, "resp"))
-        sim.process(accept_two(ini))
-        sim.process(accept_two(resp))
-        run(sim)
-        assert ids["ini"] == (1, 3)
-        assert ids["resp"] == (2, 4)
+            await h.gather(open_two(ini, "ini"), open_two(resp, "resp"),
+                           accept_two(ini), accept_two(resp))
+
+        mux.run(script)
+        assert ids == {"ini": (1, 3), "resp": (2, 4)}
+
+    def test_accept_by_tag_lets_acceptors_share_an_endpoint(self, mux):
+        got = {}
+
+        async def script(h, ini, resp):
+            async def opener(tag):
+                ch = await h.open(ini, tag=tag)
+                await h.send(ch, tag * 3)
+
+            async def acceptor(tag):
+                ch = await h.accept(resp, tag=tag)
+                got[tag] = await h.recv_exactly(ch, 3 * len(tag))
+
+            await h.gather(acceptor(b"two"), acceptor(b"one"),
+                           opener(b"one"), opener(b"two"))
+
+        mux.run(script)
+        assert got == {b"one": b"oneoneone", b"two": b"twotwotwo"}
 
 
-class TestCredit:
-    def test_sender_blocks_until_receiver_drains(self):
+class CreditCases:
+    def test_sender_blocks_until_receiver_drains(self, mux):
         # window of 4 KiB, payload of 64 KiB: the sender cannot finish
         # before the receiver starts consuming.
-        sim, ini, resp = make_pair(window=4096)
         events = []
 
-        def opener():
-            ch = yield from ini.open_channel()
-            yield from ch.send_all(b"x" * 65536)
-            events.append(("sent", sim.now))
-            ch.close()
+        async def script(h, ini, resp):
+            async def opener():
+                ch = await h.open(ini)
+                await h.send(ch, b"x" * 65536)
+                events.append("sent")
+                ch.close()
 
-        def acceptor():
-            ch = yield from resp.accept_channel()
-            yield sim.timeout(5.0)  # let the sender hit the credit wall
-            events.append(("drain_start", sim.now))
-            total = 0
-            while total < 65536:
-                data = yield from ch.recv(65536)
-                total += len(data)
-            events.append(("drained", sim.now))
+            async def acceptor():
+                ch = await h.accept(resp)
+                await h.sleep(5.0)  # let the sender hit the credit wall
+                events.append("drain_start")
+                total = 0
+                while total < 65536:
+                    total += len(await h.recv(ch, 65536))
+                events.append("drained")
 
-        sim.process(opener())
-        sim.process(acceptor())
-        run(sim)
-        order = [name for name, _ in sorted(events, key=lambda e: e[1])]
-        assert order == ["drain_start", "sent", "drained"]
+            await h.gather(opener(), acceptor())
+
+        mux.run(script, window=4096)
+        assert events == ["drain_start", "sent", "drained"]
         reg = obs.metrics()
         assert reg.counter("mux.backpressure_waits", node="ini").value > 0
 
-    def test_credit_conservation_counters(self):
-        sim, ini, resp = make_pair(window=8192)
+    def test_credit_conservation_counters(self, mux):
         total = 50_000
 
-        def opener():
-            ch = yield from ini.open_channel()
-            yield from ch.send_all(b"y" * total)
-            ch.close()
+        async def script(h, ini, resp):
+            async def opener():
+                ch = await h.open(ini)
+                await h.send(ch, b"y" * total)
+                ch.close()
 
-        def acceptor():
-            ch = yield from resp.accept_channel()
-            got = 0
-            while got < total:
-                data = yield from ch.recv(4096)
-                got += len(data)
+            async def acceptor():
+                ch = await h.accept(resp)
+                got = 0
+                while got < total:
+                    got += len(await h.recv(ch, 4096))
 
-        sim.process(opener())
-        sim.process(acceptor())
-        run(sim)
+            await h.gather(opener(), acceptor())
+
+        mux.run(script, window=8192)
         reg = obs.metrics()
         tx = reg.counter("mux.tx_bytes", node="ini", channel="1").value
         rx = reg.counter("mux.rx_bytes", node="resp", channel="1").value
@@ -205,165 +176,252 @@ class TestCredit:
         # sent bytes never exceed the initial window plus explicit grants
         assert tx <= 8192 + granted
 
-    def test_zero_copy_of_dropped_bytes_never_happens(self):
+    def test_zero_copy_of_dropped_bytes_never_happens(self, mux):
         # backpressure means blocking, not dropping: every byte arrives
-        sim, ini, resp = make_pair(window=1024)
         payload = bytes(range(256)) * 100
         got = []
 
-        def opener():
-            ch = yield from ini.open_channel()
-            yield from ch.send_all(payload)
-            ch.close()
+        async def script(h, ini, resp):
+            async def opener():
+                ch = await h.open(ini)
+                await h.send(ch, payload)
+                ch.close()
 
-        def acceptor():
-            ch = yield from resp.accept_channel()
-            while True:
-                data = yield from ch.recv(777)
-                if not data:
-                    break
-                got.append(data)
+            async def acceptor():
+                ch = await h.accept(resp)
+                while (data := await h.recv(ch, 777)):
+                    got.append(data)
 
-        sim.process(opener())
-        sim.process(acceptor())
-        run(sim)
+            await h.gather(opener(), acceptor())
+
+        mux.run(script, window=1024)
         assert b"".join(got) == payload
+
+    def test_retune_window_renegotiates_on_the_wire(self, mux):
+        seen = {}
+
+        async def script(h, ini, resp):
+            tx, rx = await h.gather(h.open(ini), h.accept(resp))
+            rx.retune_window(1 << 15)
+            await h.send(rx, b"!")          # ordered behind CREDIT + WINDOW
+            await h.recv_exactly(tx, 1)
+            seen["grown"] = (tx._tx_credit, tx.peer_rx_window)
+            rx.retune_window(1 << 13)
+            await h.send(rx, b"!")
+            await h.recv_exactly(tx, 1)
+            seen["shrunk"] = (tx._tx_credit, tx.peer_rx_window,
+                              rx._grant_debt)
+
+        mux.run(script, window=1 << 14)
+        assert seen["grown"] == (1 << 15, 1 << 15)
+        assert seen["shrunk"] == (1 << 15, 1 << 13, (1 << 15) - (1 << 13))
+
+
+class FailureCases:
+    def test_link_death_fails_all_channels(self, mux):
+        errors = []
+
+        async def script(h, ini, resp):
+            async def opener():
+                ch = await h.open(ini)
+                await h.send(ch, b"z" * 1000)
+                await h.sleep(2.0)
+                h.carrier(ini).abort()  # the shared link dies under us
+                try:
+                    await h.send(ch, b"z" * 200_000)
+                except Exception as exc:
+                    errors.append(type(exc).__name__)
+
+            async def acceptor():
+                ch = await h.accept(resp)
+                try:
+                    while await h.recv(ch, 4096):
+                        pass
+                except Exception as exc:
+                    errors.append(type(exc).__name__)
+
+            await h.gather(opener(), acceptor())
+
+        mux.run(script)
+        assert len(errors) == 2
+
+    def test_endpoint_close_is_clean(self, mux):
+        state = {}
+
+        async def script(h, ini, resp):
+            async def opener():
+                ch = await h.open(ini)
+                await h.send(ch, b"bye")
+                ch.close()
+                ini.close()
+                state["alive"] = ini.alive
+
+            async def acceptor():
+                ch = await h.accept(resp)
+                state["data"] = await h.recv_exactly(ch, 3)
+
+            await h.gather(opener(), acceptor())
+
+        mux.run(script)
+        assert state == {"alive": False, "data": b"bye"}
+
+    def test_version_mismatch_refused(self, mux):
+        failures = []
+
+        async def script(h, a, b):
+            async def old_peer():
+                await h.send_frame(b, f.encode_hello(version=99))
+                await h.recv_frame(b)
+
+            async def us():
+                try:
+                    await h.establish(a, "initiator")
+                except MuxProtocolError as exc:
+                    failures.append(str(exc))
+
+            await h.gather(old_peer(), us())
+
+        mux.run(script, establish=False)
+        assert failures and "version mismatch" in failures[0]
+
+
+#: what a misbehaving peer might put on the wire once a channel (id 1,
+#: window 1024) is open toward us
+VIOLATIONS = {
+    "credit overrun": f.encode_data(1, b"x" * 1025),
+    "OPEN with the wrong parity": f.encode_open(2, 1024),
+    "duplicate OPEN": f.encode_open(1, 1024),
+    "DATA for an unknown channel": f.encode_data(99, b"x"),
+    "ACCEPT for an unknown channel": f.encode_accept(99, 1024),
+    "HELLO after establishment": f.encode_hello(),
+}
+
+
+class ViolationCases:
+    """A peer that breaks the protocol costs every channel, and the
+    carrier is dropped so the peer finds out too."""
+
+    def _run(self, mux, bad_bytes):
+        seen = {}
+
+        async def script(h, raw, link):
+            async def rogue():
+                await h.send_frame(raw, f.encode_hello())
+                await h.recv_frame(raw)
+                await h.send_frame(raw, f.encode_open(1, 1024, b"t"))
+                while f.decode_frame(await h.recv_frame(raw)).kind != f.T_ACCEPT:
+                    pass
+                await h.send(raw, bad_bytes)
+                try:  # drain until the endpoint drops the carrier
+                    while True:
+                        await h.recv_frame(raw)
+                except h.carrier_errors as exc:
+                    seen["carrier"] = exc
+
+            async def victim():
+                endpoint = await h.establish(link, "responder", window=1024,
+                                             node="victim")
+                seen["endpoint"] = endpoint
+                channel = await h.accept(endpoint)
+                try:
+                    await h.recv(channel, 1)
+                except Exception as exc:
+                    seen["reader"] = exc
+
+            await h.gather(rogue(), victim())
+
+        mux.run(script, establish=False)
+        return seen
+
+    @pytest.mark.parametrize("name", sorted(VIOLATIONS))
+    def test_protocol_violation_fails_channels_and_drops_carrier(self, mux,
+                                                                 name):
+        body = VIOLATIONS[name]
+        seen = self._run(mux, len(body).to_bytes(4, "big") + body)
+        assert isinstance(seen["reader"], MuxProtocolError)
+        assert not seen["endpoint"].alive
+        assert "carrier" in seen, "the violator never saw the carrier drop"
+
+    def test_oversized_frame_header_is_refused_not_allocated(self, mux):
+        from repro.core.wire import WireError
+
+        seen = self._run(mux, b"\xff\xff\xff\xff")
+        assert isinstance(seen["reader"], WireError)
+        assert not seen["endpoint"].alive and "carrier" in seen
+
+
+@pytest.fixture
+def mux(request):
+    return request.cls.harness()
+
+
+class TestChannels(ChannelsCases):
+    harness = SimHarness
+
+
+class TestCredit(CreditCases):
+    harness = SimHarness
+
+
+class TestFailure(FailureCases):
+    harness = SimHarness
+
+
+class TestViolations(ViolationCases):
+    harness = SimHarness
+
+
+@pytest.mark.livenet
+class TestChannelsLive(ChannelsCases):
+    harness = LiveHarness
+
+
+@pytest.mark.livenet
+class TestCreditLive(CreditCases):
+    harness = LiveHarness
+
+
+@pytest.mark.livenet
+class TestFailureLive(FailureCases):
+    harness = LiveHarness
+
+
+@pytest.mark.livenet
+class TestViolationsLive(ViolationCases):
+    harness = LiveHarness
 
 
 class TestScheduling:
-    def test_round_robin_interleaves_bulk_and_small(self):
-        sim, ini, resp = make_pair()
+    @staticmethod
+    def _race(first, second, **run_kw):
+        """Two senders on one endpoint; returns who finished when."""
         finish = {}
 
-        def bulk():
-            ch = yield from ini.open_channel(tag=b"bulk")
-            yield from ch.send_all(b"b" * 4_000_000)
-            finish["bulk"] = sim.now
+        async def script(h, ini, resp):
+            async def sender(tag, nbytes, weight):
+                ch = await h.open(ini, tag=tag, weight=weight)
+                await h.send(ch, tag[:1] * nbytes)
+                finish[tag] = h.now()
 
-        def small():
-            ch = yield from ini.open_channel(tag=b"small")
-            yield from ch.send_all(b"s" * 2000)
-            finish["small"] = sim.now
+            async def drain():
+                ch = await h.accept(resp)
+                while await h.recv(ch, 65536):
+                    pass
 
-        def acceptor():
-            for _ in range(2):
-                ch = yield from resp.accept_channel()
-                sim.process(drain(ch))
+            h.spawn(drain())
+            h.spawn(drain())
+            await h.gather(sender(*first), sender(*second))
 
-        def drain(ch):
-            while True:
-                data = yield from ch.recv(65536)
-                if not data:
-                    return
+        SimHarness().run(script, until=900, **run_kw)
+        return finish
 
-        sim.process(bulk())
-        sim.process(small())
-        sim.process(acceptor())
-        run(sim, until=600)
+    def test_round_robin_interleaves_bulk_and_small(self):
+        finish = self._race((b"bulk", 4_000_000, 1), (b"small", 2000, 1))
         # the small channel must not wait for the bulk transfer to finish
-        assert finish["small"] < finish["bulk"]
+        assert finish[b"small"] < finish[b"bulk"]
 
     def test_weighted_scheduler_biases_throughput(self):
-        sim, ini, resp = make_pair(scheduler_a=WeightedScheduler(quantum=4096))
-        total = 300_000
-        first_done = {}
-
-        def sender(tag, weight):
-            ch = yield from ini.open_channel(tag=tag, weight=weight)
-            yield from ch.send_all(tag * (total // len(tag)))
-            first_done.setdefault("winner", tag)
-
-        def acceptor():
-            for _ in range(2):
-                ch = yield from resp.accept_channel()
-                sim.process(drain(ch))
-
-        def drain(ch):
-            while True:
-                data = yield from ch.recv(65536)
-                if not data:
-                    return
-
-        sim.process(sender(b"heavy", 4))
-        sim.process(sender(b"light", 1))
-        sim.process(acceptor())
-        run(sim, until=900)
-        assert first_done["winner"] == b"heavy"
-
-
-class TestFailure:
-    def test_link_death_fails_all_channels(self):
-        sim, ini, resp = make_pair()
-        errors = []
-
-        def opener():
-            ch = yield from ini.open_channel()
-            yield from ch.send_all(b"z" * 1000)
-            yield sim.timeout(2.0)
-            ini.link.abort()  # the shared link dies under us
-            try:
-                yield from ch.send_all(b"z" * 200_000)
-            except Exception as exc:
-                errors.append(type(exc).__name__)
-
-        def acceptor():
-            ch = yield from resp.accept_channel()
-            try:
-                while True:
-                    data = yield from ch.recv(4096)
-                    if not data:
-                        return
-            except Exception as exc:
-                errors.append(type(exc).__name__)
-
-        sim.process(opener())
-        sim.process(acceptor())
-        run(sim)
-        assert len(errors) == 2
-
-    def test_endpoint_close_is_clean(self):
-        sim, ini, resp = make_pair()
-
-        def opener():
-            ch = yield from ini.open_channel()
-            yield from ch.send_all(b"bye")
-            ch.close()
-            ini.close()
-
-        def acceptor():
-            ch = yield from resp.accept_channel()
-            data = yield from ch.recv_exactly(3)
-            assert data == b"bye"
-
-        sim.process(opener())
-        sim.process(acceptor())
-        run(sim)
-        assert not ini.alive
-
-    def test_version_mismatch_refused(self):
-        from repro.core.wire import recv_frame, send_frame
-        from repro.mux.frames import encode_hello
-
-        inet, a, b = two_public_hosts()
-        sim = inet.sim
-        failures = []
-
-        def srv():
-            listener = listen(b, 5000)
-            sock = yield from listener.accept()
-            link = TcpLink(sock, "client_server")
-            yield from send_frame(link, encode_hello(version=99))
-            yield from recv_frame(link)
-
-        def cli():
-            sock = yield from connect(a, (b.ip, 5000))
-            link = TcpLink(sock, "client_server")
-            try:
-                yield from MuxEndpoint.establish(link, MuxEndpoint.INITIATOR)
-            except MuxProtocolError as exc:
-                failures.append(str(exc))
-
-        sim.process(srv())
-        sim.process(cli())
-        sim.run(until=30)
-        assert failures and "version mismatch" in failures[0]
+        finish = self._race(
+            (b"heavy", 300_000, 4), (b"light", 300_000, 1),
+            scheduler_a=WeightedScheduler(quantum=4096))
+        assert finish[b"heavy"] < finish[b"light"]

@@ -159,22 +159,17 @@ class TestLivenetTransfer:
 
 
 class TestConstructorParity:
-    """The live drivers accept the sim drivers' keyword shapes."""
+    """The live drivers take the sim drivers' positional shapes."""
 
-    def test_tcp_block_link_and_sock_are_aliases(self):
+    def test_tcp_block_takes_link(self):
         class FakeSock:
             def close(self):
                 pass
 
         sock = FakeSock()
-        by_link = AsyncTcpBlockDriver(sock)
-        by_sock = AsyncTcpBlockDriver(sock=sock)
-        assert by_link.link is by_link.sock is sock
-        assert by_sock.link is by_sock.sock is sock
-        with pytest.raises(ValueError):
-            AsyncTcpBlockDriver()
+        assert AsyncTcpBlockDriver(sock).link is sock
 
-    def test_parallel_links_and_socks_are_aliases(self):
+    def test_parallel_takes_links_and_rejects_empty(self):
         class FakeSock:
             def close(self):
                 pass
@@ -182,13 +177,10 @@ class TestConstructorParity:
         socks = [FakeSock(), FakeSock()]
 
         async def main():
-            by_links = AsyncParallelStreamsDriver(socks, fragment=512)
-            by_socks = AsyncParallelStreamsDriver(socks=socks)
-            assert by_links.links == by_links.socks == socks
-            assert by_socks.links == socks
-            assert by_socks.fragment > 0
-            by_links.close()
-            by_socks.close()
+            driver = AsyncParallelStreamsDriver(socks, fragment=512)
+            assert driver.links == socks
+            assert driver.nstreams == 2
+            driver.close()
             await asyncio.sleep(0)
 
         run(main())

@@ -153,7 +153,7 @@ class TestReport:
         path = self._export(tmp_path)
         assert report.main([path]) == 0
         assert "observability export" in capsys.readouterr().out
-        assert report.main([path, "--json"]) == 0
+        assert report.main([path, "--format", "json"]) == 0
         parsed = json.loads(capsys.readouterr().out)
         assert parsed["records"] == 5
 

@@ -140,6 +140,6 @@ class TestReportTelemetry:
         assert summary["telemetry"]["extra"]["counters"] == {"rx": 7}
 
     def test_json_flag_is_a_deprecated_alias(self, capture, capsys):
-        assert report.main([capture, "--json"]) == 0
+        assert report.main([capture, "--format", "json"]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["telemetry"]["fast"]["last_seq"] == 8

@@ -135,13 +135,6 @@ def test_chaos_registry_surface_is_public():
     assert "fleet_fanin" in chaos.scenario_names()
 
 
-def test_legacy_scenarios_dict_warns():
-    import repro.chaos as chaos
-
-    with pytest.warns(DeprecationWarning, match="SCENARIOS is deprecated"):
-        chaos.SCENARIOS["wan_transfer"]
-
-
 def test_version_is_pep440ish():
     import repro
 

@@ -1,8 +1,8 @@
 """TunePlanner: the pure half of the closed-loop tuner.
 
-Covers the absorbed ``repro.core.autotune`` formulas (with the
-clamp-order fix: loss headroom applies *before* the ``max_streams``
-clamp), the deprecation shims, and the per-knob planning rules —
+Covers the BDP/stream-count formulas (with the clamp-order fix: loss
+headroom applies *before* the ``max_streams`` clamp), the ``TunerPolicy``
+re-export, and the per-knob planning rules —
 window-limited capacity escalation, replay/credit-window sizing and the
 compression verdict.
 """
@@ -87,23 +87,6 @@ class TestClampOrder:
 
 
 class TestDeprecationShim:
-    def test_old_import_path_warns_and_aliases(self):
-        import repro.core.autotune as autotune
-
-        with pytest.warns(DeprecationWarning, match="moved to repro.tune"):
-            shimmed = autotune.recommend_streams
-        assert shimmed is recommend_streams
-        with pytest.warns(DeprecationWarning):
-            assert autotune.estimate_bdp is estimate_bdp
-        with pytest.warns(DeprecationWarning):
-            assert autotune.HEADROOM == HEADROOM
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.core.autotune as autotune
-
-        with pytest.raises(AttributeError):
-            autotune.no_such_thing
-
     def test_tuner_policy_both_import_paths(self):
         from repro.chaos.rollout import TunerPolicy as old_path
 
