@@ -27,37 +27,17 @@ channel) never observes the fault — ``send_all``/``recv`` simply stall
 during recovery and the byte stream resumes exactly where it broke, so
 delivery stays byte-identical and FIFO.
 
-Wire format (all integers big-endian, on the established link)::
-
-    DATA      = u8(1) u32(len) bytes      # len <= MAX_CHUNK
-    ACK       = u8(2) u64(rx_off)         # cumulative delivered bytes
-    PING      = u8(3)
-    PONG      = u8(4) u64(rx_off)
-    FIN       = u8(5) u64(fin_off)        # sender finished at fin_off
-    FINACK    = u8(6) u64(fin_off)
-    RESUME    = u8(7) u64(sid) u64(rx_off) u8(fin?) u64(fin_off)
-    RESUME_OK = u8(8) u64(rx_off) u8(fin?) u64(fin_off)
-    RETUNE    = u8(9) u64(max_buffer)     # advisory replay-window resize
-
-``RESUME``/``RESUME_OK`` only ever appear as the first frame in each
-direction of a re-established link; everything else flows on an attached
-link.  A silent stall (a firewall eating packets without erroring — TCP
-retransmits forever in the simulator) is detected by the initiator-side
-watchdog: no inbound frame for ``dead_after`` seconds breaks the link
-deliberately and enters the same recovery path.
-
-Both roles send ``PING`` when their receive side has been idle for the
-heartbeat interval.  Beyond keeping the watchdog fed, the responder's
-pings double as middlebox keepalives: after a conntrack flush or NAT
-table expiry any *outbound* packet from inside the site re-creates the
-state entry, so a heartbeat from the quiet end often heals the stall at
-the transport level before the watchdog has to force a reconnect.
+The protocol itself — wire format, replay and ack arithmetic, close,
+heartbeat and watchdog — lives in :mod:`repro.core.session_core`; this
+module is its simulator binding: re-establishment under the retry
+policy, the processes that move bytes between the link and the core
+(the inbound pump; the writers — callers and the control loop — taking
+turns on the raw link), the heartbeat timer, and the simulator events
+callers park on until the core wakes them.
 """
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, replace
 from typing import Callable, Generator, Optional
 
 from .. import obs
@@ -66,6 +46,21 @@ from ..obs.flight import FlightRecorder
 from ..simnet.engine import with_timeout
 from .links import Link, transport_errors
 from .retry import RetryPolicy, retrying
+from .session_core import (
+    ACTIVE,
+    FINISHED,
+    MAX_CHUNK,
+    RECOVERING,
+    RESUME_OK_SIZE,
+    RESUME_SIZE,
+    ReplayBuffer,
+    Resume,
+    SessionConfig,
+    SessionCore,
+    SessionError,
+    decode_resume,
+    decode_resume_ok,
+)
 
 __all__ = [
     "SessionLink",
@@ -77,24 +72,6 @@ __all__ = [
     "MAX_CHUNK",
 ]
 
-F_DATA = 1
-F_ACK = 2
-F_PING = 3
-F_PONG = 4
-F_FIN = 5
-F_FINACK = 6
-F_RESUME = 7
-F_RESUME_OK = 8
-F_RETUNE = 9
-
-_DATA_HDR = struct.Struct("!BI")
-_OFF_HDR = struct.Struct("!BQ")
-_RESUME_HDR = struct.Struct("!BQQBQ")
-_RESUME_OK_HDR = struct.Struct("!BQBQ")
-
-#: largest payload per DATA frame (also the replay-retransmit chunk size)
-MAX_CHUNK = 32768
-
 #: backoff for re-running establishment after a mid-stream fault; total
 #: nominal delay ~15s so recovery outlives short outages but exhausts
 #: well inside a chaos run's drain window
@@ -102,106 +79,11 @@ RESUME_POLICY = RetryPolicy(
     max_attempts=6, base_delay=0.5, multiplier=2.0, max_delay=8.0, jitter=0.25
 )
 
-ACTIVE = "active"
-RECOVERING = "recovering"
-FINISHED = "finished"
-FAILED = "failed"
+#: binding-private wake kind: the raw link is free for the next writer
+_WAKE_TX = "tx"
 
 
-class SessionError(Exception):
-    """Session protocol failure or unrecoverable session loss."""
-
-
-class _StaleLink(SessionError):
-    """Internal: the link generation changed while waiting to send."""
-
-
-@dataclass(frozen=True)
-class SessionConfig:
-    """Tuning knobs, settable from the spec layer (``session:ack=..,buf=..,hb=..``)."""
-
-    ack_every: int = 65536
-    max_buffer: int = 1 << 20
-    heartbeat: float = 2.0
-    dead_factor: float = 3.0
-    resume_timeout: float = 20.0
-
-    @property
-    def dead_after(self) -> float:
-        return self.heartbeat * self.dead_factor
-
-    @classmethod
-    def from_layer(cls, layer) -> "SessionConfig":
-        """Build from a ``session`` :class:`~repro.core.utilization.spec.LayerSpec`."""
-        if layer is None:
-            return cls()
-        return cls(
-            ack_every=int(layer.get("ack", cls.ack_every)),
-            max_buffer=int(layer.get("buf", cls.max_buffer)),
-            heartbeat=float(layer.get("hb", cls.heartbeat)),
-        )
-
-
-class ReplayBuffer:
-    """Unacknowledged sent bytes: a byte window [start, end) over the stream.
-
-    ``append`` extends the window as data is sent; ``ack(off)`` trims it
-    up to a cumulative delivered offset.  Stale (non-monotone) acks are
-    ignored; an ack beyond what was ever sent is a protocol violation.
-    """
-
-    def __init__(self) -> None:
-        self.start = 0
-        self._data = bytearray()
-
-    @property
-    def end(self) -> int:
-        return self.start + len(self._data)
-
-    @property
-    def size(self) -> int:
-        return len(self._data)
-
-    def append(self, data: bytes) -> None:
-        self._data.extend(data)
-
-    def ack(self, off: int) -> int:
-        """Trim to cumulative offset ``off``; returns bytes released."""
-        if off < self.start:
-            return 0
-        if off > self.end:
-            raise SessionError(f"ack beyond sent data: {off} > {self.end}")
-        cut = off - self.start
-        del self._data[:cut]
-        self.start = off
-        return cut
-
-    def unacked(self) -> bytes:
-        return bytes(self._data)
-
-
-class _Mutex:
-    """FIFO mutex for generator processes (serializes writes to the raw link)."""
-
-    def __init__(self, sim) -> None:
-        self._sim = sim
-        self._locked = False
-        self._waiters: list = []
-
-    def acquire(self) -> Generator:
-        while self._locked:
-            ev = self._sim.event()
-            self._waiters.append(ev)
-            yield ev
-        self._locked = True
-
-    def release(self) -> None:
-        self._locked = False
-        if self._waiters:
-            self._waiters.pop(0).succeed()
-
-
-class SessionLink(Link):
+class SessionLink(SessionCore, Link):
     """A logical stream that survives the death of its physical link.
 
     ``reconnect`` (initiator only) is a generator ``reconnect(session) ->
@@ -209,9 +91,6 @@ class SessionLink(Link):
     side is passive and re-attached through its node's
     :class:`SessionRegistry`.
     """
-
-    INITIATOR = "initiator"
-    RESPONDER = "responder"
 
     def __init__(
         self,
@@ -226,71 +105,26 @@ class SessionLink(Link):
         node: str = "",
         flight: Optional[FlightRecorder] = None,
     ):
-        if role not in (self.INITIATOR, self.RESPONDER):
-            raise ValueError(f"bad session role {role!r}")
         if role == self.INITIATOR and reconnect is None:
             raise ValueError("initiator sessions need a reconnect callable")
-        self.sid = sid
-        self.role = role
-        self.peer = peer
-        #: causal identity of the connect that created this session — resume
-        #: spans are children of it, so a reconnect shows up in the same
-        #: trace as the original transfer
-        self.ctx = ctx
-        self.node = node
-        self.flight = flight
-        self._resume_ctx: Optional[TraceContext] = None
-        self.config = config or SessionConfig()
-        #: the peer's last advertised replay bound (RETUNE; informational)
-        self.peer_max_buffer = 0
-        self.reconnects = 0
-        self.replayed_bytes = 0
-        self._reconnect = reconnect
-        self._retry_policy = retry_policy or RESUME_POLICY
         self._sim = raw.sim
         self._raw = raw
-        self._gen = 0
-        self._state = ACTIVE
-        self._failure: Optional[Exception] = None
+        self._reconnect = reconnect
+        self._retry_policy = retry_policy or RESUME_POLICY
+        self._resume_ctx: Optional[TraceContext] = None
         self._registry: Optional["SessionRegistry"] = None
-        # tx side
-        self._replay = ReplayBuffer()
-        self._tx_off = 0
-        self._tx_fin: Optional[int] = None
-        self._tx_fin_acked = False
-        self._mutex = _Mutex(self._sim)
-        self._window_waiters: list = []
-        # rx side
-        self._rx = bytearray()
-        self._rx_off = 0
-        self._rx_fin: Optional[int] = None
-        self._rx_finack_sent = False
-        self._last_ack_sent = 0
-        self._last_rx = self._sim.now
-        self._rx_waiters: list = []
-        # coordination
-        self._cond_waiters: list = []
-        self._flags = {"ack": False, "pong": False, "finack": False, "ping": False}
-        self._control_ev = None
+        #: a writer holds the raw link; the others park on ``_WAKE_TX``
+        self._sending = False
+        #: wake kind -> events of the processes parked on it
+        self._waiters: dict = {}
         self._transport = transport_errors()
-        obs.event(
-            "session.established",
-            ctx=ctx,
-            node=node or None,
-            sid=f"{sid:016x}",
-            role=role,
-            peer=peer,
-        )
-        self._note("session.established", ctx, sid=f"{sid:016x}", role=role)
+        super().__init__(sid, role, config, now=self._sim.now, peer=peer,
+                         ctx=ctx, node=node, flight=flight)
         self._start_pump()
         self._sim.process(self._control_loop(), name=f"session-ctl-{sid:x}-{role[0]}")
         self._sim.process(
             self._heartbeat_loop(), name=f"session-hb-{sid:x}-{role[0]}"
         )
-
-    def _note(self, name: str, ctx: Optional[TraceContext], **attrs) -> None:
-        if self.flight is not None:
-            self.flight.note(name, ctx=ctx or self.ctx, **attrs)
 
     # -- metadata ----------------------------------------------------------------
     @property
@@ -310,257 +144,103 @@ class SessionLink(Link):
         return self._raw.relayed
 
     @property
-    def state(self) -> str:
-        return self._state
-
-    @property
     def raw(self) -> Link:
         """The current physical link (changes across recoveries)."""
         return self._raw
 
-    @property
-    def acked_tx(self) -> int:
-        """Cumulative sent bytes the peer has acknowledged delivered.
-
-        The authority a rebalancing parallel stack uses to decide which
-        blocks are safely down and which must be retransmitted over
-        surviving members when this session cannot be resumed.
-        """
-        return self._replay.start
-
-    @property
-    def replay_occupancy(self) -> float:
-        """Replay-buffer fill fraction in [0, 1] (the tuner's signal)."""
-        return min(1.0, self._replay.size / max(1, self.config.max_buffer))
-
-    def set_max_buffer(self, max_buffer: int) -> None:
-        """Retune the replay-buffer bound mid-stream (tuner-driven).
-
-        Growth releases any senders blocked on the old bound at once.
-        Shrink is graceful: already-buffered bytes are never dropped —
-        the window simply stops admitting new chunks until acks drain it
-        below the new bound.  An advisory RETUNE frame tells the peer
-        (informational; each side's bound is locally enforced).
-        """
-        max_buffer = int(max_buffer)
-        if max_buffer <= 0:
-            raise ValueError(f"max_buffer must be positive: {max_buffer}")
-        old = self.config.max_buffer
-        if max_buffer == old:
-            return
-        self.config = replace(self.config, max_buffer=max_buffer)
-        if max_buffer > old:
-            self._wake_window()
-        obs.metrics().counter(
-            "session.retunes_total", role=self.role).inc()
-        obs.event(
-            "session.retuned",
-            ctx=self.ctx,
-            node=self.node or None,
-            sid=f"{self.sid:016x}",
-            old=old,
-            new=max_buffer,
-        )
-        if self._state == ACTIVE:
-            self._sim.process(
-                self._send_retune(max_buffer),
-                name=f"session-retune-{self.sid:x}",
-            )
-
-    def _send_retune(self, max_buffer: int) -> Generator:
-        gen = self._gen
-        try:
-            yield from self._locked_send(
-                gen, _OFF_HDR.pack(F_RETUNE, max_buffer)
-            )
-        except _StaleLink:
-            pass  # advisory only: not worth replaying across recovery
-        except self._transport as exc:
-            self._transport_broken(gen, exc)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<SessionLink {self.sid:016x} {self.role} {self._state}"
-            f" tx={self._tx_off} rx={self._rx_off} over {self._raw!r}>"
-        )
-
     # -- Link interface ----------------------------------------------------------
     def send_all(self, data: bytes) -> Generator:
-        if self._tx_fin is not None:
-            raise SessionError("send on closed session")
-        view = memoryview(bytes(data))
+        view = memoryview(data)
         offset = 0
         while offset < len(view):
-            yield from self._await_active()
-            if self._replay.size >= self.config.max_buffer:
-                # backpressure: wait for acks to release replay space
-                ev = self._sim.event()
-                self._window_waiters.append(ev)
-                yield ev
+            out = self.write(view[offset:])
+            if out is None:
+                # recovering, or backpressure: acks must release replay space
+                yield self._wait(self.WAKE_WINDOW)
                 continue
-            chunk = bytes(view[offset : offset + MAX_CHUNK])
-            # into the replay buffer *before* the write: if the link dies
-            # mid-frame the bytes are retransmitted after resume
-            self._replay.append(chunk)
-            self._tx_off += len(chunk)
-            offset += len(chunk)
-            gen = self._gen
-            try:
-                yield from self._locked_send(gen, _DATA_HDR.pack(F_DATA, len(chunk)) + chunk)
-            except _StaleLink:
-                pass  # recovery replays the chunk
-            except self._transport as exc:
-                self._transport_broken(gen, exc)
+            frame, taken = out
+            offset += taken
+            yield from self._send(frame)
 
     def recv(self, maxbytes: int) -> Generator:
-        while True:
-            if self._rx:
-                take = bytes(self._rx[:maxbytes])
-                del self._rx[: len(take)]
-                return take
-            if self._failure is not None:
-                raise SessionError(f"session {self.sid:016x} failed") from self._failure
-            if self._rx_fin is not None and self._rx_off >= self._rx_fin:
-                return b""
-            ev = self._sim.event()
-            self._rx_waiters.append(ev)
-            yield ev
+        while (data := self.read(maxbytes)) is None:
+            yield self._wait(self.WAKE_RX)
+        return data
 
     def close(self) -> None:
         """Graceful close: FIN at the current offset, then linger until the
         peer has everything (FINACK) and has finished its own direction."""
-        if self._state in (FINISHED, FAILED) or self._tx_fin is not None:
-            return
-        self._tx_fin = self._tx_off
-        self._sim.process(self._closer(), name=f"session-close-{self.sid:x}-{self.role[0]}")
+        self.shutdown()
 
     def abort(self) -> None:
-        self._fail(SessionError("session aborted"))
+        self.fail(SessionError("session aborted"))
 
-    # -- send-side plumbing ------------------------------------------------------
-    def _locked_send(self, gen: int, data: bytes) -> Generator:
-        yield from self._mutex.acquire()
+    # -- waiters -----------------------------------------------------------------
+    def _wait(self, what: str):
+        """An event the core's next ``wake(what)`` triggers."""
+        event = self._sim.event()
+        self._waiters.setdefault(what, []).append(event)
+        return event
+
+    def wake(self, what: str) -> None:
+        if what == self.WAKE_LINK:
+            self._link_changed()
+        for event in self._waiters.pop(what, ()):
+            event.succeed()
+
+    def _link_changed(self) -> None:
+        state = self._state
+        if state == ACTIVE:
+            self._start_pump()
+            return
         try:
-            if gen != self._gen:
-                raise _StaleLink("link replaced while waiting to send")
-            yield from self._raw.send_all(data)
-        finally:
-            self._mutex.release()
+            if state == FINISHED:
+                self._raw.close()
+            else:
+                self._raw.abort()
+        except Exception:
+            pass
+        if state != RECOVERING:
+            if self._registry is not None:
+                self._registry.remove(self.sid)
+        elif self.role == self.INITIATOR:
+            self._sim.process(self._recovery(), name=f"session-recover-{self.sid:x}")
 
-    def _await_active(self) -> Generator:
-        while self._state == RECOVERING:
-            ev = self._sim.event()
-            self._cond_waiters.append(ev)
-            yield ev
-        if self._state == FAILED:
-            raise SessionError(f"session {self.sid:016x} failed") from self._failure
-        if self._state == FINISHED:
-            raise SessionError("session closed")
-
-    def _wake_window(self) -> None:
-        waiters, self._window_waiters = self._window_waiters, []
-        for ev in waiters:
-            ev.succeed()
-
-    def _wake_rx(self) -> None:
-        waiters, self._rx_waiters = self._rx_waiters, []
-        for ev in waiters:
-            ev.succeed()
-
-    def _notify(self) -> None:
-        waiters, self._cond_waiters = self._cond_waiters, []
-        for ev in waiters:
-            ev.succeed()
-        self._poke_control()
-
-    def _wait(self, cond) -> Generator:
-        while not cond():
-            ev = self._sim.event()
-            self._cond_waiters.append(ev)
-            yield ev
-
-    # -- control channel ---------------------------------------------------------
-    def _poke_control(self) -> None:
-        ev = self._control_ev
-        if ev is not None and not ev.triggered:
-            self._control_ev = None
-            ev.succeed()
-
-    def _flag(self, name: str) -> None:
-        self._flags[name] = True
-        self._poke_control()
+    # -- the writers: callers (send_all) and the control loop ----------------------
+    def _send(self, data: bytes) -> Generator:
+        """Write ``data`` to the current link, one writer at a time; False
+        when that link was replaced while waiting for the turn (the
+        recovery replays) or died under the write."""
+        gen = self._gen
+        while self._sending:
+            yield self._wait(_WAKE_TX)
+        if gen != self._gen:
+            return False
+        self._sending = True
+        try:
+            try:
+                yield from self._raw.send_all(data)
+            finally:
+                self._sending = False
+                self.wake(_WAKE_TX)
+        except self._transport as exc:
+            self.transport_broken(gen, exc, self._sim.now)
+            return False
+        return True
 
     def _control_loop(self) -> Generator:
-        while True:
-            if self._state in (FINISHED, FAILED):
-                return
-            pending = self._state == ACTIVE and any(self._flags.values())
-            if not pending:
-                ev = self._sim.event()
-                self._control_ev = ev
-                yield ev
-                continue
-            frames = []
-            if self._flags["pong"]:
-                frames.append(_OFF_HDR.pack(F_PONG, self._rx_off))
-                self._last_ack_sent = self._rx_off
-                self._flags["pong"] = False
-                self._flags["ack"] = False
-            elif self._flags["ack"]:
-                frames.append(_OFF_HDR.pack(F_ACK, self._rx_off))
-                self._last_ack_sent = self._rx_off
-                self._flags["ack"] = False
-            if self._flags["ping"]:
-                frames.append(struct.pack("!B", F_PING))
-                self._flags["ping"] = False
-            sent_finack = False
-            if (
-                self._flags["finack"]
-                and self._rx_fin is not None
-                and self._rx_off >= self._rx_fin
-            ):
-                frames.append(_OFF_HDR.pack(F_FINACK, self._rx_fin))
-                self._flags["finack"] = False
-                sent_finack = True
+        while not self.ended:
+            frames = self.control_frames()
             if not frames:
-                continue
-            gen = self._gen
-            try:
-                yield from self._locked_send(gen, b"".join(frames))
-            except _StaleLink:
-                continue
-            except self._transport as exc:
-                self._transport_broken(gen, exc)
-                continue
-            if sent_finack and not self._rx_finack_sent:
-                self._rx_finack_sent = True
-                self._notify()
+                yield self._wait(self.WAKE_CONTROL)
+            elif (yield from self._send(frames)):
+                self.control_sent()
 
     def _heartbeat_loop(self) -> Generator:
         hb = self.config.heartbeat
-        while True:
-            if self._state in (FINISHED, FAILED):
-                return
+        while not self.ended:
             yield self._sim.timeout(hb)
-            if self._state in (FINISHED, FAILED):
-                return
-            if self._state != ACTIVE:
-                continue  # recovery paces itself
-            idle = self._sim.now - self._last_rx
-            if idle >= self.config.dead_after and self.role == self.INITIATOR:
-                # silent stall: the transport never errored but the peer
-                # went quiet — break the link on purpose and recover
-                gen = self._gen
-                obs.event(
-                    "session.watchdog",
-                    sid=f"{self.sid:016x}",
-                    idle=round(idle, 3),
-                )
-                self._transport_broken(
-                    gen, SessionError(f"peer silent for {idle:.1f}s")
-                )
-            elif idle >= hb:
-                self._flag("ping")
+            self.tick(self._sim.now)
 
     # -- inbound pump ------------------------------------------------------------
     def _start_pump(self) -> None:
@@ -571,150 +251,16 @@ class SessionLink(Link):
 
     def _pump(self, raw: Link, gen: int) -> Generator:
         try:
-            while True:
-                head = yield from raw.recv_exactly(1)
-                kind = head[0]
-                self._last_rx = self._sim.now
-                if kind == F_DATA:
-                    body = yield from raw.recv_exactly(_DATA_HDR.size - 1)
-                    (length,) = struct.unpack("!I", body)
-                    if length == 0 or length > MAX_CHUNK:
-                        raise SessionError(f"bad DATA length {length}")
-                    payload = yield from raw.recv_exactly(length)
-                    if gen != self._gen:
-                        return
-                    self._on_data(payload)
-                elif kind == F_RETUNE:
-                    body = yield from raw.recv_exactly(_OFF_HDR.size - 1)
-                    (peer_buf,) = struct.unpack("!Q", body)
-                    if gen != self._gen:
-                        return
-                    self.peer_max_buffer = peer_buf
-                elif kind in (F_ACK, F_PONG, F_FIN, F_FINACK):
-                    body = yield from raw.recv_exactly(_OFF_HDR.size - 1)
-                    (off,) = struct.unpack("!Q", body)
-                    if gen != self._gen:
-                        return
-                    if kind == F_ACK or kind == F_PONG:
-                        self._on_ack(off)
-                    elif kind == F_FIN:
-                        self._on_fin(off)
-                    else:
-                        self._on_finack(off)
-                elif kind == F_PING:
-                    if gen != self._gen:
-                        return
-                    self._flag("pong")
-                else:
-                    raise SessionError(f"unexpected frame type {kind}")
-        except SessionError as exc:
-            if gen == self._gen and self._state not in (FINISHED, FAILED):
-                self._fail(exc)  # protocol violation: not survivable
+            while gen == self._gen:
+                data = yield from raw.recv_exactly(self.rx_need)
+                self.receive_data(data, self._sim.now, gen)
+        except SessionError:
+            pass  # protocol violation: the core failed the session
         except self._transport as exc:
-            if gen != self._gen or self._state in (FINISHED, FAILED):
-                return
-            if (
-                isinstance(exc, EOFError)
-                and self._tx_fin is not None
-                and self._tx_fin_acked
-                and self._rx_fin is not None
-                and self._rx_off >= self._rx_fin
-            ):
-                return  # normal teardown: the peer closed first
-            self._transport_broken(gen, exc)
+            self.transport_broken(gen, exc, self._sim.now)
 
-    def _on_data(self, payload: bytes) -> None:
-        self._rx_off += len(payload)
-        if self._rx_fin is not None and self._rx_off > self._rx_fin:
-            raise SessionError("data past the peer's FIN offset")
-        self._rx.extend(payload)
-        self._wake_rx()
-        if self._rx_fin is not None and self._rx_off >= self._rx_fin:
-            self._flag("finack")
-        if self._rx_off - self._last_ack_sent >= self.config.ack_every:
-            self._flag("ack")
-
-    def _on_ack(self, off: int) -> None:
-        if self._replay.ack(off):
-            self._wake_window()
-
-    def _on_fin(self, off: int) -> None:
-        if off < self._rx_off:
-            raise SessionError(
-                f"peer FIN at {off} below delivered offset {self._rx_off}"
-            )
-        self._rx_fin = off
-        self._wake_rx()
-        if self._rx_off >= off:
-            self._flag("finack")
-        self._notify()
-
-    def _on_finack(self, off: int) -> None:
-        if self._tx_fin is not None and off == self._tx_fin:
-            self._replay.ack(off)
-            self._wake_window()
-            self._tx_fin_acked = True
-            self._notify()
-
-    # -- failure & recovery ------------------------------------------------------
-    def _transport_broken(self, gen: int, exc: BaseException) -> None:
-        if gen != self._gen or self._state != ACTIVE:
-            return
-        self._state = RECOVERING
-        self._gen += 1
-        obs.event(
-            "session.broken",
-            ctx=self.ctx,
-            node=self.node or None,
-            sid=f"{self.sid:016x}",
-            role=self.role,
-            at_tx=self._tx_off,
-            at_rx=self._rx_off,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-        self._note(
-            "session.broken",
-            None,
-            sid=f"{self.sid:016x}",
-            error=type(exc).__name__,
-        )
-        try:
-            self._raw.abort()
-        except Exception:
-            pass
-        if self.role == self.INITIATOR:
-            self._sim.process(self._recovery(), name=f"session-recover-{self.sid:x}")
-        self._notify()
-
-    def _fail(self, exc: Exception) -> None:
-        if self._state in (FINISHED, FAILED):
-            return
-        self._state = FAILED
-        self._failure = exc
-        self._gen += 1
-        try:
-            self._raw.abort()
-        except Exception:
-            pass
-        if self._registry is not None:
-            self._registry.remove(self.sid)
-        obs.event(
-            "session.failed",
-            ctx=self.ctx,
-            node=self.node or None,
-            sid=f"{self.sid:016x}",
-            role=self.role,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-        self._note(
-            "session.failed", None, sid=f"{self.sid:016x}", error=type(exc).__name__
-        )
-        self._wake_rx()
-        self._wake_window()
-        self._notify()
-
+    # -- recovery ----------------------------------------------------------------
     def _recovery(self) -> Generator:
-        started = self._sim.now
         # Each recovery is one child span of the session's originating
         # trace; the same ctx rides the re-establishment handshake and the
         # RESUME frame so relay/responder records join the tree.
@@ -737,19 +283,7 @@ class SessionLink(Link):
                 if self._state != RECOVERING:
                     raise _ResumeAborted("session no longer recovering")
                 raw = yield from self._reconnect(self)
-                try:
-                    yield from with_timeout(
-                        self._sim,
-                        self._resume_initiator(raw),
-                        self.config.resume_timeout,
-                    )
-                except BaseException:
-                    try:
-                        raw.abort()
-                    except Exception:
-                        pass
-                    raise
-                return None
+                yield from self._bounded_resume(raw, self._resume_initiator(raw))
 
             try:
                 yield from retrying(
@@ -765,7 +299,7 @@ class SessionLink(Link):
                 return
             except Exception as exc:
                 span.set(outcome="failed")
-                self._fail(
+                self.fail(
                     SessionError(f"session {self.sid:016x} could not be resumed")
                 )
                 obs.event(
@@ -775,121 +309,36 @@ class SessionLink(Link):
                 )
                 return
             span.set(outcome="ok")
-        self.reconnects += 1
-        reg = obs.metrics()
-        reg.counter("session.reconnects_total", role=self.role).inc()
-        reg.histogram("session.resume_seconds").observe(self._sim.now - started)
-        obs.event(
-            "session.resumed",
-            ctx=resume_ctx,
-            node=self.node or None,
-            sid=f"{self.sid:016x}",
-            role=self.role,
-            after=round(self._sim.now - started, 6),
-            reconnects=self.reconnects,
-        )
-        self._note(
-            "session.resumed", resume_ctx,
-            sid=f"{self.sid:016x}", reconnects=self.reconnects,
-        )
+
+    def _bounded_resume(self, raw: Link, steps: Generator) -> Generator:
+        """Run one side's resume over ``raw`` under ``resume_timeout``;
+        a link that did not become the session's is aborted."""
+        try:
+            yield from with_timeout(self._sim, steps, self.config.resume_timeout)
+        except BaseException:
+            try:
+                raw.abort()
+            except Exception:
+                pass
+            raise
 
     def _resume_initiator(self, raw: Link) -> Generator:
-        fin = self._tx_fin
-        # RESUME carries the recovery's trace context as a fixed 24-byte
-        # trailer (all-zero = untraced) so the responder's records land in
-        # the same span tree as the initiator's resume span.
-        ctx = self._resume_ctx
-        yield from raw.send_all(
-            _RESUME_HDR.pack(
-                F_RESUME, self.sid, self._rx_off, 1 if fin is not None else 0, fin or 0
-            )
-            + (ctx.encode() if ctx is not None else b"\0" * TraceContext.WIRE_SIZE)
-        )
-        buf = yield from raw.recv_exactly(_RESUME_OK_HDR.size)
-        kind, peer_rx, fin_flag, fin_off = _RESUME_OK_HDR.unpack(buf)
-        if kind != F_RESUME_OK:
-            raise SessionError(f"expected RESUME_OK, got frame type {kind}")
-        self._note_peer_fin(fin_flag, fin_off)
-        yield from self._complete_resume(raw, peer_rx)
+        yield from raw.send_all(self.resume_request(self._resume_ctx))
+        peer = decode_resume_ok((yield from raw.recv_exactly(RESUME_OK_SIZE)))
+        yield from self._complete_resume(raw, peer, self._resume_ctx)
 
     def _resume_responder(self, raw: Link) -> Generator:
-        buf = yield from raw.recv_exactly(_RESUME_HDR.size)
-        kind, sid, peer_rx, fin_flag, fin_off = _RESUME_HDR.unpack(buf)
-        if kind != F_RESUME or sid != self.sid:
-            raise SessionError(f"bad RESUME (type {kind}, sid {sid:016x})")
-        blob = yield from raw.recv_exactly(TraceContext.WIRE_SIZE)
-        rctx: Optional[TraceContext] = None
-        if any(blob):
-            try:
-                rctx = TraceContext.decode(blob).child()
-            except ValueError:
-                rctx = None
-        self._note_peer_fin(fin_flag, fin_off)
-        fin = self._tx_fin
-        yield from raw.send_all(
-            _RESUME_OK_HDR.pack(
-                F_RESUME_OK, self._rx_off, 1 if fin is not None else 0, fin or 0
-            )
-        )
-        yield from self._complete_resume(raw, peer_rx)
-        self.reconnects += 1
-        obs.metrics().counter("session.reconnects_total", role=self.role).inc()
-        # events only on this side: the invariant layer counts every ok
-        # ``session.resume`` *span* against the initiator reconnect counter
-        obs.event(
-            "session.resumed",
-            ctx=rctx,
-            node=self.node or None,
-            sid=f"{self.sid:016x}",
-            role=self.role,
-            reconnects=self.reconnects,
-        )
-        self._note(
-            "session.resumed", rctx,
-            sid=f"{self.sid:016x}", reconnects=self.reconnects,
-        )
+        peer = decode_resume((yield from raw.recv_exactly(RESUME_SIZE)))
+        if peer.sid != self.sid:
+            raise SessionError(f"bad RESUME (sid {peer.sid:016x})")
+        yield from self._complete_resume(
+            raw, peer, peer.ctx.child() if peer.ctx is not None else None)
 
-    def _note_peer_fin(self, fin_flag: int, fin_off: int) -> None:
-        if not fin_flag:
-            return
-        if fin_off < self._rx_off:
-            raise SessionError(
-                f"peer FIN at {fin_off} below delivered offset {self._rx_off}"
-            )
-        self._rx_fin = fin_off
-
-    def _complete_resume(self, raw: Link, peer_rx: int) -> Generator:
-        """Trim the replay window to the peer's delivered offset, retransmit
-        the rest (plus FIN, if we were closing) on the fresh link, then
-        attach it.  Runs before anyone else can write to ``raw``, so
-        replayed bytes keep their stream position."""
-        if self._replay.ack(peer_rx):
-            self._wake_window()
-        pending = self._replay.unacked()
-        for i in range(0, len(pending), MAX_CHUNK):
-            chunk = pending[i : i + MAX_CHUNK]
-            yield from raw.send_all(_DATA_HDR.pack(F_DATA, len(chunk)) + chunk)
-        if self._tx_fin is not None:
-            yield from raw.send_all(_OFF_HDR.pack(F_FIN, self._tx_fin))
-        if pending:
-            self.replayed_bytes += len(pending)
-            obs.metrics().counter(
-                "session.replayed_bytes_total", role=self.role
-            ).inc(len(pending))
-        self._attach(raw)
-        # let the peer trim its replay window even if no data flows soon
-        self._flag("ack")
-        if self._rx_fin is not None and self._rx_off >= self._rx_fin:
-            self._flag("finack")
-
-    def _attach(self, raw: Link) -> None:
+    def _complete_resume(self, raw: Link, peer: Resume, ctx) -> Generator:
+        for frame in self.resume_frames(peer):
+            yield from raw.send_all(frame)
         self._raw = raw
-        self._gen += 1
-        self._state = ACTIVE
-        self._last_rx = self._sim.now
-        self._start_pump()
-        self._wake_window()
-        self._notify()
+        self.attach(self._sim.now, ctx)
 
     def _reattach(self, raw: Link) -> Generator:
         """Responder side: adopt a re-established link (from the registry).
@@ -897,83 +346,19 @@ class SessionLink(Link):
         Tolerates a session that never noticed the fault (silent stall):
         the surviving link is deliberately broken first.
         """
-        if self._state in (FINISHED, FAILED):
+        if self.ended:
             raise SessionError(f"session {self.sid:016x} is {self._state}")
-        if self._state == ACTIVE:
-            self._transport_broken(self._gen, SessionError("peer re-established"))
+        self.transport_broken(
+            self._gen, SessionError("peer re-established"), self._sim.now)
         try:
-            yield from with_timeout(
-                self._sim, self._resume_responder(raw), self.config.resume_timeout
-            )
+            yield from self._bounded_resume(raw, self._resume_responder(raw))
         except BaseException as exc:
-            try:
-                raw.abort()
-            except Exception:
-                pass
             obs.event(
                 "session.reattach_failed",
                 sid=f"{self.sid:016x}",
                 error=f"{type(exc).__name__}: {exc}",
             )
             # stay in RECOVERING: the initiator retries
-
-    # -- teardown ----------------------------------------------------------------
-    def _closer(self) -> Generator:
-        # send FIN on whatever link is current (recovery re-sends it)
-        while True:
-            try:
-                yield from self._await_active()
-            except SessionError:
-                return  # failed (or finished by a concurrent path)
-            gen = self._gen
-            try:
-                yield from self._locked_send(gen, _OFF_HDR.pack(F_FIN, self._tx_fin))
-                break
-            except _StaleLink:
-                continue
-            except self._transport as exc:
-                self._transport_broken(gen, exc)
-                continue
-        yield from self._wait(
-            lambda: self._state == FAILED
-            or (
-                self._tx_fin_acked
-                and self._rx_fin is not None
-                and self._rx_finack_sent
-            )
-        )
-        if self._state == FAILED:
-            return
-        self._finish()
-
-    def _finish(self) -> None:
-        if self._state in (FINISHED, FAILED):
-            return
-        self._state = FINISHED
-        if self._registry is not None:
-            self._registry.remove(self.sid)
-        obs.event(
-            "session.finished",
-            ctx=self.ctx,
-            node=self.node or None,
-            sid=f"{self.sid:016x}",
-            role=self.role,
-            tx=self._tx_off,
-            rx=self._rx_off,
-            reconnects=self.reconnects,
-        )
-        self._note(
-            "session.finished",
-            None,
-            sid=f"{self.sid:016x}",
-            reconnects=self.reconnects,
-        )
-        try:
-            self._raw.close()
-        except Exception:
-            pass
-        self._wake_rx()
-        self._notify()
 
 
 class _ResumeAborted(Exception):
@@ -1049,7 +434,7 @@ class SessionRegistry:
 
     def _serve(self, sid: int, service) -> Generator:
         session = self._sessions.get(sid)
-        if session is None or session.state in (FINISHED, FAILED):
+        if session is None or session.ended:
             obs.event("session.resume_unknown", sid=f"{sid:016x}")
             service.close()
             return

@@ -64,10 +64,8 @@ def _build_stack(spec, socks: list, tls_config=None):
     """Assemble async drivers from a stack spec (subset of the sim specs)."""
     parsed = _typed_spec(spec)
     if parsed.session is not None:
-        raise LiveIbisError(
-            "survivable sessions are simulator-only; the live backend "
-            "cannot wrap its sockets in a session layer yet"
-        )
+        # AsyncSessionLink exists; LiveIbis does not assemble it yet
+        raise LiveIbisError("layer 'session' unsupported on the live backend")
     bottom = parsed.bottom
     if bottom.name == "tcp_block":
         driver = AsyncTcpBlockDriver(socks[0])

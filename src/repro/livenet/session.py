@@ -1,145 +1,111 @@
-"""Survivable sessions over real sockets: the live twin of SessionLink.
+"""Survivable sessions over real sockets: the asyncio binding of SessionCore.
 
-:class:`~repro.core.session.SessionLink` gives simulated channels a
-replay buffer, cumulative acks and transparent reconnect.  This module
-is the asyncio binding of the same contract for the live backend, so the
-chaos harness can prove resume polarity against genuine TCP faults (a
-proxy RST mid-stream) and not just simulated ones:
+:mod:`repro.core.session_core` is the session protocol — one wire
+format, replay buffer, cumulative acks, offset negotiation, heartbeat,
+watchdog and two-direction close — and the simulator runs it through
+:class:`~repro.core.session.SessionLink`.  This module runs the very same
+state machine over anything with the live socket surface
+(``send_all``/``recv``/``recv_exactly``/``close``/``abort``: a
+``LiveSocket``, a relay-routed link), so the chaos harness can prove
+resume polarity against genuine TCP faults (a proxy RST mid-stream) and
+not just simulated ones.  It adds only IO:
 
-* every payload byte is appended to a replay buffer before it touches
-  the wire; cumulative ``ACK`` frames from the peer trim it;
+* :meth:`AsyncSessionLink.connect` dials and opens the link with
+  ``RESUME`` for a fresh session id at offset 0, answered by
+  ``RESUME_OK`` — one round trip, the same exchange every later
+  reconnect repeats with the offsets reached by then;
 * when the transport dies, the initiator redials (through whatever
-  gateway the harness interposed), renegotiates offsets with a
-  ``HELLO``/``HELLO_OK`` exchange, and replays the gap — the
-  application-visible byte stream continues exactly where it stopped;
-* the responder side parks until the initiator's reconnect arrives at
-  the :class:`AsyncSessionListener`, which routes it to the existing
-  session by id;
-* ``FIN`` carries the sender's final offset, and a graceful close waits
-  until the peer has acked every byte, so "the transfer completed" means
-  the bytes are *there*, not merely written.
-
-Wire format (own framing over the raw socket): ``u8 type, u32 len,
-body``.  ``HELLO`` carries the 16-byte session id plus the dialer's
-receive offset; ``HELLO_OK`` answers with the acceptor's receive offset;
-``DATA`` is ``u64 offset + payload``; ``ACK`` and ``FIN`` carry a single
-``u64`` offset.  Duplicate ``DATA`` (replay overlap) is deduplicated by
-offset; a forward gap is a protocol violation and kills the transport,
-which simply triggers another resume.
-
-Observability matches the sim layer: each successful resume records one
-``session.resume`` span with ``outcome=ok`` and increments
-``session.reconnects_total`` (role-labelled), and replayed bytes land in
-``session.replayed_bytes_total`` — so the chaos invariant suite and
-report stats work unchanged on live runs.
+  gateway the harness interposed) under a bounded retry loop, one
+  ``session.resume`` span per recovery; the responder parks until the
+  reconnect arrives at its :class:`AsyncSessionListener`, which routes it
+  to the surviving session by id;
+* a reader task feeds the core, a control task writes what it owes, a
+  timer task calls ``tick``; callers park on ``asyncio.Event``\\ s the
+  core wakes.
 """
 
 from __future__ import annotations
 
 import asyncio
-import struct
 import time
 from typing import Awaitable, Callable, Optional
 
 from .. import obs
-from ..obs import fmt_id, next_id
+from ..core.session_core import (
+    ACTIVE,
+    FAILED,
+    FINISHED,
+    RECOVERING,
+    RESUME_OK_SIZE,
+    RESUME_SIZE,
+    Resume,
+    SessionCore,
+    SessionError,
+    decode_resume,
+    decode_resume_ok,
+)
+from ..obs import next_id
 from .transport import LiveListener, LiveSocket
 from .wire import ExactReads
 
 __all__ = ["AsyncSessionLink", "AsyncSessionListener", "AsyncSessionError"]
 
-T_HELLO = 1
-T_HELLO_OK = 2
-T_DATA = 3
-T_ACK = 4
-T_FIN = 5
-
-_HDR = struct.Struct("!BI")
-_U64 = struct.Struct("!Q")
-
-#: send a cumulative ACK at least this often (bytes of new payload)
-ACK_EVERY = 32 * 1024
-#: replay chunk granularity on resume
-REPLAY_CHUNK = 64 * 1024
-#: largest acceptable frame body (a DATA frame is never bigger than a
-#: replay chunk plus its offset header)
-MAX_FRAME = REPLAY_CHUNK + 64
-
-#: per-attempt handshake budget: a gateway silently black-holing the
-#: HELLO must time the attempt out, not hang the resume loop forever
+#: per-attempt budget for the dial and for the RESUME/RESUME_OK exchange:
+#: a gateway silently black-holing either must time the attempt out, not
+#: hang the resume loop forever
 HANDSHAKE_TIMEOUT = 3.0
 
-#: graceful-close watchdog: if the cumulative ack makes no progress for
-#: this long, kill the transport to force a resume + replay (covers a
-#: black-holed FIN/ACK tail, which never trips the gap detector)
-ACK_STALL_TIMEOUT = 2.0
+#: redial backoff: attempt ``n`` waits ``n * RETRY_DELAY`` first
+RETRY_DELAY = 0.05
+
+#: how long a link closed with the sync :meth:`AsyncSessionLink.close`
+#: may linger for its peer (``aclose`` takes its own)
+CLOSE_TIMEOUT = 20.0
+
+_READ_SIZE = 65536
+
+#: binding-private wake kind: the transport is free for the next writer
+_WAKE_TX = "tx"
+
+#: what a dead or misbehaving transport raises
+_TRANSPORT_ERRORS = (EOFError, OSError)
+#: what one failed RESUME exchange raises, on either side (the initiator's
+#: next attempt may still succeed)
+_RETRYABLE = (*_TRANSPORT_ERRORS, SessionError, asyncio.TimeoutError)
+
+_now = time.monotonic
 
 
-class AsyncSessionError(Exception):
-    """Session protocol failure (bad handshake, unrecoverable loss)."""
+class AsyncSessionError(SessionError):
+    """Session failure on the live backend (bad handshake, unrecoverable loss)."""
 
 
-async def _write_frame(sock: LiveSocket, kind: int, body: bytes) -> None:
-    await sock.send_all(_HDR.pack(kind, len(body)) + body)
-
-
-async def _read_frame(sock: LiveSocket) -> tuple:
-    header = await sock.recv_exactly(_HDR.size)
-    kind, length = _HDR.unpack(header)
-    if length > MAX_FRAME:
-        raise AsyncSessionError(f"oversized session frame ({length} bytes)")
-    body = await sock.recv_exactly(length) if length else b""
-    return kind, body
-
-
-class AsyncSessionLink(ExactReads):
+class AsyncSessionLink(SessionCore, ExactReads):
     """One survivable byte stream; exposes the LiveSocket API."""
 
-    INITIATOR = "initiator"
-    RESPONDER = "responder"
+    error_class = AsyncSessionError
 
     def __init__(
         self,
-        session_id: bytes,
+        sid: int,
         role: str,
         node: str = "?",
         dial: Optional[Callable[[], Awaitable[LiveSocket]]] = None,
         max_attempts: int = 8,
-        retry_delay: float = 0.05,
         ctx=None,
     ):
-        self.session_id = session_id
-        self.role = role
-        self.node = node
-        self.reconnects = 0
-        self.replayed_bytes = 0
-        self.state = "connecting"
+        super().__init__(sid, role, now=_now(), attached=False, ctx=ctx,
+                         node=node)
         self._dial = dial
         self._max_attempts = max_attempts
-        self._retry_delay = retry_delay
-        self._ctx = ctx
         self._sock: Optional[LiveSocket] = None
-        self._reader_task: Optional[asyncio.Task] = None
-        self._recover_task: Optional[asyncio.Task] = None
-        # send side: [base, sent) lives in the replay buffer until acked
-        self._sent = 0
-        self._base = 0
-        self._acked = 0
-        self._replay = bytearray()
-        self._fin_sent = False
-        self._final = 0
-        # receive side
-        self._recv = 0
-        self._buf = bytearray()
-        self._fin_at: Optional[int] = None
-        self._last_ack_sent = 0
-        # coordination
-        self._ready = asyncio.Event()
-        self._buf_event = asyncio.Event()
-        self._ack_event = asyncio.Event()
-        self._closed = False
+        #: a writer holds the transport; the others park on ``_WAKE_TX``
+        self._sending = False
+        #: wake kind -> the event callers parked on it share
+        self._waiters: dict = {}
+        self._tasks: set = set()
+        self._timer: Optional[asyncio.TimerHandle] = None
 
-    # -- construction ------------------------------------------------------
     @classmethod
     async def connect(
         cls,
@@ -148,353 +114,262 @@ class AsyncSessionLink(ExactReads):
         ctx=None,
         **kwargs,
     ) -> "AsyncSessionLink":
-        """Dial, perform the HELLO handshake, return a connected link."""
-        session_id = fmt_id(next_id()).encode("ascii")
-        link = cls(
-            session_id, cls.INITIATOR, node=node, dial=dial,
-            ctx=ctx or obs.current(), **kwargs,
-        )
+        """Dial, open a new session on the link, return it connected."""
+        link = cls(next_id(), cls.INITIATOR, node=node, dial=dial,
+                   ctx=ctx or obs.current(), **kwargs)
         sock = await dial()
-        await _write_frame(sock, T_HELLO, session_id + _U64.pack(0))
-        kind, body = await asyncio.wait_for(
-            _read_frame(sock), timeout=HANDSHAKE_TIMEOUT
-        )
-        if kind != T_HELLO_OK:
-            raise AsyncSessionError(f"expected HELLO_OK, got frame type {kind}")
-        link._attach(sock)
-        link._ready.set()
-        link.state = "connected"
-        obs.event(
-            "session.established", ctx=link._ctx, node=node,
-            session=session_id.decode("ascii"), backend="live",
-        )
+        try:
+            await link._resume_initiator(sock, None)
+        except BaseException as exc:
+            sock.close()
+            if isinstance(exc, SessionError):
+                raise AsyncSessionError(str(exc)) from exc
+            raise
         return link
-
-    # -- socket plumbing ---------------------------------------------------
-    def _attach(self, sock: LiveSocket) -> None:
-        old_sock, old_reader = self._sock, self._reader_task
-        self._sock = sock
-        if old_reader is not None:
-            old_reader.cancel()
-        if old_sock is not None and old_sock is not sock:
-            old_sock.close()
-        self._reader_task = asyncio.ensure_future(self._read_loop(sock))
-
-    def _stream_done(self) -> bool:
-        sent_done = self._fin_sent and self._acked >= self._final
-        recv_done = self._fin_at is not None and self._recv >= self._fin_at
-        return sent_done or recv_done
-
-    def _connection_lost(self) -> None:
-        if self._closed or self.state in ("finished", "failed"):
-            return
-        if self._stream_done():
-            self.state = "finished"
-            self._wake_all()
-            return
-        self._ready.clear()
-        self.state = "reconnecting"
-        if self.role == self.INITIATOR:
-            if self._recover_task is None or self._recover_task.done():
-                self._recover_task = asyncio.ensure_future(self._recover())
-        # the responder parks: the listener attaches the reconnect
-
-    def _wake_all(self) -> None:
-        self._buf_event.set()
-        self._ack_event.set()
-        self._ready.set()
-
-    def _fail(self, why: str) -> None:
-        self.state = "failed"
-        self._failure = why
-        self._wake_all()
-
-    # -- reader ------------------------------------------------------------
-    async def _read_loop(self, sock: LiveSocket) -> None:
-        try:
-            while True:
-                kind, body = await _read_frame(sock)
-                if kind == T_DATA:
-                    await self._on_data(
-                        _U64.unpack(body[:8])[0], body[8:], sock
-                    )
-                elif kind == T_ACK:
-                    self._on_ack(_U64.unpack(body)[0])
-                elif kind == T_FIN:
-                    await self._on_fin(_U64.unpack(body)[0], sock)
-                elif kind == T_HELLO_OK:
-                    continue  # stale handshake residue; offsets rule
-                else:
-                    raise AsyncSessionError(f"unexpected frame type {kind}")
-        except asyncio.CancelledError:
-            return
-        except (EOFError, ConnectionError, OSError, AsyncSessionError):
-            pass
-        if sock is self._sock and not self._closed:
-            self._connection_lost()
-
-    async def _on_data(self, offset: int, payload: bytes, sock: LiveSocket) -> None:
-        if offset > self._recv:
-            # a forward gap can only mean a broken resume; kill the
-            # transport and let the resume machinery renegotiate
-            sock.abort()
-            return
-        skip = self._recv - offset
-        if skip >= len(payload):
-            return  # pure duplicate from a replay overlap
-        chunk = payload[skip:]
-        self._buf.extend(chunk)
-        self._recv += len(chunk)
-        self._buf_event.set()
-        done = self._fin_at is not None and self._recv >= self._fin_at
-        if done or self._recv - self._last_ack_sent >= ACK_EVERY:
-            await self._send_ack(sock)
-
-    async def _on_fin(self, final: int, sock: LiveSocket) -> None:
-        self._fin_at = final
-        self._buf_event.set()
-        if self._recv >= final:
-            await self._send_ack(sock)
-
-    async def _send_ack(self, sock: LiveSocket) -> None:
-        self._last_ack_sent = self._recv
-        try:
-            await _write_frame(sock, T_ACK, _U64.pack(self._recv))
-        except (ConnectionError, OSError):
-            pass  # the reader will observe the death and recover
-
-    def _on_ack(self, offset: int) -> None:
-        if offset <= self._acked:
-            return
-        self._acked = offset
-        drop = min(offset - self._base, len(self._replay))
-        if drop > 0:
-            del self._replay[:drop]
-            self._base += drop
-        self._ack_event.set()
-
-    # -- resume ------------------------------------------------------------
-    async def _recover(self) -> None:
-        t0 = time.time()
-        last = "exhausted attempts"
-        # own span identity, parented on the stage/root span, so the
-        # resume shows up as a child in the assembled cross-node tree
-        span_ctx = self._ctx.child() if self._ctx is not None else None
-        for attempt in range(self._max_attempts):
-            if self._closed or self._stream_done():
-                self.state = "finished"
-                self._wake_all()
-                return
-            if attempt:
-                await asyncio.sleep(self._retry_delay * attempt)
-            sock = None
-            try:
-                sock = await asyncio.wait_for(
-                    self._dial(), timeout=HANDSHAKE_TIMEOUT
-                )
-                await _write_frame(
-                    sock, T_HELLO, self.session_id + _U64.pack(self._recv)
-                )
-                kind, body = await asyncio.wait_for(
-                    _read_frame(sock), timeout=HANDSHAKE_TIMEOUT
-                )
-                if kind != T_HELLO_OK:
-                    raise AsyncSessionError(
-                        f"expected HELLO_OK, got frame type {kind}"
-                    )
-                peer_recv = _U64.unpack(body)[0]
-                replayed = await self._resume_send_path(sock, peer_recv)
-            except (
-                ConnectionError,
-                OSError,
-                EOFError,
-                AsyncSessionError,
-                asyncio.TimeoutError,
-            ) as exc:
-                last = f"{type(exc).__name__}: {exc}"
-                if sock is not None and sock is not self._sock:
-                    sock.close()
-                continue
-            self.reconnects += 1
-            self.replayed_bytes += replayed
-            reg = obs.metrics()
-            reg.counter(
-                "session.reconnects_total", role=self.role,
-                node=self.node, backend="live",
-            ).inc()
-            reg.counter(
-                "session.replayed_bytes_total", node=self.node, backend="live"
-            ).inc(replayed)
-            obs.record_span(
-                "session.resume", t0, time.time(), ctx=span_ctx,
-                node=self.node, outcome="ok", attempt=attempt,
-                replayed=replayed, backend="live",
-            )
-            return
-        obs.record_span(
-            "session.resume", t0, time.time(), ctx=span_ctx,
-            node=self.node, outcome="error", error=last, backend="live",
-        )
-        self._fail(f"resume failed: {last}")
-
-    async def _resume_send_path(self, sock: LiveSocket, peer_recv: int) -> int:
-        """Attach ``sock`` and replay everything the peer is missing."""
-        if peer_recv < self._base or peer_recv > self._sent:
-            raise AsyncSessionError(
-                f"peer wants offset {peer_recv} outside replay window "
-                f"[{self._base}, {self._sent}]"
-            )
-        self._attach(sock)
-        start = peer_recv - self._base
-        pending = bytes(self._replay[start:])
-        offset = peer_recv
-        for i in range(0, len(pending), REPLAY_CHUNK):
-            chunk = pending[i : i + REPLAY_CHUNK]
-            await _write_frame(sock, T_DATA, _U64.pack(offset) + chunk)
-            offset += len(chunk)
-        if self._fin_sent:
-            await _write_frame(sock, T_FIN, _U64.pack(self._final))
-        self.state = "connected"
-        self._ready.set()
-        return len(pending)
-
-    # -- responder-side attach (driven by the listener) --------------------
-    async def _accept_attach(self, sock: LiveSocket) -> None:
-        await _write_frame(sock, T_HELLO_OK, _U64.pack(self._recv))
-        self._attach(sock)
-        self._ready.set()
-        self.state = "connected"
-
-    async def _resume_attach(self, sock: LiveSocket, peer_recv: int) -> None:
-        await _write_frame(sock, T_HELLO_OK, _U64.pack(self._recv))
-        replayed = await self._resume_send_path(sock, peer_recv)
-        self.reconnects += 1
-        self.replayed_bytes += replayed
-        reg = obs.metrics()
-        reg.counter(
-            "session.reconnects_total", role=self.role,
-            node=self.node, backend="live",
-        ).inc()
-        if replayed:
-            reg.counter(
-                "session.replayed_bytes_total", node=self.node, backend="live"
-            ).inc(replayed)
-        obs.event(
-            "session.attached", ctx=self._ctx, node=self.node,
-            session=self.session_id.decode("ascii"), replayed=replayed,
-            backend="live",
-        )
 
     # -- the socket API ----------------------------------------------------
     async def send_all(self, data: bytes) -> None:
-        if self._closed or self._fin_sent:
-            raise AsyncSessionError("session closed for sending")
-        if self.state == "failed":
-            raise AsyncSessionError(f"session failed: {self._failure}")
-        offset = self._sent
-        self._replay.extend(data)
-        self._sent += len(data)
-        await self._ready.wait()
-        if self.state == "failed":
-            raise AsyncSessionError(f"session failed: {self._failure}")
-        try:
-            await _write_frame(
-                self._sock, T_DATA, _U64.pack(offset) + bytes(data)
-            )
-        except (ConnectionError, OSError):
-            # the bytes are safe in the replay buffer; resume delivers them
-            self._connection_lost()
+        view = memoryview(data)
+        offset = 0
+        while offset < len(view):
+            out = self.write(view[offset:])
+            if out is None:
+                # recovering, or backpressure: acks must release replay space
+                await self._wait(self.WAKE_WINDOW)
+                continue
+            frame, taken = out
+            offset += taken
+            await self._send(frame)
 
     async def recv(self, maxbytes: int) -> bytes:
-        while not self._buf:
-            if self._fin_at is not None and self._recv >= self._fin_at:
-                return b""
-            if self.state == "failed":
-                raise EOFError(f"session failed: {self._failure}")
-            if self._closed:
-                return b""
-            self._buf_event.clear()
-            await self._buf_event.wait()
-        take = bytes(self._buf[:maxbytes])
-        del self._buf[: len(take)]
-        return take
+        try:
+            while (data := self.read(maxbytes)) is None:
+                await self._wait(self.WAKE_RX)
+        except AsyncSessionError as exc:
+            # the socket contract: a dead stream reads as a transport error
+            raise EOFError(str(exc)) from exc
+        return data
 
-    async def aclose(self, timeout: float = 20.0) -> None:
-        """Graceful close: FIN, then wait until the peer acked everything."""
-        if self._closed:
-            return
-        if self._sent > 0 or self.role == self.INITIATOR:
-            if not self._fin_sent:
-                self._fin_sent = True
-                self._final = self._sent
-                try:
-                    await self._ready.wait()
-                    await _write_frame(
-                        self._sock, T_FIN, _U64.pack(self._final)
-                    )
-                except (ConnectionError, OSError):
-                    self._connection_lost()
-            deadline = time.monotonic() + timeout
-            while self._acked < self._final and self.state != "failed":
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    self._teardown()
-                    raise AsyncSessionError(
-                        f"close timed out with {self._final - self._acked} "
-                        "bytes unacked"
-                    )
-                before = self._acked
-                self._ack_event.clear()
-                try:
-                    await asyncio.wait_for(
-                        self._ack_event.wait(),
-                        timeout=min(remaining, ACK_STALL_TIMEOUT),
-                    )
-                except asyncio.TimeoutError:
-                    # no ack progress: a silent drop ate the FIN or the
-                    # tail DATA — force a resume, which replays both
-                    if (
-                        self._acked == before
-                        and self.state == "connected"
-                        and self._sock is not None
-                    ):
-                        self._sock.abort()
-                    continue
-            if self.state == "failed":
-                self._teardown()
-                raise AsyncSessionError(f"session failed: {self._failure}")
-        self.state = "finished"
-        self._teardown()
+    async def aclose(self, timeout: float = CLOSE_TIMEOUT) -> None:
+        """Graceful close: FIN, then wait until the peer has acked it.
 
-    def _teardown(self) -> None:
-        self._closed = True
-        if self._recover_task is not None:
-            self._recover_task.cancel()
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-        if self._sock is not None:
-            self._sock.close()
-        self._wake_all()
+        Returns once the local direction is FINACKed — "the transfer
+        completed" means the bytes are *there* — while the link lingers
+        in the background until the peer's FIN, EOF or the deadline.
+        """
+        self.shutdown(_now() + timeout)
+        try:
+            await asyncio.wait_for(self._tx_closed(), timeout)
+        except asyncio.TimeoutError:
+            self.fail(AsyncSessionError(
+                f"close timed out with {self._replay.size} bytes unacked"))
+        if self._state == FAILED:
+            raise AsyncSessionError(f"session failed: {self._failure}")
 
     def close(self) -> None:
-        """Sync close (driver-stack compatible): schedules the graceful one."""
-        if not self._closed:
-            asyncio.ensure_future(self.aclose())
+        """Sync close (driver-stack compatible): starts the graceful one."""
+        self.shutdown(_now() + CLOSE_TIMEOUT)
 
     def abort(self) -> None:
         """Hard kill of the *current transport* (not the session)."""
         if self._sock is not None:
             self._sock.abort()
 
+    # -- waiters -----------------------------------------------------------
+    async def _wait(self, what: str) -> None:
+        """Park until the core's next ``wake(what)``.  The caller tested
+        its condition with no ``await`` since, so clearing the event here
+        cannot lose a wake-up."""
+        event = self._waiters.get(what)
+        if event is None:
+            event = self._waiters[what] = asyncio.Event()
+        event.clear()
+        await event.wait()
+
+    def wake(self, what: str) -> None:
+        event = self._waiters.get(what)
+        if event is not None:
+            event.set()
+        elif what == self.WAKE_LINK:
+            self._link_changed()
+        elif what == self.WAKE_CONTROL and self._owed and self._state == ACTIVE:
+            # the first control frame owed starts the task that writes them
+            self._waiters[what] = asyncio.Event()
+            self._spawn(self._control_loop())
+
+    async def _tx_closed(self) -> None:
+        while not (self._tx_fin_acked or self.ended):
+            await self._wait(self.WAKE_STATE)
+
+    def _spawn(self, coro) -> None:
+        task = asyncio.ensure_future(coro)
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+
+    def _link_changed(self) -> None:
+        state = self._state
+        if state == ACTIVE:
+            if self._timer is None:
+                # a session shorter than one heartbeat never needs the task
+                self._timer = asyncio.get_running_loop().call_later(
+                    self.config.heartbeat,
+                    lambda: self._spawn(self._heartbeat_loop()))
+            self._spawn(self._pump(self._sock, self._gen))
+            return
+        if self._sock is not None:
+            if state == FINISHED:
+                self._sock.close()
+            else:
+                self._sock.abort()
+        if state != RECOVERING:
+            if self._timer is not None:
+                self._timer.cancel()
+            for task in self._tasks:
+                task.cancel()
+        elif self.role == self.INITIATOR:
+            self._spawn(self._recovery())
+
+    # -- the writers: callers (send_all) and the control loop ----------------
+    async def _send(self, data: bytes) -> bool:
+        """Write ``data`` to the current link, one writer at a time; False
+        when that link was replaced while waiting for the turn (the
+        recovery replays) or died under the write."""
+        gen = self._gen
+        while self._sending:
+            await self._wait(_WAKE_TX)
+        if gen != self._gen:
+            return False
+        self._sending = True
+        try:
+            try:
+                await self._sock.send_all(data)
+            finally:
+                self._sending = False
+                self.wake(_WAKE_TX)
+        except _TRANSPORT_ERRORS as exc:
+            self.transport_broken(gen, exc, _now())
+            return False
+        return True
+
+    async def _control_loop(self) -> None:
+        while not self.ended:
+            frames = self.control_frames()
+            if not frames:
+                await self._wait(self.WAKE_CONTROL)
+            elif await self._send(frames):
+                self.control_sent()
+
+    async def _heartbeat_loop(self) -> None:
+        while not self.ended:
+            self.tick(_now())
+            await asyncio.sleep(self.config.heartbeat)
+
+    # -- inbound pump ------------------------------------------------------
+    async def _pump(self, sock: LiveSocket, gen: int) -> None:
+        try:
+            while gen == self._gen:
+                data = await sock.recv(_READ_SIZE)
+                if not data:
+                    raise EOFError("transport closed by the peer")
+                self.receive_data(data, _now(), gen)
+        except SessionError:
+            pass  # protocol violation: the core failed the session
+        except _TRANSPORT_ERRORS as exc:
+            self.transport_broken(gen, exc, _now())
+
+    # -- recovery ----------------------------------------------------------
+    async def _recovery(self) -> None:
+        t0 = time.time()
+        outcome = {"outcome": "failed", "error": "exhausted attempts"}
+        # own span identity, parented on the stage/root span, so the
+        # resume shows up as a child in the assembled cross-node tree
+        span_ctx = self.ctx.child() if self.ctx is not None else None
+        for attempt in range(self._max_attempts):
+            if self._state != RECOVERING:
+                return
+            if attempt:
+                await asyncio.sleep(RETRY_DELAY * attempt)
+            sock = None
+            try:
+                sock = await asyncio.wait_for(self._dial(), HANDSHAKE_TIMEOUT)
+                await self._resume_initiator(sock, span_ctx)
+            except Exception as exc:
+                outcome["error"] = f"{type(exc).__name__}: {exc}"
+                if sock is not None:
+                    sock.close()
+                if isinstance(exc, _RETRYABLE):
+                    continue
+                break  # a dial that raises anything else will not improve
+            outcome = {"outcome": "ok", "attempt": attempt}
+            break
+        obs.record_span(
+            "session.resume", t0, time.time(), ctx=span_ctx, node=self.node,
+            sid=f"{self.sid:016x}", role=self.role, **outcome,
+        )
+        if "error" in outcome:
+            self.fail(AsyncSessionError(
+                f"session {self.sid:016x} could not be resumed: "
+                f"{outcome['error']}"))
+
+    async def _resume_initiator(self, sock: LiveSocket, ctx) -> None:
+        async def negotiate() -> Resume:
+            await sock.send_all(self.resume_request(ctx))
+            return decode_resume_ok(await sock.recv_exactly(RESUME_OK_SIZE))
+
+        peer = await asyncio.wait_for(negotiate(), HANDSHAKE_TIMEOUT)
+        await self._complete_resume(sock, peer, ctx)
+
+    async def _reattach(self, sock: LiveSocket, peer: Resume) -> None:
+        """Responder side: adopt the link a RESUME arrived on.
+
+        Tolerates a session that never noticed the fault (silent stall):
+        the surviving link is deliberately broken first.  An ended session
+        adopts nothing: it answers, or raises and the link is dropped.
+        """
+        self.transport_broken(
+            self._gen, SessionError("peer re-established"), _now())
+        await self._complete_resume(
+            sock, peer, peer.ctx.child() if peer.ctx is not None else None)
+
+    async def _complete_resume(self, sock: LiveSocket, peer: Resume,
+                               ctx) -> None:
+        for frame in self.resume_frames(peer):
+            await sock.send_all(frame)
+        if self.ended:
+            # finished: the peer lacked only the FINACK just repeated, and
+            # hangs up on reading it; there is nothing to attach
+            try:
+                await asyncio.wait_for(_until_eof(sock), HANDSHAKE_TIMEOUT)
+            finally:
+                sock.close()
+            return
+        self._sock = sock
+        self.attach(_now(), ctx)
+
+
+async def _until_eof(sock: LiveSocket) -> None:
+    while await sock.recv(_READ_SIZE):
+        pass
+
 
 class AsyncSessionListener:
-    """Accepts session handshakes; routes reconnects to live sessions."""
+    """Accepts session links; routes reconnects to the surviving session.
+
+    Every accepted connection opens with ``RESUME``: a known session id is
+    a reconnect and goes to that session, an unknown one at offset 0 is a
+    new session and surfaces through :meth:`accept`, and an unknown one
+    further in belongs to a session this listener never had — the
+    connection is dropped, and the initiator's retries exhaust.  Ended
+    sessions stay known until :meth:`close`, so a late redial is answered
+    by the session it belongs to and its id is never taken for a new one.
+    """
 
     def __init__(self, listener: LiveListener, node: str = "responder"):
         self.listener = listener
         self.node = node
-        self.sessions: dict[bytes, AsyncSessionLink] = {}
+        self.sessions: dict[int, AsyncSessionLink] = {}
         self._accepts: asyncio.Queue = asyncio.Queue()
+        self._handshakes: set = set()
         self._task = asyncio.ensure_future(self._accept_loop())
 
     @property
@@ -508,32 +383,33 @@ class AsyncSessionListener:
     async def _accept_loop(self) -> None:
         while True:
             sock = await self.listener.accept()
-            asyncio.ensure_future(self._handshake(sock))
+            task = asyncio.ensure_future(self._handshake(sock))
+            self._handshakes.add(task)
+            task.add_done_callback(self._handshakes.discard)
 
     async def _handshake(self, sock: LiveSocket) -> None:
         try:
-            kind, body = await _read_frame(sock)
-            if kind != T_HELLO or len(body) != 24:
-                raise AsyncSessionError("expected HELLO")
-            session_id = bytes(body[:16])
-            peer_recv = _U64.unpack(body[16:])[0]
-            link = self.sessions.get(session_id)
-            if link is None:
-                link = AsyncSessionLink(
-                    session_id, AsyncSessionLink.RESPONDER, node=self.node,
-                    ctx=obs.current(),
-                )
-                self.sessions[session_id] = link
-                await link._accept_attach(sock)
-                self._accepts.put_nowait(link)
-            else:
-                await link._resume_attach(sock, peer_recv)
-        except (EOFError, ConnectionError, OSError, AsyncSessionError):
+            peer = decode_resume(await sock.recv_exactly(RESUME_SIZE))
+            link = self.sessions.get(peer.sid)
+            if link is not None:
+                await link._reattach(sock, peer)
+                return
+            if peer.rx_off:
+                raise SessionError(f"RESUME for unknown session {peer.sid:016x}")
+            link = AsyncSessionLink(
+                peer.sid, AsyncSessionLink.RESPONDER, node=self.node,
+                ctx=obs.current())
+            await link._reattach(sock, peer)
+            self.sessions[peer.sid] = link
+            self._accepts.put_nowait(link)
+        except _RETRYABLE:
             sock.close()
 
     def close(self) -> None:
         self._task.cancel()
+        for task in self._handshakes:
+            task.cancel()
         self.listener.close()
-        for link in self.sessions.values():
-            link._teardown()
+        for link in list(self.sessions.values()):
+            link.fail(AsyncSessionError("session listener closed"))
         self.sessions.clear()

@@ -1,11 +1,19 @@
-"""Survivable sessions: SessionLink unit tests + ReplayBuffer properties.
+"""Survivable sessions: one set of scripts over both bindings.
 
-These tests drive :class:`repro.core.session.SessionLink` over an
-in-memory pipe link, so faults are injected with byte precision — no
-network stack in the way.  The end-to-end recovery matrix (real
+The protocol-level cases (``*Cases``) are scripts written once against
+the harness in ``tests/dual.py`` and run over both bindings:
+``TestSessionLink`` / ``TestReplayRetune`` on the simulator's
+:class:`~repro.core.session.SessionLink` over an in-memory pipe, so
+faults are injected with byte precision — no network stack in the way —
+and their ``...Live`` twins on
+:class:`~repro.livenet.session.AsyncSessionLink` over real loopback
+sockets.  The protocol itself is tested without either in
+``tests/session/test_core.py``; the end-to-end recovery matrix (real
 middleboxes, real faults) lives in ``tests/chaos/test_resume.py`` and
 ``tests/core/test_middlebox_matrix.py``.
 """
+
+import contextlib
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +28,17 @@ from repro.core.session import (
     SessionError,
     SessionLink,
 )
+from repro.livenet import (
+    AsyncSessionLink,
+    AsyncSessionListener,
+    live_connect,
+    live_listen,
+)
 from repro.simnet.engine import Simulator
 from repro.simnet.tcp import TcpError
+from repro.tune.knobs import StackKnobs
+
+from .. import dual
 
 
 class _PipeEnd(Link):
@@ -119,320 +136,419 @@ _FAST_RETRY = RetryPolicy(
 
 _CONFIG = SessionConfig(ack_every=4096, max_buffer=1 << 16, heartbeat=0.5)
 
-
-def _session_pair(sim, reconnect_works: bool = True):
-    """An initiator/responder SessionLink pair over a fresh pipe.
-
-    The initiator's reconnect callable builds a new pipe and hands the
-    far end to the responder's ``_reattach`` — the same shape the
-    factory layer provides over the real network.
-    """
-    a, b = _pipe_pair(sim)
-    responder = SessionLink(b, sid=0xD0C, role=SessionLink.RESPONDER, config=_CONFIG)
-
-    def reconnect(_session):
-        if not reconnect_works:
-            raise TcpError("no path to peer")
-        na, nb = _pipe_pair(sim)
-        sim.process(responder._reattach(nb), name="test-reattach")
-        return na
-        yield  # pragma: no cover - makes this a generator
-
-    initiator = SessionLink(
-        a,
-        sid=0xD0C,
-        role=SessionLink.INITIATOR,
-        config=_CONFIG,
-        reconnect=reconnect,
-        retry_policy=_FAST_RETRY,
-    )
-    return initiator, responder
+_SID = 0xD0C
 
 
-def _run_transfer(sim, tx, rx, payload: bytes, until: float = 120.0) -> dict:
-    res: dict = {}
+class SimSessions(dual.SimHarness):
+    """Scripts get ``(h, initiator session, responder session)`` over an
+    in-memory pipe; every reconnect builds a fresh pipe and hands the far
+    end to the responder's ``_reattach`` — the same shape the factory
+    layer provides over the real network."""
 
-    def sender():
-        yield from tx.send_all(payload)
-        tx.close()
+    def run(self, script, *, config=_CONFIG, until=600):
+        self.config = config
+        self.refuse = False
+        return super().run(script, until=until)
 
-    def receiver():
-        chunks = []
-        while True:
-            data = yield from rx.recv(65536)
-            if not data:
-                break
-            chunks.append(data)
-        res["got"] = b"".join(chunks)
-        rx.close()
-
-    sim.process(sender(), name="test-sender")
-    sim.process(receiver(), name="test-receiver")
-    sim.run(until=sim.now + until)
-    return res
-
-
-class TestSessionLink:
-    def test_round_trip_and_graceful_close(self):
+    def setup(self):
         sim = Simulator()
-        ini, res = _session_pair(sim)
-        payload = bytes(range(256)) * 300
-        out = _run_transfer(sim, ini, res, payload)
-        assert out["got"] == payload
-        assert ini.state == "finished"
-        assert res.state == "finished"
-        assert ini.reconnects == 0
-
-    def test_mid_stream_break_is_survived_and_replayed(self):
-        sim = Simulator()
-        ini, res = _session_pair(sim)
-        payload = bytes(range(256)) * 2000  # ~512 KiB, many sim-seconds
-
-        def breaker():
-            yield sim.timeout(0.3)
-            ini.raw.break_both()
-
-        sim.process(breaker(), name="test-breaker")
-        out = _run_transfer(sim, ini, res, payload)
-        assert out["got"] == payload
-        assert ini.state == "finished" and res.state == "finished"
-        assert ini.reconnects == 1
-        assert res.reconnects == 1
-        assert ini.replayed_bytes > 0
-
-    def test_repeated_breaks_each_resume(self):
-        sim = Simulator()
-        ini, res = _session_pair(sim)
-        payload = bytes(range(256)) * 2000
-
-        def breaker():
-            for _ in range(3):
-                yield sim.timeout(0.4)
-                if ini.state == "active":
-                    ini.raw.break_both()
-
-        sim.process(breaker(), name="test-breaker")
-        out = _run_transfer(sim, ini, res, payload)
-        assert out["got"] == payload
-        assert ini.reconnects >= 2
-
-    def test_silent_stall_trips_the_watchdog(self):
-        sim = Simulator()
-        ini, res = _session_pair(sim)
-        payload = bytes(range(256)) * 2000
-
-        def stall():
-            yield sim.timeout(0.3)
-            raw = ini.raw
-            raw.silent = True
-            raw.peer.silent = True
-
-        sim.process(stall(), name="test-staller")
-        out = _run_transfer(sim, ini, res, payload)
-        assert out["got"] == payload
-        assert ini.reconnects >= 1  # the watchdog, not a transport error
-
-    def test_break_during_close_still_finishes(self):
-        # The FIN itself must survive recovery: sever the link after the
-        # sender has closed but (possibly) before the FINACK round-trips.
-        sim = Simulator()
-        ini, res = _session_pair(sim)
-        payload = b"tail" * 10_000
-
-        def sender():
-            yield from ini.send_all(payload)
-            ini.close()
-            ini.raw.break_both()
-
-        got: dict = {}
-
-        def receiver():
-            chunks = []
-            while True:
-                data = yield from res.recv(65536)
-                if not data:
-                    break
-                chunks.append(data)
-            got["data"] = b"".join(chunks)
-            res.close()
-
-        sim.process(sender(), name="test-sender")
-        sim.process(receiver(), name="test-receiver")
-        sim.run(until=sim.now + 120)
-        assert got["data"] == payload
-        assert ini.state == "finished" and res.state == "finished"
-
-    def test_resume_exhaustion_fails_the_session(self):
-        sim = Simulator()
-        ini, res = _session_pair(sim, reconnect_works=False)
-        outcome: dict = {}
-
-        def sender():
-            try:
-                yield from ini.send_all(b"x" * 200_000)
-                outcome["sent"] = True
-            except SessionError:
-                outcome["send_error"] = True
-
-        def receiver():
-            try:
-                while True:
-                    data = yield from res.recv(65536)
-                    if not data:
-                        return
-            except SessionError:
-                outcome["recv_error"] = True
-
-        def breaker():
-            yield sim.timeout(0.1)
-            ini.raw.break_both()
-
-        sim.process(sender(), name="test-sender")
-        sim.process(receiver(), name="test-receiver")
-        sim.process(breaker(), name="test-breaker")
-        sim.run(until=sim.now + 120)
-        assert ini.state == "failed"
-        assert outcome.get("send_error") or not outcome.get("sent")
-
-    def test_send_after_close_raises(self):
-        sim = Simulator()
-        ini, res = _session_pair(sim)
-        _run_transfer(sim, ini, res, b"done")
-        with pytest.raises(SessionError):
-            next(ini.send_all(b"more"))
-
-    def test_backpressure_bounds_the_replay_buffer(self):
-        sim = Simulator()
-        ini, res = _session_pair(sim)
-        payload = bytes(range(256)) * 2000
-        high_water: list[int] = []
-
-        def probe():
-            while ini.state not in ("finished", "failed"):
-                high_water.append(ini._replay.size)
-                yield sim.timeout(0.05)
-
-        sim.process(probe(), name="test-probe")
-        out = _run_transfer(sim, ini, res, payload)
-        assert out["got"] == payload
-        assert max(high_water) <= _CONFIG.max_buffer + MAX_CHUNK
-
-
-class TestReplayRetune:
-    """Tuner-driven mid-stream resize of the replay-window bound."""
-
-    def _quiet_pair(self, sim, max_buffer: int):
-        config = SessionConfig(ack_every=2048, max_buffer=max_buffer,
-                               heartbeat=30.0)
         a, b = _pipe_pair(sim)
-        responder = SessionLink(
-            b, sid=0xD0D, role=SessionLink.RESPONDER, config=config)
+        self.responder = SessionLink(
+            b, sid=_SID, role=SessionLink.RESPONDER, config=self.config)
+
         def reconnect(_session):
-            raise TcpError("no reconnect in this test")
+            if self.refuse:
+                raise TcpError("no path to peer")
+            na, nb = _pipe_pair(sim)
+            sim.process(self.responder._reattach(nb), name="test-reattach")
+            return na
             yield  # pragma: no cover - makes this a generator
 
         initiator = SessionLink(
-            a, sid=0xD0D, role=SessionLink.INITIATOR, config=config,
+            a, sid=_SID, role=SessionLink.INITIATOR, config=self.config,
             reconnect=reconnect, retry_policy=_FAST_RETRY)
-        return initiator, responder, b
+        return sim, initiator, self.responder
 
-    def test_growth_wakes_a_blocked_sender(self):
-        sim = Simulator()
-        ini, res, res_pipe = self._quiet_pair(sim, max_buffer=8192)
+    @staticmethod
+    def break_link(link):
+        link.raw.break_both()
+
+    @staticmethod
+    def mute(link):
+        """This end's outbound bytes vanish without an error."""
+        link.raw.silent = True
+
+    def refuse_reconnects(self):
+        self.refuse = True
+
+    def forget(self, responder):
+        """The responder's node loses the session: the next reconnect
+        meets a fresh one that has delivered nothing."""
+        _, b = _pipe_pair(self.sim)
+        self.responder = SessionLink(
+            b, sid=_SID, role=SessionLink.RESPONDER, config=self.config)
+
+
+class _MutableSock:
+    """A live socket whose outbound bytes can be swallowed without an
+    error — the shape of a middlebox eating packets."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.silent = False
+
+    async def send_all(self, data):
+        if not self.silent:
+            await self._sock.send_all(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class _MutableListener:
+    def __init__(self, listener):
+        self._listener = listener
+        self.addr = listener.addr
+
+    async def accept(self):
+        return _MutableSock(await self._listener.accept())
+
+    def close(self):
+        self._listener.close()
+
+
+class LiveSessions(dual.LiveHarness):
+    """Scripts get ``(h, initiator session, responder session)`` over
+    loopback TCP; reconnects redial the same listener."""
+
+    def run(self, script, *, config=_CONFIG, until=None):
+        self.config = config
+        self.refuse = False
+        return super().run(script)
+
+    @contextlib.asynccontextmanager
+    async def setup(self):
+        listener = await live_listen()
+        self.listener = AsyncSessionListener(_MutableListener(listener))
+
+        async def dial():
+            if self.refuse:
+                raise ConnectionRefusedError("no path to peer")
+            return _MutableSock(await live_connect(listener.addr))
+
+        initiator = await AsyncSessionLink.connect(
+            dial, node="ini", max_attempts=4)
+        responder = await self.listener.accept()
+        initiator.config = responder.config = self.config
+        try:
+            yield (initiator,), (responder,)
+        finally:
+            initiator.fail(SessionError("test over"))
+            self.listener.close()
+
+    @staticmethod
+    def break_link(link):
+        link.abort()
+
+    @staticmethod
+    def mute(link):
+        link._sock.silent = True
+
+    def refuse_reconnects(self):
+        self.refuse = True
+
+    def forget(self, responder):
+        del self.listener.sessions[responder.sid]
+
+
+@pytest.fixture
+def sessions(request):
+    return request.cls.harness()
+
+
+async def _drain(h, rx) -> bytes:
+    chunks = []
+    while (data := await h.recv(rx, 65536)):
+        chunks.append(data)
+    return b"".join(chunks)
+
+
+async def _transfer(h, tx, rx, payload: bytes, chunk: int = 1 << 15,
+                    before=None) -> bytes:
+    """Stream ``payload`` over ``tx`` in ``chunk``-sized writes (``before(i)``
+    runs ahead of write ``i``), close, and return what ``rx`` received
+    before it closed in turn."""
+    async def sender():
+        for i, off in enumerate(range(0, len(payload), chunk)):
+            if before is not None:
+                await before(i)
+            await h.send(tx, payload[off : off + chunk])
+        tx.close()
+
+    async def receiver():
+        got = await _drain(h, rx)
+        rx.close()
+        return got
+
+    _, got = await h.gather(sender(), receiver())
+    return got
+
+
+def _both_finished(ini, res):
+    return lambda: ini.state == "finished" and res.state == "finished"
+
+
+class SessionLinkCases:
+    def test_round_trip_and_graceful_close(self, sessions):
+        payload = bytes(range(256)) * 300
+
+        async def script(h, ini, res):
+            got = await _transfer(h, ini, res, payload)
+            await h.until(_both_finished(ini, res))
+            return got, ini.reconnects
+
+        assert sessions.run(script) == (payload, 0)
+
+    def test_one_large_write_is_chunked_and_delivered(self, sessions):
+        # no frame the peer's own parser would reject can be produced:
+        # 70 000 B is just past the old live frame cap, 1 MiB far past it
+        async def script(h, ini, res):
+            for size in (70_000, 1 << 20):
+                payload = bytes(range(251)) * (size // 251 + 1)
+                _, got = await h.gather(
+                    h.send(ini, payload[:size]), h.recv_exactly(res, size))
+                assert got == payload[:size]
+            return ini.reconnects, res.reconnects
+
+        assert sessions.run(script) == (0, 0)
+
+    def test_mid_stream_break_is_survived_and_replayed(self, sessions):
+        payload = bytes(range(256)) * 2000  # 16 writes of 32 KiB
+
+        async def script(h, ini, res):
+            async def before(i):
+                if i == 3:
+                    h.mute(ini)  # this write is lost with the link ...
+                if i == 4:
+                    h.break_link(ini)  # ... so the resume must replay it
+
+            got = await _transfer(h, ini, res, payload, before=before)
+            await h.until(_both_finished(ini, res))
+            return got, ini.reconnects, res.reconnects, ini.replayed_bytes
+
+        got, ini_reconnects, res_reconnects, replayed = sessions.run(script)
+        assert got == payload
+        assert (ini_reconnects, res_reconnects) == (1, 1)
+        assert replayed > 0
+
+    def test_repeated_breaks_each_resume(self, sessions):
+        payload = bytes(range(256)) * 2000
+
+        async def script(h, ini, res):
+            async def before(i):
+                if i in (3, 7, 11):
+                    h.break_link(ini)
+
+            got = await _transfer(h, ini, res, payload, before=before)
+            return got, ini.reconnects
+
+        assert sessions.run(script) == (payload, 3)
+
+    def test_silent_stall_trips_the_watchdog(self, sessions):
+        payload = bytes(range(256)) * 2000
+
+        async def script(h, ini, res):
+            async def stall():
+                await h.until(lambda: ini.acked_tx >= 3 << 15)
+                h.mute(ini)
+                h.mute(res)
+                await h.sleep(1.0)  # the sender runs into the silence
+                # no transport error will ever come: only the clock can
+                # tell, and the clock is an input
+                ini.tick(h.now() + ini.config.dead_after)
+
+            h.spawn(stall())
+            got = await _transfer(h, ini, res, payload)
+            return got, ini.reconnects
+
+        got, reconnects = sessions.run(script)
+        assert got == payload
+        assert reconnects >= 1  # the watchdog, not a transport error
+
+    def test_break_during_close_still_finishes(self, sessions):
+        # The FIN itself must survive recovery: sever the link after the
+        # sender has closed but (possibly) before the FINACK round-trips.
+        payload = b"tail" * 10_000
+
+        async def script(h, ini, res):
+            async def sender():
+                await h.send(ini, payload)
+                ini.close()
+                h.break_link(ini)
+
+            async def receiver():
+                got = await _drain(h, res)
+                res.close()
+                return got
+
+            _, got = await h.gather(sender(), receiver())
+            await h.until(_both_finished(ini, res))
+            return got
+
+        assert sessions.run(script) == payload
+
+    def test_resume_exhaustion_fails_the_session(self, sessions):
+        async def script(h, ini, res):
+            h.refuse_reconnects()
+            h.break_link(ini)
+            with pytest.raises(SessionError):
+                for _ in range(8):
+                    await h.send(ini, b"x" * 25_000)
+            await h.until(lambda: ini.state == "failed")
+
+        sessions.run(script)
+
+    def test_resume_below_the_replay_window_start_fails_typed(self, sessions):
+        # The peer lost its state: it would resume at an offset whose bytes
+        # were acknowledged and dropped long ago.  Replaying from what is
+        # left would silently skip them; the session must fail instead.
+        async def script(h, ini, res):
+            h.spawn(_drain(h, res))
+            await h.send(ini, b"x" * 50_000)
+            await h.until(lambda: ini.acked_tx > 0)
+            h.forget(res)
+            h.break_link(ini)
+            with pytest.raises(SessionError):
+                for _ in range(8):
+                    await h.send(ini, b"y" * 25_000)
+            await h.until(lambda: ini.state == "failed")
+            return str(ini._failure)
+
+        assert "below the replay window start" in sessions.run(script)
+
+    def test_send_after_close_raises(self, sessions):
+        async def script(h, ini, res):
+            await _transfer(h, ini, res, b"done")
+            with pytest.raises(SessionError):
+                await h.send(ini, b"more")
+
+        sessions.run(script)
+
+    def test_backpressure_bounds_the_replay_buffer(self, sessions):
+        payload = bytes(range(256)) * 2000
+        high_water: list[int] = []
+
+        async def script(h, ini, res):
+            async def before(i):
+                high_water.append(ini._replay.size)
+
+            return await _transfer(h, ini, res, payload, chunk=8192,
+                                   before=before)
+
+        assert sessions.run(script) == payload
+        assert max(high_water) <= _CONFIG.max_buffer + MAX_CHUNK
+
+
+class ReplayRetuneCases:
+    """Tuner-driven mid-stream resize of the replay-window bound."""
+
+    @staticmethod
+    def _quiet(max_buffer: int) -> SessionConfig:
+        return SessionConfig(ack_every=2048, max_buffer=max_buffer,
+                             heartbeat=30.0)
+
+    def test_growth_wakes_a_blocked_sender(self, sessions):
         payload = bytes(range(256)) * 4096  # 1 MiB, >> the window
 
-        def sender():
-            yield from ini.send_all(payload)
+        async def script(h, ini, res):
+            h.spawn(h.send(ini, payload))
+            h.spawn(_drain(h, res))
+            await h.until(lambda: ini.acked_tx >= 4 * MAX_CHUNK)
+            # Silence the responder's acks: the window can only drain by
+            # having its bound grown, never by acknowledgement.
+            h.mute(res)
+            await h.sleep(1.0)
+            stalled_at, acked_at = ini._replay.end, ini._replay.start
+            assert ini._replay.size >= 8192
+            await h.sleep(1.0)
+            assert ini._replay.end == stalled_at  # genuinely parked
+            # Shrink first: nothing is dropped and nothing is admitted.
+            knobs = StackKnobs(session=ini)
+            knobs.set("replay_buffer", 1024)
+            await h.sleep(1.0)
+            assert ini._replay.end == stalled_at
+            # Grow well past the stalled window (each admitted chunk may
+            # overshoot the bound by up to MAX_CHUNK).
+            knobs.set("replay_buffer", ini._replay.size + 4 * MAX_CHUNK)
+            assert knobs.get("replay_buffer") == ini.config.max_buffer
+            await h.until(lambda: ini._replay.end > stalled_at)
+            # The grown bound released the sender without any ack arriving.
+            assert ini._replay.start == acked_at
 
-        sim.process(sender(), name="test-sender")
-        sim.run(until=0.3)
-        # Silence the responder's acks: the window can only drain by
-        # having its bound grown, never by acknowledgement.
-        res_pipe.silent = True
-        sim.run(until=1.0)
-        stalled_at = ini._replay.end
-        acked_at = ini._replay.start
-        assert ini._replay.size >= 8192
-        sim.run(until=2.0)
-        assert ini._replay.end == stalled_at  # genuinely parked
-        # Grow well past the stalled window (each admitted chunk may
-        # overshoot the bound by up to MAX_CHUNK).
-        ini.set_max_buffer(ini._replay.size + 4 * MAX_CHUNK)
-        sim.run(until=3.0)
-        # The grown bound released the sender without any ack arriving.
-        assert ini._replay.start == acked_at
-        assert ini._replay.end > stalled_at
+        sessions.run(script, config=self._quiet(8192))
 
-    def test_shrink_keeps_buffered_bytes(self):
-        sim = Simulator()
-        ini, res, _ = self._quiet_pair(sim, max_buffer=1 << 16)
+    def test_shrink_keeps_buffered_bytes(self, sessions):
         payload = bytes(range(256)) * 1024
 
-        def sender():
-            yield from ini.send_all(payload)
-            ini.close()
+        async def script(h, ini, res):
+            async def before(i):
+                if i == 2:
+                    buffered = ini._replay.size
+                    ini.set_max_buffer(4096)
+                    assert ini.config.max_buffer == 4096
+                    assert ini._replay.size == buffered  # nothing dropped
 
-        sim.process(sender(), name="test-sender")
-        sim.run(until=0.2)
-        buffered = ini._replay.size
-        ini.set_max_buffer(4096)
-        assert ini.config.max_buffer == 4096
-        assert ini._replay.size == buffered  # nothing dropped
-        out: dict = {}
+            return await _transfer(h, ini, res, payload, before=before)
 
-        def receiver():
-            chunks = []
-            while True:
-                data = yield from res.recv(65536)
-                if not data:
-                    break
-                chunks.append(data)
-            out["got"] = b"".join(chunks)
+        assert sessions.run(script, config=self._quiet(1 << 16)) == payload
 
-        sim.process(receiver(), name="test-receiver")
-        sim.run(until=60)
-        assert out["got"] == payload
-
-    def test_retune_is_advertised_to_the_peer(self):
-        sim = Simulator()
-        ini, res, _ = self._quiet_pair(sim, max_buffer=1 << 16)
+    def test_retune_is_advertised_to_the_peer(self, sessions):
         payload = bytes(range(256)) * 1024
 
-        def sender():
-            yield from ini.send_all(payload)
-            # Retune mid-stream: the advisory RETUNE frame rides the
-            # active session.
-            ini.set_max_buffer(123456)
-            yield from ini.send_all(payload)
-            ini.close()
+        async def script(h, ini, res):
+            async def before(i):
+                if i == 4:
+                    # Retune mid-stream: the advisory RETUNE frame rides
+                    # the active session.
+                    ini.set_max_buffer(123456)
 
-        def receiver():
-            while True:
-                data = yield from res.recv(65536)
-                if not data:
-                    return
+            await _transfer(h, ini, res, payload, before=before)
+            return res.peer_max_buffer
 
-        sim.process(sender(), name="test-sender")
-        sim.process(receiver(), name="test-receiver")
-        sim.run(until=60)
-        assert res.peer_max_buffer == 123456
+        assert sessions.run(script, config=self._quiet(1 << 16)) == 123456
 
-    def test_occupancy_signal_in_unit_range(self):
-        sim = Simulator()
-        ini, res, _ = self._quiet_pair(sim, max_buffer=8192)
+    def test_occupancy_signal_in_unit_range(self, sessions):
+        async def script(h, ini, res):
+            h.spawn(h.send(ini, bytes(64 * 1024)))
+            await h.sleep(0.5)
+            return ini.replay_occupancy
 
-        def sender():
-            yield from ini.send_all(bytes(64 * 1024))
+        assert 0.0 <= sessions.run(script, config=self._quiet(8192)) <= 1.0
 
-        sim.process(sender(), name="test-sender")
-        sim.run(until=0.5)
-        assert 0.0 <= ini.replay_occupancy <= 1.0
+    def test_rejects_nonpositive(self, sessions):
+        async def script(h, ini, res):
+            with pytest.raises(ValueError):
+                ini.set_max_buffer(0)
 
-    def test_rejects_nonpositive(self):
-        sim = Simulator()
-        ini, _res, _ = self._quiet_pair(sim, max_buffer=8192)
-        with pytest.raises(ValueError):
-            ini.set_max_buffer(0)
+        sessions.run(script)
+
+
+class TestSessionLink(SessionLinkCases):
+    harness = SimSessions
+
+
+class TestReplayRetune(ReplayRetuneCases):
+    harness = SimSessions
+
+
+@pytest.mark.livenet
+class TestSessionLinkLive(SessionLinkCases):
+    harness = LiveSessions
+
+
+@pytest.mark.livenet
+class TestReplayRetuneLive(ReplayRetuneCases):
+    harness = LiveSessions
 
 
 class TestReplayBuffer:

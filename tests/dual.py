@@ -1,0 +1,170 @@
+"""One test script, two bindings.
+
+Protocol-level tests of a subsystem with a sans-IO core are written once
+as ``async def`` scripts against a small harness; :class:`SimHarness` runs
+them over the simulator binding, :class:`LiveHarness` over the asyncio
+binding on real loopback sockets.  The base classes hand the script two
+connected raw links; a subsystem's tests subclass them to put its own
+layer on top (``tests/mux/conftest.py`` establishes mux endpoints,
+``tests/core/test_session.py`` builds session pairs).
+
+The sim side works because ``await`` only forwards whatever the awaited
+object yields: wrapping a simulator generator in an object whose
+``__await__`` does ``yield from`` lets a coroutine carry simulator events
+up to the process that drives it, so one script body suits both.
+"""
+
+import asyncio
+
+from repro.core.links import TcpLink, transport_errors
+from repro.core.wire import recv_frame, send_frame
+from repro.livenet.wire import read_frame, write_frame
+from repro.simnet import connect, listen
+from repro.simnet.engine import all_of
+from repro.simnet.testing import two_public_hosts
+
+from .livenet.conftest import LIVENET_DEADLINE, eventually, socket_pairs
+
+
+class _Steps:
+    """Awaitable view of a simulator generator."""
+
+    def __init__(self, gen):
+        self._gen = gen
+
+    def __await__(self):
+        return (yield from self._gen)
+
+
+def _drive(coro):
+    """Simulator process body that runs a coroutine to completion."""
+    return (yield from coro.__await__())
+
+
+class SimHarness:
+    """Runs a script over two simulated hosts and one TCP connection."""
+
+    def setup(self):
+        """``(simulator, initiator's end, responder's end)``."""
+        inet, a, b = two_public_hosts()
+        links = {}
+
+        def srv():
+            sock = yield from listen(b, 5000).accept()
+            links["resp"] = TcpLink(sock, "client_server")
+
+        def cli():
+            sock = yield from connect(a, (b.ip, 5000))
+            links["ini"] = TcpLink(sock, "client_server")
+
+        inet.sim.process(srv())
+        inet.sim.process(cli())
+        inet.sim.run(until=30)
+        return inet.sim, links["ini"], links["resp"]
+
+    def run(self, script, *, until=600):
+        self.sim, ini, resp = self.setup()
+        self.carrier_errors = transport_errors()
+        done = self.sim.process(_drive(script(self, ini, resp)))
+        self.sim.run(until=self.sim.now + until)
+        assert done.triggered, "script never finished (deadlock?)"
+        return done.value
+
+    def now(self):
+        return self.sim.now
+
+    def sleep(self, seconds):
+        def steps():
+            yield self.sim.timeout(seconds)
+        return _Steps(steps())
+
+    async def until(self, predicate, timeout=60.0, step=0.01):
+        """Wait (in simulated time) for state with no awaitable edge."""
+        deadline = self.sim.now + timeout
+        while not predicate():
+            assert self.sim.now < deadline, f"never became true: {predicate!r}"
+            await self.sleep(step)
+
+    def gather(self, *coros):
+        procs = [self.sim.process(_drive(c)) for c in coros]
+
+        def steps():
+            yield all_of(self.sim, procs)
+            return [p.value for p in procs]
+        return _Steps(steps())
+
+    def spawn(self, coro):
+        self.sim.process(_drive(coro))
+
+    def send(self, stream, data):
+        return _Steps(stream.send_all(data))
+
+    def recv(self, stream, maxbytes):
+        return _Steps(stream.recv(maxbytes))
+
+    def recv_exactly(self, stream, n):
+        return _Steps(stream.recv_exactly(n))
+
+    def send_frame(self, stream, body):
+        return _Steps(send_frame(stream, body))
+
+    def recv_frame(self, stream):
+        return _Steps(recv_frame(stream))
+
+
+class LiveHarness:
+    """Runs a script in a fresh event loop over one loopback connection.
+
+    ``sleep`` takes the script's (simulated-scale) seconds and waits a
+    hundredth of that: every script that sleeps does so only to let the
+    other side reach a state it then holds indefinitely.
+    """
+
+    carrier_errors = (EOFError, OSError)
+
+    def setup(self):
+        """Async context manager yielding the two connected ends."""
+        return socket_pairs()
+
+    def run(self, script, *, until=None):
+        self._spawned = []
+
+        async def main():
+            async with self.setup() as ((client,), (server,)):
+                try:
+                    return await script(self, client, server)
+                finally:
+                    for task in self._spawned:
+                        task.cancel()
+
+        return asyncio.run(asyncio.wait_for(main(), timeout=LIVENET_DEADLINE))
+
+    def now(self):
+        return asyncio.get_running_loop().time()
+
+    def sleep(self, seconds):
+        return asyncio.sleep(seconds / 100)
+
+    def until(self, predicate, timeout=60.0, step=None):
+        return eventually(predicate, timeout=timeout / 10)
+
+    def gather(self, *coros):
+        return asyncio.gather(*coros)
+
+    def spawn(self, coro):
+        self._spawned.append(asyncio.ensure_future(coro))  # keep a reference
+
+    def send(self, stream, data):
+        return stream.send_all(data)
+
+    def recv(self, stream, maxbytes):
+        return stream.recv(maxbytes)
+
+    def recv_exactly(self, stream, n):
+        return stream.recv_exactly(n)
+
+    def send_frame(self, stream, body):
+        return write_frame(stream, body)
+
+    def recv_frame(self, stream):
+        return read_frame(stream)
