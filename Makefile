@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast test-obs smoke-obs smoke-assemble smoke-mux smoke-flow smoke-telemetry smoke-tune chaos chaos-sweep chaos-resume chaos-mux chaos-mesh chaos-tune live-chaos golden-gate golden-capture golden-soak
+.PHONY: bench-record bench-diff test test-fast test-obs smoke-obs smoke-assemble smoke-mux smoke-flow smoke-telemetry smoke-tune chaos chaos-sweep chaos-resume chaos-mux chaos-mesh chaos-tune live-chaos golden-gate golden-capture golden-soak
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -63,6 +63,17 @@ smoke-telemetry:
 # step tracking, and the no-oscillation invariant — in a few seconds.
 smoke-tune:
 	$(PYTHON) scripts/smoke_tune.py --bundle $(TUNE_BUNDLE_DIR)
+
+# The wall-clock perf ledger as a trajectory (benchmarks/perf/README.md):
+# bench-record runs every BENCHMARK.json workload once (~1.5 min) and
+# appends one entry to BENCH_history.jsonl; bench-diff compares the last
+# two entries against the declared bounds and fails on a regression.
+bench-record: SEED ?= 1
+bench-record:
+	$(PYTHON) scripts/bench_history.py record --seed $(SEED)
+
+bench-diff:
+	$(PYTHON) scripts/bench_history.py diff
 
 # Skip tests that bind real loopback sockets (useful in sandboxes).
 test-fast:

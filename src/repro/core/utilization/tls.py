@@ -37,6 +37,8 @@ class TlsDriver(FilterDriver):
         super().__init__(child)
         self.host = host
         self.session: Optional[SecureSession] = None
+        #: why the session is dead, once a record has failed authentication
+        self._failed: Optional[str] = None
 
     @property
     def peer_subject(self) -> Optional[str]:
@@ -95,21 +97,30 @@ class TlsDriver(FilterDriver):
         return self.session
 
     # -- data path -----------------------------------------------------------
-    def send_block(self, block: bytes) -> Generator:
+    def _require_session(self) -> SecureSession:
+        if self._failed is not None:
+            raise DriverError(self._failed)
         if self.session is None:
             raise DriverError("TLS handshake not completed")
+        return self.session
+
+    def send_block(self, block: bytes) -> Generator:
+        session = self._require_session()
         if self.host is not None:
             yield charge(self.host, "encrypt", len(block))
-        yield from self.child.send_block(self.session.seal(block))
+        yield from self.child.send_block(session.seal(block))
 
     def recv_block(self) -> Generator:
-        if self.session is None:
-            raise DriverError("TLS handshake not completed")
+        session = self._require_session()
         record = yield from self.child.recv_block()
         try:
-            block = self.session.open(record)
+            block = session.open(record)
         except RecordError as exc:
-            raise DriverError(f"record authentication failed: {exc}") from exc
+            # Fatal, as TLS's bad_record_mac is: the link goes down with
+            # the session instead of carrying records nobody can open.
+            self._failed = f"record authentication failed: {exc}"
+            self.child.close()
+            raise DriverError(self._failed) from exc
         if self.host is not None:
             yield charge(self.host, "decrypt", len(block))
         return block

@@ -228,6 +228,8 @@ class AsyncTlsDriver(AsyncDriver):
         self.child = child
         self.host = host
         self.session = None
+        #: why the session is dead, once a record has failed authentication
+        self._failed: Optional[str] = None
 
     async def handshake_client(
         self,
@@ -264,19 +266,28 @@ class AsyncTlsDriver(AsyncDriver):
     def peer_subject(self) -> Optional[str]:
         return self.session.peer_subject if self.session else None
 
-    async def send_block(self, block: bytes) -> None:
+    def _require_session(self):
+        if self._failed is not None:
+            raise RuntimeError(self._failed)
         if self.session is None:
             raise RuntimeError("TLS handshake not completed")
-        await self.child.send_block(self.session.seal(block))
+        return self.session
+
+    async def send_block(self, block: bytes) -> None:
+        await self.child.send_block(self._require_session().seal(block))
 
     async def recv_block(self) -> bytes:
-        if self.session is None:
-            raise RuntimeError("TLS handshake not completed")
+        session = self._require_session()
         record = await self.child.recv_block()
         try:
-            return self.session.open(record)
+            return session.open(record)
         except RecordError as exc:
-            raise RuntimeError(f"record authentication failed: {exc}") from exc
+            # Fatal, as TLS's bad_record_mac is: the link goes down with
+            # the session, so the peer's writes fail instead of filling
+            # buffers nobody will ever read.
+            self._failed = f"record authentication failed: {exc}"
+            self.child.close()
+            raise RuntimeError(self._failed) from exc
 
     def close(self) -> None:
         self.child.close()

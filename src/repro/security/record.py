@@ -34,13 +34,15 @@ class RecordCipher:
         if len(enc_key) != 32 or len(mac_key) != 32:
             raise ValueError("keys must be 32 bytes")
         self._cipher = ChaCha20(enc_key)
-        self._mac_key = mac_key
+        #: keyed once; each record MACs on a copy
+        self._hmac = hmac.new(mac_key, digestmod=hashlib.sha256)
         self.seq = 0
 
-    def _mac(self, seq: int, ciphertext: bytes) -> bytes:
-        return hmac.new(
-            self._mac_key, struct.pack("!Q", seq) + ciphertext, hashlib.sha256
-        ).digest()[:MAC_LEN]
+    def _mac(self, seq: int, ciphertext) -> bytes:
+        mac = self._hmac.copy()
+        mac.update(struct.pack("!Q", seq))
+        mac.update(ciphertext)
+        return mac.digest()[:MAC_LEN]
 
     def seal(self, plaintext: bytes) -> bytes:
         """Encrypt and authenticate one record."""
@@ -53,10 +55,10 @@ class RecordCipher:
         """Verify and decrypt one record; raises :class:`RecordError`."""
         if len(record) < MAC_LEN:
             raise RecordError("record shorter than its MAC")
-        ciphertext, mac = record[:-MAC_LEN], record[-MAC_LEN:]
+        view = memoryview(record)
+        ciphertext, mac = view[:-MAC_LEN], view[-MAC_LEN:]
         seq = self.seq
-        expected = self._mac(seq, ciphertext)
-        if not hmac.compare_digest(mac, expected):
+        if not hmac.compare_digest(mac, self._mac(seq, ciphertext)):
             raise RecordError(f"MAC failure on record {seq}")
         self.seq += 1
         return self._cipher.process(seq, ciphertext)

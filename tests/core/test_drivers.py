@@ -16,6 +16,7 @@ from repro.core.utilization import (
 )
 from repro.security import CertificateAuthority, Identity
 from repro.simnet import CpuModel, connect, listen
+from repro.simnet.tcp import ESTABLISHED
 from repro.simnet.testing import two_public_hosts, wan_pair
 
 
@@ -308,6 +309,40 @@ class TestTlsDriver:
         record[-1] ^= 1
         with pytest.raises(RecordError):
             rx.session.open(bytes(record))
+
+
+    def test_authentication_failure_is_fatal_to_the_link(self, pki):
+        """A record tampered with in flight: the receiver raises, closes
+        the link under it (the peer sees EOF), and never seals again."""
+        inet, a, b = two_public_hosts()
+        tx, rx = self._secured_pair(inet, a, b, pki)
+        record = bytearray(tx.session.seal(b"block" * 100))
+        record[7] ^= 1
+        seen = {}
+
+        def sender():
+            yield from tx.child.send_block(bytes(record))  # below tx's TLS
+            try:
+                yield from tx.recv_block()
+            except EOFError:
+                seen["peer"] = "eof"
+
+        def receiver():
+            try:
+                yield from rx.recv_block()
+            except DriverError as exc:
+                seen["error"] = str(exc)
+
+        inet.sim.process(sender())
+        inet.sim.process(receiver())
+        inet.sim.run(until=inet.sim.now + 30)
+        assert seen["error"].startswith("record authentication failed: MAC failure")
+        assert seen["peer"] == "eof"
+        assert rx.child.link.socket.tcp.state != ESTABLISHED
+        for call in (lambda: rx.send_block(b"x"), rx.recv_block):
+            with pytest.raises(DriverError, match="record authentication failed"):
+                for _ in call():
+                    pass
 
 
 class TestBlockChannel:

@@ -12,6 +12,7 @@ from repro.livenet import (
     AsyncTlsDriver,
     LiveRelayClient,
     LiveRelayServer,
+    live_connect,
     live_listen,
 )
 from repro.security import CertificateAuthority, Identity
@@ -103,6 +104,84 @@ class TestAsyncDrivers:
         got, subject = live_run(main())
         assert got == b"secret over real tcp"
         assert subject == "live-server"
+
+    def test_record_authentication_failure_is_fatal_to_the_link(self, live_run):
+        """One ciphertext byte flipped in flight while the sender streams
+        without waiting.  The receiver raises the typed error *and takes
+        the link down*: left open and unread, the socket would let the
+        sender fill both kernel buffers and then block in ``drain()`` —
+        and in ``wait_closed()`` — for good."""
+        ca = CertificateAuthority("live-root")
+        key, cert = ca.issue_identity("live-server")
+        identity = Identity(key, [cert])
+        block = bytes(range(256)) * 256  # 64 KiB
+        stream_blocks = 256  # 16 MiB, far more than loopback buffers hold
+
+        class FlipOnce:
+            """Flips one ciphertext byte of the ``countdown``-th ``send_all``."""
+
+            def __init__(self, inner):
+                self.inner = inner
+                self.countdown = 0
+
+            async def send_all(self, data: bytes) -> None:
+                self.countdown -= 1
+                if self.countdown == 0:
+                    middle = 4 + (len(data) - 4 - 16) // 2  # past the length prefix
+                    data = data[:middle] + bytes([data[middle] ^ 0x01]) + data[middle + 1:]
+                await self.inner.send_all(data)
+
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+        async def main():
+            before = asyncio.all_tasks()
+            listener = await live_listen()
+            c, s = await asyncio.gather(
+                live_connect(listener.addr), listener.accept()
+            )
+            listener.close()
+            flip = FlipOnce(c)
+            tx = AsyncTlsDriver(AsyncTcpBlockDriver(flip))
+            rx = AsyncTlsDriver(AsyncTcpBlockDriver(s))
+            await asyncio.gather(
+                tx.handshake_client([ca.certificate]),
+                rx.handshake_server(identity),
+            )
+            flip.countdown = 2  # the second record
+
+            async def stream():
+                for _ in range(stream_blocks):
+                    await tx.send_block(block)
+
+            sender = asyncio.ensure_future(stream())
+            try:
+                assert await rx.recv_block() == block
+                with pytest.raises(RuntimeError, match="record authentication failed"):
+                    await rx.recv_block()
+                # the sender finds out from the transport instead of blocking
+                # (a timeout here is a TimeoutError, not a ConnectionError)
+                with pytest.raises(ConnectionError):
+                    await asyncio.wait_for(sender, timeout=5.0)
+                # the session is dead in both directions, not just this record
+                with pytest.raises(RuntimeError, match="record authentication failed"):
+                    await rx.recv_block()
+                with pytest.raises(RuntimeError, match="record authentication failed"):
+                    await rx.send_block(b"sealed under a dead session")
+            finally:
+                sender.cancel()
+
+            async def close_both():
+                for sock in (c, s):
+                    sock.close()
+                for sock in (c, s):
+                    await sock.wait_closed()
+
+            await asyncio.wait_for(close_both(), timeout=2.0)
+            await asyncio.sleep(0)
+            return asyncio.all_tasks() - before - {asyncio.current_task()}
+
+        assert live_run(main()) == set()
 
     def test_full_stack_channel(self, live_run):
         async def main():

@@ -1,10 +1,39 @@
-"""ChaCha20 against the RFC 7539 test vectors plus property tests."""
+"""ChaCha20 against the RFC 7539 test vectors plus property tests.
+
+``chacha20_xor`` is a lane-parallel kernel (all of a chunk's blocks at
+once); ``chacha20_block`` is the scalar RFC 7539 §2.3 block function.
+:func:`scalar_xor` below — the per-block, per-byte loop the kernel
+replaced — is the oracle the kernel must equal bit for bit.
+"""
+
+import array
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.security import chacha20
 from repro.security.chacha20 import ChaCha20, chacha20_block, chacha20_xor
+
+CHUNK = 64 * chacha20._LANES  # bytes one kernel call covers
+MAX_COUNTER = 2**32 - 1
+
+
+def scalar_xor(key: bytes, counter: int, nonce: bytes, data: bytes) -> bytes:
+    """The scalar oracle: one ``chacha20_block`` per 64 bytes, XOR per byte."""
+    out = bytearray(len(data))
+    for block_index in range((len(data) + 63) // 64):
+        keystream = chacha20_block(key, counter + block_index, nonce)
+        start = block_index * 64
+        chunk = data[start : start + 64]
+        out[start : start + len(chunk)] = bytes(
+            a ^ b for a, b in zip(chunk, keystream)
+        )
+    return bytes(out)
+
+
+def _pattern(size: int) -> bytes:
+    return bytes((i * 131 + (i >> 8) * 7 + 3) & 0xFF for i in range(size))
 
 
 class TestRfc7539Vectors:
@@ -41,6 +70,102 @@ class TestRfc7539Vectors:
             "874d"
         )
         assert ciphertext == expected
+
+
+class TestLaneKernel:
+    """``chacha20_xor`` equals the scalar oracle, for every size and counter."""
+
+    KEY = bytes(range(32))
+    NONCE = bytes.fromhex("000000090000004a00000000")
+
+    def test_multi_block_keystream_matches_block_function(self):
+        """XOR of zeros is the keystream: block i is ``chacha20_block(counter + i)``."""
+        nblocks = 37
+        stream = chacha20_xor(self.KEY, 7, self.NONCE, bytes(64 * nblocks))
+        for i in range(nblocks):
+            assert stream[64 * i : 64 * i + 64] == chacha20_block(
+                self.KEY, 7 + i, self.NONCE
+            ), f"block {i}"
+
+    @given(st.data())
+    def test_equals_scalar_oracle(self, data):
+        key = data.draw(st.binary(min_size=32, max_size=32))
+        nonce = data.draw(st.binary(min_size=12, max_size=12))
+        size = data.draw(st.integers(0, 3000))
+        plaintext = data.draw(st.binary(min_size=size, max_size=size))
+        nblocks = (size + 63) // 64
+        counter = data.draw(st.integers(0, MAX_COUNTER - nblocks))
+        assert chacha20_xor(key, counter, nonce, plaintext) == scalar_xor(
+            key, counter, nonce, plaintext
+        )
+
+    @pytest.mark.parametrize(
+        "size",
+        [0, 1, 63, 64, 65, 127, 128, 1000, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17],
+    )
+    def test_sizes_straddling_every_internal_boundary(self, size):
+        plaintext = _pattern(size)
+        got = chacha20_xor(self.KEY, 1, self.NONCE, plaintext)
+        assert isinstance(got, bytes)
+        assert got == scalar_xor(self.KEY, 1, self.NONCE, plaintext)
+
+    def test_one_mebibyte(self):
+        """Sixteen chunks: compared block-sampled (the oracle takes ~1.5 s/MiB)
+        plus a round trip of the whole."""
+        plaintext = _pattern(1 << 20)
+        got = chacha20_xor(self.KEY, 3, self.NONCE, plaintext)
+        assert len(got) == 1 << 20
+        for chunk_index in range(16):  # first and last block of every chunk
+            for block in (chunk_index * 1024, chunk_index * 1024 + 1023):
+                piece = plaintext[64 * block : 64 * block + 64]
+                assert got[64 * block : 64 * block + 64] == scalar_xor(
+                    self.KEY, 3 + block, self.NONCE, piece
+                ), f"block {block}"
+        assert chacha20_xor(self.KEY, 3, self.NONCE, got) == plaintext
+
+    def test_counter_near_the_top(self):
+        plaintext = _pattern(128)
+        assert chacha20_xor(
+            self.KEY, MAX_COUNTER - 1, self.NONCE, plaintext
+        ) == scalar_xor(self.KEY, MAX_COUNTER - 1, self.NONCE, plaintext)
+
+    @pytest.mark.parametrize(
+        "wrap",
+        [bytearray, memoryview, lambda b: memoryview(bytearray(b))[:],
+         lambda b: array.array("B", b)],
+        ids=["bytearray", "memoryview", "memoryview-of-bytearray", "array"],
+    )
+    def test_bytes_like_inputs(self, wrap):
+        plaintext = _pattern(200)
+        got = chacha20_xor(self.KEY, 1, self.NONCE, wrap(plaintext))
+        assert type(got) is bytes
+        assert got == scalar_xor(self.KEY, 1, self.NONCE, plaintext)
+
+    def test_no_per_size_cache(self):
+        """2 000 distinct lengths leave no module-level container larger."""
+
+        def sizes():
+            return {
+                name: len(value)
+                for name, value in vars(chacha20).items()
+                if isinstance(value, (dict, list, set, tuple, bytes, bytearray))
+            }
+
+        def int_bits():
+            return {
+                name: value.bit_length()
+                for name, value in vars(chacha20).items()
+                if isinstance(value, int)
+            }
+
+        names = set(vars(chacha20))
+        before, bits = sizes(), int_bits()
+        plaintext = bytes(2000)
+        for size in range(2000):
+            chacha20_xor(self.KEY, 1, self.NONCE, plaintext[:size])
+        assert set(vars(chacha20)) == names
+        assert sizes() == before
+        assert int_bits() == bits
 
 
 class TestProperties:
@@ -85,3 +210,40 @@ class TestValidation:
     def test_bad_prefix(self):
         with pytest.raises(ValueError):
             ChaCha20(b"\x00" * 32, prefix=b"abc")
+
+    # chacha20_xor checks everything once, up front, for every length
+    # (an empty input used to skip the checks: they lived in the block
+    # function, which it never reached).
+    @pytest.mark.parametrize("size", [0, 1, 64, 200])
+    def test_xor_bad_key_length(self, size):
+        with pytest.raises(ValueError, match="key must be 32 bytes"):
+            chacha20_xor(b"short", 0, b"\x00" * 12, bytes(size))
+
+    @pytest.mark.parametrize("size", [0, 1, 64, 200])
+    def test_xor_bad_nonce_length(self, size):
+        with pytest.raises(ValueError, match="nonce must be 12 bytes"):
+            chacha20_xor(b"\x00" * 32, 0, b"", bytes(size))
+
+    @pytest.mark.parametrize("counter", [-1, 1 << 32])
+    @pytest.mark.parametrize("size", [0, 1, 200])
+    def test_xor_counter_out_of_range(self, counter, size):
+        with pytest.raises(ValueError, match="counter out of range"):
+            chacha20_xor(b"\x00" * 32, counter, b"\x00" * 12, bytes(size))
+
+    def test_xor_counter_boundary_is_exact(self, monkeypatch):
+        """``2**32 - 2`` leaves room for two blocks: 128 B pass, 129 B raise
+        before any keystream is computed."""
+        key, nonce = b"\x00" * 32, b"\x00" * 12
+        assert len(chacha20_xor(key, MAX_COUNTER - 1, nonce, bytes(128))) == 128
+        assert chacha20_xor(key, MAX_COUNTER, nonce, bytes(64)) == chacha20_block(
+            key, MAX_COUNTER, nonce
+        )
+        calls = []
+        monkeypatch.setattr(
+            chacha20, "_keystream", lambda *a: calls.append(a) or 1 / 0
+        )
+        with pytest.raises(ValueError, match="counter out of range"):
+            chacha20_xor(key, MAX_COUNTER - 1, nonce, bytes(129))
+        with pytest.raises(ValueError, match="counter out of range"):
+            chacha20_xor(key, MAX_COUNTER - 16, nonce, bytes(CHUNK + 1))
+        assert calls == []

@@ -1,5 +1,7 @@
 """Record layer and TLS-like handshake, including tampering scenarios."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from repro.security import (
     ClientHandshake,
     HandshakeError,
     Identity,
+    MAC_LEN,
     RecordCipher,
     RecordError,
     ServerHandshake,
@@ -100,6 +103,77 @@ class TestRecordLayer:
         tx, _rx = self._pair()
         sealed = tx.seal(b"plaintext!")
         assert b"plaintext!" not in sealed
+
+    @pytest.mark.parametrize("size", [0, 1, 65536, 1 << 20])
+    def test_round_trip_and_tamper_at_every_edge(self, size):
+        """First, middle and last ciphertext byte and each MAC byte: all
+        rejected, none advances ``seq``; the untouched record then opens."""
+        tx, rx = self._pair()
+        tx.seal(b"earlier")  # so the record under test is not number 0
+        rx.seq = 1
+        payload = bytes((i * 29 + 5) & 0xFF for i in range(size))
+        record = tx.seal(payload)
+        assert len(record) == size + MAC_LEN
+        ciphertext_edges = sorted({0, size // 2, size - 1}) if size else []
+        mac_bytes = range(size, size + MAC_LEN)
+        for position in [*ciphertext_edges, *mac_bytes]:
+            tampered = bytearray(record)
+            tampered[position] ^= 0x80
+            with pytest.raises(RecordError, match="MAC failure on record 1"):
+                rx.open(bytes(tampered))
+            assert rx.seq == 1, f"seq advanced after tamper at {position}"
+        assert rx.open(record) == payload
+        assert rx.seq == 2
+
+    def test_mac_is_verified_before_any_decryption(self, monkeypatch):
+        tx, rx = self._pair()
+        record = bytearray(tx.seal(b"secret" * 100))
+        record[3] ^= 0x01
+        decrypted = []
+        monkeypatch.setattr(
+            rx._cipher, "process", lambda *a: decrypted.append(a) or b""
+        )
+        with pytest.raises(RecordError, match="MAC"):
+            rx.open(bytes(record))
+        assert decrypted == []
+
+    def test_bytes_like_records_open(self):
+        tx, rx = self._pair()
+        first, second = tx.seal(b"one" * 50), tx.seal(b"two" * 50)
+        assert rx.open(bytearray(first)) == b"one" * 50
+        assert rx.open(memoryview(second)) == b"two" * 50
+
+    def test_records_sealed_by_the_scalar_cipher_still_open(self):
+        """Cross-version fixture: sealed at the commit before the
+        lane-parallel kernel (per-block ChaCha20, one-shot HMAC over
+        ``seq8 + ciphertext``), keys ``0..31`` / ``32..63``, in order."""
+        sealed = [
+            (b"", "48317b1d19db4290655946a2a2353d34"),
+            (b"grid", "0e2e15bd6ce33521e4238abb6d6c200cbef4d762"),
+            (
+                bytes(range(256)),
+                "4dcbb2f40e786153c537b2c6c1fd471737e208dd0591fffa9c26cb28697da2c1"
+                "c84b1cb0c0e2815891f794c7b150a156a8a870c142dd3d5d0215a2ecca0710fc"
+                "1bcad32c49d3f94e59dec3904e8419e9673bf407aacb7d1beb33ba35cc271439"
+                "13d24a7e024e0f11834f47b564ceee7cd3e9fe47b4ad78e4dbbfb8fda61242d4"
+                "7c6313453fdfa7d87de67e6939a0034a66d2f1f39dc328aaa7b3110903dbe0ad"
+                "e1bbcfd183601d68b3f78cd8db9d400f405f72fb4dee7ff276fdb8e992ebef2c"
+                "02eaed57592fa29a163de8863bd2edd32bf3e4a0b178f5ae84907d3bafac1ef7"
+                "d8a7d006b6052cff7a4334f9ea23da7a2f346cda235a48a2d084e3ebd300aeda"
+                "d3d9ff7e3da854e74bdd4051d190ee39",
+            ),
+        ]
+        big = bytes((i * 31 + 7) & 0xFF for i in range(70000))
+        big_digest = "4af69078b0514cf0d8b9d03342c88af1399d4f7f3233bec6ec0b63bbdb8b0d00"
+        tx = RecordCipher(bytes(range(32)), bytes(range(32, 64)))
+        rx = RecordCipher(bytes(range(32)), bytes(range(32, 64)))
+        for plaintext, record_hex in sealed:
+            record = bytes.fromhex(record_hex)
+            assert tx.seal(plaintext) == record  # the change seals the same bytes
+            assert rx.open(record) == plaintext  # and opens the parent's
+        record = tx.seal(big)
+        assert hashlib.sha256(record).hexdigest() == big_digest
+        assert rx.open(record) == big
 
 
 class TestHandshake:
