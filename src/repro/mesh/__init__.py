@@ -21,11 +21,22 @@ logic (no clocks, no sockets); the simulated relay
 drive the same state machines with their own timers.
 """
 
-from .client import MeshRelayClient
 from .config import DEFAULT_MESH_CONFIG, MeshConfig
 from .detector import DeadlineDetector
 from .routes import RouteTable, ScoredRoute
 from .state import MeshState, RelayEntry, decode_entries, encode_entries
+
+
+
+def __getattr__(name: str):
+    # The sim mesh client is a binding over repro.core.relay, which imports
+    # the pure logic above; resolving it lazily keeps the package importable
+    # from there.
+    if name == "MeshRelayClient":
+        from .client import MeshRelayClient
+        return MeshRelayClient
+    raise AttributeError(name)
+
 
 __all__ = [
     "MeshConfig",

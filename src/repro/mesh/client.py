@@ -19,24 +19,21 @@ lands on a surviving relay.
 
 from __future__ import annotations
 
-import random
 from typing import Callable, Generator, Optional
 
 from .. import obs
-from ..core.relay import RelayClient, RelayError, RoutedLink
+from ..core.relay import RelayClient, RelayError, _Accepts
+from ..core.relay_core import MeshSelection
 from ..obs import TraceContext
-from ..simnet.engine import Event
 from ..simnet.packet import Addr
 from ..simnet.tcp import TcpError
 from ..util.framing import FrameError
-from .config import DEFAULT_MESH_CONFIG, MeshConfig
-from .routes import RouteTable
-from .state import MeshState
+from .config import MeshConfig
 
 __all__ = ["MeshRelayClient"]
 
 
-class MeshRelayClient:
+class MeshRelayClient(MeshSelection):
     """A node's registrations with every relay of a mesh, route-table picked.
 
     ``relays`` maps relay id -> address.  Sub-clients always run with
@@ -54,37 +51,21 @@ class MeshRelayClient:
         config: Optional[MeshConfig] = None,
         keepalive: float = 10.0,
     ):
+        clients = {
+            rid: RelayClient(host, node_id, addr, connector=connector,
+                             auto_reconnect=True, keepalive=keepalive)
+            for rid, addr in sorted(relays.items())
+        }
+        super().__init__(node_id, clients, seed, config,
+                         clock=lambda: host.sim.now)
         self.host = host
         self.sim = host.sim
-        self.node_id = node_id
-        self.config = config or DEFAULT_MESH_CONFIG
-        #: observer view (merged from relay-pushed T_MESH frames)
-        self.state = MeshState("", self.config)
-        self.table = RouteTable(self.state, self.config, usable=self._usable)
-        self._rng = random.Random(f"{seed}:meshclient:{node_id}")
-        self.clients: dict[str, RelayClient] = {}
-        for rid, addr in sorted(relays.items()):
-            client = RelayClient(
-                host,
-                node_id,
-                addr,
-                connector=connector,
-                auto_reconnect=True,
-                keepalive=keepalive,
-            )
-            client.on_mesh_view = self._on_view
-            self.clients[rid] = client
-        self._accept_queue: list[RoutedLink] = []
-        self._accept_waiters: list[Event] = []
-        self.closed = False
-        self._pumps_running = False
-        self._reported_changes = 0
+        #: one queue for links accepted on *any* relay
+        self._accepts = _Accepts(self.sim)
+        for client in clients.values():
+            client._accepts = self._accepts
 
     # -- RelayClient surface: state ------------------------------------------
-    @property
-    def connected(self) -> bool:
-        return any(c.connected for c in self.clients.values())
-
     @property
     def reconnects(self) -> int:
         return sum(c.reconnects for c in self.clients.values())
@@ -94,13 +75,6 @@ class MeshRelayClient:
         """Primary relay address (compat with single-relay callers)."""
         first = min(self.clients)
         return self.clients[first].relay_addr
-
-    def usable_relays(self) -> list[str]:
-        return [rid for rid in sorted(self.clients) if self._usable(rid)]
-
-    def _usable(self, relay_id: str) -> bool:
-        client = self.clients.get(relay_id)
-        return client is not None and client.connected
 
     # -- lifecycle -----------------------------------------------------------
     def connect(self) -> Generator:
@@ -125,13 +99,6 @@ class MeshRelayClient:
                 )
         if up == 0:
             raise RelayError(f"no relay reachable: {'; '.join(errors)}")
-        if not self._pumps_running:
-            self._pumps_running = True
-            for rid in sorted(self.clients):
-                self.sim.process(
-                    self._accept_pump(self.clients[rid]),
-                    name=f"mesh-accept-{self.node_id}-{rid}",
-                )
         return self
 
     def wait_connected(self, timeout: float = 30.0) -> Generator:
@@ -159,13 +126,7 @@ class MeshRelayClient:
         for client in self.clients.values():
             client.drop()
 
-    # -- mesh view / telemetry -----------------------------------------------
-    def _on_view(self, client: RelayClient) -> None:
-        self.state.merge(client.mesh_view, self.sim.now)
-        obs.metrics().gauge("mesh.relays_usable", node=self.node_id).set(
-            len(self.usable_relays())
-        )
-
+    # -- links ---------------------------------------------------------------
     def _feed_paths(self) -> None:
         """Fold measured path RTTs into the route table.
 
@@ -179,58 +140,19 @@ class MeshRelayClient:
             if peer in self.clients:
                 self.table.update_path(peer, inst.value)
 
-    # -- links ---------------------------------------------------------------
     def pick_relay(self, peer: str) -> Optional[str]:
-        """The relay id the route table would use for ``peer`` right now."""
         self._feed_paths()
-        entry = self.table.pick(peer, rng=self._rng)
-        if entry is not None and self._usable(entry.relay_id):
-            return entry.relay_id
-        for rid in sorted(self.clients):
-            if self._usable(rid):
-                return rid
-        return None
+        return super().pick_relay(peer)
 
     def open_link(
         self, peer: str, payload: bytes = b"",
         ctx: Optional[TraceContext] = None,
     ) -> Generator:
         """Open a routed link to ``peer`` through the best live relay."""
-        rid = self.pick_relay(peer)
-        if rid is None:
-            raise RelayError("no usable relay for routed open")
-        if self.table.route_changes > self._reported_changes:
-            obs.metrics().counter(
-                "mesh.route_changes_total", node=self.node_id
-            ).inc(self.table.route_changes - self._reported_changes)
-            self._reported_changes = self.table.route_changes
-        obs.event(
-            "mesh.route", ctx=ctx, node=self.node_id, peer=peer, relay=rid
-        )
+        rid = self.choose_relay(peer, ctx)
         link = yield from self.clients[rid].open_link(peer, payload, ctx=ctx)
         return link
 
-    def _accept_pump(self, client: RelayClient) -> Generator:
-        """Funnel one sub-client's accepted links into the shared queue."""
-        while not self.closed:
-            link = yield from client.accept_link()
-            if self._accept_waiters:
-                self._accept_waiters.pop(0).succeed(link)
-            else:
-                self._accept_queue.append(link)
-
     def accept_link(self) -> Generator:
         """Wait for a peer-initiated routed link on *any* relay."""
-        ev = self.sim.event()
-        if self._accept_queue:
-            ev.succeed(self._accept_queue.pop(0))
-        else:
-            self._accept_waiters.append(ev)
-        link = yield ev
-        return link
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<MeshRelayClient {self.node_id} "
-            f"usable={self.usable_relays()}>"
-        )
+        return self._accepts.get()

@@ -114,7 +114,10 @@ class ByteReader:
         return self._take(self.u32())
 
     def lp_str(self) -> str:
-        return self.lp_bytes().decode("utf-8")
+        try:
+            return self.lp_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FrameError(f"invalid utf-8 before {self._pos}: {exc}") from None
 
     def mpint(self) -> int:
         data = self.lp_bytes()

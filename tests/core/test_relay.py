@@ -1,213 +1,200 @@
-"""Relay server, routed links, and the address reflector."""
+"""Relay server, routed links, and the address reflector.
+
+The protocol cases are scripts on the harness in ``tests/dual.py`` and run
+over both bindings: :class:`~repro.core.relay.RelayServer` on the
+simulator (under the ids these tests have always had) and
+:class:`~repro.livenet.relay.LiveRelayServer` on real loopback sockets.
+"""
 
 import pytest
 
-from repro.core.relay import (
-    MAX_MSG,
-    ReflectorServer,
-    RelayClient,
-    RelayError,
-    RelayServer,
-)
+from repro import obs
+from repro.core.relay import MAX_MSG, ReflectorServer, RelayError
+from repro.obs import TraceContext
 from repro.simnet import Internet
 from repro.simnet.testing import drive
 
+from ..dual import LiveRelay, SimRelay
 
-def _setup(n_clients=2, seed=1):
-    inet = Internet(seed=seed)
-    relay_host = inet.add_public_host("relay")
-    relay = RelayServer(relay_host, 4000)
-    relay.start()
-    clients = []
-    for i in range(n_clients):
-        host = inet.add_public_host(f"c{i}")
-        clients.append(RelayClient(host, f"node{i}", relay.addr))
-    return inet, relay, clients
+
+@pytest.fixture(autouse=True)
+def fresh_registry():
+    previous = obs.set_registry(obs.MetricsRegistry())
+    yield
+    obs.set_registry(previous)
+
+
+class RelayCases:
+    """Each case runs one script; ``harness`` decides on which binding."""
+
+    harness = SimRelay
+
+    def test_register_and_open_link(self):
+        async def script(h, ca, cb):
+            async def a():
+                link = await h.open(ca, "node1")
+                await h.send(link, b"over-the-relay")
+                return await h.recv_exactly(link, 2)
+
+            async def b():
+                link = await h.accept(cb)
+                data = await h.recv_exactly(link, 14)
+                await h.send(link, b"ok")
+                return link.peer, data
+
+            return await h.gather(a(), b())
+
+        assert self.harness().run(script) == [b"ok", ("node0", b"over-the-relay")]
+
+    def test_large_transfer_is_chunked(self):
+        payload = bytes(i % 251 for i in range(3 * MAX_MSG + 17))
+
+        async def script(h, ca, cb):
+            link = await h.open(ca, "node1")
+            _, data = await h.gather(
+                h.send(link, payload),
+                h.recv_exactly(await h.accept(cb), len(payload)))
+            return data, h.relay.forwarded_messages
+
+        data, frames = self.harness().run(script)
+        assert data == payload
+        assert frames == 1 + 4  # the OPEN, then ceil(len / MAX_MSG) messages
+
+    def test_unknown_destination_reported(self):
+        async def script(h, ca, cb):
+            link = await h.open(ca, "ghost")
+            with pytest.raises(RelayError, match="unknown destination"):
+                await h.recv(link, 10)
+            return ca.connected
+
+        assert self.harness().run(script)
+
+    def test_duplicate_registration_rejected(self):
+        async def script(h, ca, cb):
+            twin = h.client("node0")  # collides with ca
+            with pytest.raises(RelayError, match="registration rejected"):
+                await h.connect(twin)
+            # the first registration is untouched
+            link = await h.open(cb, "node0")
+            return twin.connected, (await h.accept(ca)).peer, link.peer
+
+        assert self.harness().run(script) == (False, "node1", "node0")
+
+    def test_multiple_channels_are_independent(self):
+        async def script(h, ca, cb):
+            l1 = await h.open(ca, "node1")
+            l2 = await h.open(ca, "node1")
+            await h.send(l2, b"second")
+            await h.send(l1, b"first!")
+            r1 = await h.accept(cb)
+            r2 = await h.accept(cb)
+            return await h.recv_exactly(r1, 6), await h.recv_exactly(r2, 6)
+
+        # Channels are accepted in open order; payloads stay on their
+        # channel even though they were sent in the opposite order.
+        assert self.harness().run(script) == (b"first!", b"second")
+
+    def test_close_propagates_eof(self):
+        async def script(h, ca, cb):
+            link = await h.open(ca, "node1")
+            await h.send(link, b"bye")
+            link.close()
+            peer = await h.accept(cb)
+            return await h.recv_exactly(peer, 3), await h.recv(peer, 10)
+
+        assert self.harness().run(script) == (b"bye", b"")
+
+    def test_relay_counts_forwarded_traffic(self):
+        async def script(h, ca, cb):
+            link = await h.open(ca, "node1", payload=b"tag")
+            await h.send(link, b"x" * 1000)
+            await h.recv_exactly(await h.accept(cb), 1000)
+            return h.relay.forwarded_messages, h.relay.forwarded_bytes
+
+        # payload bytes, on either backend, and the same in the metric
+        assert self.harness().run(script) == (2, 1003)
+        assert sum(c.value for c in obs.metrics().instruments(
+            "relay.forwarded_bytes_total")) == 1003
+
+    def test_open_payload_tag_delivered(self):
+        async def script(h, ca, cb):
+            await h.open(ca, "node1", payload=b"data:42")
+            return (await h.accept(cb)).open_payload
+
+        assert self.harness().run(script) == b"data:42"
+
+    def test_open_under_a_context_is_one_trace_through_the_relay(self):
+        recorder = obs.TraceRecorder()
+        ctx = TraceContext.new()
+
+        async def script(h, ca, cb):
+            link = await h.open(ca, "node1", ctx=ctx)
+            accepted = await h.accept(cb)
+            await h.send(link, b"12345")
+            await h.recv_exactly(accepted, 5)
+            link.close()
+            await h.until(lambda: len(h.relay.flight) == 4)
+            return accepted.ctx, [r["name"] for r in h.relay.flight.records()]
+
+        previous = obs.set_tracer(recorder)
+        try:
+            accepted_ctx, notes = self.harness().run(script)
+        finally:
+            obs.set_tracer(previous)
+        assert accepted_ctx == ctx
+        # (by trace: a collected simulator of an earlier test may close its
+        # own routes into whichever recorder is current)
+        (span,) = [s for s in recorder.spans("relay.route")
+                   if s.get("trace_id") == ctx.ids()["trace_id"]]
+        assert span["parent_id"] == ctx.ids()["span_id"]
+        assert span["attrs"]["outcome"] == "ok" and span["attrs"]["bytes"] == 5
+        assert notes == ["relay.register", "relay.register",
+                         "relay.route.open", "relay.route.closed"]
+
+
+@pytest.mark.livenet
+class TestRelayLive(RelayCases):
+    harness = LiveRelay
+
+
+# The simulator runs keep the ids these cases have always had.
+_SIM = RelayCases()
 
 
 def test_register_and_open_link():
-    inet, relay, (ca, cb) = _setup()
-    result = {}
-
-    def a():
-        yield from ca.connect()
-        while not cb.connected:
-            yield inet.sim.timeout(0.01)
-        link = yield from ca.open_link("node1")
-        yield from link.send_all(b"over-the-relay")
-        result["reply"] = yield from link.recv_exactly(2)
-
-    def b():
-        yield from cb.connect()
-        link = yield from cb.accept_link()
-        result["peer"] = link.peer
-        data = yield from link.recv_exactly(14)
-        result["data"] = data
-        yield from link.send_all(b"ok")
-
-    inet.sim.process(a())
-    inet.sim.process(b())
-    inet.sim.run(until=30)
-    assert result == {"peer": "node0", "data": b"over-the-relay", "reply": b"ok"}
+    _SIM.test_register_and_open_link()
 
 
 def test_large_transfer_is_chunked():
-    inet, relay, (ca, cb) = _setup()
-    payload = bytes(i % 251 for i in range(3 * MAX_MSG + 17))
-    result = {}
-
-    def a():
-        yield from ca.connect()
-        while not cb.connected:
-            yield inet.sim.timeout(0.01)
-        link = yield from ca.open_link("node1")
-        yield from link.send_all(payload)
-
-    def b():
-        yield from cb.connect()
-        link = yield from cb.accept_link()
-        result["data"] = yield from link.recv_exactly(len(payload))
-
-    inet.sim.process(a())
-    inet.sim.process(b())
-    inet.sim.run(until=60)
-    assert result["data"] == payload
+    _SIM.test_large_transfer_is_chunked()
 
 
 def test_unknown_destination_reported():
-    inet, relay, (ca,) = _setup(n_clients=1)
-    result = {}
-
-    def a():
-        yield from ca.connect()
-        link = yield from ca.open_link("ghost")
-        try:
-            yield from link.recv(10)
-        except RelayError as exc:
-            result["error"] = str(exc)
-
-    inet.sim.process(a())
-    inet.sim.run(until=30)
-    assert "unknown destination" in result["error"]
+    _SIM.test_unknown_destination_reported()
 
 
 def test_duplicate_registration_rejected():
-    inet, relay, (ca, cb) = _setup()
-    cb.node_id = "node0"  # collide with ca
-    result = {}
-
-    def a():
-        yield from ca.connect()
-        result["a"] = "ok"
-
-    def b():
-        yield inet.sim.timeout(1.0)
-        try:
-            yield from cb.connect()
-            result["b"] = "ok"
-        except RelayError as exc:
-            result["b"] = str(exc)
-
-    inet.sim.process(a())
-    inet.sim.process(b())
-    inet.sim.run(until=30)
-    assert result["a"] == "ok"
-    assert "ok" != result["b"]
+    _SIM.test_duplicate_registration_rejected()
 
 
 def test_multiple_channels_are_independent():
-    inet, relay, (ca, cb) = _setup()
-    result = {}
-
-    def a():
-        yield from ca.connect()
-        while not cb.connected:
-            yield inet.sim.timeout(0.01)
-        l1 = yield from ca.open_link("node1")
-        l2 = yield from ca.open_link("node1")
-        yield from l2.send_all(b"second")
-        yield from l1.send_all(b"first!")
-
-    def b():
-        yield from cb.connect()
-        l1 = yield from cb.accept_link()
-        l2 = yield from cb.accept_link()
-        result["ch1"] = yield from l1.recv_exactly(6)
-        result["ch2"] = yield from l2.recv_exactly(6)
-
-    inet.sim.process(a())
-    inet.sim.process(b())
-    inet.sim.run(until=30)
-    # Channels are accepted in open order; payloads stay on their channel
-    # even though they were sent in the opposite order.
-    assert result == {"ch1": b"first!", "ch2": b"second"}
+    _SIM.test_multiple_channels_are_independent()
 
 
 def test_close_propagates_eof():
-    inet, relay, (ca, cb) = _setup()
-    result = {}
-
-    def a():
-        yield from ca.connect()
-        while not cb.connected:
-            yield inet.sim.timeout(0.01)
-        link = yield from ca.open_link("node1")
-        yield from link.send_all(b"bye")
-        link.close()
-
-    def b():
-        yield from cb.connect()
-        link = yield from cb.accept_link()
-        result["data"] = yield from link.recv_exactly(3)
-        result["eof"] = yield from link.recv(10)
-
-    inet.sim.process(a())
-    inet.sim.process(b())
-    inet.sim.run(until=30)
-    assert result == {"data": b"bye", "eof": b""}
+    _SIM.test_close_propagates_eof()
 
 
 def test_relay_counts_forwarded_traffic():
-    inet, relay, (ca, cb) = _setup()
-
-    def a():
-        yield from ca.connect()
-        while not cb.connected:
-            yield inet.sim.timeout(0.01)
-        link = yield from ca.open_link("node1")
-        yield from link.send_all(b"x" * 1000)
-
-    def b():
-        yield from cb.connect()
-        link = yield from cb.accept_link()
-        yield from link.recv_exactly(1000)
-
-    inet.sim.process(a())
-    inet.sim.process(b())
-    inet.sim.run(until=30)
-    assert relay.forwarded_bytes >= 1000
-    assert relay.forwarded_messages >= 1
+    _SIM.test_relay_counts_forwarded_traffic()
 
 
 def test_open_payload_tag_delivered():
-    inet, relay, (ca, cb) = _setup()
-    result = {}
+    _SIM.test_open_payload_tag_delivered()
 
-    def a():
-        yield from ca.connect()
-        while not cb.connected:
-            yield inet.sim.timeout(0.01)
-        yield from ca.open_link("node1", payload=b"data:42")
 
-    def b():
-        yield from cb.connect()
-        link = yield from cb.accept_link()
-        result["tag"] = link.open_payload
-
-    inet.sim.process(a())
-    inet.sim.process(b())
-    inet.sim.run(until=30)
-    assert result["tag"] == b"data:42"
+def test_open_under_a_context_is_one_trace_through_the_relay():
+    _SIM.test_open_under_a_context_is_one_trace_through_the_relay()
 
 
 def test_reflector_reports_observed_address():

@@ -6,7 +6,8 @@ them over the simulator binding, :class:`LiveHarness` over the asyncio
 binding on real loopback sockets.  The base classes hand the script two
 connected raw links; a subsystem's tests subclass them to put its own
 layer on top (``tests/mux/conftest.py`` establishes mux endpoints,
-``tests/core/test_session.py`` builds session pairs).
+``tests/core/test_session.py`` builds session pairs); :class:`SimRelay`
+and :class:`LiveRelay` hand it two clients registered at one relay.
 
 The sim side works because ``await`` only forwards whatever the awaited
 object yields: wrapping a simulator generator in an object whose
@@ -15,11 +16,14 @@ up to the process that drives it, so one script body suits both.
 """
 
 import asyncio
+import contextlib
 
 from repro.core.links import TcpLink, transport_errors
+from repro.core.relay import RelayClient, RelayServer
 from repro.core.wire import recv_frame, send_frame
+from repro.livenet.relay import LiveRelayClient, LiveRelayServer
 from repro.livenet.wire import read_frame, write_frame
-from repro.simnet import connect, listen
+from repro.simnet import Internet, connect, listen
 from repro.simnet.engine import all_of
 from repro.simnet.testing import two_public_hosts
 
@@ -168,3 +172,63 @@ class LiveHarness:
 
     def recv_frame(self, stream):
         return read_frame(stream)
+
+
+class SimRelay(SimHarness):
+    """Scripts get ``(h, node0's client, node1's client)``, both registered
+    at ``h.relay`` on the simulator."""
+
+    def setup(self):
+        self.inet = Internet(seed=1)
+        self.relay = RelayServer(self.inet.add_public_host("relay"), 4000)
+        self.relay.start()
+        clients = [self.client(f"node{i}") for i in range(2)]
+        for client in clients:
+            self.inet.sim.process(client.connect())
+        self.inet.sim.run(until=30)
+        return (self.inet.sim, *clients)
+
+    def client(self, node_id):
+        """A client of ``h.relay`` that has not registered yet."""
+        host = self.inet.add_public_host(f"host-{len(self.inet.net.hosts)}")
+        return RelayClient(host, node_id, self.relay.addr)
+
+    def connect(self, client):
+        return _Steps(client.connect())
+
+    def open(self, client, peer, **kw):
+        return _Steps(client.open_link(peer, **kw))
+
+    def accept(self, client):
+        return _Steps(client.accept_link())
+
+
+class LiveRelay(LiveHarness):
+    """Scripts get ``(h, node0's client, node1's client)``, both registered
+    at ``h.relay`` on loopback."""
+
+    @contextlib.asynccontextmanager
+    async def setup(self):
+        self.relay = await LiveRelayServer().start()
+        self._clients = []
+        try:
+            a = await self.client("node0").connect()
+            b = await self.client("node1").connect()
+            yield (a,), (b,)
+        finally:
+            for client in self._clients:
+                client.close()
+            self.relay.close()
+
+    def client(self, node_id):
+        self._clients.append(LiveRelayClient(node_id, self.relay.addr))
+        return self._clients[-1]
+
+    def connect(self, client):
+        return client.connect()
+
+    def open(self, client, peer, **kw):
+        return client.open_link(peer, **kw)
+
+    def accept(self, client):
+        return client.accept_link()

@@ -15,6 +15,7 @@ from repro.livenet import (
     live_connect,
     live_listen,
 )
+from repro.core.relay import RelayError
 from repro.security import CertificateAuthority, Identity
 
 from .conftest import socket_pairs
@@ -239,20 +240,24 @@ class TestLiveRelay:
         assert data == b"through-the-relay"
         assert tag == b"service"
 
-    def test_unknown_peer_gets_eof(self, live_run):
+    def test_unknown_peer_gets_relay_error(self, live_run):
+        """The relay's T_ERROR surfaces on recv with its reason, typed as
+        both a RelayError and a dead transport — never as a silent EOF."""
+
         async def main():
             relay = await LiveRelayServer().start()
             a = None
             try:
                 a = await LiveRelayClient("solo", relay.addr).connect()
                 link = await a.open_link("nobody")
-                await link.send_all(b"x")
-                # The relay answers with T_ERROR; the live client surfaces
-                # EOF.  The outer deadline bounds this wait.
-                return await link.recv(10)
+                with pytest.raises(RelayError, match="unknown destination") as err:
+                    await link.recv(10)  # the outer deadline bounds this wait
+                return err.value, a.connected
             finally:
                 if a is not None:
                     a.close()
                 relay.close()
 
-        assert live_run(main()) == b""
+        error, still_connected = live_run(main())
+        assert isinstance(error, ConnectionError)
+        assert still_connected

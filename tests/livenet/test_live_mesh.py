@@ -203,9 +203,11 @@ class TestLiveFailover:
                             servers[victim].stop()
                         await link.send_all(payload[off : off + chunk])
                         await asyncio.sleep(0.01)
+                    # closed links leave their client's table, so ask
+                    # while the session still holds its carrier
+                    survivor = _carrying_relay(alice)
                     await link.aclose()
                     await recv_task
-                    survivor = _carrying_relay(alice)
                     return bytes(received), victim, survivor, link.reconnects
                 finally:
                     recv_task.cancel()
