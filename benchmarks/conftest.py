@@ -8,9 +8,12 @@ appears in captured bench output.
 
 Benchmarks that track the perf trajectory additionally record their
 headline numbers through the ``bench_json`` fixture; the session merges
-them into ``benchmarks/results/BENCH_obs.json`` (a flat machine-readable
-file, uploaded as a CI artifact) so throughput and tracing-overhead
-regressions are diffable across commits without parsing tables.
+them into ``BENCH_obs.json`` at the repo root (a flat machine-readable
+file, versioned and uploaded as a CI artifact) so throughput and
+tracing-overhead regressions are diffable across commits without parsing
+tables.  Every section names its clock: ``sim`` numbers are simulated
+seconds (fidelity to the paper), ``wall`` numbers are what our own code
+costs on this host — the two kinds of "throughput" never share a section.
 """
 
 from __future__ import annotations
@@ -21,10 +24,8 @@ import pathlib
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-BENCH_JSON = RESULTS_DIR / "BENCH_obs.json"
-#: the per-PR perf trajectory the ROADMAP tracks: the same aggregate,
-#: refreshed at the repo root so it is versioned (results/ is scratch)
-TOP_BENCH_JSON = pathlib.Path(__file__).parent.parent / "BENCH_obs.json"
+BENCH_JSON = pathlib.Path(__file__).parent.parent / "BENCH_obs.json"
+CLOCKS = ("sim", "wall")
 
 _written: list[pathlib.Path] = []
 _bench: dict[str, dict] = {}
@@ -46,15 +47,19 @@ def report():
 
 @pytest.fixture
 def bench_json():
-    """``bench_json(name, **metrics)`` — record numbers for BENCH_obs.json.
+    """``bench_json(name, clock="sim"|"wall", **metrics)`` — record
+    numbers for BENCH_obs.json.
 
-    Metrics are plain scalars (floats/ints/strings); one flat dict per
-    benchmark name.  Recording the same name twice in a session merges
-    the dicts (later keys win).
+    Metrics are plain scalars (floats/ints/strings) measured on ``clock``;
+    one flat dict per benchmark name, so a benchmark with numbers on both
+    clocks records two sections.  Recording the same name twice in a
+    session merges the dicts (later keys win).
     """
 
-    def _record(name: str, **metrics) -> None:
-        _bench.setdefault(name, {}).update(metrics)
+    def _record(name: str, *, clock: str, **metrics) -> None:
+        if clock not in CLOCKS:
+            raise ValueError(f"clock must be one of {CLOCKS}, not {clock!r}")
+        _bench.setdefault(name, {}).update(metrics, clock=clock)
 
     return _record
 
@@ -62,10 +67,9 @@ def bench_json():
 def pytest_sessionfinish(session, exitstatus):
     if not _bench:
         return
-    RESULTS_DIR.mkdir(exist_ok=True)
     # Merge with an existing file so partial runs (CI shards, -k filters)
     # accumulate rather than clobber each other's sections.
-    data = {"schema": 1, "benchmarks": {}}
+    data = {"schema": 2, "benchmarks": {}}
     if BENCH_JSON.exists():
         try:
             previous = json.loads(BENCH_JSON.read_text())
@@ -74,10 +78,7 @@ def pytest_sessionfinish(session, exitstatus):
             pass
     for name, metrics in _bench.items():
         data["benchmarks"].setdefault(name, {}).update(metrics)
-    payload = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    BENCH_JSON.write_text(payload)
-    # refresh the committed top-level aggregate from the merged sections
-    TOP_BENCH_JSON.write_text(payload)
+    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

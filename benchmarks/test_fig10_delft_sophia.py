@@ -47,6 +47,7 @@ def test_fig10_bandwidth_series(benchmark, report, bench_json):
     capacity = DELFT_SOPHIA["capacity"] / 1e6
     bench_json(
         "fig10_delft_sophia",
+        clock="sim",
         unit="MB/s",
         **{
             f"peak_{label.replace(' ', '_').replace('+', '_')}": round(v, 3)

@@ -43,6 +43,7 @@ def test_fig9_bandwidth_series(benchmark, report, bench_json):
     capacity = AMSTERDAM_RENNES["capacity"] / 1e6
     bench_json(
         "fig9_amsterdam_rennes",
+        clock="sim",
         unit="MB/s",
         **{
             f"peak_{label.replace(' ', '_').replace('+', '_')}": round(v, 3)

@@ -134,6 +134,7 @@ def test_lan_aggregation_bandwidth(benchmark, report, bench_json):
     aggregated, per_send, rtt, nodelay_lat, nagle_lat = once(benchmark, _run)
     bench_json(
         "lan_block",
+        clock="sim",
         aggregated_mb_per_s=round(aggregated, 3),
         per_send_mb_per_s=round(per_send, 3),
         rtt_us=round(rtt * 1e6, 1),

@@ -100,6 +100,7 @@ def test_proxy_pass_through_latency_under_10_percent(
     )
     bench_json(
         "live_proxy_overhead",
+        clock="wall",
         direct_ms=round(direct_ms, 4),
         proxied_ms=round(proxied_ms, 4),
         overhead_pct=round(overhead_pct, 2),

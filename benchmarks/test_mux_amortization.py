@@ -130,6 +130,7 @@ def test_mux_setup_amortization(benchmark, report, bench_json):
     report("mux_amortization", "\n".join(lines))
     bench_json(
         "mux_amortization",
+        clock="sim",
         channels=N_CHANNELS,
         channel_bytes=CHANNEL_BYTES,
         separate_setup_s=round(sep["setup_s"], 4),

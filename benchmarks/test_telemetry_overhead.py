@@ -99,6 +99,7 @@ def test_telemetry_overhead_under_5_percent(benchmark, report, bench_json):
     report("telemetry_overhead", "\n".join(lines))
     bench_json(
         "telemetry_overhead",
+        clock="wall",
         baseline_wall_ms=round(base * 1000, 2),
         telemetry_wall_ms=round(modes["telemetry"]["wall"] * 1000, 2),
         telemetry_overhead_pct=round(telemetry_pct, 2),

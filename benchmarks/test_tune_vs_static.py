@@ -120,7 +120,7 @@ def test_auto_tuned_matches_best_static(benchmark, report, bench_json):
         metrics[f"{key}_auto_spec"] = spec
         metrics[f"{key}_best_static_spec"] = best_name
     report("tune_vs_static", "\n".join(lines))
-    bench_json("tune_vs_static", **metrics)
+    bench_json("tune_vs_static", clock="sim", **metrics)
 
     for name, _spec, auto, _best_name, best, _grid in rows:
         # The acceptance bar: >= 95% of the best static configuration,

@@ -15,7 +15,12 @@ from __future__ import annotations
 from typing import Generator, Iterable, Optional
 
 from ...security.certs import Certificate
-from ...security.handshake import ClientHandshake, Identity, ServerHandshake
+from ...security.handshake import (
+    ClientHandshake,
+    HandshakeError,
+    Identity,
+    ServerHandshake,
+)
 from ...security.record import RecordError, SecureSession
 from ...simnet.cpu import charge
 from .base import DriverError, FilterDriver
@@ -67,7 +72,13 @@ class TlsDriver(FilterDriver):
         if self.host is not None and self.host.cpu is not None:
             yield self.host.cpu.op("verify")
             yield self.host.cpu.op("dh")
-        finished, session = hs.finish(server_hello)
+        try:
+            finished, session = hs.finish(server_hello)
+        except HandshakeError:
+            # Fatal to the link, as a failed record is: the server is parked
+            # in recv_block() for a ClientFinished that will never come.
+            self.child.close()
+            raise
         yield from self.child.send_block(finished)
         self.session = session
         return session
@@ -91,9 +102,13 @@ class TlsDriver(FilterDriver):
         if self.host is not None and self.host.cpu is not None:
             yield self.host.cpu.op("sign")
             yield self.host.cpu.op("dh")
-        yield from self.child.send_block(hs.respond(client_hello))
-        finished = yield from self.child.recv_block()
-        self.session = hs.finish(finished)
+        try:
+            yield from self.child.send_block(hs.respond(client_hello))
+            finished = yield from self.child.recv_block()
+            self.session = hs.finish(finished)
+        except HandshakeError:
+            self.child.close()
+            raise
         return self.session
 
     # -- data path -----------------------------------------------------------

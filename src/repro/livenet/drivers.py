@@ -18,7 +18,12 @@ from ..obs import TraceContext
 from ..core.utilization.compression import FLAG_DEFLATE, FLAG_RAW
 from ..core.utilization.parallel import DEFAULT_FRAGMENT
 from ..security.certs import Certificate
-from ..security.handshake import ClientHandshake, Identity, ServerHandshake
+from ..security.handshake import (
+    ClientHandshake,
+    HandshakeError,
+    Identity,
+    ServerHandshake,
+)
 from ..security.record import RecordError
 from .transport import LiveSocket
 
@@ -244,7 +249,13 @@ class AsyncTlsDriver(AsyncDriver):
         )
         await self.child.send_block(hs.hello())
         server_hello = await self.child.recv_block()
-        finished, self.session = hs.finish(server_hello)
+        try:
+            finished, self.session = hs.finish(server_hello)
+        except HandshakeError:
+            # Fatal to the link, as a failed record is: the server is parked
+            # in recv_block() for a ClientFinished that will never come.
+            self.child.close()
+            raise
         await self.child.send_block(finished)
 
     async def handshake_server(
@@ -259,8 +270,12 @@ class AsyncTlsDriver(AsyncDriver):
             require_client_auth=require_client_auth,
         )
         client_hello = await self.child.recv_block()
-        await self.child.send_block(hs.respond(client_hello))
-        self.session = hs.finish(await self.child.recv_block())
+        try:
+            await self.child.send_block(hs.respond(client_hello))
+            self.session = hs.finish(await self.child.recv_block())
+        except HandshakeError:
+            self.child.close()
+            raise
 
     @property
     def peer_subject(self) -> Optional[str]:

@@ -9,7 +9,14 @@ from __future__ import annotations
 
 import secrets
 
-__all__ = ["GROUP14_P", "GROUP14_G", "GROUP14_Q", "DHPrivateKey", "shared_secret"]
+__all__ = [
+    "GROUP14_P",
+    "GROUP14_G",
+    "GROUP14_Q",
+    "DHPrivateKey",
+    "jacobi",
+    "shared_secret",
+]
 
 # RFC 3526, 2048-bit MODP Group (id 14).
 GROUP14_P = int(
@@ -29,6 +36,27 @@ GROUP14_P = int(
 GROUP14_G = 2
 #: order of the prime-order subgroup (p is a safe prime)
 GROUP14_Q = (GROUP14_P - 1) // 2
+
+
+def jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a|n) for odd ``n`` > 0: 1, -1, or 0 when they share
+    a factor.  For prime ``n`` it is the Legendre symbol, which by Euler's
+    criterion equals ``a^((n-1)/2) mod n`` — so ``jacobi(v, p) == 1`` is
+    membership in the order-q subgroup at the cost of a gcd instead of a
+    full-width modexp.  Only public values are passed in: the loop's length
+    depends on its input.
+    """
+    a %= n
+    sign = 1
+    while a:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos & 1 and n & 7 in (3, 5):  # (2|n) = -1 iff n ≡ ±3 (mod 8)
+            sign = -sign
+        if a & n & 3 == 3:  # reciprocity flips iff both ≡ 3 (mod 4)
+            sign = -sign
+        a, n = n % a, a
+    return sign if n == 1 else 0
 
 
 class DHPrivateKey:
@@ -55,7 +83,7 @@ def _validate_public(value: int) -> None:
     if not 1 < value < GROUP14_P - 1:
         raise ValueError("invalid DH public value")
     # Subgroup check: reject small-subgroup confinement attacks.
-    if pow(value, GROUP14_Q, GROUP14_P) != 1:
+    if jacobi(value, GROUP14_P) != 1:
         raise ValueError("DH public value not in the prime-order subgroup")
 
 

@@ -248,6 +248,13 @@ class ServerHandshake:
             raise HandshakeError(f"malformed ClientHello: {exc}") from exc
         self._hello = client_hello
 
+        # Validate the peer's value before signing anything for it.
+        try:
+            shared = self._dh.shared(client_pub)
+        except ValueError as exc:
+            raise HandshakeError(f"bad client DH value: {exc}") from exc
+        self._keys = _derive_keys(client_random, self._random, shared)
+
         writer = ByteWriter().u8(MSG_SERVER_HELLO).raw(self._random)
         writer.mpint(self._dh.public)
         _encode_chain(writer, self.identity.chain)
@@ -255,12 +262,6 @@ class ServerHandshake:
 
         sig = self.identity.key.sign(_SERVER_SIG_LABEL + client_hello + sh_core)
         sig_enc = ByteWriter().mpint(sig[0]).mpint(sig[1]).getvalue()
-
-        try:
-            shared = self._dh.shared(client_pub)
-        except ValueError as exc:
-            raise HandshakeError(f"bad client DH value: {exc}") from exc
-        self._keys = _derive_keys(client_random, self._random, shared)
 
         fin = _fin_mac(
             self._keys["s_fin"], _SERVER_FIN_LABEL, client_hello + sh_core + sig_enc

@@ -16,7 +16,7 @@ import hashlib
 import hmac
 import secrets
 
-from .dh import GROUP14_G, GROUP14_P, GROUP14_Q
+from .dh import GROUP14_G, GROUP14_P, GROUP14_Q, jacobi
 
 __all__ = ["SigningKey", "VerifyKey", "sign", "verify", "SignatureError"]
 
@@ -67,8 +67,11 @@ def verify(public: int, message: bytes, signature: tuple[int, int]) -> bool:
         return False
     if not 1 < public < _P - 1:
         return False
-    # r = g^s / y^e
-    r = (pow(_G, s, _P) * pow(public, _Q - e, _P)) % _P
+    # r = g^s * y^(q-e), with y^(q-e) = y^q / y^e = (y|p) / y^e by Euler's
+    # criterion: a 256-bit exponent, an inverse and a symbol instead of a
+    # 2047-bit exponent, and the same r for every y, in the subgroup or not.
+    y_e = pow(public, e, _P)
+    r = pow(_G, s, _P) * pow(y_e, -1, _P) * jacobi(public, _P) % _P
     return _hash_to_int(_encode_group_element(r), message) == e
 
 

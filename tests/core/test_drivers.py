@@ -14,7 +14,7 @@ from repro.core.utilization import (
     TcpBlockDriver,
     TlsDriver,
 )
-from repro.security import CertificateAuthority, Identity
+from repro.security import CertificateAuthority, HandshakeError, Identity
 from repro.simnet import CpuModel, connect, listen
 from repro.simnet.tcp import ESTABLISHED
 from repro.simnet.testing import two_public_hosts, wan_pair
@@ -343,6 +343,36 @@ class TestTlsDriver:
             with pytest.raises(DriverError, match="record authentication failed"):
                 for _ in call():
                     pass
+
+    def test_handshake_failure_is_fatal_to_the_link(self, pki):
+        """A client that rejects the server's chain raises and closes the
+        link under it, so the server's pending ``recv_block`` for the
+        ClientFinished ends in EOF instead of waiting for good."""
+        inet, a, b = two_public_hosts()
+        (la,), (lb,) = _linked_pair(inet, a, b)
+        tx = TlsDriver(TcpBlockDriver(la))
+        rx = TlsDriver(TcpBlockDriver(lb))
+        untrusted = CertificateAuthority("someone-else").certificate
+        seen = {}
+
+        def client():
+            try:
+                yield from tx.handshake_client([untrusted], seed=b"c")
+            except HandshakeError as exc:
+                seen["client"] = str(exc)
+
+        def server():
+            try:
+                yield from rx.handshake_server(pki["server"], seed=b"s")
+            except EOFError:
+                seen["server"] = "eof"
+
+        inet.sim.process(client())
+        inet.sim.process(server())
+        inet.sim.run(until=inet.sim.now + 30)
+        assert seen["client"].startswith("server certificate rejected")
+        assert seen["server"] == "eof"
+        assert tx.session is None and rx.session is None
 
 
 class TestBlockChannel:

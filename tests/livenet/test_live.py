@@ -16,11 +16,26 @@ from repro.livenet import (
     live_listen,
 )
 from repro.core.relay import RelayError
-from repro.security import CertificateAuthority, Identity
+from repro.security import CertificateAuthority, HandshakeError, Identity
 
 from .conftest import socket_pairs
 
 pytestmark = pytest.mark.livenet
+
+
+async def _closed_with_no_task_left(before, *socks):
+    """``close()`` + ``wait_closed()`` on every socket inside 2 s; returns
+    the tasks that outlived it (``before`` = ``all_tasks()`` at the start)."""
+
+    async def close_all():
+        for sock in socks:
+            sock.close()
+        for sock in socks:
+            await sock.wait_closed()
+
+    await asyncio.wait_for(close_all(), timeout=2.0)
+    await asyncio.sleep(0)
+    return asyncio.all_tasks() - before - {asyncio.current_task()}
 
 
 class TestTransport:
@@ -172,15 +187,41 @@ class TestAsyncDrivers:
             finally:
                 sender.cancel()
 
-            async def close_both():
-                for sock in (c, s):
-                    sock.close()
-                for sock in (c, s):
-                    await sock.wait_closed()
+            return await _closed_with_no_task_left(before, c, s)
 
-            await asyncio.wait_for(close_both(), timeout=2.0)
-            await asyncio.sleep(0)
-            return asyncio.all_tasks() - before - {asyncio.current_task()}
+        assert live_run(main()) == set()
+
+    def test_handshake_failure_is_fatal_to_the_link(self, live_run):
+        """A client that rejects the server's chain raises the typed error
+        *and takes the link down*: left open, the socket would keep the
+        server parked in ``recv_block()`` for a ClientFinished that never
+        comes — there is no handshake timeout to save it."""
+        key, cert = CertificateAuthority("rogue-root").issue_identity("live-server")
+        identity = Identity(key, [cert])
+        trusted = CertificateAuthority("live-root").certificate
+
+        async def main():
+            before = asyncio.all_tasks()
+            listener = await live_listen()
+            c, s = await asyncio.gather(
+                live_connect(listener.addr), listener.accept()
+            )
+            listener.close()
+            tx = AsyncTlsDriver(AsyncTcpBlockDriver(c))
+            rx = AsyncTlsDriver(AsyncTcpBlockDriver(s))
+            server = asyncio.ensure_future(rx.handshake_server(identity))
+            try:
+                with pytest.raises(HandshakeError, match="certificate rejected"):
+                    await tx.handshake_client([trusted])
+                # the server finds out from the transport instead of waiting
+                # (a timeout here is a TimeoutError, neither of these)
+                with pytest.raises((EOFError, ConnectionError)):
+                    await asyncio.wait_for(server, timeout=2.0)
+            finally:
+                server.cancel()
+            assert tx.session is None and rx.session is None
+
+            return await _closed_with_no_task_left(before, c, s)
 
         assert live_run(main()) == set()
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.security import (
+    GROUP14_P,
     CertificateAuthority,
     ClientHandshake,
     HandshakeError,
@@ -15,6 +16,8 @@ from repro.security import (
     RecordCipher,
     RecordError,
     ServerHandshake,
+    dh,
+    schnorr,
 )
 
 
@@ -30,7 +33,8 @@ def pki():
     }
 
 
-def _run_handshake(pki, client_kwargs=None, server_kwargs=None):
+def _run_handshake(pki, client_kwargs=None, server_kwargs=None, wire=None):
+    """One seeded handshake; ``wire`` collects the three messages sent."""
     client = ClientHandshake(
         trust_anchors=[pki["ca"].certificate],
         seed=b"c",
@@ -47,7 +51,33 @@ def _run_handshake(pki, client_kwargs=None, server_kwargs=None):
     sh = server.respond(ch)
     cf, client_session = client.finish(sh)
     server_session = server.finish(cf)
+    if wire is not None:
+        wire.extend((ch, sh, cf))
     return client, server, client_session, server_session
+
+
+def _mutual_kwargs(pki):
+    """``(client_kwargs, server_kwargs)`` for mutual authentication."""
+    return (
+        {"identity": pki["client"]},
+        {"trust_anchors": [pki["ca"].certificate], "require_client_auth": True},
+    )
+
+
+@pytest.fixture
+def modexp_bits(monkeypatch):
+    """Exponent widths of every modular ``pow`` that :mod:`dh` and
+    :mod:`schnorr` perform, in order (an inverse, exponent -1, counts as
+    one bit): a module-level ``pow`` shadows the builtin in both."""
+    widths = []
+
+    def counting_pow(base, exponent, modulus):
+        widths.append(exponent.bit_length())
+        return pow(base, exponent, modulus)
+
+    for module in (dh, schnorr):
+        monkeypatch.setattr(module, "pow", counting_pow, raising=False)
+    return widths
 
 
 class TestRecordLayer:
@@ -185,14 +215,7 @@ class TestHandshake:
         assert cs.open(ss.seal(b"down")) == b"down"
 
     def test_mutual_auth(self, pki):
-        client, server, cs, ss = _run_handshake(
-            pki,
-            client_kwargs={"identity": pki["client"]},
-            server_kwargs={
-                "trust_anchors": [pki["ca"].certificate],
-                "require_client_auth": True,
-            },
-        )
+        client, server, cs, ss = _run_handshake(pki, *_mutual_kwargs(pki))
         assert server.peer_subject == "client.grid"
 
     def test_server_requires_client_auth(self, pki):
@@ -278,3 +301,69 @@ class TestHandshake:
     def test_session_transports_arbitrary_payloads(self, pki, payload):
         _c, _s, cs, ss = _run_handshake(pki)
         assert ss.open(cs.seal(payload)) == payload
+
+    def test_server_refuses_a_bad_dh_value_before_spending_a_modexp(
+        self, pki, modexp_bits
+    ):
+        """Validate first, sign second: a ClientHello whose DH value is a
+        non-residue is refused by a symbol computation alone — no signing
+        nonce, no subgroup exponentiation."""
+        client = ClientHandshake(trust_anchors=[pki["ca"].certificate], seed=b"c")
+        client._dh.public = GROUP14_P - 2
+        hostile_hello = client.hello()
+        server = ServerHandshake(identity=pki["server"], seed=b"s")
+        del modexp_bits[:]  # the constructors' own ephemeral keys
+        with pytest.raises(
+            HandshakeError, match="bad client DH value: .* prime-order subgroup"
+        ):
+            server.respond(hostile_hello)
+        assert modexp_bits == []
+
+    def test_modexp_budget(self, pki, modexp_bits):
+        """Structural, not timed: one anonymous-client handshake spends
+        4 × 256 (ephemeral + shared, both sides) + 512 (signing nonce) +
+        2 × (≈ 766 ``g^s`` + 256 ``y^e`` + an inverse) exponent bits.  It
+        was ≈ 11 250 with four 2047-bit exponents before Euler's criterion
+        replaced them; a full-width exponent creeping back fails here."""
+        client = ClientHandshake(trust_anchors=[pki["ca"].certificate], seed=b"c")
+        server = ServerHandshake(identity=pki["server"], seed=b"s")
+        cf, _cs = client.finish(server.respond(client.hello()))
+        server.finish(cf)
+        assert len(modexp_bits) == 11
+        assert max(modexp_bits) <= 800
+        assert sum(modexp_bits) <= 4000
+
+    # Captured at the commit before the short-exponent verify and the
+    # sign-after-validate reorder: SHA-256 of ClientHello, ServerHello,
+    # ClientFinished for the ``pki`` fixture under ``_run_handshake``'s
+    # seeds and exponents.
+    _PARENT_TRANSCRIPTS = {
+        "anonymous": (
+            "4e57d1795d0aaf581e4cf11000d8078c51c5ff91e25139c6d1912bcbd521cbaf",
+            "4b301d7531b8e74c5158168882e8471ee10bc0817d9239464abd219b23bf1475",
+            "bea0c6da26be4fd6fb71cc9618d677f631a20618aef5ef2d6444c48990d11032",
+        ),
+        "mutual": (
+            "a9ecd28ed45df10121bab96386c6fca5cb59e8c2c018d7c6999241ce05697ac4",
+            "4b1cee6b7365ba890ee3ff1a59650697bb2acabf91dcf8f3ac914c5e0b5f6db0",
+            "76efb38140f2af954d5394c9949ca4a2c9f1f45de5ef51e714c3d62b113cb24d",
+        ),
+    }
+    #: the first client-to-server record sealing b"up" under the derived keys
+    _PARENT_FIRST_RECORD = (
+        "80df03cd052a736113eb22010d0623be32fbf326b94340cb0fab4d3f5ce66ba8"
+    )
+
+    @pytest.mark.parametrize("mode", ["anonymous", "mutual"])
+    def test_transcript_is_byte_identical_to_the_parent(self, pki, mode):
+        """Cross-version fixture: same three messages on the wire, same
+        derived keys, and each side opens what the other seals."""
+        wire = []
+        kwargs = _mutual_kwargs(pki) if mode == "mutual" else (None, None)
+        _c, _s, cs, ss = _run_handshake(pki, *kwargs, wire=wire)
+        digests = tuple(hashlib.sha256(message).hexdigest() for message in wire)
+        assert digests == self._PARENT_TRANSCRIPTS[mode]
+        record = cs.seal(b"up")
+        assert hashlib.sha256(record).hexdigest() == self._PARENT_FIRST_RECORD
+        assert ss.open(record) == b"up"
+        assert cs.open(ss.seal(b"down")) == b"down"

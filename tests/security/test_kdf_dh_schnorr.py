@@ -1,7 +1,7 @@
 """HKDF (RFC 5869 vectors), DH, and Schnorr signatures."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.security.dh import (
@@ -9,6 +9,8 @@ from repro.security.dh import (
     GROUP14_P,
     GROUP14_Q,
     DHPrivateKey,
+    _validate_public,
+    jacobi,
     shared_secret,
 )
 from repro.security.hkdf import hkdf, hkdf_expand, hkdf_extract
@@ -16,9 +18,25 @@ from repro.security.schnorr import (
     SignatureError,
     SigningKey,
     VerifyKey,
+    _encode_group_element,
+    _hash_to_int,
     sign,
     verify,
 )
+
+
+def reference_verify(public, message, signature):
+    """The oracle: ``verify`` as it stood while it still paid a full-width
+    exponent, ``r = g^s · y^(q−e)``.  The short-exponent form must return
+    the same boolean for every input, subgroup key or not."""
+    e, s = signature
+    if not (0 <= e < GROUP14_Q and 0 <= s < GROUP14_Q):
+        return False
+    if not 1 < public < GROUP14_P - 1:
+        return False
+    y_qe = pow(public, GROUP14_Q - e, GROUP14_P)
+    r = pow(GROUP14_G, s, GROUP14_P) * y_qe % GROUP14_P
+    return _hash_to_int(_encode_group_element(r), message) == e
 
 
 class TestHkdfRfc5869:
@@ -95,6 +113,50 @@ class TestDH:
         a, b, c = DHPrivateKey(), DHPrivateKey(), DHPrivateKey()
         assert a.shared(b.public) != a.shared(c.public)
 
+    def test_validation_messages(self):
+        for bad in (-1, 0, 1, GROUP14_P - 1, GROUP14_P, GROUP14_P + 4):
+            with pytest.raises(ValueError, match="^invalid DH public value$"):
+                _validate_public(bad)
+        for non_residue in (GROUP14_P - 4, GROUP14_P - 3, GROUP14_P - 2):
+            with pytest.raises(
+                ValueError, match="^DH public value not in the prime-order subgroup$"
+            ):
+                _validate_public(non_residue)
+        for residue in (2, 3, 4):
+            assert _validate_public(residue) is None
+
+
+class TestJacobi:
+    """The symbol that replaced ``v^q mod p`` (Euler's criterion)."""
+
+    @pytest.mark.parametrize("p", [7, 11, 13, 23, 1019])
+    def test_matches_brute_force_squares(self, p):
+        """Small primes covering every class mod 8, so each reciprocity
+        sign is pinned independently of group 14."""
+        squares = {x * x % p for x in range(1, p)}
+        for a in range(-p, 2 * p + 1):
+            expected = 0 if a % p == 0 else 1 if a % p in squares else -1
+            assert jacobi(a, p) == expected, (a, p)
+
+    def test_composite_modulus(self):
+        # (2|15) = 1 although 2 is no square mod 15; a shared factor gives 0.
+        assert jacobi(2, 15) == 1
+        assert jacobi(7, 15) == -1
+        assert jacobi(6, 15) == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, GROUP14_P - 2))
+    @example(2)
+    @example(3)
+    @example(4)
+    @example(GROUP14_P - 4)
+    @example(GROUP14_P - 3)
+    @example(GROUP14_P - 2)
+    def test_is_the_subgroup_predicate(self, v):
+        euler = pow(v, GROUP14_Q, GROUP14_P)
+        assert euler in (1, GROUP14_P - 1)
+        assert jacobi(v, GROUP14_P) == (1 if euler == 1 else -1)
+
 
 class TestSchnorr:
     def test_sign_verify_round_trip(self):
@@ -143,3 +205,47 @@ class TestSchnorr:
     def test_round_trip_property(self, message):
         key = SigningKey.from_seed(b"prop")
         assert verify(key.verify_key.public, message, key.sign(message))
+
+    _KEYS = [SigningKey.from_seed(seed) for seed in (b"alice", b"bob", b"carol")]
+    _TAMPER = {
+        "honest": lambda e, s: (e, s),
+        "e_zero": lambda e, s: (0, s),
+        "s_zero": lambda e, s: (e, 0),
+        "e_wide": lambda e, s: (e + GROUP14_Q, s),
+        "s_wide": lambda e, s: (e, s + GROUP14_Q),
+        "e_negative": lambda e, s: (-e, s),
+    }
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        key=st.sampled_from(_KEYS),
+        message=st.binary(max_size=64),
+        non_residue=st.booleans(),
+        tamper=st.sampled_from(sorted(_TAMPER)),
+        flip_e=st.none() | st.integers(0, 2047),
+        flip_s=st.none() | st.integers(0, 2047),
+    )
+    # pinned, not left to the draw: alice's e is odd on b"a", even on b"b"
+    @example(_KEYS[0], b"a", False, "honest", None, None)
+    @example(_KEYS[0], b"a", True, "honest", None, None)
+    @example(_KEYS[0], b"b", True, "honest", None, None)
+    @example(_KEYS[0], b"a", True, "e_zero", None, None)
+    def test_same_verdict_as_the_full_width_reference(
+        self, key, message, non_residue, tamper, flip_e, flip_s
+    ):
+        """Residue keys ``g^x`` and non-residue keys ``p − g^x`` (under which
+        an honest signature still verifies iff ``e`` is odd — the ``(y|p)``
+        factor carries that), honest, zeroed, out-of-range and bit-flipped
+        scalars: one verdict."""
+        public = key.verify_key.public
+        if non_residue:
+            public = GROUP14_P - public
+        e, s = self._TAMPER[tamper](*key.sign(message))
+        if flip_e is not None:
+            e ^= 1 << flip_e
+        if flip_s is not None:
+            s ^= 1 << flip_s
+        expected = reference_verify(public, message, (e, s))
+        assert verify(public, message, (e, s)) is expected
+        if tamper == "honest" and flip_e is None and flip_s is None:
+            assert expected is (not non_residue or e % 2 == 1)
