@@ -77,11 +77,11 @@ class SimBackend(abc.ABC):
     def process(self, gen: Generator, name: str = "") -> Process:
         return self.sim.process(gen, name)
 
-    def call_later(self, delay: float, fn: Callable, *args: Any) -> Event:
-        return self.sim.call_later(delay, fn, *args)
+    def call_later(self, delay: float, fn: Callable, *args: Any) -> None:
+        self.sim.call_later(delay, fn, *args)
 
-    def call_at(self, when: float, fn: Callable, *args: Any) -> Event:
-        return self.sim.call_at(when, fn, *args)
+    def call_at(self, when: float, fn: Callable, *args: Any) -> None:
+        self.sim.call_at(when, fn, *args)
 
     def run(self, until: Optional[float] = None) -> None:
         self.sim.run(until=until)

@@ -9,6 +9,10 @@ provides a simpy-flavoured, generator-based process model:
   be an :class:`Event`, and the process resumes when that event triggers.
 * :class:`Timeout` triggers after a fixed amount of simulated time.
 * :func:`any_of` / :func:`all_of` compose events.
+* :meth:`Simulator.call_later` / :meth:`~Simulator.call_at` run a plain
+  callable at a time: a bare heap entry, no event to wait on or cancel
+  (:class:`Timer` adds cancellation).  Every packet is two of these, so
+  they are the hot path -- see docs/SIMNET.md, "The hot loop".
 
 The engine is fully deterministic: events scheduled for the same timestamp
 fire in schedule order (a monotonically increasing sequence number breaks
@@ -31,7 +35,7 @@ Example
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -439,20 +443,31 @@ class Simulator:
         """Start driving ``gen`` as a simulation process."""
         return Process(self, gen, name)
 
-    def call_at(self, when: float, fn: Callable, *args: Any) -> Event:
-        """Run ``fn(*args)`` at absolute simulated time ``when``."""
-        if when < self.now:
-            raise ValueError(f"call_at into the past: {when} < {self.now}")
-        ev = Event(self)
-        ev._ok = True
-        ev._value = None
-        ev.callbacks.append(lambda _ev: fn(*args))
-        self._schedule(ev, when - self.now)
-        return ev
+    def call_at(self, when: float, fn: Callable, *args: Any) -> None:
+        """Run ``fn(*args)`` at absolute simulated time ``when``.
 
-    def call_later(self, delay: float, fn: Callable, *args: Any) -> Event:
-        """Run ``fn(*args)`` after ``delay`` simulated seconds."""
-        return self.call_at(self.now + delay, fn, *args)
+        Nothing is returned and no :class:`Event` is built: the heap entry
+        is the bare ``(when, seq, fn, args)``.  Use :class:`Timer` for a
+        call that may be cancelled, :meth:`timeout` for one to wait on.
+        """
+        now = self.now
+        if when < now:
+            raise ValueError(f"call_at into the past: {when} < {now}")
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (now + (when - now), seq, fn, args))
+
+    def call_later(self, delay: float, fn: Callable, *args: Any) -> None:
+        """Run ``fn(*args)`` after ``delay`` simulated seconds.
+
+        ``call_at(now + delay)`` written out: it runs twice per packet, and
+        delegating would add two Python frames to a hop's eleven.
+        """
+        now = self.now
+        when = now + delay
+        if when < now:
+            raise ValueError(f"call_at into the past: {when} < {now}")
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (now + (when - now), seq, fn, args))
 
     # -- scheduling ----------------------------------------------------------
     def _schedule(self, event: Event, delay: float) -> None:
@@ -460,18 +475,7 @@ class Simulator:
             raise SimulationError(f"{event!r} scheduled twice")
         event._scheduled = True
         self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, event))
-
-    def _step(self) -> None:
-        when, _seq, event = heapq.heappop(self._heap)
-        self.now = when
-        callbacks = event.callbacks
-        event.callbacks = None
-        for cb in callbacks:
-            cb(event)
-        if not event._ok and not event.defused:
-            # Nobody handled the failure: surface it.
-            raise event._value
+        heappush(self._heap, (self.now + delay, self._seq, None, event))
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the heap drains or the clock passes ``until``.
@@ -479,21 +483,37 @@ class Simulator:
         When ``until`` is given the clock is advanced to exactly ``until``
         even if the last event fires earlier, so follow-up ``run`` calls
         observe a monotone clock.
+
+        This loop is the simulator's hot path.  A heap entry is either
+        ``(when, seq, fn, args)`` -- a bare call -- or ``(when, seq, None,
+        event)``; both kinds draw ``seq`` from the one counter, so entries
+        due at the same instant fire in the order they were scheduled.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
+        heap = self._heap
+        limit = float("inf") if until is None else until
         try:
-            while self._heap:
-                if until is not None and self._heap[0][0] > until:
+            while heap:
+                if heap[0][0] > limit:
                     self.now = until
                     return
-                try:
-                    self._step()
-                except StopSimulation:
-                    return
+                self.now, _seq, fn, arg = heappop(heap)
+                if fn is not None:
+                    fn(*arg)
+                    continue
+                callbacks = arg.callbacks
+                arg.callbacks = None
+                for cb in callbacks:
+                    cb(arg)
+                if not arg._ok and not arg.defused:
+                    # Nobody handled the failure: surface it.
+                    raise arg._value
             if until is not None and until > self.now:
                 self.now = until
+        except StopSimulation:
+            return
         finally:
             self._running = False
 

@@ -72,6 +72,8 @@ class StatefulFirewall(PacketFilter):
         self.sim = sim
         # flow 4-tuple (inside_addr, outside_addr) -> last activity time
         self._conntrack: dict[tuple[Addr, Addr], float] = {}
+        # no entry is older than this, so no scan is due before it expires
+        self._oldest = float("-inf")
         #: gateway's own addresses: traffic to these bypasses the filter
         #: (the gateway is "connected both inside and outside", §3.3).
         self.exempt_ips: set[str] = set()
@@ -83,10 +85,14 @@ class StatefulFirewall(PacketFilter):
     def _expire(self) -> None:
         if self.conntrack_timeout <= 0 or self.sim is None:
             return
-        cutoff = self._now() - self.conntrack_timeout
+        now = self.sim.now
+        cutoff = now - self.conntrack_timeout
+        if self._oldest >= cutoff:
+            return
         stale = [k for k, t in self._conntrack.items() if t < cutoff]
         for k in stale:
             del self._conntrack[k]
+        self._oldest = min(self._conntrack.values(), default=now)
 
     # -- outbound ------------------------------------------------------------
     def egress(self, segment: Segment) -> Optional[Segment]:

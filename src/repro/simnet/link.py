@@ -18,6 +18,7 @@ from the link's seed, so runs are reproducible.
 from __future__ import annotations
 
 import random
+from collections import deque
 from typing import Callable, Optional
 
 from .engine import Simulator
@@ -91,47 +92,43 @@ class Transmitter:
         #: fault-injection hook: while True, serialized packets vanish
         #: (a flapped/cut link) — see :meth:`Link.set_down`
         self.down = False
-        self._queue: list[Segment] = []
+        #: (segment, on-wire size) pairs; the head one is on the wire
+        self._queue: deque[tuple[Segment, int]] = deque()
         self._queued_bytes = 0
-        self._busy = False
         self.stats = LinkStats()
 
     def transmit(self, segment: Segment) -> None:
         """Enqueue ``segment`` for transmission (drop-tail)."""
-        if self._queued_bytes + segment.size > self.queue_bytes:
+        size = segment.size
+        if self._queued_bytes + size > self.queue_bytes:
             self.stats.drops_queue += 1
             return
-        self._queue.append(segment)
-        self._queued_bytes += segment.size
-        if not self._busy:
-            self._start_next()
-
-    def _start_next(self) -> None:
-        segment = self._queue[0]
-        self._busy = True
-        ser_time = segment.size / self.bandwidth
-        self.sim.call_later(ser_time, self._serialized)
+        queue = self._queue
+        if not queue:  # idle wire: this one goes on it at once
+            self.sim.call_later(size / self.bandwidth, self._serialized)
+        queue.append((segment, size))
+        self._queued_bytes += size
 
     def _serialized(self) -> None:
-        segment = self._queue.pop(0)
-        self._queued_bytes -= segment.size
-        self.stats.tx_packets += 1
-        self.stats.tx_bytes += segment.size
+        queue, stats = self._queue, self.stats
+        segment, size = queue.popleft()
+        self._queued_bytes -= size
+        stats.tx_packets += 1
+        stats.tx_bytes += size
         if self.down:
-            self.stats.drops_down += 1
+            stats.drops_down += 1
         elif self.loss and self.rng.random() < self.loss:
-            self.stats.drops_loss += 1
+            stats.drops_loss += 1
         else:
             extra = self.rng.random() * self.jitter if self.jitter else 0.0
-            self.sim.call_later(self.delay + extra, self._arrive, segment)
-        if self._queue:
-            self._start_next()
-        else:
-            self._busy = False
+            self.sim.call_later(self.delay + extra, self._arrive, segment, size)
+        if queue:
+            self.sim.call_later(queue[0][1] / self.bandwidth, self._serialized)
 
-    def _arrive(self, segment: Segment) -> None:
-        self.stats.delivered_packets += 1
-        self.stats.delivered_bytes += segment.size
+    def _arrive(self, segment: Segment, size: int) -> None:
+        stats = self.stats
+        stats.delivered_packets += 1
+        stats.delivered_bytes += size
         if self.deliver is not None:
             self.deliver(segment)
 

@@ -103,7 +103,7 @@ class Segment:
     ttl: int = 64
     #: transport protocol: "tcp" or "udp" (UDP ignores the TCP fields)
     proto: str = "tcp"
-    pkt_id: int = field(default_factory=lambda: next(_packet_ids))
+    pkt_id: int = field(default_factory=_packet_ids.__next__)
 
     @property
     def size(self) -> int:

@@ -419,10 +419,11 @@ class TcpSocket:
 
     # ------------------------------------------------------------------ utils
     def _set_state(self, state: str) -> None:
-        self.stack.host.net.trace(
-            "tcp-state", host=self.stack.host, socket=self,
-            old=self.state, new=state,
-        )
+        host = self.stack.host
+        if host.net.tracers:
+            host.net.trace(
+                "tcp-state", host=host, socket=self, old=self.state, new=state
+            )
         self.state = state
 
     def _send(self, **kwargs) -> None:
@@ -488,16 +489,13 @@ class TcpSocket:
         if seg.rst:
             self._on_rst(seg)
             return
-        handler = {
-            SYN_SENT: self._input_syn_sent,
-            SYN_RCVD: self._input_syn_rcvd,
-        }.get(self.state)
-        if handler is not None:
-            handler(seg)
-            return
-        if self.state == CLOSED:
-            return
-        self._input_established(seg)
+        state = self.state
+        if state == SYN_SENT:
+            self._input_syn_sent(seg)
+        elif state == SYN_RCVD:
+            self._input_syn_rcvd(seg)
+        elif state != CLOSED:
+            self._input_established(seg)
 
     def _on_rst(self, seg: Segment) -> None:
         if self.state in (SYN_SENT, SYN_RCVD):

@@ -79,33 +79,31 @@ class Interface:
 
     def send(self, segment: Segment) -> None:
         """Apply egress filters then put the segment on the wire."""
+        host = self.host
         for flt in self.filters:
             out = flt.egress(segment)
             if out is None:
-                self.host.net.trace(
-                    "drop", host=self.host, iface=self, segment=segment,
-                    reason=f"egress:{type(flt).__name__}",
-                )
+                host._drop(self, segment, f"egress:{type(flt).__name__}")
                 return
             segment = out
         if self.transmitter is None:
             raise RuntimeError(f"interface {self} not attached to a link")
-        self.host.net.trace("tx", host=self.host, iface=self, segment=segment)
+        if host.net.tracers:
+            host.net.trace("tx", host=host, iface=self, segment=segment)
         self.transmitter.transmit(segment)
 
     def receive(self, segment: Segment) -> None:
         """Apply ingress filters (reverse order) then hand to the host."""
+        host = self.host
         for flt in reversed(self.filters):
             out = flt.ingress(segment)
             if out is None:
-                self.host.net.trace(
-                    "drop", host=self.host, iface=self, segment=segment,
-                    reason=f"ingress:{type(flt).__name__}",
-                )
+                host._drop(self, segment, f"ingress:{type(flt).__name__}")
                 return
             segment = out
-        self.host.net.trace("rx", host=self.host, iface=self, segment=segment)
-        self.host._receive(self, segment)
+        if host.net.tracers:
+            host.net.trace("rx", host=host, iface=self, segment=segment)
+        host._receive(self, segment)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Interface {self.host.name}/{self.name} {self.ip}/{self.prefixlen}>"
@@ -125,8 +123,13 @@ class Host:
         self.name = name
         self.ip_forward = ip_forward
         self.interfaces: list[Interface] = []
+        #: every interface's address (kept by :meth:`add_interface`)
+        self.local_ips: set[str] = set()
         # (prefix_int, prefixlen, mask, iface) sorted by prefixlen desc
         self._routes: list[tuple[int, int, int, Interface]] = []
+        # destination string -> route() result, one entry per address
+        # ever routed to; add_route() clears it
+        self._route_cache: dict[str, Optional[Interface]] = {}
         self._tcp = None
         self._udp = None
         self.cpu = None  # attached by simnet.cpu.CpuModel when modelling CPU cost
@@ -135,6 +138,7 @@ class Host:
     def add_interface(self, ip: str, prefixlen: int, name: str = "") -> Interface:
         iface = Interface(self, name or f"eth{len(self.interfaces)}", ip, prefixlen)
         self.interfaces.append(iface)
+        self.local_ips.add(ip)
         self.add_route(ip, prefixlen, iface)  # connected route
         return iface
 
@@ -143,13 +147,10 @@ class Host:
         entry = (ip_to_int(prefix) & mask, prefixlen, mask, iface)
         self._routes.append(entry)
         self._routes.sort(key=lambda r: -r[1])
+        self._route_cache.clear()
 
     def default_route(self, iface: Interface) -> None:
         self.add_route("0.0.0.0", 0, iface)
-
-    @property
-    def local_ips(self) -> set[str]:
-        return {iface.ip for iface in self.interfaces}
 
     @property
     def ip(self) -> str:
@@ -178,24 +179,38 @@ class Host:
 
     # -- data path ----------------------------------------------------------
     def route(self, dst_ip: str) -> Optional[Interface]:
+        """Longest-prefix match, memoised per destination string."""
+        try:
+            return self._route_cache[dst_ip]
+        except KeyError:
+            pass
         dst = ip_to_int(dst_ip)
+        found = None
         for prefix, _plen, mask, iface in self._routes:
             if dst & mask == prefix:
-                return iface
-        return None
+                found = iface
+                break
+        self._route_cache[dst_ip] = found
+        return found
+
+    def _drop(self, iface: Optional[Interface], segment: Segment, reason: str) -> None:
+        if self.net.tracers:
+            self.net.trace(
+                "drop", host=self, iface=iface, segment=segment, reason=reason
+            )
 
     def send_segment(self, segment: Segment) -> None:
         """Route and transmit a locally originated segment."""
-        if segment.dst[0] in self.local_ips:
+        dst_ip = segment.dst[0]
+        if dst_ip in self.local_ips:
             # Loopback delivery, no wire.
-            self.net.trace("lo", host=self, iface=None, segment=segment)
+            if self.net.tracers:
+                self.net.trace("lo", host=self, iface=None, segment=segment)
             self.sim.call_later(0.0, self._deliver_local, segment)
             return
-        iface = self.route(segment.dst[0])
+        iface = self.route(dst_ip)
         if iface is None:
-            self.net.trace(
-                "drop", host=self, iface=None, segment=segment, reason="no-route"
-            )
+            self._drop(None, segment, "no-route")
             return
         iface.send(segment)
 
@@ -205,23 +220,16 @@ class Host:
         elif self.ip_forward:
             self._forward(segment)
         else:
-            self.net.trace(
-                "drop", host=self, iface=iface, segment=segment,
-                reason="not-for-me",
-            )
+            self._drop(iface, segment, "not-for-me")
 
     def _forward(self, segment: Segment) -> None:
         if segment.ttl <= 1:
-            self.net.trace(
-                "drop", host=self, iface=None, segment=segment, reason="ttl"
-            )
+            self._drop(None, segment, "ttl")
             return
         segment.ttl -= 1
         out = self.route(segment.dst[0])
         if out is None:
-            self.net.trace(
-                "drop", host=self, iface=None, segment=segment, reason="no-route"
-            )
+            self._drop(None, segment, "no-route")
             return
         out.send(segment)
 

@@ -1,12 +1,17 @@
 """Unit tests for the discrete-event engine."""
 
+import itertools
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.simnet.engine import (
     Event,
     Interrupt,
     SimulationError,
     Simulator,
+    StopSimulation,
     all_of,
     any_of,
 )
@@ -351,3 +356,113 @@ def test_determinism_two_identical_runs():
         return log
 
     assert build() == build()
+
+
+# -- bare call entries (call_later / call_at) ---------------------------------
+#
+# A timer call sits on the heap as a bare ``(when, seq, fn, args)`` next to
+# the ``Event`` entries; the contract is that nothing but the allocation
+# changed: one sequence counter, the same timestamps, the same exits.
+
+
+@pytest.mark.parametrize(
+    "order", list(itertools.permutations(["call", "timeout", "event"]))
+)
+def test_bare_calls_and_events_due_together_fire_in_scheduling_order(order):
+    sim = Simulator()
+    sim.run(until=2.5)
+    log = []
+    schedule = {
+        "call": lambda: sim.call_later(0.0, log.append, "call"),
+        "timeout": lambda: sim.timeout(0.0).add_callback(
+            lambda ev: log.append("timeout")
+        ),
+        "event": lambda: sim.event().succeed().add_callback(
+            lambda ev: log.append("event")
+        ),
+    }
+    for kind in order:
+        schedule[kind]()
+    sim.call_at(2.5, log.append, "last")
+    sim.run()
+    assert log == [*order, "last"]
+    assert sim.now == 2.5
+
+
+def test_call_later_and_call_at_return_nothing():
+    sim = Simulator()
+    assert sim.call_later(1.0, lambda: None) is None
+    assert sim.call_at(1.0, lambda: None) is None
+    assert sim.pending == 2
+
+
+_times = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+
+
+@given(now=_times, delay=_times)
+def test_call_later_fires_at_the_timestamp_the_event_path_computed(now, delay):
+    # what call_later -> call_at -> Event -> _schedule(when - now) summed
+    # to before the bare entries; not always ``now + delay`` to the bit
+    sim = Simulator()
+    sim.run(until=now)
+    fired = []
+    sim.call_later(delay, lambda: fired.append(sim.now))
+    sim.call_at(now + delay, lambda: fired.append(sim.now))
+    sim.run()
+    when = now + delay
+    assert fired == [now + (when - now)] * 2
+
+
+def test_call_later_into_the_past_rejected():
+    sim = Simulator()
+    sim.run(until=3.0)
+    with pytest.raises(ValueError):
+        sim.call_later(-1.0, lambda: None)
+    assert sim.pending == 0
+
+
+def test_exception_from_a_bare_call_leaves_run_reenterable():
+    sim = Simulator()
+    log = []
+
+    def boom():
+        raise RuntimeError("boom")
+
+    sim.call_later(1.0, boom)
+    sim.call_later(2.0, log.append, "after")
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run()
+    assert sim.now == 1.0 and sim.pending == 1
+    sim.run()
+    assert log == ["after"] and sim.now == 2.0
+
+
+def test_run_until_stops_before_a_bare_call_at_the_heap_head():
+    sim = Simulator()
+    log = []
+    sim.call_later(1.0, log.append, "one")
+    sim.call_later(2.0, log.append, "two")
+    sim.run(until=1.5)
+    assert log == ["one"] and sim.now == 1.5 and sim.pending == 1
+    sim.run(until=2.0)  # an entry due exactly at the bound still fires
+    assert log == ["one", "two"] and sim.now == 2.0
+
+
+def test_stop_simulation_from_a_bare_call_ends_run_quietly():
+    sim = Simulator()
+    log = []
+
+    def halt():
+        raise StopSimulation()
+
+    sim.call_later(1.0, halt)
+    sim.call_later(1.0, log.append, "same instant, later turn")
+    sim.run(until=10.0)
+    # stopped where it was: the clock is not advanced to ``until``
+    assert log == [] and sim.now == 1.0 and sim.pending == 1
+    sim.call_later(0.5, sim.stop)
+    sim.call_later(1.0, log.append, "after stop()")
+    sim.run()
+    assert log == ["same instant, later turn"] and sim.now == 1.5
+    sim.run()
+    assert log[-1] == "after stop()" and sim.pending == 0

@@ -103,6 +103,91 @@ def test_non_forwarding_host_drops_transit():
     assert any(e["reason"] == "not-for-me" for e in drops)
 
 
+# -- what the data path remembers between packets must track its sources ----
+
+
+def _three_hosts():
+    """``r`` forwards between ``a`` (10.0.0.0/24) and ``b`` (10.0.1.0/24)."""
+    net = Network()
+    r = net.add_router("r")
+    a = net.add_host("a")
+    b = net.add_host("b")
+    net.connect(r, a, "10.0.0.1", "10.0.0.2", 24)
+    net.connect(r, b, "10.0.1.1", "10.0.1.2", 24)
+    a.default_route(a.interfaces[0])
+    b.default_route(b.interfaces[0])
+    return net, r, a, b
+
+
+def test_more_specific_route_added_after_traffic_wins_on_the_next_packet():
+    net, r, a, b = _three_hosts()
+    r.add_route("203.0.113.0", 24, r.interfaces[0])  # victim prefix: via a
+    seen = []
+    net.tracers.append(
+        lambda e: seen.append((e["host"].name, e["reason"]))
+        if e["kind"] == "drop" else None
+    )
+
+    def probe():
+        b.send_segment(Segment(src=(b.ip, 1), dst=("203.0.113.5", 2)))
+        net.run()
+
+    probe()
+    probe()  # the second one rides whatever the first left behind
+    assert seen == [("a", "not-for-me")] * 2
+    r.add_route("203.0.113.5", 32, r.interfaces[1])  # now: back out via b
+    probe()
+    assert seen[2:] == [("b", "not-for-me")]
+    assert r.route("203.0.113.5") is r.interfaces[1]
+    assert r.route("203.0.113.6") is r.interfaces[0]
+
+
+def test_route_miss_is_not_remembered_past_add_route():
+    net, r, a, b = _three_hosts()
+    assert r.route("203.0.113.5") is None
+    r.default_route(r.interfaces[1])
+    assert r.route("203.0.113.5") is r.interfaces[1]
+
+
+def test_interface_added_later_is_local_at_once():
+    net, r, a, b = _three_hosts()
+    delivered = []
+    b._deliver_local = delivered.append
+    stray = Segment(src=(a.ip, 1), dst=("10.0.2.2", 2))
+    a.send_segment(stray)
+    net.run()
+    assert delivered == []  # r has no route to 10.0.2.0/24 yet
+    c = net.add_host("c")
+    net.connect(b, c, "10.0.2.2", "10.0.2.3", 24)
+    assert "10.0.2.2" in b.local_ips
+    r.add_route("10.0.2.0", 24, r.interfaces[1])
+    a.send_segment(stray)
+    net.run()
+    assert delivered == [stray]
+
+
+def test_tracer_appended_mid_run_sees_the_next_events():
+    net, r, a, b = _three_hosts()
+    to_b = dict(src=(a.ip, 1), dst=(b.ip, 2), proto="udp")
+    a.send_segment(Segment(**to_b))  # flows with nobody listening
+    net.run()
+    kinds = []
+    tracer = lambda e: kinds.append((e["kind"], e["host"].name))  # noqa: E731
+    sim = net.sim
+    # in flight on a->r when the tracer arrives: r and b must report it
+    a.interfaces[0].transmitter.delay = 2.0
+    a.send_segment(Segment(**to_b))
+    sim.call_later(1.0, net.tracers.append, tracer)
+    sim.call_later(3.0, a.send_segment, Segment(**{**to_b, "dst": (a.ip, 2)}))
+    sim.call_later(3.0, a.send_segment, Segment(src=(a.ip, 1), dst=("203.0.113.1", 2)))
+    net.run()
+    assert kinds == [
+        ("rx", "r"), ("tx", "r"), ("rx", "b"),
+        ("lo", "a"),
+        ("tx", "a"), ("rx", "r"), ("drop", "r"),
+    ]
+
+
 def test_duplicate_host_name_rejected():
     net = Network()
     net.add_host("x")

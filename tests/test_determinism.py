@@ -4,10 +4,24 @@ EXPERIMENTS.md promises bit-for-bit reproducibility; these tests hold the
 whole stack to it — same seeds, same event ordering, same numbers.
 """
 
+import gc
+import hashlib
+import importlib.util
+import json
+import pathlib
+import tempfile
+
+import pytest
+
+from repro.chaos import run_chaos
 from repro.core.scenarios import GridScenario
 from repro.core.utilization import StackSpec
 from repro.simnet.testing import run_transfer, wan_pair
 from repro.workloads import payload_with_ratio
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKET_FACTS = ROOT / "goldens" / "sim" / "packet_facts.json"
+PINNED_SEEDS = (1, 7)
 
 
 def _establishment_run(seed):
@@ -61,3 +75,107 @@ def test_workload_generators_are_deterministic():
     assert payload_with_ratio(65536, 2.5, seed=4) == payload_with_ratio(
         65536, 2.5, seed=4
     )
+
+
+# -- the packet tier against pinned facts -----------------------------------
+#
+# The tests above compare a run with itself, so a change that shifts every
+# run equally passes them.  These compare with facts recorded once, from
+# the calls ``benchmarks/perf/sim.py::packet_steps`` makes (the Fig. 9/10
+# transfers cut to two messages per stack to keep a seed under 5 s).
+# Floats are pinned as ``repr``: the same simulation means the same bits.
+# Regenerate with ``PYTHONPATH=src python tests/test_determinism.py`` --
+# only from a commit whose simulation is the reference.
+
+_FIG_MESSAGE = 256 * 1024
+_FIG_TOTAL = 2 * _FIG_MESSAGE
+_LINK_SEED = 9
+_CHAOS_CALLS = {
+    "wan_transfer": dict(sessions=True, plan="link_down@3:site=B,for=30"),
+    "wan_transfer_routed": {},
+    "mux_fanin": {},
+    "ipl_fanin": {},
+}
+
+
+def _paperlinks():
+    spec = importlib.util.spec_from_file_location(
+        "paperlinks", ROOT / "benchmarks" / "paperlinks.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def packet_facts(seed):
+    paperlinks = _paperlinks()
+    payload = payload_with_ratio(1 << 20, paperlinks.PAYLOAD_RATIO, seed=seed)
+    links = {
+        "fig9": paperlinks.AMSTERDAM_RENNES,
+        "fig10": paperlinks.DELFT_SOPHIA,
+    }
+    stacks = {
+        "tcp": StackSpec.tcp(),
+        "parallel4": StackSpec.parallel(4),
+        "compress_parallel4": StackSpec.parallel(4).with_compression(),
+    }
+    facts = {}
+    for fig, link in links.items():
+        for stack, spec in stacks.items():
+            gc.collect()
+            scenario = paperlinks.build_paper_wan(link, seed=_LINK_SEED)
+            res = scenario.measure_stack_throughput(
+                "src", "dst", spec, payload, _FIG_TOTAL,
+                message_size=_FIG_MESSAGE,
+            )
+            facts[f"{fig}.{stack}"] = {
+                "received": res["received"],
+                "throughput": repr(res["throughput"]),
+                "seconds": repr(res["seconds"]),
+                "tx_packets": sum(
+                    direction.stats.tx_packets
+                    for duplex in scenario.backend.links
+                    for direction in (duplex.a_to_b, duplex.b_to_a)
+                ),
+            }
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, kwargs in _CHAOS_CALLS.items():
+            trace = pathlib.Path(tmp) / f"{name}.jsonl"
+            # an earlier run's abandoned processes, collected during this
+            # one, would end their spans in this one's trace
+            gc.collect()
+            report = run_chaos(
+                scenario=name, seed=seed, trace_path=str(trace), **kwargs
+            )
+            records = sorted(trace.read_text().splitlines())
+            facts[name] = {
+                "ok": report.ok,
+                "received": sum(c["received_bytes"] for c in report.channels),
+                "stats": dict(report.stats),
+                # every metric and span of the run, sim timestamps included
+                "trace_sha256": hashlib.sha256(
+                    "\n".join(records).encode()
+                ).hexdigest(),
+            }
+    return facts
+
+
+@pytest.mark.parametrize("seed", PINNED_SEEDS)
+def test_packet_tier_matches_pinned_facts(seed):
+    pinned = json.loads(PACKET_FACTS.read_text())[str(seed)]
+    facts = packet_facts(seed)
+    assert sorted(facts) == sorted(pinned)
+    for name in pinned:
+        assert facts[name] == pinned[name], name
+
+
+if __name__ == "__main__":
+    PACKET_FACTS.parent.mkdir(parents=True, exist_ok=True)
+    PACKET_FACTS.write_text(
+        json.dumps(
+            {str(seed): packet_facts(seed) for seed in PINNED_SEEDS},
+            indent=1, sort_keys=True,
+        )
+        + "\n"
+    )
+    print(f"wrote {PACKET_FACTS}")
