@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: bench-record bench-diff test test-fast test-obs smoke-obs smoke-assemble smoke-mux smoke-flow smoke-telemetry smoke-tune chaos chaos-sweep chaos-resume chaos-mux chaos-mesh chaos-tune live-chaos golden-gate golden-capture golden-soak
+.PHONY: bench-record bench-diff frame-census test test-fast test-obs smoke-obs smoke-assemble smoke-mux smoke-flow smoke-telemetry smoke-tune chaos chaos-sweep chaos-resume chaos-mux chaos-mesh chaos-tune live-chaos golden-gate golden-capture golden-soak
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -74,6 +74,13 @@ bench-record:
 
 bench-diff:
 	$(PYTHON) scripts/bench_history.py diff
+
+# Frame census of relay > session > mux > tcp_block on loopback sockets:
+# relay frames per MiB, the share of them <= 64 B, frames by kind per
+# layer, mux.backpressure_waits per MiB.  A printed diagnostic with two
+# loose gates; the deterministic budget is tests/core/test_frame_census.py.
+frame-census:
+	$(PYTHON) scripts/frame_census.py --mib 64 --max-frames 40 --max-stalls 10
 
 # Skip tests that bind real loopback sockets (useful in sandboxes).
 test-fast:

@@ -223,16 +223,15 @@ class FleetScenario:
         self.relay.forwarded_messages += 1
         reg = obs.metrics()
         reg.counter("relay.forwarded_bytes_total", backend="flow").inc(size)
-        # hub side of the ledger: bytes delivered, credit granted back
-        # beyond the initial window (sent <= window + granted must hold)
+        # hub side of the ledger: bytes delivered, and credit granted —
+        # the window the channel opened with, then whatever a flow longer
+        # than that needed back (sent <= granted must hold)
         reg.counter("mux.rx_bytes", node="relay", channel=flow.channel).inc(
             size
         )
-        grant = max(0, size - DEFAULT_WINDOW)
-        if grant:
-            reg.counter(
-                "mux.credit_granted", node="relay", channel=flow.channel
-            ).inc(grant)
+        reg.counter(
+            "mux.credit_granted", node="relay", channel=flow.channel
+        ).inc(max(size, DEFAULT_WINDOW))
 
     # -- partition / resume accounting ---------------------------------------
     def _on_link_change(self, link, down: bool) -> None:

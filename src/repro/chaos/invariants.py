@@ -26,7 +26,6 @@ from __future__ import annotations
 import hashlib
 from typing import Iterable, Optional
 
-from ..mux import DEFAULT_WINDOW
 from ..obs import MetricsRegistry, TraceRecorder
 
 __all__ = ["ChannelAudit", "check_invariants", "obs_consistency_violations"]
@@ -105,9 +104,10 @@ def _mux_violations(registry: MetricsRegistry) -> list[str]:
     was delivered to exactly one receiver (summed per channel id across
     the run's nodes, tx == rx — a muxed grid pair shares the channel id
     on both sides).  Credit: no endpoint ever transmitted more than the
-    peer's initial window plus everything the peer granted back, so the
-    flow-control contract held for the entire run.  A run without mux
-    counters checks nothing.
+    peer granted it — ``mux.credit_granted`` counts the window a channel
+    opened with as its first grant, so the check is ``sent <= granted``
+    whatever window was asked for — and the flow-control contract held
+    for the entire run.  A run without mux counters checks nothing.
     """
     tx: dict = {}          # channel -> total DATA bytes sent
     rx: dict = {}          # channel -> total DATA bytes delivered
@@ -141,13 +141,11 @@ def _mux_violations(registry: MetricsRegistry) -> list[str]:
                 f"{sent} bytes sent, {got} delivered"
             )
     for (node, ch), sent in sorted(tx_by_node.items()):
-        peer_grants = granted_by_ch.get(ch, 0) - granted.get((node, ch), 0)
-        allowed = DEFAULT_WINDOW + peer_grants
+        allowed = granted_by_ch.get(ch, 0) - granted.get((node, ch), 0)
         if sent > allowed:
             out.append(
                 f"mux: channel {ch} credit overrun on {node}: "
-                f"{sent} bytes sent, {allowed} allowed "
-                f"(window {DEFAULT_WINDOW} + {peer_grants} granted)"
+                f"{sent} bytes sent, {allowed} granted by the peer"
             )
     return out
 

@@ -329,10 +329,8 @@ class RoutedLink(RoutedChannel, Link):
     def send_all(self, data: bytes) -> Generator:
         if self.closed:
             raise RelayError("send on closed routed link")
-        view = memoryview(data)  # chunks are copied once, into their frame
-        for offset in range(0, len(view), MAX_MSG):
-            yield from self.client._send(
-                self.msg_frame(view[offset : offset + MAX_MSG]))
+        for frame in self.msg_frames(data):
+            yield from self.client._send(frame)
 
     def recv(self, maxbytes: int) -> Generator:
         ev: Event = self.client.sim.event()

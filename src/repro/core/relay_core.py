@@ -44,6 +44,8 @@ from ..mesh.routes import RouteTable
 from ..mesh.state import MeshState, decode_entries, encode_entries
 from ..obs import TraceContext
 from ..obs.flight import FlightRecorder
+from ..util import sizes
+from ..util.bytesbuf import take
 from ..util.framing import ByteReader, ByteWriter, FrameError
 
 __all__ = ["RelayCore", "RelayClientCore", "RoutedChannel", "MeshSelection",
@@ -61,10 +63,11 @@ T_GOSSIP = 8
 T_MESH = 9
 T_TRUNK = 10
 
-#: maximum payload per routed message
-MAX_MSG = 32768
+#: maximum payload per routed message: one full session DATA frame with
+#: the ACK it may carry, so the layer above never costs two messages here
+MAX_MSG = sizes.RELAY_MAX_MSG
 #: largest frame a relay connection carries: one routed message + header
-MAX_RELAY_FRAME = MAX_MSG + 1024
+MAX_RELAY_FRAME = sizes.MAX_RELAY_FRAME
 
 #: a registered node's keepalive: refreshes middlebox state, carries nothing
 PING_FRAME = bytes([T_PING])
@@ -635,19 +638,20 @@ class RoutedChannel:
             if self._error is not None:
                 raise self._error
             return b"" if self._eof else None
-        if len(buf) <= maxbytes:
-            data = bytes(buf)
-            buf.clear()
-        else:
-            with memoryview(buf) as view:
-                data = bytes(view[:maxbytes])
-            del buf[:maxbytes]
-        return data
+        return take(buf, maxbytes)
 
     def msg_frame(self, chunk) -> bytes:
         """The frame carrying ``chunk`` (at most MAX_MSG bytes) to the peer."""
         return routed_body(T_MSG, self.client.node_id, self.peer, self.channel,
                            chunk, sender_owns_channel=self.owned)
+
+    def msg_frames(self, data):
+        """The frames carrying ``data`` to the peer, in order: ``MAX_MSG``
+        bytes apiece, none a runt; each chunk is copied once, into its
+        frame."""
+        view = memoryview(data)
+        for start, end in sizes.pieces(len(view), MAX_MSG):
+            yield self.msg_frame(view[start:end])
 
     def close(self) -> None:
         """Local readers see EOF too (same as when the relay session dies),

@@ -8,7 +8,8 @@ and knows nothing of simulator events or asyncio; a binding
 Wire format (all integers big-endian, on the established link)::
 
     DATA      = u8(1) u32(len) bytes      # 0 < len <= MAX_CHUNK
-    ACK       = u8(2) u64(rx_off)         # cumulative delivered bytes
+    ACK       = u8(2) u64(rx_off)         # cumulative delivered bytes; rides
+                                          # in front of a DATA when one goes
     PING      = u8(3)
     PONG      = u8(4) u64(rx_off)
     FIN       = u8(5) u64(fin_off)        # sender finished at fin_off
@@ -32,6 +33,8 @@ from typing import NamedTuple, Optional
 from .. import obs
 from ..obs import TraceContext
 from ..obs.flight import FlightRecorder
+from ..util.bytesbuf import take
+from ..util.sizes import SESSION_MAX_CHUNK, cut, pieces
 
 __all__ = ["SessionCore", "SessionError", "SessionConfig", "ReplayBuffer",
            "Resume", "decode_resume", "decode_resume_ok", "MAX_CHUNK",
@@ -62,8 +65,9 @@ _BODY_SIZE = {F_DATA: _U32.size, F_PING: 0, **dict.fromkeys(
 #: parser step marker: the bytes awaited are a DATA payload
 _PAYLOAD = -1
 
-#: largest payload per DATA frame (also the replay-retransmit chunk size)
-MAX_CHUNK = 32768
+#: largest payload per DATA frame (also the replay-retransmit chunk size):
+#: one full mux frame, so the layer above never costs two frames here
+MAX_CHUNK = SESSION_MAX_CHUNK
 
 #: what a fresh link's first read must fetch, per direction
 RESUME_SIZE = _RESUME_HDR.size + TraceContext.WIRE_SIZE
@@ -83,7 +87,9 @@ class SessionError(Exception):
 class SessionConfig:
     """Tuning knobs, settable from the spec layer (``session:ack=..,buf=..,hb=..``)."""
 
-    ack_every: int = 65536
+    #: delivered bytes after which an ACK goes out *on its own* — one that
+    #: found no DATA frame to ride on; 0 leaves that to the replay bound
+    ack_every: int = 0
     max_buffer: int = 1 << 20
     heartbeat: float = 2.0
     dead_factor: float = 3.0
@@ -92,6 +98,14 @@ class SessionConfig:
     @property
     def dead_after(self) -> float:
         return self.heartbeat * self.dead_factor
+
+    def ack_backstop(self, replay_bound: int) -> int:
+        """Unacknowledged delivered bytes that force a standalone ACK: a
+        quarter of the sender's replay bound, so a writer with no reverse
+        traffic to carry its ACKs is released well before it parks;
+        ``ack_every`` can only bring that forward."""
+        quarter = max(1, replay_bound // 4)
+        return min(self.ack_every, quarter) if self.ack_every else quarter
 
     @classmethod
     def from_layer(cls, layer) -> "SessionConfig":
@@ -317,11 +331,14 @@ class SessionCore:
 
     # -- application side --------------------------------------------------------
     def write(self, data) -> Optional[tuple]:
-        """Admit the head of ``data`` — at most :data:`MAX_CHUNK` bytes —
-        into the replay buffer and return ``(frame, taken)``: the DATA
-        frame to put on the link and how much of ``data`` it carries.
-        ``None`` while recovering or while the replay buffer is at
-        ``max_buffer``: park until ``WAKE_WINDOW`` and ask again.
+        """Admit the head of ``data`` — at most :data:`MAX_CHUNK` bytes,
+        never cut so as to leave a runt — into the replay buffer and
+        return ``(frame, taken)``: the DATA frame to put on the link and
+        how much of ``data`` it carries.  Whatever was delivered and not
+        yet acknowledged is acknowledged by an ACK in front of that DATA,
+        in the same write.  ``None`` while recovering or while the replay
+        buffer is at ``max_buffer``: park until ``WAKE_WINDOW`` and ask
+        again.
 
         The bytes are in the replay buffer *before* the write: if the link
         dies mid-frame they are retransmitted after resume.
@@ -334,25 +351,20 @@ class SessionCore:
         unacked = self._replay._data
         if len(unacked) >= self.config.max_buffer:
             return None
-        chunk = data[:MAX_CHUNK]
+        chunk = data[:cut(len(data), MAX_CHUNK)]
         unacked += chunk
         header = _DATA_HDR.pack(F_DATA, len(chunk))
+        if self._rx_off > self._last_ack_sent or "ack" in self._owed:
+            self._owed.discard("ack")
+            return b"".join((self._ack_frame(), header, chunk)), len(chunk)
         return b"".join((header, chunk)), len(chunk)
 
     def read(self, maxbytes: int) -> Optional[bytes]:
         """Up to ``maxbytes`` of delivered data, ``b""`` at end of stream
         (peer's FIN reached, or the session finished), ``None`` to wait for
         ``WAKE_RX``."""
-        rx = self._rx
-        if rx:
-            if len(rx) <= maxbytes:
-                take = bytes(rx)
-                rx.clear()
-            else:
-                with memoryview(rx) as view:
-                    take = bytes(view[:maxbytes])
-                del rx[:maxbytes]
-            return take
+        if self._rx:
+            return take(self._rx, maxbytes)
         if self._failure is not None:
             raise self.error_class(
                 f"session {self.sid:016x} failed") from self._failure
@@ -457,7 +469,9 @@ class SessionCore:
         self._rx += payload
         self.wake(self.WAKE_RX)
         self._owe_finack()
-        if self._rx_off - self._last_ack_sent >= self.config.ack_every:
+        # an ACK of its own only as a backstop: the next write carries one
+        if self._rx_off - self._last_ack_sent >= self.config.ack_backstop(
+                self.peer_max_buffer or self.config.max_buffer):
             self._owe("ack")
 
     def _on_fin(self, off: int) -> None:
@@ -502,9 +516,7 @@ class SessionCore:
             return b""
         frames = []
         if "pong" in owed or "ack" in owed:
-            kind = F_PONG if "pong" in owed else F_ACK
-            frames.append(_OFF_HDR.pack(kind, self._rx_off))
-            self._last_ack_sent = self._rx_off
+            frames.append(self._ack_frame(F_PONG if "pong" in owed else F_ACK))
             owed -= {"pong", "ack"}
         if "ping" in owed:
             frames.append(bytes((F_PING,)))
@@ -522,6 +534,10 @@ class SessionCore:
             frames.append(_OFF_HDR.pack(F_FIN, self._tx_fin))
             owed.discard("fin")
         return b"".join(frames)
+
+    def _ack_frame(self, kind: int = F_ACK) -> bytes:
+        self._last_ack_sent = self._rx_off
+        return _OFF_HDR.pack(kind, self._rx_off)
 
     def control_sent(self) -> None:
         """What :meth:`control_frames` last returned is on the link."""
@@ -544,10 +560,11 @@ class SessionCore:
     # -- time --------------------------------------------------------------------
     def tick(self, now: float) -> None:
         """Heartbeat, watchdog, close deadline; call every
-        ``config.heartbeat`` seconds.  A receive side idle for a heartbeat
-        owes a PING (which also re-creates middlebox state from the quiet
-        end); an initiator that heard nothing for ``dead_after`` abandons
-        the link on purpose: a silent stall never errors."""
+        ``config.heartbeat`` seconds.  Delivered bytes no write has
+        acknowledged since owe their ACK now.  A receive side idle for a
+        heartbeat owes a PING (which also re-creates middlebox state from
+        the quiet end); an initiator that heard nothing for ``dead_after``
+        abandons the link on purpose: a silent stall never errors."""
         if self.ended:
             return
         if self._close_deadline is not None and now >= self._close_deadline:
@@ -559,6 +576,8 @@ class SessionCore:
             return
         if self._state != ACTIVE:
             return  # recovery paces itself
+        if self._rx_off > self._last_ack_sent:
+            self._owe("ack")
         idle = now - self._last_rx
         if idle >= self.config.dead_after and self.role == self.INITIATOR:
             obs.event("session.watchdog", sid=f"{self.sid:016x}",
@@ -631,9 +650,8 @@ class SessionCore:
             raise
         pending = self._replay.unacked()
         frames += [
-            _DATA_HDR.pack(F_DATA, len(chunk)) + chunk
-            for chunk in (pending[i : i + MAX_CHUNK]
-                          for i in range(0, len(pending), MAX_CHUNK))
+            _DATA_HDR.pack(F_DATA, end - start) + pending[start:end]
+            for start, end in pieces(len(pending), MAX_CHUNK)
         ]
         if self._tx_fin is not None:
             frames.append(_OFF_HDR.pack(F_FIN, self._tx_fin))

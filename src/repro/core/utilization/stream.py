@@ -13,11 +13,10 @@ from typing import Generator, Optional
 
 from ... import obs
 from ...obs import TraceContext
+from ...util.sizes import DEFAULT_BLOCK
 from .base import Driver
 
 __all__ = ["BlockChannel", "DEFAULT_BLOCK"]
-
-DEFAULT_BLOCK = 65536
 
 #: message frame header: flags (bit 0 = trace context follows) + length
 _MSG_HDR = struct.Struct("!BI")

@@ -25,6 +25,8 @@ from ..security.handshake import (
     ServerHandshake,
 )
 from ..security.record import RecordError
+from ..util.bytesbuf import take
+from ..util.sizes import DEFAULT_BLOCK
 from .transport import LiveSocket
 
 __all__ = [
@@ -316,7 +318,7 @@ class AsyncBlockChannel:
     _MSG_HDR = struct.Struct("!BI")
     _F_CTX = 1
 
-    def __init__(self, driver: AsyncDriver, block_size: int = 65536):
+    def __init__(self, driver: AsyncDriver, block_size: int = DEFAULT_BLOCK):
         self.driver = driver
         self.block_size = block_size
         self._out = bytearray()
@@ -339,14 +341,17 @@ class AsyncBlockChannel:
             await self.driver.send_block(block)
 
     async def read(self, maxbytes: int) -> bytes:
-        while not self._in and not self._eof:
+        buf = self._in
+        while not buf and not self._eof:
             try:
-                self._in.extend(await self.driver.recv_block())
+                block = await self.driver.recv_block()
             except EOFError:
                 self._eof = True
-        take = bytes(self._in[:maxbytes])
-        del self._in[: len(take)]
-        return take
+            else:
+                if 0 < len(block) <= maxbytes:
+                    return block  # wanted whole: it never enters the buffer
+                buf += block
+        return take(buf, maxbytes)
 
     async def read_exactly(self, n: int) -> bytes:
         parts = []
@@ -355,6 +360,8 @@ class AsyncBlockChannel:
             data = await self.read(remaining)
             if not data:
                 raise EOFError(f"channel ended with {remaining}/{n} bytes missing")
+            if len(data) == n:
+                return data  # one block satisfied the read: nothing to join
             parts.append(data)
             remaining -= len(data)
         return b"".join(parts)

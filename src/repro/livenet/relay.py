@@ -17,7 +17,6 @@ import time
 from typing import Callable, Optional
 
 from ..core.relay_core import (
-    MAX_MSG,
     MAX_RELAY_FRAME,
     Hop,
     MeshSelection,
@@ -257,11 +256,10 @@ class LiveRoutedLink(RoutedChannel, ExactReads):
         self._event.set()
 
     async def send_all(self, data: bytes) -> None:
-        view = memoryview(data)  # chunks are copied once, into their frame
-        for offset in range(0, len(view), MAX_MSG):
+        for frame in self.msg_frames(data):
             if self._eof or not self.client.connected:
                 raise ConnectionResetError("routed link lost its relay")
-            await self.client._send(self.msg_frame(view[offset : offset + MAX_MSG]))
+            await self.client._send(frame)
 
     async def recv(self, maxbytes: int) -> bytes:
         while (data := self.take(maxbytes)) is None:

@@ -62,7 +62,8 @@ RETRY_DELAY = 0.05
 #: may linger for its peer (``aclose`` takes its own)
 CLOSE_TIMEOUT = 20.0
 
-_READ_SIZE = 65536
+#: per read of the transport: more than one full DATA frame
+_READ_SIZE = 1 << 17
 
 #: binding-private wake kind: the transport is free for the next writer
 _WAKE_TX = "tx"

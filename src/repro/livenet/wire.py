@@ -43,6 +43,8 @@ class ExactReads:
             if not data:
                 raise EOFError(
                     f"{type(self).__name__} ended with {remaining}/{n} missing")
+            if len(data) == n:
+                return data  # one chunk satisfied the read: nothing to join
             parts.append(data)
             remaining -= len(data)
         return b"".join(parts)

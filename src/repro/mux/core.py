@@ -19,18 +19,18 @@ from typing import Callable, Optional
 
 from .. import obs
 from ..obs import TraceContext
+from ..util.sizes import DEFAULT_WINDOW, LONE_DATA_PAYLOAD, cut
 from . import frames
 from .frames import MuxProtocolError
 from .scheduler import RoundRobinScheduler, Scheduler
 
 __all__ = ["MuxCore", "ChannelState", "MuxError", "DEFAULT_WINDOW",
-           "MAX_DATA_PAYLOAD"]
+           "MAX_DATA_PAYLOAD", "LONE_DATA_PAYLOAD"]
 
-#: default per-channel credit window (bytes in flight toward a receiver)
-DEFAULT_WINDOW = 65536
-
-#: largest DATA payload one scheduler turn may transmit — small enough
-#: that round-robin interleaving stays fine-grained on a shared link
+#: largest DATA payload of a scheduler turn while another channel is
+#: ready — small enough that interleaving stays fine-grained on a shared
+#: link.  A channel that has the carrier to itself sends a whole write,
+#: up to ``LONE_DATA_PAYLOAD``, in one frame.
 MAX_DATA_PAYLOAD = 16384
 
 
@@ -85,6 +85,9 @@ class ChannelState:
         self._m_rx_bytes = reg.counter("mux.rx_bytes", **labels)
         self._m_granted = reg.counter("mux.credit_granted", **labels)
         self._m_turns = reg.counter("mux.sched_turns", **labels)
+        # the window OPEN/ACCEPT announces is the first grant, so the
+        # ledger reads ``sent <= granted`` whatever window was asked for
+        self._m_granted.inc(window)
 
     # -- application side ----------------------------------------------------
     def write(self, data: bytes) -> None:
@@ -113,11 +116,21 @@ class ChannelState:
             chunk = chunk[:maxbytes]
         # the application drained bytes: maybe replenish the peer's credit
         self._consumed_since_grant += len(chunk)
-        if (not self._remote_closed and self._consumed_since_grant
-                >= max(1, self._rx_window // 2)):
+        if (not self._remote_closed
+                and self._consumed_since_grant >= self._grant_threshold()):
             grant, self._consumed_since_grant = self._consumed_since_grant, 0
             self._grant(grant)
         return chunk
+
+    def _grant_threshold(self) -> int:
+        """Consumed bytes that earn the peer a CREDIT: half the window —
+        a handful of grants per window's worth, not one per read — but no
+        more than a contended quantum once the peer cannot send even that,
+        so a sender is not left parked on bytes already consumed."""
+        half = max(1, self._rx_window // 2)
+        if self._rx_allowance < MAX_DATA_PAYLOAD:
+            return min(half, MAX_DATA_PAYLOAD)
+        return half
 
     def close(self) -> None:
         """Graceful half-close once everything written has been sent."""
@@ -425,7 +438,11 @@ class MuxCore:
     def next_frame(self) -> Optional[bytes]:
         """The next frame body to write — every queued control frame first,
         then one scheduler turn of DATA — or ``None`` when there is nothing
-        to send (park until ``WAKE_TX``).  Asking acknowledges that the
+        to send (park until ``WAKE_TX``).  A turn carries the head of the
+        channel's oldest write: all of it, up to ``LONE_DATA_PAYLOAD``,
+        while no other channel is ready, at most ``MAX_DATA_PAYLOAD`` the
+        moment one is; never more than the peer's credit, and never cut so
+        as to leave a runt.  Asking acknowledges that the
         previous frame has been handed to the carrier: only then is its
         channel's turn accounted and, if its buffer emptied, its writer
         released and a pending graceful CLOSE queued."""
@@ -445,10 +462,12 @@ class MuxCore:
         if channel is None:
             return None
         payload = channel._txq.popleft()
-        limit = min(MAX_DATA_PAYLOAD, channel._tx_credit)
-        if len(payload) > limit:
-            channel._txq.appendleft(payload[limit:])
-            payload = payload[:limit]
+        quantum = (LONE_DATA_PAYLOAD if self.scheduler.lone()
+                   else MAX_DATA_PAYLOAD)
+        take = cut(len(payload), min(quantum, channel._tx_credit))
+        if take < len(payload):
+            channel._txq.appendleft(payload[take:])
+            payload = payload[:take]
         channel._tx_buffered -= len(payload)
         channel._tx_credit -= len(payload)
         self._update_ready(channel)

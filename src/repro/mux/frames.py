@@ -38,6 +38,7 @@ can open channels without coordination (the QUIC/HTTP-2 parity trick).
 
 from __future__ import annotations
 
+import struct
 from typing import Optional
 
 from ..util.framing import ByteReader, ByteWriter, FrameError
@@ -90,6 +91,9 @@ FRAME_NAMES = {
 
 CLOSE_GRACEFUL = 0
 CLOSE_ERROR = 1
+
+#: a DATA frame up to its payload: type, channel, payload length
+_DATA_HEAD = struct.Struct("!BII")
 
 
 class MuxProtocolError(Exception):
@@ -149,7 +153,7 @@ def encode_accept(channel: int, window: int) -> bytes:
 
 
 def encode_data(channel: int, payload: bytes) -> bytes:
-    return _header(T_DATA, channel).lp_bytes(payload).getvalue()
+    return _DATA_HEAD.pack(T_DATA, channel, len(payload)) + payload
 
 
 def encode_credit(channel: int, grant: int) -> bytes:
@@ -167,6 +171,14 @@ def encode_window(channel: int, window: int) -> bytes:
 
 def decode_frame(body: bytes) -> MuxFrame:
     """Decode one mux frame body (without the transport length prefix)."""
+    if len(body) >= _DATA_HEAD.size and body[0] == T_DATA:
+        # the frame that carries the bytes: its payload is copied once, out
+        # of ``body`` (a memoryview will do) into what the rx queue keeps
+        _, channel, length = _DATA_HEAD.unpack_from(body)
+        if length == len(body) - _DATA_HEAD.size:
+            return MuxFrame(T_DATA, channel,
+                            payload=bytes(body[_DATA_HEAD.size:]))
+        # a DATA whose length lies is diagnosed by the general path
     try:
         reader = ByteReader(body)
         kind = reader.u8()

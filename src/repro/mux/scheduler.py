@@ -41,6 +41,12 @@ class Scheduler:
     def sent(self, channel_id: int, nbytes: int) -> None:
         """Account ``nbytes`` just sent on ``channel_id`` (hook for DRR)."""
 
+    def lone(self) -> bool:
+        """The channel :meth:`pick` just named is the only ready one: it
+        delays nobody, so its turn may carry a whole write instead of one
+        interleaving quantum.  False is always safe."""
+        return False
+
 
 class RoundRobinScheduler(Scheduler):
     """Strict round robin over ready channels (insertion order, rotated)."""
@@ -67,6 +73,9 @@ class RoundRobinScheduler(Scheduler):
         cid, _ = self._ready.popitem(last=False)
         self._ready[cid] = None  # move to the back: it sends, others go first
         return cid
+
+    def lone(self) -> bool:
+        return len(self._ready) == 1
 
 
 class WeightedScheduler(Scheduler):
@@ -112,6 +121,9 @@ class WeightedScheduler(Scheduler):
             )
             self._ready.move_to_end(cid)
         return next(iter(self._ready))
+
+    def lone(self) -> bool:
+        return len(self._ready) == 1
 
     def sent(self, channel_id: int, nbytes: int) -> None:
         if channel_id in self._deficit:

@@ -91,8 +91,10 @@ class SocksServer:
         self.listener = None
         self.sessions = 0
         self._process = None
-        #: sockets of in-flight proxied streams, severed on :meth:`stop`
-        self._active: set[SimSocket] = set()
+        #: sockets of in-flight proxied streams, severed on :meth:`stop` in
+        #: the order they were accepted (a dict, not a set: hash order would
+        #: make a ``proxy_restart`` differ from run to run)
+        self._active: dict[SimSocket, None] = {}
         #: always-on black box (node-tagged by the proxy host's address)
         self.flight = FlightRecorder(
             f"proxy:{host.ip}", clock=lambda: host.sim.now
@@ -134,7 +136,7 @@ class SocksServer:
             return  # stopped
 
     def _session(self, client: SimSocket) -> Generator:
-        self._active.add(client)
+        self._active[client] = None
         try:
             # Greeting: VER NMETHODS METHODS...
             head = yield from client.recv_exactly(2)
@@ -176,7 +178,7 @@ class SocksServer:
                 client.close()
         except (EOFError, SocksError):
             client.abort()
-            self._active.discard(client)
+            self._active.pop(client, None)
 
     def _do_connect(
         self, client: SimSocket, target: Addr, ctx: Optional[TraceContext] = None
@@ -187,7 +189,7 @@ class SocksServer:
             self.flight.note("socks.refused", ctx=ctx, target=f"{target[0]}:{target[1]}")
             yield from client.send_all(_reply(REP_REFUSED))
             client.close()
-            self._active.discard(client)
+            self._active.pop(client, None)
             return
         yield from client.send_all(_reply(REP_OK, upstream.laddr))
         self._start_pipes(client, upstream, ctx)
@@ -209,7 +211,7 @@ class SocksServer:
     ) -> None:
         sim = self.host.sim
         node = self.flight.node
-        self._active.update((a, b))
+        self._active.update({a: None, b: None})
         done = {"count": 0, "bytes": 0}
         t0 = sim.now
 
@@ -217,8 +219,8 @@ class SocksServer:
             done["bytes"] += yield from _pipe(src, dst)
             done["count"] += 1
             if done["count"] == 2:
-                self._active.discard(a)
-                self._active.discard(b)
+                self._active.pop(a, None)
+                self._active.pop(b, None)
                 obs.record_span(
                     "socks.pipe", t0, sim.now, ctx=ctx, node=node,
                     bytes=done["bytes"],

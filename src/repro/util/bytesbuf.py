@@ -10,7 +10,20 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-__all__ = ["AggregationBuffer"]
+__all__ = ["AggregationBuffer", "take"]
+
+
+def take(buf: bytearray, maxbytes: int) -> bytes:
+    """Remove and return up to ``maxbytes`` from the front of ``buf`` with
+    one copy: the whole buffer, or a slice of a view of it."""
+    if len(buf) <= maxbytes:
+        data = bytes(buf)
+        buf.clear()
+    else:
+        with memoryview(buf) as view:
+            data = bytes(view[:maxbytes])
+        del buf[:maxbytes]
+    return data
 
 
 class AggregationBuffer:

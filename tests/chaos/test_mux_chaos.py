@@ -19,7 +19,7 @@ from repro.chaos.invariants import _mux_violations
 from repro.chaos.live import _live_invariants
 from repro.livenet import live_connect, live_listen
 from repro.livenet.mux import AsyncMuxEndpoint
-from repro.mux import DEFAULT_WINDOW
+from repro.mux import DEFAULT_WINDOW, MuxCore, MuxProtocolError
 from repro.obs import MetricsRegistry, TraceRecorder
 
 
@@ -82,8 +82,52 @@ class TestMuxInvariants:
         sent = DEFAULT_WINDOW + 500
         reg.counter("mux.tx_bytes", node="a", channel="1").inc(sent)
         reg.counter("mux.rx_bytes", node="b", channel="1").inc(sent)
-        reg.counter("mux.credit_granted", node="b", channel="1").inc(500)
+        # the window the channel opened with is its first grant
+        reg.counter("mux.credit_granted", node="b", channel="1").inc(
+            DEFAULT_WINDOW + 500)
         assert _mux_violations(reg) == []
+
+    def _small_window_transfer(self, overspend: int):
+        """4 KiB-window channel between two bare cores; the sender's
+        ledger is tampered with by ``overspend`` bytes of credit."""
+        reg = MetricsRegistry()
+        previous = obs.set_registry(reg)
+        try:
+            a = MuxCore(MuxCore.INITIATOR, node="a")
+            b = MuxCore(MuxCore.RESPONDER, node="b")
+
+            def pump():
+                for src, dst in ((a, b), (b, a), (a, b)):
+                    while (frame := src.next_frame()) is not None:
+                        dst.feed(frame)
+
+            tx, _ = a.open(window=4096)
+            pump()
+            rx = b.accept()
+            pump()
+            assert rx._rx_window == DEFAULT_WINDOW and tx._tx_credit > 4096
+            # b -> a is the 4 KiB direction: a opened with window=4096
+            rx._tx_credit += overspend
+            rx.write(b"o" * (4096 + overspend))
+            try:
+                pump()
+            except MuxProtocolError:
+                assert overspend  # the receiver noticed too
+                b.next_frame()  # the frame was written: its turn is accounted
+            assert rx._tx_buffered == 0
+        finally:
+            obs.set_registry(previous)
+        return _mux_violations(reg)
+
+    def test_exact_window_on_a_small_channel_is_clean(self):
+        assert self._small_window_transfer(0) == []
+
+    def test_one_byte_over_a_small_window_is_flagged(self):
+        """The check is ``sent <= granted`` per channel, not ``<= the
+        default window + grants``: a 4 KiB-window channel overspent by one
+        byte used to pass until it had sent 64 KiB."""
+        out = self._small_window_transfer(1)
+        assert any("channel 1 credit overrun on b" in v for v in out), out
 
 
 @pytest.mark.livenet
@@ -143,7 +187,7 @@ class TestLiveMuxInvariants:
                 "mux.credit_granted", node="bob", channel=ch)
             assert tx.value == rx.value == self.TOTAL
             assert granted.value > 0
-            assert tx.value <= DEFAULT_WINDOW + granted.value
+            assert tx.value <= granted.value
         assert self._violations(registry, recorder) == []
 
     def test_a_perturbed_counter_trips_the_live_invariant(self, live_run_obs):

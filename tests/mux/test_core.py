@@ -11,9 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.mux import MuxCore, MuxError, MuxProtocolError
+from repro.mux import (
+    DEFAULT_WINDOW,
+    MuxCore,
+    MuxError,
+    MuxProtocolError,
+    RoundRobinScheduler,
+    Scheduler,
+    WeightedScheduler,
+)
 from repro.mux import frames as f
-from repro.mux.core import MAX_DATA_PAYLOAD
+from repro.mux.core import LONE_DATA_PAYLOAD, MAX_DATA_PAYLOAD
 
 W = 4096
 
@@ -160,7 +168,7 @@ class TestCredit:
         while got < total:
             pump(a, b)
             sent = counter("mux.tx_bytes", "a", 1)
-            assert sent <= W + counter("mux.credit_granted", "b", 1)
+            assert sent <= counter("mux.credit_granted", "b", 1)
             got += len(rx.read(1000) or b"")
         pump(a, b)
         assert counter("mux.tx_bytes", "a", 1) == total
@@ -182,6 +190,36 @@ class TestCredit:
         pump(a, b)             # credit came back and the bytes went out
         assert tx._tx_buffered == 0 and waits.value == 1
 
+    def test_a_parked_sender_is_granted_what_was_consumed(self):
+        window = 1 << 18
+        a, b = pair(window=window)
+        tx, rx = open_pair(a, b)
+        tx.write(b"p" * (window + 5000))  # more than the window: it parks
+        pump(a, b)
+        assert tx._tx_credit == 0 and tx._tx_buffered == 5000
+        assert rx.read(4) == b"pppp"      # a header-sized read earns nothing:
+        assert b.next_frame() is None     # no silly-window CREDIT
+        got = rx.read(MAX_DATA_PAYLOAD)
+        # a contended quantum consumed — far below half the window — is
+        # granted at once, because the peer cannot send at all
+        grant = f.decode_frame(b.next_frame())
+        assert grant.kind == f.T_CREDIT and grant.grant == 4 + len(got)
+        assert 4 + len(got) < window // 4
+
+    def test_grants_come_per_half_window_while_the_peer_still_has_credit(self):
+        window = 1 << 18
+        a, b = pair(window=window)
+        tx, rx = open_pair(a, b)
+        grants = []
+        for _ in range(64):
+            tx.write(b"g" * (1 << 14))
+            pump(a, b)
+            read_all(rx)
+            while (frame := b.next_frame()) is not None:
+                grants.append(f.decode_frame(frame).grant)
+                a.feed(frame)
+        assert grants == [window // 2] * (64 * (1 << 14) // (window // 2))
+
     def test_retune_growth_grants_immediately(self):
         a, b = pair(window=1 << 14)
         tx, rx = open_pair(a, b)
@@ -189,7 +227,8 @@ class TestCredit:
         pump(a, b)
         assert rx._rx_window == 1 << 15 and tx._tx_credit == 1 << 15
         assert tx.peer_rx_window == 1 << 15
-        assert counter("mux.credit_granted", "b", 1) == 1 << 14
+        # the window it opened with, then the growth
+        assert counter("mux.credit_granted", "b", 1) == 1 << 15
         assert obs.metrics().counter(
             "mux.window_retunes_total", node="b").value == 1
 
@@ -207,8 +246,8 @@ class TestCredit:
             delivered += len(read_all(rx))
         assert rx._grant_debt == 0
         # the sender was held to the old allowance, then the new window
-        assert counter("mux.tx_bytes", "a", 1) <= (
-            (1 << 15) + counter("mux.credit_granted", "b", 1))
+        assert counter("mux.tx_bytes", "a", 1) <= counter(
+            "mux.credit_granted", "b", 1)
 
     def test_retune_rejects_nonpositive_and_ignores_no_change(self):
         a, b = pair()
@@ -217,6 +256,68 @@ class TestCredit:
             rx.retune_window(0)
         rx.retune_window(W)
         assert b.next_frame() is None
+
+
+class TestTurns:
+    def test_a_lone_channel_sends_a_whole_write_in_one_frame(self):
+        a, b = pair(window=DEFAULT_WINDOW)
+        tx, rx = open_pair(a, b)
+        tx.write(b"w" * 65540)  # a default block behind tcp_block's header
+        sizes = []
+        while (frame := a.next_frame()) is not None:
+            sizes.append(len(f.decode_frame(frame).payload))
+            b.feed(frame)
+        assert sizes == [65540]
+        tx.write(b"w" * (LONE_DATA_PAYLOAD + MAX_DATA_PAYLOAD))
+        sizes = []
+        while (frame := a.next_frame()) is not None:
+            sizes.append(len(f.decode_frame(frame).payload))
+            b.feed(frame)
+        assert sizes == [LONE_DATA_PAYLOAD, MAX_DATA_PAYLOAD]
+
+    def test_a_second_ready_channel_brings_the_small_quantum_back_at_once(self):
+        a, b = pair(window=DEFAULT_WINDOW)
+        tx, rx = open_pair(a, b)
+        other, _ = open_pair(a, b)
+        tx.write(b"t" * (3 * LONE_DATA_PAYLOAD))
+        first = f.decode_frame(a.next_frame())
+        assert len(first.payload) == LONE_DATA_PAYLOAD  # nobody else waits
+        other.write(b"o" * 10)                          # ... now somebody does
+        turns = []
+        while (frame := a.next_frame()) is not None:
+            decoded = f.decode_frame(frame)
+            turns.append((decoded.channel, len(decoded.payload)))
+        assert turns[0] == (tx.channel_id, MAX_DATA_PAYLOAD)
+        assert turns[1] == (other.channel_id, 10)
+        # and alone again, the rest goes out in lone quanta
+        assert turns[2] == (tx.channel_id, LONE_DATA_PAYLOAD)
+
+    def test_no_cut_leaves_a_runt(self):
+        a, b = pair(window=DEFAULT_WINDOW)
+        tx, rx = open_pair(a, b)
+        other, _ = open_pair(a, b)
+        tx.write(b"t" * (4 * MAX_DATA_PAYLOAD + 4))  # the 4-byte tail of old
+        other.write(b"o" * (4 * MAX_DATA_PAYLOAD + 4))
+        sizes = []
+        while (frame := a.next_frame()) is not None:
+            sizes.append(len(f.decode_frame(frame).payload))
+        assert sum(sizes) == 2 * (4 * MAX_DATA_PAYLOAD + 4)
+        assert max(sizes) <= MAX_DATA_PAYLOAD and min(sizes) >= 1024
+
+    @pytest.mark.parametrize("scheduler", [RoundRobinScheduler,
+                                           WeightedScheduler])
+    def test_lone_is_asked_of_the_scheduler(self, scheduler):
+        sched = scheduler()
+        assert Scheduler().lone() is False  # the safe default
+        for cid in (1, 3):
+            sched.add(cid)
+        sched.set_ready(1, True)
+        assert sched.pick() == 1 and sched.lone()
+        sched.set_ready(3, True)
+        sched.pick()
+        assert not sched.lone()
+        sched.set_ready(3, False)
+        assert sched.pick() == 1 and sched.lone()
 
 
 class TestClose:

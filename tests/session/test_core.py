@@ -13,7 +13,7 @@ import copy
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -31,6 +31,7 @@ from repro.core.session_core import (
     decode_resume,
     decode_resume_ok,
 )
+from repro.util.sizes import MIN_TAIL
 
 CFG = SessionConfig(ack_every=1024, max_buffer=8192, heartbeat=1.0)
 
@@ -177,27 +178,81 @@ class TestStream:
         assert w.b.read(100) is None  # nothing yet, not EOF
         assert sc.SessionCore.WAKE_RX in w.b.wakes
 
-    def test_every_write_is_cut_at_max_chunk(self):
-        w = Wire(SessionConfig(max_buffer=1 << 20))
-        data = payload(70_000)
-        assert w.write(w.a, data) == len(data)
-        sizes = [len(f) - 5 for f in w.flight[w.b]]
-        assert sizes == [MAX_CHUNK, MAX_CHUNK, 70_000 - 2 * MAX_CHUNK]
-        w.pump()
-        assert read_all(w.b) == data
+    def test_a_write_is_one_frame_up_to_max_chunk_and_never_a_runt(self):
+        w = Wire(SessionConfig(max_buffer=1 << 22))
+        tail = MIN_TAIL
+        for size, want in (
+            (70_000, [MAX_CHUNK, 70_000 - MAX_CHUNK]),
+            (MAX_CHUNK, [MAX_CHUNK]),  # a full frame of the layer above
+            (MAX_CHUNK + 5, [MAX_CHUNK + 5 - tail, tail]),
+            (2 * MAX_CHUNK + 70, [MAX_CHUNK, MAX_CHUNK + 70 - tail, tail]),
+        ):
+            data = payload(size)
+            assert w.write(w.a, data) == size
+            assert [len(f) - 5 for f in w.flight[w.b]] == want
+            w.pump()
+            assert read_all(w.b) == data
 
-    def test_ack_cadence_follows_ack_every(self):
-        w = Wire()
-        for _ in range(16):
-            w.write(w.a, payload(CFG.ack_every // 4))
-        acks = []
-        while w.flight[w.b]:
-            w.deliver(w.b)
-            acks.append(kinds(w.flush(w.b)))
-        # one cumulative ack per ack_every delivered bytes, none in between
-        assert acks == [[], [], [], [ACK]] * 4
+    def test_with_no_reverse_traffic_acks_follow_the_backstop(self):
+        # ack= caps the backstop; without it a quarter of the replay bound
+        for config, every in ((CFG, CFG.ack_every),
+                              (SessionConfig(max_buffer=8192), 8192 // 4)):
+            w = Wire(config)
+            for _ in range(16):
+                w.write(w.a, payload(every // 4))
+            acks = []
+            while w.flight[w.b]:
+                w.deliver(w.b)
+                acks.append(kinds(w.flush(w.b)))
+            # one cumulative ack per backstop of delivered bytes, none between
+            assert acks == [[], [], [], [ACK]] * 4
+            w.pump()
+            assert w.a.acked_tx == 4 * every
+
+    def test_with_reverse_traffic_every_ack_rides_a_write(self):
+        w = Wire(SessionConfig(max_buffer=1 << 20))
+        backstop = w.b.config.ack_backstop(1 << 20)
+        request, rounds = payload(3000), 200
+        assert rounds * 3000 > 2 * backstop  # alone, b would have ACKed twice
+        on_their_own = []
+        for i in range(rounds):
+            w.write(w.a, request)
+            w.write(w.b, b"reply")  # b has something to say anyway
+            assert kinds(w.flight[w.a][-1]) == ([ACK, DATA] if i else [DATA])
+            for core in (w.b, w.a):
+                while w.flight[core]:
+                    w.deliver(core)
+                on_their_own += kinds(w.flush(core))
+        assert on_their_own == []
+        w.write(w.a, b"last")  # a's turn to acknowledge b's last reply
         w.pump()
-        assert w.a.acked_tx == 4 * CFG.ack_every
+        assert w.b.acked_tx == rounds * 5
+        # a lacks only the ACK of what b has received since its last reply
+        assert w.a.acked_tx == (rounds - 1) * 3000
+
+    def test_a_tick_acknowledges_what_no_write_has(self):
+        w = Wire()
+        w.write(w.a, payload(CFG.ack_every - 1))  # below the backstop
+        w.pump()
+        assert w.a.acked_tx == 0 and w.flush(w.b) == b""
+        w.b.tick(0.1)
+        assert kinds(w.flush(w.b)) == [ACK]
+        w.pump()
+        assert w.a.acked_tx == CFG.ack_every - 1
+        w.b.tick(0.2)  # nothing new: nothing owed
+        assert w.flush(w.b) == b""
+
+    def test_after_a_resume_the_first_write_carries_the_ack(self):
+        w = Wire()
+        w.write(w.a, payload(500))
+        w.pump()
+        w.cut()
+        w.resume()  # attach owes the ACK; the first write takes it along
+        assert w.write(w.b, b"back") == 4
+        assert kinds(w.flight[w.a][-1]) == [ACK, DATA]
+        assert ACK not in kinds(w.flush(w.b))
+        w.pump()
+        assert w.a.acked_tx == 500 and read_all(w.a) == b"back"
 
     def test_backpressure_parks_the_writer_at_max_buffer(self):
         w = Wire()
@@ -455,7 +510,10 @@ class TestNegotiation:
 
     @pytest.mark.parametrize("blob", [
         bytes([0]), bytes([RESUME]), bytes([RESUME_OK]), bytes([99]),
-        struct.pack("!BI", DATA, 0), struct.pack("!BI", DATA, MAX_CHUNK + 1),
+        struct.pack("!BI", DATA, 0),
+        # named: its bytes, pytest's default id, move with MAX_CHUNK
+        pytest.param(struct.pack("!BI", DATA, MAX_CHUNK + 1),
+                     id="data-too-long"),
         struct.pack("!BQ", ACK, 1),
     ])
     def test_malformed_stream_fails_the_session(self, blob):
@@ -663,8 +721,11 @@ def test_arbitrary_bytes_raise_only_session_error(chunks):
 )
 def test_delivery_does_not_depend_on_how_bytes_are_split(writes, cuts):
     w = Wire(SessionConfig(ack_every=128, max_buffer=1 << 20))
+    w.write(w.b, b"r" * 100)
+    w.pump()  # a owes 100 bytes' ACK, below the backstop: its write carries it
     for data in writes:
         w.write(w.a, data)
+    assert kinds(w.flight[w.b][0]) == [ACK, DATA]
     w.close(w.a)
     w.a.set_max_buffer(4096)
     w.flush(w.a)
@@ -675,5 +736,52 @@ def test_delivery_does_not_depend_on_how_bytes_are_split(writes, cuts):
         w.b.receive_data(stream[pos : pos + size], 0.0)
         assert w.b.rx_need >= 1
         pos += size
-    assert read_all(w.b) == b"".join(writes)
+    assert read_all(w.b) == b"".join(writes) and w.b.acked_tx == 100
     assert w.b._rx_fin == len(b"".join(writes)) and w.b.peer_max_buffer == 4096
+
+
+def test_an_ack_prefixed_data_frame_parses_split_at_every_byte():
+    w = Wire()
+    w.write(w.a, payload(700))
+    w.pump()
+    w.write(w.b, payload(300))
+    (blob,) = w.flight[w.a]
+    assert kinds(blob) == [ACK, DATA] and w.a.acked_tx == 0
+    for split in range(len(blob) + 1):
+        a = copy.deepcopy(w.a)
+        a.receive_data(blob[:split], 0.0)
+        a.receive_data(blob[split:], 0.0)
+        assert a.acked_tx == 700 and read_all(a) == payload(300)
+        assert a.rx_need == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    max_buffer=st.one_of(st.sampled_from([1 << 16, 1 << 20]),
+                         st.integers(64, 1 << 18)),
+    ack=st.one_of(st.sampled_from([0, 1 << 16]), st.integers(1, 1 << 19)),
+    writes=st.lists(st.integers(1, 100_000), min_size=1, max_size=8),
+)
+# the 64 KiB replay buffer of the watchdog test, and the old fixed cadence
+@example(max_buffer=1 << 16, ack=4096, writes=[25_000] * 8)
+@example(max_buffer=1 << 16, ack=1 << 16, writes=[70_000, 70_000])
+def test_the_backstop_fires_before_a_one_way_writer_parks(
+        max_buffer, ack, writes):
+    """No reverse traffic, no tick: the standalone ACK alone keeps a writer
+    whose frames are delivered as it writes them from ever seeing
+    ``None``, and releases one that ran ahead into the bound."""
+    w = Wire(SessionConfig(ack_every=ack, max_buffer=max_buffer))
+    for size in writes:
+        view, offset = memoryview(bytes(size)), 0
+        while offset < size:
+            out = w.a.write(view[offset:])
+            assert out is not None, "parked with nothing in flight"
+            data, taken = out
+            offset += taken
+            w.send(w.a, data)
+            w.pump()
+            assert w.a._replay.size < max(1, max_buffer // 4)
+    w.write(w.a, bytes(2 * max_buffer + MAX_CHUNK))
+    assert w.a.write(b"x") is None
+    w.pump()
+    assert w.a.write(b"x") is not None

@@ -8,7 +8,10 @@ import gc
 import hashlib
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -167,6 +170,30 @@ def test_packet_tier_matches_pinned_facts(seed):
     assert sorted(facts) == sorted(pinned)
     for name in pinned:
         assert facts[name] == pinned[name], name
+
+
+def test_proxy_restart_is_the_same_run_in_every_process(tmp_path):
+    """``SocksServer`` severs its streams in accept order, not in the hash
+    order of a set of sockets — which is their address, so it differed
+    from process to process (the reports agreed; the traces did not).
+    Two fresh interpreters, two hash seeds: one report, one trace."""
+    runs = []
+    for hashseed in ("1", "2"):
+        trace = tmp_path / f"trace-{hashseed}.jsonl"
+        out = subprocess.run(
+            [sys.executable, "-m", "repro.chaos", "--scenario",
+             "socks_transfer", "--sessions", "--seed", "3", "--plan",
+             "proxy_restart@2:site=B,for=2", "--json", "--trace", str(trace)],
+            env={**os.environ, "PYTHONHASHSEED": hashseed,
+                 "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True, check=True, timeout=120,
+        )
+        runs.append((out.stdout, sorted(trace.read_text().splitlines())))
+    report = next(json.loads(line) for line in runs[0][0].splitlines()
+                  if line.startswith(b"{"))
+    assert report["ok"] and report["injected"][0]["streams"] >= 2
+    assert runs[0][0] == runs[1][0]
+    assert runs[0][1] == runs[1][1]
 
 
 if __name__ == "__main__":
