@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: bench-record bench-diff frame-census test test-fast test-obs smoke-obs smoke-assemble smoke-mux smoke-flow smoke-telemetry smoke-tune chaos chaos-sweep chaos-resume chaos-mux chaos-mesh chaos-tune live-chaos golden-gate golden-capture golden-soak
+.PHONY: bench-record bench-diff frame-census sim-identical test test-fast test-obs smoke-obs smoke-assemble smoke-mux smoke-flow smoke-telemetry smoke-tune chaos chaos-sweep chaos-resume chaos-mux chaos-mesh chaos-tune live-chaos golden-gate golden-capture golden-soak
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -81,6 +81,14 @@ bench-diff:
 # loose gates; the deterministic budget is tests/core/test_frame_census.py.
 frame-census:
 	$(PYTHON) scripts/frame_census.py --mib 64 --max-frames 40 --max-stalls 10
+
+# Is the simulator's behaviour here identical to BASE's?  Runs the seven
+# reference chaos cells at both trees and compares report bytes and sorted
+# trace JSONL (docs/TESTING.md).  STRIP_LABEL=backend drops that key from
+# labels and attrs on both sides, for a change whose one delta is the label.
+sim-identical: BASE ?= HEAD^
+sim-identical:
+	$(PYTHON) scripts/sim_identical.py $(BASE) $(if $(STRIP_LABEL),--strip-label $(STRIP_LABEL))
 
 # Skip tests that bind real loopback sockets (useful in sandboxes).
 test-fast:

@@ -15,9 +15,8 @@ import time
 import pytest
 
 from conftest import once
+from repro.core.utilization import TcpBlockDriver, TlsDriver
 from repro.livenet import (
-    AsyncTcpBlockDriver,
-    AsyncTlsDriver,
     ChaosTcpProxy,
     live_connect,
     live_listen,
@@ -44,7 +43,7 @@ async def _handshakes(rounds: int, proxied: bool) -> list:
     async def serve_one() -> None:
         sock = await listener.accept()
         try:
-            drv = AsyncTlsDriver(AsyncTcpBlockDriver(sock))
+            drv = TlsDriver(TcpBlockDriver(sock))
             await drv.handshake_server(identity)
         finally:
             sock.close()
@@ -55,7 +54,7 @@ async def _handshakes(rounds: int, proxied: bool) -> list:
             server = asyncio.ensure_future(serve_one())
             t0 = time.perf_counter()
             sock = await live_connect(dial_addr)
-            drv = AsyncTlsDriver(AsyncTcpBlockDriver(sock))
+            drv = TlsDriver(TcpBlockDriver(sock))
             await drv.handshake_client(
                 [ca.certificate], expected_server="bench-server"
             )

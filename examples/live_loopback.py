@@ -11,12 +11,9 @@ Run:  python examples/live_loopback.py
 import asyncio
 import time
 
+from repro.core.utilization import BlockChannel, CompressionDriver, TlsDriver
 from repro.livenet import (
-    AsyncBlockChannel,
-    AsyncCompressionDriver,
     AsyncParallelStreamsDriver,
-    AsyncTcpBlockDriver,
-    AsyncTlsDriver,
     LiveRelayClient,
     LiveRelayServer,
     live_connect,
@@ -60,11 +57,11 @@ async def demo_stack() -> None:
         server_socks.append(s)
     listener.close()
 
-    tx_tls = AsyncTlsDriver(
-        AsyncCompressionDriver(AsyncParallelStreamsDriver(client_socks))
+    tx_tls = TlsDriver(
+        CompressionDriver(AsyncParallelStreamsDriver(client_socks))
     )
-    rx_tls = AsyncTlsDriver(
-        AsyncCompressionDriver(AsyncParallelStreamsDriver(server_socks))
+    rx_tls = TlsDriver(
+        CompressionDriver(AsyncParallelStreamsDriver(server_socks))
     )
     await asyncio.gather(
         tx_tls.handshake_client([ca.certificate]),
@@ -72,8 +69,8 @@ async def demo_stack() -> None:
     )
     print(f"   authenticated: {tx_tls.peer_subject}")
 
-    tx = AsyncBlockChannel(tx_tls)
-    rx = AsyncBlockChannel(rx_tls)
+    tx = BlockChannel(tx_tls)
+    rx = BlockChannel(rx_tls)
     payload = payload_with_ratio(4 << 20, 3.0, seed=2)
 
     async def sender():

@@ -3,7 +3,7 @@
 
 Builds ``relay > session > mux > tcp_block`` the way the perf ledger's
 ``routed_full`` rung does, streams 1 MiB messages one way through an
-``AsyncBlockChannel`` pair and prints, per MiB of payload:
+``BlockChannel`` pair and prints, per MiB of payload:
 
 * relay frames forwarded (either direction) and how many of them carry
   at most 64 bytes — the per-frame cost of the relay is what paper §3.4
@@ -28,11 +28,10 @@ import sys
 
 from repro import obs
 from repro.core import relay_core, session_core
+from repro.core.utilization import BlockChannel, TcpBlockDriver
 from repro.livenet import (
-    AsyncBlockChannel,
     AsyncSessionLink,
     AsyncSessionListener,
-    AsyncTcpBlockDriver,
     LiveRelayClient,
     LiveRelayServer,
 )
@@ -124,8 +123,8 @@ async def census(mib: int, seed: int) -> dict:
     )
     a_chan, b_chan = await asyncio.gather(
         a_end.open_channel(), b_end.accept_channel())
-    tx = AsyncBlockChannel(AsyncTcpBlockDriver(a_chan))
-    rx = AsyncBlockChannel(AsyncTcpBlockDriver(b_chan))
+    tx = BlockChannel(TcpBlockDriver(a_chan))
+    rx = BlockChannel(TcpBlockDriver(b_chan))
     messages = [payloads.incompressible(MIB, seed * 4 + i) for i in range(4)]
 
     # establishment is not part of the census

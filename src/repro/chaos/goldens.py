@@ -77,14 +77,8 @@ class GoldenError(Exception):
 
 async def _handshake_flow(seed: int) -> None:
     """TLS handshake + framed echo through the chaos proxy (no faults)."""
-    from ..livenet import (
-        AsyncBlockChannel,
-        AsyncTcpBlockDriver,
-        AsyncTlsDriver,
-        ChaosTcpProxy,
-        live_connect,
-        live_listen,
-    )
+    from ..core.utilization import BlockChannel, TcpBlockDriver, TlsDriver
+    from ..livenet import ChaosTcpProxy, live_connect, live_listen
 
     ca = CertificateAuthority("golden-root")
     key, cert = ca.issue_identity("golden-server")
@@ -99,9 +93,9 @@ async def _handshake_flow(seed: int) -> None:
     async def server() -> None:
         sock = await listener.accept()
         try:
-            drv = AsyncTlsDriver(AsyncTcpBlockDriver(sock))
+            drv = TlsDriver(TcpBlockDriver(sock))
             await drv.handshake_server(identity)
-            channel = AsyncBlockChannel(drv)
+            channel = BlockChannel(drv)
             message = await channel.recv_message()
             await channel.send_message(message, ctx=channel.last_ctx)
             await done.wait()
@@ -111,12 +105,12 @@ async def _handshake_flow(seed: int) -> None:
     async def client() -> None:
         sock = await live_connect(proxy.addr)
         try:
-            drv = AsyncTlsDriver(AsyncTcpBlockDriver(sock))
+            drv = TlsDriver(TcpBlockDriver(sock))
             t0 = time.time()
             await drv.handshake_client(
                 [ca.certificate], expected_server="golden-server"
             )
-            channel = AsyncBlockChannel(drv)
+            channel = BlockChannel(drv)
             await channel.send_message(b"golden handshake probe", ctx=ctx)
             echo = await channel.recv_message()
             if echo != b"golden handshake probe":

@@ -23,12 +23,13 @@ block), so the receive side needs no mode agreement.
 from __future__ import annotations
 
 import zlib
+from types import coroutine
 from typing import Generator, Optional
 
 from ... import obs
 from ...simnet.cpu import charge
 from .base import DriverError, FilterDriver
-from .compression import FLAG_DEFLATE, FLAG_RAW
+from .compression import FLAG_DEFLATE, FLAG_RAW, inflate_block
 
 __all__ = ["AdaptiveCompressionDriver"]
 
@@ -67,6 +68,11 @@ class AdaptiveCompressionDriver(FilterDriver):
         }
         self._counter = 0
         self.mode_counts = {FLAG_RAW: 0, FLAG_DEFLATE: 0}
+        reg = obs.metrics()
+        self._mode_total = {
+            flag: reg.counter("compress.mode_total", driver=self.name, mode=mode)
+            for flag, mode in ((FLAG_RAW, "raw"), (FLAG_DEFLATE, "deflate"))
+        }
         #: tuner override: None (learn), "raw" or "compress" (pinned)
         self.force_mode: Optional[str] = None
 
@@ -120,6 +126,7 @@ class AdaptiveCompressionDriver(FilterDriver):
             return "compress"  # raw congests; compression unmeasured so far
         return "compress" if comp > raw else "raw"
 
+    @coroutine
     def send_block(self, block: bytes) -> Generator:
         mode = self._choose_mode()
         t0 = self.sim.now
@@ -135,23 +142,12 @@ class AdaptiveCompressionDriver(FilterDriver):
         yield from self.child.send_block(payload)
         self.mode_counts[mode] += 1
         self._update(mode, len(block), self.sim.now - t0)
-        obs.metrics().counter(
-            "compress.mode_total",
-            driver=self.name,
-            mode="deflate" if mode == FLAG_DEFLATE else "raw",
-            backend="sim",
-        ).inc()
+        self._mode_total[mode].inc()
 
+    @coroutine
     def recv_block(self) -> Generator:
         payload = yield from self.child.recv_block()
-        if not payload:
-            raise DriverError("empty adaptive block")
-        flag, body = payload[0], payload[1:]
-        if flag == FLAG_DEFLATE:
-            block = zlib.decompress(body)
+        block = inflate_block(payload)
+        if payload[0] == FLAG_DEFLATE:
             yield charge(self.host, "decompress", len(block))
-        elif flag == FLAG_RAW:
-            block = body
-        else:
-            raise DriverError(f"bad adaptive flag {flag}")
         return block

@@ -11,17 +11,45 @@ bottom and own one or more established links; filtering drivers wrap a
 sub-driver and transform blocks in flight.  Composition is free-form:
 ``compression`` over ``parallel streams`` over any establishment method —
 the paper's headline capability.
+
+One source serves both backends: ``send_block``/``recv_block`` are
+generator-based coroutines (``types.coroutine`` on a generator function),
+so a simulator process runs them with ``yield from`` and an asyncio task
+with ``await``.  A driver that charges simulated CPU does so only when it
+was given a ``host``; the live backend passes none.
 """
 
 from __future__ import annotations
 
 from typing import Generator
 
-__all__ = ["Driver", "FilterDriver", "DriverError"]
+from ... import obs
+
+__all__ = ["Driver", "FilterDriver", "DriverError", "BlockMeters"]
 
 
-class DriverError(Exception):
+class DriverError(RuntimeError):
     """Driver protocol failure."""
+
+
+class BlockMeters:
+    """One direction of a networking driver's ``driver.bytes_total`` and
+    ``driver.block_bytes``, bound once so a block costs no registry lookup."""
+
+    __slots__ = ("_bytes", "_sizes")
+
+    def __init__(self, driver: str, direction: str):
+        reg = obs.metrics()
+        self._bytes = reg.counter(
+            "driver.bytes_total", driver=driver, direction=direction
+        )
+        self._sizes = reg.histogram(
+            "driver.block_bytes", driver=driver, direction=direction
+        )
+
+    def record(self, nbytes: int) -> None:
+        self._bytes.inc(nbytes)
+        self._sizes.observe(nbytes)
 
 
 class Driver:

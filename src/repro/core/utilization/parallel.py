@@ -31,7 +31,7 @@ from ... import obs
 from ...simnet.cpu import charge
 from ...simnet.engine import Event
 from ..links import Link
-from .base import Driver, DriverError
+from .base import BlockMeters, Driver, DriverError
 
 __all__ = [
     "ParallelStreamsDriver",
@@ -201,9 +201,10 @@ class ParallelStreamsDriver(Driver):
         self._readers: Optional[list[_StreamReader]] = None
         self._queue_limit = queue_limit
         self._closed = False
-        obs.metrics().gauge(
-            "driver.streams", driver=self.name, backend="sim"
-        ).set(len(self.links))
+        self._tx = BlockMeters(self.name, "tx")
+        self._rx = BlockMeters(self.name, "rx")
+        self._streams = obs.metrics().gauge("driver.streams", driver=self.name)
+        self._streams.set(len(self.links))
 
     @property
     def nstreams(self) -> int:
@@ -231,13 +232,7 @@ class ParallelStreamsDriver(Driver):
             writer = writers[(start + i) % n]
             yield from writer.put(block[offset : offset + self.fragment])
         self.blocks_sent += 1
-        reg = obs.metrics()
-        reg.counter(
-            "driver.bytes_total", driver=self.name, direction="tx", backend="sim"
-        ).inc(len(block))
-        reg.histogram(
-            "driver.block_bytes", driver=self.name, direction="tx", backend="sim"
-        ).observe(len(block))
+        self._tx.record(len(block))
 
     def _ensure_readers(self):
         if self._readers is None:
@@ -267,13 +262,7 @@ class ParallelStreamsDriver(Driver):
         if self.host is not None:
             yield charge(self.host, "serialize", len(block))
         self.blocks_received += 1
-        reg = obs.metrics()
-        reg.counter(
-            "driver.bytes_total", driver=self.name, direction="rx", backend="sim"
-        ).inc(len(block))
-        reg.histogram(
-            "driver.block_bytes", driver=self.name, direction="rx", backend="sim"
-        ).observe(len(block))
+        self._rx.record(len(block))
         return block
 
     def close(self) -> None:
@@ -365,9 +354,10 @@ class RebalancingParallelDriver(Driver):
         self._dead_rx = 0
         self._rx_error: Optional[BaseException] = None
         self._rx_waiters: list[Event] = []
-        obs.metrics().gauge(
-            "driver.streams", driver=self.name, backend="sim"
-        ).set(len(self.links))
+        self._tx = BlockMeters(self.name, "tx")
+        self._rx = BlockMeters(self.name, "rx")
+        self._streams = obs.metrics().gauge("driver.streams", driver=self.name)
+        self._streams.set(len(self.links))
 
     @property
     def nstreams(self) -> int:
@@ -411,11 +401,8 @@ class RebalancingParallelDriver(Driver):
                 self._quiesced[index] = True
         after = self.active_streams
         if after != before:
-            reg = obs.metrics()
-            reg.counter("parallel.retunes_total").inc()
-            reg.gauge(
-                "driver.streams", driver=self.name, backend="sim"
-            ).set(after)
+            obs.metrics().counter("parallel.retunes_total").inc()
+            self._streams.set(after)
             obs.event("parallel.streams_retuned", before=before, after=after)
 
     # -- sending -----------------------------------------------------------------
@@ -447,13 +434,7 @@ class RebalancingParallelDriver(Driver):
         frame = _REBAL_HDR.pack(seq, len(block)) + block
         yield from self._put_frame([(seq, frame)])
         self.blocks_sent += 1
-        reg = obs.metrics()
-        reg.counter(
-            "driver.bytes_total", driver=self.name, direction="tx", backend="sim"
-        ).inc(len(block))
-        reg.histogram(
-            "driver.block_bytes", driver=self.name, direction="tx", backend="sim"
-        ).observe(len(block))
+        self._tx.record(len(block))
 
     def _put_frame(self, backlog: list[tuple[int, bytes]]) -> Generator:
         """Place frames on alive members, absorbing member deaths."""
@@ -585,19 +566,7 @@ class RebalancingParallelDriver(Driver):
                 if self.host is not None:
                     yield charge(self.host, "serialize", len(block))
                 self.blocks_received += 1
-                reg = obs.metrics()
-                reg.counter(
-                    "driver.bytes_total",
-                    driver=self.name,
-                    direction="rx",
-                    backend="sim",
-                ).inc(len(block))
-                reg.histogram(
-                    "driver.block_bytes",
-                    driver=self.name,
-                    direction="rx",
-                    backend="sim",
-                ).observe(len(block))
+                self._rx.record(len(block))
                 return block
             if self._dead_rx >= len(readers):
                 if self._reorder:

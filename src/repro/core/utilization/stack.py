@@ -28,7 +28,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ... import obs
-from ..links import Link
 from .adaptive import AdaptiveCompressionDriver
 from .base import Driver, DriverError, FilterDriver
 from .compression import CompressionDriver
@@ -77,10 +76,18 @@ def links_required(spec: StackSpec) -> int:
 
 def build_stack(
     spec: StackSpec,
-    links: Sequence[Link],
+    links: Sequence,
     host=None,
+    parallel: tuple = (ParallelStreamsDriver, RebalancingParallelDriver),
 ) -> Driver:
-    """Assemble the driver tree over established ``links``.
+    """Assemble the driver tree over established ``links``, on either
+    backend.
+
+    ``parallel`` is the one layer that is not shared: the striping driver
+    owns tasks and queues, so each backend passes its own ``(striping,
+    rebalancing)`` classes.  ``host`` is the simulated host whose CPU the
+    filters charge; the live backend has none, and without its clock
+    ``adaptive`` builds the wire-identical :class:`CompressionDriver`.
 
     TLS layers are created un-handshaken; retrieve them with
     :func:`find_driver` and run ``handshake_client``/``handshake_server``
@@ -96,31 +103,26 @@ def build_stack(
         streams = int(bottom.get("streams", 2))
         if len(links) != streams:
             raise StackSpecError(f"parallel:{streams} needs {streams} links, got {len(links)}")
-        cls = (
-            RebalancingParallelDriver
-            if int(bottom.get("rebalance", 0))
-            else ParallelStreamsDriver
-        )
+        cls = parallel[bool(int(bottom.get("rebalance", 0)))]
         driver = cls(
             links, host=host, fragment=int(bottom.get("fragment", DEFAULT_FRAGMENT))
         )
     for layer in reversed(parsed.filters):
-        if layer.name == "compress":
-            driver = CompressionDriver(driver, host=host, level=int(layer.get("level", 1)))
-        elif layer.name == "adaptive":
+        if layer.name == "adaptive" and host is not None:
             driver = AdaptiveCompressionDriver(
                 driver,
                 host,
                 level=int(layer.get("level", 1)),
                 probe_every=int(layer.get("probe", 16)),
             )
+        elif layer.name in ("compress", "adaptive"):
+            driver = CompressionDriver(driver, host=host, level=int(layer.get("level", 1)))
         elif layer.name == "tls":
             driver = TlsDriver(driver, host=host)
     obs.event(
         "stack.built",
         spec=str(parsed),
         links=len(links),
-        backend="sim",
         drivers=",".join(type(d).__name__ for d in iter_drivers(driver)),
     )
     return driver

@@ -9,10 +9,12 @@ on top (used by the IPL's Write/Read messages).
 from __future__ import annotations
 
 import struct
+from types import coroutine
 from typing import Generator, Optional
 
 from ... import obs
 from ...obs import TraceContext
+from ...util.bytesbuf import take
 from ...util.sizes import DEFAULT_BLOCK
 from .base import Driver
 
@@ -40,6 +42,7 @@ class BlockChannel:
         self.last_ctx: Optional[TraceContext] = None
 
     # -- writing ------------------------------------------------------------
+    @coroutine
     def write(self, data: bytes) -> Generator:
         """Buffer ``data``; full blocks are sent as they complete."""
         self.bytes_written += len(data)
@@ -49,6 +52,7 @@ class BlockChannel:
             del self._out[: self.block_size]
             yield from self.driver.send_block(block)
 
+    @coroutine
     def flush(self) -> Generator:
         """Send any buffered partial block (the explicit flush of §4.1)."""
         if self._out:
@@ -57,20 +61,25 @@ class BlockChannel:
             yield from self.driver.send_block(block)
 
     # -- reading --------------------------------------------------------------
+    @coroutine
     def read(self, maxbytes: int) -> Generator:
         """Read up to ``maxbytes``; returns b"" at end of stream."""
-        while not self._in and not self._eof:
+        buf = self._in
+        while not buf and not self._eof:
             try:
                 block = yield from self.driver.recv_block()
             except EOFError:
                 self._eof = True
-                break
-            self._in.extend(block)
-        take = bytes(self._in[:maxbytes])
-        del self._in[: len(take)]
-        self.bytes_read += len(take)
-        return take
+            else:
+                if 0 < len(block) <= maxbytes:
+                    self.bytes_read += len(block)
+                    return block  # wanted whole: it never enters the buffer
+                buf += block
+        data = take(buf, maxbytes)
+        self.bytes_read += len(data)
+        return data
 
+    @coroutine
     def read_exactly(self, n: int) -> Generator:
         parts = []
         remaining = n
@@ -78,11 +87,14 @@ class BlockChannel:
             data = yield from self.read(remaining)
             if not data:
                 raise EOFError(f"channel ended with {remaining}/{n} bytes missing")
+            if len(data) == n:
+                return data  # one read satisfied the request: nothing to join
             parts.append(data)
             remaining -= len(data)
         return b"".join(parts)
 
     # -- message framing ------------------------------------------------------
+    @coroutine
     def send_message(
         self, payload: bytes, ctx: Optional[TraceContext] = None
     ) -> Generator:
@@ -98,6 +110,7 @@ class BlockChannel:
         yield from self.flush()
         obs.event("channel.message", ctx=ctx, direction="tx", bytes=len(payload))
 
+    @coroutine
     def recv_message(self) -> Generator:
         header = yield from self.read_exactly(_MSG_HDR.size)
         flags, length = _MSG_HDR.unpack(header)

@@ -10,51 +10,41 @@ which feeds this driver whole blocks.
 
 from __future__ import annotations
 
+from types import coroutine
 from typing import Generator
 
-from ... import obs
-from ..links import Link
 from ..wire import recv_frame, send_frame
-from .base import Driver
+from .base import BlockMeters, Driver
 
 __all__ = ["TcpBlockDriver"]
 
 
 class TcpBlockDriver(Driver):
-    """Block transport over one link (any establishment method)."""
+    """Block transport over one link (any establishment method, either
+    backend: a ``Link`` in the simulator, a ``LiveSocket``, mux channel or
+    session link on asyncio)."""
 
     name = "tcp_block"
     links_required = 1
 
-    def __init__(self, link: Link):
+    def __init__(self, link):
         self.link = link
         self.blocks_sent = 0
         self.blocks_received = 0
+        self._tx = BlockMeters(self.name, "tx")
+        self._rx = BlockMeters(self.name, "rx")
 
+    @coroutine
     def send_block(self, block: bytes) -> Generator:
         self.blocks_sent += 1
-        reg = obs.metrics()
-        reg.counter(
-            "driver.bytes_total", driver=self.name, direction="tx", backend="sim"
-        ).inc(len(block))
-        reg.histogram(
-            "driver.block_bytes", driver=self.name, direction="tx", backend="sim"
-        ).observe(len(block))
+        self._tx.record(len(block))
         yield from send_frame(self.link, block)
 
+    @coroutine
     def recv_block(self) -> Generator:
-        try:
-            block = yield from recv_frame(self.link)
-        except EOFError:
-            raise
+        block = yield from recv_frame(self.link)
         self.blocks_received += 1
-        reg = obs.metrics()
-        reg.counter(
-            "driver.bytes_total", driver=self.name, direction="rx", backend="sim"
-        ).inc(len(block))
-        reg.histogram(
-            "driver.block_bytes", driver=self.name, direction="rx", backend="sim"
-        ).observe(len(block))
+        self._rx.record(len(block))
         return block
 
     def close(self) -> None:

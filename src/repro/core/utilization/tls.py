@@ -12,6 +12,7 @@ security's throughput cost is measurable (benchmark S1).
 
 from __future__ import annotations
 
+from types import coroutine
 from typing import Generator, Iterable, Optional
 
 from ...security.certs import Certificate
@@ -50,6 +51,7 @@ class TlsDriver(FilterDriver):
         """Authenticated peer identity (after the handshake)."""
         return self.session.peer_subject if self.session else None
 
+    @coroutine
     def handshake_client(
         self,
         trust_anchors: Iterable[Certificate],
@@ -83,6 +85,7 @@ class TlsDriver(FilterDriver):
         self.session = session
         return session
 
+    @coroutine
     def handshake_server(
         self,
         identity: Identity,
@@ -119,12 +122,14 @@ class TlsDriver(FilterDriver):
             raise DriverError("TLS handshake not completed")
         return self.session
 
+    @coroutine
     def send_block(self, block: bytes) -> Generator:
         session = self._require_session()
         if self.host is not None:
             yield charge(self.host, "encrypt", len(block))
         yield from self.child.send_block(session.seal(block))
 
+    @coroutine
     def recv_block(self) -> Generator:
         session = self._require_session()
         record = yield from self.child.recv_block()

@@ -1,7 +1,15 @@
-"""Length-prefixed frame IO over any Link/stream (generator-based)."""
+"""Length-prefixed frame IO over any Link/stream, for both backends.
+
+The two functions are generator-based coroutines (``types.coroutine``): a
+simulator process runs them with ``yield from``, an asyncio task with
+``await``, and ``stream`` is whatever has ``send_all`` / ``recv_exactly``
+on that backend (a ``Link`` or ``SimSocket``; a ``LiveSocket``, mux
+channel or session link).
+"""
 
 from __future__ import annotations
 
+from types import coroutine
 from typing import Generator
 
 from ..util.framing import frame
@@ -15,16 +23,21 @@ class WireError(Exception):
     """Malformed frame on a stream."""
 
 
+@coroutine
 def send_frame(stream, body: bytes) -> Generator:
     """Write one u32-length-prefixed frame."""
     yield from stream.send_all(frame(body))
 
 
+@coroutine
 def recv_frame(stream, max_frame: int = MAX_FRAME) -> Generator:
-    """Read one u32-length-prefixed frame."""
+    """Read one u32-length-prefixed frame.
+
+    The length is checked before anything is read or allocated for the
+    body, so four hostile bytes cannot request a 4 GiB read.
+    """
     header = yield from stream.recv_exactly(4)
     length = int.from_bytes(header, "big")
     if length > max_frame:
         raise WireError(f"oversized frame: {length} > {max_frame}")
-    body = yield from stream.recv_exactly(length)
-    return body
+    return (yield from stream.recv_exactly(length))

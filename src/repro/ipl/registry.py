@@ -15,15 +15,22 @@ severely firewalled sites) and use it to:
 
 from __future__ import annotations
 
+from types import coroutine
 from typing import Callable, Generator, Optional
 
 from ..core.addressing import EndpointInfo
-from ..core.wire import recv_frame, send_frame
+from ..core.wire import WireError, recv_frame, send_frame
 from ..simnet.packet import Addr
 from ..simnet.sockets import SimSocket, connect, listen
 from ..util.framing import ByteReader, ByteWriter, FrameError
 
-__all__ = ["RegistryServer", "RegistryClient", "RegistryState", "RegistryError"]
+__all__ = [
+    "RegistryServer",
+    "RegistryClient",
+    "RegistryState",
+    "RegistryError",
+    "serve_session",
+]
 
 OP_REGISTER = 1
 OP_LEAVE = 2
@@ -121,6 +128,25 @@ class RegistryState:
         return err(f"unknown op {op}"), registered
 
 
+@coroutine
+def serve_session(state: RegistryState, sock) -> Generator:
+    """One client connection's request loop, on either backend: a
+    malformed or oversized frame ends that connection, not the server."""
+    registered: Optional[str] = None
+    try:
+        while True:
+            body = yield from recv_frame(sock)
+            state.requests += 1
+            reply, registered = state._handle(body, registered)
+            yield from send_frame(sock, reply)
+    except (EOFError, FrameError, WireError, ConnectionError):
+        pass
+    finally:
+        if registered is not None:
+            state._drop_node(registered)
+        sock.close()
+
+
 class RegistryServer:
     """The simulated name-service process."""
 
@@ -156,28 +182,17 @@ class RegistryServer:
         def accept_loop() -> Generator:
             while True:
                 sock = yield from listener.accept()
-                self.host.sim.process(self._session(sock), name="registry-session")
+                self.host.sim.process(
+                    serve_session(self.state, sock), name="registry-session"
+                )
 
         self.host.sim.process(accept_loop(), name="registry-accept")
 
-    def _session(self, sock: SimSocket) -> Generator:
-        registered: Optional[str] = None
-        try:
-            while True:
-                body = yield from recv_frame(sock)
-                self.state.requests += 1
-                reply, registered = self.state._handle(body, registered)
-                yield from send_frame(sock, reply)
-        except (EOFError, FrameError):
-            pass
-        finally:
-            if registered is not None:
-                self.state._drop_node(registered)
-            sock.close()
-
 
 class RegistryClient:
-    """A node's persistent connection to the name service."""
+    """A node's persistent connection to the name service, on either
+    backend: ``connector(host, addr)`` dials it (the simulator's
+    ``connect`` by default; the live runtime passes ``live_connect``)."""
 
     def __init__(self, host, registry_addr: Addr, connector: Optional[Callable] = None):
         self.host = host
@@ -185,6 +200,7 @@ class RegistryClient:
         self.connector = connector
         self._sock: Optional[SimSocket] = None
 
+    @coroutine
     def connect(self) -> Generator:
         if self.connector is not None:
             self._sock = yield from self.connector(self.host, self.registry_addr)
@@ -197,6 +213,7 @@ class RegistryClient:
             self._sock.close()
             self._sock = None
 
+    @coroutine
     def _call(self, body: bytes) -> Generator:
         if self._sock is None:
             raise RegistryError("registry client not connected")
@@ -208,21 +225,25 @@ class RegistryClient:
         raise RegistryError(r.lp_str())
 
     # -- operations ------------------------------------------------------------
+    @coroutine
     def register(self, name: str, info: EndpointInfo) -> Generator:
         body = (
             ByteWriter().u8(OP_REGISTER).lp_str(name).lp_bytes(info.encode()).getvalue()
         )
         yield from self._call(body)
 
+    @coroutine
     def leave(self, name: str) -> Generator:
         yield from self._call(ByteWriter().u8(OP_LEAVE).lp_str(name).getvalue())
 
+    @coroutine
     def lookup_node(self, name: str) -> Generator:
         r = yield from self._call(
             ByteWriter().u8(OP_LOOKUP_NODE).lp_str(name).getvalue()
         )
         return EndpointInfo.decode(r.lp_bytes())
 
+    @coroutine
     def register_port(self, port_name: str, owner: str) -> Generator:
         body = (
             ByteWriter()
@@ -233,11 +254,13 @@ class RegistryClient:
         )
         yield from self._call(body)
 
+    @coroutine
     def unregister_port(self, port_name: str) -> Generator:
         yield from self._call(
             ByteWriter().u8(OP_UNREGISTER_PORT).lp_str(port_name).getvalue()
         )
 
+    @coroutine
     def lookup_port(self, port_name: str) -> Generator:
         """Returns ``(owner_node_id, owner_EndpointInfo)``."""
         r = yield from self._call(
@@ -247,12 +270,14 @@ class RegistryClient:
         info = EndpointInfo.decode(r.lp_bytes())
         return owner, info
 
+    @coroutine
     def elect(self, election: str, candidate: str) -> Generator:
         r = yield from self._call(
             ByteWriter().u8(OP_ELECT).lp_str(election).lp_str(candidate).getvalue()
         )
         return r.lp_str()
 
+    @coroutine
     def list_nodes(self) -> Generator:
         r = yield from self._call(ByteWriter().u8(OP_LIST).getvalue())
         return [r.lp_str() for _ in range(r.u32())]

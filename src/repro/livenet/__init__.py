@@ -5,16 +5,16 @@ compression flags, relay protocol, TLS records — bound to real TCP
 connections, demonstrating that the architecture is not simulation-bound.
 """
 
-from .drivers import (
-    AsyncBlockChannel,
-    AsyncCompressionDriver,
-    AsyncDriver,
-    AsyncParallelStreamsDriver,
-    AsyncTcpBlockDriver,
-    AsyncTlsDriver,
-)
+# The four Async* names are core.utilization's own classes: the drivers are
+# written once.  benchmarks/perf/stacks.py imports them from here; they
+# retire with the PR that next edits it.
+from ..core.utilization import BlockChannel as AsyncBlockChannel
+from ..core.utilization import CompressionDriver as AsyncCompressionDriver
+from ..core.utilization import TcpBlockDriver as AsyncTcpBlockDriver
+from ..core.utilization import TlsDriver as AsyncTlsDriver
+from .drivers import AsyncParallelStreamsDriver
 from .proxy import ChaosTcpProxy, ProxyStats
-from .registry import LiveRegistryClient, LiveRegistryServer
+from .registry import LiveRegistryServer
 from .relay import (
     LiveMeshRelayClient,
     LiveRelayClient,
@@ -44,7 +44,6 @@ __all__ = [
     "AsyncSessionLink",
     "AsyncSessionListener",
     "AsyncSessionError",
-    "AsyncDriver",
     "AsyncTcpBlockDriver",
     "AsyncParallelStreamsDriver",
     "AsyncCompressionDriver",
@@ -55,7 +54,6 @@ __all__ = [
     "LiveRoutedLink",
     "LiveMeshRelayClient",
     "LiveRegistryServer",
-    "LiveRegistryClient",
     "LiveIbis",
     "LiveIbisError",
     "LiveSendPort",

@@ -14,6 +14,7 @@ import asyncio
 from typing import Optional
 
 from .. import obs
+from ..core.wire import WireError, recv_frame, send_frame
 from ..mux.core import DEFAULT_WINDOW, ChannelState, MuxCore
 from ..mux.frames import (
     MUX_VERSION,
@@ -23,7 +24,7 @@ from ..mux.frames import (
 )
 from ..mux.scheduler import Scheduler
 from ..obs import TraceContext
-from .wire import ExactReads, WireError, read_frame, write_frame
+from .wire import ExactReads
 
 __all__ = ["AsyncMuxEndpoint", "AsyncMuxChannel", "LiveMuxError"]
 
@@ -68,8 +69,8 @@ class AsyncMuxEndpoint(MuxCore):
         """HELLO version exchange over ``sock``, then a running endpoint
         (both sides write first and read second, so it cannot deadlock)."""
         ctx = ctx or obs.current()
-        await write_frame(sock, encode_hello(MUX_VERSION, window))
-        decode_hello(await read_frame(sock))
+        await send_frame(sock, encode_hello(MUX_VERSION, window))
+        decode_hello(await recv_frame(sock))
         obs.event("mux.establish", ctx=ctx, node=node, role=role,
                   backend="live")
         endpoint = cls(sock, role, window=window, scheduler=scheduler,
@@ -133,7 +134,7 @@ class AsyncMuxEndpoint(MuxCore):
     async def _rx_pump(self) -> None:
         try:
             while not self._closed:
-                self.feed(await read_frame(self.sock))
+                self.feed(await recv_frame(self.sock))
         except (EOFError, OSError) as exc:  # the carrier died
             self.fail(exc)
         except (MuxProtocolError, WireError) as exc:
@@ -147,7 +148,7 @@ class AsyncMuxEndpoint(MuxCore):
             while True:
                 frame = self.next_frame()
                 if frame is not None:
-                    await write_frame(self.sock, frame)
+                    await send_frame(self.sock, frame)
                 elif not self.alive:
                     return
                 elif self.idle:

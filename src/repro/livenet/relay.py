@@ -25,11 +25,12 @@ from ..core.relay_core import (
     RelayError,
     RoutedChannel,
 )
+from ..core.wire import WireError, recv_frame, send_frame
 from ..mesh.config import MeshConfig
 from ..obs import TraceContext
 from ..util.framing import FrameError
 from .transport import Addr, LiveSocket, live_connect, live_listen
-from .wire import ExactReads, WireError, read_frame, write_frame
+from .wire import ExactReads
 
 __all__ = [
     "LiveRelayServer",
@@ -131,9 +132,9 @@ class LiveRelayServer(RelayCore):
                     sock = await asyncio.wait_for(
                         live_connect(rnd.addr), timeout=_PEER_IO_TIMEOUT)
                     try:
-                        await write_frame(sock, self.gossip_frame())
+                        await send_frame(sock, self.gossip_frame())
                         reply = await asyncio.wait_for(
-                            read_frame(sock, MAX_RELAY_FRAME),
+                            recv_frame(sock, MAX_RELAY_FRAME),
                             timeout=_PEER_IO_TIMEOUT)
                     finally:
                         sock.close()
@@ -148,7 +149,7 @@ class LiveRelayServer(RelayCore):
         frame = self._mesh_view_frame()
         for sock in list(self.sessions.values()):
             try:
-                await write_frame(sock, frame)
+                await send_frame(sock, frame)
             except _TRANSPORT_ERRORS:
                 continue  # the session loop notices and unregisters
 
@@ -158,11 +159,11 @@ class LiveRelayServer(RelayCore):
         if answer is None:
             return
         reply, moved = answer
-        await write_frame(sock, reply)
+        await send_frame(sock, reply)
         if moved:
             await self._push_mesh_views()
         try:
-            await read_frame(sock, MAX_RELAY_FRAME)  # wait for the initiator's close
+            await recv_frame(sock, MAX_RELAY_FRAME)  # wait for the initiator's close
         except _SESSION_ERRORS:
             pass
 
@@ -174,7 +175,7 @@ class LiveRelayServer(RelayCore):
             return sock
         sock = await asyncio.wait_for(live_connect(addr), timeout=_PEER_IO_TIMEOUT)
         try:
-            await write_frame(sock, self.trunk_hello())
+            await send_frame(sock, self.trunk_hello())
         except BaseException:
             sock.close()
             raise
@@ -190,7 +191,7 @@ class LiveRelayServer(RelayCore):
         accepted; routed errors and return traffic on one we dialled)."""
         try:
             while True:
-                body = await read_frame(sock, MAX_RELAY_FRAME)
+                body = await recv_frame(sock, MAX_RELAY_FRAME)
                 await self._deliver(self.route_trunk(body, sock))
         except _SESSION_ERRORS:
             pass
@@ -206,7 +207,7 @@ class LiveRelayServer(RelayCore):
     async def _session(self, sock) -> None:
         node_id: Optional[str] = None
         try:
-            body = await read_frame(sock, MAX_RELAY_FRAME)
+            body = await recv_frame(sock, MAX_RELAY_FRAME)
             role, peer, rest = self.classify(body)
             if role == self.GOSSIP:
                 await self._serve_gossip(sock, peer, rest)
@@ -217,9 +218,9 @@ class LiveRelayServer(RelayCore):
                 node_id = peer
                 accepted, frames = self.register(node_id, sock)
                 for frame in frames:
-                    await write_frame(sock, frame)
+                    await send_frame(sock, frame)
                 while accepted:
-                    body = await read_frame(sock, MAX_RELAY_FRAME)
+                    body = await recv_frame(sock, MAX_RELAY_FRAME)
                     await self._deliver(self.route(node_id, body, sock))
         except _SESSION_ERRORS:
             pass
@@ -234,7 +235,7 @@ class LiveRelayServer(RelayCore):
             try:
                 if hop.conn is None:
                     hop.conn = await self._trunk(*hop.trunk)
-                await write_frame(hop.conn, hop.frame)
+                await send_frame(hop.conn, hop.frame)
             except _TRANSPORT_ERRORS:
                 if hop.last:
                     raise  # the origin itself is gone: its loop's problem
@@ -284,13 +285,13 @@ class LiveRelayClient(RelayClientCore):
 
     async def connect(self) -> "LiveRelayClient":
         self._sock = await live_connect(self.relay_addr)
-        await write_frame(self._sock, self.register_frame())
-        self.registered(await read_frame(self._sock, MAX_RELAY_FRAME))
+        await send_frame(self._sock, self.register_frame())
+        self.registered(await recv_frame(self._sock, MAX_RELAY_FRAME))
         self._reader_task = asyncio.ensure_future(self._reader())
         return self
 
     async def _send(self, frame: bytes) -> None:
-        await write_frame(self._sock, frame)
+        await send_frame(self._sock, frame)
 
     def _notify(self, frame: bytes) -> None:
         async def notify() -> None:
@@ -316,7 +317,7 @@ class LiveRelayClient(RelayClientCore):
     async def _reader(self) -> None:
         try:
             while True:
-                link = self.dispatch(await read_frame(self._sock, MAX_RELAY_FRAME))
+                link = self.dispatch(await recv_frame(self._sock, MAX_RELAY_FRAME))
                 if link is not None:
                     self._accepts.put_nowait(link)
         except _SESSION_ERRORS:

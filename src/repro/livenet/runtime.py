@@ -21,22 +21,18 @@ from typing import Optional, Tuple
 from .. import obs
 from ..core.addressing import EndpointInfo
 from ..core.utilization.spec import StackSpec
+from ..core.utilization.stack import build_stack
+from ..core.utilization.stream import BlockChannel
+from ..core.wire import WireError, recv_frame, send_frame
+from ..ipl.registry import RegistryClient
 from ..ipl.serialization import MessageReader, MessageWriter
 from ..util.framing import ByteReader, ByteWriter
 from ..mux import DEFAULT_WINDOW
 from ..mux.scheduler import make_scheduler
-from .drivers import (
-    AsyncBlockChannel,
-    AsyncCompressionDriver,
-    AsyncParallelStreamsDriver,
-    AsyncTcpBlockDriver,
-    AsyncTlsDriver,
-)
+from .drivers import AsyncParallelStreamsDriver
 from .mux import AsyncMuxEndpoint
-from .registry import LiveRegistryClient
 from .relay import LiveRelayClient
 from .transport import LiveListener, live_connect, live_listen
-from .wire import WireError, read_frame, write_frame
 
 __all__ = ["LiveIbis", "LiveIbisError", "LiveSendPort", "LiveReceivePort"]
 
@@ -60,32 +56,23 @@ def _typed_spec(spec) -> StackSpec:
     return spec
 
 
-def _build_stack(spec, socks: list, tls_config=None):
-    """Assemble async drivers from a stack spec (subset of the sim specs)."""
-    parsed = _typed_spec(spec)
-    if parsed.session is not None:
-        # AsyncSessionLink exists; LiveIbis does not assemble it yet
-        raise LiveIbisError("layer 'session' unsupported on the live backend")
-    bottom = parsed.bottom
-    if bottom.name == "tcp_block":
-        driver = AsyncTcpBlockDriver(socks[0])
-    else:
-        driver = AsyncParallelStreamsDriver(
-            socks, fragment=int(bottom.get("fragment", 16384))
+def _require_live_supported(spec: StackSpec) -> None:
+    """Refuse, before anything is dialled, what :class:`LiveIbis` cannot
+    run: it assembles no session links, runs no TLS handshake (it has no
+    credentials to run one with) and has no rebalancing striping driver."""
+    for layer in ("session", "tls"):
+        if layer in spec:
+            raise LiveIbisError(f"layer {layer!r} unsupported on the live backend")
+    if int(spec.bottom.get("rebalance", 0)):
+        raise LiveIbisError(
+            "layer 'parallel:rebalance=1' unsupported on the live backend"
         )
-    for layer in reversed(parsed.filters):
-        if layer.name in ("compress", "adaptive"):
-            driver = AsyncCompressionDriver(driver, level=int(layer.get("level", 1)))
-        elif layer.name == "tls":
-            driver = AsyncTlsDriver(driver)
-        else:
-            raise LiveIbisError(
-                f"layer {layer.name!r} unsupported on the live backend"
-            )
-    obs.event(
-        "stack.built", spec=str(parsed), links=len(socks), backend="live"
+
+
+def _build_channel(spec: StackSpec, socks: list) -> BlockChannel:
+    return BlockChannel(
+        build_stack(spec, socks, parallel=(AsyncParallelStreamsDriver, None))
     )
-    return driver
 
 
 class LiveWriteMessage(MessageWriter):
@@ -109,7 +96,7 @@ class LiveSendPort:
     def __init__(self, runtime: "LiveIbis", name: str):
         self.runtime = runtime
         self.name = name
-        self.channels: dict[str, AsyncBlockChannel] = {}
+        self.channels: dict[str, BlockChannel] = {}
         self.messages_sent = 0
 
     async def connect(self, port_name: str, spec: Optional[StackSpec] = None) -> None:
@@ -138,10 +125,10 @@ class LiveReceivePort:
         self._queue: asyncio.Queue = asyncio.Queue()
         self._pumps: list[asyncio.Task] = []
 
-    def _attach(self, channel: AsyncBlockChannel, origin: str) -> None:
+    def _attach(self, channel: BlockChannel, origin: str) -> None:
         self._pumps.append(asyncio.ensure_future(self._pump(channel, origin)))
 
-    async def _pump(self, channel: AsyncBlockChannel, origin: str) -> None:
+    async def _pump(self, channel: BlockChannel, origin: str) -> None:
         try:
             while True:
                 payload = await channel.recv_message()
@@ -174,7 +161,9 @@ class LiveIbis:
         self.default_spec = (
             StackSpec.tcp() if default_spec is None else _typed_spec(default_spec)
         )
-        self.registry = LiveRegistryClient(registry_addr)
+        self.registry = RegistryClient(
+            None, registry_addr, connector=lambda _host, addr: live_connect(addr)
+        )
         self.relay = LiveRelayClient(name, relay_addr)
         self.listen_host = listen_host
         self.listener: Optional[LiveListener] = None
@@ -238,6 +227,7 @@ class LiveIbis:
     # -- connecting --------------------------------------------------------------
     async def _connect_port(self, port_name: str, spec):
         parsed = self.default_spec if spec is None else _typed_spec(spec)
+        _require_live_supported(parsed)
         owner, owner_info = await self.registry.lookup_port(port_name)
         ctx = obs.current() or obs.TraceContext.new()
         with obs.span(
@@ -252,8 +242,8 @@ class LiveIbis:
                 .lp_str(self.name)
                 .getvalue()
             )
-            await write_frame(service, request)
-            reply = ByteReader(await read_frame(service))
+            await send_frame(service, request)
+            reply = ByteReader(await recv_frame(service))
             if reply.u8() != RESP_OK:
                 raise LiveIbisError(f"connect rejected: {reply.lp_str()}")
             # Stack agreement + data connections (direct TCP or routed).
@@ -274,7 +264,7 @@ class LiveIbis:
                 reuse = 1 if cached is not None else 0
                 eid = cached[0] if cached is not None else next(self._mux_ids)
                 agreement.u8(reuse).u64(eid).u64(nonce)
-                await write_frame(service, agreement.getvalue())
+                await send_frame(service, agreement.getvalue())
                 if cached is not None:
                     endpoint = cached[1]
                     obs.event(
@@ -302,15 +292,14 @@ class LiveIbis:
                     for _ in range(n)
                 ]
             else:
-                await write_frame(service, agreement.getvalue())
+                await send_frame(service, agreement.getvalue())
                 socks = []
                 for _ in range(n):
                     sock = await self._open_data(
                         owner, owner_info, service, ctx=ctx
                     )
                     socks.append(sock)
-            driver = _build_stack(parsed, socks)
-        return AsyncBlockChannel(driver)
+            return _build_channel(parsed, socks)
 
     async def _open_service(self, owner: str, info: EndpointInfo):
         # Figure 4, bootstrap branch: direct client/server when the peer
@@ -329,10 +318,10 @@ class LiveIbis:
         # the caller has none).
         child = ctx.child() if ctx is not None else None
         encoded = child.encode() if child is not None else b""
-        await write_frame(
+        await send_frame(
             service, ByteWriter().u8(1).lp_bytes(encoded).getvalue()
         )
-        reply = ByteReader(await read_frame(service))
+        reply = ByteReader(await recv_frame(service))
         kind = reply.u8()
         if kind != 0:
             raise LiveIbisError("responder offered no data listener")
@@ -361,12 +350,12 @@ class LiveIbis:
 
     async def _serve_one(self, service) -> None:
         try:
-            request = ByteReader(await read_frame(service))
+            request = ByteReader(await recv_frame(service))
         except (EOFError, ConnectionError, WireError):
             service.close()
             return
         if request.u8() != REQ_PORT_CONNECT:
-            await write_frame(
+            await send_frame(
                 service, ByteWriter().u8(RESP_ERR).lp_str("bad request").getvalue()
             )
             return
@@ -374,15 +363,20 @@ class LiveIbis:
         sender = request.lp_str()
         port = self.receive_ports.get(port_name)
         if port is None:
-            await write_frame(
+            await send_frame(
                 service,
                 ByteWriter().u8(RESP_ERR).lp_str(f"no port {port_name!r}").getvalue(),
             )
             return
-        await write_frame(service, ByteWriter().u8(RESP_OK).getvalue())
-        agreement = ByteReader(await read_frame(service))
+        await send_frame(service, ByteWriter().u8(RESP_OK).getvalue())
+        agreement = ByteReader(await recv_frame(service))
         # The spec string is the wire format: parse it silently.
         parsed = StackSpec.parse(agreement.lp_str())
+        try:
+            _require_live_supported(parsed)
+        except LiveIbisError:
+            service.close()  # the peer is parked on its data request
+            raise
         _block_size = agreement.u32()
         n = parsed.links_required
         if parsed.mux is not None:
@@ -422,8 +416,7 @@ class LiveIbis:
             for _ in range(n):
                 sock, _ctx = await self._accept_data(service, sender)
                 socks.append(sock)
-        driver = _build_stack(parsed, socks)
-        port._attach(AsyncBlockChannel(driver), origin=sender)
+        port._attach(_build_channel(parsed, socks), origin=sender)
 
     async def _accept_data(self, service, sender: str):
         """One responder round of the data-connection sub-protocol.
@@ -432,7 +425,7 @@ class LiveIbis:
         the request frame (``None`` when the caller sent none), so the
         accept joins the initiator's causal trace.
         """
-        request = ByteReader(await read_frame(service))
+        request = ByteReader(await recv_frame(service))
         request.u8()  # request kind; only data connections are defined
         ctx = None
         encoded = request.lp_bytes()
@@ -449,7 +442,7 @@ class LiveIbis:
             .u16(listener.port)
             .getvalue()
         )
-        await write_frame(service, reply)
+        await send_frame(service, reply)
         sock = await listener.accept()
         listener.close()
         obs.event(

@@ -17,12 +17,12 @@ up to the process that drives it, so one script body suits both.
 
 import asyncio
 import contextlib
+import inspect
 
 from repro.core.links import TcpLink, transport_errors
 from repro.core.relay import RelayClient, RelayServer
 from repro.core.wire import recv_frame, send_frame
 from repro.livenet.relay import LiveRelayClient, LiveRelayServer
-from repro.livenet.wire import read_frame, write_frame
 from repro.simnet import Internet, connect, listen
 from repro.simnet.engine import all_of
 from repro.simnet.testing import two_public_hosts
@@ -41,11 +41,24 @@ class _Steps:
 
 
 def _drive(coro):
-    """Simulator process body that runs a coroutine to completion."""
-    return (yield from coro.__await__())
+    """Simulator process body that runs a coroutine to completion: a native
+    one through ``__await__``; a generator-based one (a driver method) is
+    its own steps."""
+    return (yield from (coro if inspect.isgenerator(coro) else coro.__await__()))
 
 
-class SimHarness:
+class _FrameIO:
+    """``core.wire``'s frame IO is a generator-based coroutine: the same
+    call is awaitable on both bindings."""
+
+    def send_frame(self, stream, body):
+        return send_frame(stream, body)
+
+    def recv_frame(self, stream):
+        return recv_frame(stream)
+
+
+class SimHarness(_FrameIO):
     """Runs a script over two simulated hosts and one TCP connection."""
 
     def setup(self):
@@ -109,14 +122,9 @@ class SimHarness:
     def recv_exactly(self, stream, n):
         return _Steps(stream.recv_exactly(n))
 
-    def send_frame(self, stream, body):
-        return _Steps(send_frame(stream, body))
-
-    def recv_frame(self, stream):
-        return _Steps(recv_frame(stream))
 
 
-class LiveHarness:
+class LiveHarness(_FrameIO):
     """Runs a script in a fresh event loop over one loopback connection.
 
     ``sleep`` takes the script's (simulated-scale) seconds and waits a
@@ -167,11 +175,6 @@ class LiveHarness:
     def recv_exactly(self, stream, n):
         return stream.recv_exactly(n)
 
-    def send_frame(self, stream, body):
-        return write_frame(stream, body)
-
-    def recv_frame(self, stream):
-        return read_frame(stream)
 
 
 class SimRelay(SimHarness):

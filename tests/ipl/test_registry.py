@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.addressing import EndpointInfo
 from repro.ipl.registry import RegistryClient, RegistryError, RegistryServer
-from repro.simnet import Internet
+from repro.simnet import Internet, connect
 from repro.simnet.testing import drive
 
 
@@ -167,5 +167,21 @@ def test_list_nodes():
         yield from c1.register("b", _info("b", h1.ip))
         names = yield from c1.list_nodes()
         assert sorted(names) == ["a", "b"]
+
+    drive(inet.sim, proc())
+
+
+def test_oversized_frame_costs_the_sender_its_connection_only():
+    """Four bytes from any client used to end the whole run: the session
+    loop did not catch the ``WireError`` its own ``recv_frame`` raises."""
+    inet, server, [(h0, _c0), (h1, c1)] = _setup()
+
+    def proc():
+        rogue = yield from connect(h0, server.addr)
+        yield from rogue.send_all(b"\x7f\xff\xff\xff")
+        assert (yield from rogue.recv(1)) == b""  # dropped, without a reply
+        yield from c1.connect()
+        yield from c1.register("n1", _info("n1", h1.ip))
+        assert (yield from c1.list_nodes()) == ["n1"]
 
     drive(inet.sim, proc())

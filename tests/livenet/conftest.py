@@ -26,6 +26,7 @@ import os
 
 import pytest
 
+from repro.ipl.registry import RegistryClient
 from repro.livenet import live_connect, live_listen
 
 #: hard per-test wall-clock deadline (seconds); generous on purpose —
@@ -42,6 +43,11 @@ def live_run():
         return asyncio.run(asyncio.wait_for(coro, timeout=timeout))
 
     return run
+
+
+def registry_client(addr) -> RegistryClient:
+    """The one registry client, dialling over asyncio as ``LiveIbis`` does."""
+    return RegistryClient(None, addr, connector=lambda _host, a: live_connect(a))
 
 
 @contextlib.asynccontextmanager

@@ -4,12 +4,14 @@ import asyncio
 
 import pytest
 
+from repro.core.utilization import (
+    BlockChannel,
+    CompressionDriver,
+    TcpBlockDriver,
+    TlsDriver,
+)
 from repro.livenet import (
-    AsyncBlockChannel,
-    AsyncCompressionDriver,
     AsyncParallelStreamsDriver,
-    AsyncTcpBlockDriver,
-    AsyncTlsDriver,
     LiveRelayClient,
     LiveRelayServer,
     live_connect,
@@ -60,7 +62,7 @@ class TestAsyncDrivers:
     def test_tcp_block_round_trip(self, live_run):
         async def main():
             async with socket_pairs() as ((c,), (s,)):
-                tx, rx = AsyncTcpBlockDriver(c), AsyncTcpBlockDriver(s)
+                tx, rx = TcpBlockDriver(c), TcpBlockDriver(s)
                 await tx.send_block(b"block-data" * 100)
                 return await rx.recv_block()
 
@@ -91,8 +93,8 @@ class TestAsyncDrivers:
     def test_compression_round_trip(self, live_run):
         async def main():
             async with socket_pairs() as ((c,), (s,)):
-                tx = AsyncCompressionDriver(AsyncTcpBlockDriver(c))
-                rx = AsyncCompressionDriver(AsyncTcpBlockDriver(s))
+                tx = CompressionDriver(TcpBlockDriver(c))
+                rx = CompressionDriver(TcpBlockDriver(s))
                 block = b"compressible " * 2000
                 await tx.send_block(block)
                 got = await rx.recv_block()
@@ -107,8 +109,8 @@ class TestAsyncDrivers:
 
         async def main():
             async with socket_pairs() as ((c,), (s,)):
-                tx = AsyncTlsDriver(AsyncTcpBlockDriver(c))
-                rx = AsyncTlsDriver(AsyncTcpBlockDriver(s))
+                tx = TlsDriver(TcpBlockDriver(c))
+                rx = TlsDriver(TcpBlockDriver(s))
                 await asyncio.gather(
                     tx.handshake_client([ca.certificate]),
                     rx.handshake_server(identity),
@@ -158,8 +160,8 @@ class TestAsyncDrivers:
             )
             listener.close()
             flip = FlipOnce(c)
-            tx = AsyncTlsDriver(AsyncTcpBlockDriver(flip))
-            rx = AsyncTlsDriver(AsyncTcpBlockDriver(s))
+            tx = TlsDriver(TcpBlockDriver(flip))
+            rx = TlsDriver(TcpBlockDriver(s))
             await asyncio.gather(
                 tx.handshake_client([ca.certificate]),
                 rx.handshake_server(identity),
@@ -207,8 +209,8 @@ class TestAsyncDrivers:
                 live_connect(listener.addr), listener.accept()
             )
             listener.close()
-            tx = AsyncTlsDriver(AsyncTcpBlockDriver(c))
-            rx = AsyncTlsDriver(AsyncTcpBlockDriver(s))
+            tx = TlsDriver(TcpBlockDriver(c))
+            rx = TlsDriver(TcpBlockDriver(s))
             server = asyncio.ensure_future(rx.handshake_server(identity))
             try:
                 with pytest.raises(HandshakeError, match="certificate rejected"):
@@ -228,11 +230,11 @@ class TestAsyncDrivers:
     def test_full_stack_channel(self, live_run):
         async def main():
             async with socket_pairs(2) as (cs, ss):
-                tx = AsyncBlockChannel(
-                    AsyncCompressionDriver(AsyncParallelStreamsDriver(cs))
+                tx = BlockChannel(
+                    CompressionDriver(AsyncParallelStreamsDriver(cs))
                 )
-                rx = AsyncBlockChannel(
-                    AsyncCompressionDriver(AsyncParallelStreamsDriver(ss))
+                rx = BlockChannel(
+                    CompressionDriver(AsyncParallelStreamsDriver(ss))
                 )
                 payload = bytes(range(256)) * 1000
 

@@ -15,9 +15,9 @@ import pytest
 
 from repro.core.relay import RelayError
 from repro.core.relay_core import PING_FRAME
+from repro.core.wire import send_frame
 from repro.livenet import LiveRelayClient, LiveRelayServer
 from repro.livenet import relay as relay_module
-from repro.livenet.wire import write_frame
 from repro.mesh.config import MeshConfig
 
 from ..dual import LiveRelay
@@ -77,7 +77,7 @@ def test_local_close_wakes_a_parked_reader_with_eof():
 
 def test_keepalive_ping_is_absorbed():
     async def script(h, a, b):
-        await write_frame(a._sock, PING_FRAME)
+        await send_frame(a._sock, PING_FRAME)
         link = await a.open_link("node1")  # the registration still routes
         await link.send_all(b"after-ping")
         data = await (await b.accept_link()).recv_exactly(10)

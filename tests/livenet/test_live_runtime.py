@@ -6,9 +6,11 @@ import contextlib
 import pytest
 
 from repro.core.utilization.spec import StackSpec
-from repro.livenet.registry import LiveRegistryClient, LiveRegistryServer
+from repro.livenet.registry import LiveRegistryServer
 from repro.livenet.relay import LiveRelayServer
 from repro.livenet.runtime import LiveIbis
+
+from .conftest import registry_client
 
 pytestmark = pytest.mark.livenet
 
@@ -39,7 +41,7 @@ class TestLiveRegistry:
             from repro.core.addressing import EndpointInfo
 
             async with grid() as (registry, _relay):
-                client = await LiveRegistryClient(registry.addr).connect()
+                client = await registry_client(registry.addr).connect()
                 try:
                     await client.register("n1", EndpointInfo("n1", "127.0.0.1"))
                     info = await client.lookup_node("n1")

@@ -20,11 +20,13 @@ from repro.livenet import (
     AsyncSessionListener,
     live_connect,
     live_listen,
+    set_connect_hook,
 )
-from repro.livenet.runtime import LiveIbisError, _build_stack
+from repro.livenet.runtime import LiveIbisError
 from repro.obs.metrics import MetricsRegistry
 
 from .conftest import eventually
+from .test_live_runtime import grid
 
 pytestmark = pytest.mark.livenet
 
@@ -305,6 +307,29 @@ def test_live_shares_the_sim_instruments_and_events(live_run):
     assert span["attrs"]["outcome"] == "ok" and span["node"] == "alice"
 
 
-def test_build_stack_names_session_as_an_unsupported_layer():
-    with pytest.raises(LiveIbisError, match="layer 'session' unsupported"):
-        _build_stack(StackSpec.tcp().with_session(), [None])
+def test_build_stack_names_session_as_an_unsupported_layer(live_run):
+    """``LiveIbis`` refuses what it cannot run before it dials anything
+    (it used to open the data sockets first and never close them, and to
+    accept ``tls`` into a driver nobody handshakes)."""
+    refused = {
+        "session": StackSpec.tcp().with_session(),
+        "tls": StackSpec.tcp().with_tls(),
+        "parallel:rebalance=1": StackSpec.parse("parallel:2:rebalance=1"),
+    }
+
+    async def main():
+        async with grid("alice", "bob") as (_reg, _rel, alice, bob):
+            await bob.create_receive_port("in")
+            dialled = []
+            previous = set_connect_hook(dialled.append)
+            try:
+                for layer, spec in refused.items():
+                    with pytest.raises(
+                        LiveIbisError, match=f"layer '{layer}' unsupported"
+                    ):
+                        await alice.create_send_port("out").connect("in", spec)
+            finally:
+                set_connect_hook(previous)
+            return dialled
+
+    assert live_run(main()) == []

@@ -1,6 +1,6 @@
-"""The one live frame-IO helper, and its size cap at every consumer.
+"""The one frame-IO helper on asyncio, and its size cap at every consumer.
 
-Before ``repro.livenet.wire`` the mux, runtime and registry each read
+Before there was one helper, the live mux, runtime and registry each read
 ``recv_exactly(int.from_bytes(header))`` with no bound: four bytes from a
 peer requested a 4 GiB read.  A ``0xFFFFFFFF`` header must now cost the
 sender its connection — a typed error, no allocation, no hang.  (The mux
@@ -12,12 +12,11 @@ import asyncio
 
 import pytest
 
-from repro.core.wire import WireError
+from repro.core.wire import WireError, recv_frame, send_frame
 from repro.livenet import live_connect, live_listen
-from repro.livenet.registry import LiveRegistryClient, LiveRegistryServer
-from repro.livenet.wire import read_frame, write_frame
+from repro.livenet.registry import LiveRegistryServer
 
-from .conftest import socket_pairs
+from .conftest import registry_client, socket_pairs
 from .test_live_runtime import grid
 
 pytestmark = pytest.mark.livenet
@@ -37,13 +36,13 @@ class TestReadFrame:
     def test_round_trip_and_cap(self, live_run):
         async def main():
             async with socket_pairs() as ((client,), (server,)):
-                await write_frame(client, b"hello")
-                await write_frame(client, b"")
-                assert await read_frame(server) == b"hello"
-                assert await read_frame(server) == b""
-                await write_frame(client, b"x" * 100)
+                await send_frame(client, b"hello")
+                await send_frame(client, b"")
+                assert await recv_frame(server) == b"hello"
+                assert await recv_frame(server) == b""
+                await send_frame(client, b"x" * 100)
                 with pytest.raises(WireError, match="oversized"):
-                    await read_frame(server, max_frame=99)
+                    await recv_frame(server, max_frame=99)
 
         live_run(main())
 
@@ -52,7 +51,7 @@ class TestReadFrame:
             async with socket_pairs() as ((client,), (server,)):
                 await client.send_all(HOSTILE)
                 with pytest.raises(WireError):
-                    await asyncio.wait_for(read_frame(server), timeout=5.0)
+                    await asyncio.wait_for(recv_frame(server), timeout=5.0)
 
         live_run(main())
 
@@ -67,7 +66,7 @@ class TestConsumersDropHostilePeers:
                 dropped = await _dropped(sock)
                 sock.close()
                 # and it is still serving everyone else
-                client = await LiveRegistryClient(server.addr).connect()
+                client = await registry_client(server.addr).connect()
                 names = await client.list_nodes()
                 client.close()
                 return dropped, names
@@ -82,12 +81,12 @@ class TestConsumersDropHostilePeers:
 
             async def rogue_registry():
                 sock = await listener.accept()
-                await read_frame(sock)
+                await recv_frame(sock)
                 await sock.send_all(HOSTILE)
                 return sock
 
             rogue = asyncio.ensure_future(rogue_registry())
-            client = await LiveRegistryClient(listener.addr).connect()
+            client = await registry_client(listener.addr).connect()
             try:
                 with pytest.raises(WireError):
                     await asyncio.wait_for(client.list_nodes(), timeout=5.0)

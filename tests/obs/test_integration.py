@@ -7,11 +7,9 @@ import pytest
 
 from repro import StackSpec, obs
 from repro.core.scenarios import GridScenario
+from repro.core.utilization import BlockChannel, CompressionDriver, TcpBlockDriver
 from repro.livenet import (
-    AsyncBlockChannel,
-    AsyncCompressionDriver,
     AsyncParallelStreamsDriver,
-    AsyncTcpBlockDriver,
     live_connect,
     live_listen,
 )
@@ -55,29 +53,25 @@ class TestSimnetTransfer:
         reg, _rec, _sc, result = transfer
         # the helper rounds up to whole 64 KiB messages
         assert result["received"] == result["sent"] >= TOTAL
-        tx = reg.get("driver.bytes_total",
-                     driver="parallel", direction="tx", backend="sim")
-        rx = reg.get("driver.bytes_total",
-                     driver="parallel", direction="rx", backend="sim")
+        tx = reg.get("driver.bytes_total", driver="parallel", direction="tx")
+        rx = reg.get("driver.bytes_total", driver="parallel", direction="rx")
         assert tx.value == rx.value > 0
         # the payload is all-"p", so the wire carried far fewer bytes
         assert tx.value < result["sent"]
-        assert reg.get("driver.streams",
-                       driver="parallel", backend="sim").value == 4
+        assert reg.get("driver.streams", driver="parallel").value == 4
         hist = reg.get("driver.block_bytes",
-                       driver="parallel", direction="tx", backend="sim")
+                       driver="parallel", direction="tx")
         assert hist.count > 0 and hist.sum == tx.value
 
     def test_compression_counters(self, transfer):
         reg, _rec, _sc, result = transfer
         bytes_in = reg.get("compress.bytes_total",
-                           driver="compress", stage="in", backend="sim")
+                           driver="compress", stage="in")
         bytes_out = reg.get("compress.bytes_total",
-                            driver="compress", stage="out", backend="sim")
+                            driver="compress", stage="out")
         assert bytes_in.value == result["sent"]
         assert 0 < bytes_out.value < bytes_in.value
-        assert reg.get("compress.ratio",
-                       driver="compress", backend="sim").value > 1.0
+        assert reg.get("compress.ratio", driver="compress").value > 1.0
 
     def test_establishment_metrics_and_spans(self, transfer):
         reg, rec, _sc, _result = transfer
@@ -116,9 +110,9 @@ class TestLivenetTransfer:
 
         async def main():
             client_socks, server_socks = await _socket_pair(4)
-            sender = AsyncBlockChannel(AsyncCompressionDriver(
+            sender = BlockChannel(CompressionDriver(
                 AsyncParallelStreamsDriver(client_socks, fragment=2048)))
-            receiver = AsyncBlockChannel(AsyncCompressionDriver(
+            receiver = BlockChannel(CompressionDriver(
                 AsyncParallelStreamsDriver(server_socks, fragment=2048)))
 
             async def send():
@@ -142,24 +136,20 @@ class TestLivenetTransfer:
 
         assert run(main()) == rounds * len(payload)
         reg = fresh_obs
-        tx = reg.get("driver.bytes_total",
-                     driver="parallel", direction="tx", backend="live")
-        rx = reg.get("driver.bytes_total",
-                     driver="parallel", direction="rx", backend="live")
+        tx = reg.get("driver.bytes_total", driver="parallel", direction="tx")
+        rx = reg.get("driver.bytes_total", driver="parallel", direction="rx")
         assert tx.value == rx.value > 0
-        assert reg.get("driver.streams",
-                       driver="parallel", backend="live").value == 4
+        assert reg.get("driver.streams", driver="parallel").value == 4
         assert reg.get("compress.bytes_total", driver="compress",
-                       stage="in", backend="live").value == rounds * len(payload)
-        assert reg.get("compress.ratio",
-                       driver="compress", backend="live").value > 1.0
-        # sim-labelled instruments must not exist after a live-only run
-        assert reg.get("driver.bytes_total",
-                       driver="parallel", direction="tx", backend="sim") is None
+                       stage="in").value == rounds * len(payload)
+        assert reg.get("compress.ratio", driver="compress").value > 1.0
+        # one label set on both backends: who drives a driver is not a label
+        assert all("backend" not in inst.labels for inst in reg.instruments())
 
 
 class TestConstructorParity:
-    """The live drivers take the sim drivers' positional shapes."""
+    """The live striping driver takes the sim one's positional shape (every
+    other driver is the same class on both backends)."""
 
     def test_tcp_block_takes_link(self):
         class FakeSock:
@@ -167,7 +157,7 @@ class TestConstructorParity:
                 pass
 
         sock = FakeSock()
-        assert AsyncTcpBlockDriver(sock).link is sock
+        assert TcpBlockDriver(sock).link is sock
 
     def test_parallel_takes_links_and_rejects_empty(self):
         class FakeSock:
