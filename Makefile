@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: bench-record bench-diff frame-census sim-identical test test-fast test-obs smoke-obs smoke-assemble smoke-mux smoke-flow smoke-telemetry smoke-tune chaos chaos-sweep chaos-resume chaos-mux chaos-mesh chaos-tune live-chaos golden-gate golden-capture golden-soak
+.PHONY: bench-record bench-diff frame-census sim-identical twins test test-fast test-obs smoke-obs smoke-assemble smoke-mux smoke-flow smoke-telemetry smoke-tune chaos chaos-sweep chaos-resume chaos-mux chaos-mesh chaos-tune live-chaos golden-gate golden-capture golden-soak
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -89,6 +89,12 @@ frame-census:
 sim-identical: BASE ?= HEAD^
 sim-identical:
 	$(PYTHON) scripts/sim_identical.py $(BASE) $(if $(STRIP_LABEL),--strip-label $(STRIP_LABEL))
+
+# Are the live bindings still only subclasses that name their runtime?
+# Lists every method a livenet/ subclass redefines over its shared binding
+# and fails on one without a reason in scripts/twins_allow.json.
+twins:
+	$(PYTHON) scripts/twins.py
 
 # Skip tests that bind real loopback sockets (useful in sandboxes).
 test-fast:

@@ -594,7 +594,7 @@ def _live_invariants(
     wl: Workload,
     registry: MetricsRegistry,
     recorder: TraceRecorder,
-    leaked: int,
+    leaked: list,
 ) -> list[str]:
     violations = [f"process: {e}" for e in wl.errors]
     for audit in wl.audits:
@@ -609,7 +609,8 @@ def _live_invariants(
             )
     if leaked:
         violations.append(
-            f"resources: {leaked} tasks still running after teardown"
+            f"resources: {len(leaked)} tasks still running after teardown: "
+            + ", ".join(leaked)
         )
     violations.extend(_mux_violations(registry))
     violations.extend(obs_consistency_violations(registry, recorder))
@@ -630,8 +631,9 @@ async def _run_live(
     scn.shutdown()
     await asyncio.sleep(SETTLE_SECONDS)
     me = asyncio.current_task()
-    leaked = sum(
-        1 for t in asyncio.all_tasks() if t is not me and not t.done()
+    leaked = sorted(
+        t.get_name() for t in asyncio.all_tasks()
+        if t is not me and not t.done()
     )
     return wl, scn, scheduler, leaked
 

@@ -26,6 +26,7 @@ from ...simnet.sockets import SimSocket, connect, connect_simultaneous
 from ...simnet.tcp import TcpConfig
 from ..links import TcpLink
 from ..retry import RetryExhausted, RetryPolicy, retrying
+from ..runtime import SimRuntime
 from .base import SPLICING
 from .verify import verify_initiator, verify_responder
 
@@ -118,7 +119,7 @@ def splice_and_verify(
     try:
         return (
             yield from retrying(
-                host.sim,
+                SimRuntime(host.sim),
                 attempt,
                 policy,
                 retry_on=(_RetrySplice,),

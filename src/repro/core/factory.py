@@ -32,6 +32,7 @@ from .links import Link
 from .node import GridNode
 from .relay import RelayError
 from .retry import RetryPolicy, retrying
+from .runtime import SimRuntime
 from .session import SessionConfig, SessionLink
 from .utilization.spec import StackSpec, StackSpecError
 from .utilization.stack import build_stack
@@ -305,7 +306,7 @@ class BrokeredConnectionFactory:
 
         return (
             yield from retrying(
-                node.sim,
+                SimRuntime(node.sim),
                 attempt,
                 policy,
                 retry_on=TRANSIENT_ERRORS,
@@ -424,7 +425,7 @@ class BrokeredConnectionFactory:
 
         return (
             yield from retrying(
-                node.sim,
+                SimRuntime(node.sim),
                 attempt,
                 policy,
                 retry_on=TRANSIENT_ERRORS,

@@ -12,6 +12,7 @@ method built it?) so benchmarks and the decision logic can inspect it.
 
 from __future__ import annotations
 
+from types import coroutine
 from typing import Generator, Optional
 
 from ..simnet.packet import Addr
@@ -21,7 +22,6 @@ __all__ = [
     "Link",
     "TcpLink",
     "LinkClosed",
-    "TRANSPORT_ERRORS",
     "transport_errors",
     "LINK_KIND_DATA",
     "LINK_KIND_SERVICE",
@@ -38,7 +38,8 @@ class LinkClosed(Exception):
 
 
 def transport_errors() -> tuple:
-    """The exception classes that mean "the underlying transport died".
+    """The exception classes that mean "the underlying transport died",
+    of both families: the simulator's and (``OSError``) real sockets'.
 
     Computed lazily to avoid an import cycle (``relay`` imports ``links``).
     Session-layer recovery treats exactly these — plus :class:`EOFError`
@@ -47,23 +48,15 @@ def transport_errors() -> tuple:
     from ..simnet.tcp import TcpError
     from .relay import RelayError
 
-    return (EOFError, LinkClosed, TcpError, RelayError)
-
-
-#: resolved on first attribute access via __getattr__ below
-TRANSPORT_ERRORS: tuple
-
-
-def __getattr__(name: str):
-    if name == "TRANSPORT_ERRORS":
-        return transport_errors()
-    raise AttributeError(name)
+    return (EOFError, OSError, LinkClosed, TcpError, RelayError)
 
 
 class Link:
     """Abstract established connection (paper §2).
 
-    Subclasses provide the generator-based stream operations.  Metadata:
+    Subclasses provide the stream operations as generator-based
+    coroutines (a simulator process runs them with ``yield from``, an
+    asyncio task with ``await``).  Metadata:
 
     * ``method`` — establishment method name ("client_server", "splicing",
       "socks_proxy", "routed").
@@ -88,6 +81,7 @@ class Link:
     def recv(self, maxbytes: int) -> Generator:
         raise NotImplementedError
 
+    @coroutine
     def recv_exactly(self, n: int) -> Generator:
         chunks = []
         remaining = n
@@ -95,6 +89,8 @@ class Link:
             data = yield from self.recv(remaining)
             if not data:
                 raise EOFError(f"link ended with {remaining}/{n} bytes missing")
+            if len(data) == n:
+                return data  # one chunk satisfied the read: nothing to join
             chunks.append(data)
             remaining -= len(data)
         return b"".join(chunks)

@@ -15,16 +15,21 @@ are *not* native TCP (Table 1), and every byte crosses the relay — which is
 why they are meant for bootstrap/service traffic, "not supposed to be used
 for data, except in extreme cases".
 
-This module is the simulator binding of :mod:`repro.core.relay_core`: the
-protocol lives there, the generators that move its frames live here.
+This module is the one binding of :mod:`repro.core.relay_core`: the
+protocol lives there, the loops that move its frames live here, written as
+generator-based coroutines over :mod:`repro.core.runtime`.  On the
+simulator the runtime comes with the host, and dialling and listening are
+the simulator's; :mod:`repro.livenet.relay` subclasses name the asyncio
+runtime and dial real sockets.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from types import coroutine
 from typing import Callable, Generator, Optional
 
 from .. import obs
-from ..simnet.engine import Event, Simulator, any_of
 from ..simnet.packet import Addr
 from ..simnet.sockets import SimSocket, connect, listen
 from ..simnet.tcp import SocketClosed, TcpError
@@ -41,43 +46,25 @@ from .relay_core import (
     RoutedChannel,
 )
 from .retry import RetryExhausted, RetryPolicy, retrying
+from .runtime import Bound
 from .wire import WireError, recv_frame, send_frame
 
 __all__ = ["RelayServer", "RelayClient", "RoutedLink", "RelayError", "MAX_MSG",
            "MAX_RELAY_FRAME"]
 
-#: a write (or dial) to a dead connection
-_TRANSPORT_ERRORS = (EOFError, TcpError)
+#: a write (or dial) to a dead connection, of either family: the
+#: simulator's and (``OSError``, which a missed deadline is too) real sockets'
+_TRANSPORT_ERRORS = (EOFError, TcpError, OSError)
 #: everything that ends a connection's read loop
 _SESSION_ERRORS = (*_TRANSPORT_ERRORS, RelayError, FrameError, WireError)
 
-
-class _Accepts:
-    """Accepted links waiting for ``accept_link`` callers, or the reverse."""
-
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        self._ready: list[RoutedLink] = []
-        self._waiters: list[Event] = []
-
-    def put(self, link: "RoutedLink") -> None:
-        if self._waiters:
-            self._waiters.pop(0).succeed(link)
-        else:
-            self._ready.append(link)
-
-    def get(self) -> Generator:
-        ev = self.sim.event()
-        if self._ready:
-            ev.succeed(self._ready.pop(0))
-        else:
-            self._waiters.append(ev)
-        link = yield ev
-        return link
+#: budget for one relay-to-relay wait (the gossip reply; on real sockets
+#: the dial too): a dead peer must cost one bounded round, not a hung loop
+_PEER_IO_TIMEOUT = 2.0
 
 
-class RelayServer(RelayCore):
-    """The relay process on the simulator.
+class RelayServer(Bound, RelayCore):
+    """The relay process (optionally one member of a relay mesh).
 
     :class:`~repro.core.relay_core.RelayCore` decides; this class listens,
     runs one read loop per connection, performs the hops the core names
@@ -85,9 +72,9 @@ class RelayServer(RelayCore):
     """
 
     def __init__(self, host, port: int = 4000, name: str = "relay"):
-        super().__init__(name, clock=lambda: host.sim.now)
         self.host = host
         self.port = port
+        super().__init__(name, clock=self.runtime.now)
         self._listener = None
         self._gossip_token: Optional[object] = None
         #: transient sockets in flight (gossip exchanges, accepted
@@ -103,9 +90,17 @@ class RelayServer(RelayCore):
     def running(self) -> bool:
         return self._listener is not None
 
+    @property
+    def sim(self):
+        return self.host.sim
+
+    def _dial(self, addr: Addr) -> Generator:
+        """A connection to a peer relay."""
+        return connect(self.host, addr)
+
     def start(self) -> None:
         self._listener = listen(self.host, self.port, backlog=64)
-        self.host.sim.process(self._accept_loop(), name="relay-accept")
+        self._spawn(self._accept_loop(), "relay-accept")
         self.started()
 
     def stop(self) -> None:
@@ -124,21 +119,21 @@ class RelayServer(RelayCore):
     def _start_gossip(self) -> None:
         token = object()
         self._gossip_token = token
-        self.host.sim.process(
-            self._gossip_loop(token), name=f"mesh-gossip-{self.relay_id}"
-        )
+        self._spawn(self._gossip_loop(token), f"mesh-gossip-{self.relay_id}")
 
+    @coroutine
     def _gossip_loop(self, token: object) -> Generator:
         while self._gossip_token is token and self._listener is not None:
             rnd = self.gossip_begin()
             reply = None
             if rnd.partner is not None:
                 try:
-                    sock = yield from connect(self.host, rnd.addr)
+                    sock = yield from self._dial(rnd.addr)
                     self._inflight_socks.add(sock)
                     try:
                         yield from send_frame(sock, self.gossip_frame())
-                        reply = yield from recv_frame(sock, MAX_RELAY_FRAME)
+                        reply = yield from self.runtime.bounded(
+                            recv_frame(sock, MAX_RELAY_FRAME), _PEER_IO_TIMEOUT)
                     finally:
                         self._inflight_socks.discard(sock)
                         sock.close()
@@ -146,8 +141,9 @@ class RelayServer(RelayCore):
                     pass
             if self.gossip_end(rnd, reply):
                 yield from self._push_mesh_views()
-            yield self.host.sim.timeout(self.gossip_delay())
+            yield from self.runtime.sleep(self.gossip_delay())
 
+    @coroutine
     def _push_mesh_views(self) -> Generator:
         """Best-effort view push to every registered client."""
         frame = self._mesh_view_frame()
@@ -157,7 +153,8 @@ class RelayServer(RelayCore):
             except _TRANSPORT_ERRORS:
                 continue  # the session loop notices and unregisters
 
-    def _serve_gossip(self, sock: SimSocket, sender: str, entries: bytes) -> Generator:
+    @coroutine
+    def _serve_gossip(self, sock, sender: str, entries: bytes) -> Generator:
         """Answer one incoming anti-entropy exchange (push-pull)."""
         answer = self.gossip_answer(sender, entries)
         if answer is None:
@@ -173,28 +170,31 @@ class RelayServer(RelayCore):
             pass
 
     # -- trunks --------------------------------------------------------------
+    @coroutine
     def _trunk(self, relay_id: str, addr: Addr) -> Generator:
         """The outgoing trunk to ``relay_id`` (dialled on first use)."""
         sock = self._trunks.get(relay_id)
         if sock is not None:
             return sock
-        sock = yield from connect(self.host, addr)
+        sock = yield from self._dial(addr)
         self._inflight_socks.add(sock)
         try:
             yield from send_frame(sock, self.trunk_hello())
+        except BaseException:
+            sock.close()
+            raise
         finally:
             self._inflight_socks.discard(sock)
         kept = self.trunk_dialed(relay_id, sock)
         if kept is sock:
-            self.host.sim.process(
-                self._trunk_reader(sock, relay_id),
-                name=f"mesh-trunk-{self.relay_id}-{relay_id}",
-            )
+            self._spawn(self._trunk_reader(sock, relay_id),
+                        f"mesh-trunk-{self.relay_id}-{relay_id}")
         else:
             sock.close()
         return kept
 
-    def _trunk_reader(self, sock: SimSocket, relay_id: Optional[str] = None) -> Generator:
+    @coroutine
+    def _trunk_reader(self, sock, relay_id: Optional[str] = None) -> Generator:
         """Deliver what arrives over a trunk (forwarded bodies on one we
         accepted; routed errors and return traffic on one we dialled)."""
         try:
@@ -205,19 +205,21 @@ class RelayServer(RelayCore):
             pass
         finally:
             self.trunk_lost(sock, relay_id)
-        sock.close()
+            sock.close()
 
     # -- serving -------------------------------------------------------------
+    @coroutine
     def _accept_loop(self) -> Generator:
         listener = self._listener
         try:
             while True:
                 sock = yield from listener.accept()
-                self.host.sim.process(self._session(sock), name="relay-session")
+                self._spawn(self._session(sock), "relay-session")
         except SocketClosed:
             return  # stopped
 
-    def _session(self, sock: SimSocket) -> Generator:
+    @coroutine
+    def _session(self, sock) -> Generator:
         node_id: Optional[str] = None
         # Until its first frame puts this connection in a registry (and for
         # all of a gossip exchange) nothing else tracks it; stop() must.
@@ -247,6 +249,7 @@ class RelayServer(RelayCore):
             self.unregister(node_id, sock)
             sock.close()
 
+    @coroutine
     def _deliver(self, hop: Optional[Hop]) -> Generator:
         """The hop loop: try the write; on a transport error the core
         names the next hop, down to an error back to the origin."""
@@ -311,40 +314,47 @@ class RoutedLink(RoutedChannel, Link):
 
     def __init__(self, client: "RelayClient", peer: str, channel: int, owned: bool = True):
         super().__init__(client, peer, channel, owned)
-        self._waiters: list[tuple[Event, int]] = []
+        #: parked ``recv`` callers, oldest first: (event, maxbytes)
+        self._readers: deque = deque()
 
     @property
     def sim(self):
         return self.client.sim
 
     def _wake(self) -> None:
-        while self._waiters and (self._buffer or self._eof):
-            ev, maxbytes = self._waiters.pop(0)
+        """Serve parked readers in order; what each gets is decided now,
+        not when it resumes."""
+        while self._readers and (self._buffer or self._eof):
+            event, maxbytes = self._readers.popleft()
+            if event.done():
+                continue  # cancelled while parked
             try:
-                ev.succeed(self.take(maxbytes))
+                event.set_result(self.take(maxbytes))
             except RelayError as exc:
-                ev.fail(exc)
+                event.set_exception(exc)
 
     # -- Link interface ----------------------------------------------------------
+    @coroutine
     def send_all(self, data: bytes) -> Generator:
         if self.closed:
-            raise RelayError("send on closed routed link")
+            raise self.client.link_error("send on closed routed link")
         for frame in self.msg_frames(data):
             yield from self.client._send(frame)
 
+    @coroutine
     def recv(self, maxbytes: int) -> Generator:
-        ev: Event = self.client.sim.event()
-        self._waiters.append((ev, maxbytes))
+        runtime = self.client.runtime
+        event = runtime.event()
+        self._readers.append((event, maxbytes))
         self._wake()
-        data = yield ev
-        return data
+        return (yield from runtime.wait(event))
 
 
-class RelayClient(RelayClientCore):
+class RelayClient(Bound, RelayClientCore):
     """A node's connection to the relay; demultiplexes routed links.
 
     ``connector`` customizes how the relay itself is reached (e.g. through
-    a SOCKS proxy on a severely firewalled site); it is a generator
+    a SOCKS proxy on a severely firewalled site); it is a coroutine
     ``connector(host, relay_addr) -> stream``.
 
     With ``auto_reconnect`` the client transparently re-registers after
@@ -372,7 +382,6 @@ class RelayClient(RelayClientCore):
     ):
         super().__init__(node_id)
         self.host = host
-        self.sim: Simulator = host.sim
         self.relay_addr = relay_addr
         self.connector = connector
         self.auto_reconnect = auto_reconnect
@@ -384,52 +393,56 @@ class RelayClient(RelayClientCore):
         self.reconnect_policy = reconnect_policy or RetryPolicy(
             max_attempts=10, base_delay=0.25, multiplier=2.0, max_delay=5.0
         )
-        self._sock: Optional[SimSocket] = None
-        self._accepts = _Accepts(self.sim)
-        self._connect_waiters: list[Event] = []
+        self._sock = None
+        #: accepted links waiting for ``accept_link`` callers, or the reverse
+        self._accepts = self.runtime.queue()
+        #: ``wait_connected`` callers, parked
+        self._waiters: dict = {}
         #: True once :meth:`close` was called (suppresses reconnection)
         self.closed = False
         #: successful re-registrations after a lost session
         self.reconnects = 0
 
+    @property
+    def sim(self):
+        return self.host.sim
+
+    def _dial(self, addr: Addr) -> Generator:
+        """A connection to the relay (when no ``connector`` makes it)."""
+        return connect(self.host, addr)
+
     # -- lifecycle -----------------------------------------------------------
+    @coroutine
     def connect(self) -> Generator:
         """Register with the relay and start the demux loop."""
         self.closed = False
         if self.connector is not None:
             self._sock = yield from self.connector(self.host, self.relay_addr)
         else:
-            self._sock = yield from connect(self.host, self.relay_addr)
+            self._sock = yield from self._dial(self.relay_addr)
         yield from send_frame(self._sock, self.register_frame())
         self.registered((yield from recv_frame(self._sock, MAX_RELAY_FRAME)))
-        for ev in self._connect_waiters:
-            ev.succeed(self)
-        self._connect_waiters.clear()
-        self.sim.process(self._reader(), name=f"relay-client-{self.node_id}")
+        self.runtime.unpark(self._waiters, "connected")
+        self._spawn(self._reader(), f"relay-client-{self.node_id}")
         if self.keepalive > 0:
-            self.sim.process(
-                self._keepalive_loop(self._sock),
-                name=f"relay-keepalive-{self.node_id}",
-            )
+            self._spawn(self._keepalive_loop(self._sock),
+                        f"relay-keepalive-{self.node_id}")
         return self
 
+    @coroutine
     def wait_connected(self, timeout: float = 30.0) -> Generator:
         """Wait until the client holds a live relay registration."""
         if self.connected:
             return self
         if self.closed:
             raise RelayError("relay client closed")
-        ev = self.sim.event()
-        self._connect_waiters.append(ev)
-        expiry = self.sim.timeout(timeout)
-        result = yield any_of(self.sim, [ev, expiry])
-        if ev in result:
-            return self
         try:
-            self._connect_waiters.remove(ev)
-        except ValueError:
-            pass
-        raise TimeoutError(f"relay connection not up within {timeout}s")
+            yield from self.runtime.bounded(
+                self.runtime.park(self._waiters, "connected"), timeout)
+        except TimeoutError:
+            raise TimeoutError(
+                f"relay connection not up within {timeout}s") from None
+        return self
 
     def close(self) -> None:
         self.closed = True
@@ -453,10 +466,11 @@ class RelayClient(RelayClientCore):
         if self._sock is not None:
             self._sock.abort()
 
-    def _keepalive_loop(self, sock: SimSocket) -> Generator:
+    @coroutine
+    def _keepalive_loop(self, sock) -> Generator:
         """Ping the relay periodically while this registration is alive."""
         while True:
-            yield self.sim.timeout(self.keepalive)
+            yield from self.runtime.sleep(self.keepalive)
             if self.closed or not self.connected or self._sock is not sock:
                 return
             try:
@@ -465,12 +479,14 @@ class RelayClient(RelayClientCore):
                 return  # the reader notices the loss and handles it
 
     # -- outgoing ---------------------------------------------------------------
+    @coroutine
     def _send(self, frame: bytes) -> Generator:
         if self._sock is None:
-            raise RelayError("relay client not connected")
+            raise self.link_error("relay client not connected")
         yield from send_frame(self._sock, frame)
 
     def _notify(self, frame: bytes) -> None:
+        @coroutine
         def notify() -> Generator:
             # Best-effort: the relay session may die under us mid-frame
             # (crash, reset) — the peer learns about the close from its
@@ -480,8 +496,9 @@ class RelayClient(RelayClientCore):
             except (*_TRANSPORT_ERRORS, RelayError):
                 pass
 
-        self.sim.process(notify(), name="routed-close")
+        self._spawn(notify(), "routed-close")
 
+    @coroutine
     def open_link(
         self, peer: str, payload: bytes = b"",
         ctx: Optional[obs.TraceContext] = None,
@@ -491,11 +508,13 @@ class RelayClient(RelayClientCore):
         yield from self._send(frame)
         return link
 
+    @coroutine
     def accept_link(self) -> Generator:
         """Wait for a peer-initiated routed link."""
-        return self._accepts.get()
+        return (yield from self._accepts.get())
 
     # -- incoming ----------------------------------------------------------------
+    @coroutine
     def _reader(self) -> Generator:
         try:
             while True:
@@ -512,14 +531,14 @@ class RelayClient(RelayClientCore):
                     node=self.node_id,
                     error=f"{type(exc).__name__}: {exc}",
                 )
-                self.sim.process(
-                    self._reconnect_loop(),
-                    name=f"relay-reconnect-{self.node_id}",
-                )
+                self._spawn(self._reconnect_loop(),
+                            f"relay-reconnect-{self.node_id}")
 
+    @coroutine
     def _reconnect_loop(self) -> Generator:
         """Re-register with (jittered, bounded) backoff after a lost session."""
 
+        @coroutine
         def attempt(_i: int) -> Generator:
             if self.closed:
                 return None
@@ -527,7 +546,7 @@ class RelayClient(RelayClientCore):
 
         try:
             yield from retrying(
-                self.sim,
+                self.runtime,
                 attempt,
                 self.reconnect_policy,
                 retry_on=_SESSION_ERRORS,

@@ -1,4 +1,4 @@
-"""Shared retry/backoff policy on the simulated clock.
+"""Shared retry/backoff policy on a runtime's clock.
 
 The paper's establishment machinery has to survive transient wide-area
 failures — a relay rebooting, a firewall dropping conntrack state, a peer
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from types import coroutine
 from typing import Callable, Generator, Iterator, Optional, Tuple, Type
 
 from .. import obs
@@ -71,18 +72,20 @@ class RetryPolicy:
             nominal *= self.multiplier
 
 
+@coroutine
 def retrying(
-    sim,
+    runtime,
     attempt: Callable[[int], Generator],
     policy: RetryPolicy,
     retry_on: Tuple[Type[BaseException], ...],
     key: str = "",
     name: str = "retry",
 ) -> Generator:
-    """Run ``attempt(i)`` under ``policy``, backing off between failures.
+    """Run ``attempt(i)`` under ``policy``, backing off between failures
+    on ``runtime`` (:mod:`repro.core.runtime`).
 
     ``attempt`` is called with the zero-based attempt index and must return
-    a generator to drive.  Exceptions in ``retry_on`` trigger backoff and a
+    a coroutine to drive.  Exceptions in ``retry_on`` trigger backoff and a
     ``<name>.retry`` obs event; anything else propagates immediately.  When
     the policy is exhausted, :class:`RetryExhausted` is raised carrying the
     last failure.
@@ -107,7 +110,7 @@ def retrying(
                 delay=round(delay, 6),
                 error=f"{type(exc).__name__}: {exc}",
             )
-            yield sim.timeout(delay)
+            yield from runtime.sleep(delay)
     obs.event(
         f"{name}.exhausted",
         key=key,

@@ -29,23 +29,28 @@ delivery stays byte-identical and FIFO.
 
 The protocol itself — wire format, replay and ack arithmetic, close,
 heartbeat and watchdog — lives in :mod:`repro.core.session_core`; this
-module is its simulator binding: re-establishment under the retry
-policy, the processes that move bytes between the link and the core
-(the inbound pump; the writers — callers and the control loop — taking
-turns on the raw link), the heartbeat timer, and the simulator events
-callers park on until the core wakes them.
+module is its one binding, written as generator-based coroutines over
+:mod:`repro.core.runtime`: the tasks that move bytes between the link and
+the core (the inbound pump; the writers — callers and the control loop —
+taking turns on the raw link), the heartbeat timer, the parking of callers
+until the core wakes them, and the RESUME exchange under its deadline.
+Re-establishment is per backend: here the simulator's, under the retry
+policy and through the node's :class:`SessionRegistry`;
+:mod:`repro.livenet.session` names the asyncio runtime and redials real
+sockets.
 """
 
 from __future__ import annotations
 
+from types import coroutine
 from typing import Callable, Generator, Optional
 
 from .. import obs
 from ..obs import TraceContext
 from ..obs.flight import FlightRecorder
-from ..simnet.engine import with_timeout
 from .links import Link, transport_errors
 from .retry import RetryPolicy, retrying
+from .runtime import Bound
 from .session_core import (
     ACTIVE,
     FINISHED,
@@ -83,7 +88,7 @@ RESUME_POLICY = RetryPolicy(
 _WAKE_TX = "tx"
 
 
-class SessionLink(SessionCore, Link):
+class SessionLink(Bound, SessionCore, Link):
     """A logical stream that survives the death of its physical link.
 
     ``reconnect`` (initiator only) is a generator ``reconnect(session) ->
@@ -107,29 +112,34 @@ class SessionLink(SessionCore, Link):
     ):
         if role == self.INITIATOR and reconnect is None:
             raise ValueError("initiator sessions need a reconnect callable")
-        self._sim = raw.sim
-        self._raw = raw
         self._reconnect = reconnect
         self._retry_policy = retry_policy or RESUME_POLICY
         self._resume_ctx: Optional[TraceContext] = None
         self._registry: Optional["SessionRegistry"] = None
+        self._bind(raw)
+        SessionCore.__init__(self, sid, role, config, now=self.runtime.now(),
+                             peer=peer, ctx=ctx, node=node, flight=flight)
+        self._start_pump()
+        self._start_loops()
+
+    def _bind(self, raw: Optional[Link]) -> None:
+        """The binding's own state, around the core's."""
+        self._raw = raw
         #: a writer holds the raw link; the others park on ``_WAKE_TX``
         self._sending = False
-        #: wake kind -> events of the processes parked on it
+        #: wake kind -> whoever is parked on it
         self._waiters: dict = {}
         self._transport = transport_errors()
-        super().__init__(sid, role, config, now=self._sim.now, peer=peer,
-                         ctx=ctx, node=node, flight=flight)
-        self._start_pump()
-        self._sim.process(self._control_loop(), name=f"session-ctl-{sid:x}-{role[0]}")
-        self._sim.process(
-            self._heartbeat_loop(), name=f"session-hb-{sid:x}-{role[0]}"
-        )
+
+    def _start_loops(self) -> None:
+        tag = f"{self.sid:x}-{self.role[0]}"
+        self._spawn(self._control_loop(), f"session-ctl-{tag}")
+        self._spawn(self._heartbeat_loop(), f"session-hb-{tag}")
 
     # -- metadata ----------------------------------------------------------------
     @property
     def sim(self):
-        return self._sim
+        return self._raw.sim
 
     @property
     def method(self) -> str:  # type: ignore[override]
@@ -149,6 +159,7 @@ class SessionLink(SessionCore, Link):
         return self._raw
 
     # -- Link interface ----------------------------------------------------------
+    @coroutine
     def send_all(self, data: bytes) -> Generator:
         view = memoryview(data)
         offset = 0
@@ -156,15 +167,16 @@ class SessionLink(SessionCore, Link):
             out = self.write(view[offset:])
             if out is None:
                 # recovering, or backpressure: acks must release replay space
-                yield self._wait(self.WAKE_WINDOW)
+                yield from self._wait(self.WAKE_WINDOW)
                 continue
             frame, taken = out
             offset += taken
             yield from self._send(frame)
 
+    @coroutine
     def recv(self, maxbytes: int) -> Generator:
         while (data := self.read(maxbytes)) is None:
-            yield self._wait(self.WAKE_RX)
+            yield from self._wait(self.WAKE_RX)
         return data
 
     def close(self) -> None:
@@ -177,43 +189,46 @@ class SessionLink(SessionCore, Link):
 
     # -- waiters -----------------------------------------------------------------
     def _wait(self, what: str):
-        """An event the core's next ``wake(what)`` triggers."""
-        event = self._sim.event()
-        self._waiters.setdefault(what, []).append(event)
-        return event
+        """Park until the core's next ``wake(what)``."""
+        return self.runtime.park(self._waiters, what)
 
     def wake(self, what: str) -> None:
         if what == self.WAKE_LINK:
             self._link_changed()
-        for event in self._waiters.pop(what, ()):
-            event.succeed()
+        self.runtime.unpark(self._waiters, what)
 
     def _link_changed(self) -> None:
         state = self._state
         if state == ACTIVE:
             self._start_pump()
             return
-        try:
-            if state == FINISHED:
-                self._raw.close()
-            else:
-                self._raw.abort()
-        except Exception:
-            pass
+        if self._raw is not None:
+            try:
+                if state == FINISHED:
+                    self._raw.close()
+                else:
+                    self._raw.abort()
+            except Exception:
+                pass
         if state != RECOVERING:
-            if self._registry is not None:
-                self._registry.remove(self.sid)
+            self._ended()
         elif self.role == self.INITIATOR:
-            self._sim.process(self._recovery(), name=f"session-recover-{self.sid:x}")
+            self._spawn(self._recovery(), f"session-recover-{self.sid:x}")
+
+    def _ended(self) -> None:
+        """Finished or failed: leave whatever kept the session reachable."""
+        if self._registry is not None:
+            self._registry.remove(self.sid)
 
     # -- the writers: callers (send_all) and the control loop ----------------------
+    @coroutine
     def _send(self, data: bytes) -> Generator:
         """Write ``data`` to the current link, one writer at a time; False
         when that link was replaced while waiting for the turn (the
         recovery replays) or died under the write."""
         gen = self._gen
         while self._sending:
-            yield self._wait(_WAKE_TX)
+            yield from self._wait(_WAKE_TX)
         if gen != self._gen:
             return False
         self._sending = True
@@ -224,40 +239,50 @@ class SessionLink(SessionCore, Link):
                 self._sending = False
                 self.wake(_WAKE_TX)
         except self._transport as exc:
-            self.transport_broken(gen, exc, self._sim.now)
+            self.transport_broken(gen, exc, self.runtime.now())
             return False
         return True
 
+    @coroutine
     def _control_loop(self) -> Generator:
         while not self.ended:
             frames = self.control_frames()
             if not frames:
-                yield self._wait(self.WAKE_CONTROL)
+                yield from self._wait(self.WAKE_CONTROL)
             elif (yield from self._send(frames)):
                 self.control_sent()
 
+    @coroutine
     def _heartbeat_loop(self) -> Generator:
         hb = self.config.heartbeat
         while not self.ended:
-            yield self._sim.timeout(hb)
-            self.tick(self._sim.now)
+            yield from self.runtime.sleep(hb)
+            self.tick(self.runtime.now())
 
     # -- inbound pump ------------------------------------------------------------
     def _start_pump(self) -> None:
-        self._sim.process(
+        self._spawn(
             self._pump(self._raw, self._gen),
-            name=f"session-pump-{self.sid:x}-{self.role[0]}-g{self._gen}",
-        )
+            f"session-pump-{self.sid:x}-{self.role[0]}-g{self._gen}")
 
+    def _read(self, raw: Link) -> Generator:
+        """The pump's next read.  Exactly what the parser awaits, never
+        past a frame: with a larger read the simulated TCP sees different
+        reads and ``wan_transfer`` + ``link_down`` moves 23 timestamps
+        (measured, ISSUE 23)."""
+        return raw.recv_exactly(self.rx_need)
+
+    @coroutine
     def _pump(self, raw: Link, gen: int) -> Generator:
+        now = self.runtime.now
         try:
             while gen == self._gen:
-                data = yield from raw.recv_exactly(self.rx_need)
-                self.receive_data(data, self._sim.now, gen)
+                data = yield from self._read(raw)
+                self.receive_data(data, now(), gen)
         except SessionError:
             pass  # protocol violation: the core failed the session
         except self._transport as exc:
-            self.transport_broken(gen, exc, self._sim.now)
+            self.transport_broken(gen, exc, now())
 
     # -- recovery ----------------------------------------------------------------
     def _recovery(self) -> Generator:
@@ -265,7 +290,7 @@ class SessionLink(SessionCore, Link):
         # trace; the same ctx rides the re-establishment handshake and the
         # RESUME frame so relay/responder records join the tree.
         resume_ctx = self.ctx.child() if self.ctx is not None else None
-        self._resume_ctx = resume_ctx
+        self._resume_ctx = resume_ctx  # ``reconnect`` dials under it
         with obs.span(
             "session.resume",
             ctx=resume_ctx,
@@ -283,11 +308,12 @@ class SessionLink(SessionCore, Link):
                 if self._state != RECOVERING:
                     raise _ResumeAborted("session no longer recovering")
                 raw = yield from self._reconnect(self)
-                yield from self._bounded_resume(raw, self._resume_initiator(raw))
+                yield from self._bounded_resume(
+                    raw, self._resume_initiator(raw, resume_ctx))
 
             try:
                 yield from retrying(
-                    self._sim,
+                    self.runtime,
                     attempt,
                     self._retry_policy,
                     retry_on=retry_on,
@@ -310,11 +336,12 @@ class SessionLink(SessionCore, Link):
                 return
             span.set(outcome="ok")
 
+    @coroutine
     def _bounded_resume(self, raw: Link, steps: Generator) -> Generator:
         """Run one side's resume over ``raw`` under ``resume_timeout``;
         a link that did not become the session's is aborted."""
         try:
-            yield from with_timeout(self._sim, steps, self.config.resume_timeout)
+            yield from self.runtime.bounded(steps, self.config.resume_timeout)
         except BaseException:
             try:
                 raw.abort()
@@ -322,10 +349,11 @@ class SessionLink(SessionCore, Link):
                 pass
             raise
 
-    def _resume_initiator(self, raw: Link) -> Generator:
-        yield from raw.send_all(self.resume_request(self._resume_ctx))
+    @coroutine
+    def _resume_initiator(self, raw: Link, ctx) -> Generator:
+        yield from raw.send_all(self.resume_request(ctx))
         peer = decode_resume_ok((yield from raw.recv_exactly(RESUME_OK_SIZE)))
-        yield from self._complete_resume(raw, peer, self._resume_ctx)
+        yield from self._complete_resume(raw, peer, ctx)
 
     def _resume_responder(self, raw: Link) -> Generator:
         peer = decode_resume((yield from raw.recv_exactly(RESUME_SIZE)))
@@ -334,11 +362,12 @@ class SessionLink(SessionCore, Link):
         yield from self._complete_resume(
             raw, peer, peer.ctx.child() if peer.ctx is not None else None)
 
+    @coroutine
     def _complete_resume(self, raw: Link, peer: Resume, ctx) -> Generator:
         for frame in self.resume_frames(peer):
             yield from raw.send_all(frame)
         self._raw = raw
-        self.attach(self._sim.now, ctx)
+        self.attach(self.runtime.now(), ctx)
 
     def _reattach(self, raw: Link) -> Generator:
         """Responder side: adopt a re-established link (from the registry).
@@ -349,7 +378,7 @@ class SessionLink(SessionCore, Link):
         if self.ended:
             raise SessionError(f"session {self.sid:016x} is {self._state}")
         self.transport_broken(
-            self._gen, SessionError("peer re-established"), self._sim.now)
+            self._gen, SessionError("peer re-established"), self.runtime.now())
         try:
             yield from self._bounded_resume(raw, self._resume_responder(raw))
         except BaseException as exc:

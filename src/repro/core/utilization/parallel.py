@@ -12,7 +12,7 @@ that same stream.  Because every stream is an ordered byte pipe and the
 assignment is a pure function of the block counter, the receiver needs no
 per-fragment metadata at all — reassembly is deterministic.
 
-Each stream has its own writer process behind a bounded queue, so a
+Each stream has its own writer task behind a bounded queue, so a
 momentarily backlogged stream does not head-of-line-block the others —
 all N congestion windows stay filled concurrently, which is the whole
 point of striping.  Backpressure still propagates: ``send_block`` waits
@@ -20,17 +20,22 @@ when the *target* stream's queue is full.
 
 Fragmentation work (the extra copy per byte that striping costs) is
 charged to the host CPU model as ``serialize`` work when one is attached.
+
+The drivers are written once for both backends, as generator-based
+coroutines over :mod:`repro.core.runtime` (the simulator's comes with the
+links; ``repro.livenet.drivers`` subclasses name the asyncio one).
 """
 
 from __future__ import annotations
 
 import struct
+from types import coroutine
 from typing import Generator, Optional, Sequence
 
 from ... import obs
 from ...simnet.cpu import charge
-from ...simnet.engine import Event
 from ..links import Link
+from ..runtime import Bound
 from .base import BlockMeters, Driver, DriverError
 
 __all__ = [
@@ -45,10 +50,10 @@ _CLOSE = object()
 
 
 class _StreamWriter:
-    """Bounded outbound queue + writer process for one stream."""
+    """Bounded outbound queue + writer task for one stream."""
 
-    def __init__(self, sim, link: Link, limit_bytes: int, on_error=None):
-        self.sim = sim
+    def __init__(self, driver, link: Link, limit_bytes: int, on_error=None):
+        self._runtime = driver.runtime
         self.link = link
         self.limit = limit_bytes
         self.on_error = on_error
@@ -56,17 +61,16 @@ class _StreamWriter:
         self.closed = False
         self._queue: list = []
         self._queued_bytes = 0
-        self._space_waiters: list[Event] = []
-        self._data_waiter: Optional[Event] = None
+        #: "space": ``put`` callers over the limit; "data": the idle writer
+        self._waiters: dict = {}
         self.error: Optional[BaseException] = None
-        self._proc = sim.process(self._run(), name="stripe-writer")
+        self._task = driver._spawn(self._run(), "stripe-writer")
 
+    @coroutine
     def put(self, data: bytes) -> Generator:
         """Enqueue ``data``; blocks while the queue is over its limit."""
         while self._queued_bytes >= self.limit and self.error is None:
-            ev = self.sim.event()
-            self._space_waiters.append(ev)
-            yield ev
+            yield from self._runtime.park(self._waiters, "space")
         if self.error is not None:
             raise self.error
         if self.closed:
@@ -80,55 +84,52 @@ class _StreamWriter:
         self._kick()
 
     def _kick(self) -> None:
-        if self._data_waiter is not None:
-            waiter, self._data_waiter = self._data_waiter, None
-            waiter.succeed()
+        self._runtime.unpark(self._waiters, "data")
 
+    @coroutine
     def _run(self) -> Generator:
         try:
             while True:
                 while not self._queue:
-                    self._data_waiter = self.sim.event()
-                    yield self._data_waiter
+                    yield from self._runtime.park(self._waiters, "data")
                 item = self._queue.pop(0)
                 if item is _CLOSE:
                     self.closed = True
                     self.link.close()
                     return
                 self._queued_bytes -= len(item)
-                for ev in self._space_waiters:
-                    ev.succeed()
-                self._space_waiters.clear()
+                self._runtime.unpark(self._waiters, "space")
                 yield from self.link.send_all(item)
                 self.written += len(item)
         except BaseException as exc:
             self.error = exc
-            for ev in self._space_waiters:
-                ev.succeed()
-            self._space_waiters.clear()
+            self._runtime.unpark(self._waiters, "space")
             if self.on_error is not None:
                 self.on_error(exc)
 
 
 class _StreamReader:
-    """Eager reader process for one stream.
+    """Eager reader task for one stream.
 
     Drains the socket as data arrives — keeping the TCP advertised window
     open — into a bounded local reassembly buffer the driver consumes from
     (the user-space reader thread a real striping implementation has).
     """
 
-    def __init__(self, sim, link: Link, limit_bytes: int):
-        self.sim = sim
+    def __init__(self, driver, link: Link, limit_bytes: int):
+        self._runtime = driver.runtime
         self.link = link
         self.limit = limit_bytes
         self._buf = bytearray()
         self._eof = False
         self.error: Optional[BaseException] = None
-        self._consumer: Optional[tuple[Event, int]] = None
-        self._drain_waiter: Optional[Event] = None
-        self._proc = sim.process(self._run(), name="stripe-reader")
+        #: bytes the parked ``take`` is waiting for (None: nobody parked)
+        self._want: Optional[int] = None
+        #: "data": the consumer; "drain": the reader over its limit
+        self._waiters: dict = {}
+        self._task = driver._spawn(self._run(), "stripe-reader")
 
+    @coroutine
     def take(self, n: int) -> Generator:
         """Exactly ``n`` bytes from this stream (in arrival order)."""
         while len(self._buf) < n:
@@ -138,29 +139,27 @@ class _StreamReader:
                 raise EOFError(
                     f"stream ended with {n - len(self._buf)} bytes missing"
                 )
-            ev = self.sim.event()
-            self._consumer = (ev, n)
-            yield ev
+            self._want = n
+            yield from self._runtime.park(self._waiters, "data")
         out = bytes(self._buf[:n])
         del self._buf[:n]
-        if self._drain_waiter is not None and len(self._buf) < self.limit:
-            waiter, self._drain_waiter = self._drain_waiter, None
-            waiter.succeed()
+        if len(self._buf) < self.limit:
+            self._runtime.unpark(self._waiters, "drain")
         return out
 
     def _wake_consumer(self) -> None:
-        if self._consumer is not None:
-            ev, n = self._consumer
-            if len(self._buf) >= n or self._eof or self.error is not None:
-                self._consumer = None
-                ev.succeed()
+        n = self._want
+        if n is not None and (
+                len(self._buf) >= n or self._eof or self.error is not None):
+            self._want = None
+            self._runtime.unpark(self._waiters, "data")
 
+    @coroutine
     def _run(self) -> Generator:
         try:
             while True:
                 if len(self._buf) >= self.limit:
-                    self._drain_waiter = self.sim.event()
-                    yield self._drain_waiter
+                    yield from self._runtime.park(self._waiters, "drain")
                     continue
                 data = yield from self.link.recv(65536)
                 if not data:
@@ -174,10 +173,18 @@ class _StreamReader:
             self._wake_consumer()
 
 
-class ParallelStreamsDriver(Driver):
-    """Stripe blocks over N established links."""
+class _Striping(Bound, Driver):
+    """A driver over N links, with per-stream tasks on their runtime."""
 
     name = "parallel"
+
+    @property
+    def sim(self):
+        return self.links[0].sim
+
+
+class ParallelStreamsDriver(_Striping):
+    """Stripe blocks over N established links."""
 
     def __init__(
         self,
@@ -212,12 +219,12 @@ class ParallelStreamsDriver(Driver):
 
     def _ensure_writers(self):
         if self._writers is None:
-            sim = self.links[0].sim
             self._writers = [
-                _StreamWriter(sim, link, self._queue_limit) for link in self.links
+                _StreamWriter(self, link, self._queue_limit) for link in self.links
             ]
         return self._writers
 
+    @coroutine
     def send_block(self, block: bytes) -> Generator:
         if self._closed:
             raise DriverError("driver closed")
@@ -236,12 +243,12 @@ class ParallelStreamsDriver(Driver):
 
     def _ensure_readers(self):
         if self._readers is None:
-            sim = self.links[0].sim
             self._readers = [
-                _StreamReader(sim, link, self._queue_limit) for link in self.links
+                _StreamReader(self, link, self._queue_limit) for link in self.links
             ]
         return self._readers
 
+    @coroutine
     def recv_block(self) -> Generator:
         readers = self._ensure_readers()
         n = self.nstreams
@@ -290,7 +297,7 @@ _REBAL_HDR = struct.Struct("!QI")
 _REBAL_MAX = 1 << 26
 
 
-class RebalancingParallelDriver(Driver):
+class RebalancingParallelDriver(_Striping):
     """Parallel streams that survive member death (``rebalance=1``).
 
     Deterministic striping (:class:`ParallelStreamsDriver`) needs every
@@ -315,8 +322,6 @@ class RebalancingParallelDriver(Driver):
     EOF signal, so message boundaries above (``BlockChannel`` frames)
     remain the authority on completeness mid-stream.
     """
-
-    name = "parallel"
 
     def __init__(
         self,
@@ -353,7 +358,8 @@ class RebalancingParallelDriver(Driver):
         self._deliver_seq = 0
         self._dead_rx = 0
         self._rx_error: Optional[BaseException] = None
-        self._rx_waiters: list[Event] = []
+        #: "rx": ``recv_block`` callers waiting for the next block in order
+        self._waiters: dict = {}
         self._tx = BlockMeters(self.name, "tx")
         self._rx = BlockMeters(self.name, "rx")
         self._streams = obs.metrics().gauge("driver.streams", driver=self.name)
@@ -408,10 +414,9 @@ class RebalancingParallelDriver(Driver):
     # -- sending -----------------------------------------------------------------
     def _ensure_writers(self) -> list[_StreamWriter]:
         if self._writers is None:
-            sim = self.links[0].sim
             self._writers = [
                 _StreamWriter(
-                    sim,
+                    self,
                     link,
                     self._queue_limit,
                     on_error=lambda exc, i=i: self._writer_died(i),
@@ -420,6 +425,7 @@ class RebalancingParallelDriver(Driver):
             ]
         return self._writers
 
+    @coroutine
     def send_block(self, block: bytes) -> Generator:
         if self._closed:
             raise DriverError("driver closed")
@@ -436,6 +442,7 @@ class RebalancingParallelDriver(Driver):
         self.blocks_sent += 1
         self._tx.record(len(block))
 
+    @coroutine
     def _put_frame(self, backlog: list[tuple[int, bytes]]) -> Generator:
         """Place frames on alive members, absorbing member deaths."""
         writers = self._ensure_writers()
@@ -514,25 +521,26 @@ class RebalancingParallelDriver(Driver):
         if not orphans:
             return
 
+        @coroutine
         def requeue() -> Generator:
             try:
                 yield from self._put_frame(orphans)
             except DriverError:
                 pass  # no survivors; send_block reports via self._fatal
 
-        self.links[index].sim.process(requeue(), name="stripe-rebalance")
+        self._spawn(requeue(), "stripe-rebalance")
 
     # -- receiving ---------------------------------------------------------------
     def _ensure_readers(self) -> list[_StreamReader]:
         if self._readers is None:
-            sim = self.links[0].sim
             self._readers = [
-                _StreamReader(sim, link, self._queue_limit) for link in self.links
+                _StreamReader(self, link, self._queue_limit) for link in self.links
             ]
             for reader in self._readers:
-                sim.process(self._parse(reader), name="stripe-parser")
+                self._spawn(self._parse(reader), "stripe-parser")
         return self._readers
 
+    @coroutine
     def _parse(self, reader: _StreamReader) -> Generator:
         """Per-stream frame parser feeding the shared reorder map."""
         try:
@@ -552,13 +560,11 @@ class RebalancingParallelDriver(Driver):
             self._wake_rx()
 
     def _wake_rx(self) -> None:
-        waiters, self._rx_waiters = self._rx_waiters, []
-        for ev in waiters:
-            ev.succeed()
+        self.runtime.unpark(self._waiters, "rx")
 
+    @coroutine
     def recv_block(self) -> Generator:
         readers = self._ensure_readers()
-        sim = self.links[0].sim
         while True:
             if self._deliver_seq in self._reorder:
                 block = self._reorder.pop(self._deliver_seq)
@@ -577,9 +583,7 @@ class RebalancingParallelDriver(Driver):
                 if self._rx_error is not None:
                     raise self._rx_error
                 raise EOFError("all parallel members closed")
-            ev = sim.event()
-            self._rx_waiters.append(ev)
-            yield ev
+            yield from self.runtime.park(self._waiters, "rx")
 
     # -- teardown ----------------------------------------------------------------
     def close(self) -> None:
@@ -594,11 +598,11 @@ class RebalancingParallelDriver(Driver):
         # after the last send_block requeues orphaned frames onto the
         # survivors, and closing the survivors' writers too early would
         # trap those frames behind the close marker.
-        self.links[0].sim.process(self._graceful_close(), name="stripe-close")
+        self._spawn(self._graceful_close(), "stripe-close")
 
+    @coroutine
     def _graceful_close(self) -> Generator:
         writers = self._writers or []
-        sim = self.links[0].sim
         while self._fatal is None:
             busy = any(
                 self._alive[index]
@@ -607,7 +611,7 @@ class RebalancingParallelDriver(Driver):
             )
             if not busy:
                 break
-            yield sim.timeout(0.05)
+            yield from self.runtime.sleep(0.05)
         for index, writer in enumerate(writers):
             if self._alive[index] and not writer.closed:
                 writer.close()  # links close after their queues drain

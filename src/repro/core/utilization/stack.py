@@ -83,9 +83,9 @@ def build_stack(
     """Assemble the driver tree over established ``links``, on either
     backend.
 
-    ``parallel`` is the one layer that is not shared: the striping driver
-    owns tasks and queues, so each backend passes its own ``(striping,
-    rebalancing)`` classes.  ``host`` is the simulated host whose CPU the
+    ``parallel`` is the ``(striping, rebalancing)`` classes: the striping
+    drivers start tasks, so the live backend passes its subclasses of them,
+    which name the asyncio runtime.  ``host`` is the simulated host whose CPU the
     filters charge; the live backend has none, and without its clock
     ``adaptive`` builds the wire-identical :class:`CompressionDriver`.
 

@@ -29,7 +29,7 @@ from ..ipl.serialization import MessageReader, MessageWriter
 from ..util.framing import ByteReader, ByteWriter
 from ..mux import DEFAULT_WINDOW
 from ..mux.scheduler import make_scheduler
-from .drivers import AsyncParallelStreamsDriver
+from .drivers import AsyncParallelStreamsDriver, AsyncRebalancingParallelDriver
 from .mux import AsyncMuxEndpoint
 from .relay import LiveRelayClient
 from .transport import LiveListener, live_connect, live_listen
@@ -58,20 +58,17 @@ def _typed_spec(spec) -> StackSpec:
 
 def _require_live_supported(spec: StackSpec) -> None:
     """Refuse, before anything is dialled, what :class:`LiveIbis` cannot
-    run: it assembles no session links, runs no TLS handshake (it has no
-    credentials to run one with) and has no rebalancing striping driver."""
+    run: it assembles no session links and runs no TLS handshake (it has
+    no credentials to run one with)."""
     for layer in ("session", "tls"):
         if layer in spec:
             raise LiveIbisError(f"layer {layer!r} unsupported on the live backend")
-    if int(spec.bottom.get("rebalance", 0)):
-        raise LiveIbisError(
-            "layer 'parallel:rebalance=1' unsupported on the live backend"
-        )
 
 
 def _build_channel(spec: StackSpec, socks: list) -> BlockChannel:
     return BlockChannel(
-        build_stack(spec, socks, parallel=(AsyncParallelStreamsDriver, None))
+        build_stack(spec, socks, parallel=(
+            AsyncParallelStreamsDriver, AsyncRebalancingParallelDriver))
     )
 
 

@@ -1,14 +1,14 @@
-"""Survivable sessions over real sockets: the asyncio binding of SessionCore.
+"""Survivable sessions over real sockets.
 
-:mod:`repro.core.session_core` is the session protocol — one wire
-format, replay buffer, cumulative acks, offset negotiation, heartbeat,
-watchdog and two-direction close — and the simulator runs it through
-:class:`~repro.core.session.SessionLink`.  This module runs the very same
-state machine over anything with the live socket surface
-(``send_all``/``recv``/``recv_exactly``/``close``/``abort``: a
-``LiveSocket``, a relay-routed link), so the chaos harness can prove
-resume polarity against genuine TCP faults (a proxy RST mid-stream) and
-not just simulated ones.  It adds only IO:
+:mod:`repro.core.session_core` is the session protocol and
+:class:`~repro.core.session.SessionLink` its binding — data path, control
+and heartbeat loops, inbound pump, parking, the RESUME exchange under its
+deadline — for both backends.  :class:`AsyncSessionLink` names the asyncio
+runtime and keeps what is establishment on real sockets, over anything
+with the live socket surface (``send_all``/``recv``/``recv_exactly``/
+``close``/``abort``: a ``LiveSocket``, a relay-routed link), so the chaos
+harness can prove resume polarity against genuine TCP faults (a proxy RST
+mid-stream) and not just simulated ones:
 
 * :meth:`AsyncSessionLink.connect` dials and opens the link with
   ``RESUME`` for a fresh session id at offset 0, answered by
@@ -18,35 +18,31 @@ not just simulated ones.  It adds only IO:
   gateway the harness interposed) under a bounded retry loop, one
   ``session.resume`` span per recovery; the responder parks until the
   reconnect arrives at its :class:`AsyncSessionListener`, which routes it
-  to the surviving session by id;
-* a reader task feeds the core, a control task writes what it owes, a
-  timer task calls ``tick``; callers park on ``asyncio.Event``\\ s the
-  core wakes.
+  to the surviving session by id.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
+from types import coroutine
 from typing import Awaitable, Callable, Optional
 
 from .. import obs
+from ..core.runtime import ASYNCIO
+from ..core.session import SessionLink
 from ..core.session_core import (
-    ACTIVE,
     FAILED,
-    FINISHED,
     RECOVERING,
-    RESUME_OK_SIZE,
     RESUME_SIZE,
     Resume,
+    SessionConfig,
     SessionCore,
     SessionError,
     decode_resume,
-    decode_resume_ok,
 )
 from ..obs import next_id
 from .transport import LiveListener, LiveSocket
-from .wire import ExactReads
 
 __all__ = ["AsyncSessionLink", "AsyncSessionListener", "AsyncSessionError"]
 
@@ -65,26 +61,29 @@ CLOSE_TIMEOUT = 20.0
 #: per read of the transport: more than one full DATA frame
 _READ_SIZE = 1 << 17
 
-#: binding-private wake kind: the transport is free for the next writer
-_WAKE_TX = "tx"
-
-#: what a dead or misbehaving transport raises
-_TRANSPORT_ERRORS = (EOFError, OSError)
 #: what one failed RESUME exchange raises, on either side (the initiator's
-#: next attempt may still succeed)
-_RETRYABLE = (*_TRANSPORT_ERRORS, SessionError, asyncio.TimeoutError)
+#: next attempt may still succeed): a dead or misbehaving transport, a
+#: missed deadline (an ``OSError`` too), a refusal
+_RETRYABLE = (EOFError, OSError, SessionError)
 
-_now = time.monotonic
+_now = ASYNCIO.now
 
 
 class AsyncSessionError(SessionError):
     """Session failure on the live backend (bad handshake, unrecoverable loss)."""
 
 
-class AsyncSessionLink(SessionCore, ExactReads):
+async def _task(steps):
+    """Root of every task a session starts: per-layer attribution
+    (``benchmarks/perf``) follows the file a task's coroutine is defined in."""
+    return await steps
+
+
+class AsyncSessionLink(SessionLink):
     """One survivable byte stream; exposes the LiveSocket API."""
 
     error_class = AsyncSessionError
+    runtime = ASYNCIO
 
     def __init__(
         self,
@@ -95,17 +94,13 @@ class AsyncSessionLink(SessionCore, ExactReads):
         max_attempts: int = 8,
         ctx=None,
     ):
-        super().__init__(sid, role, now=_now(), attached=False, ctx=ctx,
-                         node=node)
         self._dial = dial
         self._max_attempts = max_attempts
-        self._sock: Optional[LiveSocket] = None
-        #: a writer holds the transport; the others park on ``_WAKE_TX``
-        self._sending = False
-        #: wake kind -> the event callers parked on it share
-        self._waiters: dict = {}
         self._tasks: set = set()
-        self._timer: Optional[asyncio.TimerHandle] = None
+        self._bind(None)
+        SessionCore.__init__(
+            self, sid, role, SessionConfig(resume_timeout=HANDSHAKE_TIMEOUT),
+            now=_now(), attached=False, ctx=ctx, node=node)
 
     @classmethod
     async def connect(
@@ -118,38 +113,22 @@ class AsyncSessionLink(SessionCore, ExactReads):
         """Dial, open a new session on the link, return it connected."""
         link = cls(next_id(), cls.INITIATOR, node=node, dial=dial,
                    ctx=ctx or obs.current(), **kwargs)
-        sock = await dial()
+        raw = await dial()
         try:
-            await link._resume_initiator(sock, None)
-        except BaseException as exc:
-            sock.close()
-            if isinstance(exc, SessionError):
-                raise AsyncSessionError(str(exc)) from exc
-            raise
+            await link._bounded_resume(raw, link._resume_initiator(raw, None))
+        except SessionError as exc:
+            raise AsyncSessionError(str(exc)) from exc
+        link._start_loops()
         return link
 
     # -- the socket API ----------------------------------------------------
-    async def send_all(self, data: bytes) -> None:
-        view = memoryview(data)
-        offset = 0
-        while offset < len(view):
-            out = self.write(view[offset:])
-            if out is None:
-                # recovering, or backpressure: acks must release replay space
-                await self._wait(self.WAKE_WINDOW)
-                continue
-            frame, taken = out
-            offset += taken
-            await self._send(frame)
-
-    async def recv(self, maxbytes: int) -> bytes:
+    @coroutine
+    def recv(self, maxbytes: int):
         try:
-            while (data := self.read(maxbytes)) is None:
-                await self._wait(self.WAKE_RX)
+            return (yield from super().recv(maxbytes))
         except AsyncSessionError as exc:
             # the socket contract: a dead stream reads as a transport error
             raise EOFError(str(exc)) from exc
-        return data
 
     async def aclose(self, timeout: float = CLOSE_TIMEOUT) -> None:
         """Graceful close: FIN, then wait until the peer has acked it.
@@ -160,126 +139,49 @@ class AsyncSessionLink(SessionCore, ExactReads):
         """
         self.shutdown(_now() + timeout)
         try:
-            await asyncio.wait_for(self._tx_closed(), timeout)
-        except asyncio.TimeoutError:
+            await self.runtime.bounded(self._tx_closed(), timeout)
+        except TimeoutError:
             self.fail(AsyncSessionError(
                 f"close timed out with {self._replay.size} bytes unacked"))
         if self._state == FAILED:
             raise AsyncSessionError(f"session failed: {self._failure}")
 
     def close(self) -> None:
-        """Sync close (driver-stack compatible): starts the graceful one."""
+        """Sync close (driver-stack compatible): starts the graceful one,
+        which a silent peer cannot keep lingering past its deadline."""
         self.shutdown(_now() + CLOSE_TIMEOUT)
 
     def abort(self) -> None:
         """Hard kill of the *current transport* (not the session)."""
-        if self._sock is not None:
-            self._sock.abort()
-
-    # -- waiters -----------------------------------------------------------
-    async def _wait(self, what: str) -> None:
-        """Park until the core's next ``wake(what)``.  The caller tested
-        its condition with no ``await`` since, so clearing the event here
-        cannot lose a wake-up."""
-        event = self._waiters.get(what)
-        if event is None:
-            event = self._waiters[what] = asyncio.Event()
-        event.clear()
-        await event.wait()
-
-    def wake(self, what: str) -> None:
-        event = self._waiters.get(what)
-        if event is not None:
-            event.set()
-        elif what == self.WAKE_LINK:
-            self._link_changed()
-        elif what == self.WAKE_CONTROL and self._owed and self._state == ACTIVE:
-            # the first control frame owed starts the task that writes them
-            self._waiters[what] = asyncio.Event()
-            self._spawn(self._control_loop())
+        if self._raw is not None:
+            self._raw.abort()
 
     async def _tx_closed(self) -> None:
         while not (self._tx_fin_acked or self.ended):
             await self._wait(self.WAKE_STATE)
 
-    def _spawn(self, coro) -> None:
-        task = asyncio.ensure_future(coro)
+    def _spawn(self, steps, name: str):
+        task = self.runtime.spawn(_task(steps), name)
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
+        return task
 
-    def _link_changed(self) -> None:
-        state = self._state
-        if state == ACTIVE:
-            if self._timer is None:
-                # a session shorter than one heartbeat never needs the task
-                self._timer = asyncio.get_running_loop().call_later(
-                    self.config.heartbeat,
-                    lambda: self._spawn(self._heartbeat_loop()))
-            self._spawn(self._pump(self._sock, self._gen))
-            return
-        if self._sock is not None:
-            if state == FINISHED:
-                self._sock.close()
-            else:
-                self._sock.abort()
-        if state != RECOVERING:
-            if self._timer is not None:
-                self._timer.cancel()
-            for task in self._tasks:
-                task.cancel()
-        elif self.role == self.INITIATOR:
-            self._spawn(self._recovery())
+    def _ended(self) -> None:
+        for task in self._tasks:
+            task.cancel()
 
-    # -- the writers: callers (send_all) and the control loop ----------------
-    async def _send(self, data: bytes) -> bool:
-        """Write ``data`` to the current link, one writer at a time; False
-        when that link was replaced while waiting for the turn (the
-        recovery replays) or died under the write."""
-        gen = self._gen
-        while self._sending:
-            await self._wait(_WAKE_TX)
-        if gen != self._gen:
-            return False
-        self._sending = True
-        try:
-            try:
-                await self._sock.send_all(data)
-            finally:
-                self._sending = False
-                self.wake(_WAKE_TX)
-        except _TRANSPORT_ERRORS as exc:
-            self.transport_broken(gen, exc, _now())
-            return False
-        return True
-
-    async def _control_loop(self) -> None:
-        while not self.ended:
-            frames = self.control_frames()
-            if not frames:
-                await self._wait(self.WAKE_CONTROL)
-            elif await self._send(frames):
-                self.control_sent()
-
-    async def _heartbeat_loop(self) -> None:
-        while not self.ended:
-            self.tick(_now())
-            await asyncio.sleep(self.config.heartbeat)
-
-    # -- inbound pump ------------------------------------------------------
-    async def _pump(self, sock: LiveSocket, gen: int) -> None:
-        try:
-            while gen == self._gen:
-                data = await sock.recv(_READ_SIZE)
-                if not data:
-                    raise EOFError("transport closed by the peer")
-                self.receive_data(data, _now(), gen)
-        except SessionError:
-            pass  # protocol violation: the core failed the session
-        except _TRANSPORT_ERRORS as exc:
-            self.transport_broken(gen, exc, _now())
+    @coroutine
+    def _read(self, raw):
+        """As much as has arrived: reading exactly what the parser awaits
+        costs ``rpc_routed`` ≈ 12 % of its round trip (measured, ISSUE 23)."""
+        data = yield from raw.recv(_READ_SIZE)
+        if not data:
+            raise EOFError("transport closed by the peer")
+        return data
 
     # -- recovery ----------------------------------------------------------
-    async def _recovery(self) -> None:
+    @coroutine
+    def _recovery(self):
         t0 = time.time()
         outcome = {"outcome": "failed", "error": "exhausted attempts"}
         # own span identity, parented on the stage/root span, so the
@@ -289,15 +191,14 @@ class AsyncSessionLink(SessionCore, ExactReads):
             if self._state != RECOVERING:
                 return
             if attempt:
-                await asyncio.sleep(RETRY_DELAY * attempt)
-            sock = None
+                yield from self.runtime.sleep(RETRY_DELAY * attempt)
             try:
-                sock = await asyncio.wait_for(self._dial(), HANDSHAKE_TIMEOUT)
-                await self._resume_initiator(sock, span_ctx)
+                raw = yield from self.runtime.bounded(
+                    self._dial(), HANDSHAKE_TIMEOUT)
+                yield from self._bounded_resume(
+                    raw, self._resume_initiator(raw, span_ctx))
             except Exception as exc:
                 outcome["error"] = f"{type(exc).__name__}: {exc}"
-                if sock is not None:
-                    sock.close()
                 if isinstance(exc, _RETRYABLE):
                     continue
                 break  # a dial that raises anything else will not improve
@@ -312,44 +213,31 @@ class AsyncSessionLink(SessionCore, ExactReads):
                 f"session {self.sid:016x} could not be resumed: "
                 f"{outcome['error']}"))
 
-    async def _resume_initiator(self, sock: LiveSocket, ctx) -> None:
-        async def negotiate() -> Resume:
-            await sock.send_all(self.resume_request(ctx))
-            return decode_resume_ok(await sock.recv_exactly(RESUME_OK_SIZE))
-
-        peer = await asyncio.wait_for(negotiate(), HANDSHAKE_TIMEOUT)
-        await self._complete_resume(sock, peer, ctx)
-
-    async def _reattach(self, sock: LiveSocket, peer: Resume) -> None:
+    async def _adopt(self, raw, peer: Resume) -> None:
         """Responder side: adopt the link a RESUME arrived on.
 
         Tolerates a session that never noticed the fault (silent stall):
         the surviving link is deliberately broken first.  An ended session
-        adopts nothing: it answers, or raises and the link is dropped.
+        adopts nothing: it answers — finished, the peer lacked only the
+        FINACK repeated here, and hangs up on reading it — or raises and
+        the link is dropped.
         """
+        if self.ended:
+            try:
+                for frame in self.resume_frames(peer):
+                    await raw.send_all(frame)
+                await self.runtime.bounded(_until_eof(raw), HANDSHAKE_TIMEOUT)
+            finally:
+                raw.close()
+            return
         self.transport_broken(
             self._gen, SessionError("peer re-established"), _now())
         await self._complete_resume(
-            sock, peer, peer.ctx.child() if peer.ctx is not None else None)
-
-    async def _complete_resume(self, sock: LiveSocket, peer: Resume,
-                               ctx) -> None:
-        for frame in self.resume_frames(peer):
-            await sock.send_all(frame)
-        if self.ended:
-            # finished: the peer lacked only the FINACK just repeated, and
-            # hangs up on reading it; there is nothing to attach
-            try:
-                await asyncio.wait_for(_until_eof(sock), HANDSHAKE_TIMEOUT)
-            finally:
-                sock.close()
-            return
-        self._sock = sock
-        self.attach(_now(), ctx)
+            raw, peer, peer.ctx.child() if peer.ctx is not None else None)
 
 
-async def _until_eof(sock: LiveSocket) -> None:
-    while await sock.recv(_READ_SIZE):
+async def _until_eof(raw) -> None:
+    while await raw.recv(_READ_SIZE):
         pass
 
 
@@ -371,7 +259,7 @@ class AsyncSessionListener:
         self.sessions: dict[int, AsyncSessionLink] = {}
         self._accepts: asyncio.Queue = asyncio.Queue()
         self._handshakes: set = set()
-        self._task = asyncio.ensure_future(self._accept_loop())
+        self._task = ASYNCIO.spawn(self._accept_loop(), "session-accept")
 
     @property
     def addr(self):
@@ -384,7 +272,7 @@ class AsyncSessionListener:
     async def _accept_loop(self) -> None:
         while True:
             sock = await self.listener.accept()
-            task = asyncio.ensure_future(self._handshake(sock))
+            task = ASYNCIO.spawn(self._handshake(sock), "session-handshake")
             self._handshakes.add(task)
             task.add_done_callback(self._handshakes.discard)
 
@@ -393,14 +281,15 @@ class AsyncSessionListener:
             peer = decode_resume(await sock.recv_exactly(RESUME_SIZE))
             link = self.sessions.get(peer.sid)
             if link is not None:
-                await link._reattach(sock, peer)
+                await link._adopt(sock, peer)
                 return
             if peer.rx_off:
                 raise SessionError(f"RESUME for unknown session {peer.sid:016x}")
             link = AsyncSessionLink(
                 peer.sid, AsyncSessionLink.RESPONDER, node=self.node,
                 ctx=obs.current())
-            await link._reattach(sock, peer)
+            await link._adopt(sock, peer)
+            link._start_loops()
             self.sessions[peer.sid] = link
             self._accepts.put_nowait(link)
         except _RETRYABLE:

@@ -48,6 +48,11 @@ def set_connect_hook(hook):
 class LiveSocket:
     """A connected TCP stream (asyncio) with the library's socket API."""
 
+    # Table 1's metadata, as :class:`repro.core.links.Link` carries it
+    method = "client_server"
+    native_tcp = True
+    relayed = False
+
     def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
         self._reader = reader
         self._writer = writer

@@ -22,8 +22,9 @@ from __future__ import annotations
 from typing import Callable, Generator, Optional
 
 from .. import obs
-from ..core.relay import RelayClient, RelayError, _Accepts
+from ..core.relay import RelayClient, RelayError
 from ..core.relay_core import MeshSelection
+from ..core.runtime import SimRuntime
 from ..obs import TraceContext
 from ..simnet.packet import Addr
 from ..simnet.tcp import TcpError
@@ -61,7 +62,7 @@ class MeshRelayClient(MeshSelection):
         self.host = host
         self.sim = host.sim
         #: one queue for links accepted on *any* relay
-        self._accepts = _Accepts(self.sim)
+        self._accepts = SimRuntime(self.sim).queue()
         for client in clients.values():
             client._accepts = self._accepts
 

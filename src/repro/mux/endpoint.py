@@ -1,4 +1,4 @@
-"""Channel multiplexing over one established link (sim backend).
+"""Channel multiplexing over one established link.
 
 An expensively-brokered WAN link (spliced, SOCKS or routed — §3's
 establishment methods) should be reused, not re-established per
@@ -10,16 +10,20 @@ the others (``docs/MUX.md``).  A channel *is* a ``Link``, so driver
 stacks, block channels and survivable sessions compose over it unchanged.
 
 The protocol itself lives in :mod:`repro.mux.core`; this module is its
-simulator binding: the HELLO exchange, the two pump processes, and the
-simulator events callers park on until the core wakes them.
+one binding: the HELLO exchange, the two pumps, and the parking of callers
+until the core wakes them, written as generator-based coroutines over
+:mod:`repro.core.runtime`.  On the simulator the runtime comes with the
+link; :mod:`repro.livenet.mux` subclasses name the asyncio one.
 """
 
 from __future__ import annotations
 
+from types import coroutine
 from typing import Generator, Optional
 
 from .. import obs
 from ..core.links import Link, LinkClosed, transport_errors
+from ..core.runtime import Bound
 from ..core.wire import WireError, recv_frame, send_frame
 from ..obs import TraceContext
 from .core import (
@@ -39,40 +43,45 @@ __all__ = ["MuxEndpoint", "MuxChannel", "MuxError", "DEFAULT_WINDOW",
 class MuxChannel(ChannelState, Link):
     """One logical stream multiplexed over a shared link.
 
-    Mirrors the parent link's Table-1 metadata (``method``,
-    ``native_tcp``, ``relayed``) so decision logic and benchmarks see
-    through the mux; ``muxed`` marks the difference.
+    Mirrors the carrier's Table-1 metadata (``method``, ``native_tcp``,
+    ``relayed``) so decision logic and benchmarks see through the mux;
+    ``muxed`` marks the difference.
     """
 
-    def __init__(self, endpoint: "MuxEndpoint", channel_id: int, tag: bytes,
-                 window: int, weight: int = 1,
-                 ctx: Optional[TraceContext] = None):
-        super().__init__(endpoint, channel_id, tag, window, ctx=ctx)
-        self.weight = weight
-        self.method = endpoint.link.method
-        self.native_tcp = endpoint.link.native_tcp
-        self.relayed = endpoint.link.relayed
+    @property
+    def method(self) -> str:  # type: ignore[override]
+        return self._ep.link.method
+
+    @property
+    def native_tcp(self) -> bool:  # type: ignore[override]
+        return self._ep.link.native_tcp
+
+    @property
+    def relayed(self) -> bool:  # type: ignore[override]
+        return self._ep.link.relayed
 
     @property
     def sim(self):
         return self._ep.sim
 
+    @coroutine
     def send_all(self, data: bytes) -> Generator:
         """Queue ``data`` and block until the scheduler has put every byte
         on the wire under credit — backpressure, never drops."""
         self.write(data)
         while self._tx_buffered > 0 and self._error is None:
-            yield self._ep._wait(self.WAKE_DRAINED, self)
+            yield from self._ep._wait(self.WAKE_DRAINED, self)
         if self._error is not None:
             raise self._error
 
+    @coroutine
     def recv(self, maxbytes: int) -> Generator:
         while (chunk := self.read(maxbytes)) is None:
-            yield self._ep._wait(self.WAKE_RX, self)
+            yield from self._ep._wait(self.WAKE_RX, self)
         return chunk
 
 
-class MuxEndpoint(MuxCore):
+class MuxEndpoint(Bound, MuxCore):
     """Multiplexes logical channels over one established link."""
 
     channel_class = MuxChannel
@@ -86,23 +95,26 @@ class MuxEndpoint(MuxCore):
         self.flight = flight
 
     @classmethod
+    @coroutine
     def establish(cls, link: Link, role: str, *, window: int = DEFAULT_WINDOW,
                   scheduler: Optional[Scheduler] = None, node: str = "",
                   flight=None, ctx: Optional[TraceContext] = None) -> Generator:
         """HELLO version exchange over ``link``, then a running endpoint
         (both sides write first and read second, so it cannot deadlock)."""
         ctx = ctx or obs.current()
+        # Table 1's method, of a carrier that says (a bare stream need not)
+        method = getattr(link, "method", None)
         with obs.span("mux.establish", ctx=ctx.child() if ctx else None,
-                      node=node, role=role, method=link.method):
+                      node=node, role=role, method=method):
             yield from send_frame(link, encode_hello(MUX_VERSION, window))
             decode_hello((yield from recv_frame(link)))
         endpoint = cls(link, role, window=window, scheduler=scheduler,
                        node=node, flight=flight)
-        link.sim.process(endpoint._rx_pump(), name=f"mux-rx:{node}")
-        link.sim.process(endpoint._tx_pump(), name=f"mux-tx:{node}")
+        endpoint._spawn(endpoint._rx_pump(), f"mux-rx:{node}")
+        endpoint._spawn(endpoint._tx_pump(), f"mux-tx:{node}")
         if flight is not None:
             flight.note("mux.establish", ctx=ctx, role=role,
-                        method=link.method, window=window)
+                        method=method, window=window)
         return endpoint
 
     @property
@@ -110,6 +122,7 @@ class MuxEndpoint(MuxCore):
         return self.link.sim
 
     # -- channel API ---------------------------------------------------------
+    @coroutine
     def open_channel(self, tag: bytes = b"", *, window: Optional[int] = None,
                      weight: int = 1,
                      ctx: Optional[TraceContext] = None) -> Generator:
@@ -118,7 +131,7 @@ class MuxEndpoint(MuxCore):
         with obs.span("mux.channel_open", ctx=child, node=self.node,
                       channel=channel.channel_id, tag_bytes=len(tag)):
             while not channel._accepted and channel._error is None:
-                yield self._wait(channel.WAKE_ACCEPTED, channel)
+                yield from self._wait(channel.WAKE_ACCEPTED, channel)
             if channel._error is not None:
                 raise channel._error
         if self.flight is not None:
@@ -126,12 +139,15 @@ class MuxEndpoint(MuxCore):
                              channel=channel.channel_id, node=self.node)
         return channel
 
+    @coroutine
     def accept_channel(self, tag: Optional[bytes] = None, *,
                        match=None) -> Generator:
         """Wait for a peer OPEN, grant our window, return the channel;
-        ``tag`` or ``match`` filter as in :meth:`MuxCore.accept`."""
+        ``tag`` or ``match`` filter as in :meth:`MuxCore.accept`, so
+        independent acceptors can share one endpoint without stealing each
+        other's channels."""
         while (channel := self.accept(tag, match=match)) is None:
-            yield self._wait(self.WAKE_INCOMING)
+            yield from self._wait(self.WAKE_INCOMING)
         if self.flight is not None:
             self.flight.note("mux.channel_accept", ctx=channel.ctx,
                              channel=channel.channel_id, node=self.node)
@@ -151,17 +167,14 @@ class MuxEndpoint(MuxCore):
 
     # -- waiters -------------------------------------------------------------
     def _wait(self, what: str, channel: Optional[MuxChannel] = None):
-        """An event the core's next ``wake(what, channel)`` triggers."""
-        event = self.sim.event()
-        (channel or self)._waiters.setdefault(what, []).append(event)
-        return event
+        """Park until the core's next ``wake(what, channel)``."""
+        return self.runtime.park((channel or self)._waiters, what)
 
     def wake(self, what: str, channel: Optional[MuxChannel] = None) -> None:
-        for event in (channel or self)._waiters.pop(what, ()):
-            if not event.triggered:
-                event.succeed()
+        self.runtime.unpark((channel or self)._waiters, what)
 
     # -- pumps ---------------------------------------------------------------
+    @coroutine
     def _rx_pump(self) -> Generator:
         errors = transport_errors()
         try:
@@ -171,8 +184,13 @@ class MuxEndpoint(MuxCore):
             self.fail(exc)
         except (MuxProtocolError, WireError) as exc:
             self.fail(exc)
-            self.link.abort()  # so the peer learns of the violation too
+            self._violation()
 
+    def _violation(self) -> None:
+        """The peer broke the protocol: make sure it learns of it too."""
+        self.link.abort()
+
+    @coroutine
     def _tx_pump(self) -> Generator:
         errors = transport_errors()
         try:
@@ -186,6 +204,6 @@ class MuxEndpoint(MuxCore):
                     self.close()
                     return
                 else:
-                    yield self._wait(self.WAKE_TX)
+                    yield from self._wait(self.WAKE_TX)
         except errors as exc:
             self.fail(exc)

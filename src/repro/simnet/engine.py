@@ -147,6 +147,14 @@ class Event:
         self.sim._schedule(self, 0.0)
         return self
 
+    # asyncio.Future's names for the same three things, so a waker written
+    # once for both runtimes (repro.core.runtime) handles either
+    set_result = succeed
+    set_exception = fail
+
+    def done(self) -> bool:
+        return self._value is not _PENDING
+
     def trigger(self, event: "Event") -> None:
         """Trigger this event with the state of another event (chaining)."""
         if event._ok:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.retry import RetryExhausted, RetryPolicy, retrying
+from repro.core.runtime import SimRuntime
 from repro.simnet.engine import Simulator
 
 
@@ -80,7 +81,7 @@ def test_retrying_succeeds_after_failures():
     log = []
     policy = RetryPolicy(max_attempts=4, base_delay=0.5, multiplier=2.0, jitter=0.0)
     result, error = drive(
-        sim, retrying(sim, flaky(2, log), policy, retry_on=(Boom,))
+        sim, retrying(SimRuntime(sim), flaky(2, log), policy, retry_on=(Boom,))
     )
     assert error is None and result == "ok"
     assert log == [0, 1, 2]
@@ -92,7 +93,7 @@ def test_retrying_exhausts_and_carries_last_error():
     log = []
     policy = RetryPolicy(max_attempts=3, base_delay=0.1, jitter=0.0)
     result, error = drive(
-        sim, retrying(sim, flaky(99, log), policy, retry_on=(Boom,))
+        sim, retrying(SimRuntime(sim), flaky(99, log), policy, retry_on=(Boom,))
     )
     assert isinstance(error, RetryExhausted)
     assert isinstance(error.last, Boom)
@@ -108,7 +109,7 @@ def test_retrying_propagates_unlisted_exceptions():
 
     policy = RetryPolicy(max_attempts=5, base_delay=0.1)
     _result, error = drive(
-        sim, retrying(sim, attempt, policy, retry_on=(Boom,))
+        sim, retrying(SimRuntime(sim), attempt, policy, retry_on=(Boom,))
     )
     assert isinstance(error, KeyError)
     assert sim.now == 0.0  # no backoff was taken
@@ -124,14 +125,14 @@ def test_retrying_emits_obs_events():
         policy = RetryPolicy(max_attempts=4, base_delay=0.1, jitter=0.0)
         drive(
             sim,
-            retrying(sim, flaky(2, log), policy, retry_on=(Boom,), name="t"),
+            retrying(SimRuntime(sim), flaky(2, log), policy, retry_on=(Boom,), name="t"),
         )
         active = obs.tracer()
         assert len(active.events("t.retry")) == 2
         assert len(active.events("t.recovered")) == 1
         drive(
             sim,
-            retrying(sim, flaky(99, log), policy, retry_on=(Boom,), name="t"),
+            retrying(SimRuntime(sim), flaky(99, log), policy, retry_on=(Boom,), name="t"),
         )
         assert len(active.events("t.exhausted")) == 1
     finally:

@@ -9,7 +9,13 @@ simulator (under the ids these tests have always had) and
 import pytest
 
 from repro import obs
-from repro.core.relay import MAX_MSG, ReflectorServer, RelayError
+from repro.core.relay import (
+    _PEER_IO_TIMEOUT,
+    MAX_MSG,
+    ReflectorServer,
+    RelayError,
+)
+from repro.mesh.config import MeshConfig
 from repro.obs import TraceContext
 from repro.simnet import Internet
 from repro.simnet.testing import drive
@@ -152,6 +158,35 @@ class RelayCases:
                          "relay.route.open", "relay.route.closed"]
 
 
+    def test_a_gossip_partner_that_never_answers_costs_one_bounded_round(self):
+        """The partner accepts the dial and says nothing: the round ends at
+        the reply deadline, the next one begins, routed traffic still flows.
+        (Before the deadline was shared, the simulator's loop parked in this
+        read for good.)"""
+        cfg = MeshConfig(gossip_jitter=0.0)
+        budget = _PEER_IO_TIMEOUT + 2 * cfg.gossip_interval
+
+        async def script(h, ca, cb):
+            relay, begins = h.relay, []
+            begin = relay.gossip_begin
+
+            def counted():
+                begins.append(relay.clock())
+                return begin()
+
+            relay.gossip_begin = counted
+            relay.enable_mesh("r1", {"mute": await h.mute_peer()}, seed=1,
+                              config=cfg)
+            await h.until(lambda: len(begins) >= 2, timeout=20 * budget)
+            link = await h.open(ca, "node1")
+            await h.send(link, b"still-routing")
+            served = await h.recv_exactly(await h.accept(cb), 13)
+            return begins[1] - begins[0], served
+
+        gap, served = self.harness().run(script)
+        assert gap <= budget and served == b"still-routing"
+
+
 @pytest.mark.livenet
 class TestRelayLive(RelayCases):
     harness = LiveRelay
@@ -195,6 +230,10 @@ def test_open_payload_tag_delivered():
 
 def test_open_under_a_context_is_one_trace_through_the_relay():
     _SIM.test_open_under_a_context_is_one_trace_through_the_relay()
+
+
+def test_a_gossip_partner_that_never_answers_costs_one_bounded_round():
+    _SIM.test_a_gossip_partner_that_never_answers_costs_one_bounded_round()
 
 
 def test_reflector_reports_observed_address():

@@ -252,7 +252,7 @@ class LiveSessions(dual.LiveHarness):
 
     @staticmethod
     def mute(link):
-        link._sock.silent = True
+        link._raw.silent = True
 
     def refuse_reconnects(self):
         self.refuse = True

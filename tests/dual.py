@@ -21,8 +21,10 @@ import inspect
 
 from repro.core.links import TcpLink, transport_errors
 from repro.core.relay import RelayClient, RelayServer
+from repro.core.runtime import ASYNCIO, SimRuntime
 from repro.core.wire import recv_frame, send_frame
 from repro.livenet.relay import LiveRelayClient, LiveRelayServer
+from repro.livenet.transport import live_listen
 from repro.simnet import Internet, connect, listen
 from repro.simnet.engine import all_of
 from repro.simnet.testing import two_public_hosts
@@ -81,6 +83,7 @@ class SimHarness(_FrameIO):
 
     def run(self, script, *, until=600):
         self.sim, ini, resp = self.setup()
+        self.runtime = SimRuntime(self.sim)
         self.carrier_errors = transport_errors()
         done = self.sim.process(_drive(script(self, ini, resp)))
         self.sim.run(until=self.sim.now + until)
@@ -88,12 +91,10 @@ class SimHarness(_FrameIO):
         return done.value
 
     def now(self):
-        return self.sim.now
+        return self.runtime.now()
 
     def sleep(self, seconds):
-        def steps():
-            yield self.sim.timeout(seconds)
-        return _Steps(steps())
+        return self.runtime.sleep(seconds)
 
     async def until(self, predicate, timeout=60.0, step=0.01):
         """Wait (in simulated time) for state with no awaitable edge."""
@@ -110,8 +111,8 @@ class SimHarness(_FrameIO):
             return [p.value for p in procs]
         return _Steps(steps())
 
-    def spawn(self, coro):
-        self.sim.process(_drive(coro))
+    def spawn(self, coro, name="script"):
+        return self.runtime.spawn(_drive(coro), name)
 
     def send(self, stream, data):
         return _Steps(stream.send_all(data))
@@ -123,7 +124,6 @@ class SimHarness(_FrameIO):
         return _Steps(stream.recv_exactly(n))
 
 
-
 class LiveHarness(_FrameIO):
     """Runs a script in a fresh event loop over one loopback connection.
 
@@ -133,6 +133,7 @@ class LiveHarness(_FrameIO):
     """
 
     carrier_errors = (EOFError, OSError)
+    runtime = ASYNCIO
 
     def setup(self):
         """Async context manager yielding the two connected ends."""
@@ -152,10 +153,10 @@ class LiveHarness(_FrameIO):
         return asyncio.run(asyncio.wait_for(main(), timeout=LIVENET_DEADLINE))
 
     def now(self):
-        return asyncio.get_running_loop().time()
+        return self.runtime.now()
 
     def sleep(self, seconds):
-        return asyncio.sleep(seconds / 100)
+        return self.runtime.sleep(seconds / 100)
 
     def until(self, predicate, timeout=60.0, step=None):
         return eventually(predicate, timeout=timeout / 10)
@@ -163,8 +164,9 @@ class LiveHarness(_FrameIO):
     def gather(self, *coros):
         return asyncio.gather(*coros)
 
-    def spawn(self, coro):
-        self._spawned.append(asyncio.ensure_future(coro))  # keep a reference
+    def spawn(self, coro, name="script"):
+        self._spawned.append(self.runtime.spawn(coro, name))  # keep a reference
+        return self._spawned[-1]
 
     def send(self, stream, data):
         return stream.send_all(data)
@@ -176,8 +178,21 @@ class LiveHarness(_FrameIO):
         return stream.recv_exactly(n)
 
 
+class _RelayCalls:
+    """A relay client's calls are generator-based coroutines: awaitable on
+    both bindings as they are."""
 
-class SimRelay(SimHarness):
+    def connect(self, client):
+        return client.connect()
+
+    def open(self, client, peer, **kw):
+        return client.open_link(peer, **kw)
+
+    def accept(self, client):
+        return client.accept_link()
+
+
+class SimRelay(_RelayCalls, SimHarness):
     """Scripts get ``(h, node0's client, node1's client)``, both registered
     at ``h.relay`` on the simulator."""
 
@@ -196,17 +211,20 @@ class SimRelay(SimHarness):
         host = self.inet.add_public_host(f"host-{len(self.inet.net.hosts)}")
         return RelayClient(host, node_id, self.relay.addr)
 
-    def connect(self, client):
-        return _Steps(client.connect())
+    async def mute_peer(self):
+        """Address of a listener that accepts and then says nothing."""
+        host = self.inet.add_public_host("mute")
+        listener, held = listen(host, 4100), []
 
-    def open(self, client, peer, **kw):
-        return _Steps(client.open_link(peer, **kw))
+        def hold():
+            while True:
+                held.append((yield from listener.accept()))
 
-    def accept(self, client):
-        return _Steps(client.accept_link())
+        self.spawn(hold(), "mute-peer")
+        return (host.ip, 4100)
 
 
-class LiveRelay(LiveHarness):
+class LiveRelay(_RelayCalls, LiveHarness):
     """Scripts get ``(h, node0's client, node1's client)``, both registered
     at ``h.relay`` on loopback."""
 
@@ -227,11 +245,14 @@ class LiveRelay(LiveHarness):
         self._clients.append(LiveRelayClient(node_id, self.relay.addr))
         return self._clients[-1]
 
-    def connect(self, client):
-        return client.connect()
+    async def mute_peer(self):
+        """Address of a listener that accepts and then says nothing."""
+        listener, held = await live_listen(), []
+        self._clients.append(listener)  # closed with the clients
 
-    def open(self, client, peer, **kw):
-        return client.open_link(peer, **kw)
+        async def hold():
+            while True:
+                held.append(await listener.accept())
 
-    def accept(self, client):
-        return client.accept_link()
+        self.spawn(hold(), "mute-peer")
+        return listener.addr

@@ -99,7 +99,7 @@ def test_concurrent_forwards_share_one_trunk_and_stop_leaves_none(live_run, monk
 
     def trunk_readers():
         return [t for t in asyncio.all_tasks()
-                if t.get_coro().__qualname__.endswith("._trunk_reader")]
+                if t.get_name().startswith("mesh-trunk-")]
 
     async def main():
         r1 = await LiveRelayServer(name="r1").start()

@@ -95,6 +95,25 @@ class TestLiveIbis:
 
         assert live_run(main())
 
+    def test_rebalancing_parallel_stack(self, live_run):
+        """``parallel:rebalance=1`` builds on live since the striping
+        drivers are the simulator's own, on the asyncio runtime."""
+        async def main():
+            async with grid("alice", "bob") as (_reg, _rel, alice, bob):
+                inbox = await bob.create_receive_port("bulk-in")
+                out = alice.create_send_port("out")
+                await out.connect(
+                    "bulk-in", spec=StackSpec.parse("parallel:3:rebalance=1")
+                )
+                payloads = [bytes([i]) * 70_000 for i in range(4)]
+                for payload in payloads:
+                    message = out.new_message()
+                    message.write_bytes(payload)
+                    await message.finish()
+                return [(await inbox.receive()).read_bytes() for _ in payloads] == payloads
+
+        assert live_run(main())
+
     def test_fan_in_from_two_senders(self, live_run):
         async def main():
             async with grid("sink", "s1", "s2") as (_reg, _rel, sink, s1, s2):

@@ -64,11 +64,10 @@ async def _pair(listener, **kwargs):
 
 
 def _session_tasks():
-    """Live tasks whose coroutine the session binding defined."""
+    """Live tasks the session binding or its listener spawned."""
     return [
         task for task in asyncio.all_tasks()
-        if not task.done() and task.get_coro().cr_code.co_filename.endswith(
-            "livenet/session.py")
+        if not task.done() and task.get_name().startswith("session-")
     ]
 
 
@@ -143,7 +142,7 @@ def test_close_deadline_ends_a_link_whose_peer_is_gone_silently(live_run):
     async def main():
         listener = await live_listen()
         sessions, a, b = await _pair(listener)
-        b._sock.send_all = lambda data: asyncio.sleep(0)  # acks vanish
+        b._raw.send_all = lambda data: asyncio.sleep(0)  # acks vanish
         with pytest.raises(AsyncSessionError, match="close timed out"):
             await a.aclose(timeout=0.2)
         sessions.close()
@@ -314,7 +313,6 @@ def test_build_stack_names_session_as_an_unsupported_layer(live_run):
     refused = {
         "session": StackSpec.tcp().with_session(),
         "tls": StackSpec.tcp().with_tls(),
-        "parallel:rebalance=1": StackSpec.parse("parallel:2:rebalance=1"),
     }
 
     async def main():

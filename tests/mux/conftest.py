@@ -16,7 +16,6 @@ from repro.mux import DEFAULT_WINDOW, MuxEndpoint
 from repro.obs.metrics import MetricsRegistry
 
 from .. import dual
-from ..dual import _Steps
 
 
 @pytest.fixture(autouse=True)
@@ -44,13 +43,13 @@ class SimHarness(dual.SimHarness):
         return super().run(main, until=until)
 
     def establish(self, link, role, **kw):
-        return _Steps(MuxEndpoint.establish(link, role, **kw))
+        return MuxEndpoint.establish(link, role, **kw)
 
     def open(self, endpoint, **kw):
-        return _Steps(endpoint.open_channel(**kw))
+        return endpoint.open_channel(**kw)
 
     def accept(self, endpoint, **kw):
-        return _Steps(endpoint.accept_channel(**kw))
+        return endpoint.accept_channel(**kw)
 
     @staticmethod
     def carrier(endpoint):
@@ -90,4 +89,4 @@ class LiveHarness(dual.LiveHarness):
 
     @staticmethod
     def carrier(endpoint):
-        return endpoint.sock
+        return endpoint.link

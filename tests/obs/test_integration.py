@@ -8,6 +8,7 @@ import pytest
 from repro import StackSpec, obs
 from repro.core.scenarios import GridScenario
 from repro.core.utilization import BlockChannel, CompressionDriver, TcpBlockDriver
+from repro.core.utilization.base import DriverError
 from repro.livenet import (
     AsyncParallelStreamsDriver,
     live_connect,
@@ -174,5 +175,5 @@ class TestConstructorParity:
             await asyncio.sleep(0)
 
         run(main())
-        with pytest.raises(ValueError):
+        with pytest.raises(DriverError):  # the shared driver's typed error
             AsyncParallelStreamsDriver([])
