@@ -43,8 +43,8 @@ smoke-mux:
 		| $(PYTHON) scripts/check_assembled_trace.py --mux
 
 # Fleet-scale flow-tier smoke: 100k endpoints fan into one hub across
-# a mid-run partition, full invariant suite, <60s wall-clock budget
-# (docs/SIMNET.md).
+# a mid-run partition, full invariant suite, <60s wall-clock and <330 MB
+# peak-RSS budgets (docs/SIMNET.md).
 smoke-flow:
 	$(PYTHON) scripts/smoke_flow.py
 
@@ -82,8 +82,8 @@ bench-diff:
 frame-census:
 	$(PYTHON) scripts/frame_census.py --mib 64 --max-frames 40 --max-stalls 10
 
-# Is the simulator's behaviour here identical to BASE's?  Runs the seven
-# reference chaos cells at both trees and compares report bytes and sorted
+# Is the simulator's behaviour here identical to BASE's?  Runs the eight
+# reference chaos cells (seven packet-tier, one flow-tier) at both trees and compares report bytes and sorted
 # trace JSONL (docs/TESTING.md).  STRIP_LABEL=backend drops that key from
 # labels and attrs on both sides, for a change whose one delta is the label.
 sim-identical: BASE ?= HEAD^

@@ -38,6 +38,8 @@ CELLS = [
     ("mux_fanin", "", False),
     ("socks_transfer", "proxy_restart@2:site=B,for=2", True),
     ("ipl_fanin", "", False),
+    # the one flow-tier cell, at the default 2 000 endpoints
+    ("fleet_fanin", "link_down@12:site=hub,for=5", True),
 ]
 
 

@@ -192,6 +192,9 @@ class FleetScenario:
         self._partition_at = 0.0
         self._hub_link = self.net.hosts["hub"].uplink
         self.net.on_link_change.append(self._on_link_change)
+        self._forwarded = obs.metrics().counter(
+            "relay.forwarded_bytes_total", backend="flow"
+        )
 
     # -- workload ------------------------------------------------------------
     def _start_wave(self, k: int) -> None:
@@ -200,10 +203,11 @@ class FleetScenario:
         self._wave_start += n
         off = self._class_offset[k]
         reg = obs.metrics()
+        links = self.net.links
         for j in range(n):
             i = first + j
             size = SIZE_CLASSES[(off + i) % len(SIZE_CLASSES)]
-            src = f"ep{i:06d}"
+            src = links[i + 1].child.name  # links[0] is the hub's
             flow = self.net.start_flow(
                 src, "hub", size,
                 name=f"f{i}", channel=str(i),
@@ -221,8 +225,8 @@ class FleetScenario:
         size = int(flow.size)
         self.relay.forwarded_bytes += size
         self.relay.forwarded_messages += 1
+        self._forwarded.inc(size)
         reg = obs.metrics()
-        reg.counter("relay.forwarded_bytes_total", backend="flow").inc(size)
         # hub side of the ledger: bytes delivered, and credit granted —
         # the window the channel opened with, then whatever a flow longer
         # than that needed back (sent <= granted must hold)

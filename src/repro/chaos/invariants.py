@@ -109,44 +109,37 @@ def _mux_violations(registry: MetricsRegistry) -> list[str]:
     whatever window was asked for — and the flow-control contract held
     for the entire run.  A run without mux counters checks nothing.
     """
-    tx: dict = {}          # channel -> total DATA bytes sent
-    rx: dict = {}          # channel -> total DATA bytes delivered
-    tx_by_node: dict = {}  # (node, channel) -> DATA bytes sent
-    granted: dict = {}     # (node, channel) -> credit bytes granted
-    for counter in registry.instruments("mux.tx_bytes"):
-        ch = counter.labels.get("channel", "?")
-        node = counter.labels.get("node", "?")
-        tx[ch] = tx.get(ch, 0) + counter.value
-        tx_by_node[(node, ch)] = tx_by_node.get((node, ch), 0) + counter.value
-    for counter in registry.instruments("mux.rx_bytes"):
-        ch = counter.labels.get("channel", "?")
-        rx[ch] = rx.get(ch, 0) + counter.value
-    for counter in registry.instruments("mux.credit_granted"):
-        ch = counter.labels.get("channel", "?")
-        node = counter.labels.get("node", "?")
-        granted[(node, ch)] = granted.get((node, ch), 0) + counter.value
-
-    # per-channel grant totals up front: fleet-scale runs carry one
-    # channel per endpoint, so the credit check must stay linear
-    granted_by_ch: dict = {}
-    for (node, ch), value in granted.items():
-        granted_by_ch[ch] = granted_by_ch.get(ch, 0) + value
-
+    by_channel: dict = {}  # channel -> every mux counter labelled with it
+    for family in ("mux.tx_bytes", "mux.rx_bytes", "mux.credit_granted"):
+        for counter in registry.instruments(family):
+            channel = counter.labels.get("channel", "?")
+            by_channel.setdefault(channel, []).append(counter)
     out = []
-    for ch in sorted(set(tx) | set(rx), key=lambda c: int(c) if c.isdigit() else 0):
-        sent, got = tx.get(ch, 0), rx.get(ch, 0)
-        if sent != got:
+    for ch, counters in by_channel.items():
+        sent: dict = {}  # node -> DATA bytes it sent on this channel
+        granted: dict = {}  # node -> credit bytes it granted on this channel
+        got = 0
+        for counter in counters:
+            if counter.name == "mux.rx_bytes":
+                got += counter.value
+                continue
+            table = sent if counter.name == "mux.tx_bytes" else granted
+            node = counter.labels.get("node", "?")
+            table[node] = table.get(node, 0) + counter.value
+        total = sum(sent.values())
+        if total != got:
             out.append(
                 f"mux: channel {ch} conservation broken: "
-                f"{sent} bytes sent, {got} delivered"
+                f"{total} bytes sent, {got} delivered"
             )
-    for (node, ch), sent in sorted(tx_by_node.items()):
-        allowed = granted_by_ch.get(ch, 0) - granted.get((node, ch), 0)
-        if sent > allowed:
-            out.append(
-                f"mux: channel {ch} credit overrun on {node}: "
-                f"{sent} bytes sent, {allowed} granted by the peer"
-            )
+        total = sum(granted.values())
+        for node, n in sent.items():
+            allowed = total - granted.get(node, 0)
+            if n > allowed:
+                out.append(
+                    f"mux: channel {ch} credit overrun on {node}: "
+                    f"{n} bytes sent, {allowed} granted by the peer"
+                )
     return out
 
 

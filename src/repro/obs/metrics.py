@@ -67,16 +67,37 @@ class MetricError(Exception):
     """Inconsistent metric usage (kind clash, bucket clash, ...)."""
 
 
-class Counter:
+def _label_key(labels: dict) -> tuple:
+    """A label set as one flat ``(k1, v1, k2, v2, ...)`` tuple, in label-name
+    order: keyword order makes no second instrument, keys sort as pairs would."""
+    return sum(sorted(labels.items()), ())
+
+
+def _key_labels(key: tuple) -> dict:
+    return dict(zip(key[::2], key[1::2]))
+
+
+class _Instrument:
+    """What every instrument keeps of its identity: name and label key."""
+
+    __slots__ = ("name", "_key")
+
+    def __init__(self, name: str, key: tuple):
+        self.name = name
+        self._key = key
+        self._reset()  # an instrument starts as reset() leaves it
+
+    @property
+    def labels(self) -> dict:
+        """The label set as a fresh dict, rebuilt from the key on every read."""
+        return _key_labels(self._key)
+
+
+class Counter(_Instrument):
     """A monotonically increasing count (events, bytes, attempts)."""
 
     kind = "counter"
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: dict):
-        self.name = name
-        self.labels = labels
-        self.value = 0
+    __slots__ = ("value",)
 
     def inc(self, amount: int = 1) -> None:
         if amount < 0:
@@ -90,18 +111,15 @@ class Counter:
         return {"value": self.value}
 
 
-class Gauge:
+class Gauge(_Instrument):
     """A point-in-time value; remembers the clock reading when set."""
 
     kind = "gauge"
-    __slots__ = ("name", "labels", "value", "updated_at", "_clock")
+    __slots__ = ("value", "updated_at", "_clock")
 
-    def __init__(self, name: str, labels: dict, clock: Callable[[], float]):
-        self.name = name
-        self.labels = labels
-        self.value = 0.0
-        self.updated_at: Optional[float] = None
+    def __init__(self, name: str, key: tuple, clock: Callable[[], float]):
         self._clock = clock
+        super().__init__(name, key)
 
     def set(self, value: float) -> None:
         self.value = value
@@ -121,19 +139,15 @@ class Gauge:
         return {"value": self.value, "updated_at": self.updated_at}
 
 
-class Histogram:
+class Histogram(_Instrument):
     """Fixed-bucket distribution; the last bucket is the +inf overflow."""
 
     kind = "histogram"
-    __slots__ = ("name", "labels", "buckets", "counts", "count", "sum")
+    __slots__ = ("buckets", "counts", "count", "sum")
 
-    def __init__(self, name: str, labels: dict, buckets: tuple):
-        self.name = name
-        self.labels = labels
+    def __init__(self, name: str, key: tuple, buckets: tuple):
         self.buckets = buckets
-        self.counts = [0] * (len(buckets) + 1)
-        self.count = 0
-        self.sum = 0.0
+        super().__init__(name, key)
 
     def observe(self, value: float) -> None:
         self.counts[bisect_left(self.buckets, value)] += 1
@@ -179,10 +193,6 @@ class _Family:
         self.children: dict = {}
 
 
-def _label_key(labels: dict) -> tuple:
-    return tuple(sorted(labels.items()))
-
-
 class MetricsRegistry:
     """The process-wide instrument store, keyed by ``(name, labels)``.
 
@@ -196,7 +206,8 @@ class MetricsRegistry:
     iteration (:meth:`snapshot`, :meth:`instruments`, :meth:`reset`,
     ...) are guarded by a lock, so a telemetry publisher may snapshot
     from one thread while the live backend registers instruments in
-    another.  Updates on an *existing* instrument (``inc``/``observe``)
+    another; asking for an instrument that already exists takes no lock.
+    Updates on an *existing* instrument (``inc``/``observe``)
     stay lock-free: they are single attribute writes the snapshot path
     tolerates being torn against (a histogram snapshot may run one
     observation behind on ``sum`` — never corrupt).
@@ -221,53 +232,51 @@ class MetricsRegistry:
                         gauge._clock = clock
 
     # -- instrument access ---------------------------------------------------
-    def _family(self, name: str, kind: str, buckets: Optional[tuple]) -> _Family:
+    def _instrument(self, cls, name: str, labels: dict, buckets=None):
+        """The one ``cls`` instrument for ``(name, labels)``, made on first ask.
+
+        A hit takes no lock: it reads two dicts and changes neither.
+        """
+        key = _label_key(labels)
         family = self._families.get(name)
         if family is None:
-            family = _Family(name, kind, buckets)
-            self._families[name] = family
-            return family
-        if family.kind != kind:
+            with self._lock:
+                family = self._families.get(name)
+                if family is None:
+                    if cls is Histogram and buckets is None:
+                        buckets = DEFAULT_BYTE_BUCKETS
+                    family = self._families[name] = _Family(name, cls.kind, buckets)
+        if family.kind != cls.kind:
             raise MetricError(
                 f"metric {name!r} already registered as a {family.kind}"
             )
-        if kind == "histogram" and buckets is not None and buckets != family.buckets:
+        if buckets is not None and buckets != family.buckets:
             raise MetricError(f"metric {name!r} already has different buckets")
-        return family
+        child = family.children.get(key)
+        if child is None:
+            with self._lock:
+                child = family.children.get(key)
+                if child is None:
+                    if cls is Counter:
+                        child = Counter(name, key)
+                    elif cls is Gauge:
+                        child = Gauge(name, key, self._clock)
+                    else:
+                        child = Histogram(name, key, family.buckets)
+                    family.children[key] = child
+        return child
 
     def counter(self, name: str, **labels) -> Counter:
-        with self._lock:
-            family = self._family(name, "counter", None)
-            key = _label_key(labels)
-            child = family.children.get(key)
-            if child is None:
-                child = family.children[key] = Counter(name, labels)
-            return child
+        return self._instrument(Counter, name, labels)
 
     def gauge(self, name: str, **labels) -> Gauge:
-        with self._lock:
-            family = self._family(name, "gauge", None)
-            key = _label_key(labels)
-            child = family.children.get(key)
-            if child is None:
-                child = family.children[key] = Gauge(name, labels, self._clock)
-            return child
+        return self._instrument(Gauge, name, labels)
 
     def histogram(
         self, name: str, buckets: Optional[Iterable[float]] = None, **labels
     ) -> Histogram:
         fixed = tuple(buckets) if buckets is not None else None
-        with self._lock:
-            family = self._family(name, "histogram", fixed)
-            if family.buckets is None:
-                family.buckets = fixed or DEFAULT_BYTE_BUCKETS
-            key = _label_key(labels)
-            child = family.children.get(key)
-            if child is None:
-                child = family.children[key] = Histogram(
-                    name, labels, family.buckets
-                )
-            return child
+        return self._instrument(Histogram, name, labels, fixed)
 
     # -- inspection ----------------------------------------------------------
     def get(self, name: str, **labels):
@@ -306,7 +315,7 @@ class MetricsRegistry:
                         "type": "metric",
                         "kind": family.kind,
                         "name": name,
-                        "labels": dict(key),
+                        "labels": _key_labels(key),
                     }
                     record.update(child._snapshot())
                     records.append(record)

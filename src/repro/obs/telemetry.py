@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from . import event as obs_event
-from .metrics import MetricsRegistry
+from .metrics import MetricsRegistry, _key_labels, _label_key
 
 __all__ = [
     "TelemetryPublisher",
@@ -71,10 +71,6 @@ DEFAULT_INTERVAL = 0.5
 
 #: default aggregator sliding-window span (seconds)
 DEFAULT_WINDOW = 10.0
-
-
-def _label_key(labels: dict) -> tuple:
-    return tuple(sorted(labels.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +290,6 @@ def replay_deltas(records: Iterable[dict], source: Optional[str] = None) -> list
     counters: dict[tuple, int] = {}
     gauges: dict[tuple, tuple] = {}
     hists: dict[tuple, dict] = {}
-    label_of: dict[tuple, dict] = {}
     for record in records:
         if record.get("type") != "telemetry":
             continue
@@ -302,17 +297,14 @@ def replay_deltas(records: Iterable[dict], source: Optional[str] = None) -> list
             continue
         for name, labels, delta in record["counters"]:
             key = (name, _label_key(labels))
-            label_of[key] = labels
             counters[key] = counters.get(key, 0) + delta
         for name, labels, value, updated_at in record["gauges"]:
             key = (name, _label_key(labels))
-            label_of[key] = labels
             gauges[key] = (value, updated_at)
         for name, labels, count_delta, count, total, deltas, bounds in record[
             "histograms"
         ]:
             key = (name, _label_key(labels))
-            label_of[key] = labels
             h = hists.setdefault(
                 key, {"counts": [0] * len(deltas), "bounds": bounds}
             )
@@ -320,38 +312,35 @@ def replay_deltas(records: Iterable[dict], source: Optional[str] = None) -> list
             h["count"] = count
             h["sum"] = total
     out = []
-    for key, value in counters.items():
-        name, _ = key
+    for (name, label_key), value in counters.items():
         out.append(
             {
                 "type": "metric",
                 "kind": "counter",
                 "name": name,
-                "labels": label_of[key],
+                "labels": _key_labels(label_key),
                 "value": value,
             }
         )
-    for key, (value, updated_at) in gauges.items():
-        name, _ = key
+    for (name, label_key), (value, updated_at) in gauges.items():
         out.append(
             {
                 "type": "metric",
                 "kind": "gauge",
                 "name": name,
-                "labels": label_of[key],
+                "labels": _key_labels(label_key),
                 "value": value,
                 "updated_at": updated_at,
             }
         )
-    for key, h in hists.items():
-        name, _ = key
+    for (name, label_key), h in hists.items():
         bounds = list(h["bounds"]) + ["inf"]
         out.append(
             {
                 "type": "metric",
                 "kind": "histogram",
                 "name": name,
-                "labels": label_of[key],
+                "labels": _key_labels(label_key),
                 "count": h["count"],
                 "sum": h["sum"],
                 "buckets": [[b, c] for b, c in zip(bounds, h["counts"])],

@@ -181,12 +181,16 @@ def spec_flow_params(spec) -> dict:
 
 
 class FlowPipe:
-    """One direction of a flow-level link: a capacity constraint."""
+    """One direction of a flow-level link: a capacity constraint.
 
-    __slots__ = ("name", "capacity", "delay", "loss", "down")
+    ``_cap``, ``_n`` and ``_stamp`` are the rate solver's scratch: capacity
+    left, unfixed flows crossing, and which solve they were written by.
+    """
+
+    __slots__ = ("link", "capacity", "delay", "loss", "down", "_cap", "_n", "_stamp")
 
     def __init__(
-        self, name: str, capacity: float, delay: float, loss: float = 0.0
+        self, link: "FlowLink", capacity: float, delay: float, loss: float = 0.0
     ):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive: {capacity}")
@@ -194,11 +198,17 @@ class FlowPipe:
             raise ValueError(f"negative delay: {delay}")
         if not 0.0 <= loss < 1.0:
             raise ValueError(f"loss must be in [0, 1): {loss}")
-        self.name = name
+        self.link = link
         self.capacity = capacity
         self.delay = delay
         self.loss = loss
         self.down = False
+        self._stamp = None
+
+    @property
+    def name(self) -> str:
+        way = "up" if self.link.to_parent is self else "down"
+        return f"{self.link.name}:{way}"
 
     @property
     def goodput(self) -> float:
@@ -226,12 +236,11 @@ class FlowLink:
     fidelity tier.  Direction *a→b* is child→parent.
     """
 
-    __slots__ = ("net", "name", "child", "parent", "to_parent", "to_child")
+    __slots__ = ("net", "child", "parent", "to_parent", "to_child")
 
     def __init__(
         self,
         net: "FlowNetwork",
-        name: str,
         child: "FlowHost",
         parent: "FlowHost",
         *,
@@ -242,18 +251,21 @@ class FlowLink:
         down_bandwidth: Optional[float] = None,
     ):
         self.net = net
-        self.name = name
         self.child = child
         self.parent = parent
         if delay_back is None:
             delay_back = delay
-        self.to_parent = FlowPipe(f"{name}:up", bandwidth, delay, loss)
+        self.to_parent = FlowPipe(self, bandwidth, delay, loss)
         self.to_child = FlowPipe(
-            f"{name}:down",
+            self,
             bandwidth if down_bandwidth is None else down_bandwidth,
             delay_back,
             loss,
         )
+
+    @property
+    def name(self) -> str:
+        return f"{self.child.name}~{self.parent.name}"
 
     def set_down(self, down: bool) -> None:
         """Cut (or restore) both directions; flows re-solve immediately."""
@@ -339,12 +351,7 @@ class FluidFlow:
         "dst",
         "size",
         "delivered",
-        "streams",
-        "mss",
-        "rwnd",
         "ceiling",
-        "rtt",
-        "loss",
         "path",
         "rate",
         "active_from",
@@ -365,12 +372,8 @@ class FluidFlow:
         dst: str,
         size: float,
         *,
-        streams: int,
-        mss: float,
-        rwnd: float,
         path: tuple,
-        rtt: float,
-        loss: float,
+        ceiling: float,
         active_from: float,
         channel: Optional[str],
         on_complete: Optional[Callable[["FluidFlow"], None]],
@@ -381,15 +384,8 @@ class FluidFlow:
         self.dst = dst
         self.size = float(size)
         self.delivered = 0.0
-        self.streams = streams
-        self.mss = mss
-        self.rwnd = rwnd
         self.path = path
-        self.rtt = rtt
-        self.loss = loss
-        self.ceiling = aimd_rate(
-            rtt, loss, mss=mss, rwnd=rwnd, streams=streams
-        )
+        self.ceiling = ceiling
         self.rate = 0.0
         self.active_from = active_from
         self.started_at = net.sim.now
@@ -505,7 +501,6 @@ class FlowNetwork:
         host = FlowHost(name, parent=up)
         link = FlowLink(
             self,
-            f"{name}~{parent}",
             host,
             up,
             bandwidth=self.DEFAULT_BANDWIDTH if bandwidth is None else bandwidth,
@@ -595,12 +590,8 @@ class FlowNetwork:
             src,
             dst,
             size,
-            streams=streams,
-            mss=mss,
-            rwnd=rwnd,
             path=path,
-            rtt=rtt,
-            loss=loss,
+            ceiling=ceiling,
             active_from=self.sim.now + setup_delay + ramp,
             channel=channel,
             on_complete=on_complete,
@@ -622,7 +613,8 @@ class FlowNetwork:
             "flows_started": self.flows_started,
             "flows_completed": self.flows_completed,
             "flows_aborted": self.flows_aborted,
-            "flows_active": len(self.active_flows()),
+            "flows_active": sum(f.state == "active" for f in self._active)
+            + sum(e[2].state == "pending" for e in self._pending),
             "delivered_bytes": self.delivered_bytes,
             "resolves": self.resolves,
         }
@@ -709,28 +701,31 @@ class FlowNetwork:
         flows = self._active
         if not flows:
             return
-        usage: dict[int, list] = {}
+        stamp = object()  # this solve's mark: a pipe not carrying it is new
+        pipes = []  # every pipe under an active flow, in first-touch order
         for f in flows:
             f._fixed = False
             for p in f.path:
-                entry = usage.get(id(p))
-                if entry is None:
-                    usage[id(p)] = entry = [p.goodput, 0, []]
-                entry[1] += 1
-                entry[2].append(f)
+                if p._stamp is not stamp:
+                    p._stamp = stamp
+                    p._cap = p.goodput
+                    p._n = 0
+                    pipes.append(p)
+                p._n += 1
+        crossing = None  # pipe -> its flows, in active order; built on need
         unfixed = len(flows)
         ptr = 0  # flows are sorted by ceiling; fixed ones are skipped
         while unfixed:
             fair = math.inf
-            for entry in usage.values():
-                if entry[1] > 0:
-                    share = entry[0] / entry[1]
+            for p in pipes:
+                if p._n > 0:
+                    share = p._cap / p._n
                     if share < fair:
                         fair = share
             if fair is math.inf:
                 for f in flows:
                     if not f._fixed:
-                        _fix(f, f.ceiling, usage)
+                        _fix(f, f.ceiling)
                 break
             thresh = fair * (1.0 + 1e-9) + 1e-12
             progressed = False
@@ -741,17 +736,24 @@ class FlowNetwork:
                     continue
                 if f.ceiling > thresh:
                     break
-                _fix(f, f.ceiling, usage)
+                _fix(f, f.ceiling)
                 unfixed -= 1
                 ptr += 1
                 progressed = True
             if progressed:
                 continue
-            for entry in usage.values():
-                if entry[1] > 0 and entry[0] <= thresh * entry[1]:
-                    for f in entry[2]:
+            if crossing is None:
+                crossing = {p: [] for p in pipes}
+                for f in flows:
+                    for p in f.path:
+                        crossing[p].append(f)
+            # fixing one pipe's flows moves the next pipe's numbers, so each
+            # pipe is tested when its turn comes
+            for p in pipes:
+                if p._n > 0 and p._cap <= thresh * p._n:
+                    for f in crossing[p]:
                         if not f._fixed:
-                            _fix(f, fair, usage)
+                            _fix(f, fair)
                             unfixed -= 1
 
     def _arm(self, now: float) -> None:
@@ -780,15 +782,13 @@ def _ceiling_key(flow: FluidFlow) -> float:
     return flow.ceiling
 
 
-def _fix(flow: FluidFlow, rate: float, usage: dict) -> None:
+def _fix(flow: FluidFlow, rate: float) -> None:
     flow.rate = rate if rate > 1e-12 else 0.0
     flow._fixed = True
     for p in flow.path:
-        entry = usage[id(p)]
-        entry[0] -= rate
-        if entry[0] < 0.0:
-            entry[0] = 0.0
-        entry[1] -= 1
+        cap = p._cap - rate
+        p._cap = 0.0 if cap < 0.0 else cap
+        p._n -= 1
 
 
 class FlowBackend(SimBackend):
