@@ -11,14 +11,13 @@ layer on, and asserts:
   number of stalled transfers across the partition heal;
 * wall-clock stayed under the budget (default 60 s) — the whole point
   of the flow tier;
-* the process never held more than the memory budget (default 330 MB
-  peak RSS, which is what 100k endpoints are allowed: ≈ 190 MB measured,
-  376 MB before the flow tier's object diet).
+* the process never held more than ``RSS_BUDGET_MB`` of peak RSS, which
+  is what 100k endpoints are allowed: ≈ 190 MB measured, 376 MB before
+  the flow tier's object diet.
 
 Usage::
 
     python scripts/smoke_flow.py [--endpoints N] [--budget SECONDS]
-                                 [--rss-budget MB]
 """
 
 from __future__ import annotations
@@ -29,6 +28,9 @@ import resource
 import sys
 import time
 
+#: peak RSS a 100k-endpoint run may reach (MB)
+RSS_BUDGET_MB = 330.0
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
@@ -37,9 +39,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument(
         "--budget", type=float, default=60.0, help="wall-clock limit (s)"
-    )
-    parser.add_argument(
-        "--rss-budget", type=float, default=330.0, help="peak RSS limit (MB)"
     )
     args = parser.parse_args(argv)
 
@@ -57,8 +56,9 @@ def main(argv=None) -> int:
         until=600.0,
     )
     wall = time.monotonic() - t0
-    # Linux reports ru_maxrss in KiB
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+    # ru_maxrss is KiB on Linux, bytes on macOS
+    unit = 1 if sys.platform == "darwin" else 1024
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit / 1e6
 
     print(report.summary())
     stats = report.stats
@@ -83,8 +83,8 @@ def main(argv=None) -> int:
         failures.append("partition exercised no session resumes")
     if wall > args.budget:
         failures.append(f"wall-clock {wall:.1f}s exceeds {args.budget}s budget")
-    if rss > args.rss_budget:
-        failures.append(f"peak RSS {rss:.0f}MB exceeds {args.rss_budget}MB budget")
+    if rss > RSS_BUDGET_MB:
+        failures.append(f"peak RSS {rss:.0f}MB exceeds {RSS_BUDGET_MB}MB budget")
 
     for failure in failures:
         print(f"SMOKE FAIL: {failure}", file=sys.stderr)

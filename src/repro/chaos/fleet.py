@@ -192,6 +192,8 @@ class FleetScenario:
         self._partition_at = 0.0
         self._hub_link = self.net.hosts["hub"].uplink
         self.net.on_link_change.append(self._on_link_change)
+        # bound once, to the registry current *now*: install the run's
+        # registry before building the scenario (run_chaos does)
         self._forwarded = obs.metrics().counter(
             "relay.forwarded_bytes_total", backend="flow"
         )

@@ -232,51 +232,48 @@ class MetricsRegistry:
                         gauge._clock = clock
 
     # -- instrument access ---------------------------------------------------
-    def _instrument(self, cls, name: str, labels: dict, buckets=None):
-        """The one ``cls`` instrument for ``(name, labels)``, made on first ask.
-
-        A hit takes no lock: it reads two dicts and changes neither.
-        """
-        key = _label_key(labels)
+    def _family(self, name: str, kind: str, buckets=None, default=None) -> _Family:
+        """The family for ``name``, made on first ask; a hit takes no lock."""
         family = self._families.get(name)
         if family is None:
             with self._lock:
                 family = self._families.get(name)
                 if family is None:
-                    if cls is Histogram and buckets is None:
-                        buckets = DEFAULT_BYTE_BUCKETS
-                    family = self._families[name] = _Family(name, cls.kind, buckets)
-        if family.kind != cls.kind:
+                    made = default if buckets is None else buckets
+                    family = self._families[name] = _Family(name, kind, made)
+        if family.kind != kind:
             raise MetricError(
                 f"metric {name!r} already registered as a {family.kind}"
             )
         if buckets is not None and buckets != family.buckets:
             raise MetricError(f"metric {name!r} already has different buckets")
+        return family
+
+    def _child(self, family: _Family, labels: dict, cls, *extra):
+        """The family's one instrument for ``labels``, made on first ask as
+        ``cls(name, key, *extra)``; a hit reads one dict and takes no lock."""
+        key = _label_key(labels)
         child = family.children.get(key)
         if child is None:
             with self._lock:
                 child = family.children.get(key)
                 if child is None:
-                    if cls is Counter:
-                        child = Counter(name, key)
-                    elif cls is Gauge:
-                        child = Gauge(name, key, self._clock)
-                    else:
-                        child = Histogram(name, key, family.buckets)
-                    family.children[key] = child
+                    child = family.children[key] = cls(family.name, key, *extra)
         return child
 
     def counter(self, name: str, **labels) -> Counter:
-        return self._instrument(Counter, name, labels)
+        return self._child(self._family(name, "counter"), labels, Counter)
 
     def gauge(self, name: str, **labels) -> Gauge:
-        return self._instrument(Gauge, name, labels)
+        family = self._family(name, "gauge")
+        return self._child(family, labels, Gauge, self._clock)
 
     def histogram(
         self, name: str, buckets: Optional[Iterable[float]] = None, **labels
     ) -> Histogram:
         fixed = tuple(buckets) if buckets is not None else None
-        return self._instrument(Histogram, name, labels, fixed)
+        family = self._family(name, "histogram", fixed, DEFAULT_BYTE_BUCKETS)
+        return self._child(family, labels, Histogram, family.buckets)
 
     # -- inspection ----------------------------------------------------------
     def get(self, name: str, **labels):
