@@ -77,10 +77,11 @@ bench-diff:
 
 # Frame census of relay > session > mux > tcp_block on loopback sockets:
 # relay frames per MiB, the share of them <= 64 B, frames by kind per
-# layer, mux.backpressure_waits per MiB.  A printed diagnostic with two
-# loose gates; the deterministic budget is tests/core/test_frame_census.py.
+# layer, mux.backpressure_waits per MiB, event-loop handle runs and
+# futures created per MiB.  A printed diagnostic with three loose gates;
+# the deterministic budget is tests/core/test_frame_census.py.
 frame-census:
-	$(PYTHON) scripts/frame_census.py --mib 64 --max-frames 40 --max-stalls 10
+	$(PYTHON) scripts/frame_census.py --mib 64 --max-frames 40 --max-stalls 10 --max-handles 140
 
 # Is the simulator's behaviour here identical to BASE's?  Runs the eight
 # reference chaos cells (seven packet-tier, one flow-tier) at both trees and compares report bytes and sorted

@@ -11,10 +11,13 @@ Builds ``relay > session > mux > tcp_block`` the way the perf ledger's
 * mux frames by kind and session frames by kind, as decoded from what the
   relay forwarded;
 * ``mux.backpressure_waits`` — episodes of buffered bytes meeting zero
-  credit.
+  credit;
+* the event loop's own work: handles run (``asyncio.Handle._run``, every
+  task step and callback) and futures created (``loop.create_future`` and
+  ``loop.create_task``) — the per-frame task wake-ups the layers cost.
 
-``make frame-census`` runs it; ``--max-frames`` / ``--max-stalls`` turn
-the two headline numbers into an exit status.
+``make frame-census`` runs it; ``--max-frames`` / ``--max-stalls`` /
+``--max-handles`` turn the headline numbers into an exit status.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import collections
+import contextlib
 import json
 import struct
 import sys
@@ -105,6 +109,34 @@ def _mux_frames(carried: bytes):
         pos += 4 + length
 
 
+@contextlib.contextmanager
+def loop_work(loop):
+    """Count handle runs and futures created on ``loop`` inside the block."""
+    counts = collections.Counter()
+    run = asyncio.Handle._run
+    create_future, create_task = loop.create_future, loop.create_task
+
+    def counted_run(handle):
+        counts["handles"] += 1
+        return run(handle)
+
+    def counted_future():
+        counts["futures"] += 1
+        return create_future()
+
+    def counted_task(*args, **kwargs):
+        counts["futures"] += 1
+        return create_task(*args, **kwargs)
+
+    asyncio.Handle._run = counted_run
+    loop.create_future, loop.create_task = counted_future, counted_task
+    try:
+        yield counts
+    finally:
+        asyncio.Handle._run = run
+        del loop.create_future, loop.create_task
+
+
 async def census(mib: int, seed: int) -> dict:
     obs.set_registry(obs.MetricsRegistry())
     relay = await CensusRelay().start()
@@ -141,7 +173,8 @@ async def census(mib: int, seed: int) -> dict:
             if await rx.recv_message() != messages[i % 4]:
                 raise SystemExit(f"message {i} differs from what was sent")
 
-    await asyncio.gather(send(), receive())
+    with loop_work(asyncio.get_running_loop()) as work:
+        await asyncio.gather(send(), receive())
     # let the last CREDIT / ACK reach the relay before counting
     await asyncio.sleep(0.05)
 
@@ -190,6 +223,8 @@ async def census(mib: int, seed: int) -> dict:
             small / max(1, len(relay.payload_sizes)), 3),
         "relay_small_per_mib": round(small / mib, 2),
         "backpressure_waits_per_mib": round(stalls / mib, 2),
+        "loop_handles_per_mib": round(work["handles"] / mib, 1),
+        "loop_futures_per_mib": round(work["futures"] / mib, 1),
         "session_frames_per_mib": {
             k: round(v / mib, 2) for k, v in sorted(session_kinds.items())},
         "mux_frames_per_mib": {
@@ -209,6 +244,8 @@ def main(argv=None) -> int:
                         help="fail if relay frames per MiB exceed this")
     parser.add_argument("--max-stalls", type=float, default=None,
                         help="fail if backpressure waits per MiB exceed this")
+    parser.add_argument("--max-handles", type=float, default=None,
+                        help="fail if event-loop handle runs per MiB exceed this")
     args = parser.parse_args(argv)
     report = asyncio.run(census(args.mib, args.seed))
     if args.json:
@@ -226,6 +263,11 @@ def main(argv=None) -> int:
             and report["backpressure_waits_per_mib"] > args.max_stalls):
         print(f"FAIL: more than {args.max_stalls} credit stalls per MiB",
               file=sys.stderr)
+        status = 1
+    if (args.max_handles is not None
+            and report["loop_handles_per_mib"] > args.max_handles):
+        print(f"FAIL: {report['loop_handles_per_mib']} event-loop handle runs "
+              f"per MiB, more than {args.max_handles}", file=sys.stderr)
         status = 1
     return status
 

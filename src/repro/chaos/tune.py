@@ -607,10 +607,15 @@ async def _build_live_tune_degrade(
         shrank = [
             d for d in decisions if d.at >= _LIVE_HEAL_AT and d.new < d.old
         ]
-        if not shrank:
+        # a down-step may reach the floor — within the deadband of it, where
+        # the controller no longer moves — before the heal: then there is
+        # nothing left to hand back after it
+        at_floor = decisions[-1].new < _LIVE_WINDOW * (1 + tuner.deadband)
+        if not shrank and not at_floor:
             out.append(
                 "tune: the credit granted for the spike was never handed "
-                "back after the heal"
+                "back after the heal "
+                f"(decisions: {[d.as_dict() for d in decisions]})"
             )
         if decisions[-1].new > 4 * _LIVE_WINDOW:
             out.append(

@@ -27,6 +27,7 @@ is the recovery's trace context (all-zero = untraced).
 from __future__ import annotations
 
 import struct
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
@@ -125,36 +126,50 @@ class ReplayBuffer:
     ``append`` extends the window as data is sent; ``ack(off)`` trims it
     up to a cumulative delivered offset.  Stale (non-monotone) acks are
     ignored; an ack beyond what was ever sent is a protocol violation.
+
+    The window is the sent bytes themselves, never copied until a resume
+    asks for :meth:`unacked`: appending to one bytearray whose front acks
+    have trimmed copies everything it still holds.
     """
 
     def __init__(self) -> None:
         self.start = 0
-        self._data = bytearray()
+        self.size = 0
+        #: ``(data, skip)``: the window holds ``data[skip:]``
+        self._chunks: deque = deque()
 
     @property
     def end(self) -> int:
-        return self.start + len(self._data)
+        return self.start + self.size
 
-    @property
-    def size(self) -> int:
-        return len(self._data)
-
-    def append(self, data: bytes) -> None:
-        self._data.extend(data)
+    def append(self, data: bytes, skip: int = 0) -> None:
+        """Extend the window by ``data[skip:]`` (a frame's payload, kept
+        without copying it out of the frame)."""
+        self._chunks.append((data, skip))
+        self.size += len(data) - skip
 
     def ack(self, off: int) -> int:
         """Trim to cumulative offset ``off``; returns bytes released."""
-        if off < self.start:
+        released = cut = off - self.start
+        if cut <= 0:
             return 0
-        if off > self.end:
+        if cut > self.size:
             raise SessionError(f"ack beyond sent data: {off} > {self.end}")
-        cut = off - self.start
-        del self._data[:cut]
         self.start = off
-        return cut
+        self.size -= cut
+        chunks = self._chunks
+        while cut:
+            data, skip = chunks[0]
+            left = len(data) - skip
+            if cut < left:
+                chunks[0] = (data, skip + cut)
+                break
+            chunks.popleft()
+            cut -= left
+        return released
 
     def unacked(self) -> bytes:
-        return bytes(self._data)
+        return b"".join(memoryview(data)[skip:] for data, skip in self._chunks)
 
 
 class Resume(NamedTuple):
@@ -348,16 +363,17 @@ class SessionCore:
         if self._state != ACTIVE:
             self._check_usable()
             return None
-        unacked = self._replay._data
-        if len(unacked) >= self.config.max_buffer:
+        if self._replay.size >= self.config.max_buffer:
             return None
-        chunk = data[:cut(len(data), MAX_CHUNK)]
-        unacked += chunk
-        header = _DATA_HDR.pack(F_DATA, len(chunk))
+        n = cut(len(data), MAX_CHUNK)
+        header = _DATA_HDR.pack(F_DATA, n)
         if self._rx_off > self._last_ack_sent or "ack" in self._owed:
             self._owed.discard("ack")
-            return b"".join((self._ack_frame(), header, chunk)), len(chunk)
-        return b"".join((header, chunk)), len(chunk)
+            frame = b"".join((self._ack_frame(), header, data[:n]))
+        else:
+            frame = b"".join((header, data[:n]))
+        self._replay.append(frame, len(frame) - n)
+        return frame, n
 
     def read(self, maxbytes: int) -> Optional[bytes]:
         """Up to ``maxbytes`` of delivered data, ``b""`` at end of stream

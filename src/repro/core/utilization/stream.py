@@ -48,8 +48,7 @@ class BlockChannel:
         self.bytes_written += len(data)
         self._out.extend(data)
         while len(self._out) >= self.block_size:
-            block = bytes(self._out[: self.block_size])
-            del self._out[: self.block_size]
+            block = take(self._out, self.block_size)
             yield from self.driver.send_block(block)
 
     @coroutine

@@ -146,10 +146,6 @@ class ChaosTcpProxy:
     def port(self) -> int:
         return self._listener.port
 
-    @property
-    def open_connections(self) -> int:
-        return len(self._conns)
-
     def close(self) -> None:
         self._closed = True
         if self._accept_task is not None:
@@ -235,6 +231,9 @@ class ChaosTcpProxy:
             while True:
                 await self._flowing.wait()
                 data = await src.recv(CHUNK)
+                # what else has arrived rides along: latency is per chunk
+                while data and len(data) < CHUNK and src.buffered:
+                    data += await src.recv(CHUNK - len(data))
                 if not data:
                     # graceful EOF: half-close toward the destination so
                     # the peer sees the same stream shape it would have

@@ -435,6 +435,29 @@ class MuxCore:
         self.wake(self.WAKE_INCOMING)
 
     # -- bytes out -----------------------------------------------------------
+    @property
+    def has_frames(self) -> bool:
+        """:meth:`next_frame` may return a frame (a channel marked ready
+        may turn out stale: a hint, as ``WAKE_TX`` is)."""
+        return bool(self._ctlq) or self.scheduler.any_ready()
+
+    def frame_sent(self) -> None:
+        """The frame :meth:`next_frame` last returned is on the carrier:
+        account its channel's turn and, if that emptied the channel's
+        buffer, release its writer and queue a pending graceful CLOSE.
+        :meth:`next_frame` calls this first; a binding calls it on its own
+        after the last frame it writes."""
+        if self._in_flight is None:
+            return
+        channel, n = self._in_flight
+        self._in_flight = None
+        channel._m_tx_bytes.inc(n)
+        channel._m_turns.inc()
+        self.scheduler.sent(channel.channel_id, n)
+        if channel._tx_buffered == 0:
+            self.wake(channel.WAKE_DRAINED, channel)
+            self._flush_pending_close(channel)
+
     def next_frame(self) -> Optional[bytes]:
         """The next frame body to write — every queued control frame first,
         then one scheduler turn of DATA — or ``None`` when there is nothing
@@ -442,19 +465,9 @@ class MuxCore:
         channel's oldest write: all of it, up to ``LONE_DATA_PAYLOAD``,
         while no other channel is ready, at most ``MAX_DATA_PAYLOAD`` the
         moment one is; never more than the peer's credit, and never cut so
-        as to leave a runt.  Asking acknowledges that the
-        previous frame has been handed to the carrier: only then is its
-        channel's turn accounted and, if its buffer emptied, its writer
-        released and a pending graceful CLOSE queued."""
-        if self._in_flight is not None:
-            channel, n = self._in_flight
-            self._in_flight = None
-            channel._m_tx_bytes.inc(n)
-            channel._m_turns.inc()
-            self.scheduler.sent(channel.channel_id, n)
-            if channel._tx_buffered == 0:
-                self.wake(channel.WAKE_DRAINED, channel)
-                self._flush_pending_close(channel)
+        as to leave a runt.  Asking acknowledges that the previous frame
+        has been handed to the carrier (:meth:`frame_sent`)."""
+        self.frame_sent()
         if self._ctlq:
             self._m_frames_tx.inc()
             return self._ctlq.popleft()

@@ -10,7 +10,9 @@ the others (``docs/MUX.md``).  A channel *is* a ``Link``, so driver
 stacks, block channels and survivable sessions compose over it unchanged.
 
 The protocol itself lives in :mod:`repro.mux.core`; this module is its
-one binding: the HELLO exchange, the two pumps, and the parking of callers
+one binding: the HELLO exchange, the carrier's write turn (taken by the
+task that calls :meth:`MuxChannel.send_all`, and by the tx pump for frames
+no writer is waiting to send), the rx pump, and the parking of callers
 until the core wakes them, written as generator-based coroutines over
 :mod:`repro.core.runtime`.  On the simulator the runtime comes with the
 link; :mod:`repro.livenet.mux` subclasses name the asyncio one.
@@ -67,10 +69,17 @@ class MuxChannel(ChannelState, Link):
     @coroutine
     def send_all(self, data: bytes) -> Generator:
         """Queue ``data`` and block until the scheduler has put every byte
-        on the wire under credit — backpressure, never drops."""
-        self.write(data)
+        on the wire under credit — backpressure, never drops.  When the
+        carrier's write turn is free the caller takes it and writes the
+        frames itself; otherwise whoever holds it, or the tx pump after
+        them, does."""
+        ep = self._ep
+        if ep._writing:
+            self.write(data)
+        else:
+            yield from ep._write_turn(self, data)
         while self._tx_buffered > 0 and self._error is None:
-            yield from self._ep._wait(self.WAKE_DRAINED, self)
+            yield from ep._wait(self.WAKE_DRAINED, self)
         if self._error is not None:
             raise self._error
 
@@ -90,6 +99,9 @@ class MuxEndpoint(Bound, MuxCore):
     def __init__(self, link: Link, role: str, *, window: int = DEFAULT_WINDOW,
                  scheduler: Optional[Scheduler] = None, node: str = "",
                  flight=None):
+        #: a writer or the tx pump is putting frames on the carrier
+        self._writing = False
+        self._transport_errors = transport_errors()
         super().__init__(role, window=window, scheduler=scheduler, node=node)
         self.link = link
         self.flight = flight
@@ -171,16 +183,17 @@ class MuxEndpoint(Bound, MuxCore):
         return self.runtime.park((channel or self)._waiters, what)
 
     def wake(self, what: str, channel: Optional[MuxChannel] = None) -> None:
+        if what == self.WAKE_TX and self._writing:
+            return  # the turn's holder sends it, or wakes the pump after
         self.runtime.unpark((channel or self)._waiters, what)
 
     # -- pumps ---------------------------------------------------------------
     @coroutine
     def _rx_pump(self) -> Generator:
-        errors = transport_errors()
         try:
             while not self._closed:
                 self.feed((yield from recv_frame(self.link)))
-        except errors as exc:
+        except self._transport_errors as exc:
             self.fail(exc)
         except (MuxProtocolError, WireError) as exc:
             self.fail(exc)
@@ -191,19 +204,51 @@ class MuxEndpoint(Bound, MuxCore):
         self.link.abort()
 
     @coroutine
+    def _write_turn(self, channel: MuxChannel, data: bytes) -> Generator:
+        """``channel``'s writer holds the carrier: queue ``data``, write
+        frames in the core's order (control first, then scheduler turns,
+        whoever's they are) until ``channel`` has drained or nothing can be
+        sent, acknowledge the last one and hand the turn back, waking the
+        tx pump only if it has something to do."""
+        self._writing = True
+        try:
+            channel.write(data)
+            while channel._tx_buffered and (
+                    frame := self.next_frame()) is not None:
+                try:
+                    yield from send_frame(self.link, frame)
+                except self._transport_errors as exc:
+                    self.fail(exc)
+                    return
+            self.frame_sent()
+        finally:
+            self._writing = False
+            if self.has_frames or not self.alive or self.idle:
+                self.wake(self.WAKE_TX)
+
+    @coroutine
     def _tx_pump(self) -> Generator:
-        errors = transport_errors()
+        """What no writer is waiting to send — a read's CREDIT, OPEN /
+        ACCEPT / CLOSE, the rest of a write an incoming CREDIT released —
+        under the same write turn, and the end of an idle endpoint."""
         try:
             while True:
+                if self._writing:
+                    yield from self._wait(self.WAKE_TX)
+                    continue
+                if not self.alive:
+                    return
                 frame = self.next_frame()
                 if frame is not None:
-                    yield from send_frame(self.link, frame)
-                elif not self.alive:
-                    return
+                    self._writing = True
+                    try:
+                        yield from send_frame(self.link, frame)
+                    finally:
+                        self._writing = False
                 elif self.idle:
                     self.close()
                     return
                 else:
                     yield from self._wait(self.WAKE_TX)
-        except errors as exc:
+        except self._transport_errors as exc:
             self.fail(exc)

@@ -1,8 +1,8 @@
 """Fair scheduling of channel transmission over one shared link.
 
-The endpoint's TX pump repeatedly asks its scheduler which *ready*
-channel (has buffered data AND positive credit) may send the next DATA
-frame.  Two policies ship:
+Whoever holds the endpoint's write turn (a writer or the TX pump)
+repeatedly asks its scheduler which *ready* channel (has buffered data AND
+positive credit) may send the next DATA frame.  Two policies ship:
 
 * :class:`RoundRobinScheduler` — equal turns; no channel sends a second
   frame while another ready channel waits.  This is the default, and is
@@ -41,6 +41,10 @@ class Scheduler:
     def sent(self, channel_id: int, nbytes: int) -> None:
         """Account ``nbytes`` just sent on ``channel_id`` (hook for DRR)."""
 
+    def any_ready(self) -> bool:
+        """Some channel is marked ready: :meth:`pick` would name one."""
+        raise NotImplementedError
+
     def lone(self) -> bool:
         """The channel :meth:`pick` just named is the only ready one: it
         delays nobody, so its turn may carry a whole write instead of one
@@ -73,6 +77,9 @@ class RoundRobinScheduler(Scheduler):
         cid, _ = self._ready.popitem(last=False)
         self._ready[cid] = None  # move to the back: it sends, others go first
         return cid
+
+    def any_ready(self) -> bool:
+        return bool(self._ready)
 
     def lone(self) -> bool:
         return len(self._ready) == 1
@@ -121,6 +128,9 @@ class WeightedScheduler(Scheduler):
             )
             self._ready.move_to_end(cid)
         return next(iter(self._ready))
+
+    def any_ready(self) -> bool:
+        return bool(self._ready)
 
     def lone(self) -> bool:
         return len(self._ready) == 1

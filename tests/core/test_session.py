@@ -612,3 +612,31 @@ class TestReplayBuffer:
             assert buf.unacked() == stream[buf.start :]
             assert prev_start <= buf.start <= buf.end
             prev_start = buf.start
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        chunks=st.lists(st.tuples(st.binary(max_size=40), st.integers(0, 9)),
+                        max_size=8),
+        tail=st.lists(st.binary(max_size=40), max_size=4),
+    )
+    def test_every_ack_offset_matches_the_bytearray_model(self, chunks, tail):
+        """Chunks kept whole (each behind a header it skips) give what one
+        front-trimmed bytearray gave, at every ack offset and for appends
+        after it."""
+        total = sum(len(chunk) for chunk, _ in chunks)
+        for off in range(total + 1):
+            buf, model = ReplayBuffer(), bytearray()
+            for chunk, header in chunks:
+                buf.append(b"h" * header + chunk, header)
+                model += chunk
+            assert buf.ack(off) == off
+            del model[:off]
+            assert buf.unacked() == bytes(model)
+            for chunk in tail:
+                buf.append(chunk)
+                model += chunk
+            assert (buf.start, buf.size, buf.end) == (
+                off, len(model), off + len(model))
+            assert buf.unacked() == bytes(model)
+            assert buf.ack(buf.end) == len(model)
+            assert (buf.size, buf.unacked()) == (0, b"")

@@ -4,9 +4,12 @@ The protocol-level cases (``*Cases``) are scripts written once against
 the harness in ``conftest.py`` and run over both bindings: ``TestChannels``
 / ``TestCredit`` / ``TestFailure`` / ``TestViolations`` on the simulator's
 ``MuxEndpoint``, their ``...Live`` twins on ``AsyncMuxEndpoint`` over real
-loopback sockets.  Scheduling fairness is timing-shaped, so it stays on
-the simulator's deterministic clock.
+loopback sockets; ``TestWriteTurn`` / ``TestWriteTurnLive`` pin who puts
+a frame on the carrier.  Scheduling fairness is timing-shaped, so it stays
+on the simulator's deterministic clock.
 """
+
+from types import coroutine
 
 import pytest
 
@@ -350,6 +353,172 @@ class ViolationCases:
         assert not seen["endpoint"].alive and "carrier" in seen
 
 
+class _SlowCarrier:
+    """A carrier that lets the other tasks run after every write, as a slow
+    one does; from write number ``fail_at`` on, every write raises."""
+
+    def __init__(self, inner, runtime):
+        self.inner = inner
+        self.runtime = runtime
+        self.writes = 0
+        self.fail_at = None
+
+    @coroutine
+    def send_all(self, data):
+        self.writes += 1
+        if self.fail_at is not None and self.writes >= self.fail_at:
+            raise ConnectionResetError("carrier gone mid-turn")
+        yield from self.inner.send_all(data)
+        yield from self.runtime.sleep(0)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def _pump_wakes(endpoint) -> list:
+    """Every wake that reaches the endpoint's parked tx pump, from now on."""
+    wakes = []
+    wake = endpoint.wake
+
+    def counting(what, channel=None):
+        parked = endpoint._waiters.get(endpoint.WAKE_TX)
+        wake(what, channel)
+        if parked and endpoint._waiters.get(endpoint.WAKE_TX) is not parked:
+            wakes.append(what)
+
+    endpoint.wake = counting
+    return wakes
+
+
+class WriteTurnCases:
+    """Who puts a frame on the carrier: the writer that holds the write
+    turn, or the tx pump for what no writer is waiting to send."""
+
+    def test_a_lone_writers_blocks_leave_on_its_own_turn(self, mux):
+        block = bytes(range(256)) * 256
+        got = {}
+
+        async def script(h, ini, resp):
+            tx, rx = await h.gather(h.open(ini), h.accept(resp))
+            wakes = _pump_wakes(ini)
+            for _ in range(3):
+                await h.send(tx, block)
+            got["data"] = await h.recv_exactly(rx, 3 * len(block))
+            got["wakes"] = list(wakes)
+
+        mux.run(script)
+        assert got["data"] == 3 * bytes(range(256)) * 256
+        assert got["wakes"] == [], "the tx pump stepped in for a lone writer"
+
+    def test_a_readers_credit_goes_out_without_the_reader_parking(self, mux):
+        seen = {}
+
+        async def script(h, ini, resp):
+            tx, rx = await h.gather(h.open(ini), h.accept(resp))
+            await h.send(tx, b"c" * 8192)
+            assert tx._tx_credit == 0
+            await h.until(lambda: rx._rx_allowance == 0)
+            steps = rx.recv(8192)  # a generator-based coroutine: step it
+            with pytest.raises(StopIteration) as done:
+                steps.send(None)
+            seen["read"] = len(done.value.value)
+            await h.until(lambda: tx._tx_credit > 0)
+            seen["credit"] = tx._tx_credit
+
+        mux.run(script, window=8192)
+        assert seen == {"read": 8192, "credit": 8192}
+
+    def test_two_writers_on_one_endpoint_alternate_under_round_robin(self, mux):
+        size = 160 * 1024
+        order = []
+
+        async def script(h, raw_ini, raw_resp):
+            ini, resp = await h.gather(
+                h.establish(_SlowCarrier(raw_ini, h.runtime), "initiator"),
+                h.establish(raw_resp, "responder"))
+            feed = resp.feed
+
+            def recording_feed(body):
+                frame = f.decode_frame(body)
+                if frame.kind == f.T_DATA:
+                    order.append(frame.channel)
+                feed(body)
+
+            resp.feed = recording_feed
+            try:
+                first, rfirst = await h.gather(h.open(ini), h.accept(resp))
+                second, rsecond = await h.gather(h.open(ini), h.accept(resp))
+                await h.gather(h.send(first, b"1" * size),
+                               h.send(second, b"2" * size),
+                               h.recv_exactly(rfirst, size),
+                               h.recv_exactly(rsecond, size))
+            finally:
+                ini.close()
+                resp.close()
+
+        mux.run(script, establish=False)
+        a, b = sorted(set(order))
+        last_a = max(i for i, cid in enumerate(order) if cid == a)
+        # the first frame is the first writer's whole-write turn, taken
+        # before the second had queued anything; the second is its too,
+        # being first in line when the other joined.  From there the
+        # turn alternates until the first writer has drained
+        middle = order[2:last_a + 1]
+        assert order[:2] == [a, a] and middle.count(b) >= 4
+        assert all(x != y for x, y in zip(middle, middle[1:])), order
+
+    def test_a_transport_error_in_a_turn_fails_every_channel_once(self, mux):
+        errors = {}
+        fails = []
+
+        async def script(h, raw_ini, raw_resp):
+            carrier = _SlowCarrier(raw_ini, h.runtime)
+            ini, resp = await h.gather(
+                h.establish(carrier, "initiator"),
+                h.establish(raw_resp, "responder"))
+            try:
+                first, _ = await h.gather(h.open(ini), h.accept(resp))
+                second, _ = await h.gather(h.open(ini), h.accept(resp))
+                fail = ini.fail
+                ini.fail = lambda exc: (fails.append(exc), fail(exc))
+                carrier.fail_at = carrier.writes + 2  # the turn's second frame
+
+                async def write(name, channel):
+                    try:
+                        await h.send(channel, name.encode() * 100_000)
+                    except Exception as exc:
+                        errors[name] = exc
+
+                await h.gather(write("a", first), write("b", second))
+                errors["alive"] = ini.alive
+                errors["fails"] = list(fails)
+            finally:
+                ini.close()
+                resp.close()
+
+        mux.run(script, establish=False)
+        (failure,) = errors["fails"]
+        assert isinstance(failure, ConnectionResetError)
+        assert errors["a"] is errors["b"] is failure
+        assert errors["alive"] is False
+
+    def test_close_when_idle_still_closes(self, mux):
+        seen = {}
+
+        async def script(h, ini, resp):
+            ini.close_when_idle = True
+            tx, rx = await h.gather(h.open(ini), h.accept(resp))
+            await h.send(tx, b"last words")
+            tx.close()
+            seen["data"] = await h.recv_exactly(rx, 10)
+            seen["eof"] = await h.recv(rx, 1)
+            rx.close()
+            await h.until(lambda: not ini.alive)
+
+        mux.run(script)
+        assert seen == {"data": b"last words", "eof": b""}
+
+
 @pytest.fixture
 def mux(request):
     return request.cls.harness()
@@ -388,6 +557,15 @@ class TestFailureLive(FailureCases):
 
 @pytest.mark.livenet
 class TestViolationsLive(ViolationCases):
+    harness = LiveHarness
+
+
+class TestWriteTurn(WriteTurnCases):
+    harness = SimHarness
+
+
+@pytest.mark.livenet
+class TestWriteTurnLive(WriteTurnCases):
     harness = LiveHarness
 
 
