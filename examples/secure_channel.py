@@ -3,7 +3,7 @@
 
 A grid CA issues certificates to two nodes; the data link is brokered
 through two firewalls (TCP splicing) and then secured by the TLS driver —
-mutual authentication, ChaCha20 encryption, tamper detection.
+mutual authentication, record encryption, tamper detection.
 
 Run:  python examples/secure_channel.py
 """

@@ -5,7 +5,7 @@ problems of grid wide-area communication, re-implemented in Python:
 
 * :mod:`repro.simnet` — deterministic simulated WAN (TCP, firewalls, NAT,
   SOCKS, links with delay/bandwidth/loss).
-* :mod:`repro.security` — from-scratch TLS-like security (ChaCha20, DH,
+* :mod:`repro.security` — from-scratch TLS-like security (SHAKE-256 records, DH,
   HKDF, Schnorr certificates).
 * :mod:`repro.core` — the paper's contribution: connection-establishment
   methods (client/server, TCP splicing, SOCKS proxy, routed messages), the

@@ -4,7 +4,7 @@
 establishment methods" — the paper left the encryption driver as planned
 work; here it is implemented over :mod:`repro.security`: the sans-IO
 handshake runs over the sub-driver's blocks, then every block is sealed by
-the record layer (ChaCha20 + HMAC, sequence-numbered).
+the record layer (SHAKE-256 keystream + HMAC-SHA256, sequence-numbered).
 
 Like compression, encryption CPU time is charged to the host model so
 security's throughput cost is measurable (benchmark S1).

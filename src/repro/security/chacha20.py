@@ -1,12 +1,14 @@
-"""ChaCha20 stream cipher (RFC 7539), from scratch, on the stdlib only.
+"""ChaCha20 (RFC 7539) keystream kernel, kept only for a benchmark row.
 
-:func:`chacha20_xor` computes the keystream of up to ``_LANES`` blocks at
-once: each of the 16 state words is one Python ``int`` holding a 64-bit
-lane per block (low 32 bits the word, high 32 bits headroom, so an add
-never carries into the neighbouring lane), and a quarter-round is a
-handful of big-int operations whose loops run in C.
-:func:`chacha20_block` is the scalar RFC 7539 §2.3 block function the
-test suite checks the lane kernel against.
+No record uses it (records key a SHAKE-256 stream, :mod:`.record`);
+``benchmarks/perf/layers.py`` times :func:`chacha20_xor` for
+``security.chacha20.xor_MBps``, and the change retiring that row deletes
+this module.  The kernel computes up to ``_LANES`` blocks at once: each
+state word is one ``int`` holding a 64-bit lane per block (32 bits the
+word, 32 headroom, so adds never carry across lanes), a quarter-round is a
+few big-int operations looping in C, and strided ``array('Q')`` slices put
+lanes into block order whatever the host's byte order.
+:func:`chacha20_block` is the scalar §2.3 oracle the tests check it against.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import struct
 from array import array
 
-__all__ = ["chacha20_block", "chacha20_xor", "ChaCha20"]
+__all__ = ["chacha20_block", "chacha20_xor"]
 
 _MASK = 0xFFFFFFFF
 _CONSTANTS = (0x61707865, 0x3320646E, 0x79622D32, 0x6B206574)  # "expand 32-byte k"
@@ -139,22 +141,3 @@ def chacha20_xor(key: bytes, counter: int, nonce: bytes, data: bytes) -> bytes:
         out.append((int.from_bytes(chunk, "little") ^ keystream).to_bytes(size, "little"))
     return b"".join(out)
 
-
-class ChaCha20:
-    """Stateful encryptor: a fresh nonce per message from a 64-bit sequence.
-
-    The 12-byte nonce is ``prefix(4) || seq(8)``; sequence numbers must not
-    repeat under the same key (the record layer guarantees this).
-    """
-
-    def __init__(self, key: bytes, prefix: bytes = b"\x00" * 4):
-        if len(prefix) != 4:
-            raise ValueError("nonce prefix must be 4 bytes")
-        if len(key) != 32:
-            raise ValueError("key must be 32 bytes")
-        self.key = key
-        self.prefix = prefix
-
-    def process(self, seq: int, data: bytes) -> bytes:
-        nonce = self.prefix + struct.pack("!Q", seq)
-        return chacha20_xor(self.key, 1, nonce, data)

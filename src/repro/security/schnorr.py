@@ -23,6 +23,8 @@ __all__ = ["SigningKey", "VerifyKey", "sign", "verify", "SignatureError"]
 _P = GROUP14_P
 _Q = GROUP14_Q
 _G = GROUP14_G
+#: no SHA-256 output reaches this, so a wider ``e`` is refused before any modexp
+_E_BOUND = 1 << 256
 
 
 class SignatureError(Exception):
@@ -63,7 +65,7 @@ def sign(private: int, message: bytes) -> tuple[int, int]:
 def verify(public: int, message: bytes, signature: tuple[int, int]) -> bool:
     """True iff ``signature`` is valid for ``message`` under ``public``."""
     e, s = signature
-    if not (0 <= e < _Q and 0 <= s < _Q):
+    if not (0 <= e < _E_BOUND and 0 <= s < _Q):
         return False
     if not 1 < public < _P - 1:
         return False

@@ -1,9 +1,12 @@
 """Record layer and TLS-like handshake, including tampering scenarios."""
 
 import hashlib
+import hmac
+import random
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.security import (
@@ -15,10 +18,24 @@ from repro.security import (
     MAC_LEN,
     RecordCipher,
     RecordError,
+    SecureSession,
     ServerHandshake,
     dh,
     schnorr,
 )
+from repro.security.handshake import _derive_keys
+
+
+def direct_record(enc_key: bytes, mac_key: bytes, seq: int, plaintext: bytes) -> bytes:
+    """The record construction written out with ``hashlib`` and ``hmac``
+    alone: SHAKE-256 keystream over label, key and ``seq8``, XOR byte by
+    byte, then a 16-byte HMAC-SHA256 over ``seq8 || ciphertext``."""
+    seq8 = seq.to_bytes(8, "big")
+    stream = hashlib.shake_256(
+        b"repro-record keystream v1" + enc_key + seq8
+    ).digest(len(plaintext))
+    ciphertext = bytes(a ^ b for a, b in zip(plaintext, stream))
+    return ciphertext + hmac.new(mac_key, seq8 + ciphertext, hashlib.sha256).digest()[:16]
 
 
 @pytest.fixture(scope="module")
@@ -159,13 +176,11 @@ class TestRecordLayer:
         tx, rx = self._pair()
         record = bytearray(tx.seal(b"secret" * 100))
         record[3] ^= 0x01
-        decrypted = []
-        monkeypatch.setattr(
-            rx._cipher, "process", lambda *a: decrypted.append(a) or b""
-        )
+        squeezed = []
+        monkeypatch.setattr(rx, "_keystream", lambda *a: squeezed.append(a) or b"")
         with pytest.raises(RecordError, match="MAC"):
             rx.open(bytes(record))
-        assert decrypted == []
+        assert squeezed == []
 
     def test_bytes_like_records_open(self):
         tx, rx = self._pair()
@@ -173,37 +188,132 @@ class TestRecordLayer:
         assert rx.open(bytearray(first)) == b"one" * 50
         assert rx.open(memoryview(second)) == b"two" * 50
 
-    def test_records_sealed_by_the_scalar_cipher_still_open(self):
-        """Cross-version fixture: sealed at the commit before the
-        lane-parallel kernel (per-block ChaCha20, one-shot HMAC over
-        ``seq8 + ciphertext``), keys ``0..31`` / ``32..63``, in order."""
-        sealed = [
-            (b"", "48317b1d19db4290655946a2a2353d34"),
-            (b"grid", "0e2e15bd6ce33521e4238abb6d6c200cbef4d762"),
-            (
-                bytes(range(256)),
-                "4dcbb2f40e786153c537b2c6c1fd471737e208dd0591fffa9c26cb28697da2c1"
-                "c84b1cb0c0e2815891f794c7b150a156a8a870c142dd3d5d0215a2ecca0710fc"
-                "1bcad32c49d3f94e59dec3904e8419e9673bf407aacb7d1beb33ba35cc271439"
-                "13d24a7e024e0f11834f47b564ceee7cd3e9fe47b4ad78e4dbbfb8fda61242d4"
-                "7c6313453fdfa7d87de67e6939a0034a66d2f1f39dc328aaa7b3110903dbe0ad"
-                "e1bbcfd183601d68b3f78cd8db9d400f405f72fb4dee7ff276fdb8e992ebef2c"
-                "02eaed57592fa29a163de8863bd2edd32bf3e4a0b178f5ae84907d3bafac1ef7"
-                "d8a7d006b6052cff7a4334f9ea23da7a2f346cda235a48a2d084e3ebd300aeda"
-                "d3d9ff7e3da854e74bdd4051d190ee39",
+    def test_known_answers_match_direct_hashlib(self):
+        """Known answers: the empty record, 4, 256 and 70 000 bytes, each at
+        seq 0, 1 and 2^63, equal :func:`direct_record` byte for byte."""
+        enc_key, mac_key = bytes(range(32)), bytes(range(32, 64))
+        payloads = [b"", b"grid", bytes(range(256))]
+        payloads.append(bytes((i * 31 + 7) & 0xFF for i in range(70000)))
+        for seq in (0, 1, 1 << 63):
+            tx, rx = RecordCipher(enc_key, mac_key), RecordCipher(enc_key, mac_key)
+            for plaintext in payloads:
+                tx.seq = rx.seq = seq
+                record = tx.seal(plaintext)
+                assert record == direct_record(enc_key, mac_key, seq, plaintext)
+                assert rx.open(record) == plaintext
+                assert tx.seq == rx.seq == seq + 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(size=st.integers(0, 200 * 1024), seq=st.integers(0, 2**64 - 1))
+    @example(size=0, seq=0)
+    @example(size=200 * 1024, seq=2**64 - 1)
+    def test_every_size_round_trips(self, size, seq):
+        tx, rx = self._pair()
+        tx.seq = rx.seq = seq
+        payload = random.Random(size).randbytes(size)
+        record = tx.seal(payload)
+        assert len(record) == size + MAC_LEN
+        assert rx.open(record) == payload
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        client_random=st.binary(min_size=32, max_size=32),
+        server_random=st.binary(min_size=32, max_size=32),
+        shared=st.binary(min_size=1, max_size=256),
+        seq=st.integers(0, 2**64 - 2),
+    )
+    def test_keystreams_differ_by_direction_and_seq(
+        self, client_random, server_random, shared, seq
+    ):
+        keys = _derive_keys(client_random, server_random, shared)
+        c2s = RecordCipher(keys["c2s_key"], keys["c2s_mac"])
+        s2c = RecordCipher(keys["s2c_key"], keys["s2c_mac"])
+        seq8, next8 = seq.to_bytes(8, "big"), (seq + 1).to_bytes(8, "big")
+        assert c2s._keystream(seq8, 32) != s2c._keystream(seq8, 32)
+        assert c2s._keystream(seq8, 32) != c2s._keystream(next8, 32)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        payloads=st.lists(st.binary(max_size=300), min_size=3, max_size=6),
+        attack=st.sampled_from(["flip", "replay", "reorder", "truncate"]),
+        data=st.data(),
+    )
+    def test_every_attack_is_rejected_without_advancing_seq(
+        self, payloads, attack, data
+    ):
+        """Any flipped ciphertext or MAC byte, a replay, a reorder or a cut
+        raises :class:`RecordError`; the untouched stream then opens."""
+        tx, rx = self._pair()
+        records = [tx.seal(payload) for payload in payloads]
+        assert rx.open(records[0]) == payloads[0]
+        victim = records[1]
+        if attack == "flip":
+            forged = bytearray(victim)
+            forged[data.draw(st.integers(0, len(victim) - 1))] ^= data.draw(
+                st.integers(1, 255)
+            )
+        elif attack == "replay":
+            forged = records[0]
+        elif attack == "reorder":
+            forged = records[data.draw(st.integers(2, len(records) - 1))]
+        else:
+            forged = victim[: data.draw(st.integers(0, len(victim) - 1))]
+        with pytest.raises(RecordError):
+            rx.open(forged)
+        assert rx.seq == 1
+        for record, payload in zip(records[1:], payloads[1:]):
+            assert rx.open(record) == payload
+
+
+@st.composite
+def hostile_records(draw):
+    """Arbitrary bytes, or a record sealed at seq 0 with bytes flipped, cut
+    or grown (never the record itself), as bytes, bytearray or memoryview."""
+    if draw(st.booleans()):
+        body = bytearray(draw(st.binary(max_size=2000)))
+    else:
+        tx = RecordCipher(b"e" * 32, b"m" * 32)
+        body = bytearray(tx.seal(draw(st.binary(max_size=2000))))
+        mutation = draw(st.sampled_from(["flip", "cut", "grow"]))
+        if mutation == "flip":
+            body[draw(st.integers(0, len(body) - 1))] ^= draw(st.integers(1, 255))
+        elif mutation == "cut":
+            del body[draw(st.integers(0, len(body) - 1)) :]
+        else:
+            body += draw(st.binary(min_size=1, max_size=64))
+    wrap = draw(st.sampled_from([bytes, bytearray, memoryview]))
+    return wrap(body)
+
+
+class TestHostileRecords:
+    @settings(max_examples=300, deadline=None)
+    @given(record=hostile_records())
+    def test_open_is_total_and_bounded(self, record):
+        """Only :class:`RecordError` escapes either ``open``, the sequence
+        number stays put, and the peak allocation stays under twice the
+        input plus a constant."""
+        receivers = [
+            RecordCipher(b"e" * 32, b"m" * 32),
+            SecureSession(
+                RecordCipher(b"x" * 32, b"y" * 32),
+                RecordCipher(b"e" * 32, b"m" * 32),
+                None,
+                "server",
             ),
         ]
-        big = bytes((i * 31 + 7) & 0xFF for i in range(70000))
-        big_digest = "4af69078b0514cf0d8b9d03342c88af1399d4f7f3233bec6ec0b63bbdb8b0d00"
-        tx = RecordCipher(bytes(range(32)), bytes(range(32, 64)))
-        rx = RecordCipher(bytes(range(32)), bytes(range(32, 64)))
-        for plaintext, record_hex in sealed:
-            record = bytes.fromhex(record_hex)
-            assert tx.seal(plaintext) == record  # the change seals the same bytes
-            assert rx.open(record) == plaintext  # and opens the parent's
-        record = tx.seal(big)
-        assert hashlib.sha256(record).hexdigest() == big_digest
-        assert rx.open(record) == big
+        tracemalloc.start()
+        try:
+            for receiver in receivers:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                with pytest.raises(RecordError):
+                    receiver.open(record)
+                peak = tracemalloc.get_traced_memory()[1] - before
+                assert peak < 2 * len(record) + 4096
+        finally:
+            tracemalloc.stop()
+        assert receivers[0].seq == 0
+        assert receivers[1]._recv.seq == 0
 
 
 class TestHandshake:
@@ -349,9 +459,10 @@ class TestHandshake:
             "76efb38140f2af954d5394c9949ca4a2c9f1f45de5ef51e714c3d62b113cb24d",
         ),
     }
-    #: the first client-to-server record sealing b"up" under the derived keys
+    #: the first client-to-server record sealing b"up" under the derived
+    #: keys, pinned when records moved to the SHAKE-256 keystream
     _PARENT_FIRST_RECORD = (
-        "80df03cd052a736113eb22010d0623be32fbf326b94340cb0fab4d3f5ce66ba8"
+        "16591cdcd82003f1bb25d59d7e7fb4f5791c362bda25456274cf3e6d875bc069"
     )
 
     @pytest.mark.parametrize("mode", ["anonymous", "mutual"])

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.security import schnorr
 from repro.security.dh import (
     GROUP14_G,
     GROUP14_P,
@@ -249,3 +250,28 @@ class TestSchnorr:
         assert verify(public, message, (e, s)) is expected
         if tamper == "honest" and flip_e is None and flip_s is None:
             assert expected is (not non_residue or e % 2 == 1)
+
+    def test_wide_e_is_refused_before_any_modexp(self, monkeypatch):
+        """No hash output reaches 2^256, so a wider ``e`` (still below the
+        2047-bit q) is refused without buying a 2047-bit ``pow``."""
+        calls = []
+
+        def counting_pow(*args):
+            calls.append(args)
+            return pow(*args)
+
+        monkeypatch.setattr(schnorr, "pow", counting_pow, raising=False)
+        key = SigningKey.from_seed(b"alice")
+        _e, s = key.sign(b"m")
+        del calls[:]  # the signing nonce's own exponentiation
+        assert (1 << 256) < GROUP14_Q
+        assert verify(key.verify_key.public, b"m", (1 << 256, s)) is False
+        assert calls == []
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.binary(min_size=1, max_size=16), message=st.binary(max_size=64))
+    def test_honest_signatures_fit_the_e_bound(self, seed, message):
+        key = SigningKey.from_seed(seed)
+        e, s = key.sign(message)
+        assert e < 1 << 256
+        assert verify(key.verify_key.public, message, (e, s))
