@@ -9,17 +9,31 @@ of trust anchors.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from ..util.framing import ByteReader, ByteWriter, FrameError
-from .schnorr import SignatureError, SigningKey, VerifyKey
+from .schnorr import SigningKey, VerifyKey, verify
 
 __all__ = ["Certificate", "CertificateError", "CertificateAuthority", "verify_chain"]
 
 
 class CertificateError(Exception):
     """Certificate parsing, validity or chain verification failure."""
+
+
+@functools.lru_cache(maxsize=256)
+def _issuer_signed(issuer_public: int, tbs: bytes, signature: tuple[int, int]) -> bool:
+    """:func:`schnorr.verify` for a certificate's issuer signature, memoised.
+
+    The verdict is a pure function of these three values, and the same
+    certificate arrives on every connect (the CA's signature on a server's
+    certificate), so a repeat costs a hash lookup instead of a verify.
+    Validity windows, the CA flag and chain order are checked on every call
+    of :func:`verify_chain`, memo or not.
+    """
+    return verify(issuer_public, tbs, signature)
 
 
 @dataclass(frozen=True)
@@ -85,12 +99,10 @@ class Certificate:
             )
 
     def check_signed_by(self, issuer_key: VerifyKey) -> None:
-        try:
-            issuer_key.verify(self._tbs(), self.signature)
-        except SignatureError as exc:
+        if not _issuer_signed(issuer_key.public, self._tbs(), self.signature):
             raise CertificateError(
                 f"certificate for {self.subject!r}: bad issuer signature"
-            ) from exc
+            )
 
 
 class CertificateAuthority:

@@ -7,6 +7,7 @@ Schnorr-signature group in :mod:`repro.security.schnorr`.
 
 from __future__ import annotations
 
+import functools
 import secrets
 
 __all__ = [
@@ -14,6 +15,7 @@ __all__ = [
     "GROUP14_G",
     "GROUP14_Q",
     "DHPrivateKey",
+    "g_pow",
     "jacobi",
     "shared_secret",
 ]
@@ -36,6 +38,44 @@ GROUP14_P = int(
 GROUP14_G = 2
 #: order of the prime-order subgroup (p is a safe prime)
 GROUP14_Q = (GROUP14_P - 1) // 2
+
+
+@functools.cache
+def _g_digit_powers() -> tuple[int, ...]:
+    """``g^(16^i) mod p`` for the 512 hex digit positions ``i`` of an
+    exponent below 2^2048 (≈ 150 KB), four squarings each; built on first
+    use, not at import (≈ 25 ms)."""
+    powers = [GROUP14_G]
+    while len(powers) < 512:
+        value = powers[-1]
+        for _ in range(4):
+            value = value * value % GROUP14_P
+        powers.append(value)
+    return tuple(powers)
+
+
+def g_pow(exponent: int) -> int:
+    """``g^exponent mod p`` with no squaring, for ``0 <= exponent < 2^2048``.
+
+    Fixed-base windowing (Yao's method, HAC Algorithm 14.109): with the
+    exponent's hex digits ``d_i`` and the table ``G_i = g^(16^i)``,
+    ``g^e`` is the product over ``d = 15 … 1`` of ``B_d``, the product of
+    every ``G_i`` whose digit is at least ``d`` — one multiplication per
+    non-zero digit plus fifteen, where the builtin ``pow`` pays a squaring
+    per exponent bit: ≈ 75 products for a 256-bit exponent against ≈ 300.
+    Neither form is constant-time.
+    """
+    if not 0 <= exponent < 1 << 2048:
+        raise ValueError("exponent out of range")
+    by_digit: list[list[int]] = [[] for _ in range(16)]
+    for power, digit in zip(_g_digit_powers(), reversed(f"{exponent:x}")):
+        by_digit[int(digit, 16)].append(power)
+    result = running = 1
+    for digit in range(15, 0, -1):
+        for power in by_digit[digit]:
+            running = running * power % GROUP14_P
+        result = result * running % GROUP14_P
+    return result
 
 
 def jacobi(a: int, n: int) -> int:
@@ -72,7 +112,7 @@ class DHPrivateKey:
         if not 1 < exponent < GROUP14_Q:
             raise ValueError("exponent out of range")
         self.x = exponent
-        self.public = pow(GROUP14_G, self.x, GROUP14_P)
+        self.public = g_pow(self.x)
 
     def shared(self, peer_public: int) -> bytes:
         """The shared secret with a peer's public value, as bytes."""

@@ -16,13 +16,12 @@ import hashlib
 import hmac
 import secrets
 
-from .dh import GROUP14_G, GROUP14_P, GROUP14_Q, jacobi
+from .dh import GROUP14_P, GROUP14_Q, g_pow, jacobi
 
 __all__ = ["SigningKey", "VerifyKey", "sign", "verify", "SignatureError"]
 
 _P = GROUP14_P
 _Q = GROUP14_Q
-_G = GROUP14_G
 #: no SHA-256 output reaches this, so a wider ``e`` is refused before any modexp
 _E_BOUND = 1 << 256
 
@@ -56,7 +55,7 @@ def sign(private: int, message: bytes) -> tuple[int, int]:
         int.from_bytes(hmac.new(key_bytes, message, hashlib.sha512).digest(), "big")
         % (_Q - 1)
     ) + 1
-    r = pow(_G, k, _P)
+    r = g_pow(k)
     e = _hash_to_int(_encode_group_element(r), message)
     s = (k + private * e) % _Q
     return e, s
@@ -73,7 +72,7 @@ def verify(public: int, message: bytes, signature: tuple[int, int]) -> bool:
     # criterion: a 256-bit exponent, an inverse and a symbol instead of a
     # 2047-bit exponent, and the same r for every y, in the subgroup or not.
     y_e = pow(public, e, _P)
-    r = pow(_G, s, _P) * pow(y_e, -1, _P) * jacobi(public, _P) % _P
+    r = g_pow(s) * pow(y_e, -1, _P) * jacobi(public, _P) % _P
     return _hash_to_int(_encode_group_element(r), message) == e
 
 
@@ -86,7 +85,7 @@ class SigningKey:
         if not 1 <= private < _Q:
             raise ValueError("private key out of range")
         self.private = private
-        self.verify_key = VerifyKey(pow(_G, private, _P))
+        self.verify_key = VerifyKey(g_pow(private))
 
     @classmethod
     def from_seed(cls, seed: bytes) -> "SigningKey":

@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro.security import certs, schnorr
 from repro.security.certs import (
     Certificate,
     CertificateAuthority,
     CertificateError,
+    _issuer_signed,
     verify_chain,
 )
+from repro.security.dh import GROUP14_Q
 from repro.security.schnorr import SigningKey
 
 
@@ -61,6 +64,35 @@ def test_tampered_subject_rejected(ca):
     forged = Certificate(**{**cert.__dict__, "subject": "admin"})
     with pytest.raises(CertificateError, match="bad issuer signature"):
         verify_chain([forged], [ca.certificate], now=0.0)
+
+
+def test_issuer_signature_is_verified_once(ca, monkeypatch):
+    """A certificate seen again costs no Schnorr verify; each value the memo
+    keys on — signed bytes, signature, issuer key — still decides alone."""
+    _key, cert = ca.issue_identity("node")
+    calls = []
+    monkeypatch.setattr(
+        certs, "verify", lambda *args: calls.append(args) or schnorr.verify(*args)
+    )
+    _issuer_signed.cache_clear()
+    for _ in range(3):
+        verify_chain([cert], [ca.certificate], now=0.0)
+    assert len(calls) == 1
+    e, s = cert.signature
+    other_bytes = Certificate(**{**cert.__dict__, "subject": "admin"})
+    other_signature = Certificate(
+        **{**cert.__dict__, "signature": (e, (s + 1) % GROUP14_Q)}
+    )
+    # an anchor of the same name under another key
+    impostor = CertificateAuthority("grid-root", key=SigningKey.from_seed(b"impostor"))
+    for chain, anchor in (
+        (other_bytes, ca.certificate),
+        (other_signature, ca.certificate),
+        (cert, impostor.certificate),
+    ):
+        with pytest.raises(CertificateError, match="bad issuer signature"):
+            verify_chain([chain], [anchor], now=0.0)
+    assert len(calls) == 4
 
 
 def test_intermediate_chain(ca):

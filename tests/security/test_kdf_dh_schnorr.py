@@ -4,13 +4,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.security import schnorr
+from repro.security import dh, schnorr
 from repro.security.dh import (
     GROUP14_G,
     GROUP14_P,
     GROUP14_Q,
     DHPrivateKey,
     _validate_public,
+    g_pow,
     jacobi,
     shared_secret,
 )
@@ -125,6 +126,40 @@ class TestDH:
                 _validate_public(non_residue)
         for residue in (2, 3, 4):
             assert _validate_public(residue) is None
+
+
+class TestFixedBase:
+    """``g_pow`` against the builtin ``pow`` it replaced for every power of
+    ``g``: keys, DH values, signing nonces and ``g^s`` in ``verify``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 2048).flatmap(lambda bits: st.integers(0, (1 << bits) - 1)))
+    @example(0)
+    @example(1)
+    @example(15)
+    @example(16)
+    @example(GROUP14_Q - 1)
+    @example(GROUP14_Q)
+    @example((1 << 2048) - 1)
+    def test_matches_builtin_pow(self, exponent):
+        assert g_pow(exponent) == pow(GROUP14_G, exponent, GROUP14_P)
+
+    def test_refuses_exponents_outside_the_table(self):
+        for bad in (-1, 1 << 2048):
+            with pytest.raises(ValueError, match="^exponent out of range$"):
+                g_pow(bad)
+
+    def test_spends_no_builtin_pow(self, monkeypatch):
+        """Key generation and signing are powers of ``g`` only."""
+        calls = []
+        for module in (dh, schnorr):
+            monkeypatch.setattr(
+                module, "pow", lambda *a: calls.append(a) or pow(*a), raising=False
+            )
+        key = SigningKey.from_seed(b"alice")
+        assert key.verify_key.public == pow(GROUP14_G, key.private, GROUP14_P)
+        key.sign(b"m")
+        assert calls == []
 
 
 class TestJacobi:
