@@ -14,7 +14,6 @@ from .parallel import (
     ParallelStreamsDriver,
     RebalancingParallelDriver,
 )
-from .reliable import ReliableUdpDriver
 from .spec import FILTERING, NETWORKING, SESSION, LayerSpec, StackSpec, StackSpecError
 from .stack import (
     build_stack,
@@ -35,7 +34,6 @@ __all__ = [
     "ParallelStreamsDriver",
     "RebalancingParallelDriver",
     "DEFAULT_FRAGMENT",
-    "ReliableUdpDriver",
     "CompressionDriver",
     "AdaptiveCompressionDriver",
     "TlsDriver",

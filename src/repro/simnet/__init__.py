@@ -68,7 +68,6 @@ from .tcp import (
 )
 from .topology import Host, Internet, Network, Site
 from .trace import Tracer, handshake_diagram
-from .udp import MAX_DATAGRAM, UdpError, UdpSocket, UdpStack
 
 __all__ = [
     "SimBackend",
@@ -128,10 +127,6 @@ __all__ = [
     "socks_accept_bound",
     "Tracer",
     "handshake_diagram",
-    "UdpStack",
-    "UdpSocket",
-    "UdpError",
-    "MAX_DATAGRAM",
     "TransferMeter",
     "SeriesRecorder",
     "mb_per_s",

@@ -34,7 +34,6 @@ Addr = Tuple[str, int]
 
 IP_HEADER = 20
 TCP_HEADER = 20
-UDP_HEADER = 8
 SEGMENT_OVERHEAD = IP_HEADER + TCP_HEADER
 
 _packet_ids = itertools.count(1)
@@ -101,15 +100,12 @@ class Segment:
     window: int = 65535
     payload: bytes = b""
     ttl: int = 64
-    #: transport protocol: "tcp" or "udp" (UDP ignores the TCP fields)
-    proto: str = "tcp"
     pkt_id: int = field(default_factory=_packet_ids.__next__)
 
     @property
     def size(self) -> int:
         """Total on-wire size in bytes."""
-        transport = TCP_HEADER if self.proto == "tcp" else UDP_HEADER
-        return IP_HEADER + transport + len(self.payload)
+        return SEGMENT_OVERHEAD + len(self.payload)
 
     @property
     def seg_len(self) -> int:

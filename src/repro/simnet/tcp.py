@@ -124,7 +124,7 @@ class TcpConfig:
 
 
 # The cancellable timer now lives in the engine; keep the private alias the
-# TCP internals (and the rel_udp driver) were written against.
+# TCP internals were written against.
 from .engine import Timer as _Timer  # noqa: E402
 
 

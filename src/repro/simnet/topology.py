@@ -131,7 +131,6 @@ class Host:
         # ever routed to; add_route() clears it
         self._route_cache: dict[str, Optional[Interface]] = {}
         self._tcp = None
-        self._udp = None
         self.cpu = None  # attached by simnet.cpu.CpuModel when modelling CPU cost
 
     # -- configuration ------------------------------------------------------
@@ -167,15 +166,6 @@ class Host:
 
             self._tcp = TcpStack(self)
         return self._tcp
-
-    @property
-    def udp(self):
-        """The host's UDP stack (created on first use)."""
-        if self._udp is None:
-            from .udp import UdpStack
-
-            self._udp = UdpStack(self)
-        return self._udp
 
     # -- data path ----------------------------------------------------------
     def route(self, dst_ip: str) -> Optional[Interface]:
@@ -234,10 +224,7 @@ class Host:
         out.send(segment)
 
     def _deliver_local(self, segment: Segment) -> None:
-        if segment.proto == "udp":
-            self.udp.receive(segment)
-        else:
-            self.tcp.receive(segment)
+        self.tcp.receive(segment)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Host {self.name}>"

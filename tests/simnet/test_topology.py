@@ -168,8 +168,8 @@ def test_interface_added_later_is_local_at_once():
 
 def test_tracer_appended_mid_run_sees_the_next_events():
     net, r, a, b = _three_hosts()
-    to_b = dict(src=(a.ip, 1), dst=(b.ip, 2), proto="udp")
-    a.send_segment(Segment(**to_b))  # flows with nobody listening
+    to_b = dict(src=(a.ip, 1), dst=(b.ip, 2), rst=True)
+    a.send_segment(Segment(**to_b))  # flows with nobody listening, unanswered
     net.run()
     kinds = []
     tracer = lambda e: kinds.append((e["kind"], e["host"].name))  # noqa: E731
