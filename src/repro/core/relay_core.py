@@ -377,13 +377,15 @@ class RelayCore:
 
     def _refusal(self, origin, head: tuple) -> Optional[Hop]:
         """The ``unknown destination`` reply to ``origin``; errors about
-        errors stop here.  The error names the channel as its opener's: from
-        their point of view the channel is their own numbering."""
-        kind, _owns, src, dst, channel = head[:5]
+        errors stop here.  The error keeps the channel in its opener's
+        numbering, so its ownership flag is the refused frame's, inverted:
+        an error about the opener's frame reaches the opener's link, one
+        about the acceptor's frame the acceptor's."""
+        kind, owns, src, dst, channel = head[:5]
         if kind == T_ERROR:
             return None
         return Hop(origin, routed_body(
-            T_ERROR, dst, src, channel, _UNKNOWN, sender_owns_channel=False),
+            T_ERROR, dst, src, channel, _UNKNOWN, sender_owns_channel=not owns),
             origin)
 
     def _finish_route(self, key: Optional[tuple], outcome: str, **attrs) -> None:

@@ -400,6 +400,32 @@ class TestRouting:
         assert closed["attrs"]["outcome"] == "error"
         assert net.relays["r1"].forwarded_messages == 0
 
+    @pytest.mark.parametrize("origin", ["opener", "acceptor"])
+    def test_an_error_reaches_the_link_whose_frame_was_refused(self, origin):
+        """Polarity: ``a`` holds two links to ``b`` numbered 1 — the one it
+        opened and the one it accepted.  Once ``b`` is gone, a frame on
+        either is refused, and only that link sees the error."""
+        net = Net()
+        a, b = Node(net, "a").join("r1"), Node(net, "b").join("r1")
+        opened, offered = a.open_to("b"), b.open_to("a")
+        net.settle()
+        (accepted,) = a.accepted
+        assert opened.channel == accepted.channel == 1
+        assert (opened.owned, accepted.owned) == (True, False)
+        b.end.abort()
+        net.settle()
+        refused, bystander = ((opened, accepted) if origin == "opener"
+                              else (accepted, opened))
+        a.say(refused, b"late")
+        net.settle()
+        (_relay, _origin, _body, ((hop, ok),)), = net.loops[-1:]
+        err = parse_routed(hop.frame)
+        assert ok and hop.last and err[1] == (origin == "acceptor")
+        data, error = drain(refused)
+        assert data == b"" and str(error) == "unknown destination"
+        assert drain(bystander) == (b"", None)
+        assert a.connected and offered.closed is False
+
     def test_spoofed_source_ends_the_session(self):
         net = Net()
         a, b = Node(net, "a").join("r1"), Node(net, "b").join("r1")
@@ -979,7 +1005,7 @@ class RelayMachine(RuleBasedStateMachine):
         loops = self.net.loops
         for relay, origin, body, tried in loops[self.checked:]:
             head = parse_routed(body)
-            kind, _owns, src, dst, channel, start, end = head
+            kind, owns, src, dst, channel, start, end = head
             from_trunk = not isinstance(origin.reader, Accepted) \
                 or origin.reader.role == relay.TRUNK
             written = [hop for hop, ok in tried if ok]
@@ -993,7 +1019,7 @@ class RelayMachine(RuleBasedStateMachine):
                 if hop.last:
                     assert hop.conn is origin
                     err = parse_routed(hop.frame)
-                    assert err[:5] == (rc.T_ERROR, False, dst, src, channel)
+                    assert err[:5] == (rc.T_ERROR, not owns, dst, src, channel)
                     assert hop.frame[err[5]:err[6]] == UNKNOWN
                     continue
                 assert hop.frame is body
