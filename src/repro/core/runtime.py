@@ -222,19 +222,21 @@ class ReadTurn:
             return carrier is not None
         return self._ready(carrier) if self._ready else carrier.readable
 
-    def arrived(self) -> None:
+    def arrived(self) -> bool:
         """The carrier got something no read waits for: the holder parked
         on an empty transport looks again, else the pump does — the one
-        applying a frame below, if that is where it came from."""
+        applying a frame below, if that is where it came from.  True if
+        a reader is on its way."""
         arrival = self._arrival
         if arrival is not None:
             if not arrival.done():
                 arrival.set_result(None)
-        elif _chained is not None:
+            return True
+        if _chained is not None:
             if self not in _chained:
                 _chained.append(self)
-        else:
-            self.runtime.unpark(self._idle, None)
+            return True
+        return self.runtime.unpark(self._idle, None)
 
     @coroutine
     def wait(self, stream, waiters: dict, key) -> Generator:

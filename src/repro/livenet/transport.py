@@ -108,11 +108,11 @@ class LiveSocket(asyncio.Protocol):
             if self._buffered >= self._want:
                 self._wake()
             return
+        if self._on_unread is not None and self._on_unread():
+            return  # a reader is on its way
         if self._buffered > HIGH_WATER and not self._reading_paused:
             self._reading_paused = True
             self._transport.pause_reading()
-        if self._on_unread is not None:
-            self._on_unread()
 
     def eof_received(self) -> bool:
         self._eof = True
@@ -169,7 +169,8 @@ class LiveSocket(asyncio.Protocol):
 
     def watch_unread(self, callback: Optional[Callable]) -> None:
         """Call ``callback()`` whenever bytes, the peer's EOF or the
-        connection's end arrive while no read is parked."""
+        connection's end arrive while no read is parked; a true answer says
+        a reader was woken for them, so reading does not pause."""
         self._on_unread = callback
 
     async def send_all(self, data: bytes) -> None:
