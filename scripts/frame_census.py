@@ -17,7 +17,8 @@ Builds ``relay > session > mux > tcp_block`` the way the perf ledger's
   ``loop.create_task``) — the per-frame task wake-ups the layers cost.
 
 ``make frame-census`` runs it; ``--max-frames`` / ``--max-stalls`` /
-``--max-handles`` turn the headline numbers into an exit status.
+``--max-handles`` / ``--max-futures`` turn the headline numbers into an
+exit status.
 """
 
 from __future__ import annotations
@@ -246,6 +247,8 @@ def main(argv=None) -> int:
                         help="fail if backpressure waits per MiB exceed this")
     parser.add_argument("--max-handles", type=float, default=None,
                         help="fail if event-loop handle runs per MiB exceed this")
+    parser.add_argument("--max-futures", type=float, default=None,
+                        help="fail if futures created per MiB exceed this")
     args = parser.parse_args(argv)
     report = asyncio.run(census(args.mib, args.seed))
     if args.json:
@@ -268,6 +271,11 @@ def main(argv=None) -> int:
             and report["loop_handles_per_mib"] > args.max_handles):
         print(f"FAIL: {report['loop_handles_per_mib']} event-loop handle runs "
               f"per MiB, more than {args.max_handles}", file=sys.stderr)
+        status = 1
+    if (args.max_futures is not None
+            and report["loop_futures_per_mib"] > args.max_futures):
+        print(f"FAIL: {report['loop_futures_per_mib']} futures created per "
+              f"MiB, more than {args.max_futures}", file=sys.stderr)
         status = 1
     return status
 

@@ -157,8 +157,7 @@ class ReadTurn:
     A reader whose stream has nothing buffered takes the turn while it is
     free and pulls frames itself — ``read(carrier)`` reads one, ``apply``
     queues whatever it carried for its owner and wakes them — until *its
-    own* stream has bytes, an end or an error, and the carrier holds no
-    whole frame nobody has read; then it passes the turn on.
+    own* stream has bytes, an end or an error; then it passes the turn on.
     Over a stream with a read turn of its own (a session, a routed link)
     the read is a read of that stream, so one reader pulls through every
     layer; over a transport with nothing buffered it parks where its
@@ -168,8 +167,8 @@ class ReadTurn:
 
     The binding's pump pulls only what arrives while nobody reads: it
     parks until the carrier reports an arrival no read waits for
-    (``carrier.watch_unread``), or a released turn leaves unread bytes
-    behind.  What its frame brings the layer above is pulled in the same
+    (``carrier.watch_unread``), or a released turn leaves a whole frame
+    unread.  What its frame brings the layer above is pulled in the same
     task, not by a wake of that layer's pump.  A carrier that cannot
     report arrivals (no ``watch_unread``: a wrapper, say) is read by the
     pump alone, as every carrier was before.

@@ -50,11 +50,11 @@ from typing import Callable, Generator, Optional
 from .. import obs
 from ..obs import TraceContext
 from ..obs.flight import FlightRecorder
+from ..util.bytesbuf import frozen, split_parts
 from .links import Link, transport_errors
 from .retry import RetryPolicy, retrying
 from .runtime import Bound, ReadTurn
 from .wire import send_parts
-from ..util.bytesbuf import frozen, split_parts
 from .session_core import (
     ACTIVE,
     FINISHED,

@@ -162,10 +162,13 @@ class LiveSocket(asyncio.Protocol):
 
     def peek(self, n: int) -> bytes:
         """Up to ``n`` buffered bytes, left for the next read."""
-        chunks, head = self._chunks, self._head
-        if chunks and len(chunks[0]) - head >= n:
-            return chunks[0][head:head + n]
-        return b"".join(chunks)[head:head + n]
+        head, out = self._head, b""
+        for chunk in self._chunks:
+            out += chunk[head:head + n - len(out)]
+            if len(out) == n:
+                break
+            head = 0
+        return out
 
     def watch_unread(self, callback: Optional[Callable]) -> None:
         """Call ``callback()`` whenever bytes, the peer's EOF or the
