@@ -134,19 +134,6 @@ class TcpLink(Link):
     def recv(self, maxbytes: int) -> Generator:
         return (yield from self._sock.recv(maxbytes))
 
-    @property
-    def readable(self) -> bool:
-        return self._sock.readable
-
-    def holds(self, n: int) -> bool:
-        return self._sock.holds(n)
-
-    def peek(self, n: int) -> bytes:
-        return self._sock.peek(n)
-
-    def watch_unread(self, callback) -> None:
-        self._sock.watch_unread(callback)
-
     def close(self) -> None:
         self._sock.close()
 

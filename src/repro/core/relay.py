@@ -25,6 +25,7 @@ runtime and dial real sockets.
 
 from __future__ import annotations
 
+from collections import deque
 from types import coroutine
 from typing import Callable, Generator, Optional
 
@@ -38,7 +39,6 @@ from .relay_core import (
     MAX_MSG,
     MAX_RELAY_FRAME,
     PING_FRAME,
-    T_MSG,
     Hop,
     RelayClientCore,
     RelayCore,
@@ -46,8 +46,8 @@ from .relay_core import (
     RoutedChannel,
 )
 from .retry import RetryExhausted, RetryPolicy, retrying
-from .runtime import Bound, ReadTurn
-from .wire import FrameReader, WireError, recv_frame, send_frame
+from .runtime import Bound
+from .wire import WireError, recv_frame, send_frame
 
 __all__ = ["RelayServer", "RelayClient", "RoutedLink", "RelayError", "MAX_MSG",
            "MAX_RELAY_FRAME"]
@@ -239,11 +239,8 @@ class RelayServer(Bound, RelayCore):
                 accepted, frames = self.register(node_id, sock)
                 for frame in frames:
                     yield from send_frame(sock, frame)
-                # a forwarded body is a view of what arrived: copied once,
-                # into the write that frames it for the next hop
-                reader = FrameReader(MAX_RELAY_FRAME)
                 while accepted:
-                    body = yield from reader.read_view(sock)
+                    body = yield from recv_frame(sock, MAX_RELAY_FRAME)
                     yield from self._deliver(self.route(node_id, body, sock))
         except _SESSION_ERRORS:
             pass
@@ -317,56 +314,40 @@ class RoutedLink(RoutedChannel, Link):
 
     def __init__(self, client: "RelayClient", peer: str, channel: int, owned: bool = True):
         super().__init__(client, peer, channel, owned)
-        #: parked ``recv`` callers
-        self._waiters: dict = {}
-        #: called when bytes or the end arrive that no read waits for
-        self._on_unread = None
+        #: parked ``recv`` callers, oldest first: (event, maxbytes)
+        self._readers: deque = deque()
 
     @property
     def sim(self):
         return self.client.sim
 
-    def watch_unread(self, callback) -> None:
-        """Call ``callback()`` when bytes or the end arrive while nobody
-        reads this link (a session's read turn asks)."""
-        self._on_unread = callback
-
-    @property
-    def read_turn(self) -> ReadTurn:
-        """What a read of this link takes: the relay connection's turn."""
-        return self.client._turn
-
     def _wake(self) -> None:
-        """Parked readers re-check; with none, and no reader of this link
-        pulling, the arrival is news for whoever watches."""
-        client = self.client
-        if (not client.runtime.unpark(self._waiters, "rx")
-                and client._turn.holder is not self
-                and self._on_unread is not None):
-            self._on_unread()
+        """Serve parked readers in order; what each gets is decided now,
+        not when it resumes."""
+        while self._readers and (self._buffer or self._eof):
+            event, maxbytes = self._readers.popleft()
+            if event.done():
+                continue  # cancelled while parked
+            try:
+                event.set_result(self.take(maxbytes))
+            except RelayError as exc:
+                event.set_exception(exc)
 
     # -- Link interface ----------------------------------------------------------
     @coroutine
     def send_all(self, data: bytes) -> Generator:
-        yield from self.send_parts((data,))
-
-    @coroutine
-    def send_parts(self, parts) -> Generator:
-        """Write the concatenation of ``parts`` (immutable buffers) as MSG
-        frames, joined once, at the relay connection's write."""
         if self.closed:
             raise self.client.link_error("send on closed routed link")
-        for frame in self.msg_parts(parts):
-            yield from self.client._send(*frame)
+        for frame in self.msg_frames(data):
+            yield from self.client._send(frame)
 
     @coroutine
     def recv(self, maxbytes: int) -> Generator:
-        """Up to ``maxbytes``; with nothing buffered the caller pulls the
-        relay connection itself while its read turn is free."""
-        client = self.client
-        while (data := self.take(maxbytes)) is None:
-            yield from client._turn.wait(self, self._waiters, "rx")
-        return data
+        runtime = self.client.runtime
+        event = runtime.event()
+        self._readers.append((event, maxbytes))
+        self._wake()
+        return (yield from runtime.wait(event))
 
 
 class RelayClient(Bound, RelayClientCore):
@@ -413,11 +394,6 @@ class RelayClient(Bound, RelayClientCore):
             max_attempts=10, base_delay=0.25, multiplier=2.0, max_delay=5.0
         )
         self._sock = None
-        #: who reads the relay connection: a routed link's reader, or the
-        #: pump for what arrives while nobody does (docs/PROTOCOLS.md §13)
-        self._frames = FrameReader(MAX_RELAY_FRAME)
-        self._turn = ReadTurn(self.runtime, self._read_frame,
-                              self._apply_frame, self._frame_ready)
         #: accepted links waiting for ``accept_link`` callers, or the reverse
         self._accepts = self.runtime.queue()
         #: ``wait_connected`` callers, parked
@@ -444,14 +420,10 @@ class RelayClient(Bound, RelayClientCore):
             self._sock = yield from self.connector(self.host, self.relay_addr)
         else:
             self._sock = yield from self._dial(self.relay_addr)
-        sock = self._sock
-        yield from send_frame(sock, self.register_frame())
-        self.registered((yield from recv_frame(sock, MAX_RELAY_FRAME)))
-        self._frames = FrameReader(MAX_RELAY_FRAME)
-        self._turn.watch(sock)
+        yield from send_frame(self._sock, self.register_frame())
+        self.registered((yield from recv_frame(self._sock, MAX_RELAY_FRAME)))
         self.runtime.unpark(self._waiters, "connected")
-        self._spawn(self._turn.pump(sock),
-                    f"relay-client-{self.node_id}")
+        self._spawn(self._reader(), f"relay-client-{self.node_id}")
         if self.keepalive > 0:
             self._spawn(self._keepalive_loop(self._sock),
                         f"relay-keepalive-{self.node_id}")
@@ -508,11 +480,10 @@ class RelayClient(Bound, RelayClientCore):
 
     # -- outgoing ---------------------------------------------------------------
     @coroutine
-    def _send(self, *parts) -> Generator:
-        """One frame of ``parts`` to the relay."""
+    def _send(self, frame: bytes) -> Generator:
         if self._sock is None:
             raise self.link_error("relay client not connected")
-        yield from send_frame(self._sock, *parts)
+        yield from send_frame(self._sock, frame)
 
     def _notify(self, frame: bytes) -> None:
         @coroutine
@@ -544,42 +515,24 @@ class RelayClient(Bound, RelayClientCore):
 
     # -- incoming ----------------------------------------------------------------
     @coroutine
-    def _read_frame(self, sock) -> Generator:
-        """The next frame off the relay connection (whoever holds its read
-        turn runs this); None once the connection is lost."""
+    def _reader(self) -> Generator:
         try:
-            return (yield from self._frames.read_view(sock))
+            while True:
+                body = yield from recv_frame(self._sock, MAX_RELAY_FRAME)
+                link = self.dispatch(body)
+                if link is not None:
+                    self._accepts.put(link)
         except _SESSION_ERRORS as exc:
-            self._lost_session(sock, exc)
-            return None
-
-    def _frame_ready(self, sock) -> bool:
-        return self._frames.ready(sock)
-
-    def _apply_frame(self, body) -> None:
-        """Hand the frame to the link it names: a MSG's payload is copied
-        out of the view it came in, anything else is made bytes first."""
-        if type(body) is memoryview and not (body and body[0] == T_MSG):
-            body = bytes(body)
-        link = self.dispatch(body)
-        if link is not None:
-            self._accepts.put(link)
-
-    def _lost_session(self, sock, exc: BaseException) -> None:
-        """Relay unreachable/crashed: every routed link is dead (once per
-        registration, whichever reader found out)."""
-        if self._turn.carrier is not sock:
-            return
-        self._turn.watch(None)
-        self._drop_session()
-        if self.auto_reconnect and not self.closed:
-            obs.event(
-                "relay.client.lost",
-                node=self.node_id,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-            self._spawn(self._reconnect_loop(),
-                        f"relay-reconnect-{self.node_id}")
+            # Relay unreachable/crashed: every routed link is dead.
+            self._drop_session()
+            if self.auto_reconnect and not self.closed:
+                obs.event(
+                    "relay.client.lost",
+                    node=self.node_id,
+                    error=f"{type(exc).__name__}: {exc}",
+                )
+                self._spawn(self._reconnect_loop(),
+                            f"relay-reconnect-{self.node_id}")
 
     @coroutine
     def _reconnect_loop(self) -> Generator:

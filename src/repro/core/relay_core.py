@@ -45,12 +45,12 @@ from ..mesh.state import MeshState, decode_entries, encode_entries
 from ..obs import TraceContext
 from ..obs.flight import FlightRecorder
 from ..util import sizes
-from ..util.bytesbuf import split_parts, take
+from ..util.bytesbuf import take
 from ..util.framing import ByteReader, ByteWriter, FrameError
 
 __all__ = ["RelayCore", "RelayClientCore", "RoutedChannel", "MeshSelection",
            "Hop", "GossipRound", "RelayError", "MAX_MSG", "MAX_RELAY_FRAME",
-           "PING_FRAME", "routed_body", "routed_header", "parse_routed"]
+           "PING_FRAME", "routed_body", "parse_routed"]
 
 T_REGISTER = 1
 T_REGISTER_OK = 2
@@ -86,17 +86,6 @@ class RelayError(Exception):
     """Relay protocol failure (unknown peer, malformed frame, ...)."""
 
 
-def routed_header(kind: int, src: str, dst: str, channel: int, length: int,
-                  sender_owns_channel: bool = True) -> bytes:
-    """A routed frame up to the ``length`` payload bytes that follow it."""
-    s, d = src.encode("utf-8"), dst.encode("utf-8")
-    return struct.pack(
-        f"!BBI{len(s)}sI{len(d)}sQI",
-        kind, 1 if sender_owns_channel else 0, len(s), s, len(d), d,
-        channel, length,
-    )
-
-
 def routed_body(
     kind: int,
     src: str,
@@ -112,8 +101,12 @@ def routed_body(
     relay and the accepting peer parent their spans on it, which is what
     stitches a routed path's three processes into one trace.
     """
-    head = routed_header(kind, src, dst, channel, len(payload),
-                         sender_owns_channel)
+    s, d = src.encode("utf-8"), dst.encode("utf-8")
+    head = struct.pack(
+        f"!BBI{len(s)}sI{len(d)}sQI",
+        kind, 1 if sender_owns_channel else 0, len(s), s, len(d), d,
+        channel, len(payload),
+    )
     return b"".join((head, payload, ctx.encode() if ctx is not None else b""))
 
 
@@ -631,11 +624,6 @@ class RoutedChannel:
     def _wake(self) -> None:
         """Binding hook: :meth:`take` may have something new to say."""
 
-    @property
-    def readable(self) -> bool:
-        """:meth:`take` has bytes, the end or the error to hand over."""
-        return bool(self._buffer) or self._eof
-
     def _deliver_eof(self) -> None:
         self._eof = True
         self._wake()
@@ -660,24 +648,12 @@ class RoutedChannel:
                            chunk, sender_owns_channel=self.owned)
 
     def msg_frames(self, data):
-        """:meth:`msg_parts` of ``data``, each frame joined."""
-        for parts in self.msg_parts((data,)):
-            yield b"".join(parts)
-
-    def msg_parts(self, parts: tuple):
-        """The frames carrying the concatenation of ``parts`` to the peer,
-        in order, each as its header and the buffers of its payload:
-        ``MAX_MSG`` bytes apiece, none a runt, nothing copied."""
-        owned, node = self.owned, self.client.node_id
-        size = sum(map(len, parts))
-        if size <= MAX_MSG:  # one message: the size chain's usual case
-            yield (routed_header(T_MSG, node, self.peer, self.channel, size,
-                                 owned), *parts)
-            return
-        for start, end in sizes.pieces(size, MAX_MSG):
-            chunk, parts = split_parts(parts, end - start)
-            yield (routed_header(T_MSG, node, self.peer, self.channel,
-                                 end - start, owned), *chunk)
+        """The frames carrying ``data`` to the peer, in order: ``MAX_MSG``
+        bytes apiece, none a runt; each chunk is copied once, into its
+        frame."""
+        view = memoryview(data)
+        for start, end in sizes.pieces(len(view), MAX_MSG):
+            yield self.msg_frame(view[start:end])
 
     def close(self) -> None:
         """Local readers see EOF too (same as when the relay session dies),

@@ -9,8 +9,6 @@ has the table (an ``unpark`` with nobody parked is not remembered: a
 hint, the woken waiter re-checks; an ``event`` speaks ``asyncio.Future``'s
 names on both).  A sim class derives its runtime from what it is given
 (``link.sim``, ``host.sim``); a live subclass names :data:`ASYNCIO`.
-:class:`ReadTurn` is written once, on whichever runtime it is given: who
-reads a carrier that several streams share.
 """
 
 from __future__ import annotations
@@ -20,11 +18,11 @@ import time
 from collections import deque
 from functools import cached_property
 from types import coroutine
-from typing import Generator, Optional
+from typing import Generator
 
 from ..simnet.engine import Event, Simulator, with_timeout
 
-__all__ = ["SimRuntime", "AsyncioRuntime", "ASYNCIO", "Bound", "ReadTurn"]
+__all__ = ["SimRuntime", "AsyncioRuntime", "ASYNCIO", "Bound"]
 
 
 class _Queue:
@@ -46,14 +44,10 @@ class _Queue:
 
 class _Runtime:
     @staticmethod
-    def unpark(waiters: dict, key) -> bool:
-        """Wake everyone parked on ``key``; False if nobody was (still)."""
-        woke = False
+    def unpark(waiters: dict, key) -> None:
         for event in waiters.pop(key, ()):
             if not event.done():  # else: cancelled while parked
                 event.set_result(None)
-                woke = True
-        return woke
 
     def queue(self) -> _Queue:
         return _Queue(self)
@@ -143,208 +137,3 @@ class Bound:
 
     def _spawn(self, steps, name: str):
         return self.runtime.spawn(steps, name)
-
-
-#: while a pump applies a frame, the turns whose pumps its arrivals would
-#: wake: the pump steps them itself, in its own task, once it is done
-_chained: Optional[list] = None
-
-
-class ReadTurn:
-    """Who reads a carrier that several streams share (docs/PROTOCOLS.md
-    §13, *a carrier has one read turn*).
-
-    A reader whose stream has nothing buffered takes the turn while it is
-    free and pulls frames itself — ``read(carrier)`` reads one, ``apply``
-    queues whatever it carried for its owner and wakes them — until *its
-    own* stream has bytes, an end or an error; then it passes the turn on.
-    Over a stream with a read turn of its own (a session, a routed link)
-    the read is a read of that stream, so one reader pulls through every
-    layer; over a transport with nothing buffered it parks where its
-    stream's owner is woken, until the transport reports an arrival or its
-    stream ends.  A reader that finds the turn taken parks there too,
-    until its stream has something or the turn is passed to it.
-
-    The binding's pump pulls only what arrives while nobody reads: it
-    parks until the carrier reports an arrival no read waits for
-    (``carrier.watch_unread``), or a released turn leaves a whole frame
-    unread.  What its frame brings the layer above is pulled in the same
-    task, not by a wake of that layer's pump.  A carrier that cannot
-    report arrivals (no ``watch_unread``: a wrapper, say) is read by the
-    pump alone, as every carrier was before.
-    """
-
-    __slots__ = ("runtime", "carrier", "holder", "_read", "_apply", "_ready",
-                 "_reports", "_leaf", "_arrival", "_queue", "_idle")
-
-    #: what holds the turn while the pump pulls
-    PUMP = "pump"
-
-    def __init__(self, runtime, read, apply, ready=None):
-        self.runtime = runtime
-        #: ``read(carrier)``: the next frame, or None (the binding handled
-        #: the carrier's end); ``apply(frame)``: what it means;
-        #: ``ready(carrier)``: a read would not wait (default: ``readable``)
-        self._read, self._apply, self._ready = read, apply, ready
-        #: what the turn reads (None: nothing, until :meth:`watch`)
-        self.carrier = None
-        #: the carrier reports arrivals and says whether it is ``readable``
-        self._reports = False
-        #: ... and is a transport: no read turn of its own to pull through
-        self._leaf = False
-        #: what the holder parks on while the transport is empty
-        self._arrival = None
-        #: the stream whose reader pulls, :data:`PUMP`, or None: free
-        self.holder = None
-        #: streams whose readers wait for the turn, oldest first, with
-        #: where each parks: ``stream -> (waiters, key)``
-        self._queue: dict = {}
-        self._idle: dict = {}
-
-    def watch(self, carrier) -> None:
-        """Read ``carrier`` from now on (None: stop); a pump of the one
-        before ends."""
-        self.carrier = carrier
-        watch = getattr(carrier, "watch_unread", None)
-        self._reports = watch is not None
-        self._leaf = self._reports and getattr(carrier, "read_turn", None) is None
-        if watch is not None:
-            watch(self.arrived)
-        self.arrived()
-
-    @property
-    def unread(self) -> bool:
-        """The carrier holds a frame nobody has read (unless it cannot say):
-        a partial one is reported again when the rest arrives."""
-        carrier = self.carrier
-        if carrier is None or not self._reports:
-            return carrier is not None
-        return self._ready(carrier) if self._ready else carrier.readable
-
-    def arrived(self) -> bool:
-        """The carrier got something no read waits for: the holder parked
-        on an empty transport looks again, else the pump does — the one
-        applying a frame below, if that is where it came from.  True if
-        a reader is on its way."""
-        arrival = self._arrival
-        if arrival is not None:
-            if not arrival.done():
-                arrival.set_result(None)
-            return True
-        if _chained is not None:
-            if self not in _chained:
-                _chained.append(self)
-            return True
-        return self.runtime.unpark(self._idle, None)
-
-    @coroutine
-    def wait(self, stream, waiters: dict, key) -> Generator:
-        """One step of a read of ``stream``, which has nothing buffered:
-        pull under the turn until it has, or park on ``waiters[key]``
-        (where the stream's owner is woken) until it has or the turn is
-        passed on to it.  The caller re-checks the stream either way."""
-        carrier = self.carrier
-        if self.holder is None and self._reports:
-            self.holder = stream
-            try:
-                while not stream.readable and self.carrier is carrier:
-                    if self._leaf and not carrier.readable:
-                        yield from self._await_arrival(waiters, key)
-                    elif (frame := (yield from self._read(carrier))) is not None:
-                        self._apply(frame)
-            except GeneratorExit:
-                raise  # a collected simulator process: nobody to hand on to
-            except BaseException:
-                self.release()
-                raise
-            self.release()
-            return
-        self._queue[stream] = (waiters, key)
-        try:
-            yield from self.runtime.park(waiters, key)
-        except GeneratorExit:
-            raise
-        except BaseException:
-            # cancelled, maybe just after the turn was passed to us
-            self._queue.pop(stream, None)
-            if self.holder is None:
-                self.release()
-            raise
-        self._queue.pop(stream, None)
-        if self.holder is None and stream.readable:
-            self.release()  # passed a turn this reader no longer needs
-
-    @coroutine
-    def _await_arrival(self, waiters: dict, key) -> Generator:
-        """The holder waits for the transport or for its own stream (an
-        end, say), whichever speaks first: one event, parked on both."""
-        arrival = self._arrival = self.runtime.event()
-        waiters.setdefault(key, []).append(arrival)
-        try:
-            yield from self.runtime.wait(arrival)
-        finally:
-            self._arrival = None
-
-    def _pass(self) -> bool:
-        """Free the turn; to the first reader still waiting for it (True)."""
-        self.holder = None
-        queue = self._queue
-        while queue and self._reports:
-            waiters, key = queue.pop(next(iter(queue)))
-            if self.runtime.unpark(waiters, key):
-                return True
-        return False
-
-    def release(self) -> bool:
-        """Free the turn and pass it on: to the first reader still waiting
-        for it (True), else to the pump if the carrier holds unread
-        bytes."""
-        if self._pass():
-            return True
-        if self.unread:
-            self.arrived()
-        return False
-
-    @coroutine
-    def pump(self, carrier) -> Generator:
-        """Pull what arrives at ``carrier`` while nobody reads, until the
-        turn reads another; after passing the turn to a reader, wait for
-        the next arrival."""
-        passed = False
-        while self.carrier is carrier and carrier is not None:
-            if not passed and self.holder is None and self.unread:
-                passed = yield from self._step(carrier)
-            else:
-                passed = False
-                yield from self.runtime.park(self._idle, None)
-
-    @coroutine
-    def _step(self, carrier) -> Generator:
-        """One pull by the pump; then, in this task, one by each turn its
-        frame brought something to.  True if the turn went to a reader."""
-        global _chained
-        chained = []
-        self.holder = self.PUMP
-        try:
-            frame = yield from self._read(carrier)
-            if frame is not None:
-                outer, _chained = _chained, chained
-                try:
-                    self._apply(frame)
-                finally:
-                    _chained = outer
-        finally:
-            self.holder = None
-        passed = self._pass()
-        for turn in chained:
-            yield from turn._chain()
-        return passed
-
-    @coroutine
-    def _chain(self) -> Generator:
-        """Pull what a frame below just brought, as this turn's pump would."""
-        carrier = self.carrier
-        while (self.holder is None and self._arrival is None
-               and self.carrier is carrier and self.unread):
-            if (yield from self._step(carrier)):
-                return

@@ -30,12 +30,10 @@ delivery stays byte-identical and FIFO.
 The protocol itself — wire format, replay and ack arithmetic, close,
 heartbeat and watchdog — lives in :mod:`repro.core.session_core`; this
 module is its one binding, written as generator-based coroutines over
-:mod:`repro.core.runtime`: who moves bytes between the link and the core
-(the raw link's read turn — a reader pulls what it waits for itself, the
-inbound pump what arrives while nobody reads; the writers — callers and
-the control loop — taking turns on the raw link), the heartbeat timer,
-the parking of callers until the core wakes them, and the RESUME exchange
-under its deadline.
+:mod:`repro.core.runtime`: the tasks that move bytes between the link and
+the core (the inbound pump; the writers — callers and the control loop —
+taking turns on the raw link), the heartbeat timer, the parking of callers
+until the core wakes them, and the RESUME exchange under its deadline.
 Re-establishment is per backend: here the simulator's, under the retry
 policy and through the node's :class:`SessionRegistry`;
 :mod:`repro.livenet.session` names the asyncio runtime and redials real
@@ -50,11 +48,9 @@ from typing import Callable, Generator, Optional
 from .. import obs
 from ..obs import TraceContext
 from ..obs.flight import FlightRecorder
-from ..util.bytesbuf import frozen, split_parts
 from .links import Link, transport_errors
 from .retry import RetryPolicy, retrying
-from .runtime import Bound, ReadTurn
-from .wire import send_parts
+from .runtime import Bound
 from .session_core import (
     ACTIVE,
     FINISHED,
@@ -134,10 +130,6 @@ class SessionLink(Bound, SessionCore, Link):
         #: wake kind -> whoever is parked on it
         self._waiters: dict = {}
         self._transport = transport_errors()
-        #: who reads the raw link: a reader of this session, or the pump
-        self._turn = ReadTurn(self.runtime, self._read_raw, self._apply_raw)
-        #: called when bytes or the end arrive that no read waits for
-        self._on_unread = None
 
     def _start_loops(self) -> None:
         tag = f"{self.sid:x}-{self.role[0]}"
@@ -169,44 +161,23 @@ class SessionLink(Bound, SessionCore, Link):
     # -- Link interface ----------------------------------------------------------
     @coroutine
     def send_all(self, data: bytes) -> Generator:
-        yield from self.send_parts((data,))
-
-    @coroutine
-    def send_parts(self, parts) -> Generator:
-        """Write the concatenation of ``parts``: DATA frames whose payload
-        is the buffers themselves, handed down uncopied."""
-        parts = frozen(parts)
-        size = sum(map(len, parts))
-        while size:
-            out = self.write_parts(parts)
+        view = memoryview(data)
+        offset = 0
+        while offset < len(view):
+            out = self.write(view[offset:])
             if out is None:
                 # recovering, or backpressure: acks must release replay space
                 yield from self._wait(self.WAKE_WINDOW)
                 continue
             frame, taken = out
-            size -= taken
-            if size:
-                parts = split_parts(parts, taken)[1]
+            offset += taken
             yield from self._send(frame)
 
     @coroutine
     def recv(self, maxbytes: int) -> Generator:
-        """Up to ``maxbytes``; with nothing delivered the caller reads the
-        raw link itself while its read turn is free (and a link is
-        attached)."""
         while (data := self.read(maxbytes)) is None:
-            yield from self._turn.wait(self, self._waiters, self.WAKE_RX)
+            yield from self._wait(self.WAKE_RX)
         return data
-
-    def watch_unread(self, callback) -> None:
-        """Call ``callback()`` when bytes, the end or a failure are
-        delivered while nobody reads the session (a mux's read turn asks)."""
-        self._on_unread = callback
-
-    @property
-    def read_turn(self) -> ReadTurn:
-        """What a read of this session takes: its raw link's turn."""
-        return self._turn
 
     def close(self) -> None:
         """Graceful close: FIN at the current offset, then linger until the
@@ -224,17 +195,13 @@ class SessionLink(Bound, SessionCore, Link):
     def wake(self, what: str) -> None:
         if what == self.WAKE_LINK:
             self._link_changed()
-        if (not self.runtime.unpark(self._waiters, what)
-                and what == self.WAKE_RX and self._turn.holder is not self
-                and self._on_unread is not None):
-            self._on_unread()
+        self.runtime.unpark(self._waiters, what)
 
     def _link_changed(self) -> None:
         state = self._state
         if state == ACTIVE:
             self._start_pump()
             return
-        self._turn.watch(None)
         if self._raw is not None:
             try:
                 if state == FINISHED:
@@ -255,8 +222,8 @@ class SessionLink(Bound, SessionCore, Link):
 
     # -- the writers: callers (send_all) and the control loop ----------------------
     @coroutine
-    def _send(self, parts: tuple) -> Generator:
-        """Write ``parts`` to the current link, one writer at a time; False
+    def _send(self, data: bytes) -> Generator:
+        """Write ``data`` to the current link, one writer at a time; False
         when that link was replaced while waiting for the turn (the
         recovery replays) or died under the write."""
         gen = self._gen
@@ -267,7 +234,7 @@ class SessionLink(Bound, SessionCore, Link):
         self._sending = True
         try:
             try:
-                yield from send_parts(self._raw, parts)
+                yield from self._raw.send_all(data)
             finally:
                 self._sending = False
                 self.wake(_WAKE_TX)
@@ -282,7 +249,7 @@ class SessionLink(Bound, SessionCore, Link):
             frames = self.control_frames()
             if not frames:
                 yield from self._wait(self.WAKE_CONTROL)
-            elif (yield from self._send((frames,))):
+            elif (yield from self._send(frames)):
                 self.control_sent()
 
     @coroutine
@@ -292,40 +259,30 @@ class SessionLink(Bound, SessionCore, Link):
             yield from self.runtime.sleep(hb)
             self.tick(self.runtime.now())
 
-    # -- inbound: the raw link's read turn ----------------------------------------
+    # -- inbound pump ------------------------------------------------------------
     def _start_pump(self) -> None:
-        """Read the link just attached: its read turn, and the pump for
-        what arrives while nobody reads."""
-        raw = self._raw
-        self._turn.watch(raw)
         self._spawn(
-            self._turn.pump(raw),
+            self._pump(self._raw, self._gen),
             f"session-pump-{self.sid:x}-{self.role[0]}-g{self._gen}")
 
     def _read(self, raw: Link) -> Generator:
-        """The next read of the raw link.  Exactly what the parser awaits, never
+        """The pump's next read.  Exactly what the parser awaits, never
         past a frame: with a larger read the simulated TCP sees different
         reads and ``wan_transfer`` + ``link_down`` moves 23 timestamps
         (measured, ISSUE 23)."""
         return raw.recv_exactly(self.rx_need)
 
     @coroutine
-    def _read_raw(self, raw: Link) -> Generator:
-        """The next read of the attached link (whoever holds its read turn
-        runs this) and the generation it came from; None once it died."""
-        gen = self._gen
+    def _pump(self, raw: Link, gen: int) -> Generator:
+        now = self.runtime.now
         try:
-            return (yield from self._read(raw)), gen
-        except self._transport as exc:
-            self.transport_broken(gen, exc, self.runtime.now())
-            return None
-
-    def _apply_raw(self, read: tuple) -> None:
-        data, gen = read
-        try:
-            self.receive_data(data, self.runtime.now(), gen)
+            while gen == self._gen:
+                data = yield from self._read(raw)
+                self.receive_data(data, now(), gen)
         except SessionError:
             pass  # protocol violation: the core failed the session
+        except self._transport as exc:
+            self.transport_broken(gen, exc, now())
 
     # -- recovery ----------------------------------------------------------------
     def _recovery(self) -> Generator:

@@ -34,7 +34,7 @@ from typing import NamedTuple, Optional
 from .. import obs
 from ..obs import TraceContext
 from ..obs.flight import FlightRecorder
-from ..util.bytesbuf import split_parts, take
+from ..util.bytesbuf import take
 from ..util.sizes import SESSION_MAX_CHUNK, cut, pieces
 
 __all__ = ["SessionCore", "SessionError", "SessionConfig", "ReplayBuffer",
@@ -312,13 +312,6 @@ class SessionCore:
         return min(1.0, self._replay.size / max(1, self.config.max_buffer))
 
     @property
-    def readable(self) -> bool:
-        """:meth:`read` has data, the end or the failure to hand over."""
-        return bool(self._rx) or self._failure is not None or (
-            self._state == FINISHED or (
-                self._rx_fin is not None and self._rx_off >= self._rx_fin))
-
-    @property
     def rx_need(self) -> int:
         """How many more bytes the parser's next step awaits — a reader that
         asks its link for exactly this many never reads past a frame."""
@@ -365,14 +358,6 @@ class SessionCore:
         The bytes are in the replay buffer *before* the write: if the link
         dies mid-frame they are retransmitted after resume.
         """
-        out = self.write_parts((data,))
-        return None if out is None else (b"".join(out[0]), out[1])
-
-    def write_parts(self, parts: tuple) -> Optional[tuple]:
-        """:meth:`write` of the concatenation of ``parts`` (immutable
-        buffers), as ``(frame parts, taken)``: the ACK and DATA headers,
-        then the admitted bytes themselves — kept by the replay buffer as
-        they are, bytes uncopied, a view copied once."""
         if self._tx_fin is not None:
             raise self.error_class("send on closed session")
         if self._state != ACTIVE:
@@ -380,22 +365,15 @@ class SessionCore:
             return None
         if self._replay.size >= self.config.max_buffer:
             return None
-        size = sum(map(len, parts))
-        n = cut(size, MAX_CHUNK)
-        if n < size:
-            parts = split_parts(parts, n)[0]
-        if any(type(part) is not bytes for part in parts):
-            parts = tuple(part if type(part) is bytes else bytes(part)
-                          for part in parts)
+        n = cut(len(data), MAX_CHUNK)
         header = _DATA_HDR.pack(F_DATA, n)
         if self._rx_off > self._last_ack_sent or "ack" in self._owed:
             self._owed.discard("ack")
-            head = (self._ack_frame(), header)
+            frame = b"".join((self._ack_frame(), header, data[:n]))
         else:
-            head = (header,)
-        for part in parts:
-            self._replay.append(part)
-        return (*head, *parts), n
+            frame = b"".join((header, data[:n]))
+        self._replay.append(frame, len(frame) - n)
+        return frame, n
 
     def read(self, maxbytes: int) -> Optional[bytes]:
         """Up to ``maxbytes`` of delivered data, ``b""`` at end of stream
@@ -452,15 +430,12 @@ class SessionCore:
         violation fails the session and raises :class:`SessionError`."""
         if (gen is not None and gen != self._gen) or self.ended or not data:
             return
-        # parsed where it lies: only a frame's unfinished tail is kept
         buf = self._inbuf
-        if buf:
-            buf += data
-            data = buf
+        buf += data
         pos = 0
         step, need = self._step, self._need
         try:
-            with memoryview(data) as view:
+            with memoryview(buf) as view:
                 size = len(view)
                 while size - pos >= need:
                     end = pos + need
@@ -491,10 +466,7 @@ class SessionCore:
             self.fail(exc)
             raise
         self._step, self._need = step, need
-        if data is buf:
-            del buf[:pos]
-        elif pos < len(data):
-            buf += memoryview(data)[pos:]
+        del buf[:pos]
 
     def _on_offset(self, kind: int, off: int) -> None:
         if kind == F_RETUNE:

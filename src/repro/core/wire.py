@@ -1,26 +1,20 @@
 """Length-prefixed frame IO over any Link/stream, for both backends.
 
-The functions are generator-based coroutines (``types.coroutine``): a
+The two functions are generator-based coroutines (``types.coroutine``): a
 simulator process runs them with ``yield from``, an asyncio task with
 ``await``, and ``stream`` is whatever has ``send_all`` / ``recv_exactly``
 on that backend (a ``Link`` or ``SimSocket``; a ``LiveSocket``, mux
 channel or session link).
-
-A write may be a list of buffers — a frame's headers and the payload they
-announce — so that a block is not copied once per layer on its way down:
-a stream that gathers (``send_parts``: a mux channel, a session, a routed
-link) takes the list as it is and puts its own headers in front; any
-other stream, a socket included, gets it joined, once.
 """
 
 from __future__ import annotations
 
-import struct
 from types import coroutine
 from typing import Generator
 
-__all__ = ["send_frame", "send_parts", "recv_frame", "FrameReader",
-           "WireError", "MAX_FRAME"]
+from ..util.framing import frame
+
+__all__ = ["send_frame", "recv_frame", "WireError", "MAX_FRAME"]
 
 MAX_FRAME = 1 << 22  # 4 MiB: largest block any driver stack produces
 
@@ -29,33 +23,10 @@ class WireError(Exception):
     """Malformed frame on a stream."""
 
 
-_U32 = struct.Struct("!I")
-
-
 @coroutine
-def send_parts(stream, parts) -> Generator:
-    """Write the concatenation of ``parts`` (a sequence of bytes objects):
-    handed on as it is to a stream that gathers, joined once otherwise."""
-    gather = getattr(stream, "send_parts", None)
-    if gather is not None:
-        yield from gather(parts)
-    else:
-        yield from stream.send_all(
-            parts[0] if len(parts) == 1 else b"".join(parts))
-
-
-@coroutine
-def send_frame(stream, *parts) -> Generator:
-    """Write one u32-length-prefixed frame whose body is ``parts`` in order
-    (usually one buffer)."""
-    size = sum(map(len, parts))
-    if size > 0xFFFFFFFF:
-        raise WireError("frame too large")
-    gather = getattr(stream, "send_parts", None)
-    if gather is not None:
-        yield from gather((_U32.pack(size), *parts))
-    else:
-        yield from stream.send_all(b"".join((_U32.pack(size), *parts)))
+def send_frame(stream, body: bytes) -> Generator:
+    """Write one u32-length-prefixed frame."""
+    yield from stream.send_all(frame(body))
 
 
 @coroutine
@@ -70,56 +41,3 @@ def recv_frame(stream, max_frame: int = MAX_FRAME) -> Generator:
     if length > max_frame:
         raise WireError(f"oversized frame: {length} > {max_frame}")
     return (yield from stream.recv_exactly(length))
-
-
-class FrameReader:
-    """:func:`recv_frame` for a stream that several readers take turns on:
-    the length of the frame being read is kept here, not in the reading
-    coroutine, so a reader cancelled between a frame's prefix and its body
-    leaves the body to whoever reads next."""
-
-    __slots__ = ("max_frame", "_length")
-
-    def __init__(self, max_frame: int = MAX_FRAME):
-        self.max_frame = max_frame
-        self._length = None
-
-    @coroutine
-    def read(self, stream) -> Generator:
-        """The next frame's body."""
-        return (yield from self._read(stream, stream.recv_exactly))
-
-    @coroutine
-    def read_view(self, stream) -> Generator:
-        """The next frame's body, as a view of what the stream received when
-        it can give one (``recv_view``): for a reader that copies out only
-        what it keeps."""
-        recv = getattr(stream, "recv_view", None) or stream.recv_exactly
-        return (yield from self._read(stream, recv))
-
-    @coroutine
-    def _read(self, stream, recv) -> Generator:
-        if self._length is None:
-            header = yield from stream.recv_exactly(4)
-            length = int.from_bytes(header, "big")
-            if length > self.max_frame:
-                raise WireError(f"oversized frame: {length} > {self.max_frame}")
-            self._length = length
-        body = yield from recv(self._length)
-        self._length = None
-        return body
-
-    def ready(self, stream) -> bool:
-        """:meth:`read` may start now: a whole frame or the stream's end is
-        buffered, or the stream takes no more until it is read.  A stream
-        that cannot say how much it holds (no ``holds``/``peek``) is ready
-        when it is ``readable``."""
-        holds = getattr(stream, "holds", None)
-        if holds is None:
-            return stream.readable
-        if self._length is not None:
-            return holds(self._length)
-        if not holds(4):
-            return False
-        header = stream.peek(4)
-        return len(header) < 4 or holds(4 + int.from_bytes(header, "big"))

@@ -12,12 +12,10 @@ the floor under every live number, and it is kept thin.  It is its own
 writer: it keeps the ``bytes`` chunks the transport hands to
 ``data_received`` as they are (a read takes a whole chunk when it fits, a
 copy of only what it takes otherwise), and a parked reader waits on one
-future for as many bytes as it asked for, not one per chunk.  What
-arrives while no read waits is reported to whoever asked
-(:meth:`LiveSocket.watch_unread`: the read turn of the binding above).
-Reading pauses while more than :data:`HIGH_WATER` bytes sit unread and
-resumes below half of it; a write waits only while the transport has
-paused writing.  ``tests/livenet/test_transport.py`` pins the contract.
+future for as many bytes as it asked for, not one per chunk.  Reading
+pauses while more than :data:`HIGH_WATER` bytes sit unread and resumes
+below half of it; a write waits only while the transport has paused
+writing.  ``tests/livenet/test_transport.py`` pins the contract.
 
 Scope note: OS-level middlebox behaviour (firewalls, NAT) obviously cannot
 be created from user space, so the live backend covers the *utilization*
@@ -88,8 +86,6 @@ class LiveSocket(asyncio.Protocol):
         #: the one parked reader's future, and how many bytes wake it
         self._waiter: Optional[asyncio.Future] = None
         self._want = 0
-        #: called when something arrives that no parked read waits for
-        self._on_unread: Optional[Callable] = None
         self._reading_paused = False
         self._writing_paused = False
         self._drain_waiters: deque = deque()
@@ -107,10 +103,7 @@ class LiveSocket(asyncio.Protocol):
         if self._waiter is not None:
             if self._buffered >= self._want:
                 self._wake()
-            return
-        if self._on_unread is not None and self._on_unread():
-            return  # a reader is on its way
-        if self._buffered > HIGH_WATER and not self._reading_paused:
+        elif self._buffered > HIGH_WATER and not self._reading_paused:
             self._reading_paused = True
             self._transport.pause_reading()
 
@@ -150,32 +143,6 @@ class LiveSocket(asyncio.Protocol):
         """Received bytes a read takes without waiting."""
         return self._buffered
 
-    @property
-    def readable(self) -> bool:
-        """A read returns (bytes, ``b""`` or the reset) without waiting."""
-        return bool(self._buffered) or self._eof
-
-    def holds(self, n: int) -> bool:
-        """A read of ``n`` bytes may start now: they are buffered, the
-        stream has ended, or nothing more arrives until a read makes room."""
-        return self._buffered >= n or self._eof or self._reading_paused
-
-    def peek(self, n: int) -> bytes:
-        """Up to ``n`` buffered bytes, left for the next read."""
-        head, out = self._head, b""
-        for chunk in self._chunks:
-            out += chunk[head:head + n - len(out)]
-            if len(out) == n:
-                break
-            head = 0
-        return out
-
-    def watch_unread(self, callback: Optional[Callable]) -> None:
-        """Call ``callback()`` whenever bytes, the peer's EOF or the
-        connection's end arrive while no read is parked; a true answer says
-        a reader was woken for them, so reading does not pause."""
-        self._on_unread = callback
-
     async def send_all(self, data: bytes) -> None:
         transport = self._transport
         transport.write(data)
@@ -206,17 +173,6 @@ class LiveSocket(asyncio.Protocol):
                     f"stream ended with {n - self._buffered}/{n} bytes missing")
             await self._wait(n)
         return self._take(n) if n else b""
-
-    async def recv_view(self, n: int):
-        """:meth:`recv_exactly` for a reader that only looks: bytes that lie
-        in one received chunk come as a view of it, not a copy."""
-        while self._buffered < n:
-            if self._eof:
-                self._end()
-                raise EOFError(
-                    f"stream ended with {n - self._buffered}/{n} bytes missing")
-            await self._wait(n)
-        return self._take(n, view=True) if n else b""
 
     def close(self) -> None:
         self._transport.close()
@@ -249,13 +205,9 @@ class LiveSocket(asyncio.Protocol):
             self._waiter = None
 
     def _wake(self) -> None:
-        """The end arrived: the parked read returns, else it is news."""
         waiter, self._waiter = self._waiter, None
-        if waiter is not None:
-            if not waiter.done():  # else: cancelled
-                waiter.set_result(None)
-        elif self._on_unread is not None:
-            self._on_unread()
+        if waiter is not None and not waiter.done():  # else: cancelled
+            waiter.set_result(None)
 
     def _end(self) -> bytes:
         """Nothing buffered is left: the reset's error, else EOF."""
@@ -263,24 +215,20 @@ class LiveSocket(asyncio.Protocol):
             raise self._lost
         return b""
 
-    def _take(self, n: int, view: bool = False) -> bytes:
+    def _take(self, n: int) -> bytes:
         """The next ``n`` buffered bytes: the first chunk whole, a slice of
-        it (with ``view``, a view of it), or the one join of the chunks
-        they span."""
+        it, or the one join of the chunks they span."""
         chunks = self._chunks
         chunk = chunks[0]
         head = self._head
         end = head + n
         if end < len(chunk):
             self._head = end
-            data = memoryview(chunk)[head:end] if view else chunk[head:end]
+            data = chunk[head:end]
         elif end == len(chunk):
             chunks.popleft()
             self._head = 0
-            if not head:
-                data = chunk
-            else:
-                data = memoryview(chunk)[head:] if view else chunk[head:]
+            data = chunk[head:] if head else chunk
         else:
             parts = []
             while n:

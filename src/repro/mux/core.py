@@ -19,7 +19,6 @@ from typing import Callable, Optional
 
 from .. import obs
 from ..obs import TraceContext
-from ..util.bytesbuf import frozen, split_parts
 from ..util.sizes import DEFAULT_WINDOW, LONE_DATA_PAYLOAD, cut
 from . import frames
 from .frames import MuxProtocolError
@@ -80,8 +79,6 @@ class ChannelState:
         self._error: Optional[BaseException] = None
         #: WAKE_* kind -> whatever the binding parks this channel's callers on
         self._waiters: dict = {}
-        #: what the binding calls when something arrives nobody reads
-        self._on_unread = None
         reg = obs.metrics()
         labels = {"node": endpoint.node, "channel": str(channel_id)}
         self._m_tx_bytes = reg.counter("mux.tx_bytes", **labels)
@@ -96,21 +93,14 @@ class ChannelState:
     def write(self, data: bytes) -> None:
         """Queue ``data``: it reaches the wire as credit allows and is never
         dropped; ``_tx_buffered`` is back to zero at ``WAKE_DRAINED``."""
-        self.write_parts((data,))
-
-    def write_parts(self, parts) -> None:
-        """:meth:`write` of the concatenation of ``parts``, kept as they
-        are (bytes are not copied) until a DATA frame carries them."""
         if self._error is not None:
             raise self._error
         if self._pending_close is not None:
             raise self._ep.closed_error(
                 f"mux channel {self.channel_id} closed")
-        parts = frozen(parts)
-        size = sum(map(len, parts))
-        if size:
-            self._txq.append((size, parts))
-            self._tx_buffered += size
+        if data:
+            self._txq.append(bytes(data))
+            self._tx_buffered += len(data)
             self._ep._update_ready(self)
 
     def read(self, maxbytes: int) -> Optional[bytes]:
@@ -131,11 +121,6 @@ class ChannelState:
             grant, self._consumed_since_grant = self._consumed_since_grant, 0
             self._grant(grant)
         return chunk
-
-    @property
-    def readable(self) -> bool:
-        """:meth:`read` has data, the end or the error to hand over."""
-        return bool(self._rxq) or self._error is not None or self._remote_closed
 
     def _grant_threshold(self) -> int:
         """Consumed bytes that earn the peer a CREDIT: half the window —
@@ -482,32 +467,26 @@ class MuxCore:
         moment one is; never more than the peer's credit, and never cut so
         as to leave a runt.  Asking acknowledges that the previous frame
         has been handed to the carrier (:meth:`frame_sent`)."""
-        parts = self.next_frame_parts()
-        return None if parts is None else b"".join(parts)
-
-    def next_frame_parts(self) -> Optional[tuple]:
-        """:meth:`next_frame` as the buffers it is made of — a DATA frame's
-        header, then the written bytes it carries, uncopied."""
         self.frame_sent()
         if self._ctlq:
             self._m_frames_tx.inc()
-            return (self._ctlq.popleft(),)
+            return self._ctlq.popleft()
         channel = self._pick_ready()
         if channel is None:
             return None
-        size, payload = channel._txq.popleft()
+        payload = channel._txq.popleft()
         quantum = (LONE_DATA_PAYLOAD if self.scheduler.lone()
                    else MAX_DATA_PAYLOAD)
-        take = cut(size, min(quantum, channel._tx_credit))
-        if take < size:
-            payload, rest = split_parts(payload, take)
-            channel._txq.appendleft((size - take, rest))
-        channel._tx_buffered -= take
-        channel._tx_credit -= take
+        take = cut(len(payload), min(quantum, channel._tx_credit))
+        if take < len(payload):
+            channel._txq.appendleft(payload[take:])
+            payload = payload[:take]
+        channel._tx_buffered -= len(payload)
+        channel._tx_credit -= len(payload)
         self._update_ready(channel)
-        self._in_flight = (channel, take)
+        self._in_flight = (channel, len(payload))
         self._m_frames_tx.inc()
-        return (frames.data_header(channel.channel_id, take), *payload)
+        return frames.encode_data(channel.channel_id, payload)
 
     def _pick_ready(self) -> Optional[ChannelState]:
         while True:

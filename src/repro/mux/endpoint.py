@@ -12,10 +12,8 @@ stacks, block channels and survivable sessions compose over it unchanged.
 The protocol itself lives in :mod:`repro.mux.core`; this module is its
 one binding: the HELLO exchange, the carrier's write turn (taken by the
 task that calls :meth:`MuxChannel.send_all`, and by the tx pump for frames
-no writer is waiting to send), its read turn (taken by the task that calls
-:meth:`MuxChannel.recv` with nothing buffered, and by the rx pump for
-frames that arrive while nobody reads), and the parking of callers until
-the core wakes them, written as generator-based coroutines over
+no writer is waiting to send), the rx pump, and the parking of callers
+until the core wakes them, written as generator-based coroutines over
 :mod:`repro.core.runtime`.  On the simulator the runtime comes with the
 link; :mod:`repro.livenet.mux` subclasses name the asyncio one.
 """
@@ -27,8 +25,8 @@ from typing import Generator, Optional
 
 from .. import obs
 from ..core.links import Link, LinkClosed, transport_errors
-from ..core.runtime import Bound, ReadTurn
-from ..core.wire import FrameReader, WireError, recv_frame, send_frame
+from ..core.runtime import Bound
+from ..core.wire import WireError, recv_frame, send_frame
 from ..obs import TraceContext
 from .core import (
     DEFAULT_WINDOW,
@@ -70,43 +68,25 @@ class MuxChannel(ChannelState, Link):
 
     @coroutine
     def send_all(self, data: bytes) -> Generator:
-        yield from self.send_parts((data,))
-
-    @coroutine
-    def send_parts(self, parts) -> Generator:
-        """Queue the concatenation of ``parts`` (not copied) and block until
-        the scheduler has put every byte on the wire under credit —
-        backpressure, never drops.  When the carrier's write turn is free
-        the caller takes it and writes the frames itself; otherwise
-        whoever holds it, or the tx pump after them, does."""
+        """Queue ``data`` and block until the scheduler has put every byte
+        on the wire under credit — backpressure, never drops.  When the
+        carrier's write turn is free the caller takes it and writes the
+        frames itself; otherwise whoever holds it, or the tx pump after
+        them, does."""
         ep = self._ep
         if ep._writing:
-            self.write_parts(parts)
+            self.write(data)
         else:
-            yield from ep._write_turn(self, parts)
+            yield from ep._write_turn(self, data)
         while self._tx_buffered > 0 and self._error is None:
             yield from ep._wait(self.WAKE_DRAINED, self)
         if self._error is not None:
             raise self._error
 
-    def watch_unread(self, callback) -> None:
-        """Call ``callback()`` when data, the end or an error arrive while
-        nobody reads this channel (a session's read turn asks)."""
-        self._on_unread = callback
-
-    @property
-    def read_turn(self) -> ReadTurn:
-        """What a read of this channel takes: the carrier's turn."""
-        return self._ep._turn
-
     @coroutine
     def recv(self, maxbytes: int) -> Generator:
-        """Up to ``maxbytes``; with nothing buffered the caller reads the
-        carrier itself while its read turn is free, until this channel has
-        something — frames for other channels go to their owners."""
-        ep = self._ep
         while (chunk := self.read(maxbytes)) is None:
-            yield from ep._turn.wait(self, self._waiters, self.WAKE_RX)
+            yield from self._ep._wait(self.WAKE_RX, self)
         return chunk
 
 
@@ -125,10 +105,10 @@ class MuxEndpoint(Bound, MuxCore):
         super().__init__(role, window=window, scheduler=scheduler, node=node)
         self.link = link
         self.flight = flight
-        #: a reader or the rx pump is pulling frames off the carrier
-        self._frames = FrameReader()
-        self._turn = ReadTurn(self.runtime, self._read_frame, self._feed,
-                              self._frames.ready)
+        #: what a read raises once the carrier is dead: a transport's
+        #: errors, or the carrier's own (a failed session's, say)
+        self._carrier_errors = (*self._transport_errors,
+                                getattr(link, "error_class", LinkClosed))
 
     @classmethod
     @coroutine
@@ -146,9 +126,7 @@ class MuxEndpoint(Bound, MuxCore):
             decode_hello((yield from recv_frame(link)))
         endpoint = cls(link, role, window=window, scheduler=scheduler,
                        node=node, flight=flight)
-        endpoint._turn.watch(link)
-        endpoint._spawn(endpoint._turn.pump(link),
-                        f"mux-rx:{node}")
+        endpoint._spawn(endpoint._rx_pump(), f"mux-rx:{node}")
         endpoint._spawn(endpoint._tx_pump(), f"mux-tx:{node}")
         if flight is not None:
             flight.note("mux.establish", ctx=ctx, role=role,
@@ -195,12 +173,10 @@ class MuxEndpoint(Bound, MuxCore):
         """Tear down the endpoint and every channel (the link dies too)."""
         if not self._closed:
             super().close()
-            self._turn.watch(None)
             self.link.close()
 
     def fail(self, exc: BaseException) -> None:
         super().fail(exc)
-        self._turn.watch(None)
         if self.flight is not None:
             self.flight.note("mux.endpoint_failed", node=self.node,
                              error=type(exc).__name__)
@@ -213,30 +189,17 @@ class MuxEndpoint(Bound, MuxCore):
     def wake(self, what: str, channel: Optional[MuxChannel] = None) -> None:
         if what == self.WAKE_TX and self._writing:
             return  # the turn's holder sends it, or wakes the pump after
-        if (not self.runtime.unpark((channel or self)._waiters, what)
-                and what == MuxChannel.WAKE_RX and channel is not None
-                and channel._on_unread is not None
-                and self._turn.holder is not channel):
-            channel._on_unread()
+        self.runtime.unpark((channel or self)._waiters, what)
 
-    # -- the carrier's turns ---------------------------------------------------
+    # -- pumps ---------------------------------------------------------------
     @coroutine
-    def _read_frame(self, link: Link) -> Generator:
-        """The next frame off the carrier (whoever holds its read turn runs
-        this); None once the carrier failed."""
+    def _rx_pump(self) -> Generator:
         try:
-            return (yield from self._frames.read(link))
-        except self._transport_errors as exc:
+            while not self._closed:
+                self.feed((yield from recv_frame(self.link)))
+        except self._carrier_errors as exc:
             self.fail(exc)
-        except WireError as exc:
-            self.fail(exc)
-            self._violation()
-        return None
-
-    def _feed(self, body) -> None:
-        try:
-            self.feed(body)
-        except MuxProtocolError as exc:
+        except (MuxProtocolError, WireError) as exc:
             self.fail(exc)
             self._violation()
 
@@ -245,19 +208,19 @@ class MuxEndpoint(Bound, MuxCore):
         self.link.abort()
 
     @coroutine
-    def _write_turn(self, channel: MuxChannel, parts) -> Generator:
-        """``channel``'s writer holds the carrier: queue ``parts``, write
+    def _write_turn(self, channel: MuxChannel, data: bytes) -> Generator:
+        """``channel``'s writer holds the carrier: queue ``data``, write
         frames in the core's order (control first, then scheduler turns,
         whoever's they are) until ``channel`` has drained or nothing can be
         sent, acknowledge the last one and hand the turn back, waking the
         tx pump only if it has something to do."""
         self._writing = True
         try:
-            channel.write_parts(parts)
+            channel.write(data)
             while channel._tx_buffered and (
-                    frame := self.next_frame_parts()) is not None:
+                    frame := self.next_frame()) is not None:
                 try:
-                    yield from send_frame(self.link, *frame)
+                    yield from send_frame(self.link, frame)
                 except self._transport_errors as exc:
                     self.fail(exc)
                     return
@@ -279,11 +242,11 @@ class MuxEndpoint(Bound, MuxCore):
                     continue
                 if not self.alive:
                     return
-                frame = self.next_frame_parts()
+                frame = self.next_frame()
                 if frame is not None:
                     self._writing = True
                     try:
-                        yield from send_frame(self.link, *frame)
+                        yield from send_frame(self.link, frame)
                     finally:
                         self._writing = False
                 elif self.idle:

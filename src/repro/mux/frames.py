@@ -61,7 +61,6 @@ __all__ = [
     "encode_open",
     "encode_accept",
     "encode_data",
-    "data_header",
     "encode_credit",
     "encode_close",
     "encode_window",
@@ -153,13 +152,8 @@ def encode_accept(channel: int, window: int) -> bytes:
     return _header(T_ACCEPT, channel).u32(window).getvalue()
 
 
-def data_header(channel: int, length: int) -> bytes:
-    """A DATA frame up to the ``length`` payload bytes that follow it."""
-    return _DATA_HEAD.pack(T_DATA, channel, length)
-
-
 def encode_data(channel: int, payload: bytes) -> bytes:
-    return data_header(channel, len(payload)) + payload
+    return _DATA_HEAD.pack(T_DATA, channel, len(payload)) + payload
 
 
 def encode_credit(channel: int, grant: int) -> bytes:

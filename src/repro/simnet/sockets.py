@@ -58,23 +58,6 @@ class SimSocket:
         """Send all of ``data``, blocking on send-buffer backpressure."""
         yield self._tcp.send(data)
 
-    @property
-    def readable(self) -> bool:
-        """A recv completes without waiting."""
-        return self._tcp.readable
-
-    def holds(self, n: int) -> bool:
-        """A read of ``n`` bytes may start now (:meth:`TcpSocket.holds`)."""
-        return self._tcp.holds(n)
-
-    def peek(self, n: int) -> bytes:
-        return self._tcp.peek(n)
-
-    def watch_unread(self, callback) -> None:
-        """Call ``callback()`` when bytes or the end arrive while no recv
-        waits."""
-        self._tcp._on_unread = callback
-
     def recv(self, maxbytes: int) -> Generator:
         """Receive up to ``maxbytes``; returns b"" at EOF."""
         data = yield self._tcp.recv(maxbytes)

@@ -407,8 +407,6 @@ class TcpSocket:
         self.connected: Event = self.sim.event()
         self._recv_waiters: list[tuple[Event, int]] = []
         self._send_waiters: list[tuple[Event, bytes]] = []
-        #: called when bytes or the end arrive while no recv waits
-        self._on_unread = None
         self._listener: Optional[ListenSocket] = None
         self._error: Optional[TcpError] = None
 
@@ -986,32 +984,12 @@ class TcpSocket:
             self._send(seq=self.snd_nxt, ack=self.rcv_nxt, ack_flag=True)
 
     def _wake_receivers(self) -> None:
-        if not self._recv_waiters:
-            if self._on_unread is not None and (self._rcvbuf or self._eof):
-                self._on_unread()
-            return
         while self._recv_waiters and (self._rcvbuf or self._eof):
             ev, maxbytes = self._recv_waiters.pop(0)
             if self._rcvbuf:
                 self._fulfill_recv(ev, maxbytes)
             else:
                 ev.succeed(b"")
-
-    @property
-    def readable(self) -> bool:
-        """:meth:`recv` completes (data, EOF or the error) without waiting."""
-        return self.holds(1)
-
-    def holds(self, n: int) -> bool:
-        """A read of ``n`` bytes may start now: they are buffered, a recv
-        ends the stream at once, or the window is too closed for more."""
-        return (len(self._rcvbuf) >= n or self._eof or self._error is not None
-                or self.state in (CLOSED, TIME_WAIT, LAST_ACK)
-                or self._rcv_window() < self.cfg.mss)
-
-    def peek(self, n: int) -> bytes:
-        """Up to ``n`` buffered bytes, left for the next recv."""
-        return bytes(self._rcvbuf[:n])
 
     def close(self) -> None:
         """Graceful close: FIN after the send buffer drains."""
@@ -1072,8 +1050,6 @@ class TcpSocket:
             ev.fail(error)
         self._send_waiters.clear()
         self._eof = True
-        if not self._recv_waiters and self._on_unread is not None:
-            self._on_unread()
         for ev, maxbytes in self._recv_waiters:
             if self._rcvbuf:
                 take = bytes(self._rcvbuf[:maxbytes])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-__all__ = ["AggregationBuffer", "take", "frozen", "split_parts"]
+__all__ = ["AggregationBuffer", "take"]
 
 
 def take(buf: bytearray, maxbytes: int) -> bytes:
@@ -24,30 +24,6 @@ def take(buf: bytearray, maxbytes: int) -> bytes:
             data = bytes(view[:maxbytes])
         del buf[:maxbytes]
     return data
-
-
-def frozen(parts) -> tuple:
-    """``parts`` as buffers nobody can change behind our back: bytes and
-    read-only views as they are, anything mutable copied."""
-    for part in parts:
-        if type(part) is not bytes and not (
-                type(part) is memoryview and part.readonly):
-            return tuple(part if type(part) is bytes else bytes(part)
-                         for part in parts)
-    return tuple(parts)
-
-
-def split_parts(parts: tuple, n: int) -> tuple:
-    """``parts`` cut after their first ``n`` bytes, as ``(head, tail)``;
-    the part the cut falls in is shared by two views, not copied."""
-    for i, part in enumerate(parts):
-        if n == 0:
-            return parts[:i], parts[i:]
-        if n < len(part):
-            view = memoryview(part)
-            return (*parts[:i], view[:n]), (view[n:], *parts[i + 1:])
-        n -= len(part)
-    return parts, ()
 
 
 class AggregationBuffer:

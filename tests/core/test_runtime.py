@@ -17,7 +17,6 @@ from repro.core.links import Link
 from repro.core.relay import RelayClient, RoutedLink
 from repro.core.retry import retrying
 from repro.core.session import SessionLink
-from repro.core.wire import FrameReader
 from repro.mux.endpoint import MuxChannel, MuxEndpoint
 
 from ..dual import LiveHarness, SimHarness
@@ -216,17 +215,15 @@ def test_spawn_carries_its_name_and_now_moves(harness):
 # -- the mechanism itself -----------------------------------------------------
 
 _WAITING = {
-    MuxChannel: ("send_all", "send_parts", "recv"),
+    MuxChannel: ("send_all", "recv"),
     MuxEndpoint: ("establish", "open_channel", "accept_channel"),
     RelayClient: ("connect", "wait_connected", "open_link", "accept_link"),
-    RoutedLink: ("send_all", "send_parts", "recv"),
-    SessionLink: ("send_all", "send_parts", "recv"),
+    RoutedLink: ("send_all", "recv"),
+    SessionLink: ("send_all", "recv"),
     Link: ("recv_exactly",),
     runtime_module.SimRuntime: ("park", "wait", "sleep", "bounded"),
     runtime_module.AsyncioRuntime: ("park", "wait", "sleep", "bounded"),
     runtime_module._Queue: ("get",),
-    runtime_module.ReadTurn: ("wait", "pump"),
-    FrameReader: ("read",),
 }
 
 

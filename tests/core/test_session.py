@@ -560,40 +560,6 @@ class TestReplayRetuneLive(ReplayRetuneCases):
     harness = LiveSessions
 
 
-@pytest.mark.livenet
-class TestSessionReadTurnLive:
-    """The raw link's read turn: a reader pulls what it waits for itself;
-    the session pump runs only for what arrives while nobody reads."""
-
-    def test_a_lone_readers_bytes_arrive_with_no_pump_wake(self):
-        async def script(h, ini, res):
-            unparks = dual.pump_unparks(res._turn)
-            got = []
-            for i in range(3):
-                _, data = await h.gather(h.send(ini, bytes([i]) * 20_000),
-                                         h.recv_exactly(res, 20_000))
-                got.append(data)
-            return got, unparks.wakes
-
-        got, wakes = LiveSessions().run(script)
-        assert got == [bytes([i]) * 20_000 for i in range(3)]
-        assert wakes == 0, "the session pump pulled what a reader waited for"
-
-    def test_a_reader_cancelled_mid_turn_hands_the_turn_back(self):
-        async def script(h, ini, res):
-            reader = h.spawn(res.recv(10))
-            await h.sleep(1)
-            held = res._turn.holder is res
-            reader.cancel()
-            await h.sleep(1)
-            freed = res._turn.holder is None and reader.done()
-            _, data = await h.gather(h.send(ini, b"after"),
-                                     h.recv_exactly(res, 5))
-            return held, freed, data
-
-        assert LiveSessions().run(script) == (True, True, b"after")
-
-
 class TestReplayBuffer:
     def test_basic_window(self):
         buf = ReplayBuffer()

@@ -32,26 +32,6 @@ from repro.simnet.testing import two_public_hosts
 from .livenet.conftest import LIVENET_DEADLINE, eventually, socket_pairs
 
 
-class _Counted(dict):
-    """A pump's parking place that counts the wakes that reach it."""
-
-    def __init__(self, parked):
-        super().__init__(parked)
-        self.wakes = 0
-
-    def pop(self, key, default=None):
-        parked = super().pop(key, default)
-        self.wakes += sum(not event.done() for event in parked or ())
-        return parked
-
-
-def pump_unparks(turn) -> _Counted:
-    """Every wake that reaches a read turn's parked pump, from now on
-    (``.wakes``): a real unpark, not a wake with nobody parked."""
-    turn._idle = counted = _Counted(turn._idle)
-    return counted
-
-
 class _Steps:
     """Awaitable view of a simulator generator."""
 

@@ -20,7 +20,7 @@ from repro.livenet import LiveRelayClient, LiveRelayServer
 from repro.livenet import relay as relay_module
 from repro.mesh.config import MeshConfig
 
-from ..dual import LiveRelay, pump_unparks
+from ..dual import LiveRelay
 from .conftest import eventually
 
 pytestmark = pytest.mark.livenet
@@ -134,46 +134,3 @@ def test_concurrent_forwards_share_one_trunk_and_stop_leaves_none(live_run, monk
     assert raced == 2, "the two forwards did not race; the test proves nothing"
     assert (kept, readers) == (1, 1)
     assert trunks == {}
-
-
-def test_a_lone_readers_frames_arrive_with_no_relay_pump_wake():
-    """The reader holds the relay connection's read turn: every frame for
-    its link is pulled by its own task, none by the client's pump."""
-    async def script(h, a, b):
-        link = await a.open_link("node1")
-        peer = await b.accept_link()
-        unparks = pump_unparks(b._turn)
-        got = []
-        for i in range(3):
-            _, data = await asyncio.gather(link.send_all(bytes([i]) * 30_000),
-                                           peer.recv_exactly(30_000))
-            got.append(data)
-        return got, unparks.wakes
-
-    got, wakes = LiveRelay().run(script)
-    assert got == [bytes([i]) * 30_000 for i in range(3)]
-    assert wakes == 0, "the relay pump pulled what a reader waited for"
-
-
-def test_a_frame_pulled_for_another_link_reaches_its_owner():
-    async def script(h, a, b):
-        first, second = await a.open_link("node1"), await a.open_link("node1")
-        got = {}
-
-        async def read(name, link, n):
-            got[name] = await link.recv_exactly(n)
-
-        mine, theirs = await b.accept_link(), await b.accept_link()
-        one = asyncio.ensure_future(read("one", mine, 3))
-        await asyncio.sleep(0.01)
-        holder = b._turn.holder
-        two = asyncio.ensure_future(read("two", theirs, 3))
-        await asyncio.sleep(0.01)
-        await second.send_all(b"two")
-        await eventually(lambda: "two" in got)
-        still = b._turn.holder
-        await first.send_all(b"one")
-        await asyncio.gather(one, two)
-        return holder is mine, still is mine, got
-
-    assert LiveRelay().run(script) == (True, True, {"one": b"one", "two": b"two"})

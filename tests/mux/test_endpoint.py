@@ -9,7 +9,6 @@ a frame on the carrier.  Scheduling fairness is timing-shaped, so it stays
 on the simulator's deterministic clock.
 """
 
-import asyncio
 from types import coroutine
 
 import pytest
@@ -18,7 +17,6 @@ from repro import obs
 from repro.mux import MuxProtocolError, WeightedScheduler
 from repro.mux import frames as f
 
-from ..dual import pump_unparks
 from .conftest import LiveHarness, SimHarness
 
 
@@ -250,6 +248,33 @@ class FailureCases:
         mux.run(script)
         assert len(errors) == 2
 
+    def test_a_carrier_failure_of_its_own_fails_every_channel(self, mux):
+        seen = {}
+
+        async def script(h, raw_ini, raw_resp):
+            carrier = _OwnErrorCarrier(raw_resp)
+            ini, resp = await h.gather(h.establish(raw_ini, "initiator"),
+                                       h.establish(carrier, "responder"))
+            try:
+                tx, rx = await h.gather(h.open(ini), h.accept(resp))
+                carrier.dead = True
+
+                async def read():
+                    try:
+                        await h.recv(rx, 10)
+                    except Exception as exc:
+                        seen["reader"] = exc
+
+                await h.gather(read(), h.send(tx, b"wakes the rx pump"))
+                seen["alive"] = resp.alive
+            finally:
+                ini.close()
+                resp.close()
+
+        mux.run(script, establish=False)
+        assert isinstance(seen["reader"], _CarrierFailed)
+        assert seen["alive"] is False
+
     def test_endpoint_close_is_clean(self, mux):
         state = {}
 
@@ -353,6 +378,31 @@ class ViolationCases:
         seen = self._run(mux, b"\xff\xff\xff\xff")
         assert isinstance(seen["reader"], WireError)
         assert not seen["endpoint"].alive and "carrier" in seen
+
+
+class _CarrierFailed(Exception):
+    """A carrier's own failure (a session's, say), not a transport error."""
+
+
+class _OwnErrorCarrier:
+    """A carrier with an error class of its own, as a session has: once
+    ``dead``, the next read of it raises that."""
+
+    error_class = _CarrierFailed
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dead = False
+
+    @coroutine
+    def recv_exactly(self, n):
+        data = yield from self.inner.recv_exactly(n)
+        if self.dead:
+            raise _CarrierFailed("the carrier failed under its reader")
+        return data
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
 
 
 class _SlowCarrier:
@@ -521,142 +571,6 @@ class WriteTurnCases:
         assert seen == {"data": b"last words", "eof": b""}
 
 
-def _stop(task) -> None:
-    """Cancel a spawned task, or interrupt a simulator process."""
-    if isinstance(task, asyncio.Future):
-        task.cancel()
-    else:
-        task.interrupt("stop")
-
-
-def _stopped(task) -> bool:
-    return task.done() if isinstance(task, asyncio.Future) else not task.is_alive
-
-
-class ReadTurnCases:
-    """Who pulls a frame off the carrier: the reader that holds the read
-    turn, until its own channel has something, or the rx pump for what
-    arrives while nobody reads."""
-
-    def test_a_lone_readers_blocks_arrive_with_no_rx_pump_wake(self, mux):
-        block = bytes(range(256)) * 256
-        got = {}
-
-        async def script(h, ini, resp):
-            tx, rx = await h.gather(h.open(ini), h.accept(resp))
-            unparks = pump_unparks(resp._turn)
-            chunks = []
-            for _ in range(3):
-                _, chunk = await h.gather(h.send(tx, block),
-                                          h.recv_exactly(rx, len(block)))
-                chunks.append(chunk)
-            got["data"] = b"".join(chunks)
-            got["wakes"] = unparks.wakes
-
-        mux.run(script)
-        assert got["data"] == 3 * block
-        assert got["wakes"] == 0, "the rx pump pulled what a reader waited for"
-
-    def test_a_frame_pulled_for_another_channel_reaches_its_owner(self, mux):
-        seen = []
-
-        async def script(h, ini, resp):
-            tx1, rx1 = await h.gather(h.open(ini), h.accept(resp))
-            tx2, rx2 = await h.gather(h.open(ini), h.accept(resp))
-
-            async def read(name, channel, n):
-                seen.append((name, await h.recv_exactly(channel, n)))
-
-            h.spawn(read("first", rx1, 5))
-            await h.sleep(0.1)
-            holder = resp._turn.holder
-            h.spawn(read("second", rx2, 6))  # finds the turn taken: waits
-            await h.sleep(0.1)
-            await h.send(tx2, b"second")
-            await h.until(lambda: len(seen) == 1)
-            still = resp._turn.holder
-            await h.send(tx1, b"first")
-            await h.until(lambda: len(seen) == 2)
-            return holder is rx1, still is rx1
-
-        assert mux.run(script) == (True, True)
-        assert seen == [("second", b"second"), ("first", b"first")]
-
-    def test_credit_and_open_arriving_while_nobody_reads_are_applied(self, mux):
-        payload = bytes(range(256)) * 96  # three windows' worth
-
-        async def script(h, ini, resp):
-            tx, rx = await h.gather(h.open(ini), h.accept(resp))
-            # nobody reads on ini: the CREDITs this write waits for, and
-            # the OPEN below, are pulled by its rx pump
-            _, got = await h.gather(h.send(tx, payload),
-                                    h.recv_exactly(rx, len(payload)))
-            await h.gather(h.open(resp, tag=b"back"),
-                           h.accept(ini, tag=b"back"))
-            return got, ini._turn.holder
-
-        assert mux.run(script, window=8192) == (payload, None)
-
-    def test_a_reader_cancelled_mid_turn_hands_the_turn_back(self, mux):
-        seen = {}
-
-        async def script(h, ini, resp):
-            tx, rx = await h.gather(h.open(ini), h.accept(resp))
-
-            async def reader():
-                try:
-                    await h.recv(rx, 10)
-                except BaseException as exc:
-                    seen["stopped"] = type(exc).__name__
-                    if isinstance(exc, asyncio.CancelledError):
-                        raise
-
-            task = h.spawn(reader())
-            await h.sleep(0.1)
-            seen["held"] = resp._turn.holder is rx
-            _stop(task)
-            await h.sleep(0.1)
-            seen["freed"] = resp._turn.holder is None and _stopped(task)
-            # the next recv takes the turn; the pump applies what nobody reads
-            _, seen["data"] = await h.gather(h.send(tx, b"after"),
-                                             h.recv_exactly(rx, 5))
-            await h.gather(h.open(resp, tag=b"back"),
-                           h.accept(ini, tag=b"back"))
-
-        mux.run(script)
-        assert seen.pop("stopped") in ("CancelledError", "Interrupt")
-        assert seen == {"held": True, "freed": True, "data": b"after"}
-
-    def test_a_transport_error_mid_turn_fails_the_endpoint_once(self, mux):
-        errors = {}
-        fails = []
-
-        async def script(h, ini, resp):
-            tx1, rx1 = await h.gather(h.open(ini), h.accept(resp))
-            tx2, rx2 = await h.gather(h.open(ini), h.accept(resp))
-            fail = resp.fail
-            resp.fail = lambda exc: (fails.append(exc), fail(exc))
-
-            async def read(name, channel):
-                try:
-                    await h.recv(channel, 10)
-                except Exception as exc:
-                    errors[name] = exc
-
-            h.spawn(read("one", rx1))
-            await h.sleep(0.1)
-            h.spawn(read("two", rx2))
-            await h.sleep(0.1)
-            holder = resp._turn.holder
-            mux.carrier(ini).abort()
-            await h.until(lambda: len(errors) == 2)
-            return holder is rx1
-
-        assert mux.run(script) is True
-        (failure,) = fails
-        assert errors["one"] is errors["two"] is failure
-
-
 @pytest.fixture
 def mux(request):
     return request.cls.harness()
@@ -704,15 +618,6 @@ class TestWriteTurn(WriteTurnCases):
 
 @pytest.mark.livenet
 class TestWriteTurnLive(WriteTurnCases):
-    harness = LiveHarness
-
-
-class TestReadTurn(ReadTurnCases):
-    harness = SimHarness
-
-
-@pytest.mark.livenet
-class TestReadTurnLive(ReadTurnCases):
     harness = LiveHarness
 
 
