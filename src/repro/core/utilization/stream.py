@@ -44,12 +44,28 @@ class BlockChannel:
     # -- writing ------------------------------------------------------------
     @coroutine
     def write(self, data: bytes) -> Generator:
-        """Buffer ``data``; full blocks are sent as they complete."""
+        """Buffer ``data``; full blocks are sent as they complete.  A block
+        that lies wholly inside ``data`` is sent as one slice of it: only
+        what completes the buffered block and what is left over pass
+        through the buffer.  One writer at a time: a write parked in
+        ``send_block`` has not yet buffered its tail (a message is several
+        writes, so concurrent writers never could share a channel)."""
         self.bytes_written += len(data)
-        self._out.extend(data)
-        while len(self._out) >= self.block_size:
-            block = take(self._out, self.block_size)
+        out, size = self._out, self.block_size
+        start, end = 0, len(data)
+        if out:
+            start = min(size - len(out), end)
+            out += data[:start]
+            if len(out) < size:
+                return
+            block = bytes(out)
+            out.clear()
             yield from self.driver.send_block(block)
+        while end - start >= size:
+            yield from self.driver.send_block(bytes(data[start:start + size]))
+            start += size
+        if start < end:
+            out += data[start:]
 
     @coroutine
     def flush(self) -> Generator:

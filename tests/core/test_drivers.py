@@ -461,6 +461,43 @@ class TestBlockChannel:
         inet.sim.run(until=inet.sim.now + 30)
         assert result == {"data": b"tail", "eof": b""}
 
+    @given(chunks=st.lists(st.binary(max_size=300), max_size=20),
+           block_size=st.integers(1, 128),
+           kind=st.sampled_from(["bytes", "bytearray", "memoryview"]))
+    @settings(max_examples=200, deadline=None)
+    def test_blocks_are_the_stream_cut_at_block_size_however_it_is_written(
+            self, chunks, block_size, kind):
+        """Blocks are cut where the stream crosses a block boundary, not
+        where a write does: a block inside one large write leaves as a
+        slice of it, the rest through the buffer.  Every block is ``bytes``
+        of its own, so a caller that reuses its buffer changes nothing
+        already sent."""
+        sent = []
+
+        class Recorder:
+            def send_block(self, block):
+                sent.append(block)
+                yield
+
+        def drive(steps):
+            for _ in steps:
+                pass
+
+        make = {"bytes": bytes, "bytearray": bytearray,
+                "memoryview": lambda c: memoryview(bytearray(c))}[kind]
+        buffers = [make(chunk) for chunk in chunks]
+        channel = BlockChannel(Recorder(), block_size=block_size)
+        for buf in buffers:
+            drive(channel.write(buf))
+            if kind != "bytes":
+                buf[:] = bytes(len(buf))  # the caller reuses its buffer
+        drive(channel.flush())
+        stream = b"".join(chunks)
+        assert sent == [stream[i:i + block_size]
+                        for i in range(0, len(stream), block_size)]
+        assert all(type(block) is bytes for block in sent)
+        assert channel.bytes_written == len(stream)
+
     def test_bad_block_size(self):
         with pytest.raises(ValueError):
             BlockChannel(None, block_size=0)

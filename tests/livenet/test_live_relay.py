@@ -16,7 +16,12 @@ import pytest
 from repro.core.relay import RelayError
 from repro.core.relay_core import PING_FRAME
 from repro.core.wire import send_frame
-from repro.livenet import LiveRelayClient, LiveRelayServer
+from repro.livenet import (
+    AsyncSessionLink,
+    AsyncSessionListener,
+    LiveRelayClient,
+    LiveRelayServer,
+)
 from repro.livenet import relay as relay_module
 from repro.mesh.config import MeshConfig
 
@@ -84,6 +89,54 @@ def test_keepalive_ping_is_absorbed():
         return data, sorted(h.relay.sessions), a.connected
 
     assert LiveRelay().run(script) == (b"after-ping", ["node0", "node1"], True)
+
+
+class _IncomingLinks:
+    """``accept``/``close``/``addr`` over a relay client's incoming links."""
+
+    addr = ("relay", 0)
+
+    def __init__(self, client):
+        self._client = client
+
+    async def accept(self):
+        return await self._client.accept_link()
+
+    def close(self) -> None:
+        pass  # the relay client is closed by the harness
+
+
+def test_a_session_violation_fails_that_session_and_the_relay_connection_serves_on():
+    """A peer's malformed session frame arrives through the relay client's
+    reader.  It fails the one session it was meant for, and nothing else:
+    the reader still delivers to a routed link opened before the violation,
+    and a link opened after it is accepted and read."""
+    async def script(h, a, b):
+        sessions = AsyncSessionListener(_IncomingLinks(a))
+        try:
+            victim = await AsyncSessionLink.connect(
+                lambda: b.open_link("node0"), max_attempts=1)
+            served = await sessions.accept()
+            before = await a.open_link("node1")
+            before_peer = await b.accept_link()
+            await served.raw.send_all(b"\xff")  # no session frame has type 255
+            await eventually(lambda: victim.state == "failed")
+            assert "unexpected frame type 255" in str(victim._failure)
+            with pytest.raises(EOFError):
+                await victim.recv(1)
+            await before.send_all(b"older")
+            after = await a.open_link("node1")
+            await after.send_all(b"newer")
+            after_peer = await b.accept_link()
+            readers = [t for t in asyncio.all_tasks()
+                       if t.get_name() == "relay-client-node1"]
+            return (await before_peer.recv_exactly(5),
+                    await after_peer.recv_exactly(5),
+                    b.connected, [t.done() for t in readers])
+        finally:
+            sessions.close()
+
+    assert LiveRelay().run(script) == (b"older", b"newer", True, [False])
 
 
 def test_concurrent_forwards_share_one_trunk_and_stop_leaves_none(live_run, monkeypatch):
