@@ -2,14 +2,15 @@
 """Are the live bindings still only subclasses that name their runtime?
 
 Each protocol binding is written once (``mux/endpoint.py``,
-``core/relay.py``, ``core/session.py``); its ``livenet/`` module holds a
-subclass that names the asyncio runtime plus what is establishment on real
-sockets.  A twin grows back one override at a time, so this lists — with
-``ast``, importing nothing — every method a live class (or a mixin it
-lists as a base in the same file) defines that its shared base also
-defines, and exits 1 when one is missing from ``twins_allow.json`` beside
-this script, or when that file allows an override that no longer exists.
-Every allowed override carries its reason there.
+``core/relay.py``, ``core/session.py``, the IPL's ``ipl/runtime.py``); its
+``livenet/`` module holds a subclass that names the asyncio runtime plus
+what is establishment on real sockets.  A twin grows back one override at
+a time, so this lists — with ``ast``, importing nothing — every method a
+live class (or a mixin it lists as a base in the same file) defines that
+its shared base also defines, and exits 1 when one is missing from
+``twins_allow.json`` beside this script, or when that file allows an
+override that no longer exists.  Every allowed override carries its
+reason there.
 
     python scripts/twins.py          # make twins
 """
@@ -33,6 +34,7 @@ PAIRS = [
     ("mux/endpoint.py", "livenet/mux.py"),
     ("core/relay.py", "livenet/relay.py"),
     ("core/session.py", "livenet/session.py"),
+    ("ipl/runtime.py", "livenet/runtime.py"),
 ]
 
 

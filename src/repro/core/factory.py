@@ -13,11 +13,17 @@ filtering drivers for link utilization."
   establishes as many data links as the stack's networking layer needs —
   each via the Figure 4 decision tree with fall-back — and assembles the
   stack into an application-ready :class:`BlockChannel`.
+
+Written once for both runtimes: what differs is named on the node it is
+given (``runtime``, ``mux_endpoint``, the ``parallel`` striping classes,
+``broker``), so one agreement frame serves the simulated
+:class:`~repro.core.node.GridNode` and ``LiveIbis``'s node on real sockets.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from types import coroutine
 from typing import Generator, Optional
 
 from .. import obs
@@ -32,7 +38,6 @@ from .links import Link
 from .node import GridNode
 from .relay import RelayError
 from .retry import RetryPolicy, retrying
-from .runtime import SimRuntime
 from .session import SessionConfig, SessionLink
 from .utilization.spec import StackSpec, StackSpecError
 from .utilization.stack import build_stack
@@ -47,6 +52,7 @@ __all__ = [
     "TRANSIENT_ERRORS",
     "CONNECT_RETRY",
     "ACCEPT_RETRY",
+    "TLS_HANDSHAKE_DEADLINE",
 ]
 
 #: failures that justify renegotiating on a fresh service link: anything
@@ -71,6 +77,10 @@ CONNECT_RETRY = RetryPolicy(
 ACCEPT_RETRY = RetryPolicy(
     max_attempts=10, base_delay=0.0, multiplier=1.0, max_delay=0.0, jitter=0.0
 )
+
+#: seconds a ``tls`` handshake may take before the connect fails: a peer
+#: that accepts the data link and then says nothing must not park us
+TLS_HANDSHAKE_DEADLINE = 30.0
 
 #: per-node replay-buffer budget shared by standalone (non-mux) sessions;
 #: muxed sessions are bounded by the channel credit window instead
@@ -144,6 +154,7 @@ class BrokeredConnectionFactory:
         self._shared_mux_resp: dict[tuple[str, int], MuxEndpoint] = {}
 
     # -- initiator ----------------------------------------------------------
+    @coroutine
     def connect(
         self,
         service_link: Link,
@@ -252,7 +263,7 @@ class BrokeredConnectionFactory:
                 role="initiator",
                 links=n,
             ):
-                stack = build_stack(parsed, links, host=self.node.host)
+                stack = self.build(parsed, links)
                 yield from self._maybe_tls(stack, client=True)
         except BaseException:
             for link in links:
@@ -260,6 +271,7 @@ class BrokeredConnectionFactory:
             raise
         return BlockChannel(stack, block_size=block_size)
 
+    @coroutine
     def connect_retrying(
         self,
         peer_id: str,
@@ -306,7 +318,7 @@ class BrokeredConnectionFactory:
 
         return (
             yield from retrying(
-                SimRuntime(node.sim),
+                node.runtime,
                 attempt,
                 policy,
                 retry_on=TRANSIENT_ERRORS,
@@ -316,8 +328,10 @@ class BrokeredConnectionFactory:
         )
 
     # -- responder -----------------------------------------------------------
-    def accept(self, service_link: Link) -> Generator:
-        """Serve one channel negotiation on ``service_link``."""
+    @coroutine
+    def accept(self, service_link: Link, peer: Optional[str] = None) -> Generator:
+        """Serve one channel negotiation on ``service_link`` from ``peer``
+        (by default the link's own ``peer``: a direct socket has none)."""
         frame = yield from recv_frame(service_link)
         reader = ByteReader(frame)
         # The spec string is the wire format (§5.2): parse it silently.
@@ -333,7 +347,7 @@ class BrokeredConnectionFactory:
             # min(peer's offer, our own budget share): both replay
             # buffers stay inside whichever end is more constrained
             window = min(reader.u32(), self._standalone_window(parsed))
-        peer_id = getattr(service_link, "peer", "")
+        peer_id = peer if peer is not None else getattr(service_link, "peer", "")
         reuse = False
         eid = nonce = 0
         if parsed.mux is not None:
@@ -393,7 +407,7 @@ class BrokeredConnectionFactory:
                 role="responder",
                 links=n,
             ):
-                stack = build_stack(parsed, links, host=self.node.host)
+                stack = self.build(parsed, links)
                 yield from self._maybe_tls(stack, client=False)
         except BaseException:
             for link in links:
@@ -401,6 +415,7 @@ class BrokeredConnectionFactory:
             raise
         return BlockChannel(stack, block_size=block_size)
 
+    @coroutine
     def accept_retrying(
         self,
         policy: RetryPolicy = ACCEPT_RETRY,
@@ -425,7 +440,7 @@ class BrokeredConnectionFactory:
 
         return (
             yield from retrying(
-                SimRuntime(node.sim),
+                node.runtime,
                 attempt,
                 policy,
                 retry_on=TRANSIENT_ERRORS,
@@ -435,6 +450,21 @@ class BrokeredConnectionFactory:
         )
 
     # -- helpers --------------------------------------------------------------
+    def build(self, parsed: StackSpec, links: list):
+        """The driver tree over ``links``, from the node's striping classes."""
+        return build_stack(
+            parsed, links, host=self.node.host, parallel=self.node.parallel
+        )
+
+    def close(self) -> None:
+        """Close every shared mux endpoint (and so its carrier link)."""
+        for _eid, endpoint in self._shared_mux.values():
+            endpoint.close()
+        for endpoint in self._shared_mux_resp.values():
+            endpoint.close()
+        self._shared_mux.clear()
+        self._shared_mux_resp.clear()
+
     def shared_endpoint(self, peer_id: str) -> Optional[MuxEndpoint]:
         """The live shared mux endpoint to ``peer_id``, whichever role
         established it — or ``None``.
@@ -472,6 +502,7 @@ class BrokeredConnectionFactory:
                 f"{self.fidelity!r} stacks"
             )
 
+    @coroutine
     def _mux_endpoint(
         self,
         raw: Link,
@@ -488,7 +519,7 @@ class BrokeredConnectionFactory:
         """
         layer = parsed.mux
         window = int(layer.get("win", DEFAULT_WINDOW))
-        endpoint = yield from MuxEndpoint.establish(
+        endpoint = yield from self.node.mux_endpoint.establish(
             raw,
             role,
             window=window,
@@ -596,6 +627,7 @@ class BrokeredConnectionFactory:
 
         return reconnect
 
+    @coroutine
     def _maybe_tls(self, stack, client: bool) -> Generator:
         tls = find_driver(stack, TlsDriver)
         if tls is None:
@@ -603,9 +635,10 @@ class BrokeredConnectionFactory:
         if self.tls_config is None:
             raise ValueError("stack contains a tls layer but no TlsConfig given")
         cfg = self.tls_config
-        now = self.node.sim.now
+        runtime = self.node.runtime
+        now = runtime.now()
         if client:
-            yield from tls.handshake_client(
+            handshake = tls.handshake_client(
                 trust_anchors=cfg.trust_anchors,
                 identity=cfg.identity,
                 expected_server=cfg.expected_peer,
@@ -614,9 +647,10 @@ class BrokeredConnectionFactory:
         else:
             if cfg.identity is None:
                 raise ValueError("TLS server side needs an identity")
-            yield from tls.handshake_server(
+            handshake = tls.handshake_server(
                 identity=cfg.identity,
                 trust_anchors=cfg.trust_anchors,
                 require_client_auth=cfg.require_client_auth,
                 now=now,
             )
+        yield from runtime.bounded(handshake, TLS_HANDSHAKE_DEADLINE)

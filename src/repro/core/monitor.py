@@ -25,15 +25,17 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import TYPE_CHECKING, Generator, Optional
 
 from .. import obs
 from ..simnet.packet import Addr
 from ..tune.planner import recommend_streams
 from .links import Link
-from .node import GridNode
 from .utilization.spec import StackSpec
 from .wire import recv_frame, send_frame
+
+if TYPE_CHECKING:  # node imports mux, and mux imports this package
+    from .node import GridNode
 
 __all__ = ["PathEstimate", "PathMonitor", "select_spec"]
 

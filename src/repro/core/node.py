@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Callable, Generator, Optional
 
 from .. import obs
+from ..mux import MuxEndpoint
 from ..obs.flight import FlightRecorder
 from ..simnet.packet import Addr
 from .addressing import EndpointInfo
@@ -19,13 +20,19 @@ from .brokering import Broker
 from .dispatch import SERVICE_TAG, RoutedDispatcher, resume_tag
 from .links import Link
 from .relay import RelayClient
+from .runtime import Bound
 from .session import SessionRegistry
+from .utilization.parallel import ParallelStreamsDriver, RebalancingParallelDriver
 
 __all__ = ["GridNode"]
 
 
-class GridNode:
+class GridNode(Bound):
     """A node wired into the grid's connectivity fabric.
+
+    The shared IPL and factory take their ``runtime`` (the simulator's,
+    from ``self.sim``), ``mux_endpoint`` and ``parallel`` striping classes
+    from here; the live node names the asyncio ones.
 
     Parameters
     ----------
@@ -46,6 +53,9 @@ class GridNode:
         Optional custom connector for reaching the relay (e.g. via SOCKS on
         severely firewalled sites).
     """
+
+    mux_endpoint = MuxEndpoint
+    parallel = (ParallelStreamsDriver, RebalancingParallelDriver)
 
     def __init__(
         self,
@@ -113,12 +123,13 @@ class GridNode:
         return self
 
     # -- service links ------------------------------------------------------
-    def open_service_link(self, peer_id: str) -> Generator:
+    def open_service_link(self, peer_id: str, info=None) -> Generator:
         """Open a service link to ``peer_id`` (routed via the relay).
 
         Routed messages are the bootstrap-capable method (Table 1), so the
         service link always goes through the relay — "In the presence of
         firewalls, NetIbis chooses routed messages for service links."
+        (The peer's registered ``info`` is not needed for that.)
         """
         link = yield from self.relay_client.open_link(peer_id, payload=SERVICE_TAG)
         return link

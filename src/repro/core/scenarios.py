@@ -225,29 +225,33 @@ class GridScenario:
         site = self.sites[site_name]
         host = site.add_node(f"{site_name}-{node_id}")
         info = self.endpoint_info(site_name, node_id, host)
-        kind = self.kinds[site_name]
-        connector = None
-        if kind == "severe":
-            # Even the relay can only be reached through the gateway proxy.
-            proxy_addr = (site.gateway.ip, SOCKS_PORT)
-
-            def connector(h, relay_addr, _proxy=proxy_addr):
-                from ..simnet.socks import socks_connect
-
-                return (yield from socks_connect(h, _proxy, relay_addr))
-
         node = GridNode(
             host,
             info,
             self._relay_addr_arg(relays),
             reflector_addr=(self.relay_host.ip, REFLECTOR_PORT),
-            connector=connector,
+            connector=self._connector(site_name),
             auto_reconnect=auto_reconnect,
             mesh_seed=self.seed,
             mesh_config=self.mesh_config,
         )
         self.nodes[node_id] = node
         return node
+
+    def _connector(self, site_name: str):
+        """How a node of the site dials a public server: ``None`` (directly)
+        except on a severe site, where even the relay can only be reached
+        through the gateway proxy."""
+        if self.kinds[site_name] != "severe":
+            return None
+        proxy_addr = (self.sites[site_name].gateway.ip, SOCKS_PORT)
+
+        def connector(h, target, _proxy=proxy_addr):
+            from ..simnet.socks import socks_connect
+
+            return (yield from socks_connect(h, _proxy, target))
+
+        return connector
 
     @property
     def registry(self):
@@ -259,38 +263,20 @@ class GridScenario:
             self._registry.start()
         return self._registry
 
-    def add_ibis(self, site_name: str, name: str, relays=None, **ibis_kwargs):
+    def add_ibis(
+        self, site_name: str, name: str, relays=None, auto_reconnect=False,
+        **ibis_kwargs,
+    ):
         """Add a node running a full Ibis runtime instance."""
+        from ..ipl.registry import RegistryClient
         from ..ipl.runtime import Ibis
 
         registry = self.registry  # ensure the name service is up
-        site = self.sites[site_name]
-        host = site.add_node(f"{site_name}-{name}")
-        info = self.endpoint_info(site_name, name, host)
-        kind = self.kinds[site_name]
-        connector = None
-        if kind == "severe":
-            proxy_addr = (site.gateway.ip, SOCKS_PORT)
-
-            def connector(h, target, _proxy=proxy_addr):
-                from ..simnet.socks import socks_connect
-
-                return (yield from socks_connect(h, _proxy, target))
-
-        ibis = Ibis(
-            host,
-            name,
-            info,
-            relay_addr=self._relay_addr_arg(relays),
-            registry_addr=registry.addr,
-            reflector_addr=(self.relay_host.ip, REFLECTOR_PORT),
-            connector=connector,
-            mesh_seed=self.seed,
-            mesh_config=self.mesh_config,
-            **ibis_kwargs,
+        node = self.add_node(site_name, name, auto_reconnect, relays)
+        client = RegistryClient(
+            node.host, registry.addr, connector=self._connector(site_name)
         )
-        self.nodes[name] = ibis.node
-        return ibis
+        return Ibis(node, client, **ibis_kwargs)
 
     # -- fault-injection surface (used by repro.chaos) -----------------------
     def site_wan_link(self, name: str) -> Link:

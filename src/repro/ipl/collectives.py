@@ -10,11 +10,13 @@ instead of once per remote *member*.
 receive ports: a static two-level tree rooted at a designated member, with
 one coordinator per cluster.  ``broadcast``, ``reduce`` and ``barrier``
 are provided; a flat (cluster-oblivious) mode serves as the baseline the
-ablation benchmark compares against.
+ablation benchmark compares against.  Written on :mod:`repro.core.runtime`:
+a group runs over the simulated ``Ibis`` and over ``LiveIbis`` alike.
 """
 
 from __future__ import annotations
 
+from types import coroutine
 from typing import Callable, Generator, Optional
 
 from .ports import ReceivePort, SendPort
@@ -139,6 +141,7 @@ class CollectiveGroup:
     def _port_name(self, member: str) -> str:
         return f"coll:{self.name}:{member}"
 
+    @coroutine
     def setup(self) -> Generator:
         """Create this member's port and connect the tree edges.
 
@@ -158,10 +161,11 @@ class CollectiveGroup:
                     yield from port.connect(self._port_name(peer))
                     break
                 except Exception:
-                    yield self.ibis.sim.timeout(0.2)
+                    yield from self.ibis.runtime.sleep(0.2)
             self._send_ports[peer] = port
 
     # -- primitives ----------------------------------------------------------
+    @coroutine
     def _send(self, peer: str, op: str, seq: int, payload) -> Generator:
         message = self._send_ports[peer].new_message()
         message.write_string(op)
@@ -169,6 +173,7 @@ class CollectiveGroup:
         message.write_object(payload)
         yield from message.finish()
 
+    @coroutine
     def _recv(self, op: str, seq: int) -> Generator:
         key = (op, seq)
         stash = self._pending.get(key)
@@ -195,6 +200,7 @@ class CollectiveGroup:
             )
 
     # -- operations -----------------------------------------------------------
+    @coroutine
     def broadcast(self, value=None) -> Generator:
         """Root's ``value`` delivered to every member; returns it."""
         self._op_seq += 1
@@ -205,6 +211,7 @@ class CollectiveGroup:
             yield from self._send(child, "bcast", seq, value)
         return value
 
+    @coroutine
     def reduce(self, value, op: Callable) -> Generator:
         """Combine every member's ``value`` with ``op`` at the root.
 
@@ -225,6 +232,7 @@ class CollectiveGroup:
             return None
         return accumulated
 
+    @coroutine
     def barrier(self) -> Generator:
         """All members arrive before any leaves (reduce + broadcast)."""
         self._op_seq += 1
@@ -238,6 +246,7 @@ class CollectiveGroup:
         for child in self.children():
             yield from self._send(child, "barrier-down", seq, None)
 
+    @coroutine
     def allreduce(self, value, op: Callable) -> Generator:
         """Reduce followed by broadcast: everyone gets the result."""
         reduced = yield from self.reduce(value, op)

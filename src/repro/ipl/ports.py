@@ -10,16 +10,19 @@ unidirectional, FIFO-ordered virtual networking link" (§5.1): a brokered
 driver-stack channel.  A send port connected to several receive ports
 writes each finished message to every channel; a receive port fans
 incoming channels into one FIFO message queue per arrival order.
+
+Written once on :mod:`repro.core.runtime`: a simulator process runs the
+port operations with ``yield from``, an asyncio task ``await``s them.
 """
 
 from __future__ import annotations
 
+from types import coroutine
 from typing import Generator, Optional
 
 from .. import obs
 from ..obs import TraceContext
 from ..core.utilization.stream import BlockChannel
-from ..simnet.engine import Event
 from .identifiers import PortIdentifier
 from .serialization import MessageReader, MessageWriter
 
@@ -43,6 +46,7 @@ class WriteMessage(MessageWriter):
         self._port = port
         self._finished = False
 
+    @coroutine
     def finish(self) -> Generator:
         if self._finished:
             raise PortClosed("message already finished")
@@ -72,8 +76,8 @@ class ReadMessage(MessageReader):
 class SendPort:
     """The sending endpoint of unidirectional message channels."""
 
-    def __init__(self, runtime, name: str):
-        self.runtime = runtime
+    def __init__(self, ibis, name: str):
+        self.ibis = ibis
         self.name = name
         self.channels: dict[str, BlockChannel] = {}  # port name -> channel
         self._active_message: Optional[WriteMessage] = None
@@ -83,8 +87,9 @@ class SendPort:
 
     @property
     def identifier(self) -> PortIdentifier:
-        return PortIdentifier(self.runtime.identifier, self.name)
+        return PortIdentifier(self.ibis.identifier, self.name)
 
+    @coroutine
     def connect(self, port_name: str, spec=None) -> Generator:
         """Connect to a named receive port (resolved via the name service).
 
@@ -94,7 +99,7 @@ class SendPort:
             raise PortClosed(f"send port {self.name} closed")
         if port_name in self.channels:
             raise ValueError(f"already connected to {port_name!r}")
-        channel = yield from self.runtime._connect_port(self, port_name, spec)
+        channel = yield from self.ibis._connect_port(self, port_name, spec)
         self.channels[port_name] = channel
         return channel
 
@@ -114,6 +119,7 @@ class SendPort:
         self._active_message = WriteMessage(self)
         return self._active_message
 
+    @coroutine
     def _transmit(self, payload: bytes) -> Generator:
         # One trace per IPL message: the same context rides every fan-out
         # channel's header, so all receive-side records share the tree.
@@ -129,7 +135,7 @@ class SendPort:
             len(payload)
         )
         obs.event(
-            "ipl.message", ctx=ctx, node=self.runtime.name,
+            "ipl.message", ctx=ctx, node=self.ibis.name,
             port=self.name, direction="tx", bytes=len(payload),
             fanout=len(self.channels),
         )
@@ -148,11 +154,11 @@ class SendPort:
 class ReceivePort:
     """The receiving endpoint; fans in any number of send ports."""
 
-    def __init__(self, runtime, name: str):
-        self.runtime = runtime
+    def __init__(self, ibis, name: str):
+        self.ibis = ibis
         self.name = name
         self._queue: list[ReadMessage] = []
-        self._waiters: list[Event] = []
+        self._waiters: list = []  # an event per parked receive, oldest first
         self._channels: list[BlockChannel] = []
         self.closed = False
         self.messages_received = 0
@@ -161,15 +167,14 @@ class ReceivePort:
 
     @property
     def identifier(self) -> PortIdentifier:
-        return PortIdentifier(self.runtime.identifier, self.name)
+        return PortIdentifier(self.ibis.identifier, self.name)
 
-    # -- wiring (driven by the runtime) ---------------------------------------
+    # -- wiring (driven by the Ibis) -----------------------------------------
     def _attach(self, channel: BlockChannel, origin: str) -> None:
         self._channels.append(channel)
-        self.runtime.sim.process(
-            self._pump(channel, origin), name=f"rcvport-{self.name}"
-        )
+        self.ibis._spawn(self._pump(channel, origin), name=f"rcvport-{self.name}")
 
+    @coroutine
     def _pump(self, channel: BlockChannel, origin: str) -> Generator:
         try:
             while True:
@@ -185,14 +190,11 @@ class ReceivePort:
                     "ipl.message_bytes", port=self.name, direction="rx"
                 ).observe(len(payload))
                 obs.event(
-                    "ipl.message", ctx=rctx, node=self.runtime.name,
+                    "ipl.message", ctx=rctx, node=self.ibis.name,
                     port=self.name, direction="rx",
                     bytes=len(payload), origin=origin,
                 )
-                if self._waiters:
-                    self._waiters.pop(0).succeed(message)
-                else:
-                    self._queue.append(message)
+                self._deliver(message)
         except EOFError:
             return  # the sender disconnected cleanly
         except Exception as exc:
@@ -201,17 +203,29 @@ class ReceivePort:
             self.channel_errors.append((origin, exc))
             return
 
+    def _deliver(self, message: ReadMessage) -> None:
+        while self._waiters:
+            waiter = self._waiters.pop(0)
+            if not waiter.done():  # else: its receiver was cancelled
+                waiter.set_result(message)
+                return
+        self._queue.append(message)
+
     # -- user API ---------------------------------------------------------------
+    @coroutine
     def receive(self) -> Generator:
         """The next message, FIFO across all connected senders."""
         if self.closed:
             raise PortClosed(f"receive port {self.name} closed")
-        ev = self.runtime.sim.event()
+        runtime = self.ibis.runtime
+        ev = runtime.event()
         if self._queue:
-            ev.succeed(self._queue.pop(0))
+            ev.set_result(self._queue.pop(0))
         else:
             self._waiters.append(ev)
-        message = yield ev
+        message = yield from runtime.wait(ev)
+        if message is None:  # woken by close()
+            raise PortClosed(f"receive port {self.name} closed")
         return message
 
     def poll(self) -> Optional[ReadMessage]:
@@ -226,6 +240,6 @@ class ReceivePort:
             channel.close()
         self._channels.clear()
         for ev in self._waiters:
-            ev.fail(PortClosed(f"receive port {self.name} closed"))
-            ev.defused = True
+            if not ev.done():
+                ev.set_result(None)
         self._waiters.clear()

@@ -1,16 +1,19 @@
 """The Ibis runtime instance (paper §5, Figure 5).
 
 One :class:`Ibis` object per participating process wires together the whole
-stack: the relay registration and broker (:class:`~repro.core.node.GridNode`),
-the Ibis Name Service client, the brokered connection factory, and the
-send/receive ports of the IPL.
+stack: the relay registration and broker (its node), the Ibis Name Service
+client, the brokered connection factory, and the send/receive ports of the
+IPL.  It is written once on :mod:`repro.core.runtime`: over a simulated
+:class:`~repro.core.node.GridNode` a simulator process runs it, and
+:class:`~repro.livenet.runtime.LiveIbis` is the same class over a node on
+real sockets.
 
 Connection flow for ``send_port.connect("worker-in")``:
 
 1. look up the receive port in the name service → owner node + its
    :class:`~repro.core.addressing.EndpointInfo`;
-2. open a service link to the owner (routed via the relay — the bootstrap
-   method that always works);
+2. open a service link to the owner (the node's bootstrap method: routed
+   via the relay in the simulator, direct with a routed fallback on live);
 3. send a port-connect request naming the receive port;
 4. the factory negotiates the driver-stack spec and establishes the data
    links via the Figure 4 decision tree with fall-back;
@@ -20,17 +23,14 @@ Connection flow for ``send_port.connect("worker-in")``:
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Optional
+from types import coroutine
+from typing import Generator, Optional
 
 from .. import obs
-from ..core.addressing import EndpointInfo
-from ..core.factory import BrokeredConnectionFactory, TlsConfig
-from ..core.node import GridNode
+from ..core.factory import BrokeredConnectionFactory, TlsConfig, _typed_spec
 from ..core.utilization.spec import StackSpec, StackSpecError
-from ..core.utilization.stack import build_stack
 from ..core.utilization.stream import DEFAULT_BLOCK, BlockChannel
 from ..core.wire import recv_frame, send_frame
-from ..simnet.packet import Addr
 from ..util.framing import ByteReader, ByteWriter, FrameError
 from .identifiers import IbisIdentifier
 from .ports import ReceivePort, SendPort
@@ -99,45 +99,33 @@ class IbisError(Exception):
 
 
 class Ibis:
-    """One Ibis instance: the application's entry point to the IPL."""
+    """One Ibis instance: the application's entry point to the IPL.
+
+    ``node`` is what establishes links — a simulated
+    :class:`~repro.core.node.GridNode`, or the live node of
+    :class:`~repro.livenet.runtime.LiveIbis` — and names the runtime every
+    task here runs on; ``registry`` is the name-service client, not yet
+    connected.
+    """
 
     def __init__(
         self,
-        host,
-        name: str,
-        info: EndpointInfo,
-        relay_addr: Addr,
-        registry_addr: Addr,
-        reflector_addr: Optional[Addr] = None,
+        node,
+        registry: RegistryClient,
         default_spec: Optional[StackSpec] = None,
         tls_config: Optional[TlsConfig] = None,
-        connector: Optional[Callable] = None,
         pool: str = "default",
-        auto_reconnect: bool = False,
-        mesh_seed=0,
-        mesh_config=None,
     ):
-        self.host = host
-        self.sim = host.sim
-        self.name = name
-        self.identifier = IbisIdentifier(name, pool)
-        self.info = info
+        self.node = node
+        self.runtime = node.runtime
+        self.name = node.node_id
+        self.identifier = IbisIdentifier(self.name, pool)
         if default_spec is not None and not isinstance(default_spec, StackSpec):
             raise TypeError(
                 f"default_spec must be a StackSpec, got {type(default_spec).__name__}"
             )
         self.default_spec = default_spec or StackSpec.tcp()
-        self.node = GridNode(
-            host,
-            info,
-            relay_addr,
-            reflector_addr=reflector_addr,
-            connector=connector,
-            auto_reconnect=auto_reconnect,
-            mesh_seed=mesh_seed,
-            mesh_config=mesh_config,
-        )
-        self.registry = RegistryClient(host, registry_addr, connector=connector)
+        self.registry = registry
         self.factory: Optional[BrokeredConnectionFactory] = None
         self.tls_config = tls_config
         self.receive_ports: dict[str, ReceivePort] = {}
@@ -146,29 +134,42 @@ class Ibis:
         #: shared mux endpoints that already have a fast-open accept loop
         self._port_acceptors: set = set()
 
+    @property
+    def info(self):
+        """This node's :class:`~repro.core.addressing.EndpointInfo`."""
+        return self.node.info
+
+    def _spawn(self, steps, name: str):
+        return self.runtime.spawn(steps, name)
+
     # -- lifecycle -----------------------------------------------------------
+    @coroutine
     def start(self) -> Generator:
         """Join the grid: relay, name service, service-request loop."""
         yield from self.node.start()
         yield from self.registry.connect()
         yield from self.registry.register(self.name, self.info)
         self.factory = BrokeredConnectionFactory(self.node, self.tls_config)
-        self.sim.process(self._service_loop(), name=f"ibis-{self.name}-services")
+        self._spawn(self._service_loop(), name=f"ibis-{self.name}-services")
         self.started = True
         return self
 
+    @coroutine
     def leave(self) -> Generator:
         """Leave the pool: unregister and drop connections."""
         for port in list(self.send_ports.values()):
             port.close()
         for port in list(self.receive_ports.values()):
             port.close()
+        if self.factory is not None:
+            self.factory.close()
         yield from self.registry.leave(self.name)
         self.registry.close()
         self.node.stop()
         self.started = False
 
     # -- ports ---------------------------------------------------------------
+    @coroutine
     def create_receive_port(self, port_name: str) -> Generator:
         """Create and globally register a named receive port."""
         if port_name in self.receive_ports:
@@ -186,23 +187,26 @@ class Ibis:
         self.send_ports[port_name] = port
         return port
 
+    @coroutine
     def elect(self, election: str) -> Generator:
         """Run an election; returns the winner's node name."""
         winner = yield from self.registry.elect(election, self.name)
         return winner
 
     # -- connection machinery ---------------------------------------------------
+    @coroutine
     def _connect_port(
-        self, send_port: SendPort, port_name: str, spec: Optional[StackSpec]
+        self, send_port: SendPort, port_name: str, spec: Optional[StackSpec],
+        ctx=None,
     ) -> Generator:
         if not self.started:
             raise IbisError("Ibis instance not started")
+        parsed = self.default_spec if spec is None else _typed_spec(spec)
         owner, owner_info = yield from self.registry.lookup_port(port_name)
-        parsed = spec or self.default_spec
         fast = yield from self._fast_connect(owner, port_name, parsed)
         if fast is not None:
             return fast
-        service = yield from self.node.open_service_link(owner)
+        service = yield from self.node.open_service_link(owner, owner_info)
         request = (
             ByteWriter()
             .u8(REQ_PORT_CONNECT)
@@ -210,17 +214,24 @@ class Ibis:
             .lp_str(self.name)
             .getvalue()
         )
-        yield from send_frame(service, request)
-        reply = yield from recv_frame(service)
-        r = ByteReader(reply)
-        if r.u8() != RESP_OK:
-            raise IbisError(f"connect to {port_name!r} rejected: {r.lp_str()}")
-        channel = yield from self.factory.connect(service, owner_info, spec=parsed)
+        try:
+            yield from send_frame(service, request)
+            reply = yield from recv_frame(service)
+            r = ByteReader(reply)
+            if r.u8() != RESP_OK:
+                raise IbisError(f"connect to {port_name!r} rejected: {r.lp_str()}")
+            channel = yield from self.factory.connect(
+                service, owner_info, spec=parsed, ctx=ctx
+            )
+        except Exception:
+            service.close()
+            raise
         # a mux spec just created (or reused) a shared endpoint: serve
         # fast opens the peer may initiate over it from now on
         self._ensure_port_acceptors()
         return channel
 
+    @coroutine
     def _fast_connect(
         self, owner: str, port_name: str, parsed: StackSpec
     ) -> Generator:
@@ -247,7 +258,7 @@ class Ibis:
             return None
         tag = encode_port_tag(port_name, self.name, parsed, DEFAULT_BLOCK)
         channel = yield from endpoint.open_channel(tag)
-        stack = build_stack(parsed, [channel], host=self.node.host)
+        stack = self.factory.build(parsed, [channel])
         obs.event(
             "ipl.fast_open", node=self.name, peer=owner, port=port_name
         )
@@ -261,16 +272,17 @@ class Ibis:
         for endpoint in seen:
             if endpoint.alive and endpoint not in self._port_acceptors:
                 self._port_acceptors.add(endpoint)
-                self.sim.process(
+                self._spawn(
                     self._port_accept_loop(endpoint),
                     name=f"ibis-{self.name}-fastopen",
                 )
 
+    @coroutine
     def _port_accept_loop(self, endpoint) -> Generator:
         try:
             while endpoint.alive:
                 channel = yield from endpoint.accept_channel(match=is_port_tag)
-                self.sim.process(
+                self._spawn(
                     self._serve_fast_open(channel),
                     name=f"ibis-{self.name}-fastserve",
                 )
@@ -279,6 +291,7 @@ class Ibis:
         finally:
             self._port_acceptors.discard(endpoint)
 
+    @coroutine
     def _serve_fast_open(self, channel) -> Generator:
         try:
             port_name, sender, spec_text, block_size = decode_port_tag(
@@ -292,39 +305,48 @@ class Ibis:
         if port is None or port.closed:
             channel.abort()
             return
-        stack = build_stack(parsed, [channel], host=self.node.host)
+        stack = self.factory.build(parsed, [channel])
         port._attach(BlockChannel(stack, block_size=block_size), origin=sender)
         return
-        yield  # pragma: no cover - makes this a generator for sim.process
+        yield  # pragma: no cover - makes this a generator for spawn
 
+    @coroutine
     def _service_loop(self) -> Generator:
         while True:
-            peer, service = yield from self.node.accept_service_link()
-            self.sim.process(
-                self._serve_one(peer, service), name=f"ibis-{self.name}-serve"
-            )
+            _peer, service = yield from self.node.accept_service_link()
+            self._spawn(self._serve_one(service), name=f"ibis-{self.name}-serve")
 
-    def _serve_one(self, peer: str, service) -> Generator:
+    @coroutine
+    def _serve_one(self, service) -> Generator:
+        """Answer one ``REQ_PORT_CONNECT``; a rejected request or a failed
+        negotiation closes its service link, so the initiator is not left
+        parked on it."""
         try:
             request = yield from recv_frame(service)
-        except (EOFError, Exception):
+        except Exception:  # noqa: BLE001 - the initiator went away
+            service.close()
             return
-        r = ByteReader(request)
-        if r.u8() != REQ_PORT_CONNECT:
-            yield from send_frame(
-                service, ByteWriter().u8(RESP_ERR).lp_str("bad request").getvalue()
-            )
-            return
-        port_name = r.lp_str()
-        sender = r.lp_str()
-        port = self.receive_ports.get(port_name)
-        if port is None or port.closed:
-            yield from send_frame(
-                service,
-                ByteWriter().u8(RESP_ERR).lp_str(f"no port {port_name!r}").getvalue(),
-            )
-            return
-        yield from send_frame(service, ByteWriter().u8(RESP_OK).getvalue())
-        channel = yield from self.factory.accept(service)
+        try:
+            r = ByteReader(request)
+            if r.u8() != REQ_PORT_CONNECT:
+                return (yield from self._reject(service, "bad request"))
+            port_name = r.lp_str()
+            sender = r.lp_str()
+            port = self.receive_ports.get(port_name)
+            if port is None or port.closed:
+                return (yield from self._reject(service, f"no port {port_name!r}"))
+            yield from send_frame(service, ByteWriter().u8(RESP_OK).getvalue())
+            channel = yield from self.factory.accept(service, peer=sender)
+        except Exception:
+            service.close()
+            raise
         self._ensure_port_acceptors()
         port._attach(channel, origin=sender)
+
+    @staticmethod
+    @coroutine
+    def _reject(service, reason: str) -> Generator:
+        yield from send_frame(
+            service, ByteWriter().u8(RESP_ERR).lp_str(reason).getvalue()
+        )
+        service.close()

@@ -21,7 +21,7 @@ from .relay import (
     LiveRelayServer,
     LiveRoutedLink,
 )
-from .runtime import LiveIbis, LiveIbisError, LiveReceivePort, LiveSendPort
+from .runtime import LiveIbis, LiveIbisError
 from .session import AsyncSessionError, AsyncSessionLink, AsyncSessionListener
 from .transport import (
     LiveListener,
@@ -56,6 +56,4 @@ __all__ = [
     "LiveRegistryServer",
     "LiveIbis",
     "LiveIbisError",
-    "LiveSendPort",
-    "LiveReceivePort",
 ]

@@ -12,6 +12,7 @@ import asyncio
 import pytest
 
 from repro import obs
+from repro.core.factory import TlsConfig
 from repro.core.session_core import RESUME_OK_SIZE, RESUME_SIZE, SessionCore
 from repro.core.utilization.spec import StackSpec
 from repro.livenet import (
@@ -24,6 +25,7 @@ from repro.livenet import (
 )
 from repro.livenet.runtime import LiveIbisError
 from repro.obs.metrics import MetricsRegistry
+from repro.security import CertificateAuthority, Identity
 
 from .conftest import eventually
 from .test_live_runtime import grid
@@ -307,27 +309,32 @@ def test_live_shares_the_sim_instruments_and_events(live_run):
 
 
 def test_build_stack_names_session_as_an_unsupported_layer(live_run):
-    """``LiveIbis`` refuses what it cannot run before it dials anything
-    (it used to open the data sockets first and never close them, and to
-    accept ``tls`` into a driver nobody handshakes)."""
-    refused = {
-        "session": StackSpec.tcp().with_session(),
-        "tls": StackSpec.tcp().with_tls(),
-    }
+    """``LiveIbis`` refuses ``session`` before it dials anything (it used to
+    open the data sockets first and never close them); ``tls`` it builds
+    and handshakes with the ``TlsConfig`` it is given."""
+    ca = CertificateAuthority("live-root")
+    key, cert = ca.issue_identity("live-node")
+    tls = TlsConfig([ca.certificate], Identity(key, [cert]))
 
     async def main():
-        async with grid("alice", "bob") as (_reg, _rel, alice, bob):
-            await bob.create_receive_port("in")
+        async with grid("alice", "bob", tls_config=tls) as (_reg, _rel, alice, bob):
+            inbox = await bob.create_receive_port("in")
             dialled = []
             previous = set_connect_hook(dialled.append)
             try:
-                for layer, spec in refused.items():
-                    with pytest.raises(
-                        LiveIbisError, match=f"layer '{layer}' unsupported"
-                    ):
-                        await alice.create_send_port("out").connect("in", spec)
+                with pytest.raises(
+                    LiveIbisError, match="layer 'session' unsupported"
+                ):
+                    await alice.create_send_port("out").connect(
+                        "in", StackSpec.tcp().with_session()
+                    )
             finally:
                 set_connect_hook(previous)
-            return dialled
+            secure = alice.create_send_port("secure")
+            await secure.connect("in", StackSpec.tcp().with_tls())
+            message = secure.new_message()
+            message.write_string("sealed")
+            await message.finish()
+            return dialled, (await inbox.receive()).read_string()
 
-    assert live_run(main()) == []
+    assert live_run(main()) == ([], "sealed")
