@@ -13,26 +13,11 @@ from typing import Generator, Optional
 
 from ... import obs
 from ...obs import TraceContext
-from ..relay import RelayClient, RoutedLink
+from ..relay import RoutedLink
 from .base import ROUTED
-from .verify import verify_initiator, verify_responder
+from .verify import verify_responder
 
-__all__ = ["open_routed_and_verify", "accept_routed_and_verify"]
-
-
-def open_routed_and_verify(
-    client: RelayClient, peer_id: str, nonce: int,
-    ctx: Optional[TraceContext] = None,
-) -> Generator:
-    """Initiator: open a routed channel to ``peer_id`` and verify."""
-    link = yield from client.open_link(peer_id, ctx=ctx)
-    try:
-        yield from verify_initiator(link, nonce)
-    except Exception:
-        link.close()
-        raise
-    obs.event("establish.link", ctx=ctx, method=ROUTED, role="initiator")
-    return link
+__all__ = ["accept_routed_and_verify"]
 
 
 def accept_routed_and_verify(

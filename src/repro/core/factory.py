@@ -15,8 +15,8 @@ filtering drivers for link utilization."
   stack into an application-ready :class:`BlockChannel`.
 
 Written once for both runtimes: what differs is named on the node it is
-given (``runtime``, ``mux_endpoint``, the ``parallel`` striping classes,
-``broker``), so one agreement frame serves the simulated
+given (``runtime``, ``mux_endpoint``, ``session_link``, the ``parallel``
+striping classes, ``broker``), so one agreement frame serves the simulated
 :class:`~repro.core.node.GridNode` and ``LiveIbis``'s node on real sockets.
 """
 
@@ -586,7 +586,7 @@ class BrokeredConnectionFactory:
             if role == SessionLink.INITIATOR:
                 peer_id = peer_info.node_id
                 reconnect = self._session_reconnect(peer_info, methods)
-            session = SessionLink(
+            session = self.node.session_link(
                 link,
                 sid,
                 role,
@@ -610,6 +610,7 @@ class BrokeredConnectionFactory:
         peer (restricted to the same ``methods`` as the original link)."""
         node = self.node
 
+        @coroutine
         def reconnect(session: SessionLink) -> Generator:
             yield from node.relay_client.wait_connected(timeout=12.0)
             service = yield from node.open_resume_link(peer_info.node_id, session.sid)

@@ -9,6 +9,7 @@ and examples use it directly.
 
 from __future__ import annotations
 
+from types import coroutine
 from typing import Callable, Generator, Optional
 
 from .. import obs
@@ -21,7 +22,7 @@ from .dispatch import SERVICE_TAG, RoutedDispatcher, resume_tag
 from .links import Link
 from .relay import RelayClient
 from .runtime import Bound
-from .session import SessionRegistry
+from .session import SessionLink, SessionRegistry
 from .utilization.parallel import ParallelStreamsDriver, RebalancingParallelDriver
 
 __all__ = ["GridNode"]
@@ -31,8 +32,8 @@ class GridNode(Bound):
     """A node wired into the grid's connectivity fabric.
 
     The shared IPL and factory take their ``runtime`` (the simulator's,
-    from ``self.sim``), ``mux_endpoint`` and ``parallel`` striping classes
-    from here; the live node names the asyncio ones.
+    from ``self.sim``), ``mux_endpoint``, ``session_link`` and ``parallel``
+    striping classes from here; the live node names the asyncio ones.
 
     Parameters
     ----------
@@ -55,6 +56,7 @@ class GridNode(Bound):
     """
 
     mux_endpoint = MuxEndpoint
+    session_link = SessionLink
     parallel = (ParallelStreamsDriver, RebalancingParallelDriver)
 
     def __init__(
@@ -111,7 +113,7 @@ class GridNode(Bound):
         """Register with the relay; wire the dispatcher and broker."""
         yield from self.relay_client.connect()
         obs.metrics().gauge("node.up", node=self.info.node_id).set(1)
-        self.dispatcher = RoutedDispatcher(self.relay_client)
+        self.dispatcher = RoutedDispatcher(self)
         self.broker = Broker(
             self.host,
             self.info,
@@ -134,6 +136,7 @@ class GridNode(Bound):
         link = yield from self.relay_client.open_link(peer_id, payload=SERVICE_TAG)
         return link
 
+    @coroutine
     def accept_service_link(self) -> Generator:
         """Wait for a peer-initiated service link; returns (peer_id, link)."""
         link = yield from self.dispatcher.accept_service()
@@ -146,6 +149,7 @@ class GridNode(Bound):
         base = int.from_bytes(self.node_id.encode()[:6].ljust(6, b"\0"), "big")
         return (base << 16) | (self._sid_seq & 0xFFFF)
 
+    @coroutine
     def open_resume_link(self, peer_id: str, sid: int) -> Generator:
         """Open the service link a session uses to re-establish itself."""
         link = yield from self.relay_client.open_link(peer_id, payload=resume_tag(sid))

@@ -34,10 +34,12 @@ module is its one binding, written as generator-based coroutines over
 the core (the inbound pump; the writers — callers and the control loop —
 taking turns on the raw link), the heartbeat timer, the parking of callers
 until the core wakes them, and the RESUME exchange under its deadline.
-Re-establishment is per backend: here the simulator's, under the retry
-policy and through the node's :class:`SessionRegistry`;
-:mod:`repro.livenet.session` names the asyncio runtime and redials real
-sockets.
+So is re-establishment: the initiator's recovery runs its ``reconnect``
+callable under the retry policy, and the responder's re-attach adopts the
+link a ``RESUME`` arrived on, whether the node's :class:`SessionRegistry`
+routed it there (``sessres:<sid>``) or a live listener did.  What stays per
+backend is what ``reconnect`` dials (:mod:`repro.livenet.session` names the
+asyncio runtime and redials real sockets).
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ __all__ = [
     "SessionConfig",
     "SessionRegistry",
     "ReplayBuffer",
+    "read_resume",
     "RESUME_POLICY",
     "MAX_CHUNK",
 ]
@@ -93,13 +96,15 @@ class SessionLink(Bound, SessionCore, Link):
 
     ``reconnect`` (initiator only) is a generator ``reconnect(session) ->
     Link`` that re-runs establishment to the same peer; the responder
-    side is passive and re-attached through its node's
-    :class:`SessionRegistry`.
+    side is passive and re-attached (:meth:`_reattach`) through its node's
+    :class:`SessionRegistry` or a live listener.  A session built with no
+    ``raw`` link exists before its first one: the first ``RESUME``
+    exchange attaches it.
     """
 
     def __init__(
         self,
-        raw: Link,
+        raw: Optional[Link],
         sid: int,
         role: str,
         config: Optional[SessionConfig] = None,
@@ -116,20 +121,18 @@ class SessionLink(Bound, SessionCore, Link):
         self._retry_policy = retry_policy or RESUME_POLICY
         self._resume_ctx: Optional[TraceContext] = None
         self._registry: Optional["SessionRegistry"] = None
-        self._bind(raw)
-        SessionCore.__init__(self, sid, role, config, now=self.runtime.now(),
-                             peer=peer, ctx=ctx, node=node, flight=flight)
-        self._start_pump()
-        self._start_loops()
-
-    def _bind(self, raw: Optional[Link]) -> None:
-        """The binding's own state, around the core's."""
         self._raw = raw
         #: a writer holds the raw link; the others park on ``_WAKE_TX``
         self._sending = False
         #: wake kind -> whoever is parked on it
         self._waiters: dict = {}
         self._transport = transport_errors()
+        SessionCore.__init__(self, sid, role, config, now=self.runtime.now(),
+                             attached=raw is not None, peer=peer, ctx=ctx,
+                             node=node, flight=flight)
+        if raw is not None:
+            self._start_pump()
+            self._start_loops()
 
     def _start_loops(self) -> None:
         tag = f"{self.sid:x}-{self.role[0]}"
@@ -285,6 +288,7 @@ class SessionLink(Bound, SessionCore, Link):
             self.transport_broken(gen, exc, now())
 
     # -- recovery ----------------------------------------------------------------
+    @coroutine
     def _recovery(self) -> Generator:
         # Each recovery is one child span of the session's originating
         # trace; the same ctx rides the re-establishment handshake and the
@@ -304,6 +308,7 @@ class SessionLink(Bound, SessionCore, Link):
                 _establishment_errors(),
             )
 
+            @coroutine
             def attempt(_i: int) -> Generator:
                 if self._state != RECOVERING:
                     raise _ResumeAborted("session no longer recovering")
@@ -325,9 +330,8 @@ class SessionLink(Bound, SessionCore, Link):
                 return
             except Exception as exc:
                 span.set(outcome="failed")
-                self.fail(
-                    SessionError(f"session {self.sid:016x} could not be resumed")
-                )
+                self.fail(self.error_class(
+                    f"session {self.sid:016x} could not be resumed"))
                 obs.event(
                     "session.resume_exhausted",
                     sid=f"{self.sid:016x}",
@@ -341,7 +345,8 @@ class SessionLink(Bound, SessionCore, Link):
         """Run one side's resume over ``raw`` under ``resume_timeout``;
         a link that did not become the session's is aborted."""
         try:
-            yield from self.runtime.bounded(steps, self.config.resume_timeout)
+            return (yield from self.runtime.bounded(
+                steps, self.config.resume_timeout))
         except BaseException:
             try:
                 raw.abort()
@@ -355,13 +360,6 @@ class SessionLink(Bound, SessionCore, Link):
         peer = decode_resume_ok((yield from raw.recv_exactly(RESUME_OK_SIZE)))
         yield from self._complete_resume(raw, peer, ctx)
 
-    def _resume_responder(self, raw: Link) -> Generator:
-        peer = decode_resume((yield from raw.recv_exactly(RESUME_SIZE)))
-        if peer.sid != self.sid:
-            raise SessionError(f"bad RESUME (sid {peer.sid:016x})")
-        yield from self._complete_resume(
-            raw, peer, peer.ctx.child() if peer.ctx is not None else None)
-
     @coroutine
     def _complete_resume(self, raw: Link, peer: Resume, ctx) -> Generator:
         for frame in self.resume_frames(peer):
@@ -369,25 +367,44 @@ class SessionLink(Bound, SessionCore, Link):
         self._raw = raw
         self.attach(self.runtime.now(), ctx)
 
-    def _reattach(self, raw: Link) -> Generator:
-        """Responder side: adopt a re-established link (from the registry).
+    @coroutine
+    def _reattach(self, raw: Link, peer: Resume) -> Generator:
+        """Responder side: adopt ``raw``, a re-established link that opened
+        with ``peer``'s RESUME (read off it by whoever routed it here: the
+        node's :class:`SessionRegistry`, or a live listener).
 
         Tolerates a session that never noticed the fault (silent stall):
-        the surviving link is deliberately broken first.
+        the surviving link is deliberately broken first.  An ended session
+        adopts nothing: it answers — finished, the peer lacked only the
+        FINACK repeated here, and hangs up on reading it — or raises and
+        the link is dropped.  A failed exchange raises too and leaves the
+        session recovering: the initiator retries.
         """
         if self.ended:
-            raise SessionError(f"session {self.sid:016x} is {self._state}")
+            try:
+                for frame in self.resume_frames(peer):
+                    yield from raw.send_all(frame)
+                yield from self.runtime.bounded(
+                    _until_eof(raw), self.config.resume_timeout)
+            finally:
+                raw.close()
+            return
         self.transport_broken(
             self._gen, SessionError("peer re-established"), self.runtime.now())
-        try:
-            yield from self._bounded_resume(raw, self._resume_responder(raw))
-        except BaseException as exc:
-            obs.event(
-                "session.reattach_failed",
-                sid=f"{self.sid:016x}",
-                error=f"{type(exc).__name__}: {exc}",
-            )
-            # stay in RECOVERING: the initiator retries
+        yield from self._bounded_resume(raw, self._complete_resume(
+            raw, peer, peer.ctx.child() if peer.ctx is not None else None))
+
+
+@coroutine
+def read_resume(raw: Link) -> Generator:
+    """The RESUME a re-established link opens with."""
+    return decode_resume((yield from raw.recv_exactly(RESUME_SIZE)))
+
+
+@coroutine
+def _until_eof(raw: Link) -> Generator:
+    while (yield from raw.recv(1 << 16)):
+        pass
 
 
 class _ResumeAborted(Exception):
@@ -406,12 +423,12 @@ class SessionRegistry:
     The initiator of a broken session opens a routed link tagged
     ``sessres:<sid>`` to the responder's node; the registry's accept loop
     runs the establishment responder over it and hands the resulting raw
-    link back to the surviving :class:`SessionLink`.
+    link back to the surviving :class:`SessionLink`.  Its tasks are the
+    node's, on the node's runtime.
     """
 
     def __init__(self, node) -> None:
         self.node = node
-        self.sim = node.sim
         self._sessions: dict[int, SessionLink] = {}
         self._acceptor = None
         self._closed = False
@@ -436,17 +453,19 @@ class SessionRegistry:
 
     def ensure_acceptor(self) -> None:
         if self._acceptor is None and not self._closed:
-            self._acceptor = self.sim.process(
-                self._accept_loop(), name=f"session-acceptor-{self.node.node_id}"
+            self._acceptor = self.node._spawn(
+                self._accept_loop(), f"session-acceptor-{self.node.node_id}"
             )
 
     def close(self) -> None:
-        """Node shutdown: abort whatever is still alive."""
+        """Node shutdown: fail whatever is still alive (the session, not
+        only its link: a live session's ``abort`` kills just the link)."""
         self._closed = True
         for session in list(self._sessions.values()):
-            session.abort()
+            session.fail(session.error_class("session aborted"))
         self._sessions.clear()
 
+    @coroutine
     def _accept_loop(self) -> Generator:
         from .dispatch import RESUME_PREFIX
 
@@ -457,25 +476,31 @@ class SessionRegistry:
             except ValueError:
                 service.close()
                 continue
-            self.sim.process(
-                self._serve(sid, service), name=f"session-reattach-{sid:x}"
+            self.node._spawn(
+                self._serve(sid, service), f"session-reattach-{sid:x}"
             )
 
+    @coroutine
     def _serve(self, sid: int, service) -> Generator:
         session = self._sessions.get(sid)
         if session is None or session.ended:
             obs.event("session.resume_unknown", sid=f"{sid:016x}")
             service.close()
             return
+        raw = None
         try:
             raw = yield from self.node.broker.respond(service)
+            service.close()
+            peer = yield from session._bounded_resume(raw, read_resume(raw))
+            if peer.sid != sid:
+                raw.abort()
+                raise SessionError(f"bad RESUME (sid {peer.sid:016x})")
+            yield from session._reattach(raw, peer)
         except Exception as exc:
             obs.event(
                 "session.reattach_failed",
                 sid=f"{sid:016x}",
                 error=f"{type(exc).__name__}: {exc}",
             )
-            service.close()
-            return
-        service.close()
-        yield from session._reattach(raw)
+            if raw is None:
+                service.close()

@@ -8,9 +8,9 @@ bound to asyncio here.
 
 from __future__ import annotations
 
-import asyncio
 from typing import Tuple
 
+from ..core.runtime import ASYNCIO
 from ..ipl.registry import RegistryState, serve_session
 from .transport import live_listen
 
@@ -29,6 +29,8 @@ class LiveRegistryServer:
         self.state = RegistryState()
         self._listener = None
         self._task = None
+        #: one task per connected client, cancelled on close
+        self._sessions: set = set()
 
     @property
     def addr(self) -> Addr:
@@ -40,13 +42,15 @@ class LiveRegistryServer:
 
     async def start(self) -> "LiveRegistryServer":
         self._listener = await live_listen(self.host, self.port)
-        self._task = asyncio.ensure_future(self._accept_loop())
+        self._task = ASYNCIO.spawn(self._accept_loop(), "registry-accept")
         return self
 
     async def _accept_loop(self) -> None:
         while True:
             sock = await self._listener.accept()
-            asyncio.ensure_future(self._session(sock))
+            task = ASYNCIO.spawn(self._session(sock), "registry-session")
+            self._sessions.add(task)
+            task.add_done_callback(self._sessions.discard)
 
     async def _session(self, sock) -> None:
         # a task's own body stays a native coroutine on every interpreter
@@ -55,5 +59,7 @@ class LiveRegistryServer:
     def close(self) -> None:
         if self._task is not None:
             self._task.cancel()
+        for task in list(self._sessions):
+            task.cancel()  # serve_session closes the connection
         if self._listener is not None:
             self._listener.close()

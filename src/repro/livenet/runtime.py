@@ -8,7 +8,9 @@ stack agreement, shared mux endpoints and factory — over a
 space cannot manufacture middlebox traversal, so service links go direct
 to the peer's advertised listener and fall back to relay-routed messages
 (the bootstrap-capable subset of Figure 4), and :class:`LiveBroker` makes
-data links by having the responder offer a fresh listener.
+data links by having the responder offer a fresh listener.  The routed
+dispatcher, the session registry and the ``sessres:<sid>`` link a broken
+session resumes over are the simulator node's.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ from typing import Optional, Tuple
 
 from .. import obs
 from ..core.addressing import EndpointInfo
-from ..core.dispatch import SERVICE_TAG
+from ..core.dispatch import SERVICE_TAG, RoutedDispatcher
 from ..core.factory import TlsConfig
 from ..core.node import GridNode
 from ..core.runtime import ASYNCIO
+from ..core.session import SessionRegistry
 from ..core.wire import recv_frame, send_frame
 from ..ipl.registry import RegistryClient
 from ..ipl.runtime import Ibis, IbisError
@@ -28,6 +31,7 @@ from ..util.framing import ByteReader, ByteWriter
 from .drivers import AsyncParallelStreamsDriver, AsyncRebalancingParallelDriver
 from .mux import AsyncMuxEndpoint
 from .relay import LiveRelayClient
+from .session import AsyncSessionLink
 from .transport import live_connect, live_listen
 
 __all__ = ["LiveIbis", "LiveIbisError", "LiveNode", "LiveBroker"]
@@ -112,14 +116,18 @@ class LiveBroker:
 class LiveNode(_Tasks):
     """What the shared Ibis and factory ask of a node, on real sockets:
     service links on a direct listener (advertised as ``local_ip`` and
-    ``open_ports[0]``) or relay-routed under the ``service`` tag."""
+    ``open_ports[0]``) or relay-routed under the ``service`` tag, both
+    handed out by the node's :class:`~repro.core.dispatch.RoutedDispatcher`."""
 
     runtime = ASYNCIO
     mux_endpoint = AsyncMuxEndpoint
+    session_link = AsyncSessionLink
     parallel = (AsyncParallelStreamsDriver, AsyncRebalancingParallelDriver)
     #: no simulated host whose CPU the filters charge
     host = None
     next_session_id = GridNode.next_session_id
+    accept_service_link = GridNode.accept_service_link
+    open_resume_link = GridNode.open_resume_link
 
     def __init__(self, name: str, relay_addr: Addr, listen_host: str):
         self.node_id = name
@@ -128,7 +136,8 @@ class LiveNode(_Tasks):
         self.listener = None
         self.relay_client = LiveRelayClient(name, relay_addr)
         self.broker = LiveBroker(self)
-        self._service_links = ASYNCIO.queue()
+        self.dispatcher: Optional[RoutedDispatcher] = None
+        self.sessions = SessionRegistry(self)
         self._tasks: set = set()
         self._sid_seq = 0
 
@@ -140,8 +149,8 @@ class LiveNode(_Tasks):
             open_ports=(self.listener.port,),
         )
         await self.relay_client.connect()
+        self.dispatcher = RoutedDispatcher(self)
         self._spawn(self._direct_links(), f"livenode-{self.node_id}-direct")
-        self._spawn(self._routed_links(), f"livenode-{self.node_id}-routed")
         return self
 
     async def open_service_link(self, peer_id: str, info: EndpointInfo):
@@ -152,24 +161,12 @@ class LiveNode(_Tasks):
         except (ConnectionError, OSError, IndexError):
             return await self.relay_client.open_link(peer_id, payload=SERVICE_TAG)
 
-    async def accept_service_link(self):
-        """The next service link: ``(peer, link)``, ``peer`` empty when the
-        link came to the direct listener (the request names the sender)."""
-        return await self._service_links.get()
-
     async def _direct_links(self) -> None:
         while True:
-            self._service_links.put(("", await self.listener.accept()))
-
-    async def _routed_links(self) -> None:
-        while True:
-            link = await self.relay_client.accept_link()
-            if link.open_payload == SERVICE_TAG:
-                self._service_links.put((link.peer, link))
-            else:  # data links are direct here: nothing else is routed in
-                link.close()
+            self.dispatcher.offer_service(await self.listener.accept())
 
     def stop(self) -> None:
+        self.sessions.close()
         self._cancel_tasks()
         self.relay_client.close()
         if self.listener is not None:
@@ -203,8 +200,6 @@ class LiveIbis(_Tasks, Ibis):
     _shared_mux_resp = property(lambda self: self.factory._shared_mux_resp)
 
     async def _connect_port(self, send_port, port_name, spec, ctx=None):
-        if getattr(spec or self.default_spec, "session", None) is not None:
-            raise LiveIbisError("layer 'session' unsupported on the live backend")
         ctx = obs.current() or obs.TraceContext.new()
         with obs.span(
             "port.connect", ctx=ctx, port=port_name, node=self.name,

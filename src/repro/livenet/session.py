@@ -3,44 +3,40 @@
 :mod:`repro.core.session_core` is the session protocol and
 :class:`~repro.core.session.SessionLink` its binding — data path, control
 and heartbeat loops, inbound pump, parking, the RESUME exchange under its
-deadline — for both backends.  :class:`AsyncSessionLink` names the asyncio
-runtime and keeps what is establishment on real sockets, over anything
-with the live socket surface (``send_all``/``recv``/``recv_exactly``/
-``close``/``abort``: a ``LiveSocket``, a relay-routed link), so the chaos
-harness can prove resume polarity against genuine TCP faults (a proxy RST
+deadline, the initiator's recovery and the responder's re-attach — for
+both backends.  :class:`AsyncSessionLink` names the asyncio runtime and
+keeps what is establishment on real sockets, over anything with the live
+socket surface (``send_all``/``recv``/``recv_exactly``/``close``/
+``abort``: a ``LiveSocket``, a relay-routed link), so the chaos harness
+can prove resume polarity against genuine TCP faults (a proxy RST
 mid-stream) and not just simulated ones:
 
 * :meth:`AsyncSessionLink.connect` dials and opens the link with
   ``RESUME`` for a fresh session id at offset 0, answered by
   ``RESUME_OK`` — one round trip, the same exchange every later
   reconnect repeats with the offsets reached by then;
-* when the transport dies, the initiator redials (through whatever
-  gateway the harness interposed) under a bounded retry loop, one
+* when the transport dies, the shared recovery redials (through whatever
+  gateway the harness interposed) under :data:`REDIAL_POLICY`, one
   ``session.resume`` span per recovery; the responder parks until the
   reconnect arrives at its :class:`AsyncSessionListener`, which routes it
   to the surviving session by id.
+
+A ``LiveIbis`` port with a ``session`` layer builds its sessions through
+the shared factory instead, and resumes them the simulator's way: a
+``sessres:<sid>`` service link and the node's data-request exchange.
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
 from types import coroutine
-from typing import Awaitable, Callable, Optional
+from typing import Awaitable, Callable
 
 from .. import obs
+from ..core.retry import RetryPolicy
 from ..core.runtime import ASYNCIO
-from ..core.session import SessionLink
-from ..core.session_core import (
-    FAILED,
-    RECOVERING,
-    RESUME_SIZE,
-    Resume,
-    SessionConfig,
-    SessionCore,
-    SessionError,
-    decode_resume,
-)
+from ..core.session import SessionLink, read_resume
+from ..core.session_core import FAILED, SessionConfig, SessionError
 from ..obs import next_id
 from .transport import LiveListener, LiveSocket
 
@@ -51,8 +47,11 @@ __all__ = ["AsyncSessionLink", "AsyncSessionListener", "AsyncSessionError"]
 #: hang the resume loop forever
 HANDSHAKE_TIMEOUT = 3.0
 
-#: redial backoff: attempt ``n`` waits ``n * RETRY_DELAY`` first
-RETRY_DELAY = 0.05
+#: how a :meth:`AsyncSessionLink.connect` session redials: eight attempts,
+#: ≈ 1.5 s of backoff in all — loopback faults heal in milliseconds
+REDIAL_POLICY = RetryPolicy(
+    max_attempts=8, base_delay=0.05, multiplier=1.5, max_delay=0.5, jitter=0.0
+)
 
 #: how long a link closed with the sync :meth:`AsyncSessionLink.close`
 #: may linger for its peer (``aclose`` takes its own)
@@ -61,9 +60,8 @@ CLOSE_TIMEOUT = 20.0
 #: per read of the transport: more than one full DATA frame
 _READ_SIZE = 1 << 17
 
-#: what one failed RESUME exchange raises, on either side (the initiator's
-#: next attempt may still succeed): a dead or misbehaving transport, a
-#: missed deadline (an ``OSError`` too), a refusal
+#: what one failed RESUME exchange raises at the listener: a dead or
+#: misbehaving transport, a missed deadline (an ``OSError`` too), a refusal
 _RETRYABLE = (EOFError, OSError, SessionError)
 
 _now = ASYNCIO.now
@@ -85,22 +83,9 @@ class AsyncSessionLink(SessionLink):
     error_class = AsyncSessionError
     runtime = ASYNCIO
 
-    def __init__(
-        self,
-        sid: int,
-        role: str,
-        node: str = "?",
-        dial: Optional[Callable[[], Awaitable[LiveSocket]]] = None,
-        max_attempts: int = 8,
-        ctx=None,
-    ):
-        self._dial = dial
-        self._max_attempts = max_attempts
+    def __init__(self, *args, **kwargs):
         self._tasks: set = set()
-        self._bind(None)
-        SessionCore.__init__(
-            self, sid, role, SessionConfig(resume_timeout=HANDSHAKE_TIMEOUT),
-            now=_now(), attached=False, ctx=ctx, node=node)
+        super().__init__(*args, **kwargs)
 
     @classmethod
     async def connect(
@@ -108,11 +93,16 @@ class AsyncSessionLink(SessionLink):
         dial: Callable[[], Awaitable[LiveSocket]],
         node: str = "initiator",
         ctx=None,
-        **kwargs,
+        retry_policy: RetryPolicy = REDIAL_POLICY,
     ) -> "AsyncSessionLink":
-        """Dial, open a new session on the link, return it connected."""
-        link = cls(next_id(), cls.INITIATOR, node=node, dial=dial,
-                   ctx=ctx or obs.current(), **kwargs)
+        """Dial, open a new session on the link, return it connected;
+        every recovery redials through ``dial`` under ``retry_policy``."""
+        link = cls(
+            None, next_id(), cls.INITIATOR,
+            config=SessionConfig(resume_timeout=HANDSHAKE_TIMEOUT),
+            reconnect=lambda _session: ASYNCIO.bounded(dial(), HANDSHAKE_TIMEOUT),
+            retry_policy=retry_policy, ctx=ctx or obs.current(), node=node,
+        )
         raw = await dial()
         try:
             await link._bounded_resume(raw, link._resume_initiator(raw, None))
@@ -167,6 +157,7 @@ class AsyncSessionLink(SessionLink):
         return task
 
     def _ended(self) -> None:
+        super()._ended()
         for task in self._tasks:
             task.cancel()
 
@@ -178,67 +169,6 @@ class AsyncSessionLink(SessionLink):
         if not data:
             raise EOFError("transport closed by the peer")
         return data
-
-    # -- recovery ----------------------------------------------------------
-    @coroutine
-    def _recovery(self):
-        t0 = time.time()
-        outcome = {"outcome": "failed", "error": "exhausted attempts"}
-        # own span identity, parented on the stage/root span, so the
-        # resume shows up as a child in the assembled cross-node tree
-        span_ctx = self.ctx.child() if self.ctx is not None else None
-        for attempt in range(self._max_attempts):
-            if self._state != RECOVERING:
-                return
-            if attempt:
-                yield from self.runtime.sleep(RETRY_DELAY * attempt)
-            try:
-                raw = yield from self.runtime.bounded(
-                    self._dial(), HANDSHAKE_TIMEOUT)
-                yield from self._bounded_resume(
-                    raw, self._resume_initiator(raw, span_ctx))
-            except Exception as exc:
-                outcome["error"] = f"{type(exc).__name__}: {exc}"
-                if isinstance(exc, _RETRYABLE):
-                    continue
-                break  # a dial that raises anything else will not improve
-            outcome = {"outcome": "ok", "attempt": attempt}
-            break
-        obs.record_span(
-            "session.resume", t0, time.time(), ctx=span_ctx, node=self.node,
-            sid=f"{self.sid:016x}", role=self.role, **outcome,
-        )
-        if "error" in outcome:
-            self.fail(AsyncSessionError(
-                f"session {self.sid:016x} could not be resumed: "
-                f"{outcome['error']}"))
-
-    async def _adopt(self, raw, peer: Resume) -> None:
-        """Responder side: adopt the link a RESUME arrived on.
-
-        Tolerates a session that never noticed the fault (silent stall):
-        the surviving link is deliberately broken first.  An ended session
-        adopts nothing: it answers — finished, the peer lacked only the
-        FINACK repeated here, and hangs up on reading it — or raises and
-        the link is dropped.
-        """
-        if self.ended:
-            try:
-                for frame in self.resume_frames(peer):
-                    await raw.send_all(frame)
-                await self.runtime.bounded(_until_eof(raw), HANDSHAKE_TIMEOUT)
-            finally:
-                raw.close()
-            return
-        self.transport_broken(
-            self._gen, SessionError("peer re-established"), _now())
-        await self._complete_resume(
-            raw, peer, peer.ctx.child() if peer.ctx is not None else None)
-
-
-async def _until_eof(raw) -> None:
-    while await raw.recv(_READ_SIZE):
-        pass
 
 
 class AsyncSessionListener:
@@ -278,17 +208,18 @@ class AsyncSessionListener:
 
     async def _handshake(self, sock: LiveSocket) -> None:
         try:
-            peer = decode_resume(await sock.recv_exactly(RESUME_SIZE))
+            peer = await read_resume(sock)
             link = self.sessions.get(peer.sid)
             if link is not None:
-                await link._adopt(sock, peer)
+                await link._reattach(sock, peer)
                 return
             if peer.rx_off:
                 raise SessionError(f"RESUME for unknown session {peer.sid:016x}")
             link = AsyncSessionLink(
-                peer.sid, AsyncSessionLink.RESPONDER, node=self.node,
-                ctx=obs.current())
-            await link._adopt(sock, peer)
+                None, peer.sid, AsyncSessionLink.RESPONDER,
+                config=SessionConfig(resume_timeout=HANDSHAKE_TIMEOUT),
+                ctx=obs.current(), node=self.node)
+            await link._reattach(sock, peer)
             link._start_loops()
             self.sessions[peer.sid] = link
             self._accepts.put_nowait(link)

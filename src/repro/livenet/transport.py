@@ -71,6 +71,9 @@ class LiveSocket(asyncio.Protocol):
     method = "client_server"
     native_tcp = True
     relayed = False
+    #: what a routed link names its peer by; a direct socket names none
+    #: (a request on it names its sender)
+    peer = ""
 
     def __init__(self, on_connected: Optional[Callable] = None):
         self._loop = asyncio.get_running_loop()

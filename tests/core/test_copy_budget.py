@@ -51,7 +51,8 @@ async def _stack():
     client._sock = sink = _Sink()
     client.connected = True
     link, _ = client.open("b")
-    session = AsyncSessionLink(1, AsyncSessionLink.INITIATOR)
+    # the data path is the same either role: a responder needs no redial
+    session = AsyncSessionLink(None, 1, AsyncSessionLink.RESPONDER)
     session._raw = link
     session.attach(0.0)
     endpoint = AsyncMuxEndpoint(session, AsyncMuxEndpoint.INITIATOR)

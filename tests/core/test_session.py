@@ -27,6 +27,7 @@ from repro.core.session import (
     SessionConfig,
     SessionError,
     SessionLink,
+    read_resume,
 )
 from repro.livenet import (
     AsyncSessionLink,
@@ -160,7 +161,7 @@ class SimSessions(dual.SimHarness):
             if self.refuse:
                 raise TcpError("no path to peer")
             na, nb = _pipe_pair(sim)
-            sim.process(self.responder._reattach(nb), name="test-reattach")
+            sim.process(_reattach(self.responder, nb), name="test-reattach")
             return na
             yield  # pragma: no cover - makes this a generator
 
@@ -187,6 +188,17 @@ class SimSessions(dual.SimHarness):
         _, b = _pipe_pair(self.sim)
         self.responder = SessionLink(
             b, sid=_SID, role=SessionLink.RESPONDER, config=self.config)
+
+
+def _reattach(responder, raw):
+    """What a node's registry does with a re-established link: read the
+    RESUME it opens with and hand both to the session; a failed re-attach
+    leaves the session recovering, and the initiator retries."""
+    try:
+        peer = yield from read_resume(raw)
+        yield from responder._reattach(raw, peer)
+    except Exception:
+        pass
 
 
 class _MutableSock:
@@ -237,7 +249,7 @@ class LiveSessions(dual.LiveHarness):
             return _MutableSock(await live_connect(listener.addr))
 
         initiator = await AsyncSessionLink.connect(
-            dial, node="ini", max_attempts=4)
+            dial, node="ini", retry_policy=_FAST_RETRY)
         responder = await self.listener.accept()
         initiator.config = responder.config = self.config
         try:

@@ -162,6 +162,84 @@ class TestLiveTls:
         assert live_run(main()) == (7, "live-ipl-node")
 
 
+def _kill_under_write(sock, after: int) -> None:
+    """``sock`` is aborted under the write that takes it past ``after``
+    bytes: the data socket dies mid-message."""
+    send_all, sent = sock.send_all, 0
+
+    async def killing_send_all(data):
+        nonlocal sent
+        sent += len(data)
+        if sent > after:
+            sock.send_all = send_all
+            sock.abort()
+        await send_all(data)
+
+    sock.send_all = killing_send_all
+
+
+class TestLiveSession:
+    @pytest.mark.parametrize(
+        "spec",
+        [StackSpec.tcp().with_session(), StackSpec.tcp().with_session().with_mux()],
+        ids=["session", "session-under-mux"],
+    )
+    def test_a_data_socket_killed_mid_message_resumes_exactly_once(
+        self, live_run, spec
+    ):
+        """The data socket under a session port dies inside a 1 MiB
+        message: the session redials over a ``sessres:<sid>`` service link
+        and the node's data-request exchange, replays, and every message
+        arrives once, in order; leaving stops every task."""
+        payload = bytes(range(256)) * 4096
+        registry, recorder = MetricsRegistry(), TraceRecorder()
+        previous = obs.set_registry(registry), obs.set_tracer(recorder)
+
+        async def main():
+            before = asyncio.all_tasks()
+            async with grid("alice", "bob") as (reg, relay, alice, bob):
+                inbox = await bob.create_receive_port("in")
+                out = alice.create_send_port("out")
+                await out.connect("in", spec)
+                (session,) = alice.node.sessions
+                endpoint = alice.factory.shared_endpoint("bob")
+                carrier = session.raw if endpoint is None else endpoint.link
+                await _send(out, 1)
+                _kill_under_write(carrier, after=256 << 10)
+                message = out.new_message()
+                message.write_bytes(payload)
+                await message.finish()
+                await _send(out, 2)
+                got = [(await inbox.receive()).read_int()]
+                got.append((await inbox.receive()).read_bytes() == payload)
+                got.append((await inbox.receive()).read_int())
+                with pytest.raises(asyncio.TimeoutError):
+                    await asyncio.wait_for(inbox.receive(), 0.2)
+                resumed = session.reconnects, session.raw is not carrier
+                for node in (alice, bob):
+                    await node.leave()
+                reg.close()
+                relay.close()
+            await asyncio.sleep(0.1)
+            left = sorted(
+                t.get_name() for t in asyncio.all_tasks() - before
+                if t is not asyncio.current_task() and not t.done()
+            )
+            return got, resumed, left
+
+        try:
+            got, resumed, left = live_run(main())
+        finally:
+            obs.set_registry(previous[0])
+            obs.set_tracer(previous[1])
+        assert got == [1, True, 2]
+        assert resumed == (1, True)
+        assert left == []
+        spans = recorder.spans("session.resume")
+        assert [(s["node"], s["attrs"]["outcome"]) for s in spans] == [
+            ("alice", "ok")]
+
+
 def test_allreduce_and_barrier_across_three_live_nodes(live_run):
     members = ["a", "b", "c"]
     clusters = {"a": "c1", "b": "c1", "c": "c2"}

@@ -36,6 +36,7 @@ import asyncio
 
 import pytest
 
+from repro.core.retry import RetryPolicy
 from repro.livenet import (
     AsyncSessionError,
     AsyncSessionLink,
@@ -169,7 +170,7 @@ async def _row_session(kind: str) -> bytes:
         responder_task = asyncio.ensure_future(responder())
         try:
             link = await AsyncSessionLink.connect(
-                dial, node="matrix-ini", max_attempts=1
+                dial, node="matrix-ini", retry_policy=RetryPolicy(max_attempts=1)
             )
             await link.send_all(b"ping")
             echo = await asyncio.wait_for(link.recv_exactly(4), 5.0)

@@ -14,6 +14,7 @@ import asyncio
 import pytest
 
 from repro.core.relay import RelayError
+from repro.core.retry import RetryPolicy
 from repro.core.relay_core import PING_FRAME
 from repro.core.wire import send_frame
 from repro.livenet import (
@@ -115,7 +116,8 @@ def test_a_session_violation_fails_that_session_and_the_relay_connection_serves_
         sessions = AsyncSessionListener(_IncomingLinks(a))
         try:
             victim = await AsyncSessionLink.connect(
-                lambda: b.open_link("node0"), max_attempts=1)
+                lambda: b.open_link("node0"),
+                retry_policy=RetryPolicy(max_attempts=1))
             served = await sessions.accept()
             before = await a.open_link("node1")
             before_peer = await b.accept_link()

@@ -1,6 +1,7 @@
 """LiveIbis: the full runtime over real loopback sockets."""
 
 import array
+import asyncio
 import contextlib
 
 import pytest
@@ -55,6 +56,25 @@ class TestLiveRegistry:
         assert node_id == "n1"
         assert winner == "n1"
         assert names == ["n1"]
+
+
+    def test_close_ends_the_connections_it_serves(self, live_run):
+        async def main():
+            registry = await LiveRegistryServer().start()
+            client = await registry_client(registry.addr).connect()
+            try:
+                await client.list_nodes()  # the connection is being served
+                registry.close()
+                await asyncio.sleep(0.1)
+                return [
+                    t.get_coro().__qualname__ for t in asyncio.all_tasks()
+                    if not t.done()
+                    and t.get_coro().__qualname__.startswith("LiveRegistryServer")
+                ]
+            finally:
+                client.close()
+
+        assert live_run(main()) == []
 
 
 class TestLiveIbis:

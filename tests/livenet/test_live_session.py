@@ -4,7 +4,8 @@ The protocol scripts shared with the simulator binding live in
 ``tests/core/test_session.py``; here are the properties of the asyncio
 binding itself — establishment cost, close from both ends at once, how
 long its tasks outlive the transport, what the listener does with a
-connection it cannot place, and the observability it shares with sim.
+connection it cannot place, the observability it shares with sim, and
+the ``session`` layer a ``LiveIbis`` port builds.
 """
 
 import asyncio
@@ -13,6 +14,7 @@ import pytest
 
 from repro import obs
 from repro.core.factory import TlsConfig
+from repro.core.retry import RetryPolicy
 from repro.core.session_core import RESUME_OK_SIZE, RESUME_SIZE, SessionCore
 from repro.core.utilization.spec import StackSpec
 from repro.livenet import (
@@ -21,9 +23,7 @@ from repro.livenet import (
     AsyncSessionListener,
     live_connect,
     live_listen,
-    set_connect_hook,
 )
-from repro.livenet.runtime import LiveIbisError
 from repro.obs.metrics import MetricsRegistry
 from repro.security import CertificateAuthority, Identity
 
@@ -259,7 +259,8 @@ def test_a_failed_first_handshake_leaves_no_session_behind(live_run):
 def test_recv_on_a_failed_session_is_a_transport_error(live_run):
     async def main():
         listener = await live_listen()
-        sessions, a, b = await _pair(listener, max_attempts=1)
+        sessions, a, b = await _pair(
+            listener, retry_policy=RetryPolicy(max_attempts=1))
         sessions.close()
         listener.close()
         await eventually(lambda: a.state == "failed", 5.0)
@@ -308,10 +309,10 @@ def test_live_shares_the_sim_instruments_and_events(live_run):
     assert span["attrs"]["outcome"] == "ok" and span["node"] == "alice"
 
 
-def test_build_stack_names_session_as_an_unsupported_layer(live_run):
-    """``LiveIbis`` refuses ``session`` before it dials anything (it used to
-    open the data sockets first and never close them); ``tls`` it builds
-    and handshakes with the ``TlsConfig`` it is given."""
+def test_port_connect_builds_session_and_tls_layers(live_run):
+    """``LiveIbis`` builds a ``session`` port the simulator's way — one
+    session per data link, registered with the responder node — and a
+    ``tls`` one it handshakes with the ``TlsConfig`` it is given."""
     ca = CertificateAuthority("live-root")
     key, cert = ca.issue_identity("live-node")
     tls = TlsConfig([ca.certificate], Identity(key, [cert]))
@@ -319,22 +320,16 @@ def test_build_stack_names_session_as_an_unsupported_layer(live_run):
     async def main():
         async with grid("alice", "bob", tls_config=tls) as (_reg, _rel, alice, bob):
             inbox = await bob.create_receive_port("in")
-            dialled = []
-            previous = set_connect_hook(dialled.append)
-            try:
-                with pytest.raises(
-                    LiveIbisError, match="layer 'session' unsupported"
-                ):
-                    await alice.create_send_port("out").connect(
-                        "in", StackSpec.tcp().with_session()
-                    )
-            finally:
-                set_connect_hook(previous)
+            survivable = alice.create_send_port("out")
+            await survivable.connect("in", StackSpec.tcp().with_session())
             secure = alice.create_send_port("secure")
             await secure.connect("in", StackSpec.tcp().with_tls())
-            message = secure.new_message()
-            message.write_string("sealed")
-            await message.finish()
-            return dialled, (await inbox.receive()).read_string()
+            got = []
+            for port, text in ((survivable, "resumable"), (secure, "sealed")):
+                message = port.new_message()
+                message.write_string(text)
+                await message.finish()
+                got.append((await inbox.receive()).read_string())
+            return got, len(bob.node.sessions), len(alice.node.sessions)
 
-    assert live_run(main()) == ([], "sealed")
+    assert live_run(main()) == (["resumable", "sealed"], 1, 1)
