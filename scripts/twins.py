@@ -33,6 +33,7 @@ RUNTIME = "core/runtime.py"
 PAIRS = [
     ("mux/endpoint.py", "livenet/mux.py"),
     ("core/relay.py", "livenet/relay.py"),
+    ("mesh/client.py", "livenet/relay.py"),
     ("core/session.py", "livenet/session.py"),
     ("ipl/runtime.py", "livenet/runtime.py"),
 ]
@@ -76,9 +77,11 @@ def overrides(shared_path: str, live_path: str) -> list:
 def main() -> int:
     allowed = json.loads(ALLOW.read_text())
     status = 0
+    seen: dict = {}
     for shared_path, live_path in PAIRS:
         listed = allowed.get(live_path, {})
         found = overrides(shared_path, live_path)
+        seen.setdefault(live_path, set()).update(found)
         print(f"{live_path} over {shared_path}: {len(found)} overrides")
         for entry in found:
             if entry in listed:
@@ -87,7 +90,8 @@ def main() -> int:
                 print(f"  NOT ALLOWED  {entry}: write it once in "
                       f"{shared_path}, or allow it with a reason in {ALLOW.name}")
                 status = 1
-        for entry in sorted(set(listed) - set(found)):
+    for live_path, found in seen.items():
+        for entry in sorted(set(allowed.get(live_path, {})) - found):
             print(f"  STALE    {entry}: allowed in {ALLOW.name} but no longer "
                   "an override")
             status = 1

@@ -13,7 +13,9 @@ self-register::
         return workload
 
 A :class:`ScenarioDef` records which fidelity tiers the workload can run
-on (default: packet only) and whether the builder wants the ``fidelity``
+on (default: packet only), which backends its builder serves (default:
+the simulator; ``backends=("sim", "live")`` hands the builder a
+``backend=`` keyword) and whether the builder wants the ``fidelity``
 keyword; :func:`get_scenario` is the lookup the runner and CLI use.
 """
 
@@ -34,12 +36,12 @@ _REGISTRY: dict[str, "ScenarioDef"] = {}
 
 
 class ScenarioDef:
-    """One registered chaos scenario: builder(s) + the tiers it runs on.
+    """One registered chaos scenario: its builder and where it runs.
 
-    ``builder`` constructs the simulated workload (``None`` for a
-    live-only scenario); ``live_builder`` is an *async* builder the live
-    chaos runner awaits inside its event loop — a scenario carrying both
-    runs unmodified on either backend.
+    ``builder`` constructs the workload on every backend in
+    ``backends``; a builder that runs on more than one takes a
+    ``backend=`` keyword.  ``live_builder`` is an *async* builder for a
+    live twin written apart from its sim builder.
     """
 
     __slots__ = (
@@ -48,6 +50,7 @@ class ScenarioDef:
         "fidelities",
         "description",
         "_takes_fidelity",
+        "_backends",
         "live_builder",
     )
 
@@ -57,17 +60,16 @@ class ScenarioDef:
         builder: Callable,
         fidelities: Sequence[str],
         description: str = "",
+        backends: Sequence[str] = ("sim",),
     ):
         self.name = name
         self.builder = builder
         self.fidelities = tuple(fidelities)
         self.description = description
+        self._backends = tuple(backends)
         self.live_builder = None
-        if builder is None:
-            self._takes_fidelity = False
-        else:
-            params = inspect.signature(builder).parameters
-            self._takes_fidelity = "fidelity" in params
+        params = inspect.signature(builder).parameters
+        self._takes_fidelity = "fidelity" in params
 
     @property
     def default_fidelity(self) -> str:
@@ -75,37 +77,30 @@ class ScenarioDef:
 
     @property
     def backends(self) -> tuple:
-        out = []
-        if self.builder is not None:
-            out.append("sim")
         if self.live_builder is not None:
-            out.append("live")
-        return tuple(out)
+            return self._backends + ("live",)
+        return self._backends
 
-    def build(self, seed: int, retries: bool, sessions: bool, fidelity: str):
-        """Build the workload at ``fidelity`` (must be a supported tier)."""
-        if self.builder is None:
+    def build(self, seed: int, retries: bool, sessions: bool, fidelity: str,
+              backend: str = "sim"):
+        """Build the workload at ``fidelity`` on ``backend`` — an awaitable
+        for a ``live_builder``, the :class:`Workload` otherwise."""
+        if backend not in self.backends:
             raise ValueError(
-                f"scenario {self.name!r} is live-only; run it with "
-                "backend='live'"
+                f"scenario {self.name!r} does not run on backend "
+                f"{backend!r}; supported backends: {self.backends}"
             )
+        if backend == "live" and self.live_builder is not None:
+            return self.live_builder(seed, retries, sessions)
         if fidelity not in self.fidelities:
             raise ValueError(
                 f"scenario {self.name!r} does not support fidelity "
                 f"{fidelity!r}; supported: {self.fidelities}"
             )
-        if self._takes_fidelity:
-            return self.builder(seed, retries, sessions, fidelity=fidelity)
-        return self.builder(seed, retries, sessions)
-
-    def build_live(self, seed: int, retries: bool, sessions: bool):
-        """Await-able live workload construction (coroutine, not a value)."""
-        if self.live_builder is None:
-            raise ValueError(
-                f"scenario {self.name!r} has no live builder; supported "
-                f"backends: {self.backends}"
-            )
-        return self.live_builder(seed, retries, sessions)
+        kwargs = {"fidelity": fidelity} if self._takes_fidelity else {}
+        if len(self._backends) > 1:
+            kwargs["backend"] = backend
+        return self.builder(seed, retries, sessions, **kwargs)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -118,13 +113,16 @@ def scenario(
     name: str,
     *,
     fidelities: Sequence[str] = ("packet",),
+    backends: Sequence[str] = ("sim",),
 ) -> Callable:
     """Decorator: register a workload builder under ``name``.
 
     The builder is called ``builder(seed, retries, sessions)`` — plus a
-    ``fidelity=`` keyword if its signature declares one — and must
-    return a :class:`~repro.chaos.runner.Workload`.  ``fidelities``
-    lists the simulation tiers the workload is valid on, default-first.
+    ``fidelity=`` keyword if its signature declares one, and a
+    ``backend=`` keyword if it runs on more than one of ``backends`` —
+    and must return a :class:`~repro.chaos.runner.Workload`.
+    ``fidelities`` lists the simulation tiers the workload is valid on,
+    default-first.
     """
     from ..simnet.backend import FIDELITIES
 
@@ -138,7 +136,8 @@ def scenario(
         if name in _REGISTRY:
             raise ValueError(f"chaos scenario {name!r} already registered")
         _REGISTRY[name] = ScenarioDef(
-            name, builder, fidelities, description=(builder.__doc__ or "").strip()
+            name, builder, fidelities,
+            description=(builder.__doc__ or "").strip(), backends=backends,
         )
         return builder
 
@@ -148,22 +147,20 @@ def scenario(
 def live_scenario(name: str) -> Callable:
     """Decorator: attach an *async* live-backend builder under ``name``.
 
-    The builder is an ``async def builder(seed, retries, sessions)``
-    returning a :class:`~repro.chaos.runner.Workload` whose scenario is a
-    live one (real sockets, a :class:`~repro.livenet.proxy.ChaosTcpProxy`
-    gateway).  If a sim scenario of the same name exists the two share
-    the registry entry — ``run_chaos(name, backend=...)`` picks the
-    builder; otherwise the scenario is live-only.
+    For a live twin that cannot share its sim builder: an ``async def
+    builder(seed, retries, sessions)`` returning a
+    :class:`~repro.chaos.runner.Workload` over a
+    :class:`~repro.chaos.live.LiveChaosScenario`.  It shares the registry
+    entry of the sim scenario of the same name, which must exist.
     """
 
     def register(builder: Callable) -> Callable:
         sdef = _REGISTRY.get(name)
         if sdef is None:
-            sdef = ScenarioDef(
-                name, None, (), description=(builder.__doc__ or "").strip()
+            raise ValueError(
+                f"live twin {name!r} has no sim scenario to attach to"
             )
-            _REGISTRY[name] = sdef
-        if sdef.live_builder is not None:
+        if "live" in sdef.backends:
             raise ValueError(
                 f"chaos scenario {name!r} already has a live builder"
             )

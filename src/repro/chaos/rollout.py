@@ -16,27 +16,26 @@ bake window.
   **improvement**.  No canary breach may start during the bake, and the
   gate must promote the change to the whole fleet.
 
-Both run unchanged on the sim backend (deterministic clocks, publishers
-as sim processes) and the live backend (real sockets through the chaos
-gateway, publishers as asyncio tasks) — only the geometry constants
-differ, because wall-clock runs have to finish in seconds.
+Each is one builder that both backends run: the senders and the hub are
+nodes whose channels come from the shared factory, and the publishers
+and the gate are tasks on the scenario's runtime.  Only the numbers in
+:data:`_GEOMETRY` differ, because wall-clock runs have to finish in
+seconds; live, every stream crosses the hub's chaos gateway, whose byte
+ledger is watched as a conservation-drift SLO.
 """
 
 from __future__ import annotations
 
-import asyncio
 import random
-from typing import Generator
+from types import coroutine
+from typing import Generator, NamedTuple
 
 from .. import obs
 from ..core.factory import BrokeredConnectionFactory
-from ..core.scenarios import GridScenario
-from ..livenet.transport import live_connect, live_listen
 from ..ops.rollout import CanaryRollout, ConfigChange
 from ..tune.planner import TunerPolicy
-from .live import LiveChaosScenario
-from .registry import live_scenario, scenario
-from .runner import Workload, _spec
+from .registry import scenario
+from .runner import Workload, _grid, _spec
 
 # TunerPolicy moved to repro.tune.planner; re-exported for old importers.
 __all__ = ["TunerPolicy"]
@@ -47,34 +46,42 @@ _CANARIES = ("c1", "c2")
 _CONTROLS = ("s1", "s2")
 _SENDERS = _CANARIES + _CONTROLS
 
-# -- sim geometry (simulated seconds) -----------------------------------------
-_SIM_HEALTHY = TunerPolicy("healthy", pace=0.05, chunk=8192)      # ~160 KB/s
-_SIM_BAD = TunerPolicy("trickle", pace=0.5, chunk=512)            # ~1 KB/s
-_SIM_IMPROVED = TunerPolicy("improved", pace=0.04, chunk=8192)    # ~205 KB/s
-_SIM_INTERVAL = 0.5
-_SIM_WINDOW = 3.0
-_SIM_THRESHOLD = 40_000.0      # B/s; healthy 4x above, trickle 40x below
-_SIM_SUSTAIN = 1.0
-_SIM_ROLLOUT_AT = 4.0
-_SIM_BAKE = 10.0
-_SIM_POLL = 0.5
-_SIM_SEND_END = 20.0
 
-# -- live geometry (wall-clock seconds; must finish in a few seconds) ---------
-_LIVE_HEALTHY = TunerPolicy("healthy", pace=0.02, chunk=16 * 1024)  # ~800 KB/s
-_LIVE_BAD = TunerPolicy("trickle", pace=0.2, chunk=1024)            # ~5 KB/s
-_LIVE_IMPROVED = TunerPolicy("improved", pace=0.015, chunk=16 * 1024)
-_LIVE_INTERVAL = 0.1
-_LIVE_WINDOW = 1.0
-_LIVE_THRESHOLD = 100_000.0
-_LIVE_SUSTAIN = 0.3
-_LIVE_ROLLOUT_AT = 0.8
-_LIVE_BAKE = 3.0
-_LIVE_POLL = 0.1
-_LIVE_SEND_END = 5.0
-#: allowed windowed proxy conservation drift: bytes legitimately in
-#: flight inside the gateway (one forwarding chunk per pump direction)
-_LIVE_DRIFT_SLACK = 256 * 1024
+class _Geometry(NamedTuple):
+    healthy: TunerPolicy
+    bad: TunerPolicy
+    improved: TunerPolicy
+    interval: float
+    window: float
+    #: throughput objective, B/s: healthy well above, trickle far below
+    threshold: float
+    sustain: float
+    rollout_at: float
+    bake: float
+    poll: float
+    send_end: float
+    #: allowed windowed gateway conservation drift: bytes legitimately in
+    #: flight inside a gateway (one forwarding chunk per pump direction)
+    drift_slack: float = 256 * 1024
+
+
+#: per backend: simulated seconds, or wall-clock seconds on loopback
+_GEOMETRY = {
+    "sim": _Geometry(
+        healthy=TunerPolicy("healthy", pace=0.05, chunk=8192),    # ~160 KB/s
+        bad=TunerPolicy("trickle", pace=0.5, chunk=512),          # ~1 KB/s
+        improved=TunerPolicy("improved", pace=0.04, chunk=8192),  # ~205 KB/s
+        interval=0.5, window=3.0, threshold=40_000.0, sustain=1.0,
+        rollout_at=4.0, bake=10.0, poll=0.5, send_end=20.0,
+    ),
+    "live": _Geometry(
+        healthy=TunerPolicy("healthy", pace=0.02, chunk=16 * 1024),  # ~800 KB/s
+        bad=TunerPolicy("trickle", pace=0.2, chunk=1024),            # ~5 KB/s
+        improved=TunerPolicy("improved", pace=0.015, chunk=16 * 1024),
+        interval=0.1, window=1.0, threshold=100_000.0, sustain=0.3,
+        rollout_at=0.8, bake=3.0, poll=0.1, send_end=5.0,
+    ),
+}
 
 
 def _policies(healthy: TunerPolicy) -> dict:
@@ -150,15 +157,11 @@ def _polarity_checks(wl: Workload, rollout: CanaryRollout, good: bool) -> None:
     wl.post_checks.append(check)
 
 
-# ---------------------------------------------------------------------------
-# sim backend
-# ---------------------------------------------------------------------------
-
-
-def _build_rollout_sim(
-    seed: int, retries: bool, sessions: bool, good: bool
+def _build_rollout(
+    seed: int, retries: bool, sessions: bool, good: bool, backend: str
 ) -> Workload:
-    scn = GridScenario(seed=seed)
+    geo = _GEOMETRY[backend]
+    scn = _grid(backend, seed)
     scn.add_site(
         "HUB", "nat_firewall", access_bandwidth=12_500_000.0, access_delay=0.01
     )
@@ -172,26 +175,34 @@ def _build_rollout_sim(
         for name in _SENDERS
     }
 
-    agg = scn.enable_telemetry(interval=_SIM_INTERVAL, window=_SIM_WINDOW)
+    agg = scn.enable_telemetry(interval=geo.interval, window=geo.window)
     agg.add_slo(
         obs.SLO(
             "throughput",
             obs.sli_counter_rate("rollout.sent_bytes_total"),
-            threshold=_SIM_THRESHOLD,
+            threshold=geo.threshold,
             op=">=",
-            for_seconds=_SIM_SUSTAIN,
+            for_seconds=geo.sustain,
+        )
+    )
+    agg.add_slo(
+        obs.SLO(
+            "proxy-conservation",
+            obs.sli_proxy_drift(),
+            threshold=geo.drift_slack,
+            op="<=",
         )
     )
 
-    policies = _policies(_SIM_HEALTHY)
-    pushed = _SIM_IMPROVED if good else _SIM_BAD
+    policies = _policies(geo.healthy)
+    pushed = geo.improved if good else geo.bad
     rollout = CanaryRollout(
-        _rollout_change(policies, pushed, _SIM_HEALTHY),
+        _rollout_change(policies, pushed, geo.healthy),
         agg,
         targets={name: name for name in _SENDERS},
         canaries=_CANARIES,
-        bake_seconds=_SIM_BAKE,
-        poll_seconds=_SIM_POLL,
+        bake_seconds=geo.bake,
+        poll_seconds=geo.poll,
         clock=lambda: scn.sim.now,
     )
 
@@ -199,6 +210,7 @@ def _build_rollout_sim(
     spec = _spec(sessions)
     audits = {name: wl.audit(f"rollout-{name}") for name in _SENDERS}
 
+    @coroutine
     def run_sender(name: str) -> Generator:
         node = nodes[name]
         audit = audits[name]
@@ -207,23 +219,24 @@ def _build_rollout_sim(
         try:
             yield from node.start()
             factory = BrokeredConnectionFactory(node)
+            peer = hub.info
             if retries:
                 channel = yield from factory.connect_retrying(
-                    hub.info.node_id, hub.info, spec=spec
+                    peer.node_id, peer, spec=spec
                 )
             else:
                 yield from hub.relay_client.wait_connected(timeout=30.0)
-                service = yield from node.open_service_link(hub.info.node_id)
-                channel = yield from factory.connect(service, hub.info, spec=spec)
+                service = yield from node.open_service_link(peer.node_id, peer)
+                channel = yield from factory.connect(service, peer, spec=spec)
                 service.close()
             yield from channel.write(name.encode())
-            while scn.sim.now < _SIM_SEND_END:
+            while scn.sim.now < geo.send_end:
                 policy = policies[name]
                 chunk = rng.randbytes(policy.chunk)
                 yield from channel.write(chunk)
                 audit.record_sent(chunk)
                 meter.inc(len(chunk))
-                yield scn.sim.timeout(policy.pace)
+                yield from node.runtime.sleep(policy.pace)
             yield from channel.flush()
             channel.close()
             audit.finish_sender()
@@ -231,6 +244,7 @@ def _build_rollout_sim(
         except BaseException as exc:  # noqa: BLE001 - reported as a violation
             wl.fail(f"sender:{name}", exc)
 
+    @coroutine
     def read_one(channel) -> Generator:
         try:
             name = (yield from channel.read_exactly(2)).decode()
@@ -244,6 +258,7 @@ def _build_rollout_sim(
         except BaseException as exc:  # noqa: BLE001 - reported as a violation
             wl.fail("hub-reader", exc)
 
+    @coroutine
     def run_hub() -> Generator:
         try:
             yield from hub.start()
@@ -255,16 +270,14 @@ def _build_rollout_sim(
                     _peer, service = yield from hub.accept_service_link()
                     channel = yield from factory.accept(service)
                     service.close()
-                scn.sim.process(read_one(channel), name=f"rollout-read-{i}")
+                scn.spawn(read_one(channel), f"rollout-read-{i}")
         except BaseException as exc:  # noqa: BLE001 - reported as a violation
             wl.fail("hub", exc)
 
-    scn.sim.process(run_hub(), name="rollout-hub")
+    scn.spawn(run_hub(), "rollout-hub")
     for name in _SENDERS:
-        scn.sim.process(run_sender(name), name=f"rollout-{name}")
-    scn.sim.process(
-        rollout.run_sim(scn.sim, start_at=_SIM_ROLLOUT_AT), name="rollout-gate"
-    )
+        scn.spawn(run_sender(name), f"rollout-{name}")
+    scn.spawn(rollout.run(scn.runtime, start_at=geo.rollout_at), "rollout-gate")
 
     _polarity_checks(wl, rollout, good)
 
@@ -277,24 +290,27 @@ def _build_rollout_sim(
     return wl
 
 
-@scenario("canary_rollout")
-def _build_canary_rollout(seed: int, retries: bool, sessions: bool) -> Workload:
+@scenario("canary_rollout", backends=("sim", "live"))
+def _build_canary_rollout(
+    seed: int, retries: bool, sessions: bool, backend: str = "sim"
+) -> Workload:
     """Push a BAD tuner policy to two canaries; the gate must roll back.
 
     Four senders stream into one hub at a healthy pace while their
-    telemetry publishers feed a windowed throughput SLO.  At t=4s the
-    rollout gate applies a trickle policy to the canary pair; their
-    windowed rate collapses ~40x below the objective, the sustained
-    breach fires, and the gate reverts the canaries well inside the 10s
-    bake window.  The controls must stay breach-free and every stream
-    must still deliver byte-exactly — detection AND containment.
+    telemetry publishers feed a windowed throughput SLO.  Shortly in
+    (t=4s simulated, 0.8s live) the rollout gate applies a trickle
+    policy to the canary pair; their windowed rate collapses far below
+    the objective, the sustained breach fires, and the gate reverts the
+    canaries well inside the bake window.  The controls must stay
+    breach-free and every stream must still deliver byte-exactly —
+    detection AND containment.
     """
-    return _build_rollout_sim(seed, retries, sessions, good=False)
+    return _build_rollout(seed, retries, sessions, good=False, backend=backend)
 
 
-@scenario("canary_rollout_good")
+@scenario("canary_rollout_good", backends=("sim", "live"))
 def _build_canary_rollout_good(
-    seed: int, retries: bool, sessions: bool
+    seed: int, retries: bool, sessions: bool, backend: str = "sim"
 ) -> Workload:
     """Push a healthy tuner policy; the gate must bake through and promote.
 
@@ -304,154 +320,4 @@ def _build_canary_rollout_good(
     control senders too.  Together the pair pins that the gate reacts to
     telemetry, not to the act of pushing.
     """
-    return _build_rollout_sim(seed, retries, sessions, good=True)
-
-
-# ---------------------------------------------------------------------------
-# live backend
-# ---------------------------------------------------------------------------
-
-
-async def _build_rollout_live(
-    seed: int, retries: bool, sessions: bool, good: bool
-) -> Workload:
-    scn = LiveChaosScenario(seed)
-    wl = Workload(scn)
-
-    listener = await live_listen()
-    scn.add_closer(listener.close)
-    proxy = await scn.add_proxy("HUB", listener.addr)
-    scn.nodes["hub"] = None
-    for name in _SENDERS:
-        scn.nodes[name] = None
-
-    selections = {
-        name: (lambda n, labels, _id=name: labels.get("node") == _id)
-        for name in _SENDERS
-    }
-    selections["proxies"] = lambda n, labels: n.startswith("proxy.")
-    agg = scn.enable_telemetry(
-        interval=_LIVE_INTERVAL, window=_LIVE_WINDOW, sources=selections
-    )
-    agg.add_slo(
-        obs.SLO(
-            "throughput",
-            obs.sli_counter_rate("rollout.sent_bytes_total"),
-            threshold=_LIVE_THRESHOLD,
-            op=">=",
-            for_seconds=_LIVE_SUSTAIN,
-        )
-    )
-    agg.add_slo(
-        obs.SLO(
-            "proxy-conservation",
-            obs.sli_proxy_drift(),
-            threshold=_LIVE_DRIFT_SLACK,
-            op="<=",
-        )
-    )
-
-    policies = _policies(_LIVE_HEALTHY)
-    pushed = _LIVE_IMPROVED if good else _LIVE_BAD
-    rollout = CanaryRollout(
-        _rollout_change(policies, pushed, _LIVE_HEALTHY),
-        agg,
-        targets={name: name for name in _SENDERS},
-        canaries=_CANARIES,
-        bake_seconds=_LIVE_BAKE,
-        poll_seconds=_LIVE_POLL,
-        clock=lambda: scn.sim.now,
-    )
-
-    audits = {name: wl.audit(f"rollout-{name}") for name in _SENDERS}
-
-    async def run_sender(name: str) -> None:
-        audit = audits[name]
-        meter = obs.metrics().counter("rollout.sent_bytes_total", node=name)
-        rng = random.Random(f"{seed}:rollout:{name}")
-        try:
-            sock = await live_connect(proxy.addr)
-            await sock.send_all(name.encode())
-            while scn.sim.now < _LIVE_SEND_END:
-                policy = policies[name]
-                chunk = rng.randbytes(policy.chunk)
-                await sock.send_all(chunk)
-                audit.record_sent(chunk)
-                meter.inc(len(chunk))
-                await asyncio.sleep(policy.pace)
-            sock.write_eof()
-            # barrier: the hub closes once it has read our EOF, so the
-            # peer close stands in for an application-level ack
-            await asyncio.wait_for(sock.recv(1), timeout=10.0)
-            sock.close()
-            audit.finish_sender()
-            agg.retire(name)
-        except BaseException as exc:  # noqa: BLE001 - reported as a violation
-            wl.fail(f"sender:{name}", exc)
-
-    async def read_one(sock) -> None:
-        try:
-            name = b""
-            while len(name) < 2:
-                part = await sock.recv(2 - len(name))
-                if not part:
-                    raise EOFError("stream ended before the sender tag")
-                name += part
-            audit = audits[name.decode()]
-            while True:
-                data = await sock.recv(64 * 1024)
-                if not data:
-                    break
-                audit.record_received(data)
-            sock.close()
-            audit.finish_receiver()
-        except BaseException as exc:  # noqa: BLE001 - reported as a violation
-            wl.fail("hub-reader", exc)
-
-    async def run_hub() -> None:
-        try:
-            readers = []
-            for _ in range(len(_SENDERS)):
-                sock = await listener.accept()
-                readers.append(asyncio.ensure_future(read_one(sock)))
-            await asyncio.gather(*readers)
-        except BaseException as exc:  # noqa: BLE001 - reported as a violation
-            wl.fail("hub", exc)
-
-    scn.spawn(run_hub(), "rollout-hub")
-    for name in _SENDERS:
-        scn.spawn(run_sender(name), f"rollout-{name}")
-    scn.spawn(rollout.run_async(start_after=_LIVE_ROLLOUT_AT), "rollout-gate")
-
-    _polarity_checks(wl, rollout, good)
-
-    def record_stats() -> list:
-        wl.stats["rollout"] = rollout.stats()
-        wl.stats["slo_breaches"] = len(agg.breaches)
-        return []
-
-    wl.post_checks.append(record_stats)
-    return wl
-
-
-@live_scenario("canary_rollout")
-async def _build_live_canary_rollout(
-    seed: int, retries: bool, sessions: bool
-) -> Workload:
-    """Live twin of ``canary_rollout``: real sockets through the gateway.
-
-    Four asyncio senders stream through one :class:`ChaosTcpProxy` into
-    a hub listener; telemetry publishers tick on wall time at 10 Hz.
-    The gate pushes the trickle policy at t≈0.8s and must revert the
-    canaries inside a 3s bake — with the proxy's byte ledger streamed as
-    a conservation-drift SLO the whole way.
-    """
-    return await _build_rollout_live(seed, retries, sessions, good=False)
-
-
-@live_scenario("canary_rollout_good")
-async def _build_live_canary_rollout_good(
-    seed: int, retries: bool, sessions: bool
-) -> Workload:
-    """Live twin of ``canary_rollout_good``: healthy push bakes through."""
-    return await _build_rollout_live(seed, retries, sessions, good=True)
+    return _build_rollout(seed, retries, sessions, good=True, backend=backend)

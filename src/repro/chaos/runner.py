@@ -45,12 +45,14 @@ import json
 import os
 import random
 from dataclasses import dataclass, field
+from types import coroutine
 from typing import Callable, Generator, Optional, Union
 
 from .. import obs
 from ..core.factory import BrokeredConnectionFactory
 from ..core.scenarios import GridScenario
 from ..core.utilization.spec import StackSpec
+from ..mesh.config import MeshConfig
 from ..obs import MetricsRegistry, TraceContext, TraceRecorder, seed_ids
 from ..obs.assemble import assemble, render_text
 from .faults import FaultPlan, FaultScheduler, require_backend
@@ -160,6 +162,14 @@ def _spec(sessions: bool) -> StackSpec:
     return StackSpec.tcp().with_session() if sessions else StackSpec.tcp()
 
 
+def _grid(backend: str, seed: int):
+    """An empty scenario for a builder to populate: the simulated grid, or
+    its live stand-in on real sockets."""
+    from .live import LiveChaosScenario
+
+    return {"sim": GridScenario, "live": LiveChaosScenario}[backend](seed=seed)
+
+
 def _staged_transfer(
     wl: Workload,
     sender,
@@ -170,6 +180,7 @@ def _staged_transfer(
     sessions: bool,
     stages: int = 2,
     stage_bytes: int = 4 * (1 << 20),
+    pace: float = 0.0,
     methods: Optional[list] = None,
     label: str = "stage",
 ) -> None:
@@ -179,37 +190,45 @@ def _staged_transfer(
     write/read; both ends feed a :class:`ChannelAudit` so loss,
     duplication and reordering all surface as violations.  ``methods``
     optionally pins the establishment decision tree (e.g. ``["routed"]``
-    to force every byte through the relay).
+    to force every byte through the relay).  ``pace`` sleeps that long
+    after each written chunk, so a fault lands mid-stream on a fast link.
+    Both ends run on the nodes' runtime, whichever backend built them.
     """
     scn = wl.scenario
     spec = _spec(sessions)
+    runtime = sender.runtime
+    now = obs.metrics().now
     payloads = [
         random.Random(f"{seed}:chaos:{label}{i}").randbytes(stage_bytes)
         for i in range(stages)
     ]
     audits = [wl.audit(f"{label}{i}") for i in range(stages)]
 
+    @coroutine
     def send_stage(factory, ctx, payload, audit) -> Generator:
+        peer = receiver.info
         if retries:
             channel = yield from factory.connect_retrying(
-                receiver.info.node_id, receiver.info, spec=spec,
-                methods=methods, ctx=ctx,
+                peer.node_id, peer, spec=spec, methods=methods, ctx=ctx,
             )
         else:
             yield from receiver.relay_client.wait_connected(timeout=30.0)
-            service = yield from sender.open_service_link(receiver.info.node_id)
+            service = yield from sender.open_service_link(peer.node_id, peer)
             channel = yield from factory.connect(
-                service, receiver.info, spec=spec, methods=methods, ctx=ctx
+                service, peer, spec=spec, methods=methods, ctx=ctx
             )
             service.close()
         for off in range(0, len(payload), _WRITE_CHUNK):
             chunk = payload[off : off + _WRITE_CHUNK]
             yield from channel.write(chunk)
             audit.record_sent(chunk)
+            if pace:
+                yield from runtime.sleep(pace)
         yield from channel.flush()
         channel.close()
         audit.finish_sender()
 
+    @coroutine
     def run_sender() -> Generator:
         try:
             yield from sender.start()
@@ -219,7 +238,7 @@ def _staged_transfer(
                 # the responder's records and any session resumes all hang
                 # off this context in the assembled cross-node tree.
                 ctx = TraceContext.new()
-                t0 = scn.sim.now
+                t0 = now()
                 try:
                     yield from send_stage(factory, ctx, payload, audit)
                 except GeneratorExit:
@@ -228,19 +247,20 @@ def _staged_transfer(
                     raise
                 except BaseException:
                     obs.record_span(
-                        "chaos.stage", t0, scn.sim.now, ctx=ctx,
+                        "chaos.stage", t0, now(), ctx=ctx,
                         node=sender.info.node_id,
                         stage=f"{label}{i}", outcome="error",
                     )
                     raise
                 obs.record_span(
-                    "chaos.stage", t0, scn.sim.now, ctx=ctx,
+                    "chaos.stage", t0, now(), ctx=ctx,
                     node=sender.info.node_id,
                     stage=f"{label}{i}", bytes=len(payload),
                 )
         except BaseException as exc:  # noqa: BLE001 - reported as a violation
             wl.fail("sender", exc)
 
+    @coroutine
     def run_receiver() -> Generator:
         try:
             yield from receiver.start()
@@ -262,12 +282,23 @@ def _staged_transfer(
         except BaseException as exc:  # noqa: BLE001 - reported as a violation
             wl.fail("receiver", exc)
 
-    scn.sim.process(run_sender(), name="chaos-sender")
-    scn.sim.process(run_receiver(), name="chaos-receiver")
+    scn.spawn(run_sender(), "chaos-sender")
+    scn.spawn(run_receiver(), "chaos-receiver")
 
 
-@scenario("wan_transfer")
-def _build_wan_transfer(seed: int, retries: bool, sessions: bool) -> Workload:
+#: per-backend geometry of the staged transfers: a simulated 1.25 MB/s
+#: access link spreads a 4 MiB stage over seconds; on loopback a smaller
+#: stage is paced so a fault a few hundred milliseconds in lands mid-stream
+_WAN = {
+    "sim": {"stage_bytes": 4 << 20, "pace": 0.0},
+    "live": {"stage_bytes": 512 << 10, "pace": 0.04},
+}
+
+
+@scenario("wan_transfer", backends=("sim", "live"))
+def _build_wan_transfer(
+    seed: int, retries: bool, sessions: bool, backend: str = "sim"
+) -> Workload:
     """Two staged bulk transfers, open site -> NATted+firewalled site.
 
     Site B sits behind the common campus gateway: a stateful firewall
@@ -279,9 +310,10 @@ def _build_wan_transfer(seed: int, retries: bool, sessions: bool) -> Workload:
     *fresh* brokered establishment, which only survives relay downtime or
     WAN flaps through the retry layer (``retries=True``).  Mid-stream
     middlebox faults are survived only by the session layer
-    (``sessions=True``).
+    (``sessions=True``).  Live, every data byte crosses site B's chaos
+    gateway, so a ``conn_kill`` there is fatal without sessions.
     """
-    scn = GridScenario(seed=seed)
+    scn = _grid(backend, seed)
     # Slow WAN access (1.25 MB/s) so a multi-MiB stage spans several
     # simulated seconds — faults land *mid-transfer*, not between stages.
     scn.add_site("A", "open", access_bandwidth=1_250_000.0, access_delay=0.01)
@@ -293,7 +325,8 @@ def _build_wan_transfer(seed: int, retries: bool, sessions: bool) -> Workload:
 
     wl = Workload(scn)
     _staged_transfer(
-        wl, sender, receiver, seed=seed, retries=retries, sessions=sessions
+        wl, sender, receiver, seed=seed, retries=retries, sessions=sessions,
+        **_WAN[backend],
     )
     return wl
 
@@ -335,11 +368,12 @@ def _build_wan_transfer_routed(
     return wl
 
 
-def _mesh_convergence_checks(wl: Workload) -> None:
+def _mesh_convergence_checks(wl: Workload, slack: float = 0.0) -> None:
     """Attach the mesh invariants: bounded detection + survivor agreement.
 
     * every death record on every observer stays within the configured
-      detection bound (``deadline + one jittered gossip interval``);
+      detection bound (``deadline + one jittered gossip interval``), plus
+      ``slack`` for a wall clock's scheduling jitter;
     * every relay a fault killed (and no heal restarted) is declared dead
       in every surviving relay's final view.
     """
@@ -350,7 +384,7 @@ def _mesh_convergence_checks(wl: Workload) -> None:
 
         out = []
         cfg = scn.mesh_config or DEFAULT_MESH_CONFIG
-        bound = cfg.detect_bound
+        bound = cfg.detect_bound + slack
         for observer, dead_id, last_heard, detected in scn.mesh_deaths():
             lag = detected - last_heard
             if lag > bound + 1e-9:
@@ -374,17 +408,34 @@ def _mesh_convergence_checks(wl: Workload) -> None:
     wl.post_checks.append(check)
 
 
-def _mesh_scenario(seed: int, topology=None) -> GridScenario:
+def _mesh_scenario(seed: int, topology=None, backend: str = "sim",
+                   config: Optional[MeshConfig] = None):
     """Three public relays; full mesh unless a ``topology`` seeds gossip."""
-    scn = GridScenario(seed=seed)
+    scn = _grid(backend, seed)
     scn.add_relay("r2")
     scn.add_relay("r3")
-    scn.enable_mesh(topology=topology)
+    scn.enable_mesh(topology=topology, config=config)
     return scn
 
 
-@scenario("mesh_failover")
-def _build_mesh_failover(seed: int, retries: bool, sessions: bool) -> Workload:
+#: per-backend mesh_failover numbers: the stage, the gossip cadence (a
+#: live run must converge within seconds) and the detection-bound slack a
+#: wall clock's scheduling jitter needs
+_MESH = {
+    "sim": {"stage_bytes": 4 << 20, "pace": 0.0, "config": None, "slack": 0.0},
+    "live": {
+        "stage_bytes": 768 << 10,
+        "pace": 0.04,
+        "config": MeshConfig(gossip_interval=0.15, gossip_jitter=0.2, deadline=0.9),
+        "slack": 1.0,
+    },
+}
+
+
+@scenario("mesh_failover", backends=("sim", "live"))
+def _build_mesh_failover(
+    seed: int, retries: bool, sessions: bool, backend: str = "sim"
+) -> Workload:
     """Relay-routed transfer over a 3-relay mesh, built to be killed.
 
     Both nodes register with every relay; the data channel is pinned to
@@ -397,7 +448,8 @@ def _build_mesh_failover(seed: int, retries: bool, sessions: bool) -> Workload:
     plus an unhealed relay kill) the same fault is fatal — the polarity
     the failover test suite pins.
     """
-    scn = _mesh_scenario(seed)
+    geo = _MESH[backend]
+    scn = _mesh_scenario(seed, backend=backend, config=geo["config"])
     scn.add_site("A", "open", access_bandwidth=1_250_000.0, access_delay=0.01)
     scn.add_site(
         "B", "nat_firewall", access_bandwidth=1_250_000.0, access_delay=0.01
@@ -414,10 +466,12 @@ def _build_mesh_failover(seed: int, retries: bool, sessions: bool) -> Workload:
         retries=retries,
         sessions=sessions,
         stages=1,
+        stage_bytes=geo["stage_bytes"],
+        pace=geo["pace"],
         methods=["routed"],
         label="mesh",
     )
-    _mesh_convergence_checks(wl)
+    _mesh_convergence_checks(wl, slack=geo["slack"])
     return wl
 
 
@@ -924,10 +978,12 @@ def run_chaos(
     ``packet`` for the classic workloads, ``flow`` for fleet-scale
     ones); the teardown, drain, invariant suite and report are identical
     either way.  ``backend`` selects where the scenario runs: ``"sim"``
-    (this function's own deterministic engine) or ``"live"``, which
-    delegates to :func:`repro.chaos.live.run_live_chaos` — real sockets,
-    the same ``(scenario, seed, plan)`` triple, wall-clock fault
-    scheduling through the in-process chaos proxy.  ``trace_path``
+    (this module's deterministic engine, :func:`_drive_sim`) or
+    ``"live"`` (:func:`repro.chaos.live.drive_live`) — real sockets, the
+    same ``(scenario, seed, plan)`` triple, wall-clock fault scheduling
+    through the in-process chaos proxy, and ``until`` a wall-clock
+    deadline.  Only the drive differs: the post-checks, faults-fired
+    check, telemetry, stats and report below serve both.  ``trace_path``
     optionally exports the run's metrics + trace as JSON lines (the
     :mod:`repro.obs.export` schema).
 
@@ -948,57 +1004,38 @@ def run_chaos(
     replay it.
     """
     if backend == "live":
-        from .live import run_live_chaos
+        from .live import drive_live as drive
 
-        return run_live_chaos(
-            scenario=scenario,
-            seed=seed,
-            plan=plan,
-            retries=retries,
-            sessions=sessions,
-            until=until,
-            trace_path=trace_path,
-            export_dir=export_dir,
-            bundle_dir=bundle_dir,
-            telemetry_path=telemetry_path,
-        )
-    if backend != "sim":
+        fidelity = "live"
+    elif backend == "sim":
+        drive = _drive_sim
+    else:
         raise ValueError(f"unknown chaos backend {backend!r} (sim|live)")
-
     sdef = get_scenario(scenario)
-    if fidelity is None:
-        fidelity = sdef.default_fidelity
-    parsed = plan if isinstance(plan, FaultPlan) else FaultPlan.parse(plan)
-    require_backend(parsed, "sim")
+    fidelity = fidelity or sdef.default_fidelity
+    plan = plan if isinstance(plan, FaultPlan) else FaultPlan.parse(plan)
+    require_backend(plan, backend)
 
-    # Scoped observability: a fresh registry + recorder per run, installed
-    # *before* the scenario is built so use_sim_clock binds them both.
-    # Trace ids are reseeded from the run seed so the assembled causal
-    # tree (ids included) is as replayable as the report itself.
+    # Scoped observability, installed *before* the scenario is built so
+    # use_sim_clock binds the fresh registry and recorder both.  Trace ids
+    # are reseeded from the run seed so the assembled causal tree (ids
+    # included) is as replayable as the report itself.
     registry = MetricsRegistry()
     recorder = TraceRecorder()
     prev_registry = obs.set_registry(registry)
     prev_recorder = obs.set_tracer(recorder)
     seed_ids(seed)
     try:
-        wl = sdef.build(seed, retries, sessions, fidelity)
-        scn = wl.scenario
-        scheduler = FaultScheduler(scn, parsed)
-        scheduler.arm()
-        scn.sim.run(until=until)
-
-        # Teardown, then drain: anything still alive afterwards is a leak.
-        scn.shutdown()
-        scn.sim.run(until=scn.sim.now + DRAIN_SECONDS)
-
-        violations = check_invariants(
-            scn, wl.audits, wl.errors, registry=registry, recorder=recorder
+        wl, scheduler, violations, clock = drive(
+            sdef, seed, plan, retries, sessions, until, fidelity,
+            registry, recorder,
         )
+        scn = wl.scenario
         for check in wl.post_checks:
             violations.extend(check())
-        if len(scheduler.injected) != len(parsed):
+        if len(scheduler.injected) != len(plan):
             violations.append(
-                f"chaos: only {len(scheduler.injected)}/{len(parsed)} "
+                f"chaos: only {len(scheduler.injected)}/{len(plan)} "
                 "faults fired before the deadline"
             )
         telemetry_log = getattr(scn, "telemetry_log", None)
@@ -1010,9 +1047,9 @@ def run_chaos(
             obs.write_telemetry_jsonl(telemetry_path, [])
         stats = dict(scn.chaos_stats())
         stats.update(wl.stats)
+        stats.update(clock)
         stats.update(
             {
-                "sim_seconds": scn.sim.now,
                 "session_reconnects": sum(
                     c.value
                     for c in registry.instruments("session.reconnects_total")
@@ -1027,10 +1064,11 @@ def run_chaos(
         report = ChaosReport(
             scenario=scenario,
             seed=seed,
-            plan=parsed.spec(),
+            plan=plan.spec(),
             retries=retries,
             sessions=sessions,
             fidelity=fidelity,
+            backend=backend,
             ok=not violations,
             violations=sorted(violations),
             injected=list(scheduler.injected),
@@ -1051,16 +1089,41 @@ def run_chaos(
         obs.set_tracer(prev_recorder)
 
 
+def _drive_sim(sdef, seed: int, plan: FaultPlan, retries: bool,
+               sessions: bool, until: float, fidelity: str,
+               registry: MetricsRegistry, recorder: TraceRecorder) -> tuple:
+    """The simulator's drive: build, arm, run to ``until``, tear down and
+    drain (anything still alive afterwards is a leak), then the invariant
+    suite.  Returns ``(workload, scheduler, violations, clock)``."""
+    wl = sdef.build(seed, retries, sessions, fidelity)
+    scn = wl.scenario
+    scheduler = FaultScheduler(scn, plan)
+    scheduler.arm()
+    scn.sim.run(until=until)
+    scn.shutdown()
+    scn.sim.run(until=scn.sim.now + DRAIN_SECONDS)
+    violations = check_invariants(
+        scn, wl.audits, wl.errors, registry=registry, recorder=recorder
+    )
+    return wl, scheduler, violations, {"sim_seconds": scn.sim.now}
+
+
 # -- per-node exports & postmortem bundles -------------------------------------
 
 
-def _node_flights(scn: GridScenario) -> dict:
-    """Every flight recorder in the scenario, keyed by its node tag."""
-    flights = {node_id: node.flight for node_id, node in scn.nodes.items()}
-    for server in getattr(scn, "relays", {}).values() or [scn.relay]:
-        flights[server.flight.node] = server.flight
-    for proxy in scn.proxies.values():
-        flights[proxy.flight.node] = proxy.flight
+def _node_flights(scn) -> dict:
+    """Every flight recorder in the scenario, keyed by its node tag (a
+    live scenario's relays keep one; its nodes and gateways do not)."""
+    flights = {
+        node_id: node.flight
+        for node_id, node in scn.nodes.items()
+        if getattr(node, "flight", None) is not None
+    }
+    relays = getattr(scn, "relays", {}).values() or [scn.relay]
+    for box in [*relays, *scn.proxies.values()]:
+        flight = getattr(box, "flight", None)
+        if flight is not None:
+            flights[flight.node] = flight
     return flights
 
 
@@ -1070,7 +1133,7 @@ def _safe_name(node: str) -> str:
 
 def _export_per_node(
     out_dir: str,
-    scn: GridScenario,
+    scn,
     registry: MetricsRegistry,
     recorder: TraceRecorder,
 ) -> list:
@@ -1090,13 +1153,14 @@ def _export_per_node(
 def _write_bundle(
     bundle_dir: str,
     report: ChaosReport,
-    scn: GridScenario,
+    scn,
     registry: MetricsRegistry,
     recorder: TraceRecorder,
 ) -> str:
     """Dump a postmortem bundle for a failed run; returns its directory."""
+    backend = "" if report.backend == "sim" else f"-{report.backend}"
     root = os.path.join(
-        bundle_dir, f"{report.scenario}-seed{report.seed}"
+        bundle_dir, f"{report.scenario}{backend}-seed{report.seed}"
     )
     nodes_dir = os.path.join(root, "nodes")
     os.makedirs(nodes_dir, exist_ok=True)
@@ -1127,6 +1191,7 @@ def _write_bundle(
 
     manifest = {
         "scenario": report.scenario,
+        "backend": report.backend,
         "seed": report.seed,
         "plan": report.plan,
         "retries": report.retries,

@@ -42,6 +42,7 @@ from typing import Generator
 
 from .. import obs
 from ..core.factory import BrokeredConnectionFactory
+from ..core.runtime import SimRuntime
 from ..core.scenarios import GridScenario
 from ..core.utilization.spec import StackSpec
 from ..obs import TraceContext
@@ -238,7 +239,7 @@ def _build_tune_workload(
         while meter.value <= 0 and scn.sim.now < send_end:
             yield scn.sim.timeout(_INTERVAL)
         yield scn.sim.timeout(_WARMUP)
-        yield from tuner.run_sim(scn.sim, until=tune_until)
+        yield from tuner.run(SimRuntime(scn.sim), until=tune_until)
 
     def run_sender() -> Generator:
         try:

@@ -1,12 +1,16 @@
 """Routed-link dispatching: separates service channels from brokered data
-channels arriving at a node's relay client.
+channels arriving at a node's relay client (and, on a live node, at its
+one port: a direct link names the same purpose first).
 
 Every routed channel is opened with a purpose tag (see
 :meth:`~repro.core.relay.RelayClient.open_link`):
 
 * ``b"service"`` — a peer establishing its service link to us.
 * ``b"data:<nonce>"`` — a brokered data-link attempt falling back to
-  routed messages; matched to the negotiation that expects it.
+  routed messages; matched to the negotiation that expects it.  One that
+  arrives before its negotiation asks is held, but no longer than
+  :attr:`RoutedDispatcher.early_ttl` and no more than
+  :attr:`RoutedDispatcher.early_max` at once; the rest are closed.
 * ``b"sessres:<sid>"`` — a session initiator re-establishing a broken
   data link (see :mod:`~repro.core.session`); handed to the node's
   :class:`~repro.core.session.SessionRegistry`.
@@ -40,6 +44,11 @@ class RoutedDispatcher:
     """Accept-loop over ``node``'s relay client, routing channels by purpose
     tag; the loop is one of the node's tasks."""
 
+    #: seconds an unclaimed data channel is held for its negotiation (the
+    #: :meth:`await_data` timeout), and how many are held at once
+    early_ttl = 30.0
+    early_max = 64
+
     def __init__(self, node):
         self.client = node.relay_client
         self.runtime = node.runtime
@@ -55,24 +64,45 @@ class RoutedDispatcher:
     def _loop(self) -> Generator:
         while True:
             link = yield from self.client.accept_link()
-            tag = link.open_payload
-            if tag.startswith(_DATA_PREFIX):
-                waiter = self._data_waiters.pop(tag, None)
-                if waiter is not None and not waiter.done():
-                    waiter.set_result(link)
-                else:
-                    self._early_data[tag] = link
-            elif tag.startswith(RESUME_PREFIX):
-                _hand(link, self._resume_queue, self._resume_waiters)
-            elif tag == SERVICE_TAG:
-                self.offer_service(link)
-            else:
-                link.close()
+            self.route(link, link.open_payload)
 
-    def offer_service(self, link) -> None:
-        """Hand a service link to :meth:`accept_service` (a live node's
-        direct listener offers the ones that did not come routed)."""
-        _hand(link, self._service_queue, self._service_waiters)
+    def route(self, link, tag: bytes) -> None:
+        """Hand ``link``, opened with purpose ``tag``, to whoever serves it
+        (a live node's direct listener routes its links here too)."""
+        if tag.startswith(_DATA_PREFIX):
+            waiter = self._data_waiters.pop(tag, None)
+            if waiter is not None and not waiter.done():
+                waiter.set_result(link)
+            else:
+                self._hold(tag, link)
+        elif tag.startswith(RESUME_PREFIX):
+            _hand(link, self._resume_queue, self._resume_waiters)
+        elif tag == SERVICE_TAG:
+            _hand(link, self._service_queue, self._service_waiters)
+        else:
+            link.close()
+
+    def _hold(self, tag: bytes, link) -> None:
+        """Keep ``link`` for :meth:`await_data`; close the held links that
+        are over age or over count, oldest first (checked on arrival, so
+        the sweep schedules nothing)."""
+        now = self.runtime.now()
+        early = self._early_data
+        stale = early.pop(tag, None)
+        if stale is not None:
+            stale[1].close()
+        early[tag] = (now, link)
+        for old_tag, (since, old) in list(early.items()):
+            if len(early) <= self.early_max and now - since < self.early_ttl:
+                break
+            del early[old_tag]
+            old.close()
+
+    def close(self) -> None:
+        """Close the data channels no negotiation claimed."""
+        for _since, link in self._early_data.values():
+            link.close()
+        self._early_data.clear()
 
     def accept_service(self) -> Generator:
         """Wait for a peer-initiated service channel."""
@@ -88,7 +118,7 @@ class RoutedDispatcher:
         tag = data_tag(nonce)
         early = self._early_data.pop(tag, None)
         if early is not None:
-            return early
+            return early[1]
         event = self.runtime.event()
         self._data_waiters[tag] = event
         try:

@@ -296,9 +296,10 @@ class BrokeredConnectionFactory:
         """
         node = self.node
 
+        @coroutine
         def attempt(_i: int) -> Generator:
             yield from node.relay_client.wait_connected(timeout=connect_timeout)
-            service = yield from node.open_service_link(peer_id)
+            service = yield from node.open_service_link(peer_id, peer_info)
             try:
                 channel = yield from self.connect(
                     service,
@@ -428,6 +429,7 @@ class BrokeredConnectionFactory:
         """
         node = self.node
 
+        @coroutine
         def attempt(_i: int) -> Generator:
             _peer, service = yield from node.accept_service_link()
             try:

@@ -174,4 +174,6 @@ class GridNode(Bound):
     def stop(self) -> None:
         obs.metrics().gauge("node.up", node=self.info.node_id).set(0)
         self.sessions.close()
+        if self.dispatcher is not None:
+            self.dispatcher.close()
         self.relay_client.close()

@@ -36,6 +36,7 @@ from ..simnet.topology import Host, Internet, Site
 from .addressing import EndpointInfo
 from .node import GridNode
 from .relay import ReflectorServer, RelayServer
+from .runtime import SimRuntime
 from .utilization.spec import StackSpec
 
 __all__ = ["GridScenario", "SITE_KINDS"]
@@ -67,6 +68,7 @@ class GridScenario:
         self.seed = seed
         self.inet = Internet(seed=seed)
         self.sim = self.inet.sim
+        self.runtime = SimRuntime(self.sim)
         #: the scenario's :class:`~repro.simnet.backend.SimBackend` — the
         #: fidelity-agnostic surface chaos invariants and tooling use for
         #: clock access and resource-leak probes
@@ -313,12 +315,14 @@ class GridScenario:
         Call *after* the nodes are added.  Each node publishes the
         instruments labelled ``node=<id>`` out of the process registry;
         one extra ``relays`` source publishes the ``relay.*``/``mesh.*``
-        families.  ``sources`` adds custom publishers: a mapping of
-        source name -> ``select(name, labels)`` predicate.  All streams
-        feed ``self.telemetry`` (the aggregator SLOs hang off) and
+        families (and a live run's ``proxy.*`` gateway ledgers).
+        ``sources`` adds custom publishers: a mapping of source name ->
+        ``select(name, labels)`` predicate.  All streams feed
+        ``self.telemetry`` (the aggregator SLOs hang off) and
         ``self.telemetry_log`` (the JSONL capture the chaos runner can
-        write out); publishers tick as sim processes and are stopped —
-        with a final flush — at :meth:`shutdown`.
+        write out); publishers tick on the scenario's runtime and are
+        stopped — with a final flush — at :meth:`shutdown`.  The live
+        chaos scenario borrows this method.
         """
         registry = obs.get_registry()
         self.telemetry = obs.TelemetryAggregator(window=window)
@@ -335,7 +339,7 @@ class GridScenario:
             pub.add_sink(self.telemetry_log)
             pub.add_sink(self.telemetry.ingest)
             self.telemetry_publishers.append(pub)
-            self.sim.process(pub.run_sim(self.sim), name=f"telemetry-{source}")
+            self._spawn_publisher(pub.run(self.runtime), f"telemetry-{source}")
             return pub
 
         for node_id in sorted(self.nodes):
@@ -345,12 +349,18 @@ class GridScenario:
             )
         add_publisher(
             "relays",
-            lambda name, labels: name.startswith(("relay.", "mesh."))
+            lambda name, labels: name.startswith(("relay.", "mesh.", "proxy."))
             and "node" not in labels,
         )
         for source, select in sorted((sources or {}).items()):
             add_publisher(source, select)
         return self.telemetry
+
+    def spawn(self, steps: Generator, name: str):
+        """Start a workload process."""
+        return self.sim.process(steps, name=name)
+
+    _spawn_publisher = spawn
 
     # -- chaos scenario protocol ---------------------------------------------
     def shutdown(self) -> None:

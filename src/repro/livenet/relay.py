@@ -6,28 +6,20 @@ name the asyncio runtime and keep what is establishment on real sockets:
 listening, dialling under a deadline, task bookkeeping.  A public machine
 runs :class:`LiveRelayServer`; nodes keep a :class:`LiveRelayClient`
 connection and multiplex :class:`LiveRoutedLink` streams over it;
-:class:`LiveMeshRelayClient` holds one registration per relay of a mesh
-and route-table-picks the carrier for each link, so a mid-stream relay
-kill fails over to a survivor exactly as in the simulator.
+:class:`LiveMeshRelayClient` is :mod:`repro.mesh.client`'s mesh client
+over one :class:`LiveRelayClient` per relay, so a mid-stream relay kill
+fails over to a survivor exactly as in the simulator.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Optional
 
-from ..core.relay import (
-    _PEER_IO_TIMEOUT,
-    _SESSION_ERRORS,
-    _TRANSPORT_ERRORS,
-    RelayClient,
-    RelayServer,
-    RoutedLink,
-)
-from ..core.relay_core import MeshSelection, RelayError
+from ..core.relay import _PEER_IO_TIMEOUT, RelayClient, RelayServer, RoutedLink
+from ..core.relay_core import RelayError
 from ..core.runtime import ASYNCIO
+from ..mesh.client import MeshRelayClient
 from ..mesh.config import MeshConfig
-from ..obs import TraceContext
 from .transport import Addr, live_connect, live_listen
 
 __all__ = [
@@ -118,14 +110,14 @@ class LiveRelayClient(_Tasks, RelayClient):
     link_class = LiveRoutedLink
     link_error = LiveRelayError
 
-    def __init__(self, node_id: str, relay_addr: Addr, **kwargs):
+    def __init__(self, node_id: str, relay_addr: Addr, host=None, **kwargs):
         self._tasks: set = set()
         # no keepalive unless asked: loopback has no conntrack to keep warm
         kwargs.setdefault("keepalive", 0)
-        super().__init__(None, node_id, relay_addr, **kwargs)
+        super().__init__(host, node_id, relay_addr, **kwargs)
 
     def _dial(self, addr: Addr):
-        return live_connect(addr)
+        return self.runtime.bounded(live_connect(addr), _PEER_IO_TIMEOUT)
 
     def close(self) -> None:
         super().close()
@@ -155,62 +147,17 @@ class _MeshLinkListener:
         pass  # the mesh client owns its own lifecycle
 
 
-class LiveMeshRelayClient(MeshSelection):
-    """A node's registrations with every relay of a mesh, route-table
-    picked: :class:`~repro.core.relay_core.MeshSelection` over one
-    :class:`LiveRelayClient` per relay."""
+class LiveMeshRelayClient(MeshRelayClient):
+    """:class:`~repro.mesh.client.MeshRelayClient` over one
+    :class:`LiveRelayClient` per relay, on the asyncio runtime."""
 
-    def __init__(
-        self,
-        node_id: str,
-        relays: dict[str, Addr],
-        seed=0,
-        config: Optional[MeshConfig] = None,
-    ):
-        clients = {rid: LiveRelayClient(node_id, addr)
-                   for rid, addr in sorted(relays.items())}
-        super().__init__(node_id, clients, seed, config, clock=time.monotonic)
-        #: one queue for links accepted on *any* relay
-        self._accepts = ASYNCIO.queue()
-        for client in clients.values():
-            client._accepts = self._accepts
+    runtime = ASYNCIO
+    client_class = LiveRelayClient
 
-    # -- lifecycle -----------------------------------------------------------
-    async def connect(self) -> "LiveMeshRelayClient":
-        """Register with every relay; at least one must accept us."""
-        errors: list[str] = []
-        for rid in sorted(self.clients):
-            try:
-                await ASYNCIO.bounded(
-                    self.clients[rid].connect(), _PEER_IO_TIMEOUT)
-            except _SESSION_ERRORS as exc:
-                errors.append(f"{rid}: {type(exc).__name__}: {exc}")
-        if not self.connected:
-            raise RelayError(f"no relay reachable: {'; '.join(errors)}")
-        return self
-
-    def close(self) -> None:
-        self.closed = True
-        for client in self.clients.values():
-            client.close()
-
-    # -- links ---------------------------------------------------------------
-    async def open_link(self, peer: str, payload: bytes = b"",
-                        ctx: Optional[TraceContext] = None) -> LiveRoutedLink:
-        """Open a routed link to ``peer`` through the best live relay; a
-        relay whose session turns out dead is skipped for the next best."""
-        for _ in self.clients:
-            rid = self.choose_relay(peer, ctx)
-            try:
-                return await self.clients[rid].open_link(peer, payload, ctx)
-            except (*_TRANSPORT_ERRORS, RelayError):
-                self.clients[rid].connected = False
-                self.table.invalidate(rid)
-        raise RelayError("no usable relay for routed open")
-
-    async def accept_link(self) -> LiveRoutedLink:
-        """Wait for a peer-initiated routed link on *any* relay."""
-        return await self._accepts.get()
+    def __init__(self, node_id: str, relays: dict[str, Addr], seed=0,
+                 config: Optional[MeshConfig] = None):
+        super().__init__(None, node_id, relays, seed=seed, config=config,
+                         keepalive=0)
 
     def link_listener(self) -> _MeshLinkListener:
         """An ``AsyncSessionListener``-compatible listener over routed links."""

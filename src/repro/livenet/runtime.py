@@ -5,32 +5,35 @@ architecture; this is ours.  :class:`LiveIbis` is
 :class:`~repro.ipl.runtime.Ibis` — the same ports, port-connect request,
 stack agreement, shared mux endpoints and factory — over a
 :class:`LiveNode`, which holds only establishment on real sockets.  User
-space cannot manufacture middlebox traversal, so service links go direct
-to the peer's advertised listener and fall back to relay-routed messages
-(the bootstrap-capable subset of Figure 4), and :class:`LiveBroker` makes
-data links by having the responder offer a fresh listener.  The routed
-dispatcher, the session registry and the ``sessres:<sid>`` link a broken
-session resumes over are the simulator node's.
+space cannot manufacture middlebox traversal, so a link goes direct to the
+peer's one advertised port or falls back to relay-routed messages (the
+bootstrap-capable subset of Figure 4).  Every link names its purpose when
+it opens (``service``, ``data:<nonce>``, ``sessres:<sid>``), direct or
+routed, and the simulator node's :class:`~repro.core.dispatch.RoutedDispatcher`
+hands it on; the session registry and resume link are the simulator
+node's too.
 """
 
 from __future__ import annotations
 
+import secrets
 from typing import Optional, Tuple
 
 from .. import obs
 from ..core.addressing import EndpointInfo
-from ..core.dispatch import SERVICE_TAG, RoutedDispatcher
+from ..core.dispatch import SERVICE_TAG, RoutedDispatcher, data_tag
+from ..core.establishment.base import CLIENT_SERVER
 from ..core.factory import TlsConfig
 from ..core.node import GridNode
 from ..core.runtime import ASYNCIO
 from ..core.session import SessionRegistry
-from ..core.wire import recv_frame, send_frame
+from ..core.wire import WireError, recv_frame, send_frame
 from ..ipl.registry import RegistryClient
 from ..ipl.runtime import Ibis, IbisError
 from ..util.framing import ByteReader, ByteWriter
 from .drivers import AsyncParallelStreamsDriver, AsyncRebalancingParallelDriver
 from .mux import AsyncMuxEndpoint
-from .relay import LiveRelayClient
+from .relay import LiveMeshRelayClient, LiveRelayClient
 from .session import AsyncSessionLink
 from .transport import live_connect, live_listen
 
@@ -38,10 +41,12 @@ __all__ = ["LiveIbis", "LiveIbisError", "LiveNode", "LiveBroker"]
 
 Addr = Tuple[str, int]
 
-#: data-request exchange on a service link: the initiator asks, the
-#: responder answers with the address of a listener opened for it
+#: data-request kind on a service link: the initiator names the nonce its
+#: data link will open under
 REQ_DATA = 1
-RESP_LISTENER = 0
+
+#: longest purpose tag a direct link may open with
+_MAX_TAG = 64
 
 
 class LiveIbisError(IbisError):
@@ -69,55 +74,74 @@ class _Tasks:
 
 
 class LiveBroker:
-    """The data-link exchange on a live service link (docs/PROTOCOLS.md §5):
-    ``initiate`` asks, with its trace context so the responder joins the
-    trace, and dials the listener that ``respond`` opens for it."""
+    """The data-link exchange on a live service link (docs/PROTOCOLS.md §5).
+
+    ``initiate`` sends a random nonce, with its trace context so the responder
+    joins the trace, and opens the data link under ``data:<nonce>``:
+    direct to the peer's port, or through the relay when ``methods`` leaves
+    out ``client_server``.  ``respond`` meets that link at the dispatcher's
+    :meth:`~repro.core.dispatch.RoutedDispatcher.await_data`, whichever
+    way it came."""
 
     def __init__(self, node: "LiveNode"):
         self.node = node
 
     async def initiate(self, service, peer_info, methods=None, ctx=None):
         child = ctx.child() if ctx is not None else None
+        # random, not the node's session counter: the responder meets every
+        # initiator's link by this nonce alone, whatever the names
+        nonce = secrets.randbits(64)
         encoded = child.encode() if child is not None else b""
         await send_frame(
-            service, ByteWriter().u8(REQ_DATA).lp_bytes(encoded).getvalue()
+            service, ByteWriter().u8(REQ_DATA).u64(nonce).lp_bytes(encoded).getvalue()
         )
-        reply = ByteReader(await recv_frame(service))
-        if reply.u8() != RESP_LISTENER:
-            raise LiveIbisError("responder offered no data listener")
-        sock = await live_connect((reply.lp_str(), reply.u16()))
-        obs.event(
-            "data.connected", ctx=child, node=self.node.node_id,
-            peer=peer_info.node_id, backend="live",
-        )
-        return sock
+        tag = data_tag(nonce)
+        routed = methods is not None and CLIENT_SERVER not in methods
+        # the span is the data link's name in the trace: the responder's
+        # records parent on it
+        with obs.span(
+            "data.connect", ctx=child, node=self.node.node_id,
+            peer=peer_info.node_id, routed=routed, backend="live",
+        ):
+            if routed:
+                link = await self.node.relay_client.open_link(
+                    peer_info.node_id, payload=tag, ctx=child)
+            else:
+                link = await self.node.open_link(peer_info, tag)
+            obs.event(
+                "data.connected", ctx=child, node=self.node.node_id,
+                peer=peer_info.node_id, backend="live",
+            )
+        return link
 
     async def respond(self, service):
         request = ByteReader(await recv_frame(service))
         request.u8()  # request kind; only data connections are defined
+        nonce = request.u64()
         try:
             ctx = obs.TraceContext.decode(request.lp_bytes())
         except ValueError:  # empty: the initiator has no trace
             ctx = None
-        listener = await live_listen(self.node.listen_host, 0)
-        try:
-            reply = ByteWriter().u8(RESP_LISTENER).lp_str(listener.addr[0])
-            await send_frame(service, reply.u16(listener.port).getvalue())
-            sock = await listener.accept()
-        finally:
-            listener.close()
-        sock.ctx = ctx  # the factory stamps the responder's spans with it
+        link = await self.node.dispatcher.await_data(nonce)
+        link.ctx = ctx  # the factory stamps the responder's spans with it
         obs.event(
             "data.accepted", ctx=ctx, node=self.node.node_id, backend="live"
         )
-        return sock
+        return link
 
 
 class LiveNode(_Tasks):
-    """What the shared Ibis and factory ask of a node, on real sockets:
-    service links on a direct listener (advertised as ``local_ip`` and
-    ``open_ports[0]``) or relay-routed under the ``service`` tag, both
-    handed out by the node's :class:`~repro.core.dispatch.RoutedDispatcher`."""
+    """What the shared Ibis and factory ask of a node, on real sockets.
+
+    The node has one port, advertised as ``local_ip`` and
+    ``open_ports[0]``: its own listener, or a gateway that forwards to it
+    (:meth:`advertise`).  Every direct link opens with a purpose tag and is
+    routed by the same :class:`~repro.core.dispatch.RoutedDispatcher` rule
+    as the relay-routed ones; a link silent past :attr:`tag_deadline`
+    seconds, or naming a purpose nobody serves, is closed (one whose first
+    frame is no tag at all is a bare service request).  ``relay_addr`` is
+    one relay's address, or relay id -> address for a mesh.
+    """
 
     runtime = ASYNCIO
     mux_endpoint = AsyncMuxEndpoint
@@ -128,45 +152,98 @@ class LiveNode(_Tasks):
     next_session_id = GridNode.next_session_id
     accept_service_link = GridNode.accept_service_link
     open_resume_link = GridNode.open_resume_link
+    #: seconds a direct link may take to name its purpose
+    tag_deadline = 5.0
 
-    def __init__(self, name: str, relay_addr: Addr, listen_host: str):
+    def __init__(
+        self,
+        name: str,
+        relay_addr,
+        listen_host: str = "127.0.0.1",
+        auto_reconnect: bool = False,
+        mesh_seed=0,
+        mesh_config=None,
+    ):
         self.node_id = name
         self.info: Optional[EndpointInfo] = None
         self.listen_host = listen_host
         self.listener = None
-        self.relay_client = LiveRelayClient(name, relay_addr)
+        if isinstance(relay_addr, dict):
+            self.relay_client = LiveMeshRelayClient(
+                name, relay_addr, seed=mesh_seed, config=mesh_config)
+        else:
+            self.relay_client = LiveRelayClient(
+                name, relay_addr, auto_reconnect=auto_reconnect)
         self.broker = LiveBroker(self)
         self.dispatcher: Optional[RoutedDispatcher] = None
         self.sessions = SessionRegistry(self)
         self._tasks: set = set()
         self._sid_seq = 0
 
-    async def start(self) -> "LiveNode":
-        self.listener = await live_listen(self.listen_host, 0)
+    async def listen(self) -> Addr:
+        """Bind the node's port; returns the address a gateway forwards to."""
+        if self.listener is None:
+            self.listener = await live_listen(self.listen_host, 0)
+        return self.listener.addr
+
+    def advertise(self, addr: Addr) -> None:
+        """Tell peers ``addr`` is this node's port (a port-forward to it)."""
         self.info = EndpointInfo(
-            node_id=self.node_id,
-            local_ip=self.listener.addr[0],
-            open_ports=(self.listener.port,),
+            node_id=self.node_id, local_ip=addr[0], open_ports=(addr[1],)
         )
+
+    async def start(self) -> "LiveNode":
+        if self.info is None:
+            self.advertise(await self.listen())
         await self.relay_client.connect()
         self.dispatcher = RoutedDispatcher(self)
         self._spawn(self._direct_links(), f"livenode-{self.node_id}-direct")
         return self
 
     async def open_service_link(self, peer_id: str, info: EndpointInfo):
-        # Figure 4, bootstrap branch: direct client/server when the peer
-        # advertises a reachable listener, else routed via the relay.
+        return await self.open_link(info, SERVICE_TAG)
+
+    async def open_link(self, info: EndpointInfo, tag: bytes):
+        """A link to ``info``'s node opened under ``tag``: direct to its
+        advertised port, else routed via the relay (Figure 4's bootstrap
+        branch)."""
         try:
-            return await live_connect((info.local_ip, info.open_ports[0]))
+            sock = await live_connect((info.local_ip, info.open_ports[0]))
         except (ConnectionError, OSError, IndexError):
-            return await self.relay_client.open_link(peer_id, payload=SERVICE_TAG)
+            return await self.relay_client.open_link(info.node_id, payload=tag)
+        await send_frame(sock, tag)
+        return sock
 
     async def _direct_links(self) -> None:
         while True:
-            self.dispatcher.offer_service(await self.listener.accept())
+            sock = await self.listener.accept()
+            self._spawn(self._route_direct(sock), f"livenode-{self.node_id}-tag")
+
+    async def _route_direct(self, sock) -> None:
+        try:
+            tag = await self.runtime.bounded(self._read_tag(sock), self.tag_deadline)
+        except (WireError, EOFError, OSError):  # a missed deadline too
+            sock.close()
+            return
+        self.dispatcher.route(sock, tag)
+
+    @staticmethod
+    async def _read_tag(sock) -> bytes:
+        """The purpose a direct link opens with.  A tag is a frame of
+        lower-case ASCII; a first frame that starts otherwise is a bare
+        service request, left unread for whoever serves the link."""
+        head = await sock.peek(4)
+        if len(head) < 4:
+            raise EOFError("link closed before naming its purpose")
+        length = int.from_bytes(head, "big")
+        if length > _MAX_TAG or (length and not (await sock.peek(5))[4:].islower()):
+            return SERVICE_TAG
+        return await recv_frame(sock, _MAX_TAG)
 
     def stop(self) -> None:
         self.sessions.close()
+        if self.dispatcher is not None:
+            self.dispatcher.close()
         self._cancel_tasks()
         self.relay_client.close()
         if self.listener is not None:

@@ -19,28 +19,30 @@ lands on a surviving relay.
 
 from __future__ import annotations
 
+from types import coroutine
 from typing import Callable, Generator, Optional
 
 from .. import obs
-from ..core.relay import RelayClient, RelayError
+from ..core.relay import _SESSION_ERRORS, _TRANSPORT_ERRORS, RelayClient, RelayError
 from ..core.relay_core import MeshSelection
-from ..core.runtime import SimRuntime
+from ..core.runtime import Bound
 from ..obs import TraceContext
 from ..simnet.packet import Addr
-from ..simnet.tcp import TcpError
-from ..util.framing import FrameError
 from .config import MeshConfig
 
 __all__ = ["MeshRelayClient"]
 
 
-class MeshRelayClient(MeshSelection):
+class MeshRelayClient(Bound, MeshSelection):
     """A node's registrations with every relay of a mesh, route-table picked.
 
     ``relays`` maps relay id -> address.  Sub-clients always run with
     ``auto_reconnect`` so a crashed-then-restarted relay re-joins the
-    usable set without anyone asking.
+    usable set without anyone asking.  Written once on ``self.runtime``;
+    a live subclass names the asyncio runtime and its sub-client class.
     """
+
+    client_class = RelayClient
 
     def __init__(
         self,
@@ -52,32 +54,30 @@ class MeshRelayClient(MeshSelection):
         config: Optional[MeshConfig] = None,
         keepalive: float = 10.0,
     ):
+        self.host = host
         clients = {
-            rid: RelayClient(host, node_id, addr, connector=connector,
-                             auto_reconnect=True, keepalive=keepalive)
+            rid: self.client_class(host=host, node_id=node_id, relay_addr=addr,
+                                   connector=connector, auto_reconnect=True,
+                                   keepalive=keepalive)
             for rid, addr in sorted(relays.items())
         }
-        super().__init__(node_id, clients, seed, config,
-                         clock=lambda: host.sim.now)
-        self.host = host
-        self.sim = host.sim
+        super().__init__(node_id, clients, seed, config, clock=self.runtime.now)
         #: one queue for links accepted on *any* relay
-        self._accepts = SimRuntime(self.sim).queue()
+        self._accepts = self.runtime.queue()
         for client in clients.values():
             client._accepts = self._accepts
+
+    @property
+    def sim(self):
+        return self.host.sim
 
     # -- RelayClient surface: state ------------------------------------------
     @property
     def reconnects(self) -> int:
         return sum(c.reconnects for c in self.clients.values())
 
-    @property
-    def relay_addr(self) -> Addr:
-        """Primary relay address (compat with single-relay callers)."""
-        first = min(self.clients)
-        return self.clients[first].relay_addr
-
     # -- lifecycle -----------------------------------------------------------
+    @coroutine
     def connect(self) -> Generator:
         """Register with every relay; at least one must accept us.
 
@@ -85,37 +85,34 @@ class MeshRelayClient(MeshSelection):
         sub-client's reconnect policy — the mesh is degraded, not down.
         """
         self.closed = False
-        up = 0
         errors: list[str] = []
         for rid in sorted(self.clients):
             client = self.clients[rid]
             try:
                 yield from client.connect()
-                up += 1
-            except (TcpError, RelayError, FrameError, EOFError) as exc:
+            except _SESSION_ERRORS as exc:
                 errors.append(f"{rid}: {type(exc).__name__}: {exc}")
-                self.sim.process(
-                    client._reconnect_loop(),
-                    name=f"mesh-join-{self.node_id}-{rid}",
-                )
-        if up == 0:
+                client._spawn(client._reconnect_loop(),
+                              f"mesh-join-{self.node_id}-{rid}")
+        if not self.connected:
             raise RelayError(f"no relay reachable: {'; '.join(errors)}")
         return self
 
+    @coroutine
     def wait_connected(self, timeout: float = 30.0) -> Generator:
         """Wait until *any* relay registration is live."""
-        deadline = self.sim.now + timeout
+        deadline = self.runtime.now() + timeout
         while True:
             if self.connected:
                 return self
             if self.closed:
                 raise RelayError("relay client closed")
-            remaining = deadline - self.sim.now
+            remaining = deadline - self.runtime.now()
             if remaining <= 0:
                 raise TimeoutError(
                     f"no relay connection up within {timeout}s"
                 )
-            yield self.sim.timeout(min(0.2, remaining))
+            yield from self.runtime.sleep(min(0.2, remaining))
 
     def close(self) -> None:
         self.closed = True
@@ -145,14 +142,21 @@ class MeshRelayClient(MeshSelection):
         self._feed_paths()
         return super().pick_relay(peer)
 
+    @coroutine
     def open_link(
         self, peer: str, payload: bytes = b"",
         ctx: Optional[TraceContext] = None,
     ) -> Generator:
-        """Open a routed link to ``peer`` through the best live relay."""
-        rid = self.choose_relay(peer, ctx)
-        link = yield from self.clients[rid].open_link(peer, payload, ctx=ctx)
-        return link
+        """Open a routed link to ``peer`` through the best live relay; a
+        relay whose session turns out dead is skipped for the next best."""
+        for _ in self.clients:
+            rid = self.choose_relay(peer, ctx)
+            try:
+                return (yield from self.clients[rid].open_link(peer, payload, ctx=ctx))
+            except (*_TRANSPORT_ERRORS, RelayError):
+                self.clients[rid].connected = False
+                self.table.invalidate(rid)
+        raise RelayError("no usable relay for routed open")
 
     def accept_link(self) -> Generator:
         """Wait for a peer-initiated routed link on *any* relay."""

@@ -9,9 +9,9 @@ monitoring" future work).  This module is the live substrate:
 * a :class:`TelemetryPublisher` periodically snapshots a
   :class:`~repro.obs.metrics.MetricsRegistry` and emits **delta
   records** — monotonic counter deltas, gauge samples, histogram bucket
-  deltas — on a configurable interval, driven by the sim clock on the
-  simulated backend (:meth:`TelemetryPublisher.run_sim`) and by an
-  asyncio task on livenet (:meth:`TelemetryPublisher.start_async`);
+  deltas — on a configurable interval, ticked by
+  :meth:`TelemetryPublisher.run` on either runtime (a simulator process
+  or an asyncio task);
 * a :class:`TelemetryAggregator` merges any number of per-source
   streams into sliding windows, computes **SLIs** over them (throughput,
   establishment latency, resume counts, mux credit stalls, mesh
@@ -42,9 +42,9 @@ omitted, so a steady-state record is a cheap heartbeat.
 
 from __future__ import annotations
 
-import asyncio
 import json
 from dataclasses import dataclass, field
+from types import coroutine
 from typing import Callable, Iterable, Optional
 
 from . import event as obs_event
@@ -89,9 +89,8 @@ class TelemetryPublisher:
     registry.
 
     The publisher is backend-agnostic: :meth:`publish` computes and
-    emits one record; :meth:`run_sim` is the simulated-time driver (a
-    generator process ticking on ``sim.timeout``), and
-    :meth:`start_async` the wall-clock driver (an asyncio task).
+    emits one record; :meth:`run` ticks it on whichever runtime
+    (:mod:`repro.core.runtime`) it is handed.
     """
 
     def __init__(
@@ -113,7 +112,6 @@ class TelemetryPublisher:
         self._prev: dict[tuple, dict] = {}
         self.seq = 0
         self._running = False
-        self._task: Optional[asyncio.Task] = None
 
     def add_sink(self, sink: Callable[[dict], None]) -> "TelemetryPublisher":
         """Register a record consumer (aggregator ingest, log append)."""
@@ -186,40 +184,21 @@ class TelemetryPublisher:
         return record
 
     # -- drivers -----------------------------------------------------------
-    def run_sim(self, sim):
-        """Simulated-time driver: ``sim.process(pub.run_sim(sim))``.
-
-        Ticks every ``interval`` simulated seconds until :meth:`stop`;
-        the final pending timeout fires during the scenario's drain
-        window, so the process exits cleanly and leaks nothing.
-        """
+    @coroutine
+    def run(self, runtime):
+        """Publish every ``interval`` on ``runtime`` until :meth:`stop`;
+        the tick pending at the stop ends the task without publishing."""
         self._running = True
         while True:
-            yield sim.timeout(self.interval)
+            yield from runtime.sleep(self.interval)
             if not self._running:
                 return
             self.publish()
-
-    def start_async(self) -> asyncio.Task:
-        """Wall-clock driver: a cancellable asyncio publishing task."""
-
-        async def loop() -> None:
-            while self._running:
-                await asyncio.sleep(self.interval)
-                if self._running:
-                    self.publish()
-
-        self._running = True
-        self._task = asyncio.ensure_future(loop())
-        return self._task
 
     def stop(self, flush: bool = True) -> None:
         """Stop the driver; ``flush`` emits one final delta record."""
         was_running = self._running
         self._running = False
-        if self._task is not None:
-            self._task.cancel()
-            self._task = None
         if flush and was_running:
             self.publish()
 

@@ -8,9 +8,9 @@ plane: a :class:`CanaryRollout` applies a :class:`ConfigChange` to a
 change was applied trips an automatic **rollback**; a clean bake
 **promotes** the change to the remaining targets.  The driver is
 backend-agnostic the same way the telemetry publisher is:
-:meth:`CanaryRollout.run_sim` is a simulated-time generator process and
-:meth:`CanaryRollout.run_async` an awaitable polling loop, both built
-on the synchronous :meth:`CanaryRollout.poll` state machine.
+:meth:`CanaryRollout.run` polls on whichever runtime it is handed
+(:mod:`repro.core.runtime`), over the synchronous
+:meth:`CanaryRollout.poll` state machine.
 
 States::
 
@@ -25,8 +25,8 @@ scenarios, live scenarios and — later — real deployments.
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass, field
+from types import coroutine
 from typing import Callable, Iterable, Optional
 
 from repro import obs
@@ -181,25 +181,15 @@ class CanaryRollout:
         return self.state
 
     # -- drivers -----------------------------------------------------------
-    def run_sim(self, sim, start_at: float = 0.0):
-        """Simulated-time driver: ``sim.process(rollout.run_sim(sim))``.
-
-        Waits until ``start_at`` (absolute sim time), starts the canary
-        stage, then polls every ``poll_seconds`` until a terminal state.
-        """
-        if start_at > sim.now:
-            yield sim.timeout(start_at - sim.now)
+    @coroutine
+    def run(self, runtime, start_at: float = 0.0):
+        """The driver on ``runtime``: waits until ``start_at`` on the
+        gate's clock, starts the canary stage, then polls every
+        ``poll_seconds`` until a terminal state, which it returns."""
+        if start_at > self._clock():
+            yield from runtime.sleep(start_at - self._clock())
         self.start()
         while not self.done:
-            yield sim.timeout(self.poll_seconds)
-            self.poll()
-
-    async def run_async(self, start_after: float = 0.0) -> str:
-        """Wall-clock driver; returns the terminal state."""
-        if start_after > 0:
-            await asyncio.sleep(start_after)
-        self.start()
-        while not self.done:
-            await asyncio.sleep(self.poll_seconds)
+            yield from runtime.sleep(self.poll_seconds)
             self.poll()
         return self.state

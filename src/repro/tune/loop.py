@@ -24,17 +24,17 @@ not depend on what the signals do) and is enforced as a chaos invariant
 by :meth:`LinkTuner.check_no_oscillation`.
 
 The loop is backend-symmetric the way the telemetry plane is:
-:meth:`LinkTuner.run_sim` is a simulated-clock generator process and
-:meth:`LinkTuner.run_async` an awaitable wall-clock loop, both over the
-synchronous :meth:`LinkTuner.step`.
+:meth:`LinkTuner.run` steps on whichever runtime it is handed
+(:mod:`repro.core.runtime`), over the synchronous :meth:`LinkTuner.step`.
 """
 
 from __future__ import annotations
 
-import asyncio
+from types import coroutine
 from typing import Callable, Optional
 
 from .. import obs
+from ..core.runtime import ASYNCIO
 from .planner import TunePlanner
 
 __all__ = ["LinkTuner", "TunerDecision", "gated_apply"]
@@ -199,19 +199,13 @@ class LinkTuner:
         )
 
     # -- drivers -----------------------------------------------------------
-    def run_sim(self, sim, until: Optional[float] = None):
-        """Simulated-clock driver: ``sim.process(tuner.run_sim(sim))``."""
+    @coroutine
+    def run(self, runtime, until: Optional[float] = None):
+        """Step every ``interval`` on ``runtime`` until :meth:`stop`, or
+        until ``until`` on the tuner's clock."""
         while not self._stopped:
-            yield sim.timeout(self.interval)
-            if until is not None and sim.now >= until:
-                return
-            self.step()
-
-    async def run_async(self) -> None:
-        """Wall-clock driver (live backend)."""
-        while not self._stopped:
-            await asyncio.sleep(self.interval)
-            if self._stopped:
+            yield from runtime.sleep(self.interval)
+            if self._stopped or (until is not None and self.clock() >= until):
                 return
             self.step()
 
@@ -260,7 +254,7 @@ def gated_apply(
     canary: str,
     bake_seconds: float,
     poll_seconds: float = 0.5,
-    sim=None,
+    runtime=ASYNCIO,
     clock: Optional[Callable[[], float]] = None,
 ) -> Callable:
     """An ``apply_via`` that rides every change through a canary gate.
@@ -269,9 +263,9 @@ def gated_apply(
     immediately via :meth:`~repro.ops.rollout.CanaryRollout.start`, then
     the gate watches ``aggregator``'s SLOs over the bake window and
     reverts the knob if the change itself breaches them — self-defence
-    for a controller acting on a mismeasured path.  With ``sim`` the
-    gate runs as a simulated process; otherwise as an asyncio task.
-    Completed gates are collected on ``tuner.rollouts``.
+    for a controller acting on a mismeasured path.  The gate runs as a
+    task on ``runtime``.  Completed gates are collected on
+    ``tuner.rollouts``.
     """
     from ..ops.rollout import CanaryRollout
 
@@ -288,9 +282,6 @@ def gated_apply(
         if not hasattr(tuner, "rollouts"):
             tuner.rollouts = []
         tuner.rollouts.append(rollout)
-        if sim is not None:
-            sim.process(rollout.run_sim(sim), name=f"tune-gate:{change.name}")
-        else:
-            asyncio.ensure_future(rollout.run_async())
+        runtime.spawn(rollout.run(runtime), f"tune-gate:{change.name}")
 
     return apply

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chaos import get_scenario, scenario, scenario_names
+from repro.chaos import get_scenario, live_scenario, scenario, scenario_names
 from repro.chaos.registry import _REGISTRY, ScenarioDef
 
 
@@ -82,3 +82,54 @@ class TestLookup:
 
     def test_scenario_def_repr_and_type(self):
         assert isinstance(get_scenario("wan_transfer"), ScenarioDef)
+
+
+class TestBackends:
+    #: the scenarios whose one builder runs on both backends
+    BOTH = ("wan_transfer", "mesh_failover", "canary_rollout", "canary_rollout_good")
+
+    @pytest.mark.parametrize("name", BOTH)
+    def test_one_builder_serves_both_backends(self, name):
+        sdef = get_scenario(name)
+        assert sdef.backends == ("sim", "live")
+        assert sdef.builder is not None
+        assert sdef.live_builder is None
+
+    def test_only_tune_degrade_keeps_a_separate_live_builder(self):
+        separate = [
+            name for name in scenario_names()
+            if get_scenario(name).live_builder is not None
+        ]
+        assert separate == ["tune_degrade"]
+
+    def test_sim_only_scenario_refuses_live(self):
+        with pytest.raises(ValueError, match="does not run on backend"):
+            get_scenario("socks_transfer").build(
+                1, True, False, fidelity="packet", backend="live"
+            )
+
+    def test_backend_kwarg_forwarded_only_to_multi_backend_builders(
+        self, scratch_registry
+    ):
+        calls = {}
+
+        @scenario("both_probe", backends=("sim", "live"))
+        def both(seed, retries, sessions, backend="sim"):
+            calls["both"] = backend
+
+        @scenario("sim_probe")
+        def sim_only(seed, retries, sessions):
+            calls["sim"] = True
+
+        get_scenario("both_probe").build(1, True, False, "packet", backend="live")
+        get_scenario("sim_probe").build(1, True, False, "packet")
+        assert calls == {"both": "live", "sim": True}
+
+    def test_a_live_twin_needs_a_sim_scenario(self, scratch_registry):
+        with pytest.raises(ValueError, match="no sim scenario"):
+
+            @live_scenario("live_only_probe")
+            async def twin(seed, retries, sessions):
+                pass
+
+        assert "live_only_probe" not in _REGISTRY

@@ -4,6 +4,7 @@ import asyncio
 
 import pytest
 
+from repro.core.runtime import ASYNCIO
 from repro.obs.telemetry import SLO, TelemetryAggregator, sli_counter_rate
 from repro.ops.rollout import CanaryRollout, ConfigChange, RolloutError
 
@@ -190,7 +191,7 @@ class TestDrivers:
         assert stats["canaries"] == ["c1"]
         assert stats["events"] == ["apply", "promote"]
 
-    def test_run_async_promotes_on_the_event_loop(self):
+    def test_run_promotes_on_the_event_loop(self):
         clock = _Clock()
         agg, rollout, _applied = _rig(clock, bake=0.1)
         rollout.poll_seconds = 0.01
@@ -205,7 +206,7 @@ class TestDrivers:
                         break
 
             feeder = asyncio.ensure_future(feed())
-            state = await rollout.run_async(start_after=0.0)
+            state = await rollout.run(ASYNCIO)
             await feeder
             return state
 

@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.core.runtime import SimRuntime
 from repro.obs import MetricsRegistry
 from repro.tune import (
     LinkSignals,
@@ -313,7 +314,8 @@ class TestGatedApply:
             clock=lambda: sim.now, interval=0.5, hysteresis=3.0,
             apply_via=gated_apply(
                 aggregator, canary="wan", bake_seconds=2.0,
-                poll_seconds=0.5, sim=sim, clock=lambda: sim.now),
+                poll_seconds=0.5, runtime=SimRuntime(sim),
+                clock=lambda: sim.now),
             name="wan")
 
         def drive():
@@ -339,7 +341,7 @@ class TestGatedApply:
 
 
 class TestDrivers:
-    def test_run_sim_honours_until_and_stop(self):
+    def test_run_honours_until_and_stop(self):
         from repro.simnet.testing import two_public_hosts
 
         inet, _a, _b = two_public_hosts()
@@ -349,7 +351,7 @@ class TestDrivers:
             ScriptedSource([_signals()] * 100), knobs, TunePlanner(),
             clock=lambda: sim.now, interval=0.5, hysteresis=1.0,
             name="wan")
-        sim.process(tuner.run_sim(sim, until=3.0), name="tuner")
+        sim.process(tuner.run(SimRuntime(sim), until=3.0), name="tuner")
         sim.run(until=10)
         assert 0 < tuner.samples <= 6
 
