@@ -169,7 +169,7 @@ chaos-mesh:
 		--bundle $(MESH_BUNDLE_DIR)
 
 # Closed-loop tuner sweep (docs/TUNING.md): 3-seed sim sweep over the
-# three convergence scenarios, then the live twin — a latency fault
+# three convergence scenarios, then the live-only tune_window — a latency fault
 # through the chaos proxy that the tuner must answer with a mux
 # CREDIT-window renegotiation on the wire.  Invariant failures dump
 # postmortem bundles under $(TUNE_BUNDLE_DIR) for CI artifact upload.
@@ -188,7 +188,7 @@ chaos-tune:
 	$(PYTHON) -m repro.chaos --seeds $(SEEDS) --scenario tune_bandwidth_step \
 		--plan "$(TUNE_PLAN_STEP)" --bundle $(TUNE_BUNDLE_DIR)
 	$(PYTHON) -m repro.chaos --backend live --seeds $(SEEDS) \
-		--scenario tune_degrade --plan "$(TUNE_PLAN_LIVE)" \
+		--scenario tune_window --plan "$(TUNE_PLAN_LIVE)" \
 		--bundle $(TUNE_BUNDLE_DIR)
 
 # Mid-stream fault matrix for the session layer (docs/SESSIONS.md):

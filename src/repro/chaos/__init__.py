@@ -35,7 +35,6 @@ from .invariants import ChannelAudit, check_invariants, obs_consistency_violatio
 from .registry import (
     ScenarioDef,
     get_scenario,
-    live_scenario,
     scenario,
     scenario_names,
 )
@@ -65,22 +64,9 @@ __all__ = [
     "ChaosReport",
     "Workload",
     "run_chaos",
-    "run_live_chaos",
     "scenario",
-    "live_scenario",
     "ScenarioDef",
     "get_scenario",
     "scenario_names",
 ]
 
-
-def run_live_chaos(*args, **kwargs):
-    """Lazy alias for :func:`repro.chaos.live.run_live_chaos`.
-
-    Imported on first call so ``repro.chaos`` stays importable without
-    pulling the asyncio livenet stack in (the sim harness has no need
-    for it).
-    """
-    from .live import run_live_chaos as _run
-
-    return _run(*args, **kwargs)

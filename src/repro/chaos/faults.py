@@ -21,7 +21,7 @@ a ``chaos.inject`` / ``chaos.heal`` event pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Optional
 
 from .. import obs
@@ -76,13 +76,18 @@ class Fault:
     #: the run starts (:func:`require_backend`).
     backends = ("sim",)
 
-    def inject(self, ctx: "FaultContext") -> dict:
-        """Apply the fault; returns attrs for the ``chaos.inject`` event."""
+    def inject(self, ctx: "FaultContext") -> Optional[dict]:
+        """Apply the fault; returns what it observed (``sessions``,
+        ``flows``, ...), which the ``chaos.inject`` event adds to
+        :meth:`_args`."""
         raise NotImplementedError
 
     def _args(self) -> dict:
-        """Arguments in canonical order for :meth:`describe`."""
-        return {}
+        """Arguments in canonical (field) order for :meth:`describe`."""
+        return {
+            _FIELD_ARGS.get(f.name, f.name): getattr(self, f.name)
+            for f in fields(self)[1:]
+        }
 
     def describe(self) -> str:
         args = self._args()
@@ -105,16 +110,12 @@ class LinkDown(Fault):
 
     kind = "link_down"
 
-    def _args(self) -> dict:
-        return {"site": self.site, "for": self.duration}
-
-    def inject(self, ctx: "FaultContext") -> dict:
+    def inject(self, ctx: "FaultContext") -> None:
         link = ctx.scenario.site_wan_link(self.site)
         link.set_down(True)
         ctx.heal_later(
             self.duration, lambda: link.set_down(False), self, site=self.site
         )
-        return {"site": self.site, "for": self.duration}
 
 
 @dataclass(frozen=True)
@@ -127,10 +128,7 @@ class LossBurst(Fault):
 
     kind = "loss_burst"
 
-    def _args(self) -> dict:
-        return {"site": self.site, "loss": self.loss, "for": self.duration}
-
-    def inject(self, ctx: "FaultContext") -> dict:
+    def inject(self, ctx: "FaultContext") -> None:
         link = ctx.scenario.site_wan_link(self.site)
         previous = (link.a_to_b.loss, link.b_to_a.loss)
         link.a_to_b.loss = self.loss
@@ -140,7 +138,6 @@ class LossBurst(Fault):
             link.a_to_b.loss, link.b_to_a.loss = previous
 
         ctx.heal_later(self.duration, heal, self, site=self.site)
-        return {"site": self.site, "loss": self.loss, "for": self.duration}
 
 
 @dataclass(frozen=True)
@@ -161,15 +158,7 @@ class WanDegrade(Fault):
 
     kind = "wan_degrade"
 
-    def _args(self) -> dict:
-        return {
-            "site": self.site,
-            "scale": self.scale,
-            "loss": self.loss,
-            "for": self.duration,
-        }
-
-    def inject(self, ctx: "FaultContext") -> dict:
+    def inject(self, ctx: "FaultContext") -> None:
         if self.scale <= 0:
             raise FaultPlanError(f"bad wan_degrade scale {self.scale}")
         link = ctx.scenario.site_wan_link(self.site)
@@ -186,12 +175,6 @@ class WanDegrade(Fault):
                 tx.bandwidth, tx.queue_bytes, tx.loss = bw, qb, lo
 
         ctx.heal_later(self.duration, heal, self, site=self.site)
-        return {
-            "site": self.site,
-            "scale": self.scale,
-            "loss": self.loss,
-            "for": self.duration,
-        }
 
 
 @dataclass(frozen=True)
@@ -206,15 +189,12 @@ class RelayCrash(Fault):
 
     kind = "relay_crash"
 
-    def _args(self) -> dict:
-        return {"for": self.duration}
-
     def inject(self, ctx: "FaultContext") -> dict:
         relay = ctx.scenario.relay
         sessions = len(relay.sessions)
         relay.stop()
         ctx.heal_later(self.duration, relay.start, self)
-        return {"for": self.duration, "sessions": sessions}
+        return {"sessions": sessions}
 
 
 @dataclass(frozen=True)
@@ -234,9 +214,9 @@ class RelayKill(Fault):
     backends = ("sim", "live")
 
     def _args(self) -> dict:
-        args: dict = {"relay": self.relay}
-        if self.duration:
-            args["for"] = self.duration
+        args = super()._args()
+        if not self.duration:
+            del args["for"]
         return args
 
     def inject(self, ctx: "FaultContext") -> dict:
@@ -255,10 +235,7 @@ class RelayKill(Fault):
                     asyncio.ensure_future(result)
 
             ctx.heal_later(self.duration, restart, self, relay=self.relay)
-        attrs = {"relay": self.relay, "sessions": sessions}
-        if self.duration:
-            attrs["for"] = self.duration
-        return attrs
+        return {"sessions": sessions}
 
 
 @dataclass(frozen=True)
@@ -277,10 +254,7 @@ class RelayPartition(Fault):
 
     kind = "relay_partition"
 
-    def _args(self) -> dict:
-        return {"relay": self.relay, "peers": self.peers, "for": self.duration}
-
-    def inject(self, ctx: "FaultContext") -> dict:
+    def inject(self, ctx: "FaultContext") -> None:
         server = ctx.scenario.relays[self.relay]
         ids = [p for p in self.peers.split("+") if p]
         others = [ctx.scenario.relays[p] for p in ids]
@@ -294,7 +268,6 @@ class RelayPartition(Fault):
                 other.heal_partition([self.relay])
 
         ctx.heal_later(self.duration, heal, self, relay=self.relay)
-        return {"relay": self.relay, "peers": self.peers, "for": self.duration}
 
 
 @dataclass(frozen=True)
@@ -310,12 +283,8 @@ class PeerDrop(Fault):
 
     kind = "peer_drop"
 
-    def _args(self) -> dict:
-        return {"node": self.node}
-
-    def inject(self, ctx: "FaultContext") -> dict:
+    def inject(self, ctx: "FaultContext") -> None:
         ctx.scenario.nodes[self.node].relay_client.drop()
-        return {"node": self.node}
 
 
 @dataclass(frozen=True)
@@ -326,12 +295,8 @@ class ConntrackFlush(Fault):
 
     kind = "conntrack_flush"
 
-    def _args(self) -> dict:
-        return {"site": self.site}
-
     def inject(self, ctx: "FaultContext") -> dict:
-        flows = ctx.scenario.site_firewall(self.site).flush()
-        return {"site": self.site, "flows": flows}
+        return {"flows": ctx.scenario.site_firewall(self.site).flush()}
 
 
 @dataclass(frozen=True)
@@ -342,12 +307,8 @@ class NatExpiry(Fault):
 
     kind = "nat_expiry"
 
-    def _args(self) -> dict:
-        return {"site": self.site}
-
     def inject(self, ctx: "FaultContext") -> dict:
-        mappings = ctx.scenario.site_nat(self.site).expire_mappings()
-        return {"site": self.site, "mappings": mappings}
+        return {"mappings": ctx.scenario.site_nat(self.site).expire_mappings()}
 
 
 @dataclass(frozen=True)
@@ -365,15 +326,12 @@ class ProxyRestart(Fault):
 
     kind = "proxy_restart"
 
-    def _args(self) -> dict:
-        return {"site": self.site, "for": self.duration}
-
     def inject(self, ctx: "FaultContext") -> dict:
         proxy = ctx.scenario.site_proxy(self.site)
         streams = len(proxy._active)
         proxy.stop()
         ctx.heal_later(self.duration, proxy.start, self, site=self.site)
-        return {"site": self.site, "for": self.duration, "streams": streams}
+        return {"streams": streams}
 
 
 # -- live-backend faults -------------------------------------------------------
@@ -395,12 +353,9 @@ class ConnKill(Fault):
     kind = "conn_kill"
     backends = ("live",)
 
-    def _args(self) -> dict:
-        return {"site": self.site}
 
     def inject(self, ctx: "FaultContext") -> dict:
-        killed = ctx.scenario.chaos_proxy(self.site).kill_all()
-        return {"site": self.site, "connections": killed}
+        return {"connections": ctx.scenario.chaos_proxy(self.site).kill_all()}
 
 
 @dataclass(frozen=True)
@@ -413,16 +368,13 @@ class Stall(Fault):
     kind = "stall"
     backends = ("live",)
 
-    def _args(self) -> dict:
-        return {"site": self.site, "for": self.duration}
 
-    def inject(self, ctx: "FaultContext") -> dict:
+    def inject(self, ctx: "FaultContext") -> None:
         proxy = ctx.scenario.chaos_proxy(self.site)
         proxy.set_stall(True)
         ctx.heal_later(
             self.duration, lambda: proxy.set_stall(False), self, site=self.site
         )
-        return {"site": self.site, "for": self.duration}
 
 
 @dataclass(frozen=True)
@@ -435,10 +387,8 @@ class Blackhole(Fault):
     kind = "blackhole"
     backends = ("live",)
 
-    def _args(self) -> dict:
-        return {"site": self.site, "for": self.duration}
 
-    def inject(self, ctx: "FaultContext") -> dict:
+    def inject(self, ctx: "FaultContext") -> None:
         proxy = ctx.scenario.chaos_proxy(self.site)
         proxy.set_blackhole(True)
         ctx.heal_later(
@@ -447,7 +397,6 @@ class Blackhole(Fault):
             self,
             site=self.site,
         )
-        return {"site": self.site, "for": self.duration}
 
 
 @dataclass(frozen=True)
@@ -462,15 +411,8 @@ class LatencySpike(Fault):
     kind = "latency"
     backends = ("live",)
 
-    def _args(self) -> dict:
-        return {
-            "site": self.site,
-            "delay": self.delay,
-            "jitter": self.jitter,
-            "for": self.duration,
-        }
 
-    def inject(self, ctx: "FaultContext") -> dict:
+    def inject(self, ctx: "FaultContext") -> None:
         proxy = ctx.scenario.chaos_proxy(self.site)
         proxy.set_latency(self.delay, self.jitter)
         ctx.heal_later(
@@ -479,12 +421,6 @@ class LatencySpike(Fault):
             self,
             site=self.site,
         )
-        return {
-            "site": self.site,
-            "delay": self.delay,
-            "jitter": self.jitter,
-            "for": self.duration,
-        }
 
 
 @dataclass(frozen=True)
@@ -497,12 +433,9 @@ class Truncate(Fault):
     kind = "truncate"
     backends = ("live",)
 
-    def _args(self) -> dict:
-        return {"site": self.site, "bytes": self.nbytes}
 
-    def inject(self, ctx: "FaultContext") -> dict:
+    def inject(self, ctx: "FaultContext") -> None:
         ctx.scenario.chaos_proxy(self.site).truncate_after(self.nbytes)
-        return {"site": self.site, "bytes": self.nbytes}
 
 
 _KINDS: dict[str, type] = {
@@ -526,8 +459,9 @@ _KINDS: dict[str, type] = {
     )
 }
 
-#: plan-string argument name -> dataclass field name
-_ARG_FIELDS = {"for": "duration", "bytes": "nbytes"}
+#: dataclass field name -> plan-string argument name, and back
+_FIELD_ARGS = {"duration": "for", "nbytes": "bytes"}
+_ARG_FIELDS = {arg: name for name, arg in _FIELD_ARGS.items()}
 _FLOAT_ARGS = {"for", "loss", "delay", "jitter", "scale"}
 _INT_ARGS = {"bytes"}
 
@@ -647,7 +581,7 @@ class FaultScheduler:
 
     def _fire(self, fault: Fault) -> None:
         with obs.span("chaos.inject", kind=fault.kind, at=fault.at) as sp:
-            attrs = fault.inject(self.ctx) or {}
+            attrs = {**fault._args(), **(fault.inject(self.ctx) or {})}
             sp.set(**attrs)
         self.injected.append({"kind": fault.kind, "at": fault.at, **attrs})
         obs.event("chaos.injected", kind=fault.kind, at=fault.at, **attrs)

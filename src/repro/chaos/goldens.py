@@ -215,16 +215,17 @@ def _capture_resume(seed: int, plan: Optional[str] = None) -> dict:
     the flow with an empty plan (no kill, so no resume span) and checks
     that the signature diff catches the missing ``session.resume``.
     """
-    from .live import run_live_chaos
+    from .runner import run_chaos
 
     with tempfile.TemporaryDirectory(prefix="golden-resume-") as tmp:
         trace_path = os.path.join(tmp, "trace.jsonl")
-        report = run_live_chaos(
+        report = run_chaos(
             scenario="wan_transfer",
             seed=seed,
             plan=RESUME_PLAN if plan is None else plan,
             sessions=True,
             until=30.0,
+            backend="live",
             trace_path=trace_path,
         )
         if not report.ok:

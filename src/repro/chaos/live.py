@@ -15,8 +15,8 @@ the same invariant families — against genuine asyncio TCP endpoints::
     assert report.ok, report.violations
 
 A scenario that runs here is the *same builder* the simulator runs, handed
-a :class:`LiveChaosScenario` instead of a ``GridScenario``; three pieces
-make that work:
+a :class:`LiveChaosScenario` instead of a ``GridScenario`` (``tune_window``
+is the one builder that runs here only); three pieces make that work:
 
 * :class:`LiveClock` — the minimal ``sim``-shaped clock surface
   (``now`` / ``call_at`` / ``call_later``) over the asyncio event loop,
@@ -32,8 +32,7 @@ make that work:
 * :func:`drive_live` — the live drive: ``asyncio.run``, the workload
   deadline, settle, the leaked-task probe and the live invariants (proxy
   byte conservation among them); ``run_chaos``'s shared post-run path
-  makes the familiar :class:`~repro.chaos.runner.ChaosReport`
-  (:func:`run_live_chaos` is ``run_chaos(..., backend="live")``).
+  makes the familiar :class:`~repro.chaos.runner.ChaosReport`.
 
 Determinism caveat: payloads, ids and fault schedules are seeded, but
 wall-clock timing is not simulated time — live reports are *replayable*
@@ -55,7 +54,7 @@ if __name__ == "__main__":  # pragma: no cover - CLI entry
 
 import asyncio
 import time
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from ..core.runtime import ASYNCIO
 from ..core.scenarios import GridScenario
@@ -66,12 +65,11 @@ from ..mesh.config import DEFAULT_MESH_CONFIG
 from ..obs import MetricsRegistry, TraceRecorder
 from .faults import FaultPlan, FaultScheduler
 from .invariants import _mux_violations, obs_consistency_violations
-from .runner import ChaosReport, Workload, run_chaos
+from .runner import Workload
 
 __all__ = [
     "LiveClock",
     "LiveChaosScenario",
-    "run_live_chaos",
 ]
 
 #: hard cap on a live run's wall-clock deadline — ``run_chaos`` defaults
@@ -156,8 +154,8 @@ class LiveChaosScenario:
         #: relay ids already down when the workload ended (vs. stopped by
         #: shutdown itself) — the survivor-agreement check reads this
         self.down_at_shutdown: list[str] = []
-        #: node id -> LiveNode (tune's twin files endpoint objects here)
-        self.nodes: dict[str, object] = {}
+        #: node id -> LiveNode
+        self.nodes: dict[str, LiveNode] = {}
         #: site name -> its node
         self._sites: dict[str, Optional[LiveNode]] = {}
         #: streaming telemetry (populated by :meth:`enable_telemetry`)
@@ -168,7 +166,6 @@ class LiveChaosScenario:
         self._pending: list = []
         self._tasks: list[asyncio.Task] = []
         self._background: list[asyncio.Task] = []
-        self._closers: list[Callable[[], None]] = []
 
     # -- builder surface ---------------------------------------------------
     def add_site(self, name: str, kind: str = "open", **_access) -> None:
@@ -202,13 +199,6 @@ class LiveChaosScenario:
         self._sites[site_name] = self.nodes[node_id] = node
         return node
 
-    async def add_proxy(self, site: str, target) -> ChaosTcpProxy:
-        """Interpose a chaos gateway in front of ``target`` for ``site``."""
-        proxy = ChaosTcpProxy(target, name=f"gw-{site}", seed=self.seed)
-        await proxy.start()
-        self.proxies[site] = proxy
-        return proxy
-
     def spawn(self, steps, name: str) -> None:
         """A workload task, awaited against the deadline; it starts with
         the scenario."""
@@ -219,10 +209,6 @@ class LiveChaosScenario:
 
     def _spawn_publisher(self, steps, name: str) -> None:
         self._background.append(ASYNCIO.spawn(_task(steps), name))
-
-    def add_closer(self, fn: Callable[[], None]) -> None:
-        """Register teardown (listeners, links) run by :meth:`shutdown`."""
-        self._closers.append(fn)
 
     async def start(self) -> None:
         """Relays (and their gossip), gateways and node ports, then the
@@ -244,8 +230,10 @@ class LiveChaosScenario:
             client = node.relay_client
             for rid, sub in getattr(client, "clients", {"r1": client}).items():
                 sub.relay_addr = addrs[rid]
-            node.advertise((await self.add_proxy(site, await node.listen())).addr)
-            self._closers.append(node.stop)
+            proxy = self.proxies[site] = ChaosTcpProxy(
+                await node.listen(), name=f"gw-{site}", seed=self.seed)
+            await proxy.start()
+            node.advertise(proxy.addr)
         self._started = True
         for steps, name in self._pending:
             self.spawn(steps, name)
@@ -311,11 +299,8 @@ class LiveChaosScenario:
         )
         for task in self._tasks:
             task.cancel()
-        for fn in self._closers:
-            try:
-                fn()
-            except Exception:  # noqa: BLE001 - teardown is best-effort
-                pass
+        for node in self.nodes.values():
+            node.stop()
         for server in self.relays.values():
             server.stop()
         for proxy in self.proxies.values():
@@ -372,8 +357,6 @@ def _live_invariants(
 async def _drive(sdef, seed: int, parsed: FaultPlan, retries: bool,
                  sessions: bool, deadline: float) -> tuple:
     wl = sdef.build(seed, retries, sessions, sdef.default_fidelity, "live")
-    if asyncio.iscoroutine(wl):  # a twin written apart from its sim builder
-        wl = await wl
     scn = wl.scenario
     await scn.start()
     scheduler = FaultScheduler(scn, parsed)
@@ -406,18 +389,3 @@ def drive_live(sdef, seed: int, plan: FaultPlan, retries: bool,
     violations = _live_invariants(wl.scenario, wl, registry, recorder, leaked)
     return wl, scheduler, violations, {"wall_seconds": round(wall, 3)}
 
-
-def run_live_chaos(
-    scenario: str = "wan_transfer",
-    seed: int = 1,
-    plan: Union[str, FaultPlan] = "",
-    retries: bool = True,
-    sessions: bool = False,
-    until: float = 30.0,
-    **exports,
-) -> ChaosReport:
-    """:func:`~repro.chaos.runner.run_chaos` on the live backend, with a
-    wall-clock ``until``; ``exports`` are its ``trace_path`` /
-    ``export_dir`` / ``bundle_dir`` / ``telemetry_path``."""
-    return run_chaos(scenario, seed, plan, retries, sessions, until,
-                     backend="live", **exports)

@@ -27,7 +27,6 @@ from typing import Callable, Sequence
 __all__ = [
     "ScenarioDef",
     "scenario",
-    "live_scenario",
     "get_scenario",
     "scenario_names",
 ]
@@ -40,8 +39,7 @@ class ScenarioDef:
 
     ``builder`` constructs the workload on every backend in
     ``backends``; a builder that runs on more than one takes a
-    ``backend=`` keyword.  ``live_builder`` is an *async* builder for a
-    live twin written apart from its sim builder.
+    ``backend=`` keyword.
     """
 
     __slots__ = (
@@ -49,9 +47,8 @@ class ScenarioDef:
         "builder",
         "fidelities",
         "description",
+        "backends",
         "_takes_fidelity",
-        "_backends",
-        "live_builder",
     )
 
     def __init__(
@@ -66,8 +63,7 @@ class ScenarioDef:
         self.builder = builder
         self.fidelities = tuple(fidelities)
         self.description = description
-        self._backends = tuple(backends)
-        self.live_builder = None
+        self.backends = tuple(backends)
         params = inspect.signature(builder).parameters
         self._takes_fidelity = "fidelity" in params
 
@@ -75,30 +71,21 @@ class ScenarioDef:
     def default_fidelity(self) -> str:
         return self.fidelities[0]
 
-    @property
-    def backends(self) -> tuple:
-        if self.live_builder is not None:
-            return self._backends + ("live",)
-        return self._backends
-
     def build(self, seed: int, retries: bool, sessions: bool, fidelity: str,
               backend: str = "sim"):
-        """Build the workload at ``fidelity`` on ``backend`` — an awaitable
-        for a ``live_builder``, the :class:`Workload` otherwise."""
+        """Build the workload at ``fidelity`` on ``backend``."""
         if backend not in self.backends:
             raise ValueError(
                 f"scenario {self.name!r} does not run on backend "
                 f"{backend!r}; supported backends: {self.backends}"
             )
-        if backend == "live" and self.live_builder is not None:
-            return self.live_builder(seed, retries, sessions)
         if fidelity not in self.fidelities:
             raise ValueError(
                 f"scenario {self.name!r} does not support fidelity "
                 f"{fidelity!r}; supported: {self.fidelities}"
             )
         kwargs = {"fidelity": fidelity} if self._takes_fidelity else {}
-        if len(self._backends) > 1:
+        if len(self.backends) > 1:
             kwargs["backend"] = backend
         return self.builder(seed, retries, sessions, **kwargs)
 
@@ -139,32 +126,6 @@ def scenario(
             name, builder, fidelities,
             description=(builder.__doc__ or "").strip(), backends=backends,
         )
-        return builder
-
-    return register
-
-
-def live_scenario(name: str) -> Callable:
-    """Decorator: attach an *async* live-backend builder under ``name``.
-
-    For a live twin that cannot share its sim builder: an ``async def
-    builder(seed, retries, sessions)`` returning a
-    :class:`~repro.chaos.runner.Workload` over a
-    :class:`~repro.chaos.live.LiveChaosScenario`.  It shares the registry
-    entry of the sim scenario of the same name, which must exist.
-    """
-
-    def register(builder: Callable) -> Callable:
-        sdef = _REGISTRY.get(name)
-        if sdef is None:
-            raise ValueError(
-                f"live twin {name!r} has no sim scenario to attach to"
-            )
-        if "live" in sdef.backends:
-            raise ValueError(
-                f"chaos scenario {name!r} already has a live builder"
-            )
-        sdef.live_builder = builder
         return builder
 
     return register

@@ -35,7 +35,7 @@ from ..core.factory import BrokeredConnectionFactory
 from ..ops.rollout import CanaryRollout, ConfigChange
 from ..tune.planner import TunerPolicy
 from .registry import scenario
-from .runner import Workload, _grid, _spec
+from .runner import Workload, _accept, _connect, _grid, _spec
 
 # TunerPolicy moved to repro.tune.planner; re-exported for old importers.
 __all__ = ["TunerPolicy"]
@@ -218,17 +218,9 @@ def _build_rollout(
         rng = random.Random(f"{seed}:rollout:{name}")
         try:
             yield from node.start()
-            factory = BrokeredConnectionFactory(node)
-            peer = hub.info
-            if retries:
-                channel = yield from factory.connect_retrying(
-                    peer.node_id, peer, spec=spec
-                )
-            else:
-                yield from hub.relay_client.wait_connected(timeout=30.0)
-                service = yield from node.open_service_link(peer.node_id, peer)
-                channel = yield from factory.connect(service, peer, spec=spec)
-                service.close()
+            channel = yield from _connect(
+                BrokeredConnectionFactory(node), hub, spec, retries
+            )
             yield from channel.write(name.encode())
             while scn.sim.now < geo.send_end:
                 policy = policies[name]
@@ -264,12 +256,7 @@ def _build_rollout(
             yield from hub.start()
             factory = BrokeredConnectionFactory(hub)
             for i in range(len(_SENDERS)):
-                if retries:
-                    channel = yield from factory.accept_retrying()
-                else:
-                    _peer, service = yield from hub.accept_service_link()
-                    channel = yield from factory.accept(service)
-                    service.close()
+                channel = yield from _accept(factory, retries)
                 scn.spawn(read_one(channel), f"rollout-read-{i}")
         except BaseException as exc:  # noqa: BLE001 - reported as a violation
             wl.fail("hub", exc)

@@ -170,6 +170,37 @@ def _grid(backend: str, seed: int):
     return {"sim": GridScenario, "live": LiveChaosScenario}[backend](seed=seed)
 
 
+@coroutine
+def _connect(factory, peer, spec: StackSpec, retries: bool,
+             methods: Optional[list] = None, ctx=None) -> Generator:
+    """One channel from ``factory``'s node to node ``peer``: through the
+    retry layer, or over one service link opened once ``peer`` holds its
+    relay registration."""
+    info = peer.info
+    if retries:
+        return (yield from factory.connect_retrying(
+            info.node_id, info, spec=spec, methods=methods, ctx=ctx,
+        ))
+    yield from peer.relay_client.wait_connected(timeout=30.0)
+    service = yield from factory.node.open_service_link(info.node_id, info)
+    channel = yield from factory.connect(
+        service, info, spec=spec, methods=methods, ctx=ctx
+    )
+    service.close()
+    return channel
+
+
+@coroutine
+def _accept(factory, retries: bool) -> Generator:
+    """The responder's half of :func:`_connect`."""
+    if retries:
+        return (yield from factory.accept_retrying())
+    _peer, service = yield from factory.node.accept_service_link()
+    channel = yield from factory.accept(service)
+    service.close()
+    return channel
+
+
 def _staged_transfer(
     wl: Workload,
     sender,
@@ -206,18 +237,7 @@ def _staged_transfer(
 
     @coroutine
     def send_stage(factory, ctx, payload, audit) -> Generator:
-        peer = receiver.info
-        if retries:
-            channel = yield from factory.connect_retrying(
-                peer.node_id, peer, spec=spec, methods=methods, ctx=ctx,
-            )
-        else:
-            yield from receiver.relay_client.wait_connected(timeout=30.0)
-            service = yield from sender.open_service_link(peer.node_id, peer)
-            channel = yield from factory.connect(
-                service, peer, spec=spec, methods=methods, ctx=ctx
-            )
-            service.close()
+        channel = yield from _connect(factory, receiver, spec, retries, methods, ctx)
         for off in range(0, len(payload), _WRITE_CHUNK):
             chunk = payload[off : off + _WRITE_CHUNK]
             yield from channel.write(chunk)
@@ -266,12 +286,7 @@ def _staged_transfer(
             yield from receiver.start()
             factory = BrokeredConnectionFactory(receiver)
             for audit in audits:
-                if retries:
-                    channel = yield from factory.accept_retrying()
-                else:
-                    _peer, service = yield from receiver.accept_service_link()
-                    channel = yield from factory.accept(service)
-                    service.close()
+                channel = yield from _accept(factory, retries)
                 while True:
                     data = yield from channel.read(_READ_CHUNK)
                     if not data:
@@ -331,9 +346,9 @@ def _build_wan_transfer(
     return wl
 
 
-@scenario("wan_transfer_routed")
+@scenario("wan_transfer_routed", backends=("sim", "live"))
 def _build_wan_transfer_routed(
-    seed: int, retries: bool, sessions: bool
+    seed: int, retries: bool, sessions: bool, backend: str = "sim"
 ) -> Workload:
     """One bulk transfer with the data channel pinned to relay routing.
 
@@ -343,9 +358,10 @@ def _build_wan_transfer_routed(
     off.  Only the session layer can carry the stream across: the routed
     link EOFs, the initiator re-brokers a fresh one once the relay (and
     the dropped peer's registration) come back, and the replay window
-    fills the gap.
+    fills the gap.  Live, the relay is a real server: ``relay_kill`` with
+    ``for=`` is the crash that restarts it.
     """
-    scn = GridScenario(seed=seed)
+    scn = _grid(backend, seed)
     scn.add_site("A", "open", access_bandwidth=1_250_000.0, access_delay=0.01)
     scn.add_site(
         "B", "nat_firewall", access_bandwidth=1_250_000.0, access_delay=0.01
@@ -364,6 +380,7 @@ def _build_wan_transfer_routed(
         stages=1,
         methods=["routed"],
         label="routed",
+        **_WAN[backend],
     )
     return wl
 
@@ -674,9 +691,15 @@ def _build_ipl_fanin(seed: int, retries: bool, sessions: bool) -> Workload:
     return wl
 
 
-#: mux_fanin geometry
+#: per-backend geometry of the mux scenarios: the bytes on each of
+#: mux_fanin's channels and in mux_starvation's bulk stream.  Loopback
+#: moves 4 MiB in tens of milliseconds, less than task start-up spreads
+#: the channels, so live runs move eight times as much
+_MUX = {
+    "sim": {"channel_bytes": 128 << 10, "bulk_bytes": 4 << 20},
+    "live": {"channel_bytes": 1 << 20, "bulk_bytes": 32 << 20},
+}
 _MUX_CHANNELS = 32
-_MUX_CHANNEL_BYTES = 128 * 1024
 
 
 def _mux_spec(sessions: bool) -> StackSpec:
@@ -684,8 +707,10 @@ def _mux_spec(sessions: bool) -> StackSpec:
     return spec.with_session() if sessions else spec
 
 
-@scenario("mux_fanin")
-def _build_mux_fanin(seed: int, retries: bool, sessions: bool) -> Workload:
+@scenario("mux_fanin", backends=("sim", "live"))
+def _build_mux_fanin(
+    seed: int, retries: bool, sessions: bool, backend: str = "sim"
+) -> Workload:
     """32 logical channels share ONE routed WAN link (the tentpole claim).
 
     Every conversation between the pair runs ``tcp_block|mux`` pinned to
@@ -697,7 +722,7 @@ def _build_mux_fanin(seed: int, retries: bool, sessions: bool) -> Workload:
     top of the generic per-channel delivery audits and the registry-wide
     mux credit-conservation invariant.
     """
-    scn = GridScenario(seed=seed)
+    scn = _grid(backend, seed)
     scn.add_site("A", "open", access_bandwidth=2_500_000.0, access_delay=0.01)
     scn.add_site(
         "B", "nat_firewall", access_bandwidth=2_500_000.0, access_delay=0.01
@@ -708,13 +733,16 @@ def _build_mux_fanin(seed: int, retries: bool, sessions: bool) -> Workload:
     wl = Workload(scn)
     spec = _mux_spec(sessions)
     payloads = [
-        random.Random(f"{seed}:chaos:muxfanin:{i}").randbytes(_MUX_CHANNEL_BYTES)
+        random.Random(f"{seed}:chaos:muxfanin:{i}").randbytes(
+            _MUX[backend]["channel_bytes"]
+        )
         for i in range(_MUX_CHANNELS)
     ]
     audits = [wl.audit(f"mux{i:02d}") for i in range(_MUX_CHANNELS)]
     completions: dict[int, float] = {}
     started: dict[str, float] = {}
 
+    @coroutine
     def send_one(channel, idx) -> Generator:
         try:
             payload = payloads[idx]
@@ -729,37 +757,26 @@ def _build_mux_fanin(seed: int, retries: bool, sessions: bool) -> Workload:
         except BaseException as exc:  # noqa: BLE001 - reported as a violation
             wl.fail(f"mux-sender:{idx}", exc)
 
+    @coroutine
     def run_sender() -> Generator:
         try:
             yield from sender.start()
             factory = BrokeredConnectionFactory(sender)
             channels = []
             for i in range(_MUX_CHANNELS):
-                ctx = TraceContext.new()
-                if retries:
-                    channel = yield from factory.connect_retrying(
-                        receiver.info.node_id, receiver.info, spec=spec,
-                        methods=["routed"], ctx=ctx,
-                    )
-                else:
-                    yield from receiver.relay_client.wait_connected(timeout=30.0)
-                    service = yield from sender.open_service_link(
-                        receiver.info.node_id
-                    )
-                    channel = yield from factory.connect(
-                        service, receiver.info, spec=spec,
-                        methods=["routed"], ctx=ctx,
-                    )
-                    service.close()
+                channel = yield from _connect(
+                    factory, receiver, spec, retries, ["routed"], TraceContext.new()
+                )
                 channels.append(channel)
             # all channels are up before any payload moves, so the fair
             # scheduler sees 32 simultaneously-ready channels
             started["t0"] = scn.sim.now
             for i, channel in enumerate(channels):
-                scn.sim.process(send_one(channel, i), name=f"mux-send-{i}")
+                scn.spawn(send_one(channel, i), f"mux-send-{i}")
         except BaseException as exc:  # noqa: BLE001 - reported as a violation
             wl.fail("mux-sender", exc)
 
+    @coroutine
     def read_one(channel) -> Generator:
         try:
             idx = int.from_bytes((yield from channel.read_exactly(4)), "big")
@@ -774,18 +791,14 @@ def _build_mux_fanin(seed: int, retries: bool, sessions: bool) -> Workload:
         except BaseException as exc:  # noqa: BLE001 - reported as a violation
             wl.fail("mux-reader", exc)
 
+    @coroutine
     def run_receiver() -> Generator:
         try:
             yield from receiver.start()
             factory = BrokeredConnectionFactory(receiver)
             for i in range(_MUX_CHANNELS):
-                if retries:
-                    channel = yield from factory.accept_retrying()
-                else:
-                    _peer, service = yield from receiver.accept_service_link()
-                    channel = yield from factory.accept(service)
-                    service.close()
-                scn.sim.process(read_one(channel), name=f"mux-read-{i}")
+                channel = yield from _accept(factory, retries)
+                scn.spawn(read_one(channel), f"mux-read-{i}")
         except BaseException as exc:  # noqa: BLE001 - reported as a violation
             wl.fail("mux-receiver", exc)
 
@@ -803,29 +816,30 @@ def _build_mux_fanin(seed: int, retries: bool, sessions: bool) -> Workload:
         return []
 
     wl.post_checks.append(check_fairness)
-    scn.sim.process(run_sender(), name="chaos-mux-sender")
-    scn.sim.process(run_receiver(), name="chaos-mux-receiver")
+    scn.spawn(run_sender(), "chaos-mux-sender")
+    scn.spawn(run_receiver(), "chaos-mux-receiver")
     return wl
 
 
 #: mux_starvation geometry
-_STARVE_BULK_BYTES = 4 * (1 << 20)
 _STARVE_PINGS = 24
 _STARVE_LATENCY_BOUND = 2.0
 
 
-@scenario("mux_starvation")
-def _build_mux_starvation(seed: int, retries: bool, sessions: bool) -> Workload:
+@scenario("mux_starvation", backends=("sim", "live"))
+def _build_mux_starvation(
+    seed: int, retries: bool, sessions: bool, backend: str = "sim"
+) -> Workload:
     """Bulk + interactive channels on one carrier: no starvation allowed.
 
-    A 4 MiB bulk stream and a tiny request/echo conversation share one
-    routed link through the shared mux endpoint.  Without fair
+    A bulk stream (4 MiB simulated) and a tiny request/echo conversation
+    share one routed link through the shared mux endpoint.  Without fair
     scheduling the interactive channel's first echo would arrive only
     after the bulk transfer drains (seconds); the post-check bounds
     every round trip, so a scheduler that lets bulk monopolise the
     carrier fails the run.
     """
-    scn = GridScenario(seed=seed)
+    scn = _grid(backend, seed)
     scn.add_site("A", "open", access_bandwidth=1_250_000.0, access_delay=0.01)
     scn.add_site(
         "B", "nat_firewall", access_bandwidth=1_250_000.0, access_delay=0.01
@@ -836,27 +850,13 @@ def _build_mux_starvation(seed: int, retries: bool, sessions: bool) -> Workload:
     wl = Workload(scn)
     spec = _mux_spec(sessions)
     bulk_payload = random.Random(f"{seed}:chaos:muxbulk").randbytes(
-        _STARVE_BULK_BYTES
+        _MUX[backend]["bulk_bytes"]
     )
     bulk_audit = wl.audit("bulk")
     ping_audit = wl.audit("interactive")
     latencies: list[float] = []
 
-    def connect_one(factory, ctx) -> Generator:
-        if retries:
-            channel = yield from factory.connect_retrying(
-                bob.info.node_id, bob.info, spec=spec,
-                methods=["routed"], ctx=ctx,
-            )
-        else:
-            yield from bob.relay_client.wait_connected(timeout=30.0)
-            service = yield from alice.open_service_link(bob.info.node_id)
-            channel = yield from factory.connect(
-                service, bob.info, spec=spec, methods=["routed"], ctx=ctx
-            )
-            service.close()
-        return channel
-
+    @coroutine
     def send_bulk(channel) -> Generator:
         try:
             yield from channel.write(b"B")
@@ -870,6 +870,7 @@ def _build_mux_starvation(seed: int, retries: bool, sessions: bool) -> Workload:
         except BaseException as exc:  # noqa: BLE001 - reported as a violation
             wl.fail("bulk-sender", exc)
 
+    @coroutine
     def ping_pong(channel) -> Generator:
         try:
             yield from channel.write(b"I")
@@ -889,17 +890,23 @@ def _build_mux_starvation(seed: int, retries: bool, sessions: bool) -> Workload:
         except BaseException as exc:  # noqa: BLE001 - reported as a violation
             wl.fail("interactive-sender", exc)
 
+    @coroutine
     def run_alice() -> Generator:
         try:
             yield from alice.start()
             factory = BrokeredConnectionFactory(alice)
-            bulk = yield from connect_one(factory, TraceContext.new())
-            ping = yield from connect_one(factory, TraceContext.new())
-            scn.sim.process(send_bulk(bulk), name="mux-bulk")
-            scn.sim.process(ping_pong(ping), name="mux-interactive")
+            bulk = yield from _connect(
+                factory, bob, spec, retries, ["routed"], TraceContext.new()
+            )
+            ping = yield from _connect(
+                factory, bob, spec, retries, ["routed"], TraceContext.new()
+            )
+            scn.spawn(send_bulk(bulk), "mux-bulk")
+            scn.spawn(ping_pong(ping), "mux-interactive")
         except BaseException as exc:  # noqa: BLE001 - reported as a violation
             wl.fail("alice", exc)
 
+    @coroutine
     def serve_one(channel) -> Generator:
         kind = yield from channel.read_exactly(1)
         if kind == b"B":
@@ -919,18 +926,14 @@ def _build_mux_starvation(seed: int, retries: bool, sessions: bool) -> Workload:
             channel.close()
             ping_audit.finish_receiver()
 
+    @coroutine
     def run_bob() -> Generator:
         try:
             yield from bob.start()
             factory = BrokeredConnectionFactory(bob)
             for i in range(2):
-                if retries:
-                    channel = yield from factory.accept_retrying()
-                else:
-                    _peer, service = yield from bob.accept_service_link()
-                    channel = yield from factory.accept(service)
-                    service.close()
-                scn.sim.process(serve_one(channel), name=f"mux-serve-{i}")
+                channel = yield from _accept(factory, retries)
+                scn.spawn(serve_one(channel), f"mux-serve-{i}")
         except BaseException as exc:  # noqa: BLE001 - reported as a violation
             wl.fail("bob", exc)
 
@@ -950,8 +953,8 @@ def _build_mux_starvation(seed: int, retries: bool, sessions: bool) -> Workload:
         return out
 
     wl.post_checks.append(check_latency)
-    scn.sim.process(run_alice(), name="chaos-mux-alice")
-    scn.sim.process(run_bob(), name="chaos-mux-bob")
+    scn.spawn(run_alice(), "chaos-mux-alice")
+    scn.spawn(run_bob(), "chaos-mux-bob")
     return wl
 
 

@@ -3,8 +3,9 @@
 Three simulated scenarios put a running :class:`~repro.tune.loop.LinkTuner`
 through the canonical control-theory stimuli — a mid-transfer path
 degradation, a loss burst at constant capacity, and a bandwidth
-step-change — and one live twin replays the degradation against real
-asyncio sockets through a :class:`~repro.livenet.proxy.ChaosTcpProxy`.
+step-change — and one live-only scenario, ``tune_window``, answers a
+latency spike at a :class:`~repro.livenet.proxy.ChaosTcpProxy` gateway
+on real asyncio sockets.
 Each scenario asserts *polarity* (the knobs move the right way: a slower
 path earns fewer bytes in flight, a recovered one re-expands), *loss
 response* (a lossy path earns recovery streams while capacity holds) and
@@ -29,9 +30,10 @@ between two open sites on a 1.25 MB/s WAN, a sender streaming
 continuously, and a tuner whose signal source mixes a goodput meter fed
 by the receiver, the link's ground-truth loss rate, and the live stack
 state (active streams, the adaptive driver's verdict).  The live
-workload: a mux bulk+ping channel pair through the chaos gateway, the
-tuner renegotiating the *receiver's* credit window (the PR's new
-mid-stream ``T_WINDOW``/CREDIT path) as a latency fault moves the BDP.
+workload: a mux bulk+ping channel pair from the shared factory through
+the chaos gateway, the tuner renegotiating the *receiver's* credit
+window (the mid-stream ``T_WINDOW``/CREDIT path) as a latency fault
+moves the BDP.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ from ..core.scenarios import GridScenario
 from ..core.utilization.spec import StackSpec
 from ..obs import TraceContext
 from ..tune import GaugeSignalSource, LinkTuner, StackKnobs, TunePlanner
-from .registry import live_scenario, scenario
-from .runner import Workload
+from .registry import scenario
+from .runner import Workload, _accept, _connect, _grid
 
 __all__ = ["TUNE_PLANS", "LIVE_TUNE_PLAN"]
 
@@ -245,20 +247,9 @@ def _build_tune_workload(
         try:
             yield from sender.start()
             factory = BrokeredConnectionFactory(sender)
-            ctx = TraceContext.new()
-            if retries:
-                channel = yield from factory.connect_retrying(
-                    receiver.info.node_id, receiver.info, spec=spec, ctx=ctx,
-                )
-            else:
-                yield from receiver.relay_client.wait_connected(timeout=30.0)
-                service = yield from sender.open_service_link(
-                    receiver.info.node_id
-                )
-                channel = yield from factory.connect(
-                    service, receiver.info, spec=spec, ctx=ctx,
-                )
-                service.close()
+            channel = yield from _connect(
+                factory, receiver, spec, retries, ctx=TraceContext.new()
+            )
             # rcvbuf deliberately unbound: the planner's believed window
             # (32 KiB) differs from the simulated OS buffer on purpose —
             # binding it would let the tuner "fix" the disagreement that
@@ -276,13 +267,9 @@ def _build_tune_workload(
     def run_receiver() -> Generator:
         try:
             yield from receiver.start()
-            factory = BrokeredConnectionFactory(receiver)
-            if retries:
-                channel = yield from factory.accept_retrying()
-            else:
-                _peer, service = yield from receiver.accept_service_link()
-                channel = yield from factory.accept(service)
-                service.close()
+            channel = yield from _accept(
+                BrokeredConnectionFactory(receiver), retries
+            )
             meter = obs.metrics().counter("tune.rx_bytes_total", link="wan")
             while True:
                 data = yield from channel.read(_READ_CHUNK)
@@ -443,7 +430,7 @@ def _build_tune_bandwidth_step(
     return wl
 
 
-# -- the live twin -------------------------------------------------------------
+# -- the live credit-window workload -----------------------------------------
 
 _LIVE_WINDOW = 16 * 1024
 _LIVE_CHUNK = 4096
@@ -457,31 +444,28 @@ _LIVE_HYSTERESIS = 0.4
 _LIVE_SMOOTH = 0.6
 
 
-@live_scenario("tune_degrade")
-async def _build_live_tune_degrade(
-    seed: int, retries: bool, sessions: bool
-) -> Workload:
-    """The live twin: credit-window renegotiation over real sockets.
+@scenario("tune_window", backends=("live",))
+def _build_tune_window(seed: int, retries: bool, sessions: bool) -> Workload:
+    """Credit-window renegotiation over real sockets, under a latency spike.
 
-    A mux bulk channel (plus a ping channel supplying RTT) runs through
-    the chaos gateway; the tuner owns the *receiver's* bulk window.  When
-    the latency fault inflates the RTT two orders of magnitude the BDP
-    explodes past the 16 KiB starting window, the sender's credit stalls
-    feed ``mux.backpressure_waits``, and the tuner must grow the window
-    mid-stream — the new ``T_WINDOW``/CREDIT renegotiation path crossing
-    a real TCP connection — then hand the credit back after the heal.
+    A mux bulk channel (plus a ping channel supplying RTT) shares one
+    carrier through bob's chaos gateway; the tuner owns the *receiver's*
+    bulk window.  When the latency fault inflates the RTT two orders of
+    magnitude the BDP explodes past the 16 KiB starting window, the
+    sender's credit stalls feed ``mux.backpressure_waits``, and the tuner
+    must grow the window mid-stream — the ``T_WINDOW``/CREDIT
+    renegotiation path crossing a real TCP connection — then hand the
+    credit back after the heal.  ``sessions`` is not used: the workload
+    moves no stream across a fault.
     """
-    from ..livenet.mux import AsyncMuxEndpoint
-    from ..livenet.transport import live_connect, live_listen
-    from .live import LiveChaosScenario
+    scn = _grid("live", seed)
+    scn.add_site("A")
+    scn.add_site("HUB")
+    alice = scn.add_node("A", "alice", auto_reconnect=retries)
+    bob = scn.add_node("HUB", "bob", auto_reconnect=retries)
 
-    scn = LiveChaosScenario(seed)
     wl = Workload(scn)
-
-    listener = await live_listen()
-    scn.add_closer(listener.close)
-    proxy = await scn.add_proxy("HUB", listener.addr)
-
+    spec = StackSpec.tcp().with_mux(window=_LIVE_WINDOW)
     audit = wl.audit("bulk")
     chunk = random.Random(f"{seed}:chaos:livetune").randbytes(_LIVE_CHUNK)
     holder: dict = {}
@@ -508,26 +492,21 @@ async def _build_live_tune_degrade(
         name="live",
     )
 
-    async def run_server() -> None:
+    async def run_bob() -> None:
         try:
-            sock = await listener.accept()
-            server = await AsyncMuxEndpoint.establish(
-                sock, AsyncMuxEndpoint.RESPONDER,
-                window=_LIVE_WINDOW, node="bob",
-            )
-            scn.add_closer(server.close)
-            scn.nodes["bob"] = server
-            bulk = await server.accept_channel(tag=b"bulk")
-            ping = await server.accept_channel(tag=b"ping")
-            late.bind(StackKnobs(mux_channel=bulk))
-            holder["bulk_srv"] = bulk
+            await bob.start()
+            factory = BrokeredConnectionFactory(bob)
+            bulk = await _accept(factory, retries)
+            ping = await _accept(factory, retries)
+            late.bind(StackKnobs(mux_channel=bulk.driver.link))
 
             async def pinger() -> None:
                 seq = 0
                 while scn.sim.now < _LIVE_SEND_END:
                     t0 = scn.sim.now
-                    await ping.send_all(seq.to_bytes(8, "big"))
-                    echo = await ping.recv_exactly(8)
+                    await ping.write(seq.to_bytes(8, "big"))
+                    await ping.flush()
+                    echo = await ping.read_exactly(8)
                     if echo != seq.to_bytes(8, "big"):
                         raise AssertionError("ping echo mismatch")
                     holder["rtt"] = max(scn.sim.now - t0, 1e-4)
@@ -538,7 +517,7 @@ async def _build_live_tune_degrade(
             ping_task = asyncio.ensure_future(pinger())
             meter = obs.metrics().counter("tune.rx_bytes_total", link="live")
             while True:
-                data = await bulk.recv(_READ_CHUNK)
+                data = await bulk.read(_READ_CHUNK)
                 if not data:
                     break
                 meter.inc(len(data))
@@ -547,45 +526,42 @@ async def _build_live_tune_degrade(
             bulk.close()
             await ping_task
         except BaseException as exc:  # noqa: BLE001 - reported as a violation
-            wl.fail("tune-server", exc)
+            wl.fail("tune-bob", exc)
 
-    async def run_client() -> None:
+    async def run_alice() -> None:
         try:
-            sock = await live_connect(proxy.addr)
-            client = await AsyncMuxEndpoint.establish(
-                sock, AsyncMuxEndpoint.INITIATOR,
-                window=_LIVE_WINDOW, node="alice",
-            )
-            scn.add_closer(client.close)
-            scn.nodes["alice"] = client
-            bulk = await client.open_channel(b"bulk")
-            ping = await client.open_channel(b"ping")
-            holder["bulk_cli"] = bulk
+            await alice.start()
+            factory = BrokeredConnectionFactory(alice)
+            bulk = await _connect(factory, bob, spec, retries)
+            ping = await _connect(factory, bob, spec, retries)
+            holder["bulk_alice"] = bulk.driver.link
 
             async def echo() -> None:
                 while True:
-                    data = await ping.recv(64)
+                    data = await ping.read(64)
                     if not data:
                         break
-                    await ping.send_all(data)
+                    await ping.write(data)
+                    await ping.flush()
                 ping.close()
 
             echo_task = asyncio.ensure_future(echo())
+            # unflushed: the channel sends whole 64 KiB blocks, which the
+            # 16 KiB window passes on as credit comes back
             while scn.sim.now < _LIVE_SEND_END:
-                await bulk.send_all(chunk)
+                await bulk.write(chunk)
                 audit.record_sent(chunk)
                 await asyncio.sleep(_LIVE_PACE)
+            await bulk.flush()
             audit.finish_sender()
             bulk.close()
             await echo_task
         except BaseException as exc:  # noqa: BLE001 - reported as a violation
-            wl.fail("tune-client", exc)
+            wl.fail("tune-alice", exc)
 
     async def run_tuner() -> None:
         try:
-            while scn.sim.now < _LIVE_SEND_END + 0.3:
-                await asyncio.sleep(_LIVE_INTERVAL)
-                tuner.step()
+            await tuner.run(scn.runtime, until=_LIVE_SEND_END + 0.3)
         except BaseException as exc:  # noqa: BLE001 - reported as a violation
             wl.fail("tune-tuner", exc)
 
@@ -632,7 +608,7 @@ async def _build_live_tune_degrade(
                 f"{retunes}"
             )
         announced = {d.new for d in decisions}
-        peer_view = getattr(holder.get("bulk_cli"), "peer_rx_window", 0)
+        peer_view = getattr(holder.get("bulk_alice"), "peer_rx_window", 0)
         if peer_view not in announced:
             out.append(
                 f"tune: the sender's view of the window ({peer_view} B) "
@@ -643,7 +619,7 @@ async def _build_live_tune_degrade(
 
     wl.post_checks.append(check_polarity)
     _stability_checks(wl, tuner)
-    scn.spawn(run_server(), "chaos-tune-server")
-    scn.spawn(run_client(), "chaos-tune-client")
+    scn.spawn(run_bob(), "chaos-tune-bob")
+    scn.spawn(run_alice(), "chaos-tune-alice")
     scn.spawn(run_tuner(), "chaos-tuner")
     return wl

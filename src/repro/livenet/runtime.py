@@ -138,8 +138,7 @@ class LiveNode(_Tasks):
     (:meth:`advertise`).  Every direct link opens with a purpose tag and is
     routed by the same :class:`~repro.core.dispatch.RoutedDispatcher` rule
     as the relay-routed ones; a link silent past :attr:`tag_deadline`
-    seconds, or naming a purpose nobody serves, is closed (one whose first
-    frame is no tag at all is a bare service request).  ``relay_addr`` is
+    seconds, or naming a purpose nobody serves, is closed.  ``relay_addr`` is
     one relay's address, or relay id -> address for a mesh.
     """
 
@@ -221,24 +220,12 @@ class LiveNode(_Tasks):
 
     async def _route_direct(self, sock) -> None:
         try:
-            tag = await self.runtime.bounded(self._read_tag(sock), self.tag_deadline)
+            tag = await self.runtime.bounded(
+                recv_frame(sock, _MAX_TAG), self.tag_deadline)
         except (WireError, EOFError, OSError):  # a missed deadline too
             sock.close()
             return
         self.dispatcher.route(sock, tag)
-
-    @staticmethod
-    async def _read_tag(sock) -> bytes:
-        """The purpose a direct link opens with.  A tag is a frame of
-        lower-case ASCII; a first frame that starts otherwise is a bare
-        service request, left unread for whoever serves the link."""
-        head = await sock.peek(4)
-        if len(head) < 4:
-            raise EOFError("link closed before naming its purpose")
-        length = int.from_bytes(head, "big")
-        if length > _MAX_TAG or (length and not (await sock.peek(5))[4:].islower()):
-            return SERVICE_TAG
-        return await recv_frame(sock, _MAX_TAG)
 
     def stop(self) -> None:
         self.sessions.close()

@@ -177,13 +177,6 @@ class LiveSocket(asyncio.Protocol):
             await self._wait(n)
         return self._take(n) if n else b""
 
-    async def peek(self, n: int) -> bytes:
-        """The next ``n`` bytes, left unread for the next read (fewer if
-        the stream ends first)."""
-        while self._buffered < n and not self._eof:
-            await self._wait(n)
-        return b"".join(self._chunks)[self._head:self._head + n]
-
     def close(self) -> None:
         self._transport.close()
 

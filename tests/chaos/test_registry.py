@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chaos import get_scenario, live_scenario, scenario, scenario_names
+from repro.chaos import get_scenario, scenario, scenario_names
 from repro.chaos.registry import _REGISTRY, ScenarioDef
 
 
@@ -86,21 +86,20 @@ class TestLookup:
 
 class TestBackends:
     #: the scenarios whose one builder runs on both backends
-    BOTH = ("wan_transfer", "mesh_failover", "canary_rollout", "canary_rollout_good")
+    BOTH = (
+        "wan_transfer", "mesh_failover", "canary_rollout", "canary_rollout_good",
+        "wan_transfer_routed", "mux_fanin", "mux_starvation",
+    )
 
     @pytest.mark.parametrize("name", BOTH)
     def test_one_builder_serves_both_backends(self, name):
         sdef = get_scenario(name)
         assert sdef.backends == ("sim", "live")
         assert sdef.builder is not None
-        assert sdef.live_builder is None
 
-    def test_only_tune_degrade_keeps_a_separate_live_builder(self):
-        separate = [
-            name for name in scenario_names()
-            if get_scenario(name).live_builder is not None
-        ]
-        assert separate == ["tune_degrade"]
+    def test_the_live_tuner_workload_has_its_own_name(self):
+        assert get_scenario("tune_window").backends == ("live",)
+        assert get_scenario("tune_degrade").backends == ("sim",)
 
     def test_sim_only_scenario_refuses_live(self):
         with pytest.raises(ValueError, match="does not run on backend"):
@@ -124,12 +123,3 @@ class TestBackends:
         get_scenario("both_probe").build(1, True, False, "packet", backend="live")
         get_scenario("sim_probe").build(1, True, False, "packet")
         assert calls == {"both": "live", "sim": True}
-
-    def test_a_live_twin_needs_a_sim_scenario(self, scratch_registry):
-        with pytest.raises(ValueError, match="no sim scenario"):
-
-            @live_scenario("live_only_probe")
-            async def twin(seed, retries, sessions):
-                pass
-
-        assert "live_only_probe" not in _REGISTRY

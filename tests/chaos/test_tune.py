@@ -90,7 +90,7 @@ class TestLiveConvergence:
     def test_latency_fault_moves_the_credit_window(self, tmp_path):
         trace = tmp_path / "run.jsonl"
         report = run_chaos(
-            "tune_degrade",
+            "tune_window",
             backend="live",
             seed=self.SEED,
             plan=LIVE_TUNE_PLAN,

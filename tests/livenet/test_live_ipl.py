@@ -13,6 +13,7 @@ import struct
 import pytest
 
 from repro import obs
+from repro.core.dispatch import SERVICE_TAG
 from repro.core.factory import TlsConfig
 from repro.core.utilization.spec import StackSpec
 from repro.core.wire import WireError, recv_frame, send_frame
@@ -284,6 +285,7 @@ class TestServiceLinkHygiene:
                     (bob.info.local_ip, bob.info.open_ports[0])
                 )
                 try:
+                    await send_frame(service, SERVICE_TAG)
                     kind = REQ_PORT_CONNECT if port else 9
                     request = ByteWriter().u8(kind).lp_str(port or "").lp_str("eve")
                     await send_frame(service, request.getvalue())

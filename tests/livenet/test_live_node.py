@@ -16,9 +16,11 @@ import pytest
 from repro.core.dispatch import data_tag
 from repro.core.factory import BrokeredConnectionFactory
 from repro.core.wire import recv_frame, send_frame
+from repro.ipl.runtime import REQ_PORT_CONNECT
 from repro.livenet import live_connect, transport
 from repro.livenet.relay import LiveRelayServer
 from repro.livenet.runtime import LiveNode
+from repro.util.framing import ByteWriter
 
 pytestmark = pytest.mark.livenet
 
@@ -142,8 +144,14 @@ class TestFactoryOnLiveNode:
         assert routed > 0
 
 
+#: a port-connect request sent where the purpose tag belongs
+_BARE_REQUEST = ByteWriter().u8(REQ_PORT_CONNECT).lp_str("in").lp_str("eve").getvalue()
+
+
 class TestPurposeTag:
-    @pytest.mark.parametrize("tag", [None, b"nonsense"])
+    @pytest.mark.parametrize(
+        "tag", [None, b"nonsense", pytest.param(_BARE_REQUEST, id="bare-request")]
+    )
     def test_untagged_link_is_closed_within_the_deadline(self, live_run, tag):
         async def main():
             async with pair() as (_relay, _alice, bob):
