@@ -7,15 +7,16 @@ Every routed channel is opened with a purpose tag (see
 
 * ``b"service"`` — a peer establishing its service link to us.
 * ``b"data:<nonce>"`` — a brokered data-link attempt falling back to
-  routed messages; matched to the negotiation that expects it.  One that
-  arrives before its negotiation asks is held, but no longer than
-  :attr:`RoutedDispatcher.early_ttl` and no more than
-  :attr:`RoutedDispatcher.early_max` at once; the rest are closed.
+  routed messages; matched to the negotiation that expects it.
 * ``b"sessres:<sid>"`` — a session initiator re-establishing a broken
   data link (see :mod:`~repro.core.session`); handed to the node's
   :class:`~repro.core.session.SessionRegistry`.
 
-A channel tagged with anything else is closed: nothing here serves it.
+A channel that arrives before anyone asks for it is held, but no longer
+than :attr:`RoutedDispatcher.early_ttl` and no more than
+:attr:`RoutedDispatcher.early_max` of each purpose at once; the rest are
+closed, oldest first.  A channel tagged with anything else is closed:
+nothing here serves it.
 Written once on :mod:`repro.core.runtime`, for whichever runtime the node
 names.
 """
@@ -44,8 +45,8 @@ class RoutedDispatcher:
     """Accept-loop over ``node``'s relay client, routing channels by purpose
     tag; the loop is one of the node's tasks."""
 
-    #: seconds an unclaimed data channel is held for its negotiation (the
-    #: :meth:`await_data` timeout), and how many are held at once
+    #: seconds a channel nobody has asked for is held (the
+    #: :meth:`await_data` timeout), and how many of a purpose at once
     early_ttl = 30.0
     early_max = 64
 
@@ -76,9 +77,9 @@ class RoutedDispatcher:
             else:
                 self._hold(tag, link)
         elif tag.startswith(RESUME_PREFIX):
-            _hand(link, self._resume_queue, self._resume_waiters)
+            self._hand(link, self._resume_queue, self._resume_waiters)
         elif tag == SERVICE_TAG:
-            _hand(link, self._service_queue, self._service_waiters)
+            self._hand(link, self._service_queue, self._service_waiters)
         else:
             link.close()
 
@@ -97,6 +98,21 @@ class RoutedDispatcher:
                 break
             del early[old_tag]
             old.close()
+
+    def _hand(self, link, queue: list, waiters: list) -> None:
+        """``link`` to the first waiter still waiting, else onto ``queue``,
+        closing the queued links that are over age or over count, oldest
+        first, as :meth:`_hold` does."""
+        while waiters:
+            waiter = waiters.pop(0)
+            if not waiter.done():  # else: its task was cancelled
+                waiter.set_result(link)
+                return
+        now = self.runtime.now()
+        queue.append((now, link))
+        while queue and (len(queue) > self.early_max
+                         or now - queue[0][0] >= self.early_ttl):
+            queue.pop(0)[1].close()
 
     def close(self) -> None:
         """Close the data channels no negotiation claimed."""
@@ -133,17 +149,8 @@ class RoutedDispatcher:
     def _take(self, queue: list, waiters: list) -> Generator:
         event = self.runtime.event()
         if queue:
-            event.set_result(queue.pop(0))
+            event.set_result(queue.pop(0)[1])
         else:
             waiters.append(event)
         return (yield from self.runtime.wait(event))
 
-
-def _hand(link, queue: list, waiters: list) -> None:
-    """``link`` to the first waiter still waiting, else onto ``queue``."""
-    while waiters:
-        waiter = waiters.pop(0)
-        if not waiter.done():  # else: its task was cancelled
-            waiter.set_result(link)
-            return
-    queue.append(link)

@@ -35,7 +35,7 @@ from .. import obs
 from ..obs import TraceContext
 from ..obs.flight import FlightRecorder
 from ..util.bytesbuf import take
-from ..util.sizes import SESSION_MAX_CHUNK, cut, pieces
+from ..util.sizes import SESSION_MAX_CHUNK, SESSION_REPLAY_BOUND, cut, pieces
 
 __all__ = ["SessionCore", "SessionError", "SessionConfig", "ReplayBuffer",
            "Resume", "decode_resume", "decode_resume_ok", "MAX_CHUNK",
@@ -91,7 +91,7 @@ class SessionConfig:
     #: delivered bytes after which an ACK goes out *on its own* — one that
     #: found no DATA frame to ride on; 0 leaves that to the replay bound
     ack_every: int = 0
-    max_buffer: int = 1 << 20
+    max_buffer: int = SESSION_REPLAY_BOUND
     heartbeat: float = 2.0
     dead_factor: float = 3.0
     resume_timeout: float = 20.0

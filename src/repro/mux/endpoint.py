@@ -30,6 +30,7 @@ from ..core.wire import WireError, recv_frame, send_frame
 from ..obs import TraceContext
 from .core import (
     DEFAULT_WINDOW,
+    LONE_DATA_PAYLOAD,
     MAX_DATA_PAYLOAD,
     ChannelState,
     MuxCore,
@@ -71,14 +72,17 @@ class MuxChannel(ChannelState, Link):
         """Queue ``data`` and block until the scheduler has put every byte
         on the wire under credit — backpressure, never drops.  When the
         carrier's write turn is free the caller takes it and writes the
-        frames itself; otherwise whoever holds it, or the tx pump after
-        them, does."""
+        frames itself, yielding to the runtime once per
+        ``LONE_DATA_PAYLOAD`` written while nothing else ran, so that a
+        writer with credit to spare does not keep the others from the turn;
+        otherwise whoever holds it, or the tx pump after them, does."""
         ep = self._ep
         if ep._writing:
             self.write(data)
         else:
             yield from ep._write_turn(self, data)
         while self._tx_buffered > 0 and self._error is None:
+            ep._unyielded = 0
             yield from ep._wait(self.WAKE_DRAINED, self)
         if self._error is not None:
             raise self._error
@@ -101,6 +105,10 @@ class MuxEndpoint(Bound, MuxCore):
                  flight=None):
         #: a writer or the tx pump is putting frames on the carrier
         self._writing = False
+        #: bytes write turns have put on the carrier since the other tasks
+        #: last ran, as far as the endpoint can tell: since a writer parked
+        #: or yielded, or the rx pump fed a frame
+        self._unyielded = 0
         self._transport_errors = transport_errors()
         super().__init__(role, window=window, scheduler=scheduler, node=node)
         self.link = link
@@ -197,6 +205,7 @@ class MuxEndpoint(Bound, MuxCore):
         try:
             while not self._closed:
                 self.feed((yield from recv_frame(self.link)))
+                self._unyielded = 0
         except self._carrier_errors as exc:
             self.fail(exc)
         except (MuxProtocolError, WireError) as exc:
@@ -213,7 +222,9 @@ class MuxEndpoint(Bound, MuxCore):
         frames in the core's order (control first, then scheduler turns,
         whoever's they are) until ``channel`` has drained or nothing can be
         sent, acknowledge the last one and hand the turn back, waking the
-        tx pump only if it has something to do."""
+        tx pump only if it has something to do.  Every ``LONE_DATA_PAYLOAD``
+        written lets the other tasks run once: a writer that joins then
+        queues its data, and the scheduler shares the turn with it."""
         self._writing = True
         try:
             channel.write(data)
@@ -224,6 +235,10 @@ class MuxEndpoint(Bound, MuxCore):
                 except self._transport_errors as exc:
                     self.fail(exc)
                     return
+                self._unyielded += len(frame)
+                if self._unyielded >= LONE_DATA_PAYLOAD:
+                    self._unyielded = 0
+                    yield from self.runtime.sleep(0)
             self.frame_sent()
         finally:
             self._writing = False

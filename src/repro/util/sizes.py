@@ -16,6 +16,23 @@ The cores import their constant from here under the name their protocol
 has always used (``mux.core.LONE_DATA_PAYLOAD``,
 ``session_core.MAX_CHUNK``, ``relay_core.MAX_MSG``); ``docs/PROTOCOLS.md``
 has the table.
+
+The control frames' cadence is derived here too, because over a routed
+link each CREDIT or standalone ACK is a round trip through the session,
+the relay and both transports::
+
+    DEFAULT_WINDOW / 2          >= 8 blocks      (one CREDIT per 8 blocks)
+    DEFAULT_WINDOW              >= 2 x paper BDP (9 MB/s x 43 ms ~ 387 KB)
+    SESSION_REPLAY_BOUND / 4    >= DEFAULT_WINDOW / 2
+
+A reader grants CREDIT for each half window it consumes, so a lone bulk
+channel sends at most one CREDIT per eight blocks, and a window of at
+least twice the largest bandwidth-delay product of the paper's WAN links
+(Delft–Sophia, §6) keeps one channel from being window-bound on them.  A
+session sends an ACK on its own only after a quarter of the sender's
+replay bound is delivered unacknowledged; at a quarter no smaller than
+half a window, that backstop never fires before the CREDIT the ACK rides
+on.
 """
 
 from __future__ import annotations
@@ -24,9 +41,9 @@ from .framing import FRAME_HEADER
 
 __all__ = ["DEFAULT_BLOCK", "BLOCK_SLACK", "LONE_DATA_PAYLOAD",
            "DEFAULT_WINDOW", "MUX_DATA_HEADER", "SESSION_MAX_CHUNK",
-           "SESSION_DATA_HEADER", "SESSION_ACK_SIZE", "RELAY_MAX_MSG",
-           "ROUTED_HEADER_BOUND", "MAX_RELAY_FRAME", "MIN_TAIL", "cut",
-           "pieces"]
+           "SESSION_REPLAY_BOUND", "SESSION_DATA_HEADER", "SESSION_ACK_SIZE",
+           "RELAY_MAX_MSG", "ROUTED_HEADER_BOUND", "MAX_RELAY_FRAME",
+           "MIN_TAIL", "cut", "pieces"]
 
 #: what a block channel aggregates before it hands a block to its driver
 DEFAULT_BLOCK = 65536
@@ -36,14 +53,18 @@ BLOCK_SLACK = 1024
 #: largest mux DATA payload: one block and its driver headers, whole —
 #: the quantum of a channel that has the carrier to itself
 LONE_DATA_PAYLOAD = DEFAULT_BLOCK + BLOCK_SLACK
-#: default per-channel credit window: four header-inclusive blocks, so a
-#: block plus its driver header never straddles a fresh window
-DEFAULT_WINDOW = 4 * LONE_DATA_PAYLOAD
+#: default per-channel credit window: sixteen header-inclusive blocks, so a
+#: block plus its driver header never straddles a fresh window and a half
+#: window's CREDIT comes once per eight blocks
+DEFAULT_WINDOW = 16 * LONE_DATA_PAYLOAD
 
 #: u8 type, u32 channel, u32 payload length
 MUX_DATA_HEADER = 9
 #: largest session DATA payload: one full mux frame as its carrier sees it
 SESSION_MAX_CHUNK = FRAME_HEADER + MUX_DATA_HEADER + LONE_DATA_PAYLOAD
+#: default session replay bound: a quarter of it, the standalone-ACK
+#: backstop, is no less than the half window a CREDIT is granted for
+SESSION_REPLAY_BOUND = 4 << 20
 
 #: u8 kind, u32 length
 SESSION_DATA_HEADER = 5

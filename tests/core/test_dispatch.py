@@ -83,6 +83,41 @@ class DispatchCases:
         ]
         assert closed == b""
 
+    def test_unaccepted_service_links_are_capped_and_aged(self):
+        async def script(h, ca, cb):
+            dispatcher = RoutedDispatcher(_Node(h, cb))
+            dispatcher.early_max = 2
+            # over count: the third's arrival closes the first
+            held = [await _open(h, ca, SERVICE_TAG, bytes([i]))
+                    for i in range(3)]
+            await h.sleep(0.1)
+            got = [await _first(h, await dispatcher.accept_service())
+                   for _ in range(2)]
+            if got != [("node0", b"\x01"), ("node0", b"\x02")]:
+                return got, None
+            # over age: a later arrival closes the one held too long
+            held.append(await _open(h, ca, SERVICE_TAG, b"o"))
+            start = h.now()
+            await h.sleep(2)
+            dispatcher.early_ttl = (h.now() - start) / 2
+            await _open(h, ca, SERVICE_TAG, b"n")
+            await h.sleep(0.1)
+            got.append(await _first(h, await dispatcher.accept_service()))
+            if got[-1] != ("node0", b"n"):
+                return got, None
+            closed = []
+            for link in (held[0], held[3]):
+                try:
+                    closed.append(await h.recv(link, 1))
+                except EOFError:
+                    closed.append(b"")
+            return got, closed
+
+        got, closed = self.harness().run(script)
+        assert got == [("node0", b"\x01"), ("node0", b"\x02"),
+                       ("node0", b"n")]
+        assert closed == [b"", b""]
+
 
 class TestDispatchSim(DispatchCases):
     harness = SimRelay

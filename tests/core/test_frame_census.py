@@ -25,6 +25,7 @@ from repro.core.session_core import SessionConfig, SessionCore
 from repro.mux import MuxCore, WeightedScheduler
 from repro.mux import frames as mf
 from repro.mux.core import LONE_DATA_PAYLOAD, MAX_DATA_PAYLOAD
+from repro.simnet.crossval import PROFILES
 from repro.util import sizes
 from repro.util.framing import frame
 
@@ -33,10 +34,13 @@ MIB = 1 << 20
 WRITE = sizes.DEFAULT_BLOCK + 4
 
 # what the tree reaches with one channel and a reader that keeps up: per
-# MiB 16 DATA + 5.25 CREDIT = 21.25 frames at every layer, 0 standalone
-# ACKs, 479 bytes that are not the application's
-MAX_FRAMES_PER_MIB = 25
-MAX_CONTROL_BYTES_PER_MIB = 550
+# MiB 16 DATA + 1.75 CREDIT = 17.75 frames at every layer (one CREDIT per
+# half of the 16-block window), 0 standalone ACKs, 353 bytes that are not
+# the application's
+MAX_FRAMES_PER_MIB = 20
+MAX_CONTROL_BYTES_PER_MIB = 405
+#: CREDITs per MiB: 1.75 reached
+MAX_CREDITS_PER_MIB = 2
 
 
 @pytest.fixture(autouse=True)
@@ -184,7 +188,7 @@ class TestOneChannel:
         assert mux_frames == session_writes == census["relay.frames"]
         # one write, one DATA; the CREDITs stay a fraction of them
         assert census["mux.data"] == self.TOTAL // sizes.DEFAULT_BLOCK
-        assert census["mux.credit"] / mib <= 8
+        assert census["mux.credit"] / mib <= MAX_CREDITS_PER_MIB
 
     def test_acks_ride_and_control_bytes_stay_small(self, run):
         census, mib = run.census, self.TOTAL / MIB
@@ -215,11 +219,12 @@ class TestSplits:
         stack = Stack()
         tx, rx = stack.channel_pair()
         stack.data_payloads.clear()
-        # five blocks against a four-block window with nobody reading,
-        # then a write a few bytes longer than the lone quantum
-        for size in [WRITE] * 5 + [LONE_DATA_PAYLOAD + 7]:
+        # one block more than the default window holds, with nobody
+        # reading, then a write a few bytes longer than the lone quantum
+        blocks = sizes.DEFAULT_WINDOW // WRITE + 1
+        for size in [WRITE] * blocks + [LONE_DATA_PAYLOAD + 7]:
             tx.write(b"s" * size)
-        total = 5 * WRITE + LONE_DATA_PAYLOAD + 7
+        total = blocks * WRITE + LONE_DATA_PAYLOAD + 7
         got = 0
         while got < total:
             stack.pump()
@@ -286,6 +291,19 @@ class TestSizeChain:
         assert sc.MAX_CHUNK == sizes.SESSION_MAX_CHUNK
         assert rc.MAX_MSG == sizes.RELAY_MAX_MSG
         assert rc.MAX_RELAY_FRAME == rc.MAX_MSG + sizes.ROUTED_HEADER_BOUND
+
+    def test_the_control_cadence_rules(self):
+        window = sizes.DEFAULT_WINDOW
+        # a reader grants CREDIT per half window: one per eight blocks
+        assert window // 2 >= 8 * WRITE
+        # a lone channel is not window-bound on the paper's WAN links
+        bdp = max(p["capacity"] * 2 * p["one_way_delay"]
+                  for p in PROFILES.values())
+        assert window >= 2 * bdp
+        # the standalone-ACK backstop never fires before that CREDIT
+        config = SessionConfig()
+        assert config.max_buffer == sizes.SESSION_REPLAY_BOUND
+        assert config.ack_backstop(config.max_buffer) >= window // 2
 
     def test_a_full_frame_of_each_layer_fits_one_frame_of_the_next(self):
         # the largest DATA a mux turn can emit, as its carrier sees it

@@ -16,6 +16,7 @@ import pytest
 from repro import obs
 from repro.mux import MuxProtocolError, WeightedScheduler
 from repro.mux import frames as f
+from repro.mux.core import LONE_DATA_PAYLOAD
 
 from .conftest import LiveHarness, SimHarness
 
@@ -569,6 +570,39 @@ class WriteTurnCases:
 
         mux.run(script)
         assert seen == {"data": b"last words", "eof": b""}
+
+    def test_a_second_writer_is_sent_before_the_first_writers_next_block(
+            self, mux):
+        size = 3 * LONE_DATA_PAYLOAD  # well inside the default window
+        sent, ids = [], {}
+
+        async def script(h, ini, resp):
+            first, rfirst = await h.gather(h.open(ini), h.accept(resp))
+            second, rsecond = await h.gather(h.open(ini), h.accept(resp))
+            ids.update(first=first.channel_id, second=second.channel_id)
+            next_frame = ini.next_frame
+
+            def recording_next_frame():
+                body = next_frame()
+                if body is not None and body[0] == f.T_DATA:
+                    frame = f.decode_frame(body)
+                    sent.append((frame.channel, len(frame.payload)))
+                return body
+
+            ini.next_frame = recording_next_frame
+            await h.gather(h.send(first, b"1" * size),
+                           h.send(second, b"2" * size),
+                           h.recv_exactly(rfirst, size),
+                           h.recv_exactly(rsecond, size))
+
+        mux.run(script)
+        # the first writer's turn sends its first block whole, then lets
+        # the second writer in, whose data leaves before the first
+        # writer's second block has
+        assert sent[0] == (ids["first"], LONE_DATA_PAYLOAD), sent
+        joined = [cid for cid, _ in sent].index(ids["second"])
+        ahead = sum(n for cid, n in sent[:joined] if cid == ids["first"])
+        assert ahead < 2 * LONE_DATA_PAYLOAD, sent
 
 
 @pytest.fixture
