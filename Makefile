@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: bench-record bench-diff frame-census sim-identical twins test test-fast test-obs smoke-obs smoke-assemble smoke-mux smoke-flow smoke-telemetry smoke-tune chaos chaos-sweep chaos-resume chaos-mux chaos-mesh chaos-tune live-chaos golden-gate golden-capture golden-soak
+.PHONY: bench-record bench-diff frame-census sim-identical twins test test-fast test-obs smoke-obs smoke-assemble smoke-mux smoke-flow smoke-telemetry smoke-tune chaos chaos-sweep chaos-resume chaos-mux chaos-mesh chaos-tune live-chaos diff-gate golden-gate golden-capture golden-soak
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -127,6 +127,12 @@ chaos-sweep:
 live-chaos:
 	$(PYTHON) -m pytest -q -m live_chaos
 	$(PYTHON) -m repro.chaos.live validate
+
+# Cross-backend diff gate (docs/TESTING.md): every scenario that runs on
+# both backends, seed 7, no faults, with and without sessions; the sim and
+# live trace signatures must agree (all but the untraced count).
+diff-gate:
+	$(PYTHON) -m pytest -q tests/chaos/test_cross_backend.py
 
 golden-gate:
 	$(PYTHON) -m repro.chaos.live validate

@@ -39,7 +39,7 @@ def _throughputs(methods):
         while not peer.relay_client.connected:
             yield sc.sim.timeout(0.05)
         service = yield from node.open_service_link(f"dst{i}")
-        link = yield from node.connect_data(service, peer.info, methods)
+        link = yield from node.broker.initiate(service, peer.info, methods)
         payload = b"r" * 32768
         sent = 0
         while sent < PER_PAIR:
@@ -51,7 +51,7 @@ def _throughputs(methods):
         node = sc.nodes[f"dst{i}"]
         yield from node.start()
         _peer, service = yield from node.accept_service_link()
-        link = yield from node.accept_data(service)
+        link = yield from node.broker.respond(service)
         got = 0
         t0 = None
         while got < PER_PAIR:
@@ -81,7 +81,7 @@ def _latency(methods):
         while not peer.relay_client.connected:
             yield sc.sim.timeout(0.05)
         service = yield from node.open_service_link("dst0")
-        link = yield from node.connect_data(service, peer.info, methods)
+        link = yield from node.broker.initiate(service, peer.info, methods)
         # measure steady-state round trips
         rtts = []
         for _ in range(5):
@@ -95,7 +95,7 @@ def _latency(methods):
         node = sc.nodes["dst0"]
         yield from node.start()
         _peer, service = yield from node.accept_service_link()
-        link = yield from node.accept_data(service)
+        link = yield from node.broker.respond(service)
         for _ in range(5):
             data = yield from link.recv_exactly(64)
             yield from link.send_all(data)

@@ -2,9 +2,9 @@
 """Are the live bindings still only subclasses that name their runtime?
 
 Each protocol binding is written once (``mux/endpoint.py``,
-``core/relay.py``, ``core/session.py``, the IPL's ``ipl/runtime.py``); its
-``livenet/`` module holds a subclass that names the asyncio runtime plus
-what is establishment on real sockets.  A twin grows back one override at
+``core/relay.py``, ``core/session.py``, the IPL's ``ipl/runtime.py``, the
+broker's ``core/brokering.py``); its ``livenet/`` module holds a subclass
+that names the asyncio runtime plus what is establishment on real sockets.  A twin grows back one override at
 a time, so this lists — with ``ast``, importing nothing — every method a
 live class (or a mixin it lists as a base in the same file) defines that
 its shared base also defines, and exits 1 when one is missing from
@@ -36,6 +36,7 @@ PAIRS = [
     ("mesh/client.py", "livenet/relay.py"),
     ("core/session.py", "livenet/session.py"),
     ("ipl/runtime.py", "livenet/runtime.py"),
+    ("core/brokering.py", "livenet/runtime.py"),
 ]
 
 

@@ -146,8 +146,9 @@ class LiveChaosScenario:
         self.sim = LiveClock()
         #: site name -> the gateway proxy the live fault kinds drive
         self.proxies: dict[str, ChaosTcpProxy] = {}
-        #: relay id -> LiveRelayServer ("r1" always; relay_kill target)
-        self.relays: dict[str, LiveRelayServer] = {"r1": LiveRelayServer(name="r1")}
+        #: relay id -> LiveRelayServer ("r1" always; relay_kill target),
+        #: each named as ``GridScenario`` names its relay hosts
+        self.relays: dict[str, LiveRelayServer] = {"r1": LiveRelayServer()}
         self.mesh_enabled = False
         self.mesh_config = None
         self._topology = None
@@ -175,7 +176,7 @@ class LiveChaosScenario:
     def add_relay(self, relay_id: str, **_access) -> LiveRelayServer:
         if relay_id in self.relays:
             raise ValueError(f"duplicate relay id {relay_id!r}")
-        server = self.relays[relay_id] = LiveRelayServer(name=relay_id)
+        server = self.relays[relay_id] = LiveRelayServer(name=f"relay-{relay_id}")
         return server
 
     def enable_mesh(self, topology=None, config=None) -> None:

@@ -9,13 +9,27 @@ establishment method (paper §3.4).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
 
 from ..simnet.packet import Addr
 from ..util.framing import ByteReader, ByteWriter
 
-__all__ = ["EndpointInfo"]
+__all__ = ["EndpointInfo", "scoped_id"]
+
+
+def scoped_id(name: str, seq: int, seq_bits: int) -> int:
+    """A 64-bit id of node ``name``: ``seq`` in the low ``seq_bits`` (a
+    multiple of 8), the name above them — its bytes when they fit, else a
+    digest of the whole name, so ``worker-1`` and ``worker-2`` never share
+    one and a run repeats its ids."""
+    width = 8 - seq_bits // 8
+    raw = name.encode()
+    if len(raw) > width:
+        raw = hashlib.blake2b(raw, digest_size=width).digest()
+    high = int.from_bytes(raw.ljust(width, b"\0"), "big")
+    return (high << seq_bits) | (seq & ((1 << seq_bits) - 1))
 
 
 @dataclass

@@ -19,23 +19,27 @@ desynchronize a later one):
 * ``NAK``      responder → initiator: method not possible on this side.
 * ``RESULT``   initiator → responder: attempt verdict, so both sides agree
   on whether to fall back.
+
+Written once on :mod:`repro.core.runtime`, for whichever runtime the node
+names; a broker carries out only the methods in :attr:`Broker.METHODS`
+(a live node's: client/server and routed) and NAKs the others.
 """
 
 from __future__ import annotations
 
+from types import coroutine
 from typing import Generator, Optional
 
 from .. import obs
 from ..obs import DEFAULT_SECONDS_BUCKETS, TraceContext
-from ..obs.flight import FlightRecorder
-from ..simnet.engine import with_timeout
 from ..simnet.packet import Addr
 from ..util.framing import ByteReader, ByteWriter, FrameError
-from .addressing import EndpointInfo
-from .dispatch import RoutedDispatcher, data_tag
+from .addressing import EndpointInfo, scoped_id
+from .dispatch import data_tag
 from .establishment import client_server, proxy, routed, splicing
 from .establishment.base import (
     CLIENT_SERVER,
+    PRECEDENCE,
     ROUTED,
     SOCKS_PROXY,
     SPLICING,
@@ -44,7 +48,6 @@ from .establishment.base import (
 from .establishment.decision import feasible_methods
 from .establishment.verify import verify_initiator
 from .links import Link
-from .relay import RelayClient
 from .wire import WireError, recv_frame, send_frame
 
 __all__ = ["Broker", "BrokerError", "ATTEMPT_TIMEOUT"]
@@ -54,7 +57,7 @@ M_PARAMS = 2
 M_NAK = 3
 M_RESULT = 4
 
-#: per-attempt wall-clock budget (simulated seconds)
+#: per-attempt budget, in the runtime's seconds
 ATTEMPT_TIMEOUT = 12.0
 
 
@@ -75,47 +78,28 @@ def _unpack_addr(r: ByteReader) -> Addr:
 
 
 class Broker:
-    """Runs data-link negotiations for one node.
+    """Runs data-link negotiations for one started node: its runtime, host,
+    info, relay client, dispatcher, address reflector (NAT mapping
+    discovery) and flight recorder."""
 
-    Parameters
-    ----------
-    host:
-        The simulated host this broker lives on.
-    info:
-        This node's :class:`EndpointInfo`.
-    relay_client / dispatcher:
-        Needed for the routed fall-back (and for receiving brokered routed
-        channels).  Optional when routed fall-back is not desired.
-    reflector:
-        Address-reflector service used for NAT mapping discovery.
-    """
+    #: the Figure 4 methods this broker carries out, best first
+    METHODS = PRECEDENCE
 
-    def __init__(
-        self,
-        host,
-        info: EndpointInfo,
-        relay_client: Optional[RelayClient] = None,
-        dispatcher: Optional[RoutedDispatcher] = None,
-        reflector: Optional[Addr] = None,
-        attempt_timeout: float = ATTEMPT_TIMEOUT,
-        flight: Optional[FlightRecorder] = None,
-    ):
-        self.host = host
-        self.sim = host.sim
-        self.info = info
-        self.relay_client = relay_client
-        self.dispatcher = dispatcher
-        self.reflector = reflector
-        self.attempt_timeout = attempt_timeout
-        self.flight = flight
+    def __init__(self, node):
+        self.runtime = node.runtime
+        self.host = node.host
+        self.info = node.info
+        self.relay_client = node.relay_client
+        self.dispatcher = node.dispatcher
+        self.reflector = node.reflector_addr
+        self.flight = node.flight
         self._nonce_seq = 0
         #: history of (method, ok) per negotiation, observable in tests
         self.attempt_log: list[tuple[str, bool]] = []
 
     def _next_nonce(self) -> int:
         self._nonce_seq += 1
-        base = int.from_bytes(self.info.node_id.encode()[:4].ljust(4, b"\0"), "big")
-        return (base << 24) ^ self._nonce_seq
+        return scoped_id(self.info.node_id, self._nonce_seq, 24)
 
     def _record_attempt(self, method: str, outcome: str, role: str, elapsed: float):
         reg = obs.metrics()
@@ -148,9 +132,10 @@ class Broker:
         responder's spans join the same trace.
         """
         if methods is None:
-            methods = feasible_methods(self.info, peer_info, bootstrap=False)
-            if self.relay_client is None and ROUTED in methods:
-                methods.remove(ROUTED)
+            methods = [
+                m for m in feasible_methods(self.info, peer_info, bootstrap=False)
+                if m in self.METHODS
+            ]
         if ctx is None:
             ctx = obs.current() or TraceContext.new()
         node = self.info.node_id
@@ -169,7 +154,7 @@ class Broker:
                 "establish.attempt", attempt_ctx,
                 method=method, peer=peer_info.node_id, role="initiator",
             )
-            t0 = self.sim.now
+            t0 = self.runtime.now()
             with obs.span(
                 "establish.attempt",
                 ctx=attempt_ctx,
@@ -184,7 +169,7 @@ class Broker:
                     )
                 except _NakReceived as nak:
                     sp.set(outcome="nak")
-                    self._record_attempt(method, "nak", "initiator", self.sim.now - t0)
+                    self._record_attempt(method, "nak", "initiator", self.runtime.now() - t0)
                     self.attempt_log.append((method, False))
                     failures.append(f"{method}: peer NAK ({nak})")
                     obs.event(
@@ -198,13 +183,13 @@ class Broker:
                     continue
                 except (WireError, FrameError, EOFError, BrokerError):
                     self._record_attempt(
-                        method, "error", "initiator", self.sim.now - t0
+                        method, "error", "initiator", self.runtime.now() - t0
                     )
                     raise  # the service link itself broke: no point continuing
                 except Exception as exc:
                     sp.set(outcome="failed")
                     self._record_attempt(
-                        method, "failed", "initiator", self.sim.now - t0
+                        method, "failed", "initiator", self.runtime.now() - t0
                     )
                     self.attempt_log.append((method, False))
                     failures.append(f"{method}: {type(exc).__name__}: {exc}")
@@ -234,11 +219,11 @@ class Broker:
                         raise
                     sp.set(outcome="aborted")
                     self._record_attempt(
-                        method, "aborted", "initiator", self.sim.now - t0
+                        method, "aborted", "initiator", self.runtime.now() - t0
                     )
                     raise
                 sp.set(outcome="ok")
-                self._record_attempt(method, "ok", "initiator", self.sim.now - t0)
+                self._record_attempt(method, "ok", "initiator", self.runtime.now() - t0)
             self._note(
                 "establish.ok", attempt_ctx, method=method, peer=peer_info.node_id
             )
@@ -263,7 +248,7 @@ class Broker:
                 ByteWriter()
                 .u8(M_ATTEMPT)
                 .u64(nonce)
-                .f64(self.sim.now)  # lets the responder estimate one-way delay
+                .f64(self.runtime.now())  # lets the responder estimate one-way delay
                 .lp_str(method)
                 .lp_bytes(self.info.encode())
                 .lp_bytes(params)
@@ -280,29 +265,27 @@ class Broker:
             # reported as a BrokerError: negotiation-fatal, the caller must
             # abandon this service link and renegotiate on a fresh one.
             try:
-                peer_params = yield from with_timeout(
-                    self.sim,
-                    self._await_params(service_link, nonce),
-                    self.attempt_timeout,
+                peer_params = yield from self.runtime.bounded(
+                    self._await_params(service_link, nonce), ATTEMPT_TIMEOUT
                 )
             except TimeoutError:
                 raise BrokerError(
-                    f"{method}: no PARAMS/NAK within {self.attempt_timeout}s "
+                    f"{method}: no PARAMS/NAK within {ATTEMPT_TIMEOUT}s "
                     f"(responder vanished mid-negotiation?)"
                 ) from None
             return (
-                yield from with_timeout(
-                    self.sim,
+                yield from self.runtime.bounded(
                     self._execute_initiator(
                         method, nonce, peer_info, peer_params, state, ctx
                     ),
-                    self.attempt_timeout,
+                    ATTEMPT_TIMEOUT,
                 )
             )
         finally:
             if cleanup is not None:
                 cleanup()
 
+    @coroutine
     def _await_params(self, service_link: Link, nonce: int) -> Generator:
         """Read frames until this attempt's PARAMS or NAK (skipping stale)."""
         while True:
@@ -340,6 +323,7 @@ class Broker:
             )
         return b"", None, None
 
+    @coroutine
     def _execute_initiator(
         self,
         method: str,
@@ -351,19 +335,8 @@ class Broker:
     ) -> Generator:
         r = ByteReader(peer_params)
         if method == CLIENT_SERVER:
-            addr = _unpack_addr(r)
-            if self.info.socks_proxy is not None:
-                # Severe outbound firewall: even client/server goes through
-                # the local proxy when one is configured.
-                return (
-                    yield from proxy.connect_via_proxy_and_verify(
-                        self.host, self.info.socks_proxy, addr, nonce, ctx=ctx
-                    )
-                )
             return (
-                yield from client_server.connect_and_verify(
-                    self.host, addr, nonce, config=splicing.SPLICE_CONFIG, ctx=ctx
-                )
+                yield from self._connect_client_server(peer_info, r, nonce, ctx)
             )
         if method == SPLICING:
             peer_addr = _unpack_addr(r)
@@ -388,14 +361,32 @@ class Broker:
                 )
             )
         if method == ROUTED:
-            if self.relay_client is None:
-                raise BrokerError("routed method needs a relay client")
             link = yield from self.relay_client.open_link(
                 peer_info.node_id, payload=data_tag(nonce), ctx=ctx
             )
             yield from verify_initiator(link, nonce)
             return link
         raise BrokerError(f"unknown method {method}")
+
+    def _connect_client_server(
+        self, peer_info: EndpointInfo, params: ByteReader, nonce: int, ctx
+    ) -> Generator:
+        """Initiator half of client/server: dial the listener the PARAMS
+        name, then the cookie exchange."""
+        addr = _unpack_addr(params)
+        if self.info.socks_proxy is not None:
+            # Severe outbound firewall: even client/server goes through
+            # the local proxy when one is configured.
+            return (
+                yield from proxy.connect_via_proxy_and_verify(
+                    self.host, self.info.socks_proxy, addr, nonce, ctx=ctx
+                )
+            )
+        return (
+            yield from client_server.connect_and_verify(
+                self.host, addr, nonce, config=splicing.SPLICE_CONFIG, ctx=ctx
+            )
+        )
 
     # ------------------------------------------------------------- responder
     def respond(self, service_link: Link) -> Generator:
@@ -413,7 +404,7 @@ class Broker:
             if kind != M_ATTEMPT:
                 raise BrokerError(f"expected ATTEMPT, got frame type {kind}")
             sent_at = r.f64()
-            owd = max(0.0, self.sim.now - sent_at)
+            owd = max(0.0, self.runtime.now() - sent_at)
             method = r.lp_str()
             peer_info = EndpointInfo.decode(r.lp_bytes())
             peer_params = r.lp_bytes()
@@ -439,7 +430,7 @@ class Broker:
         ctx: Optional[TraceContext] = None,
     ) -> Generator:
         """One responder-side attempt; returns the link or None (fall back)."""
-        t0 = self.sim.now
+        t0 = self.runtime.now()
         # Parent this side's span on the initiator's attempt span (which
         # arrived in the ATTEMPT frame), so both halves share one trace.
         rctx = ctx.child() if ctx is not None else None
@@ -461,7 +452,7 @@ class Broker:
                 )
             except Exception as exc:
                 sp.set(outcome="nak")
-                self._record_attempt(method, "nak", "responder", self.sim.now - t0)
+                self._record_attempt(method, "nak", "responder", self.runtime.now() - t0)
                 nak = (
                     ByteWriter()
                     .u8(M_NAK)
@@ -480,8 +471,8 @@ class Broker:
             # a listener), and only running it to completion releases them
             # — so if the service link dies mid-negotiation we interrupt
             # the attempt rather than dropping it un-started.
-            attempt_proc = self.sim.process(
-                _guarded(pending), name=f"broker-attempt-{method}"
+            attempt_proc = self.runtime.spawn(
+                _guarded(pending), f"broker-attempt-{method}"
             )
             try:
                 yield from send_frame(
@@ -490,8 +481,7 @@ class Broker:
                 )
                 ok = yield from self._await_result(service_link, nonce)
             except BaseException as exc:
-                if attempt_proc.is_alive:
-                    attempt_proc.interrupt("negotiation aborted")
+                self.runtime.cancel(attempt_proc)
                 # The service link died mid-negotiation (a partition or
                 # relay kill, not a method failure).  The span exits
                 # regardless, so record the attempt too: the chaos obs
@@ -503,14 +493,14 @@ class Broker:
                     raise
                 sp.set(outcome="aborted")
                 self._record_attempt(
-                    method, "aborted", "responder", self.sim.now - t0
+                    method, "aborted", "responder", self.runtime.now() - t0
                 )
                 raise
             if ok:
-                status, value = yield attempt_proc
+                status, value = yield from self.runtime.wait(attempt_proc)
                 if status != "ok":
                     self._record_attempt(
-                        method, "error", "responder", self.sim.now - t0
+                        method, "error", "responder", self.runtime.now() - t0
                     )
                     # Initiator verified success but our half failed: the link
                     # is unusable, report it upward.
@@ -519,7 +509,7 @@ class Broker:
                         f"failed: {value}"
                     )
                 sp.set(outcome="ok")
-                self._record_attempt(method, "ok", "responder", self.sim.now - t0)
+                self._record_attempt(method, "ok", "responder", self.runtime.now() - t0)
                 self._note(
                     "establish.ok", rctx, method=method, peer=peer_info.node_id
                 )
@@ -534,13 +524,12 @@ class Broker:
                         pass
                 return value
             # Initiator reported failure: cancel our half if still running.
-            if attempt_proc.is_alive:
-                attempt_proc.interrupt("peer reported failure")
-            status, value = yield attempt_proc
+            self.runtime.cancel(attempt_proc)
+            status, value = yield from self.runtime.wait(attempt_proc)
             if status == "ok" and value is not None and hasattr(value, "abort"):
                 value.abort()
             sp.set(outcome="failed")
-            self._record_attempt(method, "failed", "responder", self.sim.now - t0)
+            self._record_attempt(method, "failed", "responder", self.runtime.now() - t0)
             self.attempt_log.append((method, False))
             return None
 
@@ -567,21 +556,10 @@ class Broker:
 
         Returns ``(params_bytes, pending_generator)``.
         """
+        if method not in self.METHODS:
+            raise BrokerError(f"{method} is not carried out on this node")
         if method == CLIENT_SERVER:
-            listener = client_server.open_listener(self.host)
-            params = _pack_addr(ByteWriter(), listener.addr).getvalue()
-
-            def pending():
-                try:
-                    return (
-                        yield from client_server.accept_and_verify(
-                            listener, nonce, ctx=ctx
-                        )
-                    )
-                finally:
-                    listener.close()
-
-            return params, pending()
+            return self._accept_client_server(nonce, ctx)
 
         if method == SPLICING:
             r = ByteReader(peer_params)
@@ -595,7 +573,7 @@ class Broker:
                 try:
                     # Start when the initiator (one service-link delay away)
                     # is expected to start, so the SYNs cross.
-                    yield self.sim.timeout(owd)
+                    yield from self.runtime.sleep(owd)
                     return (
                         yield from splicing.splice_and_verify(
                             self.host,
@@ -654,8 +632,6 @@ class Broker:
             return params, pending()
 
         if method == ROUTED:
-            if self.dispatcher is None:
-                raise BrokerError("routed method needs a dispatcher")
 
             def pending():
                 link = yield from self.dispatcher.await_data(nonce)
@@ -666,7 +642,26 @@ class Broker:
 
         raise BrokerError(f"unknown method {method}")
 
+    def _accept_client_server(self, nonce: int, ctx) -> tuple:
+        """Responder half of client/server: ``(params, pending)``, a fresh
+        listener's address and accepting on it, then the cookie exchange."""
+        listener = client_server.open_listener(self.host)
+        params = _pack_addr(ByteWriter(), listener.addr).getvalue()
 
+        def pending():
+            try:
+                return (
+                    yield from client_server.accept_and_verify(
+                        listener, nonce, ctx=ctx
+                    )
+                )
+            finally:
+                listener.close()
+
+        return params, pending()
+
+
+@coroutine
 def _guarded(gen) -> Generator:
     """Wrap an attempt so failures become values instead of crashes."""
     try:

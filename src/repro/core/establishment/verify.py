@@ -11,6 +11,7 @@ here and triggers fall-back, matching the paper's observed behaviour (§6).
 from __future__ import annotations
 
 import hashlib
+from types import coroutine
 from typing import Generator
 
 __all__ = ["initiator_cookie", "responder_cookie", "verify_initiator", "verify_responder", "VerifyError", "COOKIE_LEN"]
@@ -30,6 +31,7 @@ def responder_cookie(nonce: int) -> bytes:
     return hashlib.sha256(b"resp" + nonce.to_bytes(8, "big")).digest()[:COOKIE_LEN]
 
 
+@coroutine
 def verify_initiator(stream, nonce: int) -> Generator:
     """Initiator half of the cookie exchange (send, then expect)."""
     yield from stream.send_all(initiator_cookie(nonce))
@@ -38,6 +40,7 @@ def verify_initiator(stream, nonce: int) -> Generator:
         raise VerifyError("responder cookie mismatch")
 
 
+@coroutine
 def verify_responder(stream, nonce: int) -> Generator:
     """Responder half of the cookie exchange (expect, then send)."""
     got = yield from stream.recv_exactly(COOKIE_LEN)

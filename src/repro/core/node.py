@@ -16,10 +16,9 @@ from .. import obs
 from ..mux import MuxEndpoint
 from ..obs.flight import FlightRecorder
 from ..simnet.packet import Addr
-from .addressing import EndpointInfo
+from .addressing import EndpointInfo, scoped_id
 from .brokering import Broker
 from .dispatch import SERVICE_TAG, RoutedDispatcher, resume_tag
-from .links import Link
 from .relay import RelayClient
 from .runtime import Bound
 from .session import SessionLink, SessionRegistry
@@ -114,14 +113,7 @@ class GridNode(Bound):
         yield from self.relay_client.connect()
         obs.metrics().gauge("node.up", node=self.info.node_id).set(1)
         self.dispatcher = RoutedDispatcher(self)
-        self.broker = Broker(
-            self.host,
-            self.info,
-            relay_client=self.relay_client,
-            dispatcher=self.dispatcher,
-            reflector=self.reflector_addr,
-            flight=self.flight,
-        )
+        self.broker = Broker(self)
         return self
 
     # -- service links ------------------------------------------------------
@@ -146,29 +138,12 @@ class GridNode(Bound):
     def next_session_id(self) -> int:
         """A deterministic 64-bit session id unique to this node."""
         self._sid_seq += 1
-        base = int.from_bytes(self.node_id.encode()[:6].ljust(6, b"\0"), "big")
-        return (base << 16) | (self._sid_seq & 0xFFFF)
+        return scoped_id(self.node_id, self._sid_seq, 16)
 
     @coroutine
     def open_resume_link(self, peer_id: str, sid: int) -> Generator:
         """Open the service link a session uses to re-establish itself."""
         link = yield from self.relay_client.open_link(peer_id, payload=resume_tag(sid))
-        return link
-
-    # -- data links ------------------------------------------------------------
-    def connect_data(
-        self,
-        service_link: Link,
-        peer_info: EndpointInfo,
-        methods: Optional[list[str]] = None,
-    ) -> Generator:
-        """Initiate a brokered data link over an existing service link."""
-        link = yield from self.broker.initiate(service_link, peer_info, methods)
-        return link
-
-    def accept_data(self, service_link: Link) -> Generator:
-        """Serve one data-link negotiation on ``service_link``."""
-        link = yield from self.broker.respond(service_link)
         return link
 
     def stop(self) -> None:

@@ -65,6 +65,11 @@ class SimRuntime(_Runtime):
     def spawn(self, steps: Generator, name: str):
         return self.sim.process(steps, name=name)
 
+    @staticmethod
+    def cancel(task) -> None:
+        if task.is_alive:
+            task.interrupt("cancelled")
+
     @coroutine
     def park(self, waiters: dict, key) -> Generator:
         event = Event(self.sim)
@@ -98,6 +103,10 @@ class AsyncioRuntime(_Runtime):
         task.set_name(name)
         return task
 
+    @staticmethod
+    def cancel(task: asyncio.Future) -> None:
+        task.cancel()  # a finished task ignores it
+
     @coroutine
     def park(self, waiters: dict, key) -> Generator:
         future = asyncio.get_running_loop().create_future()
@@ -118,10 +127,24 @@ class AsyncioRuntime(_Runtime):
 
     @coroutine
     def bounded(self, steps, seconds: float) -> Generator:
+        # not asyncio.wait_for: before 3.12 it can return a result its
+        # caller's cancel raced, and the cancel is lost
+        task = asyncio.ensure_future(steps)
+        expired = False
+
+        def expire():
+            nonlocal expired
+            expired = task.cancel()
+
+        timer = asyncio.get_running_loop().call_later(seconds, expire)
         try:
-            return (yield from asyncio.wait_for(steps, seconds))
-        except asyncio.TimeoutError as exc:  # not the builtin before 3.11
-            raise TimeoutError(f"operation timed out after {seconds}s") from exc
+            return (yield from task)
+        except asyncio.CancelledError:
+            if not expired:
+                raise
+            raise TimeoutError(f"operation timed out after {seconds}s") from None
+        finally:
+            timer.cancel()
 
 
 ASYNCIO = AsyncioRuntime()

@@ -542,7 +542,7 @@ class GridScenario:
             yield from responder.relay_client.wait_connected(timeout=until)
             service = yield from initiator.open_service_link(responder_id)
             t0 = self.sim.now
-            link = yield from initiator.connect_data(
+            link = yield from initiator.broker.initiate(
                 service, responder.info, methods
             )
             res["method"] = link.method
@@ -557,7 +557,7 @@ class GridScenario:
         def run_responder() -> Generator:
             yield from responder.start()
             _peer, service = yield from responder.accept_service_link()
-            link = yield from responder.accept_data(service)
+            link = yield from responder.broker.respond(service)
             data = yield from link.recv_exactly(len(payload))
             yield from link.send_all(data)
             res["responder_log"] = list(responder.broker.attempt_log)

@@ -5,24 +5,25 @@ architecture; this is ours.  :class:`LiveIbis` is
 :class:`~repro.ipl.runtime.Ibis` — the same ports, port-connect request,
 stack agreement, shared mux endpoints and factory — over a
 :class:`LiveNode`, which holds only establishment on real sockets.  User
-space cannot manufacture middlebox traversal, so a link goes direct to the
-peer's one advertised port or falls back to relay-routed messages (the
-bootstrap-capable subset of Figure 4).  Every link names its purpose when
-it opens (``service``, ``data:<nonce>``, ``sessres:<sid>``), direct or
-routed, and the simulator node's :class:`~repro.core.dispatch.RoutedDispatcher`
-hands it on; the session registry and resume link are the simulator
-node's too.
+space cannot manufacture middlebox traversal, so of Figure 4 a live node
+carries out client/server, direct to the peer's one advertised port, and
+routed messages; the shared :class:`~repro.core.brokering.Broker`
+negotiates and falls back between them.  Every link names its purpose when it opens (``service``,
+``data:<nonce>``, ``sessres:<sid>``), direct or routed, and the simulator
+node's :class:`~repro.core.dispatch.RoutedDispatcher` hands it on; the
+session registry and resume link are the simulator node's too.
 """
 
 from __future__ import annotations
 
-import secrets
 from typing import Optional, Tuple
 
 from .. import obs
 from ..core.addressing import EndpointInfo
+from ..core.brokering import Broker
 from ..core.dispatch import SERVICE_TAG, RoutedDispatcher, data_tag
-from ..core.establishment.base import CLIENT_SERVER
+from ..core.establishment.base import CLIENT_SERVER, ROUTED
+from ..core.establishment.verify import verify_initiator, verify_responder
 from ..core.factory import TlsConfig
 from ..core.node import GridNode
 from ..core.runtime import ASYNCIO
@@ -30,7 +31,6 @@ from ..core.session import SessionRegistry
 from ..core.wire import WireError, recv_frame, send_frame
 from ..ipl.registry import RegistryClient
 from ..ipl.runtime import Ibis, IbisError
-from ..util.framing import ByteReader, ByteWriter
 from .drivers import AsyncParallelStreamsDriver, AsyncRebalancingParallelDriver
 from .mux import AsyncMuxEndpoint
 from .relay import LiveMeshRelayClient, LiveRelayClient
@@ -40,10 +40,6 @@ from .transport import live_connect, live_listen
 __all__ = ["LiveIbis", "LiveIbisError", "LiveNode", "LiveBroker"]
 
 Addr = Tuple[str, int]
-
-#: data-request kind on a service link: the initiator names the nonce its
-#: data link will open under
-REQ_DATA = 1
 
 #: longest purpose tag a direct link may open with
 _MAX_TAG = 64
@@ -73,61 +69,39 @@ class _Tasks:
             task.cancel()
 
 
-class LiveBroker:
-    """The data-link exchange on a live service link (docs/PROTOCOLS.md §5).
+class LiveBroker(Broker):
+    """The shared broker with client/server on real sockets: the initiator
+    dials the peer's one advertised port under ``data:<nonce>``, and the
+    responder meets that link at the dispatcher's
+    :meth:`~repro.core.dispatch.RoutedDispatcher.await_data`, opening no
+    listener; each then runs the cookie exchange."""
 
-    ``initiate`` sends a random nonce, with its trace context so the responder
-    joins the trace, and opens the data link under ``data:<nonce>``:
-    direct to the peer's port, or through the relay when ``methods`` leaves
-    out ``client_server``.  ``respond`` meets that link at the dispatcher's
-    :meth:`~repro.core.dispatch.RoutedDispatcher.await_data`, whichever
-    way it came."""
+    METHODS = (CLIENT_SERVER, ROUTED)
 
-    def __init__(self, node: "LiveNode"):
-        self.node = node
-
-    async def initiate(self, service, peer_info, methods=None, ctx=None):
-        child = ctx.child() if ctx is not None else None
-        # random, not the node's session counter: the responder meets every
-        # initiator's link by this nonce alone, whatever the names
-        nonce = secrets.randbits(64)
-        encoded = child.encode() if child is not None else b""
-        await send_frame(
-            service, ByteWriter().u8(REQ_DATA).u64(nonce).lp_bytes(encoded).getvalue()
-        )
-        tag = data_tag(nonce)
-        routed = methods is not None and CLIENT_SERVER not in methods
-        # the span is the data link's name in the trace: the responder's
-        # records parent on it
-        with obs.span(
-            "data.connect", ctx=child, node=self.node.node_id,
-            peer=peer_info.node_id, routed=routed, backend="live",
-        ):
-            if routed:
-                link = await self.node.relay_client.open_link(
-                    peer_info.node_id, payload=tag, ctx=child)
-            else:
-                link = await self.node.open_link(peer_info, tag)
-            obs.event(
-                "data.connected", ctx=child, node=self.node.node_id,
-                peer=peer_info.node_id, backend="live",
-            )
-        return link
-
-    async def respond(self, service):
-        request = ByteReader(await recv_frame(service))
-        request.u8()  # request kind; only data connections are defined
-        nonce = request.u64()
+    async def _connect_client_server(self, peer_info, _params, nonce, ctx):
+        sock = await live_connect((peer_info.local_ip, peer_info.open_ports[0]))
         try:
-            ctx = obs.TraceContext.decode(request.lp_bytes())
-        except ValueError:  # empty: the initiator has no trace
-            ctx = None
-        link = await self.node.dispatcher.await_data(nonce)
-        link.ctx = ctx  # the factory stamps the responder's spans with it
-        obs.event(
-            "data.accepted", ctx=ctx, node=self.node.node_id, backend="live"
-        )
-        return link
+            await send_frame(sock, data_tag(nonce))
+            await verify_initiator(sock, nonce)
+        except BaseException:
+            sock.abort()
+            raise
+        obs.event("establish.link", ctx=ctx, method=CLIENT_SERVER, role="initiator")
+        return sock
+
+    def _accept_client_server(self, nonce, ctx):
+        async def pending():
+            sock = await self.dispatcher.await_data(nonce)
+            try:
+                await verify_responder(sock, nonce)
+            except BaseException:
+                sock.abort()
+                raise
+            obs.event(
+                "establish.link", ctx=ctx, method=CLIENT_SERVER, role="responder")
+            return sock
+
+        return b"", pending()
 
 
 class LiveNode(_Tasks):
@@ -146,8 +120,9 @@ class LiveNode(_Tasks):
     mux_endpoint = AsyncMuxEndpoint
     session_link = AsyncSessionLink
     parallel = (AsyncParallelStreamsDriver, AsyncRebalancingParallelDriver)
-    #: no simulated host whose CPU the filters charge
-    host = None
+    #: no simulated host whose CPU the filters charge, no address
+    #: reflector (no NAT to discover) and no flight recorder
+    host = reflector_addr = flight = None
     next_session_id = GridNode.next_session_id
     accept_service_link = GridNode.accept_service_link
     open_resume_link = GridNode.open_resume_link
@@ -173,8 +148,8 @@ class LiveNode(_Tasks):
         else:
             self.relay_client = LiveRelayClient(
                 name, relay_addr, auto_reconnect=auto_reconnect)
-        self.broker = LiveBroker(self)
         self.dispatcher: Optional[RoutedDispatcher] = None
+        self.broker: Optional[LiveBroker] = None
         self.sessions = SessionRegistry(self)
         self._tasks: set = set()
         self._sid_seq = 0
@@ -196,21 +171,18 @@ class LiveNode(_Tasks):
             self.advertise(await self.listen())
         await self.relay_client.connect()
         self.dispatcher = RoutedDispatcher(self)
+        self.broker = LiveBroker(self)
         self._spawn(self._direct_links(), f"livenode-{self.node_id}-direct")
         return self
 
     async def open_service_link(self, peer_id: str, info: EndpointInfo):
-        return await self.open_link(info, SERVICE_TAG)
-
-    async def open_link(self, info: EndpointInfo, tag: bytes):
-        """A link to ``info``'s node opened under ``tag``: direct to its
-        advertised port, else routed via the relay (Figure 4's bootstrap
-        branch)."""
+        """A service link to ``info``'s node: direct to its advertised
+        port, else routed via the relay (Figure 4's bootstrap branch)."""
         try:
             sock = await live_connect((info.local_ip, info.open_ports[0]))
-        except (ConnectionError, OSError, IndexError):
-            return await self.relay_client.open_link(info.node_id, payload=tag)
-        await send_frame(sock, tag)
+        except (OSError, IndexError):
+            return await self.relay_client.open_link(info.node_id, payload=SERVICE_TAG)
+        await send_frame(sock, SERVICE_TAG)
         return sock
 
     async def _direct_links(self) -> None:

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.core import CLIENT_SERVER, SPLICING
+from repro.core.factory import BrokeredConnectionFactory
 from repro.core.links import Link, TcpLink
 from repro.core.scenarios import GridScenario
+from repro.core.utilization.spec import StackSpec
 from repro.simnet import connect, listen
 from repro.simnet.testing import drive, two_public_hosts
 
@@ -101,14 +103,14 @@ class TestGridNodeApi:
             while not b.relay_client.connected:
                 yield sc.sim.timeout(0.05)
             service = yield from a.open_service_link("b")
-            link = yield from a.connect_data(service, b.info)
+            link = yield from a.broker.initiate(service, b.info)
             out["method"] = link.method
             link.close()
 
         def responder():
             yield from b.start()
             _peer, service = yield from b.accept_service_link()
-            link = yield from b.accept_data(service)
+            link = yield from b.broker.respond(service)
             out["responder_method"] = link.method
 
         sc.sim.process(initiator())
@@ -132,3 +134,54 @@ class TestGridNodeApi:
     def test_node_id_property(self):
         sc, a, _b = self._pair()
         assert a.node_id == "a"
+
+
+class TestSessionIds:
+    def test_same_prefix_initiators_each_resume_their_own_session(self):
+        """``worker-1`` and ``worker-2`` share their first six bytes; each
+        holds a session to ``bob``, each has its data link killed, and each
+        resumes its own session there."""
+        spec = StackSpec.parse("tcp_block|session")
+        sc = GridScenario(seed=5)
+        for site in ("B", "W1", "W2"):
+            sc.add_site(site, "open")
+        bob = sc.add_node("B", "bob")
+        workers = [sc.add_node("W1", "worker-1"), sc.add_node("W2", "worker-2")]
+        got, sessions = {}, []
+
+        def work(node):
+            yield from node.start()
+            yield from bob.relay_client.wait_connected(timeout=60)
+            service = yield from node.open_service_link("bob")
+            channel = yield from BrokeredConnectionFactory(node).connect(
+                service, bob.info, spec=spec)
+            session = channel.driver.link
+            sessions.append(session)
+            name = node.node_id.encode()
+            yield from channel.send_message(name + b" before")
+            yield sc.sim.timeout(5.0)  # both sessions are up before either breaks
+            session.raw.abort()
+            yield from channel.send_message(name + b" after")
+
+        def serve():
+            yield from bob.start()
+            factory = BrokeredConnectionFactory(bob)
+            for _ in workers:
+                _peer, service = yield from bob.accept_service_link()
+                channel = yield from factory.accept(service)
+                sc.sim.process(drain(channel))
+
+        def drain(channel):
+            first = yield from channel.recv_message()
+            got[first] = yield from channel.recv_message()
+
+        sc.sim.process(serve())
+        for node in workers:
+            sc.sim.process(work(node))
+        sc.run(until=120)
+        assert got == {
+            b"worker-1 before": b"worker-1 after",
+            b"worker-2 before": b"worker-2 after",
+        }
+        assert [s.reconnects for s in sessions] == [1, 1]
+        assert len({s.sid for s in sessions}) == 2

@@ -7,6 +7,7 @@ harness's (the live one scales simulated-size seconds down); everything
 under test goes through ``h.runtime``.
 """
 
+import asyncio
 import inspect
 from types import coroutine
 
@@ -212,6 +213,56 @@ def test_spawn_carries_its_name_and_now_moves(harness):
     assert harness().run(script) == ("conformance-steps", True)
 
 
+@both
+def test_cancel_stops_a_task_and_ignores_a_finished_one(harness):
+    async def script(h, _a, _b):
+        rt = h.runtime
+
+        @coroutine
+        def steps():
+            try:
+                yield from rt.park({}, "never")
+            except BaseException:
+                return "stopped"
+
+        task = rt.spawn(steps(), "conformance-cancel")
+        await h.sleep(1)
+        rt.cancel(task)
+        got = await rt.wait(task)
+        rt.cancel(task)
+        return got
+
+    assert harness().run(script) == "stopped"
+
+
+@pytest.mark.livenet
+def test_a_cancel_that_races_the_result_of_bounded_is_not_lost():
+    """Before 3.12 ``asyncio.wait_for`` can return a result its caller's
+    cancel raced, and the cancel is lost: a stopped relay's gossip task
+    then slept on past the relay's ``stop``."""
+    rt = runtime_module.ASYNCIO
+
+    async def main():
+        event = rt.event()
+
+        @coroutine
+        def steps():
+            try:
+                yield from rt.bounded(rt.wait(event), 10)
+            except asyncio.CancelledError:
+                return "cancelled"
+            return "lost"
+
+        task = rt.spawn(steps(), "conformance-race")
+        for _ in range(3):
+            await asyncio.sleep(0)  # parked in bounded
+        event.set_result(None)
+        rt.cancel(task)
+        return await task
+
+    assert asyncio.run(main()) == "cancelled"
+
+
 # -- the mechanism itself -----------------------------------------------------
 
 _WAITING = {
@@ -247,7 +298,7 @@ def test_the_runtime_protocol_is_small():
     item 4); what is here each has one in ``src/``."""
     public = {name for name in dir(runtime_module.SimRuntime)
               if not name.startswith("_")} - {"sim"}
-    assert public == {"now", "spawn", "park", "unpark", "event", "wait",
-                      "sleep", "bounded", "queue"}
+    assert public == {"now", "spawn", "cancel", "park", "unpark", "event",
+                      "wait", "sleep", "bounded", "queue"}
     assert public == {name for name in dir(runtime_module.AsyncioRuntime)
                       if not name.startswith("_")}

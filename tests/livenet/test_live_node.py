@@ -3,16 +3,21 @@
 Every direct link into a live node enters through its one advertised port
 and names its purpose first (``service``, ``data:<nonce>``); the node's
 dispatcher routes it by the same rule as a relay-routed link.  A data
-link meets its negotiation at the dispatcher's ``await_data`` — no
-listener is opened per link — and goes through the relay when
-``methods`` asks for ``routed``.
+link is negotiated by the shared broker: client/server meets its
+negotiation at the dispatcher's ``await_data`` — no listener is opened per
+link — and the link goes through the relay when ``methods`` asks for
+``routed`` or when client/server fails.
 """
 
 import asyncio
 import contextlib
+import dataclasses
+import socket
 
 import pytest
 
+from repro import obs
+from repro.chaos.invariants import obs_consistency_violations
 from repro.core.dispatch import data_tag
 from repro.core.factory import BrokeredConnectionFactory
 from repro.core.wire import recv_frame, send_frame
@@ -144,6 +149,80 @@ class TestFactoryOnLiveNode:
         assert routed > 0
 
 
+def _refusing_port() -> int:
+    """A loopback port nothing listens on: a connect to it is refused."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+class TestFallback:
+    """The live broker walks Figure 4 as the simulator's does."""
+
+    @staticmethod
+    def _negotiate(live_run, methods=None, refuse=False):
+        """One message alice -> bob, with alice's view of bob's port
+        refusing when ``refuse``; returns ``(message, recorder, registry)``."""
+        registry, recorder = obs.MetricsRegistry(), obs.TraceRecorder()
+        previous = obs.set_registry(registry), obs.set_tracer(recorder)
+
+        async def main():
+            async with pair() as (_relay, alice, bob):
+                info = bob.info
+                if refuse:
+                    info = dataclasses.replace(info, open_ports=(_refusing_port(),))
+
+                async def serve():
+                    _peer, service = await bob.accept_service_link()
+                    channel = await BrokeredConnectionFactory(bob).accept(service)
+                    data = await channel.read_exactly(5)
+                    channel.close()
+                    return data
+
+                server = asyncio.ensure_future(serve())
+                service = await alice.open_service_link("bob", info)
+                channel = await BrokeredConnectionFactory(alice).connect(
+                    service, info, methods=methods)
+                await channel.write(b"hello")
+                await channel.flush()
+                channel.close()
+                return await asyncio.wait_for(server, timeout=10.0)
+
+        try:
+            return live_run(main()), recorder, registry
+        finally:
+            obs.set_registry(previous[0])
+            obs.set_tracer(previous[1])
+
+    def test_refused_port_falls_back_to_routed(self, live_run):
+        got, recorder, registry = self._negotiate(live_run, refuse=True)
+        assert got == b"hello"
+        fallbacks = recorder.events("establish.fallback")
+        assert [e["attrs"]["method"] for e in fallbacks] == ["client_server"]
+        outcomes = sorted(
+            (s["attrs"]["role"], s["attrs"]["method"], s["attrs"]["outcome"])
+            for s in recorder.spans("establish.attempt")
+        )
+        assert outcomes == [
+            ("initiator", "client_server", "failed"),
+            ("initiator", "routed", "ok"),
+            ("responder", "client_server", "failed"),
+            ("responder", "routed", "ok"),
+        ]
+        assert obs_consistency_violations(registry, recorder) == []
+
+    def test_a_method_the_node_does_not_carry_out_is_refused(self, live_run):
+        got, recorder, _registry = self._negotiate(
+            live_run, methods=["socks_proxy", "routed"])
+        assert got == b"hello"
+        fallbacks = recorder.events("establish.fallback")
+        assert [(e["attrs"]["method"], e["attrs"]["reason"])
+                for e in fallbacks] == [(
+            "socks_proxy",
+            "nak: BrokerError: socks_proxy is not carried out on this node",
+        )]
+
+
 #: a port-connect request sent where the purpose tag belongs
 _BARE_REQUEST = ByteWriter().u8(REQ_PORT_CONNECT).lp_str("in").lp_str("eve").getvalue()
 
@@ -175,8 +254,8 @@ class TestPurposeTag:
 
 class TestDataNonce:
     def test_same_prefix_initiators_each_get_their_own_link(self, live_run):
-        """``worker-1`` and ``worker-2`` share their first six bytes, the
-        part of a name the node's session counter is built from."""
+        """``worker-1`` and ``worker-2`` share their first six bytes: a
+        nonce built from a prefix of the name would be the same for both."""
 
         async def main():
             async with responder_with("worker-1", "worker-2") as (bob, workers):

@@ -254,15 +254,16 @@ class TestLiveIbis:
             live_run(main())
         finally:
             obs.set_tracer(previous)
-        events = {r["name"]: r for r in recorder.records if r["kind"] == "event"}
-        spans = {r["name"]: r for r in recorder.records if r["kind"] == "span"}
-        assert "port.connect" in spans
-        assert "data.connected" in events
-        assert "data.accepted" in events
-        root = spans["port.connect"]["trace_id"]
+        spans = [r for r in recorder.records if r["kind"] == "span"]
+        (connect,) = [s for s in spans if s["name"] == "port.connect"]
+        attempts = {
+            s["attrs"]["role"]: s["trace_id"]
+            for s in spans if s["name"] == "establish.attempt"
+        }
         # Both ends of the data connection join the initiator's trace.
-        assert events["data.connected"]["trace_id"] == root
-        assert events["data.accepted"]["trace_id"] == root
+        assert attempts == {
+            "initiator": connect["trace_id"], "responder": connect["trace_id"],
+        }
 
     def test_election_between_live_nodes(self, live_run):
         async def main():
