@@ -38,6 +38,14 @@ CELLS = [
     ("mux_fanin", "", False),
     ("socks_transfer", "proxy_restart@2:site=B,for=2", True),
     ("ipl_fanin", "", False),
+    # link retunes mid-flight: a bandwidth step and a loss step while packets
+    # are queued, then both heals (Transmitter.retune)
+    (
+        "wan_transfer",
+        "wan_degrade@2:site=B,scale=4,for=5;loss_burst@8:site=B,loss=0.3,for=3",
+        True,
+    ),
+    ("tune_degrade", "wan_degrade@5:site=S,scale=5,for=5", False),
     # the one flow-tier cell, at the default 2 000 endpoints
     ("fleet_fanin", "link_down@12:site=hub,for=5", True),
 ]

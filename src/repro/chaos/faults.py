@@ -13,7 +13,7 @@ failing chaos run is reported as.
 The :class:`FaultScheduler` arms a plan against a running
 :class:`~repro.core.scenarios.GridScenario`: every fault fires at its
 timestamp via the injection hooks the simnet/core layers expose
-(``Link.set_down``, ``Transmitter.loss``, ``RelayServer.stop/start``,
+(``Link.set_down``, ``Transmitter.retune``, ``RelayServer.stop/start``,
 ``RelayClient.drop``, ``StatefulFirewall.flush``,
 ``NatBox.expire_mappings``, ``SocksServer.stop/start``) and is traced as
 a ``chaos.inject`` / ``chaos.heal`` event pair.
@@ -129,13 +129,16 @@ class LossBurst(Fault):
     kind = "loss_burst"
 
     def inject(self, ctx: "FaultContext") -> None:
+        if not 0.0 <= self.loss < 1.0:
+            raise FaultPlanError(f"bad loss_burst loss {self.loss}")
         link = ctx.scenario.site_wan_link(self.site)
-        previous = (link.a_to_b.loss, link.b_to_a.loss)
-        link.a_to_b.loss = self.loss
-        link.b_to_a.loss = self.loss
+        previous = [(tx, tx.loss) for tx in (link.a_to_b, link.b_to_a)]
+        for tx, _ in previous:
+            tx.retune(loss=self.loss)
 
         def heal():
-            link.a_to_b.loss, link.b_to_a.loss = previous
+            for tx, loss in previous:
+                tx.retune(loss=loss)
 
         ctx.heal_later(self.duration, heal, self, site=self.site)
 
@@ -161,18 +164,21 @@ class WanDegrade(Fault):
     def inject(self, ctx: "FaultContext") -> None:
         if self.scale <= 0:
             raise FaultPlanError(f"bad wan_degrade scale {self.scale}")
+        if not 0.0 <= self.loss < 1.0:
+            raise FaultPlanError(f"bad wan_degrade loss {self.loss}")
         link = ctx.scenario.site_wan_link(self.site)
         previous = []
         for tx in (link.a_to_b, link.b_to_a):
-            previous.append((tx.bandwidth, tx.queue_bytes, tx.loss))
-            tx.bandwidth = tx.bandwidth / self.scale
-            tx.queue_bytes = max(4096, int(tx.queue_bytes / self.scale))
-            if self.loss:
-                tx.loss = max(tx.loss, self.loss)
+            previous.append((tx, tx.bandwidth, tx.queue_bytes, tx.loss))
+            tx.retune(
+                bandwidth=tx.bandwidth / self.scale,
+                queue_bytes=max(4096, int(tx.queue_bytes / self.scale)),
+                loss=max(tx.loss, self.loss) if self.loss else None,
+            )
 
         def heal():
-            for tx, (bw, qb, lo) in zip((link.a_to_b, link.b_to_a), previous):
-                tx.bandwidth, tx.queue_bytes, tx.loss = bw, qb, lo
+            for tx, bw, qb, lo in previous:
+                tx.retune(bandwidth=bw, queue_bytes=qb, loss=lo)
 
         ctx.heal_later(self.duration, heal, self, site=self.site)
 

@@ -9,10 +9,11 @@ provides a simpy-flavoured, generator-based process model:
   be an :class:`Event`, and the process resumes when that event triggers.
 * :class:`Timeout` triggers after a fixed amount of simulated time.
 * :func:`any_of` / :func:`all_of` compose events.
-* :meth:`Simulator.call_later` / :meth:`~Simulator.call_at` run a plain
-  callable at a time: a bare heap entry, no event to wait on or cancel
-  (:class:`Timer` adds cancellation).  Every packet is two of these, so
-  they are the hot path -- see docs/SIMNET.md, "The hot loop".
+* :meth:`Simulator.call_later` / :meth:`~Simulator.call_at` /
+  :meth:`~Simulator.call_exact` run a plain callable at a time: a bare
+  heap entry, no event to wait on or cancel (:class:`Timer` adds
+  cancellation).  Every link hop of a packet is one of these, so they
+  are the hot path -- see docs/SIMNET.md, "The hot loop".
 
 The engine is fully deterministic: events scheduled for the same timestamp
 fire in schedule order (a monotonically increasing sequence number breaks
@@ -467,8 +468,8 @@ class Simulator:
     def call_later(self, delay: float, fn: Callable, *args: Any) -> None:
         """Run ``fn(*args)`` after ``delay`` simulated seconds.
 
-        ``call_at(now + delay)`` written out: it runs twice per packet, and
-        delegating would add two Python frames to a hop's eleven.
+        ``call_at(now + delay)`` written out: TCP's timers restart it per
+        segment, and delegating would add two Python frames each time.
         """
         now = self.now
         when = now + delay
@@ -476,6 +477,19 @@ class Simulator:
             raise ValueError(f"call_at into the past: {when} < {now}")
         self._seq = seq = self._seq + 1
         heappush(self._heap, (now + (when - now), seq, fn, args))
+
+    def call_exact(self, when: float, fn: Callable, args) -> None:
+        """Run ``fn(*args)`` at ``when`` to the last bit.
+
+        For a caller that computed ``when`` itself with the expression
+        ``call_later`` would have used at a later ``now`` (a link pushes a
+        packet's arrival when it is queued).  ``args`` is kept, not copied:
+        a mutable sequence is read when the entry fires.
+        """
+        if when < self.now:
+            raise ValueError(f"call_exact into the past: {when} < {self.now}")
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (when, seq, fn, args))
 
     # -- scheduling ----------------------------------------------------------
     def _schedule(self, event: Event, delay: float) -> None:

@@ -205,6 +205,13 @@ class FlowPipe:
         self.down = False
         self._stamp = None
 
+    def retune(self, *, loss: float) -> None:
+        """The chaos surface of :meth:`repro.simnet.link.Transmitter.retune`
+        a ``loss_burst`` needs: flows started afterwards see ``loss``."""
+        if not 0.0 <= loss < 1.0:
+            raise ValueError(f"loss must be in [0, 1): {loss}")
+        self.loss = loss
+
     @property
     def name(self) -> str:
         way = "up" if self.link.to_parent is self else "down"
@@ -280,7 +287,7 @@ class FlowLink:
         return self.to_parent.down and self.to_child.down
 
     # chaos faults written against packet-tier Link objects address the
-    # directions as a_to_b / b_to_a; a is the child side here.  Mutating
+    # directions as a_to_b / b_to_a; a is the child side here.  Retuning
     # pipe loss affects flows started afterwards (ceilings are computed
     # at start), which matches a loss burst's effect on new transfers.
     @property

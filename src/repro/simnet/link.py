@@ -11,6 +11,12 @@ each direction through a :class:`Transmitter`:
   serialization (the packet consumed wire time, then vanished — like real
   corruption/drop in flight).
 
+A FIFO wire knows when a packet will finish serialising the moment it is
+queued, so a transmission is one heap entry: its arrival.  The parameters
+in force when the packet *departed* (its last byte left) decide its fate
+at that arrival, which is why they change only through
+:meth:`Transmitter.retune` — see docs/SIMNET.md, "The hot loop".
+
 Determinism: each transmitter draws from its own ``random.Random`` seeded
 from the link's seed, so runs are reproducible.
 """
@@ -28,7 +34,12 @@ __all__ = ["Link", "Transmitter", "LinkStats"]
 
 
 class LinkStats:
-    """Per-direction link counters."""
+    """Per-direction link counters.
+
+    A packet is counted in ``tx_*`` and, if it was dropped in flight, in
+    ``drops_down`` / ``drops_loss`` when its arrival is due: one ``delay``
+    after it departed.
+    """
 
     __slots__ = (
         "tx_packets",
@@ -56,8 +67,20 @@ class LinkStats:
         return f"<LinkStats {self.as_dict()}>"
 
 
+def _check(bandwidth: Optional[float], loss: Optional[float]) -> None:
+    if bandwidth is not None and bandwidth <= 0:
+        raise ValueError(f"bandwidth must be positive: {bandwidth}")
+    if loss is not None and not 0.0 <= loss < 1.0:
+        raise ValueError(f"loss must be in [0, 1): {loss}")
+
+
 class Transmitter:
-    """One direction of a link."""
+    """One direction of a link.
+
+    ``bandwidth``, ``loss``, ``down`` and ``queue_bytes`` are read-only:
+    change them with :meth:`retune`.  ``delay`` is read when a packet is
+    queued.
+    """
 
     def __init__(
         self,
@@ -70,71 +93,179 @@ class Transmitter:
         name: str = "",
         jitter: float = 0.0,
     ):
-        if bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive: {bandwidth}")
+        _check(bandwidth, loss)
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        if not 0.0 <= loss < 1.0:
-            raise ValueError(f"loss must be in [0, 1): {loss}")
         if jitter < 0:
             raise ValueError(f"negative jitter: {jitter}")
         self.sim = sim
         self.delay = delay
-        self.bandwidth = bandwidth
-        self.queue_bytes = queue_bytes
-        self.loss = loss
+        self._bandwidth = bandwidth
+        self._queue_bytes = queue_bytes
+        self._loss = loss
+        self._down = False
         self.rng = rng
         self.name = name
         #: uniform extra propagation delay in [0, jitter): values larger
         #: than a packet's serialization time cause genuine reordering
         self.jitter = jitter
         self.deliver: Optional[Callable[[Segment], None]] = None
-        #: fault-injection hook: while True, serialized packets vanish
-        #: (a flapped/cut link) — see :meth:`Link.set_down`
-        self.down = False
-        #: (segment, on-wire size) pairs; the head one is on the wire
-        self._queue: deque[tuple[Segment, int]] = deque()
+        #: ``[segment, size, depart]`` of each packet not yet known to have
+        #: departed, in FIFO order; the same list is its arrival's heap
+        #: arguments, and a bandwidth retune marks it stale by clearing
+        #: ``segment``.  Departed packets leave lazily (:meth:`_settle`).
+        self._queue: deque[list] = deque()
         self._queued_bytes = 0
+        #: ``(time, down, loss)`` that each retune replaced, oldest first:
+        #: a packet that departed before ``time`` decides on those values
+        self._replaced: deque[tuple] = deque()
         self.stats = LinkStats()
+
+    @property
+    def bandwidth(self) -> float:
+        return self._bandwidth
+
+    @property
+    def loss(self) -> float:
+        return self._loss
+
+    @property
+    def down(self) -> bool:
+        """Fault-injection state: while True, packets that depart vanish
+        (a flapped/cut link) — see :meth:`Link.set_down`."""
+        return self._down
+
+    @property
+    def queue_bytes(self) -> int:
+        return self._queue_bytes
 
     def transmit(self, segment: Segment) -> None:
         """Enqueue ``segment`` for transmission (drop-tail)."""
         size = segment.size
-        if self._queued_bytes + size > self.queue_bytes:
+        sim = self.sim
+        now = sim.now
+        queue = self._queue
+        queued = self._queued_bytes
+        while queue and queue[0][2] <= now:  # _settle, inlined
+            queued -= queue.popleft()[1]
+        if queued + size > self._queue_bytes:
+            self._queued_bytes = queued
             self.stats.drops_queue += 1
             return
-        queue = self._queue
-        if not queue:  # idle wire: this one goes on it at once
-            self.sim.call_later(size / self.bandwidth, self._serialized)
-        queue.append((segment, size))
-        self._queued_bytes += size
+        self._queued_bytes = queued + size
+        # the wire is free when the packet ahead departs, or now if idle;
+        # both times are the expressions ``call_later`` computes (engine)
+        start = queue[-1][2] if queue else now
+        depart = start + ((start + size / self._bandwidth) - start)
+        entry = [segment, size, depart]
+        queue.append(entry)
+        sim.call_exact(
+            depart + ((depart + self.delay) - depart), self._arrive, entry
+        )
 
-    def _serialized(self) -> None:
-        queue, stats = self._queue, self.stats
-        segment, size = queue.popleft()
-        self._queued_bytes -= size
+    def _arrive(self, segment: Optional[Segment], size: int, depart: float) -> None:
+        if segment is None:  # re-timed by a bandwidth retune
+            return
+        stats = self.stats
         stats.tx_packets += 1
         stats.tx_bytes += size
-        if self.down:
-            stats.drops_down += 1
-        elif self.loss and self.rng.random() < self.loss:
-            stats.drops_loss += 1
+        if self._replaced:
+            down, loss = self._in_force(depart)
         else:
-            extra = self.rng.random() * self.jitter if self.jitter else 0.0
-            self.sim.call_later(self.delay + extra, self._arrive, segment, size)
-        if queue:
-            self.sim.call_later(queue[0][1] / self.bandwidth, self._serialized)
+            down, loss = self._down, self._loss
+        if down:
+            stats.drops_down += 1
+            return
+        if loss and self.rng.random() < loss:
+            stats.drops_loss += 1
+            return
+        if self.jitter:
+            flight = self.delay + self.rng.random() * self.jitter
+            self.sim.call_exact(
+                depart + ((depart + flight) - depart), self._deliver, (segment, size)
+            )
+            return
+        # _deliver, inlined: a frame per hop on the hottest path
+        stats.delivered_packets += 1
+        stats.delivered_bytes += size
+        if self.deliver is not None:
+            self.deliver(segment)
 
-    def _arrive(self, segment: Segment, size: int) -> None:
+    def _deliver(self, segment: Segment, size: int) -> None:
         stats = self.stats
         stats.delivered_packets += 1
         stats.delivered_bytes += size
         if self.deliver is not None:
             self.deliver(segment)
 
+    def _in_force(self, depart: float) -> tuple:
+        """``(down, loss)`` when a packet left at ``depart``.  Arrivals come
+        in departure order, so a change no later than ``depart`` matters to
+        no packet still to arrive."""
+        replaced = self._replaced
+        while replaced and replaced[0][0] <= depart:
+            replaced.popleft()
+        if replaced:
+            return replaced[0][1:]
+        return self._down, self._loss
+
+    def _settle(self) -> None:
+        queue, now = self._queue, self.sim.now
+        while queue and queue[0][2] <= now:
+            self._queued_bytes -= queue.popleft()[1]
+
+    def retune(
+        self,
+        *,
+        down: Optional[bool] = None,
+        loss: Optional[float] = None,
+        bandwidth: Optional[float] = None,
+        queue_bytes: Optional[int] = None,
+    ) -> None:
+        """Change the link from now on; ``None`` keeps a parameter.
+
+        A packet that departed before now still decides on the old
+        ``down``/``loss``.  A new ``bandwidth`` leaves the packet on the
+        wire alone and re-times the ones queued behind it; ``queue_bytes``
+        bounds only later admissions.
+        """
+        _check(bandwidth, loss)
+        now = self.sim.now
+        if down is not None or loss is not None:
+            self._replaced.append((now, self._down, self._loss))
+            if down is not None:
+                self._down = down
+            if loss is not None:
+                self._loss = loss
+        if queue_bytes is not None:
+            self._queue_bytes = queue_bytes
+        if bandwidth is not None and bandwidth != self._bandwidth:
+            self._bandwidth = bandwidth
+            self._retime()
+
+    def _retime(self) -> None:
+        """Re-time every queued packet behind the one on the wire."""
+        self._settle()
+        queue = self._queue
+        if len(queue) < 2:
+            return
+        start = queue[0][2]
+        for i in range(1, len(queue)):
+            stale = queue[i]
+            segment, size = stale[0], stale[1]
+            stale[0] = None
+            depart = start + ((start + size / self._bandwidth) - start)
+            queue[i] = entry = [segment, size, depart]
+            self.sim.call_exact(
+                depart + ((depart + self.delay) - depart), self._arrive, entry
+            )
+            start = depart
+
     @property
     def backlog_bytes(self) -> int:
-        """Bytes currently waiting (including the packet on the wire)."""
+        """Bytes that have not finished serialising (including the packet
+        on the wire)."""
+        self._settle()
         return self._queued_bytes
 
 
@@ -206,8 +337,8 @@ class Link:
         time and are then dropped — a clean model of a flapped WAN link.
         TCP retransmission recovers transparently once the link heals.
         """
-        self.a_to_b.down = down
-        self.b_to_a.down = down
+        self.a_to_b.retune(down=down)
+        self.b_to_a.retune(down=down)
 
     @property
     def down(self) -> bool:
@@ -253,8 +384,8 @@ class Link:
     def bandwidth(self) -> float:
         return self.a_to_b.bandwidth
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<Link {self.name} delay={self.delay}s "
-            f"bw={self.bandwidth:.0f}B/s>"
-        )
+    def __repr__(self) -> str:
+        delay = f"{self.delay_ab}s"
+        if self.delay_ba != self.delay_ab:
+            delay += f"/{self.delay_ba}s"
+        return f"<Link {self.name} delay={delay} bw={self.bandwidth:.0f}B/s>"

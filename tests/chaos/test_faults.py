@@ -104,6 +104,33 @@ def test_loss_burst_restores_previous_rate(scenario):
     assert link.a_to_b.loss == 0.0 and link.b_to_a.loss == 0.0
 
 
+@pytest.mark.parametrize("loss", [1.5, -0.5, 1.0])
+def test_loss_burst_rejects_a_loss_outside_the_unit_interval(scenario, loss):
+    link = scenario.site_wan_link("B")
+    plan = FaultPlan.of(LossBurst(at=1.0, site="B", loss=loss, duration=1.0))
+    FaultScheduler(scenario, plan).arm()
+    with pytest.raises(FaultPlanError, match="loss_burst"):
+        scenario.sim.run(until=1.5)
+    assert link.a_to_b.loss == 0.0 and link.b_to_a.loss == 0.0
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.999])
+def test_loss_burst_accepts_a_loss_in_the_unit_interval(scenario, loss):
+    link = scenario.site_wan_link("B")
+    plan = FaultPlan.of(LossBurst(at=1.0, site="B", loss=loss, duration=1.0))
+    FaultScheduler(scenario, plan).arm()
+    scenario.sim.run(until=1.5)
+    assert link.a_to_b.loss == loss and link.b_to_a.loss == loss
+
+
+def test_wan_degrade_rejects_a_loss_outside_the_unit_interval(scenario):
+    plan = FaultPlan.parse("wan_degrade@1:site=B,scale=2,loss=1.5,for=1")
+    FaultScheduler(scenario, plan).arm()
+    with pytest.raises(FaultPlanError, match="wan_degrade"):
+        scenario.sim.run(until=1.5)
+    assert scenario.site_wan_link("B").a_to_b.loss == 0.0
+
+
 def test_relay_crash_drops_sessions_then_restarts(scenario):
     node = scenario.add_node("A", "alice")
 

@@ -358,7 +358,7 @@ def test_determinism_two_identical_runs():
     assert build() == build()
 
 
-# -- bare call entries (call_later / call_at) ---------------------------------
+# -- bare call entries (call_later / call_at / call_exact) -------------------
 #
 # A timer call sits on the heap as a bare ``(when, seq, fn, args)`` next to
 # the ``Event`` entries; the contract is that nothing but the allocation
@@ -411,6 +411,36 @@ def test_call_later_fires_at_the_timestamp_the_event_path_computed(now, delay):
     sim.run()
     when = now + delay
     assert fired == [now + (when - now)] * 2
+
+
+@given(start=_times, gap=_times, delay=_times)
+def test_call_exact_fires_where_a_later_call_later_would(start, gap, delay):
+    # a link pushes an arrival when the packet is queued, at the time
+    # call_later would have computed from the later departure ``at``
+    at = start + gap
+    early, late = Simulator(), Simulator()
+    early.run(until=start)
+    late.run(until=at)
+    fired = []
+    early.call_exact(at + ((at + delay) - at), lambda: fired.append(early.now), ())
+    late.call_later(delay, lambda: fired.append(late.now))
+    early.run()
+    late.run()
+    assert fired[0] == fired[1]
+
+
+def test_call_exact_keeps_its_args_and_rejects_the_past():
+    sim = Simulator()
+    sim.run(until=3.0)
+    args = ["queued"]
+    log = []
+    sim.call_exact(4.0, log.append, args)
+    args[0] = "changed before it fired"
+    sim.run()
+    assert log == ["changed before it fired"]
+    with pytest.raises(ValueError):
+        sim.call_exact(3.5, log.append, ())
+    assert sim.pending == 0
 
 
 def test_call_later_into_the_past_rejected():

@@ -207,11 +207,11 @@ class TestFaults:
         assert net.sim.pending == 0
 
     def test_loss_burst_alias_surface(self):
-        # chaos LossBurst writes a_to_b/b_to_a loss on the link
+        # chaos LossBurst retunes a_to_b/b_to_a loss on the link
         net = dumbbell()
         link = net.hosts["a"].uplink
-        link.a_to_b.loss = 0.02
-        link.b_to_a.loss = 0.02
+        link.a_to_b.retune(loss=0.02)
+        link.b_to_a.retune(loss=0.02)
         lossy = net.start_flow("a", "b", 1 << 20)
         clean_net = dumbbell()
         clean = clean_net.start_flow("a", "b", 1 << 20)

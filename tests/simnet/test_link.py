@@ -95,6 +95,37 @@ def test_invalid_parameters_rejected():
         Transmitter(sim, 0.0, 1e6, 10, 1.0, random.Random())
 
 
+def test_retune_validates_as_the_constructor_does():
+    tx, _ = _tx(Simulator())
+    with pytest.raises(ValueError):
+        tx.retune(bandwidth=0)
+    with pytest.raises(ValueError):
+        tx.retune(loss=1.0)
+    with pytest.raises(ValueError):
+        tx.retune(loss=-0.1)
+    assert (tx.bandwidth, tx.loss) == (1e6, 0.0)
+
+
+@pytest.mark.parametrize("name", ["bandwidth", "loss", "down", "queue_bytes"])
+def test_link_parameters_change_only_through_retune(name):
+    tx, _ = _tx(Simulator())
+    with pytest.raises(AttributeError):
+        setattr(tx, name, getattr(tx, name))
+
+
+def test_a_transmission_is_one_heap_entry():
+    sim = Simulator()
+    tx, sink = _tx(sim)
+    for _ in range(3):
+        tx.transmit(_seg(960))
+    assert sim.pending == 3
+    sim.run(until=0.0005)
+    tx.retune(bandwidth=5e5)  # re-times the two behind the wire
+    assert sim.pending == 5
+    sim.run()
+    assert len(sink.got) == 3
+
+
 def test_link_default_queue_is_bdp_floored():
     sim = Simulator()
     link = Link(sim, delay=0.1, bandwidth=1e7)
@@ -125,3 +156,115 @@ def test_link_directions_independent():
     sim.run()
     assert len(fb.got) == 2
     assert len(fa.got) == 1
+
+
+def test_repr_of_an_asymmetric_link_names_both_halves():
+    link = Link(Simulator(), 0.01, 1e6, name="wan", delay_back=0.02)
+    text = repr(link)
+    assert "0.01" in text and "0.02" in text
+
+
+# -- when a packet departs, and what decides its fate ------------------------
+#
+# A 960 B payload is 1 000 B on the wire: 1 ms at 1e6 B/s.  A packet
+# *departs* when its last byte has been serialised; until then its bytes
+# count against the drop-tail queue, and the link's parameters in force at
+# that instant decide whether it arrives one ``delay`` later.
+
+
+def _arrivals(sim, tx):
+    times = []
+    tx.deliver = lambda seg: times.append(sim.now)
+    return times
+
+
+def test_back_to_back_packets_depart_cumulatively_and_arrive_a_delay_later():
+    sim = Simulator()
+    tx, _ = _tx(sim, delay=0.01, bandwidth=1e6)
+    times = _arrivals(sim, tx)
+    for _ in range(3):
+        tx.transmit(_seg(960))
+    backlog = []
+    for t in (0.0005, 0.0015, 0.0025, 0.0035):
+        sim.run(until=t)
+        backlog.append(tx.backlog_bytes)
+    sim.run()
+    assert backlog == [3000, 2000, 1000, 0]
+    assert times == [pytest.approx(0.001 * (i + 1) + 0.01) for i in range(3)]
+    assert tx.stats.tx_packets == tx.stats.delivered_packets == 3
+
+
+def test_bandwidth_retune_retimes_only_the_packets_behind_the_wire():
+    sim = Simulator()
+    tx, _ = _tx(sim, delay=0.01, bandwidth=1e6)
+    times = _arrivals(sim, tx)
+    for _ in range(3):
+        tx.transmit(_seg(960))
+    sim.run(until=0.0005)  # the first packet is half-way onto the wire
+    tx.retune(bandwidth=5e5)
+    sim.run()
+    # the first keeps its 1 ms; the other two take 2 ms each behind it
+    assert times == [
+        pytest.approx(0.011), pytest.approx(0.013), pytest.approx(0.015)
+    ]
+
+
+@pytest.mark.parametrize(
+    "change, counter",
+    [({"down": True}, "drops_down"), ({"loss": 0.999999}, "drops_loss")],
+)
+def test_fate_follows_the_parameters_in_force_at_departure(change, counter):
+    def run(change_at):
+        sim = Simulator()
+        tx, sink = _tx(sim, delay=0.01, bandwidth=1e6)
+        tx.transmit(_seg(960))  # departs at 1 ms, arrives at 11 ms
+        sim.run(until=change_at)
+        tx.retune(**change)
+        sim.run()
+        return len(sink.got), getattr(tx.stats, counter)
+
+    assert run(0.005) == (1, 0)  # in flight: the change comes too late
+    assert run(0.0005) == (0, 1)  # still serialising: the change applies
+
+
+def test_retune_back_before_departure_leaves_the_packet_alone():
+    sim = Simulator()
+    tx, sink = _tx(sim, delay=0.01, bandwidth=1e6)
+    tx.transmit(_seg(960))
+    sim.run(until=0.0002)
+    tx.retune(down=True)
+    sim.run(until=0.0004)
+    tx.retune(down=False)
+    sim.run()
+    assert len(sink.got) == 1 and tx.stats.drops_down == 0
+
+
+def test_drop_tail_counts_bytes_that_have_not_finished_serialising():
+    sim = Simulator()
+    tx, sink = _tx(sim, delay=0.01, bandwidth=1e6, queue=2000)
+    for _ in range(3):
+        tx.transmit(_seg(960))
+    assert tx.stats.drops_queue == 1  # the third did not fit behind two
+    sim.run(until=0.0015)  # the first has departed, the second is on the wire
+    assert tx.backlog_bytes == 1000
+    tx.transmit(_seg(960))
+    tx.transmit(_seg(960))
+    assert tx.stats.drops_queue == 2
+    assert tx.backlog_bytes == 2000
+    sim.run()
+    assert len(sink.got) == 3
+
+
+def test_each_packet_decides_on_the_parameters_of_its_own_departure():
+    sim = Simulator()
+    tx, sink = _tx(sim, delay=0.01, bandwidth=1e6)
+    segs = [_seg(960) for _ in range(3)]  # depart at 1, 2 and 3 ms
+    for seg in segs:
+        tx.transmit(seg)
+    sim.run(until=0.0015)
+    tx.retune(down=True)  # the first is in flight, the second on the wire
+    sim.run(until=0.0025)
+    tx.retune(down=False)  # the second has departed into the cut
+    sim.run()
+    assert sink.got == [segs[0], segs[2]]
+    assert tx.stats.drops_down == 1

@@ -95,6 +95,12 @@ _FIG_TOTAL = 2 * _FIG_MESSAGE
 _LINK_SEED = 9
 _CHAOS_CALLS = {
     "wan_transfer": dict(sessions=True, plan="link_down@3:site=B,for=30"),
+    # a bandwidth and a loss retune while packets are queued, then the heals
+    "wan_transfer.retune": dict(
+        scenario="wan_transfer",
+        sessions=True,
+        plan="wan_degrade@2:site=B,scale=4,for=5;loss_burst@8:site=B,loss=0.3,for=3",
+    ),
     "wan_transfer_routed": {},
     "mux_fanin": {},
     "ipl_fanin": {},
@@ -143,12 +149,14 @@ def packet_facts(seed):
             }
     with tempfile.TemporaryDirectory() as tmp:
         for name, kwargs in _CHAOS_CALLS.items():
+            kwargs = dict(kwargs)
+            scenario = kwargs.pop("scenario", name)
             trace = pathlib.Path(tmp) / f"{name}.jsonl"
             # an earlier run's abandoned processes, collected during this
             # one, would end their spans in this one's trace
             gc.collect()
             report = run_chaos(
-                scenario=name, seed=seed, trace_path=str(trace), **kwargs
+                scenario=scenario, seed=seed, trace_path=str(trace), **kwargs
             )
             records = sorted(trace.read_text().splitlines())
             facts[name] = {

@@ -143,11 +143,11 @@ class TestLossBurst:
 
         def saboteur():
             yield sim.timeout(2.0)
-            wan_link.a_to_b.loss = 0.95
-            wan_link.b_to_a.loss = 0.95
+            wan_link.a_to_b.retune(loss=0.95)
+            wan_link.b_to_a.retune(loss=0.95)
             yield sim.timeout(3.0)
-            wan_link.a_to_b.loss = 0.0
-            wan_link.b_to_a.loss = 0.0
+            wan_link.a_to_b.retune(loss=0.0)
+            wan_link.b_to_a.retune(loss=0.0)
 
         def server():
             listener = listen(b, 5000)
