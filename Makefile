@@ -43,7 +43,7 @@ smoke-mux:
 		| $(PYTHON) scripts/check_assembled_trace.py --mux
 
 # Fleet-scale flow-tier smoke: 100k endpoints fan into one hub across
-# a mid-run partition, full invariant suite, <60s wall-clock and <330 MB
+# a mid-run partition, full invariant suite, <60s wall-clock and <190 MB
 # peak-RSS budgets (docs/SIMNET.md).
 smoke-flow:
 	$(PYTHON) scripts/smoke_flow.py

@@ -33,6 +33,7 @@ from .context import (
     TraceContext,
     current,
     fmt_id,
+    is_id,
     next_id,
     seed_ids,
     set_current,
@@ -115,6 +116,7 @@ __all__ = [
     "seed_ids",
     "next_id",
     "fmt_id",
+    "is_id",
     # flight recorder
     "FlightRecorder",
     # clocks

@@ -42,6 +42,7 @@ __all__ = [
     "use",
     "set_current",
     "fmt_id",
+    "is_id",
 ]
 
 _CTX = struct.Struct("!QQQ")
@@ -79,6 +80,17 @@ def next_id() -> int:
 def fmt_id(value: int) -> str:
     """Render an id the way records carry it: 16 lowercase hex digits."""
     return f"{value & _MASK:016x}"
+
+
+def is_id(value: object) -> bool:
+    """Is *value* an id as :func:`fmt_id` renders one: a string of exactly
+    16 characters, each one of ``0-9a-f``?  (``int(value, 16)`` is not the
+    rule: it also takes a sign, blanks, ``0x`` and underscores.)"""
+    return (
+        isinstance(value, str)
+        and len(value) == 16
+        and not value.strip("0123456789abcdef")
+    )
 
 
 class TraceContext:

@@ -22,7 +22,7 @@ One line per record.  Record types sharing the file (schema v2):
   record types.
 
 Trace and flight records may carry the causal-identity fields
-``trace_id``/``span_id``/``parent_id`` (16-hex-digit strings) and a
+``trace_id``/``span_id``/``parent_id`` (16 lowercase hex digits) and a
 ``node`` tag; :mod:`repro.obs.assemble` stitches multiple exports into
 span trees on those.  Schema v1 records (no identity fields) remain
 valid — the fields are optional.
@@ -37,6 +37,7 @@ from __future__ import annotations
 import json
 from typing import IO, Optional, Union
 
+from .context import is_id
 from .flight import FlightRecorder
 from .metrics import MetricsRegistry
 from .trace import TraceRecorder
@@ -162,18 +163,10 @@ def _require(record: dict, key: str, types) -> object:
 
 def _check_identity(record: dict) -> None:
     for field in _ID_FIELDS:
-        if field in record:
-            value = record[field]
-            ok = isinstance(value, str) and len(value) == 16
-            if ok:
-                try:
-                    int(value, 16)
-                except ValueError:
-                    ok = False
-            if not ok:
-                raise SchemaError(
-                    f"{field!r} must be 16 hex digits in {record!r}"
-                )
+        if field in record and not is_id(record[field]):
+            raise SchemaError(
+                f"{field!r} must be 16 lowercase hex digits in {record!r}"
+            )
     if "parent_id" in record and "span_id" not in record:
         raise SchemaError(f"parent_id without span_id in {record!r}")
     if "span_id" in record and "trace_id" not in record:

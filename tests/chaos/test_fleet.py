@@ -1,5 +1,7 @@
 """Fleet-scale fan-in scenario on the flow tier, through the chaos runner."""
 
+import re
+
 import pytest
 
 from repro.chaos import run_chaos
@@ -108,3 +110,72 @@ class TestScenarioSurface:
         scn.sim.run(until=60.0)
         assert scn.completion_violations() == []
         assert scn.relay.forwarded_messages == 8
+
+
+# an endpoint of wave 0 (80 endpoints a wave here) and the next endpoint of
+# its size class: the classes rotate with the endpoint index
+_TARGET = 17
+_PARTNER = _TARGET + len(SIZE_CLASSES)
+
+
+def _drop(done, scn, flow):
+    if flow.channel != str(_TARGET):
+        done(scn, flow)
+
+
+def _twice(done, scn, flow):
+    done(scn, flow)
+    if flow.channel == str(_TARGET):
+        done(scn, flow)
+
+
+def _swap(done, scn, flow):
+    # the target completes twice and its partner never: the same flow count
+    # and the same byte total, so only a per-endpoint check can tell
+    if flow.channel != str(_PARTNER):
+        _twice(done, scn, flow)
+
+
+def _run_with(monkeypatch, defect):
+    """A clean run with ``defect`` planted between completion and the hub."""
+    done = FleetScenario._flow_done
+    monkeypatch.setattr(
+        FleetScenario, "_flow_done", lambda scn, flow: defect(done, scn, flow)
+    )
+    return run_chaos(scenario="fleet_fanin", seed=1, plan="", until=600.0)
+
+
+def _names(violations, channel) -> bool:
+    return any(
+        re.search(rf"^fleet: .*\bchannel {channel}\b", v) for v in violations
+    )
+
+
+class TestExactlyOnce:
+    """Every endpoint's transfer completes exactly once, or the run fails
+    naming the endpoint's channel."""
+
+    @pytest.mark.parametrize(
+        "defect, named",
+        [
+            (_drop, [_TARGET]),
+            (_twice, [_TARGET]),
+            (_swap, [_TARGET, _PARTNER]),
+        ],
+        ids=["dropped", "twice", "swapped"],
+    )
+    def test_planted_defect_fails_the_run(self, monkeypatch, defect, named):
+        report = _run_with(monkeypatch, defect)
+        assert not report.ok
+        for channel in named:
+            assert _names(report.violations, channel), report.violations
+
+    def test_swap_keeps_the_totals(self, monkeypatch):
+        report = _run_with(monkeypatch, _swap)
+        assert report.stats["flows_completed"] == 400
+        assert report.stats["relay_forwarded_bytes"] == _expected_bytes(400)
+
+    def test_clean_run_names_no_channel(self):
+        report = run_chaos(scenario="fleet_fanin", seed=1, plan="", until=600.0)
+        assert not [v for v in report.violations if v.startswith("fleet:")]
+        assert report.ok, report.violations

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro import obs
+from repro.chaos.invariants import obs_consistency_violations
 from repro.obs import (
     SchemaError,
     TraceRecorder,
@@ -124,6 +125,39 @@ class TestExport:
         bad.write_text("this is not json\n")
         with pytest.raises(SchemaError):
             validate_jsonl(str(bad))
+
+
+# each is 16 characters that int(value, 16) accepts, and none is an id
+_NOT_IDS = ["+00000000000000f", " 00000000000000f", "0x000000000000ff",
+            "0000_0000_0000_0"]
+
+
+class TestIdentityFields:
+    """Both identity checks take ids exactly as ``fmt_id`` renders them."""
+
+    def _record(self, field, value):
+        rec = TraceRecorder(clock=FakeClock())
+        rec.event("e", ctx=obs.TraceContext(1, 2, 3))
+        (record,) = rec.records
+        record[field] = value
+        return rec, record
+
+    @pytest.mark.parametrize("value", _NOT_IDS)
+    @pytest.mark.parametrize("field", ["trace_id", "span_id", "parent_id"])
+    def test_int_parsable_strings_are_rejected(self, field, value):
+        assert len(value) == 16 and int(value, 16) >= 0
+        rec, record = self._record(field, value)
+        with pytest.raises(SchemaError, match=field):
+            validate_record(record)
+        (violation,) = obs_consistency_violations(obs.MetricsRegistry(), rec)
+        assert "malformed causal identity" in violation
+
+    def test_rendered_ids_are_accepted(self):
+        value = obs.fmt_id(0xFEDCBA9876543210)
+        assert value == "fedcba9876543210"
+        rec, record = self._record("trace_id", value)
+        validate_record(record)
+        assert obs_consistency_violations(obs.MetricsRegistry(), rec) == []
 
 
 class TestReport:

@@ -31,14 +31,14 @@ BUDGET = {
     # the wave and size-class structure, not the endpoint count, decides how
     # often rates are re-solved: 62 here and at 100 000 endpoints
     "rate_resolves": 62,
-    # measured 7.4: a host, a link, two pipes and 3.2 instruments (the parent
-    # too -- the diet kept every object the ledger needs and made each small)
-    "tracked objects per endpoint": 8.5,
-    # measured 1 302 and 1 420; the parent 2 357 and 3 013 (a dict and three
-    # tuples per instrument, three name strings per link, five tables keyed
-    # by fresh tuples in the mux ledger check)
-    "bytes per endpoint": 1_500,
-    "peak bytes per endpoint": 1_650,
+    # measured 4.4: a host, a link, two pipes, and a reconnect counter for
+    # the one endpoint in ten a partition stalls; 7.4 while the fleet wrote
+    # three mux ledger counters per endpoint
+    "tracked objects per endpoint": 5.1,
+    # measured 678 and 680; 1 298 and 1 416 with the mux ledger, whose
+    # check built a labels dict per counter read at the peak
+    "bytes per endpoint": 780,
+    "peak bytes per endpoint": 782,
     # measured 159.7: one list per pipe under an active flow, in the solves
     # where a pipe saturates; the parent 371.2, two per pipe in every solve
     "lists per resolve": 185,
