@@ -43,8 +43,8 @@ smoke-mux:
 		| $(PYTHON) scripts/check_assembled_trace.py --mux
 
 # Fleet-scale flow-tier smoke: 100k endpoints fan into one hub across
-# a mid-run partition, full invariant suite, <60s wall-clock and <190 MB
-# peak-RSS budgets (docs/SIMNET.md).
+# a mid-run partition, full invariant suite, <20s wall-clock (a run takes
+# ≈ 2–4 s) and <190 MB peak-RSS budgets (docs/SIMNET.md).
 smoke-flow:
 	$(PYTHON) scripts/smoke_flow.py
 

@@ -2,11 +2,11 @@
 """Is the simulator's behaviour at this tree identical to ``BASE``'s?
 
 Checks ``BASE`` out into a temporary directory and runs the reference
-chaos cells (``.claude/skills/verify/SKILL.md`` lists them) at both trees,
-each with ``--seed 3 --json --trace``.  A cell is identical when the
-report on stdout is the same bytes and the trace is the same set of JSONL
-records.  Prints ``identical`` per cell, or the first record only one
-side has, and exits 1 on any difference.
+chaos cells (docs/TESTING.md lists them) at both trees, each with
+``--seed 3 --json --trace`` and the cell's environment, if it has one.  A
+cell is identical when the report on stdout is the same bytes and the
+trace is the same set of JSONL records.  Prints ``identical`` per cell, or
+the first record only one side has, and exits 1 on any difference.
 
 ``--strip-label KEY`` removes ``KEY`` from every metric's label set and
 every event's and span's attrs, on both sides, before comparing: for a
@@ -26,10 +26,18 @@ import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: (scenario, fault plan, run with --sessions)
+
+class Cell(NamedTuple):
+    scenario: str
+    plan: str
+    sessions: bool  # run with --sessions
+    env: tuple = ()  # (name, value) pairs set for the run at both trees
+
+
 CELLS = [
     ("wan_transfer", "link_down@3:site=B,for=30", True),
     ("wan_transfer_routed", "relay_crash@2:for=8", True),
@@ -46,9 +54,18 @@ CELLS = [
         True,
     ),
     ("tune_degrade", "wan_degrade@5:site=S,scale=5,for=5", False),
-    # the one flow-tier cell, at the default 2 000 endpoints
+    # the flow-tier cells: at the default 2 000 endpoints the endpoint
+    # uplinks bind nearly every solve; at 5 000 in two waves the hub does,
+    # as it does at the 100 000 endpoints sim_fleet runs
     ("fleet_fanin", "link_down@12:site=hub,for=5", True),
+    (
+        "fleet_fanin",
+        "link_down@12:site=hub,for=5",
+        True,
+        (("REPRO_FLEET_ENDPOINTS", "5000"), ("REPRO_FLEET_WAVES", "2")),
+    ),
 ]
+CELLS = [Cell(*cell) for cell in CELLS]
 
 
 def checkout(base: str, into: Path) -> None:
@@ -60,25 +77,24 @@ def checkout(base: str, into: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive.stdout, check=True)
 
 
-def run_cell(tree: Path, cell: tuple, trace: Path, strip: list) -> tuple:
+def run_cell(tree: Path, cell: Cell, trace: Path, strip: list) -> tuple:
     """``(report bytes, sorted trace records)`` of one cell at ``tree``."""
-    scenario, plan, sessions = cell
     command = [
-        sys.executable, "-m", "repro.chaos", "--scenario", scenario,
-        "--seed", "3", "--plan", plan, "--json", "--trace", str(trace),
+        sys.executable, "-m", "repro.chaos", "--scenario", cell.scenario,
+        "--seed", "3", "--plan", cell.plan, "--json", "--trace", str(trace),
     ]  # fmt: skip
-    if sessions:
+    if cell.sessions:
         command.append("--sessions")
     done = subprocess.run(
         command,
         cwd=tree,
-        env={**os.environ, "PYTHONPATH": str(tree / "src")},
+        env={**os.environ, **dict(cell.env), "PYTHONPATH": str(tree / "src")},
         capture_output=True,
         timeout=600,
     )
     if done.returncode:
         sys.stderr.write(done.stderr.decode())
-        raise SystemExit(f"{scenario} exited {done.returncode} at {tree}")
+        raise SystemExit(f"{cell.scenario} exited {done.returncode} at {tree}")
     records = []
     for line in trace.read_text().splitlines():
         record = json.loads(line)
@@ -120,7 +136,8 @@ def main(argv=None) -> int:
                 run_cell(tree, cell, Path(tmp) / f"{side}.jsonl", args.strip_label)
                 for side, tree in (("base", base_tree), ("here", ROOT))
             ]
-            name = cell[0] + (f" + {cell[1]}" if cell[1] else "")
+            name = cell.scenario + (f" + {cell.plan}" if cell.plan else "")
+            name += "".join(f" {key}={value}" for key, value in cell.env)
             if runs[0] == runs[1]:
                 print(f"identical  {name}  ({len(runs[1][1])} records)")
             else:

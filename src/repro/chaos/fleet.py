@@ -34,7 +34,9 @@ count:
   partitions the fleet and then heals, every flow that stalled
   mid-stream records exactly one reconnect + one successful resume span
   (only with ``sessions=True``; without the session layer nothing
-  resumes and both sides of the invariant stay zero).
+  resumes and both sides of the invariant stay zero).  The reconnects
+  go to one counter labelled ``role`` alone, as a session core labels
+  its own; the endpoint is named only on its span (``node``).
 
 The flow tier has no mux, so a fleet run writes no ``mux.*`` counters.
 What a per-channel mux ledger would check here — each endpoint's
@@ -210,6 +212,7 @@ class FleetScenario:
         self._wave_start += n
         off = self._class_offset[k]
         links = self.net.links
+        done = self._flow_done  # one bound method for the wave's flows
         for j in range(n):
             i = first + j
             size = SIZE_CLASSES[(off + i) % len(SIZE_CLASSES)]
@@ -217,7 +220,7 @@ class FleetScenario:
             self.net.start_flow(
                 src, "hub", size,
                 name=f"f{i}", channel=str(i),
-                on_complete=self._flow_done,
+                on_complete=done,
             )
         self.relay.flight.note("fleet.wave", wave=k, flows=n)
         obs.event("fleet.wave", wave=k, flows=n, t=round(self.sim.now, 6))
@@ -249,19 +252,24 @@ class FleetScenario:
         # dead hub uplink — whether it was mid-stream when the partition
         # hit or came out of handshake during it.  Each one is a session
         # the heal just resumed: one reconnect increment, one ok span.
+        # The increments go to one counter, labelled as a session core
+        # labels its own; the span names the endpoint.
         now = self.sim.now
+        resumed = 0
         for f in self.net.active_flows():
             if f.state != "active" or f.rate != 0.0:
                 continue
-            obs.metrics().counter(
-                "session.reconnects_total", role="initiator", node=f.src
-            ).inc()
             obs.record_span(
                 "session.resume", self._partition_at, now,
                 ctx=TraceContext.new(), node=f.src,
                 sid=f.name, outcome="ok",
             )
-            self.session_resumes += 1
+            resumed += 1
+        if resumed:
+            obs.metrics().counter(
+                "session.reconnects_total", role="initiator"
+            ).inc(resumed)
+            self.session_resumes += resumed
 
     # -- chaos scenario protocol ---------------------------------------------
     def site_wan_link(self, site: str):

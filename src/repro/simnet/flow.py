@@ -347,8 +347,8 @@ class FluidFlow:
 
     Lifecycle: ``pending`` (handshake + slow-start delay) → ``active``
     (delivering at :attr:`rate`) → ``done`` (all bytes delivered) or
-    ``aborted``.  Completion fires :attr:`on_complete` and the lazily
-    created :attr:`done` event.
+    ``aborted``.  Completion fires :attr:`on_complete`; completion or an
+    abort triggers the lazily created :attr:`done` event.
     """
 
     __slots__ = (
@@ -409,14 +409,16 @@ class FluidFlow:
 
     @property
     def done(self) -> Event:
-        """Event triggering (with the flow) on completion.
+        """Event triggering (with the flow) when the flow ends.
 
-        Created lazily: fleet-scale scenarios use :attr:`on_complete`
-        callbacks and never pay for 100k Event objects.
+        It triggers on completion and on :meth:`abort` alike, also when
+        first asked for afterwards; a waiter reads :attr:`state` to tell
+        them apart.  Created lazily: fleet-scale scenarios use
+        :attr:`on_complete` callbacks and never pay for 100k Event objects.
         """
         if self._done is None:
             self._done = Event(self.net.sim)
-            if self.state == "done":
+            if self.state not in _PENDING_STATES:
                 self._done.succeed(self)
         return self._done
 
@@ -432,6 +434,8 @@ class FluidFlow:
         self.finished_at = self.net.sim.now
         self.net.flows_aborted += 1
         self.net._mark_dirty()
+        if self._done is not None:
+            self._done.succeed(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -462,8 +466,11 @@ class FlowNetwork:
         self.on_link_change: list[Callable[[FlowLink, bool], None]] = []
         # active flows, kept sorted by ceiling (the solver relies on it)
         self._active: list[FluidFlow] = []
-        # min-heap of (active_from, seq, flow) not yet delivering
+        # min-heap of (active_from, seq, [flows]) not yet delivering: one
+        # entry per activation instant, its flows in start order (a wave's
+        # flows share one), found by the instant in ``_activations``
         self._pending: list = []
+        self._activations: dict[float, list[FluidFlow]] = {}
         self._seq = 0
         self._dirty = False
         self._last_settle = 0.0
@@ -603,7 +610,11 @@ class FlowNetwork:
             channel=channel,
             on_complete=on_complete,
         )
-        heapq.heappush(self._pending, (flow.active_from, self._seq, flow))
+        batch = self._activations.get(flow.active_from)
+        if batch is None:
+            batch = self._activations[flow.active_from] = []
+            heapq.heappush(self._pending, (flow.active_from, self._seq, batch))
+        batch.append(flow)
         self.flows_started += 1
         self._mark_dirty()
         return flow
@@ -611,8 +622,8 @@ class FlowNetwork:
     def active_flows(self) -> list[FluidFlow]:
         """Flows still in flight (delivering or in handshake), in order."""
         live = [f for f in self._active if f.state == "active"]
-        live.extend(f for _, _, f in sorted(self._pending)
-                    if f.state == "pending")
+        live.extend(f for _, _, batch in sorted(self._pending)
+                    for f in batch if f.state == "pending")
         return live
 
     def stats(self) -> dict:
@@ -621,7 +632,8 @@ class FlowNetwork:
             "flows_completed": self.flows_completed,
             "flows_aborted": self.flows_aborted,
             "flows_active": sum(f.state == "active" for f in self._active)
-            + sum(e[2].state == "pending" for e in self._pending),
+            + sum(f.state == "pending"
+                  for _, _, batch in self._pending for f in batch),
             "delivered_bytes": self.delivered_bytes,
             "resolves": self.resolves,
         }
@@ -675,13 +687,15 @@ class FlowNetwork:
         # promote pending flows whose handshake/ramp completed
         promoted = None
         while self._pending and self._pending[0][0] <= now + 1e-12:
-            _, _, f = heapq.heappop(self._pending)
-            if f.state != "pending":
-                continue
-            f.state = "active"
-            if promoted is None:
-                promoted = []
-            promoted.append(f)
+            when, _, batch = heapq.heappop(self._pending)
+            del self._activations[when]
+            for f in batch:
+                if f.state != "pending":
+                    continue
+                f.state = "active"
+                if promoted is None:
+                    promoted = []
+                promoted.append(f)
         # drop finished/aborted flows, keeping ceiling order
         self._active = [f for f in self._active if f.state == "active"]
         if promoted:
@@ -719,7 +733,6 @@ class FlowNetwork:
                     p._n = 0
                     pipes.append(p)
                 p._n += 1
-        crossing = None  # pipe -> its flows, in active order; built on need
         unfixed = len(flows)
         ptr = 0  # flows are sorted by ceiling; fixed ones are skipped
         while unfixed:
@@ -749,16 +762,24 @@ class FlowNetwork:
                 progressed = True
             if progressed:
                 continue
-            if crossing is None:
-                crossing = {p: [] for p in pipes}
-                for f in flows:
+            # flows of the pipes saturated now, in active order: only a
+            # bottleneck gets a list, and a fan-in has one
+            crossing = {
+                p: [] for p in pipes if p._n > 0 and p._cap <= thresh * p._n
+            }
+            for f in flows:
+                if not f._fixed:
                     for p in f.path:
-                        crossing[p].append(f)
+                        if p in crossing:
+                            crossing[p].append(f)
             # fixing one pipe's flows moves the next pipe's numbers, so each
             # pipe is tested when its turn comes
             for p in pipes:
                 if p._n > 0 and p._cap <= thresh * p._n:
-                    for f in crossing[p]:
+                    mine = crossing.get(p)
+                    if mine is None:  # tipped over by this round's rounding
+                        mine = [f for f in flows if p in f.path]
+                    for f in mine:
                         if not f._fixed:
                             _fix(f, fair)
                             unfixed -= 1

@@ -206,6 +206,32 @@ class TestFaults:
         assert net.flows_aborted == 1
         assert net.sim.pending == 0
 
+    def test_abort_wakes_a_done_waiter(self):
+        net = dumbbell(capacity=1_000_000.0)
+        flow = net.start_flow("a", "b", 8 << 20)
+        woke = []
+
+        def waiter():
+            ended = yield flow.done
+            woke.append((net.sim.now, ended, ended.state))
+
+        net.sim.process(waiter())
+        net.sim.call_at(2.0, flow.abort)
+        net.sim.run(until=120.0)
+        assert woke == [(2.0, flow, "aborted")]
+        assert net.sim.pending == 0
+
+    def test_done_first_asked_after_abort_is_triggered(self):
+        net = dumbbell(capacity=1_000_000.0)
+        completed = []
+        flow = net.start_flow("a", "b", 8 << 20, on_complete=completed.append)
+        net.sim.run(until=2.0)
+        flow.abort()
+        assert flow.done.triggered and flow.done.value is flow
+        net.sim.run(until=120.0)
+        # on_complete stays completion-only
+        assert completed == []
+
     def test_loss_burst_alias_surface(self):
         # chaos LossBurst retunes a_to_b/b_to_a loss on the link
         net = dumbbell()
