@@ -40,10 +40,6 @@ def main(argv=None) -> int:
         "--scenario", default="wan_transfer", choices=scenario_names(),
     )
     parser.add_argument(
-        "--fidelity", choices=("packet", "flow"), default=None,
-        help="simulation tier (default: the scenario's native tier)",
-    )
-    parser.add_argument(
         "--backend", choices=("sim", "live"), default="sim",
         help="run in the deterministic simulator (default) or on real "
         "loopback sockets with wall-clock fault scheduling",
@@ -104,7 +100,6 @@ def main(argv=None) -> int:
             retries=not args.no_retries,
             sessions=args.sessions,
             until=args.until,
-            fidelity=args.fidelity,
             backend=args.backend,
             trace_path=trace_path,
             export_dir=export_dir,

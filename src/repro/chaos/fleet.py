@@ -1,4 +1,4 @@
-"""Fleet-scale fan-in workload on the flow-level fidelity tier.
+"""Fleet-scale fan-in workload on the flow-level simulation tier.
 
 The packet-tier chaos scenarios top out around tens of endpoints — every
 byte crosses a simulated TCP state machine.  This module exercises the
@@ -60,7 +60,7 @@ from typing import Optional
 from .. import obs
 from ..obs import TraceContext
 from ..obs.flight import FlightRecorder
-from ..simnet.flow import FlowBackend, FluidFlow
+from ..simnet.flow import FlowNetwork, FluidFlow
 from .registry import scenario
 from .runner import Workload
 
@@ -144,9 +144,8 @@ class FleetScenario:
         self.waves = min(self.waves, self.endpoints)
         self.sessions = sessions
 
-        self.backend = FlowBackend(seed=seed)
-        self.net = self.backend.net
-        self.sim = self.backend.sim
+        self.backend = self.net = FlowNetwork(seed=seed)
+        self.sim = self.net.sim
         obs.use_sim_clock(self.sim)
 
         self.relay = FleetHub(clock=lambda: self.sim.now)
@@ -324,10 +323,8 @@ class FleetScenario:
         return out
 
 
-@scenario("fleet_fanin", fidelities=("flow",))
-def _build_fleet_fanin(
-    seed: int, retries: bool, sessions: bool, fidelity: str = "flow"
-) -> Workload:
+@scenario("fleet_fanin")
+def _build_fleet_fanin(seed: int, retries: bool, sessions: bool) -> Workload:
     """Fleet-scale fan-in: waves of endpoints stream into one hub.
 
     Flow-tier only.  ``retries`` has no effect here — the fluid model

@@ -147,21 +147,6 @@ def _mux_violations(registry: MetricsRegistry) -> list[str]:
     return out
 
 
-def _backend(scenario):
-    """The scenario's :class:`~repro.simnet.backend.SimBackend`.
-
-    Scenarios expose one directly (``scenario.backend``); for any
-    legacy scenario object that predates the protocol, a packet-tier
-    adapter is built around its network so the probes still work.
-    """
-    backend = getattr(scenario, "backend", None)
-    if backend is not None:
-        return backend
-    from ..simnet.backend import PacketBackend
-
-    return PacketBackend(net=scenario.inet.net)
-
-
 def check_invariants(
     scenario,
     audits: Iterable[ChannelAudit],
@@ -180,12 +165,11 @@ def check_invariants(
     for audit in audits:
         violations.extend(audit.violations())
 
-    # Resource probes go through the SimBackend protocol, so packet-tier
-    # TCP leaks and flow-tier stuck transfers surface identically.
-    backend = _backend(scenario)
-    for leak in backend.live_connections():
+    # Both networks answer the same leak probe, so packet-tier TCP leaks
+    # and flow-tier stuck transfers surface identically.
+    for leak in scenario.backend.live_connections():
         violations.append(f"resources: leaked connection {leak}")
-    pending = backend.pending_events
+    pending = scenario.sim.pending
     if pending:
         violations.append(
             f"resources: {pending} events still pending in the engine heap"

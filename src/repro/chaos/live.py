@@ -357,7 +357,7 @@ def _live_invariants(
 
 async def _drive(sdef, seed: int, parsed: FaultPlan, retries: bool,
                  sessions: bool, deadline: float) -> tuple:
-    wl = sdef.build(seed, retries, sessions, sdef.default_fidelity, "live")
+    wl = sdef.build(seed, retries, sessions, "live")
     scn = wl.scenario
     await scn.start()
     scheduler = FaultScheduler(scn, parsed)
@@ -375,7 +375,7 @@ async def _drive(sdef, seed: int, parsed: FaultPlan, retries: bool,
 
 
 def drive_live(sdef, seed: int, plan: FaultPlan, retries: bool,
-               sessions: bool, until: float, fidelity: str,
+               sessions: bool, until: float,
                registry: MetricsRegistry, recorder: TraceRecorder) -> tuple:
     """The live drive for :func:`~repro.chaos.runner.run_chaos`: the
     workload on real sockets under wall-clock fault scheduling, ``until``

@@ -118,11 +118,10 @@ class ChaosReport:
 
     def summary(self) -> str:
         verdict = "OK" if self.ok else f"FAILED ({len(self.violations)})"
-        tier = self.fidelity if self.backend == "sim" else self.backend
         return (
             f"chaos {self.scenario} seed={self.seed} "
             f"plan={self.plan or '<none>'} retries={self.retries} "
-            f"sessions={self.sessions} fidelity={tier}: {verdict}"
+            f"sessions={self.sessions} fidelity={self.fidelity}: {verdict}"
         )
 
 
@@ -965,7 +964,6 @@ def run_chaos(
     retries: bool = True,
     sessions: bool = False,
     until: float = 900.0,
-    fidelity: Optional[str] = None,
     backend: str = "sim",
     trace_path: Optional[str] = None,
     export_dir: Optional[str] = None,
@@ -976,11 +974,11 @@ def run_chaos(
 
     ``plan`` accepts either a :class:`FaultPlan` or its canonical string
     form.  ``sessions`` wraps every data channel in a survivable
-    :class:`~repro.core.session.SessionLink`.  ``fidelity`` picks the
-    simulation tier (default: the scenario's first registered tier —
-    ``packet`` for the classic workloads, ``flow`` for fleet-scale
-    ones); the teardown, drain, invariant suite and report are identical
-    either way.  ``backend`` selects where the scenario runs: ``"sim"``
+    :class:`~repro.core.session.SessionLink`.  The simulation tier is the
+    one the scenario is built on — ``packet`` for the classic workloads,
+    ``flow`` for fleet-scale ones — and the report names it; the
+    teardown, drain and invariant suite are the same on both.
+    ``backend`` selects where the scenario runs: ``"sim"``
     (this module's deterministic engine, :func:`_drive_sim`) or
     ``"live"`` (:func:`repro.chaos.live.drive_live`) — real sockets, the
     same ``(scenario, seed, plan)`` triple, wall-clock fault scheduling
@@ -1008,14 +1006,11 @@ def run_chaos(
     """
     if backend == "live":
         from .live import drive_live as drive
-
-        fidelity = "live"
     elif backend == "sim":
         drive = _drive_sim
     else:
         raise ValueError(f"unknown chaos backend {backend!r} (sim|live)")
     sdef = get_scenario(scenario)
-    fidelity = fidelity or sdef.default_fidelity
     plan = plan if isinstance(plan, FaultPlan) else FaultPlan.parse(plan)
     require_backend(plan, backend)
 
@@ -1030,8 +1025,7 @@ def run_chaos(
     seed_ids(seed)
     try:
         wl, scheduler, violations, clock = drive(
-            sdef, seed, plan, retries, sessions, until, fidelity,
-            registry, recorder,
+            sdef, seed, plan, retries, sessions, until, registry, recorder,
         )
         scn = wl.scenario
         for check in wl.post_checks:
@@ -1070,7 +1064,7 @@ def run_chaos(
             plan=plan.spec(),
             retries=retries,
             sessions=sessions,
-            fidelity=fidelity,
+            fidelity=scn.backend.tier if backend == "sim" else backend,
             backend=backend,
             ok=not violations,
             violations=sorted(violations),
@@ -1093,12 +1087,12 @@ def run_chaos(
 
 
 def _drive_sim(sdef, seed: int, plan: FaultPlan, retries: bool,
-               sessions: bool, until: float, fidelity: str,
+               sessions: bool, until: float,
                registry: MetricsRegistry, recorder: TraceRecorder) -> tuple:
     """The simulator's drive: build, arm, run to ``until``, tear down and
     drain (anything still alive afterwards is a leak), then the invariant
     suite.  Returns ``(workload, scheduler, violations, clock)``."""
-    wl = sdef.build(seed, retries, sessions, fidelity)
+    wl = sdef.build(seed, retries, sessions)
     scn = wl.scenario
     scheduler = FaultScheduler(scn, plan)
     scheduler.arm()

@@ -39,7 +39,7 @@ from .node import GridNode
 from .relay import RelayError
 from .retry import RetryPolicy, retrying
 from .session import SessionConfig, SessionLink
-from .utilization.spec import StackSpec, StackSpecError
+from .utilization.spec import StackSpec
 from .utilization.stack import build_stack
 from .utilization.stream import DEFAULT_BLOCK, BlockChannel
 from .utilization.tls import TlsDriver
@@ -119,32 +119,15 @@ class TlsConfig:
 
 
 class BrokeredConnectionFactory:
-    """Builds fully configured data channels between two grid nodes.
-
-    ``fidelity`` pins the factory to a simulation tier (default
-    ``"packet"``).  Driver stacks are assembled from real driver objects
-    over per-segment TCP, so only the packet tier can run them; a
-    factory (or a spec) pinned to ``"flow"`` fails fast with a pointer
-    to the fluid path (:meth:`~repro.simnet.flow.FlowNetwork.start_flow`
-    parameterized via :func:`~repro.simnet.flow.spec_flow_params`)
-    instead of silently assembling at the wrong tier.
-    """
+    """Builds fully configured data channels between two grid nodes."""
 
     def __init__(
         self,
         node: GridNode,
         tls_config: Optional[TlsConfig] = None,
-        fidelity: str = "packet",
     ):
-        from ..simnet.backend import FIDELITIES
-
-        if fidelity not in FIDELITIES:
-            raise StackSpecError(
-                f"unknown fidelity {fidelity!r}; have {FIDELITIES}"
-            )
         self.node = node
         self.tls_config = tls_config
-        self.fidelity = fidelity
         # Shared mux endpoints, one per peer pair: the first muxed connect
         # to a peer establishes the carrier link, later connects open more
         # channels over it instead of re-running establishment.  Initiator
@@ -178,7 +161,6 @@ class BrokeredConnectionFactory:
         """
         ctx = ctx or obs.current() or TraceContext.new()
         parsed = _typed_spec(spec)
-        self._check_fidelity(parsed)
         n = parsed.links_required
         sids = [self.node.next_session_id() for _ in range(n)] if parsed.session else []
         cached = None
@@ -336,10 +318,7 @@ class BrokeredConnectionFactory:
         frame = yield from recv_frame(service_link)
         reader = ByteReader(frame)
         # The spec string is the wire format (§5.2): parse it silently.
-        # Fidelity never travels the wire — the local factory's tier
-        # applies, which is what lets the two endpoints differ.
         parsed = StackSpec.parse(reader.lp_str())
-        self._check_fidelity(parsed)
         block_size = reader.u32()
         n = parsed.links_required
         sids = [reader.u64() for _ in range(n)] if parsed.session else []
@@ -482,27 +461,6 @@ class BrokeredConnectionFactory:
             if pid == peer_id and endpoint.alive:
                 return endpoint
         return None
-
-    def _check_fidelity(self, parsed: StackSpec) -> None:
-        """Fail fast when a stack is pinned to a tier this factory isn't.
-
-        Real driver assembly only exists on the packet tier; flow-tier
-        transfers are :class:`~repro.simnet.flow.FluidFlow` rate
-        processes parameterized from the same spec (see
-        :func:`~repro.simnet.flow.spec_flow_params`).
-        """
-        if self.fidelity != "packet":
-            raise StackSpecError(
-                f"factory pinned to fidelity {self.fidelity!r} cannot "
-                "assemble driver stacks; flow-tier transfers are started "
-                "with FlowNetwork.start_flow(**spec_flow_params(spec))"
-            )
-        if parsed.fidelity != self.fidelity:
-            raise StackSpecError(
-                f"spec {parsed!r} is pinned to fidelity "
-                f"{parsed.fidelity!r} but this factory assembles "
-                f"{self.fidelity!r} stacks"
-            )
 
     @coroutine
     def _mux_endpoint(

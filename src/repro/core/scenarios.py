@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from .. import obs
-from ..simnet.backend import PacketBackend
 from ..simnet.engine import all_of
 from ..simnet.nat import BrokenNAT, ConeNAT, NatBox, SymmetricNAT
 from ..simnet.firewall import StatefulFirewall
@@ -69,10 +68,9 @@ class GridScenario:
         self.inet = Internet(seed=seed)
         self.sim = self.inet.sim
         self.runtime = SimRuntime(self.sim)
-        #: the scenario's :class:`~repro.simnet.backend.SimBackend` — the
-        #: fidelity-agnostic surface chaos invariants and tooling use for
-        #: clock access and resource-leak probes
-        self.backend = PacketBackend(net=self.inet.net)
+        #: the network the scenario is built on: its tier, its links and
+        #: the leak probe the chaos invariants read
+        self.backend = self.inet.net
         # Timestamps in metrics/traces follow the simulation clock.
         obs.use_sim_clock(self.sim)
         self._relay_bandwidth = relay_bandwidth

@@ -169,24 +169,14 @@ class StackSpec:
     ``label`` is a free-form experiment-axis tag (e.g. what
     :func:`~repro.core.monitor.select_spec` decided and why); it is not
     part of the wire form and does not affect equality.
-
-    ``fidelity`` names the simulation tier the stack is meant to run on
-    (``"packet"`` — the default per-segment TCP model — or ``"flow"``,
-    the fluid fast path for fleet-scale runs; see
-    :data:`repro.simnet.backend.FIDELITIES`).  Like ``label`` it is an
-    execution hint, not part of the protocol: it never travels the
-    service link and does not affect equality, so both endpoints of a
-    brokered connection can assemble the same stack at different
-    fidelities.
     """
 
-    __slots__ = ("layers", "label", "fidelity")
+    __slots__ = ("layers", "label")
 
     def __init__(
         self,
         layers: Sequence[LayerSpec],
         label: Optional[str] = None,
-        fidelity: str = "packet",
     ):
         layers = tuple(
             layer if isinstance(layer, LayerSpec) else LayerSpec(layer[0], layer[1])
@@ -211,13 +201,8 @@ class StackSpec:
                 "below the networking layer only an optional session layer "
                 "followed by an optional mux layer may appear"
             )
-        if fidelity not in ("packet", "flow"):
-            raise StackSpecError(
-                f"unknown fidelity {fidelity!r}; expected 'packet' or 'flow'"
-            )
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "label", label)
-        object.__setattr__(self, "fidelity", fidelity)
 
     def __setattr__(self, *_args):  # pragma: no cover - defensive
         raise AttributeError("StackSpec is immutable")
@@ -248,7 +233,7 @@ class StackSpec:
 
     # -- composition ----------------------------------------------------------
     def _pushed(self, layer: LayerSpec) -> "StackSpec":
-        return StackSpec((layer,) + self.layers, label=self.label, fidelity=self.fidelity)
+        return StackSpec((layer,) + self.layers, label=self.label)
 
     def with_compression(self, level: int = 1) -> "StackSpec":
         """Static zlib compression above the current stack."""
@@ -292,7 +277,6 @@ class StackSpec:
         return StackSpec(
             above + (LayerSpec("session", params),) + mux,
             label=self.label,
-            fidelity=self.fidelity,
         )
 
     def with_mux(
@@ -321,7 +305,6 @@ class StackSpec:
         return StackSpec(
             self.layers + (LayerSpec("mux", params),),
             label=self.label,
-            fidelity=self.fidelity,
         )
 
     def without_mux(self) -> "StackSpec":
@@ -331,22 +314,11 @@ class StackSpec:
         return StackSpec(
             tuple(l for l in self.layers if not l.is_mux),
             label=self.label,
-            fidelity=self.fidelity,
         )
 
     def with_label(self, label: Optional[str]) -> "StackSpec":
         """The same stack tagged with an experiment-axis label."""
-        return StackSpec(self.layers, label=label, fidelity=self.fidelity)
-
-    def with_fidelity(self, fidelity: str) -> "StackSpec":
-        """The same stack pinned to a simulation fidelity tier.
-
-        ``"packet"`` (default) assembles real drivers over the
-        per-segment TCP model; ``"flow"`` marks the stack for the fluid
-        fast path, where transfers become
-        :class:`~repro.simnet.flow.FluidFlow` rate processes.
-        """
-        return StackSpec(self.layers, label=self.label, fidelity=fidelity)
+        return StackSpec(self.layers, label=label)
 
     def without_session(self) -> "StackSpec":
         """The same stack minus any session layer."""
@@ -355,7 +327,6 @@ class StackSpec:
         return StackSpec(
             tuple(l for l in self.layers if not l.is_session),
             label=self.label,
-            fidelity=self.fidelity,
         )
 
     # -- inspection ------------------------------------------------------------
@@ -423,6 +394,4 @@ class StackSpec:
         text = f"StackSpec.parse({str(self)!r})"
         if self.label is not None:
             text += f".with_label({self.label!r})"
-        if self.fidelity != "packet":
-            text += f".with_fidelity({self.fidelity!r})"
         return text

@@ -2,23 +2,27 @@
 Communication").
 
 The IPL carries *typed* messages: primitive values, strings, byte arrays,
-numeric arrays and (as an escape hatch) pickled Python objects, each
-tag-prefixed so a reader that drifts out of sync fails loudly instead of
-silently misinterpreting bytes.
+numeric arrays and plain structured values, each tag-prefixed so a reader
+that drifts out of sync fails loudly instead of silently misinterpreting
+bytes.
 
 Numeric arrays use :mod:`array` machine encoding — the buffer-oriented
 fast path (like Ibis' array serialization, or mpi4py's buffer protocol) —
 rather than per-element boxing.
+
+Structured values (:meth:`MessageWriter.write_object`) are None, bool,
+int, float, str, bytes, and lists, tuples and dicts of them, each
+tag-prefixed in turn.  Nothing a peer sends is ever unpickled: the reader
+builds only those types, bounds nesting at :data:`MAX_DEPTH` and every
+length by the bytes left, and answers anything else with
+:class:`SerializationError`.
 """
 
 from __future__ import annotations
 
 import array
-import pickle
 import struct
 import sys
-
-from ..util.framing import FrameError
 
 __all__ = ["MessageWriter", "MessageReader", "SerializationError"]
 
@@ -30,7 +34,6 @@ T_STRING = 5
 T_BYTES = 6
 T_ARRAY = 7
 T_OBJECT = 8
-T_NDARRAY = 9
 
 _TYPE_NAMES = {
     T_BOOL: "bool",
@@ -41,12 +44,72 @@ _TYPE_NAMES = {
     T_BYTES: "bytes",
     T_ARRAY: "array",
     T_OBJECT: "object",
-    T_NDARRAY: "ndarray",
 }
+
+# value tags inside a T_OBJECT item
+V_NONE = 0
+V_FALSE = 1
+V_TRUE = 2
+V_INT = 3
+V_FLOAT = 4
+V_STR = 5
+V_BYTES = 6
+V_LIST = 7
+V_TUPLE = 8
+V_DICT = 9
+
+#: deepest list/tuple/dict nesting a structured value may have
+MAX_DEPTH = 32
+
+_NATIVE = b"<" if sys.byteorder == "little" else b">"
 
 
 class SerializationError(Exception):
     """Type mismatch or malformed message data."""
+
+
+def _encode(value, out: list, depth: int) -> None:
+    """Append the tagged encoding of ``value`` to ``out``."""
+    if depth > MAX_DEPTH:
+        raise SerializationError(f"value nested deeper than {MAX_DEPTH}")
+    if value is None:
+        out.append(bytes([V_NONE]))
+    elif value is True or value is False:
+        out.append(bytes([V_TRUE if value else V_FALSE]))
+    elif isinstance(value, int):
+        n = (value.bit_length() + 8) // 8  # room for the sign bit
+        out.append(struct.pack("!BI", V_INT, n))
+        out.append(value.to_bytes(n, "big", signed=True))
+    elif isinstance(value, float):
+        out.append(struct.pack("!Bd", V_FLOAT, value))
+    elif isinstance(value, str):
+        data = value.encode("utf-8")
+        out.append(struct.pack("!BI", V_STR, len(data)))
+        out.append(data)
+    elif isinstance(value, bytes):
+        out.append(struct.pack("!BI", V_BYTES, len(value)))
+        out.append(value)
+    elif isinstance(value, (list, tuple)):
+        tag = V_LIST if isinstance(value, list) else V_TUPLE
+        out.append(struct.pack("!BI", tag, len(value)))
+        for item in value:
+            _encode(item, out, depth + 1)
+    elif isinstance(value, dict):
+        out.append(struct.pack("!BI", V_DICT, len(value)))
+        for key, item in value.items():
+            _encode(key, out, depth + 1)
+            _encode(item, out, depth + 1)
+    else:
+        raise SerializationError(
+            f"write_object cannot encode {type(value).__name__}"
+        )
+
+
+def _text(raw) -> str:
+    try:
+        return str(raw, "utf-8")
+    except UnicodeDecodeError as exc:
+        raise SerializationError(f"string is not UTF-8: {exc.reason}") from None
 
 
 class MessageWriter:
@@ -99,39 +162,18 @@ class MessageWriter:
         typecode = value.typecode.encode("ascii")
         self._tag(T_ARRAY)
         self._parts.append(typecode)
-        self._parts.append(b"<" if sys.byteorder == "little" else b">")
-        self._parts.append(struct.pack("!I", len(data)))
-        self._parts.append(data)
-        return self
-
-    def write_ndarray(self, value) -> "MessageWriter":
-        """NumPy array, zero-boxing buffer path (dtype + shape + raw data).
-
-        The counterpart of mpi4py's upper-case buffer methods: the array's
-        memory is shipped directly, not pickled element by element.
-        """
-        import numpy
-
-        arr = numpy.asarray(value)
-        if not arr.flags["C_CONTIGUOUS"]:
-            # Note: ascontiguousarray would also promote 0-d to 1-d, so it
-            # only runs when a copy is actually required.
-            arr = numpy.ascontiguousarray(arr)
-        dtype = arr.dtype.str.encode("ascii")  # includes byte order
-        self._tag(T_NDARRAY)
-        self._parts.append(struct.pack("!B", len(dtype)))
-        self._parts.append(dtype)
-        self._parts.append(struct.pack("!B", arr.ndim))
-        for dim in arr.shape:
-            self._parts.append(struct.pack("!Q", dim))
-        data = arr.tobytes()
+        self._parts.append(_NATIVE)
         self._parts.append(struct.pack("!I", len(data)))
         self._parts.append(data)
         return self
 
     def write_object(self, value) -> "MessageWriter":
-        """Arbitrary picklable object (slow path, like Java serialization)."""
-        data = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        """A structured value: None, bool, int, float, str, bytes, or
+        lists, tuples and dicts of them (the slow path; a tuple reads back
+        as a tuple)."""
+        parts: list = []
+        _encode(value, parts, 0)
+        data = b"".join(parts)
         self._tag(T_OBJECT)
         self._parts.append(struct.pack("!I", len(data)))
         self._parts.append(data)
@@ -169,7 +211,10 @@ class MessageReader:
 
     def read_bool(self) -> bool:
         self._expect(T_BOOL)
-        return self._take(1) == b"\x01"
+        byte = self._take(1)[0]
+        if byte > 1:
+            raise SerializationError(f"bool byte {byte} is neither 0 nor 1")
+        return byte == 1
 
     def read_int(self) -> int:
         self._expect(T_INT)
@@ -185,44 +230,80 @@ class MessageReader:
 
     def read_string(self) -> str:
         self._expect(T_STRING)
-        length = struct.unpack("!I", self._take(4))[0]
-        return self._take(length).decode("utf-8")
+        return _text(self._take(self._length()))
 
     def read_bytes(self) -> bytes:
         self._expect(T_BYTES)
-        length = struct.unpack("!I", self._take(4))[0]
-        return self._take(length)
+        return self._take(self._length())
 
     def read_array(self) -> "array.array":
         self._expect(T_ARRAY)
-        typecode = self._take(1).decode("ascii")
+        typecode = chr(self._take(1)[0])
         byteorder = self._take(1)
-        length = struct.unpack("!I", self._take(4))[0]
+        data = self._take(self._length())
+        if typecode not in array.typecodes:
+            raise SerializationError(f"unknown array typecode {typecode!r}")
+        if byteorder not in (b"<", b">"):
+            raise SerializationError(f"unknown array byte order {byteorder!r}")
         out = array.array(typecode)
-        out.frombytes(self._take(length))
-        native = b"<" if sys.byteorder == "little" else b">"
-        if byteorder != native:
+        if len(data) % out.itemsize:
+            raise SerializationError(
+                f"{len(data)} array bytes are not a whole number of "
+                f"{out.itemsize}-byte items"
+            )
+        out.frombytes(data)
+        if byteorder != _NATIVE:
             out.byteswap()
         return out
 
-    def read_ndarray(self):
-        """NumPy array written with :meth:`MessageWriter.write_ndarray`."""
-        import numpy
-
-        self._expect(T_NDARRAY)
-        dtype_len = struct.unpack("!B", self._take(1))[0]
-        dtype = numpy.dtype(self._take(dtype_len).decode("ascii"))
-        ndim = struct.unpack("!B", self._take(1))[0]
-        shape = tuple(
-            struct.unpack("!Q", self._take(8))[0] for _ in range(ndim)
-        )
-        length = struct.unpack("!I", self._take(4))[0]
-        return numpy.frombuffer(self._take(length), dtype=dtype).reshape(shape).copy()
-
     def read_object(self):
+        """A structured value written with :meth:`MessageWriter.write_object`."""
         self._expect(T_OBJECT)
-        length = struct.unpack("!I", self._take(4))[0]
-        return pickle.loads(self._take(length))
+        body = MessageReader(self._take(self._length()))
+        value = body._value(0)
+        body.finish()
+        return value
+
+    def _length(self, width: int = 1) -> int:
+        """A u32 count of items ``width`` bytes or more, bounded by the
+        bytes left."""
+        n = struct.unpack("!I", self._take(4))[0]
+        if n * width > self.remaining:
+            raise SerializationError("message truncated")
+        return n
+
+    def _value(self, depth: int):
+        if depth > MAX_DEPTH:
+            raise SerializationError(f"value nested deeper than {MAX_DEPTH}")
+        tag = self._take(1)[0]
+        if tag == V_NONE:
+            return None
+        if tag == V_FALSE or tag == V_TRUE:
+            return tag == V_TRUE
+        if tag == V_FLOAT:
+            return struct.unpack("!d", self._take(8))[0]
+        if tag == V_INT:
+            return int.from_bytes(self._take(self._length()), "big", signed=True)
+        if tag == V_STR:
+            return _text(self._take(self._length()))
+        if tag == V_BYTES:
+            return self._take(self._length())
+        if tag == V_LIST or tag == V_TUPLE:
+            items = [self._value(depth + 1) for _ in range(self._length())]
+            return items if tag == V_LIST else tuple(items)
+        if tag == V_DICT:
+            out = {}
+            for _ in range(self._length(2)):
+                key = self._value(depth + 1)
+                item = self._value(depth + 1)
+                try:
+                    out[key] = item
+                except TypeError:
+                    raise SerializationError(
+                        f"unhashable dict key of type {type(key).__name__}"
+                    ) from None
+            return out
+        raise SerializationError(f"unknown value tag {tag}")
 
     @property
     def remaining(self) -> int:

@@ -8,21 +8,18 @@ control.
 
 Entry points:
 
-* :class:`~repro.simnet.backend.SimBackend` — the fidelity-agnostic
-  engine protocol; :func:`~repro.simnet.backend.make_backend` picks the
-  ``packet`` (per-segment TCP) or ``flow`` (fluid AIMD) tier.
-* :class:`~repro.simnet.engine.Simulator` — the event loop.
-* :class:`~repro.simnet.topology.Internet` — packet-tier scenario
-  builder (sites, public hosts).
-* :class:`~repro.simnet.flow.FlowNetwork` — flow-tier topology +
-  max-min rate solver for fleet-scale runs.
+* :class:`~repro.simnet.engine.Simulator` — the event loop both tiers
+  run on.
+* :class:`~repro.simnet.topology.Internet` — packet-tier (per-segment
+  TCP) scenario builder (sites, public hosts).
+* :class:`~repro.simnet.flow.FlowNetwork` — flow-tier (fluid AIMD)
+  topology + max-min rate solver for fleet-scale runs.
 * :mod:`~repro.simnet.sockets` — blocking-style sockets for sim processes.
 
-See ``docs/SIMNET.md`` for the fidelity-tier architecture and when each
-tier's numbers are trustworthy.
+See ``docs/SIMNET.md`` for the two simulation tiers and when each tier's
+numbers are trustworthy.
 """
 
-from .backend import FIDELITIES, PacketBackend, SimBackend, make_backend
 from .engine import (
     Event,
     Interrupt,
@@ -36,14 +33,12 @@ from .engine import (
 )
 from .firewall import StatefulFirewall
 from .flow import (
-    FlowBackend,
     FlowHost,
     FlowLink,
     FlowNetwork,
     FluidFlow,
     aimd_rate,
     slow_start_penalty,
-    spec_flow_params,
 )
 from .link import Link
 from .nat import BrokenNAT, ConeNAT, NatBox, SymmetricNAT
@@ -70,18 +65,12 @@ from .topology import Host, Internet, Network, Site
 from .trace import Tracer, handshake_diagram
 
 __all__ = [
-    "SimBackend",
-    "PacketBackend",
-    "FlowBackend",
-    "make_backend",
-    "FIDELITIES",
     "FlowNetwork",
     "FlowHost",
     "FlowLink",
     "FluidFlow",
     "aimd_rate",
     "slow_start_penalty",
-    "spec_flow_params",
     "Simulator",
     "Event",
     "Process",

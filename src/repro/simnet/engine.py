@@ -571,8 +571,7 @@ class Simulator:
 
         This is the blessed resource-leak probe: after a scenario is torn
         down and drained, a non-zero ``pending`` means timers or sockets
-        leaked.  Part of the :class:`~repro.simnet.backend.SimBackend`
-        surface so invariant checks work on any fidelity tier.
+        leaked.  The chaos invariants read it on both simulation tiers.
         """
         return len(self._heap)
 

@@ -1,4 +1,4 @@
-"""Flow-level (fluid) fidelity tier: bulk transfers as AIMD rate processes.
+"""Flow-level (fluid) simulation tier: bulk transfers as AIMD rate processes.
 
 The packet tier simulates every segment; that is the right tool for
 studying *how* TCP behaves on one WAN path (Figures 9/10), and the wrong
@@ -43,19 +43,16 @@ import heapq
 import math
 from typing import Callable, Optional
 
-from .backend import SimBackend
 from .engine import Event, Simulator, Timer
 
 __all__ = [
     "FlowNetwork",
-    "FlowBackend",
     "FlowHost",
     "FlowLink",
     "FlowPipe",
     "FluidFlow",
     "aimd_rate",
     "slow_start_penalty",
-    "spec_flow_params",
 ]
 
 #: TCP payload bytes per segment (matches ``repro.simnet.tcp``)
@@ -155,31 +152,6 @@ def slow_start_penalty(
     return rtt * max(0.0, math.log2(w) - SLOWSTART_CREDIT)
 
 
-def spec_flow_params(spec) -> dict:
-    """Flow-tier parameters equivalent to a driver ``StackSpec``.
-
-    This is the flow tier's half of the ``fidelity=`` knob: the packet
-    tier assembles real drivers from the spec, the flow tier maps the
-    same spec onto :meth:`FlowNetwork.start_flow` keywords — ``parallel``
-    becomes the stream count, and a ``mux`` layer's credit window caps
-    the effective receive window (credit, like rwnd, bounds unacked
-    bytes in flight per channel).  Filtering layers (compress/tls) do
-    not change the fluid model; CPU effects are out of scope for this
-    tier (see docs/SIMNET.md).
-
-    Accepts anything with the :class:`~repro.core.utilization.spec.StackSpec`
-    inspection surface; defined here (not in ``core``) so ``simnet``
-    never imports upward.
-    """
-    params: dict = {"streams": int(spec.links_required)}
-    mux = getattr(spec, "mux", None)
-    if mux is not None:
-        win = mux.get("win")
-        if win is not None:
-            params["rwnd"] = min(65536.0, float(win))
-    return params
-
-
 class FlowPipe:
     """One direction of a flow-level link: a capacity constraint.
 
@@ -240,7 +212,7 @@ class FlowLink:
     Mirrors the fault/RTT surface of :class:`repro.simnet.link.Link`
     (``set_down``, ``down``, ``delay_ab``/``delay_ba``/``rtt``,
     ``bandwidth``) so chaos fault actions work identically on either
-    fidelity tier.  Direction *a→b* is child→parent.
+    simulation tier.  Direction *a→b* is child→parent.
     """
 
     __slots__ = ("net", "child", "parent", "to_parent", "to_child")
@@ -452,6 +424,8 @@ class FlowNetwork:
     Between passes every active flow delivers at its assigned rate.
     """
 
+    #: the simulation tier a scenario built on this network runs at
+    tier = "flow"
     #: mirrors topology.LAN defaults so site-ish trees feel familiar
     DEFAULT_BANDWIDTH = 12_500_000.0
     DEFAULT_DELAY = 0.000_05
@@ -625,6 +599,15 @@ class FlowNetwork:
         live.extend(f for _, _, batch in sorted(self._pending)
                     for f in batch if f.state == "pending")
         return live
+
+    def live_connections(self) -> list[str]:
+        """Flows still in flight, one line each: after a scenario has been
+        torn down and drained, every entry is a leak."""
+        return [
+            f"{f.name} {f.src}->{f.dst} "
+            f"[{f.state} {f.delivered:.0f}/{f.size:.0f}B]"
+            for f in self.active_flows()
+        ]
 
     def stats(self) -> dict:
         return {
@@ -817,40 +800,3 @@ def _fix(flow: FluidFlow, rate: float) -> None:
         cap = p._cap - rate
         p._cap = 0.0 if cap < 0.0 else cap
         p._n -= 1
-
-
-class FlowBackend(SimBackend):
-    """The flow tier behind the :class:`SimBackend` protocol."""
-
-    fidelity = "flow"
-
-    def __init__(self, net: Optional[FlowNetwork] = None, seed: int = 0):
-        if net is None:
-            net = FlowNetwork(seed=seed)
-        super().__init__(net.sim)
-        self.net = net
-
-    @property
-    def hosts(self) -> dict:
-        return self.net.hosts
-
-    @property
-    def links(self) -> list:
-        return self.net.links
-
-    def live_connections(self) -> list:
-        """Flows still in flight; leaks if the scenario was torn down."""
-        return [
-            f"{f.name} {f.src}->{f.dst} "
-            f"[{f.state} {f.delivered:.0f}/{f.size:.0f}B]"
-            for f in self.net.active_flows()
-        ]
-
-    def describe(self) -> dict:
-        d = {
-            "fidelity": self.fidelity,
-            "hosts": len(self.net.hosts),
-            "links": len(self.net.links),
-        }
-        d.update(self.net.stats())
-        return d

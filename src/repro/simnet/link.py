@@ -289,7 +289,7 @@ class Link:
     delay_back:
         One-way propagation delay of the b→a direction.  Defaults to
         ``delay`` (a symmetric link).  Real WAN paths are often
-        asymmetric; the RTT both fidelity tiers agree on is always the
+        asymmetric; the RTT both simulation tiers agree on is always the
         explicit sum :attr:`rtt` = ``delay_ab + delay_ba``, never
         ``2 * delay``.
     """
@@ -360,7 +360,7 @@ class Link:
 
         Use this (never ``2 * delay``) wherever an RTT is derived from a
         topology, so asymmetric links give the same answer on the packet
-        and flow fidelity tiers.
+        and flow simulation tiers.
         """
         return self.a_to_b.delay + self.b_to_a.delay
 

@@ -233,6 +233,9 @@ class Host:
 class Network:
     """Container for the whole simulated network."""
 
+    #: the simulation tier a scenario built on this network runs at
+    tier = "packet"
+
     def __init__(self, sim: Optional[Simulator] = None, seed: int = 0):
         self.sim = sim or Simulator()
         self.seed = seed
@@ -270,7 +273,7 @@ class Network:
 
         ``delay`` is the a→b propagation half; ``delay_back`` (defaulting
         to ``delay``) the b→a half.  Asymmetric paths are explicit so the
-        RTT is always the sum of the two halves on every fidelity tier.
+        RTT is always the sum of the two halves on both simulation tiers.
         """
         self._link_seq += 1
         link = Link(
@@ -289,6 +292,21 @@ class Network:
         link.connect(iface_a, iface_b)
         self.links.append(link)
         return link
+
+    def live_connections(self) -> list[str]:
+        """Every TCP connection still in a host's stack, one line each:
+        after a scenario has been torn down and drained, each is a leak."""
+        leaks = []
+        for name in sorted(self.hosts):
+            stack = self.hosts[name]._tcp
+            if stack is None:
+                continue
+            for (laddr, raddr), sock in sorted(stack._conns.items()):
+                leaks.append(
+                    f"{name} {laddr[0]}:{laddr[1]}->{raddr[0]}:{raddr[1]} "
+                    f"[{sock.state}]"
+                )
+        return leaks
 
     def trace(self, kind: str, **info) -> None:
         if not self.tracers:

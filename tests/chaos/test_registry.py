@@ -1,4 +1,4 @@
-"""The @scenario registry: registration, fidelity gating, legacy shim."""
+"""The @scenario registry: registration, lookup, backends."""
 
 import pytest
 
@@ -32,14 +32,6 @@ class TestRegistration:
             def second(seed, retries, sessions):
                 pass
 
-    def test_unknown_fidelity_rejected(self):
-        with pytest.raises(ValueError, match="unknown fidelity"):
-            scenario("bad_tier", fidelities=("quantum",))
-
-    def test_empty_fidelities_rejected(self):
-        with pytest.raises(ValueError):
-            scenario("no_tier", fidelities=())
-
     def test_docstring_becomes_description(self, scratch_registry):
         @scenario("doc_probe")
         def builder(seed, retries, sessions):
@@ -53,32 +45,13 @@ class TestLookup:
         with pytest.raises(ValueError, match="wan_transfer"):
             get_scenario("nonexistent")
 
-    def test_fidelity_tiers_recorded(self):
-        assert get_scenario("wan_transfer").fidelities == ("packet",)
-        fleet = get_scenario("fleet_fanin")
-        assert fleet.fidelities == ("flow",)
-        assert fleet.default_fidelity == "flow"
-
-    def test_build_rejects_unsupported_tier(self):
-        with pytest.raises(ValueError, match="does not support"):
-            get_scenario("wan_transfer").build(
-                seed=1, retries=True, sessions=False, fidelity="flow"
-            )
-
-    def test_fidelity_kwarg_forwarded_only_if_declared(self, scratch_registry):
-        calls = {}
-
-        @scenario("kw_probe", fidelities=("packet", "flow"))
-        def with_kw(seed, retries, sessions, fidelity="packet"):
-            calls["with"] = fidelity
-
-        @scenario("plain_probe")
-        def without_kw(seed, retries, sessions):
-            calls["without"] = True
-
-        get_scenario("kw_probe").build(1, True, False, fidelity="flow")
-        get_scenario("plain_probe").build(1, True, False, fidelity="packet")
-        assert calls == {"with": "flow", "without": True}
+    def test_tier_is_the_network_the_builder_builds(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FLEET_ENDPOINTS", "20")
+        monkeypatch.setenv("REPRO_FLEET_WAVES", "2")
+        packet = get_scenario("wan_transfer").build(1, True, False)
+        fleet = get_scenario("fleet_fanin").build(1, True, False)
+        assert packet.scenario.backend.tier == "packet"
+        assert fleet.scenario.backend.tier == "flow"
 
     def test_scenario_def_repr_and_type(self):
         assert isinstance(get_scenario("wan_transfer"), ScenarioDef)
@@ -103,9 +76,7 @@ class TestBackends:
 
     def test_sim_only_scenario_refuses_live(self):
         with pytest.raises(ValueError, match="does not run on backend"):
-            get_scenario("socks_transfer").build(
-                1, True, False, fidelity="packet", backend="live"
-            )
+            get_scenario("socks_transfer").build(1, True, False, backend="live")
 
     def test_backend_kwarg_forwarded_only_to_multi_backend_builders(
         self, scratch_registry
@@ -120,6 +91,6 @@ class TestBackends:
         def sim_only(seed, retries, sessions):
             calls["sim"] = True
 
-        get_scenario("both_probe").build(1, True, False, "packet", backend="live")
-        get_scenario("sim_probe").build(1, True, False, "packet")
+        get_scenario("both_probe").build(1, True, False, backend="live")
+        get_scenario("sim_probe").build(1, True, False)
         assert calls == {"both": "live", "sim": True}

@@ -1,15 +1,37 @@
 """Typed message serialization."""
 
 import array
+import pickle
+import struct
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.ipl.serialization import (
+    MAX_DEPTH,
+    T_ARRAY,
+    T_OBJECT,
+    T_STRING,
     MessageReader,
     MessageWriter,
     SerializationError,
+)
+
+#: every typed reader and the tag it expects
+READERS = {
+    "bool": 1, "int": 2, "long": 3, "double": 4, "string": T_STRING,
+    "bytes": 6, "array": T_ARRAY, "object": T_OBJECT,
+}
+
+#: the structured values write_object carries, nested a few levels deep
+VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text() | st.binary(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=8) | st.integers(), inner, max_size=4),
+    max_leaves=20,
 )
 
 
@@ -89,59 +111,95 @@ class TestTypeSafety:
         assert w.size == len(w.getvalue()) == 1 + 4 + 100
 
 
-class TestNumpyArrays:
-    def test_2d_round_trip(self):
-        import numpy as np
+class TestStructuredValues:
+    @given(VALUES)
+    def test_round_trip(self, value):
+        r = MessageReader(MessageWriter().write_object(value).getvalue())
+        assert r.read_object() == value
+        r.finish()
 
-        arr = np.arange(12, dtype=np.float64).reshape(3, 4)
-        r = MessageReader(MessageWriter().write_ndarray(arr).getvalue())
-        got = r.read_ndarray()
-        assert got.dtype == arr.dtype
-        assert got.shape == arr.shape
-        assert (got == arr).all()
+    def test_tuples_and_big_ints_keep_their_type(self):
+        value = {"k": (1, 2), (3, "x"): [-(2**100), 2**64, b"\x00"], None: True}
+        r = MessageReader(MessageWriter().write_object(value).getvalue())
+        got = r.read_object()
+        assert got == value and type(got["k"]) is tuple
 
-    def test_various_dtypes(self):
-        import numpy as np
+    def test_unsupported_type_refused_on_write(self):
+        with pytest.raises(SerializationError, match="cannot encode set"):
+            MessageWriter().write_object({1, 2})
 
-        for dtype in (np.int8, np.int32, np.uint16, np.float32, np.complex128):
-            arr = np.array([[1, 2], [3, 4]], dtype=dtype)
-            got = MessageReader(
-                MessageWriter().write_ndarray(arr).getvalue()
-            ).read_ndarray()
-            assert got.dtype == arr.dtype
-            assert (got == arr).all()
+    def test_nesting_bounded_on_write(self):
+        deep = []
+        for _ in range(MAX_DEPTH + 1):
+            deep = [deep]
+        with pytest.raises(SerializationError, match="nested deeper"):
+            MessageWriter().write_object(deep)
 
-    def test_empty_and_scalar_shapes(self):
-        import numpy as np
+    def test_nesting_bounded_on_read(self):
+        body = bytes([7, 0, 0, 0, 1]) * (MAX_DEPTH + 1) + bytes([0])
+        frame = bytes([T_OBJECT]) + struct.pack("!I", len(body)) + body
+        with pytest.raises(SerializationError, match="nested deeper"):
+            MessageReader(frame).read_object()
 
-        for arr in (np.zeros((0, 5)), np.array(7.5)):
-            got = MessageReader(
-                MessageWriter().write_ndarray(arr).getvalue()
-            ).read_ndarray()
-            assert got.shape == arr.shape
+    def test_count_bounded_by_bytes_left(self):
+        body = bytes([7]) + struct.pack("!I", 2**32 - 1) + bytes([0])
+        frame = bytes([T_OBJECT]) + struct.pack("!I", len(body)) + body
+        with pytest.raises(SerializationError, match="truncated"):
+            MessageReader(frame).read_object()
 
-    def test_noncontiguous_input_handled(self):
-        import numpy as np
+    def test_unhashable_key_refused(self):
+        body = bytes([9, 0, 0, 0, 1, 7, 0, 0, 0, 0, 0])  # {[]: None}
+        frame = bytes([T_OBJECT]) + struct.pack("!I", len(body)) + body
+        with pytest.raises(SerializationError, match="unhashable"):
+            MessageReader(frame).read_object()
 
-        base = np.arange(20).reshape(4, 5)
-        view = base[:, ::2]  # non-contiguous
-        got = MessageReader(
-            MessageWriter().write_ndarray(view).getvalue()
-        ).read_ndarray()
-        assert (got == view).all()
 
-    def test_result_is_writable_copy(self):
-        import numpy as np
+_CALLS = []
 
-        arr = np.ones(4)
-        got = MessageReader(
-            MessageWriter().write_ndarray(arr).getvalue()
-        ).read_ndarray()
-        got[0] = 99  # must not raise (frombuffer alone would be read-only)
 
-    def test_wire_size_is_near_raw(self):
-        import numpy as np
+def _side_effect():
+    _CALLS.append("ran")
 
-        arr = np.zeros(10000, dtype=np.float64)
-        payload = MessageWriter().write_ndarray(arr).getvalue()
-        assert len(payload) < arr.nbytes + 64  # tag+dtype+shape overhead only
+
+class _Reducer:
+    def __reduce__(self):
+        return (_side_effect, ())
+
+
+class TestMalformedInput:
+    def test_pickle_in_an_object_frame_is_refused(self):
+        data = pickle.dumps(_Reducer())
+        frame = bytes([T_OBJECT]) + struct.pack("!I", len(data)) + data
+        with pytest.raises(SerializationError):
+            MessageReader(frame).read_object()
+        assert _CALLS == []
+
+    def test_bool_byte_other_than_0_or_1(self):
+        with pytest.raises(SerializationError, match="neither 0 nor 1"):
+            MessageReader(bytes([1, 2])).read_bool()
+
+    def test_invalid_utf8_string(self):
+        frame = bytes([T_STRING]) + struct.pack("!I", 2) + b"\xff\xfe"
+        with pytest.raises(SerializationError, match="UTF-8"):
+            MessageReader(frame).read_string()
+
+    def test_bad_array_typecode(self):
+        frame = bytes([T_ARRAY]) + b"Z<" + struct.pack("!I", 0)
+        with pytest.raises(SerializationError, match="typecode"):
+            MessageReader(frame).read_array()
+
+    def test_array_length_not_a_multiple_of_the_item_size(self):
+        frame = bytes([T_ARRAY]) + b"i<" + struct.pack("!I", 3) + b"abc"
+        with pytest.raises(SerializationError, match="whole number"):
+            MessageReader(frame).read_array()
+
+    @given(st.binary(max_size=64), st.sampled_from(sorted(READERS)))
+    def test_every_reader_raises_only_serialization_error(self, data, kind):
+        # bare bytes, then the reader's own tag first, then the tag and a
+        # length that fits: the checks past each see arbitrary bytes too
+        tag = bytes([READERS[kind]])
+        for payload in (data, tag + data, tag + struct.pack("!I", len(data)) + data):
+            try:
+                getattr(MessageReader(payload), f"read_{kind}")()
+            except SerializationError:
+                pass

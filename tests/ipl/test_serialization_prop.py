@@ -105,25 +105,6 @@ def test_truncation_never_misreads(seed):
         reader.finish()
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_ndarray_round_trip(seed):
-    numpy = pytest.importorskip("numpy")
-    rng = random.Random(f"ndarray:{seed}")
-    dtype = rng.choice(["<i4", "<i8", "<f4", "<f8", "<u2", "|u1"])
-    shape = tuple(rng.randrange(0, 6) for _ in range(rng.randrange(0, 4)))
-    count = int(numpy.prod(shape)) if shape else 1
-    arr = numpy.frombuffer(
-        rng.randbytes(count * numpy.dtype(dtype).itemsize), dtype=dtype
-    ).reshape(shape)
-    arr = numpy.nan_to_num(arr) if arr.dtype.kind == "f" else arr
-
-    payload = MessageWriter().write_ndarray(arr).getvalue()
-    out = MessageReader(payload).read_ndarray()
-    assert out.shape == arr.shape
-    assert out.dtype == arr.dtype
-    assert numpy.array_equal(out, arr)
-
-
 def test_finish_rejects_unread_items():
     payload = MessageWriter().write_int(1).write_int(2).getvalue()
     reader = MessageReader(payload)

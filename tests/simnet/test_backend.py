@@ -1,69 +1,24 @@
-"""SimBackend protocol: both tiers answer the same narrow surface."""
+"""Leak probes: both simulation tiers' networks name what is still alive,
+and the chaos invariants read them through ``scenario.backend``."""
 
-import pytest
-
-from repro.simnet import (
-    FIDELITIES,
-    FlowBackend,
-    PacketBackend,
-    SimBackend,
-    make_backend,
-)
+from repro.chaos.fleet import FleetScenario
+from repro.chaos.invariants import check_invariants
+from repro.core.scenarios import GridScenario
+from repro.simnet import FlowNetwork
+from repro.simnet.sockets import connect, listen
 from repro.simnet.testing import two_public_hosts
 
-
-class TestFactory:
-    def test_fidelities_make(self):
-        for fidelity in FIDELITIES:
-            backend = make_backend(fidelity)
-            assert isinstance(backend, SimBackend)
-            assert backend.fidelity == fidelity
-
-    def test_unknown_fidelity_rejected(self):
-        with pytest.raises(ValueError, match="bogus"):
-            make_backend("bogus")
+LEAK = "resources: leaked connection"
 
 
-class TestProtocolSurface:
-    @pytest.mark.parametrize("fidelity", FIDELITIES)
-    def test_clock_and_scheduling(self, fidelity):
-        backend = make_backend(fidelity)
-        assert backend.now == 0.0
-        fired = []
-        backend.call_later(1.0, fired.append, "later")
-        backend.call_at(2.0, fired.append, "at")
-
-        def proc():
-            yield backend.timeout(0.5)
-            fired.append("proc")
-
-        backend.process(proc())
-        backend.run(until=3.0)
-        assert fired == ["proc", "later", "at"]
-        assert backend.now == 3.0
-        assert backend.pending_events == 0
-
-    @pytest.mark.parametrize("fidelity", FIDELITIES)
-    def test_run_until_triggered(self, fidelity):
-        backend = make_backend(fidelity)
-        ev = backend.event()
-        backend.call_later(0.25, ev.succeed, 42)
-        assert backend.run_until_triggered(ev, limit=10.0) == 42
-
-    @pytest.mark.parametrize("fidelity", FIDELITIES)
-    def test_describe_names_the_tier(self, fidelity):
-        d = make_backend(fidelity).describe()
-        assert d["fidelity"] == fidelity
-        assert d["hosts"] == 0 and d["links"] == 0
+def _leaks(violations):
+    return [v for v in violations if v.startswith(LEAK)]
 
 
 class TestPacketLiveConnections:
     def test_open_connection_is_reported(self):
-        from repro.simnet.sockets import connect, listen
-
         inet, a, b = two_public_hosts(seed=1)
-        backend = PacketBackend(net=inet.net)
-        assert backend.live_connections() == []
+        assert inet.net.live_connections() == []
 
         def server():
             listener = listen(b, 5001)
@@ -75,34 +30,71 @@ class TestPacketLiveConnections:
         inet.sim.process(server())
         inet.sim.process(client())
         inet.sim.run(until=5.0)
-        leaks = backend.live_connections()
+        leaks = inet.net.live_connections()
         assert len(leaks) >= 2  # both ends of the established connection
         assert any("ESTABLISHED" in leak for leak in leaks)
 
 
 class TestFlowLiveConnections:
     def test_in_flight_flow_is_reported(self):
-        backend = FlowBackend()
-        net = backend.net
+        net = FlowNetwork()
         net.add_host("wan")
         net.add_host("a", "wan", bandwidth=1e6, delay=0.01)
         net.add_host("b", "wan", bandwidth=1e6, delay=0.01)
         net.start_flow("a", "b", 4 << 20, name="bulk")
-        backend.run(until=1.0)
-        leaks = backend.live_connections()
+        net.sim.run(until=1.0)
+        leaks = net.live_connections()
         assert len(leaks) == 1
         assert "bulk" in leaks[0] and "active" in leaks[0]
-        backend.run(until=120.0)
-        assert backend.live_connections() == []
-        assert backend.pending_events == 0
+        net.sim.run(until=120.0)
+        assert net.live_connections() == []
+        assert net.sim.pending == 0
 
-    def test_describe_includes_flow_stats(self):
-        backend = FlowBackend()
-        backend.net.add_host("root")
-        backend.net.add_host("a", "root")
-        backend.net.add_host("b", "root")
-        backend.net.start_flow("a", "b", 10_000)
-        backend.run(until=30.0)
-        d = backend.describe()
-        assert d["hosts"] == 3 and d["links"] == 2
-        assert d["flows_completed"] == 1
+
+class TestLeakInvariants:
+    """``check_invariants`` reports a leak on either tier, and only then."""
+
+    @staticmethod
+    def _grid_run(close: bool) -> list:
+        scn = GridScenario(seed=1)
+        a = scn.inet.add_public_host("a")
+        b = scn.inet.add_public_host("b")
+
+        def server():
+            conn = yield from listen(b, 5001).accept()
+            if close:
+                conn.close()
+
+        def client():
+            conn = yield from connect(a, (b.ip, 5001))
+            if close:
+                conn.close()
+
+        scn.sim.process(server())
+        scn.sim.process(client())
+        scn.sim.run(until=5.0)
+        scn.shutdown()
+        scn.sim.run(until=scn.sim.now + 120.0)
+        return check_invariants(scn, [], [])
+
+    def test_packet_connection_left_open_is_a_leak(self):
+        leaks = _leaks(self._grid_run(close=False))
+        assert len(leaks) == 2
+        assert all("ESTABLISHED" in leak for leak in leaks)
+
+    def test_packet_clean_run_reports_no_leak(self):
+        assert self._grid_run(close=True) == []
+
+    def test_flow_in_flight_is_a_leak(self):
+        scn = FleetScenario(seed=1, endpoints=20, waves=2)
+        scn.sim.run(until=1.3)  # wave 0 is mid-transfer
+        leaks = _leaks(check_invariants(scn, [], []))
+        assert leaks
+        assert all("->hub [" in leak for leak in leaks)
+
+    def test_flow_clean_run_reports_no_leak(self):
+        scn = FleetScenario(seed=1, endpoints=20, waves=2)
+        scn.sim.run(until=300.0)
+        scn.shutdown()
+        scn.sim.run(until=scn.sim.now + 60.0)
+        assert check_invariants(scn, [], []) == []

@@ -1,10 +1,9 @@
-"""Flow-level fidelity tier: rate model, solver, lifecycle, faults."""
+"""Flow-level simulation tier: rate model, solver, lifecycle, faults."""
 
 import math
 
 import pytest
 
-from repro.core.utilization.spec import StackSpec
 from repro.simnet.flow import (
     MSS,
     PIPE_UTILIZATION,
@@ -13,7 +12,6 @@ from repro.simnet.flow import (
     FlowNetwork,
     aimd_rate,
     slow_start_penalty,
-    spec_flow_params,
 )
 
 
@@ -69,19 +67,6 @@ class TestSlowStartPenalty:
         rate = 256 * MSS / 0.04  # W = 256 segments
         penalty = slow_start_penalty(rate, 0.04)
         assert penalty == pytest.approx(0.04 * (math.log2(256) - 3.0))
-
-
-class TestSpecFlowParams:
-    def test_parallel_streams(self):
-        assert spec_flow_params(StackSpec.parallel(4))["streams"] == 4
-
-    def test_mux_window_caps_rwnd(self):
-        spec = StackSpec.tcp().with_mux(window=16384)
-        assert spec_flow_params(spec)["rwnd"] == 16384.0
-
-    def test_plain_tcp(self):
-        params = spec_flow_params(StackSpec.tcp())
-        assert params == {"streams": 1}
 
 
 class TestSolver:

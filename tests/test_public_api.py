@@ -106,23 +106,13 @@ def test_string_spec_coercion_shim_is_gone():
 
 
 def test_fidelity_tier_surface_is_public():
-    """The SimBackend protocol and both tiers are first-class exports."""
+    """Both tiers' networks are first-class exports."""
     import repro.simnet as simnet
 
-    for name in (
-        "SimBackend",
-        "PacketBackend",
-        "FlowBackend",
-        "FlowNetwork",
-        "FluidFlow",
-        "make_backend",
-        "FIDELITIES",
-        "aimd_rate",
-        "spec_flow_params",
-    ):
+    for name in ("Network", "FlowNetwork", "FluidFlow", "aimd_rate"):
         assert name in simnet.__all__, name
         assert getattr(simnet, name) is not None, name
-    assert simnet.FIDELITIES == ("packet", "flow")
+    assert (simnet.Network.tier, simnet.FlowNetwork.tier) == ("packet", "flow")
 
 
 def test_chaos_registry_surface_is_public():
