@@ -64,6 +64,15 @@ CELLS = [
         True,
         (("REPRO_FLEET_ENDPOINTS", "5000"), ("REPRO_FLEET_WAVES", "2")),
     ),
+    # faults on single endpoints, not the hub: one access link cut while
+    # its wave-0 transfer is in flight, and a loss burst on another that
+    # its wave-1 transfer starts under (FlowLink and FlowPipe per endpoint)
+    (
+        "fleet_fanin",
+        "link_down@1.1:site=ep000007,for=2;"
+        "loss_burst@5.5:site=ep000211,loss=0.3,for=3",
+        True,
+    ),
 ]
 CELLS = [Cell(*cell) for cell in CELLS]
 

@@ -1,18 +1,19 @@
 #!/usr/bin/env python
-"""Fleet-scale flow-tier smoke: 100k endpoints, partition, <20s, <190 MB.
+"""Fleet-scale flow-tier smoke: 100k endpoints, partition, <20s, <95 MB.
 
-Runs the ``fleet_fanin`` chaos scenario at 100k endpoints on the
-flow-level fidelity tier, with a mid-run fleet partition and the session
-layer on, and asserts:
+Runs the ``fleet_fanin`` chaos scenario, which is built on the flow-level
+simulation tier, at 100k endpoints with a mid-run fleet partition and the
+session layer on, and asserts:
 
 * every invariant passed (delivery, resources, exactly-once completion
   per endpoint, session resume accounting, relay byte accounting);
 * every flow completed and the session layer resumed a non-trivial
   number of stalled transfers across the partition heal;
-* wall-clock stayed under the budget (default 20 s; a run takes ≈ 2–4 s
+* wall-clock stayed under the budget (default 20 s; a run takes ≈ 2–3 s
   on a 2-core host) — the whole point of the flow tier;
 * the process never held more than ``RSS_BUDGET_MB`` of peak RSS, which
-  is what 100k endpoints are allowed: ≈ 100 MB measured (108 MB with a
+  is what 100k endpoints are allowed: ≈ 83 MB measured, ≈ 100 MB while
+  each endpoint was a host, a link and two pipe objects (108 MB with a
   pending-heap entry and a bound method per flow and a reconnect counter
   per stalled endpoint), ≈ 190 MB while the fleet wrote a mux ledger of
   three counters per endpoint, 376 MB before the flow tier's object diet.
@@ -31,7 +32,7 @@ import sys
 import time
 
 #: peak RSS a 100k-endpoint run may reach (MB)
-RSS_BUDGET_MB = 190.0
+RSS_BUDGET_MB = 95.0
 
 
 def main(argv=None) -> int:

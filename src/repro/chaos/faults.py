@@ -151,7 +151,9 @@ class WanDegrade(Fault):
     their BDP, so a degraded path also queues less — and RTT stays near
     the propagation floor instead of inflating with a now-oversized
     queue); ``loss`` optionally adds a loss floor for the episode.  The
-    canonical tuner stimulus: the path gets slower, not dead.
+    canonical tuner stimulus: the path gets slower, not dead.  Packet
+    tier only: a flow-tier link has no queue, and its flows' ceilings are
+    set when they start.
     """
 
     site: str = ""
@@ -166,6 +168,11 @@ class WanDegrade(Fault):
             raise FaultPlanError(f"bad wan_degrade scale {self.scale}")
         if not 0.0 <= self.loss < 1.0:
             raise FaultPlanError(f"bad wan_degrade loss {self.loss}")
+        if ctx.scenario.backend.tier == "flow":
+            raise FaultPlanError(
+                "wan_degrade scales a link's bandwidth and queue, and the "
+                "fluid (flow) tier has no queue to scale"
+            )
         link = ctx.scenario.site_wan_link(self.site)
         previous = []
         for tx in (link.a_to_b, link.b_to_a):

@@ -21,6 +21,12 @@ they bound the number of distinct completion instants, which bounds the
 number of rate re-solves, which is what keeps a 100k-flow run inside a
 tens-of-resolves budget (see ``FlowNetwork.stats()["resolves"]``).
 
+An endpoint is a row of the network's columns — its name, a host row and
+two pipe rows — not objects of its own: a wave reads its endpoints' names
+by row, and :meth:`FleetScenario.site_wan_link` hands out a
+:class:`~repro.simnet.flow.FlowLink` view, equal (``==``, not ``is``) to
+every other view of the same link.
+
 Invariant accounting
 --------------------
 The generic invariant suite reads obs counters, so the fleet emits the
@@ -119,7 +125,8 @@ class FleetScenario:
     ``check_invariants`` treat it exactly like a ``GridScenario``:
     ``link_down@t:site=hub,for=d`` cuts the hub's WAN uplink (a fleet
     partition), ``site=<endpoint>`` cuts a single endpoint's access
-    link.
+    link; ``loss_burst`` raises a link's loss for the flows started
+    during it.  ``wan_degrade`` is refused: a fluid link has no queue.
     """
 
     def __init__(
@@ -157,6 +164,8 @@ class FleetScenario:
         self.net.add_host(
             "hub", "core", bandwidth=HUB_BANDWIDTH, delay=HUB_DELAY
         )
+        # endpoint i is host row _first_endpoint + i: rows go in add order
+        self._first_endpoint = len(self.net.names)
         for i in range(self.endpoints):
             self.net.add_host(
                 f"ep{i:06d}",
@@ -193,7 +202,7 @@ class FleetScenario:
         self.session_resumes = 0
         self._partitioned = False
         self._partition_at = 0.0
-        self._hub_link = self.net.hosts["hub"].uplink
+        self._hub_link = self.net.uplink("hub")
         self.net.on_link_change.append(self._on_link_change)
         # bound once, to the registry current *now*: install the run's
         # registry before building the scenario (run_chaos does)
@@ -210,14 +219,14 @@ class FleetScenario:
         first = self._wave_start
         self._wave_start += n
         off = self._class_offset[k]
-        links = self.net.links
+        names = self.net.names
+        row = self._first_endpoint
         done = self._flow_done  # one bound method for the wave's flows
         for j in range(n):
             i = first + j
             size = SIZE_CLASSES[(off + i) % len(SIZE_CLASSES)]
-            src = links[i + 1].child.name  # links[0] is the hub's
             self.net.start_flow(
-                src, "hub", size,
+                names[row + i], "hub", size,
                 name=f"f{i}", channel=str(i),
                 on_complete=done,
             )
@@ -233,7 +242,7 @@ class FleetScenario:
 
     # -- partition / resume accounting ---------------------------------------
     def _on_link_change(self, link, down: bool) -> None:
-        if link is not self._hub_link:
+        if link != self._hub_link:
             return
         if down:
             self._partitioned = True
@@ -272,13 +281,9 @@ class FleetScenario:
 
     # -- chaos scenario protocol ---------------------------------------------
     def site_wan_link(self, site: str):
-        """``hub`` -> the hub's uplink; an endpoint name -> its uplink."""
-        if site == "hub":
-            return self._hub_link
-        host = self.net.hosts.get(site)
-        if host is None or host.uplink is None:
-            raise KeyError(f"no WAN link for site {site!r}")
-        return host.uplink
+        """``hub`` -> the hub's uplink; an endpoint name -> its uplink
+        (``KeyError`` for ``core``, the root, and for an unknown site)."""
+        return self.net.uplink(site)
 
     def shutdown(self) -> None:
         self.relay.stop()

@@ -33,7 +33,6 @@ from .engine import (
 )
 from .firewall import StatefulFirewall
 from .flow import (
-    FlowHost,
     FlowLink,
     FlowNetwork,
     FluidFlow,
@@ -66,7 +65,6 @@ from .trace import Tracer, handshake_diagram
 
 __all__ = [
     "FlowNetwork",
-    "FlowHost",
     "FlowLink",
     "FluidFlow",
     "aimd_rate",

@@ -31,10 +31,14 @@ bend per-scenario.
 Topology is a tree (hosts hang off a parent, the first host is the
 root), which keeps path lookup O(depth) with zero routing state per
 host — the regime this tier targets (fan-in storms, registration
-stampedes, mass resume) is hub-and-spoke anyway.  Faults use the same
-surface as the packet tier: ``link.set_down(True)`` zeroes both
-directions and triggers a re-solve, and subscribers on
-:attr:`FlowNetwork.on_link_change` can model session loss/resume.
+stampedes, mass resume) is hub-and-spoke anyway.  The network keeps it
+in columns, one row per host and one per pipe, so an endpoint is a few
+list slots rather than objects the cyclic collector walks;
+:class:`FlowLink` and :class:`FlowPipe` are handles on a row, made on
+demand.  Faults use the same surface as the packet tier:
+``net.uplink(name).set_down(True)`` zeroes both directions and triggers
+a re-solve, and subscribers on :attr:`FlowNetwork.on_link_change` can
+model session loss/resume.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ from .engine import Event, Simulator, Timer
 
 __all__ = [
     "FlowNetwork",
-    "FlowHost",
     "FlowLink",
     "FlowPipe",
     "FluidFlow",
@@ -152,41 +155,66 @@ def slow_start_penalty(
     return rtt * max(0.0, math.log2(w) - SLOWSTART_CREDIT)
 
 
-class FlowPipe:
+class _View:
+    """A handle on one row of a :class:`FlowNetwork` column: the network
+    and an index, made on demand and equal to every handle on that row."""
+
+    __slots__ = ("net", "index")
+
+    def __init__(self, net: "FlowNetwork", index: int):
+        self.net = net
+        self.index = index
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and other.net is self.net
+            and other.index == self.index
+        )
+
+    def __hash__(self) -> int:
+        return hash((id(self.net), self.index))
+
+
+class FlowPipe(_View):
     """One direction of a flow-level link: a capacity constraint.
 
-    ``_cap``, ``_n`` and ``_stamp`` are the rate solver's scratch: capacity
-    left, unfixed flows crossing, and which solve they were written by.
+    ``index`` is the pipe's row in the network's pipe columns: host
+    ``h``'s pipe up to its parent is ``2h``, the one down to it ``2h+1``.
     """
 
-    __slots__ = ("link", "capacity", "delay", "loss", "down", "_cap", "_n", "_stamp")
+    __slots__ = ()
 
-    def __init__(
-        self, link: "FlowLink", capacity: float, delay: float, loss: float = 0.0
-    ):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive: {capacity}")
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
-        if not 0.0 <= loss < 1.0:
-            raise ValueError(f"loss must be in [0, 1): {loss}")
-        self.link = link
-        self.capacity = capacity
-        self.delay = delay
-        self.loss = loss
-        self.down = False
-        self._stamp = None
+    @property
+    def link(self) -> "FlowLink":
+        return FlowLink(self.net, self.index >> 1)
+
+    @property
+    def capacity(self) -> float:
+        return self.net.capacity[self.index]
+
+    @property
+    def delay(self) -> float:
+        return self.net.delay[self.index]
+
+    @property
+    def loss(self) -> float:
+        return self.net.loss[self.index]
+
+    @property
+    def down(self) -> bool:
+        return self.net.down[self.index]
 
     def retune(self, *, loss: float) -> None:
         """The chaos surface of :meth:`repro.simnet.link.Transmitter.retune`
         a ``loss_burst`` needs: flows started afterwards see ``loss``."""
         if not 0.0 <= loss < 1.0:
             raise ValueError(f"loss must be in [0, 1): {loss}")
-        self.loss = loss
+        self.net.loss[self.index] = loss
 
     @property
     def name(self) -> str:
-        way = "up" if self.link.to_parent is self else "down"
+        way = "down" if self.index & 1 else "up"
         return f"{self.link.name}:{way}"
 
     @property
@@ -206,109 +234,74 @@ class FlowPipe:
         return f"<FlowPipe {self.name} {self.capacity:.0f}B/s{state}>"
 
 
-class FlowLink:
+class FlowLink(_View):
     """Bidirectional link between a host and its parent.
 
-    Mirrors the fault/RTT surface of :class:`repro.simnet.link.Link`
-    (``set_down``, ``down``, ``delay_ab``/``delay_ba``/``rtt``,
-    ``bandwidth``) so chaos fault actions work identically on either
-    simulation tier.  Direction *a→b* is child→parent.
+    ``index`` is the child host's.  Mirrors the fault/RTT surface of
+    :class:`repro.simnet.link.Link` (``set_down``, ``down``,
+    ``delay_ab``/``delay_ba``/``rtt``, ``bandwidth``) so the faults that
+    cut a link or raise its loss work on either simulation tier.
+    Direction *a→b* is child→parent.
     """
 
-    __slots__ = ("net", "child", "parent", "to_parent", "to_child")
-
-    def __init__(
-        self,
-        net: "FlowNetwork",
-        child: "FlowHost",
-        parent: "FlowHost",
-        *,
-        bandwidth: float,
-        delay: float,
-        loss: float = 0.0,
-        delay_back: Optional[float] = None,
-        down_bandwidth: Optional[float] = None,
-    ):
-        self.net = net
-        self.child = child
-        self.parent = parent
-        if delay_back is None:
-            delay_back = delay
-        self.to_parent = FlowPipe(self, bandwidth, delay, loss)
-        self.to_child = FlowPipe(
-            self,
-            bandwidth if down_bandwidth is None else down_bandwidth,
-            delay_back,
-            loss,
-        )
+    __slots__ = ()
 
     @property
     def name(self) -> str:
-        return f"{self.child.name}~{self.parent.name}"
+        net = self.net
+        return f"{net.names[self.index]}~{net.names[net.parent[self.index]]}"
 
     def set_down(self, down: bool) -> None:
         """Cut (or restore) both directions; flows re-solve immediately."""
-        if self.to_parent.down == down and self.to_child.down == down:
+        flags = self.net.down
+        up = 2 * self.index
+        if flags[up] == down and flags[up + 1] == down:
             return
-        self.to_parent.down = down
-        self.to_child.down = down
+        flags[up] = flags[up + 1] = down
         self.net._link_changed(self, down)
 
     @property
     def down(self) -> bool:
-        return self.to_parent.down and self.to_child.down
+        flags = self.net.down
+        up = 2 * self.index
+        return flags[up] and flags[up + 1]
 
     # chaos faults written against packet-tier Link objects address the
     # directions as a_to_b / b_to_a; a is the child side here.  Retuning
     # pipe loss affects flows started afterwards (ceilings are computed
     # at start), which matches a loss burst's effect on new transfers.
     @property
-    def a_to_b(self) -> FlowPipe:
-        return self.to_parent
+    def to_parent(self) -> FlowPipe:
+        return FlowPipe(self.net, 2 * self.index)
 
     @property
-    def b_to_a(self) -> FlowPipe:
-        return self.to_child
+    def to_child(self) -> FlowPipe:
+        return FlowPipe(self.net, 2 * self.index + 1)
+
+    a_to_b = to_parent
+    b_to_a = to_child
 
     @property
     def delay_ab(self) -> float:
-        return self.to_parent.delay
+        return self.net.delay[2 * self.index]
 
     @property
     def delay_ba(self) -> float:
-        return self.to_child.delay
+        return self.net.delay[2 * self.index + 1]
 
     @property
     def rtt(self) -> float:
         """Round-trip propagation: the explicit sum of both halves."""
-        return self.to_parent.delay + self.to_child.delay
+        delay = self.net.delay
+        up = 2 * self.index
+        return delay[up] + delay[up + 1]
 
     @property
     def bandwidth(self) -> float:
-        return self.to_parent.capacity
+        return self.net.capacity[2 * self.index]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<FlowLink {self.name} {self.child.name}<->{self.parent.name}>"
-
-
-class FlowHost:
-    """A named attachment point in the topology tree."""
-
-    __slots__ = ("name", "parent", "uplink", "depth")
-
-    def __init__(
-        self,
-        name: str,
-        parent: Optional["FlowHost"] = None,
-        uplink: Optional[FlowLink] = None,
-    ):
-        self.name = name
-        self.parent = parent
-        self.uplink = uplink
-        self.depth = 0 if parent is None else parent.depth + 1
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<FlowHost {self.name} depth={self.depth}>"
+        return f"<FlowLink {self.name}>"
 
 
 _PENDING_STATES = ("pending", "active")
@@ -317,7 +310,8 @@ _PENDING_STATES = ("pending", "active")
 class FluidFlow:
     """One bulk transfer, modelled as a rate that the solver assigns.
 
-    Lifecycle: ``pending`` (handshake + slow-start delay) → ``active``
+    ``path`` is the rows of the pipes it crosses, in order.  Lifecycle:
+    ``pending`` (handshake + slow-start delay) → ``active``
     (delivering at :attr:`rate`) → ``done`` (all bytes delivered) or
     ``aborted``.  Completion fires :attr:`on_complete`; completion or an
     abort triggers the lazily created :attr:`done` event.
@@ -433,9 +427,23 @@ class FlowNetwork:
     def __init__(self, sim: Optional[Simulator] = None, seed: int = 0):
         self.sim = sim or Simulator()
         self.seed = seed
-        self.hosts: dict[str, FlowHost] = {}
-        self.links: list[FlowLink] = []
-        self.root: Optional[FlowHost] = None
+        # hosts, one row each in the order added (the first is the root)
+        self.hosts: dict[str, int] = {}  # name -> row
+        self.names: list[str] = []
+        self.parent: list[int] = []  # the root's is -1
+        self.depth: list[int] = []
+        # pipes: host h's up to its parent is row 2h, its down one 2h+1 (the
+        # root's two rows are placeholders no path crosses)
+        self.capacity: list[float] = []
+        self.delay: list[float] = []
+        self.loss: list[float] = []
+        self.down: list[bool] = []
+        # the rate solver's scratch per pipe: capacity left, unfixed flows
+        # crossing, and which solve wrote them
+        self._cap: list[float] = []
+        self._n: list[int] = []
+        self._stamp: list[int] = []
+        self._solves = 0
         #: subscribers called as ``fn(link, down)`` on set_down transitions
         self.on_link_change: list[Callable[[FlowLink, bool], None]] = []
         # active flows, kept sorted by ceiling (the solver relies on it)
@@ -467,8 +475,9 @@ class FlowNetwork:
         loss: float = 0.0,
         delay_back: Optional[float] = None,
         down_bandwidth: Optional[float] = None,
-    ) -> FlowHost:
-        """Attach ``name`` under ``parent`` (the first host is the root).
+    ) -> int:
+        """Attach ``name`` under ``parent`` (the first host is the root);
+        returns its row, which is the number of hosts added before it.
 
         ``bandwidth``/``delay``/``loss`` describe the uplink to the
         parent; ``delay_back`` makes the RTT halves asymmetric and
@@ -477,68 +486,92 @@ class FlowNetwork:
         if name in self.hosts:
             raise ValueError(f"duplicate host {name!r}")
         if parent is None:
-            if self.root is not None:
+            if self.names:
                 raise ValueError(
-                    f"root is {self.root.name!r}; give {name!r} a parent"
+                    f"root is {self.names[0]!r}; give {name!r} a parent"
                 )
-            host = FlowHost(name)
-            self.root = host
-            self.hosts[name] = host
-            return host
-        up = self.hosts[parent]
-        host = FlowHost(name, parent=up)
-        link = FlowLink(
-            self,
-            host,
-            up,
-            bandwidth=self.DEFAULT_BANDWIDTH if bandwidth is None else bandwidth,
-            delay=self.DEFAULT_DELAY if delay is None else delay,
-            loss=loss,
-            delay_back=delay_back,
-            down_bandwidth=down_bandwidth,
-        )
-        host.uplink = link
-        self.hosts[name] = host
-        self.links.append(link)
-        return host
+            up, depth = -1, 0
+            capacity = delays = (0.0, 0.0)
+        else:
+            up = self.hosts[parent]
+            depth = self.depth[up] + 1
+            if bandwidth is None:
+                bandwidth = self.DEFAULT_BANDWIDTH
+            if delay is None:
+                delay = self.DEFAULT_DELAY
+            capacity = (
+                bandwidth,
+                bandwidth if down_bandwidth is None else down_bandwidth,
+            )
+            delays = (delay, delay if delay_back is None else delay_back)
+            if min(capacity) <= 0:
+                raise ValueError(f"capacity must be positive: {capacity}")
+            if min(delays) < 0:
+                raise ValueError(f"negative delay: {delays}")
+            if not 0.0 <= loss < 1.0:
+                raise ValueError(f"loss must be in [0, 1): {loss}")
+        row = len(self.names)
+        self.hosts[name] = row
+        self.names.append(name)
+        self.parent.append(up)
+        self.depth.append(depth)
+        # the up pipe's row, then the down one's
+        self.capacity += capacity
+        self.delay += delays
+        self.loss += (loss, loss)
+        self.down += (False, False)
+        self._cap += (0.0, 0.0)
+        self._n += (0, 0)
+        self._stamp += (0, 0)
+        return row
+
+    def uplink(self, name: str) -> FlowLink:
+        """The link from host ``name`` up to its parent; ``KeyError`` for
+        an unknown host and for the root, which has none."""
+        row = self.hosts.get(name)
+        if row is None or self.parent[row] < 0:
+            raise KeyError(f"no uplink for host {name!r}")
+        return FlowLink(self, row)
 
     def route(self, src: str, dst: str) -> tuple:
         """Forward path ``src → dst``: ``(pipes, rtt, loss)``.
 
         Walks both hosts up to their lowest common ancestor.  ``pipes``
-        are the directional constraints the flow's payload crosses;
-        ``rtt`` sums both halves of every traversed link (asymmetric
-        halves stay explicit); ``loss`` compounds the forward pipes'
-        loss rates.
+        are the rows of the directional constraints the flow's payload
+        crosses; ``rtt`` sums both halves of every traversed link
+        (asymmetric halves stay explicit); ``loss`` compounds the forward
+        pipes' loss rates.
         """
         a = self.hosts[src]
         b = self.hosts[dst]
-        if a is b:
+        if a == b:
             raise ValueError(f"flow endpoints identical: {src!r}")
-        up: list[FlowPipe] = []
-        down: list[FlowPipe] = []
+        parent, depth = self.parent, self.depth
+        delay, loss = self.delay, self.loss
+        up: list[int] = []
+        down: list[int] = []
         rtt = 0.0
         keep = 1.0
-        while a.depth > b.depth:
-            link = a.uplink
-            up.append(link.to_parent)
-            rtt += link.rtt
-            keep *= 1.0 - link.to_parent.loss
-            a = a.parent
-        while b.depth > a.depth:
-            link = b.uplink
-            down.append(link.to_child)
-            rtt += link.rtt
-            keep *= 1.0 - link.to_child.loss
-            b = b.parent
-        while a is not b:
-            la, lb = a.uplink, b.uplink
-            up.append(la.to_parent)
-            down.append(lb.to_child)
-            rtt += la.rtt + lb.rtt
-            keep *= (1.0 - la.to_parent.loss) * (1.0 - lb.to_child.loss)
-            a = a.parent
-            b = b.parent
+        while depth[a] > depth[b]:
+            p = 2 * a
+            up.append(p)
+            rtt += delay[p] + delay[p + 1]
+            keep *= 1.0 - loss[p]
+            a = parent[a]
+        while depth[b] > depth[a]:
+            q = 2 * b + 1
+            down.append(q)
+            rtt += delay[q - 1] + delay[q]
+            keep *= 1.0 - loss[q]
+            b = parent[b]
+        while a != b:
+            p, q = 2 * a, 2 * b + 1
+            up.append(p)
+            down.append(q)
+            rtt += (delay[p] + delay[p + 1]) + (delay[q - 1] + delay[q])
+            keep *= (1.0 - loss[p]) * (1.0 - loss[q])
+            a = parent[a]
+            b = parent[b]
         down.reverse()
         return tuple(up + down), rtt, 1.0 - keep
 
@@ -705,30 +738,38 @@ class FlowNetwork:
         flows = self._active
         if not flows:
             return
-        stamp = object()  # this solve's mark: a pipe not carrying it is new
+        self._solves += 1
+        stamp = self._solves  # a pipe whose stamp differs is new to this solve
+        cap, n, stamps = self._cap, self._n, self._stamp
+        capacity, down = self.capacity, self.down
         pipes = []  # every pipe under an active flow, in first-touch order
         for f in flows:
             f._fixed = False
             for p in f.path:
-                if p._stamp is not stamp:
-                    p._stamp = stamp
-                    p._cap = p.goodput
-                    p._n = 0
+                if stamps[p] != stamp:
+                    stamps[p] = stamp
+                    # FlowPipe.goodput, on the columns
+                    cap[p] = (
+                        0.0
+                        if down[p]
+                        else capacity[p] * WIRE_EFFICIENCY * PIPE_UTILIZATION
+                    )
+                    n[p] = 0
                     pipes.append(p)
-                p._n += 1
+                n[p] += 1
         unfixed = len(flows)
         ptr = 0  # flows are sorted by ceiling; fixed ones are skipped
         while unfixed:
             fair = math.inf
             for p in pipes:
-                if p._n > 0:
-                    share = p._cap / p._n
+                if n[p] > 0:
+                    share = cap[p] / n[p]
                     if share < fair:
                         fair = share
             if fair is math.inf:
                 for f in flows:
                     if not f._fixed:
-                        _fix(f, f.ceiling)
+                        _fix(f, f.ceiling, cap, n)
                 break
             thresh = fair * (1.0 + 1e-9) + 1e-12
             progressed = False
@@ -739,17 +780,20 @@ class FlowNetwork:
                     continue
                 if f.ceiling > thresh:
                     break
-                _fix(f, f.ceiling)
+                _fix(f, f.ceiling, cap, n)
                 unfixed -= 1
                 ptr += 1
                 progressed = True
             if progressed:
                 continue
             # flows of the pipes saturated now, in active order: only a
-            # bottleneck gets a list, and a fan-in has one
-            crossing = {
-                p: [] for p in pipes if p._n > 0 and p._cap <= thresh * p._n
-            }
+            # bottleneck gets a list, and a fan-in has one.  Loops, not
+            # comprehensions: on Python 3.11 a comprehension closes over
+            # the locals it reads, which makes each of them a cell
+            crossing = {}
+            for p in pipes:
+                if n[p] > 0 and cap[p] <= thresh * n[p]:
+                    crossing[p] = []
             for f in flows:
                 if not f._fixed:
                     for p in f.path:
@@ -758,13 +802,16 @@ class FlowNetwork:
             # fixing one pipe's flows moves the next pipe's numbers, so each
             # pipe is tested when its turn comes
             for p in pipes:
-                if p._n > 0 and p._cap <= thresh * p._n:
+                if n[p] > 0 and cap[p] <= thresh * n[p]:
                     mine = crossing.get(p)
                     if mine is None:  # tipped over by this round's rounding
-                        mine = [f for f in flows if p in f.path]
+                        mine = []
+                        for f in flows:
+                            if p in f.path:
+                                mine.append(f)
                     for f in mine:
                         if not f._fixed:
-                            _fix(f, fair)
+                            _fix(f, fair, cap, n)
                             unfixed -= 1
 
     def _arm(self, now: float) -> None:
@@ -793,10 +840,12 @@ def _ceiling_key(flow: FluidFlow) -> float:
     return flow.ceiling
 
 
-def _fix(flow: FluidFlow, rate: float) -> None:
+def _fix(flow: FluidFlow, rate: float, cap: list, n: list) -> None:
+    """Give ``flow`` its ``rate`` and take it off every pipe it crosses
+    (``cap``/``n``: the network's solver scratch)."""
     flow.rate = rate if rate > 1e-12 else 0.0
     flow._fixed = True
     for p in flow.path:
-        cap = p._cap - rate
-        p._cap = 0.0 if cap < 0.0 else cap
-        p._n -= 1
+        left = cap[p] - rate
+        cap[p] = 0.0 if left < 0.0 else left
+        n[p] -= 1

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from repro.chaos import run_chaos
+from repro.chaos import FaultPlan, FaultPlanError, FaultScheduler, run_chaos
 from repro.chaos.fleet import SIZE_CLASSES, FleetScenario
 from repro.obs import metrics as obs_metrics
 
@@ -88,11 +88,44 @@ class TestScenarioSurface:
     def test_site_wan_link_targets(self):
         scn = FleetScenario(seed=0, endpoints=8, waves=2)
         hub = scn.site_wan_link("hub")
-        assert hub is scn.net.hosts["hub"].uplink
+        assert hub == scn.net.uplink("hub")
         ep = scn.site_wan_link("ep000003")
-        assert ep is scn.net.hosts["ep000003"].uplink
-        with pytest.raises(KeyError):
+        assert ep == scn.net.uplink("ep000003")
+        with pytest.raises(KeyError, match="nowhere"):
             scn.site_wan_link("nowhere")
+        with pytest.raises(KeyError, match="core"):  # the root has no uplink
+            scn.site_wan_link("core")
+
+    def test_endpoint_link_names(self):
+        scn = FleetScenario(seed=0, endpoints=8, waves=2)
+        link = scn.site_wan_link("ep000001")
+        assert link.name == "ep000001~core"
+        assert link.to_parent.name == "ep000001~core:up"
+        assert link.to_child.name == "ep000001~core:down"
+
+    def test_wan_degrade_is_refused_before_it_retunes(self):
+        scn = FleetScenario(seed=0, endpoints=8, waves=2)
+        hub = scn.site_wan_link("hub")
+        before = [(p.capacity, p.loss) for p in (hub.a_to_b, hub.b_to_a)]
+        plan = FaultPlan.parse("wan_degrade@3:site=hub,scale=4,loss=0.1,for=2")
+        FaultScheduler(scn, plan).arm()
+        with pytest.raises(FaultPlanError, match="no queue to scale"):
+            scn.sim.run(until=3.5)
+        assert [(p.capacity, p.loss) for p in (hub.a_to_b, hub.b_to_a)] == before
+
+    def test_loss_burst_on_an_endpoint_restores_both_pipes(self):
+        scn = FleetScenario(seed=0, endpoints=8, waves=2)
+        link = scn.site_wan_link("ep000005")
+        link.to_parent.retune(loss=0.01)
+        link.to_child.retune(loss=0.02)
+        plan = FaultPlan.parse("loss_burst@3:site=ep000005,loss=0.3,for=2")
+        FaultScheduler(scn, plan).arm()
+        scn.sim.run(until=4.0)
+        assert (link.a_to_b.loss, link.b_to_a.loss) == (0.3, 0.3)
+        scn.sim.run(until=6.0)
+        assert (link.a_to_b.loss, link.b_to_a.loss) == (0.01, 0.02)
+        # the other endpoints' links never moved
+        assert scn.site_wan_link("ep000004").a_to_b.loss == 0.0
 
     def test_constructor_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_FLEET_ENDPOINTS", "999")

@@ -9,7 +9,9 @@ from repro.simnet.flow import (
     PIPE_UTILIZATION,
     WINDOW_EFFICIENCY,
     WIRE_EFFICIENCY,
+    FlowLink,
     FlowNetwork,
+    FlowPipe,
     aimd_rate,
     slow_start_penalty,
 )
@@ -157,7 +159,7 @@ class TestFaults:
     def test_link_down_stalls_and_heals(self):
         net = dumbbell(capacity=1_000_000.0)
         flow = net.start_flow("a", "b", 4 << 20)
-        link = net.hosts["a"].uplink
+        link = net.uplink("a")
         net.sim.call_at(1.0, link.set_down, True)
         net.sim.call_at(3.0, link.set_down, False)
         net.sim.run(until=2.0)
@@ -174,11 +176,19 @@ class TestFaults:
         net = dumbbell()
         events = []
         net.on_link_change.append(lambda link, down: events.append(down))
-        link = net.hosts["a"].uplink
+        link = net.uplink("a")
+        link.set_down(False)  # already up: no transition, no callback
         link.set_down(True)
         link.set_down(True)  # no transition, no callback
         link.set_down(False)
         assert events == [True, False]
+
+    def test_link_change_subscribers_get_the_link(self):
+        net = dumbbell()
+        seen = []
+        net.on_link_change.append(lambda link, down: seen.append(link))
+        net.uplink("a").set_down(True)
+        assert seen == [net.uplink("a")] and seen[0] != net.uplink("b")
 
     def test_abort_keeps_partial_bytes(self):
         net = dumbbell(capacity=1_000_000.0)
@@ -220,7 +230,7 @@ class TestFaults:
     def test_loss_burst_alias_surface(self):
         # chaos LossBurst retunes a_to_b/b_to_a loss on the link
         net = dumbbell()
-        link = net.hosts["a"].uplink
+        link = net.uplink("a")
         link.a_to_b.retune(loss=0.02)
         link.b_to_a.retune(loss=0.02)
         lossy = net.start_flow("a", "b", 1 << 20)
@@ -246,7 +256,7 @@ class TestTopology:
         net.add_host("wan")
         net.add_host("a", "wan", delay=0.030, delay_back=0.010)
         net.add_host("b", "wan", delay=0.005)
-        link = net.hosts["a"].uplink
+        link = net.uplink("a")
         assert link.delay_ab == 0.030
         assert link.delay_ba == 0.010
         assert link.rtt == pytest.approx(0.040)
@@ -271,3 +281,110 @@ class TestTopology:
         net.add_host("a", "root")
         with pytest.raises(ValueError):
             net.start_flow("a", "a", 1000)
+
+
+def three_levels():
+    """An asymmetric tree: ``c1`` three levels down one branch, ``a2`` one
+    down the other, every link with its own halves and loss."""
+    net = FlowNetwork()
+    net.add_host("root")
+    net.add_host("a1", "root", delay=0.003, delay_back=0.001, loss=0.01)
+    net.add_host("b1", "a1", delay=0.0007, delay_back=0.0011, loss=0.003)
+    net.add_host("c1", "b1", delay=0.010, delay_back=0.020, loss=0.02)
+    net.add_host("a2", "root", delay=0.0013, delay_back=0.0029, loss=0.007)
+    return net
+
+
+class TestViews:
+    """Links and pipes are handles on the network's rows, made on demand."""
+
+    def test_links_and_pipes_compare_and_hash_by_network_and_row(self):
+        net, other = dumbbell(), dumbbell()
+        a = net.uplink("a")
+        assert a == net.uplink("a") and hash(a) == hash(net.uplink("a"))
+        assert len({a, net.uplink("a"), net.uplink("b")}) == 2
+        assert a != net.uplink("b")
+        assert a != other.uplink("a")  # same row, another network
+        assert a.to_parent == net.uplink("a").a_to_b == FlowPipe(net, 2 * a.index)
+        assert a.to_child == a.b_to_a != a.to_parent
+        assert a.to_parent.link == a == a.to_child.link
+        # a link and a pipe on the same row number are different things
+        assert FlowLink(net, 2) != FlowPipe(net, 2)
+
+    def test_rows_follow_add_order(self):
+        net = dumbbell()
+        assert net.names == ["wan", "a", "b"]
+        assert [net.hosts[name] for name in net.names] == [0, 1, 2]
+        assert net.parent == [-1, 0, 0] and net.depth == [0, 1, 1]
+        assert net.uplink("b").to_parent.index == 4
+        assert net.uplink("b").to_child.index == 5
+
+    def test_the_root_has_no_uplink(self):
+        net = dumbbell()
+        with pytest.raises(KeyError):
+            net.uplink("wan")
+        with pytest.raises(KeyError):
+            net.uplink("nowhere")
+
+    def test_names_are_derived(self):
+        net = three_levels()
+        link = net.uplink("c1")
+        assert link.name == "c1~b1"
+        assert link.to_parent.name == "c1~b1:up"
+        assert link.to_child.name == "c1~b1:down"
+
+    def test_link_surface_reads_the_columns(self):
+        net = FlowNetwork()
+        net.add_host("wan")
+        net.add_host(
+            "a", "wan", bandwidth=3e6, down_bandwidth=5e6,
+            delay=0.030, delay_back=0.010, loss=0.01,
+        )  # fmt: skip
+        link = net.uplink("a")
+        assert (link.bandwidth, link.delay_ab, link.delay_ba) == (3e6, 0.030, 0.010)
+        assert (link.to_parent.capacity, link.to_child.capacity) == (3e6, 5e6)
+        assert link.to_parent.loss == link.to_child.loss == 0.01
+        assert link.to_child.goodput == 5e6 * WIRE_EFFICIENCY * PIPE_UTILIZATION
+        link.to_child.retune(loss=0.2)
+        assert (link.to_parent.loss, link.to_child.loss) == (0.01, 0.2)
+        assert not link.down
+        link.set_down(True)
+        assert link.down and link.to_parent.down and link.to_child.down
+        assert link.to_parent.goodput == 0.0
+
+    def test_route_on_an_asymmetric_three_level_tree(self):
+        net = three_levels()
+        hosts = net.hosts
+        # (one-way, back, loss) per uplink, as added
+        c1 = (0.010, 0.020, 0.02)
+        b1 = (0.0007, 0.0011, 0.003)
+        a1 = (0.003, 0.001, 0.01)
+        a2 = (0.0013, 0.0029, 0.007)
+        pipes, rtt, loss = net.route("c1", "a2")
+        assert pipes == (
+            2 * hosts["c1"], 2 * hosts["b1"], 2 * hosts["a1"], 2 * hosts["a2"] + 1
+        )
+        # summed and compounded link by link, in the order the walk meets them
+        want_rtt = 0.0
+        want_rtt += c1[0] + c1[1]
+        want_rtt += b1[0] + b1[1]
+        want_rtt += (a1[0] + a1[1]) + (a2[0] + a2[1])
+        keep = 1.0
+        keep *= 1.0 - c1[2]
+        keep *= 1.0 - b1[2]
+        keep *= (1.0 - a1[2]) * (1.0 - a2[2])
+        assert (rtt, loss) == (want_rtt, 1.0 - keep)
+        # the other way round the walk climbs from the destination side
+        pipes, rtt, loss = net.route("a2", "c1")
+        assert pipes == (
+            2 * hosts["a2"], 2 * hosts["a1"] + 1, 2 * hosts["b1"] + 1, 2 * hosts["c1"] + 1
+        )
+        want_rtt = 0.0
+        want_rtt += c1[0] + c1[1]
+        want_rtt += b1[0] + b1[1]
+        want_rtt += (a2[0] + a2[1]) + (a1[0] + a1[1])
+        keep = 1.0
+        keep *= 1.0 - c1[2]
+        keep *= 1.0 - b1[2]
+        keep *= (1.0 - a2[2]) * (1.0 - a1[2])
+        assert (rtt, loss) == (want_rtt, 1.0 - keep)

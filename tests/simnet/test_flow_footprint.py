@@ -37,26 +37,30 @@ BUDGET = {
     # the wave and size-class structure, not the endpoint count, decides how
     # often rates are re-solved: 62 here and at 100 000 endpoints
     "rate_resolves": 62,
-    # measured 4.32: a host, a link and two pipes per endpoint, and what the
-    # run recorded; 4.42 while each endpoint a partition stalls had its own
-    # reconnect counter, 7.4 while the fleet wrote three mux ledger
-    # counters per endpoint
-    "tracked objects per endpoint": 5.0,
-    # measured 661 and 663; 678 and 680 with the per-endpoint reconnect
+    # measured 0.32: what the run recorded, the topology being rows in the
+    # network's columns; 4.32 with a host, a link and two pipes per
+    # endpoint as objects (budget 5.0), 4.42 while each endpoint a
+    # partition stalls had its own reconnect counter, 7.4 while the fleet
+    # wrote three mux ledger counters per endpoint
+    "tracked objects per endpoint": 0.37,
+    # measured 498 and 499; 661 and 663 with the topology as objects
+    # (budget 761 and 762), 678 and 680 with the per-endpoint reconnect
     # counters, 1 298 and 1 416 with the mux ledger, whose check built a
     # labels dict per counter read at the peak
-    "bytes per endpoint": 761,
-    "peak bytes per endpoint": 762,
-    # measured 153.8: one list per saturated pipe, and here the endpoint
-    # uplinks saturate; 159.7 with one per pipe under an active flow
+    "bytes per endpoint": 573,
+    "peak bytes per endpoint": 574,
+    # measured 152.6: one list per saturated pipe, and here the endpoint
+    # uplinks saturate; 153.8 while the solver's comprehensions made cells
+    # of its locals, 159.7 with one per pipe under an active flow
     "lists per resolve": 177,
 }
 
 #: the same endpoints in two waves: the hub is the one saturated pipe
 HUB_BOUND_BUDGET = {
     "rate_resolves": 14,
-    # measured 86.1; 855.1 while every saturated round built a list for
-    # each pipe under an active flow, not only for the saturated ones
+    # measured 84.9 (86.1 with the solver's cells); 855.1 while every
+    # saturated round built a list for each pipe under an active flow, not
+    # only for the saturated ones
     "lists per resolve": 99,
 }
 

@@ -13,23 +13,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.simnet import flow as flowmod
-from repro.simnet.flow import FlowNetwork
+from repro.simnet.flow import FlowNetwork, FlowPipe
 
 
-def reference_solve(flows: list) -> list:
-    """Max-min rates of ``flows`` (sorted by ceiling), as the per-pipe-list
-    water-filling assigns them; leaves the same scratch behind."""
-    stamp = object()
+def reference_solve(net: FlowNetwork) -> list:
+    """Max-min rates of the network's active flows (sorted by ceiling), as
+    the per-pipe-list water-filling assigns them; leaves the same ``_cap``
+    and ``_n`` behind."""
+    flows = net._active
+    cap, n = net._cap, net._n
     pipes = []
     for f in flows:
         f._fixed = False
         for p in f.path:
-            if p._stamp is not stamp:
-                p._stamp = stamp
-                p._cap = p.goodput
-                p._n = 0
+            if p not in pipes:
+                cap[p] = FlowPipe(net, p).goodput
+                n[p] = 0
                 pipes.append(p)
-            p._n += 1
+            n[p] += 1
     crossing = {p: [] for p in pipes}
     for f in flows:
         for p in f.path:
@@ -39,12 +40,12 @@ def reference_solve(flows: list) -> list:
     while unfixed:
         fair = math.inf
         for p in pipes:
-            if p._n > 0 and p._cap / p._n < fair:
-                fair = p._cap / p._n
+            if n[p] > 0 and cap[p] / n[p] < fair:
+                fair = cap[p] / n[p]
         if fair is math.inf:
             for f in flows:
                 if not f._fixed:
-                    flowmod._fix(f, f.ceiling)
+                    flowmod._fix(f, f.ceiling, cap, n)
             break
         thresh = fair * (1.0 + 1e-9) + 1e-12
         progressed = False
@@ -55,17 +56,17 @@ def reference_solve(flows: list) -> list:
                 continue
             if f.ceiling > thresh:
                 break
-            flowmod._fix(f, f.ceiling)
+            flowmod._fix(f, f.ceiling, cap, n)
             unfixed -= 1
             ptr += 1
             progressed = True
         if progressed:
             continue
         for p in pipes:
-            if p._n > 0 and p._cap <= thresh * p._n:
+            if n[p] > 0 and cap[p] <= thresh * n[p]:
                 for f in crossing[p]:
                     if not f._fixed:
-                        flowmod._fix(f, fair)
+                        flowmod._fix(f, fair, cap, n)
                         unfixed -= 1
     return [f.rate for f in flows]
 
@@ -76,10 +77,9 @@ def _bits(rates: list) -> list:
 
 def _solved_both_ways(net: FlowNetwork) -> tuple:
     """``(reference rates, _solve's rates)`` of the network's active flows."""
-    flows = net._active
-    want = reference_solve(flows)
+    want = reference_solve(net)
     net._solve()
-    return want, [f.rate for f in flows]
+    return want, [f.rate for f in net._active]
 
 
 ROUND_CAPACITIES = st.sampled_from([1e6, 2e6, 2e6, 5e6, 1.25e9])
@@ -138,7 +138,7 @@ def test_solve_matches_per_pipe_reference(tree, draws):
     for i, (parent, capacity, delay, down) in enumerate(tree, start=1):
         net.add_host(f"h{i}", f"h{parent % i}", bandwidth=capacity, delay=delay)
         if down:
-            downs.append(net.hosts[f"h{i}"].uplink)
+            downs.append(net.uplink(f"h{i}"))
     hosts = len(tree) + 1
     for src, offset, rwnd, streams in draws:
         src %= hosts
@@ -168,8 +168,8 @@ def test_pipe_saturated_late_in_a_round_gets_its_flows(monkeypatch):
     first = net.start_flow("x", "hub", 1e15, setup_delay=0.0)
     second = net.start_flow("y", "hub", 1e15, setup_delay=0.0)
     net.sim.run(until=1.0)
-    hub_down = net.hosts["hub"].uplink.to_child
-    fair = net.hosts["x"].uplink.to_parent.goodput
+    hub_down = net.uplink("hub").to_child
+    fair = net.uplink("x").to_parent.goodput
     # the hub's pipe is not saturated when the round starts: x's uplink is
     # the one bottleneck, and the hub has room for both flows' share
     assert hub_down.goodput / 2 > fair * (1.0 + 1e-9) + 1e-12
@@ -178,16 +178,16 @@ def test_pipe_saturated_late_in_a_round_gets_its_flows(monkeypatch):
     fix = flowmod._fix
     tipped = []
 
-    def fix_then_round_down(f, rate):
-        fix(f, rate)
+    def fix_then_round_down(f, rate, cap, n):
+        fix(f, rate, cap, n)
         if f is first and not tipped:
             # as if fixing ``first`` had rounded the hub's capacity left down
             # to inside the tolerance (the reference sees the same numbers)
-            hub_down._cap = fair * (1.0 + 5e-10)
+            cap[hub_down.index] = fair * (1.0 + 5e-10)
             tipped.append(f)
 
     monkeypatch.setattr(flowmod, "_fix", fix_then_round_down)
-    want = reference_solve(net._active)
+    want = reference_solve(net)
     tipped.clear()
     net._solve()
     assert tipped, "the round never fixed the first flow"
