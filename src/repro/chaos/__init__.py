@@ -30,6 +30,7 @@ from .faults import (
     Stall,
     Truncate,
     require_backend,
+    require_tier,
 )
 from .invariants import ChannelAudit, check_invariants, obs_consistency_violations
 from .registry import (
@@ -46,6 +47,7 @@ __all__ = [
     "FaultPlanError",
     "FaultScheduler",
     "require_backend",
+    "require_tier",
     "LinkDown",
     "LossBurst",
     "RelayCrash",

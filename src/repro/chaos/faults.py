@@ -32,6 +32,7 @@ __all__ = [
     "FaultScheduler",
     "FaultPlanError",
     "require_backend",
+    "require_tier",
     "LinkDown",
     "LossBurst",
     "WanDegrade",
@@ -76,6 +77,12 @@ class Fault:
     #: the run starts (:func:`require_backend`).
     backends = ("sim",)
 
+    #: which simulation tiers can express this fault: the packet tier's
+    #: links, relays and middleboxes, or the flow tier's links too.  A plan
+    #: is checked against the built scenario's tier when it is armed, before
+    #: any event runs (:func:`require_tier`).
+    tiers = ("packet",)
+
     def inject(self, ctx: "FaultContext") -> Optional[dict]:
         """Apply the fault; returns what it observed (``sessions``,
         ``flows``, ...), which the ``chaos.inject`` event adds to
@@ -109,6 +116,7 @@ class LinkDown(Fault):
     duration: float = 1.0
 
     kind = "link_down"
+    tiers = ("packet", "flow")
 
     def inject(self, ctx: "FaultContext") -> None:
         link = ctx.scenario.site_wan_link(self.site)
@@ -127,6 +135,7 @@ class LossBurst(Fault):
     duration: float = 1.0
 
     kind = "loss_burst"
+    tiers = ("packet", "flow")
 
     def inject(self, ctx: "FaultContext") -> None:
         if not 0.0 <= self.loss < 1.0:
@@ -168,11 +177,6 @@ class WanDegrade(Fault):
             raise FaultPlanError(f"bad wan_degrade scale {self.scale}")
         if not 0.0 <= self.loss < 1.0:
             raise FaultPlanError(f"bad wan_degrade loss {self.loss}")
-        if ctx.scenario.backend.tier == "flow":
-            raise FaultPlanError(
-                "wan_degrade scales a link's bandwidth and queue, and the "
-                "fluid (flow) tier has no queue to scale"
-            )
         link = ctx.scenario.site_wan_link(self.site)
         previous = []
         for tx in (link.a_to_b, link.b_to_a):
@@ -488,6 +492,16 @@ def require_backend(plan: "FaultPlan", backend: str) -> None:
         )
 
 
+def require_tier(plan: "FaultPlan", tier: str) -> None:
+    """Reject a plan containing faults the scenario's simulation tier
+    cannot express (``wan_degrade`` scales a queue the flow tier has not)."""
+    bad = sorted({f.kind for f in plan if tier not in f.tiers})
+    if bad:
+        raise FaultPlanError(
+            f"fault kinds {bad} are not available on the {tier!r} tier"
+        )
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     """An immutable, canonically-ordered set of faults."""
@@ -588,7 +602,12 @@ class FaultScheduler:
         self.healed: list[dict] = []
 
     def arm(self) -> None:
-        """Schedule every fault.  Call once, before running the scenario."""
+        """Schedule every fault.  Call once, before running the scenario.
+        A simulated scenario's tier must express every fault in the plan
+        (a live one has no tier)."""
+        network = getattr(self.scenario, "backend", None)
+        if network is not None:
+            require_tier(self.plan, network.tier)
         for fault in self.plan:
             self.scenario.sim.call_at(fault.at, self._fire, fault)
 

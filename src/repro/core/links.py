@@ -64,11 +64,16 @@ class Link:
       end to end (Table 1: only such links compose with all utilization
       methods; routed links are message-based).
     * ``relayed`` — True when an application-level relay forwards the data.
+
+    ``gathers`` is True on a class whose ``send_all`` also takes a buffer
+    list (:func:`repro.util.bytesbuf.for_stream`); any other is handed
+    one ``bytes`` per write.
     """
 
     method: str = "abstract"
     native_tcp: bool = False
     relayed: bool = False
+    gathers: bool = False
 
     @property
     def sim(self):

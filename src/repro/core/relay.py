@@ -252,7 +252,10 @@ class RelayServer(Bound, RelayCore):
     @coroutine
     def _deliver(self, hop: Optional[Hop]) -> Generator:
         """The hop loop: try the write; on a transport error the core
-        names the next hop, down to an error back to the origin."""
+        names the next hop, down to an error back to the origin.  A body
+        forwarded as it arrived goes out by reference behind its length
+        prefix: the relay copies a large one only where the socket joins
+        what it writes."""
         while hop is not None:
             try:
                 if hop.conn is None:
@@ -311,6 +314,7 @@ class RoutedLink(RoutedChannel, Link):
     method = "routed"
     native_tcp = False
     relayed = True
+    gathers = True
 
     def __init__(self, client: "RelayClient", peer: str, channel: int, owned: bool = True):
         super().__init__(client, peer, channel, owned)
@@ -335,7 +339,9 @@ class RoutedLink(RoutedChannel, Link):
 
     # -- Link interface ----------------------------------------------------------
     @coroutine
-    def send_all(self, data: bytes) -> Generator:
+    def send_all(self, data) -> Generator:
+        """One routed message per ``MAX_MSG`` bytes of ``data`` (one buffer
+        or a buffer list); a large payload goes down by reference."""
         if self.closed:
             raise self.client.link_error("send on closed routed link")
         for frame in self.msg_frames(data):

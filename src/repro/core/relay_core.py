@@ -45,7 +45,7 @@ from ..mesh.state import MeshState, decode_entries, encode_entries
 from ..obs import TraceContext
 from ..obs.flight import FlightRecorder
 from ..util import sizes
-from ..util.bytesbuf import take
+from ..util.bytesbuf import ByteQueue, prepend, size, split
 from ..util.framing import ByteReader, ByteWriter, FrameError
 
 __all__ = ["RelayCore", "RelayClientCore", "RoutedChannel", "MeshSelection",
@@ -91,11 +91,13 @@ def routed_body(
     src: str,
     dst: str,
     channel: int,
-    payload: bytes = b"",
+    payload=b"",
     sender_owns_channel: bool = True,
     ctx: Optional[TraceContext] = None,
-) -> bytes:
-    """Encode one routed frame.
+):
+    """Encode one routed frame; ``payload`` is one buffer or a buffer list,
+    and a large one stays by reference behind the header (a buffer list,
+    :func:`~repro.util.bytesbuf.prepend`).
 
     OPEN frames may carry a trailing 24-byte causal trace context; the
     relay and the accepting peer parent their spans on it, which is what
@@ -105,9 +107,11 @@ def routed_body(
     head = struct.pack(
         f"!BBI{len(s)}sI{len(d)}sQI",
         kind, 1 if sender_owns_channel else 0, len(s), s, len(d), d,
-        channel, len(payload),
+        channel, len(payload) if type(payload) is not list else size(payload),
     )
-    return b"".join((head, payload, ctx.encode() if ctx is not None else b""))
+    if ctx is not None:  # an OPEN: its payload is a purpose tag
+        return b"".join((head, payload, ctx.encode()))
+    return prepend(head, payload)
 
 
 def parse_routed(body: bytes) -> tuple:
@@ -612,7 +616,9 @@ class RoutedChannel:
         self.channel = channel
         #: True when this endpoint allocated the channel id (opener side)
         self.owned = owned
-        self._buffer = bytearray()
+        #: received payloads not yet read: a large one stays a view of the
+        #: frame it arrived in
+        self._buffer = ByteQueue()
         self._eof = False
         self._error: Optional[Exception] = None
         self.closed = False
@@ -634,26 +640,34 @@ class RoutedChannel:
 
     def take(self, maxbytes: int) -> Optional[bytes]:
         """Up to ``maxbytes`` of received data, ``b""`` at EOF (the error,
-        raised, if the stream ended with one), None to wait for a wake."""
+        raised, if the stream ended with one), None to wait for a wake.  A
+        large payload is read as views of the frame it arrived in, out of
+        one payload at a time (:class:`~repro.util.bytesbuf.ByteQueue`)."""
         buf = self._buffer
         if not buf:
             if self._error is not None:
                 raise self._error
             return b"" if self._eof else None
-        return take(buf, maxbytes)
+        return buf.take(maxbytes)
 
-    def msg_frame(self, chunk) -> bytes:
-        """The frame carrying ``chunk`` (at most MAX_MSG bytes) to the peer."""
+    def msg_frame(self, chunk):
+        """The frame carrying ``chunk`` (at most MAX_MSG bytes, one buffer
+        or a buffer list) to the peer."""
         return routed_body(T_MSG, self.client.node_id, self.peer, self.channel,
                            chunk, sender_owns_channel=self.owned)
 
-    def msg_frames(self, data):
-        """The frames carrying ``data`` to the peer, in order: ``MAX_MSG``
-        bytes apiece, none a runt; each chunk is copied once, into its
-        frame."""
-        view = memoryview(data)
-        for start, end in sizes.pieces(len(view), MAX_MSG):
-            yield self.msg_frame(view[start:end])
+    def msg_frames(self, data) -> list:
+        """The frames carrying ``data`` (one buffer or a buffer list) to the
+        peer, in order: ``MAX_MSG`` bytes apiece, none a runt; a large
+        chunk goes into its frame by reference, a small one is copied."""
+        frames = []
+        left = len(data) if type(data) is not list else size(data)
+        while left:
+            n = sizes.cut(left, MAX_MSG)
+            left -= n
+            chunk, data = split(data, n) if left else (data, None)
+            frames.append(self.msg_frame(chunk))
+        return frames
 
     def close(self) -> None:
         """Local readers see EOF too (same as when the relay session dies),
@@ -750,7 +764,8 @@ class RelayClientCore:
     def dispatch(self, body: bytes) -> Optional[RoutedChannel]:
         """Act on one frame from the relay; returns the link it opened, if
         any, for the binding to hand to ``accept_link``.  Total: a frame
-        that makes no sense is ignored, never raised."""
+        that makes no sense is ignored, never raised.  A routed payload is
+        kept as a view of ``body`` when it is large."""
         if body and body[0] == T_MESH:
             return self._on_mesh_view(body)
         try:
@@ -773,7 +788,7 @@ class RelayClientCore:
         if link is None:
             return None
         if kind == T_MSG:
-            link._buffer += memoryview(body)[start:end]
+            link._buffer.put(memoryview(body)[start:end])
             link._wake()
         elif kind == T_CLOSE:
             link._deliver_eof()

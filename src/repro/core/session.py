@@ -50,6 +50,7 @@ from typing import Callable, Generator, Optional
 from .. import obs
 from ..obs import TraceContext
 from ..obs.flight import FlightRecorder
+from ..util.bytesbuf import for_stream, size, split
 from .links import Link, transport_errors
 from .retry import RetryPolicy, retrying
 from .runtime import Bound
@@ -101,6 +102,8 @@ class SessionLink(Bound, SessionCore, Link):
     ``raw`` link exists before its first one: the first ``RESUME``
     exchange attaches it.
     """
+
+    gathers = True
 
     def __init__(
         self,
@@ -163,17 +166,20 @@ class SessionLink(Bound, SessionCore, Link):
 
     # -- Link interface ----------------------------------------------------------
     @coroutine
-    def send_all(self, data: bytes) -> Generator:
-        view = memoryview(data)
-        offset = 0
-        while offset < len(view):
-            out = self.write(view[offset:])
+    def send_all(self, data) -> Generator:
+        """Write ``data``, one buffer or a buffer list, a DATA frame at a
+        time; a large payload reaches the link by reference."""
+        left = len(data) if type(data) is not list else size(data)
+        while left:
+            out = self.write(data)
             if out is None:
                 # recovering, or backpressure: acks must release replay space
                 yield from self._wait(self.WAKE_WINDOW)
                 continue
             frame, taken = out
-            offset += taken
+            left -= taken
+            if left:
+                data = split(data, taken)[1]
             yield from self._send(frame)
 
     @coroutine
@@ -235,6 +241,8 @@ class SessionLink(Bound, SessionCore, Link):
         if gen != self._gen:
             return False
         self._sending = True
+        if type(data) is list:
+            data = for_stream(self._raw, data)
         try:
             try:
                 yield from self._raw.send_all(data)

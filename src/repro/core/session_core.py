@@ -34,7 +34,7 @@ from typing import NamedTuple, Optional
 from .. import obs
 from ..obs import TraceContext
 from ..obs.flight import FlightRecorder
-from ..util.bytesbuf import take
+from ..util.bytesbuf import ByteQueue, prepend, size, split
 from ..util.sizes import SESSION_MAX_CHUNK, SESSION_REPLAY_BOUND, cut, pieces
 
 __all__ = ["SessionCore", "SessionError", "SessionConfig", "ReplayBuffer",
@@ -127,9 +127,10 @@ class ReplayBuffer:
     up to a cumulative delivered offset.  Stale (non-monotone) acks are
     ignored; an ack beyond what was ever sent is a protocol violation.
 
-    The window is the sent bytes themselves, never copied until a resume
-    asks for :meth:`unacked`: appending to one bytearray whose front acks
-    have trimmed copies everything it still holds.
+    The window is the sent bytes themselves — the buffers a DATA frame's
+    payload was handed down in — never copied until a resume asks for
+    :meth:`unacked`: appending to one bytearray whose front acks have
+    trimmed copies everything it still holds.
     """
 
     def __init__(self) -> None:
@@ -142,11 +143,21 @@ class ReplayBuffer:
     def end(self) -> int:
         return self.start + self.size
 
-    def append(self, data: bytes, skip: int = 0) -> None:
+    def append(self, data, skip: int = 0) -> None:
         """Extend the window by ``data[skip:]`` (a frame's payload, kept
-        without copying it out of the frame)."""
-        self._chunks.append((data, skip))
-        self.size += len(data) - skip
+        without copying it out of the frame); ``data`` is one buffer or a
+        buffer list, whose buffers are kept each."""
+        if type(data) is not list:
+            self._chunks.append((data, skip))
+            self.size += len(data) - skip
+            return
+        for part in data:
+            if skip < len(part):
+                self._chunks.append((part, skip))
+                self.size += len(part) - skip
+                skip = 0
+            else:
+                skip -= len(part)
 
     def ack(self, off: int) -> int:
         """Trim to cumulative offset ``off``; returns bytes released."""
@@ -262,7 +273,7 @@ class SessionCore:
         self._close_deadline: Optional[float] = None
         self._replaying = 0
         # rx side
-        self._rx = bytearray()
+        self._rx = ByteQueue()
         self._rx_off = 0
         self._rx_fin: Optional[int] = None
         self._rx_finack_sent = False
@@ -346,14 +357,15 @@ class SessionCore:
 
     # -- application side --------------------------------------------------------
     def write(self, data) -> Optional[tuple]:
-        """Admit the head of ``data`` — at most :data:`MAX_CHUNK` bytes,
-        never cut so as to leave a runt — into the replay buffer and
-        return ``(frame, taken)``: the DATA frame to put on the link and
-        how much of ``data`` it carries.  Whatever was delivered and not
-        yet acknowledged is acknowledged by an ACK in front of that DATA,
-        in the same write.  ``None`` while recovering or while the replay
-        buffer is at ``max_buffer``: park until ``WAKE_WINDOW`` and ask
-        again.
+        """Admit the head of ``data`` (one buffer or a buffer list) — at
+        most :data:`MAX_CHUNK` bytes, never cut so as to leave a runt —
+        into the replay buffer and return ``(frame, taken)``: the DATA
+        frame to put on the link (a buffer list when its payload is large,
+        :func:`~repro.util.bytesbuf.prepend`) and how much of ``data`` it
+        carries.  Whatever was delivered and not yet acknowledged is
+        acknowledged by an ACK in front of that DATA, in the same write.
+        ``None`` while recovering or while the replay buffer is at
+        ``max_buffer``: park until ``WAKE_WINDOW`` and ask again.
 
         The bytes are in the replay buffer *before* the write: if the link
         dies mid-frame they are retransmitted after resume.
@@ -365,22 +377,23 @@ class SessionCore:
             return None
         if self._replay.size >= self.config.max_buffer:
             return None
-        n = cut(len(data), MAX_CHUNK)
+        total = len(data) if type(data) is not list else size(data)
+        n = cut(total, MAX_CHUNK)
         header = _DATA_HDR.pack(F_DATA, n)
         if self._rx_off > self._last_ack_sent or "ack" in self._owed:
             self._owed.discard("ack")
-            frame = b"".join((self._ack_frame(), header, data[:n]))
-        else:
-            frame = b"".join((header, data[:n]))
-        self._replay.append(frame, len(frame) - n)
+            header = self._ack_frame() + header
+        frame = prepend(header, data if n == total else split(data, n)[0])
+        self._replay.append(frame, len(header))
         return frame, n
 
     def read(self, maxbytes: int) -> Optional[bytes]:
         """Up to ``maxbytes`` of delivered data, ``b""`` at end of stream
         (peer's FIN reached, or the session finished), ``None`` to wait for
-        ``WAKE_RX``."""
+        ``WAKE_RX``.  A large DATA payload is read as views of the buffer
+        it arrived in (:class:`~repro.util.bytesbuf.ByteQueue`)."""
         if self._rx:
-            return take(self._rx, maxbytes)
+            return self._rx.take(maxbytes)
         if self._failure is not None:
             raise self.error_class(
                 f"session {self.sid:016x} failed") from self._failure
@@ -422,22 +435,28 @@ class SessionCore:
         self._notify()
 
     # -- bytes in ----------------------------------------------------------------
-    def receive_data(self, data: bytes, now: float,
+    def receive_data(self, data, now: float,
                      gen: Optional[int] = None) -> None:
         """Apply bytes read off link generation ``gen`` (default: the
         current one), however they are fragmented.  Bytes from a link
         since abandoned are dropped.  A malformed frame or protocol
-        violation fails the session and raises :class:`SessionError`."""
+        violation fails the session and raises :class:`SessionError`.
+
+        A DATA payload that lies wholly inside ``data`` is delivered as a
+        view of it; only a frame split between two reads is finished in
+        a buffer of its own."""
         if (gen is not None and gen != self._gen) or self.ended or not data:
             return
         buf = self._inbuf
-        buf += data
+        if buf:
+            buf += data
+            data = buf
         pos = 0
         step, need = self._step, self._need
         try:
-            with memoryview(buf) as view:
-                size = len(view)
-                while size - pos >= need:
+            with memoryview(data) as view:
+                total = len(view)
+                while total - pos >= need:
                     end = pos + need
                     if step is None:
                         step = view[pos]
@@ -460,13 +479,16 @@ class SessionCore:
                             self._on_offset(step, *_U64.unpack_from(view, pos))
                         step, need = None, 1
                     pos = end
+                if data is not buf and pos < total:
+                    buf += view[pos:]  # a frame the next read finishes
         except SessionError as exc:
             # replaced, not resized: the traceback may still hold a view
             self._inbuf = bytearray()
             self.fail(exc)
             raise
         self._step, self._need = step, need
-        del buf[:pos]
+        if data is buf:
+            del buf[:pos]
 
     def _on_offset(self, kind: int, off: int) -> None:
         if kind == F_RETUNE:
@@ -482,7 +504,7 @@ class SessionCore:
         self._rx_off += len(payload)
         if self._rx_fin is not None and self._rx_off > self._rx_fin:
             raise SessionError("data past the peer's FIN offset")
-        self._rx += payload
+        self._rx.put(payload)
         self.wake(self.WAKE_RX)
         self._owe_finack()
         # an ACK of its own only as a backstop: the next write carries one

@@ -42,7 +42,12 @@ class TcpBlockDriver(Driver):
 
     @coroutine
     def recv_block(self) -> Generator:
+        """The next block, as ``bytes``: a view the link handed up (a large
+        payload never copied on its way through the layers below) is
+        copied here, once, where it leaves the stack."""
         block = yield from recv_frame(self.link)
+        if type(block) is not bytes:
+            block = bytes(block)
         self.blocks_received += 1
         self._rx.record(len(block))
         return block

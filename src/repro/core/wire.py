@@ -5,18 +5,26 @@ simulator process runs them with ``yield from``, an asyncio task with
 ``await``, and ``stream`` is whatever has ``send_all`` / ``recv_exactly``
 on that backend (a ``Link`` or ``SimSocket``; a ``LiveSocket``, mux
 channel or session link).
+
+A large body goes down by reference, behind its length prefix, to a
+stream whose class takes buffer lists, and comes up as whatever the
+stream's ``recv_exactly`` returns: ``bytes``, or a view of the buffer a
+large body arrived in (:mod:`repro.util.bytesbuf`).
 """
 
 from __future__ import annotations
 
+import struct
 from types import coroutine
 from typing import Generator
 
-from ..util.framing import frame
+from ..util.bytesbuf import for_stream, prepend, size
 
 __all__ = ["send_frame", "recv_frame", "WireError", "MAX_FRAME"]
 
 MAX_FRAME = 1 << 22  # 4 MiB: largest block any driver stack produces
+
+_LENGTH = struct.Struct("!I")
 
 
 class WireError(Exception):
@@ -24,9 +32,16 @@ class WireError(Exception):
 
 
 @coroutine
-def send_frame(stream, body: bytes) -> Generator:
-    """Write one u32-length-prefixed frame."""
-    yield from stream.send_all(frame(body))
+def send_frame(stream, body) -> Generator:
+    """Write one u32-length-prefixed frame; ``body`` is one buffer or a
+    buffer list."""
+    if type(body) is list:
+        frame = for_stream(stream, prepend(_LENGTH.pack(size(body)), body))
+    else:  # no call spent on a small frame's size
+        frame = prepend(_LENGTH.pack(len(body)), body)
+        if type(frame) is list:
+            frame = for_stream(stream, frame)
+    yield from stream.send_all(frame)
 
 
 @coroutine

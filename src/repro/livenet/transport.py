@@ -17,6 +17,14 @@ pauses while more than :data:`HIGH_WATER` bytes sit unread and resumes
 below half of it; a write waits only while the transport has paused
 writing.  ``tests/livenet/test_transport.py`` pins the contract.
 
+It is the bottom of the stack's copy discipline
+(:mod:`repro.util.bytesbuf`).  ``send_all`` takes a buffer list: into a
+transport that holds nothing it goes with one ``writelines`` (``sendmsg``
+from Python 3.12, one join before that), so that a header never leaves
+alone; into one that already holds data, one ``write`` per buffer, each of
+which only adds to what it holds.  ``recv_exactly`` hands a large read
+that one received chunk holds out as a view of that chunk.
+
 Scope note: OS-level middlebox behaviour (firewalls, NAT) obviously cannot
 be created from user space, so the live backend covers the *utilization*
 side plus relay-routed connectivity; the establishment matrix lives in the
@@ -30,6 +38,8 @@ import asyncio
 import socket
 from collections import deque
 from typing import Callable, Optional, Tuple
+
+from ..util.bytesbuf import BY_REF
 
 __all__ = [
     "LiveSocket",
@@ -74,6 +84,8 @@ class LiveSocket(asyncio.Protocol):
     #: what a routed link names its peer by; a direct socket names none
     #: (a request on it names its sender)
     peer = ""
+    #: ``send_all`` takes a buffer list (``repro.util.bytesbuf.for_stream``)
+    gathers = True
 
     def __init__(self, on_connected: Optional[Callable] = None):
         self._loop = asyncio.get_running_loop()
@@ -146,9 +158,18 @@ class LiveSocket(asyncio.Protocol):
         """Received bytes a read takes without waiting."""
         return self._buffered
 
-    async def send_all(self, data: bytes) -> None:
+    async def send_all(self, data) -> None:
+        """Write ``data``, one buffer or a buffer list (see the module
+        docstring for how a list is written)."""
         transport = self._transport
-        transport.write(data)
+        if type(data) is list:
+            if transport.get_write_buffer_size():
+                for part in data:
+                    transport.write(part)
+            else:
+                transport.writelines(data)
+        else:
+            transport.write(data)
         while self._writing_paused and not transport.is_closing():
             waiter = self._loop.create_future()
             self._drain_waiters.append(waiter)
@@ -169,13 +190,16 @@ class LiveSocket(asyncio.Protocol):
         return self._take(min(maxbytes, len(self._chunks[0]) - self._head))
 
     async def recv_exactly(self, n: int) -> bytes:
+        """Exactly ``n`` bytes: ``bytes``, or for a read of at least
+        :data:`~repro.util.bytesbuf.BY_REF` bytes that one received chunk
+        holds, a view of that chunk."""
         while self._buffered < n:
             if self._eof:
                 self._end()
                 raise EOFError(
                     f"stream ended with {n - self._buffered}/{n} bytes missing")
             await self._wait(n)
-        return self._take(n) if n else b""
+        return self._take(n, n >= BY_REF) if n else b""
 
     def close(self) -> None:
         self._transport.close()
@@ -218,20 +242,24 @@ class LiveSocket(asyncio.Protocol):
             raise self._lost
         return b""
 
-    def _take(self, n: int) -> bytes:
+    def _take(self, n: int, view: bool = False) -> bytes:
         """The next ``n`` buffered bytes: the first chunk whole, a slice of
-        it, or the one join of the chunks they span."""
+        it (with ``view``, a view of it), or the one join of the chunks
+        they span."""
         chunks = self._chunks
         chunk = chunks[0]
         head = self._head
         end = head + n
         if end < len(chunk):
             self._head = end
-            data = chunk[head:end]
+            data = memoryview(chunk)[head:end] if view else chunk[head:end]
         elif end == len(chunk):
             chunks.popleft()
             self._head = 0
-            data = chunk[head:] if head else chunk
+            if head:
+                data = memoryview(chunk)[head:] if view else chunk[head:]
+            else:
+                data = chunk
         else:
             parts = []
             while n:

@@ -19,6 +19,7 @@ from typing import Callable, Optional
 
 from .. import obs
 from ..obs import TraceContext
+from ..util.bytesbuf import frozen, size, split
 from ..util.sizes import DEFAULT_WINDOW, LONE_DATA_PAYLOAD, cut
 from . import frames
 from .frames import MuxProtocolError
@@ -90,22 +91,30 @@ class ChannelState:
         self._m_granted.inc(window)
 
     # -- application side ----------------------------------------------------
-    def write(self, data: bytes) -> None:
-        """Queue ``data``: it reaches the wire as credit allows and is never
-        dropped; ``_tx_buffered`` is back to zero at ``WAKE_DRAINED``."""
+    def write(self, data) -> None:
+        """Queue ``data`` (one buffer, or a buffer list kept by reference):
+        it reaches the wire as credit allows and is never dropped;
+        ``_tx_buffered`` is back to zero at ``WAKE_DRAINED``."""
         if self._error is not None:
             raise self._error
         if self._pending_close is not None:
             raise self._ep.closed_error(
                 f"mux channel {self.channel_id} closed")
-        if data:
-            self._txq.append(bytes(data))
-            self._tx_buffered += len(data)
+        if type(data) is list:
+            n = size(data)
+        else:
+            n = len(data)
+            if type(data) is not bytes:
+                data = frozen(data)
+        if n:
+            self._txq.append(data)
+            self._tx_buffered += n
             self._ep._update_ready(self)
 
     def read(self, maxbytes: int) -> Optional[bytes]:
         """Up to ``maxbytes`` of received data, ``b""`` at clean EOF (peer
-        closed, buffer drained), ``None`` to wait for ``WAKE_RX``."""
+        closed, buffer drained), ``None`` to wait for ``WAKE_RX``.  A large
+        DATA payload is read as views of the buffer it arrived in."""
         if not self._rxq:
             if self._error is not None:
                 raise self._error
@@ -458,15 +467,17 @@ class MuxCore:
             self.wake(channel.WAKE_DRAINED, channel)
             self._flush_pending_close(channel)
 
-    def next_frame(self) -> Optional[bytes]:
+    def next_frame(self):
         """The next frame body to write — every queued control frame first,
-        then one scheduler turn of DATA — or ``None`` when there is nothing
-        to send (park until ``WAKE_TX``).  A turn carries the head of the
-        channel's oldest write: all of it, up to ``LONE_DATA_PAYLOAD``,
-        while no other channel is ready, at most ``MAX_DATA_PAYLOAD`` the
-        moment one is; never more than the peer's credit, and never cut so
-        as to leave a runt.  Asking acknowledges that the previous frame
-        has been handed to the carrier (:meth:`frame_sent`)."""
+        then one scheduler turn of DATA (a buffer list when its payload is
+        large: :func:`~repro.mux.frames.data_frame`) — or ``None`` when
+        there is nothing to send (park until ``WAKE_TX``).  A turn carries
+        the head of the channel's oldest write: all of it, up to
+        ``LONE_DATA_PAYLOAD``, while no other channel is ready, at most
+        ``MAX_DATA_PAYLOAD`` the moment one is; never more than the peer's
+        credit, and never cut so as to leave a runt.  Asking acknowledges
+        that the previous frame has been handed to the carrier
+        (:meth:`frame_sent`)."""
         self.frame_sent()
         if self._ctlq:
             self._m_frames_tx.inc()
@@ -477,16 +488,17 @@ class MuxCore:
         payload = channel._txq.popleft()
         quantum = (LONE_DATA_PAYLOAD if self.scheduler.lone()
                    else MAX_DATA_PAYLOAD)
-        take = cut(len(payload), min(quantum, channel._tx_credit))
-        if take < len(payload):
-            channel._txq.appendleft(payload[take:])
-            payload = payload[:take]
-        channel._tx_buffered -= len(payload)
-        channel._tx_credit -= len(payload)
+        n = len(payload) if type(payload) is not list else size(payload)
+        take = cut(n, min(quantum, channel._tx_credit))
+        if take < n:
+            payload, rest = split(payload, take)
+            channel._txq.appendleft(rest)
+        channel._tx_buffered -= take
+        channel._tx_credit -= take
         self._update_ready(channel)
-        self._in_flight = (channel, len(payload))
+        self._in_flight = (channel, take)
         self._m_frames_tx.inc()
-        return frames.encode_data(channel.channel_id, payload)
+        return frames.data_frame(channel.channel_id, payload)
 
     def _pick_ready(self) -> Optional[ChannelState]:
         while True:

@@ -28,6 +28,7 @@ from ..core.links import Link, LinkClosed, transport_errors
 from ..core.runtime import Bound
 from ..core.wire import WireError, recv_frame, send_frame
 from ..obs import TraceContext
+from ..util.bytesbuf import size
 from .core import (
     DEFAULT_WINDOW,
     LONE_DATA_PAYLOAD,
@@ -51,6 +52,9 @@ class MuxChannel(ChannelState, Link):
     ``muxed`` marks the difference.
     """
 
+    #: ``send_all`` takes a buffer list (``repro.util.bytesbuf.for_stream``)
+    gathers = True
+
     @property
     def method(self) -> str:  # type: ignore[override]
         return self._ep.link.method
@@ -68,14 +72,15 @@ class MuxChannel(ChannelState, Link):
         return self._ep.sim
 
     @coroutine
-    def send_all(self, data: bytes) -> Generator:
-        """Queue ``data`` and block until the scheduler has put every byte
-        on the wire under credit — backpressure, never drops.  When the
-        carrier's write turn is free the caller takes it and writes the
-        frames itself, yielding to the runtime once per
-        ``LONE_DATA_PAYLOAD`` written while nothing else ran, so that a
-        writer with credit to spare does not keep the others from the turn;
-        otherwise whoever holds it, or the tx pump after them, does."""
+    def send_all(self, data) -> Generator:
+        """Queue ``data`` (one buffer or a buffer list) and block until the
+        scheduler has put every byte on the wire under credit —
+        backpressure, never drops.  When the carrier's write turn is free
+        the caller takes it and writes the frames itself, yielding to the
+        runtime once per ``LONE_DATA_PAYLOAD`` written while nothing else
+        ran, so that a writer with credit to spare does not keep the others
+        from the turn; otherwise whoever holds it, or the tx pump after
+        them, does."""
         ep = self._ep
         if ep._writing:
             self.write(data)
@@ -235,7 +240,8 @@ class MuxEndpoint(Bound, MuxCore):
                 except self._transport_errors as exc:
                     self.fail(exc)
                     return
-                self._unyielded += len(frame)
+                self._unyielded += (len(frame) if type(frame) is not list
+                                    else size(frame))
                 if self._unyielded >= LONE_DATA_PAYLOAD:
                     self._unyielded = 0
                     yield from self.runtime.sleep(0)

@@ -3,7 +3,10 @@
 Transport-agnostic codec — every frame is encoded to (and decoded from) a
 plain byte string; the simulated endpoint carries them inside the u32
 length-prefixed frames of :mod:`repro.core.wire`, and a live (asyncio)
-endpoint can carry the same bytes inside its own framing.  The protocol is
+endpoint can carry the same bytes inside its own framing.  A DATA frame
+the endpoint writes keeps a large payload by reference behind its header
+(:func:`data_frame`, a buffer list), and a large payload decoded from a
+view stays one (:mod:`repro.util.bytesbuf`).  The protocol is
 versioned alongside framing v2: the first frame in each direction is a
 ``HELLO`` carrying :data:`MUX_VERSION`, and an endpoint refuses to talk to
 a peer speaking a different major version.
@@ -41,6 +44,7 @@ from __future__ import annotations
 import struct
 from typing import Optional
 
+from ..util.bytesbuf import BY_REF, frozen, prepend, size
 from ..util.framing import ByteReader, ByteWriter, FrameError
 
 __all__ = [
@@ -61,6 +65,7 @@ __all__ = [
     "encode_open",
     "encode_accept",
     "encode_data",
+    "data_frame",
     "encode_credit",
     "encode_close",
     "encode_window",
@@ -156,6 +161,14 @@ def encode_data(channel: int, payload: bytes) -> bytes:
     return _DATA_HEAD.pack(T_DATA, channel, len(payload)) + payload
 
 
+def data_frame(channel: int, payload):
+    """The DATA frame carrying ``payload`` (one buffer or a buffer list) as
+    the endpoint writes it: its header in front of a large payload kept by
+    reference, else :func:`encode_data`'s bytes."""
+    n = len(payload) if type(payload) is not list else size(payload)
+    return prepend(_DATA_HEAD.pack(T_DATA, channel, n), payload)
+
+
 def encode_credit(channel: int, grant: int) -> bytes:
     return _header(T_CREDIT, channel).u32(grant).getvalue()
 
@@ -169,15 +182,20 @@ def encode_window(channel: int, window: int) -> bytes:
     return _header(T_WINDOW, channel).u32(window).getvalue()
 
 
-def decode_frame(body: bytes) -> MuxFrame:
-    """Decode one mux frame body (without the transport length prefix)."""
+def decode_frame(body) -> MuxFrame:
+    """Decode one mux frame body (without the transport length prefix):
+    bytes, a view, or the buffer list :func:`data_frame` builds."""
+    if type(body) is list:
+        body = b"".join(body)
     if len(body) >= _DATA_HEAD.size and body[0] == T_DATA:
-        # the frame that carries the bytes: its payload is copied once, out
-        # of ``body`` (a memoryview will do) into what the rx queue keeps
+        # the frame that carries the bytes: a large payload stays a view of
+        # ``body`` (copied only if ``body`` could change), a small one is
+        # copied out
         _, channel, length = _DATA_HEAD.unpack_from(body)
         if length == len(body) - _DATA_HEAD.size:
-            return MuxFrame(T_DATA, channel,
-                            payload=bytes(body[_DATA_HEAD.size:]))
+            return MuxFrame(T_DATA, channel, payload=(
+                frozen(memoryview(body)[_DATA_HEAD.size:]) if length >= BY_REF
+                else bytes(body[_DATA_HEAD.size:])))
         # a DATA whose length lies is diagnosed by the general path
     try:
         reader = ByteReader(body)

@@ -842,10 +842,16 @@ def _ceiling_key(flow: FluidFlow) -> float:
 
 def _fix(flow: FluidFlow, rate: float, cap: list, n: list) -> None:
     """Give ``flow`` its ``rate`` and take it off every pipe it crosses
-    (``cap``/``n``: the network's solver scratch)."""
+    (``cap``/``n``: the network's solver scratch).  A pipe whose last
+    unfixed flow this was is read no more this solve: its capacity left
+    becomes the shared ``0.0``, so no float object per pipe outlives the
+    solve (24 B an endpoint, ≈ 2.4 MB at 100 k)."""
     flow.rate = rate if rate > 1e-12 else 0.0
     flow._fixed = True
     for p in flow.path:
-        left = cap[p] - rate
-        cap[p] = 0.0 if left < 0.0 else left
         n[p] -= 1
+        if n[p]:
+            left = cap[p] - rate
+            cap[p] = 0.0 if left < 0.0 else left
+        else:
+            cap[p] = 0.0

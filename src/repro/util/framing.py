@@ -76,10 +76,14 @@ class ByteWriter:
 
 
 class ByteReader:
-    """Composable binary reader with strict bounds checking."""
+    """Composable binary reader with strict bounds checking.
+
+    Reads ``bytes``: a view handed to it (a frame read off a live socket)
+    is copied first, so every field it returns is ``bytes`` and decodes.
+    """
 
     def __init__(self, data: bytes):
-        self._data = data
+        self._data = data if type(data) is bytes else bytes(data)
         self._pos = 0
 
     def _take(self, n: int) -> bytes:

@@ -12,6 +12,7 @@ from repro.chaos import (
     NatExpiry,
     PeerDrop,
     RelayCrash,
+    require_tier,
 )
 from repro.core.scenarios import GridScenario
 
@@ -121,6 +122,25 @@ def test_loss_burst_accepts_a_loss_in_the_unit_interval(scenario, loss):
     FaultScheduler(scenario, plan).arm()
     scenario.sim.run(until=1.5)
     assert link.a_to_b.loss == loss and link.b_to_a.loss == loss
+
+
+def test_each_fault_names_the_tiers_that_express_it():
+    plan = FaultPlan.parse("link_down@1:site=B,for=1;loss_burst@2:site=B,"
+                           "loss=0.1,for=1;wan_degrade@3:site=B,for=1")
+    require_tier(plan, "packet")  # every kind works on the packet tier
+    with pytest.raises(FaultPlanError, match=r"\['wan_degrade'\]"):
+        require_tier(plan, "flow")  # the flow tier has no queue to scale
+
+
+def test_wan_degrade_is_still_accepted_on_the_packet_tier(scenario):
+    link = scenario.site_wan_link("B")
+    bandwidth = link.a_to_b.bandwidth
+    plan = FaultPlan.parse("wan_degrade@1:site=B,scale=4,for=1")
+    FaultScheduler(scenario, plan).arm()
+    scenario.sim.run(until=1.5)
+    assert link.a_to_b.bandwidth == bandwidth / 4
+    scenario.sim.run(until=2.5)
+    assert link.a_to_b.bandwidth == bandwidth
 
 
 def test_wan_degrade_rejects_a_loss_outside_the_unit_interval(scenario):

@@ -7,6 +7,7 @@ import pytest
 from repro.chaos import FaultPlan, FaultPlanError, FaultScheduler, run_chaos
 from repro.chaos.fleet import SIZE_CLASSES, FleetScenario
 from repro.obs import metrics as obs_metrics
+from repro.simnet.engine import Simulator
 
 
 @pytest.fixture(autouse=True)
@@ -108,10 +109,24 @@ class TestScenarioSurface:
         hub = scn.site_wan_link("hub")
         before = [(p.capacity, p.loss) for p in (hub.a_to_b, hub.b_to_a)]
         plan = FaultPlan.parse("wan_degrade@3:site=hub,scale=4,loss=0.1,for=2")
-        FaultScheduler(scn, plan).arm()
-        with pytest.raises(FaultPlanError, match="no queue to scale"):
-            scn.sim.run(until=3.5)
+        refused = r"\['wan_degrade'\].*'flow' tier"
+        with pytest.raises(FaultPlanError, match=refused):
+            FaultScheduler(scn, plan).arm()  # refused when armed, not at t=3
+        scn.sim.run(until=3.5)
         assert [(p.capacity, p.loss) for p in (hub.a_to_b, hub.b_to_a)] == before
+
+    def test_a_plan_the_flow_tier_cannot_express_is_refused_before_the_run(
+            self, monkeypatch):
+        """The CLI's path: ``run_chaos`` builds the scenario, and arming the
+        plan refuses it before the simulator has run a single event."""
+        runs = []
+        monkeypatch.setattr(Simulator, "run",
+                            lambda sim, **kw: runs.append(kw))
+        with pytest.raises(FaultPlanError, match="'flow' tier"):
+            run_chaos("fleet_fanin", seed=1, sessions=True,
+                      plan="link_down@2:site=hub,for=1;"
+                           "wan_degrade@3:site=hub,scale=4,for=2")
+        assert runs == []
 
     def test_loss_burst_on_an_endpoint_restores_both_pipes(self):
         scn = FleetScenario(seed=0, endpoints=8, waves=2)

@@ -27,6 +27,7 @@ from repro.mux import frames as mf
 from repro.mux.core import LONE_DATA_PAYLOAD, MAX_DATA_PAYLOAD
 from repro.simnet.crossval import PROFILES
 from repro.util import sizes
+from repro.util.bytesbuf import joined, size
 from repro.util.framing import frame
 
 MIB = 1 << 20
@@ -90,14 +91,14 @@ class Stack:
         self.census["mux." + decoded.name] += 1
         if decoded.kind == mf.T_DATA:
             self.data_payloads.append((decoded.channel, len(decoded.payload)))
-        view, offset = memoryview(frame(body)), 0
+        view, offset = memoryview(frame(joined(body))), 0
         while offset < len(view):  # what the binding's send_all does
             out = src.session.write(view[offset:])
             assert out is not None, "the replay window never fills here"
             data, taken = out
             offset += taken
             self.census["session.data"] += 1
-            self.census["session.acks_carried"] += data[0] == sc.F_ACK
+            self.census["session.acks_carried"] += joined(data)[0] == sc.F_ACK
             self._link_out(src, data)
 
     def _control_out(self, src):
@@ -111,8 +112,8 @@ class Stack:
     def _link_out(self, src, data):
         dst = self.peer[src]
         for routed in src.link.msg_frames(data):
-            assert len(routed) <= rc.MAX_RELAY_FRAME
-            hop = self.relay.route(src.name, routed, src)
+            assert size(routed) <= rc.MAX_RELAY_FRAME
+            hop = self.relay.route(src.name, joined(routed), src)
             self.census["relay.frames"] += 1
             self.census["relay.bytes"] += hop.head[6] - hop.head[5]
             self.census["relay.small"] += hop.head[6] - hop.head[5] <= 64
@@ -313,14 +314,15 @@ class TestSizeChain:
         core = SessionCore(7, SessionCore.INITIATOR, SessionConfig())
         core.receive_data(b"\x01\x00\x00\x00\x01x", 0.0)  # owes an ACK now
         data, taken = core.write(memoryview(wire))
-        assert taken == len(wire) and data[0] == sc.F_ACK
-        assert len(data) == rc.MAX_MSG
+        assert taken == len(wire) and joined(data)[0] == sc.F_ACK
+        assert size(data) == rc.MAX_MSG
         # ... which is one routed message, whatever the node ids
         client = RelayClientCore("n" * 400)
         link, _ = client.open("p" * 400)
         (routed,) = link.msg_frames(data)
-        assert len(routed) <= rc.MAX_RELAY_FRAME
-        assert rc.parse_routed(routed)[6] - rc.parse_routed(routed)[5] == len(data)
+        assert size(routed) <= rc.MAX_RELAY_FRAME
+        head = rc.parse_routed(joined(routed))
+        assert head[6] - head[5] == size(data)
 
     def test_one_byte_more_is_two_frames_and_neither_is_a_runt(self):
         core = SessionCore(7, SessionCore.INITIATOR, SessionConfig())
@@ -330,8 +332,9 @@ class TestSizeChain:
         assert taken + rest == len(data) and rest == sizes.MIN_TAIL
         client = RelayClientCore("a")
         link, _ = client.open("b")
-        lengths = [rc.parse_routed(f)[6] - rc.parse_routed(f)[5]
-                   for f in link.msg_frames(b"y" * (rc.MAX_MSG + 5))]
+        heads = [rc.parse_routed(joined(f))
+                 for f in link.msg_frames(b"y" * (rc.MAX_MSG + 5))]
+        lengths = [head[6] - head[5] for head in heads]
         assert lengths == [rc.MAX_MSG + 5 - sizes.MIN_TAIL, sizes.MIN_TAIL]
 
     @pytest.mark.parametrize("length,limit,want", [

@@ -24,6 +24,7 @@ from repro.livenet import LiveRelayClient, live_connect
 from repro.obs import TraceRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.security import CertificateAuthority, Identity
+from repro.util.bytesbuf import size
 from repro.util.framing import ByteReader, ByteWriter
 
 from .test_live_runtime import grid
@@ -170,7 +171,7 @@ def _kill_under_write(sock, after: int) -> None:
 
     async def killing_send_all(data):
         nonlocal sent
-        sent += len(data)
+        sent += size(data)  # one buffer or a buffer list
         if sent > after:
             sock.send_all = send_all
             sock.abort()

@@ -17,6 +17,7 @@ from repro import obs
 from repro.mux import MuxProtocolError, WeightedScheduler
 from repro.mux import frames as f
 from repro.mux.core import LONE_DATA_PAYLOAD
+from repro.util import bytesbuf
 
 from .conftest import LiveHarness, SimHarness
 
@@ -584,7 +585,7 @@ class WriteTurnCases:
 
             def recording_next_frame():
                 body = next_frame()
-                if body is not None and body[0] == f.T_DATA:
+                if body is not None and bytesbuf.joined(body)[0] == f.T_DATA:
                     frame = f.decode_frame(body)
                     sent.append((frame.channel, len(frame.payload)))
                 return body

@@ -39,6 +39,7 @@ from repro.core.relay_core import (
 from repro.mesh.config import MeshConfig
 from repro.mesh.state import RelayEntry, encode_entries
 from repro.obs import TraceContext
+from repro.util.bytesbuf import joined, size
 from repro.util.framing import ByteWriter, FrameError
 
 CFG = MeshConfig(gossip_interval=0.5, gossip_jitter=0.2, deadline=3.0)
@@ -793,7 +794,7 @@ class TestClient:
         net = Net()
         a, b = Node(net, "a").join("r1"), Node(net, "b").join("r1")
         link = a.open_to("b")
-        link._buffer += b"still here"
+        link._buffer.put(b"still here")
         link.abort()
         assert link.take(5) == b"still" and link.take(99) == b" here"
         with pytest.raises(RelayError, match="aborted"):
@@ -804,7 +805,7 @@ class TestClient:
     def test_take_hands_over_whole_or_part(self):
         link = Node(None, "a")._add_link("b", 1, True)
         assert link.take(10) is None
-        link._buffer += b"0123456789"
+        link._buffer.put(b"0123456789")
         assert link.take(4) == b"0123" and isinstance(link.take(4), bytes)
         assert link.take(100) == b"89" and link.take(1) is None
         link._deliver_eof()
@@ -825,9 +826,9 @@ class TestClient:
 
     def test_msg_frames_carry_at_most_max_msg(self):
         link = Node(None, "a")._add_link("b", 1, False)
-        head = parse_routed(link.msg_frame(memoryview(b"z" * MAX_MSG)))
+        head = parse_routed(joined(link.msg_frame(memoryview(b"z" * MAX_MSG))))
         assert head[:5] == (rc.T_MSG, False, "a", "b", 1) and head[6] - head[5] == MAX_MSG
-        assert len(link.msg_frame(b"z" * MAX_MSG)) <= rc.MAX_RELAY_FRAME
+        assert size(link.msg_frame(b"z" * MAX_MSG)) <= rc.MAX_RELAY_FRAME
 
 
 class FakeSub:

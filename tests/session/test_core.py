@@ -31,6 +31,7 @@ from repro.core.session_core import (
     decode_resume,
     decode_resume_ok,
 )
+from repro.util.bytesbuf import joined
 from repro.util.sizes import MIN_TAIL
 
 CFG = SessionConfig(ack_every=1024, max_buffer=8192, heartbeat=1.0)
@@ -78,7 +79,8 @@ class Wire:
 
     def send(self, src, data: bytes):
         assert src.state == sc.ACTIVE, "a binding writes only to a live link"
-        self.flight[self.peer(src)].append(bytes(data))
+        # a buffer list reaches the link as one write, as a socket joins it
+        self.flight[self.peer(src)].append(bytes(joined(data)))
 
     def write(self, src, data: bytes) -> int:
         """What ``send_all`` does until it would park; returns bytes taken."""

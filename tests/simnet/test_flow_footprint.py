@@ -43,12 +43,13 @@ BUDGET = {
     # partition stalls had its own reconnect counter, 7.4 while the fleet
     # wrote three mux ledger counters per endpoint
     "tracked objects per endpoint": 0.37,
-    # measured 498 and 499; 661 and 663 with the topology as objects
-    # (budget 761 and 762), 678 and 680 with the per-endpoint reconnect
-    # counters, 1 298 and 1 416 with the mux ledger, whose check built a
-    # labels dict per counter read at the peak
-    "bytes per endpoint": 573,
-    "peak bytes per endpoint": 574,
+    # measured 473 and 474; 497 and 498 while the last solve's leftover
+    # capacity stayed a float per pipe (budget 573 and 574), 661 and 663
+    # with the topology as objects (budget 761 and 762), 678 and 680 with
+    # the per-endpoint reconnect counters, 1 298 and 1 416 with the mux
+    # ledger, whose check built a labels dict per counter read at the peak
+    "bytes per endpoint": 544,
+    "peak bytes per endpoint": 546,
     # measured 152.6: one list per saturated pipe, and here the endpoint
     # uplinks saturate; 153.8 while the solver's comprehensions made cells
     # of its locals, 159.7 with one per pipe under an active flow

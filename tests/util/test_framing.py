@@ -27,6 +27,13 @@ class TestByteWriterReader:
         assert r.lp_bytes() == b"abc"
         assert r.lp_str() == "héllo"
 
+    def test_a_view_reads_as_bytes(self):
+        """A frame read off a live socket can be a view of its chunk: the
+        fields come out as ``bytes`` all the same, and strings decode."""
+        data = ByteWriter().lp_bytes(b"abc").lp_str("héllo").getvalue()
+        r = ByteReader(memoryview(b"\0" + data)[1:])
+        assert type(r.lp_bytes()) is bytes and r.lp_str() == "héllo"
+
     @given(st.integers(min_value=0, max_value=1 << 256))
     def test_mpint_round_trip(self, value):
         data = ByteWriter().mpint(value).getvalue()
