@@ -85,10 +85,11 @@ bench-diff:
 frame-census:
 	$(PYTHON) scripts/frame_census.py --mib 64 --max-frames 24 --max-stalls 2 --max-handles 84 --max-futures 67
 
-# Is the simulator's behaviour here identical to BASE's?  Runs the eight
-# reference chaos cells (seven packet-tier, one flow-tier) at both trees and compares report bytes and sorted
-# trace JSONL (docs/TESTING.md).  STRIP_LABEL=backend drops that key from
-# labels and attrs on both sides, for a change whose one delta is the label.
+# Is the simulator's behaviour here identical to BASE's?  Runs the twelve
+# reference chaos cells (nine packet-tier, three flow-tier) at both trees
+# and compares report bytes and sorted trace JSONL (docs/TESTING.md).
+# STRIP_LABEL=backend drops that key from labels and attrs on both sides,
+# for a change whose one delta is the label.
 sim-identical: BASE ?= HEAD^
 sim-identical:
 	$(PYTHON) scripts/sim_identical.py $(BASE) $(if $(STRIP_LABEL),--strip-label $(STRIP_LABEL))

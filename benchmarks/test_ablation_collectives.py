@@ -34,17 +34,17 @@ def _broadcast_time(wan_aware: bool) -> float:
             clusters[name] = site
     done = {}
 
-    def member(name):
+    async def member(name):
         ibis = instances[name]
-        yield from ibis.start()
+        await ibis.start()
         group = CollectiveGroup(
             ibis, "g", members, clusters, root=members[0], wan_aware=wan_aware
         )
-        yield from group.setup()
-        yield from group.barrier()  # align the start
+        await group.setup()
+        await group.barrier()  # align the start
         t0 = sc.sim.now
-        yield from group.broadcast(PAYLOAD if name == members[0] else None)
-        yield from group.barrier()  # everyone has it
+        await group.broadcast(PAYLOAD if name == members[0] else None)
+        await group.barrier()  # everyone has it
         done[name] = sc.sim.now - t0
 
     for name in members:

@@ -33,14 +33,14 @@ def _probe_and_select(link: dict) -> "StackSpec":
     dst = scenario.nodes["dst"]
     out = {}
 
-    def initiator():
-        yield from src.start()
+    async def initiator():
+        await src.start()
         while not dst.relay_client.connected:
-            yield scenario.sim.timeout(0.05)
-        service = yield from src.open_service_link("dst")
+            await scenario.sim.timeout(0.05)
+        service = await src.open_service_link("dst")
         monitor = PathMonitor(src)
-        estimate = yield from monitor.estimate(service, dst.info)
-        yield from monitor.finish(service)
+        estimate = await monitor.estimate(service, dst.info)
+        await monitor.finish(service)
         out["estimate"] = estimate
         out["spec"] = select_spec(
             estimate,
@@ -48,10 +48,10 @@ def _probe_and_select(link: dict) -> "StackSpec":
             payload_ratio=PAYLOAD_RATIO,
         )
 
-    def responder():
-        yield from dst.start()
-        _peer, service = yield from dst.accept_service_link()
-        yield from PathMonitor(dst).serve(service)
+    async def responder():
+        await dst.start()
+        _peer, service = await dst.accept_service_link()
+        await PathMonitor(dst).serve(service)
 
     scenario.sim.process(initiator())
     scenario.sim.process(responder())

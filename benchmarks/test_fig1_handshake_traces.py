@@ -28,11 +28,11 @@ def _client_server_trace():
     inet, a, b = two_public_hosts(seed=1)
     tracer = Tracer(inet.net, only={"rx"}, hosts={"a", "b"})
 
-    def proc():
+    async def proc():
         inet.sim.process(echo_server(b, 5000))
-        sock = yield from connect(a, (b.ip, 5000))
-        yield from sock.send_all(b"x")
-        yield from sock.recv_exactly(1)
+        sock = await connect(a, (b.ip, 5000))
+        await sock.send_all(b"x")
+        await sock.recv_exactly(1)
 
     inet.sim.process(proc())
     inet.sim.run(until=10)
@@ -43,10 +43,10 @@ def _splicing_trace():
     inet, a, b = two_public_hosts(seed=1)
     tracer = Tracer(inet.net, only={"rx"}, hosts={"a", "b"})
 
-    def side(host, peer, lport, rport):
-        sock = yield from connect_simultaneous(host, (peer.ip, rport), lport)
-        yield from sock.send_all(b"x")
-        yield from sock.recv_exactly(1)
+    async def side(host, peer, lport, rport):
+        sock = await connect_simultaneous(host, (peer.ip, rport), lport)
+        await sock.send_all(b"x")
+        await sock.recv_exactly(1)
 
     inet.sim.process(side(a, b, 7000, 7001))
     inet.sim.process(side(b, a, 7001, 7000))

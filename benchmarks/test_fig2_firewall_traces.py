@@ -26,14 +26,14 @@ def _client_server_attempt():
     tracer = Tracer(sc.inet.net)
     outcome = {}
 
-    def server():
+    async def server():
         listener = listen(b, 5000)
-        sock = yield from listener.accept()
+        sock = await listener.accept()
         outcome["accepted"] = True
 
-    def client():
+    async def client():
         try:
-            yield from connect(a, (b.ip, 5000))
+            await connect(a, (b.ip, 5000))
             outcome["connected"] = True
         except ConnectTimeout:
             outcome["connected"] = False
@@ -52,11 +52,11 @@ def _splicing_attempt():
     sc, a, b = _build()
     outcome = {}
 
-    def side(host, peer_ip, lport, rport, key):
+    async def side(host, peer_ip, lport, rport, key):
         try:
-            sock = yield from connect_simultaneous(host, (peer_ip, rport), lport)
-            yield from sock.send_all(b"!")
-            yield from sock.recv_exactly(1)
+            sock = await connect_simultaneous(host, (peer_ip, rport), lport)
+            await sock.send_all(b"!")
+            await sock.recv_exactly(1)
             outcome[key] = True
         except Exception:
             outcome[key] = False

@@ -22,23 +22,23 @@ def _run():
     results = {}
     nodes = sc.nodes
 
-    def proc(me, peers):
+    async def proc(me, peers):
         node = nodes[me]
-        yield from node.start()
+        await node.start()
         # Everyone opens a routed link to everyone after them.
         for peer in peers:
             while not nodes[peer].relay_client.connected:
-                yield sc.sim.timeout(0.05)
-            link = yield from node.relay_client.open_link(peer, payload=b"service")
-            yield from link.send_all(f"hello {peer} from {me}".encode())
+                await sc.sim.timeout(0.05)
+            link = await node.relay_client.open_link(peer, payload=b"service")
+            await link.send_all(f"hello {peer} from {me}".encode())
 
-    def acceptor(me, expect):
+    async def acceptor(me, expect):
         node = nodes[me]
         while not node.relay_client.connected:
-            yield sc.sim.timeout(0.05)
+            await sc.sim.timeout(0.05)
         for _ in range(expect):
-            link = yield from node.dispatcher.accept_service()
-            data = yield from link.recv(100)
+            link = await node.dispatcher.accept_service()
+            data = await link.recv(100)
             results.setdefault(me, []).append(data.decode())
 
     order = ["a", "b", "c"]

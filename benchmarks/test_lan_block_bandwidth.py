@@ -25,14 +25,14 @@ def _lan_transfer(block_size: int, flush_each_send: bool):
     sim = inet.sim
     res = {}
 
-    def server():
+    async def server():
         listener = listen(b, 5000)
-        sock = yield from listener.accept()
+        sock = await listener.accept()
         channel = BlockChannel(TcpBlockDriver(TcpLink(sock, "client_server")), block_size)
         got = 0
         t0 = None
         while got < TOTAL:
-            data = yield from channel.read(1 << 20)
+            data = await channel.read(1 << 20)
             if not data:
                 break
             if t0 is None:
@@ -40,17 +40,17 @@ def _lan_transfer(block_size: int, flush_each_send: bool):
             got += len(data)
         res["mbps"] = mb_per_s(got, sim.now - t0)
 
-    def client():
-        sock = yield from connect(a, (b.ip, 5000))
+    async def client():
+        sock = await connect(a, (b.ip, 5000))
         channel = BlockChannel(TcpBlockDriver(TcpLink(sock, "client_server")), block_size)
         sent = 0
         chunk = b"m" * SMALL_SEND
         while sent < TOTAL:
-            yield from channel.write(chunk)
+            await channel.write(chunk)
             if flush_each_send:
-                yield from channel.flush()
+                await channel.flush()
             sent += len(chunk)
-        yield from channel.flush()
+        await channel.flush()
 
     sim.process(server())
     sim.process(client())
@@ -64,19 +64,19 @@ def _latency():
     sim = inet.sim
     res = {}
 
-    def server():
+    async def server():
         listener = listen(b, 5000)
-        sock = yield from listener.accept()
+        sock = await listener.accept()
         channel = BlockChannel(TcpBlockDriver(TcpLink(sock, "client_server")), 65536)
-        msg = yield from channel.recv_message()
-        yield from channel.send_message(msg)
+        msg = await channel.recv_message()
+        await channel.send_message(msg)
 
-    def client():
-        sock = yield from connect(a, (b.ip, 5000))
+    async def client():
+        sock = await connect(a, (b.ip, 5000))
         channel = BlockChannel(TcpBlockDriver(TcpLink(sock, "client_server")), 65536)
         t0 = sim.now
-        yield from channel.send_message(b"ping-pong-64-bytes".ljust(64))
-        yield from channel.recv_message()
+        await channel.send_message(b"ping-pong-64-bytes".ljust(64))
+        await channel.recv_message()
         res["rtt"] = sim.now - t0
 
     sim.process(server())
@@ -95,23 +95,23 @@ def _nagle_latency(nodelay: bool) -> float:
     cfg = TcpConfig(nodelay=nodelay, delayed_ack=0.0 if nodelay else 0.04)
     res = {}
 
-    def server():
+    async def server():
         b.tcp.config = cfg
         listener = listen(b, 5000)
-        sock = yield from listener.accept()
+        sock = await listener.accept()
         rtts = []
         for _ in range(5):
-            yield from sock.recv_exactly(8)
-            yield from sock.send_all(b"resp")
+            await sock.recv_exactly(8)
+            await sock.send_all(b"resp")
 
-    def client():
-        sock = yield from connect(a, (b.ip, 5000), config=cfg)
+    async def client():
+        sock = await connect(a, (b.ip, 5000), config=cfg)
         samples = []
         for _ in range(5):
             t0 = sim.now
-            yield from sock.send_all(b"head")
-            yield from sock.send_all(b"body")
-            yield from sock.recv_exactly(4)
+            await sock.send_all(b"head")
+            await sock.send_all(b"body")
+            await sock.recv_exactly(4)
             samples.append(sim.now - t0)
         res["latency"] = sum(samples) / len(samples)
 

@@ -16,7 +16,7 @@ The ISSUE's acceptance bar: the muxed variant must be at least 2x.
 """
 
 import random
-from typing import Generator
+
 
 from conftest import once
 from repro.core.factory import BrokeredConnectionFactory
@@ -45,17 +45,17 @@ def _run_case(spec_str: str) -> dict:
     spec = StackSpec.parse(spec_str)
     res: dict = {"received": 0, "done": 0}
 
-    def send_one(channel, i) -> Generator:
+    async def send_one(channel, i):
         payload = PAYLOADS[i]
-        yield from channel.write(i.to_bytes(4, "big"))
+        await channel.write(i.to_bytes(4, "big"))
         for off in range(0, len(payload), _CHUNK):
-            yield from channel.write(payload[off : off + _CHUNK])
-        yield from channel.flush()
+            await channel.write(payload[off : off + _CHUNK])
+        await channel.flush()
         channel.close()
 
-    def read_one(channel) -> Generator:
-        idx = int.from_bytes((yield from channel.read_exactly(4)), "big")
-        got = yield from channel.read_exactly(len(PAYLOADS[idx]))
+    async def read_one(channel):
+        idx = int.from_bytes(await channel.read_exactly(4), "big")
+        got = await channel.read_exactly(len(PAYLOADS[idx]))
         assert got == PAYLOADS[idx]
         channel.close()
         res["received"] += len(got)
@@ -63,29 +63,29 @@ def _run_case(spec_str: str) -> dict:
         if res["done"] == N_CHANNELS:
             res["t_end"] = sim.now
 
-    def run_a() -> Generator:
-        yield from node_a.start()
-        yield from node_b.relay_client.wait_connected(timeout=60)
+    async def run_a():
+        await node_a.start()
+        await node_b.relay_client.wait_connected(timeout=60)
         factory = BrokeredConnectionFactory(node_a)
         res["t0"] = sim.now
         channels = []
         # one control conversation serves all 8 negotiations in BOTH
         # variants, so the comparison isolates data-link establishment
-        service = yield from node_a.open_service_link("b")
+        service = await node_a.open_service_link("b")
         for _ in range(N_CHANNELS):
-            channel = yield from factory.connect(service, node_b.info, spec=spec)
+            channel = await factory.connect(service, node_b.info, spec=spec)
             channels.append(channel)
         service.close()
         res["setup"] = sim.now - res["t0"]
         for i, channel in enumerate(channels):
             sim.process(send_one(channel, i), name=f"bench-send-{i}")
 
-    def run_b() -> Generator:
-        yield from node_b.start()
+    async def run_b():
+        await node_b.start()
         factory = BrokeredConnectionFactory(node_b)
-        _peer, service = yield from node_b.accept_service_link()
+        _peer, service = await node_b.accept_service_link()
         for i in range(N_CHANNELS):
-            channel = yield from factory.accept(service)
+            channel = await factory.accept(service)
             sim.process(read_one(channel), name=f"bench-read-{i}")
         service.close()
 

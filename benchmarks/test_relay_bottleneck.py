@@ -32,30 +32,30 @@ def _throughputs(methods):
     sc = _scenario()
     res = {}
 
-    def sender(i):
+    async def sender(i):
         node = sc.nodes[f"src{i}"]
         peer = sc.nodes[f"dst{i}"]
-        yield from node.start()
+        await node.start()
         while not peer.relay_client.connected:
-            yield sc.sim.timeout(0.05)
-        service = yield from node.open_service_link(f"dst{i}")
-        link = yield from node.broker.initiate(service, peer.info, methods)
+            await sc.sim.timeout(0.05)
+        service = await node.open_service_link(f"dst{i}")
+        link = await node.broker.initiate(service, peer.info, methods)
         payload = b"r" * 32768
         sent = 0
         while sent < PER_PAIR:
-            yield from link.send_all(payload)
+            await link.send_all(payload)
             sent += len(payload)
         link.close()
 
-    def receiver(i):
+    async def receiver(i):
         node = sc.nodes[f"dst{i}"]
-        yield from node.start()
-        _peer, service = yield from node.accept_service_link()
-        link = yield from node.broker.respond(service)
+        await node.start()
+        _peer, service = await node.accept_service_link()
+        link = await node.broker.respond(service)
         got = 0
         t0 = None
         while got < PER_PAIR:
-            data = yield from link.recv(65536)
+            data = await link.recv(65536)
             if not data:
                 break
             if t0 is None:
@@ -74,31 +74,31 @@ def _latency(methods):
     sc = _scenario()
     res = {}
 
-    def sender():
+    async def sender():
         node = sc.nodes["src0"]
         peer = sc.nodes["dst0"]
-        yield from node.start()
+        await node.start()
         while not peer.relay_client.connected:
-            yield sc.sim.timeout(0.05)
-        service = yield from node.open_service_link("dst0")
-        link = yield from node.broker.initiate(service, peer.info, methods)
+            await sc.sim.timeout(0.05)
+        service = await node.open_service_link("dst0")
+        link = await node.broker.initiate(service, peer.info, methods)
         # measure steady-state round trips
         rtts = []
         for _ in range(5):
             t0 = sc.sim.now
-            yield from link.send_all(b"x" * 64)
-            yield from link.recv_exactly(64)
+            await link.send_all(b"x" * 64)
+            await link.recv_exactly(64)
             rtts.append(sc.sim.now - t0)
         res["rtt"] = min(rtts)
 
-    def receiver():
+    async def receiver():
         node = sc.nodes["dst0"]
-        yield from node.start()
-        _peer, service = yield from node.accept_service_link()
-        link = yield from node.broker.respond(service)
+        await node.start()
+        _peer, service = await node.accept_service_link()
+        link = await node.broker.respond(service)
         for _ in range(5):
-            data = yield from link.recv_exactly(64)
-            yield from link.send_all(data)
+            data = await link.recv_exactly(64)
+            await link.send_all(data)
 
     sc.sim.process(sender())
     sc.sim.process(receiver())

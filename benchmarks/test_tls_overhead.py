@@ -45,32 +45,32 @@ def _secure_transfer(kind_a, kind_b, spec, seed=19):
     payload = incompressible(65536, seed=3)
     res = {}
 
-    def sender():
-        yield from src.start()
+    async def sender():
+        await src.start()
         while not dst.relay_client.connected:
-            yield sc.sim.timeout(0.05)
-        service = yield from src.open_service_link("dst")
+            await sc.sim.timeout(0.05)
+        service = await src.open_service_link("dst")
         factory = BrokeredConnectionFactory(src, tls_a)
-        channel = yield from factory.connect(service, dst.info, spec=spec)
+        channel = await factory.connect(service, dst.info, spec=spec)
         tls = find_driver(channel.driver, TlsDriver)
         res["peer"] = tls.peer_subject if tls else None
         res["method"] = None
         sent = 0
         while sent < TOTAL:
-            yield from channel.write(payload)
+            await channel.write(payload)
             sent += len(payload)
-        yield from channel.flush()
+        await channel.flush()
         channel.close()
 
-    def receiver():
-        yield from dst.start()
-        _p, service = yield from dst.accept_service_link()
+    async def receiver():
+        await dst.start()
+        _p, service = await dst.accept_service_link()
         factory = BrokeredConnectionFactory(dst, tls_b)
-        channel = yield from factory.accept(service)
+        channel = await factory.accept(service)
         got = 0
         t0 = None
         while True:
-            data = yield from channel.read(1 << 20)
+            data = await channel.read(1 << 20)
             if not data:
                 break
             if t0 is None:

@@ -43,19 +43,19 @@ def _probe(link: dict) -> "PathEstimate":
     dst = scenario.nodes["dst"]
     out = {}
 
-    def initiator():
-        yield from src.start()
+    async def initiator():
+        await src.start()
         while not dst.relay_client.connected:
-            yield scenario.sim.timeout(0.05)
-        service = yield from src.open_service_link("dst")
+            await scenario.sim.timeout(0.05)
+        service = await src.open_service_link("dst")
         monitor = PathMonitor(src)
-        out["estimate"] = yield from monitor.estimate(service, dst.info)
-        yield from monitor.finish(service)
+        out["estimate"] = await monitor.estimate(service, dst.info)
+        await monitor.finish(service)
 
-    def responder():
-        yield from dst.start()
-        _peer, service = yield from dst.accept_service_link()
-        yield from PathMonitor(dst).serve(service)
+    async def responder():
+        await dst.start()
+        _peer, service = await dst.accept_service_link()
+        await PathMonitor(dst).serve(service)
 
     scenario.sim.process(initiator())
     scenario.sim.process(responder())

@@ -56,25 +56,25 @@ def run_wan(label, capacity, owd, loss, compress_rate):
     sc, src, dst = build()
     chosen = {}
 
-    def prober():
-        yield from src.start()
+    async def prober():
+        await src.start()
         while not dst.relay_client.connected:
-            yield sc.sim.timeout(0.05)
-        service = yield from src.open_service_link("dst")
+            await sc.runtime.sleep(0.05)
+        service = await src.open_service_link("dst")
         monitor = PathMonitor(src)
-        estimate = yield from monitor.estimate(service, dst.info)
-        yield from monitor.finish(service)
+        estimate = await monitor.estimate(service, dst.info)
+        await monitor.finish(service)
         chosen["spec"] = select_spec(
             estimate, compress_rate=compress_rate, payload_ratio=3.5
         )
 
-    def server():
-        yield from dst.start()
-        _p, service = yield from dst.accept_service_link()
-        yield from PathMonitor(dst).serve(service)
+    async def server():
+        await dst.start()
+        _p, service = await dst.accept_service_link()
+        await PathMonitor(dst).serve(service)
 
-    sc.sim.process(prober())
-    sc.sim.process(server())
+    sc.spawn(prober(), "prober")
+    sc.spawn(server(), "server")
     sc.run(until=600)
     spec = chosen["spec"]
 

@@ -24,36 +24,36 @@ def main() -> None:
     alice = scenario.add_ibis("amsterdam", "alice")
     bob = scenario.add_ibis("rennes", "bob")
 
-    def bob_proc():
-        yield from bob.start()
-        inbox = yield from bob.create_receive_port("bob-inbox")
-        message = yield from inbox.receive()
+    async def bob_proc():
+        await bob.start()
+        inbox = await bob.create_receive_port("bob-inbox")
+        message = await inbox.receive()
         print(f"[bob]   from={message.origin}")
         print(f"[bob]   text={message.read_string()!r}")
         print(f"[bob]   ints={list(message.read_array())}")
         message.finish()
 
-    def alice_proc():
-        yield from alice.start()
+    async def alice_proc():
+        await alice.start()
         out = alice.create_send_port("alice-out")
         # Retry until bob has registered his port with the name service.
         while True:
             try:
-                yield from out.connect("bob-inbox")
+                await out.connect("bob-inbox")
                 break
             except Exception:
-                yield scenario.sim.timeout(0.2)
+                await scenario.runtime.sleep(0.2)
         channel = out.channels["bob-inbox"]
         print(f"[alice] connected via {channel.driver.link.method}"
               if hasattr(channel.driver, "link") else "[alice] connected")
         msg = out.new_message()
         msg.write_string("hello across two firewalls")
         msg.write_array(array.array("i", [1, 2, 3]))
-        yield from msg.finish()
+        await msg.finish()
         print("[alice] message sent")
 
-    scenario.sim.process(bob_proc())
-    scenario.sim.process(alice_proc())
+    scenario.spawn(bob_proc(), "bob")
+    scenario.spawn(alice_proc(), "alice")
     scenario.run(until=120)
     print(f"done at simulated t={scenario.sim.now:.3f}s")
 

@@ -34,18 +34,18 @@ def main() -> None:
     ]
     results = {}
 
-    def worker_proc(ibis, index):
-        yield from ibis.start()
-        requests = yield from ibis.create_receive_port(f"requests-{index}")
+    async def worker_proc(ibis, index):
+        await ibis.start()
+        requests = await ibis.create_receive_port(f"requests-{index}")
         replies = ibis.create_send_port("replies-out")
         while True:
             try:
-                yield from replies.connect("replies")
+                await replies.connect("replies")
                 break
             except Exception:
-                yield scenario.sim.timeout(0.2)
+                await scenario.runtime.sleep(0.2)
         while True:
-            message = yield from requests.receive()
+            message = await requests.receive()
             task_id = message.read_int()
             if task_id < 0:
                 return  # poison pill
@@ -53,29 +53,29 @@ def main() -> None:
             value = integrate(argument)
             reply = replies.new_message()
             reply.write_int(task_id).write_double(value).write_string(ibis.name)
-            yield from reply.finish()
+            await reply.finish()
 
-    def coordinator_proc():
-        yield from coordinator.start()
-        replies = yield from coordinator.create_receive_port("replies")
+    async def coordinator_proc():
+        await coordinator.start()
+        replies = await coordinator.create_receive_port("replies")
         request_ports = []
         for index in range(len(workers)):
             port = coordinator.create_send_port(f"req-{index}")
             while True:
                 try:
-                    yield from port.connect(f"requests-{index}")
+                    await port.connect(f"requests-{index}")
                     break
                 except Exception:
-                    yield scenario.sim.timeout(0.2)
+                    await scenario.runtime.sleep(0.2)
             request_ports.append(port)
         # Round-robin dispatch.
         for i, (task_id, argument) in enumerate(WORK_ITEMS):
             message = request_ports[i % len(request_ports)].new_message()
             message.write_int(task_id).write_long(argument)
-            yield from message.finish()
+            await message.finish()
         # Collect.
         for _ in WORK_ITEMS:
-            reply = yield from replies.receive()
+            reply = await replies.receive()
             task_id = reply.read_int()
             value = reply.read_double()
             who = reply.read_string()
@@ -84,11 +84,11 @@ def main() -> None:
         for port in request_ports:
             message = port.new_message()
             message.write_int(-1).write_long(0)
-            yield from message.finish()
+            await message.finish()
 
-    scenario.sim.process(coordinator_proc())
+    scenario.spawn(coordinator_proc(), "coordinator")
     for index, worker in enumerate(workers):
-        scenario.sim.process(worker_proc(worker, index))
+        scenario.spawn(worker_proc(worker, index), worker.name)
     scenario.run(until=300)
 
     print(f"{'task':>5s} {'result':>12s}  computed by")

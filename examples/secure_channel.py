@@ -41,34 +41,34 @@ def main() -> None:
     )
     out = {}
 
-    def alice_proc():
-        yield from alice.start()
+    async def alice_proc():
+        await alice.start()
         while not bob.relay_client.connected:
-            yield scenario.sim.timeout(0.05)
-        service = yield from alice.open_service_link("bob")
+            await scenario.runtime.sleep(0.05)
+        service = await alice.open_service_link("bob")
         factory = BrokeredConnectionFactory(alice, alice_tls)
-        channel = yield from factory.connect(
+        channel = await factory.connect(
             service, bob.info, spec=StackSpec.tcp().with_compression().with_tls()
         )
         tls = find_driver(channel.driver, TlsDriver)
         print(f"[alice] authenticated peer: {tls.peer_subject}")
-        yield from channel.send_message(b"the experiment parameters: seed=42")
-        out["reply"] = yield from channel.recv_message()
+        await channel.send_message(b"the experiment parameters: seed=42")
+        out["reply"] = await channel.recv_message()
         out["session"] = tls.session
 
-    def bob_proc():
-        yield from bob.start()
-        _peer, service = yield from bob.accept_service_link()
+    async def bob_proc():
+        await bob.start()
+        _peer, service = await bob.accept_service_link()
         factory = BrokeredConnectionFactory(bob, bob_tls)
-        channel = yield from factory.accept(service)
+        channel = await factory.accept(service)
         tls = find_driver(channel.driver, TlsDriver)
         print(f"[bob]   authenticated peer: {tls.peer_subject}")
-        msg = yield from channel.recv_message()
+        msg = await channel.recv_message()
         print(f"[bob]   received: {msg.decode()!r}")
-        yield from channel.send_message(b"ack: parameters received")
+        await channel.send_message(b"ack: parameters received")
 
-    scenario.sim.process(alice_proc())
-    scenario.sim.process(bob_proc())
+    scenario.spawn(alice_proc(), "alice")
+    scenario.spawn(bob_proc(), "bob")
     scenario.run(until=120)
     print(f"[alice] reply: {out['reply'].decode()!r}\n")
 

@@ -36,36 +36,36 @@ def transfer(nstreams: int, dataset: bytes) -> tuple[float, str]:
     dst = scenario.add_node("sophia", "dst")
     out = {}
 
-    def sender():
-        yield from src.start()
+    async def sender():
+        await src.start()
         while not dst.relay_client.connected:
-            yield scenario.sim.timeout(0.05)
-        service = yield from src.open_service_link("dst")
+            await scenario.runtime.sleep(0.05)
+        service = await src.open_service_link("dst")
         factory = BrokeredConnectionFactory(src)
         spec = StackSpec.parallel(nstreams) if nstreams > 1 else StackSpec.tcp()
-        channel = yield from factory.connect(service, dst.info, spec=spec)
+        channel = await factory.connect(service, dst.info, spec=spec)
         t0 = scenario.sim.now
-        yield from channel.write(dataset)
-        yield from channel.flush()
+        await channel.write(dataset)
+        await channel.flush()
         channel.close()
         out["t0"] = t0
 
-    def receiver():
-        yield from dst.start()
-        _peer, service = yield from dst.accept_service_link()
+    async def receiver():
+        await dst.start()
+        _peer, service = await dst.accept_service_link()
         factory = BrokeredConnectionFactory(dst)
-        channel = yield from factory.accept(service)
+        channel = await factory.accept(service)
         received = bytearray()
         while len(received) < FILE_SIZE:
-            data = yield from channel.read(1 << 20)
+            data = await channel.read(1 << 20)
             if not data:
                 break
             received.extend(data)
         out["seconds"] = scenario.sim.now - out["t0"]
         out["digest"] = hashlib.sha256(received).hexdigest()[:12]
 
-    scenario.sim.process(sender())
-    scenario.sim.process(receiver())
+    scenario.spawn(sender(), "sender")
+    scenario.spawn(receiver(), "receiver")
     scenario.run(until=600)
     return out["seconds"], out["digest"]
 

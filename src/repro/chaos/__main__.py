@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .faults import FaultPlanError
 from .registry import scenario_names
 from .runner import run_chaos
 
@@ -93,19 +94,22 @@ def main(argv=None) -> int:
     telemetry_path = args.telemetry if len(seeds) == 1 else None
     failures = 0
     for seed in seeds:
-        report = run_chaos(
-            scenario=args.scenario,
-            seed=seed,
-            plan=args.plan,
-            retries=not args.no_retries,
-            sessions=args.sessions,
-            until=args.until,
-            backend=args.backend,
-            trace_path=trace_path,
-            export_dir=export_dir,
-            bundle_dir=args.bundle,
-            telemetry_path=telemetry_path,
-        )
+        try:
+            report = run_chaos(
+                scenario=args.scenario,
+                seed=seed,
+                plan=args.plan,
+                retries=not args.no_retries,
+                sessions=args.sessions,
+                until=args.until,
+                backend=args.backend,
+                trace_path=trace_path,
+                export_dir=export_dir,
+                bundle_dir=args.bundle,
+                telemetry_path=telemetry_path,
+            )
+        except FaultPlanError as exc:  # refused the same way for every seed
+            parser.error(f"--plan: {exc}")
         print(report.summary())
         if args.json:
             print(report.to_json())

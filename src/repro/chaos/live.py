@@ -119,8 +119,16 @@ class LiveClock:
 
 
 async def _task(steps):
-    """Root of a scenario task: a native coroutine over a shared one."""
+    """Root of a scenario task.  A task cancelled before its first step
+    never awaits ``steps``, so :func:`_start` closes ``steps`` once the
+    task is done: unrun, not unawaited."""
     return await steps
+
+
+def _start(steps, name: str) -> asyncio.Task:
+    task = ASYNCIO.spawn(_task(steps), name)
+    task.add_done_callback(lambda _task: steps.close())
+    return task
 
 
 class LiveChaosScenario:
@@ -206,10 +214,10 @@ class LiveChaosScenario:
         if not self._started:
             self._pending.append((steps, name))
             return
-        self._tasks.append(ASYNCIO.spawn(_task(steps), name))
+        self._tasks.append(_start(steps, name))
 
     def _spawn_publisher(self, steps, name: str) -> None:
-        self._background.append(ASYNCIO.spawn(_task(steps), name))
+        self._background.append(_start(steps, name))
 
     async def start(self) -> None:
         """Relays (and their gossip), gateways and node ports, then the

@@ -27,8 +27,7 @@ ledger is watched as a conservation-drift SLO.
 from __future__ import annotations
 
 import random
-from types import coroutine
-from typing import Generator, NamedTuple
+from typing import NamedTuple
 
 from .. import obs
 from ..core.factory import BrokeredConnectionFactory
@@ -36,9 +35,6 @@ from ..ops.rollout import CanaryRollout, ConfigChange
 from ..tune.planner import TunerPolicy
 from .registry import scenario
 from .runner import Workload, _accept, _connect, _grid, _spec
-
-# TunerPolicy moved to repro.tune.planner; re-exported for old importers.
-__all__ = ["TunerPolicy"]
 
 
 #: sender fleet: two canaries, two controls, one hub
@@ -210,38 +206,36 @@ def _build_rollout(
     spec = _spec(sessions)
     audits = {name: wl.audit(f"rollout-{name}") for name in _SENDERS}
 
-    @coroutine
-    def run_sender(name: str) -> Generator:
+    async def run_sender(name: str):
         node = nodes[name]
         audit = audits[name]
         meter = obs.metrics().counter("rollout.sent_bytes_total", node=name)
         rng = random.Random(f"{seed}:rollout:{name}")
         try:
-            yield from node.start()
-            channel = yield from _connect(
+            await node.start()
+            channel = await _connect(
                 BrokeredConnectionFactory(node), hub, spec, retries
             )
-            yield from channel.write(name.encode())
+            await channel.write(name.encode())
             while scn.sim.now < geo.send_end:
                 policy = policies[name]
                 chunk = rng.randbytes(policy.chunk)
-                yield from channel.write(chunk)
+                await channel.write(chunk)
                 audit.record_sent(chunk)
                 meter.inc(len(chunk))
-                yield from node.runtime.sleep(policy.pace)
-            yield from channel.flush()
+                await node.runtime.sleep(policy.pace)
+            await channel.flush()
             channel.close()
             audit.finish_sender()
             agg.retire(name)
         except BaseException as exc:  # noqa: BLE001 - reported as a violation
             wl.fail(f"sender:{name}", exc)
 
-    @coroutine
-    def read_one(channel) -> Generator:
+    async def read_one(channel):
         try:
-            name = (yield from channel.read_exactly(2)).decode()
+            name = (await channel.read_exactly(2)).decode()
             while True:
-                data = yield from channel.read(64 * 1024)
+                data = await channel.read(64 * 1024)
                 if not data:
                     break
                 audits[name].record_received(data)
@@ -250,13 +244,12 @@ def _build_rollout(
         except BaseException as exc:  # noqa: BLE001 - reported as a violation
             wl.fail("hub-reader", exc)
 
-    @coroutine
-    def run_hub() -> Generator:
+    async def run_hub():
         try:
-            yield from hub.start()
+            await hub.start()
             factory = BrokeredConnectionFactory(hub)
             for i in range(len(_SENDERS)):
-                channel = yield from _accept(factory, retries)
+                channel = await _accept(factory, retries)
                 scn.spawn(read_one(channel), f"rollout-read-{i}")
         except BaseException as exc:  # noqa: BLE001 - reported as a violation
             wl.fail("hub", exc)

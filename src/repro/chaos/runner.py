@@ -45,8 +45,7 @@ import json
 import os
 import random
 from dataclasses import dataclass, field
-from types import coroutine
-from typing import Callable, Generator, Optional, Union
+from typing import Callable, Optional, Union
 
 from .. import obs
 from ..core.factory import BrokeredConnectionFactory
@@ -169,33 +168,31 @@ def _grid(backend: str, seed: int):
     return {"sim": GridScenario, "live": LiveChaosScenario}[backend](seed=seed)
 
 
-@coroutine
-def _connect(factory, peer, spec: StackSpec, retries: bool,
-             methods: Optional[list] = None, ctx=None) -> Generator:
+async def _connect(factory, peer, spec: StackSpec, retries: bool,
+             methods: Optional[list] = None, ctx=None):
     """One channel from ``factory``'s node to node ``peer``: through the
     retry layer, or over one service link opened once ``peer`` holds its
     relay registration."""
     info = peer.info
     if retries:
-        return (yield from factory.connect_retrying(
+        return await factory.connect_retrying(
             info.node_id, info, spec=spec, methods=methods, ctx=ctx,
-        ))
-    yield from peer.relay_client.wait_connected(timeout=30.0)
-    service = yield from factory.node.open_service_link(info.node_id, info)
-    channel = yield from factory.connect(
+        )
+    await peer.relay_client.wait_connected(timeout=30.0)
+    service = await factory.node.open_service_link(info.node_id, info)
+    channel = await factory.connect(
         service, info, spec=spec, methods=methods, ctx=ctx
     )
     service.close()
     return channel
 
 
-@coroutine
-def _accept(factory, retries: bool) -> Generator:
+async def _accept(factory, retries: bool):
     """The responder's half of :func:`_connect`."""
     if retries:
-        return (yield from factory.accept_retrying())
-    _peer, service = yield from factory.node.accept_service_link()
-    channel = yield from factory.accept(service)
+        return await factory.accept_retrying()
+    _peer, service = await factory.node.accept_service_link()
+    channel = await factory.accept(service)
     service.close()
     return channel
 
@@ -234,23 +231,21 @@ def _staged_transfer(
     ]
     audits = [wl.audit(f"{label}{i}") for i in range(stages)]
 
-    @coroutine
-    def send_stage(factory, ctx, payload, audit) -> Generator:
-        channel = yield from _connect(factory, receiver, spec, retries, methods, ctx)
+    async def send_stage(factory, ctx, payload, audit):
+        channel = await _connect(factory, receiver, spec, retries, methods, ctx)
         for off in range(0, len(payload), _WRITE_CHUNK):
             chunk = payload[off : off + _WRITE_CHUNK]
-            yield from channel.write(chunk)
+            await channel.write(chunk)
             audit.record_sent(chunk)
             if pace:
-                yield from runtime.sleep(pace)
-        yield from channel.flush()
+                await runtime.sleep(pace)
+        await channel.flush()
         channel.close()
         audit.finish_sender()
 
-    @coroutine
-    def run_sender() -> Generator:
+    async def run_sender():
         try:
-            yield from sender.start()
+            await sender.start()
             factory = BrokeredConnectionFactory(sender)
             for i, (payload, audit) in enumerate(zip(payloads, audits)):
                 # One root trace per stage: establishment, relay routing,
@@ -259,7 +254,7 @@ def _staged_transfer(
                 ctx = TraceContext.new()
                 t0 = now()
                 try:
-                    yield from send_stage(factory, ctx, payload, audit)
+                    await send_stage(factory, ctx, payload, audit)
                 except GeneratorExit:
                     # Finalization of a parked process (possibly long after
                     # the run ended) — never record into a later run.
@@ -279,15 +274,14 @@ def _staged_transfer(
         except BaseException as exc:  # noqa: BLE001 - reported as a violation
             wl.fail("sender", exc)
 
-    @coroutine
-    def run_receiver() -> Generator:
+    async def run_receiver():
         try:
-            yield from receiver.start()
+            await receiver.start()
             factory = BrokeredConnectionFactory(receiver)
             for audit in audits:
-                channel = yield from _accept(factory, retries)
+                channel = await _accept(factory, retries)
                 while True:
-                    data = yield from channel.read(_READ_CHUNK)
+                    data = await channel.read(_READ_CHUNK)
                     if not data:
                         break
                     audit.record_received(data)
@@ -643,41 +637,41 @@ def _build_ipl_fanin(seed: int, retries: bool, sessions: bool) -> Workload:
         for w in workers
     }
 
-    def run_worker(ibis, audit, messages) -> Generator:
+    async def run_worker(ibis, audit, messages):
         try:
-            yield from ibis.start()
+            await ibis.start()
             sp = ibis.create_send_port("out")
             # The collector registers "gather" concurrently with our
             # startup; retry the name-service lookup until it appears.
             for attempt in range(40):
                 try:
-                    yield from sp.connect("gather")
+                    await sp.connect("gather")
                     break
                 except Exception:
                     if attempt == 39:
                         raise
-                    yield scn.sim.timeout(0.25)
+                    await scn.sim.timeout(0.25)
             for payload in messages:
                 m = sp.new_message()
                 m.write_bytes(payload)
-                yield from m.finish()
+                await m.finish()
                 audit.record_sent(payload)
             audit.finish_sender()
-            yield from ibis.leave()
+            await ibis.leave()
         except BaseException as exc:  # noqa: BLE001 - reported as a violation
             wl.fail(f"worker:{ibis.name}", exc)
 
-    def run_collector() -> Generator:
+    async def run_collector():
         try:
-            yield from sink.start()
-            port = yield from sink.create_receive_port("gather")
+            await sink.start()
+            port = await sink.create_receive_port("gather")
             expected = len(workers) * _FANIN_MESSAGES
             for _ in range(expected):
-                msg = yield from port.receive()
+                msg = await port.receive()
                 audits[msg.origin].record_received(msg.read_bytes())
             for audit in audits.values():
                 audit.finish_receiver()
-            yield from sink.leave()
+            await sink.leave()
         except BaseException as exc:  # noqa: BLE001 - reported as a violation
             wl.fail("collector", exc)
 
@@ -741,29 +735,27 @@ def _build_mux_fanin(
     completions: dict[int, float] = {}
     started: dict[str, float] = {}
 
-    @coroutine
-    def send_one(channel, idx) -> Generator:
+    async def send_one(channel, idx):
         try:
             payload = payloads[idx]
-            yield from channel.write(idx.to_bytes(4, "big"))
+            await channel.write(idx.to_bytes(4, "big"))
             for off in range(0, len(payload), _WRITE_CHUNK):
                 chunk = payload[off : off + _WRITE_CHUNK]
-                yield from channel.write(chunk)
+                await channel.write(chunk)
                 audits[idx].record_sent(chunk)
-            yield from channel.flush()
+            await channel.flush()
             channel.close()
             audits[idx].finish_sender()
         except BaseException as exc:  # noqa: BLE001 - reported as a violation
             wl.fail(f"mux-sender:{idx}", exc)
 
-    @coroutine
-    def run_sender() -> Generator:
+    async def run_sender():
         try:
-            yield from sender.start()
+            await sender.start()
             factory = BrokeredConnectionFactory(sender)
             channels = []
             for i in range(_MUX_CHANNELS):
-                channel = yield from _connect(
+                channel = await _connect(
                     factory, receiver, spec, retries, ["routed"], TraceContext.new()
                 )
                 channels.append(channel)
@@ -775,12 +767,11 @@ def _build_mux_fanin(
         except BaseException as exc:  # noqa: BLE001 - reported as a violation
             wl.fail("mux-sender", exc)
 
-    @coroutine
-    def read_one(channel) -> Generator:
+    async def read_one(channel):
         try:
-            idx = int.from_bytes((yield from channel.read_exactly(4)), "big")
+            idx = int.from_bytes(await channel.read_exactly(4), "big")
             while True:
-                data = yield from channel.read(_READ_CHUNK)
+                data = await channel.read(_READ_CHUNK)
                 if not data:
                     break
                 audits[idx].record_received(data)
@@ -790,13 +781,12 @@ def _build_mux_fanin(
         except BaseException as exc:  # noqa: BLE001 - reported as a violation
             wl.fail("mux-reader", exc)
 
-    @coroutine
-    def run_receiver() -> Generator:
+    async def run_receiver():
         try:
-            yield from receiver.start()
+            await receiver.start()
             factory = BrokeredConnectionFactory(receiver)
             for i in range(_MUX_CHANNELS):
-                channel = yield from _accept(factory, retries)
+                channel = await _accept(factory, retries)
                 scn.spawn(read_one(channel), f"mux-read-{i}")
         except BaseException as exc:  # noqa: BLE001 - reported as a violation
             wl.fail("mux-receiver", exc)
@@ -855,32 +845,30 @@ def _build_mux_starvation(
     ping_audit = wl.audit("interactive")
     latencies: list[float] = []
 
-    @coroutine
-    def send_bulk(channel) -> Generator:
+    async def send_bulk(channel):
         try:
-            yield from channel.write(b"B")
+            await channel.write(b"B")
             for off in range(0, len(bulk_payload), _WRITE_CHUNK):
                 chunk = bulk_payload[off : off + _WRITE_CHUNK]
-                yield from channel.write(chunk)
+                await channel.write(chunk)
                 bulk_audit.record_sent(chunk)
-            yield from channel.flush()
+            await channel.flush()
             channel.close()
             bulk_audit.finish_sender()
         except BaseException as exc:  # noqa: BLE001 - reported as a violation
             wl.fail("bulk-sender", exc)
 
-    @coroutine
-    def ping_pong(channel) -> Generator:
+    async def ping_pong(channel):
         try:
-            yield from channel.write(b"I")
-            yield from channel.flush()
+            await channel.write(b"I")
+            await channel.flush()
             for i in range(_STARVE_PINGS):
                 msg = bytes([i]) * 64
                 t0 = scn.sim.now
-                yield from channel.write(msg)
-                yield from channel.flush()
+                await channel.write(msg)
+                await channel.flush()
                 ping_audit.record_sent(msg)
-                echo = yield from channel.read_exactly(len(msg))
+                echo = await channel.read_exactly(len(msg))
                 latencies.append(scn.sim.now - t0)
                 if echo != msg:
                     raise ValueError(f"interactive echo {i} corrupted")
@@ -889,15 +877,14 @@ def _build_mux_starvation(
         except BaseException as exc:  # noqa: BLE001 - reported as a violation
             wl.fail("interactive-sender", exc)
 
-    @coroutine
-    def run_alice() -> Generator:
+    async def run_alice():
         try:
-            yield from alice.start()
+            await alice.start()
             factory = BrokeredConnectionFactory(alice)
-            bulk = yield from _connect(
+            bulk = await _connect(
                 factory, bob, spec, retries, ["routed"], TraceContext.new()
             )
-            ping = yield from _connect(
+            ping = await _connect(
                 factory, bob, spec, retries, ["routed"], TraceContext.new()
             )
             scn.spawn(send_bulk(bulk), "mux-bulk")
@@ -905,12 +892,11 @@ def _build_mux_starvation(
         except BaseException as exc:  # noqa: BLE001 - reported as a violation
             wl.fail("alice", exc)
 
-    @coroutine
-    def serve_one(channel) -> Generator:
-        kind = yield from channel.read_exactly(1)
+    async def serve_one(channel):
+        kind = await channel.read_exactly(1)
         if kind == b"B":
             while True:
-                data = yield from channel.read(_READ_CHUNK)
+                data = await channel.read(_READ_CHUNK)
                 if not data:
                     break
                 bulk_audit.record_received(data)
@@ -918,20 +904,19 @@ def _build_mux_starvation(
             bulk_audit.finish_receiver()
         else:
             for _ in range(_STARVE_PINGS):
-                msg = yield from channel.read_exactly(64)
+                msg = await channel.read_exactly(64)
                 ping_audit.record_received(msg)
-                yield from channel.write(msg)
-                yield from channel.flush()
+                await channel.write(msg)
+                await channel.flush()
             channel.close()
             ping_audit.finish_receiver()
 
-    @coroutine
-    def run_bob() -> Generator:
+    async def run_bob():
         try:
-            yield from bob.start()
+            await bob.start()
             factory = BrokeredConnectionFactory(bob)
             for i in range(2):
-                channel = yield from _accept(factory, retries)
+                channel = await _accept(factory, retries)
                 scn.spawn(serve_one(channel), f"mux-serve-{i}")
         except BaseException as exc:  # noqa: BLE001 - reported as a violation
             wl.fail("bob", exc)

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import asyncio
 import random
-from typing import Generator
+
 
 from .. import obs
 from ..core.factory import BrokeredConnectionFactory
@@ -233,21 +233,21 @@ def _build_tune_workload(
         name="wan",
     )
 
-    def run_tuner() -> Generator:
+    async def run_tuner():
         # No opinion before the first payload byte: establishment takes a
         # variable slice of the run, and tuning a zero-goodput link would
         # just chase the ramp.
         meter = obs.metrics().counter("tune.rx_bytes_total", link="wan")
         while meter.value <= 0 and scn.sim.now < send_end:
-            yield scn.sim.timeout(_INTERVAL)
-        yield scn.sim.timeout(_WARMUP)
-        yield from tuner.run(SimRuntime(scn.sim), until=tune_until)
+            await scn.sim.timeout(_INTERVAL)
+        await scn.sim.timeout(_WARMUP)
+        await tuner.run(SimRuntime(scn.sim), until=tune_until)
 
-    def run_sender() -> Generator:
+    async def run_sender():
         try:
-            yield from sender.start()
+            await sender.start()
             factory = BrokeredConnectionFactory(sender)
-            channel = yield from _connect(
+            channel = await _connect(
                 factory, receiver, spec, retries, ctx=TraceContext.new()
             )
             # rcvbuf deliberately unbound: the planner's believed window
@@ -256,23 +256,23 @@ def _build_tune_workload(
             # powers the escalation ladder
             late.bind(StackKnobs(stack=channel.driver))
             while scn.sim.now < send_end:
-                yield from channel.write(chunk)
+                await channel.write(chunk)
                 audit.record_sent(chunk)
-            yield from channel.flush()
+            await channel.flush()
             channel.close()
             audit.finish_sender()
         except BaseException as exc:  # noqa: BLE001 - reported as a violation
             wl.fail("tune-sender", exc)
 
-    def run_receiver() -> Generator:
+    async def run_receiver():
         try:
-            yield from receiver.start()
-            channel = yield from _accept(
+            await receiver.start()
+            channel = await _accept(
                 BrokeredConnectionFactory(receiver), retries
             )
             meter = obs.metrics().counter("tune.rx_bytes_total", link="wan")
             while True:
-                data = yield from channel.read(_READ_CHUNK)
+                data = await channel.read(_READ_CHUNK)
                 if not data:
                     break
                 meter.inc(len(data))

@@ -27,8 +27,7 @@ names; a broker carries out only the methods in :attr:`Broker.METHODS`
 
 from __future__ import annotations
 
-from types import coroutine
-from typing import Generator, Optional
+from typing import Optional
 
 from .. import obs
 from ..obs import DEFAULT_SECONDS_BUCKETS, TraceContext
@@ -115,13 +114,13 @@ class Broker:
             self.flight.note(name, ctx=ctx, **attrs)
 
     # ------------------------------------------------------------- initiator
-    def initiate(
+    async def initiate(
         self,
         service_link: Link,
         peer_info: EndpointInfo,
         methods: Optional[list[str]] = None,
         ctx: Optional[TraceContext] = None,
-    ) -> Generator:
+    ):
         """Negotiate and establish a data link to ``peer_info``.
 
         Returns the established :class:`Link`.  Raises
@@ -164,7 +163,7 @@ class Broker:
                 role="initiator",
             ) as sp:
                 try:
-                    link = yield from self._attempt_initiator(
+                    link = await self._attempt_initiator(
                         service_link, peer_info, method, nonce, attempt_ctx
                     )
                 except _NakReceived as nak:
@@ -204,7 +203,7 @@ class Broker:
                         "establish.fallback", attempt_ctx,
                         method=method, reason=type(exc).__name__,
                     )
-                    yield from send_frame(
+                    await send_frame(
                         service_link, _result(nonce, False, str(exc))
                     )
                     continue
@@ -213,7 +212,7 @@ class Broker:
                     # the span, so close the books: the attempts counter must
                     # agree with the recorded spans (chaos obs invariant).
                     # GeneratorExit is the one exception that must NOT record
-                    # — it arrives when a GC'd process generator is closed,
+                    # — it arrives when a GC'd process coroutine is closed,
                     # at a time no seed controls.
                     if isinstance(exc, GeneratorExit):
                         raise
@@ -228,21 +227,21 @@ class Broker:
                 "establish.ok", attempt_ctx, method=method, peer=peer_info.node_id
             )
             self.attempt_log.append((method, True))
-            yield from send_frame(service_link, _result(nonce, True, ""))
+            await send_frame(service_link, _result(nonce, True, ""))
             return link
         raise EstablishmentError(
             f"all methods failed toward {peer_info.node_id}: {failures}"
         )
 
-    def _attempt_initiator(
+    async def _attempt_initiator(
         self,
         service_link: Link,
         peer_info: EndpointInfo,
         method: str,
         nonce: int,
         ctx: Optional[TraceContext] = None,
-    ) -> Generator:
-        params, cleanup, state = yield from self._initiator_params(method)
+    ):
+        params, cleanup, state = await self._initiator_params(method)
         try:
             attempt = (
                 ByteWriter()
@@ -257,7 +256,7 @@ class Broker:
                 .lp_bytes(ctx.encode() if ctx is not None else b"")
                 .getvalue()
             )
-            yield from send_frame(service_link, attempt)
+            await send_frame(service_link, attempt)
             # The responder's reply is also bounded: a peer disappearing
             # mid-negotiation (crashed node, dead relay session) must not
             # hang the initiator forever.  A timeout here may leave a dead
@@ -265,7 +264,7 @@ class Broker:
             # reported as a BrokerError: negotiation-fatal, the caller must
             # abandon this service link and renegotiate on a fresh one.
             try:
-                peer_params = yield from self.runtime.bounded(
+                peer_params = await self.runtime.bounded(
                     self._await_params(service_link, nonce), ATTEMPT_TIMEOUT
                 )
             except TimeoutError:
@@ -274,7 +273,7 @@ class Broker:
                     f"(responder vanished mid-negotiation?)"
                 ) from None
             return (
-                yield from self.runtime.bounded(
+                await self.runtime.bounded(
                     self._execute_initiator(
                         method, nonce, peer_info, peer_params, state, ctx
                     ),
@@ -285,11 +284,10 @@ class Broker:
             if cleanup is not None:
                 cleanup()
 
-    @coroutine
-    def _await_params(self, service_link: Link, nonce: int) -> Generator:
+    async def _await_params(self, service_link: Link, nonce: int):
         """Read frames until this attempt's PARAMS or NAK (skipping stale)."""
         while True:
-            reply = yield from recv_frame(service_link)
+            reply = await recv_frame(service_link)
             r = ByteReader(reply)
             kind = r.u8()
             frame_nonce = r.u64()
@@ -301,13 +299,13 @@ class Broker:
                 raise BrokerError(f"expected PARAMS, got frame type {kind}")
             return r.lp_bytes()
 
-    def _initiator_params(self, method: str) -> Generator:
+    async def _initiator_params(self, method: str):
         """Method-specific initiator parameters.
 
         Returns ``(params_bytes, cleanup_or_None, state)``.
         """
         if method == SPLICING:
-            lport, ext_addr, probe = yield from splicing.prepare_endpoint(
+            lport, ext_addr, probe = await splicing.prepare_endpoint(
                 self.host, self.info.behind_nat, self.reflector
             )
 
@@ -323,8 +321,7 @@ class Broker:
             )
         return b"", None, None
 
-    @coroutine
-    def _execute_initiator(
+    async def _execute_initiator(
         self,
         method: str,
         nonce: int,
@@ -332,17 +329,17 @@ class Broker:
         peer_params: bytes,
         state,
         ctx: Optional[TraceContext] = None,
-    ) -> Generator:
+    ):
         r = ByteReader(peer_params)
         if method == CLIENT_SERVER:
             return (
-                yield from self._connect_client_server(peer_info, r, nonce, ctx)
+                await self._connect_client_server(peer_info, r, nonce, ctx)
             )
         if method == SPLICING:
             peer_addr = _unpack_addr(r)
             lport, probe = state
             return (
-                yield from splicing.splice_and_verify(
+                await splicing.splice_and_verify(
                     self.host, peer_addr, lport, nonce, initiator=True, probe=probe,
                     ctx=ctx,
                 )
@@ -351,26 +348,26 @@ class Broker:
             addr = _unpack_addr(r)
             if self.info.socks_proxy is not None:
                 return (
-                    yield from proxy.connect_via_proxy_and_verify(
+                    await proxy.connect_via_proxy_and_verify(
                         self.host, self.info.socks_proxy, addr, nonce, ctx=ctx
                     )
                 )
             return (
-                yield from proxy.connect_direct_and_verify(
+                await proxy.connect_direct_and_verify(
                     self.host, addr, nonce, ctx=ctx
                 )
             )
         if method == ROUTED:
-            link = yield from self.relay_client.open_link(
+            link = await self.relay_client.open_link(
                 peer_info.node_id, payload=data_tag(nonce), ctx=ctx
             )
-            yield from verify_initiator(link, nonce)
+            await verify_initiator(link, nonce)
             return link
         raise BrokerError(f"unknown method {method}")
 
-    def _connect_client_server(
+    async def _connect_client_server(
         self, peer_info: EndpointInfo, params: ByteReader, nonce: int, ctx
-    ) -> Generator:
+    ):
         """Initiator half of client/server: dial the listener the PARAMS
         name, then the cookie exchange."""
         addr = _unpack_addr(params)
@@ -378,24 +375,24 @@ class Broker:
             # Severe outbound firewall: even client/server goes through
             # the local proxy when one is configured.
             return (
-                yield from proxy.connect_via_proxy_and_verify(
+                await proxy.connect_via_proxy_and_verify(
                     self.host, self.info.socks_proxy, addr, nonce, ctx=ctx
                 )
             )
         return (
-            yield from client_server.connect_and_verify(
+            await client_server.connect_and_verify(
                 self.host, addr, nonce, config=splicing.SPLICE_CONFIG, ctx=ctx
             )
         )
 
     # ------------------------------------------------------------- responder
-    def respond(self, service_link: Link) -> Generator:
+    async def respond(self, service_link: Link):
         """Serve one data-link negotiation on ``service_link``.
 
         Returns the established :class:`Link`.
         """
         while True:
-            frame = yield from recv_frame(service_link)
+            frame = await recv_frame(service_link)
             r = ByteReader(frame)
             kind = r.u8()
             nonce = r.u64()
@@ -413,13 +410,13 @@ class Broker:
                 blob = r.lp_bytes()
                 if blob:
                     ctx = TraceContext.decode(blob)
-            link = yield from self._attempt_responder(
+            link = await self._attempt_responder(
                 service_link, method, nonce, peer_info, peer_params, owd, ctx
             )
             if link is not None:
                 return link
 
-    def _attempt_responder(
+    async def _attempt_responder(
         self,
         service_link: Link,
         method: str,
@@ -428,7 +425,7 @@ class Broker:
         peer_params: bytes,
         owd: float,
         ctx: Optional[TraceContext] = None,
-    ) -> Generator:
+    ):
         """One responder-side attempt; returns the link or None (fall back)."""
         t0 = self.runtime.now()
         # Parent this side's span on the initiator's attempt span (which
@@ -447,7 +444,7 @@ class Broker:
             role="responder",
         ) as sp:
             try:
-                params, pending = yield from self._responder_params(
+                params, pending = await self._responder_params(
                     method, nonce, peer_info, peer_params, owd, ctx=rctx
                 )
             except Exception as exc:
@@ -460,14 +457,14 @@ class Broker:
                     .lp_str(f"{type(exc).__name__}: {exc}")
                     .getvalue()
                 )
-                yield from send_frame(service_link, nak)
+                await send_frame(service_link, nak)
                 return None
             # Run the local half of the attempt concurrently with sending
             # PARAMS and reading the initiator's RESULT.  The guard parks
             # failures so an early error (e.g. our spliced SYN refused)
             # waits for the verdict instead of crashing the negotiation.
             # Spawning *before* touching the service link matters: the
-            # pending generator owns method resources (a reflector probe,
+            # pending coroutine owns method resources (a reflector probe,
             # a listener), and only running it to completion releases them
             # — so if the service link dies mid-negotiation we interrupt
             # the attempt rather than dropping it un-started.
@@ -475,18 +472,18 @@ class Broker:
                 _guarded(pending), f"broker-attempt-{method}"
             )
             try:
-                yield from send_frame(
+                await send_frame(
                     service_link,
                     ByteWriter().u8(M_PARAMS).u64(nonce).lp_bytes(params).getvalue(),
                 )
-                ok = yield from self._await_result(service_link, nonce)
+                ok = await self._await_result(service_link, nonce)
             except BaseException as exc:
                 self.runtime.cancel(attempt_proc)
                 # The service link died mid-negotiation (a partition or
                 # relay kill, not a method failure).  The span exits
                 # regardless, so record the attempt too: the chaos obs
                 # invariant holds counters and spans to exact agreement.
-                # GeneratorExit (a GC'd process generator being closed)
+                # GeneratorExit (a GC'd process coroutine being closed)
                 # must re-raise without recording — its timing is not
                 # seed-controlled.
                 if isinstance(exc, GeneratorExit):
@@ -497,7 +494,7 @@ class Broker:
                 )
                 raise
             if ok:
-                status, value = yield from self.runtime.wait(attempt_proc)
+                status, value = await self.runtime.wait(attempt_proc)
                 if status != "ok":
                     self._record_attempt(
                         method, "error", "responder", self.runtime.now() - t0
@@ -525,7 +522,7 @@ class Broker:
                 return value
             # Initiator reported failure: cancel our half if still running.
             self.runtime.cancel(attempt_proc)
-            status, value = yield from self.runtime.wait(attempt_proc)
+            status, value = await self.runtime.wait(attempt_proc)
             if status == "ok" and value is not None and hasattr(value, "abort"):
                 value.abort()
             sp.set(outcome="failed")
@@ -533,9 +530,9 @@ class Broker:
             self.attempt_log.append((method, False))
             return None
 
-    def _await_result(self, service_link: Link, nonce: int) -> Generator:
+    async def _await_result(self, service_link: Link, nonce: int):
         while True:
-            frame = yield from recv_frame(service_link)
+            frame = await recv_frame(service_link)
             r = ByteReader(frame)
             kind = r.u8()
             frame_nonce = r.u64()
@@ -543,7 +540,7 @@ class Broker:
                 continue
             return bool(r.u8())
 
-    def _responder_params(
+    async def _responder_params(
         self,
         method: str,
         nonce: int,
@@ -551,10 +548,10 @@ class Broker:
         peer_params: bytes,
         owd: float = 0.0,
         ctx: Optional[TraceContext] = None,
-    ) -> Generator:
+    ):
         """Prepare responder-side parameters and the pending local half.
 
-        Returns ``(params_bytes, pending_generator)``.
+        Returns ``(params_bytes, pending_coroutine)``.
         """
         if method not in self.METHODS:
             raise BrokerError(f"{method} is not carried out on this node")
@@ -564,18 +561,18 @@ class Broker:
         if method == SPLICING:
             r = ByteReader(peer_params)
             peer_addr = _unpack_addr(r)
-            lport, ext_addr, probe = yield from splicing.prepare_endpoint(
+            lport, ext_addr, probe = await splicing.prepare_endpoint(
                 self.host, self.info.behind_nat, self.reflector
             )
             params = _pack_addr(ByteWriter(), ext_addr).getvalue()
 
-            def pending():
+            async def pending():
                 try:
                     # Start when the initiator (one service-link delay away)
                     # is expected to start, so the SYNs cross.
-                    yield from self.runtime.sleep(owd)
+                    await self.runtime.sleep(owd)
                     return (
-                        yield from splicing.splice_and_verify(
+                        await splicing.splice_and_verify(
                             self.host,
                             peer_addr,
                             lport,
@@ -601,9 +598,9 @@ class Broker:
                 listener = client_server.open_listener(self.host)
                 params = _pack_addr(ByteWriter(), listener.addr).getvalue()
 
-                def pending():
+                async def pending():
                     try:
-                        link = yield from client_server.accept_and_verify(
+                        link = await client_server.accept_and_verify(
                             listener, nonce, ctx=ctx
                         )
                         link.method = SOCKS_PROXY
@@ -613,15 +610,15 @@ class Broker:
                         listener.close()
 
                 return params, pending()
-            control, bound = yield from proxy.bind_via_proxy(
+            control, bound = await proxy.bind_via_proxy(
                 self.host, self.info.socks_proxy
             )
             params = _pack_addr(ByteWriter(), bound).getvalue()
 
-            def pending():
+            async def pending():
                 try:
                     return (
-                        yield from proxy.await_bound_and_verify(
+                        await proxy.await_bound_and_verify(
                             control, nonce, ctx=ctx
                         )
                     )
@@ -633,9 +630,9 @@ class Broker:
 
         if method == ROUTED:
 
-            def pending():
-                link = yield from self.dispatcher.await_data(nonce)
-                yield from routed.accept_routed_and_verify(link, nonce, ctx=ctx)
+            async def pending():
+                link = await self.dispatcher.await_data(nonce)
+                await routed.accept_routed_and_verify(link, nonce, ctx=ctx)
                 return link
 
             return b"", pending()
@@ -648,10 +645,10 @@ class Broker:
         listener = client_server.open_listener(self.host)
         params = _pack_addr(ByteWriter(), listener.addr).getvalue()
 
-        def pending():
+        async def pending():
             try:
                 return (
-                    yield from client_server.accept_and_verify(
+                    await client_server.accept_and_verify(
                         listener, nonce, ctx=ctx
                     )
                 )
@@ -661,11 +658,10 @@ class Broker:
         return params, pending()
 
 
-@coroutine
-def _guarded(gen) -> Generator:
+async def _guarded(coro):
     """Wrap an attempt so failures become values instead of crashes."""
     try:
-        value = yield from gen
+        value = await coro
         return ("ok", value)
     except BaseException as exc:
         return ("err", exc)

@@ -23,9 +23,6 @@ names.
 
 from __future__ import annotations
 
-from types import coroutine
-from typing import Generator
-
 __all__ = ["RoutedDispatcher", "SERVICE_TAG", "RESUME_PREFIX", "data_tag", "resume_tag"]
 
 SERVICE_TAG = b"service"
@@ -61,10 +58,9 @@ class RoutedDispatcher:
         self._early_data: dict = {}
         node._spawn(self._loop(), f"dispatch-{node.node_id}")
 
-    @coroutine
-    def _loop(self) -> Generator:
+    async def _loop(self):
         while True:
-            link = yield from self.client.accept_link()
+            link = await self.client.accept_link()
             self.route(link, link.open_payload)
 
     def route(self, link, tag: bytes) -> None:
@@ -120,16 +116,15 @@ class RoutedDispatcher:
             link.close()
         self._early_data.clear()
 
-    def accept_service(self) -> Generator:
+    def accept_service(self):
         """Wait for a peer-initiated service channel."""
         return self._take(self._service_queue, self._service_waiters)
 
-    def accept_resume(self) -> Generator:
+    def accept_resume(self):
         """Wait for a peer re-establishing a broken session link."""
         return self._take(self._resume_queue, self._resume_waiters)
 
-    @coroutine
-    def await_data(self, nonce: int, timeout: float = 30.0) -> Generator:
+    async def await_data(self, nonce: int, timeout: float = 30.0):
         """Wait for the routed data channel of negotiation ``nonce``."""
         tag = data_tag(nonce)
         early = self._early_data.pop(tag, None)
@@ -137,20 +132,22 @@ class RoutedDispatcher:
             return early[1]
         event = self.runtime.event()
         self._data_waiters[tag] = event
+
+        async def arrival():
+            return await self.runtime.wait(event)
+
         try:
-            return (yield from self.runtime.bounded(
-                self.runtime.wait(event), timeout))
+            return await self.runtime.bounded(arrival(), timeout)
         except TimeoutError:
             self._data_waiters.pop(tag, None)
             raise TimeoutError(
                 f"routed data channel for nonce {nonce} never arrived") from None
 
-    @coroutine
-    def _take(self, queue: list, waiters: list) -> Generator:
+    async def _take(self, queue: list, waiters: list):
         event = self.runtime.event()
         if queue:
             event.set_result(queue.pop(0)[1])
         else:
             waiters.append(event)
-        return (yield from self.runtime.wait(event))
+        return await self.runtime.wait(event)
 

@@ -7,7 +7,7 @@ no relay in the path.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Optional
 
 from ... import obs
 from ...obs import TraceContext
@@ -26,18 +26,18 @@ def open_listener(host, port: int = 0):
     return listen(host, port, backlog=4)
 
 
-def connect_and_verify(
+async def connect_and_verify(
     host,
     addr: Addr,
     nonce: int,
     config: Optional[TcpConfig] = None,
     ctx: Optional[TraceContext] = None,
-) -> Generator:
+):
     """Initiator side: dial the listener, run the cookie exchange."""
-    sock = yield from connect(host, addr, config=config)
+    sock = await connect(host, addr, config=config)
     link = TcpLink(sock, CLIENT_SERVER)
     try:
-        yield from verify_initiator(link, nonce)
+        await verify_initiator(link, nonce)
     except Exception:
         link.abort()
         raise
@@ -47,14 +47,14 @@ def connect_and_verify(
     return link
 
 
-def accept_and_verify(
+async def accept_and_verify(
     listener, nonce: int, ctx: Optional[TraceContext] = None
-) -> Generator:
+):
     """Responder side: accept one connection, run the cookie exchange."""
-    sock = yield from listener.accept()
+    sock = await listener.accept()
     link = TcpLink(sock, CLIENT_SERVER)
     try:
-        yield from verify_responder(link, nonce)
+        await verify_responder(link, nonce)
     except Exception:
         link.abort()
         raise

@@ -15,7 +15,7 @@ Two shapes, both producing a native-TCP (but relayed) link:
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Optional
 
 from ... import obs
 from ...obs import TraceContext
@@ -34,15 +34,15 @@ __all__ = [
 ]
 
 
-def connect_via_proxy_and_verify(
+async def connect_via_proxy_and_verify(
     host, proxy: Addr, target: Addr, nonce: int,
     ctx: Optional[TraceContext] = None,
-) -> Generator:
+):
     """Initiator: CONNECT through ``proxy`` to ``target`` and verify."""
-    sock = yield from socks_connect(host, proxy, target, ctx=ctx)
+    sock = await socks_connect(host, proxy, target, ctx=ctx)
     link = TcpLink(sock, SOCKS_PROXY, relayed=True)
     try:
-        yield from verify_initiator(link, nonce)
+        await verify_initiator(link, nonce)
     except Exception:
         link.abort()
         raise
@@ -50,14 +50,14 @@ def connect_via_proxy_and_verify(
     return link
 
 
-def connect_direct_and_verify(
+async def connect_direct_and_verify(
     host, target: Addr, nonce: int, ctx: Optional[TraceContext] = None
-) -> Generator:
+):
     """Initiator without a proxy dialing a proxy-bound address directly."""
-    sock = yield from connect(host, target)
+    sock = await connect(host, target)
     link = TcpLink(sock, SOCKS_PROXY, relayed=True)
     try:
-        yield from verify_initiator(link, nonce)
+        await verify_initiator(link, nonce)
     except Exception:
         link.abort()
         raise
@@ -65,20 +65,20 @@ def connect_direct_and_verify(
     return link
 
 
-def bind_via_proxy(host, proxy: Addr) -> Generator:
+async def bind_via_proxy(host, proxy: Addr):
     """Responder: BIND on its proxy; returns (control_sock, bound_addr)."""
-    sock, bound = yield from socks_bind(host, proxy)
+    sock, bound = await socks_bind(host, proxy)
     return sock, bound
 
 
-def await_bound_and_verify(
+async def await_bound_and_verify(
     sock: SimSocket, nonce: int, ctx: Optional[TraceContext] = None
-) -> Generator:
+):
     """Responder: wait for the initiator on the bound port and verify."""
-    yield from socks_accept_bound(sock)
+    await socks_accept_bound(sock)
     link = TcpLink(sock, SOCKS_PROXY, relayed=True)
     try:
-        yield from verify_responder(link, nonce)
+        await verify_responder(link, nonce)
     except Exception:
         link.abort()
         raise

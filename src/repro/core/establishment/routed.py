@@ -9,7 +9,7 @@ possible."
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Optional
 
 from ... import obs
 from ...obs import TraceContext
@@ -20,12 +20,12 @@ from .verify import verify_responder
 __all__ = ["accept_routed_and_verify"]
 
 
-def accept_routed_and_verify(
+async def accept_routed_and_verify(
     link: RoutedLink, nonce: int, ctx: Optional[TraceContext] = None
-) -> Generator:
+):
     """Responder: verify an incoming routed channel."""
     try:
-        yield from verify_responder(link, nonce)
+        await verify_responder(link, nonce)
     except Exception:
         link.close()
         raise

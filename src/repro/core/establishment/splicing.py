@@ -17,7 +17,7 @@ connect, and the brokering layer falls back (§6).
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Optional
 
 from ... import obs
 from ...obs import TraceContext
@@ -44,11 +44,11 @@ SPLICE_RETRY = RetryPolicy(
 )
 
 
-def prepare_endpoint(
+async def prepare_endpoint(
     host,
     behind_nat: bool,
     reflector: Optional[Addr],
-) -> Generator:
+):
     """Pick a local data port and learn its external address.
 
     Returns ``(lport, external_addr, probe_sock_or_None)``.  The caller
@@ -61,13 +61,13 @@ def prepare_endpoint(
         return lport, (host.ip, lport), None
     if reflector is None:
         raise ValueError("NAT traversal needs an address reflector")
-    probe = yield from connect(host, reflector, lport=lport, reuse=True)
-    raw = yield from probe.recv_exactly(32)
+    probe = await connect(host, reflector, lport=lport, reuse=True)
+    raw = await probe.recv_exactly(32)
     ip, port = raw.decode().strip().split(":")
     return lport, (ip, int(port)), probe
 
 
-def splice_and_verify(
+async def splice_and_verify(
     host,
     peer_addr: Addr,
     lport: int,
@@ -77,7 +77,7 @@ def splice_and_verify(
     probe: Optional[SimSocket] = None,
     policy: RetryPolicy = SPLICE_RETRY,
     ctx: Optional[TraceContext] = None,
-) -> Generator:
+):
     """Run one side of the simultaneous open + cookie verification.
 
     A refused connect (the peer's RST because its socket isn't bound yet,
@@ -89,9 +89,9 @@ def splice_and_verify(
     class _RetrySplice(Exception):
         pass
 
-    def attempt(_i: int) -> Generator:
+    async def attempt(_i: int):
         try:
-            sock = yield from connect_simultaneous(
+            sock = await connect_simultaneous(
                 host, peer_addr, lport, config=config or SPLICE_CONFIG, reuse=True
             )
         except (ConnectRefused, ConnectionReset) as exc:
@@ -99,9 +99,9 @@ def splice_and_verify(
         link = TcpLink(sock, SPLICING)
         try:
             if initiator:
-                yield from verify_initiator(link, nonce)
+                await verify_initiator(link, nonce)
             else:
-                yield from verify_responder(link, nonce)
+                await verify_responder(link, nonce)
         except (EOFError, ConnectionReset) as exc:
             # Half-open connection torn down under us (e.g. a broken
             # NAT resetting the peer): retry, then give up.
@@ -118,7 +118,7 @@ def splice_and_verify(
 
     try:
         return (
-            yield from retrying(
+            await retrying(
                 SimRuntime(host.sim),
                 attempt,
                 policy,

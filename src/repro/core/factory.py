@@ -23,8 +23,7 @@ striping classes, ``broker``), so one agreement frame serves the simulated
 from __future__ import annotations
 
 from dataclasses import replace
-from types import coroutine
-from typing import Generator, Optional
+from typing import Optional
 
 from .. import obs
 from ..mux import DEFAULT_WINDOW, MuxEndpoint
@@ -137,8 +136,7 @@ class BrokeredConnectionFactory:
         self._shared_mux_resp: dict[tuple[str, int], MuxEndpoint] = {}
 
     # -- initiator ----------------------------------------------------------
-    @coroutine
-    def connect(
+    async def connect(
         self,
         service_link: Link,
         peer_info: EndpointInfo,
@@ -146,7 +144,7 @@ class BrokeredConnectionFactory:
         block_size: int = DEFAULT_BLOCK,
         methods: Optional[list] = None,
         ctx: Optional[TraceContext] = None,
-    ) -> Generator:
+    ):
         """Negotiate ``spec`` with the peer and build the channel.
 
         ``spec`` is a :class:`StackSpec` (default: plain ``TCP_Block``).
@@ -188,7 +186,7 @@ class BrokeredConnectionFactory:
             # connects over a shared endpoint can't claim each other's
             nonce = self.node.next_session_id()
             frame.u8(1 if cached is not None else 0).u64(eid).u64(nonce)
-        yield from send_frame(service_link, frame.getvalue())
+        await send_frame(service_link, frame.getvalue())
         links = []
         endpoint = None
         try:
@@ -208,20 +206,20 @@ class BrokeredConnectionFactory:
                     # one expensively-established physical link carries
                     # every channel the networking layer needs (ISSUE:
                     # reuse, don't re-establish per conversation)
-                    raw = yield from self.node.broker.initiate(
+                    raw = await self.node.broker.initiate(
                         service_link, peer_info, methods, ctx=ctx
                     )
-                    endpoint = yield from self._mux_endpoint(
+                    endpoint = await self._mux_endpoint(
                         raw, parsed, MuxEndpoint.INITIATOR, ctx=ctx
                     )
                     self._shared_mux[peer_info.node_id] = (eid, endpoint)
                 tag = nonce.to_bytes(8, "big")
                 for _ in range(n):
-                    channel = yield from endpoint.open_channel(tag, ctx=ctx)
+                    channel = await endpoint.open_channel(tag, ctx=ctx)
                     links.append(channel)
             else:
                 for _ in range(n):
-                    link = yield from self.node.broker.initiate(
+                    link = await self.node.broker.initiate(
                         service_link, peer_info, methods, ctx=ctx
                     )
                     links.append(link)
@@ -246,15 +244,14 @@ class BrokeredConnectionFactory:
                 links=n,
             ):
                 stack = self.build(parsed, links)
-                yield from self._maybe_tls(stack, client=True)
+                await self._maybe_tls(stack, client=True)
         except BaseException:
             for link in links:
                 link.abort()
             raise
         return BlockChannel(stack, block_size=block_size)
 
-    @coroutine
-    def connect_retrying(
+    async def connect_retrying(
         self,
         peer_id: str,
         peer_info: EndpointInfo,
@@ -264,7 +261,7 @@ class BrokeredConnectionFactory:
         connect_timeout: float = 15.0,
         methods: Optional[list] = None,
         ctx: Optional[TraceContext] = None,
-    ) -> Generator:
+    ):
         """Like :meth:`connect`, but owns the whole bootstrap and survives
         transient failures.
 
@@ -278,12 +275,11 @@ class BrokeredConnectionFactory:
         """
         node = self.node
 
-        @coroutine
-        def attempt(_i: int) -> Generator:
-            yield from node.relay_client.wait_connected(timeout=connect_timeout)
-            service = yield from node.open_service_link(peer_id, peer_info)
+        async def attempt(_i: int):
+            await node.relay_client.wait_connected(timeout=connect_timeout)
+            service = await node.open_service_link(peer_id, peer_info)
             try:
-                channel = yield from self.connect(
+                channel = await self.connect(
                     service,
                     peer_info,
                     spec=spec,
@@ -300,7 +296,7 @@ class BrokeredConnectionFactory:
             return channel
 
         return (
-            yield from retrying(
+            await retrying(
                 node.runtime,
                 attempt,
                 policy,
@@ -311,11 +307,10 @@ class BrokeredConnectionFactory:
         )
 
     # -- responder -----------------------------------------------------------
-    @coroutine
-    def accept(self, service_link: Link, peer: Optional[str] = None) -> Generator:
+    async def accept(self, service_link: Link, peer: Optional[str] = None):
         """Serve one channel negotiation on ``service_link`` from ``peer``
         (by default the link's own ``peer``: a direct socket has none)."""
-        frame = yield from recv_frame(service_link)
+        frame = await recv_frame(service_link)
         reader = ByteReader(frame)
         # The spec string is the wire format (§5.2): parse it silently.
         parsed = StackSpec.parse(reader.lp_str())
@@ -348,8 +343,8 @@ class BrokeredConnectionFactory:
                             f"{eid:016x}"
                         )
                 else:
-                    raw = yield from self.node.broker.respond(service_link)
-                    endpoint = yield from self._mux_endpoint(
+                    raw = await self.node.broker.respond(service_link)
+                    endpoint = await self._mux_endpoint(
                         raw, parsed, MuxEndpoint.RESPONDER,
                         ctx=getattr(raw, "ctx", None),
                     )
@@ -357,11 +352,11 @@ class BrokeredConnectionFactory:
                     created = True
                 tag = nonce.to_bytes(8, "big")
                 for _ in range(n):
-                    channel = yield from endpoint.accept_channel(tag)
+                    channel = await endpoint.accept_channel(tag)
                     links.append(channel)
             else:
                 for _ in range(n):
-                    link = yield from self.node.broker.respond(service_link)
+                    link = await self.node.broker.respond(service_link)
                     links.append(link)
         except BaseException:
             if endpoint is not None and created:
@@ -388,18 +383,17 @@ class BrokeredConnectionFactory:
                 links=n,
             ):
                 stack = self.build(parsed, links)
-                yield from self._maybe_tls(stack, client=False)
+                await self._maybe_tls(stack, client=False)
         except BaseException:
             for link in links:
                 link.abort()
             raise
         return BlockChannel(stack, block_size=block_size)
 
-    @coroutine
-    def accept_retrying(
+    async def accept_retrying(
         self,
         policy: RetryPolicy = ACCEPT_RETRY,
-    ) -> Generator:
+    ):
         """Like :meth:`accept`, but serves negotiations until one succeeds.
 
         A failed or abandoned negotiation (the initiator gave up and closed
@@ -408,11 +402,10 @@ class BrokeredConnectionFactory:
         """
         node = self.node
 
-        @coroutine
-        def attempt(_i: int) -> Generator:
-            _peer, service = yield from node.accept_service_link()
+        async def attempt(_i: int):
+            _peer, service = await node.accept_service_link()
             try:
-                channel = yield from self.accept(service)
+                channel = await self.accept(service)
             except BaseException:
                 service.close()
                 raise
@@ -420,7 +413,7 @@ class BrokeredConnectionFactory:
             return channel
 
         return (
-            yield from retrying(
+            await retrying(
                 node.runtime,
                 attempt,
                 policy,
@@ -462,14 +455,13 @@ class BrokeredConnectionFactory:
                 return endpoint
         return None
 
-    @coroutine
-    def _mux_endpoint(
+    async def _mux_endpoint(
         self,
         raw: Link,
         parsed: StackSpec,
         role: str,
         ctx: Optional[TraceContext] = None,
-    ) -> Generator:
+    ):
         """Wrap the single brokered link in a running mux endpoint.
 
         ``close_when_idle`` ties the endpoint's (and the physical link's)
@@ -479,7 +471,7 @@ class BrokeredConnectionFactory:
         """
         layer = parsed.mux
         window = int(layer.get("win", DEFAULT_WINDOW))
-        endpoint = yield from self.node.mux_endpoint.establish(
+        endpoint = await self.node.mux_endpoint.establish(
             raw,
             role,
             window=window,
@@ -570,14 +562,13 @@ class BrokeredConnectionFactory:
         peer (restricted to the same ``methods`` as the original link)."""
         node = self.node
 
-        @coroutine
-        def reconnect(session: SessionLink) -> Generator:
-            yield from node.relay_client.wait_connected(timeout=12.0)
-            service = yield from node.open_resume_link(peer_info.node_id, session.sid)
+        async def reconnect(session: SessionLink):
+            await node.relay_client.wait_connected(timeout=12.0)
+            service = await node.open_resume_link(peer_info.node_id, session.sid)
             try:
                 # re-establishment inherits the recovery's trace context, so
                 # its establish.attempt spans nest under the resume span
-                link = yield from node.broker.initiate(
+                link = await node.broker.initiate(
                     service, peer_info, methods, ctx=session._resume_ctx
                 )
             except BaseException:
@@ -588,8 +579,7 @@ class BrokeredConnectionFactory:
 
         return reconnect
 
-    @coroutine
-    def _maybe_tls(self, stack, client: bool) -> Generator:
+    async def _maybe_tls(self, stack, client: bool):
         tls = find_driver(stack, TlsDriver)
         if tls is None:
             return
@@ -614,4 +604,4 @@ class BrokeredConnectionFactory:
                 require_client_auth=cfg.require_client_auth,
                 now=now,
             )
-        yield from runtime.bounded(handshake, TLS_HANDSHAKE_DEADLINE)
+        await runtime.bounded(handshake, TLS_HANDSHAKE_DEADLINE)

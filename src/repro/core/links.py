@@ -12,9 +12,6 @@ method built it?) so benchmarks and the decision logic can inspect it.
 
 from __future__ import annotations
 
-from types import coroutine
-from typing import Generator, Optional
-
 from ..simnet.packet import Addr
 from ..simnet.sockets import SimSocket
 
@@ -54,9 +51,9 @@ def transport_errors() -> tuple:
 class Link:
     """Abstract established connection (paper §2).
 
-    Subclasses provide the stream operations as generator-based
-    coroutines (a simulator process runs them with ``yield from``, an
-    asyncio task with ``await``).  Metadata:
+    Subclasses provide the stream operations as awaitables (``async
+    def``, or a simulator socket's generator-based leaves), which a
+    simulator process and an asyncio task both drive.  Metadata:
 
     * ``method`` — establishment method name ("client_server", "splicing",
       "socks_proxy", "routed").
@@ -80,18 +77,17 @@ class Link:
         """The simulator this link lives in."""
         raise NotImplementedError
 
-    def send_all(self, data: bytes) -> Generator:
+    async def send_all(self, data: bytes):
         raise NotImplementedError
 
-    def recv(self, maxbytes: int) -> Generator:
+    async def recv(self, maxbytes: int):
         raise NotImplementedError
 
-    @coroutine
-    def recv_exactly(self, n: int) -> Generator:
+    async def recv_exactly(self, n: int):
         chunks = []
         remaining = n
         while remaining > 0:
-            data = yield from self.recv(remaining)
+            data = await self.recv(remaining)
             if not data:
                 raise EOFError(f"link ended with {remaining}/{n} bytes missing")
             if len(data) == n:
@@ -133,11 +129,11 @@ class TcpLink(Link):
     def sim(self):
         return self._sock.sim
 
-    def send_all(self, data: bytes) -> Generator:
-        yield from self._sock.send_all(data)
+    async def send_all(self, data: bytes):
+        await self._sock.send_all(data)
 
-    def recv(self, maxbytes: int) -> Generator:
-        return (yield from self._sock.recv(maxbytes))
+    async def recv(self, maxbytes: int):
+        return await self._sock.recv(maxbytes)
 
     def close(self) -> None:
         self._sock.close()

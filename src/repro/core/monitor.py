@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Optional
 
 from .. import obs
 from ..simnet.packet import Addr
@@ -77,7 +77,7 @@ class PathMonitor:
         self.rcvbuf = rcvbuf
 
     # -- initiator --------------------------------------------------------
-    def estimate(self, service_link: Link, peer_info) -> Generator:
+    async def estimate(self, service_link: Link, peer_info):
         """Probe the path to ``peer_info``; returns a :class:`PathEstimate`.
 
         The responder must be running :meth:`serve` on its side of the
@@ -87,7 +87,7 @@ class PathMonitor:
         limit.
         """
         with obs.span("path.probe", peer=peer_info.node_id):
-            rtt, single = yield from self._probe_once(service_link, peer_info, 1)
+            rtt, single = await self._probe_once(service_link, peer_info, 1)
             window_cap = self.rcvbuf / rtt
             if single < 0.75 * window_cap:
                 estimate = PathEstimate(
@@ -97,7 +97,7 @@ class PathMonitor:
                 capacity = single
                 streams_used = 1
                 for streams in (4, 8):
-                    _r, multi = yield from self._probe_once(
+                    _r, multi = await self._probe_once(
                         service_link, peer_info, streams
                     )
                     capacity = max(capacity, multi)
@@ -121,19 +121,19 @@ class PathMonitor:
         reg.gauge("path.single_stream_bps", peer=peer).set(estimate.single_stream)
         reg.gauge("path.capacity_bps", peer=peer).set(estimate.capacity)
 
-    def _probe_once(self, service_link: Link, peer_info, streams: int) -> Generator:
-        yield from send_frame(service_link, struct.pack("!BH", P_BULK, streams))
+    async def _probe_once(self, service_link: Link, peer_info, streams: int):
+        await send_frame(service_link, struct.pack("!BH", P_BULK, streams))
         links = []
         for _ in range(streams):
-            link = yield from self.node.broker.initiate(service_link, peer_info)
+            link = await self.node.broker.initiate(service_link, peer_info)
             links.append(link)
         try:
             # RTT: ping-pong on the first link.
             rtts = []
             for _ in range(PING_ROUNDS):
                 t0 = self.sim.now
-                yield from links[0].send_all(struct.pack("!B", P_PING))
-                yield from links[0].recv_exactly(1)
+                await links[0].send_all(struct.pack("!B", P_PING))
+                await links[0].recv_exactly(1)
                 rtts.append(self.sim.now - t0)
             rtt = min(rtts)
 
@@ -147,13 +147,13 @@ class PathMonitor:
             ]
             from ..simnet.engine import all_of
 
-            warm = yield from links[0].recv_exactly(1)
+            warm = await links[0].recv_exactly(1)
             t1 = self.sim.now
-            done = yield from links[0].recv_exactly(1)
+            done = await links[0].recv_exactly(1)
             t2 = self.sim.now
             if warm != bytes([P_DONE]) or done != bytes([P_DONE]):
                 raise RuntimeError("probe protocol violation")
-            yield all_of(self.sim, procs)
+            await all_of(self.sim, procs)
             bandwidth = (BULK_BYTES * streams) / max(t2 - t1, 1e-9)
             return rtt, bandwidth
         finally:
@@ -161,15 +161,15 @@ class PathMonitor:
                 link.close()
 
     @staticmethod
-    def _pump(link: Link, payload: bytes) -> Generator:
-        yield from link.send_all(payload)
+    async def _pump(link: Link, payload: bytes):
+        await link.send_all(payload)
 
     # -- responder ----------------------------------------------------------
-    def serve(self, service_link: Link) -> Generator:
+    async def serve(self, service_link: Link):
         """Answer probe requests on ``service_link`` until BYE/EOF."""
         while True:
             try:
-                frame = yield from recv_frame(service_link)
+                frame = await recv_frame(service_link)
             except EOFError:
                 return
             if not frame or frame[0] == P_BYE:
@@ -179,38 +179,38 @@ class PathMonitor:
                 raise RuntimeError(f"unexpected probe request {kind}")
             links = []
             for _ in range(streams):
-                link = yield from self.node.broker.respond(service_link)
+                link = await self.node.broker.respond(service_link)
                 links.append(link)
-            yield from self._serve_probe(links)
+            await self._serve_probe(links)
             for link in links:
                 link.close()
 
-    def _serve_probe(self, links: list) -> Generator:
+    async def _serve_probe(self, links: list):
         from ..simnet.engine import all_of
 
         # Pings on the first link.
         for _ in range(PING_ROUNDS):
-            yield from links[0].recv_exactly(1)
-            yield from links[0].send_all(struct.pack("!B", P_PING))
+            await links[0].recv_exactly(1)
+            await links[0].send_all(struct.pack("!B", P_PING))
         # Warm-up, marker, measured tail, marker.
         procs = [
             self.sim.process(self._drain(link, WARMUP_BYTES)) for link in links
         ]
-        yield all_of(self.sim, procs)
-        yield from links[0].send_all(bytes([P_DONE]))
+        await all_of(self.sim, procs)
+        await links[0].send_all(bytes([P_DONE]))
         procs = [
             self.sim.process(self._drain(link, BULK_BYTES)) for link in links
         ]
-        yield all_of(self.sim, procs)
-        yield from links[0].send_all(bytes([P_DONE]))
+        await all_of(self.sim, procs)
+        await links[0].send_all(bytes([P_DONE]))
 
     @staticmethod
-    def _drain(link: Link, nbytes: int) -> Generator:
-        yield from link.recv_exactly(nbytes)
+    async def _drain(link: Link, nbytes: int):
+        await link.recv_exactly(nbytes)
 
-    def finish(self, service_link: Link) -> Generator:
+    async def finish(self, service_link: Link):
         """Tell the responder's :meth:`serve` loop to stop."""
-        yield from send_frame(service_link, bytes([P_BYE, 0, 0]))
+        await send_frame(service_link, bytes([P_BYE, 0, 0]))
 
 
 def select_spec(

@@ -9,8 +9,7 @@ and examples use it directly.
 
 from __future__ import annotations
 
-from types import coroutine
-from typing import Callable, Generator, Optional
+from typing import Callable, Optional
 
 from .. import obs
 from ..mux import MuxEndpoint
@@ -108,16 +107,16 @@ class GridNode(Bound):
     def node_id(self) -> str:
         return self.info.node_id
 
-    def start(self) -> Generator:
+    async def start(self):
         """Register with the relay; wire the dispatcher and broker."""
-        yield from self.relay_client.connect()
+        await self.relay_client.connect()
         obs.metrics().gauge("node.up", node=self.info.node_id).set(1)
         self.dispatcher = RoutedDispatcher(self)
         self.broker = Broker(self)
         return self
 
     # -- service links ------------------------------------------------------
-    def open_service_link(self, peer_id: str, info=None) -> Generator:
+    async def open_service_link(self, peer_id: str, info=None):
         """Open a service link to ``peer_id`` (routed via the relay).
 
         Routed messages are the bootstrap-capable method (Table 1), so the
@@ -125,13 +124,12 @@ class GridNode(Bound):
         firewalls, NetIbis chooses routed messages for service links."
         (The peer's registered ``info`` is not needed for that.)
         """
-        link = yield from self.relay_client.open_link(peer_id, payload=SERVICE_TAG)
+        link = await self.relay_client.open_link(peer_id, payload=SERVICE_TAG)
         return link
 
-    @coroutine
-    def accept_service_link(self) -> Generator:
+    async def accept_service_link(self):
         """Wait for a peer-initiated service link; returns (peer_id, link)."""
-        link = yield from self.dispatcher.accept_service()
+        link = await self.dispatcher.accept_service()
         return link.peer, link
 
     # -- survivable sessions -------------------------------------------------
@@ -140,10 +138,9 @@ class GridNode(Bound):
         self._sid_seq += 1
         return scoped_id(self.node_id, self._sid_seq, 16)
 
-    @coroutine
-    def open_resume_link(self, peer_id: str, sid: int) -> Generator:
+    async def open_resume_link(self, peer_id: str, sid: int):
         """Open the service link a session uses to re-establish itself."""
-        link = yield from self.relay_client.open_link(peer_id, payload=resume_tag(sid))
+        link = await self.relay_client.open_link(peer_id, payload=resume_tag(sid))
         return link
 
     def stop(self) -> None:

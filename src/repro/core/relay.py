@@ -17,7 +17,7 @@ for data, except in extreme cases".
 
 This module is the one binding of :mod:`repro.core.relay_core`: the
 protocol lives there, the loops that move its frames live here, written as
-generator-based coroutines over :mod:`repro.core.runtime`.  On the
+``async def`` coroutines over :mod:`repro.core.runtime`.  On the
 simulator the runtime comes with the host, and dialling and listening are
 the simulator's; :mod:`repro.livenet.relay` subclasses name the asyncio
 runtime and dial real sockets.
@@ -26,8 +26,7 @@ runtime and dial real sockets.
 from __future__ import annotations
 
 from collections import deque
-from types import coroutine
-from typing import Callable, Generator, Optional
+from typing import Callable, Optional
 
 from .. import obs
 from ..simnet.packet import Addr
@@ -94,7 +93,7 @@ class RelayServer(Bound, RelayCore):
     def sim(self):
         return self.host.sim
 
-    def _dial(self, addr: Addr) -> Generator:
+    def _dial(self, addr: Addr):
         """A connection to a peer relay."""
         return connect(self.host, addr)
 
@@ -121,18 +120,17 @@ class RelayServer(Bound, RelayCore):
         self._gossip_token = token
         self._spawn(self._gossip_loop(token), f"mesh-gossip-{self.relay_id}")
 
-    @coroutine
-    def _gossip_loop(self, token: object) -> Generator:
+    async def _gossip_loop(self, token: object):
         while self._gossip_token is token and self._listener is not None:
             rnd = self.gossip_begin()
             reply = None
             if rnd.partner is not None:
                 try:
-                    sock = yield from self._dial(rnd.addr)
+                    sock = await self._dial(rnd.addr)
                     self._inflight_socks.add(sock)
                     try:
-                        yield from send_frame(sock, self.gossip_frame())
-                        reply = yield from self.runtime.bounded(
+                        await send_frame(sock, self.gossip_frame())
+                        reply = await self.runtime.bounded(
                             recv_frame(sock, MAX_RELAY_FRAME), _PEER_IO_TIMEOUT)
                     finally:
                         self._inflight_socks.discard(sock)
@@ -140,46 +138,43 @@ class RelayServer(Bound, RelayCore):
                 except (*_TRANSPORT_ERRORS, WireError):
                     pass
             if self.gossip_end(rnd, reply):
-                yield from self._push_mesh_views()
-            yield from self.runtime.sleep(self.gossip_delay())
+                await self._push_mesh_views()
+            await self.runtime.sleep(self.gossip_delay())
 
-    @coroutine
-    def _push_mesh_views(self) -> Generator:
+    async def _push_mesh_views(self):
         """Best-effort view push to every registered client."""
         frame = self._mesh_view_frame()
         for sock in list(self.sessions.values()):
             try:
-                yield from send_frame(sock, frame)
+                await send_frame(sock, frame)
             except _TRANSPORT_ERRORS:
                 continue  # the session loop notices and unregisters
 
-    @coroutine
-    def _serve_gossip(self, sock, sender: str, entries: bytes) -> Generator:
+    async def _serve_gossip(self, sock, sender: str, entries: bytes):
         """Answer one incoming anti-entropy exchange (push-pull)."""
         answer = self.gossip_answer(sender, entries)
         if answer is None:
             return
         reply, moved = answer
-        yield from send_frame(sock, reply)
+        await send_frame(sock, reply)
         if moved:
-            yield from self._push_mesh_views()
+            await self._push_mesh_views()
         try:
             # wait for the initiator's close
-            yield from recv_frame(sock, MAX_RELAY_FRAME)
+            await recv_frame(sock, MAX_RELAY_FRAME)
         except _SESSION_ERRORS:
             pass
 
     # -- trunks --------------------------------------------------------------
-    @coroutine
-    def _trunk(self, relay_id: str, addr: Addr) -> Generator:
+    async def _trunk(self, relay_id: str, addr: Addr):
         """The outgoing trunk to ``relay_id`` (dialled on first use)."""
         sock = self._trunks.get(relay_id)
         if sock is not None:
             return sock
-        sock = yield from self._dial(addr)
+        sock = await self._dial(addr)
         self._inflight_socks.add(sock)
         try:
-            yield from send_frame(sock, self.trunk_hello())
+            await send_frame(sock, self.trunk_hello())
         except BaseException:
             sock.close()
             raise
@@ -193,14 +188,13 @@ class RelayServer(Bound, RelayCore):
             sock.close()
         return kept
 
-    @coroutine
-    def _trunk_reader(self, sock, relay_id: Optional[str] = None) -> Generator:
+    async def _trunk_reader(self, sock, relay_id: Optional[str] = None):
         """Deliver what arrives over a trunk (forwarded bodies on one we
         accepted; routed errors and return traffic on one we dialled)."""
         try:
             while True:
-                body = yield from recv_frame(sock, MAX_RELAY_FRAME)
-                yield from self._deliver(self.route_trunk(body, sock))
+                body = await recv_frame(sock, MAX_RELAY_FRAME)
+                await self._deliver(self.route_trunk(body, sock))
         except _SESSION_ERRORS:
             pass
         finally:
@@ -208,40 +202,38 @@ class RelayServer(Bound, RelayCore):
             sock.close()
 
     # -- serving -------------------------------------------------------------
-    @coroutine
-    def _accept_loop(self) -> Generator:
+    async def _accept_loop(self):
         listener = self._listener
         try:
             while True:
-                sock = yield from listener.accept()
+                sock = await listener.accept()
                 self._spawn(self._session(sock), "relay-session")
         except SocketClosed:
             return  # stopped
 
-    @coroutine
-    def _session(self, sock) -> Generator:
+    async def _session(self, sock):
         node_id: Optional[str] = None
         # Until its first frame puts this connection in a registry (and for
         # all of a gossip exchange) nothing else tracks it; stop() must.
         self._inflight_socks.add(sock)
         try:
-            body = yield from recv_frame(sock, MAX_RELAY_FRAME)
+            body = await recv_frame(sock, MAX_RELAY_FRAME)
             role, peer, rest = self.classify(body)
             if role == self.GOSSIP:
-                yield from self._serve_gossip(sock, peer, rest)
+                await self._serve_gossip(sock, peer, rest)
                 return
             self._inflight_socks.discard(sock)
             if role == self.TRUNK:
                 if self.trunk_accepted(peer, sock):
-                    yield from self._trunk_reader(sock)
+                    await self._trunk_reader(sock)
             else:
                 node_id = peer
                 accepted, frames = self.register(node_id, sock)
                 for frame in frames:
-                    yield from send_frame(sock, frame)
+                    await send_frame(sock, frame)
                 while accepted:
-                    body = yield from recv_frame(sock, MAX_RELAY_FRAME)
-                    yield from self._deliver(self.route(node_id, body, sock))
+                    body = await recv_frame(sock, MAX_RELAY_FRAME)
+                    await self._deliver(self.route(node_id, body, sock))
         except _SESSION_ERRORS:
             pass
         finally:
@@ -249,8 +241,7 @@ class RelayServer(Bound, RelayCore):
             self.unregister(node_id, sock)
             sock.close()
 
-    @coroutine
-    def _deliver(self, hop: Optional[Hop]) -> Generator:
+    async def _deliver(self, hop: Optional[Hop]):
         """The hop loop: try the write; on a transport error the core
         names the next hop, down to an error back to the origin.  A body
         forwarded as it arrived goes out by reference behind its length
@@ -259,8 +250,8 @@ class RelayServer(Bound, RelayCore):
         while hop is not None:
             try:
                 if hop.conn is None:
-                    hop.conn = yield from self._trunk(*hop.trunk)
-                yield from send_frame(hop.conn, hop.frame)
+                    hop.conn = await self._trunk(*hop.trunk)
+                await send_frame(hop.conn, hop.frame)
             except _TRANSPORT_ERRORS:
                 if hop.last:
                     raise  # the origin itself is gone: its loop's problem
@@ -293,18 +284,18 @@ class ReflectorServer:
     def start(self) -> None:
         listener = listen(self.host, self.port, backlog=32)
 
-        def accept_loop() -> Generator:
+        async def accept_loop():
             while True:
-                sock = yield from listener.accept()
+                sock = await listener.accept()
                 self.probes += 1
                 self.host.sim.process(self._serve(sock), name="reflect")
 
         self.host.sim.process(accept_loop(), name="reflector-accept")
 
-    def _serve(self, sock: SimSocket) -> Generator:
+    async def _serve(self, sock: SimSocket):
         ip, port = sock.raddr
-        yield from sock.send_all(f"{ip}:{port}".ljust(32).encode())
-        yield from sock.recv(1)  # wait for client close
+        await sock.send_all(f"{ip}:{port}".ljust(32).encode())
+        await sock.recv(1)  # wait for client close
         sock.close()
 
 
@@ -338,22 +329,20 @@ class RoutedLink(RoutedChannel, Link):
                 event.set_exception(exc)
 
     # -- Link interface ----------------------------------------------------------
-    @coroutine
-    def send_all(self, data) -> Generator:
+    async def send_all(self, data):
         """One routed message per ``MAX_MSG`` bytes of ``data`` (one buffer
         or a buffer list); a large payload goes down by reference."""
         if self.closed:
             raise self.client.link_error("send on closed routed link")
         for frame in self.msg_frames(data):
-            yield from self.client._send(frame)
+            await self.client._send(frame)
 
-    @coroutine
-    def recv(self, maxbytes: int) -> Generator:
+    async def recv(self, maxbytes: int):
         runtime = self.client.runtime
         event = runtime.event()
         self._readers.append((event, maxbytes))
         self._wake()
-        return (yield from runtime.wait(event))
+        return await runtime.wait(event)
 
 
 class RelayClient(Bound, RelayClientCore):
@@ -413,21 +402,20 @@ class RelayClient(Bound, RelayClientCore):
     def sim(self):
         return self.host.sim
 
-    def _dial(self, addr: Addr) -> Generator:
+    def _dial(self, addr: Addr):
         """A connection to the relay (when no ``connector`` makes it)."""
         return connect(self.host, addr)
 
     # -- lifecycle -----------------------------------------------------------
-    @coroutine
-    def connect(self) -> Generator:
+    async def connect(self):
         """Register with the relay and start the demux loop."""
         self.closed = False
         if self.connector is not None:
-            self._sock = yield from self.connector(self.host, self.relay_addr)
+            self._sock = await self.connector(self.host, self.relay_addr)
         else:
-            self._sock = yield from self._dial(self.relay_addr)
-        yield from send_frame(self._sock, self.register_frame())
-        self.registered((yield from recv_frame(self._sock, MAX_RELAY_FRAME)))
+            self._sock = await self._dial(self.relay_addr)
+        await send_frame(self._sock, self.register_frame())
+        self.registered(await recv_frame(self._sock, MAX_RELAY_FRAME))
         self.runtime.unpark(self._waiters, "connected")
         self._spawn(self._reader(), f"relay-client-{self.node_id}")
         if self.keepalive > 0:
@@ -435,16 +423,18 @@ class RelayClient(Bound, RelayClientCore):
                         f"relay-keepalive-{self.node_id}")
         return self
 
-    @coroutine
-    def wait_connected(self, timeout: float = 30.0) -> Generator:
+    async def wait_connected(self, timeout: float = 30.0):
         """Wait until the client holds a live relay registration."""
         if self.connected:
             return self
         if self.closed:
             raise RelayError("relay client closed")
+
+        async def registered():
+            await self.runtime.park(self._waiters, "connected")
+
         try:
-            yield from self.runtime.bounded(
-                self.runtime.park(self._waiters, "connected"), timeout)
+            await self.runtime.bounded(registered(), timeout)
         except TimeoutError:
             raise TimeoutError(
                 f"relay connection not up within {timeout}s") from None
@@ -472,59 +462,53 @@ class RelayClient(Bound, RelayClientCore):
         if self._sock is not None:
             self._sock.abort()
 
-    @coroutine
-    def _keepalive_loop(self, sock) -> Generator:
+    async def _keepalive_loop(self, sock):
         """Ping the relay periodically while this registration is alive."""
         while True:
-            yield from self.runtime.sleep(self.keepalive)
+            await self.runtime.sleep(self.keepalive)
             if self.closed or not self.connected or self._sock is not sock:
                 return
             try:
-                yield from send_frame(sock, PING_FRAME)
+                await send_frame(sock, PING_FRAME)
             except (*_TRANSPORT_ERRORS, RelayError):
                 return  # the reader notices the loss and handles it
 
     # -- outgoing ---------------------------------------------------------------
-    @coroutine
-    def _send(self, frame: bytes) -> Generator:
+    async def _send(self, frame: bytes):
         if self._sock is None:
             raise self.link_error("relay client not connected")
-        yield from send_frame(self._sock, frame)
+        await send_frame(self._sock, frame)
 
     def _notify(self, frame: bytes) -> None:
-        @coroutine
-        def notify() -> Generator:
+        async def notify():
             # Best-effort: the relay session may die under us mid-frame
             # (crash, reset) — the peer learns about the close from its
             # own session loss in that case.
             try:
-                yield from self._send(frame)
+                await self._send(frame)
             except (*_TRANSPORT_ERRORS, RelayError):
                 pass
 
         self._spawn(notify(), "routed-close")
 
-    @coroutine
-    def open_link(
+    async def open_link(
         self, peer: str, payload: bytes = b"",
         ctx: Optional[obs.TraceContext] = None,
-    ) -> Generator:
+    ):
         """Open a routed link to ``peer`` (see ``RelayClientCore.open``)."""
         link, frame = self.open(peer, payload, ctx)
-        yield from self._send(frame)
+        await self._send(frame)
         return link
 
-    @coroutine
-    def accept_link(self) -> Generator:
+    async def accept_link(self):
         """Wait for a peer-initiated routed link."""
-        return (yield from self._accepts.get())
+        return await self._accepts.get()
 
     # -- incoming ----------------------------------------------------------------
-    @coroutine
-    def _reader(self) -> Generator:
+    async def _reader(self):
         try:
             while True:
-                body = yield from recv_frame(self._sock, MAX_RELAY_FRAME)
+                body = await recv_frame(self._sock, MAX_RELAY_FRAME)
                 link = self.dispatch(body)
                 if link is not None:
                     self._accepts.put(link)
@@ -540,18 +524,16 @@ class RelayClient(Bound, RelayClientCore):
                 self._spawn(self._reconnect_loop(),
                             f"relay-reconnect-{self.node_id}")
 
-    @coroutine
-    def _reconnect_loop(self) -> Generator:
+    async def _reconnect_loop(self):
         """Re-register with (jittered, bounded) backoff after a lost session."""
 
-        @coroutine
-        def attempt(_i: int) -> Generator:
+        async def attempt(_i: int):
             if self.closed:
                 return None
-            return (yield from self.connect())
+            return await self.connect()
 
         try:
-            yield from retrying(
+            await retrying(
                 self.runtime,
                 attempt,
                 self.reconnect_policy,

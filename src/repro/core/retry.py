@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from types import coroutine
-from typing import Callable, Generator, Iterator, Optional, Tuple, Type
+from typing import Awaitable, Callable, Iterator, Optional, Tuple, Type
 
 from .. import obs
 
@@ -72,15 +71,14 @@ class RetryPolicy:
             nominal *= self.multiplier
 
 
-@coroutine
-def retrying(
+async def retrying(
     runtime,
-    attempt: Callable[[int], Generator],
+    attempt: Callable[[int], Awaitable],
     policy: RetryPolicy,
     retry_on: Tuple[Type[BaseException], ...],
     key: str = "",
     name: str = "retry",
-) -> Generator:
+):
     """Run ``attempt(i)`` under ``policy``, backing off between failures
     on ``runtime`` (:mod:`repro.core.runtime`).
 
@@ -94,7 +92,7 @@ def retrying(
     last: Optional[BaseException] = None
     for i in range(policy.max_attempts):
         try:
-            result = yield from attempt(i)
+            result = await attempt(i)
             if i:
                 obs.event(f"{name}.recovered", key=key, attempt=i + 1)
             return result
@@ -110,7 +108,7 @@ def retrying(
                 delay=round(delay, 6),
                 error=f"{type(exc).__name__}: {exc}",
             )
-            yield from runtime.sleep(delay)
+            await runtime.sleep(delay)
     obs.event(
         f"{name}.exhausted",
         key=key,

@@ -2,9 +2,12 @@
 
 The bindings of the three sans-IO cores (:mod:`repro.mux.endpoint`,
 :mod:`repro.core.relay`, :mod:`repro.core.session`) are written once, as
-generator-based coroutines (a simulator process runs them with ``yield
-from``, an asyncio task with ``await``).  What they need beyond the
-streams they are handed is here, implemented twice; ``docs/PROTOCOLS.md``
+``async def`` coroutines: an asyncio task runs them, and so does a
+simulator process, which only forwards what they ``await`` down to the
+simulator's events.  What they need beyond the streams they are handed
+is here, implemented twice, and its waiting methods are the leaves of
+every ``await`` chain: generator-based coroutines (``types.coroutine``)
+that yield the runtime's own event or future; ``docs/PROTOCOLS.md``
 has the table (an ``unpark`` with nobody parked is not remembered: a
 hint, the woken waiter re-checks; an ``event`` speaks ``asyncio.Future``'s
 names on both).  A sim class derives its runtime from what it is given
@@ -62,8 +65,8 @@ class SimRuntime(_Runtime):
     def now(self) -> float:
         return self.sim.now
 
-    def spawn(self, steps: Generator, name: str):
-        return self.sim.process(steps, name=name)
+    def spawn(self, coro, name: str):
+        return self.sim.process(coro, name=name)
 
     @staticmethod
     def cancel(task) -> None:
@@ -88,8 +91,8 @@ class SimRuntime(_Runtime):
         yield self.sim.timeout(seconds)
 
     @coroutine
-    def bounded(self, steps: Generator, seconds: float) -> Generator:
-        return (yield from with_timeout(self.sim, steps, seconds))
+    def bounded(self, coro, seconds: float) -> Generator:
+        return (yield from with_timeout(self.sim, coro, seconds))
 
 
 class AsyncioRuntime(_Runtime):
@@ -98,10 +101,8 @@ class AsyncioRuntime(_Runtime):
     now = staticmethod(time.monotonic)
 
     @staticmethod
-    def spawn(steps, name: str) -> asyncio.Future:
-        task = asyncio.ensure_future(steps)  # create_task takes only native ones
-        task.set_name(name)
-        return task
+    def spawn(coro, name: str) -> asyncio.Task:
+        return asyncio.create_task(coro, name=name)
 
     @staticmethod
     def cancel(task: asyncio.Future) -> None:
@@ -126,17 +127,18 @@ class AsyncioRuntime(_Runtime):
         yield from asyncio.sleep(seconds)
 
     @coroutine
-    def bounded(self, steps, seconds: float) -> Generator:
+    def bounded(self, coro, seconds: float) -> Generator:
         # not asyncio.wait_for: before 3.12 it can return a result its
         # caller's cancel raced, and the cancel is lost
-        task = asyncio.ensure_future(steps)
+        loop = asyncio.get_running_loop()
+        task = loop.create_task(coro)
         expired = False
 
         def expire():
             nonlocal expired
             expired = task.cancel()
 
-        timer = asyncio.get_running_loop().call_later(seconds, expire)
+        timer = loop.call_later(seconds, expire)
         try:
             return (yield from task)
         except asyncio.CancelledError:
@@ -158,5 +160,5 @@ class Bound:
     def runtime(self) -> SimRuntime:
         return SimRuntime(self.sim)
 
-    def _spawn(self, steps, name: str):
-        return self.runtime.spawn(steps, name)
+    def _spawn(self, coro, name: str):
+        return self.runtime.spawn(coro, name)

@@ -23,7 +23,7 @@ kind            meaning
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Optional
 
 from .. import obs
 from ..simnet.engine import all_of
@@ -246,10 +246,10 @@ class GridScenario:
             return None
         proxy_addr = (self.sites[site_name].gateway.ip, SOCKS_PORT)
 
-        def connector(h, target, _proxy=proxy_addr):
+        async def connector(h, target, _proxy=proxy_addr):
             from ..simnet.socks import socks_connect
 
-            return (yield from socks_connect(h, _proxy, target))
+            return await socks_connect(h, _proxy, target)
 
         return connector
 
@@ -354,9 +354,9 @@ class GridScenario:
             add_publisher(source, select)
         return self.telemetry
 
-    def spawn(self, steps: Generator, name: str):
+    def spawn(self, coro, name: str):
         """Start a workload process."""
-        return self.sim.process(steps, name=name)
+        return self.sim.process(coro, name=name)
 
     _spawn_publisher = spawn
 
@@ -424,10 +424,10 @@ class GridScenario:
         return out
 
     # -- execution helpers ---------------------------------------------------
-    def start_all(self) -> Generator:
+    async def start_all(self):
         """Start every node (register with the relay)."""
         procs = [self.sim.process(node.start()) for node in self.nodes.values()]
-        yield all_of(self.sim, procs)
+        await all_of(self.sim, procs)
 
     def run(self, until: Optional[float] = None) -> None:
         self.sim.run(until=until)
@@ -466,12 +466,12 @@ class GridScenario:
         parsed = spec
         res: dict = {}
 
-        def run_sender() -> Generator:
-            yield from sender.start()
-            yield from receiver.relay_client.wait_connected(timeout=until)
-            service = yield from sender.open_service_link(receiver_id)
+        async def run_sender():
+            await sender.start()
+            await receiver.relay_client.wait_connected(timeout=until)
+            service = await sender.open_service_link(receiver_id)
             factory = BrokeredConnectionFactory(sender)
-            channel = yield from factory.connect(
+            channel = await factory.connect(
                 service, receiver.info, spec=parsed,
                 block_size=min(message_size, 65536),
             )
@@ -484,21 +484,21 @@ class GridScenario:
                     pos = 0
                     chunk = payload[:message_size]
                 pos += message_size
-                yield from channel.write(chunk)
+                await channel.write(chunk)
                 sent += len(chunk)
-            yield from channel.flush()
+            await channel.flush()
             channel.close()
             res["sent"] = sent
 
-        def run_receiver() -> Generator:
-            yield from receiver.start()
-            _peer, service = yield from receiver.accept_service_link()
+        async def run_receiver():
+            await receiver.start()
+            _peer, service = await receiver.accept_service_link()
             factory = BrokeredConnectionFactory(receiver)
-            channel = yield from factory.accept(service)
+            channel = await factory.accept(service)
             got = 0
             t0 = None
             while True:
-                data = yield from channel.read(1 << 20)
+                data = await channel.read(1 << 20)
                 if not data:
                     break
                 got += len(data)
@@ -535,29 +535,29 @@ class GridScenario:
         initiator = self.nodes[initiator_id]
         responder = self.nodes[responder_id]
 
-        def run_initiator() -> Generator:
-            yield from initiator.start()
-            yield from responder.relay_client.wait_connected(timeout=until)
-            service = yield from initiator.open_service_link(responder_id)
+        async def run_initiator():
+            await initiator.start()
+            await responder.relay_client.wait_connected(timeout=until)
+            service = await initiator.open_service_link(responder_id)
             t0 = self.sim.now
-            link = yield from initiator.broker.initiate(
+            link = await initiator.broker.initiate(
                 service, responder.info, methods
             )
             res["method"] = link.method
             res["delay"] = self.sim.now - t0
             res["native_tcp"] = link.native_tcp
             res["relayed"] = link.relayed
-            yield from link.send_all(payload)
-            res["echo"] = yield from link.recv_exactly(len(payload))
+            await link.send_all(payload)
+            res["echo"] = await link.recv_exactly(len(payload))
             res["initiator_log"] = list(initiator.broker.attempt_log)
             link.close()
 
-        def run_responder() -> Generator:
-            yield from responder.start()
-            _peer, service = yield from responder.accept_service_link()
-            link = yield from responder.broker.respond(service)
-            data = yield from link.recv_exactly(len(payload))
-            yield from link.send_all(data)
+        async def run_responder():
+            await responder.start()
+            _peer, service = await responder.accept_service_link()
+            link = await responder.broker.respond(service)
+            data = await link.recv_exactly(len(payload))
+            await link.send_all(data)
             res["responder_log"] = list(responder.broker.attempt_log)
 
         self.sim.process(run_initiator(), name="scenario-initiator")

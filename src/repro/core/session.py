@@ -29,7 +29,7 @@ delivery stays byte-identical and FIFO.
 
 The protocol itself — wire format, replay and ack arithmetic, close,
 heartbeat and watchdog — lives in :mod:`repro.core.session_core`; this
-module is its one binding, written as generator-based coroutines over
+module is its one binding, written as ``async def`` coroutines over
 :mod:`repro.core.runtime`: the tasks that move bytes between the link and
 the core (the inbound pump; the writers — callers and the control loop —
 taking turns on the raw link), the heartbeat timer, the parking of callers
@@ -44,8 +44,7 @@ asyncio runtime and redials real sockets).
 
 from __future__ import annotations
 
-from types import coroutine
-from typing import Callable, Generator, Optional
+from typing import Awaitable, Callable, Optional
 
 from .. import obs
 from ..obs import TraceContext
@@ -95,12 +94,12 @@ _WAKE_TX = "tx"
 class SessionLink(Bound, SessionCore, Link):
     """A logical stream that survives the death of its physical link.
 
-    ``reconnect`` (initiator only) is a generator ``reconnect(session) ->
-    Link`` that re-runs establishment to the same peer; the responder
-    side is passive and re-attached (:meth:`_reattach`) through its node's
-    :class:`SessionRegistry` or a live listener.  A session built with no
-    ``raw`` link exists before its first one: the first ``RESUME``
-    exchange attaches it.
+    ``reconnect`` (initiator only) is a coroutine function
+    ``reconnect(session) -> Link`` that re-runs establishment to the same
+    peer; the responder side is passive and re-attached (:meth:`_reattach`)
+    through its node's :class:`SessionRegistry` or a live listener.  A
+    session built with no ``raw`` link exists before its first one: the
+    first ``RESUME`` exchange attaches it.
     """
 
     gathers = True
@@ -111,7 +110,7 @@ class SessionLink(Bound, SessionCore, Link):
         sid: int,
         role: str,
         config: Optional[SessionConfig] = None,
-        reconnect: Optional[Callable[["SessionLink"], Generator]] = None,
+        reconnect: Optional[Callable[["SessionLink"], Awaitable]] = None,
         retry_policy: Optional[RetryPolicy] = None,
         peer: str = "",
         ctx: Optional[TraceContext] = None,
@@ -165,8 +164,7 @@ class SessionLink(Bound, SessionCore, Link):
         return self._raw
 
     # -- Link interface ----------------------------------------------------------
-    @coroutine
-    def send_all(self, data) -> Generator:
+    async def send_all(self, data):
         """Write ``data``, one buffer or a buffer list, a DATA frame at a
         time; a large payload reaches the link by reference."""
         left = len(data) if type(data) is not list else size(data)
@@ -174,18 +172,17 @@ class SessionLink(Bound, SessionCore, Link):
             out = self.write(data)
             if out is None:
                 # recovering, or backpressure: acks must release replay space
-                yield from self._wait(self.WAKE_WINDOW)
+                await self._wait(self.WAKE_WINDOW)
                 continue
             frame, taken = out
             left -= taken
             if left:
                 data = split(data, taken)[1]
-            yield from self._send(frame)
+            await self._send(frame)
 
-    @coroutine
-    def recv(self, maxbytes: int) -> Generator:
+    async def recv(self, maxbytes: int):
         while (data := self.read(maxbytes)) is None:
-            yield from self._wait(self.WAKE_RX)
+            await self._wait(self.WAKE_RX)
         return data
 
     def close(self) -> None:
@@ -230,14 +227,13 @@ class SessionLink(Bound, SessionCore, Link):
             self._registry.remove(self.sid)
 
     # -- the writers: callers (send_all) and the control loop ----------------------
-    @coroutine
-    def _send(self, data: bytes) -> Generator:
+    async def _send(self, data: bytes):
         """Write ``data`` to the current link, one writer at a time; False
         when that link was replaced while waiting for the turn (the
         recovery replays) or died under the write."""
         gen = self._gen
         while self._sending:
-            yield from self._wait(_WAKE_TX)
+            await self._wait(_WAKE_TX)
         if gen != self._gen:
             return False
         self._sending = True
@@ -245,7 +241,7 @@ class SessionLink(Bound, SessionCore, Link):
             data = for_stream(self._raw, data)
         try:
             try:
-                yield from self._raw.send_all(data)
+                await self._raw.send_all(data)
             finally:
                 self._sending = False
                 self.wake(_WAKE_TX)
@@ -254,20 +250,18 @@ class SessionLink(Bound, SessionCore, Link):
             return False
         return True
 
-    @coroutine
-    def _control_loop(self) -> Generator:
+    async def _control_loop(self):
         while not self.ended:
             frames = self.control_frames()
             if not frames:
-                yield from self._wait(self.WAKE_CONTROL)
-            elif (yield from self._send(frames)):
+                await self._wait(self.WAKE_CONTROL)
+            elif await self._send(frames):
                 self.control_sent()
 
-    @coroutine
-    def _heartbeat_loop(self) -> Generator:
+    async def _heartbeat_loop(self):
         hb = self.config.heartbeat
         while not self.ended:
-            yield from self.runtime.sleep(hb)
+            await self.runtime.sleep(hb)
             self.tick(self.runtime.now())
 
     # -- inbound pump ------------------------------------------------------------
@@ -276,19 +270,18 @@ class SessionLink(Bound, SessionCore, Link):
             self._pump(self._raw, self._gen),
             f"session-pump-{self.sid:x}-{self.role[0]}-g{self._gen}")
 
-    def _read(self, raw: Link) -> Generator:
+    def _read(self, raw: Link):
         """The pump's next read.  Exactly what the parser awaits, never
         past a frame: with a larger read the simulated TCP sees different
         reads and ``wan_transfer`` + ``link_down`` moves 23 timestamps
         (measured, ISSUE 23)."""
         return raw.recv_exactly(self.rx_need)
 
-    @coroutine
-    def _pump(self, raw: Link, gen: int) -> Generator:
+    async def _pump(self, raw: Link, gen: int):
         now = self.runtime.now
         try:
             while gen == self._gen:
-                data = yield from self._read(raw)
+                data = await self._read(raw)
                 self.receive_data(data, now(), gen)
         except SessionError:
             pass  # protocol violation: the core failed the session
@@ -296,8 +289,7 @@ class SessionLink(Bound, SessionCore, Link):
             self.transport_broken(gen, exc, now())
 
     # -- recovery ----------------------------------------------------------------
-    @coroutine
-    def _recovery(self) -> Generator:
+    async def _recovery(self):
         # Each recovery is one child span of the session's originating
         # trace; the same ctx rides the re-establishment handshake and the
         # RESUME frame so relay/responder records join the tree.
@@ -316,16 +308,15 @@ class SessionLink(Bound, SessionCore, Link):
                 _establishment_errors(),
             )
 
-            @coroutine
-            def attempt(_i: int) -> Generator:
+            async def attempt(_i: int):
                 if self._state != RECOVERING:
                     raise _ResumeAborted("session no longer recovering")
-                raw = yield from self._reconnect(self)
-                yield from self._bounded_resume(
+                raw = await self._reconnect(self)
+                await self._bounded_resume(
                     raw, self._resume_initiator(raw, resume_ctx))
 
             try:
-                yield from retrying(
+                await retrying(
                     self.runtime,
                     attempt,
                     self._retry_policy,
@@ -348,13 +339,11 @@ class SessionLink(Bound, SessionCore, Link):
                 return
             span.set(outcome="ok")
 
-    @coroutine
-    def _bounded_resume(self, raw: Link, steps: Generator) -> Generator:
+    async def _bounded_resume(self, raw: Link, coro):
         """Run one side's resume over ``raw`` under ``resume_timeout``;
         a link that did not become the session's is aborted."""
         try:
-            return (yield from self.runtime.bounded(
-                steps, self.config.resume_timeout))
+            return await self.runtime.bounded(coro, self.config.resume_timeout)
         except BaseException:
             try:
                 raw.abort()
@@ -362,21 +351,18 @@ class SessionLink(Bound, SessionCore, Link):
                 pass
             raise
 
-    @coroutine
-    def _resume_initiator(self, raw: Link, ctx) -> Generator:
-        yield from raw.send_all(self.resume_request(ctx))
-        peer = decode_resume_ok((yield from raw.recv_exactly(RESUME_OK_SIZE)))
-        yield from self._complete_resume(raw, peer, ctx)
+    async def _resume_initiator(self, raw: Link, ctx):
+        await raw.send_all(self.resume_request(ctx))
+        peer = decode_resume_ok(await raw.recv_exactly(RESUME_OK_SIZE))
+        await self._complete_resume(raw, peer, ctx)
 
-    @coroutine
-    def _complete_resume(self, raw: Link, peer: Resume, ctx) -> Generator:
+    async def _complete_resume(self, raw: Link, peer: Resume, ctx):
         for frame in self.resume_frames(peer):
-            yield from raw.send_all(frame)
+            await raw.send_all(frame)
         self._raw = raw
         self.attach(self.runtime.now(), ctx)
 
-    @coroutine
-    def _reattach(self, raw: Link, peer: Resume) -> Generator:
+    async def _reattach(self, raw: Link, peer: Resume):
         """Responder side: adopt ``raw``, a re-established link that opened
         with ``peer``'s RESUME (read off it by whoever routed it here: the
         node's :class:`SessionRegistry`, or a live listener).
@@ -391,27 +377,25 @@ class SessionLink(Bound, SessionCore, Link):
         if self.ended:
             try:
                 for frame in self.resume_frames(peer):
-                    yield from raw.send_all(frame)
-                yield from self.runtime.bounded(
+                    await raw.send_all(frame)
+                await self.runtime.bounded(
                     _until_eof(raw), self.config.resume_timeout)
             finally:
                 raw.close()
             return
         self.transport_broken(
             self._gen, SessionError("peer re-established"), self.runtime.now())
-        yield from self._bounded_resume(raw, self._complete_resume(
+        await self._bounded_resume(raw, self._complete_resume(
             raw, peer, peer.ctx.child() if peer.ctx is not None else None))
 
 
-@coroutine
-def read_resume(raw: Link) -> Generator:
+async def read_resume(raw: Link):
     """The RESUME a re-established link opens with."""
-    return decode_resume((yield from raw.recv_exactly(RESUME_SIZE)))
+    return decode_resume(await raw.recv_exactly(RESUME_SIZE))
 
 
-@coroutine
-def _until_eof(raw: Link) -> Generator:
-    while (yield from raw.recv(1 << 16)):
+async def _until_eof(raw: Link):
+    while await raw.recv(1 << 16):
         pass
 
 
@@ -473,12 +457,11 @@ class SessionRegistry:
             session.fail(session.error_class("session aborted"))
         self._sessions.clear()
 
-    @coroutine
-    def _accept_loop(self) -> Generator:
+    async def _accept_loop(self):
         from .dispatch import RESUME_PREFIX
 
         while not self._closed:
-            service = yield from self.node.dispatcher.accept_resume()
+            service = await self.node.dispatcher.accept_resume()
             try:
                 sid = int(service.open_payload[len(RESUME_PREFIX) :], 16)
             except ValueError:
@@ -488,8 +471,7 @@ class SessionRegistry:
                 self._serve(sid, service), f"session-reattach-{sid:x}"
             )
 
-    @coroutine
-    def _serve(self, sid: int, service) -> Generator:
+    async def _serve(self, sid: int, service):
         session = self._sessions.get(sid)
         if session is None or session.ended:
             obs.event("session.resume_unknown", sid=f"{sid:016x}")
@@ -497,13 +479,13 @@ class SessionRegistry:
             return
         raw = None
         try:
-            raw = yield from self.node.broker.respond(service)
+            raw = await self.node.broker.respond(service)
             service.close()
-            peer = yield from session._bounded_resume(raw, read_resume(raw))
+            peer = await session._bounded_resume(raw, read_resume(raw))
             if peer.sid != sid:
                 raw.abort()
                 raise SessionError(f"bad RESUME (sid {peer.sid:016x})")
-            yield from session._reattach(raw, peer)
+            await session._reattach(raw, peer)
         except Exception as exc:
             obs.event(
                 "session.reattach_failed",

@@ -23,8 +23,7 @@ block), so the receive side needs no mode agreement.
 from __future__ import annotations
 
 import zlib
-from types import coroutine
-from typing import Generator, Optional
+from typing import Optional
 
 from ... import obs
 from ...simnet.cpu import charge
@@ -126,12 +125,11 @@ class AdaptiveCompressionDriver(FilterDriver):
             return "compress"  # raw congests; compression unmeasured so far
         return "compress" if comp > raw else "raw"
 
-    @coroutine
-    def send_block(self, block: bytes) -> Generator:
+    async def send_block(self, block: bytes):
         mode = self._choose_mode()
         t0 = self.sim.now
         if mode == FLAG_DEFLATE:
-            yield charge(self.host, "compress", len(block))
+            await charge(self.host, "compress", len(block))
             deflated = zlib.compress(block, self.level)
             if len(deflated) < len(block):
                 payload = bytes([FLAG_DEFLATE]) + deflated
@@ -139,15 +137,14 @@ class AdaptiveCompressionDriver(FilterDriver):
                 payload = bytes([FLAG_RAW]) + block
         else:
             payload = bytes([FLAG_RAW]) + block
-        yield from self.child.send_block(payload)
+        await self.child.send_block(payload)
         self.mode_counts[mode] += 1
         self._update(mode, len(block), self.sim.now - t0)
         self._mode_total[mode].inc()
 
-    @coroutine
-    def recv_block(self) -> Generator:
-        payload = yield from self.child.recv_block()
+    async def recv_block(self):
+        payload = await self.child.recv_block()
         block = inflate_block(payload)
         if payload[0] == FLAG_DEFLATE:
-            yield charge(self.host, "decompress", len(block))
+            await charge(self.host, "decompress", len(block))
         return block

@@ -13,15 +13,12 @@ sub-driver and transform blocks in flight.  Composition is free-form:
 the paper's headline capability.
 
 One source serves both backends: ``send_block``/``recv_block`` are
-generator-based coroutines (``types.coroutine`` on a generator function),
-so a simulator process runs them with ``yield from`` and an asyncio task
-with ``await``.  A driver that charges simulated CPU does so only when it
+``async def`` coroutines, which a simulator process and an asyncio task
+both drive.  A driver that charges simulated CPU does so only when it
 was given a ``host``; the live backend passes none.
 """
 
 from __future__ import annotations
-
-from typing import Generator
 
 from ... import obs
 
@@ -58,11 +55,11 @@ class Driver:
     #: short name used in stack specifications
     name = "driver"
 
-    def send_block(self, block: bytes) -> Generator:
+    async def send_block(self, block: bytes):
         """Push one block down the stack."""
         raise NotImplementedError
 
-    def recv_block(self) -> Generator:
+    async def recv_block(self):
         """Pull the next block up the stack; raises EOFError at stream end."""
         raise NotImplementedError
 

@@ -19,8 +19,7 @@ that zlib cannot shrink is sent raw, like most real framing protocols).
 from __future__ import annotations
 
 import zlib
-from types import coroutine
-from typing import Generator
+
 
 from ... import obs
 from ...simnet.cpu import charge
@@ -92,10 +91,9 @@ class CompressionDriver(FilterDriver):
             return 1.0
         return self.bytes_in / self.bytes_out
 
-    @coroutine
-    def send_block(self, block: bytes) -> Generator:
+    async def send_block(self, block: bytes):
         if self.host is not None:
-            yield charge(self.host, "compress", len(block))
+            await charge(self.host, "compress", len(block))
         deflated = zlib.compress(block, self.level)
         if len(deflated) < len(block):
             payload = bytes([FLAG_DEFLATE]) + deflated
@@ -106,11 +104,10 @@ class CompressionDriver(FilterDriver):
         self._bytes_in.inc(len(block))
         self._bytes_out.inc(len(payload))
         self._ratio.set(self.ratio)
-        yield from self.child.send_block(payload)
+        await self.child.send_block(payload)
 
-    @coroutine
-    def recv_block(self) -> Generator:
-        block = inflate_block((yield from self.child.recv_block()))
+    async def recv_block(self):
+        block = inflate_block(await self.child.recv_block())
         if self.host is not None:
-            yield charge(self.host, "decompress", len(block))
+            await charge(self.host, "decompress", len(block))
         return block

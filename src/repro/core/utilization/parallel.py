@@ -21,7 +21,7 @@ when the *target* stream's queue is full.
 Fragmentation work (the extra copy per byte that striping costs) is
 charged to the host CPU model as ``serialize`` work when one is attached.
 
-The drivers are written once for both backends, as generator-based
+The drivers are written once for both backends, as ``async def``
 coroutines over :mod:`repro.core.runtime` (the simulator's comes with the
 links; ``repro.livenet.drivers`` subclasses name the asyncio one).
 """
@@ -29,8 +29,7 @@ links; ``repro.livenet.drivers`` subclasses name the asyncio one).
 from __future__ import annotations
 
 import struct
-from types import coroutine
-from typing import Generator, Optional, Sequence
+from typing import Optional, Sequence
 
 from ... import obs
 from ...simnet.cpu import charge
@@ -66,11 +65,10 @@ class _StreamWriter:
         self.error: Optional[BaseException] = None
         self._task = driver._spawn(self._run(), "stripe-writer")
 
-    @coroutine
-    def put(self, data: bytes) -> Generator:
+    async def put(self, data: bytes):
         """Enqueue ``data``; blocks while the queue is over its limit."""
         while self._queued_bytes >= self.limit and self.error is None:
-            yield from self._runtime.park(self._waiters, "space")
+            await self._runtime.park(self._waiters, "space")
         if self.error is not None:
             raise self.error
         if self.closed:
@@ -86,12 +84,11 @@ class _StreamWriter:
     def _kick(self) -> None:
         self._runtime.unpark(self._waiters, "data")
 
-    @coroutine
-    def _run(self) -> Generator:
+    async def _run(self):
         try:
             while True:
                 while not self._queue:
-                    yield from self._runtime.park(self._waiters, "data")
+                    await self._runtime.park(self._waiters, "data")
                 item = self._queue.pop(0)
                 if item is _CLOSE:
                     self.closed = True
@@ -99,7 +96,7 @@ class _StreamWriter:
                     return
                 self._queued_bytes -= len(item)
                 self._runtime.unpark(self._waiters, "space")
-                yield from self.link.send_all(item)
+                await self.link.send_all(item)
                 self.written += len(item)
         except BaseException as exc:
             self.error = exc
@@ -129,8 +126,7 @@ class _StreamReader:
         self._waiters: dict = {}
         self._task = driver._spawn(self._run(), "stripe-reader")
 
-    @coroutine
-    def take(self, n: int) -> Generator:
+    async def take(self, n: int):
         """Exactly ``n`` bytes from this stream (in arrival order)."""
         while len(self._buf) < n:
             if self.error is not None:
@@ -140,7 +136,7 @@ class _StreamReader:
                     f"stream ended with {n - len(self._buf)} bytes missing"
                 )
             self._want = n
-            yield from self._runtime.park(self._waiters, "data")
+            await self._runtime.park(self._waiters, "data")
         out = bytes(self._buf[:n])
         del self._buf[:n]
         if len(self._buf) < self.limit:
@@ -154,14 +150,13 @@ class _StreamReader:
             self._want = None
             self._runtime.unpark(self._waiters, "data")
 
-    @coroutine
-    def _run(self) -> Generator:
+    async def _run(self):
         try:
             while True:
                 if len(self._buf) >= self.limit:
-                    yield from self._runtime.park(self._waiters, "drain")
+                    await self._runtime.park(self._waiters, "drain")
                     continue
-                data = yield from self.link.recv(65536)
+                data = await self.link.recv(65536)
                 if not data:
                     self._eof = True
                     self._wake_consumer()
@@ -224,8 +219,7 @@ class ParallelStreamsDriver(_Striping):
             ]
         return self._writers
 
-    @coroutine
-    def send_block(self, block: bytes) -> Generator:
+    async def send_block(self, block: bytes):
         if self._closed:
             raise DriverError("driver closed")
         writers = self._ensure_writers()
@@ -233,11 +227,11 @@ class ParallelStreamsDriver(_Striping):
         start = self._send_seq % n
         self._send_seq += 1
         if self.host is not None:
-            yield charge(self.host, "serialize", len(block))
-        yield from writers[start].put(struct.pack("!I", len(block)))
+            await charge(self.host, "serialize", len(block))
+        await writers[start].put(struct.pack("!I", len(block)))
         for i, offset in enumerate(range(0, len(block), self.fragment)):
             writer = writers[(start + i) % n]
-            yield from writer.put(block[offset : offset + self.fragment])
+            await writer.put(block[offset : offset + self.fragment])
         self.blocks_sent += 1
         self._tx.record(len(block))
 
@@ -248,13 +242,12 @@ class ParallelStreamsDriver(_Striping):
             ]
         return self._readers
 
-    @coroutine
-    def recv_block(self) -> Generator:
+    async def recv_block(self):
         readers = self._ensure_readers()
         n = self.nstreams
         start = self._recv_seq % n
         self._recv_seq += 1
-        header = yield from readers[start].take(4)
+        header = await readers[start].take(4)
         length = struct.unpack("!I", header)[0]
         parts = []
         remaining = length
@@ -262,12 +255,12 @@ class ParallelStreamsDriver(_Striping):
         while remaining > 0:
             take = min(self.fragment, remaining)
             reader = readers[(start + i) % n]
-            parts.append((yield from reader.take(take)))
+            parts.append(await reader.take(take))
             remaining -= take
             i += 1
         block = b"".join(parts)
         if self.host is not None:
-            yield charge(self.host, "serialize", len(block))
+            await charge(self.host, "serialize", len(block))
         self.blocks_received += 1
         self._rx.record(len(block))
         return block
@@ -425,8 +418,7 @@ class RebalancingParallelDriver(_Striping):
             ]
         return self._writers
 
-    @coroutine
-    def send_block(self, block: bytes) -> Generator:
+    async def send_block(self, block: bytes):
         if self._closed:
             raise DriverError("driver closed")
         if self._fatal is not None:
@@ -434,16 +426,15 @@ class RebalancingParallelDriver(_Striping):
         self._ensure_writers()
         self._prune_pending()
         if self.host is not None:
-            yield charge(self.host, "serialize", len(block))
+            await charge(self.host, "serialize", len(block))
         seq = self._send_seq
         self._send_seq += 1
         frame = _REBAL_HDR.pack(seq, len(block)) + block
-        yield from self._put_frame([(seq, frame)])
+        await self._put_frame([(seq, frame)])
         self.blocks_sent += 1
         self._tx.record(len(block))
 
-    @coroutine
-    def _put_frame(self, backlog: list[tuple[int, bytes]]) -> Generator:
+    async def _put_frame(self, backlog: list[tuple[int, bytes]]):
         """Place frames on alive members, absorbing member deaths."""
         writers = self._ensure_writers()
         while backlog:
@@ -452,7 +443,7 @@ class RebalancingParallelDriver(_Striping):
                 index = self._next_alive()
                 writer = writers[index]
                 try:
-                    yield from writer.put(frame)
+                    await writer.put(frame)
                 except Exception:
                     backlog.extend(self._member_died(index))
                     continue
@@ -521,10 +512,9 @@ class RebalancingParallelDriver(_Striping):
         if not orphans:
             return
 
-        @coroutine
-        def requeue() -> Generator:
+        async def requeue():
             try:
-                yield from self._put_frame(orphans)
+                await self._put_frame(orphans)
             except DriverError:
                 pass  # no survivors; send_block reports via self._fatal
 
@@ -540,16 +530,15 @@ class RebalancingParallelDriver(_Striping):
                 self._spawn(self._parse(reader), "stripe-parser")
         return self._readers
 
-    @coroutine
-    def _parse(self, reader: _StreamReader) -> Generator:
+    async def _parse(self, reader: _StreamReader):
         """Per-stream frame parser feeding the shared reorder map."""
         try:
             while True:
-                head = yield from reader.take(_REBAL_HDR.size)
+                head = await reader.take(_REBAL_HDR.size)
                 seq, length = _REBAL_HDR.unpack(head)
                 if length > _REBAL_MAX:
                     raise DriverError(f"bad rebalance frame length {length}")
-                payload = yield from reader.take(length)
+                payload = await reader.take(length)
                 if seq >= self._deliver_seq and seq not in self._reorder:
                     self._reorder[seq] = payload
                     self._wake_rx()
@@ -562,15 +551,14 @@ class RebalancingParallelDriver(_Striping):
     def _wake_rx(self) -> None:
         self.runtime.unpark(self._waiters, "rx")
 
-    @coroutine
-    def recv_block(self) -> Generator:
+    async def recv_block(self):
         readers = self._ensure_readers()
         while True:
             if self._deliver_seq in self._reorder:
                 block = self._reorder.pop(self._deliver_seq)
                 self._deliver_seq += 1
                 if self.host is not None:
-                    yield charge(self.host, "serialize", len(block))
+                    await charge(self.host, "serialize", len(block))
                 self.blocks_received += 1
                 self._rx.record(len(block))
                 return block
@@ -583,7 +571,7 @@ class RebalancingParallelDriver(_Striping):
                 if self._rx_error is not None:
                     raise self._rx_error
                 raise EOFError("all parallel members closed")
-            yield from self.runtime.park(self._waiters, "rx")
+            await self.runtime.park(self._waiters, "rx")
 
     # -- teardown ----------------------------------------------------------------
     def close(self) -> None:
@@ -600,8 +588,7 @@ class RebalancingParallelDriver(_Striping):
         # trap those frames behind the close marker.
         self._spawn(self._graceful_close(), "stripe-close")
 
-    @coroutine
-    def _graceful_close(self) -> Generator:
+    async def _graceful_close(self):
         writers = self._writers or []
         while self._fatal is None:
             busy = any(
@@ -611,7 +598,7 @@ class RebalancingParallelDriver(_Striping):
             )
             if not busy:
                 break
-            yield from self.runtime.sleep(0.05)
+            await self.runtime.sleep(0.05)
         for index, writer in enumerate(writers):
             if self._alive[index] and not writer.closed:
                 writer.close()  # links close after their queues drain

@@ -9,8 +9,7 @@ on top (used by the IPL's Write/Read messages).
 from __future__ import annotations
 
 import struct
-from types import coroutine
-from typing import Generator, Optional
+from typing import Optional
 
 from ... import obs
 from ...obs import TraceContext
@@ -42,8 +41,7 @@ class BlockChannel:
         self.last_ctx: Optional[TraceContext] = None
 
     # -- writing ------------------------------------------------------------
-    @coroutine
-    def write(self, data: bytes) -> Generator:
+    async def write(self, data: bytes):
         """Buffer ``data``; full blocks are sent as they complete.  A block
         that lies wholly inside ``data`` is sent as one slice of it: only
         what completes the buffered block and what is left over pass
@@ -60,29 +58,27 @@ class BlockChannel:
                 return
             block = bytes(out)
             out.clear()
-            yield from self.driver.send_block(block)
+            await self.driver.send_block(block)
         while end - start >= size:
-            yield from self.driver.send_block(bytes(data[start:start + size]))
+            await self.driver.send_block(bytes(data[start:start + size]))
             start += size
         if start < end:
             out += data[start:]
 
-    @coroutine
-    def flush(self) -> Generator:
+    async def flush(self):
         """Send any buffered partial block (the explicit flush of §4.1)."""
         if self._out:
             block = bytes(self._out)
             self._out.clear()
-            yield from self.driver.send_block(block)
+            await self.driver.send_block(block)
 
     # -- reading --------------------------------------------------------------
-    @coroutine
-    def read(self, maxbytes: int) -> Generator:
+    async def read(self, maxbytes: int):
         """Read up to ``maxbytes``; returns b"" at end of stream."""
         buf = self._in
         while not buf and not self._eof:
             try:
-                block = yield from self.driver.recv_block()
+                block = await self.driver.recv_block()
             except EOFError:
                 self._eof = True
             else:
@@ -94,12 +90,11 @@ class BlockChannel:
         self.bytes_read += len(data)
         return data
 
-    @coroutine
-    def read_exactly(self, n: int) -> Generator:
+    async def read_exactly(self, n: int):
         parts = []
         remaining = n
         while remaining > 0:
-            data = yield from self.read(remaining)
+            data = await self.read(remaining)
             if not data:
                 raise EOFError(f"channel ended with {remaining}/{n} bytes missing")
             if len(data) == n:
@@ -109,35 +104,33 @@ class BlockChannel:
         return b"".join(parts)
 
     # -- message framing ------------------------------------------------------
-    @coroutine
-    def send_message(
+    async def send_message(
         self, payload: bytes, ctx: Optional[TraceContext] = None
-    ) -> Generator:
+    ):
         """One framed message: flags + length prefix (+ trace context) +
         payload + flush.  ``ctx`` rides the header so the receiving node's
         records join the sender's trace."""
         ctx = ctx or obs.current()
         flags = _F_CTX if ctx is not None else 0
-        yield from self.write(_MSG_HDR.pack(flags, len(payload)))
+        await self.write(_MSG_HDR.pack(flags, len(payload)))
         if ctx is not None:
-            yield from self.write(ctx.encode())
-        yield from self.write(payload)
-        yield from self.flush()
+            await self.write(ctx.encode())
+        await self.write(payload)
+        await self.flush()
         obs.event("channel.message", ctx=ctx, direction="tx", bytes=len(payload))
 
-    @coroutine
-    def recv_message(self) -> Generator:
-        header = yield from self.read_exactly(_MSG_HDR.size)
+    async def recv_message(self):
+        header = await self.read_exactly(_MSG_HDR.size)
         flags, length = _MSG_HDR.unpack(header)
         ctx = None
         if flags & _F_CTX:
-            blob = yield from self.read_exactly(TraceContext.WIRE_SIZE)
+            blob = await self.read_exactly(TraceContext.WIRE_SIZE)
             try:
                 ctx = TraceContext.decode(blob)
             except ValueError:
                 ctx = None
         self.last_ctx = ctx
-        payload = yield from self.read_exactly(length)
+        payload = await self.read_exactly(length)
         obs.event("channel.message", ctx=ctx, direction="rx", bytes=len(payload))
         return payload
 

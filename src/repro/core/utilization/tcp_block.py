@@ -10,9 +10,6 @@ which feeds this driver whole blocks.
 
 from __future__ import annotations
 
-from types import coroutine
-from typing import Generator
-
 from ..wire import recv_frame, send_frame
 from .base import BlockMeters, Driver
 
@@ -34,18 +31,16 @@ class TcpBlockDriver(Driver):
         self._tx = BlockMeters(self.name, "tx")
         self._rx = BlockMeters(self.name, "rx")
 
-    @coroutine
-    def send_block(self, block: bytes) -> Generator:
+    async def send_block(self, block: bytes):
         self.blocks_sent += 1
         self._tx.record(len(block))
-        yield from send_frame(self.link, block)
+        await send_frame(self.link, block)
 
-    @coroutine
-    def recv_block(self) -> Generator:
+    async def recv_block(self):
         """The next block, as ``bytes``: a view the link handed up (a large
         payload never copied on its way through the layers below) is
         copied here, once, where it leaves the stack."""
-        block = yield from recv_frame(self.link)
+        block = await recv_frame(self.link)
         if type(block) is not bytes:
             block = bytes(block)
         self.blocks_received += 1

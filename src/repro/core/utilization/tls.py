@@ -12,8 +12,7 @@ security's throughput cost is measurable (benchmark S1).
 
 from __future__ import annotations
 
-from types import coroutine
-from typing import Generator, Iterable, Optional
+from typing import Iterable, Optional
 
 from ...security.certs import Certificate
 from ...security.handshake import (
@@ -51,15 +50,14 @@ class TlsDriver(FilterDriver):
         """Authenticated peer identity (after the handshake)."""
         return self.session.peer_subject if self.session else None
 
-    @coroutine
-    def handshake_client(
+    async def handshake_client(
         self,
         trust_anchors: Iterable[Certificate],
         identity: Optional[Identity] = None,
         expected_server: Optional[str] = None,
         now: float = 0.0,
         seed: Optional[bytes] = None,
-    ) -> Generator:
+    ):
         hs = ClientHandshake(
             trust_anchors=trust_anchors,
             identity=identity,
@@ -68,12 +66,12 @@ class TlsDriver(FilterDriver):
             seed=seed,
         )
         if self.host is not None and self.host.cpu is not None:
-            yield self.host.cpu.op("dh")  # ephemeral keypair
-        yield from self.child.send_block(hs.hello())
-        server_hello = yield from self.child.recv_block()
+            await self.host.cpu.op("dh")  # ephemeral keypair
+        await self.child.send_block(hs.hello())
+        server_hello = await self.child.recv_block()
         if self.host is not None and self.host.cpu is not None:
-            yield self.host.cpu.op("verify")
-            yield self.host.cpu.op("dh")
+            await self.host.cpu.op("verify")
+            await self.host.cpu.op("dh")
         try:
             finished, session = hs.finish(server_hello)
         except HandshakeError:
@@ -81,19 +79,18 @@ class TlsDriver(FilterDriver):
             # in recv_block() for a ClientFinished that will never come.
             self.child.close()
             raise
-        yield from self.child.send_block(finished)
+        await self.child.send_block(finished)
         self.session = session
         return session
 
-    @coroutine
-    def handshake_server(
+    async def handshake_server(
         self,
         identity: Identity,
         trust_anchors: Optional[Iterable[Certificate]] = None,
         require_client_auth: bool = False,
         now: float = 0.0,
         seed: Optional[bytes] = None,
-    ) -> Generator:
+    ):
         hs = ServerHandshake(
             identity=identity,
             trust_anchors=trust_anchors,
@@ -101,13 +98,13 @@ class TlsDriver(FilterDriver):
             now=now,
             seed=seed,
         )
-        client_hello = yield from self.child.recv_block()
+        client_hello = await self.child.recv_block()
         if self.host is not None and self.host.cpu is not None:
-            yield self.host.cpu.op("sign")
-            yield self.host.cpu.op("dh")
+            await self.host.cpu.op("sign")
+            await self.host.cpu.op("dh")
         try:
-            yield from self.child.send_block(hs.respond(client_hello))
-            finished = yield from self.child.recv_block()
+            await self.child.send_block(hs.respond(client_hello))
+            finished = await self.child.recv_block()
             self.session = hs.finish(finished)
         except HandshakeError:
             self.child.close()
@@ -122,17 +119,15 @@ class TlsDriver(FilterDriver):
             raise DriverError("TLS handshake not completed")
         return self.session
 
-    @coroutine
-    def send_block(self, block: bytes) -> Generator:
+    async def send_block(self, block: bytes):
         session = self._require_session()
         if self.host is not None:
-            yield charge(self.host, "encrypt", len(block))
-        yield from self.child.send_block(session.seal(block))
+            await charge(self.host, "encrypt", len(block))
+        await self.child.send_block(session.seal(block))
 
-    @coroutine
-    def recv_block(self) -> Generator:
+    async def recv_block(self):
         session = self._require_session()
-        record = yield from self.child.recv_block()
+        record = await self.child.recv_block()
         try:
             block = session.open(record)
         except RecordError as exc:
@@ -142,5 +137,5 @@ class TlsDriver(FilterDriver):
             self.child.close()
             raise DriverError(self._failed) from exc
         if self.host is not None:
-            yield charge(self.host, "decrypt", len(block))
+            await charge(self.host, "decrypt", len(block))
         return block

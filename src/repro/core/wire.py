@@ -1,8 +1,7 @@
 """Length-prefixed frame IO over any Link/stream, for both backends.
 
-The two functions are generator-based coroutines (``types.coroutine``): a
-simulator process runs them with ``yield from``, an asyncio task with
-``await``, and ``stream`` is whatever has ``send_all`` / ``recv_exactly``
+The two functions are ``async def`` coroutines, which a simulator process
+and an asyncio task both drive, and ``stream`` is whatever has ``send_all`` / ``recv_exactly``
 on that backend (a ``Link`` or ``SimSocket``; a ``LiveSocket``, mux
 channel or session link).
 
@@ -15,8 +14,7 @@ large body arrived in (:mod:`repro.util.bytesbuf`).
 from __future__ import annotations
 
 import struct
-from types import coroutine
-from typing import Generator
+
 
 from ..util.bytesbuf import for_stream, prepend, size
 
@@ -31,8 +29,7 @@ class WireError(Exception):
     """Malformed frame on a stream."""
 
 
-@coroutine
-def send_frame(stream, body) -> Generator:
+async def send_frame(stream, body):
     """Write one u32-length-prefixed frame; ``body`` is one buffer or a
     buffer list."""
     if type(body) is list:
@@ -41,18 +38,17 @@ def send_frame(stream, body) -> Generator:
         frame = prepend(_LENGTH.pack(len(body)), body)
         if type(frame) is list:
             frame = for_stream(stream, frame)
-    yield from stream.send_all(frame)
+    await stream.send_all(frame)
 
 
-@coroutine
-def recv_frame(stream, max_frame: int = MAX_FRAME) -> Generator:
+async def recv_frame(stream, max_frame: int = MAX_FRAME):
     """Read one u32-length-prefixed frame.
 
     The length is checked before anything is read or allocated for the
     body, so four hostile bytes cannot request a 4 GiB read.
     """
-    header = yield from stream.recv_exactly(4)
+    header = await stream.recv_exactly(4)
     length = int.from_bytes(header, "big")
     if length > max_frame:
         raise WireError(f"oversized frame: {length} > {max_frame}")
-    return (yield from stream.recv_exactly(length))
+    return await stream.recv_exactly(length)

@@ -16,8 +16,7 @@ a group runs over the simulated ``Ibis`` and over ``LiveIbis`` alike.
 
 from __future__ import annotations
 
-from types import coroutine
-from typing import Callable, Generator, Optional
+from typing import Callable, Optional
 
 from .ports import ReceivePort, SendPort
 from .runtime import Ibis
@@ -141,14 +140,13 @@ class CollectiveGroup:
     def _port_name(self, member: str) -> str:
         return f"coll:{self.name}:{member}"
 
-    @coroutine
-    def setup(self) -> Generator:
+    async def setup(self):
         """Create this member's port and connect the tree edges.
 
         Every edge is wired in both directions (down-sweep for broadcast,
         up-sweep for reduce/barrier).
         """
-        self._receive_port = yield from self.ibis.create_receive_port(
+        self._receive_port = await self.ibis.create_receive_port(
             self._port_name(self.me)
         )
         neighbours = list(self.children())
@@ -158,23 +156,21 @@ class CollectiveGroup:
             port = self.ibis.create_send_port(f"coll:{self.name}:to:{peer}")
             while True:
                 try:
-                    yield from port.connect(self._port_name(peer))
+                    await port.connect(self._port_name(peer))
                     break
                 except Exception:
-                    yield from self.ibis.runtime.sleep(0.2)
+                    await self.ibis.runtime.sleep(0.2)
             self._send_ports[peer] = port
 
     # -- primitives ----------------------------------------------------------
-    @coroutine
-    def _send(self, peer: str, op: str, seq: int, payload) -> Generator:
+    async def _send(self, peer: str, op: str, seq: int, payload):
         message = self._send_ports[peer].new_message()
         message.write_string(op)
         message.write_int(seq)
         message.write_object(payload)
-        yield from message.finish()
+        await message.finish()
 
-    @coroutine
-    def _recv(self, op: str, seq: int) -> Generator:
+    async def _recv(self, op: str, seq: int):
         key = (op, seq)
         stash = self._pending.get(key)
         if stash:
@@ -183,7 +179,7 @@ class CollectiveGroup:
                 del self._pending[key]
             return item
         while True:
-            message = yield from self._receive_port.receive()
+            message = await self._receive_port.receive()
             got_op = message.read_string()
             got_seq = message.read_int()
             payload = message.read_object()
@@ -200,19 +196,17 @@ class CollectiveGroup:
             )
 
     # -- operations -----------------------------------------------------------
-    @coroutine
-    def broadcast(self, value=None) -> Generator:
+    async def broadcast(self, value=None):
         """Root's ``value`` delivered to every member; returns it."""
         self._op_seq += 1
         seq = self._op_seq
         if self.me != self.root:
-            _origin, value = yield from self._recv("bcast", seq)
+            _origin, value = await self._recv("bcast", seq)
         for child in self.children():
-            yield from self._send(child, "bcast", seq, value)
+            await self._send(child, "bcast", seq, value)
         return value
 
-    @coroutine
-    def reduce(self, value, op: Callable) -> Generator:
+    async def reduce(self, value, op: Callable):
         """Combine every member's ``value`` with ``op`` at the root.
 
         Returns the reduction at the root, None elsewhere.  ``op`` must be
@@ -224,31 +218,29 @@ class CollectiveGroup:
         seq = self._op_seq
         accumulated = value
         for _child in self.children():
-            _origin, contribution = yield from self._recv("reduce", seq)
+            _origin, contribution = await self._recv("reduce", seq)
             accumulated = op(accumulated, contribution)
         parent = self.parent()
         if parent is not None:
-            yield from self._send(parent, "reduce", seq, accumulated)
+            await self._send(parent, "reduce", seq, accumulated)
             return None
         return accumulated
 
-    @coroutine
-    def barrier(self) -> Generator:
+    async def barrier(self):
         """All members arrive before any leaves (reduce + broadcast)."""
         self._op_seq += 1
         seq = self._op_seq
         for _child in self.children():
-            yield from self._recv("barrier-up", seq)
+            await self._recv("barrier-up", seq)
         parent = self.parent()
         if parent is not None:
-            yield from self._send(parent, "barrier-up", seq, None)
-            _origin, _none = yield from self._recv("barrier-down", seq)
+            await self._send(parent, "barrier-up", seq, None)
+            _origin, _none = await self._recv("barrier-down", seq)
         for child in self.children():
-            yield from self._send(child, "barrier-down", seq, None)
+            await self._send(child, "barrier-down", seq, None)
 
-    @coroutine
-    def allreduce(self, value, op: Callable) -> Generator:
+    async def allreduce(self, value, op: Callable):
         """Reduce followed by broadcast: everyone gets the result."""
-        reduced = yield from self.reduce(value, op)
-        result = yield from self.broadcast(reduced)
+        reduced = await self.reduce(value, op)
+        result = await self.broadcast(reduced)
         return result

@@ -11,14 +11,13 @@ driver-stack channel.  A send port connected to several receive ports
 writes each finished message to every channel; a receive port fans
 incoming channels into one FIFO message queue per arrival order.
 
-Written once on :mod:`repro.core.runtime`: a simulator process runs the
-port operations with ``yield from``, an asyncio task ``await``s them.
+Written once on :mod:`repro.core.runtime`, as ``async def`` coroutines
+that a simulator process and an asyncio task both drive.
 """
 
 from __future__ import annotations
 
-from types import coroutine
-from typing import Generator, Optional
+from typing import Optional
 
 from .. import obs
 from ..obs import TraceContext
@@ -36,7 +35,7 @@ class PortClosed(Exception):
 class WriteMessage(MessageWriter):
     """A message under construction on a send port.
 
-    Call the typed ``write_*`` methods, then ``finish()`` (a generator) to
+    Call the typed ``write_*`` methods, then ``await finish()`` to
     transmit to every connected receive port and release the port for the
     next message.
     """
@@ -46,13 +45,12 @@ class WriteMessage(MessageWriter):
         self._port = port
         self._finished = False
 
-    @coroutine
-    def finish(self) -> Generator:
+    async def finish(self):
         if self._finished:
             raise PortClosed("message already finished")
         self._finished = True
         payload = self.getvalue()
-        yield from self._port._transmit(payload)
+        await self._port._transmit(payload)
         self._port._message_done(self)
         return len(payload)
 
@@ -89,8 +87,7 @@ class SendPort:
     def identifier(self) -> PortIdentifier:
         return PortIdentifier(self.ibis.identifier, self.name)
 
-    @coroutine
-    def connect(self, port_name: str, spec=None) -> Generator:
+    async def connect(self, port_name: str, spec=None):
         """Connect to a named receive port (resolved via the name service).
 
         May be called multiple times — one send port, many receive ports.
@@ -99,7 +96,7 @@ class SendPort:
             raise PortClosed(f"send port {self.name} closed")
         if port_name in self.channels:
             raise ValueError(f"already connected to {port_name!r}")
-        channel = yield from self.ibis._connect_port(self, port_name, spec)
+        channel = await self.ibis._connect_port(self, port_name, spec)
         self.channels[port_name] = channel
         return channel
 
@@ -119,14 +116,13 @@ class SendPort:
         self._active_message = WriteMessage(self)
         return self._active_message
 
-    @coroutine
-    def _transmit(self, payload: bytes) -> Generator:
+    async def _transmit(self, payload: bytes):
         # One trace per IPL message: the same context rides every fan-out
         # channel's header, so all receive-side records share the tree.
         parent = obs.current()
         ctx = parent.child() if parent is not None else TraceContext.new()
         for channel in self.channels.values():
-            yield from channel.send_message(payload, ctx=ctx)
+            await channel.send_message(payload, ctx=ctx)
         self.messages_sent += 1
         self.bytes_sent += len(payload)
         reg = obs.metrics()
@@ -174,11 +170,10 @@ class ReceivePort:
         self._channels.append(channel)
         self.ibis._spawn(self._pump(channel, origin), name=f"rcvport-{self.name}")
 
-    @coroutine
-    def _pump(self, channel: BlockChannel, origin: str) -> Generator:
+    async def _pump(self, channel: BlockChannel, origin: str):
         try:
             while True:
-                payload = yield from channel.recv_message()
+                payload = await channel.recv_message()
                 rctx = channel.last_ctx.child() if channel.last_ctx else None
                 message = ReadMessage(payload, origin=origin, ctx=rctx)
                 self.messages_received += 1
@@ -212,8 +207,7 @@ class ReceivePort:
         self._queue.append(message)
 
     # -- user API ---------------------------------------------------------------
-    @coroutine
-    def receive(self) -> Generator:
+    async def receive(self):
         """The next message, FIFO across all connected senders."""
         if self.closed:
             raise PortClosed(f"receive port {self.name} closed")
@@ -223,7 +217,7 @@ class ReceivePort:
             ev.set_result(self._queue.pop(0))
         else:
             self._waiters.append(ev)
-        message = yield from runtime.wait(ev)
+        message = await runtime.wait(ev)
         if message is None:  # woken by close()
             raise PortClosed(f"receive port {self.name} closed")
         return message

@@ -15,8 +15,7 @@ severely firewalled sites) and use it to:
 
 from __future__ import annotations
 
-from types import coroutine
-from typing import Callable, Generator, Optional
+from typing import Callable, Optional
 
 from ..core.addressing import EndpointInfo
 from ..core.wire import WireError, recv_frame, send_frame
@@ -128,17 +127,16 @@ class RegistryState:
         return err(f"unknown op {op}"), registered
 
 
-@coroutine
-def serve_session(state: RegistryState, sock) -> Generator:
+async def serve_session(state: RegistryState, sock):
     """One client connection's request loop, on either backend: a
     malformed or oversized frame ends that connection, not the server."""
     registered: Optional[str] = None
     try:
         while True:
-            body = yield from recv_frame(sock)
+            body = await recv_frame(sock)
             state.requests += 1
             reply, registered = state._handle(body, registered)
-            yield from send_frame(sock, reply)
+            await send_frame(sock, reply)
     except (EOFError, FrameError, WireError, ConnectionError):
         pass
     finally:
@@ -179,9 +177,9 @@ class RegistryServer:
     def start(self) -> None:
         listener = listen(self.host, self.port, backlog=64)
 
-        def accept_loop() -> Generator:
+        async def accept_loop():
             while True:
-                sock = yield from listener.accept()
+                sock = await listener.accept()
                 self.host.sim.process(
                     serve_session(self.state, sock), name="registry-session"
                 )
@@ -200,12 +198,11 @@ class RegistryClient:
         self.connector = connector
         self._sock: Optional[SimSocket] = None
 
-    @coroutine
-    def connect(self) -> Generator:
+    async def connect(self):
         if self.connector is not None:
-            self._sock = yield from self.connector(self.host, self.registry_addr)
+            self._sock = await self.connector(self.host, self.registry_addr)
         else:
-            self._sock = yield from connect(self.host, self.registry_addr)
+            self._sock = await connect(self.host, self.registry_addr)
         return self
 
     def close(self) -> None:
@@ -213,38 +210,33 @@ class RegistryClient:
             self._sock.close()
             self._sock = None
 
-    @coroutine
-    def _call(self, body: bytes) -> Generator:
+    async def _call(self, body: bytes):
         if self._sock is None:
             raise RegistryError("registry client not connected")
-        yield from send_frame(self._sock, body)
-        reply = yield from recv_frame(self._sock)
+        await send_frame(self._sock, body)
+        reply = await recv_frame(self._sock)
         r = ByteReader(reply)
         if r.u8() == ST_OK:
             return r
         raise RegistryError(r.lp_str())
 
     # -- operations ------------------------------------------------------------
-    @coroutine
-    def register(self, name: str, info: EndpointInfo) -> Generator:
+    async def register(self, name: str, info: EndpointInfo):
         body = (
             ByteWriter().u8(OP_REGISTER).lp_str(name).lp_bytes(info.encode()).getvalue()
         )
-        yield from self._call(body)
+        await self._call(body)
 
-    @coroutine
-    def leave(self, name: str) -> Generator:
-        yield from self._call(ByteWriter().u8(OP_LEAVE).lp_str(name).getvalue())
+    async def leave(self, name: str):
+        await self._call(ByteWriter().u8(OP_LEAVE).lp_str(name).getvalue())
 
-    @coroutine
-    def lookup_node(self, name: str) -> Generator:
-        r = yield from self._call(
+    async def lookup_node(self, name: str):
+        r = await self._call(
             ByteWriter().u8(OP_LOOKUP_NODE).lp_str(name).getvalue()
         )
         return EndpointInfo.decode(r.lp_bytes())
 
-    @coroutine
-    def register_port(self, port_name: str, owner: str) -> Generator:
+    async def register_port(self, port_name: str, owner: str):
         body = (
             ByteWriter()
             .u8(OP_REGISTER_PORT)
@@ -252,32 +244,28 @@ class RegistryClient:
             .lp_str(owner)
             .getvalue()
         )
-        yield from self._call(body)
+        await self._call(body)
 
-    @coroutine
-    def unregister_port(self, port_name: str) -> Generator:
-        yield from self._call(
+    async def unregister_port(self, port_name: str):
+        await self._call(
             ByteWriter().u8(OP_UNREGISTER_PORT).lp_str(port_name).getvalue()
         )
 
-    @coroutine
-    def lookup_port(self, port_name: str) -> Generator:
+    async def lookup_port(self, port_name: str):
         """Returns ``(owner_node_id, owner_EndpointInfo)``."""
-        r = yield from self._call(
+        r = await self._call(
             ByteWriter().u8(OP_LOOKUP_PORT).lp_str(port_name).getvalue()
         )
         owner = r.lp_str()
         info = EndpointInfo.decode(r.lp_bytes())
         return owner, info
 
-    @coroutine
-    def elect(self, election: str, candidate: str) -> Generator:
-        r = yield from self._call(
+    async def elect(self, election: str, candidate: str):
+        r = await self._call(
             ByteWriter().u8(OP_ELECT).lp_str(election).lp_str(candidate).getvalue()
         )
         return r.lp_str()
 
-    @coroutine
-    def list_nodes(self) -> Generator:
-        r = yield from self._call(ByteWriter().u8(OP_LIST).getvalue())
+    async def list_nodes(self):
+        r = await self._call(ByteWriter().u8(OP_LIST).getvalue())
         return [r.lp_str() for _ in range(r.u32())]

@@ -23,8 +23,7 @@ Connection flow for ``send_port.connect("worker-in")``:
 
 from __future__ import annotations
 
-from types import coroutine
-from typing import Generator, Optional
+from typing import Optional
 
 from .. import obs
 from ..core.factory import BrokeredConnectionFactory, TlsConfig, _typed_spec
@@ -139,23 +138,21 @@ class Ibis:
         """This node's :class:`~repro.core.addressing.EndpointInfo`."""
         return self.node.info
 
-    def _spawn(self, steps, name: str):
-        return self.runtime.spawn(steps, name)
+    def _spawn(self, coro, name: str):
+        return self.runtime.spawn(coro, name)
 
     # -- lifecycle -----------------------------------------------------------
-    @coroutine
-    def start(self) -> Generator:
+    async def start(self):
         """Join the grid: relay, name service, service-request loop."""
-        yield from self.node.start()
-        yield from self.registry.connect()
-        yield from self.registry.register(self.name, self.info)
+        await self.node.start()
+        await self.registry.connect()
+        await self.registry.register(self.name, self.info)
         self.factory = BrokeredConnectionFactory(self.node, self.tls_config)
         self._spawn(self._service_loop(), name=f"ibis-{self.name}-services")
         self.started = True
         return self
 
-    @coroutine
-    def leave(self) -> Generator:
+    async def leave(self):
         """Leave the pool: unregister and drop connections."""
         for port in list(self.send_ports.values()):
             port.close()
@@ -163,19 +160,18 @@ class Ibis:
             port.close()
         if self.factory is not None:
             self.factory.close()
-        yield from self.registry.leave(self.name)
+        await self.registry.leave(self.name)
         self.registry.close()
         self.node.stop()
         self.started = False
 
     # -- ports ---------------------------------------------------------------
-    @coroutine
-    def create_receive_port(self, port_name: str) -> Generator:
+    async def create_receive_port(self, port_name: str):
         """Create and globally register a named receive port."""
         if port_name in self.receive_ports:
             raise IbisError(f"receive port {port_name!r} already exists")
         port = ReceivePort(self, port_name)
-        yield from self.registry.register_port(port_name, self.name)
+        await self.registry.register_port(port_name, self.name)
         self.receive_ports[port_name] = port
         return port
 
@@ -187,26 +183,24 @@ class Ibis:
         self.send_ports[port_name] = port
         return port
 
-    @coroutine
-    def elect(self, election: str) -> Generator:
+    async def elect(self, election: str):
         """Run an election; returns the winner's node name."""
-        winner = yield from self.registry.elect(election, self.name)
+        winner = await self.registry.elect(election, self.name)
         return winner
 
     # -- connection machinery ---------------------------------------------------
-    @coroutine
-    def _connect_port(
+    async def _connect_port(
         self, send_port: SendPort, port_name: str, spec: Optional[StackSpec],
         ctx=None,
-    ) -> Generator:
+    ):
         if not self.started:
             raise IbisError("Ibis instance not started")
         parsed = self.default_spec if spec is None else _typed_spec(spec)
-        owner, owner_info = yield from self.registry.lookup_port(port_name)
-        fast = yield from self._fast_connect(owner, port_name, parsed)
+        owner, owner_info = await self.registry.lookup_port(port_name)
+        fast = await self._fast_connect(owner, port_name, parsed)
         if fast is not None:
             return fast
-        service = yield from self.node.open_service_link(owner, owner_info)
+        service = await self.node.open_service_link(owner, owner_info)
         request = (
             ByteWriter()
             .u8(REQ_PORT_CONNECT)
@@ -215,12 +209,12 @@ class Ibis:
             .getvalue()
         )
         try:
-            yield from send_frame(service, request)
-            reply = yield from recv_frame(service)
+            await send_frame(service, request)
+            reply = await recv_frame(service)
             r = ByteReader(reply)
             if r.u8() != RESP_OK:
                 raise IbisError(f"connect to {port_name!r} rejected: {r.lp_str()}")
-            channel = yield from self.factory.connect(
+            channel = await self.factory.connect(
                 service, owner_info, spec=parsed, ctx=ctx
             )
         except Exception:
@@ -231,10 +225,9 @@ class Ibis:
         self._ensure_port_acceptors()
         return channel
 
-    @coroutine
-    def _fast_connect(
+    async def _fast_connect(
         self, owner: str, port_name: str, parsed: StackSpec
-    ) -> Generator:
+    ):
         """Port connect carried in a mux OPEN tag — no service link at all.
 
         Applies when the spec is muxed (single channel, no session/tls
@@ -257,7 +250,7 @@ class Ibis:
         if endpoint is None:
             return None
         tag = encode_port_tag(port_name, self.name, parsed, DEFAULT_BLOCK)
-        channel = yield from endpoint.open_channel(tag)
+        channel = await endpoint.open_channel(tag)
         stack = self.factory.build(parsed, [channel])
         obs.event(
             "ipl.fast_open", node=self.name, peer=owner, port=port_name
@@ -277,11 +270,10 @@ class Ibis:
                     name=f"ibis-{self.name}-fastopen",
                 )
 
-    @coroutine
-    def _port_accept_loop(self, endpoint) -> Generator:
+    async def _port_accept_loop(self, endpoint):
         try:
             while endpoint.alive:
-                channel = yield from endpoint.accept_channel(match=is_port_tag)
+                channel = await endpoint.accept_channel(match=is_port_tag)
                 self._spawn(
                     self._serve_fast_open(channel),
                     name=f"ibis-{self.name}-fastserve",
@@ -291,8 +283,7 @@ class Ibis:
         finally:
             self._port_acceptors.discard(endpoint)
 
-    @coroutine
-    def _serve_fast_open(self, channel) -> Generator:
+    async def _serve_fast_open(self, channel):
         try:
             port_name, sender, spec_text, block_size = decode_port_tag(
                 channel.tag
@@ -307,36 +298,32 @@ class Ibis:
             return
         stack = self.factory.build(parsed, [channel])
         port._attach(BlockChannel(stack, block_size=block_size), origin=sender)
-        return
-        yield  # pragma: no cover - makes this a generator for spawn
 
-    @coroutine
-    def _service_loop(self) -> Generator:
+    async def _service_loop(self):
         while True:
-            _peer, service = yield from self.node.accept_service_link()
+            _peer, service = await self.node.accept_service_link()
             self._spawn(self._serve_one(service), name=f"ibis-{self.name}-serve")
 
-    @coroutine
-    def _serve_one(self, service) -> Generator:
+    async def _serve_one(self, service):
         """Answer one ``REQ_PORT_CONNECT``; a rejected request or a failed
         negotiation closes its service link, so the initiator is not left
         parked on it."""
         try:
-            request = yield from recv_frame(service)
+            request = await recv_frame(service)
         except Exception:  # noqa: BLE001 - the initiator went away
             service.close()
             return
         try:
             r = ByteReader(request)
             if r.u8() != REQ_PORT_CONNECT:
-                return (yield from self._reject(service, "bad request"))
+                return await self._reject(service, "bad request")
             port_name = r.lp_str()
             sender = r.lp_str()
             port = self.receive_ports.get(port_name)
             if port is None or port.closed:
-                return (yield from self._reject(service, f"no port {port_name!r}"))
-            yield from send_frame(service, ByteWriter().u8(RESP_OK).getvalue())
-            channel = yield from self.factory.accept(service, peer=sender)
+                return await self._reject(service, f"no port {port_name!r}")
+            await send_frame(service, ByteWriter().u8(RESP_OK).getvalue())
+            channel = await self.factory.accept(service, peer=sender)
         except Exception:
             service.close()
             raise
@@ -344,9 +331,8 @@ class Ibis:
         port._attach(channel, origin=sender)
 
     @staticmethod
-    @coroutine
-    def _reject(service, reason: str) -> Generator:
-        yield from send_frame(
+    async def _reject(service, reason: str):
+        await send_frame(
             service, ByteWriter().u8(RESP_ERR).lp_str(reason).getvalue()
         )
         service.close()

@@ -20,7 +20,9 @@ class LiveMuxError(Exception):
 
 async def _task(steps):
     """Root of every task an endpoint starts: per-layer attribution
-    (``benchmarks/perf``) follows the file a task's coroutine is defined in."""
+    (``benchmarks/perf``) follows the file a task's coroutine is defined in.
+    A task cancelled before its first step never awaits ``steps``, so the
+    spawner closes ``steps`` once the task is done: unrun, not unawaited."""
     return await steps
 
 
@@ -43,6 +45,7 @@ class AsyncMuxEndpoint(MuxEndpoint):
         task = self.runtime.spawn(_task(steps), name)
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
+        task.add_done_callback(lambda _task: steps.close())  # see _task
         return task
 
     def close(self) -> None:

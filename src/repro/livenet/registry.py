@@ -48,13 +48,9 @@ class LiveRegistryServer:
     async def _accept_loop(self) -> None:
         while True:
             sock = await self._listener.accept()
-            task = ASYNCIO.spawn(self._session(sock), "registry-session")
+            task = ASYNCIO.spawn(serve_session(self.state, sock), "registry-session")
             self._sessions.add(task)
             task.add_done_callback(self._sessions.discard)
-
-    async def _session(self, sock) -> None:
-        # a task's own body stays a native coroutine on every interpreter
-        await serve_session(self.state, sock)
 
     def close(self) -> None:
         if self._task is not None:

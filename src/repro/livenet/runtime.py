@@ -51,7 +51,9 @@ class LiveIbisError(IbisError):
 
 async def _task(steps):
     """Root of every task started here: per-layer attribution
-    (``benchmarks/perf``) follows the file a task's coroutine is defined in."""
+    (``benchmarks/perf``) follows the file a task's coroutine is defined in.
+    A task cancelled before its first step never awaits ``steps``, so the
+    spawner closes ``steps`` once the task is done: unrun, not unawaited."""
     return await steps
 
 
@@ -62,6 +64,7 @@ class _Tasks:
         task = ASYNCIO.spawn(_task(steps), name)
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
+        task.add_done_callback(lambda _task: steps.close())  # see _task
         return task
 
     def _cancel_tasks(self) -> None:

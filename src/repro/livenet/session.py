@@ -29,7 +29,6 @@ the shared factory instead, and resumes them the simulator's way: a
 from __future__ import annotations
 
 import asyncio
-from types import coroutine
 from typing import Awaitable, Callable
 
 from .. import obs
@@ -73,7 +72,9 @@ class AsyncSessionError(SessionError):
 
 async def _task(steps):
     """Root of every task a session starts: per-layer attribution
-    (``benchmarks/perf``) follows the file a task's coroutine is defined in."""
+    (``benchmarks/perf``) follows the file a task's coroutine is defined in.
+    A task cancelled before its first step never awaits ``steps``, so the
+    spawner closes ``steps`` once the task is done: unrun, not unawaited."""
     return await steps
 
 
@@ -112,10 +113,9 @@ class AsyncSessionLink(SessionLink):
         return link
 
     # -- the socket API ----------------------------------------------------
-    @coroutine
-    def recv(self, maxbytes: int):
+    async def recv(self, maxbytes: int):
         try:
-            return (yield from super().recv(maxbytes))
+            return await super().recv(maxbytes)
         except AsyncSessionError as exc:
             # the socket contract: a dead stream reads as a transport error
             raise EOFError(str(exc)) from exc
@@ -154,6 +154,7 @@ class AsyncSessionLink(SessionLink):
         task = self.runtime.spawn(_task(steps), name)
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
+        task.add_done_callback(lambda _task: steps.close())  # see _task
         return task
 
     def _ended(self) -> None:
@@ -161,11 +162,10 @@ class AsyncSessionLink(SessionLink):
         for task in self._tasks:
             task.cancel()
 
-    @coroutine
-    def _read(self, raw):
+    async def _read(self, raw):
         """As much as has arrived: reading exactly what the parser awaits
         costs ``rpc_routed`` ≈ 12 % of its round trip (measured, ISSUE 23)."""
-        data = yield from raw.recv(_READ_SIZE)
+        data = await raw.recv(_READ_SIZE)
         if not data:
             raise EOFError("transport closed by the peer")
         return data

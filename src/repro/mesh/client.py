@@ -19,8 +19,7 @@ lands on a surviving relay.
 
 from __future__ import annotations
 
-from types import coroutine
-from typing import Callable, Generator, Optional
+from typing import Callable, Optional
 
 from .. import obs
 from ..core.relay import _SESSION_ERRORS, _TRANSPORT_ERRORS, RelayClient, RelayError
@@ -77,8 +76,7 @@ class MeshRelayClient(Bound, MeshSelection):
         return sum(c.reconnects for c in self.clients.values())
 
     # -- lifecycle -----------------------------------------------------------
-    @coroutine
-    def connect(self) -> Generator:
+    async def connect(self):
         """Register with every relay; at least one must accept us.
 
         Relays unreachable at boot are retried in the background with the
@@ -89,7 +87,7 @@ class MeshRelayClient(Bound, MeshSelection):
         for rid in sorted(self.clients):
             client = self.clients[rid]
             try:
-                yield from client.connect()
+                await client.connect()
             except _SESSION_ERRORS as exc:
                 errors.append(f"{rid}: {type(exc).__name__}: {exc}")
                 client._spawn(client._reconnect_loop(),
@@ -98,8 +96,7 @@ class MeshRelayClient(Bound, MeshSelection):
             raise RelayError(f"no relay reachable: {'; '.join(errors)}")
         return self
 
-    @coroutine
-    def wait_connected(self, timeout: float = 30.0) -> Generator:
+    async def wait_connected(self, timeout: float = 30.0):
         """Wait until *any* relay registration is live."""
         deadline = self.runtime.now() + timeout
         while True:
@@ -112,7 +109,7 @@ class MeshRelayClient(Bound, MeshSelection):
                 raise TimeoutError(
                     f"no relay connection up within {timeout}s"
                 )
-            yield from self.runtime.sleep(min(0.2, remaining))
+            await self.runtime.sleep(min(0.2, remaining))
 
     def close(self) -> None:
         self.closed = True
@@ -142,22 +139,21 @@ class MeshRelayClient(Bound, MeshSelection):
         self._feed_paths()
         return super().pick_relay(peer)
 
-    @coroutine
-    def open_link(
+    async def open_link(
         self, peer: str, payload: bytes = b"",
         ctx: Optional[TraceContext] = None,
-    ) -> Generator:
+    ):
         """Open a routed link to ``peer`` through the best live relay; a
         relay whose session turns out dead is skipped for the next best."""
         for _ in self.clients:
             rid = self.choose_relay(peer, ctx)
             try:
-                return (yield from self.clients[rid].open_link(peer, payload, ctx=ctx))
+                return await self.clients[rid].open_link(peer, payload, ctx=ctx)
             except (*_TRANSPORT_ERRORS, RelayError):
                 self.clients[rid].connected = False
                 self.table.invalidate(rid)
         raise RelayError("no usable relay for routed open")
 
-    def accept_link(self) -> Generator:
+    def accept_link(self):
         """Wait for a peer-initiated routed link on *any* relay."""
         return self._accepts.get()

@@ -13,15 +13,14 @@ The protocol itself lives in :mod:`repro.mux.core`; this module is its
 one binding: the HELLO exchange, the carrier's write turn (taken by the
 task that calls :meth:`MuxChannel.send_all`, and by the tx pump for frames
 no writer is waiting to send), the rx pump, and the parking of callers
-until the core wakes them, written as generator-based coroutines over
+until the core wakes them, written as ``async def`` coroutines over
 :mod:`repro.core.runtime`.  On the simulator the runtime comes with the
 link; :mod:`repro.livenet.mux` subclasses name the asyncio one.
 """
 
 from __future__ import annotations
 
-from types import coroutine
-from typing import Generator, Optional
+from typing import Optional
 
 from .. import obs
 from ..core.links import Link, LinkClosed, transport_errors
@@ -71,8 +70,7 @@ class MuxChannel(ChannelState, Link):
     def sim(self):
         return self._ep.sim
 
-    @coroutine
-    def send_all(self, data) -> Generator:
+    async def send_all(self, data):
         """Queue ``data`` (one buffer or a buffer list) and block until the
         scheduler has put every byte on the wire under credit —
         backpressure, never drops.  When the carrier's write turn is free
@@ -85,17 +83,16 @@ class MuxChannel(ChannelState, Link):
         if ep._writing:
             self.write(data)
         else:
-            yield from ep._write_turn(self, data)
+            await ep._write_turn(self, data)
         while self._tx_buffered > 0 and self._error is None:
             ep._unyielded = 0
-            yield from ep._wait(self.WAKE_DRAINED, self)
+            await ep._wait(self.WAKE_DRAINED, self)
         if self._error is not None:
             raise self._error
 
-    @coroutine
-    def recv(self, maxbytes: int) -> Generator:
+    async def recv(self, maxbytes: int):
         while (chunk := self.read(maxbytes)) is None:
-            yield from self._ep._wait(self.WAKE_RX, self)
+            await self._ep._wait(self.WAKE_RX, self)
         return chunk
 
 
@@ -124,10 +121,9 @@ class MuxEndpoint(Bound, MuxCore):
                                 getattr(link, "error_class", LinkClosed))
 
     @classmethod
-    @coroutine
-    def establish(cls, link: Link, role: str, *, window: int = DEFAULT_WINDOW,
+    async def establish(cls, link: Link, role: str, *, window: int = DEFAULT_WINDOW,
                   scheduler: Optional[Scheduler] = None, node: str = "",
-                  flight=None, ctx: Optional[TraceContext] = None) -> Generator:
+                  flight=None, ctx: Optional[TraceContext] = None):
         """HELLO version exchange over ``link``, then a running endpoint
         (both sides write first and read second, so it cannot deadlock)."""
         ctx = ctx or obs.current()
@@ -135,8 +131,8 @@ class MuxEndpoint(Bound, MuxCore):
         method = getattr(link, "method", None)
         with obs.span("mux.establish", ctx=ctx.child() if ctx else None,
                       node=node, role=role, method=method):
-            yield from send_frame(link, encode_hello(MUX_VERSION, window))
-            decode_hello((yield from recv_frame(link)))
+            await send_frame(link, encode_hello(MUX_VERSION, window))
+            decode_hello(await recv_frame(link))
         endpoint = cls(link, role, window=window, scheduler=scheduler,
                        node=node, flight=flight)
         endpoint._spawn(endpoint._rx_pump(), f"mux-rx:{node}")
@@ -151,16 +147,15 @@ class MuxEndpoint(Bound, MuxCore):
         return self.link.sim
 
     # -- channel API ---------------------------------------------------------
-    @coroutine
-    def open_channel(self, tag: bytes = b"", *, window: Optional[int] = None,
+    async def open_channel(self, tag: bytes = b"", *, window: Optional[int] = None,
                      weight: int = 1,
-                     ctx: Optional[TraceContext] = None) -> Generator:
+                     ctx: Optional[TraceContext] = None):
         """Open a logical channel; returns once the peer ACCEPTs."""
         channel, child = self.open(tag, window=window, weight=weight, ctx=ctx)
         with obs.span("mux.channel_open", ctx=child, node=self.node,
                       channel=channel.channel_id, tag_bytes=len(tag)):
             while not channel._accepted and channel._error is None:
-                yield from self._wait(channel.WAKE_ACCEPTED, channel)
+                await self._wait(channel.WAKE_ACCEPTED, channel)
             if channel._error is not None:
                 raise channel._error
         if self.flight is not None:
@@ -168,15 +163,14 @@ class MuxEndpoint(Bound, MuxCore):
                              channel=channel.channel_id, node=self.node)
         return channel
 
-    @coroutine
-    def accept_channel(self, tag: Optional[bytes] = None, *,
-                       match=None) -> Generator:
+    async def accept_channel(self, tag: Optional[bytes] = None, *,
+                       match=None):
         """Wait for a peer OPEN, grant our window, return the channel;
         ``tag`` or ``match`` filter as in :meth:`MuxCore.accept`, so
         independent acceptors can share one endpoint without stealing each
         other's channels."""
         while (channel := self.accept(tag, match=match)) is None:
-            yield from self._wait(self.WAKE_INCOMING)
+            await self._wait(self.WAKE_INCOMING)
         if self.flight is not None:
             self.flight.note("mux.channel_accept", ctx=channel.ctx,
                              channel=channel.channel_id, node=self.node)
@@ -205,11 +199,10 @@ class MuxEndpoint(Bound, MuxCore):
         self.runtime.unpark((channel or self)._waiters, what)
 
     # -- pumps ---------------------------------------------------------------
-    @coroutine
-    def _rx_pump(self) -> Generator:
+    async def _rx_pump(self):
         try:
             while not self._closed:
-                self.feed((yield from recv_frame(self.link)))
+                self.feed(await recv_frame(self.link))
                 self._unyielded = 0
         except self._carrier_errors as exc:
             self.fail(exc)
@@ -221,8 +214,7 @@ class MuxEndpoint(Bound, MuxCore):
         """The peer broke the protocol: make sure it learns of it too."""
         self.link.abort()
 
-    @coroutine
-    def _write_turn(self, channel: MuxChannel, data: bytes) -> Generator:
+    async def _write_turn(self, channel: MuxChannel, data: bytes):
         """``channel``'s writer holds the carrier: queue ``data``, write
         frames in the core's order (control first, then scheduler turns,
         whoever's they are) until ``channel`` has drained or nothing can be
@@ -236,7 +228,7 @@ class MuxEndpoint(Bound, MuxCore):
             while channel._tx_buffered and (
                     frame := self.next_frame()) is not None:
                 try:
-                    yield from send_frame(self.link, frame)
+                    await send_frame(self.link, frame)
                 except self._transport_errors as exc:
                     self.fail(exc)
                     return
@@ -244,22 +236,21 @@ class MuxEndpoint(Bound, MuxCore):
                                     else size(frame))
                 if self._unyielded >= LONE_DATA_PAYLOAD:
                     self._unyielded = 0
-                    yield from self.runtime.sleep(0)
+                    await self.runtime.sleep(0)
             self.frame_sent()
         finally:
             self._writing = False
             if self.has_frames or not self.alive or self.idle:
                 self.wake(self.WAKE_TX)
 
-    @coroutine
-    def _tx_pump(self) -> Generator:
+    async def _tx_pump(self):
         """What no writer is waiting to send — a read's CREDIT, OPEN /
         ACCEPT / CLOSE, the rest of a write an incoming CREDIT released —
         under the same write turn, and the end of an idle endpoint."""
         try:
             while True:
                 if self._writing:
-                    yield from self._wait(self.WAKE_TX)
+                    await self._wait(self.WAKE_TX)
                     continue
                 if not self.alive:
                     return
@@ -267,13 +258,13 @@ class MuxEndpoint(Bound, MuxCore):
                 if frame is not None:
                     self._writing = True
                     try:
-                        yield from send_frame(self.link, frame)
+                        await send_frame(self.link, frame)
                     finally:
                         self._writing = False
                 elif self.idle:
                     self.close()
                     return
                 else:
-                    yield from self._wait(self.WAKE_TX)
+                    await self._wait(self.WAKE_TX)
         except self._transport_errors as exc:
             self.fail(exc)

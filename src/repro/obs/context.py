@@ -18,11 +18,11 @@ Two things make this module different from the usual tracing SDK:
   stream; the chaos runner calls it with the run seed.
 
 * **The wire is authoritative, not an ambient context variable.**  The
-  simulator runs nodes as cooperative generator processes in one OS
+  simulator runs nodes as cooperative coroutine processes in one OS
   thread, so ``contextvars`` cannot isolate per-node context across
   scheduler switches.  :func:`current`/:func:`use` exist for
   *synchronous stretches only* (a driver writing packets inside one
-  ``yield from`` chain); anything that crosses a process or host
+  ``await`` chain); anything that crosses a process or host
   boundary must carry the context explicitly in its frames via
   :meth:`TraceContext.encode`.
 """

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from types import coroutine
 from typing import Callable, Iterable, Optional
 
 from . import event as obs_event
@@ -184,13 +183,12 @@ class TelemetryPublisher:
         return record
 
     # -- drivers -----------------------------------------------------------
-    @coroutine
-    def run(self, runtime):
+    async def run(self, runtime):
         """Publish every ``interval`` on ``runtime`` until :meth:`stop`;
         the tick pending at the stop ends the task without publishing."""
         self._running = True
         while True:
-            yield from runtime.sleep(self.interval)
+            await runtime.sleep(self.interval)
             if not self._running:
                 return
             self.publish()

@@ -26,7 +26,6 @@ scenarios, live scenarios and — later — real deployments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import coroutine
 from typing import Callable, Iterable, Optional
 
 from repro import obs
@@ -181,15 +180,14 @@ class CanaryRollout:
         return self.state
 
     # -- drivers -----------------------------------------------------------
-    @coroutine
-    def run(self, runtime, start_at: float = 0.0):
+    async def run(self, runtime, start_at: float = 0.0):
         """The driver on ``runtime``: waits until ``start_at`` on the
         gate's clock, starts the canary stage, then polls every
         ``poll_seconds`` until a terminal state, which it returns."""
         if start_at > self._clock():
-            yield from runtime.sleep(start_at - self._clock())
+            await runtime.sleep(start_at - self._clock())
         self.start()
         while not self.done:
-            yield from runtime.sleep(self.poll_seconds)
+            await runtime.sleep(self.poll_seconds)
             self.poll()
         return self.state

@@ -5,8 +5,10 @@ provides a simpy-flavoured, generator-based process model:
 
 * :class:`Simulator` owns the event heap and the simulated clock.
 * :class:`Event` is a one-shot occurrence that processes can wait on.
-* :class:`Process` drives a generator; every value the generator yields must
-  be an :class:`Event`, and the process resumes when that event triggers.
+* :class:`Process` drives a generator or a coroutine; every value it yields
+  (or, under ``await``, passes up from an awaited :class:`Event` or
+  generator-based coroutine) must be an :class:`Event`, and the process
+  resumes when that event triggers.
 * :class:`Timeout` triggers after a fixed amount of simulated time.
 * :func:`any_of` / :func:`all_of` compose events.
 * :meth:`Simulator.call_later` / :meth:`~Simulator.call_at` /
@@ -156,6 +158,11 @@ class Event:
     def done(self) -> bool:
         return self._value is not _PENDING
 
+    def __await__(self):
+        """``await event`` in a coroutine a process drives is ``yield
+        event`` in a generator: the process receives the event itself."""
+        return (yield self)
+
     def trigger(self, event: "Event") -> None:
         """Trigger this event with the state of another event (chaining)."""
         if event._ok:
@@ -211,7 +218,7 @@ class Initialize(Event):
 
 
 class Process(Event):
-    """Drives a generator through the simulation.
+    """Drives a generator, or a coroutine, through the simulation.
 
     The process *is* an event: it triggers when the generator returns
     (successfully, with the generator's return value) or raises (failed).
@@ -222,7 +229,7 @@ class Process(Event):
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         if not hasattr(gen, "send"):
-            raise TypeError(f"process requires a generator, got {gen!r}")
+            raise TypeError(f"process requires a generator or coroutine, got {gen!r}")
         super().__init__(sim)
         self._gen = gen
         self._waiting_on: Optional[Event] = None
@@ -574,6 +581,15 @@ class Simulator:
         leaked.  The chaos invariants read it on both simulation tiers.
         """
         return len(self._heap)
+
+    def __del__(self) -> None:
+        # A process whose run ended, or was never run, before it started:
+        # close its coroutine, or Python reports a process that never ran
+        # as a lost ``await``.  The simulator is older than every process
+        # on it, so the collector finalizes it before their coroutines.
+        for entry in self._heap:
+            if type(entry[3]) is Initialize:
+                entry[3].callbacks[0].__self__._gen.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Simulator t={self.now} pending={len(self._heap)}>"

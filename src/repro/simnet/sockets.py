@@ -3,18 +3,20 @@
 Thin generator wrappers over :mod:`repro.simnet.tcp` so application code
 reads like ordinary socket programming::
 
-    def client(host):
-        sock = yield from connect(host, ("198.51.100.10", 5000))
-        yield from sock.send_all(b"hello")
-        reply = yield from sock.recv_exactly(5)
+    async def client(host):
+        sock = await connect(host, ("198.51.100.10", 5000))
+        await sock.send_all(b"hello")
+        reply = await sock.recv_exactly(5)
         sock.close()
 
-All helpers are generators to be driven by the simulation engine
-(``yield from`` them inside a process).
+The waiting helpers are generator-based coroutines (``types.coroutine``)
+that yield the simulator's events: a coroutine a process drives
+``await``s them, and a plain generator process may ``yield from`` them.
 """
 
 from __future__ import annotations
 
+from types import coroutine
 from typing import Generator, Optional
 
 from .engine import any_of
@@ -54,15 +56,18 @@ class SimSocket:
         """The simulator this socket lives in."""
         return self._tcp.sim
 
+    @coroutine
     def send_all(self, data: bytes) -> Generator:
         """Send all of ``data``, blocking on send-buffer backpressure."""
         yield self._tcp.send(data)
 
+    @coroutine
     def recv(self, maxbytes: int) -> Generator:
         """Receive up to ``maxbytes``; returns b"" at EOF."""
         data = yield self._tcp.recv(maxbytes)
         return data
 
+    @coroutine
     def recv_exactly(self, n: int) -> Generator:
         """Receive exactly ``n`` bytes; raises :class:`EOFError` if the
         stream ends first."""
@@ -102,6 +107,7 @@ class SimListener:
     def port(self) -> int:
         return self._listener.port
 
+    @coroutine
     def accept(self) -> Generator:
         sock = yield self._listener.accept()
         return SimSocket(sock)
@@ -115,6 +121,7 @@ def listen(host, port: int = 0, backlog: int = 64) -> SimListener:
     return SimListener(host.tcp.listen(port, backlog))
 
 
+@coroutine
 def connect(
     host,
     raddr: Addr,
@@ -135,6 +142,7 @@ def connect(
     return SimSocket(sock)
 
 
+@coroutine
 def connect_simultaneous(
     host,
     raddr: Addr,

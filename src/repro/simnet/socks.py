@@ -30,6 +30,7 @@ untraced — the extension degrades cleanly.
 from __future__ import annotations
 
 import struct
+from types import coroutine
 from typing import Generator, Optional
 
 from .. import obs
@@ -279,6 +280,7 @@ def _read_reply(sock: SimSocket) -> Generator:
     return addr
 
 
+@coroutine
 def socks_connect(
     host, proxy: Addr, target: Addr, ctx: Optional[TraceContext] = None
 ) -> Generator:
@@ -300,6 +302,7 @@ def socks_connect(
     return sock
 
 
+@coroutine
 def socks_bind(
     host, proxy: Addr, ctx: Optional[TraceContext] = None
 ) -> Generator:
@@ -321,6 +324,7 @@ def socks_bind(
     return sock, bound_addr
 
 
+@coroutine
 def socks_accept_bound(sock: SimSocket) -> Generator:
     """Wait for the second BIND reply; returns the connecting peer's addr."""
     peer = yield from _read_reply(sock)

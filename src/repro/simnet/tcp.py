@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Optional
 
-from .engine import Event, Simulator
+from .engine import Event, Simulator, Timer
 from .packet import Addr, Segment
 
 __all__ = [
@@ -121,11 +121,6 @@ class TcpConfig:
         kwargs = {name: getattr(self, name) for name in self.__slots__}
         kwargs.update(changes)
         return TcpConfig(**kwargs)
-
-
-# The cancellable timer now lives in the engine; keep the private alias the
-# TCP internals were written against.
-from .engine import Timer as _Timer  # noqa: E402
 
 
 # Connection states -----------------------------------------------------------
@@ -395,11 +390,11 @@ class TcpSocket:
         self._rtt_probe: Optional[tuple[int, float]] = None  # (end_seq, sent_at)
 
         # Timers.
-        self._rexmit_timer = _Timer(self.sim, self._on_rto)
-        self._persist_timer = _Timer(self.sim, self._on_persist)
-        self._time_wait_timer = _Timer(self.sim, self._on_time_wait_done)
-        self._syn_timer = _Timer(self.sim, self._on_syn_rto)
-        self._delack_timer = _Timer(self.sim, self._on_delack)
+        self._rexmit_timer = Timer(self.sim, self._on_rto)
+        self._persist_timer = Timer(self.sim, self._on_persist)
+        self._time_wait_timer = Timer(self.sim, self._on_time_wait_done)
+        self._syn_timer = Timer(self.sim, self._on_syn_rto)
+        self._delack_timer = Timer(self.sim, self._on_delack)
         self._delack_pending = 0
         self._syn_tries = 0
 

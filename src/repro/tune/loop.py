@@ -30,7 +30,6 @@ The loop is backend-symmetric the way the telemetry plane is:
 
 from __future__ import annotations
 
-from types import coroutine
 from typing import Callable, Optional
 
 from .. import obs
@@ -199,12 +198,11 @@ class LinkTuner:
         )
 
     # -- drivers -----------------------------------------------------------
-    @coroutine
-    def run(self, runtime, until: Optional[float] = None):
+    async def run(self, runtime, until: Optional[float] = None):
         """Step every ``interval`` on ``runtime`` until :meth:`stop`, or
         until ``until`` on the tuner's clock."""
         while not self._stopped:
-            yield from runtime.sleep(self.interval)
+            await runtime.sleep(self.interval)
             if self._stopped or (until is not None and self.clock() >= until):
                 return
             self.step()

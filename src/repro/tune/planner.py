@@ -105,10 +105,8 @@ def recommend_streams(
 class TunerPolicy:
     """A sender pacing policy: the classic rollout-gated config knob.
 
-    Historically lived in :mod:`repro.chaos.rollout`; it is the shape of
-    "a config the gate pushes" and the tuner plans against the same
-    stack, so it lives with the planner now (the old import path still
-    works).
+    It is the shape of "a config the gate pushes", and the tuner plans
+    against the same stack, so it lives with the planner.
     """
 
     name: str

@@ -71,6 +71,27 @@ def test_parse_rejects_malformed(bad):
         FaultPlan.parse(bad)
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["--plan", "bogus@x"], "bad fault 'bogus@x'"),
+        (["--scenario", "fleet_fanin",
+          "--plan", "wan_degrade@3:site=hub,scale=4,for=2"],
+         "not available on the 'flow' tier"),
+    ],
+)
+def test_cli_refuses_a_plan_with_a_usage_error(argv, reason, capsys):
+    from repro.chaos.__main__ import main
+
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("python -m repro.chaos: error: --plan: ")
+    assert reason in err
+    assert "Traceback" not in err
+
+
 # -- injection ----------------------------------------------------------------
 
 
@@ -154,8 +175,8 @@ def test_wan_degrade_rejects_a_loss_outside_the_unit_interval(scenario):
 def test_relay_crash_drops_sessions_then_restarts(scenario):
     node = scenario.add_node("A", "alice")
 
-    def boot():
-        yield from node.start()
+    async def boot():
+        await node.start()
 
     scenario.sim.process(boot())
     FaultScheduler(
@@ -172,8 +193,8 @@ def test_relay_crash_drops_sessions_then_restarts(scenario):
 def test_peer_drop_and_middlebox_faults(scenario):
     node = scenario.add_node("B", "bob")
 
-    def boot():
-        yield from node.start()
+    async def boot():
+        await node.start()
 
     scenario.sim.process(boot())
     plan = FaultPlan.of(

@@ -8,12 +8,12 @@ from repro.simnet.engine import Simulator
 
 
 def drive(sim, gen):
-    """Run a generator to completion; returns (result, error)."""
+    """Run a coroutine to completion; returns (result, error)."""
     box = {}
 
-    def runner():
+    async def runner():
         try:
-            box["result"] = yield from gen
+            box["result"] = await gen
         except BaseException as exc:  # noqa: BLE001 - test captures it
             box["error"] = exc
 
@@ -66,12 +66,11 @@ class Boom(Exception):
 def flaky(fail_times, log):
     """An attempt function failing the first ``fail_times`` calls."""
 
-    def attempt(i):
+    async def attempt(i):
         log.append(i)
         if i < fail_times:
             raise Boom(f"attempt {i}")
         return "ok"
-        yield  # pragma: no cover - makes this a generator
 
     return attempt
 
@@ -103,9 +102,8 @@ def test_retrying_exhausts_and_carries_last_error():
 def test_retrying_propagates_unlisted_exceptions():
     sim = Simulator()
 
-    def attempt(i):
+    async def attempt(i):
         raise KeyError("not transient")
-        yield  # pragma: no cover
 
     policy = RetryPolicy(max_attempts=5, base_delay=0.1)
     _result, error = drive(

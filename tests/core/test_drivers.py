@@ -25,18 +25,18 @@ def _linked_pair(inet, a, b, n=1, port=5000):
     sim = inet.sim
     out = {}
 
-    def srv():
+    async def srv():
         listener = listen(b, port, backlog=n)
         links = []
         for _ in range(n):
-            sock = yield from listener.accept()
+            sock = await listener.accept()
             links.append(TcpLink(sock, "client_server"))
         out["b"] = links
 
-    def cli():
+    async def cli():
         links = []
         for _ in range(n):
-            sock = yield from connect(a, (b.ip, port))
+            sock = await connect(a, (b.ip, port))
             links.append(TcpLink(sock, "client_server"))
         out["a"] = links
 
@@ -51,15 +51,15 @@ def _exchange(inet, send_driver, recv_driver, blocks, until=120):
     sim = inet.sim
     received = []
 
-    def sender():
+    async def sender():
         for block in blocks:
-            yield from send_driver.send_block(block)
+            await send_driver.send_block(block)
         send_driver.close()
 
-    def receiver():
+    async def receiver():
         while True:
             try:
-                block = yield from recv_driver.recv_block()
+                block = await recv_driver.recv_block()
             except EOFError:
                 return
             received.append(block)
@@ -145,19 +145,19 @@ class TestParallelStreams:
             nbytes = 4_000_000
             res = {}
 
-            def sender():
+            async def sender():
                 payload = b"d" * 65536
                 sent = 0
                 res["t0"] = inet.sim.now
                 while sent < nbytes:
-                    yield from cha.write(payload)
+                    await cha.write(payload)
                     sent += len(payload)
-                yield from cha.flush()
+                await cha.flush()
 
-            def receiver():
+            async def receiver():
                 got = 0
                 while got < nbytes:
-                    got += len((yield from chb.read(1 << 20)))
+                    got += len(await chb.read(1 << 20))
                 res["t1"] = inet.sim.now
 
             inet.sim.process(sender())
@@ -257,12 +257,12 @@ class TestTlsDriver:
         rx = TlsDriver(TcpBlockDriver(lb))
         done = {}
 
-        def client():
-            yield from tx.handshake_client([pki["ca"].certificate], seed=b"c")
+        async def client():
+            await tx.handshake_client([pki["ca"].certificate], seed=b"c")
             done["client"] = True
 
-        def server():
-            yield from rx.handshake_server(pki["server"], seed=b"s")
+        async def server():
+            await rx.handshake_server(pki["server"], seed=b"s")
             done["server"] = True
 
         inet.sim.process(client())
@@ -296,8 +296,7 @@ class TestTlsDriver:
         (la,), (lb,) = _linked_pair(inet, a, b)
         tx = TlsDriver(TcpBlockDriver(la))
         with pytest.raises(DriverError, match="handshake"):
-            for _ in tx.send_block(b"x"):
-                pass
+            tx.send_block(b"x").send(None)
 
     def test_tampered_record_detected(self, pki):
         from repro.security import RecordError
@@ -320,16 +319,16 @@ class TestTlsDriver:
         record[7] ^= 1
         seen = {}
 
-        def sender():
-            yield from tx.child.send_block(bytes(record))  # below tx's TLS
+        async def sender():
+            await tx.child.send_block(bytes(record))  # below tx's TLS
             try:
-                yield from tx.recv_block()
+                await tx.recv_block()
             except EOFError:
                 seen["peer"] = "eof"
 
-        def receiver():
+        async def receiver():
             try:
-                yield from rx.recv_block()
+                await rx.recv_block()
             except DriverError as exc:
                 seen["error"] = str(exc)
 
@@ -341,8 +340,7 @@ class TestTlsDriver:
         assert rx.child.link.socket.tcp.state != ESTABLISHED
         for call in (lambda: rx.send_block(b"x"), rx.recv_block):
             with pytest.raises(DriverError, match="record authentication failed"):
-                for _ in call():
-                    pass
+                call().send(None)
 
     def test_handshake_failure_is_fatal_to_the_link(self, pki):
         """A client that rejects the server's chain raises and closes the
@@ -355,15 +353,15 @@ class TestTlsDriver:
         untrusted = CertificateAuthority("someone-else").certificate
         seen = {}
 
-        def client():
+        async def client():
             try:
-                yield from tx.handshake_client([untrusted], seed=b"c")
+                await tx.handshake_client([untrusted], seed=b"c")
             except HandshakeError as exc:
                 seen["client"] = str(exc)
 
-        def server():
+        async def server():
             try:
-                yield from rx.handshake_server(pki["server"], seed=b"s")
+                await rx.handshake_server(pki["server"], seed=b"s")
             except EOFError:
                 seen["server"] = "eof"
 
@@ -384,12 +382,12 @@ class TestBlockChannel:
         payload = bytes(range(256)) * 20
         result = {}
 
-        def writer():
-            yield from cha.write(payload)
-            yield from cha.flush()
+        async def writer():
+            await cha.write(payload)
+            await cha.flush()
 
-        def reader():
-            result["data"] = yield from chb.read_exactly(len(payload))
+        async def reader():
+            result["data"] = await chb.read_exactly(len(payload))
 
         inet.sim.process(writer())
         inet.sim.process(reader())
@@ -405,13 +403,13 @@ class TestBlockChannel:
         chb = BlockChannel(TcpBlockDriver(lb), block_size=4096)
         result = {}
 
-        def writer():
+        async def writer():
             for _ in range(4096):
-                yield from cha.write(b"x")  # 4096 one-byte writes
-            yield from cha.flush()
+                await cha.write(b"x")  # 4096 one-byte writes
+            await cha.flush()
 
-        def reader():
-            result["data"] = yield from chb.read_exactly(4096)
+        async def reader():
+            result["data"] = await chb.read_exactly(4096)
 
         inet.sim.process(writer())
         inet.sim.process(reader())
@@ -427,13 +425,13 @@ class TestBlockChannel:
         messages = [b"first", b"", b"third" * 1000]
         result = {"got": []}
 
-        def writer():
+        async def writer():
             for msg in messages:
-                yield from cha.send_message(msg)
+                await cha.send_message(msg)
 
-        def reader():
+        async def reader():
             for _ in messages:
-                result["got"].append((yield from chb.recv_message()))
+                result["got"].append(await chb.recv_message())
 
         inet.sim.process(writer())
         inet.sim.process(reader())
@@ -447,14 +445,14 @@ class TestBlockChannel:
         chb = BlockChannel(TcpBlockDriver(lb))
         result = {}
 
-        def writer():
-            yield from cha.write(b"tail")
-            yield from cha.flush()
+        async def writer():
+            await cha.write(b"tail")
+            await cha.flush()
             cha.close()
 
-        def reader():
-            result["data"] = yield from chb.read(100)
-            result["eof"] = yield from chb.read(100)
+        async def reader():
+            result["data"] = await chb.read(100)
+            result["eof"] = await chb.read(100)
 
         inet.sim.process(writer())
         inet.sim.process(reader())
@@ -475,13 +473,12 @@ class TestBlockChannel:
         sent = []
 
         class Recorder:
-            def send_block(self, block):
+            async def send_block(self, block):
                 sent.append(block)
-                yield
 
-        def drive(steps):
-            for _ in steps:
-                pass
+        def drive(coro):
+            with pytest.raises(StopIteration):
+                coro.send(None)
 
         make = {"bytes": bytes, "bytearray": bytearray,
                 "memoryview": lambda c: memoryview(bytearray(c))}[kind]

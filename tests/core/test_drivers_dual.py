@@ -1,8 +1,8 @@
 """The shared drivers, tested once and run on both bindings.
 
 ``tcp_block``, ``compress``, ``tls`` and ``BlockChannel`` are one source:
-generator-based coroutines that the simulator ``yield from``s and asyncio
-``await``s.  Each script below is written once against ``tests/dual.py``'s
+``async def`` coroutines that a simulator process and an asyncio task both
+drive.  Each script below is written once against ``tests/dual.py``'s
 harness and runs over simulated TCP and over real loopback sockets; the
 arbitrary-bytes property needs no binding at all, only a stream that never
 suspends.
@@ -153,17 +153,16 @@ class _Bytes:
         self._data = data
         self._pos = 0
 
-    def recv_exactly(self, n):
+    async def recv_exactly(self, n):
         if self._pos + n > len(self._data):
             raise EOFError("stream ended")
         self._pos += n
         return self._data[self._pos - n : self._pos]
-        yield  # a generator, like every stream's recv_exactly
 
 
-def _finish(steps):
+def _finish(coro):
     try:
-        steps.send(None)
+        coro.send(None)
     except StopIteration as stop:
         return stop.value
     raise AssertionError("suspended on a stream that never waits")
@@ -230,24 +229,24 @@ def _io_methods(cls):
     ids=lambda fn: fn.__qualname__,
 )
 def test_every_io_method_is_a_generator_based_coroutine(fn):
-    """A real generator function flagged by ``types.coroutine`` — not the
-    slower wrapper it puts around a function that merely returns one."""
-    assert inspect.isgeneratorfunction(fn)
-    assert fn.__code__.co_flags & inspect.CO_ITERABLE_COROUTINE
+    """One dialect: every IO method is an ``async def``, which both a
+    simulator process and an asyncio task drive; only the runtime's
+    leaves stay generators (``tests/core/test_runtime.py``)."""
+    assert inspect.iscoroutinefunction(fn)
 
 
 @pytest.mark.livenet
 def test_handshakes_complete_under_gather_and_wait_for():
-    """``gather``/``wait_for``/``ensure_future`` take any awaitable.
-    ``asyncio.create_task`` takes only native coroutines (3.12 rejects a
-    generator-based one), so nothing hands it a driver method."""
+    """A driver method is a native coroutine, so asyncio takes it
+    everywhere: ``gather``, ``wait_for`` and ``create_task`` (which 3.12
+    refuses a generator-based coroutine)."""
 
     async def main():
         async with socket_pairs() as ((client,), (server,)):
             a, b = TlsDriver(TcpBlockDriver(client)), TlsDriver(TcpBlockDriver(server))
             session, _ = await asyncio.gather(
                 asyncio.wait_for(a.handshake_client([CA.certificate]), timeout=10),
-                b.handshake_server(IDENTITY),
+                asyncio.get_running_loop().create_task(b.handshake_server(IDENTITY)),
             )
             assert session is a.session and a.peer_subject == "dual-server"
 

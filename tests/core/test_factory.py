@@ -26,25 +26,25 @@ def _run_channel(kind_a, kind_b, spec, payload, tls=False, seed=11, until=300):
         tls_b = TlsConfig([ca.certificate], Identity(kb, [cert_b]))
     res = {}
 
-    def run_a():
-        yield from node_a.start()
+    async def run_a():
+        await node_a.start()
         while not node_b.relay_client.connected:
-            yield sc.sim.timeout(0.05)
-        service = yield from node_a.open_service_link("b")
+            await sc.sim.timeout(0.05)
+        service = await node_a.open_service_link("b")
         factory = BrokeredConnectionFactory(node_a, tls_a)
-        channel = yield from factory.connect(service, node_b.info, spec=spec)
-        yield from channel.send_message(payload)
-        res["echo"] = yield from channel.recv_message()
+        channel = await factory.connect(service, node_b.info, spec=spec)
+        await channel.send_message(payload)
+        res["echo"] = await channel.recv_message()
         res["channel"] = channel
 
-    def run_b():
-        yield from node_b.start()
-        _peer, service = yield from node_b.accept_service_link()
+    async def run_b():
+        await node_b.start()
+        _peer, service = await node_b.accept_service_link()
         factory = BrokeredConnectionFactory(node_b, tls_b)
-        channel = yield from factory.accept(service)
-        msg = yield from channel.recv_message()
+        channel = await factory.accept(service)
+        msg = await channel.recv_message()
         res["received"] = msg
-        yield from channel.send_message(msg)
+        await channel.send_message(msg)
 
     sc.sim.process(run_a())
     sc.sim.process(run_b())
@@ -112,25 +112,25 @@ class TestStandaloneSessionWindow:
         node_b = sc.add_node("B", "b")
         windows = []
 
-        def run_a():
-            yield from node_a.start()
+        async def run_a():
+            await node_a.start()
             while not node_b.relay_client.connected:
-                yield sc.sim.timeout(0.05)
+                await sc.sim.timeout(0.05)
             factory = BrokeredConnectionFactory(node_a)
             for _ in range(n):
-                service = yield from node_a.open_service_link("b")
-                channel = yield from factory.connect(service, node_b.info, spec=spec)
-                yield from channel.send_message(b"probe")
+                service = await node_a.open_service_link("b")
+                channel = await factory.connect(service, node_b.info, spec=spec)
+                await channel.send_message(b"probe")
                 session = channel.driver.link
                 windows.append(session.config.max_buffer)
 
-        def run_b():
-            yield from node_b.start()
+        async def run_b():
+            await node_b.start()
             factory = BrokeredConnectionFactory(node_b)
             for _ in range(n):
-                _peer, service = yield from node_b.accept_service_link()
-                channel = yield from factory.accept(service)
-                yield from channel.recv_message()
+                _peer, service = await node_b.accept_service_link()
+                channel = await factory.accept(service)
+                await channel.recv_message()
 
         sc.sim.process(run_a())
         sc.sim.process(run_b())

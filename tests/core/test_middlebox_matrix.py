@@ -90,29 +90,29 @@ def test_session_resumes_exactly_where_establishment_works(kind, method):
     received = bytearray()
     state: dict = {}
 
-    def run_initiator():
-        yield from ini.start()
-        yield from res.relay_client.wait_connected(timeout=60)
+    async def run_initiator():
+        await ini.start()
+        await res.relay_client.wait_connected(timeout=60)
         factory = BrokeredConnectionFactory(ini)
-        service = yield from ini.open_service_link("res")
-        channel = yield from factory.connect(
+        service = await ini.open_service_link("res")
+        channel = await factory.connect(
             service, res.info, spec=spec, methods=[method]
         )
         service.close()
         for off in range(0, len(payload), 32768):
-            yield from channel.write(payload[off : off + 32768])
-        yield from channel.flush()
+            await channel.write(payload[off : off + 32768])
+        await channel.flush()
         channel.close()
         state["sent"] = True
 
-    def run_responder():
-        yield from res.start()
+    async def run_responder():
+        await res.start()
         factory = BrokeredConnectionFactory(res)
-        _peer, service = yield from res.accept_service_link()
-        channel = yield from factory.accept(service)
+        _peer, service = await res.accept_service_link()
+        channel = await factory.accept(service)
         service.close()
         while True:
-            data = yield from channel.read(65536)
+            data = await channel.read(65536)
             if not data:
                 break
             received.extend(data)
@@ -155,28 +155,28 @@ def test_mux_works_exactly_where_establishment_works(kind, method):
     payload = random.Random(f"mux:{kind}:{method}").randbytes(128 * 1024)
     state: dict = {}
 
-    def run_initiator():
-        yield from ini.start()
-        yield from res.relay_client.wait_connected(timeout=60)
+    async def run_initiator():
+        await ini.start()
+        await res.relay_client.wait_connected(timeout=60)
         factory = BrokeredConnectionFactory(ini)
-        service = yield from ini.open_service_link("res")
-        channel = yield from factory.connect(
+        service = await ini.open_service_link("res")
+        channel = await factory.connect(
             service, res.info, spec=spec, methods=[method]
         )
         service.close()
         state["method"] = channel.driver.link.method
-        yield from channel.send_message(payload)
-        state["echo"] = yield from channel.recv_message()
+        await channel.send_message(payload)
+        state["echo"] = await channel.recv_message()
         channel.close()
 
-    def run_responder():
-        yield from res.start()
+    async def run_responder():
+        await res.start()
         factory = BrokeredConnectionFactory(res)
-        _peer, service = yield from res.accept_service_link()
-        channel = yield from factory.accept(service)
+        _peer, service = await res.accept_service_link()
+        channel = await factory.accept(service)
         service.close()
-        msg = yield from channel.recv_message()
-        yield from channel.send_message(msg)
+        msg = await channel.recv_message()
+        await channel.send_message(msg)
         channel.close()
 
     scn.sim.process(run_initiator(), name="mux-initiator")

@@ -22,20 +22,20 @@ def _measure(capacity, one_way_delay, kind_a="firewall", kind_b="firewall", seed
     b = sc.add_node("B", "b")
     res = {}
 
-    def initiator():
-        yield from a.start()
+    async def initiator():
+        await a.start()
         while not b.relay_client.connected:
-            yield sc.sim.timeout(0.05)
-        service = yield from a.open_service_link("b")
+            await sc.sim.timeout(0.05)
+        service = await a.open_service_link("b")
         monitor = PathMonitor(a)
-        res["estimate"] = yield from monitor.estimate(service, b.info)
-        yield from monitor.finish(service)
+        res["estimate"] = await monitor.estimate(service, b.info)
+        await monitor.finish(service)
 
-    def responder():
-        yield from b.start()
-        _peer, service = yield from b.accept_service_link()
+    async def responder():
+        await b.start()
+        _peer, service = await b.accept_service_link()
         monitor = PathMonitor(b)
-        yield from monitor.serve(service)
+        await monitor.serve(service)
 
     sc.sim.process(initiator())
     sc.sim.process(responder())
@@ -126,21 +126,21 @@ class TestEndToEndSelection:
         b = sc.add_node("B", "b")
         res = {}
 
-        def initiator():
-            yield from a.start()
+        async def initiator():
+            await a.start()
             while not b.relay_client.connected:
-                yield sc.sim.timeout(0.05)
-            service = yield from a.open_service_link("b")
+                await sc.sim.timeout(0.05)
+            service = await a.open_service_link("b")
             monitor = PathMonitor(a)
-            estimate = yield from monitor.estimate(service, b.info)
-            yield from monitor.finish(service)
+            estimate = await monitor.estimate(service, b.info)
+            await monitor.finish(service)
             res["spec"] = select_spec(estimate, compress_rate=5e6, payload_ratio=1.0)
 
-        def responder():
-            yield from b.start()
-            _peer, service = yield from b.accept_service_link()
+        async def responder():
+            await b.start()
+            _peer, service = await b.accept_service_link()
             monitor = PathMonitor(b)
-            yield from monitor.serve(service)
+            await monitor.serve(service)
 
         sc.sim.process(initiator())
         sc.sim.process(responder())

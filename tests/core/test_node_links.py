@@ -16,13 +16,13 @@ class TestLinkContract:
         inet, a, b = two_public_hosts(seed=5)
         out = {}
 
-        def srv():
+        async def srv():
             listener = listen(b, 5000)
-            sock = yield from listener.accept()
+            sock = await listener.accept()
             out["b"] = TcpLink(sock, CLIENT_SERVER)
 
-        def cli():
-            sock = yield from connect(a, (b.ip, 5000))
+        async def cli():
+            sock = await connect(a, (b.ip, 5000))
             out["a"] = TcpLink(sock, CLIENT_SERVER)
 
         inet.sim.process(srv())
@@ -42,13 +42,13 @@ class TestLinkContract:
         inet, la, lb = self._tcp_link_pair()
         out = {}
 
-        def sender():
-            yield from la.send_all(b"abc")
+        async def sender():
+            await la.send_all(b"abc")
             la.close()
 
-        def receiver():
+        async def receiver():
             try:
-                yield from lb.recv_exactly(10)
+                await lb.recv_exactly(10)
             except EOFError as exc:
                 out["error"] = str(exc)
 
@@ -76,18 +76,18 @@ class TestGridNodeApi:
         sc, a, b = self._pair()
         out = {}
 
-        def initiator():
-            yield from a.start()
+        async def initiator():
+            await a.start()
             while not b.relay_client.connected:
-                yield sc.sim.timeout(0.05)
-            link = yield from a.open_service_link("b")
-            yield from link.send_all(b"hi")
+                await sc.sim.timeout(0.05)
+            link = await a.open_service_link("b")
+            await link.send_all(b"hi")
 
-        def responder():
-            yield from b.start()
-            peer, link = yield from b.accept_service_link()
+        async def responder():
+            await b.start()
+            peer, link = await b.accept_service_link()
             out["peer"] = peer
-            out["data"] = yield from link.recv_exactly(2)
+            out["data"] = await link.recv_exactly(2)
 
         sc.sim.process(initiator())
         sc.sim.process(responder())
@@ -98,19 +98,19 @@ class TestGridNodeApi:
         sc, a, b = self._pair()
         out = {}
 
-        def initiator():
-            yield from a.start()
+        async def initiator():
+            await a.start()
             while not b.relay_client.connected:
-                yield sc.sim.timeout(0.05)
-            service = yield from a.open_service_link("b")
-            link = yield from a.broker.initiate(service, b.info)
+                await sc.sim.timeout(0.05)
+            service = await a.open_service_link("b")
+            link = await a.broker.initiate(service, b.info)
             out["method"] = link.method
             link.close()
 
-        def responder():
-            yield from b.start()
-            _peer, service = yield from b.accept_service_link()
-            link = yield from b.broker.respond(service)
+        async def responder():
+            await b.start()
+            _peer, service = await b.accept_service_link()
+            link = await b.broker.respond(service)
             out["responder_method"] = link.method
 
         sc.sim.process(initiator())
@@ -122,8 +122,8 @@ class TestGridNodeApi:
     def test_stop_disconnects_relay(self):
         sc, a, b = self._pair()
 
-        def proc():
-            yield from a.start()
+        async def proc():
+            await a.start()
             assert a.relay_client.connected
             a.stop()
 
@@ -149,31 +149,31 @@ class TestSessionIds:
         workers = [sc.add_node("W1", "worker-1"), sc.add_node("W2", "worker-2")]
         got, sessions = {}, []
 
-        def work(node):
-            yield from node.start()
-            yield from bob.relay_client.wait_connected(timeout=60)
-            service = yield from node.open_service_link("bob")
-            channel = yield from BrokeredConnectionFactory(node).connect(
+        async def work(node):
+            await node.start()
+            await bob.relay_client.wait_connected(timeout=60)
+            service = await node.open_service_link("bob")
+            channel = await BrokeredConnectionFactory(node).connect(
                 service, bob.info, spec=spec)
             session = channel.driver.link
             sessions.append(session)
             name = node.node_id.encode()
-            yield from channel.send_message(name + b" before")
-            yield sc.sim.timeout(5.0)  # both sessions are up before either breaks
+            await channel.send_message(name + b" before")
+            await sc.sim.timeout(5.0)  # both sessions are up before either breaks
             session.raw.abort()
-            yield from channel.send_message(name + b" after")
+            await channel.send_message(name + b" after")
 
-        def serve():
-            yield from bob.start()
+        async def serve():
+            await bob.start()
             factory = BrokeredConnectionFactory(bob)
             for _ in workers:
-                _peer, service = yield from bob.accept_service_link()
-                channel = yield from factory.accept(service)
+                _peer, service = await bob.accept_service_link()
+                channel = await factory.accept(service)
                 sc.sim.process(drain(channel))
 
-        def drain(channel):
-            first = yield from channel.recv_message()
-            got[first] = yield from channel.recv_message()
+        async def drain(channel):
+            first = await channel.recv_message()
+            got[first] = await channel.recv_message()
 
         sc.sim.process(serve())
         for node in workers:

@@ -31,18 +31,18 @@ def _linked_pair(inet, a, b, n, port=5000):
     sim = inet.sim
     out = {}
 
-    def srv():
+    async def srv():
         listener = listen(b, port, backlog=n)
         links = []
         for _ in range(n):
-            sock = yield from listener.accept()
+            sock = await listener.accept()
             links.append(TcpLink(sock, "client_server"))
         out["b"] = links
 
-    def cli():
+    async def cli():
         links = []
         for _ in range(n):
-            sock = yield from connect(a, (b.ip, port))
+            sock = await connect(a, (b.ip, port))
             links.append(TcpLink(sock, "client_server"))
         out["a"] = links
 
@@ -57,15 +57,15 @@ def _exchange(inet, tx, rx, blocks, until=120, expect=None):
     received = []
     expect = len(blocks) if expect is None else expect
 
-    def sender():
+    async def sender():
         for block in blocks:
-            yield from tx.send_block(block)
+            await tx.send_block(block)
         tx.close()
 
-    def receiver():
+    async def receiver():
         while True:
             try:
-                block = yield from rx.recv_block()
+                block = await rx.recv_block()
             except EOFError:
                 return
             received.append(block)
@@ -126,18 +126,18 @@ class TestMemberDeath:
         rx = RebalancingParallelDriver(lb)
         received = []
 
-        def sender():
+        async def sender():
             for i, block in enumerate(blocks):
                 if i == 10:
                     # abort both ends so in-flight member data is truly gone
                     la[2].abort()
                     lb[2].abort()
-                yield from tx.send_block(block)
+                await tx.send_block(block)
             tx.close()
 
-        def receiver():
+        async def receiver():
             while len(received) < len(blocks):
-                received.append((yield from rx.recv_block()))
+                received.append(await rx.recv_block())
 
         sim.process(sender())
         sim.process(receiver())
@@ -154,13 +154,13 @@ class TestMemberDeath:
         tx = RebalancingParallelDriver(la)
         outcome = {}
 
-        def sender():
+        async def sender():
             try:
                 for _ in range(5):
-                    yield from tx.send_block(b"x" * 100)
+                    await tx.send_block(b"x" * 100)
                     # death is detected asynchronously by the writer
                     # processes; give them a turn
-                    yield sim.timeout(0.01)
+                    await sim.timeout(0.01)
                 outcome["result"] = "sent"
             except DriverError:
                 outcome["result"] = "failed"
@@ -220,17 +220,17 @@ class TestSessionMemberDeath:
         expected = b"".join(bytes([i % 256]) * 4096 for i in range(total))
         res = {}
 
-        def run_a():
-            yield from node_a.start()
+        async def run_a():
+            await node_a.start()
             while not node_b.relay_client.connected:
-                yield sim.timeout(0.05)
-            service = yield from node_a.open_service_link("b")
+                await sim.timeout(0.05)
+            service = await node_a.open_service_link("b")
             factory = BrokeredConnectionFactory(node_a)
-            channel = yield from factory.connect(service, node_b.info, spec=spec)
+            channel = await factory.connect(service, node_b.info, spec=spec)
             res["tx"] = channel
             for i in range(total):
-                yield from channel.write(bytes([i % 256]) * 4096)
-                yield from channel.flush()
+                await channel.write(bytes([i % 256]) * 4096)
+                await channel.flush()
                 if i == 15:
                     # permanently fail one member session: abort() is the
                     # "cannot resume" terminal state, so the rebalance
@@ -238,14 +238,14 @@ class TestSessionMemberDeath:
                     member = channel.driver.links[1]
                     assert isinstance(member, SessionLink)
                     member.abort()
-                yield sim.timeout(0.01)
+                await sim.timeout(0.01)
 
-        def run_b():
-            yield from node_b.start()
-            _peer, service = yield from node_b.accept_service_link()
+        async def run_b():
+            await node_b.start()
+            _peer, service = await node_b.accept_service_link()
             factory = BrokeredConnectionFactory(node_b)
-            channel = yield from factory.accept(service)
-            res["data"] = yield from channel.read_exactly(len(expected))
+            channel = await factory.accept(service)
+            res["data"] = await channel.read_exactly(len(expected))
 
         sim.process(run_a())
         sim.process(run_b())

@@ -244,11 +244,11 @@ def test_reflector_reports_observed_address():
     client = inet.add_public_host("client")
     result = {}
 
-    def proc():
+    async def proc():
         from repro.simnet.sockets import connect
 
-        sock = yield from connect(client, reflector.addr, lport=7777)
-        raw = yield from sock.recv_exactly(32)
+        sock = await connect(client, reflector.addr, lport=7777)
+        raw = await sock.recv_exactly(32)
         result["observed"] = raw.decode().strip()
         sock.close()
 

@@ -9,7 +9,6 @@ under test goes through ``h.runtime``.
 
 import asyncio
 import inspect
-from types import coroutine
 
 import pytest
 
@@ -29,10 +28,15 @@ both = pytest.mark.parametrize(
 )
 
 
+async def _get(queue):
+    """``bounded`` takes a native coroutine (asyncio's ``create_task``
+    takes no other), and ``get`` is a leaf."""
+    return await queue.get()
+
+
 def _parker(rt, waiters, key, log, tag):
-    @coroutine
-    def steps():
-        yield from rt.park(waiters, key)
+    async def steps():
+        await rt.park(waiters, key)
         log.append(tag)
     return steps()
 
@@ -104,15 +108,13 @@ def test_bounded_returns_the_value_or_the_builtin_timeout(harness):
     async def script(h, _a, _b):
         rt, cleaned = h.runtime, []
 
-        @coroutine
-        def quick():
-            yield from rt.sleep(0.001)
+        async def quick():
+            await rt.sleep(0.001)
             return "value"
 
-        @coroutine
-        def stuck():
+        async def stuck():
             try:
-                yield from rt.park({}, "never")
+                await rt.park({}, "never")
             finally:
                 cleaned.append("finally ran")
 
@@ -127,9 +129,8 @@ def test_bounded_returns_the_value_or_the_builtin_timeout(harness):
 @both
 def test_bounded_passes_the_steps_own_failure_through(harness):
     async def script(h, _a, _b):
-        @coroutine
-        def failing():
-            yield from h.runtime.sleep(0.001)
+        async def failing():
+            await h.runtime.sleep(0.001)
             raise KeyError("from the steps")
 
         with pytest.raises(KeyError, match="from the steps"):
@@ -188,9 +189,9 @@ def test_a_getter_that_gave_up_loses_no_item(harness):
         rt = h.runtime
         queue = rt.queue()
         with pytest.raises(TimeoutError):
-            await rt.bounded(queue.get(), 0.01)
+            await rt.bounded(_get(queue), 0.01)
         queue.put("item")
-        return await rt.bounded(queue.get(), 5.0)
+        return await rt.bounded(_get(queue), 5.0)
 
     assert harness().run(script) == "item"
 
@@ -200,9 +201,8 @@ def test_spawn_carries_its_name_and_now_moves(harness):
     async def script(h, _a, _b):
         rt = h.runtime
 
-        @coroutine
-        def steps():
-            yield from rt.sleep(0.001)
+        async def steps():
+            await rt.sleep(0.001)
 
         t0 = rt.now()
         handle = rt.spawn(steps(), "conformance-steps")
@@ -218,10 +218,9 @@ def test_cancel_stops_a_task_and_ignores_a_finished_one(harness):
     async def script(h, _a, _b):
         rt = h.runtime
 
-        @coroutine
-        def steps():
+        async def steps():
             try:
-                yield from rt.park({}, "never")
+                await rt.park({}, "never")
             except BaseException:
                 return "stopped"
 
@@ -245,10 +244,12 @@ def test_a_cancel_that_races_the_result_of_bounded_is_not_lost():
     async def main():
         event = rt.event()
 
-        @coroutine
-        def steps():
+        async def waited():
+            await rt.wait(event)
+
+        async def steps():
             try:
-                yield from rt.bounded(rt.wait(event), 10)
+                await rt.bounded(waited(), 10)
             except asyncio.CancelledError:
                 return "cancelled"
             return "lost"
@@ -277,6 +278,14 @@ _WAITING = {
     runtime_module._Queue: ("get",),
 }
 
+#: the awaitable leaves: what they yield is the runtime's own event or
+#: future, so a simulator process and an asyncio task each receive theirs
+_LEAVES = {
+    getattr(cls, name)
+    for cls in (runtime_module.SimRuntime, runtime_module.AsyncioRuntime)
+    for name in ("park", "wait", "sleep", "bounded")
+} | {runtime_module._Queue.get}
+
 
 @pytest.mark.parametrize(
     "fn",
@@ -285,12 +294,17 @@ _WAITING = {
     ids=lambda fn: fn.__qualname__,
 )
 def test_every_waiting_method_is_a_generator_based_coroutine(fn):
-    """A real generator function flagged by ``types.coroutine``: the
-    simulator ``yield from``s it, asyncio ``await``s it (as
-    ``tests/core/test_drivers_dual.py`` holds the drivers to)."""
+    """One dialect: every waiting method of the shared bindings is an
+    ``async def``, and only the runtime's leaves are real generator
+    functions flagged by ``types.coroutine`` (the decorator then adds no
+    wrapper).  ``tests/core/test_drivers_dual.py`` holds the drivers to
+    the same rule."""
     fn = getattr(fn, "__func__", fn)  # a classmethod's function
-    assert inspect.isgeneratorfunction(fn)
-    assert fn.__code__.co_flags & inspect.CO_ITERABLE_COROUTINE
+    if fn in _LEAVES:
+        assert inspect.isgeneratorfunction(fn)
+        assert fn.__code__.co_flags & inspect.CO_ITERABLE_COROUTINE
+    else:
+        assert inspect.iscoroutinefunction(fn)
 
 
 def test_the_runtime_protocol_is_small():

@@ -67,10 +67,10 @@ class _PipeEnd(Link):
     def sim(self):
         return self._simulator
 
-    def send_all(self, data: bytes):
+    async def send_all(self, data: bytes):
         if self._broken is not None:
             raise self._broken
-        yield self._simulator.timeout(self._delay)
+        await self._simulator.timeout(self._delay)
         if self._broken is not None:
             raise self._broken
         if self.silent:
@@ -80,7 +80,7 @@ class _PipeEnd(Link):
         self.peer._buf.extend(data)
         self.peer._wake()
 
-    def recv(self, maxbytes: int):
+    async def recv(self, maxbytes: int):
         while True:
             if self._buf:
                 take = bytes(self._buf[:maxbytes])
@@ -92,7 +92,7 @@ class _PipeEnd(Link):
                 return b""
             ev = self._simulator.event()
             self._waiters.append(ev)
-            yield ev
+            await ev
 
     def _wake(self, exc=None) -> None:
         waiters, self._waiters = self._waiters, []
@@ -157,13 +157,12 @@ class SimSessions(dual.SimHarness):
         self.responder = SessionLink(
             b, sid=_SID, role=SessionLink.RESPONDER, config=self.config)
 
-        def reconnect(_session):
+        async def reconnect(_session):
             if self.refuse:
                 raise TcpError("no path to peer")
             na, nb = _pipe_pair(sim)
             sim.process(_reattach(self.responder, nb), name="test-reattach")
             return na
-            yield  # pragma: no cover - makes this a generator
 
         initiator = SessionLink(
             a, sid=_SID, role=SessionLink.INITIATOR, config=self.config,
@@ -190,13 +189,13 @@ class SimSessions(dual.SimHarness):
             b, sid=_SID, role=SessionLink.RESPONDER, config=self.config)
 
 
-def _reattach(responder, raw):
+async def _reattach(responder, raw):
     """What a node's registry does with a re-established link: read the
     RESUME it opens with and hand both to the session; a failed re-attach
     leaves the session recovering, and the initiator retries."""
     try:
-        peer = yield from read_resume(raw)
-        yield from responder._reattach(raw, peer)
+        peer = await read_resume(raw)
+        await responder._reattach(raw, peer)
     except Exception:
         pass
 

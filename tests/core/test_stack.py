@@ -125,17 +125,17 @@ class TestBuild:
         inet, a, b = two_public_hosts()
         out = {}
 
-        def srv():
+        async def srv():
             listener = listen(b, 5000, backlog=n)
             out["b"] = []
             for _ in range(n):
-                s = yield from listener.accept()
+                s = await listener.accept()
                 out["b"].append(TcpLink(s, "client_server"))
 
-        def cli():
+        async def cli():
             out["a"] = []
             for _ in range(n):
-                s = yield from connect(a, (b.ip, 5000))
+                s = await connect(a, (b.ip, 5000))
                 out["a"].append(TcpLink(s, "client_server"))
 
         inet.sim.process(srv())

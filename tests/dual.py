@@ -10,14 +10,13 @@ layer on top (``tests/mux/conftest.py`` establishes mux endpoints,
 and :class:`LiveRelay` hand it two clients registered at one relay.
 
 The sim side works because ``await`` only forwards whatever the awaited
-object yields: wrapping a simulator generator in an object whose
-``__await__`` does ``yield from`` lets a coroutine carry simulator events
-up to the process that drives it, so one script body suits both.
+object yields: a simulator process drives a coroutine as it drives a
+generator, and the simulator's leaves (socket IO, events) are awaitable,
+so one script body suits both.
 """
 
 import asyncio
 import contextlib
-import inspect
 
 from repro.core.links import TcpLink, transport_errors
 from repro.core.relay import RelayClient, RelayServer
@@ -32,26 +31,9 @@ from repro.simnet.testing import two_public_hosts
 from .livenet.conftest import LIVENET_DEADLINE, eventually, socket_pairs
 
 
-class _Steps:
-    """Awaitable view of a simulator generator."""
-
-    def __init__(self, gen):
-        self._gen = gen
-
-    def __await__(self):
-        return (yield from self._gen)
-
-
-def _drive(coro):
-    """Simulator process body that runs a coroutine to completion: a native
-    one through ``__await__``; a generator-based one (a driver method) is
-    its own steps."""
-    return (yield from (coro if inspect.isgenerator(coro) else coro.__await__()))
-
-
-class _FrameIO:
-    """``core.wire``'s frame IO is a generator-based coroutine: the same
-    call is awaitable on both bindings."""
+class _StreamIO:
+    """A stream's calls and ``core.wire``'s frame IO are awaitable on both
+    bindings as they are."""
 
     def send_frame(self, stream, body):
         return send_frame(stream, body)
@@ -59,8 +41,17 @@ class _FrameIO:
     def recv_frame(self, stream):
         return recv_frame(stream)
 
+    def send(self, stream, data):
+        return stream.send_all(data)
 
-class SimHarness(_FrameIO):
+    def recv(self, stream, maxbytes):
+        return stream.recv(maxbytes)
+
+    def recv_exactly(self, stream, n):
+        return stream.recv_exactly(n)
+
+
+class SimHarness(_StreamIO):
     """Runs a script over two simulated hosts and one TCP connection."""
 
     def setup(self):
@@ -68,12 +59,12 @@ class SimHarness(_FrameIO):
         inet, a, b = two_public_hosts()
         links = {}
 
-        def srv():
-            sock = yield from listen(b, 5000).accept()
+        async def srv():
+            sock = await listen(b, 5000).accept()
             links["resp"] = TcpLink(sock, "client_server")
 
-        def cli():
-            sock = yield from connect(a, (b.ip, 5000))
+        async def cli():
+            sock = await connect(a, (b.ip, 5000))
             links["ini"] = TcpLink(sock, "client_server")
 
         inet.sim.process(srv())
@@ -85,7 +76,7 @@ class SimHarness(_FrameIO):
         self.sim, ini, resp = self.setup()
         self.runtime = SimRuntime(self.sim)
         self.carrier_errors = transport_errors()
-        done = self.sim.process(_drive(script(self, ini, resp)))
+        done = self.sim.process(script(self, ini, resp))
         self.sim.run(until=self.sim.now + until)
         assert done.triggered, "script never finished (deadlock?)"
         return done.value
@@ -103,28 +94,16 @@ class SimHarness(_FrameIO):
             assert self.sim.now < deadline, f"never became true: {predicate!r}"
             await self.sleep(step)
 
-    def gather(self, *coros):
-        procs = [self.sim.process(_drive(c)) for c in coros]
-
-        def steps():
-            yield all_of(self.sim, procs)
-            return [p.value for p in procs]
-        return _Steps(steps())
+    async def gather(self, *coros):
+        procs = [self.sim.process(c) for c in coros]
+        await all_of(self.sim, procs)
+        return [p.value for p in procs]
 
     def spawn(self, coro, name="script"):
-        return self.runtime.spawn(_drive(coro), name)
-
-    def send(self, stream, data):
-        return _Steps(stream.send_all(data))
-
-    def recv(self, stream, maxbytes):
-        return _Steps(stream.recv(maxbytes))
-
-    def recv_exactly(self, stream, n):
-        return _Steps(stream.recv_exactly(n))
+        return self.runtime.spawn(coro, name)
 
 
-class LiveHarness(_FrameIO):
+class LiveHarness(_StreamIO):
     """Runs a script in a fresh event loop over one loopback connection.
 
     ``sleep`` takes the script's (simulated-scale) seconds and waits a
@@ -168,19 +147,9 @@ class LiveHarness(_FrameIO):
         self._spawned.append(self.runtime.spawn(coro, name))  # keep a reference
         return self._spawned[-1]
 
-    def send(self, stream, data):
-        return stream.send_all(data)
-
-    def recv(self, stream, maxbytes):
-        return stream.recv(maxbytes)
-
-    def recv_exactly(self, stream, n):
-        return stream.recv_exactly(n)
-
 
 class _RelayCalls:
-    """A relay client's calls are generator-based coroutines: awaitable on
-    both bindings as they are."""
+    """A relay client's calls are awaitable on both bindings as they are."""
 
     def connect(self, client):
         return client.connect()
@@ -216,9 +185,9 @@ class SimRelay(_RelayCalls, SimHarness):
         host = self.inet.add_public_host("mute")
         listener, held = listen(host, 4100), []
 
-        def hold():
+        async def hold():
             while True:
-                held.append((yield from listener.accept()))
+                held.append(await listener.accept())
 
         self.spawn(hold(), "mute-peer")
         return (host.ip, 4100)

@@ -26,14 +26,14 @@ def _run_collective(sc, members, clusters, instances, body, wan_aware=True, unti
     """Run `body(group, ibis)` on every member; returns {member: result}."""
     results = {}
 
-    def member_proc(name):
+    async def member_proc(name):
         ibis = instances[name]
-        yield from ibis.start()
+        await ibis.start()
         group = CollectiveGroup(
             ibis, "g", members, clusters, root=members[0], wan_aware=wan_aware
         )
-        yield from group.setup()
-        results[name] = yield from body(group, ibis)
+        await group.setup()
+        results[name] = await body(group, ibis)
 
     for name in members:
         sc.sim.process(member_proc(name))
@@ -79,9 +79,9 @@ class TestOperations:
     def test_broadcast_reaches_everyone(self):
         sc, members, clusters, instances = _grid(n_clusters=2, per_cluster=2)
 
-        def body(group, ibis):
+        async def body(group, ibis):
             value = {"data": 42} if ibis.name == members[0] else None
-            result = yield from group.broadcast(value)
+            result = await group.broadcast(value)
             return result
 
         results = _run_collective(sc, members, clusters, instances, body)
@@ -90,9 +90,9 @@ class TestOperations:
     def test_reduce_combines_all_contributions(self):
         sc, members, clusters, instances = _grid(n_clusters=2, per_cluster=2)
 
-        def body(group, ibis):
+        async def body(group, ibis):
             contribution = int(ibis.name[-1]) + 10 * int(ibis.name[1])
-            result = yield from group.reduce(contribution, lambda a, b: a + b)
+            result = await group.reduce(contribution, lambda a, b: a + b)
             return result
 
         results = _run_collective(sc, members, clusters, instances, body)
@@ -103,8 +103,8 @@ class TestOperations:
     def test_allreduce_everyone_gets_the_sum(self):
         sc, members, clusters, instances = _grid(n_clusters=3, per_cluster=2)
 
-        def body(group, ibis):
-            result = yield from group.allreduce(1, lambda a, b: a + b)
+        async def body(group, ibis):
+            result = await group.allreduce(1, lambda a, b: a + b)
             return result
 
         results = _run_collective(sc, members, clusters, instances, body)
@@ -115,12 +115,12 @@ class TestOperations:
         arrivals = {}
         departures = {}
 
-        def body(group, ibis):
+        async def body(group, ibis):
             # Members arrive at the barrier at staggered times.
             delay = 0.5 * int(ibis.name[-1]) + int(ibis.name[1])
-            yield sc.sim.timeout(delay)
+            await sc.sim.timeout(delay)
             arrivals[ibis.name] = sc.sim.now
-            yield from group.barrier()
+            await group.barrier()
             departures[ibis.name] = sc.sim.now
             return True
 
@@ -130,10 +130,10 @@ class TestOperations:
     def test_back_to_back_collectives_stay_ordered(self):
         sc, members, clusters, instances = _grid(n_clusters=2, per_cluster=2)
 
-        def body(group, ibis):
+        async def body(group, ibis):
             out = []
             for round_no in range(4):
-                value = yield from group.allreduce(round_no, lambda a, b: max(a, b))
+                value = await group.allreduce(round_no, lambda a, b: max(a, b))
                 out.append(value)
             return out
 
@@ -143,9 +143,9 @@ class TestOperations:
     def test_flat_mode_works_too(self):
         sc, members, clusters, instances = _grid(n_clusters=2, per_cluster=2)
 
-        def body(group, ibis):
+        async def body(group, ibis):
             value = "flat!" if ibis.name == members[0] else None
-            return (yield from group.broadcast(value))
+            return await group.broadcast(value)
 
         results = _run_collective(
             sc, members, clusters, instances, body, wan_aware=False

@@ -18,13 +18,13 @@ def _two_node_setup(kind_a="open", kind_b="open", seed=31, **ibis_kwargs):
     return sc, ia, ib
 
 
-def _connect_with_retry(sc, send_port, target, spec=None):
+async def _connect_with_retry(sc, send_port, target, spec=None):
     while True:
         try:
-            yield from send_port.connect(target, spec=spec)
+            await send_port.connect(target, spec=spec)
             return
         except Exception:
-            yield sc.sim.timeout(0.2)
+            await sc.sim.timeout(0.2)
 
 
 class TestBasicMessaging:
@@ -32,21 +32,21 @@ class TestBasicMessaging:
         sc, ia, ib = _two_node_setup()
         res = {}
 
-        def receiver():
-            yield from ib.start()
-            port = yield from ib.create_receive_port("in")
-            msg = yield from port.receive()
+        async def receiver():
+            await ib.start()
+            port = await ib.create_receive_port("in")
+            msg = await port.receive()
             res["value"] = msg.read_int()
             res["origin"] = msg.origin
             msg.finish()
 
-        def sender():
-            yield from ia.start()
+        async def sender():
+            await ia.start()
             sp = ia.create_send_port("out")
-            yield from _connect_with_retry(sc, sp, "in")
+            await _connect_with_retry(sc, sp, "in")
             m = sp.new_message()
             m.write_int(99)
-            yield from m.finish()
+            await m.finish()
 
         sc.sim.process(receiver())
         sc.sim.process(sender())
@@ -57,21 +57,21 @@ class TestBasicMessaging:
         sc, ia, ib = _two_node_setup()
         res = {"got": []}
 
-        def receiver():
-            yield from ib.start()
-            port = yield from ib.create_receive_port("in")
+        async def receiver():
+            await ib.start()
+            port = await ib.create_receive_port("in")
             for _ in range(10):
-                msg = yield from port.receive()
+                msg = await port.receive()
                 res["got"].append(msg.read_int())
 
-        def sender():
-            yield from ia.start()
+        async def sender():
+            await ia.start()
             sp = ia.create_send_port("out")
-            yield from _connect_with_retry(sc, sp, "in")
+            await _connect_with_retry(sc, sp, "in")
             for i in range(10):
                 m = sp.new_message()
                 m.write_int(i)
-                yield from m.finish()
+                await m.finish()
 
         sc.sim.process(receiver())
         sc.sim.process(sender())
@@ -82,24 +82,24 @@ class TestBasicMessaging:
         sc, ia, ib = _two_node_setup("firewall", "firewall")
         res = {}
 
-        def receiver():
-            yield from ib.start()
-            port = yield from ib.create_receive_port("in")
-            msg = yield from port.receive()
+        async def receiver():
+            await ib.start()
+            port = await ib.create_receive_port("in")
+            msg = await port.receive()
             res["s"] = msg.read_string()
             res["arr"] = list(msg.read_array())
             res["obj"] = msg.read_object()
             msg.finish()
 
-        def sender():
-            yield from ia.start()
+        async def sender():
+            await ia.start()
             sp = ia.create_send_port("out")
-            yield from _connect_with_retry(sc, sp, "in")
+            await _connect_with_retry(sc, sp, "in")
             m = sp.new_message()
             m.write_string("résult")
             m.write_array(array.array("d", [0.5, 1.5]))
             m.write_object({"k": (1, 2)})
-            yield from m.finish()
+            await m.finish()
 
         sc.sim.process(receiver())
         sc.sim.process(sender())
@@ -118,20 +118,20 @@ class TestGroupCommunication:
         workers = [sc.add_ibis(s, f"w{i}") for i, s in enumerate(["B", "C"])]
         res = {}
 
-        def worker(ibis, i):
-            yield from ibis.start()
-            port = yield from ibis.create_receive_port(f"worker-{i}")
-            msg = yield from port.receive()
+        async def worker(ibis, i):
+            await ibis.start()
+            port = await ibis.create_receive_port(f"worker-{i}")
+            msg = await port.receive()
             res[f"w{i}"] = msg.read_string()
 
-        def root():
-            yield from sender_ibis.start()
+        async def root():
+            await sender_ibis.start()
             sp = sender_ibis.create_send_port("bcast")
             for i in range(2):
-                yield from _connect_with_retry(sc, sp, f"worker-{i}")
+                await _connect_with_retry(sc, sp, f"worker-{i}")
             m = sp.new_message()
             m.write_string("broadcast!")
-            yield from m.finish()
+            await m.finish()
 
         for i, w in enumerate(workers):
             sc.sim.process(worker(w, i))
@@ -149,20 +149,20 @@ class TestGroupCommunication:
         sources = [sc.add_ibis(s, f"src{i}") for i, s in enumerate(["B", "C"])]
         res = {"got": {}}
 
-        def sink_proc():
-            yield from sink.start()
-            port = yield from sink.create_receive_port("gather")
+        async def sink_proc():
+            await sink.start()
+            port = await sink.create_receive_port("gather")
             for _ in range(2):
-                msg = yield from port.receive()
+                msg = await port.receive()
                 res["got"][msg.origin] = msg.read_int()
 
-        def source_proc(ibis, value):
-            yield from ibis.start()
+        async def source_proc(ibis, value):
+            await ibis.start()
             sp = ibis.create_send_port("out")
-            yield from _connect_with_retry(sc, sp, "gather")
+            await _connect_with_retry(sc, sp, "gather")
             m = sp.new_message()
             m.write_int(value)
-            yield from m.finish()
+            await m.finish()
 
         sc.sim.process(sink_proc())
         for i, src in enumerate(sources):
@@ -176,11 +176,11 @@ class TestRuntimeBehaviour:
         sc, ia, ib = _two_node_setup()
         res = {}
 
-        def proc():
-            yield from ia.start()
+        async def proc():
+            await ia.start()
             sp = ia.create_send_port("out")
             try:
-                yield from sp.connect("no-such-port")
+                await sp.connect("no-such-port")
             except Exception as exc:
                 res["error"] = type(exc).__name__
 
@@ -192,19 +192,19 @@ class TestRuntimeBehaviour:
         sc, ia, ib = _two_node_setup("firewall", "firewall")
         res = {}
 
-        def receiver():
-            yield from ib.start()
-            port = yield from ib.create_receive_port("in")
-            msg = yield from port.receive()
+        async def receiver():
+            await ib.start()
+            port = await ib.create_receive_port("in")
+            msg = await port.receive()
             res["data"] = msg.read_bytes()
 
-        def sender():
-            yield from ia.start()
+        async def sender():
+            await ia.start()
             sp = ia.create_send_port("out")
-            yield from _connect_with_retry(sc, sp, "in", spec=StackSpec.parse("compress|parallel:2"))
+            await _connect_with_retry(sc, sp, "in", spec=StackSpec.parse("compress|parallel:2"))
             m = sp.new_message()
             m.write_bytes(b"pattern" * 5000)
-            yield from m.finish()
+            await m.finish()
 
         sc.sim.process(receiver())
         sc.sim.process(sender())
@@ -214,8 +214,8 @@ class TestRuntimeBehaviour:
     def test_send_without_connect_fails(self):
         sc, ia, ib = _two_node_setup()
 
-        def proc():
-            yield from ia.start()
+        async def proc():
+            await ia.start()
             sp = ia.create_send_port("out")
             with pytest.raises(PortClosed, match="not connected"):
                 sp.new_message()
@@ -227,14 +227,14 @@ class TestRuntimeBehaviour:
         sc, ia, ib = _two_node_setup()
         res = {}
 
-        def a():
-            yield from ia.start()
-            res["a"] = yield from ia.elect("coordinator")
+        async def a():
+            await ia.start()
+            res["a"] = await ia.elect("coordinator")
 
-        def b():
-            yield from ib.start()
-            yield sc.sim.timeout(5.0)
-            res["b"] = yield from ib.elect("coordinator")
+        async def b():
+            await ib.start()
+            await sc.sim.timeout(5.0)
+            res["b"] = await ib.elect("coordinator")
 
         sc.sim.process(a())
         sc.sim.process(b())
@@ -245,18 +245,18 @@ class TestRuntimeBehaviour:
         sc, ia, ib = _two_node_setup()
         res = {}
 
-        def a():
-            yield from ia.start()
-            yield from ia.create_receive_port("temp")
-            yield from ia.leave()
+        async def a():
+            await ia.start()
+            await ia.create_receive_port("temp")
+            await ia.leave()
             res["left"] = True
 
-        def b():
-            yield from ib.start()
-            yield sc.sim.timeout(10.0)
+        async def b():
+            await ib.start()
+            await sc.sim.timeout(10.0)
             sp = ib.create_send_port("out")
             try:
-                yield from sp.connect("temp")
+                await sp.connect("temp")
                 res["connected"] = True
             except Exception:
                 res["connected"] = False
@@ -270,20 +270,20 @@ class TestRuntimeBehaviour:
         sc, ia, ib = _two_node_setup()
         res = {}
 
-        def receiver():
-            yield from ib.start()
-            port = yield from ib.create_receive_port("in")
+        async def receiver():
+            await ib.start()
+            port = await ib.create_receive_port("in")
             res["empty"] = port.poll()
-            msg = yield from port.receive()
+            msg = await port.receive()
             res["value"] = msg.read_int()
 
-        def sender():
-            yield from ia.start()
+        async def sender():
+            await ia.start()
             sp = ia.create_send_port("out")
-            yield from _connect_with_retry(sc, sp, "in")
+            await _connect_with_retry(sc, sp, "in")
             m = sp.new_message()
             m.write_int(5)
-            yield from m.finish()
+            await m.finish()
 
         sc.sim.process(receiver())
         sc.sim.process(sender())
@@ -311,28 +311,28 @@ class TestFastOpen:
             spec = StackSpec.parse("tcp_block|mux")
             res = {}
 
-            def receiver():
-                yield from ib.start()
-                p1 = yield from ib.create_receive_port("in1")
-                p2 = yield from ib.create_receive_port("in2")
-                m1 = yield from p1.receive()
+            async def receiver():
+                await ib.start()
+                p1 = await ib.create_receive_port("in1")
+                p2 = await ib.create_receive_port("in2")
+                m1 = await p1.receive()
                 res["v1"] = m1.read_int()
                 m1.finish()
-                m2 = yield from p2.receive()
+                m2 = await p2.receive()
                 res["v2"] = m2.read_int()
                 res["origin2"] = m2.origin
                 m2.finish()
 
-            def sender():
-                yield from ia.start()
+            async def sender():
+                await ia.start()
                 sp1 = ia.create_send_port("out1")
                 sp2 = ia.create_send_port("out2")
-                yield from _connect_with_retry(sc, sp1, "in1", spec=spec)
-                yield from _connect_with_retry(sc, sp2, "in2", spec=spec)
+                await _connect_with_retry(sc, sp1, "in1", spec=spec)
+                await _connect_with_retry(sc, sp2, "in2", spec=spec)
                 for sp, value in ((sp1, 1), (sp2, 2)):
                     m = sp.new_message()
                     m.write_int(value)
-                    yield from m.finish()
+                    await m.finish()
 
             sc.sim.process(receiver())
             sc.sim.process(sender())
@@ -355,25 +355,25 @@ class TestFastOpen:
             sc, ia, ib = _two_node_setup()
             res = {}
 
-            def receiver():
-                yield from ib.start()
-                p1 = yield from ib.create_receive_port("in1")
-                p2 = yield from ib.create_receive_port("in2")
+            async def receiver():
+                await ib.start()
+                p1 = await ib.create_receive_port("in1")
+                p2 = await ib.create_receive_port("in2")
                 for key, port in (("v1", p1), ("v2", p2)):
-                    msg = yield from port.receive()
+                    msg = await port.receive()
                     res[key] = msg.read_int()
                     msg.finish()
 
-            def sender():
-                yield from ia.start()
+            async def sender():
+                await ia.start()
                 sp1 = ia.create_send_port("out1")
                 sp2 = ia.create_send_port("out2")
-                yield from _connect_with_retry(sc, sp1, "in1")
-                yield from _connect_with_retry(sc, sp2, "in2")
+                await _connect_with_retry(sc, sp1, "in1")
+                await _connect_with_retry(sc, sp2, "in2")
                 for sp, value in ((sp1, 1), (sp2, 2)):
                     m = sp.new_message()
                     m.write_int(value)
-                    yield from m.finish()
+                    await m.finish()
 
             sc.sim.process(receiver())
             sc.sim.process(sender())

@@ -27,11 +27,11 @@ def _info(name, ip):
 def test_register_and_lookup_node():
     inet, server, [(h0, c0), (h1, c1)] = _setup()
 
-    def proc():
-        yield from c0.connect()
-        yield from c0.register("n0", _info("n0", h0.ip))
-        yield from c1.connect()
-        info = yield from c1.lookup_node("n0")
+    async def proc():
+        await c0.connect()
+        await c0.register("n0", _info("n0", h0.ip))
+        await c1.connect()
+        info = await c1.lookup_node("n0")
         assert info.node_id == "n0"
         assert info.local_ip == h0.ip
 
@@ -41,12 +41,12 @@ def test_register_and_lookup_node():
 def test_duplicate_node_rejected():
     inet, server, [(h0, c0), (h1, c1)] = _setup()
 
-    def proc():
-        yield from c0.connect()
-        yield from c0.register("same", _info("same", h0.ip))
-        yield from c1.connect()
+    async def proc():
+        await c0.connect()
+        await c0.register("same", _info("same", h0.ip))
+        await c1.connect()
         with pytest.raises(RegistryError, match="already registered"):
-            yield from c1.register("same", _info("same", h1.ip))
+            await c1.register("same", _info("same", h1.ip))
 
     drive(inet.sim, proc())
 
@@ -54,10 +54,10 @@ def test_duplicate_node_rejected():
 def test_lookup_unknown_fails():
     inet, server, [(h0, c0)] = _setup(1)
 
-    def proc():
-        yield from c0.connect()
+    async def proc():
+        await c0.connect()
         with pytest.raises(RegistryError, match="unknown node"):
-            yield from c0.lookup_node("ghost")
+            await c0.lookup_node("ghost")
 
     drive(inet.sim, proc())
 
@@ -65,12 +65,12 @@ def test_lookup_unknown_fails():
 def test_port_registration_and_lookup():
     inet, server, [(h0, c0), (h1, c1)] = _setup()
 
-    def proc():
-        yield from c0.connect()
-        yield from c0.register("owner", _info("owner", h0.ip))
-        yield from c0.register_port("work-in", "owner")
-        yield from c1.connect()
-        owner, info = yield from c1.lookup_port("work-in")
+    async def proc():
+        await c0.connect()
+        await c0.register("owner", _info("owner", h0.ip))
+        await c0.register_port("work-in", "owner")
+        await c1.connect()
+        owner, info = await c1.lookup_port("work-in")
         assert owner == "owner"
         assert info.local_ip == h0.ip
 
@@ -80,10 +80,10 @@ def test_port_registration_and_lookup():
 def test_port_requires_registered_owner():
     inet, server, [(h0, c0)] = _setup(1)
 
-    def proc():
-        yield from c0.connect()
+    async def proc():
+        await c0.connect()
         with pytest.raises(RegistryError, match="not registered"):
-            yield from c0.register_port("p", "nobody")
+            await c0.register_port("p", "nobody")
 
     drive(inet.sim, proc())
 
@@ -91,13 +91,13 @@ def test_port_requires_registered_owner():
 def test_unregister_port():
     inet, server, [(h0, c0)] = _setup(1)
 
-    def proc():
-        yield from c0.connect()
-        yield from c0.register("o", _info("o", h0.ip))
-        yield from c0.register_port("p", "o")
-        yield from c0.unregister_port("p")
+    async def proc():
+        await c0.connect()
+        await c0.register("o", _info("o", h0.ip))
+        await c0.register_port("p", "o")
+        await c0.unregister_port("p")
         with pytest.raises(RegistryError, match="unknown port"):
-            yield from c0.lookup_port("p")
+            await c0.lookup_port("p")
 
     drive(inet.sim, proc())
 
@@ -105,11 +105,11 @@ def test_unregister_port():
 def test_election_first_wins():
     inet, server, [(h0, c0), (h1, c1)] = _setup()
 
-    def proc():
-        yield from c0.connect()
-        yield from c1.connect()
-        first = yield from c0.elect("leader", "n0")
-        second = yield from c1.elect("leader", "n1")
+    async def proc():
+        await c0.connect()
+        await c1.connect()
+        first = await c0.elect("leader", "n0")
+        second = await c1.elect("leader", "n1")
         assert first == "n0"
         assert second == "n0"  # already decided
 
@@ -119,16 +119,16 @@ def test_election_first_wins():
 def test_leave_removes_node_and_its_ports():
     inet, server, [(h0, c0), (h1, c1)] = _setup()
 
-    def proc():
-        yield from c0.connect()
-        yield from c0.register("o", _info("o", h0.ip))
-        yield from c0.register_port("p", "o")
-        yield from c0.leave("o")
-        yield from c1.connect()
+    async def proc():
+        await c0.connect()
+        await c0.register("o", _info("o", h0.ip))
+        await c0.register_port("p", "o")
+        await c0.leave("o")
+        await c1.connect()
         with pytest.raises(RegistryError):
-            yield from c1.lookup_node("o")
+            await c1.lookup_node("o")
         with pytest.raises(RegistryError):
-            yield from c1.lookup_port("p")
+            await c1.lookup_port("p")
 
     drive(inet.sim, proc())
 
@@ -137,16 +137,16 @@ def test_disconnect_cleans_up_registration():
     inet, server, [(h0, c0), (h1, c1)] = _setup()
     result = {}
 
-    def proc0():
-        yield from c0.connect()
-        yield from c0.register("transient", _info("transient", h0.ip))
+    async def proc0():
+        await c0.connect()
+        await c0.register("transient", _info("transient", h0.ip))
         c0.close()
 
-    def proc1():
-        yield inet.sim.timeout(5.0)
-        yield from c1.connect()
+    async def proc1():
+        await inet.sim.timeout(5.0)
+        await c1.connect()
         try:
-            yield from c1.lookup_node("transient")
+            await c1.lookup_node("transient")
             result["found"] = True
         except RegistryError:
             result["found"] = False
@@ -160,12 +160,12 @@ def test_disconnect_cleans_up_registration():
 def test_list_nodes():
     inet, server, [(h0, c0), (h1, c1)] = _setup()
 
-    def proc():
-        yield from c0.connect()
-        yield from c0.register("a", _info("a", h0.ip))
-        yield from c1.connect()
-        yield from c1.register("b", _info("b", h1.ip))
-        names = yield from c1.list_nodes()
+    async def proc():
+        await c0.connect()
+        await c0.register("a", _info("a", h0.ip))
+        await c1.connect()
+        await c1.register("b", _info("b", h1.ip))
+        names = await c1.list_nodes()
         assert sorted(names) == ["a", "b"]
 
     drive(inet.sim, proc())
@@ -176,12 +176,12 @@ def test_oversized_frame_costs_the_sender_its_connection_only():
     loop did not catch the ``WireError`` its own ``recv_frame`` raises."""
     inet, server, [(h0, _c0), (h1, c1)] = _setup()
 
-    def proc():
-        rogue = yield from connect(h0, server.addr)
-        yield from rogue.send_all(b"\x7f\xff\xff\xff")
-        assert (yield from rogue.recv(1)) == b""  # dropped, without a reply
-        yield from c1.connect()
-        yield from c1.register("n1", _info("n1", h1.ip))
-        assert (yield from c1.list_nodes()) == ["n1"]
+    async def proc():
+        rogue = await connect(h0, server.addr)
+        await rogue.send_all(b"\x7f\xff\xff\xff")
+        assert (await rogue.recv(1)) == b""  # dropped, without a reply
+        await c1.connect()
+        await c1.register("n1", _info("n1", h1.ip))
+        assert (await c1.list_nodes()) == ["n1"]
 
     drive(inet.sim, proc())

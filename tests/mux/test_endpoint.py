@@ -9,7 +9,6 @@ a frame on the carrier.  Scheduling fairness is timing-shaped, so it stays
 on the simulator's deterministic clock.
 """
 
-from types import coroutine
 
 import pytest
 
@@ -396,9 +395,8 @@ class _OwnErrorCarrier:
         self.inner = inner
         self.dead = False
 
-    @coroutine
-    def recv_exactly(self, n):
-        data = yield from self.inner.recv_exactly(n)
+    async def recv_exactly(self, n):
+        data = await self.inner.recv_exactly(n)
         if self.dead:
             raise _CarrierFailed("the carrier failed under its reader")
         return data
@@ -417,13 +415,12 @@ class _SlowCarrier:
         self.writes = 0
         self.fail_at = None
 
-    @coroutine
-    def send_all(self, data):
+    async def send_all(self, data):
         self.writes += 1
         if self.fail_at is not None and self.writes >= self.fail_at:
             raise ConnectionResetError("carrier gone mid-turn")
-        yield from self.inner.send_all(data)
-        yield from self.runtime.sleep(0)
+        await self.inner.send_all(data)
+        await self.runtime.sleep(0)
 
     def __getattr__(self, name):
         return getattr(self.inner, name)

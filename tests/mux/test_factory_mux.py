@@ -18,26 +18,26 @@ def _run_channel(kind_a, kind_b, spec, payload, seed=11, until=600):
     node_b = sc.add_node("B", "b")
     res = {"node_a": node_a, "node_b": node_b}
 
-    def run_a():
-        yield from node_a.start()
+    async def run_a():
+        await node_a.start()
         while not node_b.relay_client.connected:
-            yield sc.sim.timeout(0.05)
-        service = yield from node_a.open_service_link("b")
+            await sc.sim.timeout(0.05)
+        service = await node_a.open_service_link("b")
         factory = BrokeredConnectionFactory(node_a)
-        channel = yield from factory.connect(service, node_b.info, spec=spec)
-        yield from channel.send_message(payload)
-        res["echo"] = yield from channel.recv_message()
+        channel = await factory.connect(service, node_b.info, spec=spec)
+        await channel.send_message(payload)
+        res["echo"] = await channel.recv_message()
         res["channel"] = channel
         channel.close()
 
-    def run_b():
-        yield from node_b.start()
-        _peer, service = yield from node_b.accept_service_link()
+    async def run_b():
+        await node_b.start()
+        _peer, service = await node_b.accept_service_link()
         factory = BrokeredConnectionFactory(node_b)
-        channel = yield from factory.accept(service)
-        msg = yield from channel.recv_message()
+        channel = await factory.accept(service)
+        msg = await channel.recv_message()
         res["received"] = msg
-        yield from channel.send_message(msg)
+        await channel.send_message(msg)
         res["channel_b"] = channel
 
     sc.sim.process(run_a())
@@ -132,29 +132,29 @@ class TestFactoryMux:
             spec = StackSpec.parse("tcp_block|mux")
             res = {}
 
-            def run_a():
-                yield from node_a.start()
+            async def run_a():
+                await node_a.start()
                 while not node_b.relay_client.connected:
-                    yield sim.timeout(0.05)
+                    await sim.timeout(0.05)
                 factory = BrokeredConnectionFactory(node_a)
                 channels = []
                 for i in range(2):
-                    service = yield from node_a.open_service_link("b")
-                    ch = yield from factory.connect(
+                    service = await node_a.open_service_link("b")
+                    ch = await factory.connect(
                         service, node_b.info, spec=spec
                     )
-                    yield from ch.send_message(b"conv-%d" % i)
+                    await ch.send_message(b"conv-%d" % i)
                     channels.append(ch)
                 res["channels"] = channels
 
-            def run_b():
-                yield from node_b.start()
+            async def run_b():
+                await node_b.start()
                 factory = BrokeredConnectionFactory(node_b)
                 got = []
                 for _ in range(2):
-                    _peer, service = yield from node_b.accept_service_link()
-                    ch = yield from factory.accept(service)
-                    got.append((yield from ch.recv_message()))
+                    _peer, service = await node_b.accept_service_link()
+                    ch = await factory.accept(service)
+                    got.append(await ch.recv_message())
                 res["got"] = got
 
             sim.process(run_a())
@@ -182,28 +182,28 @@ class TestFactoryMux:
         spec = StackSpec.tcp().with_mux()
         res = {}
 
-        def receiver():
-            yield from beta.start()
-            in1 = yield from beta.create_receive_port("in1")
-            in2 = yield from beta.create_receive_port("in2")
-            res["m1"] = (yield from in1.receive()).read_int()
-            res["m2"] = (yield from in2.receive()).read_int()
+        async def receiver():
+            await beta.start()
+            in1 = await beta.create_receive_port("in1")
+            in2 = await beta.create_receive_port("in2")
+            res["m1"] = (await in1.receive()).read_int()
+            res["m2"] = (await in2.receive()).read_int()
 
-        def sender():
-            yield from alpha.start()
+        async def sender():
+            await alpha.start()
             sp1 = alpha.create_send_port("out1")
             sp2 = alpha.create_send_port("out2")
             for sp, target in ((sp1, "in1"), (sp2, "in2")):
                 while True:
                     try:
-                        yield from sp.connect(target, spec=spec)
+                        await sp.connect(target, spec=spec)
                         break
                     except Exception:
-                        yield sc.sim.timeout(0.2)
+                        await sc.sim.timeout(0.2)
             for sp, value in ((sp1, 7), (sp2, 8)):
                 m = sp.new_message()
                 m.write_int(value)
-                yield from m.finish()
+                await m.finish()
             res["eps"] = {
                 _bottom_links(ch)[0]._ep
                 for sp in (sp1, sp2)

@@ -104,16 +104,16 @@ def _mux_pair(window):
     sim = inet.sim
     out = {}
 
-    def srv():
+    async def srv():
         listener = listen(b, 5000)
-        sock = yield from listener.accept()
-        out["resp"] = yield from MuxEndpoint.establish(
+        sock = await listener.accept()
+        out["resp"] = await MuxEndpoint.establish(
             TcpLink(sock, "client_server"), MuxEndpoint.RESPONDER,
             window=window, node="resp")
 
-    def cli():
-        sock = yield from connect(a, (b.ip, 5000))
-        out["ini"] = yield from MuxEndpoint.establish(
+    async def cli():
+        sock = await connect(a, (b.ip, 5000))
+        out["ini"] = await MuxEndpoint.establish(
             TcpLink(sock, "client_server"), MuxEndpoint.INITIATOR,
             window=window, node="ini")
 
@@ -138,34 +138,34 @@ class TestInterleavings:
         received = {}
         done = []
 
-        def writer(i, opener_ep):
-            yield sim.timeout(rng.random() * 2)
-            ch = yield from opener_ep.open_channel(tag=str(i).encode())
+        async def writer(i, opener_ep):
+            await sim.timeout(rng.random() * 2)
+            ch = await opener_ep.open_channel(tag=str(i).encode())
             remaining = payloads[i]
             while remaining:
                 cut = rng.randrange(1, len(remaining) + 1)
-                yield from ch.send_all(remaining[:cut])
+                await ch.send_all(remaining[:cut])
                 remaining = remaining[cut:]
                 if rng.random() < 0.3:
-                    yield sim.timeout(rng.random() * 0.5)
+                    await sim.timeout(rng.random() * 0.5)
             ch.close()
             done.append(("w", i))
 
-        def reader(ch):
+        async def reader(ch):
             chunks = []
             while True:
-                data = yield from ch.recv(rng.randrange(100, 5000))
+                data = await ch.recv(rng.randrange(100, 5000))
                 if not data:
                     break
                 chunks.append(data)
                 if rng.random() < 0.2:
-                    yield sim.timeout(rng.random() * 0.3)
+                    await sim.timeout(rng.random() * 0.3)
             received[int(ch.tag)] = b"".join(chunks)
             done.append(("r", int(ch.tag)))
 
-        def acceptor(ep, count):
+        async def acceptor(ep, count):
             for _ in range(count):
-                ch = yield from ep.accept_channel()
+                ch = await ep.accept_channel()
                 sim.process(reader(ch), name=f"reader-{ch.channel_id}")
 
         # a random subset of channels opens in the reverse direction

@@ -22,27 +22,27 @@ class TestRelayCrash:
         b = sc.add_node("B", "b")
         res = {}
 
-        def sender():
-            yield from a.start()
+        async def sender():
+            await a.start()
             while not b.relay_client.connected:
-                yield sc.sim.timeout(0.05)
-            link = yield from a.relay_client.open_link("b", payload=b"service")
-            yield from link.send_all(b"before-crash")
-            yield sc.sim.timeout(1.0)
+                await sc.sim.timeout(0.05)
+            link = await a.relay_client.open_link("b", payload=b"service")
+            await link.send_all(b"before-crash")
+            await sc.sim.timeout(1.0)
             sc.relay.stop()  # the relay machine dies
-            yield sc.sim.timeout(5.0)
+            await sc.sim.timeout(5.0)
             try:
-                yield from link.send_all(b"after-crash")
-                data = yield from link.recv(10)
+                await link.send_all(b"after-crash")
+                data = await link.recv(10)
                 res["after"] = data
             except Exception as exc:
                 res["after"] = type(exc).__name__
 
-        def receiver():
-            yield from b.start()
-            link = yield from b.dispatcher.accept_service()
-            res["got"] = yield from link.recv_exactly(12)
-            data = yield from link.recv(10)
+        async def receiver():
+            await b.start()
+            link = await b.dispatcher.accept_service()
+            res["got"] = await link.recv_exactly(12)
+            data = await link.recv(10)
             res["eof"] = data
 
         sc.sim.process(sender())
@@ -100,26 +100,26 @@ class TestTampering:
         tls_b = TlsConfig([ca.certificate], Identity(kb, [cert_b]))
         res = {}
 
-        def sender():
-            yield from src.start()
+        async def sender():
+            await src.start()
             while not dst.relay_client.connected:
-                yield sc.sim.timeout(0.05)
-            service = yield from src.open_service_link("dst")
+                await sc.sim.timeout(0.05)
+            service = await src.open_service_link("dst")
             factory = BrokeredConnectionFactory(src, tls_a)
-            channel = yield from factory.connect(service, dst.info, spec=StackSpec.parse("tls|tcp_block"))
+            channel = await factory.connect(service, dst.info, spec=StackSpec.parse("tls|tcp_block"))
             flipper.armed = True  # handshake done; tamper with data records
             for i in range(20):
-                yield from channel.send_message(b"record-%03d" % i * 50)
+                await channel.send_message(b"record-%03d" % i * 50)
 
-        def receiver():
-            yield from dst.start()
-            _p, service = yield from dst.accept_service_link()
+        async def receiver():
+            await dst.start()
+            _p, service = await dst.accept_service_link()
             factory = BrokeredConnectionFactory(dst, tls_b)
-            channel = yield from factory.accept(service)
+            channel = await factory.accept(service)
             count = 0
             try:
                 while True:
-                    yield from channel.recv_message()
+                    await channel.recv_message()
                     count += 1
             except DriverError as exc:
                 res["error"] = str(exc)
@@ -149,20 +149,20 @@ class TestLossBurst:
             wan_link.a_to_b.retune(loss=0.0)
             wan_link.b_to_a.retune(loss=0.0)
 
-        def server():
+        async def server():
             listener = listen(b, 5000)
-            sock = yield from listener.accept()
+            sock = await listener.accept()
             got = 0
             while got < 4_000_000:
-                data = yield from sock.recv(65536)
+                data = await sock.recv(65536)
                 if not data:
                     break
                 got += len(data)
             res["got"] = got
 
-        def client():
-            sock = yield from connect(a, (b.ip, 5000))
-            yield from sock.send_all(b"z" * 4_000_000)
+        async def client():
+            sock = await connect(a, (b.ip, 5000))
+            await sock.send_all(b"z" * 4_000_000)
             res["retx"] = sock.tcp.retransmits
 
         sim.process(server())
@@ -178,19 +178,19 @@ class TestPeerFailure:
         inet, a, b = two_public_hosts(seed=64)
         res = {}
 
-        def server():
+        async def server():
             listener = listen(b, 5000)
-            sock = yield from listener.accept()
-            yield from sock.recv(1024)
+            sock = await listener.accept()
+            await sock.recv(1024)
             sock.abort()  # process crash
 
-        def client():
-            sock = yield from connect(a, (b.ip, 5000))
+        async def client():
+            sock = await connect(a, (b.ip, 5000))
             try:
                 # Keep pushing until the reset surfaces.
                 for _ in range(1000):
-                    yield from sock.send_all(b"w" * 8192)
-                    yield inet.sim.timeout(0.01)
+                    await sock.send_all(b"w" * 8192)
+                    await inet.sim.timeout(0.01)
                 res["outcome"] = "never-failed"
             except ConnectionReset:
                 res["outcome"] = "reset"
@@ -218,18 +218,18 @@ class TestMiddleboxAmnesia:
 
         from repro.simnet.sockets import connect_simultaneous
 
-        def side_b():
-            sock = yield from connect_simultaneous(b, (a.ip, 7000), 7001)
-            res["first"] = yield from sock.recv_exactly(5)
-            res["second"] = yield from sock.recv(5)  # expected never to arrive
+        async def side_b():
+            sock = await connect_simultaneous(b, (a.ip, 7000), 7001)
+            res["first"] = await sock.recv_exactly(5)
+            res["second"] = await sock.recv(5)  # expected never to arrive
 
-        def side_a():
-            sock = yield from connect_simultaneous(a, (b.ip, 7001), 7000)
-            yield from sock.send_all(b"early")
+        async def side_a():
+            sock = await connect_simultaneous(a, (b.ip, 7001), 7000)
+            await sock.send_all(b"early")
             # Idle far beyond the conntrack timeout; the entry expires.
-            yield sc.sim.timeout(120.0)
-            yield from sock.send_all(b"later")
-            yield sc.sim.timeout(30.0)
+            await sc.sim.timeout(120.0)
+            await sock.send_all(b"later")
+            await sc.sim.timeout(30.0)
             res["sender_retx"] = sock.tcp.retransmits
             sock.abort()
 

