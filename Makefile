@@ -44,7 +44,7 @@ smoke-mux:
 
 # Fleet-scale flow-tier smoke: 100k endpoints fan into one hub across
 # a mid-run partition, full invariant suite, <20s wall-clock (a run takes
-# ≈ 2–3 s) and <95 MB peak-RSS budgets (≈ 83 MB measured; docs/SIMNET.md).
+# ≈ 1.5–2 s) and <80 MB peak-RSS budgets (≈ 69 MB measured; docs/SIMNET.md).
 smoke-flow:
 	$(PYTHON) scripts/smoke_flow.py
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Fleet-scale flow-tier smoke: 100k endpoints, partition, <20s, <95 MB.
+"""Fleet-scale flow-tier smoke: 100k endpoints, partition, <20s, <80 MB.
 
 Runs the ``fleet_fanin`` chaos scenario, which is built on the flow-level
 simulation tier, at 100k endpoints with a mid-run fleet partition and the
@@ -9,14 +9,17 @@ session layer on, and asserts:
   per endpoint, session resume accounting, relay byte accounting);
 * every flow completed and the session layer resumed a non-trivial
   number of stalled transfers across the partition heal;
-* wall-clock stayed under the budget (default 20 s; a run takes ≈ 2–3 s
+* wall-clock stayed under the budget (default 20 s; a run takes ≈ 1.5–2 s
   on a 2-core host) — the whole point of the flow tier;
 * the process never held more than ``RSS_BUDGET_MB`` of peak RSS, which
-  is what 100k endpoints are allowed: ≈ 83 MB measured, ≈ 100 MB while
-  each endpoint was a host, a link and two pipe objects (108 MB with a
-  pending-heap entry and a bound method per flow and a reconnect counter
-  per stalled endpoint), ≈ 190 MB while the fleet wrote a mux ledger of
-  three counters per endpoint, 376 MB before the flow tier's object diet.
+  is what 100k endpoints are allowed: ≈ 69 MB measured, most of it the
+  interpreter's imports and the topology's columns; ≈ 82 MB while a
+  partition heal recorded one span per stalled endpoint (budget 95 MB),
+  ≈ 100 MB while each endpoint was a host, a link and two pipe objects
+  (108 MB with a pending-heap entry and a bound method per flow and a
+  reconnect counter per stalled endpoint), ≈ 190 MB while the fleet
+  wrote a mux ledger of three counters per endpoint, 376 MB before the
+  flow tier's object diet.
 
 Usage::
 
@@ -32,7 +35,7 @@ import sys
 import time
 
 #: peak RSS a 100k-endpoint run may reach (MB)
-RSS_BUDGET_MB = 95.0
+RSS_BUDGET_MB = 80.0
 
 
 def main(argv=None) -> int:

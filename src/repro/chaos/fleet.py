@@ -35,14 +35,18 @@ count:
 
 * ``relay.forwarded_bytes_total`` — incremented at each flow completion
   in lock-step with ``hub.forwarded_bytes``.
-* ``session.reconnects_total{role=initiator}`` + ``session.resume``
-  spans with ``outcome="ok"`` — when a ``link_down`` fault on the hub
-  partitions the fleet and then heals, every flow that stalled
-  mid-stream records exactly one reconnect + one successful resume span
-  (only with ``sessions=True``; without the session layer nothing
-  resumes and both sides of the invariant stay zero).  The reconnects
-  go to one counter labelled ``role`` alone, as a session core labels
-  its own; the endpoint is named only on its span (``node``).
+* ``session.reconnects_total{role=initiator}`` + one ``fleet.heal``
+  span with ``resumed=N`` — when a ``link_down`` fault on the hub
+  partitions the fleet and then heals, the N flows that stalled
+  mid-stream count as N reconnects, incremented at once, and the heal is
+  recorded once, carrying N (only with ``sessions=True``; without the
+  session layer nothing resumes and both sides of the invariant stay
+  zero).  The heal counts the stalled flows without making a record or
+  an object for any of them: the span and the counter cost the same at
+  100 endpoints as at 100 000.  The reconnects go to one counter
+  labelled ``role`` alone, as a session core labels its own.  The
+  invariant suite adds each heal's ``resumed`` to the ok
+  ``session.resume`` spans that the packet tier records one per session.
 
 The flow tier has no mux, so a fleet run writes no ``mux.*`` counters.
 What a per-channel mux ledger would check here — each endpoint's
@@ -259,21 +263,16 @@ class FleetScenario:
         # Everything active with a zero rate right now stalled against the
         # dead hub uplink — whether it was mid-stream when the partition
         # hit or came out of handshake during it.  Each one is a session
-        # the heal just resumed: one reconnect increment, one ok span.
-        # The increments go to one counter, labelled as a session core
-        # labels its own; the span names the endpoint.
-        now = self.sim.now
-        resumed = 0
-        for f in self.net.active_flows():
-            if f.state != "active" or f.rate != 0.0:
-                continue
-            obs.record_span(
-                "session.resume", self._partition_at, now,
-                ctx=TraceContext.new(), node=f.src,
-                sid=f.name, outcome="ok",
-            )
-            resumed += 1
+        # the heal just resumed, and the heal is one record of how many:
+        # one ``fleet.heal`` span and one reconnect increment of that many,
+        # on one counter labelled as a session core labels its own.  No
+        # record is made per stalled flow.
+        resumed = self.net.stalled()
         if resumed:
+            obs.record_span(
+                "fleet.heal", self._partition_at, self.sim.now,
+                ctx=TraceContext.new(), node="hub", resumed=resumed,
+            )
             obs.metrics().counter(
                 "session.reconnects_total", role="initiator"
             ).inc(resumed)

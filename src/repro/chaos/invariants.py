@@ -14,8 +14,12 @@ Three families, mirroring the tentpole spec:
 * **observability** — obs counters agree with what actually moved: the
   relay's forwarded-byte counter matches the server's own accounting,
   every ``establish.attempt`` span has exactly one attempts counter
-  increment, and every successful ``session.resume`` span has exactly
-  one initiator-side reconnect counter increment.
+  increment, and every successful session resume has exactly one
+  initiator-side reconnect counter increment.  A packet-tier session
+  records each resume as an ok ``session.resume`` span; the flow tier
+  records a healed fleet partition as one ``fleet.heal`` span whose
+  ``resumed`` counts the transfers it resumed, so the resumes are the ok
+  spans plus the heals' ``resumed``.
 
 Violations are plain sorted strings so a report is byte-identical across
 reruns of the same ``(scenario, seed, plan)`` triple.
@@ -221,7 +225,9 @@ def obs_consistency_violations(
     # Every successful session resume is driven by the initiator and
     # increments its reconnect counter exactly once — a mismatch means
     # a recovery path bumped the counter without completing (or vice
-    # versa).
+    # versa).  A packet-tier session narrates its resume as one ok
+    # ``session.resume`` span; a flow-tier partition heal narrates all the
+    # transfers it resumed as one ``fleet.heal`` span carrying how many.
     reconnects = sum(
         c.value
         for c in registry.instruments("session.reconnects_total")
@@ -232,10 +238,15 @@ def obs_consistency_violations(
         for s in recorder.spans("session.resume")
         if s.get("attrs", {}).get("outcome") == "ok"
     )
-    if reconnects != resumed:
+    healed = sum(
+        s.get("attrs", {}).get("resumed", 0)
+        for s in recorder.spans("fleet.heal")
+    )
+    if reconnects != resumed + healed:
         violations.append(
             f"obs: initiator session.reconnects_total ({reconnects}) != "
-            f"successful session.resume spans ({resumed})"
+            f"successful session.resume spans ({resumed}) + "
+            f"fleet.heal resumed ({healed})"
         )
     # Causal identity must be well-formed on every stamped record:
     # ids are 16 lowercase hex digits (``is_id``), a parent implies a

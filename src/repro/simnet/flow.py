@@ -633,6 +633,13 @@ class FlowNetwork:
                     for f in batch if f.state == "pending")
         return live
 
+    def stalled(self) -> int:
+        """How many flows past their handshake the last solve left at rate
+        zero (a down link on their path): a count, not a list of them."""
+        return sum(
+            f.state == "active" and f.rate == 0.0 for f in self._active
+        )
+
     def live_connections(self) -> list[str]:
         """Flows still in flight, one line each: after a scenario has been
         torn down and drained, every entry is a leak."""

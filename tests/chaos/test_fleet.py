@@ -6,6 +6,8 @@ import pytest
 
 from repro.chaos import FaultPlan, FaultPlanError, FaultScheduler, run_chaos
 from repro.chaos.fleet import SIZE_CLASSES, FleetScenario
+from repro.chaos.invariants import obs_consistency_violations
+from repro.obs import MetricsRegistry, TraceContext, TraceRecorder, read_jsonl
 from repro.obs import metrics as obs_metrics
 from repro.simnet.engine import Simulator
 
@@ -227,3 +229,111 @@ class TestExactlyOnce:
         report = run_chaos(scenario="fleet_fanin", seed=1, plan="", until=600.0)
         assert not [v for v in report.violations if v.startswith("fleet:")]
         assert report.ok, report.violations
+
+
+def _spans(path, name) -> list:
+    return [
+        r for r in read_jsonl(str(path))
+        if r.get("kind") == "span" and r.get("name") == name
+    ]
+
+
+class TestHealRecord:
+    """A healed partition is one ``fleet.heal`` span carrying how many
+    transfers it resumed, never a record per stalled endpoint."""
+
+    @pytest.mark.parametrize(
+        "plan, heals",
+        [
+            (_PARTITION_PLAN, 1),
+            # the same point of wave 4, which starts at t=21
+            (_PARTITION_PLAN + ";link_down@21.2:site=hub,for=2", 2),
+        ],
+        ids=["one-heal", "two-heals"],
+    )
+    def test_one_span_per_heal_counting_the_reconnects(
+            self, tmp_path, plan, heals):
+        trace = tmp_path / "run.jsonl"
+        report = run_chaos(
+            scenario="fleet_fanin", seed=3, plan=plan, sessions=True,
+            until=600.0, trace_path=str(trace),
+        )
+        assert report.ok, report.violations
+        spans = _spans(trace, "fleet.heal")
+        assert len(spans) == heals
+        assert all(s["attrs"]["resumed"] > 0 for s in spans)
+        resumed = sum(s["attrs"]["resumed"] for s in spans)
+        assert resumed == report.stats["reconnects"]
+        assert resumed == report.stats["session_reconnects"]
+        assert _spans(trace, "session.resume") == []
+
+    def test_without_sessions_no_heal_span(self, tmp_path):
+        trace = tmp_path / "run.jsonl"
+        report = run_chaos(
+            scenario="fleet_fanin", seed=3, plan=_PARTITION_PLAN,
+            sessions=False, until=600.0, trace_path=str(trace),
+        )
+        assert report.ok, report.violations
+        assert _spans(trace, "fleet.heal") == []
+
+
+def _accounting(reconnects, *, heals=(), resumes=0):
+    """Hand-built records: ``reconnects`` initiator increments, a
+    ``fleet.heal`` span per entry of ``heals`` carrying it as ``resumed``,
+    and ``resumes`` ok ``session.resume`` spans."""
+    registry = MetricsRegistry(clock=lambda: 0.0)
+    registry.counter("session.reconnects_total", role="initiator").inc(
+        reconnects
+    )
+    # a responder's reconnects are not the initiator's to narrate
+    registry.counter("session.reconnects_total", role="responder").inc(7)
+    recorder = TraceRecorder(clock=lambda: 0.0)
+    for n in heals:
+        recorder.record_span("fleet.heal", 1.0, 2.0, ctx=TraceContext.new(),
+                             node="hub", resumed=n)
+    for i in range(resumes):
+        recorder.record_span("session.resume", 1.0, 2.0,
+                             ctx=TraceContext.new(), node=f"n{i}")
+    # a resume that failed resumed nothing
+    recorder.record_span("session.resume", 1.0, 2.0, ctx=TraceContext.new(),
+                         node="n9", outcome="error")
+    return obs_consistency_violations(registry, recorder)
+
+
+def _resume_violation(violations) -> bool:
+    return any("session.reconnects_total" in v for v in violations)
+
+
+class TestResumeAccounting:
+    """Initiator reconnects == ok ``session.resume`` spans + the heals'
+    ``resumed``, in both polarities, on either tier's records."""
+
+    @pytest.mark.parametrize(
+        "reconnects, heals, resumes",
+        [
+            (200, (200,), 0),  # the flow tier: one heal
+            (250, (200, 50), 0),  # two heals sum
+            (3, (), 3),  # the packet tier: a span per resume
+            (5, (2,), 3),  # both narrate into one counter
+            (0, (), 0),
+        ],
+    )
+    def test_matching_records_pass(self, reconnects, heals, resumes):
+        assert _accounting(reconnects, heals=heals, resumes=resumes) == []
+
+    @pytest.mark.parametrize(
+        "heals", [(199,), (201,), (200, 1), (150, 49)],
+        ids=["one-too-few", "one-too-many", "an-extra-heal", "split-short"],
+    )
+    def test_a_heal_that_miscounts_fails(self, heals):
+        violations = _accounting(200, heals=heals)
+        assert _resume_violation(violations), violations
+
+    def test_a_heal_without_its_reconnects_fails(self):
+        assert _resume_violation(_accounting(0, heals=(200,)))
+
+    def test_a_missing_session_resume_span_fails(self):
+        assert _resume_violation(_accounting(3, resumes=2))
+
+    def test_an_extra_session_resume_span_fails(self):
+        assert _resume_violation(_accounting(3, resumes=4))

@@ -172,6 +172,23 @@ class TestFaults:
         assert flow.finished_at > 3.0
         assert delivered_mid < 4 << 20
 
+    def test_stalled_counts_active_flows_held_at_zero(self):
+        net = dumbbell(capacity=1_000_000.0)
+        net.start_flow("a", "b", 4 << 20)
+        net.start_flow("a", "b", 4 << 20)
+        link = net.uplink("a")
+        net.sim.call_at(1.0, link.set_down, True)
+        net.sim.call_at(3.0, link.set_down, False)
+        net.sim.run(until=0.5)
+        assert net.stalled() == 0
+        net.sim.run(until=2.0)
+        assert net.stalled() == 2
+        # a flow still in its handshake is not stalled, it is pending
+        net.start_flow("a", "b", 4 << 20)
+        assert net.stalled() == 2
+        net.sim.run(until=4.0)
+        assert net.stalled() == 0
+
     def test_link_change_subscribers_fire(self):
         net = dumbbell()
         events = []

@@ -37,19 +37,22 @@ BUDGET = {
     # the wave and size-class structure, not the endpoint count, decides how
     # often rates are re-solved: 62 here and at 100 000 endpoints
     "rate_resolves": 62,
-    # measured 0.32: what the run recorded, the topology being rows in the
-    # network's columns; 4.32 with a host, a link and two pipes per
-    # endpoint as objects (budget 5.0), 4.42 while each endpoint a
-    # partition stalls had its own reconnect counter, 7.4 while the fleet
-    # wrote three mux ledger counters per endpoint
-    "tracked objects per endpoint": 0.37,
-    # measured 473 and 474; 497 and 498 while the last solve's leftover
+    # measured 0.22: what the run still holds, the topology being rows in
+    # the network's columns and a partition heal one span; 0.32 while
+    # the heal recorded a span per stalled endpoint (budget 0.37), 4.32
+    # with a host, a link and two pipes per endpoint as objects (budget
+    # 5.0), 4.42 while each endpoint a partition stalls had its own
+    # reconnect counter, 7.4 while the fleet wrote three mux ledger
+    # counters per endpoint
+    "tracked objects per endpoint": 0.25,
+    # measured 407 and 407; 474 and 475 with a span per stalled endpoint
+    # (budget 544 and 546), 497 and 498 while the last solve's leftover
     # capacity stayed a float per pipe (budget 573 and 574), 661 and 663
     # with the topology as objects (budget 761 and 762), 678 and 680 with
     # the per-endpoint reconnect counters, 1 298 and 1 416 with the mux
     # ledger, whose check built a labels dict per counter read at the peak
-    "bytes per endpoint": 544,
-    "peak bytes per endpoint": 546,
+    "bytes per endpoint": 468,
+    "peak bytes per endpoint": 469,
     # measured 152.6: one list per saturated pipe, and here the endpoint
     # uplinks saturate; 153.8 while the solver's comprehensions made cells
     # of its locals, 159.7 with one per pipe under an active flow
