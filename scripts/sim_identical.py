@@ -6,7 +6,9 @@ chaos cells (docs/TESTING.md lists them) at both trees, each with
 ``--seed 3 --json --trace`` and the cell's environment, if it has one.  A
 cell is identical when the report on stdout is the same bytes and the
 trace is the same set of JSONL records.  Prints ``identical`` per cell, or
-the first record only one side has, and exits 1 on any difference.
+the first record only one side has, and exits 1 on any difference.  A
+``fleet_fanin`` cell that partitions the hub also fails when its report
+counts no reconnect: that partition heals nothing.
 
 ``--strip-label KEY`` removes ``KEY`` from every metric's label set and
 every event's and span's attrs, on both sides, before comparing: for a
@@ -56,11 +58,13 @@ CELLS = [
     ("tune_degrade", "wan_degrade@5:site=S,scale=5,for=5", False),
     # the flow-tier cells: at the default 2 000 endpoints the endpoint
     # uplinks bind nearly every solve; at 5 000 in two waves the hub does,
-    # as it does at the 100 000 endpoints sim_fleet runs
+    # as it does at the 100 000 endpoints sim_fleet runs.  Its waves start
+    # at t = 1 and 6 and finish before 12: the partition at 3 cuts wave 0's
+    # transfers in flight and holds wave 1's back until 8
     ("fleet_fanin", "link_down@12:site=hub,for=5", True),
     (
         "fleet_fanin",
-        "link_down@12:site=hub,for=5",
+        "link_down@3:site=hub,for=5",
         True,
         (("REPRO_FLEET_ENDPOINTS", "5000"), ("REPRO_FLEET_WAVES", "2")),
     ),
@@ -114,6 +118,16 @@ def run_cell(tree: Path, cell: Cell, trace: Path, strip: list) -> tuple:
     return done.stdout, sorted(records)
 
 
+def heals_nothing(cell: Cell, report: bytes) -> bool:
+    """Whether ``cell`` partitions the fleet's hub and yet its report
+    counts no resumed session: a partition that misses every transfer
+    exercises no heal, and the cell would compare nothing of it."""
+    if cell.scenario != "fleet_fanin" or "site=hub" not in cell.plan:
+        return False
+    line = next(line for line in report.splitlines() if line.startswith(b"{"))
+    return json.loads(line)["stats"]["reconnects"] == 0
+
+
 def first_difference(base: tuple, here: tuple) -> str:
     """What differs: the report, or the first record only one side has."""
     if base[0] != here[0]:
@@ -147,7 +161,12 @@ def main(argv=None) -> int:
             ]
             name = cell.scenario + (f" + {cell.plan}" if cell.plan else "")
             name += "".join(f" {key}={value}" for key, value in cell.env)
-            if runs[0] == runs[1]:
+            if heals_nothing(cell, runs[1][0]):
+                different += 1
+                print(f"HEALS NOTHING  {name}: its hub partition resumes "
+                      "no session (reconnects == 0); move the fault into "
+                      "the waves' transfers")
+            elif runs[0] == runs[1]:
                 print(f"identical  {name}  ({len(runs[1][1])} records)")
             else:
                 different += 1

@@ -231,7 +231,10 @@ class ParallelStreamsDriver(_Striping):
         await writers[start].put(struct.pack("!I", len(block)))
         for i, offset in enumerate(range(0, len(block), self.fragment)):
             writer = writers[(start + i) % n]
-            await writer.put(block[offset : offset + self.fragment])
+            # a fragment waits in its stream's queue as bytes of its own: a
+            # view of ``block`` would keep the whole message it was cut
+            # from alive until the slowest stream drains
+            await writer.put(bytes(block[offset : offset + self.fragment]))
         self.blocks_sent += 1
         self._tx.record(len(block))
 

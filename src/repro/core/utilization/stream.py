@@ -13,7 +13,7 @@ from typing import Optional
 
 from ... import obs
 from ...obs import TraceContext
-from ...util.bytesbuf import take
+from ...util.bytesbuf import ByteQueue, frozen
 from ...util.sizes import DEFAULT_BLOCK
 from .base import Driver
 
@@ -25,7 +25,16 @@ _F_CTX = 1
 
 
 class BlockChannel:
-    """Buffered byte/message channel over a block driver stack."""
+    """Buffered byte/message channel over a block driver stack.
+
+    Between the caller and the driver a byte is copied at most once each
+    way.  Down, a block that lies inside one write is a view of the
+    written bytes (a writable buffer is first copied once, since a layer
+    below may keep the block after ``write`` returns: the session's
+    replay buffer does).  Up, received blocks are queued as the driver
+    hands them up and a read is one ``bytes``: a slice of one block, or
+    one join of the blocks it spans.
+    """
 
     def __init__(self, driver: Driver, block_size: int = DEFAULT_BLOCK):
         if block_size <= 0:
@@ -33,7 +42,7 @@ class BlockChannel:
         self.driver = driver
         self.block_size = block_size
         self._out = bytearray()
-        self._in = bytearray()
+        self._in = ByteQueue()
         self._eof = False
         self.bytes_written = 0
         self.bytes_read = 0
@@ -41,29 +50,33 @@ class BlockChannel:
         self.last_ctx: Optional[TraceContext] = None
 
     # -- writing ------------------------------------------------------------
-    async def write(self, data: bytes):
+    async def write(self, data):
         """Buffer ``data``; full blocks are sent as they complete.  A block
-        that lies wholly inside ``data`` is sent as one slice of it: only
+        that lies wholly inside ``data`` is sent as a view of it: only
         what completes the buffered block and what is left over pass
         through the buffer.  One writer at a time: a write parked in
         ``send_block`` has not yet buffered its tail (a message is several
         writes, so concurrent writers never could share a channel)."""
-        self.bytes_written += len(data)
+        end = len(data)
+        self.bytes_written += end
         out, size = self._out, self.block_size
-        start, end = 0, len(data)
+        start = 0
         if out:
-            start = min(size - len(out), end)
-            out += data[:start]
-            if len(out) < size:
+            start = size - len(out)
+            if end < start:
+                out += data
                 return
+            out += memoryview(data)[:start]
             block = bytes(out)
             out.clear()
             await self.driver.send_block(block)
-        while end - start >= size:
-            await self.driver.send_block(bytes(data[start:start + size]))
-            start += size
+        if end - start >= size:
+            view = memoryview(frozen(data))
+            while end - start >= size:
+                await self.driver.send_block(view[start:start + size])
+                start += size
         if start < end:
-            out += data[start:]
+            out += memoryview(data)[start:] if start else data
 
     async def flush(self):
         """Send any buffered partial block (the explicit flush of §4.1)."""
@@ -73,35 +86,45 @@ class BlockChannel:
             await self.driver.send_block(block)
 
     # -- reading --------------------------------------------------------------
-    async def read(self, maxbytes: int):
-        """Read up to ``maxbytes``; returns b"" at end of stream."""
-        buf = self._in
-        while not buf and not self._eof:
+    async def _fill(self) -> bool:
+        """Queue the next non-empty block; False once the stream ended."""
+        while not self._eof:
             try:
                 block = await self.driver.recv_block()
             except EOFError:
                 self._eof = True
             else:
-                if 0 < len(block) <= maxbytes:
-                    self.bytes_read += len(block)
-                    return block  # wanted whole: it never enters the buffer
-                buf += block
-        data = take(buf, maxbytes)
-        self.bytes_read += len(data)
-        return data
+                if block:
+                    self._in.append(block)
+                    return True
+        return False
 
-    async def read_exactly(self, n: int):
-        parts = []
-        remaining = n
+    async def _take(self, n: int):
+        """Exactly ``n`` bytes: a slice of one received block when one
+        holds them (``bytes`` or a view), else one join of the slices."""
+        queue, parts, remaining = self._in, [], n
         while remaining > 0:
-            data = await self.read(remaining)
-            if not data:
-                raise EOFError(f"channel ended with {remaining}/{n} bytes missing")
-            if len(data) == n:
-                return data  # one read satisfied the request: nothing to join
+            if not queue and not await self._fill():
+                raise EOFError(
+                    f"channel ended with {remaining}/{n} bytes missing")
+            data = queue.take(remaining)
             parts.append(data)
             remaining -= len(data)
-        return b"".join(parts)
+        self.bytes_read += n
+        return parts[0] if len(parts) == 1 else b"".join(parts)
+
+    async def read(self, maxbytes: int):
+        """Read up to ``maxbytes`` (what one received block holds);
+        returns b"" at end of stream."""
+        if not self._in and not await self._fill():
+            return b""
+        data = self._in.take(maxbytes)
+        self.bytes_read += len(data)
+        return data if type(data) is bytes else bytes(data)
+
+    async def read_exactly(self, n: int):
+        data = await self._take(n)
+        return data if type(data) is bytes else bytes(data)
 
     # -- message framing ------------------------------------------------------
     async def send_message(
@@ -120,11 +143,10 @@ class BlockChannel:
         obs.event("channel.message", ctx=ctx, direction="tx", bytes=len(payload))
 
     async def recv_message(self):
-        header = await self.read_exactly(_MSG_HDR.size)
-        flags, length = _MSG_HDR.unpack(header)
+        flags, length = _MSG_HDR.unpack(await self._take(_MSG_HDR.size))
         ctx = None
         if flags & _F_CTX:
-            blob = await self.read_exactly(TraceContext.WIRE_SIZE)
+            blob = await self._take(TraceContext.WIRE_SIZE)
             try:
                 ctx = TraceContext.decode(blob)
             except ValueError:

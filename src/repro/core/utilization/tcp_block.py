@@ -37,12 +37,11 @@ class TcpBlockDriver(Driver):
         await send_frame(self.link, block)
 
     async def recv_block(self):
-        """The next block, as ``bytes``: a view the link handed up (a large
-        payload never copied on its way through the layers below) is
-        copied here, once, where it leaves the stack."""
+        """The next block as the link hands it up: ``bytes``, or a view of
+        the immutable chunk a large block arrived in, never copied on its
+        way through the layers below (``BlockChannel`` copies it once,
+        into the message it belongs to)."""
         block = await recv_frame(self.link)
-        if type(block) is not bytes:
-            block = bytes(block)
         self.blocks_received += 1
         self._rx.record(len(block))
         return block

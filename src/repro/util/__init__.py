@@ -1,6 +1,5 @@
 """Shared low-level utilities: framing, buffers, encoding."""
 
-from .bytesbuf import AggregationBuffer
 from .framing import ByteReader, ByteWriter, FrameError
 
-__all__ = ["ByteReader", "ByteWriter", "FrameError", "AggregationBuffer"]
+__all__ = ["ByteReader", "ByteWriter", "FrameError"]

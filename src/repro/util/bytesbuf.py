@@ -1,19 +1,16 @@
-"""User-space buffers: the aggregation buffer (paper §4.1) and the
-buffers a block is carried in through the layered stack.
+"""User-space buffers: what a block is carried in through the layered
+stack.  (The paper's §4.1 aggregation of small sends into blocks with an
+explicit flush is ``BlockChannel``, in ``repro.core.utilization.stream``;
+it hands its blocks to the stack below as views of what it was written.)
 
-Small sends are aggregated and flushed as one block, which is the
-``TCP_Block`` strategy: "buffering in user space in combination with an
-explicit flush allows disabling TCP_DELAY, and ensures a high bandwidth
-... in combination with a minimal latency."
-
-A block then crosses every layer of the stack it was written to without
+A block crosses every layer of the stack it was written to without
 being copied at each one.  On the way down a layer puts its header in
 front of what it was handed and passes the payload on by reference, as a
 *buffer list* (:func:`prepend`); only a stream whose class says so
 (``gathers``) is handed a list, any other gets one joined ``bytes``
 (:func:`for_stream`).  On the way up a payload stays a ``memoryview`` of
-the buffer it arrived in (:class:`ByteQueue`) until the application takes
-it as ``bytes``.  Both apply from :data:`BY_REF` bytes on: copying less
+the buffer it arrived in (:class:`ByteQueue`) until ``BlockChannel``
+joins the application's message into one ``bytes``.  Both apply from :data:`BY_REF` bytes on: copying less
 costs less than the list or the view does.  ``docs/PROTOCOLS.md`` has
 where a routed block is copied.
 """
@@ -21,28 +18,14 @@ where a routed block is copied.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Optional
 
-__all__ = ["AggregationBuffer", "ByteQueue", "BY_REF", "take", "size",
-           "joined", "frozen", "prepend", "split", "for_stream"]
+__all__ = ["ByteQueue", "BY_REF", "size", "joined", "frozen", "prepend",
+           "split", "for_stream"]
 
 #: a payload this large is passed on by reference — down as an entry of a
 #: buffer list behind the headers put in front of it, up as a view of the
 #: buffer it arrived in — instead of being copied
 BY_REF = 4096
-
-
-def take(buf: bytearray, maxbytes: int) -> bytes:
-    """Remove and return up to ``maxbytes`` from the front of ``buf`` with
-    one copy: the whole buffer, or a slice of a view of it."""
-    if len(buf) <= maxbytes:
-        data = bytes(buf)
-        buf.clear()
-    else:
-        with memoryview(buf) as view:
-            data = bytes(view[:maxbytes])
-        del buf[:maxbytes]
-    return data
 
 
 def size(data) -> int:
@@ -119,11 +102,13 @@ class ByteQueue(deque):
     """Received bytes not yet read, kept as the buffers they arrived in
     (a ``deque`` of them: true while anything is left to read).
 
-    A buffer of at least :data:`BY_REF` bytes is kept by reference (copied
-    only if it could still change) and read back whole, or as views of it,
-    without a copy; smaller ones are gathered into one ``bytearray`` as
-    they arrive, so a read of many small messages is one read, as it is
-    from a single ``bytearray``.
+    :meth:`put` keeps a buffer of at least :data:`BY_REF` bytes by
+    reference (copied only if it could still change), read back whole, or
+    as views of it, without a copy; smaller ones are gathered into one
+    ``bytearray`` as they arrive, so a read of many small messages is one
+    read, as it is from a single ``bytearray``.  ``append`` queues an
+    immutable buffer as it is, whatever its size: ``BlockChannel`` queues
+    each received block so, and a message inside one is one slice of it.
     """
 
     __slots__ = ()
@@ -147,59 +132,12 @@ class ByteQueue(deque):
             if len(first) <= maxbytes:
                 self.popleft()
                 return bytes(first)
-            data = take(first, maxbytes)
+            with memoryview(first) as view:
+                data = bytes(view[:maxbytes])
+            del first[:maxbytes]
         elif len(first) <= maxbytes:
             data = self.popleft()
         else:
             view = memoryview(first)
             data, self[0] = view[:maxbytes], view[maxbytes:]
         return data
-
-
-class AggregationBuffer:
-    """Aggregates writes; emits blocks on overflow or explicit flush.
-
-    ``on_block`` is called with each completed block.  Overflow emission
-    keeps blocks at most ``capacity`` bytes.
-    """
-
-    def __init__(self, capacity: int, on_block: Optional[Callable[[bytes], None]] = None):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self.on_block = on_block
-        self._buf = bytearray()
-        self.blocks_emitted = 0
-        self.bytes_in = 0
-
-    def write(self, data: bytes) -> list[bytes]:
-        """Append ``data``; returns any blocks emitted due to overflow."""
-        self.bytes_in += len(data)
-        emitted = []
-        offset = 0
-        while offset < len(data):
-            room = self.capacity - len(self._buf)
-            take = data[offset : offset + room]
-            self._buf.extend(take)
-            offset += len(take)
-            if len(self._buf) >= self.capacity:
-                emitted.append(self._emit())
-        return emitted
-
-    def flush(self) -> Optional[bytes]:
-        """Emit the current partial block, if any."""
-        if not self._buf:
-            return None
-        return self._emit()
-
-    def _emit(self) -> bytes:
-        block = bytes(self._buf)
-        self._buf.clear()
-        self.blocks_emitted += 1
-        if self.on_block is not None:
-            self.on_block(block)
-        return block
-
-    @property
-    def pending(self) -> int:
-        return len(self._buf)

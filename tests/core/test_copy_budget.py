@@ -1,6 +1,7 @@
-"""What a block costs in copies on its way through the routed stack.
+"""What a block and a message cost in copies on their way through a stack.
 
-``relay > session > mux > tcp_block``, as the live stack builds it, over
+``relay > session > mux > tcp_block``, as the live stack builds it, and
+``tcp_block`` alone on one socket (``bulk_plain``'s stack), over
 ``LiveSocket`` protocol objects whose transport only records what it is
 handed (its ``writelines`` is asyncio's own: one join, then one write, as
 the socket transport's is before Python 3.12).  Every layer puts its
@@ -13,14 +14,27 @@ reference, and hands it up as a view of the chunk it arrived in
   itself);
 * the relay, one: the join of the forwarded body, still a view of the
   chunk it was read from, behind its length prefix;
-* the way up, one: the ``bytes`` ``TcpBlockDriver.recv_block`` hands the
-  application.  A relay frame that two socket reads split costs one more,
-  the join that reassembles it; this test feeds each frame in one read.
+* the way up, none: ``TcpBlockDriver.recv_block`` hands up a view of the
+  chunk.  A relay frame that two socket reads split costs one, the join
+  that reassembles it; this test feeds each frame in one read.
 
-Sixteen copies were made before payloads went by reference.  Each budget
-stops one more copy in any layer of its direction.  Measured with
-``tracemalloc``, as ``tests/relay/test_core.py`` bounds the relay core's
-allocations.
+``BlockChannel`` adds at most one copy each way between the application
+and the driver, so a 1 MiB message holds, at the peak of
+
+* the way down, two block-sized buffers: the socket's join of the frame
+  being written (each is freed once written) and the one block that
+  completes the message header in the channel's buffer, copied when it is
+  cut (the session's replay buffer keeps it; every other block is a view
+  of the message);
+* the relay, one, as for one block;
+* the way up, one message-sized buffer: the join ``recv_message``
+  returns.
+
+Sixteen copies of a block were made before payloads went by reference,
+and a routed message's blocks were each copied twice more at the
+channel.  Each budget stops one more copy in any layer of its direction.
+Measured with ``tracemalloc``, as ``tests/relay/test_core.py`` bounds the
+relay core's allocations.
 """
 
 import asyncio
@@ -28,27 +42,38 @@ import os
 import struct
 import tracemalloc
 
+import pytest
+
 from repro import obs
 from repro.core import relay_core
 from repro.core import session_core as sc
 from repro.core.relay_core import RelayClientCore, routed_body
-from repro.core.utilization import TcpBlockDriver
+from repro.core.utilization import BlockChannel, TcpBlockDriver
 from repro.livenet import AsyncSessionLink, LiveRelayClient, LiveRelayServer
 from repro.livenet.mux import AsyncMuxEndpoint
 from repro.livenet.transport import LiveSocket
 from repro.mux import DEFAULT_WINDOW
 from repro.mux import frames as mf
-from repro.util.bytesbuf import joined
+from repro.util.bytesbuf import frozen, joined
 from repro.util.framing import frame
 
 BLOCK = 65536
+MESSAGE = 1 << 20
 
 #: payload-sized buffers alive at once while one block goes down
 BUDGET_DOWN = 1
 #: ... while the relay forwards the frame that carries it
 BUDGET_RELAY = 1
 #: ... while it comes up, out of one socket read, to ``recv_block``
-BUDGET_UP = 1
+BUDGET_UP = 0
+
+#: block-sized buffers alive at once while a 1 MiB message goes down
+#: from ``send_message``
+BUDGET_MESSAGE_DOWN = 2
+#: ... while the relay forwards the frames that carry it
+BUDGET_MESSAGE_RELAY = 1
+#: ... while it comes up to ``recv_message``: one message-sized join
+BUDGET_MESSAGE_UP = MESSAGE // BLOCK
 
 
 class _Transport(asyncio.Transport):
@@ -122,10 +147,17 @@ def _measure(main):
         obs.set_registry(previous)
 
 
-def _within(peak: int, budget: int, where: str) -> None:
+def _within(peak: int, budget: int, where: str, size: int = BLOCK) -> None:
     assert peak < (budget + 0.5) * BLOCK, (
-        f"{peak} bytes allocated for a {BLOCK}-byte block, over {budget} "
-        f"copies: a layer copies it again {where}")
+        f"{peak} bytes allocated for {size} bytes, over {budget} "
+        f"block-sized copies: a layer copies it again {where}")
+
+
+def _blocks(message: bytes) -> list:
+    """The blocks ``BlockChannel.send_message`` cuts ``message`` into,
+    sent with no trace context."""
+    stream = struct.pack("!BI", 0, len(message)) + message
+    return [stream[i:i + BLOCK] for i in range(0, len(stream), BLOCK)]
 
 
 async def _sending_stack():
@@ -141,7 +173,7 @@ async def _sending_stack():
     channel, _ = endpoint.open()
     endpoint._ctlq.clear()  # the OPEN: this test writes DATA only
     channel._accepted = True
-    channel._tx_credit = 1 << 20
+    channel._tx_credit = 1 << 24
     return transport, TcpBlockDriver(channel)
 
 
@@ -159,6 +191,23 @@ async def _receiving_stack():
     endpoint._spawn(endpoint._rx_pump(), "mux-rx")
     client._spawn(client._reader(), "relay-client")
     return sock, TcpBlockDriver(channel)
+
+
+async def _direct_sending_stack():
+    sock, transport = _socket()
+    return transport, TcpBlockDriver(sock)
+
+
+async def _direct_receiving_stack():
+    sock, _ = _socket()
+    return sock, TcpBlockDriver(sock)
+
+
+#: name -> (sending stack, receiving stack, what its socket carries per block)
+STACKS = {
+    "routed": (_sending_stack, _receiving_stack, _relay_frame),
+    "tcp_block": (_direct_sending_stack, _direct_receiving_stack, frame),
+}
 
 
 def test_one_block_goes_down_in_at_most_the_budgeted_copies():
@@ -220,5 +269,78 @@ def test_one_block_comes_up_in_at_most_the_budgeted_copies():
         return [first, second], held
 
     got, held = _measure(main)
-    assert got == blocks and all(type(block) is bytes for block in got)
+    assert got == blocks and all(frozen(block) is block for block in got)
     _within(held, BUDGET_UP, "on the way up")
+
+
+@pytest.mark.parametrize("stack", sorted(STACKS))
+def test_a_message_goes_down_in_at_most_the_budgeted_copies(stack):
+    sending_stack, _, _ = STACKS[stack]
+
+    async def main(peak):
+        transport, driver = await sending_stack()
+        channel = BlockChannel(driver)
+        await channel.send_message(os.urandom(MESSAGE))  # first-use allocations
+        message = os.urandom(MESSAGE)
+        transport.sizes.clear()
+        held, _ = await peak(lambda: channel.send_message(message))
+        return transport, held
+
+    transport, held = _measure(main)
+    assert len(transport.sizes) == len(_blocks(bytes(MESSAGE)))
+    assert MESSAGE < sum(transport.sizes) < MESSAGE + 200 * len(transport.sizes)
+    _within(held, BUDGET_MESSAGE_DOWN, "between send_message and the socket",
+            MESSAGE)
+
+
+def test_the_relay_forwards_a_message_in_at_most_the_budgeted_copies():
+    async def main(peak):
+        server = LiveRelayServer()
+        src, _ = _socket()
+        dst, transport = _socket()
+        server.register("b", dst)
+        server._spawn(server._session(src), "relay-session")
+        src.data_received(frame(RelayClientCore("a").register_frame()))
+        frames = [[frame(joined(routed_body(relay_core.T_MSG, "a", "b", 1, block)))
+                   for block in _blocks(os.urandom(MESSAGE))] for _ in range(2)]
+
+        async def forward(message):
+            for data in message:
+                src.data_received(data)
+                while len(transport.sizes) < 1:
+                    await asyncio.sleep(0)
+                transport.sizes.clear()
+
+        await forward(frames[0])  # first-use allocations
+        held, _ = await peak(lambda: forward(frames[1]))
+        return held
+
+    _within(_measure(main), BUDGET_MESSAGE_RELAY, "in the relay", MESSAGE)
+
+
+@pytest.mark.parametrize("stack", sorted(STACKS))
+def test_a_message_comes_up_in_at_most_the_budgeted_copies(stack):
+    _, receiving_stack, carried = STACKS[stack]
+    messages = [os.urandom(MESSAGE) for _ in range(2)]
+    frames = [[carried(block) for block in _blocks(message)]
+              for message in messages]
+
+    async def main(peak):
+        sock, driver = await receiving_stack()
+        channel = BlockChannel(driver)
+
+        async def receive(message):
+            reading = asyncio.ensure_future(channel.recv_message())
+            for data in message:
+                sock.data_received(data)
+                await asyncio.sleep(0)
+            return await reading
+
+        first = await receive(frames[0])  # first-use allocations
+        held, second = await peak(lambda: receive(frames[1]))
+        return [first, second], held
+
+    got, held = _measure(main)
+    assert got == messages and all(type(message) is bytes for message in got)
+    _within(held, BUDGET_MESSAGE_UP, "between the socket and recv_message",
+            MESSAGE)

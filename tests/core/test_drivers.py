@@ -18,6 +18,7 @@ from repro.security import CertificateAuthority, HandshakeError, Identity
 from repro.simnet import CpuModel, connect, listen
 from repro.simnet.tcp import ESTABLISHED
 from repro.simnet.testing import two_public_hosts, wan_pair
+from repro.util.bytesbuf import frozen
 
 
 def _linked_pair(inet, a, b, n=1, port=5000):
@@ -467,9 +468,9 @@ class TestBlockChannel:
             self, chunks, block_size, kind):
         """Blocks are cut where the stream crosses a block boundary, not
         where a write does: a block inside one large write leaves as a
-        slice of it, the rest through the buffer.  Every block is ``bytes``
-        of its own, so a caller that reuses its buffer changes nothing
-        already sent."""
+        view of it, the rest through the buffer.  Every block is ``bytes``
+        or a view of ``bytes`` (``frozen`` keeps it as it is), so a caller
+        that reuses its buffer changes nothing already sent."""
         sent = []
 
         class Recorder:
@@ -492,7 +493,7 @@ class TestBlockChannel:
         stream = b"".join(chunks)
         assert sent == [stream[i:i + block_size]
                         for i in range(0, len(stream), block_size)]
-        assert all(type(block) is bytes for block in sent)
+        assert all(frozen(block) is block for block in sent)
         assert channel.bytes_written == len(stream)
 
     def test_bad_block_size(self):

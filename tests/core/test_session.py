@@ -29,6 +29,7 @@ from repro.core.session import (
     SessionLink,
     read_resume,
 )
+from repro.core.utilization import BlockChannel, TcpBlockDriver
 from repro.livenet import (
     AsyncSessionLink,
     AsyncSessionListener,
@@ -351,6 +352,30 @@ class SessionLinkCases:
         assert got == payload
         assert (ini_reconnects, res_reconnects) == (1, 1)
         assert replayed > 0
+
+    def test_a_reused_buffer_changes_nothing_a_resume_replays(self, sessions):
+        """A caller may reuse its ``bytearray`` once ``write`` returns: a
+        resume replays what was written, not what the buffer holds now.
+        ``BlockChannel`` hands its blocks down as views of the message, and
+        the replay buffer keeps them, so a writable message is frozen into
+        ``bytes`` first."""
+        message = bytes(range(256)) * 192  # six whole 8 KiB blocks
+
+        async def script(h, ini, res):
+            tx = BlockChannel(TcpBlockDriver(ini), block_size=8192)
+            rx = BlockChannel(TcpBlockDriver(res), block_size=8192)
+            written = bytearray(message)
+            h.mute(ini)  # what is written now is lost with the link ...
+            await tx.write(written)
+            await tx.flush()
+            written[:] = bytes(len(written))  # the caller reuses its buffer
+            h.break_link(ini)  # ... so the resume must replay it
+            got = await rx.read_exactly(len(message))
+            return got, ini.reconnects, ini.replayed_bytes
+
+        got, reconnects, replayed = sessions.run(script)
+        assert got == message
+        assert reconnects == 1 and replayed > len(message)
 
     def test_repeated_breaks_each_resume(self, sessions):
         payload = bytes(range(256)) * 2000

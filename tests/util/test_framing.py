@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.bytesbuf import AggregationBuffer
 from repro.util.framing import ByteReader, ByteWriter, FrameError, frame
 
 
@@ -66,46 +65,3 @@ class TestByteWriterReader:
         r = ByteReader(w.getvalue())
         assert [r.lp_bytes() for _ in chunks] == chunks
         r.expect_end()
-
-
-class TestAggregationBuffer:
-    def test_overflow_emits_full_blocks(self):
-        buf = AggregationBuffer(10)
-        emitted = buf.write(b"x" * 25)
-        assert [len(b) for b in emitted] == [10, 10]
-        assert buf.pending == 5
-
-    def test_flush_emits_partial(self):
-        buf = AggregationBuffer(10)
-        buf.write(b"abc")
-        assert buf.flush() == b"abc"
-        assert buf.flush() is None
-
-    def test_callback_invoked(self):
-        seen = []
-        buf = AggregationBuffer(4, on_block=seen.append)
-        buf.write(b"abcdefgh")
-        assert seen == [b"abcd", b"efgh"]
-
-    def test_counts(self):
-        buf = AggregationBuffer(8)
-        buf.write(b"0123456789")
-        buf.flush()
-        assert buf.bytes_in == 10
-        assert buf.blocks_emitted == 2
-
-    def test_bad_capacity(self):
-        with pytest.raises(ValueError):
-            AggregationBuffer(0)
-
-    @given(st.lists(st.binary(min_size=0, max_size=64), max_size=20), st.integers(1, 32))
-    def test_content_preserved(self, writes, capacity):
-        buf = AggregationBuffer(capacity)
-        out = []
-        for data in writes:
-            out.extend(buf.write(data))
-        tail = buf.flush()
-        if tail:
-            out.append(tail)
-        assert b"".join(out) == b"".join(writes)
-        assert all(len(block) <= capacity for block in out)
