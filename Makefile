@@ -78,12 +78,15 @@ bench-diff:
 # Frame census of relay > session > mux > tcp_block on loopback sockets:
 # relay frames per MiB, the share of them <= 64 B, frames by kind per
 # layer, mux.backpressure_waits per MiB, event-loop handle runs and
-# futures created per MiB.  A printed diagnostic with four gates, each
-# ≈ 15 % above what the tree reaches (20.5 relay frames, 1.75 stalls,
-# 73 handle runs and 58.5 futures per MiB); the deterministic budget is
-# tests/core/test_frame_census.py.
+# futures created per MiB, then Python calls per rpc round trip and per
+# block.  A printed diagnostic with six gates, each ≈ 15 % above what the
+# tree reaches (20.5 relay frames, 1.75 stalls, 73 handle runs and 47.8
+# futures per MiB; 267 calls into src/repro per round trip and 170.6 per
+# block — the event loop's calls, which differ between Python versions,
+# are printed but not gated); the deterministic budgets are
+# tests/core/test_frame_census.py and tests/core/test_routed_call_budget.py.
 frame-census:
-	$(PYTHON) scripts/frame_census.py --mib 64 --max-frames 24 --max-stalls 2 --max-handles 84 --max-futures 67
+	$(PYTHON) scripts/frame_census.py --mib 64 --max-frames 24 --max-stalls 2 --max-handles 84 --max-futures 55 --max-calls 307 --max-block-calls 196
 
 # Is the simulator's behaviour here identical to BASE's?  Runs the twelve
 # reference chaos cells (nine packet-tier, three flow-tier) at both trees

@@ -7,7 +7,7 @@ broker's ``core/brokering.py``); its ``livenet/`` module holds a subclass
 that names the asyncio runtime plus what is establishment on real sockets.  A twin grows back one override at
 a time, so this lists — with ``ast``, importing nothing — every method a
 live class (or a mixin it lists as a base in the same file) defines that
-its shared base also defines, and exits 1 when one is missing from
+its shared base, or the sans-IO core under it, also defines, and exits 1 when one is missing from
 ``twins_allow.json`` beside this script, or when that file allows an
 override that no longer exists.  Every allowed override carries its
 reason there.
@@ -62,9 +62,19 @@ def methods(name: str, module: dict) -> set:
     return own.union(*(methods(base, module) for base in bases))
 
 
+#: the sans-IO core a binding subclasses: what it defines is shared too
+CORES = {
+    "mux/endpoint.py": "mux/core.py",
+    "core/relay.py": "core/relay_core.py",
+    "core/session.py": "core/session_core.py",
+}
+
+
 def overrides(shared_path: str, live_path: str) -> list:
     """``Class.method`` for every live redefinition of a shared method."""
     shared = {**classes(SRC / RUNTIME), **classes(SRC / shared_path)}
+    if shared_path in CORES:
+        shared = {**classes(SRC / CORES[shared_path]), **shared}
     live = classes(SRC / live_path)
     found = []
     for name, (bases, _own) in live.items():

@@ -338,10 +338,13 @@ class RoutedLink(RoutedChannel, Link):
             await self.client._send(frame)
 
     async def recv(self, maxbytes: int):
+        """Queued data (or the end) at once: no reader is parked then, as
+        ``_wake`` serves them while anything is left.  Else park."""
+        if self._buffer or self._eof:
+            return self.take(maxbytes)
         runtime = self.client.runtime
         event = runtime.event()
         self._readers.append((event, maxbytes))
-        self._wake()
         return await runtime.wait(event)
 
 

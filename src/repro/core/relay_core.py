@@ -86,6 +86,16 @@ class RelayError(Exception):
     """Relay protocol failure (unknown peer, malformed frame, ...)."""
 
 
+def routed_head(kind: int, src: str, dst: str, channel: int,
+                sender_owns_channel: bool = True) -> bytes:
+    """A routed frame's header up to its payload length: the same for
+    every frame of one kind on one channel in one direction."""
+    s, d = src.encode("utf-8"), dst.encode("utf-8")
+    return struct.pack(
+        f"!BBI{len(s)}sI{len(d)}sQ",
+        kind, 1 if sender_owns_channel else 0, len(s), s, len(d), d, channel)
+
+
 def routed_body(
     kind: int,
     src: str,
@@ -103,12 +113,8 @@ def routed_body(
     relay and the accepting peer parent their spans on it, which is what
     stitches a routed path's three processes into one trace.
     """
-    s, d = src.encode("utf-8"), dst.encode("utf-8")
-    head = struct.pack(
-        f"!BBI{len(s)}sI{len(d)}sQI",
-        kind, 1 if sender_owns_channel else 0, len(s), s, len(d), d,
-        channel, len(payload) if type(payload) is not list else size(payload),
-    )
+    head = routed_head(kind, src, dst, channel, sender_owns_channel) + _U32.pack(
+        len(payload) if type(payload) is not list else size(payload))
     if ctx is not None:  # an OPEN: its payload is a purpose tag
         return b"".join((head, payload, ctx.encode()))
     return prepend(head, payload)
@@ -310,7 +316,9 @@ class RelayCore:
                              src=src, dst=dst, channel=channel)
         conn = self.sessions.get(dst)
         if conn is not None:
-            return self._local_hop(conn, body, origin, head, key)
+            hop = Hop(conn, body, origin, head, key)
+            self._forwarded(hop)
+            return hop
         owner = self._trunk_owner(dst)
         if owner is not None:
             return Hop(None, body, origin, head, key, trunk=owner)
@@ -329,13 +337,10 @@ class RelayCore:
         self.trunk_rx += 1
         conn = self.sessions.get(head[3])
         if conn is not None:
-            return self._local_hop(conn, body, origin, head)
+            hop = Hop(conn, body, origin, head)
+            self._forwarded(hop)
+            return hop
         return self._refusal(origin, head)
-
-    def _local_hop(self, conn, body, origin, head, key=None) -> Hop:
-        hop = Hop(conn, body, origin, head, key)
-        self._forwarded(hop)
-        return hop
 
     def hop_done(self, hop: Hop) -> None:
         """The hop's frame was written."""
@@ -355,8 +360,9 @@ class RelayCore:
         nbytes = hop.head[6] - hop.head[5]
         self.forwarded_messages += 1
         self.forwarded_bytes += nbytes
-        self._m_forwarded.inc()
-        self._m_forwarded_bytes.inc(nbytes)
+        # per frame: added to directly, as the mux's counters are
+        self._m_forwarded.value += 1
+        self._m_forwarded_bytes.value += nbytes
         route = self._routes.get(hop.key)
         if route is not None:
             route[2] += nbytes
@@ -626,6 +632,9 @@ class RoutedChannel:
         self.open_payload: bytes = b""
         #: causal context the channel was opened under (rides T_OPEN)
         self.ctx: Optional[TraceContext] = None
+        #: what every MSG this end sends starts with, up to its length
+        self._msg_head = routed_head(T_MSG, client.node_id, peer, channel,
+                                     owned)
 
     def _wake(self) -> None:
         """Binding hook: :meth:`take` may have something new to say."""
@@ -653,15 +662,16 @@ class RoutedChannel:
     def msg_frame(self, chunk):
         """The frame carrying ``chunk`` (at most MAX_MSG bytes, one buffer
         or a buffer list) to the peer."""
-        return routed_body(T_MSG, self.client.node_id, self.peer, self.channel,
-                           chunk, sender_owns_channel=self.owned)
+        n = len(chunk) if type(chunk) is not list else size(chunk)
+        return prepend(self._msg_head + _U32.pack(n), chunk)
 
     def msg_frames(self, data) -> list:
         """The frames carrying ``data`` (one buffer or a buffer list) to the
-        peer, in order: ``MAX_MSG`` bytes apiece, none a runt; a large
-        chunk goes into its frame by reference, a small one is copied."""
-        frames = []
+        peer, in order: ``MAX_MSG`` bytes apiece, none a runt."""
         left = len(data) if type(data) is not list else size(data)
+        if left <= MAX_MSG:
+            return [self.msg_frame(data)] if left else []
+        frames = []
         while left:
             n = sizes.cut(left, MAX_MSG)
             left -= n

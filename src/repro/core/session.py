@@ -50,7 +50,7 @@ from .. import obs
 from ..obs import TraceContext
 from ..obs.flight import FlightRecorder
 from ..util.bytesbuf import for_stream, size, split
-from .links import Link, transport_errors
+from .links import BufferedLink, Link, transport_errors
 from .retry import RetryPolicy, retrying
 from .runtime import Bound
 from .session_core import (
@@ -91,7 +91,7 @@ RESUME_POLICY = RetryPolicy(
 _WAKE_TX = "tx"
 
 
-class SessionLink(Bound, SessionCore, Link):
+class SessionLink(Bound, SessionCore, BufferedLink):
     """A logical stream that survives the death of its physical link.
 
     ``reconnect`` (initiator only) is a coroutine function
@@ -180,10 +180,8 @@ class SessionLink(Bound, SessionCore, Link):
                 data = split(data, taken)[1]
             await self._send(frame)
 
-    async def recv(self, maxbytes: int):
-        while (data := self.read(maxbytes)) is None:
-            await self._wait(self.WAKE_RX)
-        return data
+    def _readable(self):
+        return self.runtime.park(self._waiters, self.WAKE_RX)
 
     def close(self) -> None:
         """Graceful close: FIN at the current offset, then linger until the
@@ -201,7 +199,8 @@ class SessionLink(Bound, SessionCore, Link):
     def wake(self, what: str) -> None:
         if what == self.WAKE_LINK:
             self._link_changed()
-        self.runtime.unpark(self._waiters, what)
+        if what in self._waiters:
+            self.runtime.unpark(self._waiters, what)
 
     def _link_changed(self) -> None:
         state = self._state
@@ -244,7 +243,8 @@ class SessionLink(Bound, SessionCore, Link):
                 await self._raw.send_all(data)
             finally:
                 self._sending = False
-                self.wake(_WAKE_TX)
+                if _WAKE_TX in self._waiters:
+                    self.runtime.unpark(self._waiters, _WAKE_TX)
         except self._transport as exc:
             self.transport_broken(gen, exc, self.runtime.now())
             return False

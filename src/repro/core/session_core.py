@@ -378,11 +378,12 @@ class SessionCore:
         if self._replay.size >= self.config.max_buffer:
             return None
         total = len(data) if type(data) is not list else size(data)
-        n = cut(total, MAX_CHUNK)
+        n = total if total <= MAX_CHUNK else cut(total, MAX_CHUNK)
         header = _DATA_HDR.pack(F_DATA, n)
         if self._rx_off > self._last_ack_sent or "ack" in self._owed:
             self._owed.discard("ack")
-            header = self._ack_frame() + header
+            self._last_ack_sent = self._rx_off
+            header = _OFF_HDR.pack(F_ACK, self._rx_off) + header
         frame = prepend(header, data if n == total else split(data, n)[0])
         self._replay.append(frame, len(header))
         return frame, n
@@ -395,12 +396,18 @@ class SessionCore:
         if self._rx:
             return self._rx.take(maxbytes)
         if self._failure is not None:
-            raise self.error_class(
-                f"session {self.sid:016x} failed") from self._failure
+            raise self._read_error()
         if self._state == FINISHED or (
                 self._rx_fin is not None and self._rx_off >= self._rx_fin):
             return b""
         return None
+
+    def _read_error(self) -> Exception:
+        """What a read of the failed session raises: ``error_class``,
+        caused by the failure (a binding may say it as its streams do)."""
+        exc = self.error_class(f"session {self.sid:016x} failed")
+        exc.__cause__ = self._failure
+        return exc
 
     def shutdown(self, deadline: Optional[float] = None) -> None:
         """Close the local direction at the current offset: the FIN is owed
@@ -445,7 +452,8 @@ class SessionCore:
         A DATA payload that lies wholly inside ``data`` is delivered as a
         view of it; only a frame split between two reads is finished in
         a buffer of its own."""
-        if (gen is not None and gen != self._gen) or self.ended or not data:
+        if ((gen is not None and gen != self._gen)
+                or self._state in (FINISHED, FAILED) or not data):
             return
         buf = self._inbuf
         if buf:
@@ -506,7 +514,8 @@ class SessionCore:
             raise SessionError("data past the peer's FIN offset")
         self._rx.put(payload)
         self.wake(self.WAKE_RX)
-        self._owe_finack()
+        if self._rx_fin is not None:
+            self._owe_finack()
         # an ACK of its own only as a backstop: the next write carries one
         if self._rx_off - self._last_ack_sent >= self.config.ack_backstop(
                 self.peer_max_buffer or self.config.max_buffer):
@@ -515,7 +524,8 @@ class SessionCore:
     def _on_fin(self, off: int) -> None:
         self._note_peer_fin(off)
         self.wake(self.WAKE_RX)
-        self._owe_finack()
+        if self._rx_fin is not None:
+            self._owe_finack()
         self._notify()
 
     def _owe_finack(self) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import struct
 
 
-from ..util.bytesbuf import for_stream, prepend, size
+from ..util.bytesbuf import BY_REF, for_stream, prepend, size
 
 __all__ = ["send_frame", "recv_frame", "WireError", "MAX_FRAME"]
 
@@ -34,10 +34,12 @@ async def send_frame(stream, body):
     buffer list."""
     if type(body) is list:
         frame = for_stream(stream, prepend(_LENGTH.pack(size(body)), body))
-    else:  # no call spent on a small frame's size
-        frame = prepend(_LENGTH.pack(len(body)), body)
-        if type(frame) is list:
-            frame = for_stream(stream, frame)
+    elif len(body) < BY_REF:
+        # prepend's rule for a small body, tested here: every frame of
+        # every layer is written through this line, most of them small
+        frame = _LENGTH.pack(len(body)) + body
+    else:
+        frame = for_stream(stream, prepend(_LENGTH.pack(len(body)), body))
     await stream.send_all(frame)
 
 

@@ -113,12 +113,12 @@ class AsyncSessionLink(SessionLink):
         return link
 
     # -- the socket API ----------------------------------------------------
-    async def recv(self, maxbytes: int):
-        try:
-            return await super().recv(maxbytes)
-        except AsyncSessionError as exc:
-            # the socket contract: a dead stream reads as a transport error
-            raise EOFError(str(exc)) from exc
+    def _read_error(self) -> Exception:
+        """The socket contract: a dead stream reads as a transport error."""
+        exc = super()._read_error()
+        eof = EOFError(str(exc))
+        eof.__cause__ = exc
+        return eof
 
     async def aclose(self, timeout: float = CLOSE_TIMEOUT) -> None:
         """Graceful close: FIN, then wait until the peer has acked it.

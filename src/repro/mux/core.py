@@ -10,6 +10,14 @@ hands each frame body it reads to :meth:`MuxCore.feed`, writes whatever
 :meth:`MuxCore.next_frame` returns, and overrides :meth:`MuxCore.wake` to
 resume whoever is parked on the condition the core names.  Two cores run
 back to back with no IO at all: ``b.feed(a.next_frame())``.
+
+Every frame passes through :meth:`MuxCore.next_frame` or
+:meth:`MuxCore.feed`, so those two and :meth:`ChannelState.read` spend as
+few calls as they can: the grant threshold is tested inline, a DATA
+frame is applied to its channel in ``feed`` without a decoded frame
+object, and the per-frame counters are added to directly (``value +=``:
+the amount is never negative).  docs/MUX.md §What a frame
+costs.
 """
 
 from __future__ import annotations
@@ -58,6 +66,7 @@ class ChannelState:
         self.ctx = ctx
         #: bytes we may still send (granted by the peer, spent on DATA)
         self._tx_credit = 0
+        #: ``(data, nbytes)`` of each write not yet sent, oldest first
         self._txq: deque = deque()
         self._tx_buffered = 0
         #: buffered bytes are waiting on peer credit (a backpressure episode)
@@ -107,7 +116,7 @@ class ChannelState:
             if type(data) is not bytes:
                 data = frozen(data)
         if n:
-            self._txq.append(data)
+            self._txq.append((data, n))
             self._tx_buffered += n
             self._ep._update_ready(self)
 
@@ -123,23 +132,21 @@ class ChannelState:
         if len(chunk) > maxbytes:
             self._rxq.appendleft(chunk[maxbytes:])
             chunk = chunk[:maxbytes]
-        # the application drained bytes: maybe replenish the peer's credit
-        self._consumed_since_grant += len(chunk)
-        if (not self._remote_closed
-                and self._consumed_since_grant >= self._grant_threshold()):
-            grant, self._consumed_since_grant = self._consumed_since_grant, 0
-            self._grant(grant)
+        # The application drained bytes: maybe replenish the peer's credit.
+        # Consumed bytes earn a CREDIT at half the window — a handful of
+        # grants per window's worth, not one per read — or at a contended
+        # quantum once the peer cannot send even that, so that a sender is
+        # not left parked on bytes already consumed.
+        consumed = self._consumed_since_grant + len(chunk)
+        if not self._remote_closed and (
+                consumed >= (self._rx_window // 2 or 1)
+                or (consumed >= MAX_DATA_PAYLOAD
+                    and self._rx_allowance < MAX_DATA_PAYLOAD)):
+            self._consumed_since_grant = 0
+            self._grant(consumed)
+        else:
+            self._consumed_since_grant = consumed
         return chunk
-
-    def _grant_threshold(self) -> int:
-        """Consumed bytes that earn the peer a CREDIT: half the window —
-        a handful of grants per window's worth, not one per read — but no
-        more than a contended quantum once the peer cannot send even that,
-        so a sender is not left parked on bytes already consumed."""
-        half = max(1, self._rx_window // 2)
-        if self._rx_allowance < MAX_DATA_PAYLOAD:
-            return min(half, MAX_DATA_PAYLOAD)
-        return half
 
     def close(self) -> None:
         """Graceful half-close once everything written has been sent."""
@@ -180,6 +187,8 @@ class ChannelState:
     # -- protocol internals --------------------------------------------------
     @property
     def _tx_ready(self) -> bool:
+        """Whether this channel can send now: it has buffered bytes,
+        credit, the peer's ACCEPT, no CLOSE sent, no error."""
         return (
             self._tx_buffered > 0
             and self._tx_credit > 0
@@ -219,17 +228,6 @@ class ChannelState:
         self._ep.wake(self.WAKE_ACCEPTED, self)
         self._ep._update_ready(self)
 
-    def _on_data(self, frame) -> None:
-        n = len(frame.payload)
-        self._rx_allowance -= n
-        if self._rx_allowance < 0:
-            raise MuxProtocolError(
-                f"credit violation on channel {self.channel_id}: "
-                f"{-self._rx_allowance} bytes over the granted window")
-        self._rxq.append(frame.payload)
-        self._m_rx_bytes.inc(n)
-        self._ep.wake(self.WAKE_RX, self)
-
     def _on_credit(self, frame) -> None:
         self._tx_credit += frame.grant
         self._ep._update_ready(self)
@@ -251,10 +249,10 @@ class ChannelState:
             self._ep._drop_channel(self)
 
     # HELLO and OPEN are absent on purpose: OPEN names no existing channel,
-    # HELLO belongs to establish() and is a violation once the endpoint runs
+    # HELLO belongs to establish() and is a violation once the endpoint
+    # runs; DATA is applied by MuxCore.feed itself
     _HANDLERS = {
         frames.T_ACCEPT: _on_accept,
-        frames.T_DATA: _on_data,
         frames.T_CREDIT: _on_credit,
         frames.T_WINDOW: _on_window,
         frames.T_CLOSE: _on_close,
@@ -405,8 +403,27 @@ class MuxCore:
         protocol violation fails the endpoint and raises
         :class:`MuxProtocolError`; the binding then drops the carrier so the
         peer learns of it too."""
-        self._m_frames_rx.inc()
+        self._m_frames_rx.value += 1
+        if type(body) is list:
+            body = b"".join(body)
         try:
+            data = frames.decode_data(body)
+            if data is not None:
+                cid, payload = data
+                channel = self._channels.get(cid)
+                if channel is None:
+                    raise MuxProtocolError(f"DATA for unknown channel {cid}")
+                n = len(payload)
+                channel._rx_allowance -= n
+                if channel._rx_allowance < 0:
+                    raise MuxProtocolError(
+                        f"credit violation on channel {cid}: "
+                        f"{-channel._rx_allowance} bytes over the granted "
+                        f"window")
+                channel._rxq.append(payload)
+                channel._m_rx_bytes.value += n
+                self.wake(channel.WAKE_RX, channel)
+                return
             frame = frames.decode_frame(body)
             channel = self._channels.get(frame.channel)
             handler = ChannelState._HANDLERS.get(frame.kind)
@@ -417,9 +434,9 @@ class MuxCore:
                     f"unexpected {frame.name.upper()} after establishment")
             elif channel is not None:
                 handler(channel, frame)
-            elif frame.kind in (frames.T_ACCEPT, frames.T_DATA):
+            elif frame.kind == frames.T_ACCEPT:
                 raise MuxProtocolError(
-                    f"{frame.name.upper()} for unknown channel {frame.channel}")
+                    f"ACCEPT for unknown channel {frame.channel}")
             # else CREDIT/WINDOW/CLOSE raced our own CLOSE: harmless
         except MuxProtocolError as exc:
             self.fail(exc)
@@ -444,12 +461,6 @@ class MuxCore:
         self.wake(self.WAKE_INCOMING)
 
     # -- bytes out -----------------------------------------------------------
-    @property
-    def has_frames(self) -> bool:
-        """:meth:`next_frame` may return a frame (a channel marked ready
-        may turn out stale: a hint, as ``WAKE_TX`` is)."""
-        return bool(self._ctlq) or self.scheduler.any_ready()
-
     def frame_sent(self) -> None:
         """The frame :meth:`next_frame` last returned is on the carrier:
         account its channel's turn and, if that emptied the channel's
@@ -460,12 +471,13 @@ class MuxCore:
             return
         channel, n = self._in_flight
         self._in_flight = None
-        channel._m_tx_bytes.inc(n)
-        channel._m_turns.inc()
+        channel._m_tx_bytes.value += n
+        channel._m_turns.value += 1
         self.scheduler.sent(channel.channel_id, n)
         if channel._tx_buffered == 0:
             self.wake(channel.WAKE_DRAINED, channel)
-            self._flush_pending_close(channel)
+            if channel._pending_close is not None:
+                self._flush_pending_close(channel)
 
     def next_frame(self):
         """The next frame body to write — every queued control frame first,
@@ -478,39 +490,35 @@ class MuxCore:
         credit, and never cut so as to leave a runt.  Asking acknowledges
         that the previous frame has been handed to the carrier
         (:meth:`frame_sent`)."""
-        self.frame_sent()
+        if self._in_flight is not None:
+            self.frame_sent()
         if self._ctlq:
-            self._m_frames_tx.inc()
+            self._m_frames_tx.value += 1
             return self._ctlq.popleft()
-        channel = self._pick_ready()
-        if channel is None:
-            return None
-        payload = channel._txq.popleft()
-        quantum = (LONE_DATA_PAYLOAD if self.scheduler.lone()
-                   else MAX_DATA_PAYLOAD)
-        n = len(payload) if type(payload) is not list else size(payload)
-        take = cut(n, min(quantum, channel._tx_credit))
-        if take < n:
-            payload, rest = split(payload, take)
-            channel._txq.appendleft(rest)
-        channel._tx_buffered -= take
-        channel._tx_credit -= take
-        self._update_ready(channel)
-        self._in_flight = (channel, take)
-        self._m_frames_tx.inc()
-        return frames.data_frame(channel.channel_id, payload)
-
-    def _pick_ready(self) -> Optional[ChannelState]:
+        scheduler = self.scheduler
         while True:
             try:
-                cid = self.scheduler.pick()
+                cid = scheduler.pick()
             except LookupError:
                 return None
             channel = self._channels.get(cid)
             if channel is not None and channel._tx_ready:
-                return channel
+                break
             # stale readiness (aborted or failed since it was marked)
-            self.scheduler.set_ready(cid, False)
+            scheduler.set_ready(cid, False)
+        payload, n = channel._txq.popleft()
+        limit = min(LONE_DATA_PAYLOAD if scheduler.lone() else MAX_DATA_PAYLOAD,
+                    channel._tx_credit)
+        take = n if n <= limit else cut(n, limit)
+        if take < n:
+            payload, rest = split(payload, take)
+            channel._txq.appendleft((rest, n - take))
+        channel._tx_buffered -= take
+        channel._tx_credit -= take
+        self._update_ready(channel)
+        self._in_flight = (channel, take)
+        self._m_frames_tx.value += 1
+        return frames.data_frame(cid, payload, take)
 
     # -- shared bookkeeping --------------------------------------------------
     def _add_channel(self, cid: int, tag: bytes, window: int, weight: int,

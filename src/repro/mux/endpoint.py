@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .. import obs
-from ..core.links import Link, LinkClosed, transport_errors
+from ..core.links import BufferedLink, Link, LinkClosed, transport_errors
 from ..core.runtime import Bound
 from ..core.wire import WireError, recv_frame, send_frame
 from ..obs import TraceContext
@@ -43,7 +43,7 @@ __all__ = ["MuxEndpoint", "MuxChannel", "MuxError", "DEFAULT_WINDOW",
            "MAX_DATA_PAYLOAD"]
 
 
-class MuxChannel(ChannelState, Link):
+class MuxChannel(ChannelState, BufferedLink):
     """One logical stream multiplexed over a shared link.
 
     Mirrors the carrier's Table-1 metadata (``method``, ``native_tcp``,
@@ -90,10 +90,8 @@ class MuxChannel(ChannelState, Link):
         if self._error is not None:
             raise self._error
 
-    async def recv(self, maxbytes: int):
-        while (chunk := self.read(maxbytes)) is None:
-            await self._ep._wait(self.WAKE_RX, self)
-        return chunk
+    def _readable(self):
+        return self._ep.runtime.park(self._waiters, self.WAKE_RX)
 
 
 class MuxEndpoint(Bound, MuxCore):
@@ -196,7 +194,9 @@ class MuxEndpoint(Bound, MuxCore):
     def wake(self, what: str, channel: Optional[MuxChannel] = None) -> None:
         if what == self.WAKE_TX and self._writing:
             return  # the turn's holder sends it, or wakes the pump after
-        self.runtime.unpark((channel or self)._waiters, what)
+        waiters = (channel or self)._waiters
+        if what in waiters:
+            self.runtime.unpark(waiters, what)
 
     # -- pumps ---------------------------------------------------------------
     async def _rx_pump(self):
@@ -240,7 +240,9 @@ class MuxEndpoint(Bound, MuxCore):
             self.frame_sent()
         finally:
             self._writing = False
-            if self.has_frames or not self.alive or self.idle:
+            # frames left, or the endpoint died or went idle during the turn
+            if (self._ctlq or self.scheduler.any_ready() or not self.alive
+                    or self.idle):
                 self.wake(self.WAKE_TX)
 
     async def _tx_pump(self):

@@ -44,7 +44,7 @@ from __future__ import annotations
 import struct
 from typing import Optional
 
-from ..util.bytesbuf import BY_REF, frozen, prepend, size
+from ..util.bytesbuf import BY_REF, frozen, prepend
 from ..util.framing import ByteReader, ByteWriter, FrameError
 
 __all__ = [
@@ -66,6 +66,7 @@ __all__ = [
     "encode_accept",
     "encode_data",
     "data_frame",
+    "decode_data",
     "encode_credit",
     "encode_close",
     "encode_window",
@@ -161,11 +162,10 @@ def encode_data(channel: int, payload: bytes) -> bytes:
     return _DATA_HEAD.pack(T_DATA, channel, len(payload)) + payload
 
 
-def data_frame(channel: int, payload):
-    """The DATA frame carrying ``payload`` (one buffer or a buffer list) as
-    the endpoint writes it: its header in front of a large payload kept by
-    reference, else :func:`encode_data`'s bytes."""
-    n = len(payload) if type(payload) is not list else size(payload)
+def data_frame(channel: int, payload, n: int):
+    """The DATA frame carrying ``payload``, ``n`` bytes in one buffer or a
+    buffer list, as the endpoint writes it: its header in front of a large
+    payload kept by reference, else :func:`encode_data`'s bytes."""
     return prepend(_DATA_HEAD.pack(T_DATA, channel, n), payload)
 
 
@@ -182,21 +182,30 @@ def encode_window(channel: int, window: int) -> bytes:
     return _header(T_WINDOW, channel).u32(window).getvalue()
 
 
+def decode_data(body) -> Optional[tuple]:
+    """``(channel, payload)`` of a well-formed DATA frame body (bytes or a
+    view), None for any other frame — a DATA whose length lies included,
+    which :func:`decode_frame` diagnoses.  The frame that carries the
+    bytes: a large payload stays a view of ``body`` (copied only if
+    ``body`` could change), a small one is copied out."""
+    if len(body) < _DATA_HEAD.size or body[0] != T_DATA:
+        return None
+    _, channel, length = _DATA_HEAD.unpack_from(body)
+    if length != len(body) - _DATA_HEAD.size:
+        return None
+    if length >= BY_REF:
+        return channel, frozen(memoryview(body)[_DATA_HEAD.size:])
+    return channel, bytes(body[_DATA_HEAD.size:])
+
+
 def decode_frame(body) -> MuxFrame:
     """Decode one mux frame body (without the transport length prefix):
     bytes, a view, or the buffer list :func:`data_frame` builds."""
     if type(body) is list:
         body = b"".join(body)
-    if len(body) >= _DATA_HEAD.size and body[0] == T_DATA:
-        # the frame that carries the bytes: a large payload stays a view of
-        # ``body`` (copied only if ``body`` could change), a small one is
-        # copied out
-        _, channel, length = _DATA_HEAD.unpack_from(body)
-        if length == len(body) - _DATA_HEAD.size:
-            return MuxFrame(T_DATA, channel, payload=(
-                frozen(memoryview(body)[_DATA_HEAD.size:]) if length >= BY_REF
-                else bytes(body[_DATA_HEAD.size:])))
-        # a DATA whose length lies is diagnosed by the general path
+    data = decode_data(body)
+    if data is not None:
+        return MuxFrame(T_DATA, data[0], payload=data[1])
     try:
         reader = ByteReader(body)
         kind = reader.u8()

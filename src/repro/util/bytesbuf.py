@@ -56,7 +56,9 @@ def prepend(head: bytes, body):
     that keeps ``body``'s buffers by reference when ``body`` is a list or
     at least :data:`BY_REF` long, one concatenated ``bytes`` otherwise.
     Headers gather in the list's first buffer, so however many layers put
-    one in front, a block goes down as two buffers."""
+    one in front, a block goes down as two buffers.  (``wire.send_frame``
+    tests the same bound inline for a one-buffer body: every frame of
+    every layer is written there.)"""
     if type(body) is list:
         first = body[0]
         if len(first) < BY_REF:

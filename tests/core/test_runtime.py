@@ -13,7 +13,7 @@ import inspect
 import pytest
 
 from repro.core import runtime as runtime_module
-from repro.core.links import Link
+from repro.core.links import BufferedLink, Link
 from repro.core.relay import RelayClient, RoutedLink
 from repro.core.retry import retrying
 from repro.core.session import SessionLink
@@ -273,6 +273,7 @@ _WAITING = {
     RoutedLink: ("send_all", "recv"),
     SessionLink: ("send_all", "recv"),
     Link: ("recv_exactly",),
+    BufferedLink: ("recv", "recv_exactly"),
     runtime_module.SimRuntime: ("park", "wait", "sleep", "bounded"),
     runtime_module.AsyncioRuntime: ("park", "wait", "sleep", "bounded"),
     runtime_module._Queue: ("get",),
@@ -289,9 +290,9 @@ _LEAVES = {
 
 @pytest.mark.parametrize(
     "fn",
-    [retrying] + [getattr(cls, name) for cls, names in _WAITING.items()
-                  for name in names],
-    ids=lambda fn: fn.__qualname__,
+    [pytest.param(retrying, id="retrying")]
+    + [pytest.param(getattr(cls, name), id=f"{cls.__name__}.{name}")
+       for cls, names in _WAITING.items() for name in names],
 )
 def test_every_waiting_method_is_a_generator_based_coroutine(fn):
     """One dialect: every waiting method of the shared bindings is an

@@ -18,7 +18,9 @@ holds five:
 In 10 waves the endpoint uplinks are the bottleneck of nearly every
 solve.  The same 5 000 endpoints in 2 waves saturate the hub instead, as
 100 000 endpoints do, so the solver's containers are held to a second
-budget there.
+budget there, with the hub cut at t = 3 inside the waves (as
+``scripts/sim_identical.py``'s hub cell cuts it): the first plan's cut, at
+t = 12, lands after both waves and its heal resumes nothing.
 
 Each bound is what was measured when it was set plus ~15 %.  The failure
 message names every number that moved.
@@ -32,6 +34,8 @@ from repro.simnet import flow
 
 ENDPOINTS = 5_000
 PLAN = "link_down@12:site=hub,for=5"
+#: the hub partition inside the two waves
+HUB_PLAN = "link_down@3:site=hub,for=5"
 
 BUDGET = {
     # the wave and size-class structure, not the endpoint count, decides how
@@ -61,15 +65,18 @@ BUDGET = {
 
 #: the same endpoints in two waves: the hub is the one saturated pipe
 HUB_BOUND_BUDGET = {
+    # 14 with the hub cut inside the waves as with the cut after them
     "rate_resolves": 14,
-    # measured 84.9 (86.1 with the solver's cells); 855.1 while every
-    # saturated round built a list for each pipe under an active flow, not
-    # only for the saturated ones
-    "lists per resolve": 99,
+    # measured 81.1 with the cut inside the waves (2 500 endpoints resumed);
+    # 84.8 with the cut after both waves, where the budget was 99 (84.9
+    # and 86.1 with the solver's cells); 855.1 while every saturated round
+    # built a list for each pipe under an active flow, not only for the
+    # saturated ones
+    "lists per resolve": 93,
 }
 
 
-def _measure(monkeypatch, waves: int) -> dict:
+def _measure(monkeypatch, waves: int, plan: str = PLAN) -> dict:
     """One run; the numbers the module docstring lists, by budget name."""
     monkeypatch.setenv("REPRO_FLEET_ENDPOINTS", str(ENDPOINTS))
     monkeypatch.setenv("REPRO_FLEET_WAVES", str(waves))
@@ -119,13 +126,14 @@ def _measure(monkeypatch, waves: int) -> dict:
     try:
         bytes_before = tracemalloc.get_traced_memory()[0]
         report = run_chaos(
-            "fleet_fanin", seed=3, plan=PLAN, sessions=True, until=600.0
+            "fleet_fanin", seed=3, plan=plan, sessions=True, until=600.0
         )
     finally:
         tracemalloc.stop()
     assert report.ok, report.violations
     assert report.stats["flows_completed"] == ENDPOINTS
     return {
+        "reconnects": report.stats.get("reconnects"),
         "rate_resolves": report.stats["rate_resolves"],
         "tracked objects per endpoint": seen["tracked"] / ENDPOINTS,
         "bytes per endpoint": seen["bytes"] / ENDPOINTS,
@@ -151,4 +159,6 @@ def test_flow_tier_footprint(monkeypatch):
 
 
 def test_hub_bound_solver_footprint(monkeypatch):
-    _check(_measure(monkeypatch, waves=2), HUB_BOUND_BUDGET)
+    got = _measure(monkeypatch, waves=2, plan=HUB_PLAN)
+    assert got["reconnects"], "the hub partition healed nothing"
+    _check(got, HUB_BOUND_BUDGET)

@@ -1,9 +1,11 @@
-"""``scripts/bench_history.py diff`` on synthetic entries: no benchmark runs."""
+"""``scripts/bench_history.py``: ``diff`` on synthetic entries, ``pairs``
+over a fake benchmark command; no benchmark runs."""
 
 import copy
 import importlib.util
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -106,3 +108,55 @@ def test_committed_history_shows_the_first_row_that_improved():
     verdicts, regressed = _verdicts(old, new, manifest)
     assert not regressed
     assert verdicts["bulk_secure", "goodput_MBps"] == "better"
+
+
+_FAKE_RUN = '''
+import json, pathlib, sys
+here = pathlib.Path(__file__).parent
+log = here.parent / "runs.log"
+runs = log.read_text().splitlines() if log.exists() else []
+mine = sum(1 for line in runs if line.startswith(here.name + " "))
+log.write_text("".join(line + "\\n" for line in runs)
+               + here.name + " " + " ".join(sys.argv[1:]) + "\\n")
+latency = json.loads((here / "latency.json").read_text())[mine]
+print("a progress line the contract line follows")
+print(json.dumps({"attempted": 10, "failed": 0, "metrics": {
+    "latency_ms": {"value": latency},
+    "goodput_MBps": {"value": 1.0 / latency},
+}}))
+'''
+
+
+def _fake_tree(root, name, latencies):
+    tree = root / name
+    tree.mkdir()
+    (tree / "run.py").write_text(_FAKE_RUN)
+    (tree / "latency.json").write_text(json.dumps(latencies))
+    (tree / "BENCHMARK.json").write_text(json.dumps({
+        "command": [sys.executable, "run.py"], "run_seconds": 15, **MANIFEST}))
+    return tree
+
+
+def test_pairs_alternate_and_count_the_pairs_each_side_won(tmp_path, capsys):
+    base = _fake_tree(tmp_path, "base", [1.0, 1.2, 1.1, 0.9])
+    change = _fake_tree(tmp_path, "change", [0.9, 1.0, 0.95, 1.0])
+    done = bench_history.pairs(base, change, "rpc_routed", 4,
+                               ["--seconds", "2"])
+    runs = (tmp_path / "runs.log").read_text().splitlines()
+    # the base first in odd pairs, the change first in even ones: an order
+    # effect on the host then falls on both sides alike
+    assert [line.split()[0] for line in runs] == [
+        "base", "change", "change", "base", "base", "change", "change", "base"]
+    assert all(line.split()[1:] == ["--workload", "rpc_routed", "--trace", "0",
+                                    "--seconds", "2"] for line in runs)
+    assert [pair["first"] for pair in done] == ["base", "change"] * 2
+    rows = {row[0]: row[1:] for row in bench_history.summarize(done, MANIFEST)}
+    (bq1, bmed, bq3), (cq1, cmed, cq3), wins = rows["latency_ms"]
+    assert (bmed, cmed) == (pytest.approx(1.05), pytest.approx(0.975))
+    assert (bq3 - bq1, cq3 - cq1) == (pytest.approx(0.15), pytest.approx(0.0625))
+    assert wins == 3  # lower is better: the fourth pair went to the base
+    assert rows["goodput_MBps"][2] == 3  # higher is better: the same pairs
+    bench_history.print_pairs(done, MANIFEST)
+    out = capsys.readouterr().out
+    assert "latency_ms" in out and "3/4" in out
+    assert "failed operations: base 0, change 0" in out
