@@ -80,13 +80,13 @@ bench-diff:
 # layer, mux.backpressure_waits per MiB, event-loop handle runs and
 # futures created per MiB, then Python calls per rpc round trip and per
 # block.  A printed diagnostic with six gates, each ≈ 15 % above what the
-# tree reaches (20.5 relay frames, 1.75 stalls, 73 handle runs and 47.8
-# futures per MiB; 267 calls into src/repro per round trip and 170.6 per
+# tree reaches (20.5 relay frames, 1.75 stalls, 55.1 handle runs and 30.1
+# futures per MiB; 229 calls into src/repro per round trip and 145.6 per
 # block — the event loop's calls, which differ between Python versions,
 # are printed but not gated); the deterministic budgets are
 # tests/core/test_frame_census.py and tests/core/test_routed_call_budget.py.
 frame-census:
-	$(PYTHON) scripts/frame_census.py --mib 64 --max-frames 24 --max-stalls 2 --max-handles 84 --max-futures 55 --max-calls 307 --max-block-calls 196
+	$(PYTHON) scripts/frame_census.py --mib 64 --max-frames 24 --max-stalls 2 --max-handles 63 --max-futures 35 --max-calls 263 --max-block-calls 167
 
 # Is the simulator's behaviour here identical to BASE's?  Runs the twelve
 # reference chaos cells (nine packet-tier, three flow-tier) at both trees

@@ -20,6 +20,8 @@ __all__ = [
     "BufferedLink",
     "TcpLink",
     "LinkClosed",
+    "feed",
+    "link_ended",
     "transport_errors",
     "LINK_KIND_DATA",
     "LINK_KIND_SERVICE",
@@ -33,6 +35,40 @@ LINK_KIND_BOOTSTRAP = "bootstrap"
 
 class LinkClosed(Exception):
     """Operation on a closed link."""
+
+
+def link_ended(missing: int, n: int) -> EOFError:
+    """What a read of ``n`` bytes raises when its link ends ``missing``
+    bytes short."""
+    return EOFError(f"link ended with {missing}/{n} bytes missing")
+
+
+def feed(link, received, ended, read, errors, spawn) -> None:
+    """Hand what ``link`` receives to one consumer.
+
+    A link whose class has ``push_to`` holds what it receives in a core
+    and pushes it: ``received(data)`` is called with every payload inside
+    the call that received it, what was queued before first, and
+    ``ended(exc)`` with the end, once (``None`` at a clean end of the
+    stream).  Any other link is read for the consumer by one pump, which
+    ``spawn`` starts: each ``await read()`` goes to ``received`` for as
+    long as that answers true, and a read that raises one of ``errors``
+    goes to ``ended``.  A consumer keeps nothing it is handed past the
+    call unless it is :func:`~repro.util.bytesbuf.frozen`, and raises
+    nothing: a failure fails its own layer."""
+    push_to = getattr(type(link), "push_to", None)
+    if push_to is not None:
+        push_to(link, received, ended)
+    else:
+        spawn(_pump(read, received, ended, errors))
+
+
+async def _pump(read, received, ended, errors):
+    try:
+        while received(await read()):
+            pass
+    except errors as exc:
+        ended(exc)
 
 
 def transport_errors() -> tuple:
@@ -65,7 +101,8 @@ class Link:
 
     ``gathers`` is True on a class whose ``send_all`` also takes a buffer
     list (:func:`repro.util.bytesbuf.for_stream`); any other is handed
-    one ``bytes`` per write.
+    one ``bytes`` per write.  What a link receives goes up to the layer
+    above it through :func:`feed`.
     """
 
     method: str = "abstract"
@@ -90,7 +127,7 @@ class Link:
         while remaining > 0:
             data = await self.recv(remaining)
             if not data:
-                raise EOFError(f"link ended with {remaining}/{n} bytes missing")
+                raise link_ended(remaining, n)
             if len(data) == n:
                 return data  # one chunk satisfied the read: nothing to join
             chunks.append(data)
@@ -130,7 +167,7 @@ class BufferedLink(Link):
             while (data := self.read(remaining)) is None:
                 await self._readable()
             if not data:
-                raise EOFError(f"link ended with {remaining}/{n} bytes missing")
+                raise link_ended(remaining, n)
             if len(data) == n:
                 return data  # one read satisfied it: nothing to join
             chunks.append(data)

@@ -300,7 +300,9 @@ class ReflectorServer:
 
 
 class RoutedLink(RoutedChannel, Link):
-    """A virtual stream carried as routed messages through the relay."""
+    """A virtual stream carried as routed messages through the relay; it
+    pushes (:meth:`RoutedChannel.push_to`): the relay client's reader
+    hands an attached consumer each payload."""
 
     method = "routed"
     native_tcp = False

@@ -612,7 +612,9 @@ class RoutedChannel:
     """One routed virtual stream's state, either end.
 
     A binding adds the stream surface (``send_all``/``recv``) and
-    overrides :meth:`_wake` to let parked readers re-check :meth:`take`.
+    overrides :meth:`_wake` to let parked readers re-check :meth:`take`;
+    or, once one consumer is attached with :meth:`push_to`, every payload
+    and the end go to it instead (:func:`repro.core.links.feed`).
     """
 
     def __init__(self, client: "RelayClientCore", peer: str, channel: int,
@@ -627,6 +629,9 @@ class RoutedChannel:
         self._buffer = ByteQueue()
         self._eof = False
         self._error: Optional[Exception] = None
+        #: the attached consumer's two calls: each payload, and the end
+        self._push: Optional[Callable] = None
+        self._push_end: Optional[Callable] = None
         self.closed = False
         #: the T_OPEN payload (purpose tag) this channel was opened with
         self.open_payload: bytes = b""
@@ -641,7 +646,23 @@ class RoutedChannel:
 
     def _deliver_eof(self) -> None:
         self._eof = True
+        ended = self._push_end
+        if ended is not None:
+            self._push = self._push_end = None
+            ended(self._error)
         self._wake()
+
+    def push_to(self, received: Callable, ended: Callable) -> None:
+        """Hand every payload from now on to ``received``, inside the call
+        that received it, and the end to ``ended(exc)`` (``None`` at EOF)
+        once; what is queued goes first, in order."""
+        buf = self._buffer
+        while buf:
+            received(buf.popleft())
+        if self._eof:
+            ended(self._error)
+        else:
+            self._push, self._push_end = received, ended
 
     def _deliver_error(self, exc: Exception) -> None:
         self._error = exc
@@ -775,7 +796,8 @@ class RelayClientCore:
         """Act on one frame from the relay; returns the link it opened, if
         any, for the binding to hand to ``accept_link``.  Total: a frame
         that makes no sense is ignored, never raised.  A routed payload is
-        kept as a view of ``body`` when it is large."""
+        kept as a view of ``body`` when it is large, or handed as one to
+        the link's consumer, which raises nothing."""
         if body and body[0] == T_MESH:
             return self._on_mesh_view(body)
         try:
@@ -798,8 +820,12 @@ class RelayClientCore:
         if link is None:
             return None
         if kind == T_MSG:
-            link._buffer.put(memoryview(body)[start:end])
-            link._wake()
+            push = link._push
+            if push is not None:
+                push(memoryview(body)[start:end])
+            else:
+                link._buffer.put(memoryview(body)[start:end])
+                link._wake()
         elif kind == T_CLOSE:
             link._deliver_eof()
         elif kind == T_ERROR:

@@ -30,10 +30,12 @@ delivery stays byte-identical and FIFO.
 The protocol itself — wire format, replay and ack arithmetic, close,
 heartbeat and watchdog — lives in :mod:`repro.core.session_core`; this
 module is its one binding, written as ``async def`` coroutines over
-:mod:`repro.core.runtime`: the tasks that move bytes between the link and
-the core (the inbound pump; the writers — callers and the control loop —
-taking turns on the raw link), the heartbeat timer, the parking of callers
-until the core wakes them, and the RESUME exchange under its deadline.
+:mod:`repro.core.runtime`: what moves bytes between the link and the core
+(in, the raw link itself when it pushes, else the inbound pump; out, the
+writers — callers and the control loop — taking turns on the raw link),
+the heartbeat timer, the parking of callers until the core wakes them
+(or the consumer the session pushes to), and the RESUME exchange under
+its deadline.
 So is re-establishment: the initiator's recovery runs its ``reconnect``
 callable under the retry policy, and the responder's re-attach adopts the
 link a ``RESUME`` arrived on, whether the node's :class:`SessionRegistry`
@@ -50,7 +52,7 @@ from .. import obs
 from ..obs import TraceContext
 from ..obs.flight import FlightRecorder
 from ..util.bytesbuf import for_stream, size, split
-from .links import BufferedLink, Link, transport_errors
+from .links import BufferedLink, Link, feed, link_ended, transport_errors
 from .retry import RetryPolicy, retrying
 from .runtime import Bound
 from .session_core import (
@@ -100,6 +102,10 @@ class SessionLink(Bound, SessionCore, BufferedLink):
     through its node's :class:`SessionRegistry` or a live listener.  A
     session built with no ``raw`` link exists before its first one: the
     first ``RESUME`` exchange attaches it.
+
+    It pushes (:func:`~repro.core.links.feed`): a consumer attached with
+    :meth:`~repro.core.session_core.SessionCore.push_to` is handed every
+    delivered payload, and the end, by the core.
     """
 
     gathers = True
@@ -133,7 +139,7 @@ class SessionLink(Bound, SessionCore, BufferedLink):
                              attached=raw is not None, peer=peer, ctx=ctx,
                              node=node, flight=flight)
         if raw is not None:
-            self._start_pump()
+            self._start_feed()
             self._start_loops()
 
     def _start_loops(self) -> None:
@@ -205,7 +211,7 @@ class SessionLink(Bound, SessionCore, BufferedLink):
     def _link_changed(self) -> None:
         state = self._state
         if state == ACTIVE:
-            self._start_pump()
+            self._start_feed()
             return
         if self._raw is not None:
             try:
@@ -264,11 +270,32 @@ class SessionLink(Bound, SessionCore, BufferedLink):
             await self.runtime.sleep(hb)
             self.tick(self.runtime.now())
 
-    # -- inbound pump ------------------------------------------------------------
-    def _start_pump(self) -> None:
-        self._spawn(
-            self._pump(self._raw, self._gen),
-            f"session-pump-{self.sid:x}-{self.role[0]}-g{self._gen}")
+    # -- inbound ---------------------------------------------------------------
+    def _start_feed(self) -> None:
+        """Feed the core's parser from the current link, for its generation
+        (:func:`~repro.core.links.feed`): a link that pushes hands it each
+        payload itself, what it holds already first; any other is read by
+        the pump, which stops once the generation moved on."""
+        raw, gen = self._raw, self._gen
+        now = self.runtime.now
+        receive_data = self.receive_data
+
+        def received(data) -> bool:
+            try:
+                receive_data(data, now(), gen)
+            except SessionError:
+                return False  # protocol violation: the core failed the session
+            return gen == self._gen
+
+        def ended(exc) -> None:
+            if exc is None:  # as the pump's read would have ended
+                need = self.rx_need
+                exc = link_ended(need, need)
+            self.transport_broken(gen, exc, now())
+
+        feed(raw, received, ended, lambda: self._read(raw), self._transport,
+             lambda pump: self._spawn(
+                 pump, f"session-pump-{self.sid:x}-{self.role[0]}-g{gen}"))
 
     def _read(self, raw: Link):
         """The pump's next read.  Exactly what the parser awaits, never
@@ -276,17 +303,6 @@ class SessionLink(Bound, SessionCore, BufferedLink):
         reads and ``wan_transfer`` + ``link_down`` moves 23 timestamps
         (measured, ISSUE 23)."""
         return raw.recv_exactly(self.rx_need)
-
-    async def _pump(self, raw: Link, gen: int):
-        now = self.runtime.now
-        try:
-            while gen == self._gen:
-                data = await self._read(raw)
-                self.receive_data(data, now(), gen)
-        except SessionError:
-            pass  # protocol violation: the core failed the session
-        except self._transport as exc:
-            self.transport_broken(gen, exc, now())
 
     # -- recovery ----------------------------------------------------------------
     async def _recovery(self):

@@ -34,7 +34,7 @@ from typing import NamedTuple, Optional
 from .. import obs
 from ..obs import TraceContext
 from ..obs.flight import FlightRecorder
-from ..util.bytesbuf import ByteQueue, prepend, size, split
+from ..util.bytesbuf import ByteQueue, frozen, prepend, size, split
 from ..util.sizes import SESSION_MAX_CHUNK, SESSION_REPLAY_BOUND, cut, pieces
 
 __all__ = ["SessionCore", "SessionError", "SessionConfig", "ReplayBuffer",
@@ -285,6 +285,11 @@ class SessionCore:
         self._inbuf = bytearray()
         self._step: Optional[int] = None
         self._need = 1
+        #: the consumer attached with push_to: delivered payloads go to it,
+        #: in the call that delivered them, instead of to ``_rx``; and the
+        #: stream's end, once
+        self._push = None
+        self._push_end = None
         #: control frames owed to the peer: ack, pong, ping, retune, finack, fin
         self._owed: set = set()
         if attached:
@@ -298,7 +303,9 @@ class SessionCore:
     def wake(self, what: str) -> None:
         """Binding hook: condition ``what`` (a ``WAKE_*`` constant) may now
         hold.  A hint, not a promise: the woken waiter re-checks.  May read
-        the core's state but must not feed it or call it back."""
+        the core's state but must not feed it or call it back — but for
+        ``WAKE_LINK`` at an :meth:`attach`, where a binding may start
+        reading the new link, and feed what it already holds."""
 
     # -- metadata ----------------------------------------------------------------
     @property
@@ -397,10 +404,37 @@ class SessionCore:
             return self._rx.take(maxbytes)
         if self._failure is not None:
             raise self._read_error()
-        if self._state == FINISHED or (
-                self._rx_fin is not None and self._rx_off >= self._rx_fin):
-            return b""
-        return None
+        return b"" if self._rx_done else None
+
+    @property
+    def _rx_done(self) -> bool:
+        """The stream is over once what was delivered is read: the peer's
+        FIN is reached, or the session finished."""
+        return self._state == FINISHED or (
+            self._rx_fin is not None and self._rx_off >= self._rx_fin)
+
+    def push_to(self, received, ended) -> None:
+        """Hand every payload delivered from now on to ``received``, inside
+        the call that delivered it, and the stream's end to ``ended(exc)``
+        once — the failure as :meth:`read` raises it, or ``None`` at the
+        end of the stream; what was delivered and not read goes first
+        (:func:`repro.core.links.feed`)."""
+        rx = self._rx
+        while rx:
+            received(rx.popleft())
+        self._push, self._push_end = received, ended
+        self._rx_changed()
+
+    def _rx_changed(self) -> None:
+        """:meth:`read` may answer something new: its readers are woken,
+        or a consumer pushed to is handed the end once a read would answer
+        one."""
+        ended = self._push_end
+        if ended is None:
+            self.wake(self.WAKE_RX)
+        elif self._failure is not None or self._rx_done:
+            self._push = self._push_end = None
+            ended(self._read_error() if self._failure is not None else None)
 
     def _read_error(self) -> Exception:
         """What a read of the failed session raises: ``error_class``,
@@ -437,7 +471,7 @@ class SessionCore:
         self._emit("session.failed", self.ctx, {"error": type(exc).__name__},
                    role=self.role, error=f"{type(exc).__name__}: {exc}")
         self.wake(self.WAKE_LINK)
-        self.wake(self.WAKE_RX)
+        self._rx_changed()
         self.wake(self.WAKE_WINDOW)
         self._notify()
 
@@ -451,7 +485,8 @@ class SessionCore:
 
         A DATA payload that lies wholly inside ``data`` is delivered as a
         view of it; only a frame split between two reads is finished in
-        a buffer of its own."""
+        a buffer of its own, which is reused: nothing is handed on as a
+        view of it.  A session that its consumer failed reads no further."""
         if ((gen is not None and gen != self._gen)
                 or self._state in (FINISHED, FAILED) or not data):
             return
@@ -483,6 +518,9 @@ class SessionCore:
                     else:
                         if step == _PAYLOAD:
                             self._on_data(view[pos:end])
+                            if self._failure is not None:
+                                self._inbuf = bytearray()
+                                return
                         else:
                             self._on_offset(step, *_U64.unpack_from(view, pos))
                         step, need = None, 1
@@ -512,10 +550,16 @@ class SessionCore:
         self._rx_off += len(payload)
         if self._rx_fin is not None and self._rx_off > self._rx_fin:
             raise SessionError("data past the peer's FIN offset")
-        self._rx.put(payload)
-        self.wake(self.WAKE_RX)
+        push = self._push
+        if push is None:
+            self._rx.put(payload)
+            self.wake(self.WAKE_RX)
+        else:
+            push(frozen(payload))
         if self._rx_fin is not None:
             self._owe_finack()
+            if push is not None:
+                self._rx_changed()  # a FIN that came first: the end is here
         # an ACK of its own only as a backstop: the next write carries one
         if self._rx_off - self._last_ack_sent >= self.config.ack_backstop(
                 self.peer_max_buffer or self.config.max_buffer):
@@ -523,7 +567,7 @@ class SessionCore:
 
     def _on_fin(self, off: int) -> None:
         self._note_peer_fin(off)
-        self.wake(self.WAKE_RX)
+        self._rx_changed()
         if self._rx_fin is not None:
             self._owe_finack()
         self._notify()
@@ -761,7 +805,7 @@ class SessionCore:
                    tx=self._replay.end, rx=self._rx_off,
                    reconnects=self.reconnects)
         self.wake(self.WAKE_LINK)
-        self.wake(self.WAKE_RX)
+        self._rx_changed()
         self._notify()
 
     # -- observability -----------------------------------------------------------

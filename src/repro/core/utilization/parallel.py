@@ -98,6 +98,8 @@ class _StreamWriter:
                 self._runtime.unpark(self._waiters, "space")
                 await self.link.send_all(item)
                 self.written += len(item)
+        except GeneratorExit:
+            raise  # finalized with its simulation: no member died
         except BaseException as exc:
             self.error = exc
             self._runtime.unpark(self._waiters, "space")

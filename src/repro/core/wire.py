@@ -15,18 +15,12 @@ from __future__ import annotations
 
 import struct
 
-
 from ..util.bytesbuf import BY_REF, for_stream, prepend, size
+from ..util.framing import MAX_FRAME, WireError
 
 __all__ = ["send_frame", "recv_frame", "WireError", "MAX_FRAME"]
 
-MAX_FRAME = 1 << 22  # 4 MiB: largest block any driver stack produces
-
 _LENGTH = struct.Struct("!I")
-
-
-class WireError(Exception):
-    """Malformed frame on a stream."""
 
 
 async def send_frame(stream, body):

@@ -2,14 +2,14 @@
 
 :mod:`repro.core.session_core` is the session protocol and
 :class:`~repro.core.session.SessionLink` its binding — data path, control
-and heartbeat loops, inbound pump, parking, the RESUME exchange under its
-deadline, the initiator's recovery and the responder's re-attach — for
-both backends.  :class:`AsyncSessionLink` names the asyncio runtime and
-keeps what is establishment on real sockets, over anything with the live
-socket surface (``send_all``/``recv``/``recv_exactly``/``close``/
-``abort``: a ``LiveSocket``, a relay-routed link), so the chaos harness
-can prove resume polarity against genuine TCP faults (a proxy RST
-mid-stream) and not just simulated ones:
+and heartbeat loops, inbound push or pump, parking, the RESUME exchange
+under its deadline, the initiator's recovery and the responder's
+re-attach — for both backends.  :class:`AsyncSessionLink` names the
+asyncio runtime and keeps what is establishment on real sockets, over
+anything with the live socket surface (``send_all``/``recv``/
+``recv_exactly``/``close``/``abort``: a ``LiveSocket``, a relay-routed
+link), so the chaos harness can prove resume polarity against genuine
+TCP faults (a proxy RST mid-stream) and not just simulated ones:
 
 * :meth:`AsyncSessionLink.connect` dials and opens the link with
   ``RESUME`` for a fresh session id at offset 0, answered by

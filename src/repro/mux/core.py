@@ -6,10 +6,12 @@ OPEN/ACCEPT/DATA/CREDIT/CLOSE/WINDOW dispatch, frame selection, the close
 handshake, ``close_when_idle`` and the bound ``mux.*`` instruments — and
 know nothing of simulator events or asyncio.  A binding
 (:mod:`repro.mux.endpoint`, :mod:`repro.livenet.mux`) adds only IO: it
-hands each frame body it reads to :meth:`MuxCore.feed`, writes whatever
-:meth:`MuxCore.next_frame` returns, and overrides :meth:`MuxCore.wake` to
-resume whoever is parked on the condition the core names.  Two cores run
-back to back with no IO at all: ``b.feed(a.next_frame())``.
+hands the bytes its carrier receives to :meth:`MuxCore.receive_data`,
+which cuts them into frame bodies for :meth:`MuxCore.feed`, writes
+whatever :meth:`MuxCore.next_frame` returns, and overrides
+:meth:`MuxCore.wake` to resume whoever is parked on the condition the
+core names.  Two cores run back to back with no IO at all:
+``b.feed(a.next_frame())``.
 
 Every frame passes through :meth:`MuxCore.next_frame` or
 :meth:`MuxCore.feed`, so those two and :meth:`ChannelState.read` spend as
@@ -22,12 +24,14 @@ costs.
 
 from __future__ import annotations
 
+import struct
 from collections import deque
 from typing import Callable, Optional
 
 from .. import obs
 from ..obs import TraceContext
 from ..util.bytesbuf import frozen, size, split
+from ..util.framing import MAX_FRAME, WireError
 from ..util.sizes import DEFAULT_WINDOW, LONE_DATA_PAYLOAD, cut
 from . import frames
 from .frames import MuxProtocolError
@@ -41,6 +45,10 @@ __all__ = ["MuxCore", "ChannelState", "MuxError", "DEFAULT_WINDOW",
 #: link.  A channel that has the carrier to itself sends a whole write,
 #: up to ``LONE_DATA_PAYLOAD``, in one frame.
 MAX_DATA_PAYLOAD = 16384
+
+#: the carrier's u32 length prefix in front of every frame body
+_LENGTH = struct.Struct("!I")
+_PREFIX = _LENGTH.size
 
 
 class MuxError(Exception):
@@ -264,8 +272,8 @@ class ChannelState:
 
 class MuxCore:
     """Channel table, credit flow control and frame scheduling for one end
-    of a carrier link: bytes in through :meth:`feed`, bytes out through
-    :meth:`next_frame`."""
+    of a carrier link: bytes in through :meth:`receive_data` (frame by
+    frame through :meth:`feed`), bytes out through :meth:`next_frame`."""
 
     INITIATOR = "initiator"
     RESPONDER = "responder"
@@ -306,6 +314,10 @@ class MuxCore:
         self._error: Optional[BaseException] = None
         #: WAKE_* kind -> whatever the binding parks endpoint callers on
         self._waiters: dict = {}
+        # parser: bytes of a frame split between two reads, and the length
+        # of the body awaited (None while its prefix is)
+        self._inbuf = bytearray()
+        self._rx_len: Optional[int] = None
         reg = obs.metrics()
         self._m_frames_tx = reg.counter("mux.frames_total", node=node,
                                         direction="tx")
@@ -327,6 +339,14 @@ class MuxCore:
     @property
     def channels_open(self) -> int:
         return len(self._channels)
+
+    @property
+    def rx_need(self) -> int:
+        """How many more bytes the parser's next step awaits — a length
+        prefix, then the body it announces: a reader that asks its link for
+        exactly this many reads what ``core.wire.recv_frame`` reads."""
+        length = self._rx_len
+        return (_PREFIX if length is None else length) - len(self._inbuf)
 
     @property
     def idle(self) -> bool:
@@ -398,6 +418,51 @@ class MuxCore:
         self.wake(self.WAKE_INCOMING)
 
     # -- bytes in ------------------------------------------------------------
+    def receive_data(self, data) -> int:
+        """Apply bytes read off the carrier, however they are cut, and
+        return how many frames they completed: frame bodies behind their
+        u32 length prefix, each length checked against ``MAX_FRAME`` before
+        anything of its body is kept, each body handed to :meth:`feed`.  A
+        body that lies wholly inside ``data`` is fed as a view of it; only
+        a frame split between two calls is finished in a buffer of its
+        own.  A closed or failed endpoint takes nothing.  An oversized
+        length fails the endpoint and raises
+        :class:`~repro.util.framing.WireError`; a bad frame raises what
+        :meth:`feed` raises."""
+        if self._closed or self._error is not None:
+            return 0
+        buf = self._inbuf
+        if buf:
+            buf += data
+            data = buf
+        pos = fed = 0
+        length = self._rx_len
+        with memoryview(data) as view:
+            total = len(view)
+            while True:
+                if length is None:
+                    if total - pos < _PREFIX:
+                        break
+                    (length,) = _LENGTH.unpack_from(view, pos)
+                    if length > MAX_FRAME:
+                        exc = WireError(
+                            f"oversized frame: {length} > {MAX_FRAME}")
+                        self.fail(exc)
+                        raise exc
+                    pos += _PREFIX
+                end = pos + length
+                if end > total:
+                    break
+                self.feed(view[pos:end])
+                pos, length = end, None
+                fed += 1
+            if data is not buf and pos < total:
+                buf += view[pos:]  # a frame the next call finishes
+        self._rx_len = length
+        if data is buf:
+            del buf[:pos]
+        return fed
+
     def feed(self, body: bytes) -> None:
         """Apply one frame body read off the carrier.  A malformed frame or
         protocol violation fails the endpoint and raises

@@ -12,10 +12,12 @@ stacks, block channels and survivable sessions compose over it unchanged.
 The protocol itself lives in :mod:`repro.mux.core`; this module is its
 one binding: the HELLO exchange, the carrier's write turn (taken by the
 task that calls :meth:`MuxChannel.send_all`, and by the tx pump for frames
-no writer is waiting to send), the rx pump, and the parking of callers
-until the core wakes them, written as ``async def`` coroutines over
-:mod:`repro.core.runtime`.  On the simulator the runtime comes with the
-link; :mod:`repro.livenet.mux` subclasses name the asyncio one.
+no writer is waiting to send), what feeds the core's parser (a carrier
+that pushes, inside the call that received the bytes; the rx pump reading
+any other), and the parking of callers until the core wakes them, written
+as ``async def`` coroutines over :mod:`repro.core.runtime`.  On the
+simulator the runtime comes with the link; :mod:`repro.livenet.mux`
+subclasses name the asyncio one.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from __future__ import annotations
 from typing import Optional
 
 from .. import obs
-from ..core.links import BufferedLink, Link, LinkClosed, transport_errors
+from ..core.links import (BufferedLink, Link, LinkClosed, feed, link_ended,
+                          transport_errors)
 from ..core.runtime import Bound
 from ..core.wire import WireError, recv_frame, send_frame
 from ..obs import TraceContext
@@ -107,7 +110,7 @@ class MuxEndpoint(Bound, MuxCore):
         self._writing = False
         #: bytes write turns have put on the carrier since the other tasks
         #: last ran, as far as the endpoint can tell: since a writer parked
-        #: or yielded, or the rx pump fed a frame
+        #: or yielded, or a frame was fed
         self._unyielded = 0
         self._transport_errors = transport_errors()
         super().__init__(role, window=window, scheduler=scheduler, node=node)
@@ -133,7 +136,7 @@ class MuxEndpoint(Bound, MuxCore):
             decode_hello(await recv_frame(link))
         endpoint = cls(link, role, window=window, scheduler=scheduler,
                        node=node, flight=flight)
-        endpoint._spawn(endpoint._rx_pump(), f"mux-rx:{node}")
+        endpoint._start_rx()
         endpoint._spawn(endpoint._tx_pump(), f"mux-tx:{node}")
         if flight is not None:
             flight.note("mux.establish", ctx=ctx, role=role,
@@ -198,22 +201,42 @@ class MuxEndpoint(Bound, MuxCore):
         if what in waiters:
             self.runtime.unpark(waiters, what)
 
-    # -- pumps ---------------------------------------------------------------
-    async def _rx_pump(self):
+    # -- bytes in -----------------------------------------------------------
+    def _start_rx(self) -> None:
+        """Feed the core's parser (:func:`~repro.core.links.feed`): a
+        carrier that pushes hands it each payload itself, what it received
+        after the HELLO first; any other is read by the rx pump exactly as
+        ``recv_frame`` reads it, the length prefix and then the body."""
+        link = self.link
+        feed(link, self._received, self._carrier_ended,
+             lambda: link.recv_exactly(self.rx_need), self._carrier_errors,
+             lambda pump: self._spawn(pump, f"mux-rx:{self.node}"))
+
+    def _received(self, data) -> bool:
+        """What the carrier received, parsed inside the call that hands it
+        up; whether to read on.  A violation fails this endpoint and drops
+        the carrier; it never reaches the carrier's own parser."""
         try:
-            while not self._closed:
-                self.feed(await recv_frame(self.link))
-                self._unyielded = 0
-        except self._carrier_errors as exc:
-            self.fail(exc)
-        except (MuxProtocolError, WireError) as exc:
-            self.fail(exc)
-            self._violation()
+            if self.receive_data(data):
+                self._unyielded = 0  # the other tasks ran: a turn restarts
+        except (MuxProtocolError, WireError):
+            self._violation()  # the core has failed the endpoint
+            return False
+        return not self._closed
+
+    def _carrier_ended(self, exc) -> None:
+        """The carrier ended: with ``exc``, or at a clean end of a pushing
+        one, which reads as it does to ``recv_frame``."""
+        if exc is None:
+            need = self.rx_need
+            exc = link_ended(need, need + len(self._inbuf))
+        self.fail(exc)
 
     def _violation(self) -> None:
         """The peer broke the protocol: make sure it learns of it too."""
         self.link.abort()
 
+    # -- bytes out ----------------------------------------------------------
     async def _write_turn(self, channel: MuxChannel, data: bytes):
         """``channel``'s writer holds the carrier: queue ``data``, write
         frames in the core's order (control first, then scheduler turns,

@@ -9,13 +9,21 @@ from __future__ import annotations
 
 import struct
 
-__all__ = ["FrameError", "ByteWriter", "ByteReader", "frame", "FRAME_HEADER"]
+__all__ = ["FrameError", "WireError", "ByteWriter", "ByteReader", "frame",
+           "FRAME_HEADER", "MAX_FRAME"]
 
 FRAME_HEADER = 4
+#: largest u32-length-prefixed frame a stream carries (``core.wire``, the
+#: mux): 4 MiB, the largest block any driver stack produces
+MAX_FRAME = 1 << 22
 
 
 class FrameError(Exception):
     """Malformed or truncated wire data."""
+
+
+class WireError(Exception):
+    """Malformed frame on a stream."""
 
 
 def frame(payload: bytes) -> bytes:

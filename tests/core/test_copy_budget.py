@@ -188,7 +188,7 @@ async def _receiving_stack():
     endpoint = AsyncMuxEndpoint(session, AsyncMuxEndpoint.RESPONDER)
     endpoint.feed(mf.encode_open(1, DEFAULT_WINDOW))
     channel = endpoint.accept()
-    endpoint._spawn(endpoint._rx_pump(), "mux-rx")
+    endpoint._start_rx()
     client._spawn(client._reader(), "relay-client")
     return sock, TcpBlockDriver(channel)
 

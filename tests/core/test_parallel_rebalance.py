@@ -169,6 +169,29 @@ class TestMemberDeath:
         sim.run(until=sim.now + 30)
         assert outcome["result"] == "failed"
 
+    def test_a_writer_finalized_with_its_simulation_is_no_death(self):
+        """Dropping a simulation finalizes the writer processes parked in
+        it (``GeneratorExit``).  No member died: none is marked dead and no
+        rebalance is started — it would never run, and its ``requeue``
+        coroutine would be reported never awaited in whatever test the
+        garbage collector happened to be running."""
+        inet, a, b = two_public_hosts()
+        sim = inet.sim
+        la, _lb = _linked_pair(inet, a, b, 2)
+        tx = RebalancingParallelDriver(la)
+
+        async def sender():
+            for _ in range(4):
+                await tx.send_block(b"p" * 4096)
+
+        sim.process(sender())
+        sim.run(until=sim.now + 1)
+        assert any(tx._pending), "no frame a death would requeue"
+        for writer in tx._writers:
+            writer._task._gen.close()  # what finalizing the simulation does
+        assert (tx.alive_members, tx.rebalanced_blocks) == (2, 0)
+        assert obs.metrics().counter("parallel.member_deaths_total").value == 0
+
     def test_death_metrics(self):
         inet, a, b = two_public_hosts()
         la, lb = _linked_pair(inet, a, b, 2)

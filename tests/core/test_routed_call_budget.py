@@ -10,9 +10,9 @@ calls (functions entered and coroutines resumed) per 64 KiB block whose
 code lives in ``src/repro`` outside ``repro/simnet``: the bindings, the
 cores and the buffer helpers the live stack runs as well, not the
 simulated network under them.  It is deterministic and host-independent
-(the same on Python 3.11 and 3.13, the versions it was measured on), and
-it fails when the per-frame calls taken out of the shared bindings and
-cores come back.
+(the same on Python 3.11, 3.12 and 3.13, the versions it was measured
+on), and it fails when the per-frame calls taken out of the shared
+bindings and cores come back.
 """
 
 import os
@@ -27,14 +27,16 @@ from repro.workloads import payloads
 
 from ..dual import SimRelay
 
-#: measured 307.3 when the budget was set, on Python 3.11 and 3.13 alike
-#: (368.7 before the routed path's per-frame calls were cut: reads straight
-#: off the mux and session cores, DATA applied in ``MuxCore.feed``, queued
-#: routed data returned at once, a small frame's length prefix joined in
-#: ``send_frame`` without a buffer helper); the bound leaves ~15 % for
-#: interpreter differences.  Most of what is left is the simulated
-#: sockets resuming the relay's and the clients' read loops per segment.
-CALLS_PER_BLOCK = 353
+#: measured 251.2 when the budget was set, on Python 3.11, 3.12 and 3.13
+#: alike: 307.3 while the session's and the mux's pumps each read what the
+#: link below them had queued, and 368.7 before the routed path's
+#: per-frame calls were cut (reads straight off the mux and session cores,
+#: DATA applied in ``MuxCore.feed``, queued routed data returned at once, a
+#: small frame's length prefix joined in ``send_frame`` without a buffer
+#: helper); the bound leaves ~15 % for interpreter differences.  Most of
+#: what is left is the simulated sockets resuming the relay's and the
+#: clients' read loops per segment.
+CALLS_PER_BLOCK = 289
 
 BLOCK = 1 << 16
 MESSAGE = 1 << 20
