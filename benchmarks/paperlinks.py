@@ -16,9 +16,13 @@ implied by the paper's slow-link compression numbers.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+from repro.core.monitor import PathMonitor
 from repro.core.scenarios import GridScenario
 from repro.core.utilization.spec import StackSpec
 from repro.simnet.cpu import CpuModel
+from repro.tune import LinkSignals
 from repro.workloads import payload_with_ratio
 
 __all__ = [
@@ -26,6 +30,7 @@ __all__ = [
     "DELFT_SOPHIA",
     "build_paper_wan",
     "measure",
+    "probe_signals",
     "PAYLOAD_RATIO",
 ]
 
@@ -68,6 +73,41 @@ def build_paper_wan(link: dict, seed: int = 9) -> GridScenario:
     for node in (src, dst):
         CpuModel(scenario.sim, rates=link["cpu_rates"]).attach(node.host)
     return scenario
+
+
+def probe_signals(link: dict) -> LinkSignals:
+    """Probe the path the way a deployment would — the
+    :class:`~repro.core.monitor.PathMonitor` — and add what a deployment
+    knows besides: the link's loss, the hosts' compression rate and the
+    workload's payload ratio.  No knob is set by hand."""
+    scenario = build_paper_wan(link, seed=41)
+    src = scenario.nodes["src"]
+    dst = scenario.nodes["dst"]
+    out = {}
+
+    async def initiator():
+        await src.start()
+        while not dst.relay_client.connected:
+            await scenario.sim.timeout(0.05)
+        service = await src.open_service_link("dst")
+        monitor = PathMonitor(src)
+        out["signals"] = await monitor.estimate(service, dst.info)
+        await monitor.finish(service)
+
+    async def responder():
+        await dst.start()
+        _peer, service = await dst.accept_service_link()
+        await PathMonitor(dst).serve(service)
+
+    scenario.sim.process(initiator())
+    scenario.sim.process(responder())
+    scenario.run(until=600)
+    return replace(
+        out["signals"],
+        loss_rate=link["loss"],
+        compress_rate=link["cpu_rates"]["compress"],
+        payload_ratio=PAYLOAD_RATIO,
+    )
 
 
 def measure(

@@ -6,16 +6,15 @@ the automated selection of the proper communication methods for given WAN
 settings."
 
 For both of the paper's WAN classes, the path monitor probes the link,
-``select_spec`` derives the driver stack, and the resulting throughput is
-compared against naive plain TCP and against the best hand-tuned static
-configuration from Figures 9/10.
+``select_spec`` derives the driver stack (the tuner's planner decides),
+and the resulting throughput is compared against naive plain TCP and
+against the best hand-tuned static configuration from Figures 9/10.
 """
 
 from conftest import once
-from paperlinks import AMSTERDAM_RENNES, DELFT_SOPHIA, PAYLOAD_RATIO, build_paper_wan, measure
-from repro.core import PathMonitor, select_spec
+from paperlinks import AMSTERDAM_RENNES, DELFT_SOPHIA, measure, probe_signals
+from repro.core import select_spec
 from repro.core.utilization.spec import StackSpec
-from repro.workloads import payload_with_ratio
 
 TOTAL = 8_000_000
 MSG = 65536
@@ -27,42 +26,10 @@ HAND_TUNED = {
 }
 
 
-def _probe_and_select(link: dict) -> "StackSpec":
-    scenario = build_paper_wan(link, seed=41)
-    src = scenario.nodes["src"]
-    dst = scenario.nodes["dst"]
-    out = {}
-
-    async def initiator():
-        await src.start()
-        while not dst.relay_client.connected:
-            await scenario.sim.timeout(0.05)
-        service = await src.open_service_link("dst")
-        monitor = PathMonitor(src)
-        estimate = await monitor.estimate(service, dst.info)
-        await monitor.finish(service)
-        out["estimate"] = estimate
-        out["spec"] = select_spec(
-            estimate,
-            compress_rate=link["cpu_rates"]["compress"],
-            payload_ratio=PAYLOAD_RATIO,
-        )
-
-    async def responder():
-        await dst.start()
-        _peer, service = await dst.accept_service_link()
-        await PathMonitor(dst).serve(service)
-
-    scenario.sim.process(initiator())
-    scenario.sim.process(responder())
-    scenario.run(until=600)
-    return out["spec"]
-
-
 def _run():
     rows = []
     for link in (AMSTERDAM_RENNES, DELFT_SOPHIA):
-        spec = _probe_and_select(link)
+        spec = select_spec(probe_signals(link))
         naive = measure(link, StackSpec.tcp(), MSG, TOTAL)
         selected = measure(link, spec, MSG, TOTAL)
         tuned = measure(link, HAND_TUNED[link["name"]], MSG, TOTAL)

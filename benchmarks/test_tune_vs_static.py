@@ -2,7 +2,7 @@
 
 The ISSUE-10 criterion for the closed-loop tuner's *planner*: probe the
 path (no hand-set knobs anywhere), let :class:`~repro.tune.TunePlanner`
-derive the stack — stream count from the BDP rule with loss headroom,
+derive the stack through :func:`~repro.core.monitor.select_spec` — stream count from the BDP rule with loss headroom,
 compression from the CPU/wire crossover — and the resulting throughput
 must reach at least 95% of the best configuration found by exhaustively
 sweeping the static grid (plain TCP and 2/4/8 parallel streams, each
@@ -14,16 +14,9 @@ the ``tune_*`` chaos scenarios.
 """
 
 from conftest import once
-from paperlinks import (
-    AMSTERDAM_RENNES,
-    DELFT_SOPHIA,
-    PAYLOAD_RATIO,
-    build_paper_wan,
-    measure,
-)
-from repro.core import PathMonitor
+from paperlinks import AMSTERDAM_RENNES, DELFT_SOPHIA, measure, probe_signals
+from repro.core import select_spec
 from repro.core.utilization.spec import StackSpec
-from repro.tune import LinkSignals, TunePlanner
 
 TOTAL = 8_000_000
 MSG = 65536
@@ -36,58 +29,10 @@ STATIC_GRID = [StackSpec.tcp(), StackSpec.tcp().with_compression()] + [
 ]
 
 
-def _probe(link: dict) -> "PathEstimate":
-    """Measure the path the way a deployment would: the PathMonitor."""
-    scenario = build_paper_wan(link, seed=41)
-    src = scenario.nodes["src"]
-    dst = scenario.nodes["dst"]
-    out = {}
-
-    async def initiator():
-        await src.start()
-        while not dst.relay_client.connected:
-            await scenario.sim.timeout(0.05)
-        service = await src.open_service_link("dst")
-        monitor = PathMonitor(src)
-        out["estimate"] = await monitor.estimate(service, dst.info)
-        await monitor.finish(service)
-
-    async def responder():
-        await dst.start()
-        _peer, service = await dst.accept_service_link()
-        await PathMonitor(dst).serve(service)
-
-    scenario.sim.process(initiator())
-    scenario.sim.process(responder())
-    scenario.run(until=600)
-    return out["estimate"]
-
-
-def _plan_spec(link: dict) -> StackSpec:
-    """Probe → TunePlanner → stack: no hand-set knobs anywhere."""
-    estimate = _probe(link)
-    signals = LinkSignals(
-        rtt=estimate.rtt,
-        capacity=estimate.capacity,
-        loss_rate=link["loss"],
-        streams_active=1,
-        compress_rate=link["cpu_rates"]["compress"],
-        payload_ratio=PAYLOAD_RATIO,
-    )
-    plan = TunePlanner().plan(signals)
-    spec = (
-        StackSpec.parallel(plan.streams) if plan.streams > 1
-        else StackSpec.tcp()
-    )
-    if plan.compress == "on":
-        spec = spec.with_compression()
-    return spec
-
-
 def _run():
     rows = []
     for link in (AMSTERDAM_RENNES, DELFT_SOPHIA):
-        spec = _plan_spec(link)
+        spec = select_spec(probe_signals(link))
         auto = measure(link, spec, MSG, TOTAL)
         grid = {
             str(static): measure(link, static, MSG, TOTAL)

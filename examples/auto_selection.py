@@ -6,11 +6,13 @@ communication methods for given WAN settings.  Also, parameter adaptation,
 like selection of the optimal number of parallel TCP streams or the
 dynamic enabling or disabling of compression will then become possible."
 
-For two very different WANs, a path monitor probes the link (NWS-style),
-`select_spec` derives a driver stack, and the transfer runs with it —
-compared against naive plain TCP.  The probe results are read back from
-the observability registry (the monitor publishes them as ``path.*``
-gauges) rather than recomputed here.
+For two very different WANs, a path monitor probes the link (NWS-style)
+and returns what it measured as the tuner's ``LinkSignals``; the WAN's
+loss, the hosts' compression rate and the payload's ratio are added to
+them, `select_spec` writes the ``TunePlanner``'s plan as a driver stack,
+and the transfer runs with it — compared against naive plain TCP.  The
+probe results are read back from the observability registry (the monitor
+publishes them as ``path.*`` gauges) rather than recomputed here.
 
 Run:  python examples/auto_selection.py [--trace out.jsonl]
 
@@ -20,6 +22,7 @@ lines; summarize them with ``python -m repro.obs.report out.jsonl``.
 """
 
 import argparse
+from dataclasses import replace
 
 from repro import StackSpec, obs
 from repro.core import PathMonitor, select_spec
@@ -62,11 +65,12 @@ def run_wan(label, capacity, owd, loss, compress_rate):
             await sc.runtime.sleep(0.05)
         service = await src.open_service_link("dst")
         monitor = PathMonitor(src)
-        estimate = await monitor.estimate(service, dst.info)
+        signals = await monitor.estimate(service, dst.info)
         await monitor.finish(service)
-        chosen["spec"] = select_spec(
-            estimate, compress_rate=compress_rate, payload_ratio=3.5
-        )
+        chosen["spec"] = select_spec(replace(
+            signals, loss_rate=loss, compress_rate=compress_rate,
+            payload_ratio=3.5,
+        ))
 
     async def server():
         await dst.start()

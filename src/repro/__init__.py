@@ -43,7 +43,6 @@ _EXPORTS = {
     "ReceivePort": ("repro.ipl.ports", "ReceivePort"),
     # monitoring / automated selection
     "PathMonitor": ("repro.core.monitor", "PathMonitor"),
-    "PathEstimate": ("repro.core.monitor", "PathEstimate"),
     "select_spec": ("repro.core.monitor", "select_spec"),
     # retry / chaos
     "RetryPolicy": ("repro.core.retry", "RetryPolicy"),

@@ -49,6 +49,7 @@ from ..core.scenarios import GridScenario
 from ..core.utilization.spec import StackSpec
 from ..obs import TraceContext
 from ..tune import GaugeSignalSource, LinkTuner, StackKnobs, TunePlanner
+from ..tune.planner import MIN_MUX_WINDOW
 from .registry import scenario
 from .runner import Workload, _accept, _connect, _grid
 
@@ -432,7 +433,8 @@ def _build_tune_bandwidth_step(
 
 # -- the live credit-window workload -----------------------------------------
 
-_LIVE_WINDOW = 16 * 1024
+#: the stack's mux window: the planner's floor (``MIN_MUX_WINDOW``)
+_LIVE_WINDOW = MIN_MUX_WINDOW
 _LIVE_CHUNK = 4096
 _LIVE_PACE = 0.005
 _LIVE_PING_EVERY = 0.05
@@ -479,9 +481,7 @@ def _build_tune_window(seed: int, retries: bool, sessions: bool) -> Workload:
         providers={"rtt": lambda: holder.get("rtt", 0.0)},
         smoothing_window=_LIVE_SMOOTH,
     )
-    planner = TunePlanner(
-        min_mux_window=_LIVE_WINDOW, max_mux_window=1 << 20, escalation=2.0,
-    )
+    planner = TunePlanner(escalation=2.0)
     tuner = LinkTuner(
         source.read,
         late,

@@ -28,7 +28,7 @@ from .establishment import (
 )
 from ..tune.planner import estimate_bdp, recommend_streams
 from .links import Link, TcpLink
-from .monitor import PathEstimate, PathMonitor, select_spec
+from .monitor import PathMonitor, select_spec
 from .relay import MAX_MSG, RelayClient, RelayError, RelayServer, RoutedLink
 from .wire import WireError, recv_frame, send_frame
 
@@ -43,7 +43,6 @@ __all__ = [
     "Link",
     "TcpLink",
     "PathMonitor",
-    "PathEstimate",
     "select_spec",
     "recommend_streams",
     "estimate_bdp",

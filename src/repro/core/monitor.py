@@ -11,11 +11,12 @@ fills it:
 * :class:`PathMonitor` actively probes an established path the way NWS
   does — round-trip probes for latency, a bulk transfer for achievable
   single-stream bandwidth, and an escalation probe over several streams
-  when the single stream looks window-limited.
-* :func:`select_spec` turns a :class:`PathEstimate` into a driver-stack
-  specification: stream count from the BDP rule, compression from the
-  CPU-rate/payload-ratio trade-off (or the adaptive driver when those are
-  unknown).
+  when the single stream looks window-limited — and returns what it saw
+  as the :class:`~repro.tune.signals.LinkSignals` the tuner reads.
+* :func:`select_spec` hands those signals to
+  :class:`~repro.tune.planner.TunePlanner`, the one rule that chooses
+  stream count and compression, and writes its plan as a driver-stack
+  specification.
 
 Probing runs over ordinary brokered data links, so it works across any
 middlebox combination the decision tree can handle.
@@ -24,12 +25,11 @@ middlebox combination the decision tree can handle.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from .. import obs
-from ..simnet.packet import Addr
-from ..tune.planner import recommend_streams
+from ..tune.planner import TunePlanner
+from ..tune.signals import LinkSignals
 from .links import Link
 from .utilization.spec import StackSpec
 from .wire import recv_frame, send_frame
@@ -37,7 +37,7 @@ from .wire import recv_frame, send_frame
 if TYPE_CHECKING:  # node imports mux, and mux imports this package
     from .node import GridNode
 
-__all__ = ["PathEstimate", "PathMonitor", "select_spec"]
+__all__ = ["PathMonitor", "select_spec"]
 
 P_PING = 0
 P_BULK = 1
@@ -51,23 +51,6 @@ WARMUP_BYTES = 262_144
 BULK_BYTES = 786_432
 
 
-@dataclass
-class PathEstimate:
-    """Measured characteristics of one WAN path."""
-
-    rtt: float
-    #: achievable single-TCP-stream bandwidth, bytes/s
-    single_stream: float
-    #: estimated path capacity, bytes/s (>= single_stream)
-    capacity: float
-    #: streams used by the escalation probe (1 if not escalated)
-    probe_streams: int = 1
-
-    @property
-    def window_limited(self) -> bool:
-        return self.capacity > 1.25 * self.single_stream
-
-
 class PathMonitor:
     """Active path measurement between two grid nodes."""
 
@@ -77,8 +60,11 @@ class PathMonitor:
         self.rcvbuf = rcvbuf
 
     # -- initiator --------------------------------------------------------
-    async def estimate(self, service_link: Link, peer_info):
-        """Probe the path to ``peer_info``; returns a :class:`PathEstimate`.
+    async def estimate(self, service_link: Link, peer_info) -> LinkSignals:
+        """Probe the path to ``peer_info``; returns its
+        :class:`~repro.tune.signals.LinkSignals` (``rtt``, ``capacity``,
+        ``streams_active=1``; the single-stream rate and the probe's
+        stream count in ``attrs``).
 
         The responder must be running :meth:`serve` on its side of the
         service link.  When the single stream is window-limited, the probe
@@ -88,14 +74,9 @@ class PathMonitor:
         """
         with obs.span("path.probe", peer=peer_info.node_id):
             rtt, single = await self._probe_once(service_link, peer_info, 1)
-            window_cap = self.rcvbuf / rtt
-            if single < 0.75 * window_cap:
-                estimate = PathEstimate(
-                    rtt=rtt, single_stream=single, capacity=single
-                )
-            else:
-                capacity = single
-                streams_used = 1
+            capacity = single
+            streams_used = 1
+            if single >= 0.75 * self.rcvbuf / rtt:
                 for streams in (4, 8):
                     _r, multi = await self._probe_once(
                         service_link, peer_info, streams
@@ -104,22 +85,23 @@ class PathMonitor:
                     streams_used = streams
                     if multi < 0.6 * streams * single:
                         break  # scaling flattened: we are seeing the pipe
-                estimate = PathEstimate(
-                    rtt=rtt,
-                    single_stream=single,
-                    capacity=capacity,
-                    probe_streams=streams_used,
-                )
-        self._publish(peer_info.node_id, estimate)
-        return estimate
+        signals = LinkSignals(
+            rtt=rtt,
+            capacity=capacity,
+            streams_active=1,
+            attrs={"single_stream_bps": single, "probe_streams": streams_used},
+        )
+        self._publish(peer_info.node_id, signals)
+        return signals
 
-    def _publish(self, peer: str, estimate: PathEstimate) -> None:
+    def _publish(self, peer: str, signals: LinkSignals) -> None:
         """Publish the probe's results through the metrics registry."""
         reg = obs.metrics()
         reg.counter("path.probes_total", peer=peer).inc()
-        reg.gauge("path.rtt_seconds", peer=peer).set(estimate.rtt)
-        reg.gauge("path.single_stream_bps", peer=peer).set(estimate.single_stream)
-        reg.gauge("path.capacity_bps", peer=peer).set(estimate.capacity)
+        reg.gauge("path.rtt_seconds", peer=peer).set(signals.rtt)
+        reg.gauge("path.single_stream_bps", peer=peer).set(
+            signals.attrs["single_stream_bps"])
+        reg.gauge("path.capacity_bps", peer=peer).set(signals.capacity)
 
     async def _probe_once(self, service_link: Link, peer_info, streams: int):
         await send_frame(service_link, struct.pack("!BH", P_BULK, streams))
@@ -213,38 +195,29 @@ class PathMonitor:
         await send_frame(service_link, bytes([P_BYE, 0, 0]))
 
 
-def select_spec(
-    estimate: PathEstimate,
-    rcvbuf: int = 65536,
-    compress_rate: Optional[float] = None,
-    payload_ratio: Optional[float] = None,
-    max_streams: int = 16,
-) -> "StackSpec":
+def select_spec(signals: LinkSignals) -> StackSpec:
     """The §8 goal: pick a driver stack for the measured WAN settings.
 
-    * stream count — the BDP rule over the measured capacity;
-    * compression — enabled statically when the CPU can out-compress the
-      wire (``compress_rate`` and the workload's ``payload_ratio`` known),
-      disabled when it clearly cannot, and left to the *adaptive* driver
-      when unknown.
+    :class:`~repro.tune.planner.TunePlanner` decides — stream count from
+    the BDP rule with loss headroom, compression from the CPU-rate /
+    payload-ratio crossover — and its plan is written as a stack:
+    compression ``on`` statically, ``off`` not at all, ``auto`` through
+    the *adaptive* driver.  A caller that knows the loss, the CPU rate
+    or the workload's payload ratio sets them on ``signals``.
 
     Returns a :class:`~repro.core.utilization.spec.StackSpec` whose
     ``label`` records the decision (the canonical string plus the reason),
     ready to use as an experiment axis.
     """
-    streams = recommend_streams(
-        estimate.capacity, estimate.rtt, rcvbuf, max_streams=max_streams
-    )
-    bottom = StackSpec.parallel(streams) if streams > 1 else StackSpec.tcp()
-    if compress_rate is not None and payload_ratio is not None:
-        wire = min(estimate.capacity, streams * (rcvbuf / estimate.rtt))
-        compressed_throughput = min(compress_rate, payload_ratio * wire)
-        if compressed_throughput > 1.1 * wire:
-            spec, reason = bottom.with_compression(), "cpu-beats-wire"
-        else:
-            spec, reason = bottom, "wire-beats-cpu"
+    plan = TunePlanner().plan(signals)
+    streams = plan.streams or 1
+    spec = StackSpec.parallel(streams) if streams > 1 else StackSpec.tcp()
+    if plan.compress == "on":
+        spec, reason = spec.with_compression(), "cpu-beats-wire"
+    elif plan.compress == "off":
+        reason = "wire-beats-cpu"
     else:
-        spec, reason = bottom.with_adaptive(), "compressibility-unknown"
+        spec, reason = spec.with_adaptive(), "compressibility-unknown"
     spec = spec.with_label(f"{spec}#{reason}")
     obs.metrics().counter("monitor.spec_selections_total", spec=str(spec)).inc()
     obs.event(

@@ -256,8 +256,12 @@ class SessionCore:
         self.node = node
         self.flight = flight
         self.config = config or SessionConfig()
-        #: the peer's last advertised replay bound (RETUNE; informational)
+        #: the peer's last advertised replay bound (RETUNE)
         self.peer_max_buffer = 0
+        #: delivered bytes that force a standalone ACK, derived from
+        #: ``config`` and the peer's bound: whatever replaces either calls
+        #: :meth:`_set_ack_at`
+        self._set_ack_at()
         self.reconnects = 0
         self.replayed_bytes = 0
         #: bumped when a link is abandoned and again when the next one is
@@ -350,6 +354,7 @@ class SessionCore:
         if max_buffer == old:
             return
         self.config = replace(self.config, max_buffer=max_buffer)
+        self._set_ack_at()
         if max_buffer > old:
             self.wake(self.WAKE_WINDOW)
         obs.metrics().counter("session.retunes_total", role=self.role).inc()
@@ -539,12 +544,19 @@ class SessionCore:
     def _on_offset(self, kind: int, off: int) -> None:
         if kind == F_RETUNE:
             self.peer_max_buffer = off
+            self._set_ack_at()
         elif kind == F_FIN:
             self._on_fin(off)
         elif kind == F_FINACK:
             self._on_finack(off)
         elif self._replay.ack(off):  # ACK, PONG
             self.wake(self.WAKE_WINDOW)
+
+    def _set_ack_at(self) -> None:
+        """Recompute the ACK backstop; called whenever the config or the
+        peer's advertised bound changes, not per DATA frame."""
+        self._ack_at = self.config.ack_backstop(
+            self.peer_max_buffer or self.config.max_buffer)
 
     def _on_data(self, payload: memoryview) -> None:
         self._rx_off += len(payload)
@@ -561,8 +573,7 @@ class SessionCore:
             if push is not None:
                 self._rx_changed()  # a FIN that came first: the end is here
         # an ACK of its own only as a backstop: the next write carries one
-        if self._rx_off - self._last_ack_sent >= self.config.ack_backstop(
-                self.peer_max_buffer or self.config.max_buffer):
+        if self._rx_off - self._last_ack_sent >= self._ack_at:
             self._owe("ack")
 
     def _on_fin(self, off: int) -> None:

@@ -29,7 +29,6 @@ from .transport import (
     live_connect,
     live_connect_simultaneous,
     live_listen,
-    set_connect_hook,
 )
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "live_connect",
     "live_listen",
     "live_connect_simultaneous",
-    "set_connect_hook",
     "ChaosTcpProxy",
     "ProxyStats",
     "AsyncSessionLink",

@@ -154,6 +154,10 @@ class LiveNode(_Tasks):
         self.dispatcher: Optional[RoutedDispatcher] = None
         self.broker: Optional[LiveBroker] = None
         self.sessions = SessionRegistry(self)
+        #: direct service links this node opened or accepted: a port
+        #: connect leaves its own open once negotiated, so :meth:`stop`
+        #: closes what is left of them
+        self._service_links: set = set()
         self._tasks: set = set()
         self._sid_seq = 0
 
@@ -186,7 +190,12 @@ class LiveNode(_Tasks):
         except (OSError, IndexError):
             return await self.relay_client.open_link(info.node_id, payload=SERVICE_TAG)
         await send_frame(sock, SERVICE_TAG)
+        self._keep_service_link(sock)
         return sock
+
+    def _keep_service_link(self, sock) -> None:
+        self._service_links = {s for s in self._service_links if not s.closing}
+        self._service_links.add(sock)
 
     async def _direct_links(self) -> None:
         while True:
@@ -200,6 +209,8 @@ class LiveNode(_Tasks):
         except (WireError, EOFError, OSError):  # a missed deadline too
             sock.close()
             return
+        if tag == SERVICE_TAG:
+            self._keep_service_link(sock)
         self.dispatcher.route(sock, tag)
 
     def stop(self) -> None:
@@ -210,6 +221,9 @@ class LiveNode(_Tasks):
         self.relay_client.close()
         if self.listener is not None:
             self.listener.close()
+        for sock in self._service_links:
+            sock.close()
+        self._service_links.clear()
 
 
 class LiveIbis(_Tasks, Ibis):

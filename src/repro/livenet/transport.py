@@ -47,7 +47,6 @@ __all__ = [
     "live_connect",
     "live_listen",
     "live_connect_simultaneous",
-    "set_connect_hook",
     "HIGH_WATER",
 ]
 
@@ -58,21 +57,6 @@ Addr = Tuple[str, int]
 #: was measured against it: ``bulk_routed`` lost 1.5 % (7 of 7 pairs),
 #: ``bulk_plain`` gained 1.6 %, inside its spread.
 HIGH_WATER = 1 << 17
-
-#: optional dial hook: every ``live_connect`` target passes through it,
-#: letting a harness interpose a gateway (e.g. the chaos proxy) between
-#: endpoints without the endpoint factories knowing.  The hook receives
-#: the requested address and returns the address to actually dial.
-_connect_hook = None
-
-
-def set_connect_hook(hook):
-    """Install (or with ``None`` clear) the dial hook; returns the old one."""
-    global _connect_hook
-    previous = _connect_hook
-    _connect_hook = hook
-    return previous
-
 
 class LiveSocket(asyncio.Protocol):
     """A connected TCP stream (asyncio) with the library's socket API."""
@@ -152,6 +136,11 @@ class LiveSocket(asyncio.Protocol):
     @property
     def raddr(self) -> Addr:
         return self._transport.get_extra_info("peername")[:2]
+
+    @property
+    def closing(self) -> bool:
+        """Closed, or on its way: nothing more will be written."""
+        return self._transport.is_closing()
 
     @property
     def buffered(self) -> int:
@@ -317,8 +306,6 @@ async def live_listen(host: str = "127.0.0.1", port: int = 0) -> LiveListener:
 
 async def live_connect(addr: Addr, lport: int = 0) -> LiveSocket:
     """Connect to ``addr``; optionally from a fixed local port."""
-    if _connect_hook is not None:
-        addr = _connect_hook(addr) or addr
     local_addr = ("0.0.0.0", lport) if lport else None
     _, sock = await asyncio.get_running_loop().create_connection(
         LiveSocket, addr[0], addr[1], local_addr=local_addr)

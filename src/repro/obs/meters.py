@@ -84,9 +84,3 @@ class SeriesRecorder:
 
     def peak(self) -> float:
         return max(self.ys()) if self.points else 0.0
-
-    def format_rows(self, xfmt: str = "{:>10}", yfmt: str = "{:8.2f}") -> str:
-        return "\n".join(
-            f"{xfmt.format(int(x) if float(x).is_integer() else x)} {yfmt.format(y)}"
-            for x, y in self.points
-        )

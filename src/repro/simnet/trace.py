@@ -10,10 +10,9 @@ draws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from ..obs import context as _obs_context
 from .packet import Segment
 from .topology import Network
 
@@ -28,29 +27,6 @@ class TraceEntry:
     segment: Optional[Segment]
     reason: str = ""
     detail: str = ""
-    #: causal ids (obs schema) of the ambient trace context at record time,
-    #: when a traced operation was driving the network
-    ids: dict = field(default_factory=dict)
-
-    def to_obs(self) -> dict:
-        """This entry as an obs schema-v2 ``packet`` record, joinable with
-        per-node exports by :mod:`repro.obs.assemble`."""
-        record = {
-            "type": "trace",
-            "kind": "packet",
-            "name": f"packet.{self.kind}",
-            "ts": self.time,
-            "node": self.host,
-            "attrs": {},
-        }
-        record.update(self.ids)
-        if self.segment is not None:
-            record["attrs"]["segment"] = self.segment.describe()
-        if self.reason:
-            record["attrs"]["reason"] = self.reason
-        if self.detail:
-            record["attrs"]["detail"] = self.detail
-        return record
 
     def line(self) -> str:
         base = f"{self.time * 1000:10.3f}ms {self.host:12s} {self.kind:5s}"
@@ -99,7 +75,6 @@ class Tracer:
         detail = ""
         if kind == "tcp-state":
             detail = f"{info.get('old')} -> {info.get('new')}"
-        ctx = _obs_context.current()
         self.entries.append(
             TraceEntry(
                 time=info["time"],
@@ -108,7 +83,6 @@ class Tracer:
                 segment=info.get("segment"),
                 reason=info.get("reason", ""),
                 detail=detail,
-                ids=ctx.ids() if ctx is not None else {},
             )
         )
 

@@ -36,6 +36,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "HEADROOM",
+    "MAX_RCVBUF",
+    "REPLAY_FACTOR",
+    "MIN_REPLAY",
+    "MAX_REPLAY",
+    "MIN_MUX_WINDOW",
+    "MAX_MUX_WINDOW",
+    "COMPRESS_MARGIN",
     "estimate_bdp",
     "loss_headroom",
     "recommend_streams",
@@ -55,6 +62,22 @@ LOSS_GAIN = 8.0
 #: cap on the loss multiplier — beyond this, loss is a path problem more
 #: streams cannot buy back
 LOSS_HEADROOM_MAX = 2.0
+
+#: largest per-stream socket buffer the planner asks for
+MAX_RCVBUF = 1 << 22
+
+#: the session replay buffer holds this many BDPs, within
+#: [:data:`MIN_REPLAY`, :data:`MAX_REPLAY`]
+REPLAY_FACTOR = 2.0
+MIN_REPLAY = 1 << 16
+MAX_REPLAY = 1 << 22
+
+#: bounds of the mux credit window
+MIN_MUX_WINDOW = 1 << 14
+MAX_MUX_WINDOW = 1 << 20
+
+#: compression goes on only when it beats the wire by this factor
+COMPRESS_MARGIN = 1.1
 
 
 def estimate_bdp(capacity: float, rtt: float) -> float:
@@ -175,27 +198,13 @@ class TunePlanner:
         self,
         rcvbuf: int = 65536,
         max_streams: int = 16,
-        max_rcvbuf: int = 1 << 22,
         window_limited_threshold: float = 0.75,
         escalation: float = 1.5,
-        replay_factor: float = 2.0,
-        min_replay: int = 1 << 16,
-        max_replay: int = 1 << 22,
-        min_mux_window: int = 1 << 14,
-        max_mux_window: int = 1 << 20,
-        compress_margin: float = 1.1,
     ):
         self.rcvbuf = rcvbuf
         self.max_streams = max_streams
-        self.max_rcvbuf = max_rcvbuf
         self.window_limited_threshold = window_limited_threshold
         self.escalation = escalation
-        self.replay_factor = replay_factor
-        self.min_replay = min_replay
-        self.max_replay = max_replay
-        self.min_mux_window = min_mux_window
-        self.max_mux_window = max_mux_window
-        self.compress_margin = compress_margin
 
     # -- capacity ----------------------------------------------------------
     def capacity_estimate(self, signals: "LinkSignals") -> tuple[float, bool]:
@@ -233,18 +242,15 @@ class TunePlanner:
         if plan.streams >= self.max_streams and demand > self.max_streams * self.rcvbuf:
             plan.rcvbuf = _clamp(
                 1 << math.ceil(math.log2(demand / self.max_streams)),
-                self.rcvbuf, self.max_rcvbuf,
+                self.rcvbuf, MAX_RCVBUF,
             )
         else:
             plan.rcvbuf = self.rcvbuf
-        plan.replay_buffer = _clamp(
-            self.replay_factor * bdp, self.min_replay, self.max_replay
-        )
+        plan.replay_buffer = _clamp(REPLAY_FACTOR * bdp, MIN_REPLAY, MAX_REPLAY)
         window = bdp * HEADROOM
         if (signals.credit_stall_rate or 0.0) > 0:
             window *= self.escalation
-        plan.mux_window = _clamp(window, self.min_mux_window,
-                                 self.max_mux_window)
+        plan.mux_window = _clamp(window, MIN_MUX_WINDOW, MAX_MUX_WINDOW)
         plan.compress = self._plan_compress(signals, capacity, plan.streams)
         plan.attrs = {
             "capacity_bps": capacity,
@@ -265,5 +271,5 @@ class TunePlanner:
             wire = min(capacity, streams * (self.rcvbuf / signals.rtt))
             compressed = min(signals.compress_rate,
                              signals.payload_ratio * wire)
-            return "on" if compressed > self.compress_margin * wire else "off"
+            return "on" if compressed > COMPRESS_MARGIN * wire else "off"
         return "auto"

@@ -1,10 +1,13 @@
 """Path monitoring + automated stack selection (§8)."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.core.monitor import PathEstimate, PathMonitor, select_spec
+from repro.core.monitor import PathMonitor, select_spec
 from repro.core.scenarios import GridScenario
 from repro.core.utilization.spec import StackSpec
+from repro.tune import LinkSignals
 
 
 def _measure(capacity, one_way_delay, kind_a="firewall", kind_b="firewall", seed=81):
@@ -53,14 +56,17 @@ class TestPathMonitor:
         est = _measure(capacity=1e6, one_way_delay=0.005)
         # Low BDP: a single stream sees the true capacity.
         assert est.capacity == pytest.approx(1e6, rel=0.4)
-        assert not est.window_limited
-        assert est.probe_streams == 1
+        # not window-limited: the single stream is the capacity
+        assert est.capacity == est.attrs["single_stream_bps"]
+        assert est.attrs["probe_streams"] == 1
+        # what the planner reads: one stream, no goodput of its own
+        assert (est.streams_active, est.goodput) == (1, 0.0)
 
     def test_fat_link_detected_as_window_limited(self):
         est = _measure(capacity=9e6, one_way_delay=0.0215)
-        assert est.probe_streams >= 4  # escalation happened
-        assert est.window_limited
-        assert est.capacity > 2.0 * est.single_stream
+        assert est.attrs["probe_streams"] >= 4  # escalation happened
+        # window-limited: the streams together see well past one
+        assert est.capacity > 2.0 * est.attrs["single_stream_bps"]
         # With escalation to 8 streams the capacity estimate approaches the
         # true 9 MB/s.
         assert est.capacity > 6e6
@@ -73,42 +79,35 @@ class TestPathMonitor:
 
 
 class TestSelectSpec:
-    def _estimate(self, capacity, rtt, single=None):
-        single = single if single is not None else min(capacity, 65536 / rtt)
-        return PathEstimate(
-            rtt=rtt, single_stream=single, capacity=capacity, probe_streams=4
-        )
+    def _signals(self, capacity, rtt, **kw):
+        return LinkSignals(rtt=rtt, capacity=capacity, streams_active=1, **kw)
 
     def test_low_bdp_single_stream(self):
-        spec = select_spec(self._estimate(1e6, 0.01), compress_rate=1e5,
-                           payload_ratio=1.0)
+        spec = select_spec(self._signals(1e6, 0.01, compress_rate=1e5,
+                                         payload_ratio=1.0))
         assert isinstance(spec, StackSpec)
         assert spec == StackSpec.tcp()
         assert str(spec) == "tcp_block"
 
     def test_high_bdp_gets_streams(self):
-        spec = select_spec(self._estimate(9e6, 0.043), compress_rate=1e5,
-                           payload_ratio=1.0)
+        spec = select_spec(self._signals(9e6, 0.043, compress_rate=1e5,
+                                         payload_ratio=1.0))
         assert spec == StackSpec.parallel(8)
 
     def test_slow_link_fast_cpu_compresses(self):
         spec = select_spec(
-            self._estimate(1.6e6, 0.03),
-            compress_rate=3.6e6,
-            payload_ratio=3.6,
+            self._signals(1.6e6, 0.03, compress_rate=3.6e6, payload_ratio=3.6)
         )
         assert spec.layer("compress") is not None
 
     def test_fast_link_slow_cpu_skips_compression(self):
         spec = select_spec(
-            self._estimate(9e6, 0.043),
-            compress_rate=5.2e6,
-            payload_ratio=3.6,
+            self._signals(9e6, 0.043, compress_rate=5.2e6, payload_ratio=3.6)
         )
         assert "compress" not in spec and "adaptive" not in spec
 
     def test_unknown_cpu_uses_adaptive(self):
-        spec = select_spec(self._estimate(2e6, 0.02))
+        spec = select_spec(self._signals(2e6, 0.02))
         assert spec.layers[0].name == "adaptive"
         assert spec.label.endswith("#compressibility-unknown")
 
@@ -134,7 +133,9 @@ class TestEndToEndSelection:
             monitor = PathMonitor(a)
             estimate = await monitor.estimate(service, b.info)
             await monitor.finish(service)
-            res["spec"] = select_spec(estimate, compress_rate=5e6, payload_ratio=1.0)
+            res["spec"] = select_spec(
+                replace(estimate, compress_rate=5e6, payload_ratio=1.0)
+            )
 
         async def responder():
             await b.start()

@@ -251,7 +251,11 @@ class LiveSessions(dual.LiveHarness):
         initiator = await AsyncSessionLink.connect(
             dial, node="ini", retry_policy=_FAST_RETRY)
         responder = await self.listener.accept()
-        initiator.config = responder.config = self.config
+        # the live API takes no config: set it after the handshake, and
+        # recompute the ACK backstop the core derives from it
+        for link in (initiator, responder):
+            link.config = self.config
+            link._set_ack_at()
         try:
             yield (initiator,), (responder,)
         finally:

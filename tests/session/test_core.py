@@ -322,6 +322,23 @@ class TestRetune:
         w.resume()
         assert RETUNE not in kinds(w.flush(w.a))
 
+    def test_a_peer_retune_moves_the_ack_backstop(self):
+        # a quarter of the 1 MiB bound would be 256 KiB: after the peer
+        # advertises 4096, b acknowledges every 1024 delivered bytes
+        w = Wire(SessionConfig(max_buffer=1 << 20))
+        w.a.set_max_buffer(4096)
+        w.pump()
+        assert w.b.peer_max_buffer == 4096
+        for _ in range(16):
+            assert w.write(w.a, payload(256)) == 256
+        acks = []
+        while w.flight[w.b]:
+            w.deliver(w.b)
+            acks.append(kinds(w.flush(w.b)))
+        assert acks == [[], [], [], [ACK]] * 4
+        w.pump()
+        assert w.a.acked_tx == 4096
+
     def test_rejects_nonpositive_and_ignores_no_change(self):
         w = Wire()
         with pytest.raises(ValueError):

@@ -22,7 +22,16 @@ from repro.tune import (
     loss_headroom,
     recommend_streams,
 )
-from repro.tune.planner import LOSS_GAIN, LOSS_HEADROOM_MAX
+from repro.tune.planner import (
+    COMPRESS_MARGIN,
+    LOSS_GAIN,
+    LOSS_HEADROOM_MAX,
+    MAX_MUX_WINDOW,
+    MAX_RCVBUF,
+    MIN_MUX_WINDOW,
+    MIN_REPLAY,
+    REPLAY_FACTOR,
+)
 
 
 class TestLossHeadroom:
@@ -136,27 +145,32 @@ class TestPlan:
         assert plan.streams == recommend_streams(9e6, 0.043, 65536)
 
     def test_replay_buffer_is_two_bdps(self):
-        planner = TunePlanner(min_replay=1 << 10, max_replay=1 << 30)
+        planner = TunePlanner()
         plan = planner.plan(_signals(capacity=2e6, goodput=0.0, rtt=0.05,
                                      streams_active=2))
+        assert REPLAY_FACTOR == 2.0
+        assert int(2.0 * 2e6 * 0.05) > MIN_REPLAY  # inside the clamp
         assert plan.replay_buffer == int(2.0 * 2e6 * 0.05)
 
     def test_mux_window_grows_under_credit_stall(self):
-        planner = TunePlanner(min_mux_window=1 << 10, max_mux_window=1 << 30,
-                              escalation=1.5)
+        planner = TunePlanner(escalation=1.5)
         calm = planner.plan(_signals(goodput=0.0, credit_stall_rate=0.0))
         stalled = planner.plan(_signals(goodput=0.0, credit_stall_rate=4.0))
+        # both inside the clamp
+        assert MIN_MUX_WINDOW < 2e6 * 0.05 * HEADROOM
+        assert 2e6 * 0.05 * HEADROOM * 1.5 < MAX_MUX_WINDOW
         assert calm.mux_window == int(2e6 * 0.05 * HEADROOM)
         assert stalled.mux_window == int(2e6 * 0.05 * HEADROOM * 1.5)
 
     def test_mux_window_clamped(self):
-        planner = TunePlanner(min_mux_window=1 << 14, max_mux_window=1 << 16)
+        planner = TunePlanner()
         plan = planner.plan(_signals(capacity=1e9, goodput=0.0))
-        assert plan.mux_window == 1 << 16
+        assert plan.mux_window == MAX_MUX_WINDOW
+        tiny = planner.plan(_signals(capacity=1e3, goodput=0.0))
+        assert tiny.mux_window == MIN_MUX_WINDOW
 
     def test_rcvbuf_grows_only_when_streams_saturate(self):
-        planner = TunePlanner(rcvbuf=65536, max_streams=4,
-                              max_rcvbuf=1 << 22)
+        planner = TunePlanner(rcvbuf=65536, max_streams=4)
         modest = planner.plan(_signals(capacity=2e6, goodput=0.0, rtt=0.05,
                                        streams_active=2))
         assert modest.rcvbuf == 65536
@@ -164,7 +178,7 @@ class TestPlan:
                                         streams_active=4))
         assert starved.streams == 4
         assert starved.rcvbuf > 65536
-        assert starved.rcvbuf <= 1 << 22
+        assert starved.rcvbuf <= MAX_RCVBUF
         # power-of-two sizing (OS buffer idiom)
         assert starved.rcvbuf & (starved.rcvbuf - 1) == 0
 
@@ -177,7 +191,8 @@ class TestPlan:
         assert undecided.compress == "auto"
 
     def test_compress_crossover_from_rates(self):
-        planner = TunePlanner(rcvbuf=65536, compress_margin=1.1)
+        planner = TunePlanner(rcvbuf=65536)
+        assert COMPRESS_MARGIN == 1.1
         # Slow wire, fast CPU, compressible payload: compression wins.
         win = planner.plan(_signals(
             capacity=1e6, goodput=0.0, streams_active=1,
